@@ -34,9 +34,14 @@ let () =
     the priority queue, the δ-admission test, the bound probes — so it
     is converted to a structured exception at the source, which the
     supervised search quarantines as a diagnostic. *)
+let is_finite_cost value = Float.is_finite value && value >= 0.0
+
 let check_finite ~what value =
-  if not (Float.is_finite value) || value < 0.0 then
-    raise (Non_finite { what; value })
+  if not (is_finite_cost value) then raise (Non_finite { what; value })
+
+(* the guard of every operator cost; the label is built only to raise *)
+let check_op_cost op c =
+  if not (is_finite_cost c) then check_finite ~what:(Op.name op ^ " cost") c
 
 type t = {
   hw : Hardware.t;
@@ -86,7 +91,7 @@ let cost t (op : Op.kind) (ins : Shape.t array) (out : Shape.t) : float =
       (* the fault site covers hits and misses alike, so a site visit
          count is independent of cache warmth *)
       let c = Fault.cost "op_cost" c in
-      check_finite ~what:(Op.name op ^ " cost") c;
+      check_op_cost op c;
       c
   | None ->
       t.misses <- t.misses + 1;
@@ -94,7 +99,7 @@ let cost t (op : Op.kind) (ins : Shape.t array) (out : Shape.t) : float =
       Metrics.incr m_misses;
       let c = Fault.cost "op_cost" (compute_raw t.hw op ins out) in
       (* guard before caching: a corrupted value must never be memoized *)
-      check_finite ~what:(Op.name op ^ " cost") c;
+      check_op_cost op c;
       Mutex.lock t.lock;
       Hashtbl.replace t.cache k c;
       Mutex.unlock t.lock;

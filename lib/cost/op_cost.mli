@@ -11,8 +11,12 @@ open Magis_ir
     letting the value poison the priority queue. *)
 exception Non_finite of { what : string; value : float }
 
-(** [check_finite ~what v] raises {!Non_finite} unless [0 <= v < ∞].
-    Exposed for the simulator and other cost-consuming layers. *)
+(** [is_finite_cost v] is [0 <= v < ∞]. *)
+val is_finite_cost : float -> bool
+
+(** [check_finite ~what v] raises {!Non_finite} unless [is_finite_cost v].
+    Exposed for the simulator and other cost-consuming layers; hot paths
+    test {!is_finite_cost} first and build [what] only on failure. *)
 val check_finite : what:string -> float -> unit
 
 type t = {

@@ -15,7 +15,10 @@
 
     [run_events] additionally returns the per-node placement (stream,
     start, finish) the simulation computed, for timeline export; [run]
-    keeps the allocation-free hot path used by the search loop. *)
+    is the search loop's path and records no events.  Either way one
+    simulation allocates a finish-time array indexed by node id and the
+    {!Lifetime} analysis; a failure label is formatted only when a
+    duration fails its finiteness guard. *)
 
 open Magis_ir
 module Trace = Magis_obs.Trace
@@ -50,15 +53,15 @@ let simulate ?size_of ?cost_of ?sink (cache : Op_cost.t) (g : Graph.t)
     | None -> fun id -> Op_cost.node_cost cache g id
   in
   let emit ev = match sink with None -> () | Some r -> r := ev :: !r in
-  let finish = Hashtbl.create (Graph.n_nodes g) in
-  let ready v =
-    List.fold_left
-      (fun acc p ->
-        match Hashtbl.find_opt finish p with
-        | Some t -> max acc t
-        | None -> acc)
-      0.0 (Graph.pre g v)
+  (* finish time per node id; 0 until the node is scheduled, which is
+     also the neutral element of the [ready] maximum *)
+  let finish = Array.make (Graph.id_bound g) 0.0 in
+  let ready (n : Graph.node) =
+    Array.fold_left
+      (fun acc p -> if finish.(p) > acc then finish.(p) else acc)
+      0.0 n.inputs
   in
+  let later a b = if b > a then b else a in
   let t_compute = ref 0.0 and t_copy = ref 0.0 in
   let compute_busy = ref 0.0 and copy_busy = ref 0.0 in
   List.iter
@@ -68,26 +71,27 @@ let simulate ?size_of ?cost_of ?sink (cache : Op_cost.t) (g : Graph.t)
       | Op.Store | Op.Load ->
           let bytes = Shape.size_bytes n.shape in
           let dur = Op_cost.swap_time cache bytes in
-          let start = max !t_copy (ready v) in
+          let start = later !t_copy (ready n) in
           t_copy := start +. dur;
           copy_busy := !copy_busy +. dur;
-          Hashtbl.replace finish v !t_copy;
+          finish.(v) <- !t_copy;
           emit { ev_node = v; ev_copy = true; ev_start = start;
                  ev_finish = !t_copy }
-      | Op.Input _ -> Hashtbl.replace finish v 0.0
+      | Op.Input _ -> finish.(v) <- 0.0
       | _ ->
           let dur = cost_of v in
           (* the [cost_of] hook may come from fission accounting or any
              other caller-supplied model: guard it like Op_cost guards
              its own values, so a NaN duration surfaces as a structured
              exception instead of a poisoned latency *)
-          Op_cost.check_finite
-            ~what:(Printf.sprintf "node %d scheduled cost" v)
-            dur;
-          let start = max !t_compute (ready v) in
+          if not (Op_cost.is_finite_cost dur) then
+            Op_cost.check_finite
+              ~what:(Printf.sprintf "node %d scheduled cost" v)
+              dur;
+          let start = later !t_compute (ready n) in
           t_compute := start +. dur;
           compute_busy := !compute_busy +. dur;
-          Hashtbl.replace finish v !t_compute;
+          finish.(v) <- !t_compute;
           emit { ev_node = v; ev_copy = false; ev_start = start;
                  ev_finish = !t_compute })
     order;

@@ -265,73 +265,149 @@ let is_convex g set =
   let inps = inps_of g set in
   Int_set.is_empty (Int_set.inter inps desc)
 
-(** Weakly-connected components of the sub-graph induced by [set]. *)
+(** Weakly-connected components of the sub-graph induced by [set], in
+    order of their smallest member: one depth-first sweep over arrays
+    indexed by node id. *)
 let components_of g set =
-  let rec all acc remaining =
-    match Int_set.choose_opt remaining with
-    | None -> List.rev acc
-    | Some seed ->
-        let neighbors v =
-          List.filter (fun u -> Int_set.mem u remaining) (pre g v @ suc g v)
-        in
-        let comp = reachable neighbors [ seed ] in
-        let comp = Int_set.add seed comp in
-        all (comp :: acc) (Int_set.diff remaining comp)
+  (* 0: outside [set]; 1: member not yet reached; 2: reached.  An id
+     that is not a node raises, through [node], as before. *)
+  let mark = Array.make g.next_id 0 in
+  Int_set.iter
+    (fun v ->
+      if v >= 0 && v < g.next_id then mark.(v) <- 1
+      else ignore (node g v : node))
+    set;
+  let stack = ref [] in
+  let visit comp u =
+    if mark.(u) = 1 then begin
+      mark.(u) <- 2;
+      stack := u :: !stack;
+      comp := Int_set.add u !comp
+    end
   in
-  all [] set
+  let rec drain comp =
+    match !stack with
+    | [] -> !comp
+    | v :: rest ->
+        stack := rest;
+        Array.iter (visit comp) (node g v).inputs;
+        Int_set.iter (visit comp) (succ_set g v);
+        drain comp
+  in
+  Int_set.fold
+    (fun seed comps ->
+      if mark.(seed) = 1 then begin
+        let comp = ref Int_set.empty in
+        visit comp seed;
+        drain comp :: comps
+      end
+      else comps)
+    set []
+  |> List.rev
 
 (* ------------------------------------------------------------------ *)
 (* Topological order                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(** Deterministic Kahn topological order (smallest ready id first). *)
+(** Every node id is below [id_bound g]: arrays of this length can be
+    indexed by node id. *)
+let id_bound g = g.next_id
+
+(* Number of distinct member operands of [n]: operand arrays are a
+   handful of slots, so a quadratic scan beats building a set. *)
+let n_distinct_preds g n =
+  let ins = n.inputs in
+  let count = ref 0 in
+  Array.iteri
+    (fun i p ->
+      let seen = ref false in
+      for j = 0 to i - 1 do
+        if ins.(j) = p then seen := true
+      done;
+      if (not !seen) && mem g p then incr count)
+    ins;
+  !count
+
+(** Deterministic Kahn topological order (smallest ready id first): an
+    in-degree array indexed by node id and a binary min-heap of ready
+    ids. *)
 let topo_order g =
-  let indeg = Hashtbl.create (n_nodes g) in
+  let n = n_nodes g in
+  let indeg = Array.make g.next_id 0 in
+  let heap = Array.make (max n 1) 0 in
+  let size = ref 0 in
+  let push v =
+    let i = ref !size in
+    incr size;
+    while !i > 0 && heap.((!i - 1) / 2) > v do
+      heap.(!i) <- heap.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    heap.(!i) <- v
+  in
+  let pop () =
+    let top = heap.(0) in
+    decr size;
+    let last = heap.(!size) in
+    let i = ref 0 and continue_ = ref (!size > 0) in
+    while !continue_ do
+      let l = (2 * !i) + 1 in
+      if l >= !size then continue_ := false
+      else begin
+        let c = if l + 1 < !size && heap.(l + 1) < heap.(l) then l + 1 else l in
+        if heap.(c) < last then begin
+          heap.(!i) <- heap.(c);
+          i := c
+        end
+        else continue_ := false
+      end
+    done;
+    if !size > 0 then heap.(!i) <- last;
+    top
+  in
   iter
-    (fun n ->
-      Hashtbl.replace indeg n.id
-        (List.length (List.filter (fun p -> mem g p) (pre g n.id))))
+    (fun nd ->
+      let d = n_distinct_preds g nd in
+      indeg.(nd.id) <- d;
+      if d = 0 then push nd.id)
     g;
-  let module Pq = Set.Make (Int) in
-  let ready =
-    Hashtbl.fold (fun id d acc -> if d = 0 then Pq.add id acc else acc) indeg Pq.empty
-  in
-  let rec go ready acc =
-    match Pq.min_elt_opt ready with
-    | None -> List.rev acc
-    | Some v ->
-        let ready = Pq.remove v ready in
-        let ready =
-          List.fold_left
-            (fun r s ->
-              let d = Hashtbl.find indeg s - 1 in
-              Hashtbl.replace indeg s d;
-              if d = 0 then Pq.add s r else r)
-            ready (suc g v)
-        in
-        go ready (v :: acc)
-  in
-  let order = go ready [] in
-  if List.length order <> n_nodes g then
-    invalid_arg "Graph.topo_order: graph has a cycle";
-  order
+  let order = ref [] and placed = ref 0 in
+  while !size > 0 do
+    let v = pop () in
+    order := v :: !order;
+    incr placed;
+    Int_set.iter
+      (fun s ->
+        let d = indeg.(s) - 1 in
+        indeg.(s) <- d;
+        if d = 0 then push s)
+      (succ_set g v)
+  done;
+  if !placed <> n then invalid_arg "Graph.topo_order: graph has a cycle";
+  List.rev !order
 
-(** Check that [order] is a permutation of the node set respecting all data
-    dependencies. *)
+(** Check that [order] is a permutation of the node set (every node
+    exactly once) respecting all data dependencies. *)
 let is_valid_order g order =
-  let pos = Hashtbl.create (List.length order) in
-  List.iteri (fun i v -> Hashtbl.replace pos v i) order;
-  Hashtbl.length pos = n_nodes g
-  && List.for_all (fun v -> mem g v) order
-  && List.for_all
-       (fun v ->
-         List.for_all
-           (fun p -> Hashtbl.find pos p < Hashtbl.find pos v)
-           (pre g v))
-       order
+  let pos = Array.make g.next_id (-1) in
+  let rec place i = function
+    | [] -> i = n_nodes g
+    | v :: rest ->
+        mem g v && pos.(v) < 0
+        && begin
+             pos.(v) <- i;
+             place (i + 1) rest
+           end
+  in
+  place 0 order
+  && Int_map.for_all
+       (fun v n -> Array.for_all (fun p -> pos.(p) < pos.(v)) n.inputs)
+       g.nodes
 
-(** DFS-based order that visits operands right before their first consumer;
-    corresponds to the eager execution order of a define-by-run framework. *)
+(** The unoptimized baseline's execution order: the deterministic Kahn
+    order of {!topo_order} (smallest ready id first).  Builders number
+    nodes as a define-by-run program creates them, so this replays
+    construction order wherever the dependencies allow it. *)
 let program_order g = topo_order g
 
 (* ------------------------------------------------------------------ *)

@@ -101,13 +101,20 @@ val components_of : t -> Int_set.t -> Int_set.t list
 
 (** {1 Topological order} *)
 
-(** Deterministic Kahn order; raises on a cyclic graph. *)
+(** Every node id is below [id_bound g], so arrays of this length can be
+    indexed by node id. *)
+val id_bound : t -> int
+
+(** Deterministic Kahn order (smallest ready id first); raises on a
+    cyclic graph. *)
 val topo_order : t -> int list
 
-(** Permutation of the node set respecting all dependencies? *)
+(** Does [order] list every node exactly once, each after all its
+    operands? *)
 val is_valid_order : t -> int list -> bool
 
-(** Eager (define-by-run) execution order of the unoptimized baseline. *)
+(** Execution order of the unoptimized baseline: {!topo_order}, which
+    replays node-creation order wherever the dependencies allow. *)
 val program_order : t -> int list
 
 (** {1 Printing and statistics} *)

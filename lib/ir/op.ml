@@ -162,8 +162,40 @@ let name = function
   | Store -> "store"
   | Load -> "load"
 
-(** Structural fingerprint, used by the Weisfeiler-Lehman graph hash. *)
-let fingerprint (k : kind) : int64 = Util.hash_string (name k)
+(* Fingerprints are memoized per domain, so the hot path (WL hashing,
+   operator-cost keys) takes no lock and formats no string after the
+   first query for a kind.  [Scale] kinds bypass the table: structural
+   equality identifies [Scale 0.0] with [Scale (-0.0)], whose names
+   differ.  Keys own copies of their arrays, since OCaml arrays are
+   mutable and a hash-table key must not change.  The table is bounded
+   for long-running daemons. *)
+let fingerprint_memo : (kind, int64) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+
+let fingerprint_memo_limit = 4096
+
+(** Structural fingerprint, used by the Weisfeiler-Lehman graph hash:
+    always [Util.hash_string (name k)]. *)
+let fingerprint (k : kind) : int64 =
+  match k with
+  | Unary (Scale _) -> Util.hash_string (name k)
+  | _ -> (
+      let memo = Domain.DLS.get fingerprint_memo in
+      match Hashtbl.find_opt memo k with
+      | Some h -> h
+      | None ->
+          let h = Util.hash_string (name k) in
+          if Hashtbl.length memo >= fingerprint_memo_limit then
+            Hashtbl.reset memo;
+          let key =
+            match k with
+            | Transpose p -> Transpose (Array.copy p)
+            | Reshape d -> Reshape (Array.copy d)
+            | Broadcast b -> Broadcast { b with dims = Array.copy b.dims }
+            | k -> k
+          in
+          Hashtbl.add memo key h;
+          h)
 
 let is_input = function Input _ -> true | _ -> false
 let is_weight = function Input Weight -> true | _ -> false

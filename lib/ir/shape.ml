@@ -88,6 +88,18 @@ let pp ppf t =
 
 let to_string t = Fmt.str "%a" pp t
 
-let hash t =
-  let h = Util.hash_string (dtype_name t.dtype) in
-  Util.hash_combine h (Util.hash_int_list (Array.to_list t.dims))
+(* [Util.hash_string (dtype_name d)], computed once per dtype *)
+let dtype_hash =
+  let h d = Util.hash_string (dtype_name d) in
+  let f32 = h F32 and tf32 = h TF32 and bf16 = h BF16 and f16 = h F16 in
+  let i64 = h I64 and i32 = h I32 and bool = h Bool in
+  function
+  | F32 -> f32
+  | TF32 -> tf32
+  | BF16 -> bf16
+  | F16 -> f16
+  | I64 -> i64
+  | I32 -> i32
+  | Bool -> bool
+
+let hash t = Util.hash_combine (dtype_hash t.dtype) (Util.hash_int_array t.dims)

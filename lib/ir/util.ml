@@ -25,8 +25,13 @@ let hash_string (s : string) : int64 =
   String.iter (fun c -> h := hash_combine !h (Int64.of_int (Char.code c))) s;
   !h
 
+let hash_int_seed = 0x9e3779b97f4a7c15L
+
 let hash_int_list (xs : int list) : int64 =
-  List.fold_left (fun h x -> hash_combine h (Int64.of_int x)) 0x9e3779b97f4a7c15L xs
+  List.fold_left (fun h x -> hash_combine h (Int64.of_int x)) hash_int_seed xs
+
+let hash_int_array (xs : int array) : int64 =
+  Array.fold_left (fun h x -> hash_combine h (Int64.of_int x)) hash_int_seed xs
 
 (** [take n xs] is the first [n] elements of [xs] (all of them if shorter). *)
 let rec take n = function

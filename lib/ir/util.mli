@@ -14,6 +14,9 @@ val hash_combine : int64 -> int64 -> int64
 val hash_string : string -> int64
 val hash_int_list : int list -> int64
 
+(** [hash_int_array a = hash_int_list (Array.to_list a)]. *)
+val hash_int_array : int array -> int64
+
 (** [take n xs] is the first [n] elements of [xs] (all of them if
     shorter). *)
 val take : int -> 'a list -> 'a list

@@ -8,27 +8,32 @@
 
 module Int_map = Util.Int_map
 
-(** Per-node WL labels in topological order. *)
-let node_labels (g : Graph.t) : int64 Int_map.t =
-  let order = Graph.topo_order g in
-  List.fold_left
-    (fun acc v ->
+(* WL labels in an array indexed by node id, filled in topological
+   order so every operand's label is ready before its consumer's. *)
+let label_array (g : Graph.t) (order : int list) : int64 array =
+  let labels = Array.make (Graph.id_bound g) 0L in
+  List.iter
+    (fun v ->
       let n = Graph.node g v in
       let h0 = Util.hash_combine (Op.fingerprint n.op) (Shape.hash n.shape) in
       let h =
-        Array.fold_left
-          (fun h p -> Util.hash_combine h (Int_map.find p acc))
-          h0 n.inputs
+        Array.fold_left (fun h p -> Util.hash_combine h labels.(p)) h0 n.inputs
       in
-      Int_map.add v (Util.mix64 h) acc)
-    Int_map.empty order
+      labels.(v) <- Util.mix64 h)
+    order;
+  labels
 
-(** Structural hash of the whole graph (invariant under node renumbering). *)
+(** Per-node WL labels in topological order. *)
+let node_labels (g : Graph.t) : int64 Int_map.t =
+  let order = Graph.topo_order g in
+  let labels = label_array g order in
+  List.fold_left (fun acc v -> Int_map.add v labels.(v) acc) Int_map.empty order
+
+(** Structural hash of the whole graph (invariant under node renumbering):
+    the mixed wrap-around sum of the node labels. *)
 let hash (g : Graph.t) : int64 =
-  let labels = node_labels g in
-  let sum =
-    Int_map.fold (fun _ h acc -> Int64.add acc h) labels 0L
-  in
-  Util.mix64 sum
+  let order = Graph.topo_order g in
+  let labels = label_array g order in
+  Util.mix64 (List.fold_left (fun acc v -> Int64.add acc labels.(v)) 0L order)
 
 let equal_structure a b = Int64.equal (hash a) (hash b)

@@ -18,14 +18,14 @@ type stats = {
   fallback : bool;  (** the splice failed and the whole graph was rescheduled *)
 }
 
-let extend_bound (g : Graph.t) (psi : int array) (i : int) (d : int) : int =
+let extend_bound ~(nw : int array) (psi : int array) (i : int) (d : int) : int =
   let n = Array.length psi in
   let clamp i = max 0 (min (n - 1) i) in
   let rec go i n_hat l =
     if i < 0 then 0
     else if i >= n then n - 1
     else
-      let w = Partition.nw g psi.(i) in
+      let w = nw.(psi.(i)) in
       if l < 20 && (n_hat > 10 || w < 4) && w < n_hat then
         go (i + d) w (l + 1)
       else i
@@ -34,10 +34,11 @@ let extend_bound (g : Graph.t) (psi : int array) (i : int) (d : int) : int =
 
 let get_reschedule_interval (g : Graph.t) (psi : int array)
     (positions : int list) : int * int =
+  let nw = Partition.nw_table g psi in
   let lo = List.fold_left min max_int positions in
   let hi = List.fold_left max min_int positions in
-  let beg = extend_bound g psi lo (-1) in
-  let end_ = extend_bound g psi hi 1 in
+  let beg = extend_bound ~nw psi lo (-1) in
+  let end_ = extend_bound ~nw psi hi 1 in
   (beg, end_ + 1)
 
 (** [reschedule ~old_graph ~new_graph ~old_schedule ~mutated_old ~size_of]
@@ -61,8 +62,7 @@ let reschedule ?(max_states = 20_000) ~(old_graph : Graph.t)
   in
   let psi = Array.of_list old_schedule in
   let positions =
-    List.filteri (fun _ _ -> true) old_schedule
-    |> List.mapi (fun i v -> (i, v))
+    List.mapi (fun i v -> (i, v)) old_schedule
     |> List.filter_map (fun (i, v) ->
            if Int_set.mem v mutated_old then Some i else None)
   in

@@ -20,10 +20,14 @@ type stats = {
           ["search.sched_fallbacks"] metric *)
 }
 
-(** The paper's [ExtendBound] (clamped to the schedule). *)
-val extend_bound : Graph.t -> int array -> int -> int -> int
+(** The paper's [ExtendBound] (clamped to the schedule): walk schedule
+    [psi] from position [i] in direction [d] while the narrow-waist
+    values [nw] (indexed by node id, see {!Partition.nw_table}) keep
+    shrinking. *)
+val extend_bound : nw:int array -> int array -> int -> int -> int
 
-(** The paper's [GetRescheduleInterval]. *)
+(** The paper's [GetRescheduleInterval] over schedule [psi] of the old
+    graph, from one {!Partition.nw_table} pass. *)
 val get_reschedule_interval : Graph.t -> int array -> int list -> int * int
 
 (** Splice a re-scheduled window into the old schedule; falls back to full

@@ -17,37 +17,103 @@ let pinned (g : Graph.t) (v : int) =
   Op.is_weight n.op
   || (Int_set.is_empty (Graph.succ_set g v) && not (Op.is_input n.op))
 
-(** Narrow-waist value of [v] within the sub-graph induced by [members]
-    (defaults to the whole graph). *)
-let nw ?members (g : Graph.t) (v : int) : int =
-  let keep =
-    match members with
-    | None -> fun _ -> true
-    | Some s -> fun u -> Int_set.mem u s
+(* ------------------------------------------------------------------ *)
+(* Narrow-waist table                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* bits per bitset word: every bit of a 63-bit OCaml int *)
+let word_bits = 63
+
+(* set bits of each byte value *)
+let byte_popcount =
+  Bytes.init 256 (fun b ->
+      let rec count x = if x = 0 then 0 else (x land 1) + count (x lsr 1) in
+      Char.chr (count b))
+
+let popcount x =
+  let c = ref 0 and x = ref x in
+  while !x <> 0 do
+    c := !c + Char.code (Bytes.unsafe_get byte_popcount (!x land 0xff));
+    x := !x lsr 8
+  done;
+  !c
+
+(* [pos.(v)] for the nodes of [order] when [order] lists every node of
+   [g] exactly once, each after its operands; [None] otherwise *)
+let topological_positions (g : Graph.t) (order : int array) =
+  let pos = Array.make (Graph.id_bound g) (-1) in
+  let n = Array.length order in
+  let ok = ref (n = Graph.n_nodes g) in
+  let i = ref 0 in
+  while !ok && !i < n do
+    let v = order.(!i) in
+    if Graph.mem g v && pos.(v) < 0 then begin
+      pos.(v) <- !i;
+      incr i
+    end
+    else ok := false
+  done;
+  i := 0;
+  while !ok && !i < n do
+    Array.iter
+      (fun p -> if pos.(p) >= !i then ok := false)
+      (Graph.node g order.(!i)).inputs;
+    incr i
+  done;
+  if !ok then Some pos else None
+
+(** [nw_table g order] is the narrow-waist value
+    [|V| - |anc(v)| - |des(v)| - 1] of every node [v] of [g], indexed
+    by node id, from one bitset reachability pass per direction.
+    [order] is a topological order of [g] (a valid schedule); any other
+    array is replaced by {!Graph.topo_order}. *)
+let nw_table (g : Graph.t) (order : int array) : int array =
+  let order, pos =
+    match topological_positions g order with
+    | Some pos -> (order, pos)
+    | None ->
+        let order = Array.of_list (Graph.topo_order g) in
+        (order, Option.get (topological_positions g order))
   in
-  let total =
-    match members with
-    | None -> Graph.n_nodes g
-    | Some s -> Int_set.cardinal s
+  let n = Array.length order in
+  let words = (n + word_bits - 1) / word_bits in
+  (* row [i] (words [i*words, (i+1)*words)) is the set of positions
+     reachable from position [i] in the current direction *)
+  let rows = Array.make (max 1 (n * words)) 0 in
+  let table = Array.make (Graph.id_bound g) 0 in
+  let absorb i j =
+    let ri = i * words and rj = j * words in
+    for k = 0 to words - 1 do
+      rows.(ri + k) <- rows.(ri + k) lor rows.(rj + k)
+    done;
+    let k = ri + (j / word_bits) in
+    rows.(k) <- rows.(k) lor (1 lsl (j mod word_bits))
   in
-  let bfs step =
-    let rec go visited frontier =
-      match frontier with
-      | [] -> visited
-      | u :: rest ->
-          let nexts =
-            List.filter
-              (fun w -> keep w && not (Int_set.mem w visited))
-              (step u)
-          in
-          go
-            (List.fold_left (fun acc w -> Int_set.add w acc) visited nexts)
-            (nexts @ rest)
-    in
-    go Int_set.empty [ v ]
+  let count i =
+    let c = ref 0 in
+    for k = i * words to ((i + 1) * words) - 1 do
+      c := !c + popcount rows.(k)
+    done;
+    !c
   in
-  let anc = bfs (Graph.pre g) and des = bfs (Graph.suc g) in
-  total - Int_set.cardinal anc - Int_set.cardinal des - 1
+  (* ancestors: operands come earlier in [order] *)
+  for i = 0 to n - 1 do
+    let v = order.(i) in
+    Array.iter (fun p -> absorb i pos.(p)) (Graph.node g v).inputs;
+    table.(v) <- n - 1 - count i
+  done;
+  (* descendants: consumers come later *)
+  Array.fill rows 0 (Array.length rows) 0;
+  for i = n - 1 downto 0 do
+    let v = order.(i) in
+    Int_set.iter (fun s -> absorb i pos.(s)) (Graph.succ_set g v);
+    table.(v) <- table.(v) - count i
+  done;
+  table
+
+(* ------------------------------------------------------------------ *)
+(* Partitioning                                                       *)
+(* ------------------------------------------------------------------ *)
 
 (** Partition the sub-graph induced by [members] into blocks that can be
     scheduled independently and concatenated.  A cut is taken after
@@ -60,68 +126,69 @@ let nw ?members (g : Graph.t) (v : int) : int =
 
     [max_crossing] (default 1) is the number of live tensors a cut is
     allowed to carry; larger values sequentialize more aggressively (used
-    by the POFO baseline's chainification). *)
+    by the POFO baseline's chainification).
+
+    One pass over the whole graph's topological order splits it into the
+    components' orders; positions, last uses and sort keys live in arrays
+    indexed by node id. *)
 let partition ?(max_crossing = 1) (g : Graph.t) (members : Int_set.t) :
     Int_set.t list =
-  let topo = Graph.topo_order g in
-  let topo_pos = Hashtbl.create (List.length topo) in
-  List.iteri (fun i v -> Hashtbl.replace topo_pos v i) topo;
+  let bound = Graph.id_bound g in
+  let topo_pos = Array.make bound 0 in
+  let comp_of = Array.make bound (-1) in
+  let comps = Graph.components_of g members in
+  List.iteri (fun c comp -> Int_set.iter (fun v -> comp_of.(v) <- c) comp) comps;
+  (* each component's members, in whole-graph topological order *)
+  let ordered = Array.make (List.length comps) [] in
+  List.iteri
+    (fun i v ->
+      topo_pos.(v) <- i;
+      let c = comp_of.(v) in
+      if c >= 0 then ordered.(c) <- v :: ordered.(c))
+    (Graph.topo_order g);
+  (* position within its component's order, per member *)
+  let pos_in = Array.make bound 0 in
   let blocks =
-    List.concat_map
-      (fun comp ->
-        let ordered = List.filter (fun v -> Int_set.mem v comp) topo in
-        let n = List.length ordered in
-        let pos_in = Hashtbl.create n in
-        List.iteri (fun i v -> Hashtbl.replace pos_in v i) ordered;
-        (* last in-component consumer position of each node *)
-        let last_use = Hashtbl.create n in
-        List.iter
-          (fun v ->
-            let i = Hashtbl.find pos_in v in
-            let l =
-              List.fold_left
-                (fun acc s ->
-                  match Hashtbl.find_opt pos_in s with
-                  | Some j -> max acc j
-                  | None -> acc)
-                i (Graph.suc g v)
-            in
-            Hashtbl.replace last_use v l)
-          ordered;
+    Array.fold_left
+      (fun blocks rev_ordered ->
+        let ordered = Array.of_list (List.rev rev_ordered) in
+        let n = Array.length ordered in
+        Array.iteri (fun i v -> pos_in.(v) <- i) ordered;
         (* sweep: number of tensors produced at <= i and used at > i *)
         let crossing = Array.make (max n 1) 0 in
-        List.iter
-          (fun v ->
-            let i = Hashtbl.find pos_in v in
-            let l = Hashtbl.find last_use v in
+        Array.iteri
+          (fun i v ->
+            (* last in-component consumer position; member consumers
+               are always in [v]'s component *)
+            let l =
+              Int_set.fold
+                (fun s acc -> if comp_of.(s) >= 0 then max acc pos_in.(s) else acc)
+                (Graph.succ_set g v) i
+            in
             (* v crosses every boundary between i and l-1 *)
             if l > i && not (pinned g v) then begin
               crossing.(i) <- crossing.(i) + 1;
               if l < n then crossing.(l) <- crossing.(l) - 1
             end)
           ordered;
-        let segments = ref [] and current = ref [] in
+        (* cut when at most [max_crossing] tensors cross the boundary
+           after i: the problem separates here.  Nothing crosses the
+           last boundary, so the final block always closes.  A block's
+           earliest node is its first, which keys the final ordering. *)
+        let blocks = ref blocks and current = ref [] in
         let open_count = ref 0 in
-        List.iteri
+        Array.iteri
           (fun i v ->
             current := v :: !current;
             open_count := !open_count + crossing.(i);
-            (* cut when at most one tensor crosses the boundary after i:
-               the problem separates here *)
             if !open_count <= max_crossing then begin
-              segments := List.rev !current :: !segments;
+              let block = List.rev !current in
+              blocks := (topo_pos.(List.hd block), Int_set.of_list block) :: !blocks;
               current := []
             end)
           ordered;
-        if !current <> [] then segments := List.rev !current :: !segments;
-        List.rev_map Int_set.of_list !segments)
-      (Graph.components_of g members)
+        !blocks)
+      [] ordered
   in
   (* order blocks by the topological position of their earliest node *)
-  List.sort
-    (fun a b ->
-      let key s =
-        Int_set.fold (fun v acc -> min acc (Hashtbl.find topo_pos v)) s max_int
-      in
-      compare (key a) (key b))
-    blocks
+  List.sort (fun (a, _) (b, _) -> compare (a : int) b) blocks |> List.map snd

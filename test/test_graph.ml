@@ -45,6 +45,31 @@ let test_components_of () =
   let comps = Graph.components_of g (int_set [ l; r ]) in
   Alcotest.(check int) "two singleton components" 2 (List.length comps)
 
+(* an order must list every node exactly once: the right number of
+   distinct nodes is not enough *)
+let test_valid_order_rejects_repeats () =
+  let b = Builder.create () in
+  let a = Builder.input b [ 4 ] ~dtype:Shape.F32 in
+  let c = Builder.relu b a in
+  let g = Builder.finish b in
+  Alcotest.(check bool) "[a; b] valid" true (Graph.is_valid_order g [ a; c ]);
+  Alcotest.(check bool) "[a; b; b] invalid" false
+    (Graph.is_valid_order g [ a; c; c ]);
+  Alcotest.(check bool) "[a; a; b] invalid" false
+    (Graph.is_valid_order g [ a; a; c ]);
+  Alcotest.(check bool) "[b; a] invalid" false (Graph.is_valid_order g [ c; a ]);
+  Alcotest.(check bool) "[a] invalid" false (Graph.is_valid_order g [ a ]);
+  (* the same length as a schedule, with an operand repeated in place of
+     another that is never scheduled *)
+  let b = Builder.create () in
+  let x = Builder.input b [ 4 ] ~dtype:Shape.F32 in
+  let y = Builder.input b [ 4 ] ~dtype:Shape.F32 in
+  let s = Builder.add b x y in
+  let g = Builder.finish b in
+  Alcotest.(check bool) "[x; y; s] valid" true (Graph.is_valid_order g [ x; y; s ]);
+  Alcotest.(check bool) "[x; x; s] invalid" false
+    (Graph.is_valid_order g [ x; x; s ])
+
 let test_topo_order () =
   let g = mlp_training () in
   let order = Graph.topo_order g in
@@ -130,6 +155,7 @@ let suite =
     tc "connectivity and convexity" test_connectivity_convexity;
     tc "components of subset" test_components_of;
     tc "topological order" test_topo_order;
+    tc "valid order rejects repeats" test_valid_order_rejects_repeats;
     tc "invalid orders rejected" test_invalid_orders_rejected;
     tc "redirect" test_redirect;
     tc "replace_input" test_replace_input;

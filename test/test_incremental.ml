@@ -69,8 +69,9 @@ let test_incremental_matches_full_quality () =
 let test_extend_bound_clamps () =
   let g, _, _, _, _ = chain3 () in
   let psi = Array.of_list (Graph.topo_order g) in
-  let lo = Incremental.extend_bound g psi 0 (-1) in
-  let hi = Incremental.extend_bound g psi (Array.length psi - 1) 1 in
+  let nw = Partition.nw_table g psi in
+  let lo = Incremental.extend_bound ~nw psi 0 (-1) in
+  let hi = Incremental.extend_bound ~nw psi (Array.length psi - 1) 1 in
   Alcotest.(check bool) "bounds in range" true
     (lo >= 0 && hi < Array.length psi)
 

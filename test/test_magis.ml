@@ -18,6 +18,7 @@ let () =
       ("spatial", Test_spatial.suite);
       ("sched", Test_sched.suite);
       ("incremental", Test_incremental.suite);
+      ("invariants", Test_invariants.suite);
       ("incr-core", Test_incr.suite);
       ("rules", Test_rules.suite);
       ("verify", Test_verify.suite);
