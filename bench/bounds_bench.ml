@@ -1,8 +1,6 @@
 (** Bound analysis experiment: admissibility gap of the
-    schedule-independent peak-memory bounds over the Table 2 zoo, cost
-    of the full record vs the search probe, and an A/B of the
-    branch-and-bound pruning (identical best states, simulations saved
-    by the lower-bound test). *)
+    schedule-independent peak-memory bounds over the Table 2 zoo, and
+    the cost of the full bound record vs the sampled lower bound. *)
 
 open Magis
 
@@ -11,7 +9,7 @@ let now () = Unix.gettimeofday ()
 let bounds_table (env : Common.env) =
   Common.hr "Bounds: admissible lower bound vs simulated peak (Table 2 zoo)";
   Printf.printf "%-12s %9s %9s %9s %9s %6s %8s %9s\n" "Workload" "LB" "Peak"
-    "Greedy" "Total" "Gap" "full ms" "probe ms";
+    "Greedy" "Total" "Gap" "full ms" "lb ms";
   List.iter
     (fun (w : Zoo.workload) ->
       let g = Common.workload_graph env w in
@@ -19,66 +17,17 @@ let bounds_table (env : Common.env) =
       let b = Membound.compute g in
       let t_full = (now () -. t0) *. 1e3 in
       let t0 = now () in
-      let probe = Membound.lower_bound ~sample:8 g in
-      let t_probe = (now () -. t0) *. 1e3 in
+      let lb = Membound.lower_bound ~sample:8 g in
+      let t_lb = (now () -. t0) *. 1e3 in
       let base = Simulator.run env.cache g (Graph.program_order g) in
-      assert (probe <= b.lower);
+      assert (lb <= b.lower);
       Printf.printf "%-12s %9.1f %9.1f %9.1f %9.1f %6.2f %8.2f %9.3f\n" w.name
         (float_of_int b.lower /. 1e6)
         (float_of_int base.peak_mem /. 1e6)
         (float_of_int b.ub_greedy /. 1e6)
         (float_of_int b.ub_total /. 1e6)
         (float_of_int base.peak_mem /. float_of_int (max 1 b.lower))
-        t_full t_probe)
+        t_full t_lb)
     Zoo.all
 
-(** One pruning A/B: same workload, same mode, same iteration cap,
-    private simulation caches (a shared cache would let the second run
-    replay the first).  The best states must be bit-identical — the
-    bound test only skips work the admission test would reject. *)
-let prune_ab (env : Common.env) name (mode_name : string) run_mode =
-  let search prune =
-    let config =
-      { (Common.search_config env) with
-        sim_cache = Some (Sim_cache.create ());
-        time_budget = 1e9;
-        max_iterations = min env.iters 40;
-        prune_bounds = prune }
-    in
-    run_mode ~config
-  in
-  let on = search true and off = search false in
-  let identical =
-    on.Search.best.peak_mem = off.Search.best.peak_mem
-    && on.best.latency = off.best.latency
-  in
-  Printf.printf "%-12s %-8s %9s %8d %8d %8d %8.1f %8.1f\n" name mode_name
-    (if identical then "yes" else "NO")
-    on.stats.n_pruned_lb on.stats.n_bound_calls
-    (off.stats.n_simul - on.stats.n_simul)
-    (on.stats.t_bound *. 1e3)
-    ((off.stats.t_sched +. off.stats.t_simul -. on.stats.t_sched
-     -. on.stats.t_simul)
-    *. 1e3);
-  if not identical then
-    Printf.printf
-      "  !! pruning changed the best state: %d/%.6f vs %d/%.6f\n"
-      on.best.peak_mem on.best.latency off.best.peak_mem off.best.latency
-
-let prune_table (env : Common.env) =
-  Common.hr "Branch-and-bound pruning A/B (identical bests required)";
-  Printf.printf "%-12s %-8s %9s %8s %8s %8s %8s %8s\n" "Workload" "Mode"
-    "Identical" "Pruned" "Probes" "SimsSvd" "t_bnd ms" "t_svd ms";
-  let w, g = Common.smallest_workload env in
-  let subjects = [ (w.name, g); ("ViT-base", Common.workload_graph env (Zoo.find "ViT-base")) ] in
-  List.iter
-    (fun (name, g) ->
-      prune_ab env name "min-mem" (fun ~config ->
-          Search.optimize_memory ~config env.cache ~overhead:0.10 g);
-      prune_ab env name "min-lat" (fun ~config ->
-          Search.optimize_latency ~config env.cache ~mem_ratio:0.7 g))
-    subjects
-
-let run (env : Common.env) =
-  bounds_table env;
-  prune_table env
+let run (env : Common.env) = bounds_table env

@@ -16,13 +16,9 @@ type env = {
       (** write each experiment's deterministic counters here as a flat
           JSON object — the artifact the CI perf-smoke job diffs
           against [bench/baselines/] with [scripts/compare_bench.sh] *)
-  no_cheap_tier : bool;
-      (** restrict the incremental-core experiment to the exact
-          evaluation tier (skip the cheap-tier configuration) *)
 }
 
-let make_env ?(jobs = 1) ?(iters = max_int) ?stats_json
-    ?(no_cheap_tier = false) ~full ~budget () =
+let make_env ?(jobs = 1) ?(iters = max_int) ?stats_json ~full ~budget () =
   {
     cache = Op_cost.create Hardware.default;
     sim_cache = Sim_cache.create ();
@@ -31,7 +27,6 @@ let make_env ?(jobs = 1) ?(iters = max_int) ?stats_json
     jobs;
     iters;
     stats_json;
-    no_cheap_tier;
   }
 
 (** Write an experiment's counters as a one-object JSON file when the

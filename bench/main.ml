@@ -34,13 +34,10 @@ let write_file path contents =
   Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
       output_string oc contents)
 
-let run_selected names full budget jobs iters stats_json no_cheap_tier trace
-    metrics =
+let run_selected names full budget jobs iters stats_json trace metrics =
   if trace <> None then Magis.Trace.enable ();
   if metrics <> None then Magis.Metrics.set_enabled true;
-  let env =
-    Common.make_env ~jobs ~iters ?stats_json ~no_cheap_tier ~full ~budget ()
-  in
+  let env = Common.make_env ~jobs ~iters ?stats_json ~full ~budget () in
   let selected =
     match names with
     | [] | [ "all" ] -> experiments
@@ -105,13 +102,6 @@ let stats_json =
   in
   Arg.(value & opt (some string) None & info [ "stats-json" ] ~doc)
 
-let no_cheap_tier =
-  let doc =
-    "Restrict the incr experiment to the exact evaluation tier (skip the \
-     cheap-tier configuration)."
-  in
-  Arg.(value & flag & info [ "no-cheap-tier" ] ~doc)
-
 let trace =
   let doc = "Enable tracing; write a Chrome trace-event file here at exit." in
   Arg.(value & opt (some string) None & info [ "trace" ] ~doc)
@@ -125,6 +115,6 @@ let cmd =
   Cmd.v
     (Cmd.info "magis-bench" ~doc)
     Term.(const run_selected $ names $ full $ budget $ jobs $ iters
-          $ stats_json $ no_cheap_tier $ trace $ metrics)
+          $ stats_json $ trace $ metrics)
 
 let () = exit (Cmd.eval cmd)

@@ -80,8 +80,7 @@ let write_file path contents =
       output_string oc contents)
 
 let cmd_optimize name full overhead mem_ratio budget iters jobs ckpt resume
-    ckpt_every no_supervise cheap_tier scratch_eval stats_json_path trace_path
-    metrics_path =
+    ckpt_every no_supervise stats_json_path trace_path metrics_path =
   let w, g = load name full in
   let cache = Op_cost.create Hardware.default in
   if trace_path <> None then Trace.enable ();
@@ -99,8 +98,7 @@ let cmd_optimize name full overhead mem_ratio budget iters jobs ckpt resume
   in
   let config =
     { Search.default_config with time_budget = budget; jobs;
-      max_iterations = iters; checkpoint; supervise = not no_supervise;
-      cheap_tier; incremental = not scratch_eval }
+      max_iterations = iters; checkpoint; supervise = not no_supervise }
   in
   let result =
     try
@@ -800,20 +798,6 @@ let optimize_cmd =
              ~doc:"Disable supervised expansion: the first candidate \
                    failure aborts the whole search (legacy semantics).")
   in
-  let cheap_tier =
-    Arg.(value & flag
-         & info [ "cheap-tier" ]
-             ~doc:"Two-tier candidate evaluation: score every candidate \
-                   with the critical-path list scheduler and promote only \
-                   admitted ones to the exact incremental reschedule.")
-  in
-  let scratch_eval =
-    Arg.(value & flag
-         & info [ "scratch-eval" ]
-             ~doc:"Disable the O(Δ) incremental bound structures and \
-                   recompute every candidate's analyses from scratch \
-                   (A/B baseline; the search trajectory is unchanged).")
-  in
   let stats_json =
     Arg.(value & opt (some string) None
          & info [ "stats-json" ]
@@ -832,7 +816,7 @@ let optimize_cmd =
   Cmd.v (Cmd.info "optimize" ~doc:"Optimize a workload")
     Term.(const cmd_optimize $ workload $ full $ overhead $ mem_ratio $ budget
           $ iters $ jobs $ checkpoint $ resume $ ckpt_every $ no_supervise
-          $ cheap_tier $ scratch_eval $ stats_json $ trace $ metrics)
+          $ stats_json $ trace $ metrics)
 
 let profile_cmd =
   let overhead =

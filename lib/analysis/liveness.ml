@@ -5,24 +5,14 @@
     its reverse (descendants): [anc v = ∪ (anc p ∪ {p})] over operands
     [p].  Each set costs [n/64] words, so the whole analysis is
     [O(V·E/64)] words of bit-ops — a few microseconds at model-zoo
-    scale — and every query below is a constant-time bit test.
-
-    {!delta_update} rebuilds the analysis for a single-rewrite child
-    graph in O(Δ): surviving nodes keep their dense slots (their rows
-    are shared with the parent by reference — rows are never mutated
-    after construction), and only rows reachable from the structural
-    diff are recomputed.  Slots of removed nodes become holes
-    ([order.(i) = -1], reused by new nodes first); because any row
-    containing a removed node's bit necessarily belongs to a dirty node
-    (the removed node was its ancestor/descendant through edges the
-    diff saw), clean rows never carry stale bits at reused slots. *)
+    scale — and every query below is a constant-time bit test. *)
 
 open Magis_ir
 open Magis_cost
 
 type t = {
   g : Graph.t;
-  order : int array;  (** slot -> node id; [-1] marks a hole *)
+  order : int array;  (** slot -> node id, in topological order *)
   index : (int, int) Hashtbl.t;  (** node id -> dense slot *)
   anc : Bytes.t array;  (** per slot: ancestor bitset (over slots) *)
   des : Bytes.t array;  (** per slot: descendant bitset *)
@@ -33,7 +23,6 @@ type t = {
   is_sink : bool array;  (** graph output: no consumers, not an input *)
   weight_bytes : int;
   pinned_bytes : int;
-  n_live : int;  (** number of real nodes (slots minus holes) *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -42,14 +31,8 @@ type t = {
 
 let bitset n = Bytes.make ((n + 7) / 8) '\000'
 
-(* Rows of different generations can have different widths (a delta
-   update widens when new nodes outnumber freed slots), so reads are
-   bounds-checked — a bit beyond a row's width is simply absent — and
-   unions iterate the shorter operand. *)
 let bit_get b i =
-  let k = i lsr 3 in
-  k < Bytes.length b
-  && Char.code (Bytes.unsafe_get b k) land (1 lsl (i land 7)) <> 0
+  Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
 let bit_set b i =
   Bytes.unsafe_set b (i lsr 3)
@@ -57,7 +40,7 @@ let bit_set b i =
        (Char.code (Bytes.unsafe_get b (i lsr 3)) lor (1 lsl (i land 7))))
 
 let bit_union ~into src =
-  for k = 0 to min (Bytes.length into) (Bytes.length src) - 1 do
+  for k = 0 to Bytes.length into - 1 do
     Bytes.unsafe_set into k
       (Char.unsafe_chr
          (Char.code (Bytes.unsafe_get into k)
@@ -80,28 +63,22 @@ let bit_count b =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Size/weight/pinned side tables, shared by {!compute} and
-    {!delta_update} (both recompute them in full: O(n) array fills,
-    negligible next to the bitset work, and the child's [size_of] can
-    differ from the parent's — F-Tree accounting — so parent values
-    cannot be reused). *)
+(** Size/weight/pinned side tables, per slot. *)
 let side_tables ~size_of (g : Graph.t) (order : int array) =
-  let cap = Array.length order in
-  let sizes = Array.make cap 0 in
-  let is_weight = Array.make cap false in
-  let is_sink = Array.make cap false in
+  let n = Array.length order in
+  let sizes = Array.make n 0 in
+  let is_weight = Array.make n false in
+  let is_sink = Array.make n false in
   let weight_bytes = ref 0 and pinned_bytes = ref 0 in
-  for i = 0 to cap - 1 do
+  for i = 0 to n - 1 do
     let v = order.(i) in
-    if v >= 0 then begin
-      sizes.(i) <- size_of v;
-      is_weight.(i) <- Op.is_weight (Graph.op g v);
-      is_sink.(i) <-
-        Graph.out_degree g v = 0 && not (Op.is_input (Graph.op g v));
-      if is_weight.(i) then weight_bytes := !weight_bytes + sizes.(i);
-      if is_weight.(i) || is_sink.(i) then
-        pinned_bytes := !pinned_bytes + sizes.(i)
-    end
+    sizes.(i) <- size_of v;
+    is_weight.(i) <- Op.is_weight (Graph.op g v);
+    is_sink.(i) <-
+      Graph.out_degree g v = 0 && not (Op.is_input (Graph.op g v));
+    if is_weight.(i) then weight_bytes := !weight_bytes + sizes.(i);
+    if is_weight.(i) || is_sink.(i) then
+      pinned_bytes := !pinned_bytes + sizes.(i)
   done;
   (sizes, is_weight, is_sink, !weight_bytes, !pinned_bytes)
 
@@ -150,265 +127,18 @@ let compute ?size_of (g : Graph.t) : t =
     is_sink;
     weight_bytes;
     pinned_bytes;
-    n_live = n;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Delta update                                                        *)
-(* ------------------------------------------------------------------ *)
-
-type delta = {
-  d_dirty : Util.Int_set.t;
-  d_adj_changed : Util.Int_set.t;
-}
-
-let empty_delta =
-  { d_dirty = Util.Int_set.empty; d_adj_changed = Util.Int_set.empty }
-
-let delta_update ?size_of ?(max_dirty = max_int) (t : t) (g' : Graph.t)
-    ~(mutated : Util.Int_set.t) : (t * delta) option =
-  let size_of =
-    match size_of with Some f -> f | None -> Lifetime.default_size g'
-  in
-  if t.g == g' then begin
-    (* pure F-Tree move: same graph object, only virtual sizes change *)
-    let sizes, is_weight, is_sink, weight_bytes, pinned_bytes =
-      side_tables ~size_of g' t.order
-    in
-    Some
-      ( { t with sizes; is_weight; is_sink; weight_bytes; pinned_bytes },
-        empty_delta )
-  end
-  else begin
-    (* structural diff at the id level: nodes added, nodes removed,
-       survivors whose operand array changed.  Operand arrays are
-       compared raw — an order-only permutation counts as changed,
-       which merely over-seeds the dirty set (sound). *)
-    let removed =
-      Array.fold_left
-        (fun acc v -> if v >= 0 && not (Graph.mem g' v) then v :: acc else acc)
-        [] t.order
-    in
-    let new_ids = ref [] and pred_changed = ref [] in
-    List.iter
-      (fun v ->
-        if not (Hashtbl.mem t.index v) then new_ids := v :: !new_ids
-        else if (Graph.node t.g v).Graph.inputs <> (Graph.node g' v).Graph.inputs
-        then pred_changed := v :: !pred_changed)
-      (Graph.node_ids g');
-    let new_ids = List.sort compare !new_ids in
-    (* belt and braces: a rule that rewired a surviving node counts as
-       changed even if the diff above somehow missed it *)
-    let pred_changed =
-      Util.Int_set.fold
-        (fun v acc ->
-          if Graph.mem g' v && Hashtbl.mem t.index v then v :: acc else acc)
-        mutated !pred_changed
-    in
-    (* slot assignment: survivors keep their slots, new nodes fill the
-       freed slots (both sides sorted, so the assignment is
-       deterministic), overflow appends.  Capacity only grows. *)
-    let index' = Hashtbl.copy t.index in
-    List.iter (Hashtbl.remove index') removed;
-    let freed =
-      ref (List.sort compare (List.map (fun v -> Hashtbl.find t.index v) removed))
-    in
-    let next = ref (Array.length t.order) in
-    List.iter
-      (fun v ->
-        match !freed with
-        | s :: rest ->
-            freed := rest;
-            Hashtbl.replace index' v s
-        | [] ->
-            Hashtbl.replace index' v !next;
-            incr next)
-      new_ids;
-    let cap = !next in
-    let order' = Array.make cap (-1) in
-    Hashtbl.iter (fun v i -> order'.(i) <- v) index';
-    let idx' v = Hashtbl.find index' v in
-    (* dirty closures, dense over slots.  [dirty_anc] = nodes whose
-       ancestor row may change = descendants (in g') of the anc seeds;
-       [dirty_des] = ancestors (in g') of nodes whose successor list
-       changed.  BFS with an explicit stack; bail out once the union
-       exceeds [max_dirty] — the caller falls back to a scratch
-       analysis, which is cheaper than a near-total row rebuild. *)
-    let dirty_anc = Array.make cap false in
-    let dirty_des = Array.make cap false in
-    let n_dirty = ref 0 in
-    let exception Too_dirty in
-    (* [mark dir other i]: enter slot [i] into direction [dir]; count it
-       toward the union exactly when the other direction hasn't already *)
-    let mark dir other i =
-      if dir.(i) then false
-      else begin
-        dir.(i) <- true;
-        if not other.(i) then begin
-          incr n_dirty;
-          if !n_dirty > max_dirty then raise Too_dirty
-        end;
-        true
-      end
-    in
-    let bfs dir other seeds step =
-      let stack = ref [] in
-      List.iter
-        (fun i -> if mark dir other i then stack := i :: !stack)
-        seeds;
-      let rec go () =
-        match !stack with
-        | [] -> ()
-        | v :: rest ->
-            stack := rest;
-            step order'.(v) (fun w ->
-                let wi = idx' w in
-                if mark dir other wi then stack := wi :: !stack);
-            go ()
-      in
-      go ()
-    in
-    let attempt () =
-      (* anc seeds: new nodes and rewired survivors *)
-      let anc_seed_slots =
-        List.rev_append
-          (List.rev_map idx' new_ids)
-          (List.map idx' pred_changed)
-      in
-      (* succ-changed seeds: surviving preds of added, removed and
-         rewired nodes — plus the anc seeds themselves (a new node has
-         no parent row to inherit; a rewired node's row may change) *)
-      let adj = ref anc_seed_slots in
-      let surviving_preds g v =
-        Array.iter
-          (fun p -> if Graph.mem g' p then adj := idx' p :: !adj)
-          (Graph.node g v).Graph.inputs
-      in
-      List.iter (surviving_preds g') new_ids;
-      List.iter (surviving_preds t.g) removed;
-      List.iter
-        (fun v ->
-          surviving_preds t.g v;
-          surviving_preds g' v)
-        pred_changed;
-      bfs dirty_anc dirty_des anc_seed_slots (fun v k ->
-          Util.Int_set.iter k (Graph.succ_set g' v));
-      bfs dirty_des dirty_anc !adj (fun v k ->
-          Array.iter k (Graph.node g' v).Graph.inputs);
-      Some !adj
-    in
-    match (try attempt () with Too_dirty -> None) with
-    | None -> None
-    | Some adj_slots ->
-        let hole_row = Bytes.create 0 in
-        let anc' = Array.make cap hole_row and des' = Array.make cap hole_row in
-        let n_anc' = Array.make cap 0 and n_des' = Array.make cap 0 in
-        (* clean rows: shared with the parent by reference (never
-           mutated).  The two directions are independent: a node may
-           need a fresh descendant row while its ancestor row is
-           provably unchanged. *)
-        for i = 0 to cap - 1 do
-          if order'.(i) >= 0 then begin
-            if not dirty_anc.(i) then begin
-              anc'.(i) <- t.anc.(i);
-              n_anc'.(i) <- t.n_anc.(i)
-            end;
-            if not dirty_des.(i) then begin
-              des'.(i) <- t.des.(i);
-              n_des'.(i) <- t.n_des.(i)
-            end
-          end
-        done;
-        (* dirty rows: recomputed by memoised DFS (dependencies first),
-           reading clean parent rows and freshly built dirty ones.  The
-           graph is a DAG, so the recursion terminates. *)
-        let done_anc = Array.make cap false in
-        let rec fix_anc v =
-          let i = idx' v in
-          if dirty_anc.(i) && not done_anc.(i) then begin
-            done_anc.(i) <- true;
-            let preds = (Graph.node g' v).Graph.inputs in
-            Array.iter fix_anc preds;
-            let row = bitset cap in
-            Array.iter
-              (fun p ->
-                let pi = idx' p in
-                bit_union ~into:row anc'.(pi);
-                bit_set row pi)
-              preds;
-            anc'.(i) <- row;
-            n_anc'.(i) <- bit_count row
-          end
-        in
-        let done_des = Array.make cap false in
-        let rec fix_des v =
-          let i = idx' v in
-          if dirty_des.(i) && not done_des.(i) then begin
-            done_des.(i) <- true;
-            let succs = Graph.succ_set g' v in
-            Util.Int_set.iter fix_des succs;
-            let row = bitset cap in
-            Util.Int_set.iter
-              (fun s ->
-                let si = idx' s in
-                bit_union ~into:row des'.(si);
-                bit_set row si)
-              succs;
-            des'.(i) <- row;
-            n_des'.(i) <- bit_count row
-          end
-        in
-        for i = 0 to cap - 1 do
-          if order'.(i) >= 0 then begin
-            if dirty_anc.(i) then fix_anc order'.(i);
-            if dirty_des.(i) then fix_des order'.(i)
-          end
-        done;
-        let sizes, is_weight, is_sink, weight_bytes, pinned_bytes =
-          side_tables ~size_of g' order'
-        in
-        let dirty = ref Util.Int_set.empty in
-        for i = 0 to cap - 1 do
-          if order'.(i) >= 0 && (dirty_anc.(i) || dirty_des.(i)) then
-            dirty := Util.Int_set.add order'.(i) !dirty
-        done;
-        let adj_changed =
-          List.fold_left
-            (fun acc i ->
-              if order'.(i) >= 0 then Util.Int_set.add order'.(i) acc else acc)
-            Util.Int_set.empty adj_slots
-        in
-        Some
-          ( {
-              g = g';
-              order = order';
-              index = index';
-              anc = anc';
-              des = des';
-              n_anc = n_anc';
-              n_des = n_des';
-              sizes;
-              is_weight;
-              is_sink;
-              weight_bytes;
-              pinned_bytes;
-              n_live = Graph.n_nodes g';
-            },
-            { d_dirty = !dirty; d_adj_changed = adj_changed } )
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let graph t = t.g
-let length t = t.n_live
-let mem t v = Hashtbl.mem t.index v
+let length t = Array.length t.order
 let idx t v = Hashtbl.find t.index v
 let size t v = t.sizes.(idx t v)
 let weight_bytes t = t.weight_bytes
 let pinned_bytes t = t.pinned_bytes
-let is_weight t v = t.is_weight.(idx t v)
 
 let pinned t v =
   let i = idx t v in
@@ -416,13 +146,13 @@ let pinned t v =
 
 let must_precede t u v = bit_get t.anc.(idx t v) (idx t u)
 let earliest t v = t.n_anc.(idx t v)
-let latest t v = t.n_live - 1 - t.n_des.(idx t v)
+let latest t v = length t - 1 - t.n_des.(idx t v)
 let mobility t v = latest t v - earliest t v
 
 let envelope t v =
   let lo = earliest t v in
   let hi =
-    if pinned t v then t.n_live - 1
+    if pinned t v then length t - 1
     else
       List.fold_left (fun acc c -> max acc (latest t c)) lo (Graph.suc t.g v)
   in
@@ -449,35 +179,4 @@ let always_live_bytes t v =
   done;
   !acc
 
-let fold f t init =
-  Array.fold_left (fun acc v -> if v >= 0 then f v acc else acc) init t.order
-
-let slot_set t row =
-  let acc = ref Util.Int_set.empty in
-  for w = 0 to Array.length t.order - 1 do
-    if t.order.(w) >= 0 && bit_get row w then
-      acc := Util.Int_set.add t.order.(w) !acc
-  done;
-  !acc
-
-let ancestors t v = slot_set t t.anc.(idx t v)
-let descendants t v = slot_set t t.des.(idx t v)
-
-(* ------------------------------------------------------------------ *)
-(* Equivalence oracle                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let equivalent (a : t) (b : t) : bool =
-  let ids t = List.sort compare (fold (fun v acc -> v :: acc) t []) in
-  a.n_live = b.n_live && ids a = ids b
-  && a.weight_bytes = b.weight_bytes
-  && a.pinned_bytes = b.pinned_bytes
-  && fold
-       (fun v ok ->
-         ok
-         && size a v = size b v
-         && is_weight a v = is_weight b v
-         && pinned a v = pinned b v
-         && Util.Int_set.equal (ancestors a v) (ancestors b v)
-         && Util.Int_set.equal (descendants a v) (descendants b v))
-       a true
+let fold f t init = Array.fold_left (fun acc v -> f v acc) init t.order

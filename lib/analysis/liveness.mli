@@ -27,45 +27,7 @@ type t
     {!Magis_cost.Lifetime.default_size}[ g]. *)
 val compute : ?size_of:(int -> int) -> Graph.t -> t
 
-(** What a {!delta_update} actually touched, for downstream incremental
-    consumers ({!Membound.probe_update}). *)
-type delta = {
-  d_dirty : Util.Int_set.t;
-      (** nodes whose ancestor or descendant row was recomputed; every
-          other node's reachability sets are provably unchanged *)
-  d_adj_changed : Util.Int_set.t;
-      (** nodes of the new graph whose direct predecessor or successor
-          list changed (⊆ the rewrite's blast radius); needed by
-          consumers whose values read adjacency, not just reachability *)
-}
-
-(** [delta_update ?size_of t g' ~mutated] rebuilds the analysis for the
-    child graph [g'] of a single rewrite in O(Δ): surviving nodes keep
-    their dense slots and share their ancestor/descendant bitsets with
-    the parent by reference; only rows reachable from the structural
-    diff (plus the caller's [mutated] hint) are recomputed.  The result
-    is {!equivalent} to [compute ?size_of g'] — the scratch-recompute
-    oracle the property tests and [verify_states] assert.  [size_of]
-    may differ from the parent's (bitsets are size-independent; the
-    size tables are rebuilt).  O(V+E) id-level bookkeeping plus bitset
-    work proportional to the dirty rows, vs. [compute]'s O(V·E/64).
-
-    [max_dirty] caps the dirty-row union: if the rewrite's reachability
-    cone exceeds it, the update returns [None] before any bitset work —
-    a near-total rebuild is slower than a scratch analysis, so the
-    caller should fall back to one.  Default: no cap. *)
-val delta_update :
-  ?size_of:(int -> int) ->
-  ?max_dirty:int ->
-  t ->
-  Graph.t ->
-  mutated:Util.Int_set.t ->
-  (t * delta) option
-
 val graph : t -> Graph.t
-
-(** Is the node part of the analyzed graph? *)
-val mem : t -> int -> bool
 
 (** Number of nodes ([n]); positions range over [0 .. n-1]. *)
 val length : t -> int
@@ -83,9 +45,6 @@ val pinned_bytes : t -> int
 (** Is the node's tensor live to the end of every schedule (weight or
     graph output)? *)
 val pinned : t -> int -> bool
-
-(** Is the node a weight tensor (under the analyzed graph's ops)? *)
-val is_weight : t -> int -> bool
 
 (** [must_precede t u v]: does [u] execute strictly before [v] in every
     legal schedule (i.e. is [u] an ancestor of [v])? *)
@@ -111,19 +70,5 @@ val envelope : t -> int -> int * int
     [{v} ∪ des v]).  The per-node "cut" the lower bound maximizes. *)
 val always_live_bytes : t -> int -> int
 
-(** Fold over the node ids in the (slot) order used internally; after a
-    {!delta_update} this is no longer necessarily a topological order,
-    only a deterministic enumeration of the nodes. *)
+(** Fold over the node ids in the topological order used internally. *)
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-
-(** Materialize one node's reachability sets (test/oracle use; queries
-    above are the O(1) hot path). *)
-val ancestors : t -> int -> Util.Int_set.t
-
-val descendants : t -> int -> Util.Int_set.t
-
-(** Semantic equality of two analyses over the same node ids: same
-    reachability sets, sizes, weight/pinned classification and pinned
-    totals — regardless of internal slot assignment.  The equivalence
-    oracle for {!delta_update}. *)
-val equivalent : t -> t -> bool

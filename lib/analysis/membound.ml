@@ -130,14 +130,14 @@ let compute ?size_of (g : Graph.t) : t =
   of_liveness (Liveness.compute ?size_of g)
 
 (* ------------------------------------------------------------------ *)
-(* Hot-path probe                                                      *)
+(* Sampled lower bound                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(** Dense scratch representation for the search-loop probe.  The probe
-    runs on every simulation-cache miss, so it must stay well under the
-    reschedule + simulate cost it tries to save: one pass over the node
-    map into flat arrays, then array-only arithmetic — no [Liveness]
-    bitsets, no per-query [Graph.pre]/[Graph.suc] list allocation. *)
+(** Dense scratch representation for the sampled lower bound, which
+    [quick_check] runs on every state the search simulates under
+    [verify_states]: one pass over the node map into flat arrays, then
+    array-only arithmetic — no [Liveness] bitsets, no per-query
+    [Graph.pre]/[Graph.suc] list allocation. *)
 type dense = {
   n : int;
   size : int array;
@@ -265,144 +265,6 @@ let dense_lower ?sample (d : dense) : int =
 
 let lower_bound ?size_of ?sample (g : Graph.t) : int =
   dense_lower ?sample (densify ?size_of g)
-
-(* ------------------------------------------------------------------ *)
-(* Incremental probe                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(** Incremental form of the probe, for the search hot path: per-node
-    worksets and the sampled cut values are kept keyed by node id, and a
-    {!probe_update} against a {!Liveness.delta_update} recomputes only
-    the entries the rewrite could have changed.  Ties in the sample
-    selection break by node id (not dense index, which a delta reshuffles),
-    so [probe_update] is {e exactly} [probe_create] on the new liveness —
-    the equality the property tests assert. *)
-type probe = {
-  pr_lv : Liveness.t;
-  pr_sample : int;
-  pr_worksets : (int, int) Hashtbl.t;  (** node id -> workset bytes *)
-  pr_cuts : (int * int) list;  (** sampled candidates: (id, cut bytes) *)
-  pr_lower : int;
-  pr_reused : int;  (** cut evaluations inherited from the parent *)
-  pr_recomputed : int;  (** cut evaluations actually run *)
-}
-
-(** Workset from the liveness tables alone (no [Graph.op] calls), so an
-    update can run against a child liveness whose size function differs
-    from the graph's default. *)
-let lv_workset (lv : Liveness.t) g v =
-  if Liveness.is_weight lv v then Liveness.weight_bytes lv
-  else
-    List.fold_left
-      (fun acc p ->
-        if Liveness.is_weight lv p then acc else acc + Liveness.size lv p)
-      (Liveness.weight_bytes lv + Liveness.size lv v)
-      (Graph.pre g v)
-
-(** Top-[sample] node ids by (workset desc, id asc) — the shared,
-    slot-assignment-independent selection rule of the probe. *)
-let probe_select (worksets : (int, int) Hashtbl.t) k =
-  Hashtbl.fold (fun v w acc -> (w, v) :: acc) worksets []
-  |> List.sort (fun (wa, va) (wb, vb) -> compare (wb, va) (wa, vb))
-  |> List.map snd |> Util.take k
-
-let probe_finish ~lv ~sample ~worksets ~cuts ~reused ~recomputed =
-  let lb_workset = Hashtbl.fold (fun _ w acc -> max acc w) worksets 0 in
-  let lb_cut = List.fold_left (fun acc (_, c) -> max acc c) 0 cuts in
-  {
-    pr_lv = lv;
-    pr_sample = sample;
-    pr_worksets = worksets;
-    pr_cuts = cuts;
-    pr_lower = max (max lb_workset lb_cut) (Liveness.pinned_bytes lv);
-    pr_reused = reused;
-    pr_recomputed = recomputed;
-  }
-
-let probe_create ?(sample = 8) (lv : Liveness.t) : probe =
-  let g = Liveness.graph lv in
-  let worksets = Hashtbl.create (Liveness.length lv) in
-  Liveness.fold
-    (fun v () -> Hashtbl.replace worksets v (lv_workset lv g v))
-    lv ();
-  let cuts =
-    List.map
-      (fun v -> (v, Liveness.always_live_bytes lv v))
-      (probe_select worksets sample)
-  in
-  probe_finish ~lv ~sample ~worksets ~cuts ~reused:0
-    ~recomputed:(List.length cuts)
-
-let probe_update (p : probe) (lv' : Liveness.t)
-    ~(delta : Liveness.delta) : probe =
-  let old = p.pr_lv in
-  if Liveness.weight_bytes lv' <> Liveness.weight_bytes old then
-    (* the pinned-weight total feeds every workset and cut: rebuild *)
-    probe_create ~sample:p.pr_sample lv'
-  else begin
-    let g' = Liveness.graph lv' in
-    (* survivors whose byte size or weight classification moved (the
-       child's size function — F-Tree accounting — differs per state) *)
-    let changed =
-      Liveness.fold
-        (fun v acc ->
-          if
-            Liveness.mem old v
-            && (Liveness.size old v <> Liveness.size lv' v
-               || Liveness.is_weight old v <> Liveness.is_weight lv' v)
-          then Util.Int_set.add v acc
-          else acc)
-        lv' Util.Int_set.empty
-    in
-    (* worksets to recompute: structurally dirty nodes, nodes that are
-       new, size-changed nodes and their consumers (operand sums) *)
-    let needs_ws v =
-      Util.Int_set.mem v delta.d_dirty
-      || Util.Int_set.mem v changed
-      || (not (Liveness.mem old v))
-      || List.exists (fun u -> Util.Int_set.mem u changed) (Graph.pre g' v)
-    in
-    let worksets = Hashtbl.create (Liveness.length lv') in
-    Liveness.fold
-      (fun v () ->
-        let w =
-          if needs_ws v then lv_workset lv' g' v
-          else Hashtbl.find p.pr_worksets v
-        in
-        Hashtbl.replace worksets v w)
-      lv' ();
-    (* a cut is stale when the candidate's own reachability rows moved,
-       or when a node whose size or adjacency changed sits at or above
-       it (its held-ancestor sum reads those) *)
-    let suspects =
-      Util.Int_set.elements
-        (Util.Int_set.union changed delta.d_adj_changed)
-    in
-    let cut_stale c =
-      Util.Int_set.mem c delta.d_dirty
-      || List.exists
-           (fun w -> w = c || Liveness.must_precede lv' w c)
-           suspects
-    in
-    let reused = ref 0 and recomputed = ref 0 in
-    let cuts =
-      List.map
-        (fun c ->
-          match List.assoc_opt c p.pr_cuts with
-          | Some cut when not (cut_stale c) ->
-              incr reused;
-              (c, cut)
-          | _ ->
-              incr recomputed;
-              (c, Liveness.always_live_bytes lv' c))
-        (probe_select worksets p.pr_sample)
-    in
-    probe_finish ~lv:lv' ~sample:p.pr_sample ~worksets ~cuts ~reused:!reused
-      ~recomputed:!recomputed
-  end
-
-let probe_lower (p : probe) : int = p.pr_lower
-let probe_counters (p : probe) : int * int = (p.pr_reused, p.pr_recomputed)
 
 let quick_check ?size_of ?sample (g : Graph.t) ~peak : Diagnostic.t list =
   let d = densify ?size_of g in

@@ -1,5 +1,5 @@
-(** Schedule-independent peak-memory bounds and branch-and-bound pruning
-    support (the "analyze before you execute" pass of DESIGN.md §8).
+(** Schedule-independent peak-memory bounds (the "analyze before you
+    execute" pass of DESIGN.md §8), used as a verification oracle.
 
     From the graph alone — no schedule, no simulation — this module
     derives an {e admissible lower bound} on the peak resident memory of
@@ -54,37 +54,8 @@ val of_liveness : Liveness.t -> t
     skipping the upper bounds and the dominator pass.  [sample] caps the
     number of cut evaluations (the candidates with the largest working
     sets are tried, a superset heuristic of where the max-cut lives);
-    any cap keeps the bound admissible, merely possibly looser.  This is
-    the search's branch-and-bound probe. *)
+    any cap keeps the bound admissible, merely possibly looser. *)
 val lower_bound : ?size_of:(int -> int) -> ?sample:int -> Graph.t -> int
-
-(** Incremental form of the probe bound, for the search hot path.  A
-    [probe] memoizes per-node worksets and the sampled cut evaluations
-    keyed by node id; {!probe_update} advances it across one rewrite
-    using the {!Liveness.delta} of a {!Liveness.delta_update},
-    recomputing only entries the rewrite could have changed.  The
-    invariant (asserted by the property tests) is exact:
-    [probe_update p lv' ~delta] yields the same bound, worksets and cut
-    values as [probe_create ~sample lv'] from scratch. *)
-type probe
-
-(** [probe_create ?sample lv] builds the probe from a liveness analysis.
-    [sample] (default 8) caps cut evaluations as in {!lower_bound};
-    candidates are the [sample] largest worksets, ties by node id. *)
-val probe_create : ?sample:int -> Liveness.t -> probe
-
-(** Advance the probe to the child liveness [lv'] produced by
-    {!Liveness.delta_update}, reusing every workset and cut evaluation
-    the delta proves unchanged. *)
-val probe_update : probe -> Liveness.t -> delta:Liveness.delta -> probe
-
-(** The admissible lower bound held by the probe (max of workset, cut
-    and pinned terms — the same terms as {!lower_bound}). *)
-val probe_lower : probe -> int
-
-(** [(reused, recomputed)] cut-evaluation counts of the last create or
-    update, for the search's incremental-efficiency counters. *)
-val probe_counters : probe -> int * int
 
 (** Admissible lower bound on the simulated latency of any schedule:
     the compute stream is serial, so latency is at least the sum of
@@ -103,7 +74,7 @@ val check : ?node:int -> t -> peak:int -> Diagnostic.t list
 
 (** [quick_check ?size_of ?sample g ~peak] is the hot-path form of
     {!check}: it verifies [lower_bound <= peak <= ub_total] using the
-    probe bound only (no dominator pass, no greedy schedule), cheap
+    sampled bound only (no dominator pass, no greedy schedule), cheap
     enough to run on every state the search accepts under
     [verify_states].  Same diagnostic codes as {!check}. *)
 val quick_check :

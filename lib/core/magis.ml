@@ -72,7 +72,6 @@ module Taso_rules = Magis_rules.Taso_rules
 module Partition = Magis_sched.Partition
 module Reorder = Magis_sched.Reorder
 module Incremental = Magis_sched.Incremental
-module Listsched = Magis_sched.Listsched
 
 (* optimizer *)
 module Mstate = Magis_opt.Mstate

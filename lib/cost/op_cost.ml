@@ -31,7 +31,7 @@ let () =
 (** Finiteness guard: every cost this module (or a cost hook built on
     it) hands to the search must be a finite non-negative number of
     seconds.  A NaN would silently poison every comparison downstream —
-    the priority queue, the δ-admission test, the bound probes — so it
+    the priority queue, the δ-admission test, the latency floor — so it
     is converted to a structured exception at the source, which the
     supervised search quarantines as a diagnostic. *)
 let is_finite_cost value = Float.is_finite value && value >= 0.0

@@ -1,7 +1,7 @@
 (** Search-telemetry sink: one JSON object per line (JSONL).
 
     The search loop records one object per iteration (queue depth, best
-    peak and latency so far, cache hit rate, prune and quarantine
+    peak and latency so far, cache hit rate, quarantine
     counts, per-phase wall time, pool busy fractions, …); each record
     is flushed as it is written, so an interrupted run keeps every
     completed iteration.  {!read} parses a file back for analysis and

@@ -24,7 +24,7 @@ type t = {
 (** Simulate [schedule] on [graph] under the fission accounting of
     [ftree] and package the result.  [acc] lets callers that already
     computed {!Ftree.accounting} (the search's evaluation path needs it
-    for the bound probe and the reschedule) pass it in instead of
+    for the reschedule) pass it in instead of
     recomputing. *)
 let evaluate ?(ftree_stale = false) ?acc (cache : Op_cost.t) (graph : Graph.t)
     (ftree : Ftree.t) (schedule : int list) : t =

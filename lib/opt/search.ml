@@ -88,15 +88,6 @@ type stats = {
   mutable iterations : int;
   mutable n_sim_hit : int;
   mutable n_sim_miss : int;
-  mutable n_bound_calls : int;
-  mutable t_bound : float;
-  mutable n_pruned_lb : int;
-  mutable n_lv_delta : int;
-      (** bound probes answered by the O(Δ) liveness delta-update path
-          instead of a scratch analysis *)
-  mutable n_cut_reused : int;
-      (** probe cut evaluations inherited from the parent state *)
-  mutable n_cut_recomputed : int;  (** probe cut evaluations actually run *)
   mutable n_sched_fallback : int;
       (** incremental reschedules that fell back to a full reschedule
           (window splice produced an illegal order) *)
@@ -105,11 +96,6 @@ type stats = {
   mutable n_sched_nodes : int;
       (** total nodes across the produced schedules (denominator of the
           rescheduled-node fraction) *)
-  mutable n_cheap_sched : int;
-      (** candidates evaluated by the cheap list-scheduling tier *)
-  mutable n_promoted : int;
-      (** cheap-tier candidates that passed δ-admission and were
-          re-evaluated by the exact tier *)
   mutable domain_time : float array;
       (** cumulative busy seconds per expansion worker *)
   mutable n_retried : int;
@@ -118,6 +104,15 @@ type stats = {
   mutable degrade_steps : (float * string) list;
       (** graceful-degradation ladder steps taken, in order: (elapsed
           seconds, step name) *)
+  mutable n_bound_calls : int;
+      (** Retired with the search-time bound probe, like the five fields
+          after it: always 0, kept only because the repository
+          benchmark's per-layer table still reads them. *)
+  mutable t_bound : float;
+  mutable n_pruned_lb : int;
+  mutable n_lv_delta : int;
+  mutable n_cut_reused : int;
+  mutable n_cut_recomputed : int;
 }
 
 let fresh_stats () =
@@ -134,22 +129,20 @@ let fresh_stats () =
     iterations = 0;
     n_sim_hit = 0;
     n_sim_miss = 0;
+    n_sched_fallback = 0;
+    n_resched_nodes = 0;
+    n_sched_nodes = 0;
+    domain_time = [||];
+    n_retried = 0;
+    n_quarantined = 0;
+    n_checkpoints = 0;
+    degrade_steps = [];
     n_bound_calls = 0;
     t_bound = 0.0;
     n_pruned_lb = 0;
     n_lv_delta = 0;
     n_cut_reused = 0;
     n_cut_recomputed = 0;
-    n_sched_fallback = 0;
-    n_resched_nodes = 0;
-    n_sched_nodes = 0;
-    n_cheap_sched = 0;
-    n_promoted = 0;
-    domain_time = [||];
-    n_retried = 0;
-    n_quarantined = 0;
-    n_checkpoints = 0;
-    degrade_steps = [];
   }
 
 (** Fold a worker-local accumulator into the run totals.  Workers never
@@ -169,17 +162,9 @@ let merge_stats (dst : stats) (src : stats) =
   dst.n_filtered <- dst.n_filtered + src.n_filtered;
   dst.n_sim_hit <- dst.n_sim_hit + src.n_sim_hit;
   dst.n_sim_miss <- dst.n_sim_miss + src.n_sim_miss;
-  dst.n_bound_calls <- dst.n_bound_calls + src.n_bound_calls;
-  dst.t_bound <- dst.t_bound +. src.t_bound;
-  dst.n_pruned_lb <- dst.n_pruned_lb + src.n_pruned_lb;
-  dst.n_lv_delta <- dst.n_lv_delta + src.n_lv_delta;
-  dst.n_cut_reused <- dst.n_cut_reused + src.n_cut_reused;
-  dst.n_cut_recomputed <- dst.n_cut_recomputed + src.n_cut_recomputed;
   dst.n_sched_fallback <- dst.n_sched_fallback + src.n_sched_fallback;
   dst.n_resched_nodes <- dst.n_resched_nodes + src.n_resched_nodes;
-  dst.n_sched_nodes <- dst.n_sched_nodes + src.n_sched_nodes;
-  dst.n_cheap_sched <- dst.n_cheap_sched + src.n_cheap_sched;
-  dst.n_promoted <- dst.n_promoted + src.n_promoted
+  dst.n_sched_nodes <- dst.n_sched_nodes + src.n_sched_nodes
 
 type result = {
   best : Mstate.t;
@@ -210,11 +195,6 @@ let resched_frac (st : stats) =
   if st.n_sched_nodes = 0 then 0.0
   else float_of_int st.n_resched_nodes /. float_of_int st.n_sched_nodes
 
-(** Fraction of probe cut evaluations inherited from the parent. *)
-let cut_reuse_rate (st : stats) =
-  let total = st.n_cut_reused + st.n_cut_recomputed in
-  if total = 0 then 0.0 else float_of_int st.n_cut_reused /. float_of_int total
-
 let stats_json (st : stats) : Json.t =
   Json.Obj
     [
@@ -231,19 +211,10 @@ let stats_json (st : stats) : Json.t =
       ("n_sim_hit", Json.Int st.n_sim_hit);
       ("n_sim_miss", Json.Int st.n_sim_miss);
       ("sim_hit_rate", Json.Float (sim_hit_rate st));
-      ("n_bound_calls", Json.Int st.n_bound_calls);
-      ("t_bound", Json.Float st.t_bound);
-      ("n_pruned_lb", Json.Int st.n_pruned_lb);
-      ("n_lv_delta", Json.Int st.n_lv_delta);
-      ("n_cut_reused", Json.Int st.n_cut_reused);
-      ("n_cut_recomputed", Json.Int st.n_cut_recomputed);
-      ("cut_reuse_rate", Json.Float (cut_reuse_rate st));
       ("n_sched_fallback", Json.Int st.n_sched_fallback);
       ("n_resched_nodes", Json.Int st.n_resched_nodes);
       ("n_sched_nodes", Json.Int st.n_sched_nodes);
       ("resched_frac", Json.Float (resched_frac st));
-      ("n_cheap_sched", Json.Int st.n_cheap_sched);
-      ("n_promoted", Json.Int st.n_promoted);
       ("n_retried", Json.Int st.n_retried);
       ("n_quarantined", Json.Int st.n_quarantined);
       ("n_checkpoints", Json.Int st.n_checkpoints);
@@ -264,37 +235,24 @@ let stats_json (st : stats) : Json.t =
     single stat renderer shared by [magis_cli optimize] and the Fig. 15
     bench (which used to duplicate it). *)
 let pp_stats ppf (st : stats) =
-  let total =
-    st.t_transform +. st.t_sched +. st.t_simul +. st.t_hash +. st.t_bound
-  in
-  Format.fprintf ppf "%-10s %10s %10s %10s %10s %10s %10s %10s %10s@\n" ""
-    "Total" "Trans." "Sched." "Simul." "Hash" "Bound" "Filtered" "PrunedLB";
-  Format.fprintf ppf "%-10s %10d %10d %10d %10d %10d %10d %10d %10d@\n" "Count"
-    (st.n_transform + st.n_sched + st.n_simul + st.n_hash + st.n_bound_calls)
-    st.n_transform st.n_sched st.n_simul st.n_hash st.n_bound_calls
-    st.n_filtered st.n_pruned_lb;
-  Format.fprintf ppf "%-10s %10.2f %10.2f %10.2f %10.2f %10.2f %10.2f %10s %10s@\n"
-    "Cost(secs)" total st.t_transform st.t_sched st.t_simul st.t_hash
-    st.t_bound "/" "/";
+  let total = st.t_transform +. st.t_sched +. st.t_simul +. st.t_hash in
+  Format.fprintf ppf "%-10s %10s %10s %10s %10s %10s %10s@\n" "" "Total"
+    "Trans." "Sched." "Simul." "Hash" "Filtered";
+  Format.fprintf ppf "%-10s %10d %10d %10d %10d %10d %10d@\n" "Count"
+    (st.n_transform + st.n_sched + st.n_simul + st.n_hash)
+    st.n_transform st.n_sched st.n_simul st.n_hash st.n_filtered;
+  Format.fprintf ppf "%-10s %10.2f %10.2f %10.2f %10.2f %10.2f %10s@\n"
+    "Cost(secs)" total st.t_transform st.t_sched st.t_simul st.t_hash "/";
   Format.fprintf ppf "Iterations: %d@\n" st.iterations;
   Format.fprintf ppf "Simulation cache: %d hits, %d misses (%.0f%% hit rate)@\n"
     st.n_sim_hit st.n_sim_miss
     (100.0 *. sim_hit_rate st);
-  if st.n_lv_delta > 0 then
-    Format.fprintf ppf
-      "Incremental bounds: %d delta updates; cuts %d reused / %d recomputed \
-       (%.0f%% reuse)@\n"
-      st.n_lv_delta st.n_cut_reused st.n_cut_recomputed
-      (100.0 *. cut_reuse_rate st);
   if st.n_sched_nodes > 0 then
     Format.fprintf ppf
       "Incremental scheduling: %.1f%% of nodes re-placed; %d fallback(s) to \
        full reschedule@\n"
       (100.0 *. resched_frac st)
       st.n_sched_fallback;
-  if st.n_cheap_sched > 0 then
-    Format.fprintf ppf "Cheap tier: %d list-scheduled, %d promoted to exact@\n"
-      st.n_cheap_sched st.n_promoted;
   if Array.length st.domain_time > 0 then
     Format.fprintf ppf "Expansion workers: %d; per-domain busy seconds: [%s]@\n"
       (Array.length st.domain_time)
@@ -328,13 +286,7 @@ let better_than (mode : mode) ?(delta = 1.0) (a : Mstate.t) (b : Mstate.t) :
   let ka1, ka2 = key mode a and kb1, kb2 = key mode b in
   (ka1, ka2) < (delta *. kb1, delta *. kb2)
 
-(** The paper's δ = 1.1 queue-admission slack.  Shared between the
-    push test and the bound-pruning test: a candidate is dropped before
-    evaluation only when its admissible lower bound already proves it
-    would fail [better_than mode ~delta:queue_delta] against the
-    incumbent — which (key components being non-negative) also implies
-    it cannot become the new best, so pruning never changes the search
-    trajectory. *)
+(** The paper's δ = 1.1 queue-admission slack of the push test. *)
 let queue_delta = 1.1
 
 module Pq = Map.Make (struct
@@ -376,32 +328,6 @@ type config = {
   sim_cache : Sim_cache.t option;
       (** simulation cache; [None] (the default) uses a fresh private
           cache per run, [Some c] shares [c] across runs *)
-  prune_bounds : bool;
-      (** branch-and-bound pruning: drop candidates whose
-          schedule-independent lower bound ({!Magis_analysis.Membound})
-          proves they cannot pass the δ-relaxed queue admission test,
-          before rescheduling and simulation.  Trajectory-preserving:
-          the returned best state is bit-identical with pruning on or
-          off. *)
-  incremental : bool;
-      (** answer memory-bound probes by {!Magis_analysis.Liveness}
-          delta-update + {!Magis_analysis.Membound} probe-update against
-          the popped parent (default on) instead of a per-candidate
-          scratch analysis.  The probe bound is identical to the scratch
-          probe bound (asserted under [verify_states]), so this too is
-          trajectory-preserving — only the per-candidate cost drops from
-          O(n) to O(Δ). *)
-  cheap_tier : bool;
-      (** two-tier evaluation (default off): score every candidate with
-          the O((V+E) log V) critical-path list scheduler
-          ({!Magis_sched.Listsched}) first, and promote only candidates
-          that pass δ-admission against the incumbent to the exact tier
-          (incremental reschedule + cached simulation).  Exact numbers
-          drive the best state and the queue; cheap ones only gate
-          promotion, so every reported state is exactly evaluated —
-          but the trajectory may differ from the one-tier search (a
-          cheap schedule can overshoot δ on a candidate the exact tier
-          would have admitted). *)
   supervise : bool;
       (** per-candidate exception isolation (default on): a failing
           candidate is retried, then quarantined with a diagnostic,
@@ -413,15 +339,15 @@ type config = {
   checkpoint : checkpoint option;  (** crash-safe snapshots; [None] = off *)
   degrade : bool;
       (** graceful-degradation ladder (default on): past 85% of
-          [time_budget] the DP budget steps down to a quarter, past 95%
-          bound probes are disabled, and exhaustion returns best-so-far
-          — each step recorded in [stats.degrade_steps] *)
+          [time_budget] the DP budget steps down to
+          {!ladder_sched_states}, and exhaustion returns best-so-far —
+          each step recorded in [stats.degrade_steps] *)
   profile : Profile.t option;
       (** per-iteration telemetry sink (JSONL); [None] (the default) =
           off.  Purely observational: excluded from the trajectory
           fingerprint, never changes the search *)
   harvest : (iteration:int -> Mstate.t -> unit) option;
-      (** side channel fed every exactly-evaluated candidate at the
+      (** side channel fed every evaluated candidate at the
           serial phase-4 merge, in candidate order, before and
           regardless of admission ({!Magis_frontier} collects them into
           a Pareto frontier).  Purely observational: excluded from the
@@ -446,9 +372,6 @@ let default_config =
     verify_states = false;
     jobs = 1;
     sim_cache = None;
-    prune_bounds = true;
-    incremental = true;
-    cheap_tier = false;
     supervise = true;
     max_retries = 3;
     checkpoint = None;
@@ -554,14 +477,8 @@ let mode_fingerprint : mode -> int64 = function
       Util.hash_combine 2L (Int64.bits_of_float lat_limit)
 
 (* ------------------------------------------------------------------ *)
-(* Branch-and-bound pruning                                            *)
+(* Candidate evaluation                                                *)
 (* ------------------------------------------------------------------ *)
-
-(** Cut-candidate sample size for the hot-path memory lower bound.  Any
-    subset of cut positions yields an admissible (if weaker) bound, so a
-    small deterministic sample keeps the probe cheaper than the
-    reschedule + simulate it replaces. *)
-let bound_sample = 8
 
 (** Multiplicative safety margin on the float-summed latency lower
     bound: the simulator accumulates the same per-op costs in schedule
@@ -570,26 +487,8 @@ let bound_sample = 8
     weakening it measurably. *)
 let lat_lb_margin = 1.0 -. 1e-9
 
-(** Pruning decision context, frozen on the orchestrating domain once
-    per iteration (so every worker prunes against the same incumbent and
-    a parallel run stays bit-identical to a serial one).  [threshold] is
-    [queue_delta *. fst (key mode !best)]: a candidate whose clamped
-    first key component provably exceeds it fails the push test — and,
-    components being non-negative, the δ = 1 best-update test too. *)
-type bound_check =
-  | No_prune
-  | Prune_mem of { threshold : float; mem_limit : int }
-  | Prune_lat of { threshold : float; lat_limit : float }
-
-let bound_check_of ~prune (mode : mode) (best : Mstate.t) : bound_check =
-  if not prune then No_prune
-  else
-    let threshold = queue_delta *. fst (key mode best) in
-    match mode with
-    | Min_latency { mem_limit } -> Prune_mem { threshold; mem_limit }
-    | Min_memory { lat_limit } -> Prune_lat { threshold; lat_limit }
-
-(** Admissible latency floor of a proposal: serialized compute time of
+(** Admissible latency floor of a proposal, checked against every
+    simulated state under [verify_states]: serialized compute time of
     every non-swap operator plus the F-Tree's virtual-fission overhead.
     The simulator's latency is [max t_compute t_copy >= t_compute], and
     [t_compute] sums exactly these costs over the schedule. *)
@@ -598,122 +497,17 @@ let proposal_latency_lb (acc : Ftree.accounting) (g : Graph.t) : float =
   +. acc.extra_latency)
   *. lat_lb_margin
 
-(** The popped state's liveness analysis and memory-bound probe, built
-    once per iteration on the orchestrating domain so every candidate's
-    probe is an O(Δ) update against it rather than an O(n) scratch
-    analysis.  Immutable after construction (delta updates share rows by
-    reference but never write them), so workers read it concurrently
-    without synchronization. *)
-type incr_parent = {
-  ip_lv : Magis_analysis.Liveness.t;
-  ip_probe : Magis_analysis.Membound.probe;
-}
-
-(** Memory lower bound of a proposal: the O(Δ) incremental path when a
-    parent probe is available, the scratch sampled probe otherwise.
-    Under [verify_states] the incremental result is checked against the
-    scratch-recompute oracle ({!Magis_analysis.Liveness.equivalent} plus
-    probe-bound equality), raising {!Verification_failure} on any
-    divergence.  The oracle costs the very O(n) analysis the delta path
-    avoids, so it runs on a deterministic 1-in-8 sample of candidates,
-    keyed by [state_hash] — independent of [jobs] and stable across
-    runs; the property tests cover every candidate exhaustively. *)
-let oracle_this_candidate state_hash = Int64.logand state_hash 7L = 0L
-
-(** Dirty-cone cap for the delta path, as a fraction of the graph: a
-    rewrite whose reachability cone covers more than a third of the
-    nodes would rebuild most bitset rows — slower than the dense
-    scratch probe — so such candidates fall back to it.  Both bounds
-    are admissible, so the choice only affects counters, never the
-    search trajectory.  Deterministic in the graph alone: independent
-    of [jobs] and stable across runs. *)
-let delta_max_dirty n = n / 3
-
-let proposal_mem_lb (cfg : config) stats ~(incr_parent : incr_parent option)
-    ~state_hash (acc : Ftree.accounting) (p : proposal) : int =
-  let incr_result =
-    match incr_parent with
-    | None -> None
-    | Some ip ->
-        Magis_analysis.Liveness.delta_update ~size_of:acc.size_of
-          ~max_dirty:(delta_max_dirty (Magis_analysis.Liveness.length ip.ip_lv))
-          ip.ip_lv p.p_graph ~mutated:p.p_mutated
-        |> Option.map (fun (lv', delta) -> (ip, lv', delta))
-  in
-  match incr_result with
-  | Some (ip, lv', delta) ->
-      stats.n_lv_delta <- stats.n_lv_delta + 1;
-      let probe' =
-        Magis_analysis.Membound.probe_update ip.ip_probe lv' ~delta
-      in
-      let reused, recomputed =
-        Magis_analysis.Membound.probe_counters probe'
-      in
-      stats.n_cut_reused <- stats.n_cut_reused + reused;
-      stats.n_cut_recomputed <- stats.n_cut_recomputed + recomputed;
-      let lb = Magis_analysis.Membound.probe_lower probe' in
-      if cfg.verify_states && oracle_this_candidate state_hash then begin
-        let scratch =
-          Magis_analysis.Liveness.compute ~size_of:acc.size_of p.p_graph
-        in
-        if not (Magis_analysis.Liveness.equivalent lv' scratch) then
-          raise
-            (Verification_failure
-               "Liveness.delta_update diverged from the scratch analysis");
-        let scratch_lb =
-          Magis_analysis.Membound.probe_lower
-            (Magis_analysis.Membound.probe_create ~sample:bound_sample scratch)
-        in
-        if lb <> scratch_lb then
-          raise
-            (Verification_failure
-               (Printf.sprintf
-                  "Membound.probe_update bound %d <> scratch probe bound %d"
-                  lb scratch_lb))
-      end;
-      lb
-  | None ->
-      Magis_analysis.Membound.lower_bound ~size_of:acc.size_of
-        ~sample:bound_sample p.p_graph
-
-(** Does the admissible lower bound already prove this proposal fails
-    the δ-relaxed admission test?  Shared by the exact and cheap tiers. *)
-let bound_prunes (cfg : config) stats ~bound_check ~incr_parent ~state_hash
-    (acc : Ftree.accounting) (p : proposal) : bool =
-  match bound_check with
-  | No_prune -> false
-  | Prune_mem { threshold; mem_limit } ->
-      timed stats
-        (fun dt -> stats.t_bound <- stats.t_bound +. dt)
-        (fun () -> stats.n_bound_calls <- stats.n_bound_calls + 1)
-        (fun () ->
-          let lb = proposal_mem_lb cfg stats ~incr_parent ~state_hash acc p in
-          float_of_int (max lb mem_limit) > threshold)
-  | Prune_lat { threshold; lat_limit } ->
-      timed stats
-        (fun dt -> stats.t_bound <- stats.t_bound +. dt)
-        (fun () -> stats.n_bound_calls <- stats.n_bound_calls + 1)
-        (fun () ->
-          let lb = proposal_latency_lb acc p.p_graph in
-          Float.max lb lat_limit > threshold)
-
 (** Evaluate a proposal: incremental reschedule + simulation, memoized
     in the simulation cache.  [state_hash] is the proposal's dedup hash
     (WL ⊕ F-Tree fingerprint), already computed by the hash phase;
     [parent_sched_hash] digests the schedule being incrementally
     rewritten; [sched_states] is the effective DP budget (the config's,
-    unless the degradation ladder stepped it down).  Returns [None]
-    when the bound probe prunes the candidate: on a cache miss only, an
-    admissible lower bound already above the δ-relaxed incumbent
-    threshold proves the evaluation could neither improve the best
-    state nor enter the queue.  Pruned candidates touch neither the
-    hit/miss counters nor the cache (a later, tighter incumbent must
-    not find a poisoned entry).  Runs on a worker domain: it must only
-    write [stats] (a worker-local accumulator) and the domain-safe
-    caches. *)
-let evaluate_proposal (cfg : config) (ec : eval_ctx) stats ~bound_check
-    ~incr_parent ~sched_states ~iteration ~state_hash ~parent_sched_hash
-    (s : Mstate.t) (p : proposal) : Mstate.t option =
+    unless the degradation ladder stepped it down).  Runs on a worker
+    domain: it must only write [stats] (a worker-local accumulator) and
+    the domain-safe caches. *)
+let evaluate_proposal (cfg : config) (ec : eval_ctx) stats ~sched_states
+    ~iteration ~state_hash ~parent_sched_hash (s : Mstate.t) (p : proposal) :
+    Mstate.t =
   let key =
     Sim_cache.key ~state:state_hash ~parent_sched:parent_sched_hash
       ~mutated:(Util.hash_int_list (Int_set.elements p.p_mutated))
@@ -722,99 +516,54 @@ let evaluate_proposal (cfg : config) (ec : eval_ctx) stats ~bound_check
   match Sim_cache.find ec.ec_sim key with
   | Some v ->
       stats.n_sim_hit <- stats.n_sim_hit + 1;
-      Some (Mstate.of_cached ~ftree_stale:p.p_stale p.p_graph p.p_ftree v)
+      Mstate.of_cached ~ftree_stale:p.p_stale p.p_graph p.p_ftree v
   | None ->
       let acc = Ftree.accounting ec.ec_cache p.p_graph p.p_ftree in
-      if bound_prunes cfg stats ~bound_check ~incr_parent ~state_hash acc p
-      then begin
-        stats.n_pruned_lb <- stats.n_pruned_lb + 1;
-        None
-      end
-      else begin
-        stats.n_sim_miss <- stats.n_sim_miss + 1;
-        let schedule, (rstats : Magis_sched.Incremental.stats) =
-          timed stats
-            (fun dt -> stats.t_sched <- stats.t_sched +. dt)
-            (fun () -> stats.n_sched <- stats.n_sched + 1)
-            (fun () ->
-              Magis_sched.Incremental.reschedule ~max_states:sched_states
-                ~old_graph:s.graph ~new_graph:p.p_graph
-                ~old_schedule:s.schedule ~mutated_old:p.p_mutated
-                ~size_of:acc.size_of ())
-        in
-        if rstats.fallback then begin
-          stats.n_sched_fallback <- stats.n_sched_fallback + 1;
-          Metrics.incr m_sched_fallbacks
-        end;
-        stats.n_resched_nodes <- stats.n_resched_nodes + rstats.rescheduled;
-        stats.n_sched_nodes <- stats.n_sched_nodes + List.length schedule;
-        let s' =
-          timed stats
-            (fun dt -> stats.t_simul <- stats.t_simul +. dt)
-            (fun () -> stats.n_simul <- stats.n_simul + 1)
-            (fun () ->
-              Mstate.evaluate ~ftree_stale:p.p_stale ~acc ec.ec_cache
-                p.p_graph p.p_ftree schedule)
-        in
-        if cfg.verify_states then begin
-          try
-            let what = Printf.sprintf "M-state (iteration %d)" iteration in
-            Magis_analysis.Hooks.assert_state ~what s'.graph s'.schedule;
-            Magis_analysis.Hooks.assert_bounds ~exact:false ~what
-              ~size_of:acc.size_of s'.graph ~peak:s'.peak_mem ();
-            let lat_lb = proposal_latency_lb acc p.p_graph in
-            if s'.latency < lat_lb then
-              failwith
-                (Printf.sprintf
-                   "%s violated the latency lower bound: simulated %.9f < \
-                    bound %.9f"
-                   what s'.latency lat_lb)
-          with Failure msg ->
-            (* never quarantined: an invalid accepted state is an
-               optimizer bug, not a transient runtime fault *)
-            raise (Verification_failure msg)
-        end;
-        Sim_cache.add ~parent:s.schedule ec.ec_sim key (Mstate.to_cached s');
-        Some s'
-      end
-
-(** Cheap-tier evaluation: bound-prune, then a whole-graph critical-path
-    list schedule ({!Magis_sched.Listsched}) and one simulation — no DP,
-    no window computation, no cache entry (cheap numbers must never
-    masquerade as exact ones under the exact tier's key).  The schedule
-    is a legal topological order, so the simulated peak and latency are
-    real, merely unoptimized; the merge promotes candidates whose cheap
-    numbers pass δ-admission to {!evaluate_proposal}. *)
-let cheap_evaluate (cfg : config) (ec : eval_ctx) stats ~bound_check
-    ~incr_parent ~state_hash (p : proposal) : Mstate.t option =
-  let acc = Ftree.accounting ec.ec_cache p.p_graph p.p_ftree in
-  if bound_prunes cfg stats ~bound_check ~incr_parent ~state_hash acc p
-  then begin
-    stats.n_pruned_lb <- stats.n_pruned_lb + 1;
-    None
-  end
-  else begin
-    let schedule =
-      timed stats
-        (fun dt -> stats.t_sched <- stats.t_sched +. dt)
-        (fun () -> stats.n_cheap_sched <- stats.n_cheap_sched + 1)
-        (fun () ->
-          Magis_sched.Listsched.schedule ~size_of:acc.size_of
-            ~cost_of:acc.cost_of p.p_graph)
-    in
-    let s' =
-      timed stats
-        (fun dt -> stats.t_simul <- stats.t_simul +. dt)
-        (fun () -> stats.n_simul <- stats.n_simul + 1)
-        (fun () ->
-          Mstate.evaluate ~ftree_stale:p.p_stale ~acc ec.ec_cache p.p_graph
-            p.p_ftree schedule)
-    in
-    Some s'
-  end
-
-(** Outcome of phase 3 for one surviving candidate. *)
-type tier = Exact of Mstate.t | Cheap of Mstate.t
+      stats.n_sim_miss <- stats.n_sim_miss + 1;
+      let schedule, (rstats : Magis_sched.Incremental.stats) =
+        timed stats
+          (fun dt -> stats.t_sched <- stats.t_sched +. dt)
+          (fun () -> stats.n_sched <- stats.n_sched + 1)
+          (fun () ->
+            Magis_sched.Incremental.reschedule ~max_states:sched_states
+              ~old_graph:s.graph ~new_graph:p.p_graph
+              ~old_schedule:s.schedule ~mutated_old:p.p_mutated
+              ~size_of:acc.size_of ())
+      in
+      if rstats.fallback then begin
+        stats.n_sched_fallback <- stats.n_sched_fallback + 1;
+        Metrics.incr m_sched_fallbacks
+      end;
+      stats.n_resched_nodes <- stats.n_resched_nodes + rstats.rescheduled;
+      stats.n_sched_nodes <- stats.n_sched_nodes + List.length schedule;
+      let s' =
+        timed stats
+          (fun dt -> stats.t_simul <- stats.t_simul +. dt)
+          (fun () -> stats.n_simul <- stats.n_simul + 1)
+          (fun () ->
+            Mstate.evaluate ~ftree_stale:p.p_stale ~acc ec.ec_cache
+              p.p_graph p.p_ftree schedule)
+      in
+      if cfg.verify_states then begin
+        try
+          let what = Printf.sprintf "M-state (iteration %d)" iteration in
+          Magis_analysis.Hooks.assert_state ~what s'.graph s'.schedule;
+          Magis_analysis.Hooks.assert_bounds ~exact:false ~what
+            ~size_of:acc.size_of s'.graph ~peak:s'.peak_mem ();
+          let lat_lb = proposal_latency_lb acc p.p_graph in
+          if s'.latency < lat_lb then
+            failwith
+              (Printf.sprintf
+                 "%s violated the latency lower bound: simulated %.9f < \
+                  bound %.9f"
+                 what s'.latency lat_lb)
+        with Failure msg ->
+          (* never quarantined: an invalid accepted state is an
+             optimizer bug, not a transient runtime fault *)
+          raise (Verification_failure msg)
+      end;
+      Sim_cache.add ~parent:s.schedule ec.ec_sim key (Mstate.to_cached s');
+      s'
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint format                                                   *)
@@ -822,7 +571,7 @@ type tier = Exact of Mstate.t | Cheap of Mstate.t
 
 (** Bump whenever {!snapshot} (or anything it reaches: {!Mstate.t},
     {!stats}, …) changes shape. *)
-let ckpt_version = 2
+let ckpt_version = 3
 
 (** The complete loop state: restoring it continues the search
     bit-identically — frontier, dedup set, diversification RNG, pop
@@ -850,15 +599,18 @@ type snapshot = {
 let trajectory_fingerprint (cfg : config) (mode : mode) ~(hw : int64)
     (graph : Graph.t) : int64 =
   let bit b i = if b then 1 lsl i else 0 in
+  (* bits 4, 6 and 7 held three retired knobs; they stay folded in at
+     the defaults those knobs had (on, on, off), so keys written before
+     the knobs went — checkpoints and on-disk frontier caches — stay
+     valid *)
+  let retired = bit true 4 lor bit true 6 lor bit false 7 in
   let flags =
     bit cfg.ablation.use_ftree_heuristic 0
     lor bit cfg.ablation.restrict_sched_rules 1
     lor bit cfg.diversify_pops 2
     lor bit cfg.use_sweep_rules 3
-    lor bit cfg.prune_bounds 4
     lor bit cfg.degrade 5
-    lor bit cfg.incremental 6
-    lor bit cfg.cheap_tier 7
+    lor retired
   in
   let h = Util.hash_combine (Wl_hash.hash graph) hw in
   let h = Util.hash_combine h (mode_fingerprint mode) in
@@ -871,12 +623,17 @@ let trajectory_fingerprint (cfg : config) (mode : mode) ~(hw : int64)
 (* Graceful degradation                                                *)
 (* ------------------------------------------------------------------ *)
 
-(** Budget fractions at which the ladder steps down: reduce the DP
-    scheduling budget, then stop paying for bound probes, then (at
-    exhaustion, by the loop condition) return best-so-far. *)
+(** Budget fraction at which the ladder steps down to
+    {!ladder_sched_states}; at exhaustion the loop condition returns
+    best-so-far. *)
 let degrade_sched_frac = 0.85
 
-let degrade_bounds_frac = 0.95
+(** The DP budget at degradation level [level]: unchanged at level 0,
+    a quarter above it.  The single rung shared by the search's
+    time-pressure ladder and {!Magis_serve.Server}'s load-shed ladder.
+    A no-op at the default [sched_states = 0] (greedy only). *)
+let ladder_sched_states ~level sched_states =
+  if level >= 1 then sched_states / 4 else sched_states
 
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                           *)
@@ -1029,18 +786,9 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
       if !degrade_level < 1 && frac >= degrade_sched_frac then begin
         degrade_level := 1;
         record_step "reduce-sched-states"
-      end;
-      if !degrade_level < 2 && frac >= degrade_bounds_frac then begin
-        degrade_level := 2;
-        record_step "disable-bound-probes"
       end
     end
   in
-  let eff_sched_states () =
-    if !degrade_level >= 1 then config.sched_states / 4
-    else config.sched_states
-  in
-  let eff_prune () = config.prune_bounds && !degrade_level < 2 in
   (* -------------------------------------------------------------- *)
   (* Checkpointing                                                   *)
   (* -------------------------------------------------------------- *)
@@ -1144,14 +892,18 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
        | Some s ->
            stats.iterations <- stats.iterations + 1;
            Metrics.incr m_iterations;
-           if Sys.getenv_opt "MAGIS_TRACE" <> None then
-             Fmt.epr "[%d] pop mem=%.1fMB lat=%.2fms entries=%d enabled=%d stale=%b@."
-               stats.iterations
-               (float_of_int s.peak_mem /. 1e6)
-               (s.latency *. 1e3)
-               (Ftree.n_entries s.ftree)
-               (List.length (Ftree.enabled_indices s.ftree))
-               s.ftree_stale;
+           if Trace.enabled () then
+             Trace.instant ~cat:"search"
+               ~args:
+                 [ ("iteration", string_of_int stats.iterations);
+                   ("peak_mem", string_of_int s.peak_mem);
+                   ("latency", Printf.sprintf "%.9g" s.latency);
+                   ("entries", string_of_int (Ftree.n_entries s.ftree));
+                   ( "enabled",
+                     string_of_int
+                       (List.length (Ftree.enabled_indices s.ftree)) );
+                   ("stale", string_of_bool s.ftree_stale) ]
+               "pop";
            (* refresh a stale F-Tree (Algorithm 3 line 13-14) *)
            let s =
              if s.ftree_stale && config.ablation.use_ftree_heuristic then
@@ -1211,40 +963,11 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
              |> Array.of_list
            in
            (* Phase 3 (parallel): reschedule + simulate the survivors.
-              Each worker accumulates into its own stats record.  The
-              pruning threshold is frozen here, against the incumbent at
-              the start of the phase: the incumbent only improves during
-              phase 4, so the frozen threshold is conservative, and
-              freezing it keeps prune decisions independent of worker
-              scheduling. *)
+              Each worker accumulates into its own stats record. *)
            let parent_sched_hash = Util.hash_int_list s.schedule in
            let iteration = stats.iterations in
-           let sched_states = eff_sched_states () in
-           let bound_check =
-             bound_check_of ~prune:(eff_prune ()) mode !best
-           in
-           (* One liveness analysis + probe of the popped parent serves
-              every candidate of the iteration as the base of its O(Δ)
-              bound update.  Built only when a memory bound will actually
-              be probed, and amortized across the survivors. *)
-           let incr_parent =
-             match bound_check with
-             | Prune_mem _ when config.incremental
-                                && Array.length survivors > 0 ->
-                 let t0 = Unix.gettimeofday () in
-                 let acc = Ftree.accounting cache s.graph s.ftree in
-                 let lv =
-                   Magis_analysis.Liveness.compute ~size_of:acc.size_of
-                     s.graph
-                 in
-                 let probe =
-                   Magis_analysis.Membound.probe_create ~sample:bound_sample
-                     lv
-                 in
-                 stats.t_bound <-
-                   stats.t_bound +. (Unix.gettimeofday () -. t0);
-                 Some { ip_lv = lv; ip_probe = probe }
-             | _ -> None
+           let sched_states =
+             ladder_sched_states ~level:!degrade_level config.sched_states
            in
            let evaluated =
              Trace.with_span ~cat:"search" "phase-evaluate" @@ fun () ->
@@ -1252,79 +975,49 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
                (fun ((p : proposal), h) ->
                  Trace.with_span ~cat:"search" "candidate" @@ fun () ->
                  let local = fresh_stats () in
-                 let r =
-                   if config.cheap_tier then
-                     Option.map
-                       (fun st -> Cheap st)
-                       (cheap_evaluate config ec local ~bound_check
-                          ~incr_parent ~state_hash:h p)
-                   else
-                     Option.map
-                       (fun st -> Exact st)
-                       (evaluate_proposal config ec local ~bound_check
-                          ~incr_parent ~sched_states ~iteration ~state_hash:h
-                          ~parent_sched_hash s p)
+                 let s' =
+                   evaluate_proposal config ec local ~sched_states ~iteration
+                     ~state_hash:h ~parent_sched_hash s p
                  in
-                 (r, local))
+                 (s', local))
                survivors
            in
            (* Phase 4 (serial, candidate order): fold worker stats and
               merge into best/queue — bit-identical to the serial loop.
-              Quarantined candidates contribute nothing.  Under the
-              cheap tier, candidates whose list-scheduled numbers pass
-              δ-admission are promoted here (serially, in candidate
-              order) to the exact tier; only exact numbers ever reach
-              the best state or the queue. *)
+              Quarantined candidates contribute nothing. *)
            (Trace.with_span ~cat:"search" "phase-merge" @@ fun () ->
-            let admit (s' : Mstate.t) =
-              (* observation-only side channel: sees every exactly
-                 evaluated candidate in candidate order, never feeds
-                 back into best/queue *)
-              (match config.harvest with
-              | Some f -> f ~iteration:stats.iterations s'
-              | None -> ());
-              if better_than mode s' !best then begin
-                (* only accepted bests reach the caller, so proving
-                   their memory plan interference-free here covers every
-                   reported result without paying the allocator replay
-                   per candidate *)
-                if config.verify_states then begin
-                  let acc = Ftree.accounting cache s'.graph s'.ftree in
-                  try
-                    Magis_analysis.Hooks.assert_interference
-                      ~what:
-                        (Printf.sprintf "accepted best (iteration %d)"
-                           stats.iterations)
-                      ~size_of:acc.size_of s'.graph s'.schedule
-                  with Failure msg -> raise (Verification_failure msg)
-                end;
-                best := s';
-                history := (elapsed (), s'.peak_mem, s'.latency) :: !history
-              end;
-              if better_than mode ~delta:queue_delta s' !best then push s'
-            in
-            Array.iteri
-              (fun index r ->
-                match r with
+            Array.iter
+              (function
                 | None -> ()
-                | Some ((r : tier option), local) -> (
+                | Some ((s' : Mstate.t), local) ->
                     merge_stats stats local;
-                    match r with
-                    | None -> ()
-                    | Some (Exact s') -> admit s'
-                    | Some (Cheap sc) ->
-                        if better_than mode ~delta:queue_delta sc !best
-                        then begin
-                          stats.n_promoted <- stats.n_promoted + 1;
-                          let p, h = survivors.(index) in
-                          match
-                            evaluate_proposal config ec stats ~bound_check
-                              ~incr_parent ~sched_states ~iteration
-                              ~state_hash:h ~parent_sched_hash s p
-                          with
-                          | None -> ()
-                          | Some s' -> admit s'
-                        end))
+                    (* observation-only side channel: sees every
+                       evaluated candidate in candidate order, never
+                       feeds back into best/queue *)
+                    (match config.harvest with
+                    | Some f -> f ~iteration:stats.iterations s'
+                    | None -> ());
+                    if better_than mode s' !best then begin
+                      (* only accepted bests reach the caller, so proving
+                         their memory plan interference-free here covers
+                         every reported result without paying the
+                         allocator replay per candidate *)
+                      if config.verify_states then begin
+                        let acc = Ftree.accounting cache s'.graph s'.ftree in
+                        try
+                          Magis_analysis.Hooks.assert_interference
+                            ~what:
+                              (Printf.sprintf "accepted best (iteration %d)"
+                                 stats.iterations)
+                            ~size_of:acc.size_of s'.graph s'.schedule
+                        with Failure msg -> raise (Verification_failure msg)
+                      end;
+                      best := s';
+                      history :=
+                        (elapsed (), s'.peak_mem, s'.latency) :: !history
+                    end;
+                    if better_than mode ~delta:queue_delta s' !best then
+                      push s')
               evaluated);
            (* Per-iteration telemetry, after the merge so the record
               sees the iteration's final best and queue. *)
@@ -1353,14 +1046,12 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
                    ("sim_misses", Json.Int stats.n_sim_miss);
                    ("sim_hit_rate", Json.Float (sim_hit_rate stats));
                    ("filtered", Json.Int stats.n_filtered);
-                   ("pruned_lb", Json.Int stats.n_pruned_lb);
                    ("retried", Json.Int stats.n_retried);
                    ("quarantined", Json.Int stats.n_quarantined);
                    ("t_transform", Json.Float stats.t_transform);
                    ("t_sched", Json.Float stats.t_sched);
                    ("t_simul", Json.Float stats.t_simul);
                    ("t_hash", Json.Float stats.t_hash);
-                   ("t_bound", Json.Float stats.t_bound);
                    ( "pool_busy_frac",
                      Json.List
                        (Array.to_list

@@ -41,21 +41,6 @@ type stats = {
   mutable iterations : int;
   mutable n_sim_hit : int;  (** evaluations served by the simulation cache *)
   mutable n_sim_miss : int;  (** evaluations computed and then cached *)
-  mutable n_bound_calls : int;
-      (** lower-bound probes run on simulation-cache misses *)
-  mutable t_bound : float;  (** seconds spent in bound probes *)
-  mutable n_pruned_lb : int;
-      (** candidates dropped before reschedule/simulate because their
-          admissible lower bound already failed the δ-relaxed admission
-          test (counted in neither [n_sim_hit] nor [n_sim_miss]) *)
-  mutable n_lv_delta : int;
-      (** bound probes answered by the O(Δ) liveness delta-update path
-          ({!Magis_analysis.Liveness.delta_update}) instead of a
-          per-candidate scratch analysis *)
-  mutable n_cut_reused : int;
-      (** probe cut evaluations inherited from the popped parent *)
-  mutable n_cut_recomputed : int;
-      (** probe cut evaluations actually run by incremental probes *)
   mutable n_sched_fallback : int;
       (** incremental reschedules whose window splice produced an
           illegal order and fell back to a full reschedule *)
@@ -64,10 +49,6 @@ type stats = {
   mutable n_sched_nodes : int;
       (** total nodes across produced schedules (denominator of the
           rescheduled-node fraction) *)
-  mutable n_cheap_sched : int;
-      (** candidates evaluated by the cheap list-scheduling tier *)
-  mutable n_promoted : int;
-      (** cheap-tier candidates promoted to the exact tier at the merge *)
   mutable domain_time : float array;
       (** cumulative busy seconds per expansion worker ([jobs] cells;
           one cell for a serial run) *)
@@ -81,7 +62,17 @@ type stats = {
   mutable degrade_steps : (float * string) list;
       (** graceful-degradation ladder steps taken, in order: (elapsed
           seconds, step name) — ["reduce-sched-states"],
-          ["disable-bound-probes"], ["best-so-far"] *)
+          ["best-so-far"] *)
+  mutable n_bound_calls : int;
+      (** Retired with the search-time bound probe, like the five fields
+          after it: always 0, absent from {!stats_json}, {!pp_stats} and
+          the profile records, and kept only because the repository
+          benchmark's per-layer table still reads them. *)
+  mutable t_bound : float;
+  mutable n_pruned_lb : int;
+  mutable n_lv_delta : int;
+  mutable n_cut_reused : int;
+  mutable n_cut_recomputed : int;
 }
 
 type result = {
@@ -141,40 +132,6 @@ type config = {
       (** memoizes (reschedule → simulate) evaluations.  [None] (the
           default) uses a fresh private cache per run; pass [Some c] to
           share hits across searches (ablation sweeps, repeated runs). *)
-  prune_bounds : bool;
-      (** branch-and-bound pruning (default [true]): on a
-          simulation-cache miss, probe the candidate with the
-          schedule-independent {!Magis_analysis.Membound} lower bound
-          (peak memory in [Min_latency] mode, serialized compute time in
-          [Min_memory] mode) and drop it before reschedule/simulate when
-          the bound proves it would fail the δ-relaxed queue admission
-          against the incumbent.  Because the bound is admissible and
-          the threshold uses the same δ as the push test,
-          pruning never changes the returned best state — only
-          [n_pruned_lb]/[n_bound_calls] and the time spent. *)
-  incremental : bool;
-      (** incremental candidate evaluation (default [true]): memory
-          bound probes run as O(Δ) updates against the popped parent's
-          liveness analysis and probe
-          ({!Magis_analysis.Liveness.delta_update} +
-          {!Magis_analysis.Membound.probe_update}) instead of an O(n)
-          scratch analysis per candidate.  The incremental bound equals
-          the scratch bound exactly (checked against the
-          scratch-recompute oracle under [verify_states]), so the
-          returned best state is bit-identical with the flag on or
-          off — only [n_lv_delta]/[n_cut_reused] and the time spent
-          differ. *)
-  cheap_tier : bool;
-      (** two-tier candidate evaluation (default [false]): every
-          survivor is first scored by the O((V+E) log V) critical-path
-          list scheduler ({!Magis_sched.Listsched}); only candidates
-          whose cheap numbers pass δ-admission against the incumbent
-          are promoted to the exact tier (incremental reschedule +
-          cached simulation).  Exact numbers alone drive the best state
-          and the queue, so every reported state is exactly evaluated,
-          but the trajectory may differ from the one-tier search: a
-          cheap schedule can overshoot δ on a candidate the exact tier
-          would have admitted. *)
   supervise : bool;
       (** per-candidate exception isolation (default [true]): a failing
           candidate is re-executed up to [max_retries] times with
@@ -197,9 +154,9 @@ type config = {
           set. *)
   degrade : bool;
       (** graceful-degradation ladder (default [true]): past 85% of
-          [time_budget] the DP scheduling budget steps down to a
-          quarter, past 95% bound probes are disabled, and budget
-          exhaustion returns best-so-far — each step recorded in
+          [time_budget] the DP scheduling budget steps down to
+          {!ladder_sched_states}[ ~level:1], and budget exhaustion
+          returns best-so-far — each step recorded in
           [stats.degrade_steps].  Runs with effectively unlimited
           budgets never reach the thresholds, so determinism tests are
           unaffected. *)
@@ -207,13 +164,13 @@ type config = {
       (** per-iteration telemetry sink ([None], the default, = off):
           after each iteration's merge one JSONL record is written with
           the queue depth, candidate/survivor counts, best-so-far peak
-          and latency, cumulative cache/prune/quarantine counters,
+          and latency, cumulative cache/quarantine counters,
           per-phase seconds and per-worker busy fractions.  Purely
           observational — excluded from the trajectory fingerprint and
           never changes the search. *)
   harvest : (iteration:int -> Mstate.t -> unit) option;
       (** frontier side channel ([None], the default, = off): called
-          once for every exactly-evaluated candidate at the serial
+          once for every evaluated candidate at the serial
           phase-4 merge, in candidate order, before and regardless of
           δ-admission — so the callback observes the same states in the
           same order for any [jobs] value.  {!Magis_frontier} uses it
@@ -233,6 +190,13 @@ type config = {
 
 val default_config : config
 
+(** The DP budget at degradation level [level]: [sched_states]
+    unchanged at level 0, a quarter of it at any level [>= 1].  The one
+    rung both degradation ladders share — the search past 85% of its
+    time budget and {!Magis_serve.Server}'s load shed past half its
+    queue.  A no-op at the default [sched_states = 0] (greedy only). *)
+val ladder_sched_states : level:int -> int -> int
+
 (** Digest of everything that must match for two runs to follow the
     same trajectory: the input graph (WL hash), the hardware
     fingerprint, the mode with its limit, and every trajectory-relevant
@@ -251,10 +215,6 @@ val sim_hit_rate : stats -> float
     re-placed (0 when nothing was scheduled). *)
 val resched_frac : stats -> float
 
-(** Fraction of probe cut evaluations inherited from the parent state
-    (0 when no incremental probes ran). *)
-val cut_reuse_rate : stats -> float
-
 (** Stats as a flat JSON object (plus [domain_time] and
     [degrade_steps] arrays) — the payload of
     [magis_cli optimize --stats-json]. *)
@@ -262,7 +222,7 @@ val stats_json : stats -> Magis_obs.Json.t
 
 (** Human-readable stat block: the Fig. 15 phase table (counts and
     cumulative seconds for transformation / scheduling / simulation /
-    hashing / bound probes) followed by cache, worker, resilience,
+    hashing, plus duplicates filtered) followed by cache, worker, resilience,
     checkpoint and degradation summary lines.  Shared by
     [magis_cli optimize] and the Fig. 15 bench. *)
 val pp_stats : Format.formatter -> stats -> unit

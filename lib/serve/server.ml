@@ -256,14 +256,11 @@ let add_quarantine t conn reason detail =
 (* Admission control                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Load-shedding ladder, mirroring the search's own degradation ladder:
-   past half the queue capacity new admissions run with a quarter of
-   the DP budget, past three quarters bound probes are disabled too;
-   only a full queue rejects. *)
-let shed_of_depth cfg depth =
-  if depth >= cfg.queue_cap * 3 / 4 then 2
-  else if depth >= cfg.queue_cap / 2 then 1
-  else 0
+(* Load-shedding ladder, sharing the search's one degradation rung:
+   past half the queue capacity new admissions run at shed level 1 (a
+   reduced DP budget, {!Search.ladder_sched_states}); only a full queue
+   rejects. *)
+let shed_of_depth cfg depth = if depth >= cfg.queue_cap / 2 then 1 else 0
 
 let reject t conn ?id kind detail =
   Atomic.incr t.rejected;
@@ -310,13 +307,9 @@ let admit t conn (task : task) =
 (* ------------------------------------------------------------------ *)
 
 let search_config t ~shed (req : P.request) =
-  let sched_states =
-    if shed >= 1 then req.sched_states / 4 else req.sched_states
-  in
   {
     Search.default_config with
-    sched_states;
-    prune_bounds = shed < 2;
+    sched_states = Search.ladder_sched_states ~level:shed req.sched_states;
     max_iterations = req.max_iterations;
     sim_cache = Some t.sim_cache;
     jobs = 1;

@@ -15,7 +15,7 @@
       record; no client behaviour crashes the daemon;
     - the request queue is bounded; beyond it (or beyond the per-client
       in-flight limit) requests are rejected [overloaded], and queued
-      depth degrades admitted quality ([sched_states], bound probes)
+      depth degrades admitted quality (a reduced [sched_states])
       before anything is rejected;
     - deadlines map onto the search's [time_budget], so expiry returns
       best-so-far, flagged [deadline_hit];

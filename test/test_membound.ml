@@ -1,9 +1,7 @@
 (** Schedule-independent liveness and peak-memory bounds: envelope
     queries, admissibility of the lower bound against sampled random
-    legal schedules and the zoo baselines, the bound ordering
-    invariants, and the branch-and-bound pruning guarantee (bit-identical
-    search results with pruning on or off, with [n_pruned_lb > 0] on a
-    budgeted benchmark). *)
+    legal schedules and the zoo baselines, and the bound ordering
+    invariants. *)
 
 open Magis
 open Helpers
@@ -162,75 +160,6 @@ let test_empty_and_single () =
   Alcotest.(check int) "single node total" (Graph.size_bytes g x)
     bounds.ub_total
 
-(* ------------------------------------------------------------------ *)
-(* Branch-and-bound pruning                                            *)
-(* ------------------------------------------------------------------ *)
-
-let search_with ~prune ~mode_fn g =
-  let config =
-    { Search.default_config with
-      time_budget = 1e9; max_iterations = 30; verify_states = true;
-      prune_bounds = prune }
-  in
-  mode_fn ~config g
-
-let check_pruning_invisible what ~mode_fn g =
-  let r_on = search_with ~prune:true ~mode_fn g in
-  let r_off = search_with ~prune:false ~mode_fn g in
-  Alcotest.(check int) (what ^ ": identical peak") r_off.Search.best.peak_mem
-    r_on.Search.best.peak_mem;
-  Alcotest.(check (float 0.0)) (what ^ ": identical latency")
-    r_off.best.latency r_on.best.latency;
-  Alcotest.(check (list int)) (what ^ ": identical schedule")
-    r_off.best.schedule r_on.best.schedule;
-  Alcotest.(check bool) (what ^ ": structurally identical") true
-    (Wl_hash.equal_structure r_off.best.graph r_on.best.graph);
-  Alcotest.(check int) (what ^ ": off-run never prunes") 0
-    r_off.stats.n_pruned_lb;
-  (* pruned candidates are the only evaluation difference *)
-  Alcotest.(check int) (what ^ ": sims skipped = candidates pruned")
-    r_off.stats.n_simul
-    (r_on.stats.n_simul + r_on.stats.n_pruned_lb);
-  r_on
-
-let lm () =
-  Transformer.build_lm
-    { Transformer.batch = 8; seq_len = 32; hidden = 64; heads = 4; layers = 2;
-      vocab = 128; dtype = Shape.F32 }
-
-let test_pruning_trajectory_preserving () =
-  let c = cache () in
-  (* seeded Randnets in memory mode... *)
-  List.iter
-    (fun seed ->
-      let g =
-        Randnet.build
-          ~cfg:{ Randnet.default with cells = 1; nodes_per_cell = 4; seed }
-          ()
-      in
-      ignore
-        (check_pruning_invisible
-           (Printf.sprintf "randnet-%d min-mem" seed)
-           ~mode_fn:(fun ~config g ->
-             Search.optimize_memory ~config c ~overhead:0.10 g)
-           g))
-    [ 1; 2 ];
-  (* ...and the Table-2-style LM in both modes *)
-  let g = lm () in
-  ignore
-    (check_pruning_invisible "lm min-mem"
-       ~mode_fn:(fun ~config g -> Search.optimize_memory ~config c ~overhead:0.10 g)
-       g);
-  let r =
-    check_pruning_invisible "lm min-lat"
-      ~mode_fn:(fun ~config g -> Search.optimize_latency ~config c ~mem_ratio:0.7 g)
-      g
-  in
-  (* the budgeted latency benchmark must actually exercise the pruner *)
-  Alcotest.(check bool) "bound probes ran" true (r.stats.n_bound_calls > 0);
-  Alcotest.(check bool) "pruning fires on the budgeted benchmark" true
-    (r.stats.n_pruned_lb > 0)
-
 let suite =
   [
     tc "chain envelopes" test_chain_envelopes;
@@ -241,5 +170,4 @@ let suite =
     tc "bound ordering invariants" test_bound_ordering_invariants;
     tc "latency lower bound" test_latency_lower_bound;
     tc "empty and single-node graphs" test_empty_and_single;
-    tc "pruning is trajectory-preserving" test_pruning_trajectory_preserving;
   ]

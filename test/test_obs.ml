@@ -447,7 +447,40 @@ let test_profile_jsonl_roundtrip () =
     (Some r.stats.iterations)
     (Option.bind (Json.member "iterations" sj) Json.to_int);
   Alcotest.(check bool) "stats_json parses back" true
-    (Json.of_string (Json.to_string sj) = sj)
+    (Json.of_string (Json.to_string sj) = sj);
+  (* the retired bound-probe counters are left out of every export *)
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) (key ^ " not exported") true
+        (Json.member key sj = None && Json.member key last = None))
+    [ "n_pruned_lb"; "pruned_lb"; "n_bound_calls"; "t_bound"; "n_lv_delta" ]
+
+(* Each pop of the search loop is one "pop" instant carrying the popped
+   state's numbers; the first pop is the initial state. *)
+let test_search_pop_instants () =
+  with_trace @@ fun () ->
+  let config =
+    { Search.default_config with max_iterations = 4; time_budget = 1e9 }
+  in
+  let r = Search.optimize_memory ~config (cache ()) ~overhead:0.10 (randnet 7) in
+  let pops =
+    List.filter
+      (fun (e : Trace.event) ->
+        e.name = "pop" && e.cat = "search" && e.kind = Trace.Instant)
+      (Trace.events ())
+  in
+  Alcotest.(check (list string)) "one pop per iteration, in order"
+    (List.init r.stats.iterations (fun i -> string_of_int (i + 1)))
+    (List.map (fun (e : Trace.event) -> List.assoc "iteration" e.args) pops);
+  let first = List.hd pops in
+  Alcotest.(check string) "first pop is the initial state"
+    (string_of_int r.initial.peak_mem)
+    (List.assoc "peak_mem" first.args);
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) (key ^ " carried") true
+        (List.mem_assoc key first.args))
+    [ "latency"; "entries"; "enabled"; "stale" ]
 
 let suite =
   [
@@ -471,4 +504,5 @@ let suite =
     tc "memory timeline matches the simulator peak"
       test_memory_timeline_matches_simulator;
     tc "search profile JSONL round-trips" test_profile_jsonl_roundtrip;
+    tc "search pops are trace instants" test_search_pop_instants;
   ]

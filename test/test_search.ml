@@ -121,6 +121,23 @@ let test_latency_history_improves () =
   in
   check feasible
 
+(* The trajectory fingerprint keys checkpoints and on-disk frontier
+   caches, so a change silently invalidates every existing file.  Values
+   computed before the bound-probe and cheap-tier knobs were retired:
+   their flag bits must stay folded in at the old defaults. *)
+let test_fingerprint_pinned () =
+  let g = (Zoo.find "unet").build Zoo.Quick in
+  let hw = Hardware.fingerprint Hardware.default in
+  Alcotest.(check int64) "default config, frontier mode"
+    (-4539850962203501870L)
+    (Search.trajectory_fingerprint Search.default_config
+       (Search.Min_memory { lat_limit = infinity }) ~hw g);
+  Alcotest.(check int64) "sched_states 64, latency mode"
+    (-7106213506255474268L)
+    (Search.trajectory_fingerprint
+       { Search.default_config with sched_states = 64 }
+       (Search.Min_latency { mem_limit = 1000 }) ~hw g)
+
 let suite =
   [
     tc "memory mode respects constraint" test_memory_mode_respects_constraint;
@@ -131,4 +148,5 @@ let suite =
     tc "stats populated" test_stats_populated;
     tc "ablation settings run" test_ablation_settings_run;
     tc "deterministic under iteration budget" test_deterministic;
+    tc "trajectory fingerprint pinned" test_fingerprint_pinned;
   ]

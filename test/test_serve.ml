@@ -287,7 +287,7 @@ let test_admission_overload () =
         (* observed while paused with the queue full *)
         Alcotest.(check string) "paused" "paused" h.status;
         Alcotest.(check int) "queue at capacity" 4 h.queue_depth;
-        Alcotest.(check int) "top of the shed ladder" 2 h.shed_level;
+        Alcotest.(check int) "top of the shed ladder" 1 h.shed_level;
         Client.send c P.Resume
     | P.Result o -> results := o.P.o_id :: !results
     | _ -> ()
@@ -521,6 +521,19 @@ let test_sigkill_restart_resume () =
   Alcotest.(check (float 0.0)) "bit-identical latency" fresh.o_latency
     resumed.o_latency
 
+(* The load-shed ladder and the search's time-pressure ladder share one
+   rung, {!Search.ladder_sched_states}.  A nonzero budget is needed to
+   see it: the default 0 means greedy-only, and 0 / 4 = 0. *)
+let test_shed_rung_is_search_rung () =
+  let t = Server.create (fresh_cfg "rung") in
+  let r = { (req "rung") with sched_states = 64 } in
+  let at shed = (Server.search_config t ~shed r).Search.sched_states in
+  Alcotest.(check int) "shed 0 keeps the DP budget" 64 (at 0);
+  Alcotest.(check int) "shed 1 = the search past 85% of its budget"
+    (Search.ladder_sched_states ~level:1 64)
+    (at 1);
+  Alcotest.(check int) "the rung quarters the budget" 16 (at 1)
+
 let suite =
   [
     tc "protocol commands and replies round-trip" test_protocol_roundtrip;
@@ -532,6 +545,8 @@ let suite =
       test_isolation_malformed;
     tc "bounded queue: exact overload, duplicate and shed accounting"
       test_admission_overload;
+    tc "shed rung is the search's degradation rung"
+      test_shed_rung_is_search_rung;
     tc "per-client in-flight limit rejects the second request"
       test_admission_per_client_limit;
     tc "deadlines: pre-dispatch rejection and best-so-far expiry"
