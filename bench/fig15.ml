@@ -1,7 +1,9 @@
 (** Figure 15: optimization-time breakdown of a 1-minute ViT optimization:
-    counts and cumulative seconds of the transformation, scheduling,
-    simulation and hash-test phases, plus the number of duplicate graphs
-    filtered by the hash test. *)
+    seconds per search stage (the paper's transformation, scheduling,
+    simulation and hash-test phases are the generate, reschedule,
+    simulate and hash stages), the time no stage accounts for, and
+    every counter — the duplicate graphs filtered by the hash test
+    among them. *)
 
 open Magis
 
@@ -14,8 +16,8 @@ let run (env : Common.env) =
        w.batch env.budget);
   let config = Common.search_config env in
   let r = Search.optimize_latency ~config env.cache ~mem_ratio:0.6 g in
-  (* the phase table, cache and worker lines all come from the shared
-     stat renderer (also used by [magis_cli optimize]) *)
+  (* the stage table, counters, cache and worker lines all come from
+     the shared stat renderer (also used by [magis_cli optimize]) *)
   Format.printf "%a%!" Search.pp_stats r.stats;
   Printf.printf "Best peak %.1f MB, best latency %.2f ms\n"
     (float_of_int r.best.peak_mem /. 1e6)

@@ -1,7 +1,7 @@
 (** Resilience overhead: A-B runs of the same iteration-capped search
     measuring what the machinery costs when nothing goes wrong —
-    supervised expansion vs the legacy path, aggressive periodic
-    checkpointing, and a run absorbing transient injected faults.
+    aggressive periodic checkpointing, and a run absorbing transient
+    injected faults, each against the plain supervised search.
     Every configuration must return the bit-identical best state; the
     table records the wall-clock price of the guarantees. *)
 
@@ -24,11 +24,7 @@ let run (env : Common.env) =
     let r = Search.optimize_memory ~config env.cache ~overhead:0.10 g in
     (label, r, Unix.gettimeofday () -. t0)
   in
-  let legacy =
-    run_one ~label:"supervise=off (legacy)" (fun c ->
-        { c with Search.supervise = false })
-  in
-  let supervised = run_one ~label:"supervise=on (default)" (fun c -> c) in
+  let supervised = run_one ~label:"supervised (default)" (fun c -> c) in
   let path = Filename.temp_file "magis_bench" ".ckpt" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
@@ -41,8 +37,9 @@ let run (env : Common.env) =
                 ckpt_resume = false } })
   in
   let ckpt_bytes = (Unix.stat path).st_size in
-  (* transient faults at the simulator site, planted past the
-     unsupervised prologue (baseline simulation + initial state) *)
+  (* transient faults at the simulator site, planted past the prologue
+     that runs outside the candidate expansion (baseline simulation +
+     initial state) *)
   Fault.observe ();
   let _ = run_one ~label:"observe" (fun c -> c) in
   let v = Fault.visits "simulator" in
@@ -54,9 +51,9 @@ let run (env : Common.env) =
   let faulted = run_one ~label:"3 transient faults" (fun c -> c) in
   let fired = List.length (Fault.fired ()) in
   Fault.disarm ();
-  let runs = [ legacy; supervised; checkpointed; faulted ] in
+  let runs = [ supervised; checkpointed; faulted ] in
   let _, base, base_wall = List.hd runs in
-  Printf.printf "%-24s %9s %9s %10s %8s %12s\n" "" "Wall(s)" "vs legacy"
+  Printf.printf "%-24s %9s %9s %10s %8s %12s\n" "" "Wall(s)" "vs base"
     "Peak(MB)" "Retried" "Quarantined";
   List.iter
     (fun (label, (r : Search.result), wall) ->

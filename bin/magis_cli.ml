@@ -80,7 +80,7 @@ let write_file path contents =
       output_string oc contents)
 
 let cmd_optimize name full overhead mem_ratio budget iters jobs ckpt resume
-    ckpt_every no_supervise stats_json_path trace_path metrics_path =
+    ckpt_every stats_json_path trace_path metrics_path =
   let w, g = load name full in
   let cache = Op_cost.create Hardware.default in
   if trace_path <> None then Trace.enable ();
@@ -98,7 +98,7 @@ let cmd_optimize name full overhead mem_ratio budget iters jobs ckpt resume
   in
   let config =
     { Search.default_config with time_budget = budget; jobs;
-      max_iterations = iters; checkpoint; supervise = not no_supervise }
+      max_iterations = iters; checkpoint }
   in
   let result =
     try
@@ -792,16 +792,12 @@ let optimize_cmd =
     Arg.(value & opt float 30.0
          & info [ "ckpt-every" ] ~doc:"Seconds between periodic snapshots.")
   in
-  let no_supervise =
-    Arg.(value & flag
-         & info [ "no-supervise" ]
-             ~doc:"Disable supervised expansion: the first candidate \
-                   failure aborts the whole search (legacy semantics).")
-  in
   let stats_json =
     Arg.(value & opt (some string) None
          & info [ "stats-json" ]
-             ~doc:"Write the per-phase search statistics as JSON to this file.")
+             ~doc:"Write the search's accounting table (per-stage seconds, \
+                   counters, wall time and the unaccounted remainder) as \
+                   JSON to this file.")
   in
   let trace =
     Arg.(value & opt (some string) None
@@ -815,8 +811,8 @@ let optimize_cmd =
   in
   Cmd.v (Cmd.info "optimize" ~doc:"Optimize a workload")
     Term.(const cmd_optimize $ workload $ full $ overhead $ mem_ratio $ budget
-          $ iters $ jobs $ checkpoint $ resume $ ckpt_every $ no_supervise
-          $ stats_json $ trace $ metrics)
+          $ iters $ jobs $ checkpoint $ resume $ ckpt_every $ stats_json
+          $ trace $ metrics)
 
 let profile_cmd =
   let overhead =

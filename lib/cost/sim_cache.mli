@@ -12,8 +12,8 @@
     recomputation; searches sharing a cache stay deterministic.
 
     The table is a striped-lock table ({!Magis_par.Striped}) shared
-    across the expansion pool's domains; hit/miss counters are atomic
-    and surface through [Search.stats] and the Fig. 15 bench output.
+    across the expansion pool's domains; hit/miss counters are atomic.
+    The search counts its own hits and misses in its accounting table.
     [find] is a fault-injection site (["sim_cache"],
     {!Magis_resilience.Fault}).
 

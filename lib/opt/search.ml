@@ -7,32 +7,31 @@
     (Algorithm 2) after every transformation.
 
     Two modes: minimize latency under a memory limit, or minimize peak
-    memory under a latency limit.  Per-phase time accounting reproduces
-    the Fig. 15 breakdown; the history of best results over elapsed time
-    reproduces the Fig. 13 curves.
+    memory under a latency limit.  Every pop runs as a fixed sequence of
+    named stages, each timed into one accounting table owned by the run;
+    the table reproduces the Fig. 15 breakdown, and the history of best
+    results over elapsed time reproduces the Fig. 13 curves.
 
     Candidate expansion is embarrassingly parallel: each child state is
-    an independent (rewrite → F-Tree refresh → reschedule → simulate →
-    WL-hash) pipeline sharing nothing but the frontier.  With
-    [config.jobs > 1] the per-iteration candidates fan out over a fixed
-    pool of OCaml 5 domains ({!Magis_par.Pool}); candidates are
-    generated, deduplicated and merged serially in candidate order, and
-    each worker accumulates into its own [stats] folded at the merge, so
-    a parallel run returns bit-identical best states (and per-phase
-    totals) to a serial one.  Evaluations are memoized in a
-    {!Sim_cache} shared across domains — and, when the caller passes one
-    in, across searches.
+    an independent (hash → lookup → reschedule → simulate) pipeline
+    sharing nothing but the frontier.  With [config.jobs > 1] the
+    per-iteration candidates fan out over a fixed pool of OCaml 5
+    domains ({!Magis_par.Pool}); candidates are generated, deduplicated
+    and merged serially in candidate order, and each candidate
+    accumulates into its own table, added into the run's at the merge,
+    so a parallel run returns bit-identical best states (and counts) to
+    a serial one.  Evaluations are memoized in a {!Sim_cache} shared
+    across domains — and, when the caller passes one in, across
+    searches.
 
-    Resilience (see DESIGN.md §9): with [config.supervise] (the
-    default) a candidate whose evaluation raises is retried with
-    bounded backoff and, if it keeps failing, quarantined with a
-    structured {!Magis_analysis.Diagnostic} — the surviving candidates
-    of the batch are kept, where the legacy path re-raised and lost
-    them all.  [config.checkpoint] periodically (and on SIGINT/SIGTERM)
-    serializes the full frontier to a crash-safe file from which a
-    later run resumes bit-identically.  [config.degrade] steps search
-    effort down as the time budget nears exhaustion instead of letting
-    the final iterations overshoot it. *)
+    Resilience (see DESIGN.md §9): a candidate whose evaluation raises
+    is retried with bounded backoff and, if it keeps failing,
+    quarantined with a structured {!Magis_analysis.Diagnostic} — the
+    surviving candidates of the batch are kept.  [config.checkpoint]
+    periodically (and on SIGINT/SIGTERM) serializes the full frontier to
+    a crash-safe file from which a later run resumes bit-identically.
+    Near the end of the time budget a degradation ladder steps search
+    effort down instead of letting the final iterations overshoot it. *)
 
 open Magis_ir
 open Magis_cost
@@ -50,10 +49,89 @@ module Metrics = Magis_obs.Metrics
 module Profile = Magis_obs.Profile
 module Json = Magis_obs.Json
 
-let m_iterations = Metrics.counter "search.iterations"
-let m_retried = Metrics.counter "search.retried"
-let m_quarantined = Metrics.counter "search.quarantined"
-let m_sched_fallbacks = Metrics.counter "search.sched_fallbacks"
+(* ------------------------------------------------------------------ *)
+(* The accounting table                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Every stage and counter is declared once, on one line below; the
+   table, [stats_json], [pp_stats], the profile records, the [search.*]
+   metrics and the [stage-*] trace spans are all views of these two
+   lists. *)
+let stage_decls = ref [] and counter_decls = ref []
+
+let declare decls name =
+  decls := name :: !decls;
+  List.length !decls - 1
+
+(* Stages, in the order one pop runs them.  Each span of work is timed
+   by exactly one stage, so their seconds add up to at most the wall
+   time of a serial run; the candidate stages (hash, lookup,
+   reschedule, simulate) run on the pool and sum busy seconds across
+   its domains. *)
+let s_init = declare stage_decls "init" (* snapshot, pool, initial M-state *)
+let s_pop = declare stage_decls "pop" (* interrupt poll, ladder, queue pop *)
+let s_refresh = declare stage_decls "refresh" (* stale F-Tree rebuild *)
+let s_generate = declare stage_decls "generate" (* mutations and rewrites *)
+let s_hash = declare stage_decls "hash" (* WL hash ⊕ F-Tree fingerprint *)
+let s_dedup = declare stage_decls "dedup" (* first occurrence wins *)
+let s_lookup = declare stage_decls "lookup" (* simulation-cache key, probe *)
+let s_reschedule = declare stage_decls "reschedule" (* accounting, Alg. 2 *)
+let s_simulate = declare stage_decls "simulate" (* simulate, verify, store *)
+let s_merge = declare stage_decls "merge" (* admission, profile, metrics *)
+let s_checkpoint = declare stage_decls "checkpoint" (* snapshot writes *)
+
+(* Counters; each is also the metric ["search." ^ name]. *)
+let c_iterations = declare counter_decls "iterations"
+let c_transforms = declare counter_decls "transforms"
+let c_hashes = declare counter_decls "hashes"
+let c_filtered = declare counter_decls "filtered" (* duplicates skipped *)
+let c_sim_hits = declare counter_decls "sim_hits"
+let c_sim_misses = declare counter_decls "sim_misses" (* each one evaluated *)
+let c_sched_fallbacks = declare counter_decls "sched_fallbacks"
+let c_resched_nodes = declare counter_decls "resched_nodes" (* re-placed *)
+let c_sched_nodes = declare counter_decls "sched_nodes" (* produced *)
+let c_retried = declare counter_decls "retried"
+let c_quarantined = declare counter_decls "quarantined"
+let c_checkpoints = declare counter_decls "checkpoints"
+
+let stage_names = List.rev !stage_decls
+let counter_names = List.rev !counter_decls
+let stage_spans = Array.of_list (List.map (( ^ ) "stage-") stage_names)
+
+let counter_metrics =
+  Array.of_list
+    (List.map (fun n -> Metrics.counter ("search." ^ n)) counter_names)
+
+(** Seconds per stage and value per counter, indexed by declaration
+    order.  Workers fill private tables that are added into the run's
+    at the serial merge, in candidate order. *)
+type table = { secs : float array; counts : int array }
+
+let fresh_table () =
+  { secs = Array.make (List.length stage_names) 0.0;
+    counts = Array.make (List.length counter_names) 0 }
+
+let add_table dst src =
+  Array.iteri (fun i s -> dst.secs.(i) <- dst.secs.(i) +. s) src.secs;
+  Array.iteri (fun i n -> dst.counts.(i) <- dst.counts.(i) + n) src.counts
+
+let bump tb c n = tb.counts.(c) <- tb.counts.(c) + n
+let count tb c = tb.counts.(c)
+
+(** Run [f] as stage [stage]: the one place a stage is timed, and the
+    one place its trace span opens. *)
+let timed tb stage f =
+  Trace.with_span ~cat:"search" stage_spans.(stage) @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  tb.secs.(stage) <- tb.secs.(stage) +. (Unix.gettimeofday () -. t0);
+  r
+
+(** The table's named values: every counter under its name, every stage
+    as [t_<name>] seconds.  Shared by {!stats_json} and the profile. *)
+let table_fields tb =
+  List.mapi (fun i n -> (n, Json.Int tb.counts.(i))) counter_names
+  @ List.mapi (fun i n -> ("t_" ^ n, Json.Float tb.secs.(i))) stage_names
 
 type mode =
   | Min_latency of { mem_limit : int }
@@ -75,194 +153,150 @@ let default_ablation =
     not a runtime fault to be retried around. *)
 exception Verification_failure of string
 
+(** The run's table, viewed through the field names the repository
+    benchmark reads; built once, by {!stats_of_table}. *)
 type stats = {
-  mutable n_transform : int;
-  mutable t_transform : float;
-  mutable n_sched : int;
-  mutable t_sched : float;
-  mutable n_simul : int;
-  mutable t_simul : float;
-  mutable n_hash : int;
-  mutable t_hash : float;
-  mutable n_filtered : int;
-  mutable iterations : int;
-  mutable n_sim_hit : int;
-  mutable n_sim_miss : int;
-  mutable n_sched_fallback : int;
-      (** incremental reschedules that fell back to a full reschedule
-          (window splice produced an illegal order) *)
-  mutable n_resched_nodes : int;
-      (** nodes actually re-placed by the incremental rescheduler *)
-  mutable n_sched_nodes : int;
-      (** total nodes across the produced schedules (denominator of the
-          rescheduled-node fraction) *)
-  mutable domain_time : float array;
-      (** cumulative busy seconds per expansion worker *)
-  mutable n_retried : int;
-  mutable n_quarantined : int;
-  mutable n_checkpoints : int;
-  mutable degrade_steps : (float * string) list;
-      (** graceful-degradation ladder steps taken, in order: (elapsed
-          seconds, step name) *)
-  mutable n_bound_calls : int;
-      (** Retired with the search-time bound probe, like the five fields
-          after it: always 0, kept only because the repository
-          benchmark's per-layer table still reads them. *)
-  mutable t_bound : float;
-  mutable n_pruned_lb : int;
-  mutable n_lv_delta : int;
-  mutable n_cut_reused : int;
-  mutable n_cut_recomputed : int;
+  n_transform : int;
+  t_transform : float;
+  n_sched : int;
+  t_sched : float;
+  n_simul : int;
+  t_simul : float;
+  n_hash : int;
+  t_hash : float;
+  n_filtered : int;
+  iterations : int;
+  n_sim_hit : int;
+  n_sim_miss : int;
+  n_sched_fallback : int;
+  n_resched_nodes : int;
+  n_sched_nodes : int;
+  domain_time : float array;
+  n_retried : int;
+  n_quarantined : int;
+  n_checkpoints : int;
+  degrade_steps : (float * string) list;
+  n_bound_calls : int;  (* retired, like the five fields after it *)
+  t_bound : float;
+  n_pruned_lb : int;
+  n_lv_delta : int;
+  n_cut_reused : int;
+  n_cut_recomputed : int;
+  table : table;
+  wall : float;
 }
 
-let fresh_stats () =
+let stats_of_table tb ~wall ~domain_time ~degrade_steps =
+  let n c = tb.counts.(c) and t s = tb.secs.(s) in
   {
-    n_transform = 0;
-    t_transform = 0.0;
-    n_sched = 0;
-    t_sched = 0.0;
-    n_simul = 0;
-    t_simul = 0.0;
-    n_hash = 0;
-    t_hash = 0.0;
-    n_filtered = 0;
-    iterations = 0;
-    n_sim_hit = 0;
-    n_sim_miss = 0;
-    n_sched_fallback = 0;
-    n_resched_nodes = 0;
-    n_sched_nodes = 0;
-    domain_time = [||];
-    n_retried = 0;
-    n_quarantined = 0;
-    n_checkpoints = 0;
-    degrade_steps = [];
+    n_transform = n c_transforms;
+    t_transform = t s_generate;
+    n_sched = n c_sim_misses;
+    t_sched = t s_reschedule;
+    n_simul = n c_sim_misses;
+    t_simul = t s_simulate;
+    n_hash = n c_hashes;
+    t_hash = t s_hash;
+    n_filtered = n c_filtered;
+    iterations = n c_iterations;
+    n_sim_hit = n c_sim_hits;
+    n_sim_miss = n c_sim_misses;
+    n_sched_fallback = n c_sched_fallbacks;
+    n_resched_nodes = n c_resched_nodes;
+    n_sched_nodes = n c_sched_nodes;
+    domain_time;
+    n_retried = n c_retried;
+    n_quarantined = n c_quarantined;
+    n_checkpoints = n c_checkpoints;
+    degrade_steps;
     n_bound_calls = 0;
     t_bound = 0.0;
     n_pruned_lb = 0;
     n_lv_delta = 0;
     n_cut_reused = 0;
     n_cut_recomputed = 0;
+    table = tb;
+    wall;
   }
-
-(** Fold a worker-local accumulator into the run totals.  Workers never
-    write the shared record; the fold happens on the orchestrating
-    domain, in candidate order, so float sums are reproducible.  The
-    supervision counters (retries, quarantines, checkpoints, ladder
-    steps) belong to the orchestrator alone and are not folded. *)
-let merge_stats (dst : stats) (src : stats) =
-  dst.n_transform <- dst.n_transform + src.n_transform;
-  dst.t_transform <- dst.t_transform +. src.t_transform;
-  dst.n_sched <- dst.n_sched + src.n_sched;
-  dst.t_sched <- dst.t_sched +. src.t_sched;
-  dst.n_simul <- dst.n_simul + src.n_simul;
-  dst.t_simul <- dst.t_simul +. src.t_simul;
-  dst.n_hash <- dst.n_hash + src.n_hash;
-  dst.t_hash <- dst.t_hash +. src.t_hash;
-  dst.n_filtered <- dst.n_filtered + src.n_filtered;
-  dst.n_sim_hit <- dst.n_sim_hit + src.n_sim_hit;
-  dst.n_sim_miss <- dst.n_sim_miss + src.n_sim_miss;
-  dst.n_sched_fallback <- dst.n_sched_fallback + src.n_sched_fallback;
-  dst.n_resched_nodes <- dst.n_resched_nodes + src.n_resched_nodes;
-  dst.n_sched_nodes <- dst.n_sched_nodes + src.n_sched_nodes
 
 type result = {
   best : Mstate.t;
   initial : Mstate.t;
   stats : stats;
   history : (float * int * float) list;
-      (** (elapsed seconds, best peak bytes, best latency) after each
-          improvement *)
   diagnostics : Diagnostic.t list;
-      (** quarantine reports of the supervised expansion, oldest first
-          ([] in a fault-free run) *)
   interrupted : bool;
-      (** true when the run was cut short by SIGINT/SIGTERM (the
-          checkpoint, if configured, was written before returning) *)
 }
 
 (* ------------------------------------------------------------------ *)
 (* Stats export                                                        *)
 (* ------------------------------------------------------------------ *)
 
+let counts (st : stats) =
+  List.mapi (fun i n -> (n, st.table.counts.(i))) counter_names
+
+let stage_seconds (st : stats) =
+  List.mapi (fun i n -> (n, st.table.secs.(i))) stage_names
+
+let unaccounted (st : stats) =
+  st.wall -. Array.fold_left ( +. ) 0.0 st.table.secs
+
+let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b
+
 let sim_hit_rate (st : stats) =
-  let total = st.n_sim_hit + st.n_sim_miss in
-  if total = 0 then 0.0 else float_of_int st.n_sim_hit /. float_of_int total
+  ratio st.n_sim_hit (st.n_sim_hit + st.n_sim_miss)
 
 (** Fraction of scheduled nodes the incremental rescheduler actually
-    re-placed (0 when nothing was scheduled) — the O(Δ) headline. *)
-let resched_frac (st : stats) =
-  if st.n_sched_nodes = 0 then 0.0
-  else float_of_int st.n_resched_nodes /. float_of_int st.n_sched_nodes
+    re-placed (0 when nothing was scheduled). *)
+let resched_frac (st : stats) = ratio st.n_resched_nodes st.n_sched_nodes
 
 let stats_json (st : stats) : Json.t =
   Json.Obj
-    [
-      ("iterations", Json.Int st.iterations);
-      ("n_transform", Json.Int st.n_transform);
-      ("t_transform", Json.Float st.t_transform);
-      ("n_sched", Json.Int st.n_sched);
-      ("t_sched", Json.Float st.t_sched);
-      ("n_simul", Json.Int st.n_simul);
-      ("t_simul", Json.Float st.t_simul);
-      ("n_hash", Json.Int st.n_hash);
-      ("t_hash", Json.Float st.t_hash);
-      ("n_filtered", Json.Int st.n_filtered);
-      ("n_sim_hit", Json.Int st.n_sim_hit);
-      ("n_sim_miss", Json.Int st.n_sim_miss);
-      ("sim_hit_rate", Json.Float (sim_hit_rate st));
-      ("n_sched_fallback", Json.Int st.n_sched_fallback);
-      ("n_resched_nodes", Json.Int st.n_resched_nodes);
-      ("n_sched_nodes", Json.Int st.n_sched_nodes);
-      ("resched_frac", Json.Float (resched_frac st));
-      ("n_retried", Json.Int st.n_retried);
-      ("n_quarantined", Json.Int st.n_quarantined);
-      ("n_checkpoints", Json.Int st.n_checkpoints);
-      ( "domain_time",
-        Json.List
-          (Array.to_list (Array.map (fun t -> Json.Float t) st.domain_time)) );
-      ( "degrade_steps",
-        Json.List
-          (List.map
-             (fun (t, name) ->
-               Json.Obj
-                 [ ("elapsed", Json.Float t); ("step", Json.String name) ])
-             st.degrade_steps) );
-    ]
+    (table_fields st.table
+    @ [
+        ("wall", Json.Float st.wall);
+        ("unaccounted", Json.Float (unaccounted st));
+        ("sim_hit_rate", Json.Float (sim_hit_rate st));
+        ("resched_frac", Json.Float (resched_frac st));
+        ( "domain_time",
+          Json.List
+            (Array.to_list (Array.map (fun t -> Json.Float t) st.domain_time))
+        );
+        ( "degrade_steps",
+          Json.List
+            (List.map
+               (fun (t, name) ->
+                 Json.Obj
+                   [ ("elapsed", Json.Float t); ("step", Json.String name) ])
+               st.degrade_steps) );
+      ])
 
-(** Fig. 15 layout — counts and cumulative seconds per search phase —
-    followed by the cache, worker and resilience summary lines.  The
-    single stat renderer shared by [magis_cli optimize] and the Fig. 15
-    bench (which used to duplicate it). *)
+(** The Fig. 15 breakdown — seconds and share of wall time per stage,
+    the unaccounted remainder, every counter — then the cache, worker
+    and degradation summary lines.  The single stat renderer shared by
+    [magis_cli optimize] and the Fig. 15 bench. *)
 let pp_stats ppf (st : stats) =
-  let total = st.t_transform +. st.t_sched +. st.t_simul +. st.t_hash in
-  Format.fprintf ppf "%-10s %10s %10s %10s %10s %10s %10s@\n" "" "Total"
-    "Trans." "Sched." "Simul." "Hash" "Filtered";
-  Format.fprintf ppf "%-10s %10d %10d %10d %10d %10d %10d@\n" "Count"
-    (st.n_transform + st.n_sched + st.n_simul + st.n_hash)
-    st.n_transform st.n_sched st.n_simul st.n_hash st.n_filtered;
-  Format.fprintf ppf "%-10s %10.2f %10.2f %10.2f %10.2f %10.2f %10s@\n"
-    "Cost(secs)" total st.t_transform st.t_sched st.t_simul st.t_hash "/";
-  Format.fprintf ppf "Iterations: %d@\n" st.iterations;
-  Format.fprintf ppf "Simulation cache: %d hits, %d misses (%.0f%% hit rate)@\n"
-    st.n_sim_hit st.n_sim_miss
+  let row name s =
+    Format.fprintf ppf "%-12s %10.4f %6.1f%%@\n" name s
+      (if st.wall > 0.0 then 100.0 *. s /. st.wall else 0.0)
+  in
+  Format.fprintf ppf "%-12s %10s %7s@\n" "Stage" "Seconds" "Share";
+  List.iter (fun (name, s) -> row name s) (stage_seconds st);
+  row "unaccounted" (unaccounted st);
+  row "wall" st.wall;
+  Format.fprintf ppf "@[<hov 2>Counters:";
+  List.iter (fun (name, n) -> Format.fprintf ppf "@ %s=%d" name n) (counts st);
+  Format.fprintf ppf "@]@\n";
+  Format.fprintf ppf "Simulation cache: %.0f%% hit rate@\n"
     (100.0 *. sim_hit_rate st);
   if st.n_sched_nodes > 0 then
-    Format.fprintf ppf
-      "Incremental scheduling: %.1f%% of nodes re-placed; %d fallback(s) to \
-       full reschedule@\n"
-      (100.0 *. resched_frac st)
-      st.n_sched_fallback;
+    Format.fprintf ppf "Incremental scheduling: %.1f%% of nodes re-placed@\n"
+      (100.0 *. resched_frac st);
   if Array.length st.domain_time > 0 then
     Format.fprintf ppf "Expansion workers: %d; per-domain busy seconds: [%s]@\n"
       (Array.length st.domain_time)
       (String.concat "; "
          (Array.to_list (Array.map (Printf.sprintf "%.2f") st.domain_time)));
-  if st.n_retried > 0 || st.n_quarantined > 0 then
-    Format.fprintf ppf "Resilience: %d candidate(s) retried, %d quarantined@\n"
-      st.n_retried st.n_quarantined;
-  if st.n_checkpoints > 0 then
-    Format.fprintf ppf "Checkpoints: %d written@\n" st.n_checkpoints;
   List.iter
     (fun (t, step) -> Format.fprintf ppf "Degraded at %.1fs: %s@\n" t step)
     st.degrade_steps
@@ -299,65 +333,29 @@ end)
 (* Neighbor generation                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Fields of [checkpoint] and [config] are documented in the
+   interface. *)
 type checkpoint = {
-  ckpt_path : string;  (** snapshot file, atomically replaced *)
-  ckpt_every : float;  (** seconds between periodic snapshots *)
+  ckpt_path : string;
+  ckpt_every : float;
   ckpt_resume : bool;
-      (** restore from [ckpt_path] when a compatible snapshot exists
-          (a missing file silently starts fresh; an incompatible or
-          corrupt one raises {!Magis_resilience.Checkpoint.Incompatible}) *)
 }
 
 type config = {
   ablation : ablation;
-  sched_states : int;  (** DP state budget per scheduling call *)
+  sched_states : int;
   max_per_rule : int;
-  time_budget : float;  (** seconds *)
+  time_budget : float;
   max_iterations : int;
   diversify_pops : bool;
-      (** every few pops, take a random queue bucket instead of the best
-          (escapes local optima created by aggressive early rewrites) *)
-  use_sweep_rules : bool;  (** compound swap/remat rules *)
+  use_sweep_rules : bool;
   verify_states : bool;
-      (** debug: run the IR verifier and schedule legality checker on
-          every accepted M-state, raising on the first violation (tests
-          and CI turn this on; benchmarks leave it off) *)
   jobs : int;
-      (** worker domains for candidate expansion; 1 (the default) spawns
-          no domains and is the exact legacy serial path *)
   sim_cache : Sim_cache.t option;
-      (** simulation cache; [None] (the default) uses a fresh private
-          cache per run, [Some c] shares [c] across runs *)
-  supervise : bool;
-      (** per-candidate exception isolation (default on): a failing
-          candidate is retried, then quarantined with a diagnostic,
-          and the rest of the batch survives.  Off = the all-or-nothing
-          legacy semantics where the first failure aborts the search. *)
-  max_retries : int;
-      (** bounded-backoff re-executions of a failed candidate before it
-          is quarantined *)
-  checkpoint : checkpoint option;  (** crash-safe snapshots; [None] = off *)
-  degrade : bool;
-      (** graceful-degradation ladder (default on): past 85% of
-          [time_budget] the DP budget steps down to
-          {!ladder_sched_states}, and exhaustion returns best-so-far —
-          each step recorded in [stats.degrade_steps] *)
+  checkpoint : checkpoint option;
   profile : Profile.t option;
-      (** per-iteration telemetry sink (JSONL); [None] (the default) =
-          off.  Purely observational: excluded from the trajectory
-          fingerprint, never changes the search *)
   harvest : (iteration:int -> Mstate.t -> unit) option;
-      (** side channel fed every evaluated candidate at the
-          serial phase-4 merge, in candidate order, before and
-          regardless of admission ({!Magis_frontier} collects them into
-          a Pareto frontier).  Purely observational: excluded from the
-          trajectory fingerprint, never changes the search *)
   cancel : unit -> bool;
-      (** cooperative cancellation hook, polled at every expansion
-          boundary alongside {!Magis_resilience.Interrupt.requested}:
-          returning [true] makes the run checkpoint (if configured) and
-          return best-so-far with [interrupted] set.  A server maps
-          client disconnects onto this.  Default: [fun () -> false]. *)
 }
 
 let default_config =
@@ -372,22 +370,11 @@ let default_config =
     verify_states = false;
     jobs = 1;
     sim_cache = None;
-    supervise = true;
-    max_retries = 3;
     checkpoint = None;
-    degrade = true;
     profile = None;
     harvest = None;
     cancel = (fun () -> false);
   }
-
-let timed _stats fld_t fld_n f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  let dt = Unix.gettimeofday () -. t0 in
-  fld_t dt;
-  fld_n ();
-  r
 
 type proposal = {
   p_graph : Graph.t;
@@ -398,16 +385,11 @@ type proposal = {
 
 (** Proposals reached by F-Tree mutations: the graph is unchanged, the
     virtual fission state moves. *)
-let ftree_proposals _cfg stats (s : Mstate.t) : proposal list =
-  let muts =
-    timed stats
-      (fun dt -> stats.t_transform <- stats.t_transform +. dt)
-      (fun () -> ())
-      (fun () -> Ftree.mutations s.graph s.ftree)
-  in
+let ftree_proposals tb (s : Mstate.t) : proposal list =
+  let muts = Ftree.mutations s.graph s.ftree in
+  bump tb c_transforms (List.length muts);
   List.filter_map
     (fun m ->
-      stats.n_transform <- stats.n_transform + 1;
       match Ftree.apply s.graph s.ftree m with
       | None -> None
       | Some ftree' ->
@@ -427,7 +409,7 @@ let ftree_proposals _cfg stats (s : Mstate.t) : proposal list =
     muts
 
 (** Proposals reached by graph rewrites (scheduling-based and TASO rules). *)
-let rewrite_proposals (cfg : config) stats (s : Mstate.t) : proposal list =
+let rewrite_proposals (cfg : config) tb (s : Mstate.t) : proposal list =
   let pos = Hashtbl.create (List.length s.schedule) in
   List.iteri (fun i v -> Hashtbl.replace pos v i) s.schedule;
   let ctx =
@@ -445,19 +427,20 @@ let rewrite_proposals (cfg : config) stats (s : Mstate.t) : proposal list =
   in
   List.concat_map
     (fun (rule : Rule.t) ->
-      let rewrites =
-        timed stats
-          (fun dt -> stats.t_transform <- stats.t_transform +. dt)
-          (fun () -> ())
-          (fun () -> rule.apply ctx s.graph)
-      in
+      let rewrites = rule.apply ctx s.graph in
+      bump tb c_transforms (List.length rewrites);
       List.map
         (fun (rw : Rule.rewrite) ->
-          stats.n_transform <- stats.n_transform + 1;
           { p_graph = rw.graph; p_ftree = Ftree.prune rw.graph s.ftree;
             p_mutated = rw.touched_old; p_stale = true })
         rewrites)
     rules
+
+(** Dedup key of a state: WL hash of the graph ⊕ F-Tree fingerprint. *)
+let state_hash tb (g : Graph.t) (ftree : Ftree.t) : int64 =
+  bump tb c_hashes 1;
+  timed tb s_hash (fun () ->
+      Util.hash_combine (Wl_hash.hash g) (Ftree.fingerprint ftree))
 
 (** Everything a worker needs to evaluate proposals: the operator-cost
     cache, the simulation cache and the constant key ingredients. *)
@@ -498,51 +481,48 @@ let proposal_latency_lb (acc : Ftree.accounting) (g : Graph.t) : float =
   *. lat_lb_margin
 
 (** Evaluate a proposal: incremental reschedule + simulation, memoized
-    in the simulation cache.  [state_hash] is the proposal's dedup hash
-    (WL ⊕ F-Tree fingerprint), already computed by the hash phase;
-    [parent_sched_hash] digests the schedule being incrementally
-    rewritten; [sched_states] is the effective DP budget (the config's,
-    unless the degradation ladder stepped it down).  Runs on a worker
-    domain: it must only write [stats] (a worker-local accumulator) and
-    the domain-safe caches. *)
-let evaluate_proposal (cfg : config) (ec : eval_ctx) stats ~sched_states
+    in the simulation cache.  [state_hash] is the proposal's dedup hash,
+    already computed by the hash stage; [parent_sched_hash] digests the
+    schedule being incrementally rewritten; [sched_states] is the
+    effective DP budget (the config's, unless the degradation ladder
+    stepped it down).  Runs on a worker domain: it must only write [tb]
+    (a candidate-local table) and the domain-safe caches. *)
+let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
     ~iteration ~state_hash ~parent_sched_hash (s : Mstate.t) (p : proposal) :
     Mstate.t =
-  let key =
-    Sim_cache.key ~state:state_hash ~parent_sched:parent_sched_hash
-      ~mutated:(Util.hash_int_list (Int_set.elements p.p_mutated))
-      ~sched_states ~mode:ec.ec_mode ~hw:ec.ec_hw
+  let key, cached =
+    timed tb s_lookup (fun () ->
+        let key =
+          Sim_cache.key ~state:state_hash ~parent_sched:parent_sched_hash
+            ~mutated:(Util.hash_int_list (Int_set.elements p.p_mutated))
+            ~sched_states ~mode:ec.ec_mode ~hw:ec.ec_hw
+        in
+        (key, Sim_cache.find ec.ec_sim key))
   in
-  match Sim_cache.find ec.ec_sim key with
+  match cached with
   | Some v ->
-      stats.n_sim_hit <- stats.n_sim_hit + 1;
+      bump tb c_sim_hits 1;
       Mstate.of_cached ~ftree_stale:p.p_stale p.p_graph p.p_ftree v
   | None ->
-      let acc = Ftree.accounting ec.ec_cache p.p_graph p.p_ftree in
-      stats.n_sim_miss <- stats.n_sim_miss + 1;
-      let schedule, (rstats : Magis_sched.Incremental.stats) =
-        timed stats
-          (fun dt -> stats.t_sched <- stats.t_sched +. dt)
-          (fun () -> stats.n_sched <- stats.n_sched + 1)
-          (fun () ->
-            Magis_sched.Incremental.reschedule ~max_states:sched_states
-              ~old_graph:s.graph ~new_graph:p.p_graph
-              ~old_schedule:s.schedule ~mutated_old:p.p_mutated
-              ~size_of:acc.size_of ())
+      bump tb c_sim_misses 1;
+      let acc, schedule =
+        timed tb s_reschedule (fun () ->
+            let acc = Ftree.accounting ec.ec_cache p.p_graph p.p_ftree in
+            let schedule, (rstats : Magis_sched.Incremental.stats) =
+              Magis_sched.Incremental.reschedule ~max_states:sched_states
+                ~old_graph:s.graph ~new_graph:p.p_graph
+                ~old_schedule:s.schedule ~mutated_old:p.p_mutated
+                ~size_of:acc.size_of ()
+            in
+            if rstats.fallback then bump tb c_sched_fallbacks 1;
+            bump tb c_resched_nodes rstats.rescheduled;
+            bump tb c_sched_nodes (List.length schedule);
+            (acc, schedule))
       in
-      if rstats.fallback then begin
-        stats.n_sched_fallback <- stats.n_sched_fallback + 1;
-        Metrics.incr m_sched_fallbacks
-      end;
-      stats.n_resched_nodes <- stats.n_resched_nodes + rstats.rescheduled;
-      stats.n_sched_nodes <- stats.n_sched_nodes + List.length schedule;
+      timed tb s_simulate @@ fun () ->
       let s' =
-        timed stats
-          (fun dt -> stats.t_simul <- stats.t_simul +. dt)
-          (fun () -> stats.n_simul <- stats.n_simul + 1)
-          (fun () ->
-            Mstate.evaluate ~ftree_stale:p.p_stale ~acc ec.ec_cache
-              p.p_graph p.p_ftree schedule)
+        Mstate.evaluate ~ftree_stale:p.p_stale ~acc ec.ec_cache p.p_graph
+          p.p_ftree schedule
       in
       if cfg.verify_states then begin
         try
@@ -570,8 +550,8 @@ let evaluate_proposal (cfg : config) (ec : eval_ctx) stats ~sched_states
 (* ------------------------------------------------------------------ *)
 
 (** Bump whenever {!snapshot} (or anything it reaches: {!Mstate.t},
-    {!stats}, …) changes shape. *)
-let ckpt_version = 3
+    {!table}, …) changes shape. *)
+let ckpt_version = 4
 
 (** The complete loop state: restoring it continues the search
     bit-identically — frontier, dedup set, diversification RNG, pop
@@ -583,7 +563,8 @@ type snapshot = {
   snap_seen : (int64, unit) Hashtbl.t;
   snap_rng : Random.State.t;
   snap_pops : int;
-  snap_stats : stats;
+  snap_table : table;
+  snap_steps : (float * string) list;
   snap_history : (float * int * float) list;  (** newest first *)
   snap_diags : Diagnostic.t list;  (** newest first *)
   snap_elapsed : float;
@@ -599,17 +580,16 @@ type snapshot = {
 let trajectory_fingerprint (cfg : config) (mode : mode) ~(hw : int64)
     (graph : Graph.t) : int64 =
   let bit b i = if b then 1 lsl i else 0 in
-  (* bits 4, 6 and 7 held three retired knobs; they stay folded in at
-     the defaults those knobs had (on, on, off), so keys written before
+  (* bits 4 to 7 held four retired knobs; they stay folded in at the
+     values those knobs had (on, on, on, off), so keys written before
      the knobs went — checkpoints and on-disk frontier caches — stay
      valid *)
-  let retired = bit true 4 lor bit true 6 lor bit false 7 in
+  let retired = bit true 4 lor bit true 5 lor bit true 6 lor bit false 7 in
   let flags =
     bit cfg.ablation.use_ftree_heuristic 0
     lor bit cfg.ablation.restrict_sched_rules 1
     lor bit cfg.diversify_pops 2
     lor bit cfg.use_sweep_rules 3
-    lor bit cfg.degrade 5
     lor retired
   in
   let h = Util.hash_combine (Wl_hash.hash graph) hw in
@@ -639,71 +619,76 @@ let ladder_sched_states ~level sched_states =
 (* Main loop                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let state_hash stats (s : Mstate.t) : int64 =
-  let t0 = Unix.gettimeofday () in
-  let h =
-    Util.hash_combine (Wl_hash.hash s.graph) (Ftree.fingerprint s.ftree)
-  in
-  stats.t_hash <- stats.t_hash +. (Unix.gettimeofday () -. t0);
-  stats.n_hash <- stats.n_hash + 1;
-  h
-
 (** Run the search.  Returns the best state found within the time budget,
-    the initial state, per-phase statistics and the improvement history. *)
+    the initial state, the accounting table and the improvement history. *)
 let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
     (graph : Graph.t) : result =
-  let ec =
-    {
-      ec_cache = cache;
-      ec_sim =
-        (match config.sim_cache with
-        | Some c -> c
-        | None -> Sim_cache.create ());
-      ec_mode = mode_fingerprint mode;
-      ec_hw = Hardware.fingerprint cache.hw;
-    }
+  let t0 = Unix.gettimeofday () in
+  let tb = fresh_table () in
+  let ec, fingerprint, snap, pool =
+    timed tb s_init @@ fun () ->
+    let ec =
+      {
+        ec_cache = cache;
+        ec_sim =
+          (match config.sim_cache with
+          | Some c -> c
+          | None -> Sim_cache.create ());
+        ec_mode = mode_fingerprint mode;
+        ec_hw = Hardware.fingerprint cache.hw;
+      }
+    in
+    let fingerprint = trajectory_fingerprint config mode ~hw:ec.ec_hw graph in
+    let snap : snapshot option =
+      match config.checkpoint with
+      | Some { ckpt_path; ckpt_resume = true; _ }
+        when Checkpoint.exists ckpt_path ->
+          Some
+            (Checkpoint.load ~path:ckpt_path ~version:ckpt_version ~fingerprint)
+      | _ -> None
+    in
+    (ec, fingerprint, snap, Pool.create config.jobs)
   in
-  let fingerprint = trajectory_fingerprint config mode ~hw:ec.ec_hw graph in
-  let snap : snapshot option =
-    match config.checkpoint with
-    | Some { ckpt_path; ckpt_resume = true; _ }
-      when Checkpoint.exists ckpt_path ->
-        Some
-          (Checkpoint.load ~path:ckpt_path ~version:ckpt_version ~fingerprint)
-    | _ -> None
-  in
-  let stats =
-    match snap with Some s -> s.snap_stats | None -> fresh_stats ()
-  in
-  let pool = Pool.create config.jobs in
-  Fun.protect ~finally:(fun () ->
-      stats.domain_time <- Pool.busy_time pool;
-      Pool.shutdown pool)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  (* a resumed run continues the snapshot's clock and accounting *)
   let t_start =
-    Unix.gettimeofday ()
-    -. (match snap with Some s -> s.snap_elapsed | None -> 0.0)
+    t0 -. (match snap with Some s -> s.snap_elapsed | None -> 0.0)
   in
   let elapsed () = Unix.gettimeofday () -. t_start in
+  Option.iter (fun s -> add_table tb s.snap_table) snap;
+  (* metrics publish this process's work: the deltas since this copy *)
+  let published = Array.copy tb.counts in
+  let publish () =
+    Array.iteri
+      (fun i m ->
+        Metrics.add m (tb.counts.(i) - published.(i));
+        published.(i) <- tb.counts.(i))
+      counter_metrics
+  in
   let init =
+    timed tb s_init @@ fun () ->
     match snap with
     | Some s -> s.snap_initial
     | None ->
-        let s = Mstate.init ~max_level:config.ablation.max_level
+        let s =
+          Mstate.init ~max_level:config.ablation.max_level
             ~sched_states:config.sched_states cache graph
         in
-        if config.ablation.use_ftree_heuristic then s
-        else { s with ftree = Ftree.construct_naive graph }
+        let s =
+          if config.ablation.use_ftree_heuristic then s
+          else { s with ftree = Ftree.construct_naive graph }
+        in
+        if config.verify_states then begin
+          Magis_analysis.Hooks.assert_state ~what:"initial M-state" s.graph
+            s.schedule;
+          let acc = Ftree.accounting cache s.graph s.ftree in
+          Magis_analysis.Hooks.assert_bounds ~what:"initial M-state"
+            ~size_of:acc.size_of s.graph ~peak:s.peak_mem ();
+          Magis_analysis.Hooks.assert_interference ~what:"initial M-state"
+            ~size_of:acc.size_of s.graph s.schedule
+        end;
+        s
   in
-  if config.verify_states && snap = None then begin
-    Magis_analysis.Hooks.assert_state ~what:"initial M-state" init.graph
-      init.schedule;
-    let acc = Ftree.accounting cache init.graph init.ftree in
-    Magis_analysis.Hooks.assert_bounds ~what:"initial M-state"
-      ~size_of:acc.size_of init.graph ~peak:init.peak_mem ();
-    Magis_analysis.Hooks.assert_interference ~what:"initial M-state"
-      ~size_of:acc.size_of init.graph init.schedule
-  end;
   let best = ref (match snap with Some s -> s.snap_best | None -> init) in
   let history =
     ref
@@ -712,6 +697,7 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
       | None -> [ (elapsed (), init.peak_mem, init.latency) ])
   in
   let diags = ref (match snap with Some s -> s.snap_diags | None -> []) in
+  let steps = ref (match snap with Some s -> s.snap_steps | None -> []) in
   let seen =
     match snap with Some s -> s.snap_seen | None -> Hashtbl.create 1024
   in
@@ -727,7 +713,8 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
     | None -> Random.State.make [| 0x4d41 |]
   in
   let pops = ref (match snap with Some s -> s.snap_pops | None -> 0) in
-  if snap = None then Hashtbl.replace seen (state_hash stats init) ();
+  if snap = None then
+    Hashtbl.replace seen (state_hash tb init.graph init.ftree) ();
   let take k l =
     match l with
     | [ s ] ->
@@ -777,16 +764,13 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
   let degrade_level =
     ref (match snap with Some s -> s.snap_degrade | None -> 0)
   in
-  let record_step name =
-    stats.degrade_steps <- stats.degrade_steps @ [ (elapsed (), name) ]
-  in
+  let record_step name = steps := !steps @ [ (elapsed (), name) ] in
   let update_ladder () =
-    if config.degrade then begin
-      let frac = elapsed () /. config.time_budget in
-      if !degrade_level < 1 && frac >= degrade_sched_frac then begin
-        degrade_level := 1;
-        record_step "reduce-sched-states"
-      end
+    if !degrade_level < 1
+       && elapsed () /. config.time_budget >= degrade_sched_frac
+    then begin
+      degrade_level := 1;
+      record_step "reduce-sched-states"
     end
   in
   (* -------------------------------------------------------------- *)
@@ -797,21 +781,25 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
     match config.checkpoint with
     | None -> ()
     | Some { ckpt_path; _ } ->
-        Checkpoint.save ~path:ckpt_path ~version:ckpt_version ~fingerprint
-          {
-            snap_best = !best;
-            snap_initial = init;
-            snap_queue = !q;
-            snap_seen = seen;
-            snap_rng = rng;
-            snap_pops = !pops;
-            snap_stats = stats;
-            snap_history = !history;
-            snap_diags = !diags;
-            snap_elapsed = elapsed ();
-            snap_degrade = !degrade_level;
-          };
-        stats.n_checkpoints <- stats.n_checkpoints + 1;
+        (* counted before the save, so the snapshot's table includes
+           the snapshot itself *)
+        bump tb c_checkpoints 1;
+        timed tb s_checkpoint (fun () ->
+            Checkpoint.save ~path:ckpt_path ~version:ckpt_version ~fingerprint
+              {
+                snap_best = !best;
+                snap_initial = init;
+                snap_queue = !q;
+                snap_seen = seen;
+                snap_rng = rng;
+                snap_pops = !pops;
+                snap_table = tb;
+                snap_steps = !steps;
+                snap_history = !history;
+                snap_diags = !diags;
+                snap_elapsed = elapsed ();
+                snap_degrade = !degrade_level;
+              });
         last_ckpt := elapsed ()
   in
   (* -------------------------------------------------------------- *)
@@ -822,8 +810,7 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
     | e -> Retry.fatal e
   in
   let quarantine ~phase ~index (f : Retry.failure) =
-    stats.n_quarantined <- stats.n_quarantined + 1;
-    Metrics.incr m_quarantined;
+    bump tb c_quarantined 1;
     Trace.instant ~cat:"search"
       ~args:
         [ ("phase", phase); ("index", string_of_int index);
@@ -839,224 +826,191 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
     let d =
       Diagnostic.errorf ~pass:"resilience" ~check
         "iteration %d: %s candidate %d quarantined after %d execution(s): %s%s"
-        stats.iterations phase index f.attempts
+        (count tb c_iterations) phase index f.attempts
         (Printexc.to_string f.exn)
         (if bt = "" then "" else "\n" ^ String.trim bt)
     in
     diags := d :: !diags
   in
-  (* Run one expansion phase over the pool.  Supervised mode isolates
-     per-candidate failures: a failed task is retried with bounded
-     backoff on the orchestrating domain (a transient fault passes on
-     re-execution) and a persistently failing candidate is quarantined
-     with a structured diagnostic — the survivors of the batch are
-     kept.  The legacy mode re-raises the first failure, aborting the
-     batch. *)
+  (* Run one expansion step over the pool with per-candidate failure
+     isolation: a failed task is retried with bounded backoff on the
+     orchestrating domain (a transient fault passes on re-execution)
+     and a persistently failing candidate is quarantined with a
+     structured diagnostic — the survivors of the batch are kept. *)
   let supervised_map ~phase f xs =
-    if not config.supervise then Array.map Option.some (Pool.map pool f xs)
-    else
-      Array.mapi
-        (fun index r ->
-          match r with
-          | Ok v -> Some v
-          | Error (e, bt) when fatal e -> Printexc.raise_with_backtrace e bt
-          | Error _ -> (
-              stats.n_retried <- stats.n_retried + 1;
-              Metrics.incr m_retried;
-              let policy =
-                { Retry.default with attempts = config.max_retries }
-              in
-              match Retry.run ~policy (fun () -> f xs.(index)) with
-              | Ok v -> Some v
-              | Error failure ->
-                  quarantine ~phase ~index failure;
-                  None))
-        (Pool.map_result pool f xs)
+    Array.mapi
+      (fun index r ->
+        match r with
+        | Ok v -> Some v
+        | Error (e, bt) when fatal e -> Printexc.raise_with_backtrace e bt
+        | Error _ -> (
+            bump tb c_retried 1;
+            match Retry.run (fun () -> f xs.(index)) with
+            | Ok v -> Some v
+            | Error failure ->
+                quarantine ~phase ~index failure;
+                None))
+      (Pool.map_result pool f xs)
+  in
+  let record_profile ~candidates ~survivors =
+    match config.profile with
+    | None -> ()
+    | Some sink ->
+        let el = elapsed () in
+        let queue_depth = Pq.fold (fun _ l acc -> acc + List.length l) !q 0 in
+        let busy_frac =
+          Array.map
+            (fun b -> Json.Float (if el > 0.0 then b /. el else 0.0))
+            (Pool.busy_time pool)
+        in
+        Profile.record sink
+          ([
+             ("iter", Json.Int (count tb c_iterations));
+             ("elapsed", Json.Float el);
+             ("queue_depth", Json.Int queue_depth);
+             ("candidates", Json.Int candidates);
+             ("survivors", Json.Int survivors);
+             ("best_peak", Json.Int !best.peak_mem);
+             ("best_latency", Json.Float !best.latency);
+           ]
+          @ table_fields tb
+          @ [ ("pool_busy_frac", Json.List (Array.to_list busy_frac)) ])
   in
   let interrupted = ref false in
   let loop () =
     try
       while elapsed () < config.time_budget
-            && stats.iterations < config.max_iterations do
-       if Interrupt.requested () || config.cancel () then begin
-         interrupted := true;
-         raise Exit
-       end;
-       update_ladder ();
-       (match config.checkpoint with
-       | Some { ckpt_every; _ } when elapsed () -. !last_ckpt >= ckpt_every ->
-           write_checkpoint ()
-       | _ -> ());
-       match pop () with
-       | None -> raise Exit
-       | Some s ->
-           stats.iterations <- stats.iterations + 1;
-           Metrics.incr m_iterations;
-           if Trace.enabled () then
-             Trace.instant ~cat:"search"
-               ~args:
-                 [ ("iteration", string_of_int stats.iterations);
-                   ("peak_mem", string_of_int s.peak_mem);
-                   ("latency", Printf.sprintf "%.9g" s.latency);
-                   ("entries", string_of_int (Ftree.n_entries s.ftree));
-                   ( "enabled",
-                     string_of_int
-                       (List.length (Ftree.enabled_indices s.ftree)) );
-                   ("stale", string_of_bool s.ftree_stale) ]
-               "pop";
-           (* refresh a stale F-Tree (Algorithm 3 line 13-14) *)
-           let s =
-             if s.ftree_stale && config.ablation.use_ftree_heuristic then
-               let ftree =
-                 Ftree.refresh ~max_level:config.ablation.max_level s.graph
-                   ~old_tree:s.ftree ~hotspots:s.hotspots
-               in
-               { s with ftree; ftree_stale = false }
-             else { s with ftree_stale = false }
-           in
-           let proposals =
-             Trace.with_span ~cat:"search" "phase-transform" @@ fun () ->
-             Array.of_list
-               ((if Ftree.n_entries s.ftree > 0 then
-                   ftree_proposals config stats s
-                 else [])
-               @ rewrite_proposals config stats s)
-           in
-           (* Phase 1 (parallel): structural hash of every candidate.
-              Hash test FIRST: duplicate graphs skip scheduling and
-              simulation entirely (the Fig. 15 "Filtered" column). *)
-           let hashed =
-             Trace.with_span ~cat:"search" "phase-hash" @@ fun () ->
-             supervised_map ~phase:"hash"
-               (fun (p : proposal) ->
-                 let t0 = Unix.gettimeofday () in
-                 let h =
-                   Util.hash_combine (Wl_hash.hash p.p_graph)
-                     (Ftree.fingerprint p.p_ftree)
-                 in
-                 (p, h, Unix.gettimeofday () -. t0))
-               proposals
-           in
-           Array.iter
-             (function
-               | None -> ()
-               | Some (_, _, dt) ->
-                   stats.t_hash <- stats.t_hash +. dt;
-                   stats.n_hash <- stats.n_hash + 1)
-             hashed;
-           (* Phase 2 (serial, candidate order): dedup against every
-              state seen so far.  First occurrence wins, exactly as in a
-              serial run. *)
-           let survivors =
-             Array.to_list hashed
-             |> List.filter_map (function
-                  | None -> None (* quarantined in the hash phase *)
-                  | Some ((p : proposal), h, _) ->
-                      if Hashtbl.mem seen h then begin
-                        stats.n_filtered <- stats.n_filtered + 1;
-                        None
-                      end
-                      else begin
-                        Hashtbl.replace seen h ();
-                        Some (p, h)
-                      end)
-             |> Array.of_list
-           in
-           (* Phase 3 (parallel): reschedule + simulate the survivors.
-              Each worker accumulates into its own stats record. *)
-           let parent_sched_hash = Util.hash_int_list s.schedule in
-           let iteration = stats.iterations in
-           let sched_states =
-             ladder_sched_states ~level:!degrade_level config.sched_states
-           in
-           let evaluated =
-             Trace.with_span ~cat:"search" "phase-evaluate" @@ fun () ->
-             supervised_map ~phase:"evaluate"
-               (fun ((p : proposal), h) ->
-                 Trace.with_span ~cat:"search" "candidate" @@ fun () ->
-                 let local = fresh_stats () in
-                 let s' =
-                   evaluate_proposal config ec local ~sched_states ~iteration
-                     ~state_hash:h ~parent_sched_hash s p
-                 in
-                 (s', local))
-               survivors
-           in
-           (* Phase 4 (serial, candidate order): fold worker stats and
-              merge into best/queue — bit-identical to the serial loop.
-              Quarantined candidates contribute nothing. *)
-           (Trace.with_span ~cat:"search" "phase-merge" @@ fun () ->
-            Array.iter
-              (function
-                | None -> ()
-                | Some ((s' : Mstate.t), local) ->
-                    merge_stats stats local;
-                    (* observation-only side channel: sees every
-                       evaluated candidate in candidate order, never
-                       feeds back into best/queue *)
-                    (match config.harvest with
-                    | Some f -> f ~iteration:stats.iterations s'
-                    | None -> ());
-                    if better_than mode s' !best then begin
-                      (* only accepted bests reach the caller, so proving
-                         their memory plan interference-free here covers
-                         every reported result without paying the
-                         allocator replay per candidate *)
-                      if config.verify_states then begin
-                        let acc = Ftree.accounting cache s'.graph s'.ftree in
-                        try
-                          Magis_analysis.Hooks.assert_interference
-                            ~what:
-                              (Printf.sprintf "accepted best (iteration %d)"
-                                 stats.iterations)
-                            ~size_of:acc.size_of s'.graph s'.schedule
-                        with Failure msg -> raise (Verification_failure msg)
-                      end;
-                      best := s';
-                      history :=
-                        (elapsed (), s'.peak_mem, s'.latency) :: !history
-                    end;
-                    if better_than mode ~delta:queue_delta s' !best then
-                      push s')
-              evaluated);
-           (* Per-iteration telemetry, after the merge so the record
-              sees the iteration's final best and queue. *)
-           (match config.profile with
-           | None -> ()
-           | Some sink ->
-               let el = elapsed () in
-               let queue_depth =
-                 Pq.fold (fun _ l acc -> acc + List.length l) !q 0
-               in
-               let busy_frac =
-                 Array.map
-                   (fun b -> if el > 0.0 then b /. el else 0.0)
-                   (Pool.busy_time pool)
-               in
-               Profile.record sink
-                 [
-                   ("iter", Json.Int stats.iterations);
-                   ("elapsed", Json.Float el);
-                   ("queue_depth", Json.Int queue_depth);
-                   ("candidates", Json.Int (Array.length proposals));
-                   ("survivors", Json.Int (Array.length survivors));
-                   ("best_peak", Json.Int !best.peak_mem);
-                   ("best_latency", Json.Float !best.latency);
-                   ("sim_hits", Json.Int stats.n_sim_hit);
-                   ("sim_misses", Json.Int stats.n_sim_miss);
-                   ("sim_hit_rate", Json.Float (sim_hit_rate stats));
-                   ("filtered", Json.Int stats.n_filtered);
-                   ("retried", Json.Int stats.n_retried);
-                   ("quarantined", Json.Int stats.n_quarantined);
-                   ("t_transform", Json.Float stats.t_transform);
-                   ("t_sched", Json.Float stats.t_sched);
-                   ("t_simul", Json.Float stats.t_simul);
-                   ("t_hash", Json.Float stats.t_hash);
-                   ( "pool_busy_frac",
-                     Json.List
-                       (Array.to_list
-                          (Array.map (fun f -> Json.Float f) busy_frac)) );
-                 ])
+            && count tb c_iterations < config.max_iterations do
+        let s =
+          timed tb s_pop @@ fun () ->
+          if Interrupt.requested () || config.cancel () then begin
+            interrupted := true;
+            raise Exit
+          end;
+          update_ladder ();
+          match pop () with
+          | None -> raise Exit
+          | Some s ->
+              bump tb c_iterations 1;
+              if Trace.enabled () then
+                Trace.instant ~cat:"search"
+                  ~args:
+                    [ ("iteration", string_of_int (count tb c_iterations));
+                      ("peak_mem", string_of_int s.peak_mem);
+                      ("latency", Printf.sprintf "%.9g" s.latency);
+                      ("entries", string_of_int (Ftree.n_entries s.ftree));
+                      ( "enabled",
+                        string_of_int
+                          (List.length (Ftree.enabled_indices s.ftree)) );
+                      ("stale", string_of_bool s.ftree_stale) ]
+                  "pop";
+              s
+        in
+        (* refresh a stale F-Tree (Algorithm 3 line 13-14) *)
+        let s =
+          timed tb s_refresh @@ fun () ->
+          if s.ftree_stale && config.ablation.use_ftree_heuristic then
+            let ftree =
+              Ftree.refresh ~max_level:config.ablation.max_level s.graph
+                ~old_tree:s.ftree ~hotspots:s.hotspots
+            in
+            { s with ftree; ftree_stale = false }
+          else { s with ftree_stale = false }
+        in
+        let proposals =
+          timed tb s_generate @@ fun () ->
+          Array.of_list
+            ((if Ftree.n_entries s.ftree > 0 then ftree_proposals tb s
+              else [])
+            @ rewrite_proposals config tb s)
+        in
+        (* Hash test FIRST, on the pool: duplicate graphs skip
+           scheduling and simulation entirely (the Fig. 15 "Filtered"
+           column). *)
+        let hashed =
+          supervised_map ~phase:"hash"
+            (fun (p : proposal) ->
+              let local = fresh_table () in
+              (p, state_hash local p.p_graph p.p_ftree, local))
+            proposals
+        in
+        (* Serial, candidate order: dedup against every state seen so
+           far.  First occurrence wins, exactly as in a serial run. *)
+        let survivors =
+          timed tb s_dedup @@ fun () ->
+          Array.to_list hashed
+          |> List.filter_map (function
+               | None -> None (* quarantined in the hash step *)
+               | Some ((p : proposal), h, local) ->
+                   add_table tb local;
+                   if Hashtbl.mem seen h then begin
+                     bump tb c_filtered 1;
+                     None
+                   end
+                   else begin
+                     Hashtbl.replace seen h ();
+                     Some (p, h)
+                   end)
+          |> Array.of_list
+        in
+        (* On the pool: look up, reschedule and simulate the survivors,
+           each into its own table. *)
+        let parent_sched_hash =
+          timed tb s_lookup (fun () -> Util.hash_int_list s.schedule)
+        in
+        let iteration = count tb c_iterations in
+        let sched_states =
+          ladder_sched_states ~level:!degrade_level config.sched_states
+        in
+        let evaluated =
+          supervised_map ~phase:"evaluate"
+            (fun ((p : proposal), h) ->
+              let local = fresh_table () in
+              ( evaluate_proposal config ec local ~sched_states ~iteration
+                  ~state_hash:h ~parent_sched_hash s p,
+                local ))
+            survivors
+        in
+        (* Serial, candidate order: add the candidate tables and merge
+           into best/queue — bit-identical to the serial loop.
+           Quarantined candidates contribute nothing. *)
+        (timed tb s_merge @@ fun () ->
+         Array.iter
+           (function
+             | None -> ()
+             | Some ((s' : Mstate.t), local) ->
+                 add_table tb local;
+                 (* observation-only side channel: sees every evaluated
+                    candidate in candidate order, never feeds back into
+                    best/queue *)
+                 Option.iter (fun f -> f ~iteration s') config.harvest;
+                 if better_than mode s' !best then begin
+                   (* only accepted bests reach the caller, so proving
+                      their memory plan interference-free here covers
+                      every reported result without paying the
+                      allocator replay per candidate *)
+                   if config.verify_states then begin
+                     let acc = Ftree.accounting cache s'.graph s'.ftree in
+                     try
+                       Magis_analysis.Hooks.assert_interference
+                         ~what:
+                           (Printf.sprintf "accepted best (iteration %d)"
+                              iteration)
+                         ~size_of:acc.size_of s'.graph s'.schedule
+                     with Failure msg -> raise (Verification_failure msg)
+                   end;
+                   best := s';
+                   history := (elapsed (), s'.peak_mem, s'.latency) :: !history
+                 end;
+                 if better_than mode ~delta:queue_delta s' !best then push s')
+           evaluated;
+         record_profile ~candidates:(Array.length proposals)
+           ~survivors:(Array.length survivors);
+         publish ());
+        match config.checkpoint with
+        | Some { ckpt_every; _ } when elapsed () -. !last_ckpt >= ckpt_every ->
+            write_checkpoint ()
+        | _ -> ()
       done
     with Exit -> ()
   in
@@ -1065,13 +1019,16 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
   (match config.checkpoint with
   | None -> loop ()
   | Some _ -> Interrupt.with_guard loop);
-  if config.degrade && (not !interrupted) && elapsed () >= config.time_budget
-  then record_step "best-so-far";
+  if (not !interrupted) && elapsed () >= config.time_budget then
+    record_step "best-so-far";
   write_checkpoint ();
+  publish ();
   {
     best = !best;
     initial = init;
-    stats;
+    stats =
+      stats_of_table tb ~wall:(elapsed ()) ~domain_time:(Pool.busy_time pool)
+        ~degrade_steps:!steps;
     history = List.rev !history;
     diagnostics = List.rev !diags;
     interrupted = !interrupted;

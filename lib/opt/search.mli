@@ -28,52 +28,88 @@ val default_ablation : ablation
     failure is an optimizer bug, not a runtime fault. *)
 exception Verification_failure of string
 
+(** {1 Accounting}
+
+    Every pop runs as a fixed sequence of named stages, and every
+    quantity the search counts is a named counter.  Both are declared
+    once, in {!stage_names} and {!counter_names}, and one table per run
+    holds their values: {!stats_json}, {!pp_stats} (the Fig. 15 table),
+    the per-iteration profile records, the [search.<counter>] metrics
+    and the [stage-<stage>] trace spans are all views of it. *)
+
+(** Stages, in the order one pop runs them (DESIGN.md §10 says what
+    each covers; the first runs once per run).  No stage's time is
+    inside another's. *)
+val stage_names : string list
+
+(** Counters.  Each is published as the metric ["search." ^ name] at
+    the serial merge of every pop, from the table — so a retried
+    candidate is counted once, and only its successful execution. *)
+val counter_names : string list
+
+(** Seconds per stage and value per counter of one run. *)
+type table
+
+(** The fixed-name view of a run's table that the repository benchmark
+    reads, built once at the end of {!run}.  Each count is the counter
+    of the same meaning and each [t_*] the stage it names: [t_transform]
+    is the generate stage, [t_sched] reschedule and [t_simul] simulate;
+    [n_sched], [n_simul] and [n_sim_miss] all read the one cache-miss
+    counter, since every miss is rescheduled and simulated exactly
+    once. *)
 type stats = {
-  mutable n_transform : int;
-  mutable t_transform : float;
-  mutable n_sched : int;
-  mutable t_sched : float;
-  mutable n_simul : int;
-  mutable t_simul : float;
-  mutable n_hash : int;
-  mutable t_hash : float;
-  mutable n_filtered : int;  (** duplicate graphs skipped by hash test *)
-  mutable iterations : int;
-  mutable n_sim_hit : int;  (** evaluations served by the simulation cache *)
-  mutable n_sim_miss : int;  (** evaluations computed and then cached *)
-  mutable n_sched_fallback : int;
-      (** incremental reschedules whose window splice produced an
-          illegal order and fell back to a full reschedule *)
-  mutable n_resched_nodes : int;
-      (** nodes actually re-placed by the incremental rescheduler *)
-  mutable n_sched_nodes : int;
-      (** total nodes across produced schedules (denominator of the
-          rescheduled-node fraction) *)
-  mutable domain_time : float array;
-      (** cumulative busy seconds per expansion worker ([jobs] cells;
-          one cell for a serial run) *)
-  mutable n_retried : int;
-      (** candidates whose first execution failed and were re-executed
-          by the supervisor *)
-  mutable n_quarantined : int;
-      (** candidates dropped after exhausting their retries; each one
-          has a diagnostic in [result.diagnostics] *)
-  mutable n_checkpoints : int;  (** snapshots written this run *)
-  mutable degrade_steps : (float * string) list;
-      (** graceful-degradation ladder steps taken, in order: (elapsed
-          seconds, step name) — ["reduce-sched-states"],
-          ["best-so-far"] *)
-  mutable n_bound_calls : int;
+  n_transform : int;
+  t_transform : float;
+  n_sched : int;
+  t_sched : float;
+  n_simul : int;
+  t_simul : float;
+  n_hash : int;
+  t_hash : float;
+  n_filtered : int;  (** duplicate graphs skipped by the hash test *)
+  iterations : int;
+  n_sim_hit : int;
+  n_sim_miss : int;
+  n_sched_fallback : int;
+      (** incremental reschedules whose window splice fell back to a
+          full reschedule *)
+  n_resched_nodes : int;  (** nodes re-placed by incremental rescheduling *)
+  n_sched_nodes : int;  (** nodes across all produced schedules *)
+  domain_time : float array;  (** busy seconds per expansion worker *)
+  n_retried : int;  (** candidates re-executed after a failure *)
+  n_quarantined : int;
+      (** candidates dropped after their retries, each with a
+          diagnostic in [result.diagnostics] *)
+  n_checkpoints : int;  (** snapshots written, carried across a resume *)
+  degrade_steps : (float * string) list;
+      (** degradation ladder steps taken, in order: (elapsed seconds,
+          ["reduce-sched-states"] or ["best-so-far"]) *)
+  n_bound_calls : int;
       (** Retired with the search-time bound probe, like the five fields
-          after it: always 0, absent from {!stats_json}, {!pp_stats} and
-          the profile records, and kept only because the repository
-          benchmark's per-layer table still reads them. *)
-  mutable t_bound : float;
-  mutable n_pruned_lb : int;
-  mutable n_lv_delta : int;
-  mutable n_cut_reused : int;
-  mutable n_cut_recomputed : int;
+          after it: always 0, not in the table, and kept only because
+          the repository benchmark's per-layer table still reads them. *)
+  t_bound : float;
+  n_pruned_lb : int;
+  n_lv_delta : int;
+  n_cut_reused : int;
+  n_cut_recomputed : int;
+  table : table;
+  wall : float;
+      (** seconds from the start of {!run} to its result (a resumed run
+          continues the snapshot's clock) *)
 }
+
+(** Every counter with its value, in {!counter_names} order. *)
+val counts : stats -> (string * int) list
+
+(** Every stage with its seconds, in {!stage_names} order.  Candidate
+    stages sum busy seconds across the pool's domains, so with
+    [jobs > 1] their total can exceed [wall]. *)
+val stage_seconds : stats -> (string * float) list
+
+(** [wall] minus the sum of the stages: the time no stage accounts
+    for. *)
+val unaccounted : stats -> float
 
 type result = {
   best : Mstate.t;
@@ -124,54 +160,32 @@ type config = {
           (tests/CI on, benchmarks off) *)
   jobs : int;
       (** worker domains for the per-iteration candidate expansion;
-          1 (the default) spawns no domains — the exact legacy serial
-          path.  Any [jobs] value returns bit-identical best states:
-          candidates are generated, deduplicated and merged serially in
-          candidate order. *)
+          1 (the default) spawns no domains.  Any [jobs] value returns
+          bit-identical best states and counts: candidates are
+          generated, deduplicated and merged serially in candidate
+          order. *)
   sim_cache : Sim_cache.t option;
       (** memoizes (reschedule → simulate) evaluations.  [None] (the
           default) uses a fresh private cache per run; pass [Some c] to
           share hits across searches (ablation sweeps, repeated runs). *)
-  supervise : bool;
-      (** per-candidate exception isolation (default [true]): a failing
-          candidate is re-executed up to [max_retries] times with
-          bounded backoff on the orchestrating domain, then quarantined
-          with a structured diagnostic — the surviving candidates of
-          the batch are kept.  Fatal exceptions (out-of-memory,
-          {!Verification_failure}, …) always re-raise immediately.
-          [false] restores the all-or-nothing legacy semantics where
-          the first worker failure aborts the whole search.  Retries
-          run serially at the merge, so supervision preserves the
-          bit-identical-across-[jobs] guarantee. *)
-  max_retries : int;
-      (** bounded-backoff re-executions of a failed candidate before it
-          is quarantined (default 3) *)
   checkpoint : checkpoint option;
       (** crash-safe snapshots: written every [ckpt_every] seconds, on
           SIGINT/SIGTERM (the run then returns early with
           [interrupted = true]) and once at normal exit.  [None]
           (the default) = off; signal handlers are only installed when
           set. *)
-  degrade : bool;
-      (** graceful-degradation ladder (default [true]): past 85% of
-          [time_budget] the DP scheduling budget steps down to
-          {!ladder_sched_states}[ ~level:1], and budget exhaustion
-          returns best-so-far — each step recorded in
-          [stats.degrade_steps].  Runs with effectively unlimited
-          budgets never reach the thresholds, so determinism tests are
-          unaffected. *)
   profile : Magis_obs.Profile.t option;
       (** per-iteration telemetry sink ([None], the default, = off):
           after each iteration's merge one JSONL record is written with
-          the queue depth, candidate/survivor counts, best-so-far peak
-          and latency, cumulative cache/quarantine counters,
-          per-phase seconds and per-worker busy fractions.  Purely
-          observational — excluded from the trajectory fingerprint and
-          never changes the search. *)
+          [iter], [elapsed], [queue_depth], [candidates], [survivors],
+          [best_peak], [best_latency], every counter under its name and
+          every stage as [t_<stage>] (cumulative), and
+          [pool_busy_frac].  Purely observational — excluded from the
+          trajectory fingerprint and never changes the search. *)
   harvest : (iteration:int -> Mstate.t -> unit) option;
       (** frontier side channel ([None], the default, = off): called
-          once for every evaluated candidate at the serial
-          phase-4 merge, in candidate order, before and regardless of
+          once for every evaluated candidate at the serial merge, in
+          candidate order, before and regardless of
           δ-admission — so the callback observes the same states in the
           same order for any [jobs] value.  {!Magis_frontier} uses it
           to collect the memory–latency Pareto frontier a search sweeps
@@ -215,16 +229,17 @@ val sim_hit_rate : stats -> float
     re-placed (0 when nothing was scheduled). *)
 val resched_frac : stats -> float
 
-(** Stats as a flat JSON object (plus [domain_time] and
-    [degrade_steps] arrays) — the payload of
+(** The table as a flat JSON object — every counter under its name,
+    every stage as [t_<stage>] seconds, then [wall], [unaccounted]
+    (see {!unaccounted}), [sim_hit_rate], [resched_frac] and the
+    [domain_time] and [degrade_steps] arrays.  The payload of
     [magis_cli optimize --stats-json]. *)
 val stats_json : stats -> Magis_obs.Json.t
 
-(** Human-readable stat block: the Fig. 15 phase table (counts and
-    cumulative seconds for transformation / scheduling / simulation /
-    hashing, plus duplicates filtered) followed by cache, worker, resilience,
-    checkpoint and degradation summary lines.  Shared by
-    [magis_cli optimize] and the Fig. 15 bench. *)
+(** Human-readable stat block: the Fig. 15 table (seconds and share of
+    wall time per stage, the unaccounted remainder and the wall time),
+    every counter, then cache, worker and degradation summary lines.
+    Shared by [magis_cli optimize] and the Fig. 15 bench. *)
 val pp_stats : Format.formatter -> stats -> unit
 
 (** Comparison key of a state under the given mode. *)
@@ -233,6 +248,14 @@ val key : mode -> Mstate.t -> float * float
 (** The Algorithm 3 BetterThan, with the paper's δ relaxation. *)
 val better_than : mode -> ?delta:float -> Mstate.t -> Mstate.t -> bool
 
+(** Run the search.  Candidate expansion is supervised: a failing
+    candidate is re-executed up to 3 times with bounded backoff on the
+    orchestrating domain, then quarantined with a structured diagnostic
+    and the rest of the batch is kept; fatal exceptions (out-of-memory,
+    {!Verification_failure}, …) re-raise.  Past 85% of [time_budget]
+    the DP budget steps down to {!ladder_sched_states}[ ~level:1], and
+    budget exhaustion returns best-so-far, each step recorded in
+    [stats.degrade_steps]. *)
 val run : ?config:config -> Op_cost.t -> mode -> Graph.t -> result
 
 (** Minimize memory with at most [overhead] extra latency relative to the

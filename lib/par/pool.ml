@@ -2,11 +2,11 @@
 
     One mutex guards the job queue, the shutdown flag and every
     completion counter; two conditions signal "work available" (workers
-    wait on it) and "a batch finished" (the caller of [map] waits on
-    it).  Workers never touch results concurrently: each task writes a
-    distinct cell of the result array, and the happens-before edge from
-    the counter update under the mutex makes those writes visible to the
-    caller when the batch count reaches zero. *)
+    wait on it) and "a batch finished" (the caller of [map_result]
+    waits on it).  Workers never touch results concurrently: each task
+    writes a distinct cell of the result array, and the happens-before
+    edge from the counter update under the mutex makes those writes
+    visible to the caller when the batch count reaches zero. *)
 
 module Fault = Magis_resilience.Fault
 module Trace = Magis_obs.Trace
@@ -19,16 +19,6 @@ module Metrics = Magis_obs.Metrics
    load without calling {!busy_time}. *)
 let tasks_total = Metrics.counter "pool.tasks"
 let busy_gauge i = Metrics.gauge (Printf.sprintf "pool.busy_seconds.%d" i)
-
-exception Task_error of { index : int; exn : exn }
-
-let () =
-  Printexc.register_printer (function
-    | Task_error { index; exn } ->
-        Some
-          (Printf.sprintf "Magis_par.Pool.Task_error(task %d: %s)" index
-             (Printexc.to_string exn))
-    | _ -> None)
 
 type shared = {
   lock : Mutex.t;
@@ -125,7 +115,7 @@ let map_result t f xs =
           xs
     | Domains { shared = sh; joined; _ } ->
         if joined || sh.stop then
-          invalid_arg "Magis_par.Pool.map: pool is shut down";
+          invalid_arg "Magis_par.Pool.map_result: pool is shut down";
         let results = Array.make n None in
         let remaining = ref n in
         let job i widx =
@@ -152,20 +142,6 @@ let map_result t f xs =
         done;
         Mutex.unlock sh.lock;
         unwrap results
-
-let map t f xs =
-  let results = map_result t f xs in
-  (* first failure by input index wins, wrapped in {!Task_error} with
-     that index and re-raised with the worker's backtrace — after the
-     whole batch has drained, so no task outlives the [map] call *)
-  Array.iteri
-    (fun index r ->
-      match r with
-      | Error (exn, bt) ->
-          Printexc.raise_with_backtrace (Task_error { index; exn }) bt
-      | Ok _ -> ())
-    results;
-  Array.map (function Ok v -> v | Error _ -> assert false) results
 
 let shutdown = function
   | Inline _ -> ()

@@ -1,21 +1,17 @@
 (** A fixed-size pool of OCaml 5 domains with a deterministic parallel
     map.
 
-    The pool exists to fan the per-candidate (reschedule → simulate →
-    hash) pipeline of the search loop across cores without changing its
-    results: {!map} always returns results in input order, so callers
-    that merge sequentially see the same sequence as a serial run.
+    The pool exists to fan the per-candidate (hash → reschedule →
+    simulate) pipeline of the search loop across cores without changing
+    its results: {!map_result} always returns results in input order,
+    so callers that merge sequentially see the same sequence as a
+    serial run.
 
     A pool of size [<= 1] spawns no domains at all and executes tasks
     inline on the calling domain, in input order — the exact legacy
     serial path. *)
 
 type t
-
-(** Raised by {!map} when a task failed: carries the index of the
-    failing input and the task's exception.  The re-raise preserves the
-    worker's backtrace. *)
-exception Task_error of { index : int; exn : exn }
 
 (** [create n] starts a pool of [n] worker domains ([n <= 1] → inline
     execution, no domains). *)
@@ -24,19 +20,13 @@ val create : int -> t
 (** Number of workers (1 for an inline pool). *)
 val size : t -> int
 
-(** [map pool f xs] applies [f] to every element of [xs], possibly in
-    parallel, and returns the results in input order.  If one or more
-    applications raise, all tasks are still drained and the failure of
-    the lowest-indexed failing element is re-raised as {!Task_error}
-    with the worker's backtrace.  Must not be called after {!shutdown},
-    nor from inside a task of the same pool. *)
-val map : t -> ('a -> 'b) -> 'a array -> 'b array
-
-(** Like {!map}, but failures are isolated per input instead of
-    aborting the batch: element [i] of the result is [Error (e, bt)]
+(** [map_result pool f xs] applies [f] to every element of [xs],
+    possibly in parallel, and returns the results in input order.
+    Failures are isolated per input: element [i] is [Error (e, bt)]
     when [f xs.(i)] raised [e] at backtrace [bt], and every other
     element is computed normally.  The supervised search builds its
-    quarantine/retry logic on this. *)
+    quarantine/retry logic on this.  Must not be called after
+    {!shutdown}, nor from inside a task of the same pool. *)
 val map_result :
   t ->
   ('a -> 'b) ->

@@ -15,9 +15,8 @@ type stats = {
   rescheduled : int;  (** number of nodes actually rescheduled *)
   fallback : bool;
       (** true when splicing failed (or was impossible) and the whole
-          graph was rescheduled from scratch; surfaced as the
-          [n_sched_fallback] search counter and the
-          ["search.sched_fallbacks"] metric *)
+          graph was rescheduled from scratch; counted by the search's
+          [sched_fallbacks] counter (metric ["search.sched_fallbacks"]) *)
 }
 
 (** The paper's [ExtendBound] (clamped to the schedule): walk schedule

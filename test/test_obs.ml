@@ -448,6 +448,44 @@ let test_profile_jsonl_roundtrip () =
     (Option.bind (Json.member "iterations" sj) Json.to_int);
   Alcotest.(check bool) "stats_json parses back" true
     (Json.of_string (Json.to_string sj) = sj);
+  (* every stage and counter of the one list reaches every view: the
+     final profile record, the stats JSON and the Fig. 15 table *)
+  let words =
+    String.split_on_char '\n' (Format.asprintf "%a" Search.pp_stats r.stats)
+    |> List.concat_map (String.split_on_char ' ')
+  in
+  List.iter
+    (fun name ->
+      let key = "t_" ^ name in
+      Alcotest.(check bool) (key ^ " in every export") true
+        (Json.member key last <> None && Json.member key sj <> None);
+      Alcotest.(check bool) (name ^ " row in pp_stats") true
+        (List.mem name words))
+    Search.stage_names;
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check (option int)) (name ^ " in the final record") (Some v)
+        (Option.bind (Json.member name last) Json.to_int);
+      Alcotest.(check (option int)) (name ^ " in stats_json") (Some v)
+        (Option.bind (Json.member name sj) Json.to_int);
+      Alcotest.(check bool) (name ^ " in pp_stats") true
+        (List.exists (String.starts_with ~prefix:(name ^ "=")) words))
+    (Search.counts r.stats);
+  (* a serial run's stages never overlap, so they fit in its wall time *)
+  let staged =
+    List.fold_left (fun acc (_, t) -> acc +. t) 0.0
+      (Search.stage_seconds r.stats)
+  in
+  Alcotest.(check bool) "stage seconds sum to at most wall" true
+    (staged <= r.stats.wall && Search.unaccounted r.stats >= 0.0);
+  (* the work counted is the same at any jobs count *)
+  let r2 =
+    Search.optimize_memory
+      ~config:{ config with jobs = 2; profile = None }
+      (cache ()) ~overhead:0.10 g
+  in
+  Alcotest.(check (list (pair string int))) "same counts at jobs 1 and 2"
+    (Search.counts r.stats) (Search.counts r2.stats);
   (* the retired bound-probe counters are left out of every export *)
   List.iter
     (fun key ->

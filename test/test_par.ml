@@ -10,11 +10,22 @@ open Helpers
 (* Domain pool                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* [Pool.map_result] over tasks that must all succeed: a failing task
+   (an [Alcotest.failf] inside it included) fails the test. *)
+let map_ok pool f xs =
+  Array.mapi
+    (fun i r ->
+      match r with
+      | Ok v -> v
+      | Error (e, _) ->
+          Alcotest.failf "task %d raised %s" i (Printexc.to_string e))
+    (Pool.map_result pool f xs)
+
 let test_pool_map_ordered () =
   let pool = Pool.create 4 in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   let xs = Array.init 500 (fun i -> i) in
-  let ys = Pool.map pool (fun i -> i * i) xs in
+  let ys = map_ok pool (fun i -> i * i) xs in
   Alcotest.(check (array int))
     "results in input order"
     (Array.map (fun i -> i * i) xs)
@@ -25,7 +36,7 @@ let test_pool_map_ordered () =
 
 let test_pool_inline () =
   let pool = Pool.create 1 in
-  let ys = Pool.map pool string_of_int [| 1; 2; 3 |] in
+  let ys = map_ok pool string_of_int [| 1; 2; 3 |] in
   Alcotest.(check (array string)) "inline map" [| "1"; "2"; "3" |] ys;
   Alcotest.(check int) "inline pool has size 1" 1 (Pool.size pool);
   Alcotest.(check int) "inline busy cell" 1 (Array.length (Pool.busy_time pool));
@@ -34,25 +45,11 @@ let test_pool_inline () =
 let test_pool_reuse_and_empty () =
   let pool = Pool.create 2 in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  Alcotest.(check (array int)) "empty input" [||] (Pool.map pool succ [||]);
+  Alcotest.(check (array int)) "empty input" [||] (map_ok pool succ [||]);
   for round = 1 to 5 do
-    let ys = Pool.map pool succ (Array.make 40 round) in
+    let ys = map_ok pool succ (Array.make 40 round) in
     Alcotest.(check int) "batch survives reuse" (round + 1) ys.(39)
   done
-
-let test_pool_exception_lowest_index () =
-  let pool = Pool.create 3 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  Alcotest.check_raises "lowest-indexed failure is re-raised"
-    (Pool.Task_error { index = 2; exn = Failure "boom2" })
-    (fun () ->
-      ignore
-        (Pool.map pool
-           (fun i -> if i >= 2 then failwith (Printf.sprintf "boom%d" i))
-           [| 0; 1; 2; 3; 4 |]));
-  (* the pool stays usable after a failing batch *)
-  Alcotest.(check (array int)) "pool usable after failure" [| 2; 3 |]
-    (Pool.map pool succ [| 1; 2 |])
 
 let test_pool_map_result_isolates () =
   let pool = Pool.create 3 in
@@ -109,7 +106,7 @@ let test_striped_concurrent_writers () =
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   let n = 2_000 in
   ignore
-    (Pool.map pool
+    (map_ok pool
        (fun i -> Striped.add t (Int64.of_int i) (i * 3))
        (Array.init n (fun i -> i)));
   Alcotest.(check int) "all bindings present" n (Striped.length t);
@@ -128,7 +125,7 @@ let test_striped_colliding_stress () =
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   let n = 4_000 and keys = 64 in
   ignore
-    (Pool.map pool
+    (map_ok pool
        (fun i ->
          let k = i mod keys in
          Striped.add t (Int64.of_int k) (k * 1009);
@@ -205,7 +202,7 @@ let test_sim_cache_concurrent_accounting () =
       latency = float_of_int k; hotspots = [ k ] }
   in
   ignore
-    (Pool.map pool
+    (map_ok pool
        (fun i ->
          let k = i mod keys in
          match Sim_cache.find c (key_of k) with
@@ -307,7 +304,6 @@ let suite =
     tc "pool map preserves order" test_pool_map_ordered;
     tc "pool inline path" test_pool_inline;
     tc "pool reuse and empty batches" test_pool_reuse_and_empty;
-    tc "pool re-raises lowest-index failure" test_pool_exception_lowest_index;
     tc "pool map_result isolates failures" test_pool_map_result_isolates;
     tc "striped table basics" test_striped_basic;
     tc "striped table concurrent writers" test_striped_concurrent_writers;

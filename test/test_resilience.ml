@@ -178,11 +178,26 @@ let check_same_best what (r1 : Search.result) (r2 : Search.result) =
     (what ^ ": identical schedule")
     r1.best.schedule r2.best.schedule
 
+(* The [search.*] metrics, in {!Search.counter_names} order. *)
+let search_metrics () =
+  List.map
+    (fun n -> (n, Metrics.counter_value (Metrics.counter ("search." ^ n))))
+    Search.counter_names
+
 (** One planted transient fault per site: the supervisor's retry must
     absorb it and reproduce the fault-free search exactly — same best,
-    same iteration count, nothing quarantined — at any jobs count. *)
+    same iteration count, nothing quarantined — at any jobs count.  The
+    metrics are published from the run's table, so every [search.*]
+    counter moves by exactly the table's value: a failed attempt that
+    is retried is counted once. *)
 let test_chaos_transient_identity () =
-  Fun.protect ~finally:Fault.disarm @@ fun () ->
+  Fun.protect
+    ~finally:(fun () ->
+      Fault.disarm ();
+      Metrics.set_enabled false;
+      Metrics.reset ())
+  @@ fun () ->
+  Metrics.set_enabled true;
   let g = randnet 5 in
   Fault.observe ();
   let clean = run_with ~jobs:1 g in
@@ -213,9 +228,16 @@ let test_chaos_transient_identity () =
             (fun jobs ->
               let what = Printf.sprintf "%s@%s jobs=%d" kname site jobs in
               Fault.arm (Fault.seeded ~seed:5 ~lo ~hi [ (site, kind) ]);
+              let before = search_metrics () in
               let r = run_with ~jobs g in
               let fired = List.length (Fault.fired ()) in
               Fault.disarm ();
+              Alcotest.(check (list (pair string int)))
+                (what ^ ": search.* metrics equal the table")
+                (Search.counts r.stats)
+                (List.map2
+                   (fun (n, v) (_, v0) -> (n, v - v0))
+                   (search_metrics ()) before);
               Alcotest.(check int) (what ^ ": fault fired") 1 fired;
               check_same_best what clean r;
               Alcotest.(check int)
@@ -266,27 +288,6 @@ let test_chaos_persistent_quarantine () =
     (List.length r.diagnostics);
   Alcotest.(check bool) "still returns a valid best" true
     (r.best.peak_mem > 0 && r.best.peak_mem <= clean.initial.peak_mem)
-
-(** With supervision off, the legacy all-or-nothing semantics are
-    preserved: the first failing candidate aborts the whole search. *)
-let test_chaos_unsupervised_aborts () =
-  Fun.protect ~finally:Fault.disarm @@ fun () ->
-  let g = randnet 5 in
-  Fault.observe ();
-  let _ = run_with ~jobs:1 g in
-  let v = Fault.visits "simulator" in
-  Fault.disarm ();
-  Fault.arm
-    (Fault.seeded ~seed:5
-       ~lo:(max 4 (v / 3))
-       ~hi:(max 5 (2 * v / 3))
-       [ ("simulator", Fault.Exception) ]);
-  (match
-     run_with ~cfg:(fun c -> { c with Search.supervise = false }) ~jobs:1 g
-   with
-  | _ -> Alcotest.fail "unsupervised search must re-raise the failure"
-  | exception Pool.Task_error _ -> ());
-  Fault.disarm ()
 
 (* ------------------------------------------------------------------ *)
 (* Graceful degradation                                                *)
@@ -343,7 +344,18 @@ let test_checkpoint_resume_identity () =
   Alcotest.(check int) "same simulations run in total" fresh.stats.n_simul
     resumed.stats.n_simul;
   Alcotest.(check int) "same duplicates filtered" fresh.stats.n_filtered
-    resumed.stats.n_filtered
+    resumed.stats.n_filtered;
+  (* the whole table: every counter continues across the resume; the
+     snapshots are the resumed run's own (the first run's final one,
+     carried in its table, and its own final one) *)
+  let without_ckpt (r : Search.result) =
+    List.remove_assoc "checkpoints" (Search.counts r.stats)
+  in
+  Alcotest.(check (list (pair string int)))
+    "every counter equals the uninterrupted run's" (without_ckpt fresh)
+    (without_ckpt resumed);
+  Alcotest.(check int) "both runs' snapshots counted" 2
+    resumed.stats.n_checkpoints
 
 (** A checkpoint of one workload must refuse to resume another. *)
 let test_checkpoint_rejects_foreign_run () =
@@ -415,8 +427,6 @@ let suite =
       test_chaos_transient_identity;
     tc "persistent faults are quarantined, never fatal"
       test_chaos_persistent_quarantine;
-    tc "unsupervised mode keeps legacy abort semantics"
-      test_chaos_unsupervised_aborts;
     tc "budget exhaustion returns best-so-far" test_budget_exhaustion_best_so_far;
     tc "checkpoint/resume reproduces the uninterrupted run"
       test_checkpoint_resume_identity;
