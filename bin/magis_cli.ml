@@ -246,7 +246,8 @@ let cmd_profile name full overhead mem_ratio budget iters jobs outdir =
 
 (** Chaos harness: a seeded Randnet search is run fault-free, then once
     per (site, fault kind) with a transient fault planted at a
-    pseudo-random visit inside the fault-free visit range.  Transient
+    pseudo-random visit inside the fault-free visit range (sites the
+    fault-free run never visits are skipped).  Transient
     faults must leave the result bit-identical (the supervisor retries
     them); a persistent burst must quarantine — never crash — and a
     NaN burst must surface as a nonfinite-cost diagnostic.  Exits
@@ -320,22 +321,28 @@ let cmd_chaos seed jobs iters =
     (max 4 (v / 3), max 5 (2 * v / 3))
   in
   (* transient faults: one planted visit per site; the supervisor's
-     retry must reproduce the fault-free result exactly *)
+     retry must reproduce the fault-free result exactly.  A site the
+     clean run never visits (the socket layer, which [magis_serve chaos]
+     covers) cannot fire here and is skipped. *)
   List.iter
     (fun site ->
-      let lo, hi = window site in
-      let kinds =
-        [ ("exception", Fault.Exception); ("delay", Fault.Delay 0.002);
-          ("stall", Fault.Stall 0.02) ]
-        @ if site = "op_cost" then [ ("nan", Fault.Nan_cost) ] else []
-      in
-      List.iter
-        (fun (kname, kind) ->
-          case
-            (Printf.sprintf "transient %s @ %s" kname site)
-            (Fault.seeded ~seed ~lo ~hi [ (site, kind) ])
-            identical)
-        kinds)
+      if List.assoc site visits = 0 then
+        Printf.printf "skip %-28s no visit in the clean run\n"
+          ("transient @ " ^ site)
+      else
+        let lo, hi = window site in
+        let kinds =
+          [ ("exception", Fault.Exception); ("delay", Fault.Delay 0.002);
+            ("stall", Fault.Stall 0.02) ]
+          @ if site = "op_cost" then [ ("nan", Fault.Nan_cost) ] else []
+        in
+        List.iter
+          (fun (kname, kind) ->
+            case
+              (Printf.sprintf "transient %s @ %s" kname site)
+              (Fault.seeded ~seed ~lo ~hi [ (site, kind) ])
+              identical)
+          kinds)
     Fault.sites;
   (* Persistent faults: every visit of the site fails for a long
      stretch, so no bounded retry can outrun it — candidates must be

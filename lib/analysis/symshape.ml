@@ -174,7 +174,7 @@ let dim_domain guards : (module DOMAIN) =
     let mul = mul
     let equal = equal
     let geq a b = geq ~guards a b
-    let div_exact a c = div_exact c a
+    let div_floor a c = div_exact c a (* an exact quotient is the floor *)
     let to_const = to_const
     let dt_equal (a : sdt) b = a = b
   end)

@@ -10,8 +10,8 @@
     but incomplete.
 
     {!dim_domain} packages the domain as an {!Magis_ir.Op.DIM_DOMAIN},
-    so {!Magis_ir.Op.Abstract} re-runs the operator shape-inference
-    rules symbolically — the engine behind {!Rule_sound}. *)
+    so {!Magis_ir.Op.Abstract} — the shape inference [Op.infer] runs
+    over integers — runs symbolically: the engine behind {!Rule_sound}. *)
 
 open Magis_ir
 module Spec = Magis_rules.Rule.Spec
@@ -71,5 +71,7 @@ type sdt = Spec.sdtype
 
 module type DOMAIN = Op.DIM_DOMAIN with type dim = t and type dt = sdt
 
-(** The domain under the given guards, for {!Magis_ir.Op.Abstract}. *)
+(** The domain under the given guards, for {!Magis_ir.Op.Abstract}.  Its
+    [div_floor] names only exact quotients ({!div_exact}), which are
+    also the floor. *)
 val dim_domain : Spec.guard list -> (module DOMAIN)

@@ -366,14 +366,14 @@ let expand (g : Graph.t) (f : t) : expansion =
 (* Virtual (analytic) accounting helpers                              *)
 (* ------------------------------------------------------------------ *)
 
-(** Scaled shapes of node [v] under this fission (its share of one part):
-    the assigned output dim and the input dims feeding it are divided by
-    [f.n].  Used for the per-part cost estimate. *)
-let scaled_shapes (g : Graph.t) (f : t) (v : int) :
-    Shape.t array * Shape.t =
-  let node = Graph.node g v in
+(** [scaled_shapes g f v (ins, out)]: member [v]'s share of one part of
+    [f], starting from the given operand and output shapes — the assigned
+    output dim and the operand dims feeding it are divided by [f.n] where
+    they divide.  Feeding one entry's result to the next composes nested
+    fissions.  Used for the per-part cost estimate. *)
+let scaled_shapes (g : Graph.t) (f : t) (v : int)
+    ((ins, out) : Shape.t array * Shape.t) : Shape.t array * Shape.t =
   let d = Int_map.find v f.dims in
-  let ins = in_shapes g node in
   let feeding = feeding_slots g v d in
   let ins =
     Array.mapi
@@ -387,9 +387,9 @@ let scaled_shapes (g : Graph.t) (f : t) (v : int) :
       ins
   in
   let out =
-    if d > 0 && Shape.dim node.shape (d - 1) mod f.n = 0 then
-      Shape.split_dim node.shape (d - 1) f.n
-    else node.shape
+    if d > 0 && Shape.dim out (d - 1) mod f.n = 0 then
+      Shape.split_dim out (d - 1) f.n
+    else out
   in
   (ins, out)
 

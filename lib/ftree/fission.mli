@@ -50,7 +50,10 @@ type expansion = {
     concat/reduction merges).  Raises [Invalid_argument] if invalid. *)
 val expand : Graph.t -> t -> expansion
 
-(** Per-part shapes of one member (assigned dims divided by [n]). *)
-val scaled_shapes : Graph.t -> t -> int -> Shape.t array * Shape.t
+(** [scaled_shapes g f v (ins, out)]: member [v]'s per-part shapes,
+    scaled from the given ones (assigned dims divided by [n] where they
+    divide), so nested fissions compose by chaining calls. *)
+val scaled_shapes :
+  Graph.t -> t -> int -> Shape.t array * Shape.t -> Shape.t array * Shape.t
 
 val pp : Format.formatter -> t -> unit

@@ -131,6 +131,46 @@ let smallest_valid_n (g : Graph.t) (f : Fission.t) : int option =
       in
       try_n 2
 
+(** Assemble candidates into a forest: deduplicated by member set,
+    ordered by (size, smallest member); each entry's parent is the
+    smallest strictly larger candidate that contains it. *)
+let of_fissions (fs : Fission.t list) : t =
+  let sorted =
+    List.sort_uniq
+      (fun (a : Fission.t) (b : Fission.t) ->
+        Int_set.compare a.members b.members)
+      fs
+    |> List.sort (fun (a : Fission.t) (b : Fission.t) ->
+           compare
+             (Int_set.cardinal a.members, Int_set.min_elt_opt a.members)
+             (Int_set.cardinal b.members, Int_set.min_elt_opt b.members))
+    |> Array.of_list
+  in
+  let n = Array.length sorted in
+  let parent = Array.make n (-1) in
+  for i = 0 to n - 1 do
+    let rec find j =
+      if j >= n then -1
+      else if
+        Int_set.cardinal (sorted.(j) : Fission.t).members
+        > Int_set.cardinal (sorted.(i) : Fission.t).members
+        && Int_set.subset (sorted.(i) : Fission.t).members
+             (sorted.(j) : Fission.t).members
+      then j
+      else find (j + 1)
+    in
+    parent.(i) <- find (i + 1)
+  done;
+  let children = Array.make n [] in
+  for i = n - 1 downto 0 do
+    if parent.(i) >= 0 then children.(parent.(i)) <- i :: children.(parent.(i))
+  done;
+  let entries =
+    Array.init n (fun i ->
+        { fission = sorted.(i); parent = parent.(i); children = children.(i) })
+  in
+  { entries }
+
 (** Algorithm 1: construct the fission candidates for [g], given the
     memory hot-spots of its current schedule.  [max_level] is the paper's
     [L] hyper-parameter (default 4). *)
@@ -187,47 +227,7 @@ let construct ?(max_level = 4) (g : Graph.t) ~(hotspots : Int_set.t) : t =
           done
       end)
     (Dgraph.components dg);
-  (* Deduplicate by member set, then assemble the forest by inclusion. *)
-  let dedup =
-    List.sort_uniq
-      (fun (a : Fission.t) (b : Fission.t) ->
-        Int_set.compare a.members b.members)
-      !candidates
-  in
-  let sorted =
-    List.sort
-      (fun (a : Fission.t) (b : Fission.t) ->
-        compare
-          (Int_set.cardinal a.members, Int_set.min_elt_opt a.members)
-          (Int_set.cardinal b.members, Int_set.min_elt_opt b.members))
-      dedup
-    |> Array.of_list
-  in
-  let n = Array.length sorted in
-  let parent = Array.make n (-1) in
-  for i = 0 to n - 1 do
-    (* parent = smallest strictly-larger candidate containing i *)
-    let rec find j =
-      if j >= n then -1
-      else if
-        Int_set.cardinal (sorted.(j) : Fission.t).members
-        > Int_set.cardinal (sorted.(i) : Fission.t).members
-        && Int_set.subset (sorted.(i) : Fission.t).members
-             (sorted.(j) : Fission.t).members
-      then j
-      else find (j + 1)
-    in
-    parent.(i) <- find (i + 1)
-  done;
-  let children = Array.make n [] in
-  for i = n - 1 downto 0 do
-    if parent.(i) >= 0 then children.(parent.(i)) <- i :: children.(parent.(i))
-  done;
-  let entries =
-    Array.init n (fun i ->
-        { fission = sorted.(i); parent = parent.(i); children = children.(i) })
-  in
-  { entries }
+  of_fissions !candidates
 
 (* ------------------------------------------------------------------ *)
 (* Mutation rules (§5.1)                                              *)
@@ -274,17 +274,17 @@ let n_is_feasible (g : Graph.t) (t : t) (i : int) (n : int) : bool =
          | _ -> true)
        (Fission.members f)
 
+(** Smallest feasible fission number [>= n] for entry [i] (up to 1024). *)
+let next_feasible_n (g : Graph.t) (t : t) (i : int) (n : int) : int option =
+  let rec go n =
+    if n > 1024 then None
+    else if n_is_feasible g t i n then Some n
+    else go (n + 1)
+  in
+  go n
+
 let smallest_feasible_n (g : Graph.t) (t : t) (i : int) : int option =
-  let f = fission_at t i in
-  match smallest_valid_n g f with
-  | None -> None
-  | Some n0 ->
-      let rec go n =
-        if n > 1024 then None
-        else if n_is_feasible g t i n then Some n
-        else go (n + 1)
-      in
-      go n0
+  Option.bind (smallest_valid_n g (fission_at t i)) (next_feasible_n g t i)
 
 let set_n (t : t) (i : int) (n : int) : t =
   let entries = Array.copy t.entries in
@@ -302,15 +302,8 @@ let mutations (g : Graph.t) (t : t) : mutation list =
         (* Disable: enabled node with no enabled descendant *)
         if not (has_enabled_descendant t i) then ms := Disable i :: !ms;
         (* Mutate: next feasible fission number *)
-        let f = fission_at t i in
-        let rec next n =
-          if n > 1024 then None
-          else if n_is_feasible g t i n then Some n
-          else next (n + 1)
-        in
-        (match next ((f : Fission.t).n + 1) with
-        | Some _ -> ms := Mutate i :: !ms
-        | None -> ());
+        if next_feasible_n g t i (n_at t i + 1) <> None then
+          ms := Mutate i :: !ms;
         (* Lift: enabled node without enabled ancestor, disabled parent *)
         if
           (not (has_enabled_ancestor t i))
@@ -357,16 +350,7 @@ let apply (g : Graph.t) (t : t) (m : mutation) : t option =
       else None
   | Mutate i ->
       if not (is_enabled t i) then None
-      else
-        let f = fission_at t i in
-        let rec next n =
-          if n > 1024 then None
-          else if n_is_feasible g t i n then Some n
-          else next (n + 1)
-        in
-        (match next ((f : Fission.t).n + 1) with
-        | Some n -> Some (set_n t i n)
-        | None -> None)
+      else Option.map (set_n t i) (next_feasible_n g t i (n_at t i + 1))
 
 (* ------------------------------------------------------------------ *)
 (* Virtual accounting                                                 *)
@@ -425,39 +409,18 @@ let accounting (cache : Op_cost.t) (g : Graph.t) (t : t) : accounting =
         | Op.Input _ | Op.Store | Op.Load -> 0.0
         | _ ->
             (* progressively scale shapes through each enclosing entry *)
-            let ins =
-              Array.map (fun i -> Graph.shape g i) node.inputs
+            let factor, (ins, out) =
+              List.fold_left
+                (fun ((factor, shapes) as acc) (_, f, _) ->
+                  if Int_set.mem v (Fission.members f) then
+                    ( factor * (f : Fission.t).n,
+                      Fission.scaled_shapes g f v shapes )
+                  else acc)
+                (1, (Array.map (Graph.shape g) node.inputs, node.shape))
+                entries
             in
-            let out = node.shape in
-            let factor = ref 1 in
-            let ins = ref ins and out = ref out in
-            List.iter
-              (fun (_, f, _) ->
-                if Int_set.mem v (Fission.members f) then begin
-                  factor := !factor * (f : Fission.t).n;
-                  let d = Int_map.find v (f : Fission.t).dims in
-                  let feeding = Fission.feeding_slots g v d in
-                  ins :=
-                    Array.mapi
-                      (fun slot s ->
-                        List.fold_left
-                          (fun s (sl, i) ->
-                            if
-                              sl = slot
-                              && Shape.dim s (i - 1) mod (f : Fission.t).n = 0
-                            then Shape.split_dim s (i - 1) (f : Fission.t).n
-                            else s)
-                          s feeding)
-                      !ins;
-                  if
-                    d > 0
-                    && Shape.dim !out (d - 1) mod (f : Fission.t).n = 0
-                  then out := Shape.split_dim !out (d - 1) (f : Fission.t).n
-                end)
-              entries;
-            if !factor = 1 then Op_cost.node_cost cache g v
-            else
-              float_of_int !factor *. Op_cost.cost cache node.op !ins !out
+            if factor = 1 then Op_cost.node_cost cache g v
+            else float_of_int factor *. Op_cost.cost cache node.op ins out
       in
       let hw = (cache : Op_cost.t).hw in
       let extra_latency =
@@ -504,42 +467,6 @@ let pp ppf t =
         (e.fission : Fission.t).n
         (Int_set.cardinal (Fission.members e.fission)))
     t.entries
-
-(** Build a tree directly from explicit fissions (tests, manual use);
-    nesting is derived from member-set inclusion. *)
-let of_fissions (fs : Fission.t list) : t =
-  let sorted =
-    List.sort
-      (fun (a : Fission.t) (b : Fission.t) ->
-        compare (Int_set.cardinal a.members) (Int_set.cardinal b.members))
-      fs
-    |> Array.of_list
-  in
-  let n = Array.length sorted in
-  let parent = Array.make n (-1) in
-  for i = 0 to n - 1 do
-    let rec find j =
-      if j >= n then -1
-      else if
-        j <> i
-        && Int_set.cardinal (sorted.(j) : Fission.t).members
-           > Int_set.cardinal (sorted.(i) : Fission.t).members
-        && Int_set.subset (sorted.(i) : Fission.t).members
-             (sorted.(j) : Fission.t).members
-      then j
-      else find (j + 1)
-    in
-    parent.(i) <- find (i + 1)
-  done;
-  let children = Array.make n [] in
-  for i = n - 1 downto 0 do
-    if parent.(i) >= 0 then children.(parent.(i)) <- i :: children.(parent.(i))
-  done;
-  {
-    entries =
-      Array.init n (fun i ->
-          { fission = sorted.(i); parent = parent.(i); children = children.(i) });
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance across graph rewrites                                  *)
@@ -625,7 +552,8 @@ let refresh ?(max_level = 4) (g : Graph.t) ~(old_tree : t)
         t.entries;
       if !matching >= 0 then set_n t !matching f.n
       else
-        (* append as a root entry, adopting contained candidates *)
+        (* append as a bare root entry: candidates it contains keep
+           their own parents, so it has no children *)
         let entries = Array.append t.entries [| { fission = f; parent = -1; children = [] } |] in
         { entries })
     fresh survivors

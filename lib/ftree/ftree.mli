@@ -43,7 +43,9 @@ val smallest_valid_n : Graph.t -> Fission.t -> int option
     current schedule.  [max_level] is the paper's [L] (default 4). *)
 val construct : ?max_level:int -> Graph.t -> hotspots:Int_set.t -> t
 
-(** Build a tree from explicit fissions (nesting derived by inclusion). *)
+(** Assemble a tree from explicit fissions, as {!construct} assembles its
+    candidates: deduplicated by member set, each entry's parent the
+    smallest strictly larger candidate containing it. *)
 val of_fissions : Fission.t list -> t
 
 (** Random candidate selection (the Fig. 13 "naïve-fission" ablation). *)

@@ -211,299 +211,380 @@ let is_view = function
 (* Shape inference                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let fail fmt = Printf.ksprintf (fun s -> Error s) fmt
+(** Dimension domain over which {!Abstract} interprets shape inference.
+    [equal]/[geq]/[div_floor] are *provability* predicates: a
+    [false]/[None] answer means "cannot prove", not "provably false".
+    Over {!Int_dims} every fact is decided; over a symbolic domain the
+    interpreter is sound but partial. *)
+module type DIM_DOMAIN = sig
+  type dim
+  type dt
+
+  val const : int -> dim
+  val add : dim -> dim -> dim
+  val sub : dim -> dim -> dim
+  val mul : dim -> dim -> dim
+
+  (** Provable equality of two extents. *)
+  val equal : dim -> dim -> bool
+
+  (** Provable [a >= b]. *)
+  val geq : dim -> dim -> bool
+
+  (** [div_floor d k]: a provable [⌊d / k⌋] for [k > 0]; [None] when
+      [k <= 0] or the domain cannot name the quotient. *)
+  val div_floor : dim -> int -> dim option
+
+  val to_const : dim -> int option
+
+  (** Provable equality of two element types. *)
+  val dt_equal : dt -> dt -> bool
+end
+
+(** The one operator-by-operator shape inference, over any dimension
+    domain: {!infer} is [Abstract (Int_dims)]; instantiated with a
+    symbolic domain it proves inference facts for *all* extents at once.
+    Shapes are [(dims, dtype)] pairs so the result type is shared across
+    instantiations. *)
+module Abstract (D : DIM_DOMAIN) = struct
+  type shape = D.dim array * D.dt
+
+  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt
+  let rank ((d, _) : shape) = Array.length d
+  let dim ((d, _) : shape) i = d.(i)
+  let dt ((_, t) : shape) = t
+
+  let mm_view trans (s : shape) =
+    let r = rank s in
+    let a = dim s (r - 2) and b = dim s (r - 1) in
+    if trans then (b, a) else (a, b)
+
+  (** [⌊(extent + 2*padding - kernel) / stride⌋ + 1]: flooring, so a
+      kernel larger than the padded extent yields an extent [<= 0] at
+      every stride. *)
+  let conv_out ~extent ~kernel ~stride ~padding =
+    let numer = D.sub (D.add extent (D.const (2 * padding))) kernel in
+    Option.map (fun q -> D.add q (D.const 1)) (D.div_floor numer stride)
+
+  let positive what d =
+    if D.geq d (D.const 1) then Ok d
+    else fail "%s: cannot prove the extent positive" what
+
+  let infer (k : kind) (ins : shape array) : (shape, string) result =
+    let arity_err expected =
+      fail "%s expects %d inputs, got %d" (name k) expected (Array.length ins)
+    in
+    let ( let* ) = Result.bind in
+    match k with
+    | Input _ -> fail "input nodes carry their own shape"
+    | Matmul { trans_a; trans_b } ->
+        if Array.length ins <> 2 then arity_err 2
+        else
+          let a = ins.(0) and b = ins.(1) in
+          if rank a <> 2 || rank b <> 2 then
+            fail "matmul expects rank-2 operands"
+          else
+            let m, ka = mm_view trans_a a and kb, n = mm_view trans_b b in
+            if not (D.equal ka kb) then
+              fail "matmul: cannot prove the contraction extents equal"
+            else Ok ([| m; n |], dt a)
+    | Dense { trans_w } ->
+        if Array.length ins <> 2 then arity_err 2
+        else
+          let x = ins.(0) and w = ins.(1) in
+          if rank w <> 2 then fail "dense: weight must be rank 2"
+          else if rank x < 2 then fail "dense: input rank < 2"
+          else
+            let kd = if trans_w then dim w 1 else dim w 0 in
+            let n = if trans_w then dim w 0 else dim w 1 in
+            let r = rank x in
+            if not (D.equal (dim x (r - 1)) kd) then
+              fail "dense: cannot prove the contraction extents equal"
+            else
+              Ok
+                ( Array.init r (fun i -> if i = r - 1 then n else dim x i),
+                  dt x )
+    | Dense_bwd_weight ->
+        if Array.length ins <> 2 then arity_err 2
+        else
+          let x = ins.(0) and dy = ins.(1) in
+          let rx = rank x and ry = rank dy in
+          if rx <> ry || rx < 2 then fail "dense_bwd_weight: rank mismatch"
+          else Ok ([| dim x (rx - 1); dim dy (ry - 1) |], dt x)
+    | Batch_matmul { trans_a; trans_b } ->
+        if Array.length ins <> 2 then arity_err 2
+        else
+          let a = ins.(0) and b = ins.(1) in
+          let ra = rank a and rb = rank b in
+          if ra <> rb || ra < 3 then fail "bmm expects equal ranks >= 3"
+          else
+            let batch_ok = ref true in
+            for i = 0 to ra - 3 do
+              if not (D.equal (dim a i) (dim b i)) then batch_ok := false
+            done;
+            if not !batch_ok then
+              fail "bmm: cannot prove the batch extents equal"
+            else
+              let m, ka = mm_view trans_a a and kb, n = mm_view trans_b b in
+              if not (D.equal ka kb) then
+                fail "bmm: cannot prove the contraction extents equal"
+              else
+                Ok
+                  ( Array.init ra (fun i ->
+                        if i < ra - 2 then dim a i
+                        else if i = ra - 2 then m
+                        else n),
+                    dt a )
+    | Conv2d { stride; padding } ->
+        if Array.length ins <> 2 then arity_err 2
+        else
+          let x = ins.(0) and w = ins.(1) in
+          if rank x <> 4 || rank w <> 4 then fail "conv2d expects NCHW and KCRS"
+          else if not (D.equal (dim x 1) (dim w 1)) then
+            fail "conv2d: cannot prove the channel extents equal"
+          else (
+            match
+              ( conv_out ~extent:(dim x 2) ~kernel:(dim w 2) ~stride ~padding,
+                conv_out ~extent:(dim x 3) ~kernel:(dim w 3) ~stride ~padding )
+            with
+            | Some oh, Some ow ->
+                let* oh = positive "conv2d" oh in
+                let* ow = positive "conv2d" ow in
+                Ok ([| dim x 0; dim w 0; oh; ow |], dt x)
+            | _ -> fail "conv2d: cannot divide the extent by stride %d" stride)
+    | Conv2d_bwd_data { stride; padding } ->
+        (* two operands: transposed convolution (decoder upsampling);
+           three operands: data gradient, with the forward input as a
+           shape carrier (strided convolutions floor away the exact
+           extent, so it cannot always be recovered from dy alone) *)
+        if Array.length ins <> 2 && Array.length ins <> 3 then arity_err 2
+        else
+          let dy = ins.(0) and w = ins.(1) in
+          if rank dy <> 4 || rank w <> 4 then
+            fail "conv2d_bwd_data expects rank-4 inputs"
+          else if Array.length ins = 3 then Ok ins.(2)
+          else
+            let ext d kd =
+              D.add
+                (D.sub (D.mul (D.sub d (D.const 1)) (D.const stride))
+                   (D.const (2 * padding)))
+                kd
+            in
+            let* h = positive "conv2d_bwd_data" (ext (dim dy 2) (dim w 2)) in
+            let* wd = positive "conv2d_bwd_data" (ext (dim dy 3) (dim w 3)) in
+            Ok ([| dim dy 0; dim w 1; h; wd |], dt dy)
+    | Conv2d_bwd_weight _ ->
+        if Array.length ins <> 3 then arity_err 3
+        else
+          let dy = ins.(0) and x = ins.(1) and wshape = ins.(2) in
+          if rank dy <> 4 || rank x <> 4 || rank wshape <> 4 then
+            fail "conv2d_bwd_weight expects rank-4 inputs"
+          else Ok (fst wshape, dt dy)
+    | Pool2d { kernel; p_stride; _ } ->
+        if Array.length ins <> 1 then arity_err 1
+        else
+          let x = ins.(0) in
+          if rank x <> 4 then fail "pool2d expects NCHW"
+          else (
+            match
+              ( conv_out ~extent:(dim x 2) ~kernel:(D.const kernel)
+                  ~stride:p_stride ~padding:0,
+                conv_out ~extent:(dim x 3) ~kernel:(D.const kernel)
+                  ~stride:p_stride ~padding:0 )
+            with
+            | Some oh, Some ow ->
+                let* oh = positive "pool2d" oh in
+                let* ow = positive "pool2d" ow in
+                Ok ([| dim x 0; dim x 1; oh; ow |], dt x)
+            | _ -> fail "pool2d: cannot divide the extent by stride %d" p_stride)
+    | Pool2d_bwd _ ->
+        (* dx has the forward input's shape *)
+        if Array.length ins <> 2 then arity_err 2 else Ok ins.(1)
+    | Unary _ -> if Array.length ins <> 1 then arity_err 1 else Ok ins.(0)
+    | Binary _ ->
+        if Array.length ins <> 2 then arity_err 2
+        else
+          let a = ins.(0) and b = ins.(1) in
+          if rank a <> rank b then fail "%s: rank mismatch" (name k)
+          else if
+            not (Array.for_all2 D.equal (fst a) (fst b))
+          then fail "%s: cannot prove the operand shapes equal" (name k)
+          else if not (D.dt_equal (dt a) (dt b)) then
+            fail "%s: cannot prove the operand dtypes equal" (name k)
+          else Ok a
+    | Bias_add axis ->
+        if Array.length ins <> 2 then arity_err 2
+        else
+          let x = ins.(0) and b = ins.(1) in
+          if axis < 0 || axis >= rank x then fail "bias_add: bad axis"
+          else if rank b <> 1 then fail "bias_add: bias must be rank 1"
+          else if not (D.equal (dim b 0) (dim x axis)) then
+            fail "bias_add: cannot prove the bias extent equal"
+          else Ok x
+    | Softmax axis | Softmax_bwd axis ->
+        let expected = match k with Softmax _ -> 1 | _ -> 2 in
+        if Array.length ins <> expected then arity_err expected
+        else if axis < 0 || axis >= rank ins.(0) then fail "softmax: bad axis"
+        else Ok ins.(0)
+    | Layer_norm axis ->
+        if Array.length ins <> 3 then arity_err 3
+        else if axis < 0 || axis >= rank ins.(0) then fail "layer_norm: bad axis"
+        else Ok ins.(0)
+    | Layer_norm_bwd axis ->
+        if Array.length ins <> 3 then arity_err 3
+        else if axis < 0 || axis >= rank ins.(1) then
+          fail "layer_norm_bwd: bad axis"
+        else Ok ins.(1)
+    | Batch_norm ->
+        if Array.length ins <> 3 then arity_err 3
+        else if rank ins.(0) <> 4 then fail "batch_norm expects NCHW"
+        else Ok ins.(0)
+    | Reduce (_, axes) ->
+        if Array.length ins <> 1 then arity_err 1
+        else
+          let x = ins.(0) in
+          let r = rank x in
+          if List.exists (fun a -> a < 0 || a >= r) axes then
+            fail "reduce: bad axis"
+          else if
+            List.length (List.sort_uniq compare axes) <> List.length axes
+          then fail "reduce: duplicate axes"
+          else
+            let kept =
+              List.filteri (fun i _ -> not (List.mem i axes))
+                (Array.to_list (fst x))
+            in
+            let kept = if kept = [] then [ D.const 1 ] else kept in
+            Ok (Array.of_list kept, dt x)
+    | Broadcast { dims; axes } ->
+        if Array.length ins <> 1 then arity_err 1
+        else
+          let x = ins.(0) in
+          let rout = Array.length dims in
+          if rank x + List.length axes <> rout then fail "broadcast: rank mismatch"
+          else if List.exists (fun a -> a < 0 || a >= rout) axes then
+            fail "broadcast: bad axis"
+          else
+            let kept =
+              List.filter
+                (fun i -> not (List.mem i axes))
+                (List.init rout Fun.id)
+            in
+            if
+              List.for_all2
+                (fun i j -> D.equal (D.const dims.(j)) (dim x i))
+                (List.init (rank x) Fun.id)
+                kept
+            then Ok (Array.map D.const dims, dt x)
+            else fail "broadcast: cannot prove the kept extents equal"
+    | Transpose perm ->
+        if Array.length ins <> 1 then arity_err 1
+        else
+          let x = ins.(0) in
+          let r = rank x in
+          if Array.length perm <> r then fail "transpose: perm rank mismatch"
+          else if
+            List.sort_uniq compare (Array.to_list perm) <> List.init r Fun.id
+          then fail "transpose: invalid permutation"
+          else Ok (Array.init r (fun i -> dim x perm.(i)), dt x)
+    | Reshape dims ->
+        if Array.length ins <> 1 then arity_err 1
+        else
+          let x = ins.(0) in
+          let numel s = Array.fold_left D.mul (D.const 1) (fst s) in
+          let target = Array.fold_left ( * ) 1 dims in
+          if not (D.equal (D.const target) (numel x)) then
+            fail "reshape: cannot prove the element counts equal"
+          else Ok (Array.map D.const dims, dt x)
+    | Slice { axis; lo; hi } ->
+        if Array.length ins <> 1 then arity_err 1
+        else
+          let x = ins.(0) in
+          if axis < 0 || axis >= rank x then fail "slice: bad axis"
+          else if lo < 0 || lo >= hi then fail "slice: bad range %d:%d" lo hi
+          else if not (D.geq (dim x axis) (D.const hi)) then
+            fail "slice: cannot prove the extent covers %d" hi
+          else
+            let out = Array.copy (fst x) in
+            out.(axis) <- D.const (hi - lo);
+            Ok (out, dt x)
+    | Concat axis ->
+        if Array.length ins < 2 then fail "concat expects >= 2 inputs"
+        else
+          let first = ins.(0) in
+          if axis < 0 || axis >= rank first then fail "concat: bad axis"
+          else
+            let ok = ref true and total = ref (D.const 0) in
+            Array.iter
+              (fun s ->
+                if rank s <> rank first then ok := false
+                else
+                  Array.iteri
+                    (fun i d ->
+                      if i <> axis && not (D.equal d (dim first i)) then
+                        ok := false)
+                    (fst s);
+                total := D.add !total (dim s axis))
+              ins;
+            if not !ok then fail "concat: cannot prove the shapes compatible"
+            else if
+              Array.exists (fun s -> not (D.dt_equal (dt s) (dt first))) ins
+            then fail "concat: cannot prove the dtypes equal"
+            else
+              let out = Array.copy (fst first) in
+              out.(axis) <- !total;
+              Ok (out, dt first)
+    | Embedding ->
+        if Array.length ins <> 2 then arity_err 2
+        else
+          let table = ins.(0) and ids = ins.(1) in
+          if rank table <> 2 then fail "embedding: table must be rank 2"
+          else Ok (Array.append (fst ids) [| dim table 1 |], dt table)
+    | Embedding_bwd ->
+        (* dtable has the table's shape *)
+        if Array.length ins <> 3 then arity_err 3 else Ok ins.(2)
+    | Store | Load ->
+        if Array.length ins <> 1 then arity_err 1 else Ok ins.(0)
+end
+
+(** Concrete [int] instantiation of {!DIM_DOMAIN}: ordinary arithmetic
+    with flooring division; the domain of {!infer}. *)
+module Int_dims = struct
+  type dim = int
+  type dt = Shape.dtype
+
+  let const n = n
+  let add = ( + )
+  let sub = ( - )
+  let mul = ( * )
+  let equal = Int.equal
+  let geq a b = a >= b
+  let div_floor a k =
+    if k <= 0 then None
+    else if a mod k < 0 then Some ((a / k) - 1)
+    else Some (a / k)
+  let to_const a = Some a
+  let dt_equal (a : Shape.dtype) b = a = b
+end
+
+module Int_infer = Abstract (Int_dims)
+
+(** {!Abstract} over {!Int_dims}; the operand arrays are shared, not
+    copied, and the result is validated by {!Shape.of_array}. *)
+let infer (k : kind) (ins : Shape.t array) : (Shape.t, string) result =
+  let view s = (Shape.dims_view s, Shape.dtype s) in
+  Int_infer.infer k (Array.map view ins)
+  |> Result.map (fun (dims, dtype) -> Shape.of_array ~dtype dims)
+
+(* ------------------------------------------------------------------ *)
+(* Work estimates                                                     *)
+(* ------------------------------------------------------------------ *)
 
 let mm_view trans (s : Shape.t) =
   let r = Shape.rank s in
   if r < 2 then invalid_arg "matmul operand of rank < 2";
   let a = Shape.dim s (r - 2) and b = Shape.dim s (r - 1) in
   if trans then (b, a) else (a, b)
-
-let conv_out_extent ~extent ~kernel ~stride ~padding =
-  ((extent + (2 * padding) - kernel) / stride) + 1
-
-let infer (k : kind) (ins : Shape.t array) : (Shape.t, string) result =
-  let arity_err expected =
-    fail "%s expects %d inputs, got %d" (name k) expected (Array.length ins)
-  in
-  match k with
-  | Input _ -> fail "input nodes carry their own shape"
-  | Matmul { trans_a; trans_b } ->
-      if Array.length ins <> 2 then arity_err 2
-      else
-        let a = ins.(0) and b = ins.(1) in
-        if Shape.rank a <> 2 || Shape.rank b <> 2 then
-          fail "matmul expects rank-2 operands"
-        else
-          let m, ka = mm_view trans_a a and kb, n = mm_view trans_b b in
-          if ka <> kb then fail "matmul: contraction mismatch %d vs %d" ka kb
-          else Ok (Shape.create ~dtype:(Shape.dtype a) [ m; n ])
-  | Dense { trans_w } ->
-      if Array.length ins <> 2 then arity_err 2
-      else
-        let x = ins.(0) and w = ins.(1) in
-        if Shape.rank w <> 2 then fail "dense: weight must be rank 2"
-        else if Shape.rank x < 2 then fail "dense: input rank < 2"
-        else
-          let k = if trans_w then Shape.dim w 1 else Shape.dim w 0 in
-          let n = if trans_w then Shape.dim w 0 else Shape.dim w 1 in
-          let r = Shape.rank x in
-          if Shape.dim x (r - 1) <> k then
-            fail "dense: contraction mismatch %d vs %d" (Shape.dim x (r - 1)) k
-          else
-            let dims = List.init r (fun i -> if i = r - 1 then n else Shape.dim x i) in
-            Ok (Shape.create ~dtype:(Shape.dtype x) dims)
-  | Dense_bwd_weight ->
-      if Array.length ins <> 2 then arity_err 2
-      else
-        let x = ins.(0) and dy = ins.(1) in
-        let rx = Shape.rank x and ry = Shape.rank dy in
-        if rx <> ry || rx < 2 then fail "dense_bwd_weight: rank mismatch"
-        else
-          Ok
-            (Shape.create ~dtype:(Shape.dtype x)
-               [ Shape.dim x (rx - 1); Shape.dim dy (ry - 1) ])
-  | Batch_matmul { trans_a; trans_b } ->
-      if Array.length ins <> 2 then arity_err 2
-      else
-        let a = ins.(0) and b = ins.(1) in
-        let ra = Shape.rank a and rb = Shape.rank b in
-        if ra <> rb || ra < 3 then fail "bmm expects equal ranks >= 3"
-        else
-          let batch_ok = ref true in
-          for i = 0 to ra - 3 do
-            if Shape.dim a i <> Shape.dim b i then batch_ok := false
-          done;
-          if not !batch_ok then fail "bmm: batch dims mismatch"
-          else
-            let m, ka = mm_view trans_a a and kb, n = mm_view trans_b b in
-            if ka <> kb then fail "bmm: contraction mismatch %d vs %d" ka kb
-            else
-              let dims =
-                List.init ra (fun i ->
-                    if i < ra - 2 then Shape.dim a i
-                    else if i = ra - 2 then m
-                    else n)
-              in
-              Ok (Shape.create ~dtype:(Shape.dtype a) dims)
-  | Conv2d { stride; padding } ->
-      if Array.length ins <> 2 then arity_err 2
-      else
-        let x = ins.(0) and w = ins.(1) in
-        if Shape.rank x <> 4 || Shape.rank w <> 4 then
-          fail "conv2d expects NCHW and KCRS"
-        else if Shape.dim x 1 <> Shape.dim w 1 then
-          fail "conv2d: channel mismatch"
-        else
-          let oh =
-            conv_out_extent ~extent:(Shape.dim x 2) ~kernel:(Shape.dim w 2)
-              ~stride ~padding
-          and ow =
-            conv_out_extent ~extent:(Shape.dim x 3) ~kernel:(Shape.dim w 3)
-              ~stride ~padding
-          in
-          if oh <= 0 || ow <= 0 then fail "conv2d: empty output"
-          else
-            Ok
-              (Shape.create ~dtype:(Shape.dtype x)
-                 [ Shape.dim x 0; Shape.dim w 0; oh; ow ])
-  | Conv2d_bwd_data { stride; padding } ->
-      (* two operands: transposed convolution (decoder upsampling);
-         three operands: data gradient, with the forward input as a
-         shape carrier (strided convolutions floor away the exact
-         extent, so it cannot always be recovered from dy alone) *)
-      if Array.length ins <> 2 && Array.length ins <> 3 then arity_err 2
-      else
-        let dy = ins.(0) and w = ins.(1) in
-        if Shape.rank dy <> 4 || Shape.rank w <> 4 then
-          fail "conv2d_bwd_data expects rank-4 inputs"
-        else if Array.length ins = 3 then Ok ins.(2)
-        else
-          let r = Shape.dim w 2 and s = Shape.dim w 3 in
-          let h = ((Shape.dim dy 2 - 1) * stride) - (2 * padding) + r in
-          let wd = ((Shape.dim dy 3 - 1) * stride) - (2 * padding) + s in
-          if h <= 0 || wd <= 0 then fail "conv2d_bwd_data: empty output"
-          else
-            Ok
-              (Shape.create ~dtype:(Shape.dtype dy)
-                 [ Shape.dim dy 0; Shape.dim w 1; h; wd ])
-  | Conv2d_bwd_weight { stride = _; padding = _ } ->
-      if Array.length ins <> 3 then arity_err 3
-      else
-        let dy = ins.(0) and x = ins.(1) and wshape = ins.(2) in
-        if Shape.rank dy <> 4 || Shape.rank x <> 4 || Shape.rank wshape <> 4
-        then fail "conv2d_bwd_weight expects rank-4 inputs"
-        else Ok (Shape.create ~dtype:(Shape.dtype dy) (Array.to_list (Shape.dims wshape)))
-  | Pool2d { kernel; p_stride; _ } ->
-      if Array.length ins <> 1 then arity_err 1
-      else
-        let x = ins.(0) in
-        if Shape.rank x <> 4 then fail "pool2d expects NCHW"
-        else
-          let oh =
-            conv_out_extent ~extent:(Shape.dim x 2) ~kernel ~stride:p_stride
-              ~padding:0
-          and ow =
-            conv_out_extent ~extent:(Shape.dim x 3) ~kernel ~stride:p_stride
-              ~padding:0
-          in
-          if oh <= 0 || ow <= 0 then fail "pool2d: empty output"
-          else
-            Ok
-              (Shape.create ~dtype:(Shape.dtype x)
-                 [ Shape.dim x 0; Shape.dim x 1; oh; ow ])
-  | Pool2d_bwd _ ->
-      if Array.length ins <> 2 then arity_err 2
-      else Ok ins.(1) (* dx has the forward input's shape *)
-  | Unary _ ->
-      if Array.length ins <> 1 then arity_err 1 else Ok ins.(0)
-  | Binary _ ->
-      if Array.length ins <> 2 then arity_err 2
-      else if not (Shape.equal_dims ins.(0) ins.(1)) then
-        fail "%s: shape mismatch %s vs %s" (name k)
-          (Shape.to_string ins.(0))
-          (Shape.to_string ins.(1))
-      else if Shape.dtype ins.(0) <> Shape.dtype ins.(1) then
-        fail "%s: dtype mismatch %s vs %s" (name k)
-          (Shape.dtype_name (Shape.dtype ins.(0)))
-          (Shape.dtype_name (Shape.dtype ins.(1)))
-      else Ok ins.(0)
-  | Bias_add axis ->
-      if Array.length ins <> 2 then arity_err 2
-      else
-        let x = ins.(0) and b = ins.(1) in
-        if axis < 0 || axis >= Shape.rank x then fail "bias_add: bad axis"
-        else if Shape.rank b <> 1 || Shape.dim b 0 <> Shape.dim x axis then
-          fail "bias_add: bias extent mismatch"
-        else Ok x
-  | Softmax axis | Softmax_bwd axis ->
-      let expected = match k with Softmax _ -> 1 | _ -> 2 in
-      if Array.length ins <> expected then arity_err expected
-      else if axis < 0 || axis >= Shape.rank ins.(0) then
-        fail "softmax: bad axis"
-      else Ok ins.(0)
-  | Layer_norm axis ->
-      if Array.length ins <> 3 then arity_err 3
-      else
-        let x = ins.(0) in
-        if axis < 0 || axis >= Shape.rank x then fail "layer_norm: bad axis"
-        else Ok x
-  | Layer_norm_bwd axis ->
-      if Array.length ins <> 3 then arity_err 3
-      else if axis < 0 || axis >= Shape.rank ins.(1) then
-        fail "layer_norm_bwd: bad axis"
-      else Ok ins.(1)
-  | Batch_norm ->
-      if Array.length ins <> 3 then arity_err 3
-      else
-        let x = ins.(0) in
-        if Shape.rank x <> 4 then fail "batch_norm expects NCHW" else Ok x
-  | Reduce (_, axes) ->
-      if Array.length ins <> 1 then arity_err 1
-      else
-        let x = ins.(0) in
-        let r = Shape.rank x in
-        if List.exists (fun a -> a < 0 || a >= r) axes then
-          fail "reduce: bad axis"
-        else if List.length (List.sort_uniq compare axes) <> List.length axes
-        then fail "reduce: duplicate axes"
-        else
-          let kept =
-            List.filteri (fun i _ -> not (List.mem i axes))
-              (Array.to_list (Shape.dims x))
-          in
-          let kept = if kept = [] then [ 1 ] else kept in
-          Ok (Shape.create ~dtype:(Shape.dtype x) kept)
-  | Broadcast { dims; axes } ->
-      if Array.length ins <> 1 then arity_err 1
-      else
-        let x = ins.(0) in
-        let rout = Array.length dims in
-        if Shape.rank x + List.length axes <> rout then
-          fail "broadcast: rank mismatch"
-        else if List.exists (fun a -> a < 0 || a >= rout) axes then
-          fail "broadcast: bad axis"
-        else
-          let kept =
-            List.filter (fun i -> not (List.mem i axes)) (List.init rout Fun.id)
-          in
-          if
-            List.for_all2
-              (fun i j -> dims.(j) = Shape.dim x i)
-              (List.init (Shape.rank x) Fun.id)
-              kept
-          then Ok (Shape.create ~dtype:(Shape.dtype x) (Array.to_list dims))
-          else fail "broadcast: kept dims mismatch"
-  | Transpose perm ->
-      if Array.length ins <> 1 then arity_err 1
-      else
-        let x = ins.(0) in
-        let r = Shape.rank x in
-        if Array.length perm <> r then fail "transpose: perm rank mismatch"
-        else if
-          List.sort_uniq compare (Array.to_list perm) <> List.init r Fun.id
-        then fail "transpose: invalid permutation"
-        else
-          Ok
-            (Shape.create ~dtype:(Shape.dtype x)
-               (List.init r (fun i -> Shape.dim x perm.(i))))
-  | Reshape dims ->
-      if Array.length ins <> 1 then arity_err 1
-      else
-        let x = ins.(0) in
-        let target = Array.fold_left ( * ) 1 dims in
-        if target <> Shape.numel x then
-          fail "reshape: element count mismatch (%d vs %d)" target
-            (Shape.numel x)
-        else Ok (Shape.create ~dtype:(Shape.dtype x) (Array.to_list dims))
-  | Slice { axis; lo; hi } ->
-      if Array.length ins <> 1 then arity_err 1
-      else
-        let x = ins.(0) in
-        if axis < 0 || axis >= Shape.rank x then fail "slice: bad axis"
-        else if lo < 0 || hi > Shape.dim x axis || lo >= hi then
-          fail "slice: bad range %d:%d of %d" lo hi (Shape.dim x axis)
-        else Ok (Shape.with_dim x axis (hi - lo))
-  | Concat axis ->
-      if Array.length ins < 2 then fail "concat expects >= 2 inputs"
-      else
-        let first = ins.(0) in
-        if axis < 0 || axis >= Shape.rank first then fail "concat: bad axis"
-        else
-          let ok = ref true and total = ref 0 in
-          Array.iter
-            (fun s ->
-              if Shape.rank s <> Shape.rank first then ok := false
-              else
-                Array.iteri
-                  (fun i d ->
-                    if i <> axis && d <> Shape.dim first i then ok := false)
-                  (Shape.dims s);
-              total := !total + Shape.dim s axis)
-            ins;
-          if not !ok then fail "concat: incompatible shapes"
-          else if
-            Array.exists (fun s -> Shape.dtype s <> Shape.dtype first) ins
-          then fail "concat: dtype mismatch"
-          else Ok (Shape.with_dim first axis !total)
-  | Embedding ->
-      if Array.length ins <> 2 then arity_err 2
-      else
-        let table = ins.(0) and ids = ins.(1) in
-        if Shape.rank table <> 2 then fail "embedding: table must be rank 2"
-        else
-          Ok
-            (Shape.create ~dtype:(Shape.dtype table)
-               (Array.to_list (Shape.dims ids) @ [ Shape.dim table 1 ]))
-  | Embedding_bwd ->
-      if Array.length ins <> 3 then arity_err 3
-      else Ok ins.(2) (* dtable has the table's shape *)
-  | Store | Load ->
-      if Array.length ins <> 1 then arity_err 1 else Ok ins.(0)
-
-(* ------------------------------------------------------------------ *)
-(* Work estimates                                                     *)
-(* ------------------------------------------------------------------ *)
 
 (** Floating-point operations performed by one execution of the operator. *)
 let flops (k : kind) (ins : Shape.t array) (out : Shape.t) : float =
@@ -730,358 +811,6 @@ let unsplittable_out_dims (k : kind) (ins : Shape.t array) (out : Shape.t) :
   | Concat axis -> [ axis ]
   | Broadcast { axes; _ } -> axes
   | _ -> []
-
-(* ------------------------------------------------------------------ *)
-(* Abstract shape inference                                           *)
-(* ------------------------------------------------------------------ *)
-
-(** Dimension domain over which {!Abstract} re-interprets shape
-    inference.  [equal]/[geq]/[div_exact] are *provability* predicates: a
-    [false]/[None] answer means "cannot prove", not "provably false" —
-    the abstract interpreter is sound but partial. *)
-module type DIM_DOMAIN = sig
-  type dim
-  type dt
-
-  val const : int -> dim
-  val add : dim -> dim -> dim
-  val sub : dim -> dim -> dim
-  val mul : dim -> dim -> dim
-
-  (** Provable equality of two extents. *)
-  val equal : dim -> dim -> bool
-
-  (** Provable [a >= b]. *)
-  val geq : dim -> dim -> bool
-
-  (** Provable exact division by a positive constant. *)
-  val div_exact : dim -> int -> dim option
-
-  val to_const : dim -> int option
-
-  (** Provable equality of two element types. *)
-  val dt_equal : dt -> dt -> bool
-end
-
-(** Shape inference re-interpreted over an abstract dimension domain.
-    [Abstract (Int_dims)] coincides with {!infer} wherever it succeeds
-    (asserted by the test suite); instantiated with a symbolic domain it
-    proves inference facts for *all* extents at once.  Shapes are
-    [(dims, dtype)] pairs so the result type is shared across
-    instantiations. *)
-module Abstract (D : DIM_DOMAIN) = struct
-  type shape = D.dim array * D.dt
-
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt
-  let rank ((d, _) : shape) = Array.length d
-  let dim ((d, _) : shape) i = d.(i)
-  let dt ((_, t) : shape) = t
-
-  let mm_view trans (s : shape) =
-    let r = rank s in
-    let a = dim s (r - 2) and b = dim s (r - 1) in
-    if trans then (b, a) else (a, b)
-
-  (** [(extent + 2*padding - kernel) / stride + 1], provable-exact
-      division only (stride 1 is always exact). *)
-  let conv_out ~extent ~kernel ~stride ~padding =
-    let numer = D.sub (D.add extent (D.const (2 * padding))) kernel in
-    if stride = 1 then Some (D.add numer (D.const 1))
-    else
-      Option.map (fun q -> D.add q (D.const 1)) (D.div_exact numer stride)
-
-  let positive what d =
-    if D.geq d (D.const 1) then Ok d
-    else fail "%s: cannot prove the extent positive" what
-
-  let infer (k : kind) (ins : shape array) : (shape, string) result =
-    let arity_err expected =
-      fail "%s expects %d inputs, got %d" (name k) expected (Array.length ins)
-    in
-    let ( let* ) = Result.bind in
-    match k with
-    | Input _ -> fail "input nodes carry their own shape"
-    | Matmul { trans_a; trans_b } ->
-        if Array.length ins <> 2 then arity_err 2
-        else
-          let a = ins.(0) and b = ins.(1) in
-          if rank a <> 2 || rank b <> 2 then
-            fail "matmul expects rank-2 operands"
-          else
-            let m, ka = mm_view trans_a a and kb, n = mm_view trans_b b in
-            if not (D.equal ka kb) then
-              fail "matmul: cannot prove the contraction extents equal"
-            else Ok ([| m; n |], dt a)
-    | Dense { trans_w } ->
-        if Array.length ins <> 2 then arity_err 2
-        else
-          let x = ins.(0) and w = ins.(1) in
-          if rank w <> 2 then fail "dense: weight must be rank 2"
-          else if rank x < 2 then fail "dense: input rank < 2"
-          else
-            let kd = if trans_w then dim w 1 else dim w 0 in
-            let n = if trans_w then dim w 0 else dim w 1 in
-            let r = rank x in
-            if not (D.equal (dim x (r - 1)) kd) then
-              fail "dense: cannot prove the contraction extents equal"
-            else
-              Ok
-                ( Array.init r (fun i -> if i = r - 1 then n else dim x i),
-                  dt x )
-    | Dense_bwd_weight ->
-        if Array.length ins <> 2 then arity_err 2
-        else
-          let x = ins.(0) and dy = ins.(1) in
-          let rx = rank x and ry = rank dy in
-          if rx <> ry || rx < 2 then fail "dense_bwd_weight: rank mismatch"
-          else Ok ([| dim x (rx - 1); dim dy (ry - 1) |], dt x)
-    | Batch_matmul { trans_a; trans_b } ->
-        if Array.length ins <> 2 then arity_err 2
-        else
-          let a = ins.(0) and b = ins.(1) in
-          let ra = rank a and rb = rank b in
-          if ra <> rb || ra < 3 then fail "bmm expects equal ranks >= 3"
-          else
-            let batch_ok = ref true in
-            for i = 0 to ra - 3 do
-              if not (D.equal (dim a i) (dim b i)) then batch_ok := false
-            done;
-            if not !batch_ok then
-              fail "bmm: cannot prove the batch extents equal"
-            else
-              let m, ka = mm_view trans_a a and kb, n = mm_view trans_b b in
-              if not (D.equal ka kb) then
-                fail "bmm: cannot prove the contraction extents equal"
-              else
-                Ok
-                  ( Array.init ra (fun i ->
-                        if i < ra - 2 then dim a i
-                        else if i = ra - 2 then m
-                        else n),
-                    dt a )
-    | Conv2d { stride; padding } ->
-        if Array.length ins <> 2 then arity_err 2
-        else
-          let x = ins.(0) and w = ins.(1) in
-          if rank x <> 4 || rank w <> 4 then fail "conv2d expects NCHW and KCRS"
-          else if not (D.equal (dim x 1) (dim w 1)) then
-            fail "conv2d: cannot prove the channel extents equal"
-          else (
-            match
-              ( conv_out ~extent:(dim x 2) ~kernel:(dim w 2) ~stride ~padding,
-                conv_out ~extent:(dim x 3) ~kernel:(dim w 3) ~stride ~padding )
-            with
-            | Some oh, Some ow ->
-                let* oh = positive "conv2d" oh in
-                let* ow = positive "conv2d" ow in
-                Ok ([| dim x 0; dim w 0; oh; ow |], dt x)
-            | _ -> fail "conv2d: cannot prove the strided extent exact")
-    | Conv2d_bwd_data { stride; padding } ->
-        if Array.length ins <> 2 && Array.length ins <> 3 then arity_err 2
-        else
-          let dy = ins.(0) and w = ins.(1) in
-          if rank dy <> 4 || rank w <> 4 then
-            fail "conv2d_bwd_data expects rank-4 inputs"
-          else if Array.length ins = 3 then Ok ins.(2)
-          else
-            let ext d kd =
-              D.add
-                (D.sub (D.mul (D.sub d (D.const 1)) (D.const stride))
-                   (D.const (2 * padding)))
-                kd
-            in
-            let* h = positive "conv2d_bwd_data" (ext (dim dy 2) (dim w 2)) in
-            let* wd = positive "conv2d_bwd_data" (ext (dim dy 3) (dim w 3)) in
-            Ok ([| dim dy 0; dim w 1; h; wd |], dt dy)
-    | Conv2d_bwd_weight _ ->
-        if Array.length ins <> 3 then arity_err 3
-        else
-          let dy = ins.(0) and x = ins.(1) and wshape = ins.(2) in
-          if rank dy <> 4 || rank x <> 4 || rank wshape <> 4 then
-            fail "conv2d_bwd_weight expects rank-4 inputs"
-          else Ok (fst wshape, dt dy)
-    | Pool2d { kernel; p_stride; _ } ->
-        if Array.length ins <> 1 then arity_err 1
-        else
-          let x = ins.(0) in
-          if rank x <> 4 then fail "pool2d expects NCHW"
-          else (
-            match
-              ( conv_out ~extent:(dim x 2) ~kernel:(D.const kernel)
-                  ~stride:p_stride ~padding:0,
-                conv_out ~extent:(dim x 3) ~kernel:(D.const kernel)
-                  ~stride:p_stride ~padding:0 )
-            with
-            | Some oh, Some ow ->
-                let* oh = positive "pool2d" oh in
-                let* ow = positive "pool2d" ow in
-                Ok ([| dim x 0; dim x 1; oh; ow |], dt x)
-            | _ -> fail "pool2d: cannot prove the strided extent exact")
-    | Pool2d_bwd _ ->
-        if Array.length ins <> 2 then arity_err 2 else Ok ins.(1)
-    | Unary _ -> if Array.length ins <> 1 then arity_err 1 else Ok ins.(0)
-    | Binary _ ->
-        if Array.length ins <> 2 then arity_err 2
-        else
-          let a = ins.(0) and b = ins.(1) in
-          if rank a <> rank b then fail "%s: rank mismatch" (name k)
-          else if
-            not (Array.for_all2 D.equal (fst a) (fst b))
-          then fail "%s: cannot prove the operand shapes equal" (name k)
-          else if not (D.dt_equal (dt a) (dt b)) then
-            fail "%s: cannot prove the operand dtypes equal" (name k)
-          else Ok a
-    | Bias_add axis ->
-        if Array.length ins <> 2 then arity_err 2
-        else
-          let x = ins.(0) and b = ins.(1) in
-          if axis < 0 || axis >= rank x then fail "bias_add: bad axis"
-          else if rank b <> 1 then fail "bias_add: bias must be rank 1"
-          else if not (D.equal (dim b 0) (dim x axis)) then
-            fail "bias_add: cannot prove the bias extent equal"
-          else Ok x
-    | Softmax axis | Softmax_bwd axis ->
-        let expected = match k with Softmax _ -> 1 | _ -> 2 in
-        if Array.length ins <> expected then arity_err expected
-        else if axis < 0 || axis >= rank ins.(0) then fail "softmax: bad axis"
-        else Ok ins.(0)
-    | Layer_norm axis ->
-        if Array.length ins <> 3 then arity_err 3
-        else if axis < 0 || axis >= rank ins.(0) then fail "layer_norm: bad axis"
-        else Ok ins.(0)
-    | Layer_norm_bwd axis ->
-        if Array.length ins <> 3 then arity_err 3
-        else if axis < 0 || axis >= rank ins.(1) then
-          fail "layer_norm_bwd: bad axis"
-        else Ok ins.(1)
-    | Batch_norm ->
-        if Array.length ins <> 3 then arity_err 3
-        else if rank ins.(0) <> 4 then fail "batch_norm expects NCHW"
-        else Ok ins.(0)
-    | Reduce (_, axes) ->
-        if Array.length ins <> 1 then arity_err 1
-        else
-          let x = ins.(0) in
-          let r = rank x in
-          if List.exists (fun a -> a < 0 || a >= r) axes then
-            fail "reduce: bad axis"
-          else if
-            List.length (List.sort_uniq compare axes) <> List.length axes
-          then fail "reduce: duplicate axes"
-          else
-            let kept =
-              List.filteri (fun i _ -> not (List.mem i axes))
-                (Array.to_list (fst x))
-            in
-            let kept = if kept = [] then [ D.const 1 ] else kept in
-            Ok (Array.of_list kept, dt x)
-    | Broadcast { dims; axes } ->
-        if Array.length ins <> 1 then arity_err 1
-        else
-          let x = ins.(0) in
-          let rout = Array.length dims in
-          if rank x + List.length axes <> rout then fail "broadcast: rank mismatch"
-          else if List.exists (fun a -> a < 0 || a >= rout) axes then
-            fail "broadcast: bad axis"
-          else
-            let kept =
-              List.filter
-                (fun i -> not (List.mem i axes))
-                (List.init rout Fun.id)
-            in
-            if
-              List.for_all2
-                (fun i j -> D.equal (D.const dims.(j)) (dim x i))
-                (List.init (rank x) Fun.id)
-                kept
-            then Ok (Array.map D.const dims, dt x)
-            else fail "broadcast: cannot prove the kept extents equal"
-    | Transpose perm ->
-        if Array.length ins <> 1 then arity_err 1
-        else
-          let x = ins.(0) in
-          let r = rank x in
-          if Array.length perm <> r then fail "transpose: perm rank mismatch"
-          else if
-            List.sort_uniq compare (Array.to_list perm) <> List.init r Fun.id
-          then fail "transpose: invalid permutation"
-          else Ok (Array.init r (fun i -> dim x perm.(i)), dt x)
-    | Reshape dims ->
-        if Array.length ins <> 1 then arity_err 1
-        else
-          let x = ins.(0) in
-          let numel s = Array.fold_left D.mul (D.const 1) (fst s) in
-          let target = Array.fold_left ( * ) 1 dims in
-          if not (D.equal (D.const target) (numel x)) then
-            fail "reshape: cannot prove the element counts equal"
-          else Ok (Array.map D.const dims, dt x)
-    | Slice { axis; lo; hi } ->
-        if Array.length ins <> 1 then arity_err 1
-        else
-          let x = ins.(0) in
-          if axis < 0 || axis >= rank x then fail "slice: bad axis"
-          else if lo < 0 || lo >= hi then fail "slice: bad range %d:%d" lo hi
-          else if not (D.geq (dim x axis) (D.const hi)) then
-            fail "slice: cannot prove the extent covers %d" hi
-          else
-            let out = Array.copy (fst x) in
-            out.(axis) <- D.const (hi - lo);
-            Ok (out, dt x)
-    | Concat axis ->
-        if Array.length ins < 2 then fail "concat expects >= 2 inputs"
-        else
-          let first = ins.(0) in
-          if axis < 0 || axis >= rank first then fail "concat: bad axis"
-          else
-            let ok = ref true and total = ref (D.const 0) in
-            Array.iter
-              (fun s ->
-                if rank s <> rank first then ok := false
-                else
-                  Array.iteri
-                    (fun i d ->
-                      if i <> axis && not (D.equal d (dim first i)) then
-                        ok := false)
-                    (fst s);
-                total := D.add !total (dim s axis))
-              ins;
-            if not !ok then fail "concat: cannot prove the shapes compatible"
-            else if
-              Array.exists (fun s -> not (D.dt_equal (dt s) (dt first))) ins
-            then fail "concat: cannot prove the dtypes equal"
-            else
-              let out = Array.copy (fst first) in
-              out.(axis) <- !total;
-              Ok (out, dt first)
-    | Embedding ->
-        if Array.length ins <> 2 then arity_err 2
-        else
-          let table = ins.(0) and ids = ins.(1) in
-          if rank table <> 2 then fail "embedding: table must be rank 2"
-          else Ok (Array.append (fst ids) [| dim table 1 |], dt table)
-    | Embedding_bwd ->
-        if Array.length ins <> 3 then arity_err 3 else Ok ins.(2)
-    | Store | Load ->
-        if Array.length ins <> 1 then arity_err 1 else Ok ins.(0)
-end
-
-(** Concrete [int] instantiation of {!DIM_DOMAIN}: division is
-    provable-exact only, everything else is ordinary arithmetic.  Used
-    by the test suite to assert {!Abstract} agrees with {!infer}. *)
-module Int_dims = struct
-  type dim = int
-  type dt = Shape.dtype
-
-  let const n = n
-  let add = ( + )
-  let sub = ( - )
-  let mul = ( * )
-  let equal = Int.equal
-  let geq a b = a >= b
-  let div_exact a k = if k > 0 && a mod k = 0 then Some (a / k) else None
-  let to_const a = Some a
-  let dt_equal (a : Shape.dtype) b = a = b
-end
 
 (** How partial outputs combine when an operator is split along a reduce
     axis: [`Sum] (partial sums added), [`Max], or [`No_merge] when such a

@@ -88,13 +88,18 @@ val is_swap : kind -> bool
 (** Zero-cost view operators (transpose/reshape/slice/identity). *)
 val is_view : kind -> bool
 
-(** Output shape from input shapes; [Error] on malformed use. *)
+(** Output shape from input shapes; [Error] on malformed use.  This is
+    [Abstract (Int_dims)] behind zero-copy conversions, so the symbolic
+    rule-soundness proofs cover the very function graphs are built with.
+    Raises [Invalid_argument] on a non-positive result extent (a
+    [Reshape]/[Broadcast] target), as {!Shape.create} does. *)
 val infer : kind -> Shape.t array -> (Shape.t, string) result
 
-(** Dimension domain over which {!Abstract} re-interprets shape
-    inference.  [equal]/[geq]/[div_exact] are *provability* predicates: a
-    [false]/[None] answer means "cannot prove", not "provably false" —
-    the abstract interpreter is sound but partial. *)
+(** Dimension domain over which {!Abstract} interprets shape inference.
+    [equal]/[geq]/[div_floor] are *provability* predicates: a
+    [false]/[None] answer means "cannot prove", not "provably false".
+    Over {!Int_dims} every fact is decided; over a symbolic domain the
+    interpreter is sound but partial. *)
 module type DIM_DOMAIN = sig
   type dim
   type dt
@@ -110,8 +115,10 @@ module type DIM_DOMAIN = sig
   (** Provable [a >= b]. *)
   val geq : dim -> dim -> bool
 
-  (** Provable exact division by a positive constant. *)
-  val div_exact : dim -> int -> dim option
+  (** [div_floor d k]: a provable [⌊d / k⌋] for [k > 0] (the strided
+      conv/pool extent); [None] when [k <= 0] or the domain cannot name
+      the quotient. *)
+  val div_floor : dim -> int -> dim option
 
   val to_const : dim -> int option
 
@@ -119,19 +126,18 @@ module type DIM_DOMAIN = sig
   val dt_equal : dt -> dt -> bool
 end
 
-(** Shape inference re-interpreted over an abstract dimension domain:
-    instantiated with a symbolic domain (Magis_analysis.Symshape) it
-    proves inference facts for *all* extents at once; instantiated with
-    {!Int_dims} it coincides with {!infer} wherever {!infer} succeeds. *)
+(** The one operator-by-operator shape inference, over any dimension
+    domain: instantiated with {!Int_dims} it is {!infer}; instantiated
+    with a symbolic domain (Magis_analysis.Symshape) it proves inference
+    facts for *all* extents at once. *)
 module Abstract (D : DIM_DOMAIN) : sig
   type shape = D.dim array * D.dt
 
   val infer : kind -> shape array -> (shape, string) result
 end
 
-(** Concrete [int] instantiation of {!DIM_DOMAIN} (division is
-    provable-exact only); lets tests assert {!Abstract} agrees with
-    {!infer}. *)
+(** Concrete [int] instantiation of {!DIM_DOMAIN}: ordinary arithmetic
+    with flooring division.  The domain of {!infer}. *)
 module Int_dims : sig
   include DIM_DOMAIN with type dim = int and type dt = Shape.dtype
 end

@@ -24,19 +24,20 @@ let dtype_name = function
   | I32 -> "i32"
   | Bool -> "bool"
 
-let create ?(dtype = F32) dims =
-  let dims = Array.of_list dims in
+(* takes ownership of [dims]: no copy *)
+let of_array ?(dtype = F32) dims =
   if Array.length dims = 0 then invalid_arg "Shape.create: empty shape";
   Array.iter
     (fun d -> if d <= 0 then invalid_arg "Shape.create: non-positive dim")
     dims;
   { dims; dtype }
 
-let of_array ?(dtype = F32) dims = create ~dtype (Array.to_list dims)
+let create ?dtype dims = of_array ?dtype (Array.of_list dims)
 
 let rank t = Array.length t.dims
 let dim t i = t.dims.(i)
 let dims t = Array.copy t.dims
+let dims_view t = t.dims
 let dtype t = t.dtype
 
 let numel t = Array.fold_left ( * ) 1 t.dims

@@ -15,11 +15,20 @@ val dtype_name : dtype -> string
     empty dimension list or non-positive extents. *)
 val create : ?dtype:dtype -> int list -> t
 
+(** [of_array ?dtype dims] is {!create} over an array it takes
+    ownership of: [dims] is not copied, so the caller must not mutate it
+    afterwards. *)
 val of_array : ?dtype:dtype -> int array -> t
 
 val rank : t -> int
 val dim : t -> int -> int
+
+(** A fresh copy of the extents. *)
 val dims : t -> int array
+
+(** The extents themselves, without a copy; read-only: the caller must
+    not mutate the array. *)
+val dims_view : t -> int array
 val dtype : t -> dtype
 val numel : t -> int
 val size_bytes : t -> int

@@ -210,10 +210,14 @@ let test_scaled_shapes () =
       (fun v d acc -> if d > 0 && not (Op.is_input (Graph.op g v)) then (v, d) else acc)
       f.dims (-1, 0)
   in
-  let _, out = Fission.scaled_shapes g f v in
-  Alcotest.(check int) "assigned dim halved"
-    (Shape.dim (Graph.shape g v) (d - 1) / 2)
-    (Shape.dim out (d - 1))
+  let node = Graph.node g v in
+  let whole = (Array.map (Graph.shape g) node.inputs, node.shape) in
+  let extent (_, out) = Shape.dim out (d - 1) in
+  let half = Fission.scaled_shapes g f v whole in
+  Alcotest.(check int) "assigned dim halved" (extent whole / 2) (extent half);
+  (* nested entries compose: scaling the scaled shapes halves them again *)
+  Alcotest.(check int) "scaling composes" (extent whole / 4)
+    (extent (Fission.scaled_shapes g f v half))
 
 let suite =
   [

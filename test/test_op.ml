@@ -53,7 +53,15 @@ let test_conv_infer () =
   Alcotest.(check (list int)) "same conv" [ 8; 16; 32; 32 ]
     (Array.to_list (Shape.dims s));
   infer_err (Op.Conv2d { stride = 1; padding = 0 })
-    [ shape [ 8; 3; 8; 8 ]; shape [ 4; 5; 3; 3 ] ]
+    [ shape [ 8; 3; 8; 8 ]; shape [ 4; 5; 3; 3 ] ];
+  (* a window larger than its input is empty at every stride *)
+  List.iter
+    (fun stride ->
+      infer_err (Op.Conv2d { stride; padding = 0 })
+        [ shape [ 1; 3; 2; 2 ]; shape [ 4; 3; 3; 3 ] ];
+      infer_err (Op.Pool2d { p_kind = Op.P_max; kernel = 3; p_stride = stride })
+        [ shape [ 1; 3; 2; 2 ] ])
+    [ 1; 2 ]
 
 let test_conv_bwd_data_shape_carrier () =
   (* a strided conv floors away the extent; the 3-operand form recovers it *)
@@ -191,39 +199,53 @@ let test_reshape_links_prefix_suffix () =
   Alcotest.(check bool) "C not linked" false
     (List.exists (fun (_, d, _) -> d = 2) links)
 
-(* ---- abstract shape inference (Op.Abstract over Op.Int_dims) ---- *)
+(* ---- Op.infer against the symbolic interpreter (Op.Abstract over
+   Symshape) on constant extents ---- *)
 
-module A = Op.Abstract (Op.Int_dims)
+module Sym = (val Symshape.dim_domain [] : Symshape.DOMAIN)
+module A = Op.Abstract (Sym)
 
-let to_abstract s = (Shape.dims s, Shape.dtype s)
+let to_symbolic s =
+  (Array.map Symshape.const (Shape.dims s), Rule.Spec.Dt_const (Shape.dtype s))
 
-(** On the concrete [Int_dims] domain the abstract interpreter is a
-    prover over decidable facts: whenever it answers [Ok] the concrete
-    {!Op.infer} must agree exactly, and whenever the concrete inference
-    rejects, the abstract one must too (it never proves a false fact).
-    The one asymmetry is flooring division (conv/pool with a non-dividing
-    stride): concrete floors, abstract refuses to prove. *)
-let agree ?(expect_abstract_gap = false) op ins =
-  let concrete = Op.infer op (Array.of_list ins) in
-  let abstract = A.infer op (Array.of_list (List.map to_abstract ins)) in
-  match (concrete, abstract) with
+(* On constant extents the symbolic domain decides every fact except a
+   quotient that is not exact (a non-dividing conv/pool stride), which it
+   refuses to name. *)
+let strided = function
+  | Op.Conv2d { stride; _ } -> stride > 1
+  | Op.Pool2d { p_stride; _ } -> p_stride > 1
+  | _ -> false
+
+(** Compare {!Op.infer} with the symbolic interpreter the rule-soundness
+    checker runs: whenever it proves a shape, [Op.infer] must compute the
+    same one; it must never prove what [Op.infer] rejects; and it may
+    fail to prove only a strided extent.  [None] on agreement, else the
+    disagreement. *)
+let disagreement op ins =
+  let reject f = try f () with Invalid_argument e -> Error e in
+  let concrete = reject (fun () -> Op.infer op ins) in
+  match (concrete, reject (fun () -> A.infer op (Array.map to_symbolic ins))) with
   | Ok s, Ok (dims, dt) ->
-      Alcotest.(check (list int))
-        (Op.name op ^ " dims")
-        (Array.to_list (Shape.dims s))
-        (Array.to_list dims);
-      Alcotest.(check string)
-        (Op.name op ^ " dtype")
-        (Shape.dtype_name (Shape.dtype s))
-        (Shape.dtype_name dt)
-  | Error _, Error _ -> ()
+      let dims = Array.map Symshape.to_const dims in
+      if
+        dims = Array.map Option.some (Shape.dims s)
+        && dt = Rule.Spec.Dt_const (Shape.dtype s)
+      then None
+      else Some (Printf.sprintf "%s: symbolic result differs from %s" (Op.name op)
+                   (Shape.to_string s))
+  | Error _, Error _ -> None
   | Ok _, Error e ->
-      if not expect_abstract_gap then
-        Alcotest.failf "%s: concrete Ok but abstract cannot prove: %s"
-          (Op.name op) e
+      if strided op then None
+      else Some (Printf.sprintf "%s: concrete Ok but symbolic cannot prove: %s"
+                   (Op.name op) e)
   | Error e, Ok _ ->
-      Alcotest.failf "%s: abstract proved what concrete rejects (%s)"
-        (Op.name op) e
+      Some (Printf.sprintf "%s: symbolic proved what concrete rejects (%s)"
+              (Op.name op) e)
+
+let agree op ins =
+  match disagreement op (Array.of_list ins) with
+  | None -> ()
+  | Some why -> Alcotest.fail why
 
 let test_abstract_agreement () =
   agree (Op.Matmul { trans_a = false; trans_b = false })
@@ -258,10 +280,77 @@ let test_abstract_agreement () =
   agree (Op.Binary Op.Add) [ shape [ 5; 5 ]; shape [ 5; 4 ] ];
   agree (Op.Reshape [| 7 |]) [ shape [ 3; 4 ] ];
   agree (Op.Slice { axis = 0; lo = 0; hi = 9 }) [ shape [ 4; 2 ] ];
-  (* the documented gap: flooring stride division *)
-  agree ~expect_abstract_gap:true
-    (Op.Conv2d { stride = 2; padding = 0 })
+  (* a non-dividing stride: Op.infer floors, the symbolic domain refuses *)
+  agree (Op.Conv2d { stride = 2; padding = 0 })
     [ shape [ 1; 3; 8; 8 ]; shape [ 4; 3; 3; 3 ] ]
+
+(* Random operators over small operand shapes, mostly of the right
+   arity, so both accepting and rejecting paths are drawn. *)
+let gen_operator_case =
+  let open QCheck2.Gen in
+  let dim = oneofl [ 1; 2; 3; 4; 6 ] in
+  let gen_shape = list_size (int_range 1 4) dim in
+  let ax = int_range (-1) 4 in
+  let flag = bool in
+  let stride = int_range 1 3 and padding = int_range 0 2 in
+  let kinds =
+    [ map2 (fun trans_a trans_b -> (Op.Matmul { trans_a; trans_b }, 2)) flag flag;
+      map (fun trans_w -> (Op.Dense { trans_w }, 2)) flag;
+      return (Op.Dense_bwd_weight, 2);
+      map2 (fun trans_a trans_b -> (Op.Batch_matmul { trans_a; trans_b }, 2)) flag flag;
+      map2 (fun stride padding -> (Op.Conv2d { stride; padding }, 2)) stride padding;
+      map2 (fun stride padding -> (Op.Conv2d_bwd_data { stride; padding }, 2))
+        stride padding;
+      map2 (fun stride padding -> (Op.Conv2d_bwd_weight { stride; padding }, 3))
+        stride padding;
+      map2
+        (fun kernel p_stride -> (Op.Pool2d { p_kind = Op.P_max; kernel; p_stride }, 1))
+        (int_range 1 4) stride;
+      return (Op.Pool2d_bwd { p_kind = Op.P_avg; kernel = 2; p_stride = 2 }, 2);
+      return (Op.Unary Op.Relu, 1);
+      return (Op.Binary Op.Add, 2);
+      map (fun a -> (Op.Bias_add a, 2)) ax;
+      map (fun a -> (Op.Softmax a, 1)) ax;
+      map (fun a -> (Op.Softmax_bwd a, 2)) ax;
+      map (fun a -> (Op.Layer_norm a, 3)) ax;
+      map (fun a -> (Op.Layer_norm_bwd a, 3)) ax;
+      return (Op.Batch_norm, 3);
+      map (fun axes -> (Op.Reduce (Op.R_sum, axes), 1)) (list_size (int_range 0 3) ax);
+      map2
+        (fun dims axes -> (Op.Broadcast { dims = Array.of_list dims; axes }, 1))
+        gen_shape (list_size (int_range 0 2) ax);
+      map (fun p -> (Op.Transpose (Array.of_list p), 1))
+        (list_size (int_range 1 4) (int_range 0 3));
+      map (fun d -> (Op.Reshape (Array.of_list d), 1)) gen_shape;
+      map3 (fun axis lo hi -> (Op.Slice { axis; lo; hi }, 1)) ax (int_range (-1) 3)
+        (int_range 0 6);
+      map2 (fun a n -> (Op.Concat a, n)) ax (int_range 2 3);
+      return (Op.Embedding, 2);
+      return (Op.Embedding_bwd, 3);
+      oneofl [ (Op.Store, 1); (Op.Load, 1) ] ]
+  in
+  let* kind, arity = oneof kinds in
+  let* arity = frequency [ (9, return arity); (1, int_range 0 4) ] in
+  let* base = gen_shape in
+  let* rest =
+    list_repeat (max 0 (arity - 1)) (oneof [ return base; gen_shape ])
+  in
+  let* dt = frequency [ (9, return Shape.F32); (1, return Shape.F16) ] in
+  let ins = if arity = 0 then [] else base :: rest in
+  return (kind, Array.of_list (List.map (fun d -> Shape.create ~dtype:dt d) ins))
+
+let prop_symbolic_agreement =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"symbolic/concrete agreement on random operators"
+       ~count:3000
+       ~print:(fun (k, ins) ->
+         Printf.sprintf "%s [%s]" (Op.name k)
+           (String.concat "; " (Array.to_list (Array.map Shape.to_string ins))))
+       gen_operator_case
+       (fun (k, ins) ->
+         match disagreement k ins with
+         | None -> true
+         | Some why -> QCheck2.Test.fail_report why))
 
 let test_infer_edge_cases () =
   (* size-1 extents everywhere they are legal *)
@@ -311,4 +400,5 @@ let suite =
     tc "unsplittable dims" test_unsplittable_dims;
     tc "reduce merge" test_reduce_merge;
     tc "reshape prefix/suffix links" test_reshape_links_prefix_suffix;
+    prop_symbolic_agreement;
   ]
