@@ -1,6 +1,6 @@
 (** Global verification switch (see the interface). *)
 
-let flag = ref (Sys.getenv_opt "MAGIS_VERIFY" <> None)
+let flag = ref false
 let enabled () = !flag
 let set b = flag := b
 

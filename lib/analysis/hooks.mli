@@ -3,10 +3,9 @@
     Production call sites thread schedules through {!schedule}, which is
     the identity when verification is off (the default) and a full
     {!Verify} + {!Sched_check} pass that raises on errors when it is on.
-    Enable with {!set}, or by setting the [MAGIS_VERIFY] environment
-    variable before start-up.  The test suite turns it on globally, so
-    every baseline and optimizer schedule exercised by the tests is
-    checked; benchmarks leave it off. *)
+    Enable with {!set}.  The test suite's entry point turns it on
+    globally, so every baseline schedule exercised by the tests is
+    checked; binaries and benchmarks leave it off. *)
 
 open Magis_ir
 
@@ -27,7 +26,7 @@ val assert_state : what:string -> Graph.t -> int list -> unit
     [lower <= peak <= ub_total].  With [~exact:true] (the default) the
     full {!Membound.compute} record is checked, including the internal
     [lower <= ub_greedy] and [lb_dom <= lb_cut] cross-checks; with
-    [~exact:false] only the cheap probe invariant
+    [~exact:false] only [lower <= peak <= ub_total]
     ({!Membound.quick_check}) runs — the form
     [Search.config.verify_states] uses on every accepted M-state, where
     the full record would dominate the search loop. *)

@@ -6,18 +6,22 @@
     topological order of the DAG):
 
     - [must_precede t u v]: [u] executes before [v] in every schedule
-      (DAG reachability, kept as per-node ancestor/descendant bitsets);
+      (DAG reachability: one bit test in the {!Magis_ir.Reach} closure);
     - [earliest]/[latest]: the range of schedule positions a node can
-      occupy ([|anc v|] … [n - 1 - |des v|]);
+      occupy ([|anc v|] … [n - 1 - |des v|]); their difference, the
+      [mobility], is the paper's narrow-waist value nw(v)
+      ({!Magis_sched.Partition.nw_table} reads the same closure);
     - [envelope]: an interval of positions guaranteed to contain the
       node's live interval in every schedule;
     - [always_live_bytes t v]: bytes that are provably resident at the
       step executing [v], in every schedule — the per-node cut bound
       {!Membound} maximizes over.
 
-    Sizes follow the {!Magis_cost.Lifetime} conventions (weights pinned,
-    graph outputs live to the end, [size_of] overridable so the fission
-    layer's virtual accounting applies unchanged). *)
+    Sizes and residency follow {!Magis_cost.Lifetime}
+    ([default_size]: a Store holds 0 device bytes; [pinned]: weights and
+    graph outputs live to the end), with [size_of] overridable so the
+    fission layer's virtual accounting applies unchanged.  Queries take
+    node ids of the analyzed graph. *)
 
 open Magis_ir
 
@@ -42,8 +46,8 @@ val weight_bytes : t -> int
     outputs. *)
 val pinned_bytes : t -> int
 
-(** Is the node's tensor live to the end of every schedule (weight or
-    graph output)? *)
+(** Is the node's tensor live to the end of every schedule
+    ({!Magis_cost.Lifetime.pinned}: a weight or a graph output)? *)
 val pinned : t -> int -> bool
 
 (** [must_precede t u v]: does [u] execute strictly before [v] in every
@@ -56,7 +60,8 @@ val earliest : t -> int -> int
 (** Latest position [v] can occupy ([n - 1 - |des v|]). *)
 val latest : t -> int -> int
 
-(** [latest - earliest]: scheduling freedom of the node. *)
+(** [latest - earliest = n - 1 - |anc v| - |des v|]: the scheduling
+    freedom of the node, equal to its narrow-waist value nw(v). *)
 val mobility : t -> int -> int
 
 (** [(lo, hi)] such that in every schedule, [v]'s tensor is live only

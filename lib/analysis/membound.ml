@@ -32,25 +32,37 @@ let workset (lv : Liveness.t) g v =
       (Liveness.weight_bytes lv + Liveness.size lv v)
       (Graph.pre g v)
 
-(** Nodes ordered by decreasing working set (ties by id, so sampling is
-    deterministic); the max cut is overwhelmingly attained at one of the
-    fattest worksets, so they are the sampling candidates. *)
-let cut_candidates lv g =
-  Liveness.fold (fun v acc -> (workset lv g v, v) :: acc) lv []
-  |> List.sort (fun (wa, va) (wb, vb) -> compare (wb, va) (wa, vb))
-  |> List.map snd
+(** [(lb_workset, lb_cut, cut_node)] in one sweep.  [cut_node] attains
+    the largest cut, ties going to the larger working set and then the
+    smaller id; [-1] when no cut is positive. *)
+let workset_and_cut (lv : Liveness.t) g : int * int * int =
+  let lb_workset = ref 0 and lb_cut = ref 0 in
+  let cut_ws = ref 0 and cut_node = ref (-1) in
+  Liveness.fold
+    (fun v () ->
+      let ws = workset lv g v and c = Liveness.always_live_bytes lv v in
+      lb_workset := max !lb_workset ws;
+      if
+        c > !lb_cut
+        || c = !lb_cut && c > 0
+           && (ws > !cut_ws || (ws = !cut_ws && v < !cut_node))
+      then begin
+        lb_cut := c;
+        cut_ws := ws;
+        cut_node := v
+      end)
+    lv ();
+  (!lb_workset, !lb_cut, !cut_node)
 
-let max_cut ?sample (lv : Liveness.t) g : int * int =
-  let candidates =
-    match sample with
-    | None -> cut_candidates lv g
-    | Some k -> Util.take k (cut_candidates lv g)
-  in
-  List.fold_left
-    (fun ((best, _) as acc) v ->
-      let c = Liveness.always_live_bytes lv v in
-      if c > best then (c, v) else acc)
-    (0, -1) candidates
+(** [lower] without the dominator term, which {!check} verifies never
+    exceeds [lb_cut]: the [lower] of {!of_liveness} at a fraction of the
+    cost (no dominator tree, no greedy schedule). *)
+let lower_of (lv : Liveness.t) : int =
+  let lb_workset, lb_cut, _ = workset_and_cut lv (Liveness.graph lv) in
+  max (max lb_workset lb_cut) (Liveness.pinned_bytes lv)
+
+let total_bytes (lv : Liveness.t) : int =
+  Liveness.fold (fun v acc -> acc + Liveness.size lv v) lv 0
 
 (** The dominator-tree relaxation of the cut: only ancestors that are
     dominators of [v], held only by consumers [v] dominates.  A strict
@@ -104,11 +116,9 @@ let dom_cut (lv : Liveness.t) g : int =
 let of_liveness (lv : Liveness.t) : t =
   let g = Liveness.graph lv in
   let size_of v = Liveness.size lv v in
-  let lb_workset = Liveness.fold (fun v acc -> max acc (workset lv g v)) lv 0 in
-  let lb_cut, cut_node = max_cut lv g in
+  let lb_workset, lb_cut, cut_node = workset_and_cut lv g in
   let lb_dom = dom_cut lv g in
   let lb_pinned = Liveness.pinned_bytes lv in
-  let ub_total = Liveness.fold (fun v acc -> acc + size_of v) lv 0 in
   let ub_greedy =
     if Liveness.length lv = 0 then 0
     else
@@ -122,154 +132,19 @@ let of_liveness (lv : Liveness.t) : t =
     lb_pinned;
     lower = max (max lb_workset lb_cut) (max lb_dom lb_pinned);
     ub_greedy;
-    ub_total;
+    ub_total = total_bytes lv;
     cut_node;
   }
 
 let compute ?size_of (g : Graph.t) : t =
   of_liveness (Liveness.compute ?size_of g)
 
-(* ------------------------------------------------------------------ *)
-(* Sampled lower bound                                                 *)
-(* ------------------------------------------------------------------ *)
+let lower_bound ?size_of (g : Graph.t) : int =
+  lower_of (Liveness.compute ?size_of g)
 
-(** Dense scratch representation for the sampled lower bound, which
-    [quick_check] runs on every state the search simulates under
-    [verify_states]: one pass over the node map into flat arrays, then
-    array-only arithmetic — no [Liveness] bitsets, no per-query
-    [Graph.pre]/[Graph.suc] list allocation. *)
-type dense = {
-  n : int;
-  size : int array;
-  d_is_weight : bool array;
-  preds : int list array;  (** distinct operand indices *)
-  succs : int list array;
-  d_weight_bytes : int;
-  d_pinned_bytes : int;
-  total_bytes : int;
-}
-
-let densify ?size_of (g : Graph.t) : dense =
-  let size_of =
-    match size_of with Some f -> f | None -> Lifetime.default_size g
-  in
-  let n = Graph.n_nodes g in
-  let index = Hashtbl.create n in
-  let next = ref 0 in
-  Graph.iter
-    (fun nd ->
-      Hashtbl.replace index nd.Graph.id !next;
-      incr next)
-    g;
-  let size = Array.make n 0 in
-  let d_is_weight = Array.make n false in
-  let is_input = Array.make n false in
-  let preds = Array.make n [] in
-  let succs = Array.make n [] in
-  Graph.iter
-    (fun nd ->
-      let i = Hashtbl.find index nd.Graph.id in
-      size.(i) <- size_of nd.Graph.id;
-      d_is_weight.(i) <- Op.is_weight nd.Graph.op;
-      is_input.(i) <- Op.is_input nd.Graph.op;
-      Array.iter
-        (fun p ->
-          let pi = Hashtbl.find index p in
-          if not (List.mem pi preds.(i)) then begin
-            preds.(i) <- pi :: preds.(i);
-            succs.(pi) <- i :: succs.(pi)
-          end)
-        nd.Graph.inputs)
-    g;
-  let d_weight_bytes = ref 0 and d_pinned_bytes = ref 0 and total = ref 0 in
-  for i = 0 to n - 1 do
-    total := !total + size.(i);
-    if d_is_weight.(i) then d_weight_bytes := !d_weight_bytes + size.(i);
-    if d_is_weight.(i) || (succs.(i) = [] && not is_input.(i)) then
-      d_pinned_bytes := !d_pinned_bytes + size.(i)
-  done;
-  {
-    n;
-    size;
-    d_is_weight;
-    preds;
-    succs;
-    d_weight_bytes = !d_weight_bytes;
-    d_pinned_bytes = !d_pinned_bytes;
-    total_bytes = !total;
-  }
-
-let dense_workset (d : dense) i =
-  if d.d_is_weight.(i) then d.d_weight_bytes
-  else
-    List.fold_left
-      (fun acc p -> if d.d_is_weight.(p) then acc else acc + d.size.(p))
-      (d.d_weight_bytes + d.size.(i))
-      d.preds.(i)
-
-(** The cut at candidate [v], from two stamped graph walks: descendants
-    of [v] (forward over [succs]) and ancestors (backward over [preds]).
-    Same value as {!Liveness.always_live_bytes}, without the bitsets. *)
-let dense_cut (d : dense) ~des_stamp ~anc_stamp ~stamp v =
-  let rec walk adj stamps acc = function
-    | [] -> acc
-    | u :: rest ->
-        let acc, rest =
-          List.fold_left
-            (fun (acc, rest) w ->
-              if stamps.(w) = stamp then (acc, rest)
-              else begin
-                stamps.(w) <- stamp;
-                (w :: acc, w :: rest)
-              end)
-            (acc, rest) adj.(u)
-        in
-        walk adj stamps acc rest
-  in
-  des_stamp.(v) <- stamp;
-  ignore (walk d.succs des_stamp [] [ v ]);
-  let ancs = walk d.preds anc_stamp [] [ v ] in
-  let base =
-    d.d_weight_bytes + (if d.d_is_weight.(v) then 0 else d.size.(v))
-  in
-  List.fold_left
-    (fun acc w ->
-      if
-        (not d.d_is_weight.(w))
-        && List.exists (fun c -> des_stamp.(c) = stamp) d.succs.(w)
-      then acc + d.size.(w)
-      else acc)
-    base ancs
-
-let dense_lower ?sample (d : dense) : int =
-  if d.n = 0 then 0
-  else begin
-    let worksets = Array.init d.n (fun i -> dense_workset d i) in
-    let lb_workset = Array.fold_left max 0 worksets in
-    (* candidates by decreasing working set, ties by dense index *)
-    let by_workset = Array.init d.n (fun i -> i) in
-    Array.sort
-      (fun a b -> compare (worksets.(b), a) (worksets.(a), b))
-      by_workset;
-    let k = match sample with None -> d.n | Some k -> min k d.n in
-    let des_stamp = Array.make d.n (-1) and anc_stamp = Array.make d.n (-1) in
-    let lb_cut = ref 0 in
-    for c = 0 to k - 1 do
-      let cut =
-        dense_cut d ~des_stamp ~anc_stamp ~stamp:c by_workset.(c)
-      in
-      if cut > !lb_cut then lb_cut := cut
-    done;
-    max (max lb_workset !lb_cut) d.d_pinned_bytes
-  end
-
-let lower_bound ?size_of ?sample (g : Graph.t) : int =
-  dense_lower ?sample (densify ?size_of g)
-
-let quick_check ?size_of ?sample (g : Graph.t) ~peak : Diagnostic.t list =
-  let d = densify ?size_of g in
-  let lower = dense_lower ?sample d in
-  let err ~check fmt = Diagnostic.errorf ~pass ~check fmt in
+(* The two diagnostics {!check} and {!quick_check} share. *)
+let peak_diags ?node ~lower ~ub_total peak =
+  let err ~check fmt = Diagnostic.errorf ?node ~pass ~check fmt in
   List.concat
     [
       (if lower > peak then
@@ -280,14 +155,18 @@ let quick_check ?size_of ?sample (g : Graph.t) ~peak : Diagnostic.t list =
              lower peak;
          ]
        else []);
-      (if peak > d.total_bytes then
+      (if peak > ub_total then
          [
            err ~check:"peak-exceeds-total"
              "simulated peak %d exceeds the total-bytes upper bound %d" peak
-             d.total_bytes;
+             ub_total;
          ]
        else []);
     ]
+
+let quick_check ?size_of (g : Graph.t) ~peak : Diagnostic.t list =
+  let lv = Liveness.compute ?size_of g in
+  peak_diags ~lower:(lower_of lv) ~ub_total:(total_bytes lv) peak
 
 let latency_lower_bound ~(cost_of : int -> float) (g : Graph.t) : float =
   Graph.fold
@@ -305,21 +184,7 @@ let check ?node (t : t) ~peak : Diagnostic.t list =
   let err ~check fmt = Diagnostic.errorf ?node ~pass ~check fmt in
   List.concat
     [
-      (if t.lower > peak then
-         [
-           err ~check:"lb-exceeds-peak"
-             "lower bound %d exceeds the simulated peak %d (inadmissible \
-              bound or broken cost model)"
-             t.lower peak;
-         ]
-       else []);
-      (if peak > t.ub_total then
-         [
-           err ~check:"peak-exceeds-total"
-             "simulated peak %d exceeds the total-bytes upper bound %d" peak
-             t.ub_total;
-         ]
-       else []);
+      peak_diags ?node ~lower:t.lower ~ub_total:t.ub_total peak;
       (if t.lower > t.ub_greedy then
          [
            err ~check:"lb-exceeds-greedy"

@@ -15,7 +15,8 @@
     - [lb_cut]: the weighted max-antichain relaxation: for each node
       [v], {!Liveness.always_live_bytes} sums the tensors provably
       resident when [v] executes (ancestors still needed at or below
-      [v]); the bound maximizes over nodes;
+      [v]); the bound maximizes over nodes ([cut_node] breaks ties
+      toward the larger working set, then the smaller id);
     - [lb_dom]: the same cut evaluated through the
       {!Magis_ir.Dominator} tree only (dominators of [v] held by
       consumers [v] dominates) — weaker than [lb_cut] by construction,
@@ -44,18 +45,16 @@ type t = {
 }
 
 (** Full bound record (includes the greedy-schedule upper bound and the
-    dominator cross-check; prefer {!lower_bound} on hot paths). *)
+    dominator cross-check; {!lower_bound} skips both). *)
 val compute : ?size_of:(int -> int) -> Graph.t -> t
 
 (** Same, sharing an already-computed liveness analysis. *)
 val of_liveness : Liveness.t -> t
 
-(** [lower_bound ?size_of ?sample g] is just the admissible lower bound,
-    skipping the upper bounds and the dominator pass.  [sample] caps the
-    number of cut evaluations (the candidates with the largest working
-    sets are tried, a superset heuristic of where the max-cut lives);
-    any cap keeps the bound admissible, merely possibly looser. *)
-val lower_bound : ?size_of:(int -> int) -> ?sample:int -> Graph.t -> int
+(** [lower_bound ?size_of g] is [(compute ?size_of g).lower] without the
+    upper bounds and the dominator pass: the workset, cut and pinned
+    terms of {!of_liveness} over one {!Liveness.compute}. *)
+val lower_bound : ?size_of:(int -> int) -> Graph.t -> int
 
 (** Admissible lower bound on the simulated latency of any schedule:
     the compute stream is serial, so latency is at least the sum of
@@ -72,13 +71,11 @@ val latency_lower_bound : cost_of:(int -> float) -> Graph.t -> float
     [lower <= peak <= ub_total] holds. *)
 val check : ?node:int -> t -> peak:int -> Diagnostic.t list
 
-(** [quick_check ?size_of ?sample g ~peak] is the hot-path form of
-    {!check}: it verifies [lower_bound <= peak <= ub_total] using the
-    sampled bound only (no dominator pass, no greedy schedule), cheap
-    enough to run on every state the search accepts under
-    [verify_states].  Same diagnostic codes as {!check}. *)
-val quick_check :
-  ?size_of:(int -> int) -> ?sample:int -> Graph.t -> peak:int ->
-  Diagnostic.t list
+(** [quick_check ?size_of g ~peak] is the cheap form of {!check}: the
+    ["lb-exceeds-peak"] and ["peak-exceeds-total"] verdicts from
+    {!lower_bound} and the total bytes alone (no dominator pass, no
+    greedy schedule), cheap enough to run on every state the search
+    accepts under [verify_states]. *)
+val quick_check : ?size_of:(int -> int) -> Graph.t -> peak:int -> Diagnostic.t list
 
 val pp : Format.formatter -> t -> unit

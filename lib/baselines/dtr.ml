@@ -35,7 +35,6 @@ let run ?(thrash_factor = 25) (cache : Op_cost.t) (g : Graph.t)
         s
   in
   let size v = Lifetime.default_size g v in
-  let pinned v = Magis_sched.Partition.pinned g v in
   let used = ref 0 in
   let clock = ref 0 in
   let latency = ref 0.0 in
@@ -63,7 +62,7 @@ let run ?(thrash_factor = 25) (cache : Op_cost.t) (g : Graph.t)
         if
           s.resident
           && (not (Int_set.mem v protect))
-          && (not (pinned v))
+          && (not (Lifetime.pinned g v))
           && size v > 0
         then begin
           let cost = Op_cost.node_cost cache g v +. 1e-9 in
@@ -122,7 +121,7 @@ let run ?(thrash_factor = 25) (cache : Op_cost.t) (g : Graph.t)
           (fun u ->
             let r = Hashtbl.find remaining u - 1 in
             Hashtbl.replace remaining u r;
-            if r = 0 && not (pinned u) then free u)
+            if r = 0 && not (Lifetime.pinned g u) then free u)
           preds)
       order;
     {

@@ -16,6 +16,7 @@ module Shape = Magis_ir.Shape
 module Op = Magis_ir.Op
 module Graph = Magis_ir.Graph
 module Dominator = Magis_ir.Dominator
+module Reach = Magis_ir.Reach
 module Wl_hash = Magis_ir.Wl_hash
 module Util = Magis_ir.Util
 

@@ -34,6 +34,14 @@ let default_size (g : Graph.t) (id : int) : int =
   let n = Graph.node g id in
   match n.op with Op.Store -> 0 | _ -> Shape.size_bytes n.shape
 
+(** Is the output of a node live to the end of the run: a weight, or a
+    graph output (no consumers, not an input)?  [op] is the node's. *)
+let pinned_op (g : Graph.t) (id : int) (op : Op.kind) : bool =
+  Op.is_weight op
+  || (Int_set.is_empty (Graph.succ_set g id) && not (Op.is_input op))
+
+let pinned (g : Graph.t) (id : int) : bool = pinned_op g id (Graph.op g id)
+
 let analyze ?size_of (g : Graph.t) (order : int list) : t =
   let size_of = match size_of with Some f -> f | None -> default_size g in
   let order = Array.of_list order in
@@ -46,14 +54,11 @@ let analyze ?size_of (g : Graph.t) (order : int list) : t =
   let last = n - 1 in
   for i = 0 to n - 1 do
     let v = order.(i) in
-    let node = Graph.node g v in
-    if Op.is_weight node.op then begin
-      birth.(i) <- 0;
+    let op = Graph.op g v in
+    if pinned_op g v op then begin
+      if Op.is_weight op then birth.(i) <- 0;
       free.(i) <- last
     end
-    else if
-      Int_set.is_empty (Graph.succ_set g v) && not (Op.is_input node.op)
-    then free.(i) <- last (* graph output: live to the end *)
     else
       free.(i) <-
         List.fold_left

@@ -1,9 +1,11 @@
 (** Tensor lifetime analysis (§2.1): per-schedule liveness, peak memory
     and memory hot-spots.
 
-    Conventions: weights are pinned for the whole run; graph outputs
-    (losses, gradients) stay live until the end; [size_of] can override
-    device sizes (fission accounting, Store outputs). *)
+    Conventions, shared by every memory model of the repository:
+    weights are pinned for the whole run and graph outputs (losses,
+    gradients) stay live until the end ({!pinned}); a Store output holds
+    0 device bytes ({!default_size}); [size_of] can override device
+    sizes (fission accounting). *)
 
 open Magis_ir
 module Int_set = Util.Int_set
@@ -21,6 +23,11 @@ type t = private {
 
 (** Device size of a node's output (0 for Store: host-side). *)
 val default_size : Graph.t -> int -> int
+
+(** The residency rule every memory model shares: is a node's output
+    live to the end of the run (a weight, or a graph output — no
+    consumers, not an input)?  Weights are also live from the start. *)
+val pinned : Graph.t -> int -> bool
 
 val analyze : ?size_of:(int -> int) -> Graph.t -> int list -> t
 val peak_memory : t -> int

@@ -171,10 +171,13 @@ let of_fissions (fs : Fission.t list) : t =
   in
   { entries }
 
+let default_max_level = 4
+
 (** Algorithm 1: construct the fission candidates for [g], given the
     memory hot-spots of its current schedule.  [max_level] is the paper's
-    [L] hyper-parameter (default 4). *)
-let construct ?(max_level = 4) (g : Graph.t) ~(hotspots : Int_set.t) : t =
+    [L] hyper-parameter (default {!default_max_level}). *)
+let construct ?(max_level = default_max_level) (g : Graph.t)
+    ~(hotspots : Int_set.t) : t =
   let dg = Dgraph.build g in
   let candidates = ref [] in
   List.iter
@@ -528,7 +531,7 @@ let prune (g : Graph.t) (t : t) : t =
     preserving the enabled fissions of [old_tree] that still validate:
     surviving enabled entries are matched by member set or appended as
     extra roots. *)
-let refresh ?(max_level = 4) (g : Graph.t) ~(old_tree : t)
+let refresh ?(max_level = default_max_level) (g : Graph.t) ~(old_tree : t)
     ~(hotspots : Int_set.t) : t =
   let fresh = construct ~max_level g ~hotspots in
   let survivors =

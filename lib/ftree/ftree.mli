@@ -39,8 +39,13 @@ val frozen_region : t -> Int_set.t
 (** Smallest feasible fission number of a candidate, if any. *)
 val smallest_valid_n : Graph.t -> Fission.t -> int option
 
+(** The paper's [L]: the number of score-interval levels Algorithm 1
+    bins candidates into (4), the default of every [max_level]. *)
+val default_max_level : int
+
 (** Algorithm 1: construct candidates from the memory hot-spots of the
-    current schedule.  [max_level] is the paper's [L] (default 4). *)
+    current schedule.  [max_level] is the paper's [L] (default
+    {!default_max_level}). *)
 val construct : ?max_level:int -> Graph.t -> hotspots:Int_set.t -> t
 
 (** Assemble a tree from explicit fissions, as {!construct} assembles its

@@ -75,8 +75,8 @@ let to_cached (t : t) : Sim_cache.value =
 
 (** Initial state: schedule the input graph, analyze it, build the F-Tree
     (Algorithm 1). *)
-let init ?(max_level = 4) ?(sched_states = 4_000) (cache : Op_cost.t)
-    (graph : Graph.t) : t =
+let init ?(max_level = Ftree.default_max_level) ?(sched_states = 4_000)
+    (cache : Op_cost.t) (graph : Graph.t) : t =
   let schedule = Reorder.schedule ~max_states:sched_states graph in
   let pre = evaluate cache graph Ftree.empty schedule in
   let ftree = Ftree.construct ~max_level graph ~hotspots:pre.hotspots in

@@ -146,7 +146,11 @@ type ablation = {
 }
 
 let default_ablation =
-  { use_ftree_heuristic = true; restrict_sched_rules = true; max_level = 4 }
+  {
+    use_ftree_heuristic = true;
+    restrict_sched_rules = true;
+    max_level = Ftree.default_max_level;
+  }
 
 (** Raised (never quarantined) when [verify_states] finds an invalid
     accepted state: a verification failure is a bug in the optimizer,

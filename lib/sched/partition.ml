@@ -9,106 +9,21 @@
 open Magis_ir
 module Int_set = Util.Int_set
 
-(** Is the output of [v] pinned (never freed): weights stay resident,
-    graph outputs live to the end.  Pinned tensors cross every schedule
-    boundary, so they are ignored when looking for cut points. *)
-let pinned (g : Graph.t) (v : int) =
-  let n = Graph.node g v in
-  Op.is_weight n.op
-  || (Int_set.is_empty (Graph.succ_set g v) && not (Op.is_input n.op))
-
 (* ------------------------------------------------------------------ *)
 (* Narrow-waist table                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* bits per bitset word: every bit of a 63-bit OCaml int *)
-let word_bits = 63
-
-(* set bits of each byte value *)
-let byte_popcount =
-  Bytes.init 256 (fun b ->
-      let rec count x = if x = 0 then 0 else (x land 1) + count (x lsr 1) in
-      Char.chr (count b))
-
-let popcount x =
-  let c = ref 0 and x = ref x in
-  while !x <> 0 do
-    c := !c + Char.code (Bytes.unsafe_get byte_popcount (!x land 0xff));
-    x := !x lsr 8
-  done;
-  !c
-
-(* [pos.(v)] for the nodes of [order] when [order] lists every node of
-   [g] exactly once, each after its operands; [None] otherwise *)
-let topological_positions (g : Graph.t) (order : int array) =
-  let pos = Array.make (Graph.id_bound g) (-1) in
-  let n = Array.length order in
-  let ok = ref (n = Graph.n_nodes g) in
-  let i = ref 0 in
-  while !ok && !i < n do
-    let v = order.(!i) in
-    if Graph.mem g v && pos.(v) < 0 then begin
-      pos.(v) <- !i;
-      incr i
-    end
-    else ok := false
-  done;
-  i := 0;
-  while !ok && !i < n do
-    Array.iter
-      (fun p -> if pos.(p) >= !i then ok := false)
-      (Graph.node g order.(!i)).inputs;
-    incr i
-  done;
-  if !ok then Some pos else None
-
 (** [nw_table g order] is the narrow-waist value
     [|V| - |anc(v)| - |des(v)| - 1] of every node [v] of [g], indexed
-    by node id, from one bitset reachability pass per direction.
-    [order] is a topological order of [g] (a valid schedule); any other
-    array is replaced by {!Graph.topo_order}. *)
+    by node id, read off the {!Reach} closures over [order] (a valid
+    schedule; any other array is replaced by {!Graph.topo_order}). *)
 let nw_table (g : Graph.t) (order : int array) : int array =
-  let order, pos =
-    match topological_positions g order with
-    | Some pos -> (order, pos)
-    | None ->
-        let order = Array.of_list (Graph.topo_order g) in
-        (order, Option.get (topological_positions g order))
-  in
-  let n = Array.length order in
-  let words = (n + word_bits - 1) / word_bits in
-  (* row [i] (words [i*words, (i+1)*words)) is the set of positions
-     reachable from position [i] in the current direction *)
-  let rows = Array.make (max 1 (n * words)) 0 in
+  let r = Reach.compute ~order g in
+  let n = Reach.length r in
   let table = Array.make (Graph.id_bound g) 0 in
-  let absorb i j =
-    let ri = i * words and rj = j * words in
-    for k = 0 to words - 1 do
-      rows.(ri + k) <- rows.(ri + k) lor rows.(rj + k)
-    done;
-    let k = ri + (j / word_bits) in
-    rows.(k) <- rows.(k) lor (1 lsl (j mod word_bits))
-  in
-  let count i =
-    let c = ref 0 in
-    for k = i * words to ((i + 1) * words) - 1 do
-      c := !c + popcount rows.(k)
-    done;
-    !c
-  in
-  (* ancestors: operands come earlier in [order] *)
-  for i = 0 to n - 1 do
-    let v = order.(i) in
-    Array.iter (fun p -> absorb i pos.(p)) (Graph.node g v).inputs;
-    table.(v) <- n - 1 - count i
-  done;
-  (* descendants: consumers come later *)
-  Array.fill rows 0 (Array.length rows) 0;
-  for i = n - 1 downto 0 do
-    let v = order.(i) in
-    Int_set.iter (fun s -> absorb i pos.(s)) (Graph.succ_set g v);
-    table.(v) <- table.(v) - count i
-  done;
+  Array.iter
+    (fun v -> table.(v) <- n - 1 - Reach.n_anc r v - Reach.n_des r v)
+    (Reach.order r);
   table
 
 (* ------------------------------------------------------------------ *)
@@ -166,7 +81,7 @@ let partition ?(max_crossing = 1) (g : Graph.t) (members : Int_set.t) :
                 (Graph.succ_set g v) i
             in
             (* v crosses every boundary between i and l-1 *)
-            if l > i && not (pinned g v) then begin
+            if l > i && not (Magis_cost.Lifetime.pinned g v) then begin
               crossing.(i) <- crossing.(i) + 1;
               if l < n then crossing.(l) <- crossing.(l) - 1
             end)

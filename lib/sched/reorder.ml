@@ -17,8 +17,6 @@ open Magis_ir
 module Int_set = Util.Int_set
 module Set_map = Map.Make (Int_set)
 
-let pinned = Partition.pinned
-
 (** Bytes freed by executing [v] when [executed] already ran: operands (and
     [v] itself) whose consumers within [members] are now all executed and
     which have no consumer outside [members].  Operands outside [members]
@@ -28,7 +26,7 @@ let freed_by ~size_of (g : Graph.t) (members : Int_set.t)
   let executed' = Int_set.add v executed in
   let dead u =
     Int_set.mem u members
-    && (not (pinned g u))
+    && (not (Magis_cost.Lifetime.pinned g u))
     && Int_set.for_all
          (fun c -> (not (Int_set.mem c members)) || Int_set.mem c executed')
          (Graph.succ_set g u)
@@ -93,7 +91,7 @@ let greedy_schedule ~size_of (g : Graph.t) (members : Int_set.t) : int list =
       Hashtbl.replace remaining v (Int_set.cardinal in_members);
       Hashtbl.replace freeable v
         (Int_set.cardinal in_members = Int_set.cardinal succs
-        && not (pinned g v)))
+        && not (Magis_cost.Lifetime.pinned g v)))
     members;
   let in_member_preds v =
     List.filter (fun u -> Int_set.mem u members) (Graph.pre g v)

@@ -6,9 +6,6 @@
 open Magis_ir
 module Int_set = Util.Int_set
 
-(** Weights and graph outputs: never freed. *)
-val pinned : Graph.t -> int -> bool
-
 (** Bytes freed by executing [v] given the executed set. *)
 val freed_by :
   size_of:(int -> int) -> Graph.t -> Int_set.t -> Int_set.t -> int -> int

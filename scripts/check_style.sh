@@ -85,6 +85,15 @@ for f in lib/rules/taso_rules.ml lib/rules/sched_rules.ml; do
   fi
 done
 
+# 8. lib/ir is the bottom of the compiler stack: the graph, its shape
+# semantics and the Reach closures every analysis layer shares.  It must
+# never depend on another magis library, so those users stay above it.
+hits=$(grep -nE 'magis_[a-z]+' lib/ir/dune 2>/dev/null | grep -v 'name magis_ir')
+if [ -n "$hits" ]; then
+  fail "lib/ir/dune depends on another magis library (layering violation):"
+  echo "$hits"
+fi
+
 if [ "$status" -eq 0 ]; then
   echo "style: clean ($(echo "$files" | wc -w) files)"
 fi

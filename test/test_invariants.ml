@@ -5,7 +5,9 @@
     routines that {!Graph.topo_order}, {!Graph.components_of},
     {!Graph.is_valid_order}, {!Wl_hash.hash}, {!Partition.nw_table} and
     {!Partition.partition} used before they moved onto arrays, bitsets
-    and a binary heap.  They live only here, as oracles.  Subjects are
+    and a binary heap.  They live only here, as oracles.  The shared
+    {!Reach} closure is checked against the set-based {!Graph.anc} /
+    {!Graph.des}, and the layers built on it against each other.  Subjects are
     QCheck-drawn Randnets after a seeded chain of rewrites (rewrites add
     nodes with high ids, so id order stops being a topological order)
     plus every zoo model at [Quick] scale. *)
@@ -147,7 +149,7 @@ let ref_partition ?(max_crossing = 1) g members =
           (fun v ->
             let i = Hashtbl.find pos_in v in
             let l = Hashtbl.find last_use v in
-            if l > i && not (Partition.pinned g v) then begin
+            if l > i && not (Lifetime.pinned g v) then begin
               crossing.(i) <- crossing.(i) + 1;
               if l < n then crossing.(l) <- crossing.(l) - 1
             end)
@@ -258,6 +260,43 @@ let random_topo_order g seed =
 
 let same_sets a b = List.equal Int_set.equal a b
 
+(** {!Reach} over a random topological order against {!Graph.anc} /
+    {!Graph.des}, [nw_table] against [Liveness.mobility], and the
+    [quick_check] verdicts against [check] at both edges of the bound
+    interval; [Error what] names the first disagreement. *)
+let check_closure g seed =
+  let order = random_topo_order g seed in
+  let r = Reach.compute ~order g in
+  let ids = Graph.node_ids g in
+  let reach_ok v =
+    let anc = Graph.anc g v and des = Graph.des g v in
+    Reach.n_anc r v = Int_set.cardinal anc
+    && Reach.n_des r v = Int_set.cardinal des
+    && List.for_all (fun u -> Reach.precedes r u v = Int_set.mem u anc) ids
+  in
+  if Reach.order r <> order then Error "Reach.order"
+  else if not (List.for_all reach_ok ids) then Error "Reach"
+  else
+    let lv = Liveness.compute g and nw = Partition.nw_table g order in
+    if not (List.for_all (fun v -> nw.(v) = Liveness.mobility lv v) ids) then
+      Error "nw_table = mobility"
+    else
+      let b = Membound.compute g in
+      let verdicts diags =
+        List.filter_map
+          (fun (d : Diagnostic.t) ->
+            if List.mem d.check [ "lb-exceeds-peak"; "peak-exceeds-total" ] then
+              Some (Diagnostic.to_string d)
+            else None)
+          diags
+      in
+      let agree peak =
+        verdicts (Membound.quick_check g ~peak) = verdicts (Membound.check b ~peak)
+      in
+      if List.for_all agree [ b.lower - 1; b.lower; b.ub_total; b.ub_total + 1 ]
+      then Ok ()
+      else Error "quick_check verdicts"
+
 (** Every invariant against its oracle on [g]; [Error what] names the
     first disagreement. *)
 let check_graph g seed =
@@ -303,7 +342,7 @@ let check_graph g seed =
                (fun o -> Graph.is_valid_order g o = ref_is_valid_order g o)
                orders)
         then Error "is_valid_order"
-        else Ok ()
+        else check_closure g seed
 
 let prop_randnets =
   QCheck2.Test.make ~name:"invariants equal their oracles on rewritten randnets"

@@ -1,6 +1,9 @@
-(** Test-suite entry point: one alcotest run over every module suite. *)
+(** Test-suite entry point: one alcotest run over every module suite,
+    with the verification hooks armed so every schedule a baseline emits
+    is checked. *)
 
 let () =
+  Magis.Analysis_hooks.set true;
   Alcotest.run "magis"
     [
       ("shape", Test_shape.suite);

@@ -46,10 +46,10 @@ let test_pinned () =
   Graph.iter
     (fun n ->
       if Op.is_weight n.op then
-        Alcotest.(check bool) "weight pinned" true (Partition.pinned g n.id))
+        Alcotest.(check bool) "weight pinned" true (Lifetime.pinned g n.id))
     g;
   let out = List.hd (Graph.outputs g) in
-  Alcotest.(check bool) "output pinned" true (Partition.pinned g out)
+  Alcotest.(check bool) "output pinned" true (Lifetime.pinned g out)
 
 let test_greedy_valid_and_not_worse () =
   let g = mlp_training () in
