@@ -9,7 +9,7 @@
 
     - harvesting must be trajectory-invisible: the best state of a
       harvesting run must be bit-identical to a plain run's;
-    - the frontier's point/harvest/prune/evict/delta counters;
+    - the frontier's point/harvest/prune/evict counters;
     - a save/load round-trip through the on-disk cache must preserve
       every point and answer the ladder identically with zero searches;
     - the hardware zoo: five registered profiles with five distinct
@@ -42,12 +42,10 @@ let run (env : Common.env) =
 
   (* one search swept this many states into this many frontier points *)
   let c = Frontier.counters fr in
-  let fulls, deltas = Frontier.delta_stats fr in
   Printf.printf
-    "frontier: %d points (of %d harvested; %d pruned, %d evicted), %d \
-     full + %d delta-coded schedules, %d resident ints\n"
+    "frontier: %d points (of %d harvested; %d pruned, %d evicted)\n"
     (Frontier.size fr) c.Frontier.harvested c.Frontier.pruned
-    c.Frontier.evicted fulls deltas (Frontier.resident_ints fr);
+    c.Frontier.evicted;
 
   (* the cached frontier answers a budget ladder with zero searches *)
   let dir =
@@ -108,9 +106,6 @@ let run (env : Common.env) =
        ("harvested", Json.Int c.Frontier.harvested);
        ("pruned", Json.Int c.Frontier.pruned);
        ("evicted", Json.Int c.Frontier.evicted);
-       ("delta_fulls", Json.Int fulls);
-       ("delta_deltas", Json.Int deltas);
-       ("resident_ints", Json.Int (Frontier.resident_ints fr));
        ("roundtrip_identical", Json.Bool roundtrip_identical);
        ("ladder_matches_original", Json.Bool ladder_matches_original);
        ("queries", Json.Int (List.length ladder));

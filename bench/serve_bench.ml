@@ -37,7 +37,6 @@ let run (env : Common.env) =
       per_client_limit = 64;
       ckpt_dir = Filename.concat tmp tag;
       ckpt_every = 0.25;
-      slice_iterations = 4;
       write_timeout = 5.0;
       verbose = false;
     }

@@ -35,7 +35,7 @@ let addr_term =
   in
   Term.(const make $ socket $ tcp)
 
-let cmd_daemon addr workers queue_cap per_client ckpt_dir ckpt_every slice
+let cmd_daemon addr workers queue_cap per_client ckpt_dir ckpt_every
     write_timeout verbose =
   let cfg =
     {
@@ -45,7 +45,6 @@ let cmd_daemon addr workers queue_cap per_client ckpt_dir ckpt_every slice
       per_client_limit = per_client;
       ckpt_dir;
       ckpt_every;
-      slice_iterations = slice;
       write_timeout;
       verbose;
     }
@@ -80,11 +79,6 @@ let daemon_cmd =
     Arg.(value & opt float 0.25
          & info [ "ckpt-every" ] ~doc:"Seconds between periodic snapshots.")
   in
-  let slice =
-    Arg.(value & opt int 8
-         & info [ "slice" ]
-             ~doc:"Iteration granularity of cancellation/drain checks.")
-  in
   let write_timeout =
     Arg.(value & opt float 5.0
          & info [ "write-timeout" ]
@@ -98,7 +92,7 @@ let daemon_cmd =
     (Cmd.info "daemon"
        ~doc:"Run the optimization daemon until drained by SIGTERM/shutdown")
     Term.(const cmd_daemon $ addr_term $ workers $ queue_cap $ per_client
-          $ ckpt_dir $ ckpt_every $ slice $ write_timeout $ verbose)
+          $ ckpt_dir $ ckpt_every $ write_timeout $ verbose)
 
 let pp_reply reply =
   match reply with

@@ -79,73 +79,3 @@ let summary (g : Graph.t) : string =
     (Printf.sprintf "nodes: %d, weights: %d bytes" (Graph.n_nodes g)
        (Graph.weight_bytes g)
     :: List.map (fun (k, v) -> Printf.sprintf "  %4d x %s" v k) rows)
-
-(* ------------------------------------------------------------------ *)
-(* Chrome trace                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(** Export a simulated execution as a Chrome trace (load in
-    chrome://tracing or Perfetto): one lane for the compute stream, one
-    for the copy stream, and a counter track with the live device
-    memory. *)
-let to_chrome_trace (cache : Magis_cost.Op_cost.t) (g : Graph.t)
-    ~(schedule : int list) : string =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[\n";
-  let first = ref true in
-  let event fmt =
-    Printf.ksprintf
-      (fun s ->
-        if not !first then Buffer.add_string buf ",\n";
-        first := false;
-        Buffer.add_string buf s)
-      fmt
-  in
-  let finish = Hashtbl.create 64 in
-  let ready v =
-    List.fold_left
-      (fun acc p -> match Hashtbl.find_opt finish p with
-         | Some t -> Float.max acc t | None -> acc)
-      0.0 (Graph.pre g v)
-  in
-  let t_compute = ref 0.0 and t_copy = ref 0.0 in
-  let us t = t *. 1e6 in
-  List.iter
-    (fun v ->
-      let n = Graph.node g v in
-      match n.op with
-      | Op.Input _ -> Hashtbl.replace finish v 0.0
-      | Op.Store | Op.Load ->
-          let dur = Magis_cost.Op_cost.swap_time cache (Shape.size_bytes n.shape) in
-          let start = Float.max !t_copy (ready v) in
-          t_copy := start +. dur;
-          Hashtbl.replace finish v !t_copy;
-          event
-            {|  {"name": %S, "ph": "X", "ts": %.1f, "dur": %.1f, "pid": 1, "tid": 2}|}
-            (Printf.sprintf "%d:%s" v (Op.name n.op))
-            (us start) (us dur)
-      | _ ->
-          let dur = Magis_cost.Op_cost.node_cost cache g v in
-          let start = Float.max !t_compute (ready v) in
-          t_compute := start +. dur;
-          Hashtbl.replace finish v !t_compute;
-          event
-            {|  {"name": %S, "ph": "X", "ts": %.1f, "dur": %.1f, "pid": 1, "tid": 1}|}
-            (Printf.sprintf "%d:%s" v (Op.name n.op))
-            (us start) (us dur))
-    schedule;
-  (* memory counter sampled at each node's finish time *)
-  let analysis = Magis_cost.Lifetime.analyze g schedule in
-  let timeline = Magis_cost.Lifetime.timeline analysis in
-  List.iteri
-    (fun i v ->
-      match Hashtbl.find_opt finish v with
-      | Some t when i < Array.length timeline ->
-          event
-            {|  {"name": "device memory", "ph": "C", "ts": %.1f, "pid": 1, "args": {"MB": %.1f}}|}
-            (us t)
-            (float_of_int timeline.(i) /. 1e6)
-      | _ -> ())
-    schedule;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf

@@ -1,6 +1,6 @@
-(** Graph exporters: Graphviz dot, a stable line-based text program format
-    (round-trip parsable by {!Parser}), and Chrome traces of simulated
-    executions. *)
+(** Graph exporters: Graphviz dot and a stable line-based text program
+    format (round-trip parsable by {!Parser}).  Chrome traces of
+    simulated executions come from {!Magis_obs.Timeline.chrome}. *)
 
 open Magis_ir
 module Int_set = Util.Int_set
@@ -16,8 +16,3 @@ val to_text_with_schedule : Graph.t -> schedule:int list -> string
 
 (** Node counts by operator, for reports. *)
 val summary : Graph.t -> string
-
-(** Chrome trace (chrome://tracing / Perfetto): compute lane, copy lane
-    and a live-device-memory counter. *)
-val to_chrome_trace :
-  Magis_cost.Op_cost.t -> Graph.t -> schedule:int list -> string

@@ -106,13 +106,9 @@ let common_suffix_len ~limit pa ca =
   !i
 
 (* The codec alone, without the intern pool: the [Delta] parent is
-   whatever physical list the caller passes, so callers that keep one
-   shared parent (the frontier's harvested-schedule store) get the same
-   aliasing the pool provides here. *)
+   whatever physical list the caller passes. *)
 module Codec = struct
   type nonrec code = code
-
-  let full sched = Full sched
 
   let encode ~parent sched =
     let pa = Array.of_list parent and ca = Array.of_list sched in
@@ -130,11 +126,6 @@ module Codec = struct
       if decode d = sched then d else Full sched
 
   let decode = decode
-  let is_delta = function Delta _ -> true | Full _ -> false
-
-  let stored_ints = function
-    | Full s -> List.length s
-    | Delta { middle; _ } -> List.length middle + 2
 end
 
 let encode t ?parent sched =

@@ -31,29 +31,19 @@ type value = {
   hotspots : int list;  (** sorted elements of the hot-spot set *)
 }
 
-(** The prefix/middle/suffix schedule codec by itself, for callers that
-    store many schedules derived from a shared parent outside this
-    table (the frontier's harvested-schedule store).  [encode] validates
-    by reconstruct-and-compare and falls back to a full copy whenever
-    the delta would not be smaller, so [decode] is always bit-identical
-    to the encoded schedule.  Unlike [add], no interning happens here:
-    the [parent] list the caller passes is held as-is, so passing one
-    shared physical list per parent preserves the aliasing the cache's
-    pool would provide. *)
+(** The prefix/middle/suffix schedule codec by itself, as [add] applies
+    it (the codec micro-probes time it).  [encode] validates by
+    reconstruct-and-compare and falls back to a full copy whenever the
+    delta would not be smaller, so [decode] is always bit-identical to
+    the encoded schedule.  Unlike [add], no interning happens here: the
+    [parent] list the caller passes is held as-is. *)
 module Codec : sig
   type code
-
-  (** Store [sched] as-is (no parent). *)
-  val full : int list -> code
 
   (** Delta against [parent] when profitable and exact, else full. *)
   val encode : parent:int list -> int list -> code
 
   val decode : code -> int list
-  val is_delta : code -> bool
-
-  (** [int]s this code holds beyond its (possibly shared) parent. *)
-  val stored_ints : code -> int
 end
 
 type t

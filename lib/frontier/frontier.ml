@@ -5,17 +5,9 @@
     dominance invariant then forces latency strictly descending, so a
     budget query is one binary search for the rightmost point with
     [peak <= budget].  Inserts are O(n) (frontiers stay small: one per
-    workload × hardware × config), queries O(log n).
-
-    Harvested schedules are delta-encoded with the simulation cache's
-    codec ({!Magis_cost.Sim_cache.Codec}) against one shared parent —
-    the first schedule ever inserted — mirroring the cache's
-    depth-1-chain discipline: most harvested schedules differ from the
-    baseline order in one rewritten window, so a point stores the
-    window, not the whole permutation. *)
+    workload × hardware × config), queries O(log n). *)
 
 module Json = Magis_obs.Json
-module Codec = Magis_cost.Sim_cache.Codec
 
 type point = {
   peak : int;
@@ -32,16 +24,8 @@ type counters = {
   hits : int;
 }
 
-type stored = {
-  s_peak : int;
-  s_latency : float;
-  s_iteration : int;
-  s_code : Codec.code;
-}
-
 type t = {
-  mutable pts : stored array;  (** peak ascending, latency descending *)
-  mutable parent : int list option;  (** shared delta parent *)
+  mutable pts : point array;  (** peak ascending, latency descending *)
   mutable harvested : int;
   mutable pruned : int;
   mutable evicted : int;
@@ -52,7 +36,6 @@ type t = {
 let create () =
   {
     pts = [||];
-    parent = None;
     harvested = 0;
     pruned = 0;
     evicted = 0;
@@ -71,34 +54,24 @@ let counters t =
     hits = t.hits;
   }
 
-let point_of (s : stored) =
-  {
-    peak = s.s_peak;
-    latency = s.s_latency;
-    iteration = s.s_iteration;
-    sched = Codec.decode s.s_code;
-  }
-
-let points t = Array.to_list (Array.map point_of t.pts)
+let points t = Array.to_list t.pts
 
 let peak_range t =
   match Array.length t.pts with
   | 0 -> None
-  | n -> Some (t.pts.(0).s_peak, t.pts.(n - 1).s_peak)
+  | n -> Some (t.pts.(0).peak, t.pts.(n - 1).peak)
 
 (* Deterministic tie-break on exact (peak, latency) collisions: the
    earlier iteration wins, then the lexicographically smaller schedule —
    an order-independent rule, so merges commute. *)
-let tie_key (s : stored) = (s.s_iteration, Codec.decode s.s_code)
-
 let insert t ~peak ~latency ~iteration sched =
   t.harvested <- t.harvested + 1;
-  let tied (s : stored) = s.s_peak = peak && s.s_latency = latency in
   let keep_existing =
     Array.exists
-      (fun s ->
-        if tied s then tie_key s <= (iteration, sched)
-        else s.s_peak <= peak && s.s_latency <= latency)
+      (fun p ->
+        if p.peak = peak && p.latency = latency then
+          (p.iteration, p.sched) <= (iteration, sched)
+        else p.peak <= peak && p.latency <= latency)
       t.pts
   in
   if keep_existing then begin
@@ -109,26 +82,15 @@ let insert t ~peak ~latency ~iteration sched =
     (* the candidate enters; evict everything it (weakly) dominates *)
     let survivors =
       List.filter
-        (fun s -> not (peak <= s.s_peak && latency <= s.s_latency))
+        (fun p -> not (peak <= p.peak && latency <= p.latency))
         (Array.to_list t.pts)
     in
     t.evicted <- t.evicted + (Array.length t.pts - List.length survivors);
-    let code =
-      match t.parent with
-      | None ->
-          t.parent <- Some sched;
-          Codec.full sched
-      | Some parent -> Codec.encode ~parent sched
-    in
-    let entry =
-      { s_peak = peak; s_latency = latency; s_iteration = iteration;
-        s_code = code }
-    in
     t.pts <-
       Array.of_list
         (List.sort
-           (fun a b -> compare (a.s_peak, b.s_latency) (b.s_peak, a.s_latency))
-           (entry :: survivors));
+           (fun a b -> compare (a.peak, b.latency) (b.peak, a.latency))
+           ({ peak; latency; iteration; sched } :: survivors));
     true
   end
 
@@ -143,12 +105,12 @@ let query t ~budget =
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if t.pts.(mid).s_peak <= budget then lo := mid + 1 else hi := mid
+    if t.pts.(mid).peak <= budget then lo := mid + 1 else hi := mid
   done;
   if !lo = 0 then None
   else begin
     t.hits <- t.hits + 1;
-    Some (point_of t.pts.(!lo - 1))
+    Some t.pts.(!lo - 1)
   end
 
 let merge a b =
@@ -156,19 +118,6 @@ let merge a b =
   List.iter (fun p -> ignore (insert_point m p)) (points a);
   List.iter (fun p -> ignore (insert_point m p)) (points b);
   m
-
-let delta_stats t =
-  Array.fold_left
-    (fun (fulls, deltas) s ->
-      if Codec.is_delta s.s_code then (fulls, deltas + 1)
-      else (fulls + 1, deltas))
-    (0, 0) t.pts
-
-let resident_ints t =
-  let shared =
-    match t.parent with Some p -> List.length p | None -> 0
-  in
-  Array.fold_left (fun acc s -> acc + Codec.stored_ints s.s_code) shared t.pts
 
 (* ------------------------------------------------------------------ *)
 (* JSON (de)serialization                                              *)

@@ -6,15 +6,9 @@
     [a.latency <= b.latency] (and they differ); the structure keeps only
     non-dominated points, so one search answers every later memory-budget
     question — "what is the best latency under B bytes?" — with a single
-    O(log n) lookup instead of a fresh search.
+    O(log n) lookup instead of a fresh search. *)
 
-    Schedules are delta-encoded against the first inserted schedule with
-    the simulation cache's codec ({!Magis_cost.Sim_cache.Codec}): a
-    harvested schedule usually differs from the baseline order in one
-    rewritten window, so a point stores the window, not the whole
-    permutation. *)
-
-(** A frontier point, schedule decoded. *)
+(** A frontier point. *)
 type point = {
   peak : int;  (** peak memory, bytes *)
   latency : float;  (** seconds *)
@@ -64,14 +58,6 @@ val query : t -> budget:int -> point option
     points (counters start at the inserts the merge itself performed).
     Commutative and idempotent up to resident points. *)
 val merge : t -> t -> t
-
-(** [(fulls, deltas)] — how many resident schedules are stored whole vs
-    delta-encoded. *)
-val delta_stats : t -> int * int
-
-(** Integers resident across the shared parent and all stored codes —
-    the footprint delta encoding is saving against [size * n_nodes]. *)
-val resident_ints : t -> int
 
 (** Raised by {!of_json} on a malformed or wrong-version document. *)
 exception Invalid of string

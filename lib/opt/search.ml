@@ -359,7 +359,7 @@ type config = {
   checkpoint : checkpoint option;
   profile : Profile.t option;
   harvest : (iteration:int -> Mstate.t -> unit) option;
-  cancel : unit -> bool;
+  poll : iteration:int -> best:Mstate.t -> [ `Continue | `Stop ];
 }
 
 let default_config =
@@ -377,7 +377,7 @@ let default_config =
     checkpoint = None;
     profile = None;
     harvest = None;
-    cancel = (fun () -> false);
+    poll = (fun ~iteration:_ ~best:_ -> `Continue);
   }
 
 type proposal = {
@@ -580,7 +580,7 @@ type snapshot = {
     mode (with its limit) and every trajectory-relevant configuration
     knob.  [jobs], caching and verification flags are excluded — they
     are result-preserving by construction — as are the observation-only
-    hooks ([profile], [harvest], [cancel]). *)
+    hooks ([profile], [harvest], [poll]). *)
 let trajectory_fingerprint (cfg : config) (mode : mode) ~(hw : int64)
     (graph : Graph.t) : int64 =
   let bit b i = if b then 1 lsl i else 0 in
@@ -887,7 +887,11 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
             && count tb c_iterations < config.max_iterations do
         let s =
           timed tb s_pop @@ fun () ->
-          if Interrupt.requested () || config.cancel () then begin
+          if
+            Interrupt.requested ()
+            || config.poll ~iteration:(count tb c_iterations) ~best:!best
+               = `Stop
+          then begin
             interrupted := true;
             raise Exit
           end;

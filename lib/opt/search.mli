@@ -192,14 +192,15 @@ type config = {
           past.  Purely observational: excluded from the trajectory
           fingerprint, and the returned best state is bit-identical
           with the hook on or off (A/B-enforced in the tests). *)
-  cancel : unit -> bool;
-      (** cooperative cancellation hook, polled at every expansion
-          boundary alongside {!Magis_resilience.Interrupt.requested}:
-          returning [true] makes the run checkpoint (if configured) and
-          return best-so-far with [interrupted] set.  {!Magis_serve}
-          maps client disconnects and deadline overruns onto this; the
-          default never cancels.  Excluded from the trajectory
-          fingerprint (it carries no search-relevant state). *)
+  poll : iteration:int -> best:Mstate.t -> [ `Continue | `Stop ];
+      (** per-pop hook, called before every pop alongside
+          {!Magis_resilience.Interrupt.requested} with the number of
+          completed iterations and the best state so far: [`Stop] makes
+          the run checkpoint (if configured) and return best-so-far with
+          [interrupted] set.  {!Magis_serve} streams progress from it
+          and stops on client disconnect or daemon drain; the default
+          always continues.  Excluded from the trajectory fingerprint
+          (it carries no search-relevant state). *)
 }
 
 val default_config : config
@@ -215,7 +216,7 @@ val ladder_sched_states : level:int -> int -> int
     same trajectory: the input graph (WL hash), the hardware
     fingerprint, the mode with its limit, and every trajectory-relevant
     configuration knob.  [jobs], caching/verification flags and the
-    observation-only hooks ([profile], [harvest], [cancel]) are
+    observation-only hooks ([profile], [harvest], [poll]) are
     excluded — they are result-preserving by construction.  Keys both
     search checkpoints and cached frontiers
     ({!Magis_frontier.Frontier_cache}). *)

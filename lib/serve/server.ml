@@ -11,19 +11,20 @@
     only mark the connection dead and wake the IO loop, which owns every
     fd, so no worker can race a close against a concurrent write.
 
-    Signals: the {!Magis_resilience.Interrupt} callback only flips an
-    atomic and writes one byte to the self-pipe (both safe inside a
-    signal handler); the IO loop performs the actual drain transition
-    under the queue lock in normal context.  In-flight searches observe
-    SIGTERM through the interrupt guard; a drain initiated by {!stop} or
-    a [shutdown] command instead stops each search at its next slice
-    boundary, so both paths return best-so-far results.
+    Signals: the {!Magis_resilience.Interrupt} callback only calls
+    {!stop}, which flips an atomic and writes one byte to the self-pipe
+    (both safe inside a signal handler); the IO loop performs the
+    actual drain transition under the queue lock in normal context.
 
-    Each request runs as a sequence of checkpoint-resumed search slices:
-    the trajectory fingerprint excludes iteration and time budgets, so a
-    slice continues bit-identically from the previous one — the same
-    mechanism gives progress streaming, prompt cancellation, deadline
-    best-so-far and crash recovery. *)
+    Each optimize runs as exactly one {!Search.run}.  Its per-pop poll
+    streams progress and stops the search when the client is gone or
+    the daemon drains — SIGTERM, {!stop} and [shutdown] all set the one
+    drain flag it reads, so a drained search, in flight or still
+    queued, returns best-so-far at its next pop.  The search
+    checkpoints under the request id; the trajectory fingerprint
+    excludes iteration and time budgets, so a re-submitted id resumes
+    bit-identically after a cancel, a drain or a crash.  Every executed
+    job ends in one {!outcome}, applied in one place ([worker_loop]). *)
 
 module Json = Magis_obs.Json
 module Trace = Magis_obs.Trace
@@ -38,6 +39,7 @@ module Op_cost = Magis_cost.Op_cost
 module Simulator = Magis_cost.Simulator
 module Sim_cache = Magis_cost.Sim_cache
 module Search = Magis_opt.Search
+module Mstate = Magis_opt.Mstate
 module Zoo = Magis_models.Zoo
 module Frontier = Magis_frontier.Frontier
 module Frontier_cache = Magis_frontier.Frontier_cache
@@ -51,7 +53,6 @@ type config = {
   per_client_limit : int;
   ckpt_dir : string;
   ckpt_every : float;
-  slice_iterations : int;
   write_timeout : float;
   verbose : bool;
 }
@@ -64,20 +65,13 @@ let default_config =
     per_client_limit = 4;
     ckpt_dir = "_serve_ckpt";
     ckpt_every = 0.25;
-    slice_iterations = 8;
     write_timeout = 5.0;
     verbose = false;
   }
 
-(* request-level counters in the shared registry; the daemon also keeps
-   its own atomics (authoritative for health replies — the registry can
-   be reset by a metrics scrape consumer) *)
+(* request-level counters in the shared registry *)
 let m_conns = Metrics.counter "serve.connections"
 let m_requests = Metrics.counter "serve.requests"
-let m_served = Metrics.counter "serve.served"
-let m_rejected = Metrics.counter "serve.rejected"
-let m_quarantined = Metrics.counter "serve.quarantined"
-let m_cancelled = Metrics.counter "serve.cancelled"
 let m_deadline = Metrics.counter "serve.deadline"
 let m_resumed = Metrics.counter "serve.resumed"
 let m_frontier_hits = Metrics.counter "serve.frontier_hits"
@@ -85,6 +79,17 @@ let m_frontier_built = Metrics.counter "serve.frontier_built"
 let g_queue = Metrics.gauge "serve.queue_depth"
 let g_inflight = Metrics.gauge "serve.inflight"
 let g_shed = Metrics.gauge "serve.shed_level"
+
+(* A daemon counter: its own atomic (authoritative for health replies —
+   the registry can be reset by a metrics scrape consumer) and its
+   [serve.*] metric, always bumped together by {!bump}. *)
+type tally = { n : int Atomic.t; metric : Metrics.counter }
+
+let tally name = { n = Atomic.make 0; metric = Metrics.counter name }
+
+let bump c =
+  Atomic.incr c.n;
+  Metrics.incr c.metric
 
 type conn = {
   cid : int;
@@ -127,11 +132,10 @@ type t = {
   frontiers : (int64, Magis_frontier.Frontier.t) Hashtbl.t;
       (** in-memory frontier memo over the on-disk cache; [flock] *)
   ids : (string, unit) Hashtbl.t;  (** in-flight request ids; [qlock] *)
-  mutable quarantine : (int * string * string) list;  (** newest first *)
-  served : int Atomic.t;
-  rejected : int Atomic.t;
-  n_quar : int Atomic.t;
-  cancelled : int Atomic.t;
+  served : tally;
+  rejected : tally;
+  quarantined : tally;
+  cancelled : tally;
 }
 
 let create cfg =
@@ -153,11 +157,10 @@ let create cfg =
     flock = Mutex.create ();
     frontiers = Hashtbl.create 16;
     ids = Hashtbl.create 64;
-    quarantine = [];
-    served = Atomic.make 0;
-    rejected = Atomic.make 0;
-    n_quar = Atomic.make 0;
-    cancelled = Atomic.make 0;
+    served = tally "serve.served";
+    rejected = tally "serve.rejected";
+    quarantined = tally "serve.quarantined";
+    cancelled = tally "serve.cancelled";
   }
 
 let log t fmt =
@@ -210,7 +213,7 @@ let rec write_all fd s off len =
   end
 
 (* Mark a connection dead: in-flight searches observe this through
-   their [cancel] hook; the IO loop closes the fd once nothing is
+   their poll; the IO loop closes the fd once nothing is
    running against it. *)
 let mark_dead t conn =
   if Atomic.exchange conn.alive false then begin
@@ -240,16 +243,9 @@ let send t conn reply =
 let send_error t conn ?id kind detail =
   send t conn (P.Error { e_id = id; kind; detail })
 
+(* A quarantine record: the counter and one log line. *)
 let add_quarantine t conn reason detail =
-  Mutex.lock t.qlock;
-  t.quarantine <- (conn.cid, reason, detail) :: t.quarantine;
-  (match t.quarantine with
-  | _ :: _ :: _ when List.length t.quarantine > 100 ->
-      t.quarantine <- List.filteri (fun i _ -> i < 100) t.quarantine
-  | _ -> ());
-  Mutex.unlock t.qlock;
-  Atomic.incr t.n_quar;
-  Metrics.incr m_quarantined;
+  bump t.quarantined;
   log t "quarantine client=%d %s: %s" conn.cid reason detail
 
 (* ------------------------------------------------------------------ *)
@@ -263,8 +259,7 @@ let add_quarantine t conn reason detail =
 let shed_of_depth cfg depth = if depth >= cfg.queue_cap / 2 then 1 else 0
 
 let reject t conn ?id kind detail =
-  Atomic.incr t.rejected;
-  Metrics.incr m_rejected;
+  bump t.rejected;
   send_error t conn ?id kind detail
 
 let admit t conn (task : task) =
@@ -315,30 +310,43 @@ let search_config t ~shed (req : P.request) =
     jobs = 1;
   }
 
-(* One terminal outcome per executed job.  [settle] mirrors the outcome
-   into the counters and frees the request id BEFORE the terminal reply
-   goes out, so a client that reacts to the reply (health probe,
-   resubmission of the same id) observes consistent daemon state;
-   [finish] releases the in-flight slot and wakes the IO loop AFTER the
-   reply, because the IO loop may close the connection's fd as soon as
-   the slot count reaches zero. *)
-let settle t (job : job) outcome =
+(* What one executed job comes to: its accounting status, the terminal
+   reply (none when the client is gone) and an optional quarantine
+   record [(reason, detail)].  {!worker_loop} applies it. *)
+type outcome = {
+  status : [ `Served | `Cancelled | `Rejected ];
+  reply : P.reply option;
+  quarantine : (string * string) option;
+}
+
+let served reply = { status = `Served; reply = Some reply; quarantine = None }
+let cancelled = { status = `Cancelled; reply = None; quarantine = None }
+
+let rejected ?quarantine id kind detail =
+  {
+    status = `Rejected;
+    reply = Some (P.Error { e_id = Some id; kind; detail });
+    quarantine;
+  }
+
+(* [settle] mirrors the outcome into the counters and frees the request
+   id BEFORE the terminal reply goes out, so a client that reacts to the
+   reply (health probe, resubmission of the same id) observes
+   consistent daemon state; [finish] releases the in-flight slot and
+   wakes the IO loop AFTER the reply, because the IO loop may close the
+   connection's fd as soon as the slot count reaches zero. *)
+let settle t (job : job) status =
   Mutex.lock t.qlock;
   Hashtbl.remove t.ids (task_id job.jtask);
   if t.draining then Condition.broadcast t.qcond;
   Mutex.unlock t.qlock;
   Atomic.decr t.running;
   Metrics.set g_inflight (float_of_int (Atomic.get t.running));
-  (match outcome with
-  | `Served ->
-      Atomic.incr t.served;
-      Metrics.incr m_served
-  | `Cancelled ->
-      Atomic.incr t.cancelled;
-      Metrics.incr m_cancelled
-  | `Rejected ->
-      Atomic.incr t.rejected;
-      Metrics.incr m_rejected)
+  bump
+    (match status with
+    | `Served -> t.served
+    | `Cancelled -> t.cancelled
+    | `Rejected -> t.rejected)
 
 let finish t (job : job) =
   Atomic.decr job.jconn.inflight;
@@ -347,7 +355,6 @@ let finish t (job : job) =
 let run_search t (job : job) (req : P.request) (workload : Zoo.workload)
     deadline_left =
   let conn = job.jconn in
-  let alive () = Atomic.get conn.alive in
   let elapsed () = Unix.gettimeofday () -. job.t_admit in
   let graph = workload.build req.scale in
   (* Baseline simulation establishes the mode limit; its fault site
@@ -361,10 +368,7 @@ let run_search t (job : job) (req : P.request) (workload : Zoo.workload)
         Printf.sprintf "quarantined after %d attempts: %s" f.attempts
           (Printexc.to_string f.exn)
       in
-      add_quarantine t conn "request" detail;
-      settle t job `Rejected;
-      send_error t conn ~id:req.id P.Internal detail;
-      finish t job
+      rejected ~quarantine:("request", detail) req.id P.Internal detail
   | Ok base -> (
       let mode =
         match req.mode with
@@ -380,19 +384,32 @@ let run_search t (job : job) (req : P.request) (workload : Zoo.workload)
       let path = ckpt_path t.cfg req.id in
       let resumed = Checkpoint.exists path in
       if resumed then Metrics.incr m_resumed;
-      let budget = Option.value deadline_left ~default:3600.0 in
-      let total = req.max_iterations in
-      let step =
-        if req.progress_every > 0 then req.progress_every
-        else t.cfg.slice_iterations
+      (* progress at every positive multiple of [progress_every] (the
+         search never polls at [max_iterations]); stop when the client
+         is gone or the daemon drains *)
+      let poll ~iteration ~(best : Mstate.t) =
+        if
+          req.progress_every > 0 && iteration > 0
+          && iteration mod req.progress_every = 0
+        then
+          send t conn
+            (P.Progress
+               {
+                 p_id = req.id;
+                 p_iterations = iteration;
+                 p_peak = best.peak_mem;
+                 p_latency = best.latency;
+                 p_elapsed = elapsed ();
+               });
+        if Atomic.get conn.alive && not (Atomic.get t.drain_flag) then
+          `Continue
+        else `Stop
       in
-      let base_cfg = search_config t ~shed:job.jshed req in
-      let cfg_for target =
+      let config =
         {
-          base_cfg with
-          Search.max_iterations = target;
-          time_budget = budget;
-          cancel = (fun () -> not (alive ()));
+          (search_config t ~shed:job.jshed req) with
+          time_budget = Option.value deadline_left ~default:3600.0;
+          poll;
           checkpoint =
             Some
               {
@@ -402,85 +419,44 @@ let run_search t (job : job) (req : P.request) (workload : Zoo.workload)
               };
         }
       in
-      let rec slices target =
-        let r = Search.run ~config:(cfg_for target) t.cache mode graph in
-        let done_ = r.Search.stats.iterations in
-        if r.Search.interrupted && not (alive ()) then `Cancelled
-        else if r.Search.interrupted then `Interrupted r
-        else if done_ >= total then `Done r
-        else if done_ >= target then begin
-          if req.progress_every > 0 then
-            send t conn
-              (P.Progress
-                 {
-                   p_id = req.id;
-                   p_iterations = done_;
-                   p_peak = r.Search.best.peak_mem;
-                   p_latency = r.Search.best.latency;
-                   p_elapsed = elapsed ();
-                 });
-          if Atomic.get t.drain_flag then `Interrupted r
-          else slices (min (done_ + step) total)
-        end
-        else `Budget r
-      in
-      let result ~interrupted ~deadline_hit (r : Search.result) =
-        send t conn
-          (P.Result
-             {
-               o_id = req.id;
-               o_initial_peak = r.initial.peak_mem;
-               o_peak = r.best.peak_mem;
-               o_latency = r.best.latency;
-               o_iterations = r.stats.iterations;
-               o_interrupted = interrupted;
-               o_resumed = resumed;
-               o_deadline_hit = deadline_hit;
-               o_quarantined = r.stats.n_quarantined;
-             })
-      in
-      match slices (min step total) with
+      match Search.run ~config t.cache mode graph with
       | exception Checkpoint.Incompatible msg ->
-          settle t job `Rejected;
-          send_error t conn ~id:req.id P.Incompatible msg;
-          finish t job
+          rejected req.id P.Incompatible msg
       | exception Search.Verification_failure msg ->
-          add_quarantine t conn "verification" msg;
-          settle t job `Rejected;
-          send_error t conn ~id:req.id P.Internal
-            ("verification failure: " ^ msg);
-          finish t job
+          rejected ~quarantine:("verification", msg) req.id P.Internal
+            ("verification failure: " ^ msg)
       | exception e ->
           let detail = Printexc.to_string e in
-          add_quarantine t conn "request" detail;
-          settle t job `Rejected;
-          send_error t conn ~id:req.id P.Internal detail;
-          finish t job
-      | `Cancelled ->
-          (* checkpoint kept for resume *)
-          settle t job `Cancelled;
-          finish t job
-      | `Interrupted r ->
-          (* drain: best-so-far out, checkpoint kept for the restart *)
-          settle t job `Served;
-          result ~interrupted:true ~deadline_hit:false r;
-          finish t job
-      | `Budget r ->
+          rejected ~quarantine:("request", detail) req.id P.Internal detail
+      | r when r.interrupted && not (Atomic.get conn.alive) ->
+          cancelled (* checkpoint kept for resume *)
+      | r ->
+          (* an interrupted (drained) search keeps its checkpoint for the
+             restart; a finished one removes it *)
           let deadline_hit =
+            (not r.interrupted)
+            && r.stats.iterations < req.max_iterations
+            &&
             match deadline_left with
             | Some b -> elapsed () >= b *. 0.9
             | None -> false
           in
           if deadline_hit then Metrics.incr m_deadline;
-          (try Sys.remove path with Sys_error _ -> ());
-          settle t job `Served;
-          result ~interrupted:false ~deadline_hit r;
-          finish t job
-      | `Done r ->
-          (try Sys.remove path with Sys_error _ -> ());
-          settle t job `Served;
-          result ~interrupted:false ~deadline_hit:false r;
-          finish t job)
+          if not r.interrupted then (
+            try Sys.remove path with Sys_error _ -> ());
+          served
+            (P.Result
+               {
+                 o_id = req.id;
+                 o_initial_peak = r.initial.peak_mem;
+                 o_peak = r.best.peak_mem;
+                 o_latency = r.best.latency;
+                 o_iterations = r.stats.iterations;
+                 o_interrupted = r.interrupted;
+                 o_resumed = resumed;
+                 o_deadline_hit = deadline_hit;
+                 o_quarantined = r.stats.n_quarantined;
+               }))
 
 (* ------------------------------------------------------------------ *)
 (* Frontier queries                                                     *)
@@ -511,27 +487,17 @@ let frontier_spec (f : P.frontier_request) =
 
 let frontier_answer (f : P.frontier_request) ~cache_hit fr =
   let budget = Frontier_build.budget_of_ratio fr ~ratio:f.f_budget_ratio in
-  match Frontier.query fr ~budget with
-  | Some (p : Frontier.point) ->
-      {
-        P.fr_id = f.f_id;
-        fr_cache_hit = cache_hit;
-        fr_points = Frontier.size fr;
-        fr_budget = budget;
-        fr_feasible = true;
-        fr_peak = p.peak;
-        fr_latency = p.latency;
-      }
-  | None ->
-      {
-        P.fr_id = f.f_id;
-        fr_cache_hit = cache_hit;
-        fr_points = Frontier.size fr;
-        fr_budget = budget;
-        fr_feasible = false;
-        fr_peak = 0;
-        fr_latency = 0.0;
-      }
+  let p = Frontier.query fr ~budget in
+  {
+    P.fr_id = f.f_id;
+    fr_cache_hit = cache_hit;
+    fr_points = Frontier.size fr;
+    fr_budget = budget;
+    fr_feasible = Option.is_some p;
+    fr_peak = Option.fold p ~none:0 ~some:(fun (p : Frontier.point) -> p.peak);
+    fr_latency =
+      Option.fold p ~none:0.0 ~some:(fun (p : Frontier.point) -> p.latency);
+  }
 
 (* Memo-then-disk lookup.  A disk hit is promoted into the memo so a
    daemon restarted over a warm cache directory pays the file read
@@ -556,51 +522,40 @@ let frontier_cached t key =
    hardware, so the op-cost cache is private per build (sharing the
    daemon's default-hardware simulation cache across profiles would
    poison it). *)
-let run_frontier t (job : job) (f : P.frontier_request) =
-  let conn = job.jconn in
+let run_frontier t conn (f : P.frontier_request) =
+  let answer ~cache_hit fr =
+    served (P.Frontier_reply (frontier_answer f ~cache_hit fr))
+  in
   match frontier_spec f with
-  | exception Invalid_argument msg ->
-      settle t job `Rejected;
-      send_error t conn ~id:f.f_id P.Malformed msg;
-      finish t job
+  | exception Invalid_argument msg -> rejected f.f_id P.Malformed msg
   | hw, graph, key -> (
       match frontier_cached t key with
       | Some fr ->
           (* another worker (or a previous run) built it since the IO
              domain missed *)
           Metrics.incr m_frontier_hits;
-          settle t job `Served;
-          send t conn (P.Frontier_reply (frontier_answer f ~cache_hit:true fr));
-          finish t job
+          answer ~cache_hit:true fr
       | None -> (
           let config =
             {
               (frontier_config f) with
-              Search.cancel = (fun () -> not (Atomic.get conn.alive));
+              Search.poll =
+                (fun ~iteration:_ ~best:_ ->
+                  if Atomic.get conn.alive then `Continue else `Stop);
             }
           in
           let cache = Op_cost.create hw in
           match Frontier_build.build ~config cache frontier_mode graph with
           | exception e ->
               let detail = Printexc.to_string e in
-              add_quarantine t conn "frontier" detail;
-              settle t job `Rejected;
-              send_error t conn ~id:f.f_id P.Internal detail;
-              finish t job
+              rejected ~quarantine:("frontier", detail) f.f_id P.Internal
+                detail
           | fr, result when result.Search.interrupted ->
               (* partial sweep: answer the live client best-so-far but
                  never cache it — a cached frontier must be the full
                  sweep or later budgets silently get worse answers *)
-              if Atomic.get conn.alive then begin
-                settle t job `Served;
-                send t conn
-                  (P.Frontier_reply (frontier_answer f ~cache_hit:false fr));
-                finish t job
-              end
-              else begin
-                settle t job `Cancelled;
-                finish t job
-              end
+              if Atomic.get conn.alive then answer ~cache_hit:false fr
+              else cancelled
           | fr, _result ->
               Frontier_cache.save ~dir:t.cfg.ckpt_dir ~key fr;
               Mutex.lock t.flock;
@@ -609,25 +564,18 @@ let run_frontier t (job : job) (f : P.frontier_request) =
               Metrics.incr m_frontier_built;
               log t "frontier built for %s on %s (%d points)" f.f_model f.f_hw
                 (Frontier.size fr);
-              settle t job `Served;
-              send t conn
-                (P.Frontier_reply (frontier_answer f ~cache_hit:false fr));
-              finish t job))
+              answer ~cache_hit:false fr))
 
 let execute t (job : job) =
-  let conn = job.jconn in
   let elapsed () = Unix.gettimeofday () -. job.t_admit in
-  if not (Atomic.get conn.alive) then begin
-    settle t job `Cancelled;
-    finish t job
-  end
+  if not (Atomic.get job.jconn.alive) then cancelled
   else
     match job.jtask with
     | Frontier_task f ->
         Trace.with_span ~cat:"serve"
           ~args:[ ("id", f.f_id); ("model", f.f_model) ]
           "frontier"
-        @@ fun () -> run_frontier t job f
+        @@ fun () -> run_frontier t job.jconn f
     | Opt_task req -> (
         let deadline_left =
           Option.map (fun d -> d -. elapsed ()) req.deadline_s
@@ -635,22 +583,18 @@ let execute t (job : job) =
         match deadline_left with
         | Some left when left <= 0.0 ->
             Metrics.incr m_deadline;
-            settle t job `Rejected;
-            send_error t conn ~id:req.id P.Deadline
-              "deadline expired before dispatch";
-            finish t job
+            rejected req.id P.Deadline "deadline expired before dispatch"
         | _ -> (
             match Zoo.find req.model with
-            | exception Invalid_argument msg ->
-                settle t job `Rejected;
-                send_error t conn ~id:req.id P.Malformed msg;
-                finish t job
+            | exception Invalid_argument msg -> rejected req.id P.Malformed msg
             | workload ->
                 Trace.with_span ~cat:"serve"
                   ~args:[ ("id", req.id); ("model", req.model) ]
                   "request"
                 @@ fun () -> run_search t job req workload deadline_left))
 
+(* The one place a job's outcome is applied, in the order of DESIGN.md
+   §13.2: quarantine record, [settle], terminal reply, [finish]. *)
 let rec worker_loop t =
   Mutex.lock t.qlock;
   let runnable () =
@@ -669,14 +613,20 @@ let rec worker_loop t =
     Metrics.set g_queue (float_of_int (Queue.length t.queue));
     Metrics.set g_inflight (float_of_int (Atomic.get t.running));
     Mutex.unlock t.qlock;
-    (try execute t job
-     with e ->
-       (* belt and braces: [execute] replies on every known path, so
-          this only fires on daemon bugs — reply and keep serving *)
-       settle t job `Rejected;
-       send_error t job.jconn ~id:(task_id job.jtask) P.Internal
-         (Printexc.to_string e);
-       finish t job);
+    let o =
+      try execute t job
+      with e ->
+        (* belt and braces: [execute] returns an outcome on every known
+           path, so this only fires on daemon bugs — reply and keep
+           serving *)
+        rejected (task_id job.jtask) P.Internal (Printexc.to_string e)
+    in
+    Option.iter
+      (fun (reason, detail) -> add_quarantine t job.jconn reason detail)
+      o.quarantine;
+    settle t job o.status;
+    Option.iter (send t job.jconn) o.reply;
+    finish t job;
     worker_loop t
   end
 
@@ -696,9 +646,9 @@ let health_snapshot t =
     queue_depth = depth;
     inflight = Atomic.get t.running;
     shed_level = shed_of_depth t.cfg depth;
-    served = Atomic.get t.served;
-    rejected = Atomic.get t.rejected;
-    quarantined = Atomic.get t.n_quar;
+    served = Atomic.get t.served.n;
+    rejected = Atomic.get t.rejected.n;
+    quarantined = Atomic.get t.quarantined.n;
     cache_hit_rate = Sim_cache.hit_rate t.sim_cache;
   }
 
@@ -708,58 +658,42 @@ let set_paused t paused =
   Condition.broadcast t.qcond;
   Mutex.unlock t.qlock
 
-(* Returns [true] when the line requested a drain. *)
 let handle_line t conn line =
   match P.command_of_string line with
   | exception Json.Parse_error msg ->
       add_quarantine t conn "malformed" msg;
       send_error t conn P.Malformed msg;
-      mark_dead t conn;
-      false
+      mark_dead t conn
   | exception P.Invalid msg ->
       add_quarantine t conn "malformed" msg;
-      send_error t conn P.Malformed msg;
-      false
-  | P.Optimize req ->
-      admit t conn (Opt_task req);
-      false
+      send_error t conn P.Malformed msg
+  | P.Optimize req -> admit t conn (Opt_task req)
   | P.Frontier f -> (
       (* cache hits are answered right here on the IO domain — a hit is
          one O(log n) lookup, so it never competes with searches for a
          worker slot or a queue position *)
       match frontier_spec f with
       | exception Invalid_argument msg ->
-          reject t conn ~id:f.f_id P.Malformed msg;
-          false
+          reject t conn ~id:f.f_id P.Malformed msg
       | _, _, key -> (
           match frontier_cached t key with
           | Some fr ->
               Metrics.incr m_frontier_hits;
-              Atomic.incr t.served;
-              Metrics.incr m_served;
+              bump t.served;
               send t conn
-                (P.Frontier_reply (frontier_answer f ~cache_hit:true fr));
-              false
-          | None ->
-              admit t conn (Frontier_task f);
-              false))
-  | P.Health ->
-      send t conn (P.Health_reply (health_snapshot t));
-      false
-  | P.Metrics ->
-      send t conn (P.Metrics_reply (Metrics.to_text ()));
-      false
+                (P.Frontier_reply (frontier_answer f ~cache_hit:true fr))
+          | None -> admit t conn (Frontier_task f)))
+  | P.Health -> send t conn (P.Health_reply (health_snapshot t))
+  | P.Metrics -> send t conn (P.Metrics_reply (Metrics.to_text ()))
   | P.Pause ->
       set_paused t true;
-      send t conn (P.Ack "pause");
-      false
+      send t conn (P.Ack "pause")
   | P.Resume ->
       set_paused t false;
-      send t conn (P.Ack "resume");
-      false
+      send t conn (P.Ack "resume")
   | P.Shutdown ->
       send t conn (P.Ack "shutdown");
-      true
+      stop t
 
 (* Split the read buffer into complete lines; a buffer exceeding the
    request-line limit without a newline is an attack or a bug — reply,
@@ -768,13 +702,11 @@ let drain_lines t conn =
   let data = Buffer.contents conn.rbuf in
   Buffer.clear conn.rbuf;
   let n = String.length data in
-  let drain = ref false in
   let rec go start =
     match String.index_from_opt data start '\n' with
     | Some nl ->
         let line = String.sub data start (nl - start) in
-        if String.length line > 0 then
-          if handle_line t conn line then drain := true;
+        if String.length line > 0 then handle_line t conn line;
         go (nl + 1)
     | None ->
         let rest = n - start in
@@ -787,25 +719,21 @@ let drain_lines t conn =
         end
         else Buffer.add_substring conn.rbuf data start rest
   in
-  go 0;
-  !drain
+  go 0
 
 (* One readable connection: a torn read (injected [sock_read] fault or
    a real socket error) quarantines and drops the client; EOF marks it
-   dead so in-flight work cancels at the next expansion boundary. *)
+   dead so in-flight work cancels at its search's next pop. *)
 let service_read t conn scratch =
   match
     (Fault.hit "sock_read";
      Unix.read conn.fd scratch 0 (Bytes.length scratch))
   with
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception e ->
       add_quarantine t conn "sock_read" (Printexc.to_string e);
-      mark_dead t conn;
-      false
-  | 0 ->
-      mark_dead t conn;
-      false
+      mark_dead t conn
+  | 0 -> mark_dead t conn
   | n ->
       Buffer.add_subbytes conn.rbuf scratch 0 n;
       drain_lines t conn
@@ -916,9 +844,7 @@ let run t =
         if List.mem listen_fd readable && not !drain_requested then
           accept_all ();
         List.iter
-          (fun c ->
-            if List.mem c.fd readable then
-              if service_read t c scratch then Atomic.set t.drain_flag true)
+          (fun c -> if List.mem c.fd readable then service_read t c scratch)
           live);
     if !drain_requested then begin
       Mutex.lock t.qlock;

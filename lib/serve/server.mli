@@ -3,9 +3,9 @@
 
     One IO domain runs a [select] event loop over the listening socket,
     a signal self-pipe and every client connection; [workers] domains
-    pop admitted requests from a bounded queue and run the search
-    slice-by-slice (checkpoint-resumed), streaming progress and the
-    final result back over the client's connection.  The robustness
+    pop admitted requests from a bounded queue and run each as one
+    checkpointed search, streaming progress and the final result back
+    over the client's connection.  The robustness
     contract, the request lifecycle state machine and the load-shedding
     ladder are specified in DESIGN.md §13.
 
@@ -19,16 +19,17 @@
       before anything is rejected;
     - deadlines map onto the search's [time_budget], so expiry returns
       best-so-far, flagged [deadline_hit];
-    - client disconnect cancels the in-flight search at the next
-      expansion boundary via the [cancel] hook;
+    - one per-pop poll of the search ([Search.config.poll]) streams
+      progress and stops it at its next pop when the client disconnects
+      (cancelled) or the daemon drains;
     - every in-flight request checkpoints under
       [ckpt_dir/req-<id>.ckpt]; a restarted daemon resumes a
       re-submitted id bit-identically (same spec) or answers
       [incompatible] (changed spec);
-    - SIGTERM (or {!stop}, or a [shutdown] command) drains: no new
-      admissions, queued and in-flight requests finish (in-flight
-      searches observe the signal and return best-so-far), then the
-      daemon exits. *)
+    - SIGTERM, {!stop} and a [shutdown] command take one drain path:
+      no new admissions; every queued and in-flight search returns
+      best-so-far at its next pop, flagged [interrupted], with its
+      checkpoint kept; then the daemon exits. *)
 
 type config = {
   addr : Protocol.addr;
@@ -37,9 +38,6 @@ type config = {
   per_client_limit : int;  (** max queued+running requests per connection *)
   ckpt_dir : string;  (** created if missing; one file per request id *)
   ckpt_every : float;  (** seconds between periodic snapshots *)
-  slice_iterations : int;
-      (** iteration granularity of progress/cancellation when a request
-          does not set [progress_every] *)
   write_timeout : float;
       (** [SO_SNDTIMEO] on client sockets: a slow-loris reader is
           declared dead after this many seconds of a blocked write *)

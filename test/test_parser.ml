@@ -60,32 +60,10 @@ let test_parse_errors () =
       | Error _ -> ())
     bad
 
-let test_chrome_trace () =
-  let c = cache () in
-  let b = Builder.create () in
-  let x = Builder.input b [ 4096 ] ~dtype:Shape.F32 in
-  let r = Builder.relu b x in
-  let st = Builder.op b Op.Store [ r ] in
-  let ld = Builder.op b Op.Load [ st ] in
-  let _ = Builder.add b r ld in
-  let g = Builder.finish b in
-  let trace = Export.to_chrome_trace c g ~schedule:(Graph.topo_order g) in
-  let contains needle =
-    let lh = String.length trace and ln = String.length needle in
-    let rec go i = i + ln <= lh && (String.sub trace i ln = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "compute lane" true (contains "\"tid\": 1");
-  Alcotest.(check bool) "copy lane" true (contains "\"tid\": 2");
-  Alcotest.(check bool) "memory counter" true (contains "device memory");
-  Alcotest.(check bool) "json-ish" true
-    (trace.[0] = '[' && trace.[String.length trace - 2] = ']')
-
 let suite =
   [
     tc "round-trip small graphs" test_roundtrip_small_graphs;
     tc "round-trip all workloads" test_roundtrip_all_workloads;
     tc "round-trip swaps + schedule" test_roundtrip_with_swaps_and_schedule;
     tc "parse errors" test_parse_errors;
-    tc "chrome trace" test_chrome_trace;
   ]

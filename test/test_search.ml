@@ -138,6 +138,44 @@ let test_fingerprint_pinned () =
        { Search.default_config with sched_states = 64 }
        (Search.Min_latency { mem_limit = 1000 }) ~hw g)
 
+(* A poll that stops at iteration k cuts the run exactly where an
+   iteration cap of k does: same best state, but flagged interrupted.
+   The poll is outside the trajectory fingerprint. *)
+let test_poll_stop_equals_cap () =
+  let g = subject () in
+  let mode = Search.Min_memory { lat_limit = infinity } in
+  let k = 5 in
+  let cfg = { (config 1e9) with max_iterations = 25 } in
+  let capped =
+    Search.run ~config:{ cfg with max_iterations = k } (cache ()) mode g
+  in
+  let seen = ref [] in
+  let poll ~iteration ~(best : Mstate.t) =
+    seen := (iteration, best.peak_mem) :: !seen;
+    if iteration >= k then `Stop else `Continue
+  in
+  let polled = Search.run ~config:{ cfg with poll } (cache ()) mode g in
+  Alcotest.(check int) "same iteration count" capped.stats.iterations
+    polled.stats.iterations;
+  Alcotest.(check int) "same best peak" capped.best.peak_mem
+    polled.best.peak_mem;
+  Alcotest.(check (float 0.0)) "same best latency" capped.best.latency
+    polled.best.latency;
+  Alcotest.(check (list int)) "same best schedule" capped.best.schedule
+    polled.best.schedule;
+  Alcotest.(check bool) "the cap is a normal finish" false capped.interrupted;
+  Alcotest.(check bool) "the poll's stop is an interrupt" true
+    polled.interrupted;
+  Alcotest.(check (list int)) "polled once before every pop, then stopped"
+    (List.init (k + 1) Fun.id)
+    (List.rev_map fst !seen);
+  Alcotest.(check int) "the last poll saw the returned best"
+    polled.best.peak_mem (snd (List.hd !seen));
+  let hw = Hardware.fingerprint Hardware.default in
+  Alcotest.(check int64) "poll outside the trajectory fingerprint"
+    (Search.trajectory_fingerprint cfg mode ~hw g)
+    (Search.trajectory_fingerprint { cfg with poll } mode ~hw g)
+
 let suite =
   [
     tc "memory mode respects constraint" test_memory_mode_respects_constraint;
@@ -149,4 +187,6 @@ let suite =
     tc "ablation settings run" test_ablation_settings_run;
     tc "deterministic under iteration budget" test_deterministic;
     tc "trajectory fingerprint pinned" test_fingerprint_pinned;
+    tc "a poll stop at k equals an iteration cap of k"
+      test_poll_stop_equals_cap;
   ]

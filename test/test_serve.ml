@@ -30,8 +30,8 @@ let fresh_cfg ?(workers = 2) ?(queue_cap = 8) ?(per_client = 8) name =
     per_client_limit = per_client;
     ckpt_dir = base ^ ".ckpt";
     ckpt_every = 0.0;
-    (* snapshot at every boundary: crash tests want fresh checkpoints *)
-    slice_iterations = 2;
+    (* snapshot after every iteration: crash tests want fresh
+       checkpoints *)
     write_timeout = 5.0;
     verbose = false;
   }
@@ -216,7 +216,8 @@ let test_lifecycle () =
   in
   Alcotest.(check string) "result id" "life-1" o.o_id;
   Alcotest.(check int) "all iterations ran" 4 o.o_iterations;
-  Alcotest.(check int) "one progress event at the halfway slice" 1 !progresses;
+  Alcotest.(check int) "one progress event, at the halfway iteration" 1
+    !progresses;
   Alcotest.(check bool) "peak improved or held" true
     (o.o_peak <= o.o_initial_peak);
   Alcotest.(check bool) "not resumed/interrupted/deadline" false
@@ -371,6 +372,72 @@ let test_disconnect_cancels_then_resumes () =
   Alcotest.(check bool) "resumed from the checkpoint" true o.o_resumed
 
 (* ------------------------------------------------------------------ *)
+(* One search per request: progress and drain through the per-pop poll *)
+(* ------------------------------------------------------------------ *)
+
+(* The value of counter [name] in a metrics scrape (0 when absent). *)
+let counter_in text name =
+  String.split_on_char '\n' text
+  |> List.find_map (fun line ->
+         match String.split_on_char ' ' line with
+         | [ n; v ] when n = name -> int_of_string_opt v
+         | _ -> None)
+  |> Option.value ~default:0
+
+let test_progress_without_reload () =
+  with_server (fresh_cfg "poll") @@ fun addr ->
+  with_client addr @@ fun c ->
+  let loads () = counter_in (Client.metrics_text c) "checkpoint.loads" in
+  let before = loads () in
+  let seen = ref [] in
+  let o =
+    expect_result
+      (Client.optimize
+         ~on_progress:(fun p -> seen := p.P.p_iterations :: !seen)
+         c
+         (req ~iters:4 ~progress:1 "poll-1"))
+  in
+  Alcotest.(check int) "all iterations ran" 4 o.o_iterations;
+  Alcotest.(check (list int)) "progress at iterations 1, 2 and 3" [ 1; 2; 3 ]
+    (List.rev !seen);
+  Alcotest.(check int) "a fresh request never reloads its checkpoint" 0
+    (loads () - before)
+
+let test_drain_at_next_pop () =
+  let cfg = fresh_cfg ~workers:1 "drain" in
+  with_server cfg @@ fun addr ->
+  with_client addr @@ fun c ->
+  Client.send c (P.Optimize (req ~iters:500 ~progress:1 "drain-1"));
+  (match Client.recv c with
+  | P.Progress _ -> ()
+  | r -> Alcotest.failf "expected progress, got %s" (P.reply_to_string r));
+  (* queued behind the first on the one worker, admitted before the
+     drain: the IO domain handles one connection's lines in order *)
+  Client.send c (P.Optimize (req ~iters:500 "drain-2"));
+  Client.send c P.Shutdown;
+  let last = ref 0 and results = ref [] in
+  while List.length !results < 2 do
+    match Client.recv c with
+    | P.Progress p -> last := p.p_iterations
+    | P.Result o -> results := o :: !results
+    | P.Ack _ -> ()
+    | r -> Alcotest.failf "unexpected reply %s" (P.reply_to_string r)
+  done;
+  let result id = List.find (fun (o : P.outcome) -> o.o_id = id) !results in
+  let a = result "drain-1" and b = result "drain-2" in
+  Alcotest.(check bool) "in-flight search interrupted" true a.o_interrupted;
+  Alcotest.(check bool) "stopped within one iteration of its last progress"
+    true
+    (a.o_iterations >= !last && a.o_iterations - !last <= 1);
+  Alcotest.(check bool) "queued search answered, interrupted" true
+    b.o_interrupted;
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (id ^ " checkpoint kept") true
+        (Sys.file_exists (Server.ckpt_path cfg id)))
+    [ "drain-1"; "drain-2" ]
+
+(* ------------------------------------------------------------------ *)
 (* Socket-layer fault injection                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -470,7 +537,7 @@ let test_sigkill_restart_resume () =
     Unix.create_process serve_exe
       [|
         serve_exe; "daemon"; "--socket"; sock; "--ckpt-dir";
-        cfg.Server.ckpt_dir; "--ckpt-every"; "0"; "--slice"; "2";
+        cfg.Server.ckpt_dir; "--ckpt-every"; "0";
       |]
       devnull devnull devnull
   in
@@ -487,7 +554,8 @@ let test_sigkill_restart_resume () =
       | P.Progress p -> p.p_iterations
       | r -> Alcotest.failf "expected progress, got %s" (P.reply_to_string r)
     in
-    (* the first slice checkpointed (atomic rename); crash NOW *)
+    (* the iteration before the progress event checkpointed (atomic
+       rename); crash NOW *)
     Unix.kill pid Sys.sigkill;
     ignore (Unix.waitpid [] pid);
     Client.close c;
@@ -553,6 +621,10 @@ let suite =
       test_deadlines;
     tc "client disconnect cancels; same id resumes the checkpoint"
       test_disconnect_cancels_then_resumes;
+    tc "progress comes from the one search, with no checkpoint reload"
+      test_progress_without_reload;
+    tc "shutdown stops in-flight and queued searches at their next pop"
+      test_drain_at_next_pop;
     tc "torn socket read is quarantined, never fatal"
       test_torn_read_quarantined;
     tc "frontier: miss builds and persists, repeat hits the cache"
