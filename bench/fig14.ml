@@ -48,8 +48,8 @@ let run (env : Common.env) =
           (* incremental scheduling *)
           let t0 = Unix.gettimeofday () in
           let is_, _ =
-            Incremental.reschedule ~max_states:2_000 ~old_graph:!g
-              ~new_graph:rw.graph ~old_schedule:!schedule
+            Incremental.reschedule ~max_states:2_000
+              ~parent:(Incremental.parent !g !schedule) ~new_graph:rw.graph
               ~mutated_old:rw.touched_old ~size_of ()
           in
           let t_is = Unix.gettimeofday () -. t0 in

@@ -35,12 +35,13 @@ let default_size (g : Graph.t) (id : int) : int =
   match n.op with Op.Store -> 0 | _ -> Shape.size_bytes n.shape
 
 (** Is the output of a node live to the end of the run: a weight, or a
-    graph output (no consumers, not an input)?  [op] is the node's. *)
-let pinned_op (g : Graph.t) (id : int) (op : Op.kind) : bool =
-  Op.is_weight op
-  || (Int_set.is_empty (Graph.succ_set g id) && not (Op.is_input op))
+    graph output (no consumers, not an input)?  [op] and [consumers] are
+    the node's. *)
+let pinned_by (op : Op.kind) (consumers : Int_set.t) : bool =
+  Op.is_weight op || (Int_set.is_empty consumers && not (Op.is_input op))
 
-let pinned (g : Graph.t) (id : int) : bool = pinned_op g id (Graph.op g id)
+let pinned (g : Graph.t) (id : int) : bool =
+  pinned_by (Graph.op g id) (Graph.succ_set g id)
 
 let analyze ?size_of (g : Graph.t) (order : int list) : t =
   let size_of = match size_of with Some f -> f | None -> default_size g in
@@ -55,7 +56,7 @@ let analyze ?size_of (g : Graph.t) (order : int list) : t =
   for i = 0 to n - 1 do
     let v = order.(i) in
     let op = Graph.op g v in
-    if pinned_op g v op then begin
+    if pinned_by op (Graph.succ_set g v) then begin
       if Op.is_weight op then birth.(i) <- 0;
       free.(i) <- last
     end

@@ -29,6 +29,10 @@ val default_size : Graph.t -> int -> int
     consumers, not an input)?  Weights are also live from the start. *)
 val pinned : Graph.t -> int -> bool
 
+(** {!pinned} from a node's operator and consumer set, for callers that
+    already hold both. *)
+val pinned_by : Op.kind -> Int_set.t -> bool
+
 val analyze : ?size_of:(int -> int) -> Graph.t -> int list -> t
 val peak_memory : t -> int
 val hotspots : t -> Int_set.t

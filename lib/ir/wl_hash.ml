@@ -30,9 +30,11 @@ let node_labels (g : Graph.t) : int64 Int_map.t =
   List.fold_left (fun acc v -> Int_map.add v labels.(v) acc) Int_map.empty order
 
 (** Structural hash of the whole graph (invariant under node renumbering):
-    the mixed wrap-around sum of the node labels. *)
-let hash (g : Graph.t) : int64 =
-  let order = Graph.topo_order g in
+    the mixed wrap-around sum of the node labels.  [order] is a
+    topological order of [g] the caller already has; by default
+    {!Graph.topo_order}. *)
+let hash ?order (g : Graph.t) : int64 =
+  let order = match order with Some o -> o | None -> Graph.topo_order g in
   let labels = label_array g order in
   Util.mix64 (List.fold_left (fun acc v -> Int64.add acc labels.(v)) 0L order)
 

@@ -440,11 +440,14 @@ let rewrite_proposals (cfg : config) tb (s : Mstate.t) : proposal list =
         rewrites)
     rules
 
-(** Dedup key of a state: WL hash of the graph ⊕ F-Tree fingerprint. *)
-let state_hash tb (g : Graph.t) (ftree : Ftree.t) : int64 =
+(** Dedup key of a state: WL hash of the graph ⊕ F-Tree fingerprint,
+    with the graph's {!Graph.topo_order} the hash walked. *)
+let state_hash tb (g : Graph.t) (ftree : Ftree.t) : int64 * int list =
   bump tb c_hashes 1;
   timed tb s_hash (fun () ->
-      Util.hash_combine (Wl_hash.hash g) (Ftree.fingerprint ftree))
+      let topo = Graph.topo_order g in
+      ( Util.hash_combine (Wl_hash.hash ~order:topo g) (Ftree.fingerprint ftree),
+        topo ))
 
 (** Everything a worker needs to evaluate proposals: the operator-cost
     cache, the simulation cache and the constant key ingredients. *)
@@ -484,25 +487,55 @@ let proposal_latency_lb (acc : Ftree.accounting) (g : Graph.t) : float =
   +. acc.extra_latency)
   *. lat_lb_margin
 
-(** Evaluate a proposal: incremental reschedule + simulation, memoized
-    in the simulation cache.  [state_hash] is the proposal's dedup hash,
-    already computed by the hash stage; [parent_sched_hash] digests the
-    schedule being incrementally rewritten; [sched_states] is the
-    effective DP budget (the config's, unless the degradation ladder
-    stepped it down).  Runs on a worker domain: it must only write [tb]
-    (a candidate-local table) and the domain-safe caches. *)
-let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
-    ~iteration ~state_hash ~parent_sched_hash (s : Mstate.t) (p : proposal) :
-    Mstate.t =
-  let key, cached =
-    timed tb s_lookup (fun () ->
-        let key =
-          Sim_cache.key ~state:state_hash ~parent_sched:parent_sched_hash
-            ~mutated:(Util.hash_int_list (Int_set.elements p.p_mutated))
-            ~sched_states ~mode:ec.ec_mode ~hw:ec.ec_hw
-        in
-        (key, Sim_cache.find ec.ec_sim key))
+(** [once f] is [f] evaluated at most once, by whichever domain asks
+    first; the others wait for and share its value.  An exception leaves
+    nothing cached, so a retry runs [f] again. *)
+let once f =
+  let cell = Atomic.make None and lock = Mutex.create () in
+  fun () ->
+    match Atomic.get cell with
+    | Some v -> v
+    | None ->
+        Mutex.protect lock (fun () ->
+            match Atomic.get cell with
+            | Some v -> v
+            | None ->
+                let v = f () in
+                Atomic.set cell (Some v);
+                v)
+
+(** Hash a proposal on a worker domain: its dedup hash and its
+    simulation-cache key ([parent_sched_hash] digests the popped state's
+    schedule, [sched_states] is the effective DP budget), plus its
+    graph's topological order when the cache does not already hold the
+    key.  Rescheduling partitions along that same order, so a miss
+    reuses it; a candidate the cache will answer drops it here rather
+    than keep it alive across the batch. *)
+let hash_proposal (ec : eval_ctx) tb ~sched_states ~parent_sched_hash
+    (p : proposal) : int64 * int64 * int array option =
+  let h, topo = state_hash tb p.p_graph p.p_ftree in
+  timed tb s_lookup @@ fun () ->
+  let key =
+    Sim_cache.key ~state:h ~parent_sched:parent_sched_hash
+      ~mutated:(Util.hash_int_list (Int_set.elements p.p_mutated))
+      ~sched_states ~mode:ec.ec_mode ~hw:ec.ec_hw
   in
+  let topo =
+    if Sim_cache.mem ec.ec_sim key then None else Some (Array.of_list topo)
+  in
+  (h, key, topo)
+
+(** Evaluate a proposal: incremental reschedule + simulation, memoized
+    in the simulation cache under [key].  [topo] is the proposal's
+    topological order from {!hash_proposal}, if it kept it; [parent ()]
+    is the popped state's rescheduling context (built once per pop, on
+    first demand); [sched_states] is the effective DP budget (the
+    config's, unless the degradation ladder stepped it down).  Runs on
+    a worker domain: it must only write [tb] (a candidate-local table)
+    and the domain-safe caches, and only read the parent context. *)
+let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
+    ~iteration ~key ~topo ~parent (s : Mstate.t) (p : proposal) : Mstate.t =
+  let cached = timed tb s_lookup (fun () -> Sim_cache.find ec.ec_sim key) in
   match cached with
   | Some v ->
       bump tb c_sim_hits 1;
@@ -514,9 +547,8 @@ let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
             let acc = Ftree.accounting ec.ec_cache p.p_graph p.p_ftree in
             let schedule, (rstats : Magis_sched.Incremental.stats) =
               Magis_sched.Incremental.reschedule ~max_states:sched_states
-                ~old_graph:s.graph ~new_graph:p.p_graph
-                ~old_schedule:s.schedule ~mutated_old:p.p_mutated
-                ~size_of:acc.size_of ()
+                ?topo ~parent:(parent ()) ~new_graph:p.p_graph
+                ~mutated_old:p.p_mutated ~size_of:acc.size_of ()
             in
             if rstats.fallback then bump tb c_sched_fallbacks 1;
             bump tb c_resched_nodes rstats.rescheduled;
@@ -718,7 +750,7 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
   in
   let pops = ref (match snap with Some s -> s.snap_pops | None -> 0) in
   if snap = None then
-    Hashtbl.replace seen (state_hash tb init.graph init.ftree) ();
+    Hashtbl.replace seen (fst (state_hash tb init.graph init.ftree)) ();
   let take k l =
     match l with
     | [ s ] ->
@@ -932,6 +964,12 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
               else [])
             @ rewrite_proposals config tb s)
         in
+        let parent_sched_hash =
+          timed tb s_lookup (fun () -> Util.hash_int_list s.schedule)
+        in
+        let sched_states =
+          ladder_sched_states ~level:!degrade_level config.sched_states
+        in
         (* Hash test FIRST, on the pool: duplicate graphs skip
            scheduling and simulation entirely (the Fig. 15 "Filtered"
            column). *)
@@ -939,7 +977,9 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
           supervised_map ~phase:"hash"
             (fun (p : proposal) ->
               let local = fresh_table () in
-              (p, state_hash local p.p_graph p.p_ftree, local))
+              ( p,
+                hash_proposal ec local ~sched_states ~parent_sched_hash p,
+                local ))
             proposals
         in
         (* Serial, candidate order: dedup against every state seen so
@@ -949,7 +989,7 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
           Array.to_list hashed
           |> List.filter_map (function
                | None -> None (* quarantined in the hash step *)
-               | Some ((p : proposal), h, local) ->
+               | Some ((p : proposal), (h, key, topo), local) ->
                    add_table tb local;
                    if Hashtbl.mem seen h then begin
                      bump tb c_filtered 1;
@@ -957,25 +997,24 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
                    end
                    else begin
                      Hashtbl.replace seen h ();
-                     Some (p, h)
+                     Some (p, key, topo)
                    end)
           |> Array.of_list
         in
         (* On the pool: look up, reschedule and simulate the survivors,
-           each into its own table. *)
-        let parent_sched_hash =
-          timed tb s_lookup (fun () -> Util.hash_int_list s.schedule)
+           each into its own table, against the parent's context: built
+           once, by the first survivor that misses the simulation cache,
+           so a pop whose children all hit never pays for it. *)
+        let parent =
+          once (fun () -> Magis_sched.Incremental.parent s.graph s.schedule)
         in
         let iteration = count tb c_iterations in
-        let sched_states =
-          ladder_sched_states ~level:!degrade_level config.sched_states
-        in
         let evaluated =
           supervised_map ~phase:"evaluate"
-            (fun ((p : proposal), h) ->
+            (fun ((p : proposal), key, topo) ->
               let local = fresh_table () in
               ( evaluate_proposal config ec local ~sched_states ~iteration
-                  ~state_hash:h ~parent_sched_hash s p,
+                  ~key ~topo ~parent s p,
                 local ))
             survivors
         in

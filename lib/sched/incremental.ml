@@ -1,13 +1,17 @@
 (** Incremental scheduling (Algorithm 2 of the paper).
 
-    After a transformation turns [old_graph] into [new_graph] by rewriting
-    the nodes [mutated_old], only a window of the old schedule around the
-    rewritten region needs rescheduling.  [GetRescheduleInterval] widens
-    the window until it hits good cut points — nodes with small
-    narrow-waist values — using the paper's empirical thresholds
-    (l < 20, nw < 4, n̂ > 10).  The nodes of the new graph that are not in
-    the kept prefix/suffix are re-scheduled with the partitioned DP
-    scheduler and spliced back in. *)
+    After a transformation turns a parent graph into [new_graph] by
+    rewriting the nodes [mutated_old], only a window of the parent's
+    schedule around the rewritten region needs rescheduling.
+    [GetRescheduleInterval] widens the window until it hits good cut
+    points — nodes with small narrow-waist values — using the paper's
+    empirical thresholds (l < 20, nw < 4, n̂ > 10).  The nodes of the new
+    graph that are not in the kept prefix/suffix are re-scheduled with
+    the partitioned DP scheduler and spliced back in.
+
+    Everything read from the parent (its schedule, the id → position
+    array and the narrow-waist table) is a {!parent} value built once
+    and shared by all of the parent's children. *)
 
 open Magis_ir
 module Int_set = Util.Int_set
@@ -32,62 +36,85 @@ let extend_bound ~(nw : int array) (psi : int array) (i : int) (d : int) : int =
   in
   clamp (go i max_int 0)
 
-let get_reschedule_interval (g : Graph.t) (psi : int array)
+let get_reschedule_interval ~(nw : int array) (psi : int array)
     (positions : int list) : int * int =
-  let nw = Partition.nw_table g psi in
   let lo = List.fold_left min max_int positions in
   let hi = List.fold_left max min_int positions in
   let beg = extend_bound ~nw psi lo (-1) in
   let end_ = extend_bound ~nw psi hi 1 in
   (beg, end_ + 1)
 
-(** [reschedule ~old_graph ~new_graph ~old_schedule ~mutated_old ~size_of]
-    computes a schedule for [new_graph], reusing the parts of
-    [old_schedule] outside the rewritten window.  [mutated_old] are the
-    nodes of [old_graph] removed or structurally affected by the
-    transformation (for a pure F-Tree mutation, the fission region
-    itself).  Falls back to full scheduling if splicing fails. *)
-let reschedule ?(max_states = 20_000) ~(old_graph : Graph.t)
-    ~(new_graph : Graph.t) ~(old_schedule : int list)
-    ~(mutated_old : Int_set.t) ~size_of () : int list * stats =
+type parent = {
+  graph : Graph.t;
+  schedule : int array;
+  position : int array;
+  nw : int array;
+}
+
+let parent (graph : Graph.t) (schedule : int list) : parent =
+  let schedule = Array.of_list schedule in
+  let position = Array.make (Graph.id_bound graph) (-1) in
+  Array.iteri
+    (fun i v -> if v >= 0 && v < Array.length position then position.(v) <- i)
+    schedule;
+  { graph; schedule; position; nw = Partition.nw_table graph schedule }
+
+(** [reschedule ~parent ~new_graph ~mutated_old ~size_of] computes a
+    schedule for [new_graph], reusing the parts of [parent]'s schedule
+    outside the rewritten window.  [mutated_old] are the nodes of the
+    parent graph removed or structurally affected by the transformation
+    (for a pure F-Tree mutation, the fission region itself).  [topo] is
+    [new_graph]'s {!Graph.topo_order}, when the caller already has it.
+    Falls back to full scheduling if splicing fails. *)
+let reschedule ?(max_states = 20_000) ?topo ~(parent : parent)
+    ~(new_graph : Graph.t) ~(mutated_old : Int_set.t) ~size_of () :
+    int list * stats =
   (* [attempted] preserves the window the splice tried before failing, so
      callers can still see where the rewrite landed instead of the
      meaningless whole-schedule interval the fallback used to report. *)
   let full ?attempted () =
-    let order = Reorder.schedule ~max_states ~size_of new_graph in
+    let order = Reorder.schedule ~max_states ?topo ~size_of new_graph in
     let interval =
       match attempted with Some w -> w | None -> (0, List.length order)
     in
     (order, { interval; rescheduled = List.length order; fallback = true })
   in
-  let psi = Array.of_list old_schedule in
+  let psi = parent.schedule and position = parent.position in
+  (* ids off the schedule (or outside the parent graph) have no position *)
   let positions =
-    List.mapi (fun i v -> (i, v)) old_schedule
-    |> List.filter_map (fun (i, v) ->
-           if Int_set.mem v mutated_old then Some i else None)
+    Int_set.fold
+      (fun v acc ->
+        if v >= 0 && v < Array.length position && position.(v) >= 0 then
+          position.(v) :: acc
+        else acc)
+      mutated_old []
   in
-  if positions = [] || Array.length psi = 0 then full ()
+  if positions = [] then full ()
   else
-    let beg, end_ = get_reschedule_interval old_graph psi positions in
-    let keep v = Graph.mem new_graph v in
-    let prefix =
-      Array.to_list (Array.sub psi 0 beg) |> List.filter keep
+    let beg, end_ = get_reschedule_interval ~nw:parent.nw psi positions in
+    (* one byte per id of the new graph: 1 for a node, 2 once it is
+       kept in the prefix or suffix; the nodes left at 1 are rescheduled *)
+    let mark = Bytes.make (Graph.id_bound new_graph) '\000' in
+    Graph.iter (fun nd -> Bytes.set mark nd.id '\001') new_graph;
+    let keep lo hi =
+      let acc = ref [] in
+      for i = hi - 1 downto lo do
+        let v = psi.(i) in
+        if v >= 0 && v < Bytes.length mark && Bytes.get mark v = '\001' then begin
+          Bytes.set mark v '\002';
+          acc := v :: !acc
+        end
+      done;
+      !acc
     in
-    let suffix =
-      Array.to_list (Array.sub psi end_ (Array.length psi - end_))
-      |> List.filter keep
-    in
-    let kept =
-      Int_set.union (Int_set.of_list prefix) (Int_set.of_list suffix)
-    in
-    let s_new =
-      List.filter
-        (fun v -> not (Int_set.mem v kept))
-        (Graph.node_ids new_graph)
-      |> Int_set.of_list
-    in
+    let prefix = keep 0 beg and suffix = keep end_ (Array.length psi) in
+    let rest = ref [] in
+    for v = Bytes.length mark - 1 downto 0 do
+      if Bytes.get mark v = '\001' then rest := v :: !rest
+    done;
+    let s_new = Int_set.of_list !rest in
     let middle =
-      Reorder.schedule_members ~max_states ~size_of new_graph s_new
+      Reorder.schedule_members ~max_states ?topo ~size_of new_graph s_new
     in
     let order = prefix @ middle @ suffix in
     if Graph.is_valid_order new_graph order then

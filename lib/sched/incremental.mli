@@ -26,16 +26,35 @@ type stats = {
 val extend_bound : nw:int array -> int array -> int -> int -> int
 
 (** The paper's [GetRescheduleInterval] over schedule [psi] of the old
-    graph, from one {!Partition.nw_table} pass. *)
-val get_reschedule_interval : Graph.t -> int array -> int list -> int * int
+    graph: the window around [positions] (indices into [psi]) widened by
+    {!extend_bound} over the narrow-waist table [nw]. *)
+val get_reschedule_interval : nw:int array -> int array -> int list -> int * int
 
-(** Splice a re-scheduled window into the old schedule; falls back to full
-    scheduling when splicing fails. *)
+(** Everything the rescheduling of a parent's children reads from the
+    parent, built once per parent and then only read (by every worker
+    domain at once). *)
+type parent = private {
+  graph : Graph.t;
+  schedule : int array;  (** the parent's schedule, position -> id *)
+  position : int array;
+      (** id -> position in [schedule], [-1] for an id off it *)
+  nw : int array;  (** {!Partition.nw_table} over [schedule] *)
+}
+
+(** [parent g schedule]: the context of graph [g] under its valid
+    schedule [schedule] — one {!Partition.nw_table} pass. *)
+val parent : Graph.t -> int list -> parent
+
+(** Splice a re-scheduled window into the parent's schedule; falls back
+    to full scheduling when splicing fails, or when no node of
+    [mutated_old] is on the parent's schedule.  [topo] is [new_graph]'s
+    {!Graph.topo_order}, when the caller already has it, so partitioning
+    does not compute it again. *)
 val reschedule :
   ?max_states:int ->
-  old_graph:Graph.t ->
+  ?topo:int array ->
+  parent:parent ->
   new_graph:Graph.t ->
-  old_schedule:int list ->
   mutated_old:Int_set.t ->
   size_of:(int -> int) ->
   unit ->

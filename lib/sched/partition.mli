@@ -11,9 +11,15 @@ module Int_set = Util.Int_set
     earliest = (n - 1 - |des v|) - |anc v|]. *)
 val nw_table : Graph.t -> int array -> int array
 
+(** {!partition} on a member index: each block is the ascending local
+    indices of its members.  [topo] is the graph's {!Graph.topo_order}
+    (the cuts depend on that order; no other may be passed). *)
+val blocks : ?max_crossing:int -> topo:int array -> Members.t -> int array list
+
 (** Cut each weakly-connected component where the dependence frontier
     narrows to at most [max_crossing] live tensors (linear-time
     equivalent of cutting at nw <= 1); pinned tensors
     ({!Magis_cost.Lifetime.pinned}) never count as crossing.  Blocks are
-    returned in a dependency-compatible order. *)
+    returned in a dependency-compatible order.  Scratch is sized by the
+    members ({!Members}), not by {!Graph.id_bound}. *)
 val partition : ?max_crossing:int -> Graph.t -> Int_set.t -> Int_set.t list

@@ -11,7 +11,15 @@
     The state space is exponential in the antichain width, so the search
     carries a state budget; [schedule] first cuts the problem at narrow
     waists ({!Partition}) and falls back to a memory-greedy list scheduler
-    ([greedy_schedule]) for blocks whose DP exceeds the budget. *)
+    ([greedy_schedule]) for blocks whose DP exceeds the budget.
+
+    The greedy scheduler is the one the search runs on every candidate
+    (its default DP budget is 0).  It works on arrays indexed by the
+    block's members ({!Members}: rank among the sorted ids), never by
+    {!Graph.id_bound}, and keeps the ready nodes in a binary min-heap
+    with a position index, ordered by an int-only comparison of (net
+    memory delta, size, id).  [schedule_members] indexes the members
+    once; partitioning and every block's greedy pass read that index. *)
 
 open Magis_ir
 module Int_set = Util.Int_set
@@ -67,103 +75,119 @@ let next_ready (g : Graph.t) (members : Int_set.t) (executed : Int_set.t)
 (* Memory-greedy list scheduling                                      *)
 (* ------------------------------------------------------------------ *)
 
-(** Fallback scheduler: at each step execute the ready node with the best
-    (net memory delta, transient size) pair.
-
-    Runs in O((V+E) log V): remaining-consumer counts decide when a tensor
-    dies; ready nodes live in a priority map keyed by
-    (size - potentially-freed bytes, size, id), and only the candidates
-    whose operands were touched by the last execution get re-keyed. *)
-let greedy_schedule ~size_of (g : Graph.t) (members : Int_set.t) : int list =
-  let module Km = Map.Make (struct
-    type t = int * int * int
-
-    let compare = compare
-  end) in
-  (* remaining in-member consumers; a tensor with an out-of-member consumer
-     or pinned never dies inside this block *)
-  let remaining = Hashtbl.create 64 in
-  let freeable = Hashtbl.create 64 in
-  Int_set.iter
-    (fun v ->
-      let succs = Graph.succ_set g v in
-      let in_members = Int_set.filter (fun s -> Int_set.mem s members) succs in
-      Hashtbl.replace remaining v (Int_set.cardinal in_members);
-      Hashtbl.replace freeable v
-        (Int_set.cardinal in_members = Int_set.cardinal succs
-        && not (Magis_cost.Lifetime.pinned g v)))
-    members;
-  let in_member_preds v =
-    List.filter (fun u -> Int_set.mem u members) (Graph.pre g v)
+(* [greedy_schedule] on an already indexed block *)
+let greedy_members ~size_of (ms : Members.t) : int list =
+  let m = Members.size ms in
+  let size = Array.init m (fun i -> size_of (Members.id ms i)) in
+  (* remaining member consumers; a tensor that is not [closed] never
+     dies inside this block *)
+  let remaining = Array.init m (Members.n_succs ms) in
+  let missing = Array.init m (Members.n_preds ms) in
+  (* net bytes added if i ran now *)
+  let delta = Array.make m 0 in
+  let net i =
+    let freed = ref 0 in
+    Members.iter_preds
+      (fun u ->
+        if remaining.(u) = 1 && Members.closed ms u then
+          freed := !freed + size.(u))
+      ms i;
+    if remaining.(i) = 0 && Members.closed ms i then freed := !freed + size.(i);
+    size.(i) - !freed
   in
-  let missing = Hashtbl.create 64 in
-  Int_set.iter
-    (fun v -> Hashtbl.replace missing v (List.length (in_member_preds v)))
-    members;
-  (* net bytes freed if v ran now *)
-  let potential_freed v =
-    let from_preds =
-      List.fold_left
-        (fun acc u ->
-          if Hashtbl.find remaining u = 1 && Hashtbl.find freeable u then
-            acc + size_of u
-          else acc)
-        0
-        (List.sort_uniq compare (in_member_preds v))
-    in
-    if Hashtbl.find remaining v = 0 && Hashtbl.find freeable v then
-      from_preds + size_of v
-    else from_preds
+  (* local index order is id order, so (delta, size, index) is the key *)
+  let less i j =
+    let di = delta.(i) and dj = delta.(j) in
+    di < dj
+    || di = dj
+       && (size.(i) < size.(j) || (size.(i) = size.(j) && i < j))
   in
-  let key v = (size_of v - potential_freed v, size_of v, v) in
-  let current_key = Hashtbl.create 64 in
-  let q = ref Km.empty in
-  let enqueue v =
-    let k = key v in
-    (match Hashtbl.find_opt current_key v with
-    | Some old -> q := Km.remove old !q
-    | None -> ());
-    Hashtbl.replace current_key v k;
-    q := Km.add k v !q
+  let heap = Array.make m 0 and slot = Array.make m (-1) in
+  let len = ref 0 in
+  let place i k =
+    heap.(k) <- i;
+    slot.(i) <- k
   in
-  Int_set.iter
-    (fun v -> if Hashtbl.find missing v = 0 then enqueue v)
-    members;
-  let acc = ref [] in
-  let continue_ = ref true in
-  while !continue_ do
-    match Km.min_binding_opt !q with
-    | None -> continue_ := false
-    | Some (k, v) ->
-        q := Km.remove k !q;
-        Hashtbl.remove current_key v;
-        acc := v :: !acc;
-        (* consume operands *)
-        let touched = ref [] in
-        List.iter
-          (fun u ->
-            let r = Hashtbl.find remaining u - 1 in
-            Hashtbl.replace remaining u r;
-            if r = 1 then
-              (* u's last consumer becomes the one that frees it: re-key
-                 u's remaining ready consumer *)
-              Int_set.iter
-                (fun c ->
-                  if Hashtbl.mem current_key c then touched := c :: !touched)
-                (Graph.succ_set g u))
-          (List.sort_uniq compare (in_member_preds v));
-        (* release newly ready successors *)
-        List.iter
-          (fun s ->
-            if Int_set.mem s members then begin
-              let m = Hashtbl.find missing s - 1 in
-              Hashtbl.replace missing s m;
-              if m = 0 then enqueue s
-            end)
-          (Graph.suc g v);
-        List.iter (fun c -> if Hashtbl.mem current_key c then enqueue c) !touched
+  let rec sift_up i k =
+    let parent = (k - 1) / 2 in
+    if k > 0 && less i heap.(parent) then begin
+      place heap.(parent) k;
+      sift_up i parent
+    end
+    else place i k
+  in
+  let rec sift_down i k =
+    let l = (2 * k) + 1 in
+    if l >= !len then place i k
+    else
+      let c = if l + 1 < !len && less heap.(l + 1) heap.(l) then l + 1 else l in
+      if less heap.(c) i then begin
+        place heap.(c) k;
+        sift_down i c
+      end
+      else place i k
+  in
+  (* insert i, or move it to its recomputed key *)
+  let enqueue i =
+    delta.(i) <- net i;
+    let k = slot.(i) in
+    if k < 0 then begin
+      incr len;
+      sift_up i (!len - 1)
+    end
+    else begin
+      sift_up i k;
+      sift_down i slot.(i)
+    end
+  in
+  let pop () =
+    let top = heap.(0) in
+    slot.(top) <- -1;
+    decr len;
+    if !len > 0 then sift_down heap.(!len) 0;
+    top
+  in
+  for i = 0 to m - 1 do
+    if missing.(i) = 0 then enqueue i
   done;
-  List.rev !acc
+  let order = Array.make m 0 and placed = ref 0 in
+  while !len > 0 do
+    let i = pop () in
+    order.(!placed) <- Members.id ms i;
+    incr placed;
+    (* consume operands: the last remaining consumer of an operand is
+       the one that frees it, so its ready consumers are re-keyed *)
+    Members.iter_preds
+      (fun u ->
+        remaining.(u) <- remaining.(u) - 1;
+        if remaining.(u) = 1 then
+          Members.iter_succs (fun c -> if slot.(c) >= 0 then enqueue c) ms u)
+      ms i;
+    (* release newly ready successors *)
+    Members.iter_succs
+      (fun s ->
+        missing.(s) <- missing.(s) - 1;
+        if missing.(s) = 0 then enqueue s)
+      ms i
+  done;
+  Array.to_list (Array.sub order 0 !placed)
+
+(** Fallback scheduler: at each step execute the ready node with the
+    smallest key (net memory delta, size, id), where the net delta is
+    [size - potentially-freed bytes].
+
+    Runs in O((V+E) log V) on arrays indexed by {!Members} rank (the
+    block's sorted ids), so scratch scales with the block, not with
+    {!Graph.id_bound}; arrays above 256 words land on the major heap
+    once per block.  Remaining-consumer counts decide when a tensor
+    dies.  Ready nodes sit in a binary min-heap with a position index,
+    compared field by field on ints.  A ready node's key depends only on
+    the remaining counts of its operands (its own cannot change before
+    it runs), so after each step only the ready consumers of an operand
+    whose count fell to one are re-keyed, and every queued key stays
+    exact. *)
+let greedy_schedule ~size_of (g : Graph.t) (members : Int_set.t) : int list =
+  greedy_members ~size_of (Members.of_set g members)
 
 (* ------------------------------------------------------------------ *)
 (* DP (uniform-cost search on peak memory)                            *)
@@ -263,30 +287,35 @@ let dp_schedule ?(max_states = 20_000) ~size_of (g : Graph.t)
 (* Full scheduling: partition, DP per block, fallback                 *)
 (* ------------------------------------------------------------------ *)
 
-(** Schedule one block: DP if it fits the budget ([max_states = 0] skips
-    the DP entirely), greedy otherwise. *)
-let schedule_block ?(max_states = 20_000) ~size_of g block =
-  if max_states <= 0 then greedy_schedule ~size_of g block
-  else
-    match dp_schedule ~max_states ~size_of g block with
-    | Some order -> order
-    | None -> greedy_schedule ~size_of g block
-
-(** Schedule a node subset: narrow-waist partition, then per-block DP with
-    greedy fallback, concatenated in dependency order. *)
-let schedule_members ?(max_states = 20_000) ~size_of (g : Graph.t)
+(** Schedule a node subset: narrow-waist partition, then per-block DP
+    ([max_states = 0] skips it) with greedy fallback, concatenated in
+    dependency order.  The members are indexed once; each block is a
+    {!Members.sub} of that index.  [topo] is [g]'s {!Graph.topo_order}
+    when the caller already has it. *)
+let schedule_members ?(max_states = 20_000) ?topo ~size_of (g : Graph.t)
     (members : Int_set.t) : int list =
-  let blocks = Partition.partition g members in
-  List.concat_map (fun b -> schedule_block ~max_states ~size_of g b) blocks
+  let ms = Members.of_set g members in
+  let topo =
+    match topo with Some t -> t | None -> Array.of_list (Graph.topo_order g)
+  in
+  List.concat_map
+    (fun block ->
+      let greedy () = greedy_members ~size_of (Members.sub ms block) in
+      if max_states <= 0 then greedy ()
+      else
+        match dp_schedule ~max_states ~size_of g (Members.to_set ms block) with
+        | Some order -> order
+        | None -> greedy ())
+    (Partition.blocks ~topo ms)
 
 (** Schedule the whole graph. *)
-let schedule ?(max_states = 20_000) ?size_of (g : Graph.t) : int list =
+let schedule ?(max_states = 20_000) ?topo ?size_of (g : Graph.t) : int list =
   let size_of =
     match size_of with
     | Some f -> f
     | None -> fun v -> Magis_cost.Lifetime.default_size g v
   in
   let members = Int_set.of_list (Graph.node_ids g) in
-  let order = schedule_members ~max_states ~size_of g members in
+  let order = schedule_members ~max_states ?topo ~size_of g members in
   assert (Graph.is_valid_order g order);
   order

@@ -15,7 +15,8 @@ val initial_ready : Graph.t -> Int_set.t -> Int_set.t
 val next_ready :
   Graph.t -> Int_set.t -> Int_set.t -> Int_set.t -> int -> Int_set.t
 
-(** O((V+E) log V) list scheduling by (net memory delta, size). *)
+(** O((V+E) log V) list scheduling by (net memory delta, size, id), on
+    arrays indexed by the block's members and a binary heap. *)
 val greedy_schedule : size_of:(int -> int) -> Graph.t -> Int_set.t -> int list
 
 (** Peak-memory-optimal order, or [None] past the state budget. *)
@@ -23,13 +24,14 @@ val dp_schedule :
   ?max_states:int -> size_of:(int -> int) -> Graph.t -> Int_set.t ->
   int list option
 
-(** DP with greedy fallback ([max_states = 0] skips the DP). *)
-val schedule_block :
-  ?max_states:int -> size_of:(int -> int) -> Graph.t -> Int_set.t -> int list
-
-(** Narrow-waist partition, then per-block scheduling, concatenated. *)
+(** Narrow-waist partition, then per-block DP with greedy fallback
+    ([max_states = 0] skips the DP), concatenated.  [topo] is the
+    graph's {!Graph.topo_order}, when the caller already has it. *)
 val schedule_members :
-  ?max_states:int -> size_of:(int -> int) -> Graph.t -> Int_set.t -> int list
+  ?max_states:int -> ?topo:int array -> size_of:(int -> int) -> Graph.t ->
+  Int_set.t -> int list
 
-(** Schedule the whole graph. *)
-val schedule : ?max_states:int -> ?size_of:(int -> int) -> Graph.t -> int list
+(** Schedule the whole graph ([topo] as for {!schedule_members}). *)
+val schedule :
+  ?max_states:int -> ?topo:int array -> ?size_of:(int -> int) -> Graph.t ->
+  int list

@@ -94,6 +94,17 @@ if [ -n "$hits" ]; then
   echo "$hits"
 fi
 
+# 9. lib/ir and lib/sched run on every search candidate, so their maps,
+# sets and queues compare keys monomorphically: no functor key that
+# forwards to the polymorphic compare (e.g. a tuple key declared with
+# `let compare = compare`).
+hits=$(grep -nE 'let compare = (Stdlib\.)?compare( |$)' \
+  $(git ls-files -- 'lib/ir/*.ml' 'lib/sched/*.ml') 2>/dev/null)
+if [ -n "$hits" ]; then
+  fail "polymorphic-compare functor key in a per-candidate layer (lib/ir, lib/sched):"
+  echo "$hits"
+fi
+
 if [ "$status" -eq 0 ]; then
   echo "style: clean ($(echo "$files" | wc -w) files)"
 fi

@@ -35,8 +35,8 @@ let test_incremental_valid () =
   | Some rw ->
       let size_of v = Lifetime.default_size rw.graph v in
       let order, stats =
-        Incremental.reschedule ~old_graph:g ~new_graph:rw.graph
-          ~old_schedule:schedule ~mutated_old:rw.touched_old ~size_of ()
+        Incremental.reschedule ~parent:(Incremental.parent g schedule)
+          ~new_graph:rw.graph ~mutated_old:rw.touched_old ~size_of ()
       in
       valid_order_of rw.graph order;
       Alcotest.(check bool) "rescheduled fewer nodes than full" true
@@ -52,8 +52,8 @@ let test_incremental_matches_full_quality () =
   | Some rw ->
       let size_of v = Lifetime.default_size rw.graph v in
       let inc, _ =
-        Incremental.reschedule ~max_states:2_000 ~old_graph:g
-          ~new_graph:rw.graph ~old_schedule:schedule
+        Incremental.reschedule ~max_states:2_000
+          ~parent:(Incremental.parent g schedule) ~new_graph:rw.graph
           ~mutated_old:rw.touched_old ~size_of ()
       in
       let full = Reorder.schedule ~max_states:2_000 rw.graph in
@@ -79,7 +79,8 @@ let test_interval_covers_mutation () =
   let g = mlp_training () in
   let psi = Array.of_list (Graph.topo_order g) in
   let mid = Array.length psi / 2 in
-  let beg, end_ = Incremental.get_reschedule_interval g psi [ mid ] in
+  let nw = Partition.nw_table g psi in
+  let beg, end_ = Incremental.get_reschedule_interval ~nw psi [ mid ] in
   Alcotest.(check bool) "interval contains the mutated position" true
     (beg <= mid && mid < end_)
 
@@ -91,8 +92,8 @@ let test_full_fallback_on_empty_positions () =
   let schedule = Graph.topo_order g in
   let size_of v = Lifetime.default_size g v in
   let order, _ =
-    Incremental.reschedule ~old_graph:g ~new_graph:g ~old_schedule:schedule
-      ~mutated_old:(Int_set.singleton (-42)) ~size_of ()
+    Incremental.reschedule ~parent:(Incremental.parent g schedule)
+      ~new_graph:g ~mutated_old:(Int_set.singleton (-42)) ~size_of ()
   in
   valid_order_of g order
 
@@ -112,8 +113,8 @@ let test_sequential_rewrites_stay_valid () =
     | Some rw ->
         let size_of v = Lifetime.default_size rw.graph v in
         let order, _ =
-          Incremental.reschedule ~old_graph:!g ~new_graph:rw.graph
-            ~old_schedule:!schedule ~mutated_old:rw.touched_old ~size_of ()
+          Incremental.reschedule ~parent:(Incremental.parent !g !schedule)
+            ~new_graph:rw.graph ~mutated_old:rw.touched_old ~size_of ()
         in
         Alcotest.(check bool)
           (Printf.sprintf "valid after rewrite %d" step)

@@ -3,9 +3,11 @@
 
     The reference implementations below are the set- and hashtable-based
     routines that {!Graph.topo_order}, {!Graph.components_of},
-    {!Graph.is_valid_order}, {!Wl_hash.hash}, {!Partition.nw_table} and
-    {!Partition.partition} used before they moved onto arrays, bitsets
-    and a binary heap.  They live only here, as oracles.  The shared
+    {!Graph.is_valid_order}, {!Wl_hash.hash}, {!Partition.nw_table},
+    {!Partition.partition} and {!Reorder.greedy_schedule} used before
+    they moved onto arrays, bitsets and binary heaps, and the per-child
+    path {!Incremental.reschedule} took before its parent context.  They
+    live only here, as oracles.  The shared
     {!Reach} closure is checked against the set-based {!Graph.anc} /
     {!Graph.des}, and the layers built on it against each other.  Subjects are
     QCheck-drawn Randnets after a seeded chain of rewrites (rewrites add
@@ -175,17 +177,150 @@ let ref_partition ?(max_crossing = 1) g members =
       compare (key a) (key b))
     blocks
 
+(* the memory-greedy list scheduler before it moved onto member-indexed
+   arrays and a binary heap: hashtables and a polymorphic-compare map *)
+let ref_greedy_schedule ~size_of (g : Graph.t) (members : Int_set.t) : int list =
+  let module Km = Map.Make (struct
+    type t = int * int * int
+
+    let compare = compare
+  end) in
+  (* remaining in-member consumers; a tensor with an out-of-member consumer
+     or pinned never dies inside this block *)
+  let remaining = Hashtbl.create 64 in
+  let freeable = Hashtbl.create 64 in
+  Int_set.iter
+    (fun v ->
+      let succs = Graph.succ_set g v in
+      let in_members = Int_set.filter (fun s -> Int_set.mem s members) succs in
+      Hashtbl.replace remaining v (Int_set.cardinal in_members);
+      Hashtbl.replace freeable v
+        (Int_set.cardinal in_members = Int_set.cardinal succs
+        && not (Lifetime.pinned g v)))
+    members;
+  let in_member_preds v =
+    List.filter (fun u -> Int_set.mem u members) (Graph.pre g v)
+  in
+  let missing = Hashtbl.create 64 in
+  Int_set.iter
+    (fun v -> Hashtbl.replace missing v (List.length (in_member_preds v)))
+    members;
+  (* net bytes freed if v ran now *)
+  let potential_freed v =
+    let from_preds =
+      List.fold_left
+        (fun acc u ->
+          if Hashtbl.find remaining u = 1 && Hashtbl.find freeable u then
+            acc + size_of u
+          else acc)
+        0
+        (List.sort_uniq compare (in_member_preds v))
+    in
+    if Hashtbl.find remaining v = 0 && Hashtbl.find freeable v then
+      from_preds + size_of v
+    else from_preds
+  in
+  let key v = (size_of v - potential_freed v, size_of v, v) in
+  let current_key = Hashtbl.create 64 in
+  let q = ref Km.empty in
+  let enqueue v =
+    let k = key v in
+    (match Hashtbl.find_opt current_key v with
+    | Some old -> q := Km.remove old !q
+    | None -> ());
+    Hashtbl.replace current_key v k;
+    q := Km.add k v !q
+  in
+  Int_set.iter
+    (fun v -> if Hashtbl.find missing v = 0 then enqueue v)
+    members;
+  let acc = ref [] in
+  let continue_ = ref true in
+  while !continue_ do
+    match Km.min_binding_opt !q with
+    | None -> continue_ := false
+    | Some (k, v) ->
+        q := Km.remove k !q;
+        Hashtbl.remove current_key v;
+        acc := v :: !acc;
+        (* consume operands *)
+        let touched = ref [] in
+        List.iter
+          (fun u ->
+            let r = Hashtbl.find remaining u - 1 in
+            Hashtbl.replace remaining u r;
+            if r = 1 then
+              (* u's last consumer becomes the one that frees it: re-key
+                 u's remaining ready consumer *)
+              Int_set.iter
+                (fun c ->
+                  if Hashtbl.mem current_key c then touched := c :: !touched)
+                (Graph.succ_set g u))
+          (List.sort_uniq compare (in_member_preds v));
+        (* release newly ready successors *)
+        List.iter
+          (fun s ->
+            if Int_set.mem s members then begin
+              let m = Hashtbl.find missing s - 1 in
+              Hashtbl.replace missing s m;
+              if m = 0 then enqueue s
+            end)
+          (Graph.suc g v);
+        List.iter (fun c -> if Hashtbl.mem current_key c then enqueue c) !touched
+  done;
+  List.rev !acc
+
+(* incremental rescheduling before the parent context: one narrow-waist
+   table per child, positions by a list scan, the kept set by unions *)
+let ref_reschedule ~max_states ~old_graph ~new_graph ~old_schedule ~mutated_old ~size_of =
+  let full ?attempted () =
+    let order = Reorder.schedule ~max_states ~size_of new_graph in
+    let interval =
+      match attempted with Some w -> w | None -> (0, List.length order)
+    in
+    (order, { Incremental.interval; rescheduled = List.length order; fallback = true })
+  in
+  let psi = Array.of_list old_schedule in
+  let positions =
+    List.mapi (fun i v -> (i, v)) old_schedule
+    |> List.filter_map (fun (i, v) -> if Int_set.mem v mutated_old then Some i else None)
+  in
+  if positions = [] || Array.length psi = 0 then full ()
+  else
+    let nw = Partition.nw_table old_graph psi in
+    let lo = List.fold_left min max_int positions in
+    let hi = List.fold_left max min_int positions in
+    let beg = Incremental.extend_bound ~nw psi lo (-1) in
+    let end_ = Incremental.extend_bound ~nw psi hi 1 + 1 in
+    let keep v = Graph.mem new_graph v in
+    let prefix = Array.to_list (Array.sub psi 0 beg) |> List.filter keep in
+    let suffix =
+      Array.to_list (Array.sub psi end_ (Array.length psi - end_)) |> List.filter keep
+    in
+    let kept = Int_set.union (Int_set.of_list prefix) (Int_set.of_list suffix) in
+    let s_new =
+      List.filter (fun v -> not (Int_set.mem v kept)) (Graph.node_ids new_graph)
+      |> Int_set.of_list
+    in
+    let middle = Reorder.schedule_members ~max_states ~size_of new_graph s_new in
+    let order = prefix @ middle @ suffix in
+    if Graph.is_valid_order new_graph order then
+      ( order,
+        { Incremental.interval = (beg, end_); rescheduled = Int_set.cardinal s_new;
+          fallback = false } )
+    else full ~attempted:(beg, end_) ()
+
 (* ------------------------------------------------------------------ *)
 (* Subjects                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let rewrites g =
+let rewrites ?(max_per_rule = 2) g =
   let ctx =
     {
       Rule.hotspots = Int_set.of_list (Graph.node_ids g);
       frozen = Int_set.empty;
       schedule_pos = (fun _ -> None);
-      max_per_rule = 2;
+      max_per_rule;
       restrict_to_hotspots = false;
     }
   in
@@ -297,6 +432,29 @@ let check_closure g seed =
       then Ok ()
       else Error "quick_check verdicts"
 
+(** The greedy scheduler against its oracle on every member set and on
+    every block {!Partition.partition} cuts from it (the blocks of the
+    initial schedule among them), and greedy-only
+    {!Reorder.schedule_members}, which schedules each block on a
+    {!Members.sub} view, against the oracles composed. *)
+let check_greedy g sets =
+  let size_of = Lifetime.default_size g in
+  let greedy_matches s =
+    Reorder.greedy_schedule ~size_of g s = ref_greedy_schedule ~size_of g s
+  in
+  let rec go = function
+    | [] -> Ok ()
+    | s :: rest ->
+        if not (List.for_all greedy_matches (s :: Partition.partition g s)) then
+          Error "greedy_schedule"
+        else if
+          Reorder.schedule_members ~max_states:0 ~size_of g s
+          <> List.concat_map (ref_greedy_schedule ~size_of g) (ref_partition g s)
+        then Error "schedule_members"
+        else go rest
+  in
+  go sets
+
 (** Every invariant against its oracle on [g]; [Error what] names the
     first disagreement. *)
 let check_graph g seed =
@@ -327,6 +485,9 @@ let check_graph g seed =
              sets)
       then Error "partition"
       else
+        match check_greedy g sets with
+        | Error _ as e -> e
+        | Ok () ->
         let orders =
           match topo with
           | a :: b :: rest ->
@@ -371,8 +532,48 @@ let test_zoo () =
   Alcotest.(check bool) "some rewritten graph leaves id order" true
     (!renumbered > 0)
 
+(** The parent context against the per-child path it replaced, on the
+    first 20 rewrites of every zoo model's initial state, all sharing
+    one context: same order, same stats, with and without the
+    candidate's topological order handed in.  Greedy only, as the
+    search schedules by default. *)
+let test_reschedule_zoo () =
+  let compared = ref 0 and spliced = ref 0 in
+  List.iter
+    (fun (w : Zoo.workload) ->
+      let g = w.build Zoo.Quick in
+      let schedule = Reorder.schedule ~max_states:0 g in
+      let parent = Incremental.parent g schedule in
+      List.iteri
+        (fun i (rw : Rule.rewrite) ->
+          if i < 20 then begin
+            let size_of = Lifetime.default_size rw.graph in
+            let expected =
+              ref_reschedule ~max_states:0 ~old_graph:g ~new_graph:rw.graph
+                ~old_schedule:schedule ~mutated_old:rw.touched_old ~size_of
+            in
+            incr compared;
+            if not (snd expected).fallback then incr spliced;
+            let topo = Array.of_list (Graph.topo_order rw.graph) in
+            List.iter
+              (fun topo ->
+                if
+                  Incremental.reschedule ~max_states:0 ?topo ~parent
+                    ~new_graph:rw.graph ~mutated_old:rw.touched_old ~size_of ()
+                  <> expected
+                then Alcotest.failf "%s: rewrite %d (%s)" w.name i rw.rule)
+              [ None; Some topo ]
+          end)
+        (rewrites ~max_per_rule:6 g))
+    Zoo.all;
+  Alcotest.(check bool)
+    (Printf.sprintf "most of %d rewrites spliced (%d)" !compared !spliced)
+    true
+    (!compared = 20 * List.length Zoo.all && 2 * !spliced > !compared)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_randnets;
     tc "invariants equal their oracles on the zoo" test_zoo;
+    tc "parent-context reschedule equals the per-child path" test_reschedule_zoo;
   ]

@@ -179,8 +179,8 @@ let incremental_schedule_valid =
               let g' = Graph.replace_input g' ~node_id:c ~old_src:v ~new_src:load in
               let size_of u = Lifetime.default_size g' u in
               let order, _ =
-                Incremental.reschedule ~old_graph:g ~new_graph:g'
-                  ~old_schedule:schedule
+                Incremental.reschedule
+                  ~parent:(Incremental.parent g schedule) ~new_graph:g'
                   ~mutated_old:(Int_set.of_list [ v; c ])
                   ~size_of ()
               in
