@@ -30,9 +30,8 @@ let () =
   Fmt.pr "D-Graph: %d graph-level dimensions@." (List.length comps);
   List.iteri
     (fun i c ->
-      let nodes = Dgraph.graph_nodes_of_component c in
       Fmt.pr "  dimension %d runs through %d operators@." i
-        (Int_set.cardinal nodes))
+        (Array.length (Dgraph.nodes c)))
     comps;
 
   (* baseline profile *)

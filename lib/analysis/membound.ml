@@ -70,25 +70,7 @@ let total_bytes (lv : Liveness.t) : int =
     the other way indicts one of the two reachability structures. *)
 let dom_cut (lv : Liveness.t) g : int =
   let t = Dominator.compute g in
-  (* O(1) dominance via an Euler interval labelling of the tree *)
-  let tin = Hashtbl.create 64 and tout = Hashtbl.create 64 in
-  let clock = ref 0 in
-  let rec dfs v =
-    Hashtbl.replace tin v !clock;
-    incr clock;
-    Util.Int_set.iter dfs (Dominator.children t v);
-    Hashtbl.replace tout v !clock
-  in
   let in_tree = List.filter (fun v -> Dominator.idom t v <> None) (Graph.node_ids g) in
-  List.iter
-    (fun v ->
-      if Dominator.idom t v = Some Dominator.virtual_root then dfs v)
-    in_tree;
-  let dominates u v =
-    match (Hashtbl.find_opt tin u, Hashtbl.find_opt tin v) with
-    | Some tu, Some tv -> tu <= tv && tv < Hashtbl.find tout u
-    | _ -> false
-  in
   let cut v =
     let base =
       Liveness.weight_bytes lv
@@ -101,7 +83,7 @@ let dom_cut (lv : Liveness.t) g : int =
       | Some d ->
           let held =
             (not (Op.is_weight (Graph.op g d)))
-            && List.exists (fun c -> c = v || dominates v c) (Graph.suc g d)
+            && List.exists (fun c -> Dominator.dominates t v c) (Graph.suc g d)
           in
           climb d (if held then acc + Liveness.size lv d else acc)
     in

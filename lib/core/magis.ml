@@ -15,6 +15,7 @@
 module Shape = Magis_ir.Shape
 module Op = Magis_ir.Op
 module Graph = Magis_ir.Graph
+module Graph_index = Magis_ir.Graph_index
 module Dominator = Magis_ir.Dominator
 module Reach = Magis_ir.Reach
 module Wl_hash = Magis_ir.Wl_hash

@@ -12,10 +12,11 @@ type dnode = { node : int; dim : int }
 
 val compare_dnode : dnode -> dnode -> int
 
-module Dnode_set : Set.S with type elt = dnode
-module Dnode_map : Map.S with type key = dnode
-
 type t
+
+(** A connected component: its graph nodes, each with the one dimension
+    it has in the component or a mark that it has several. *)
+type component
 
 val pp_dnode : Format.formatter -> dnode -> unit
 
@@ -23,15 +24,23 @@ val pp_dnode : Format.formatter -> dnode -> unit
 val dnodes_of : Graph.t -> int -> dnode list
 
 val build : Graph.t -> t
-val neighbors : t -> dnode -> Dnode_set.t
 
-(** Connected components spanning at least two graph nodes, in
-    deterministic order. *)
-val components : t -> Dnode_set.t list
+(** {!build} over an index of the graph. *)
+val of_index : Graph_index.t -> t
 
-val graph_nodes_of_component : Dnode_set.t -> Util.Int_set.t
+(** Connected components spanning at least two graph nodes, in order of
+    their smallest D-node ({!compare_dnode}). *)
+val components : t -> component list
+
+(** Is the D-node in the component? *)
+val mem : component -> dnode -> bool
+
+(** Graph nodes touched by the component, increasing; not a copy, do not
+    mutate. *)
+val nodes : component -> int array
 
 (** Restrict a component to a node subset: the per-node dimension
     assignment of a fission candidate; [None] when some node has more
-    than one D-node in the component (constraint (3) of §4.2). *)
-val restrict : Dnode_set.t -> Util.Int_set.t -> int Int_map.t option
+    than one D-node in it (constraint (3) of §4.2).  Nodes of the subset
+    outside the component are left out of the assignment. *)
+val restrict : component -> Util.Int_set.t -> int Int_map.t option

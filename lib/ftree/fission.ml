@@ -16,7 +16,10 @@
     [validate] checks the paper's constraints (weak connectivity,
     convexity, exactly one assigned dim per member, dimension links along
     every internal edge) plus the semantic side-conditions (splittable
-    axes, divisibility, consistent input slicing).  [expand] performs the
+    axes, divisibility, consistent input slicing).  All of it but
+    divisibility is independent of [n]: [structure] runs it once and
+    returns the gcd of the split extents, so a candidate is valid at
+    exactly the [n] that divide that modulus.  [expand] performs the
     real graph rewrite; the optimizer instead uses the *virtual*
     accounting in {!Ftree} and only expands the final result. *)
 
@@ -71,140 +74,202 @@ let assigned_extent g v d =
     [Shared].  Fails on inconsistent requirements. *)
 type input_role = Sliced of int | Shared
 
-let input_roles (g : Graph.t) (f : t) : (input_role Int_map.t, string) result
-    =
+(* Inputs of [S] that feed an assigned dim, each with the one dim
+   (1-based) it is sliced along; [Error] when one is asked for two. *)
+let sliced_inputs ~node ~links (f : t) : (int Int_map.t, string) result =
   let exception Conflict of string in
   try
-    let roles =
-      Int_set.fold
-        (fun v acc ->
-          match Int_map.find_opt v f.dims with
-          | None -> acc
-          | Some d ->
-              let node = Graph.node g v in
-              List.fold_left
-                (fun acc (slot, in_dim) ->
-                  let u = node.inputs.(slot) in
-                  if Int_set.mem u f.members then acc
-                  else
-                    match Int_map.find_opt u acc with
-                    | Some (Sliced i) when i <> in_dim ->
-                        raise
-                          (Conflict
-                             (Printf.sprintf
-                                "input %d sliced along both dim %d and %d" u
-                                i in_dim))
-                    | _ -> Int_map.add u (Sliced in_dim) acc)
-                acc (feeding_slots g v d))
-        f.members Int_map.empty
-    in
-    (* remaining inputs are shared *)
-    let all =
-      Int_set.fold
-        (fun u acc ->
-          if Int_map.mem u acc then acc else Int_map.add u Shared acc)
-        (Graph.inps_of g f.members)
-        roles
-    in
-    Ok all
+    Ok
+      (Int_set.fold
+         (fun v acc ->
+           match Int_map.find_opt v f.dims with
+           | None -> acc
+           | Some d ->
+               let inputs = (node v : Graph.node).inputs in
+               List.fold_left
+                 (fun acc (slot, in_dim, link) ->
+                   let u = inputs.(slot) in
+                   if link_target link <> d || Int_set.mem u f.members then acc
+                   else
+                     match Int_map.find_opt u acc with
+                     | Some i when i <> in_dim + 1 ->
+                         raise
+                           (Conflict
+                              (Printf.sprintf "input %d sliced along both dim %d and %d" u i
+                                 (in_dim + 1)))
+                     | _ -> Int_map.add u (in_dim + 1) acc)
+                 acc (links v))
+         f.members Int_map.empty)
   with Conflict msg -> Error msg
+
+let input_roles (g : Graph.t) (f : t) : (input_role Int_map.t, string) result =
+  Result.map
+    (fun sliced ->
+      (* remaining inputs are shared *)
+      Int_set.fold
+        (fun u acc -> if Int_map.mem u acc then acc else Int_map.add u Shared acc)
+        (Graph.inps_of g f.members)
+        (Int_map.map (fun i -> Sliced i) sliced))
+    (sliced_inputs ~node:(Graph.node g) ~links:(links_of g) f)
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let validate (g : Graph.t) (f : t) : (unit, string) result =
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+(* Weak connectivity of the members [ids] on an index: their classes
+   joined along every edge between two members.  The same answer as
+   [Graph.is_weakly_connected], without its persistent-set walk. *)
+let index_connected ix ids =
+  let uf = Util.Union_find.create (Array.length ids) in
+  Array.iteri
+    (fun i v ->
+      Array.iter
+        (fun p ->
+          let j = Graph_index.local_of ids p in
+          if j >= 0 then Util.Union_find.union uf i j)
+        (Graph_index.preds ix v))
+    ids;
+  let rec joined i =
+    i = Array.length ids || (Util.Union_find.find uf i = 0 && joined (i + 1))
+  in
+  joined 0
+
+(* Convexity of the members [ids] on an index: no input of S descends
+   from an output of S, in the index's reachability closure. *)
+let index_convex ix ids =
+  let outside v = Graph_index.local_of ids v < 0 in
+  let outs =
+    List.filter
+      (fun v ->
+        let succs = Graph_index.succs ix v in
+        Array.length succs = 0 || Array.exists outside succs)
+      (Array.to_list ids)
+  in
+  let inps =
+    Array.fold_left
+      (fun acc v ->
+        Array.fold_left (fun acc p -> if outside p then p :: acc else acc) acc
+          (Graph_index.preds ix v))
+      [] ids
+  in
+  let r = Graph_index.reach ix in
+  not (List.exists (fun o -> List.exists (fun u -> Reach.precedes r o u) inps) outs)
+
+(** Everything {!validate} checks that does not depend on [f.n]; on
+    success, the extents the split divides as [(what, id, extent)] for
+    error messages: members' assigned output dims first (["node"]), then
+    sliced inputs (["input"]). *)
+let split_extents ?index (g : Graph.t) (f : t) :
+    ((string * int * int) list, string) result =
   let ( let* ) r k = match r with Error _ as e -> e | Ok x -> k x in
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
+  let mem, node, in_shapes, links =
+    match index with
+    | Some ix ->
+        (Graph_index.mem ix, Graph_index.node ix, Graph_index.in_shapes ix, Graph_index.links ix)
+    | None -> (Graph.mem g, Graph.node g, (fun v -> in_shapes g (Graph.node g v)), links_of g)
+  in
   if Int_set.is_empty f.members then err "empty member set"
-  else if f.n < 1 then err "fission number < 1"
-  else if not (Int_set.for_all (fun v -> Graph.mem g v) f.members) then
-    err "members not in graph"
+  else if not (Int_set.for_all mem f.members) then err "members not in graph"
   else if
     not (Int_set.for_all (fun v -> Int_map.mem v f.dims) f.members)
     || Int_map.cardinal f.dims <> Int_set.cardinal f.members
   then err "dimension assignment must cover exactly the members"
-  else if not (Graph.is_weakly_connected g f.members) then
-    err "sub-graph not weakly connected"
-  else if not (Graph.is_convex g f.members) then err "sub-graph not convex"
   else
-    (* member-level checks *)
-    let* () =
-      Int_set.fold
-        (fun v acc ->
-          let* () = acc in
-          let node = Graph.node g v in
-          let d = Int_map.find v f.dims in
+    (* members and their dims as aligned arrays: the dims cover exactly
+       the members, so their bindings come in the same order *)
+    let ids = Array.of_list (Int_set.elements f.members) in
+    let dims = Array.of_list (List.map snd (Int_map.bindings f.dims)) in
+    let connected, convex =
+      match index with
+      | Some ix -> ((fun () -> index_connected ix ids), fun () -> index_convex ix ids)
+      | None ->
+          ( (fun () -> Graph.is_weakly_connected g f.members),
+            fun () -> Graph.is_convex g f.members )
+    in
+    if not (connected ()) then err "sub-graph not weakly connected"
+    else if not (convex ()) then err "sub-graph not convex"
+    else
+      (* is there a link from operand [slot]'s dim [in_dim] (1-based) to
+         [v]'s signed dim [d]? *)
+      let linked v slot in_dim d =
+        List.exists
+          (fun (s, i, l) -> s = slot && i + 1 = in_dim && link_target l = d)
+          (links v)
+      in
+      (* member-level checks; the extents are collected in reverse *)
+      let rec members i extents =
+        if i = Array.length ids then Ok extents
+        else
+          let v = ids.(i) and d = dims.(i) in
+          let node = node v in
+          let extent () = ("node", v, Shape.dim node.shape (d - 1)) :: extents in
           if Op.is_input node.op then
-            if d > 0 then Ok () else err "input node assigned a reduce axis"
-          else if d > 0 then begin
-            let ins = in_shapes g node in
-            let bad = Op.unsplittable_out_dims node.op ins node.shape in
-            if List.mem (d - 1) bad then
-              err "node %d: dim %d not splittable for %s" v d
-                (Op.name node.op)
-            else if d > Shape.rank node.shape then
-              err "node %d: dim %d out of range" v d
-            else if Shape.dim node.shape (d - 1) mod f.n <> 0 then
-              err "node %d: extent %d not divisible by %d" v
-                (Shape.dim node.shape (d - 1))
-                f.n
-            else Ok ()
-          end
+            if d <= 0 then err "input node assigned a reduce axis"
+            else if d > Shape.rank node.shape then err "node %d: dim %d out of range" v d
+            else members (i + 1) (extent ())
+          else if d > 0 then
+            if List.mem (d - 1) (Op.unsplittable_out_dims node.op (in_shapes v) node.shape)
+            then err "node %d: dim %d not splittable for %s" v d (Op.name node.op)
+            else if d > Shape.rank node.shape then err "node %d: dim %d out of range" v d
+            else members (i + 1) (extent ())
           else if Op.reduce_merge node.op = `No_merge then
-            err "node %d: %s cannot merge partial results" v
-              (Op.name node.op)
-          else Ok ())
-        f.members (Ok ())
-    in
-    (* every internal edge must link the two assigned dims *)
-    let* () =
-      Int_set.fold
-        (fun v acc ->
-          let* () = acc in
-          let node = Graph.node g v in
-          if Op.is_input node.op then Ok ()
-          else
-            let d = Int_map.find v f.dims in
-            let feeding = feeding_slots g v d in
-            Array.to_list node.inputs
-            |> List.mapi (fun slot u -> (slot, u))
-            |> List.fold_left
-                 (fun acc (slot, u) ->
-                   let* () = acc in
-                   if not (Int_set.mem u f.members) then Ok ()
-                   else
-                     let du = Int_map.find u f.dims in
-                     if du <= 0 then
-                       err "edge %d->%d: producer merged by reduction" u v
-                     else if
-                       List.exists
-                         (fun (s, i) -> s = slot && i = du)
-                         feeding
-                     then Ok ()
-                     else
-                       err "edge %d->%d: dims %d/%d not linked" u v du d)
-                 (Ok ())
-        )
-        f.members (Ok ())
-    in
-    (* input slicing must be consistent and divisible *)
-    let* roles = input_roles g f in
-    Int_map.fold
-      (fun u role acc ->
-        let* () = acc in
-        match role with
-        | Shared -> Ok ()
-        | Sliced i ->
-            let s = Graph.shape g u in
-            if Shape.dim s (i - 1) mod f.n <> 0 then
-              err "input %d: extent %d not divisible by %d" u
-                (Shape.dim s (i - 1))
-                f.n
-            else Ok ())
-      roles (Ok ())
+            err "node %d: %s cannot merge partial results" v (Op.name node.op)
+          else members (i + 1) extents
+      in
+      let* member_extents = members 0 [] in
+      (* every internal edge must link the two assigned dims *)
+      let rec edges i =
+        if i = Array.length ids then Ok ()
+        else
+          let v = ids.(i) and d = dims.(i) in
+          let inputs = (node v).inputs in
+          let rec slots slot =
+            if slot = Array.length inputs then edges (i + 1)
+            else
+              let u = inputs.(slot) in
+              match Graph_index.local_of ids u with
+              | -1 -> slots (slot + 1)
+              | j ->
+                  let du = dims.(j) in
+                  if du <= 0 then err "edge %d->%d: producer merged by reduction" u v
+                  else if linked v slot du d then slots (slot + 1)
+                  else err "edge %d->%d: dims %d/%d not linked" u v du d
+          in
+          if Op.is_input (node v).op then edges (i + 1) else slots 0
+      in
+      let* () = edges 0 in
+      (* inputs of S feeding an assigned dim are sliced along one dim each *)
+      let* sliced = sliced_inputs ~node ~links f in
+      Ok
+        (List.rev_append member_extents
+           (Int_map.fold
+              (fun u i acc -> ("input", u, Shape.dim (node u).shape (i - 1)) :: acc)
+              sliced []
+           |> List.rev))
 
-let is_valid g f = match validate g f with Ok () -> true | Error _ -> false
+let structure ?index g f =
+  Result.map
+    (List.fold_left (fun m (_, _, e) -> gcd m e) 0)
+    (split_extents ?index g f)
+
+let validate (g : Graph.t) (f : t) : (unit, string) result =
+  if Int_set.is_empty f.members then Error "empty member set"
+  else if f.n < 1 then Error "fission number < 1"
+  else
+    match split_extents g f with
+    | Error _ as e -> e
+    | Ok extents -> (
+        match List.find_opt (fun (_, _, e) -> e mod f.n <> 0) extents with
+        | None -> Ok ()
+        | Some (what, id, e) ->
+            Error (Printf.sprintf "%s %d: extent %d not divisible by %d" what id e f.n))
+
+let is_valid g f =
+  f.n >= 1
+  && match structure g f with Ok m -> m mod f.n = 0 | Error _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Expansion: the real graph rewrite                                  *)

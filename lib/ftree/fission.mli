@@ -36,7 +36,18 @@ type input_role = Sliced of int  (** along this 1-based dim *) | Shared
 (** Per-input roles; [Error] on inconsistent slicing requirements. *)
 val input_roles : Graph.t -> t -> (input_role Int_map.t, string) result
 
+(** The checks of {!validate} that do not depend on [n], run once: on
+    success, the modulus — the gcd of the extents the split divides
+    (members' assigned output dims, input members included, and the
+    dims of sliced inputs; [0] when there are none).  The candidate is
+    valid at [n >= 1] iff [n] divides it.  [index] must index [g]; it
+    memoizes the links and tests convexity on its {!Graph_index.reach}
+    closure. *)
+val structure : ?index:Graph_index.t -> Graph.t -> t -> (int, string) result
+
+(** {!structure} plus divisibility by [n]. *)
 val validate : Graph.t -> t -> (unit, string) result
+
 val is_valid : Graph.t -> t -> bool
 
 type expansion = {

@@ -70,66 +70,20 @@ let frozen_region t =
 (* Construction (Algorithm 1)                                         *)
 (* ------------------------------------------------------------------ *)
 
-(** Heat of every node (Eq. (3)) in one bottom-up pass over the dominator
-    tree: [heat(v) = Σ_{w ∈ H ∩ T.des(v)} |w|]. *)
-let heat_all (g : Graph.t) (dom : Dominator.t) (hotspots : Int_set.t)
-    (members : Int_set.t) : int Int_map.t =
-  let rec go v acc =
-    let children = Dominator.children dom v in
-    let acc = Int_set.fold go children acc in
-    let own =
-      Int_set.fold
-        (fun c total ->
-          total
-          + (match Int_map.find_opt c acc with Some h -> h | None -> 0)
-          + (if Int_set.mem c hotspots then Graph.size_bytes g c else 0))
-        children 0
-    in
-    Int_map.add v own acc
-  in
-  (* roots: members whose idom is the virtual root or absent *)
-  Int_set.fold
-    (fun v acc ->
-      match Dominator.idom dom v with
-      | Some p when p = Dominator.virtual_root -> go v acc
-      | _ -> acc)
-    members Int_map.empty
+(** Smallest [n >= 2] for which a candidate of modulus [m] validates,
+    if any: the smallest divisor [>= 2] of [m], its smallest prime
+    factor.  [m] is the gcd of the extents the split divides, the
+    assigned output extents among them, so it already divides the
+    smallest of those; a candidate that assigns no output dim has
+    none. *)
+let smallest_n_of (f : Fission.t) (m : int) : int option =
+  let rec go n = if n * n > m then m else if m mod n = 0 then n else go (n + 1) in
+  if m >= 2 && Int_map.exists (fun _ d -> d > 0) f.dims then Some (go 2) else None
 
-(** Exact score of Eq. (4) for one node (needs its subtree's inputs). *)
-let score_of (g : Graph.t) (dom : Dominator.t) (hotspots : Int_set.t)
-    ~(heat : int) (v : int) : int =
-  let sub = Dominator.strict_subtree dom v in
-  let input_cost =
-    Int_set.fold
-      (fun u acc ->
-        if Int_set.mem u hotspots then acc else acc + Graph.size_bytes g u)
-      (Graph.inps_of g sub) 0
-  in
-  (* n = 2 in Eq. (4): (1 - 1/2) heat - Σ inputs *)
-  (heat / 2) - input_cost
-
-(** Smallest [n >= 2] for which the candidate validates, if any. *)
 let smallest_valid_n (g : Graph.t) (f : Fission.t) : int option =
-  let extent =
-    Int_set.fold
-      (fun v acc ->
-        match Int_map.find_opt v (f : Fission.t).dims with
-        | Some d when d > 0 -> (
-            let e = Shape.dim (Graph.shape g v) (d - 1) in
-            match acc with Some a -> Some (min a e) | None -> Some e)
-        | _ -> acc)
-      (Fission.members f) None
-  in
-  match extent with
-  | None -> None
-  | Some e ->
-      let rec try_n n =
-        if n > e then None
-        else if e mod n = 0 && Fission.is_valid g (Fission.with_n f n) then
-          Some n
-        else try_n (n + 1)
-      in
-      try_n 2
+  match Fission.structure g f with
+  | Error _ -> None
+  | Ok m -> smallest_n_of f m
 
 (** Assemble candidates into a forest: deduplicated by member set,
     ordered by (size, smallest member); each entry's parent is the
@@ -175,62 +129,116 @@ let default_max_level = 4
 
 (** Algorithm 1: construct the fission candidates for [g], given the
     memory hot-spots of its current schedule.  [max_level] is the paper's
-    [L] hyper-parameter (default {!default_max_level}). *)
-let construct ?(max_level = default_max_level) (g : Graph.t)
-    ~(hotspots : Int_set.t) : t =
-  let dg = Dgraph.build g in
+    [L] hyper-parameter (default {!default_max_level}).
+
+    One {!Graph_index} serves the whole call: the D-graph, one dominator
+    tree per component on member-local arrays, the heat and score
+    tables, and each candidate's single {!Fission.structure} check.
+    [T.des(v)] is the slice of the tree's preorder between [v]'s Euler
+    bounds, so heat is a prefix sum over the preorder, and "no deeper
+    node of the band" a count of band positions inside the slice. *)
+let construct_on ~max_level (ix : Graph_index.t) ~(hotspots : Int_set.t) : t =
+  let g = Graph_index.graph ix in
+  let bound = Graph_index.bound ix in
+  let hot v = Int_set.mem v hotspots in
+  (* [stamp.(u) = s]: input [u] already counted for the score [s] *)
+  let stamp = Array.make bound (-1) and n_scores = ref 0 in
   let candidates = ref [] in
   List.iter
     (fun comp ->
-      let gn = Dgraph.graph_nodes_of_component comp in
-      if Util.Int_set.cardinal gn >= 2 then begin
-        let dom = Dominator.compute ~members:gn g in
-        let heats = heat_all g dom hotspots gn in
-        (* exact scores only for the hottest nodes: score <= heat/2, so
-           cool nodes cannot enter any band *)
-        let by_heat =
-          Int_map.bindings heats
-          |> List.filter (fun (_, h) -> h > 0)
-          |> List.sort (fun (_, a) (_, b) -> compare b a)
-        in
-        let scores =
-          List.fold_left
-            (fun acc (v, heat) ->
-              Int_map.add v (score_of g dom hotspots ~heat v) acc)
-            Int_map.empty
-            (Util.take 96 by_heat)
-        in
-        let smax = Int_map.fold (fun _ s acc -> max s acc) scores 0 in
-        if smax > 0 then
-          for i = 1 to max_level do
-            let in_band v =
-              match Int_map.find_opt v scores with
-              | None -> false
-              | Some s ->
-                  let lo = float_of_int i /. float_of_int max_level in
-                  let hi = float_of_int (i + 1) /. float_of_int max_level in
-                  let r = float_of_int s /. float_of_int smax in
-                  r >= lo && r < hi
-            in
-            let band = Int_set.filter in_band gn in
-            Int_set.iter
-              (fun vdom ->
-                let sub = Dominator.strict_subtree dom vdom in
-                let deeper = Int_set.inter sub band in
-                if Int_set.is_empty deeper && not (Int_set.is_empty sub)
-                then
-                  match Dgraph.restrict comp sub with
-                  | None -> ()
-                  | Some dims ->
-                      if Int_map.cardinal dims = Int_set.cardinal sub then
-                        let f : Fission.t = { members = sub; dims; n = 1 } in
-                        if smallest_valid_n g f <> None then
-                          candidates := f :: !candidates)
-              band
-          done
-      end)
-    (Dgraph.components dg);
+      let ids = Dgraph.nodes comp in
+      let sub = Graph_index.induced ix ids in
+      let dom = Dominator.of_induced ix sub in
+      let pre = Dominator.preorder dom in
+      let tin = Dominator.tin dom and tout = Dominator.tout dom in
+      (* heat (Eq. (3)): hot-spot bytes strictly below, as a prefix sum
+         over the preorder *)
+      let hot_before = Array.make (Array.length pre + 1) 0 in
+      Array.iteri
+        (fun i k ->
+          let v = ids.(k) in
+          hot_before.(i + 1) <-
+            (hot_before.(i) + if hot v then Graph_index.size_bytes ix v else 0))
+        pre;
+      let heat k = hot_before.(tout k) - hot_before.(tin k + 1) in
+      (* exact scores only for the hottest nodes: score <= heat/2, so
+         cool nodes cannot enter any band; ties keep increasing id *)
+      let by_heat =
+        List.filter_map
+          (fun k -> if tin k >= 0 && heat k > 0 then Some (k, heat k) else None)
+          (List.init (Array.length ids) Fun.id)
+        |> List.stable_sort (fun (_, a) (_, b) -> Int.compare b a)
+      in
+      (* Eq. (4) at n = 2: (1 - 1/2) heat - Σ bytes of the subtree's
+         inputs that are not hot-spots *)
+      let score (k, heat) =
+        incr n_scores;
+        let lo = tin k + 1 and hi = tout k in
+        let cost = ref 0 in
+        for i = lo to hi - 1 do
+          let w = pre.(i) in
+          (* members' operands come in increasing id, as do the local
+             ones among them *)
+          let local = sub.local_preds.(w) and j = ref 0 in
+          Array.iter
+            (fun p ->
+              let inside =
+                !j < Array.length local
+                && ids.(local.(!j)) = p
+                &&
+                let t = tin local.(!j) in
+                incr j;
+                t >= lo && t < hi
+              in
+              if (not inside) && stamp.(p) <> !n_scores then begin
+                stamp.(p) <- !n_scores;
+                if not (hot p) then cost := !cost + Graph_index.size_bytes ix p
+              end)
+            (Graph_index.preds ix ids.(w))
+        done;
+        (k, (heat / 2) - !cost)
+      in
+      let scores =
+        List.map score (Util.take 96 by_heat)
+        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      in
+      let smax = List.fold_left (fun acc (_, s) -> max s acc) 0 scores in
+      if smax > 0 then
+        for i = 1 to max_level do
+          let in_band (_, s) =
+            let lo = float_of_int i /. float_of_int max_level in
+            let hi = float_of_int (i + 1) /. float_of_int max_level in
+            let r = float_of_int s /. float_of_int smax in
+            r >= lo && r < hi
+          in
+          let band = List.filter in_band scores in
+          let positions = Array.of_list (List.map (fun (k, _) -> tin k) band) in
+          Array.sort Int.compare positions;
+          let count_below = Graph_index.lower_bound positions in
+          List.iter
+            (fun (k, _) ->
+              let lo = tin k + 1 and hi = tout k in
+              if hi > lo && count_below hi = count_below lo then begin
+                let members =
+                  Int_set.of_list (List.init (hi - lo) (fun i -> ids.(pre.(lo + i))))
+                in
+                match Dgraph.restrict comp members with
+                | None -> ()
+                | Some dims ->
+                    if Int_map.cardinal dims = hi - lo then
+                      let f : Fission.t = { members; dims; n = 1 } in
+                      match Fission.structure ~index:ix g f with
+                      | Ok m when smallest_n_of f m <> None ->
+                          candidates := f :: !candidates
+                      | _ -> ()
+              end)
+            band
+        done)
+    (Dgraph.components (Dgraph.of_index ix));
   of_fissions !candidates
+
+let construct ?(max_level = default_max_level) (g : Graph.t) ~(hotspots : Int_set.t) : t =
+  construct_on ~max_level (Graph_index.of_graph g) ~hotspots
 
 (* ------------------------------------------------------------------ *)
 (* Mutation rules (§5.1)                                              *)
@@ -249,9 +257,9 @@ let pp_mutation ppf = function
   | Mutate i -> Fmt.pf ppf "mutate(%d)" i
 
 (** Combined split factor that entry [i] at fission number [n] would impose
-    on member [v] along [v]'s dimension, counting enabled entries that
-    assign the same dimension to [v]. *)
-let combined_factor_on t v dim ~candidate ~n =
+    on member [v] along [v]'s dimension, counting the [enabled] entries
+    that assign the same dimension to [v]. *)
+let combined_factor_on t ~enabled v dim ~candidate ~n =
   List.fold_left
     (fun acc j ->
       if j = candidate then acc
@@ -260,34 +268,58 @@ let combined_factor_on t v dim ~candidate ~n =
         match Int_map.find_opt v (f : Fission.t).dims with
         | Some d when d = dim -> acc * f.n
         | _ -> acc)
-    n (enabled_indices t)
+    n enabled
 
-(** Would setting entry [i] to fission number [n] keep all extents
+(* The feasibility questions of one mutation round.  Fission numbers
+   leave members and dims alone, so each entry's {!Fission.structure}
+   holds for every tree derived from [t] by [set_n], and is computed
+   once, on first use. *)
+type round = { g : Graph.t; structure : int -> (int, string) result }
+
+let round g t =
+  let memo = Array.make (n_entries t) None in
+  let structure i =
+    match memo.(i) with
+    | Some r -> r
+    | None ->
+        let r = Fission.structure g (fission_at t i) in
+        memo.(i) <- Some r;
+        r
+  in
+  { g; structure }
+
+(** Would setting entry [i] of [t] to fission number [n] keep all extents
     divisible, accounting for other enabled entries splitting the same
     dimensions? *)
-let n_is_feasible (g : Graph.t) (t : t) (i : int) (n : int) : bool =
+let n_is_feasible r t ~enabled i n =
   let f = fission_at t i in
-  Fission.is_valid g (Fission.with_n f n)
+  (match r.structure i with Ok m -> m mod n = 0 | Error _ -> false)
   && Int_set.for_all
        (fun v ->
          match Int_map.find_opt v (f : Fission.t).dims with
          | Some d when d > 0 ->
-             let total = combined_factor_on t v d ~candidate:i ~n in
-             Shape.dim (Graph.shape g v) (d - 1) mod total = 0
+             let total = combined_factor_on t ~enabled v d ~candidate:i ~n in
+             Shape.dim (Graph.shape r.g v) (d - 1) mod total = 0
          | _ -> true)
        (Fission.members f)
 
 (** Smallest feasible fission number [>= n] for entry [i] (up to 1024). *)
-let next_feasible_n (g : Graph.t) (t : t) (i : int) (n : int) : int option =
+let next_feasible_n r t i n =
+  let enabled = enabled_indices t in
   let rec go n =
     if n > 1024 then None
-    else if n_is_feasible g t i n then Some n
+    else if n_is_feasible r t ~enabled i n then Some n
     else go (n + 1)
   in
   go n
 
-let smallest_feasible_n (g : Graph.t) (t : t) (i : int) : int option =
-  Option.bind (smallest_valid_n g (fission_at t i)) (next_feasible_n g t i)
+let smallest_feasible_n r t i =
+  match r.structure i with
+  | Error _ -> None
+  | Ok m ->
+      Option.bind
+        (smallest_n_of (fission_at t i) m)
+        (next_feasible_n r t i)
 
 let set_n (t : t) (i : int) (n : int) : t =
   let entries = Array.copy t.entries in
@@ -295,65 +327,53 @@ let set_n (t : t) (i : int) (n : int) : t =
     { (entries.(i)) with fission = Fission.with_n entries.(i).fission n };
   { entries }
 
-(** All mutations applicable to the current tree. *)
-let mutations (g : Graph.t) (t : t) : mutation list =
+(** All mutations applicable to the current tree, each with the tree it
+    yields ([None] for a Lift whose parent has no feasible number). *)
+let mutations (g : Graph.t) (t : t) : (mutation * t option) list =
+  let r = round g t in
   let ms = ref [] in
   Array.iteri
     (fun i e ->
       let enabled = is_enabled t i in
       if enabled then begin
         (* Disable: enabled node with no enabled descendant *)
-        if not (has_enabled_descendant t i) then ms := Disable i :: !ms;
+        if not (has_enabled_descendant t i) then
+          ms := (Disable i, Some (set_n t i 1)) :: !ms;
         (* Mutate: next feasible fission number *)
-        if next_feasible_n g t i (n_at t i + 1) <> None then
-          ms := Mutate i :: !ms;
+        (match next_feasible_n r t i (n_at t i + 1) with
+        | Some n -> ms := (Mutate i, Some (set_n t i n)) :: !ms
+        | None -> ());
         (* Lift: enabled node without enabled ancestor, disabled parent *)
         if
           (not (has_enabled_ancestor t i))
           && e.parent >= 0
           && not (is_enabled t e.parent)
-        then ms := Lift i :: !ms
+        then
+          let t' = set_n t i 1 in
+          ms :=
+            (Lift i, Option.map (set_n t' e.parent) (smallest_feasible_n r t' e.parent))
+            :: !ms
       end
       else if not (has_enabled_ancestor t i) then begin
         (* Enable: disabled leaf, or disabled parent of an enabled node *)
         let frontier =
           e.children = [] || List.exists (fun c -> is_enabled t c) e.children
         in
-        if frontier && smallest_feasible_n g t i <> None then
-          ms := Enable i :: !ms
+        if frontier then
+          match smallest_feasible_n r t i with
+          | Some n -> ms := (Enable i, Some (set_n t i n)) :: !ms
+          | None -> ()
       end)
     t.entries;
   List.rev !ms
 
-(** Apply a mutation; [None] if it is not applicable. *)
+(** The tree a listed mutation yields; [None] if it is not listed or
+    yields none. *)
 let apply (g : Graph.t) (t : t) (m : mutation) : t option =
-  match m with
-  | Enable i -> (
-      if is_enabled t i || has_enabled_ancestor t i then None
-      else
-        match smallest_feasible_n g t i with
-        | Some n -> Some (set_n t i n)
-        | None -> None)
-  | Disable i ->
-      if is_enabled t i && not (has_enabled_descendant t i) then
-        Some (set_n t i 1)
-      else None
-  | Lift i ->
-      let e = t.entries.(i) in
-      if
-        is_enabled t i
-        && (not (has_enabled_ancestor t i))
-        && e.parent >= 0
-        && not (is_enabled t e.parent)
-      then
-        let t' = set_n t i 1 in
-        match smallest_feasible_n g t' e.parent with
-        | Some n -> Some (set_n t' e.parent n)
-        | None -> None
-      else None
-  | Mutate i ->
-      if not (is_enabled t i) then None
-      else Option.map (set_n t i) (next_feasible_n g t i (n_at t i + 1))
+  List.find_map
+    (fun (m', t') -> if m' = m then Some t' else None)
+    (mutations g t)
+  |> Option.join
 
 (* ------------------------------------------------------------------ *)
 (* Virtual accounting                                                 *)
@@ -533,14 +553,15 @@ let prune (g : Graph.t) (t : t) : t =
     extra roots. *)
 let refresh ?(max_level = default_max_level) (g : Graph.t) ~(old_tree : t)
     ~(hotspots : Int_set.t) : t =
-  let fresh = construct ~max_level g ~hotspots in
+  let ix = Graph_index.of_graph g in
+  let fresh = construct_on ~max_level ix ~hotspots in
   let survivors =
     List.filter_map
       (fun i ->
         let f = fission_at old_tree i in
         if
           Int_set.for_all (fun v -> Graph.mem g v) (Fission.members f)
-          && Fission.is_valid g f
+          && match Fission.structure ~index:ix g f with Ok m -> m mod f.n = 0 | Error _ -> false
         then Some f
         else None)
       (enabled_indices old_tree)
@@ -566,27 +587,26 @@ let refresh ?(max_level = default_max_level) (g : Graph.t) ~(old_tree : t)
     heat/score heuristic. *)
 let construct_naive ?(seed = 42) ?(per_component = 4) (g : Graph.t) : t =
   let rng = Random.State.make [| seed |] in
-  let dg = Dgraph.build g in
+  let ix = Graph_index.of_graph g in
   let candidates = ref [] in
   List.iter
     (fun comp ->
-      let gn = Dgraph.graph_nodes_of_component comp in
-      if Util.Int_set.cardinal gn >= 2 then begin
-        let dom = Dominator.compute ~members:gn g in
-        let nodes = Array.of_list (Int_set.elements gn) in
-        for _ = 1 to per_component do
-          let v = nodes.(Random.State.int rng (Array.length nodes)) in
-          let sub = Dominator.strict_subtree dom v in
-          if not (Int_set.is_empty sub) then
-            match Dgraph.restrict comp sub with
-            | Some dims when Int_map.cardinal dims = Int_set.cardinal sub ->
-                let f : Fission.t = { members = sub; dims; n = 1 } in
-                if smallest_valid_n g f <> None then
+      let nodes = Dgraph.nodes comp in
+      let dom = Dominator.of_induced ix (Graph_index.induced ix nodes) in
+      for _ = 1 to per_component do
+        let v = nodes.(Random.State.int rng (Array.length nodes)) in
+        let sub = Dominator.strict_subtree dom v in
+        if not (Int_set.is_empty sub) then
+          match Dgraph.restrict comp sub with
+          | Some dims when Int_map.cardinal dims = Int_set.cardinal sub -> (
+              let f : Fission.t = { members = sub; dims; n = 1 } in
+              match Fission.structure ~index:ix g f with
+              | Ok m when smallest_n_of f m <> None ->
                   candidates := f :: !candidates
-            | _ -> ()
-        done
-      end)
-    (Dgraph.components dg);
+              | _ -> ())
+          | _ -> ()
+      done)
+    (Dgraph.components (Dgraph.of_index ix));
   let dedup =
     List.sort_uniq
       (fun (a : Fission.t) (b : Fission.t) ->

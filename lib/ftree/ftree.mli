@@ -66,10 +66,14 @@ type mutation =
 
 val pp_mutation : Format.formatter -> mutation -> unit
 
-(** Mutations applicable to the current tree. *)
-val mutations : Graph.t -> t -> mutation list
+(** Mutations applicable to the current tree, each with the tree it
+    yields; [None] for a Lift whose parent has no feasible fission
+    number.  Each entry's {!Fission.structure} is checked at most once
+    per call. *)
+val mutations : Graph.t -> t -> (mutation * t option) list
 
-(** Apply a mutation; [None] if not applicable. *)
+(** The tree a mutation yields: a lookup in {!mutations}; [None] if the
+    mutation is not listed there or yields no tree. *)
 val apply : Graph.t -> t -> mutation -> t option
 
 (** {1 Maintenance across graph rewrites} *)

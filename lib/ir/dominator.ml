@@ -6,55 +6,69 @@
     matching §2.1 of the paper ("the dominator tree we use here usually
     takes the input tensor as the entry").
 
-    The resulting tree maps each node to its immediate dominator; nodes
-    whose immediate dominator is the virtual root are roots of the forest.
-    [subtree t v] is the paper's [T.des(v)] plus [v] itself. *)
+    Everything runs on arrays indexed by member-local index.  The tree
+    maps each node to its immediate dominator; nodes whose immediate
+    dominator is the virtual root are roots of the forest.  A preorder
+    with Euler intervals ([tin], [tout]) turns [T.des(v)] into one slice
+    of that preorder. *)
 
 module Int_map = Util.Int_map
 module Int_set = Util.Int_set
 
 type t = {
-  idom : int Int_map.t;  (** immediate dominator; virtual root = -1 *)
-  children : Int_set.t Int_map.t;
-  order : int array;  (** reverse postorder used to build the tree *)
+  ids : int array;  (** members, increasing: local index -> node id *)
+  idom : int array;  (** local immediate dominator; [-1] root, [-2] absent *)
+  order : int array;  (** reverse postorder used to build the tree (ids) *)
+  preorder : int array;  (** tree nodes, local, depth-first preorder *)
+  tin : int array;  (** local -> position in [preorder]; [-1] absent *)
+  tout : int array;  (** local -> one past the end of its subtree *)
 }
 
 let virtual_root = -1
 
-let idom t v = Int_map.find_opt v t.idom
+let local t v = Graph_index.local_of t.ids v
 
-let children t v =
-  match Int_map.find_opt v t.children with
-  | Some s -> s
-  | None -> Int_set.empty
+let in_tree t v =
+  let k = local t v in
+  if k >= 0 && t.tin.(k) >= 0 then k else -1
+
+let idom t v =
+  let k = local t v in
+  if k < 0 then None
+  else
+    match t.idom.(k) with
+    | -2 -> None
+    | -1 -> Some virtual_root
+    | p -> Some t.ids.(p)
 
 (** All nodes strictly dominated by [v] ([T.des(v)] in the paper). *)
 let strict_subtree t v =
-  let rec go acc frontier =
-    match frontier with
-    | [] -> acc
-    | u :: rest ->
-        let cs = children t u in
-        let acc = Int_set.union acc cs in
-        go acc (Int_set.elements cs @ rest)
-  in
-  go Int_set.empty [ v ]
+  match in_tree t v with
+  | -1 -> Int_set.empty
+  | k ->
+      let acc = ref Int_set.empty in
+      for i = t.tin.(k) + 1 to t.tout.(k) - 1 do
+        acc := Int_set.add t.ids.(t.preorder.(i)) !acc
+      done;
+      !acc
 
 (** [subtree t v] = strict_subtree + v. *)
 let subtree t v = Int_set.add v (strict_subtree t v)
 
 (** [dominates t u v] iff [u] dominates [v] (reflexive). *)
 let dominates t u v =
-  let rec climb x = if x = u then true
-    else match Int_map.find_opt x t.idom with
-      | None -> false
-      | Some p -> p <> virtual_root && climb p
-  in
-  u = v || climb v
+  u = v
+  ||
+  let ku = in_tree t u and kv = in_tree t v in
+  ku >= 0 && kv >= 0 && t.tin.(ku) < t.tin.(kv) && t.tin.(kv) < t.tout.(ku)
 
-(** [compute ?members ?entries g] builds the dominator tree of [g], or of
-    the sub-graph induced by [members] when given (edges to/from outside
-    nodes are ignored).
+let rpo t = Array.copy t.order
+let preorder t = t.preorder
+let tin t k = t.tin.(k)
+let tout t k = t.tout.(k)
+
+(** [of_induced ?entries idx sub] builds the dominator tree of the
+    sub-graph [sub] (edges to/from outside nodes are ignored).
 
     [entries] selects the roots.  Per §2.1 of the paper, the tree "usually
     takes the input tensor as the entry": by default we root at the
@@ -62,113 +76,125 @@ let dominates t u v =
     gradient seed of a training graph is a label-kind input).  This is
     what lets a layer's input dominate both its forward remainder and the
     corresponding backward operators.  Falls back to all zero-predecessor
-    nodes when no primary input exists.  Nodes unreachable from the
+    members when no primary input exists.  Nodes unreachable from the
     entries are absent from the tree. *)
-let compute ?members ?entries (g : Graph.t) : t =
-  let keep =
-    match members with
-    | None -> fun _ -> true
-    | Some s -> fun v -> Int_set.mem v s
-  in
-  let pre g v = List.filter keep (Graph.pre g v) in
-  let suc g v = List.filter keep (Graph.suc g v) in
+let of_induced ?entries (idx : Graph_index.t) (sub : Graph_index.induced) : t =
+  let ids = sub.ids in
+  let m = Array.length ids in
+  let pre = sub.local_preds and suc = sub.local_succs in
   let entry_nodes =
     match entries with
-    | Some e -> List.filter keep e
+    | Some e ->
+        List.filter_map
+          (fun v -> match Graph_index.local_of ids v with -1 -> None | k -> Some k)
+          e
     | None -> (
-        let zero_pred =
-          match members with
-          | None -> Graph.inputs g
-          | Some s ->
-              Int_set.elements (Int_set.filter (fun v -> pre g v = []) s)
-        in
+        let zero_pred = List.filter (fun k -> pre.(k) = [||]) (List.init m Fun.id) in
         let primary =
           List.filter
-            (fun v ->
-              match (Graph.node g v).op with
+            (fun k ->
+              match (Graph_index.node idx ids.(k)).op with
               | Op.Input Op.Placeholder -> true
               | _ -> false)
             zero_pred
         in
         match primary with [] -> zero_pred | _ -> primary)
   in
-  let visited = Hashtbl.create (Graph.n_nodes g) in
-  let post = ref [] in
-  let rec dfs v =
-    if not (Hashtbl.mem visited v) then begin
-      Hashtbl.replace visited v ();
-      List.iter dfs (suc g v);
-      post := v :: !post
+  (* reverse postorder of a depth-first search from the entries *)
+  let visited = Bytes.make m '\000' in
+  let post = Array.make m 0 and n_post = ref 0 in
+  let rec dfs k =
+    if Bytes.get visited k = '\000' then begin
+      Bytes.set visited k '\001';
+      Array.iter dfs suc.(k);
+      post.(!n_post) <- k;
+      incr n_post
     end
   in
   List.iter dfs entry_nodes;
-  let order = Array.of_list !post in
-  let n = Array.length order in
-  let rpo_index = Hashtbl.create n in
-  Array.iteri (fun i v -> Hashtbl.replace rpo_index v i) order;
-  (* idom as array over rpo indices; -2 = undefined, -1 = virtual root *)
+  let n = !n_post in
+  let order = Array.init n (fun i -> post.(n - 1 - i)) in
+  let rpo_index = Array.make m (-1) in
+  Array.iteri (fun i k -> rpo_index.(k) <- i) order;
+  (* idom over rpo indices; -2 = undefined, -1 = virtual root *)
   let idom = Array.make n (-2) in
-  let intersect a b =
+  let rec intersect a b =
     (* walk up the tree: smaller rpo index = higher in the order *)
-    let rec go a b =
-      if a = b then a
-      else if a > b then go idom.(a) b
-      else go a idom.(b)
-    in
-    go a b
+    if a = b then a else if a > b then intersect idom.(a) b else intersect a idom.(b)
   in
-  let changed = ref true in
   (* Entry-adjacent nodes (graph inputs) get the virtual root directly. *)
-  List.iter
-    (fun v ->
-      match Hashtbl.find_opt rpo_index v with
-      | Some i -> idom.(i) <- -1
-      | None -> ())
-    entry_nodes;
+  List.iter (fun k -> if rpo_index.(k) >= 0 then idom.(rpo_index.(k)) <- -1) entry_nodes;
+  let changed = ref true in
   while !changed do
     changed := false;
     for i = 0 to n - 1 do
-      let v = order.(i) in
-      if not (pre g v = []) then begin
-        let preds =
-          List.filter_map (fun p -> Hashtbl.find_opt rpo_index p) (pre g v)
-        in
-        let processed = List.filter (fun p -> idom.(p) <> -2) preds in
-        match processed with
-        | [] -> ()
-        | first :: rest ->
-            let new_idom =
-              List.fold_left
-                (fun acc p -> if acc = -1 || p = -1 then -1 else intersect acc p)
-                first rest
-            in
-            if idom.(i) <> new_idom then begin
-              idom.(i) <- new_idom;
-              changed := true
-            end
+      let preds = pre.(order.(i)) in
+      (* fold the processed predecessors, in increasing id *)
+      let acc = ref (-2) in
+      Array.iter
+        (fun p ->
+          let r = rpo_index.(p) in
+          if r >= 0 && idom.(r) <> -2 then
+            acc := if !acc = -2 then r else if !acc = -1 then -1 else intersect !acc r)
+        preds;
+      if !acc <> -2 && idom.(i) <> !acc then begin
+        idom.(i) <- !acc;
+        changed := true
       end
     done
   done;
-  let idom_map =
-    Array.to_seq order
-    |> Seq.mapi (fun i v ->
-           (v, if idom.(i) < 0 then virtual_root else order.(idom.(i))))
-    |> Int_map.of_seq
+  let local_idom = Array.make m (-2) in
+  Array.iteri
+    (fun i k -> local_idom.(k) <- (if idom.(i) < 0 then -1 else order.(idom.(i))))
+    order;
+  (* Euler intervals: children in compressed rows, then an explicit-stack
+     preorder from the roots *)
+  let n_children = Array.make (m + 1) 0 in
+  Array.iter (fun p -> if p >= 0 then n_children.(p + 1) <- n_children.(p + 1) + 1) local_idom;
+  for k = 1 to m do
+    n_children.(k) <- n_children.(k) + n_children.(k - 1)
+  done;
+  let child = Array.make n_children.(m) 0 and fill = Array.sub n_children 0 m in
+  Array.iter
+    (fun k ->
+      let p = local_idom.(k) in
+      if p >= 0 then begin
+        child.(fill.(p)) <- k;
+        fill.(p) <- fill.(p) + 1
+      end)
+    order;
+  let preorder = Array.make n 0 and tin = Array.make m (-1) and tout = Array.make m (-1) in
+  let pos = ref 0 in
+  let rec visit = function
+    | [] -> ()
+    | k :: rest ->
+        tin.(k) <- !pos;
+        preorder.(!pos) <- k;
+        incr pos;
+        let stack = ref rest in
+        for j = fill.(k) - 1 downto n_children.(k) do
+          stack := child.(j) :: !stack
+        done;
+        visit !stack
   in
-  let children =
-    Int_map.fold
-      (fun v p acc ->
-        if p = virtual_root then acc
-        else
-          let s =
-            match Int_map.find_opt p acc with
-            | Some s -> s
-            | None -> Int_set.empty
-          in
-          Int_map.add p (Int_set.add v s) acc)
-      idom_map Int_map.empty
-  in
-  { idom = idom_map; children; order }
+  Array.iter (fun k -> if local_idom.(k) = -1 then visit [ k ]) order;
+  (* subtree sizes, children (later in the preorder) before parents *)
+  let size = Array.make m 1 in
+  for i = n - 1 downto 0 do
+    let k = preorder.(i) in
+    let p = local_idom.(k) in
+    if p >= 0 then size.(p) <- size.(p) + size.(k)
+  done;
+  Array.iter (fun k -> tout.(k) <- tin.(k) + size.(k)) preorder;
+  { ids; idom = local_idom; order = Array.map (fun k -> ids.(k)) order; preorder; tin; tout }
 
-(** Nodes in reverse postorder (useful for deterministic traversals). *)
-let rpo t = Array.copy t.order
+(** [compute ?members ?entries g]: {!of_induced} on a fresh index of
+    [g], over [members] (default: every node). *)
+let compute ?members ?entries (g : Graph.t) : t =
+  let idx = Graph_index.of_graph g in
+  let ids =
+    match members with
+    | None -> Array.of_list (Graph.node_ids g)
+    | Some s -> Array.of_list (Int_set.elements s)
+  in
+  of_induced ?entries idx (Graph_index.induced idx ids)

@@ -1,0 +1,65 @@
+(** Id-indexed arrays over one graph: its nodes, their distinct operands
+    and consumers in increasing id order, and their dimension links
+    ({!Op.links}, on first use), each computed once.  A pass that reads
+    many nodes of one graph (the F-Tree construction of Algorithm 1, a
+    whole-graph dominator tree) builds one index and reads every fact
+    from it instead of from the persistent maps of {!Graph}.  The index
+    memoizes links and marks members in a scratch array while {!induced}
+    runs, so one index serves one domain at a time.
+
+    Every query takes a node id below {!bound}; ids that are not nodes
+    of the graph are outside their domain, except for {!mem}. *)
+
+type t
+
+val of_graph : Graph.t -> t
+val graph : t -> Graph.t
+
+(** [Graph.id_bound] of the indexed graph. *)
+val bound : t -> int
+
+val mem : t -> int -> bool
+val node : t -> int -> Graph.node
+val shape : t -> int -> Shape.t
+val size_bytes : t -> int -> int
+
+(** Distinct operands, increasing; not a copy, do not mutate. *)
+val preds : t -> int -> int array
+
+(** Consumers, increasing; not a copy, do not mutate. *)
+val succs : t -> int -> int array
+
+(** Operand shapes, by slot; a fresh array. *)
+val in_shapes : t -> int -> Shape.t array
+
+(** [Op.links] of the node, computed on first use and kept. *)
+val links : t -> int -> (int * int * Op.dim_link) list
+
+(** The graph's {!Reach} closures, built on first use and kept.  The
+    index is meant for one domain: two domains must not force it at
+    once. *)
+val reach : t -> Reach.t
+
+(** {1 Member-local indices} *)
+
+(** [lower_bound a x]: the first position of the increasing array [a]
+    whose value is at least [x] ([Array.length a] when there is none). *)
+val lower_bound : int array -> int -> int
+
+(** [local_of ids v]: the position of [v] in the increasing array
+    [ids], or [-1]. *)
+val local_of : int array -> int -> int
+
+(** {1 Induced sub-graphs} *)
+
+(** The sub-graph induced by a set of members, on member-local indices:
+    local index [k] stands for [ids.(k)], and [preds]/[succs] keep only
+    edges between members, as local indices in increasing order. *)
+type induced = {
+  ids : int array;  (** members, increasing *)
+  local_preds : int array array;
+  local_succs : int array array;
+}
+
+(** [induced t ids] for members [ids], given in increasing order. *)
+val induced : t -> int array -> induced

@@ -1,8 +1,27 @@
-(** Small shared utilities for the IR layer: integer maps/sets and a
-    deterministic 64-bit mixing hash used by {!Wl_hash}. *)
+(** Small shared utilities for the IR layer: integer maps/sets, a
+    union-find over [0 .. n-1], and a deterministic 64-bit mixing hash
+    used by {!Wl_hash}. *)
 
 module Int_map = Map.Make (Int)
 module Int_set = Set.Make (Int)
+
+module Union_find = struct
+  type t = int array
+
+  let create n = Array.init n Fun.id
+
+  let rec find t i =
+    let p = t.(i) in
+    if p = i then i
+    else begin
+      t.(i) <- t.(p);
+      find t t.(i)
+    end
+
+  let union t a b =
+    let a = find t a and b = find t b in
+    if a < b then t.(b) <- a else if b < a then t.(a) <- b
+end
 
 let int_set_of_list ids = Int_set.of_list ids
 

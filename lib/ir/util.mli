@@ -1,8 +1,21 @@
-(** Small shared utilities for the IR layer: integer maps/sets and a
-    deterministic 64-bit mixing hash used by {!Wl_hash}. *)
+(** Small shared utilities for the IR layer: integer maps/sets, a
+    union-find over [0 .. n-1], and a deterministic 64-bit mixing hash
+    used by {!Wl_hash}. *)
 
 module Int_map : Map.S with type key = int
 module Int_set : Set.S with type elt = int
+
+(** Disjoint sets over [0 .. n-1] with path halving; each class is
+    represented by its smallest element. *)
+module Union_find : sig
+  type t
+
+  val create : int -> t
+  val find : t -> int -> int
+
+  (** Merge the classes of two elements. *)
+  val union : t -> int -> int -> unit
+end
 
 val int_set_of_list : int list -> Int_set.t
 

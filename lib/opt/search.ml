@@ -393,8 +393,8 @@ let ftree_proposals tb (s : Mstate.t) : proposal list =
   let muts = Ftree.mutations s.graph s.ftree in
   bump tb c_transforms (List.length muts);
   List.filter_map
-    (fun m ->
-      match Ftree.apply s.graph s.ftree m with
+    (fun (m, tree) ->
+      match tree with
       | None -> None
       | Some ftree' ->
           let affected =

@@ -94,14 +94,15 @@ if [ -n "$hits" ]; then
   echo "$hits"
 fi
 
-# 9. lib/ir and lib/sched run on every search candidate, so their maps,
-# sets and queues compare keys monomorphically: no functor key that
-# forwards to the polymorphic compare (e.g. a tuple key declared with
-# `let compare = compare`).
+# 9. lib/ir, lib/sched, lib/dgraph and lib/ftree run on every search
+# candidate or every pop (rescheduling, the F-Tree refresh of
+# Algorithm 1), so their maps, sets and queues compare keys
+# monomorphically: no functor key that forwards to the polymorphic
+# compare (e.g. a tuple key declared with `let compare = compare`).
 hits=$(grep -nE 'let compare = (Stdlib\.)?compare( |$)' \
-  $(git ls-files -- 'lib/ir/*.ml' 'lib/sched/*.ml') 2>/dev/null)
+  $(git ls-files -- 'lib/ir/*.ml' 'lib/sched/*.ml' 'lib/dgraph/*.ml' 'lib/ftree/*.ml') 2>/dev/null)
 if [ -n "$hits" ]; then
-  fail "polymorphic-compare functor key in a per-candidate layer (lib/ir, lib/sched):"
+  fail "polymorphic-compare functor key in a per-candidate layer (lib/ir, lib/sched, lib/dgraph, lib/ftree):"
   echo "$hits"
 fi
 

@@ -102,7 +102,7 @@ let test_emit_expanded () =
   (* enable the first candidate if any, then emit with expansion *)
   let ftree =
     match Ftree.mutations g s.ftree with
-    | Ftree.Enable i :: _ -> Option.get (Ftree.apply g s.ftree (Ftree.Enable i))
+    | (Ftree.Enable i, _) :: _ -> Option.get (Ftree.apply g s.ftree (Ftree.Enable i))
     | _ -> s.ftree
   in
   let code =

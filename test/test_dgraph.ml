@@ -27,19 +27,19 @@ let test_matmul_component_structure () =
   Alcotest.(check int) "3 components" 3 (List.length comps);
   let with_y_out0 =
     List.find
-      (fun c -> Dgraph.Dnode_set.mem { Dgraph.node = y; dim = 1 } c)
+      (fun c -> Dgraph.mem c { Dgraph.node = y; dim = 1 })
       comps
   in
   Alcotest.(check bool) "m component contains x dim 1" true
-    (Dgraph.Dnode_set.mem { Dgraph.node = x; dim = 1 } with_y_out0);
+    (Dgraph.mem with_y_out0 { Dgraph.node = x; dim = 1 });
   let with_reduce =
     List.find
-      (fun c -> Dgraph.Dnode_set.mem { Dgraph.node = y; dim = -1 } c)
+      (fun c -> Dgraph.mem c { Dgraph.node = y; dim = -1 })
       comps
   in
   Alcotest.(check bool) "k component joins both operands" true
-    (Dgraph.Dnode_set.mem { Dgraph.node = x; dim = 2 } with_reduce
-    && Dgraph.Dnode_set.mem { Dgraph.node = w; dim = 1 } with_reduce)
+    (Dgraph.mem with_reduce { Dgraph.node = x; dim = 2 }
+    && Dgraph.mem with_reduce { Dgraph.node = w; dim = 1 })
 
 let test_attention_components () =
   (* the Fig. 4 structure: batch and head dimensions form components that
@@ -50,14 +50,14 @@ let test_attention_components () =
   (* the batch dim of the input should reach the block output *)
   let batch_comp =
     List.find_opt
-      (fun c -> Dgraph.Dnode_set.mem { Dgraph.node = x; dim = 1 } c)
+      (fun c -> Dgraph.mem c { Dgraph.node = x; dim = 1 })
       comps
   in
   (match batch_comp with
   | None -> Alcotest.fail "no batch component"
   | Some c ->
       Alcotest.(check bool) "batch reaches output" true
-        (Dgraph.Dnode_set.mem { Dgraph.node = y; dim = 1 } c));
+        (Dgraph.mem c { Dgraph.node = y; dim = 1 }));
   Alcotest.(check bool) "several graph-level dimensions" true
     (List.length comps >= 3)
 
@@ -71,7 +71,7 @@ let test_restrict_unique_assignment () =
   let comps = Dgraph.components dg in
   let c0 =
     List.find
-      (fun c -> Dgraph.Dnode_set.mem { Dgraph.node = x; dim = 1 } c)
+      (fun c -> Dgraph.mem c { Dgraph.node = x; dim = 1 })
       comps
   in
   match Dgraph.restrict c0 (int_set [ r; t ]) with
@@ -102,8 +102,8 @@ let test_restrict_conflict_on_softmax_axis () =
   let seq =
     List.find_opt
       (fun c ->
-        Dgraph.Dnode_set.mem { Dgraph.node = att; dim = 1 } c
-        && Dgraph.Dnode_set.mem { Dgraph.node = att; dim = 2 } c)
+        Dgraph.mem c { Dgraph.node = att; dim = 1 }
+        && Dgraph.mem c { Dgraph.node = att; dim = 2 })
       comps
   in
   match seq with
@@ -129,11 +129,11 @@ let test_weights_not_in_batch_component () =
   let comps = Dgraph.components dg in
   let batch =
     List.find
-      (fun c -> Dgraph.Dnode_set.mem { Dgraph.node = x; dim = 1 } c)
+      (fun c -> Dgraph.mem c { Dgraph.node = x; dim = 1 })
       comps
   in
   Alcotest.(check bool) "no weight dnode in batch component" true
-    (Dgraph.Dnode_set.for_all (fun (d : Dgraph.dnode) -> d.node <> w) batch)
+    (not (Array.mem w (Dgraph.nodes batch)))
 
 let suite =
   [

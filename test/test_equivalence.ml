@@ -51,13 +51,13 @@ let batch_fission_of g ~input_label =
   let dg = Dgraph.build g in
   let comp =
     List.find
-      (fun c -> Dgraph.Dnode_set.mem { Dgraph.node = x; dim = 1 } c)
+      (fun c -> Dgraph.mem c { Dgraph.node = x; dim = 1 })
       (Dgraph.components dg)
   in
   let members =
     Int_set.filter
       (fun v -> not (Op.is_input (Graph.op g v)))
-      (Dgraph.graph_nodes_of_component comp)
+      (Int_set.of_list (Array.to_list (Dgraph.nodes comp)))
   in
   let dims = Option.get (Dgraph.restrict comp members) in
   { Fission.members; dims; n = 2 }

@@ -16,10 +16,10 @@ let mlp_batch_fission ?(n = 2) () =
   let dg = Dgraph.build g in
   let comp =
     List.find
-      (fun c -> Dgraph.Dnode_set.mem { Dgraph.node = x; dim = 1 } c)
+      (fun c -> Dgraph.mem c { Dgraph.node = x; dim = 1 })
       (Dgraph.components dg)
   in
-  let members = Int_set.remove x (Dgraph.graph_nodes_of_component comp) in
+  let members = Int_set.remove x (Int_set.of_list (Array.to_list (Dgraph.nodes comp))) in
   (* keep only non-input members (weights/seed participate as inputs) *)
   let members =
     Int_set.filter (fun v -> not (Op.is_input (Graph.op g v))) members
@@ -219,9 +219,38 @@ let test_scaled_shapes () =
   Alcotest.(check int) "scaling composes" (extent whole / 4)
     (extent (Fission.scaled_shapes g f v half))
 
+(** An input member is split like any other member: its assigned dim
+    must exist and its extent must divide by [n], or [expand] would
+    slice it with step [extent / n] and drop the remainder. *)
+let test_input_member_extent () =
+  let b = Builder.create () in
+  let x = Builder.input b [ 6; 4 ] ~dtype:Shape.F32 in
+  let r = Builder.reduce_sum b ~axes:[ 0 ] x in
+  let g = Builder.finish b in
+  let f n =
+    { Fission.members = Int_set.of_list [ x; r ];
+      dims = Int_map.of_seq (List.to_seq [ (x, 1); (r, -1) ]);
+      n }
+  in
+  Alcotest.(check bool) "extent 6 does not split in 4" true
+    (Result.is_error (Fission.validate g (f 4)));
+  Alcotest.(check bool) "nor does is_valid" false (Fission.is_valid g (f 4));
+  Alcotest.(check (option int)) "smallest n" (Some 2) (Ftree.smallest_valid_n g (f 1));
+  Alcotest.(check bool) "dim beyond the input's rank" false
+    (Fission.is_valid g { (f 2) with dims = Int_map.add x 3 (f 2).dims });
+  let e = Fission.expand g (f 2) in
+  let env = Magis_exec.Interp.default_env g in
+  let before = Magis_exec.Interp.run g ~env and after = Magis_exec.Interp.run e.graph ~env in
+  let d =
+    Magis_exec.Interp.max_diff (Hashtbl.find before r)
+      (Hashtbl.find after (Int_map.find r e.replacements))
+  in
+  Alcotest.(check bool) (Printf.sprintf "n=2 expansion agrees (max diff %g)" d) true (d < 1e-5)
+
 let suite =
   [
     tc "valid fission (Fig. 5)" test_valid_fission;
+    tc "input member extent divides by n" test_input_member_extent;
     tc "input roles" test_input_roles;
     tc "invalid fissions rejected" test_invalid_fissions_rejected;
     tc "softmax axis split rejected" test_softmax_axis_split_rejected;

@@ -39,7 +39,7 @@ let test_enable_starts_at_frontier () =
   (* with everything disabled, only Enable mutations exist, and only on
      leaves *)
   List.iter
-    (fun m ->
+    (fun (m, _) ->
       match m with
       | Ftree.Enable i ->
           Alcotest.(check (list int)) (Printf.sprintf "enable %d is a leaf" i)
@@ -54,7 +54,7 @@ let test_mutation_cycle () =
   let _, g, s = bert_state () in
   let t = s.ftree in
   match Ftree.mutations g t with
-  | Ftree.Enable i :: _ ->
+  | (Ftree.Enable i, _) :: _ ->
       let t1 = Option.get (Ftree.apply g t (Ftree.Enable i)) in
       Alcotest.(check bool) "enabled" true (Ftree.is_enabled t1 i);
       (* frozen region covers the enabled members *)
@@ -83,26 +83,37 @@ let test_mutation_cycle () =
 let test_enable_rejected_under_enabled_ancestor () =
   let _, g, s = bert_state () in
   let t = s.ftree in
-  (* find a parent-child pair *)
-  let pair = ref None in
-  for i = 0 to Ftree.n_entries t - 1 do
-    if (Ftree.entry t i).parent >= 0 && !pair = None then
-      pair := Some (i, (Ftree.entry t i).parent)
-  done;
-  match !pair with
-  | None -> () (* flat tree; nothing to test *)
-  | Some (child, parent) -> (
-      match Ftree.apply g t (Ftree.Enable parent) with
-      | None -> () (* parent not enableable from scratch: fine *)
-      | Some t1 ->
-          Alcotest.(check bool) "child enable blocked" true
-            (Ftree.apply g t1 (Ftree.Enable child) = None))
+  (* the first leaf whose parent has a feasible n: without the ancestor
+     rule the leaf would be on the frontier.  The parent is enabled
+     directly, since Enable only starts at the frontier. *)
+  let pair =
+    List.find_map
+      (fun child ->
+        let { Ftree.parent; children; _ } = Ftree.entry t child in
+        if parent < 0 || children <> [] then None
+        else
+          Option.map
+            (fun n -> (child, parent, n))
+            (Ftree.smallest_valid_n g (Ftree.fission_at t parent)))
+      (List.init (Ftree.n_entries t) Fun.id)
+  in
+  match pair with
+  | None -> Alcotest.fail "expected a leaf whose parent has a feasible n"
+  | Some (child, parent, n) ->
+      let t1 = Ftree.set_n t parent n in
+      Alcotest.(check bool) "parent enabled" true (Ftree.is_enabled t1 parent);
+      Alcotest.(check bool) "child has an enabled ancestor" true
+        (Ftree.has_enabled_ancestor t1 child);
+      Alcotest.(check bool) "child enable blocked" true
+        (Ftree.apply g t1 (Ftree.Enable child) = None);
+      Alcotest.(check bool) "no enable move for the child" false
+        (List.exists (fun (m, _) -> m = Ftree.Enable child) (Ftree.mutations g t1))
 
 let test_fingerprint_changes_with_state () =
   let _, g, s = bert_state () in
   let t = s.ftree in
   match Ftree.mutations g t with
-  | Ftree.Enable i :: _ ->
+  | (Ftree.Enable i, _) :: _ ->
       let t1 = Option.get (Ftree.apply g t (Ftree.Enable i)) in
       Alcotest.(check bool) "fingerprint differs" true
         (Ftree.fingerprint t <> Ftree.fingerprint t1)
@@ -128,7 +139,7 @@ let test_refresh_preserves_enabled () =
   ignore c;
   let t = s.ftree in
   match Ftree.mutations g t with
-  | Ftree.Enable i :: _ ->
+  | (Ftree.Enable i, _) :: _ ->
       let t1 = Option.get (Ftree.apply g t (Ftree.Enable i)) in
       let t2 = Ftree.refresh g ~old_tree:t1 ~hotspots:s.hotspots in
       let survived =

@@ -12,7 +12,15 @@
     {!Graph.des}, and the layers built on it against each other.  Subjects are
     QCheck-drawn Randnets after a seeded chain of rewrites (rewrites add
     nodes with high ids, so id order stops being a topological order)
-    plus every zoo model at [Quick] scale. *)
+    plus every zoo model at [Quick] scale.
+
+    Algorithm 1 has its own oracles in [Ref_algorithm1]: the Set/Map
+    D-graph, the Hashtbl dominator tree and the F-Tree construction that
+    re-validated each candidate at every fission number, which
+    {!Dgraph}, {!Dominator} and {!Ftree.construct} replaced.  Trees are
+    compared entry by entry (members, dims, [n], parent, children):
+    {!Ftree.fingerprint} sees only enabled entries, and a constructed
+    tree has none. *)
 
 open Magis
 open Helpers
@@ -455,6 +463,84 @@ let check_greedy g sets =
   in
   go sets
 
+(** Every entry of two trees, in order: members, dims, fission number,
+    parent and children. *)
+let entries t = List.init (Ftree.n_entries t) (Ftree.entry t)
+
+let same_entries =
+  List.equal (fun (x : Ftree.entry) (y : Ftree.entry) ->
+      Int_set.equal x.fission.members y.fission.members
+      && Int_map.equal Int.equal x.fission.dims y.fission.dims
+      && x.fission.n = y.fission.n && x.parent = y.parent && x.children = y.children)
+
+let same_tree a b = same_entries (entries a) (entries b)
+
+(** Hot-spots of [g]'s smallest-id topological schedule. *)
+let hotspots_of g =
+  (Mstate.evaluate (cache ()) g Ftree.empty (Graph.topo_order g)).hotspots
+
+(** The dominator tree against its oracle: immediate dominators, strict
+    subtrees and reverse postorder, node by node. *)
+let same_dominators g ?members () =
+  let t = Dominator.compute ?members g and r = Ref_algorithm1.Dominator.compute ?members g in
+  Dominator.rpo t = Ref_algorithm1.Dominator.rpo r
+  && List.for_all
+       (fun v ->
+         Dominator.idom t v = Ref_algorithm1.Dominator.idom r v
+         && Int_set.equal (Dominator.strict_subtree t v)
+              (Ref_algorithm1.Dominator.strict_subtree r v))
+       (Graph.node_ids g)
+
+(** The D-graph's components against the oracle's, in order: the same
+    graph nodes, the same D-nodes, the same restriction to all their
+    nodes. *)
+let same_components g =
+  let comps = Dgraph.components (Dgraph.build g) in
+  let refs = Ref_algorithm1.Dgraph.(components (build g)) in
+  List.length comps = List.length refs
+  && List.for_all2
+       (fun c r ->
+         let nodes = Int_set.of_list (Array.to_list (Dgraph.nodes c)) in
+         let dnodes = List.concat_map (Dgraph.dnodes_of g) (Array.to_list (Dgraph.nodes c)) in
+         Int_set.equal nodes (Ref_algorithm1.Dgraph.graph_nodes_of_component r)
+         && List.for_all
+              (fun d -> Dgraph.mem c d = Ref_algorithm1.Dgraph.Dnode_set.mem d r)
+              dnodes
+         && Option.equal (Int_map.equal Int.equal) (Dgraph.restrict c nodes)
+              (Ref_algorithm1.Dgraph.restrict r nodes))
+       comps refs
+
+(** Hot-spot sets for [g]: its schedule's, every node, and two seeded
+    random subsets (so that inputs outside the hot-spots weigh on the
+    scores). *)
+let hotspot_sets g =
+  let rng = Random.State.make [| Graph.n_nodes g |] in
+  let ids = Graph.node_ids g in
+  let random k = Int_set.of_list (List.filter (fun _ -> Random.State.int rng k = 0) ids) in
+  [ hotspots_of g; Int_set.of_list ids; random 2; random 4 ]
+
+(** Algorithm 1 against its oracles on [g]: the D-graph, the whole-graph
+    dominator tree and one per D-graph component, and the tree
+    {!Ftree.construct} returns for each of {!hotspot_sets}. *)
+let check_algorithm1 g =
+  if not (same_components g) then Error "Dgraph.components"
+  else if not (same_dominators g ()) then Error "Dominator (whole graph)"
+  else if
+    not
+      (List.for_all
+         (fun c ->
+           same_dominators g ~members:(Int_set.of_list (Array.to_list (Dgraph.nodes c))) ())
+         (Dgraph.components (Dgraph.build g)))
+  then Error "Dominator (per component)"
+  else if
+    not
+      (List.for_all
+         (fun hotspots ->
+           same_tree (Ftree.construct g ~hotspots) (Ref_algorithm1.construct g ~hotspots))
+         (hotspot_sets g))
+  then Error "Ftree.construct"
+  else Ok ()
+
 (** Every invariant against its oracle on [g]; [Error what] names the
     first disagreement. *)
 let check_graph g seed =
@@ -503,7 +589,10 @@ let check_graph g seed =
                (fun o -> Graph.is_valid_order g o = ref_is_valid_order g o)
                orders)
         then Error "is_valid_order"
-        else check_closure g seed
+        else
+          match check_closure g seed with
+          | Error _ as e -> e
+          | Ok () -> check_algorithm1 g
 
 let prop_randnets =
   QCheck2.Test.make ~name:"invariants equal their oracles on rewritten randnets"
@@ -571,9 +660,88 @@ let test_reschedule_zoo () =
     true
     (!compared = 20 * List.length Zoo.all && 2 * !spliced > !compared)
 
+(** [Ftree.refresh] against the refresh built on the oracle
+    construction, on the first 5 rewrites of every zoo model's initial
+    state, with the state's first Enable applied so that an enabled
+    fission survives into the refreshed tree (matched by member set, or
+    appended as a root).  Also checks that the zoo's trees are not
+    empty, so the comparisons above compare something. *)
+let test_refresh_zoo () =
+  let n_entries = ref 0 in
+  List.iter
+    (fun (w : Zoo.workload) ->
+      let g = w.build Zoo.Quick in
+      let s = Mstate.init (cache ()) g in
+      if not (same_tree s.ftree (Ref_algorithm1.construct g ~hotspots:s.hotspots)) then
+        Alcotest.failf "%s: initial tree" w.name;
+      n_entries := !n_entries + Ftree.n_entries s.ftree;
+      let old_tree =
+        match Ftree.mutations g s.ftree with
+        | (Ftree.Enable _, Some t) :: _ -> t
+        | _ -> Alcotest.failf "%s: no Enable on the initial tree" w.name
+      in
+      List.iteri
+        (fun i (rw : Rule.rewrite) ->
+          if i < 5 then begin
+            let g' = rw.graph in
+            let hotspots = hotspots_of g' in
+            let fresh = Ref_algorithm1.construct g' ~hotspots in
+            (* a surviving enabled fission sets [n] on the last fresh
+               entry with its member set, or is appended as a bare root *)
+            let expected =
+              List.fold_left
+                (fun es j ->
+                  let f = Ftree.fission_at old_tree j in
+                  if Int_set.for_all (Graph.mem g') f.members && Fission.is_valid g' f then
+                    let last =
+                      List.fold_left max (-1)
+                        (List.mapi
+                           (fun k (e : Ftree.entry) ->
+                             if Int_set.equal e.fission.members f.members then k else -1)
+                           es)
+                    in
+                    if last < 0 then es @ [ { Ftree.fission = f; parent = -1; children = [] } ]
+                    else
+                      List.mapi
+                        (fun k (e : Ftree.entry) ->
+                          if k = last then { e with fission = Fission.with_n e.fission f.n } else e)
+                        es
+                  else es)
+                (entries fresh) (Ftree.enabled_indices old_tree)
+            in
+            if not (same_tree (Ftree.construct g' ~hotspots) fresh) then
+              Alcotest.failf "%s: rewrite %d (%s): construct" w.name i rw.rule;
+            if not (same_entries (entries (Ftree.refresh g' ~old_tree ~hotspots)) expected) then
+              Alcotest.failf "%s: rewrite %d (%s): refresh" w.name i rw.rule
+          end)
+        (rewrites ~max_per_rule:6 g))
+    Zoo.all;
+  Alcotest.(check bool) "the zoo's initial trees have entries" true (!n_entries > 0)
+
+(** Only the 96 hottest nodes of a component are scored, so the order
+    of equal heats decides which candidates exist.  120 weight inputs
+    each feed two ReLUs, and an addition chain joins the branches: with
+    no placeholder, every weight roots its own dominator subtree of
+    equal heat, and every one of them reaches the top band. *)
+let test_heat_ties () =
+  let b = Builder.create () in
+  let branch () =
+    let w = Builder.weight b [ 8; 16 ] ~dtype:Shape.F32 in
+    Builder.relu b (Builder.relu b w)
+  in
+  ignore (List.fold_left (fun acc _ -> Builder.add b acc (branch ())) (branch ()) (List.init 119 Fun.id));
+  let g = Builder.finish b in
+  let hotspots = Int_set.of_list (Graph.node_ids g) in
+  let t = Ftree.construct g ~hotspots in
+  Alcotest.(check bool) "more tied branches than scored nodes" true (Ftree.n_entries t >= 96);
+  Alcotest.(check bool) "construct equals the oracle" true
+    (same_tree t (Ref_algorithm1.construct g ~hotspots))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_randnets;
+    tc "construct keeps the order of equal heats" test_heat_ties;
     tc "invariants equal their oracles on the zoo" test_zoo;
     tc "parent-context reschedule equals the per-child path" test_reschedule_zoo;
+    tc "construct and refresh equal the oracle construction on the zoo" test_refresh_zoo;
   ]

@@ -131,7 +131,7 @@ let fission_expansion_preserves_outputs =
       let dg = Dgraph.build g in
       match
         List.find_opt
-          (fun c -> Dgraph.Dnode_set.mem { Dgraph.node = x; dim = 1 } c)
+          (fun c -> Dgraph.mem c { Dgraph.node = x; dim = 1 })
           (Dgraph.components dg)
       with
       | None -> false
@@ -139,7 +139,7 @@ let fission_expansion_preserves_outputs =
           let members =
             Int_set.filter
               (fun v -> not (Op.is_input (Graph.op g v)))
-              (Dgraph.graph_nodes_of_component comp)
+              (Int_set.of_list (Array.to_list (Dgraph.nodes comp)))
           in
           match Dgraph.restrict comp members with
           | None -> false
