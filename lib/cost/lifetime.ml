@@ -12,14 +12,20 @@
     - graph outputs (losses, gradients) stay live until the end;
     - the device size of a node can be overridden via [size_of] — the
       fission layer divides sizes of split intermediates, and Store outputs
-      occupy no device memory. *)
+      occupy no device memory.
+
+    [analyze_on] reads one {!Magis_ir.Graph_index}: node records from its
+    array, "has consumers" from its consumer marks, and each output's
+    last reader from one forward pass over the schedule's operands, into
+    id-indexed arrays.  It touches no persistent map; [analyze] builds
+    the index first. *)
 
 open Magis_ir
 module Int_set = Util.Int_set
 
 type t = {
   order : int array;
-  pos : (int, int) Hashtbl.t;  (** node id -> schedule position *)
+  pos : int array;  (** node id -> schedule position, [-1] if absent *)
   birth : int array;  (** per position: step the output appears *)
   free : int array;  (** per position: last step the output is live *)
   mem : int array;  (** per step: active bytes *)
@@ -28,46 +34,60 @@ type t = {
   sizes : int array;  (** device bytes per position *)
 }
 
-(** Default device size of a node's output: its tensor size, except Store
-    whose output lives in host memory. *)
-let default_size (g : Graph.t) (id : int) : int =
-  let n = Graph.node g id in
+(** Device size of a node's output: its tensor size, except Store whose
+    output lives in host memory. *)
+let node_size (n : Graph.node) : int =
   match n.op with Op.Store -> 0 | _ -> Shape.size_bytes n.shape
 
 (** Is the output of a node live to the end of the run: a weight, or a
-    graph output (no consumers, not an input)?  [op] and [consumers] are
-    the node's. *)
-let pinned_by (op : Op.kind) (consumers : Int_set.t) : bool =
-  Op.is_weight op || (Int_set.is_empty consumers && not (Op.is_input op))
+    graph output (no consumers, not an input)? *)
+let pinned_by (op : Op.kind) ~(consumed : bool) : bool =
+  Op.is_weight op || ((not consumed) && not (Op.is_input op))
+
+(* The graph-keyed forms, for callers that hold no index: one map
+   lookup per query.  [analyze] reads the index instead. *)
+let graph_node g id =
+  match Graph.node_opt g id with
+  | Some n -> n
+  | None -> invalid_arg (Printf.sprintf "Lifetime: unknown node %d" id)
+
+let default_size (g : Graph.t) (id : int) : int = node_size (graph_node g id)
 
 let pinned (g : Graph.t) (id : int) : bool =
-  pinned_by (Graph.op g id) (Graph.succ_set g id)
+  pinned_by (graph_node g id).op ~consumed:(Graph.out_degree g id > 0)
 
-let analyze ?size_of (g : Graph.t) (order : int list) : t =
-  let size_of = match size_of with Some f -> f | None -> default_size g in
+let analyze_on ?size_of (ix : Graph_index.t) (order : int list) : t =
+  let size_of =
+    match size_of with
+    | Some f -> f
+    | None -> fun v -> node_size (Graph_index.node ix v)
+  in
   let order = Array.of_list order in
   let n = Array.length order in
-  let pos = Hashtbl.create n in
-  Array.iteri (fun i v -> Hashtbl.replace pos v i) order;
+  let bound = Graph_index.bound ix in
+  (* one forward pass: each node's (last) position, and the last step
+     that reads each output; an output's last reader is its last
+     scheduled consumer *)
+  let pos = Array.make bound (-1) and read = Array.make bound (-1) in
+  for i = 0 to n - 1 do
+    let v = order.(i) in
+    let node = Graph_index.node ix v in
+    if node.id <> v then invalid_arg (Printf.sprintf "Lifetime: unknown node %d" v);
+    pos.(v) <- i;
+    Array.iter (fun p -> read.(p) <- i) node.inputs
+  done;
   let sizes = Array.map (fun v -> size_of v) order in
   let birth = Array.init n (fun i -> i) in
   let free = Array.make n 0 in
   let last = n - 1 in
   for i = 0 to n - 1 do
     let v = order.(i) in
-    let op = Graph.op g v in
-    if pinned_by op (Graph.succ_set g v) then begin
+    let op = (Graph_index.node ix v).op in
+    if pinned_by op ~consumed:(Graph_index.has_consumers ix v) then begin
       if Op.is_weight op then birth.(i) <- 0;
       free.(i) <- last
     end
-    else
-      free.(i) <-
-        List.fold_left
-          (fun acc s ->
-            match Hashtbl.find_opt pos s with
-            | Some j -> max acc j
-            | None -> acc)
-          i (Graph.suc g v)
+    else free.(i) <- max i read.(v)
   done;
   (* Sweep 1: memory per step via birth/death deltas. *)
   let mem = Array.make (max n 1) 0 in
@@ -98,6 +118,9 @@ let analyze ?size_of (g : Graph.t) (order : int list) : t =
   done;
   { order; pos; birth; free; mem; peak; hotspots = !hotspots; sizes }
 
+let analyze ?size_of (g : Graph.t) (order : int list) : t =
+  analyze_on ?size_of (Graph_index.of_graph g) order
+
 let peak_memory t = t.peak
 let hotspots t = t.hotspots
 
@@ -105,16 +128,14 @@ let hotspots t = t.hotspots
 let timeline t = Array.copy t.mem
 
 (** Position of a node in the analyzed schedule. *)
-let position t v = Hashtbl.find_opt t.pos v
+let position t v =
+  if v >= 0 && v < Array.length t.pos && t.pos.(v) >= 0 then Some t.pos.(v)
+  else None
 
-(** Total size of hot-spot tensors using the analysis' size function. *)
+(** Total size of hot-spot tensors using the analysis' size function.
+    Every hot-spot is scheduled. *)
 let hotspot_bytes t =
-  Int_set.fold
-    (fun v acc ->
-      match Hashtbl.find_opt t.pos v with
-      | Some i -> acc + t.sizes.(i)
-      | None -> acc)
-    t.hotspots 0
+  Int_set.fold (fun v acc -> acc + t.sizes.(t.pos.(v))) t.hotspots 0
 
 (** Lifetime interval of the node at schedule position [i]. *)
 let interval t i = (t.birth.(i), t.free.(i))

@@ -80,8 +80,9 @@ let compute_raw (hw : Hardware.t) (op : Op.kind) (ins : Shape.t array)
       in
       hw.launch_overhead +. (fl /. hw.peak_flops) +. mem_t
 
-let cost t (op : Op.kind) (ins : Shape.t array) (out : Shape.t) : float =
-  let k = key op ins in
+(* The memo under key [k] of [op]'s cost; [compute] runs on a miss,
+   outside the lock. *)
+let memo t k (op : Op.kind) compute =
   Mutex.lock t.lock;
   match Hashtbl.find_opt t.cache k with
   | Some c ->
@@ -97,7 +98,7 @@ let cost t (op : Op.kind) (ins : Shape.t array) (out : Shape.t) : float =
       t.misses <- t.misses + 1;
       Mutex.unlock t.lock;
       Metrics.incr m_misses;
-      let c = Fault.cost "op_cost" (compute_raw t.hw op ins out) in
+      let c = Fault.cost "op_cost" (compute ()) in
       (* guard before caching: a corrupted value must never be memoized *)
       check_op_cost op c;
       Mutex.lock t.lock;
@@ -105,11 +106,26 @@ let cost t (op : Op.kind) (ins : Shape.t array) (out : Shape.t) : float =
       Mutex.unlock t.lock;
       c
 
+let cost t (op : Op.kind) (ins : Shape.t array) (out : Shape.t) : float =
+  memo t (key op ins) op (fun () -> compute_raw t.hw op ins out)
+
 (** Latency of a node of graph [g]. *)
 let node_cost t (g : Graph.t) (id : int) : float =
   let n = Graph.node g id in
   let ins = Array.map (fun i -> Graph.shape g i) n.inputs in
   cost t n.op ins n.shape
+
+(** {!node_cost} on an index of the graph: the key folds the operand
+    shapes straight from the index, and the operand array is built only
+    on a miss. *)
+let node_cost_on t (ix : Graph_index.t) (id : int) : float =
+  let n = Graph_index.node ix id in
+  let k =
+    Array.fold_left
+      (fun h i -> Util.hash_combine h (Shape.hash (Graph_index.shape ix i)))
+      (Op.fingerprint n.op) n.inputs
+  in
+  memo t k n.op (fun () -> compute_raw t.hw n.op (Graph_index.in_shapes ix id) n.shape)
 
 (** Time to move a tensor of [bytes] over the host<->device link. *)
 let swap_time t (bytes : int) : float =

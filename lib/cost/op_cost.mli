@@ -35,6 +35,10 @@ val cost : t -> Op.kind -> Shape.t array -> Shape.t -> float
 
 val node_cost : t -> Graph.t -> int -> float
 
+(** {!node_cost}, reading the node record and its operand shapes from
+    an index of the graph. *)
+val node_cost_on : t -> Graph_index.t -> int -> float
+
 (** Host<->device transfer time for [bytes]. *)
 val swap_time : t -> int -> float
 

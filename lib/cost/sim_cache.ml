@@ -43,6 +43,8 @@ type entry = {
 type t = {
   tbl : entry Magis_par.Striped.t;
   pool : int list Magis_par.Striped.t;
+  last : (int list * int list) option Atomic.t;
+      (** the last list [intern] was given, and what it returned *)
   hits : int Atomic.t;
   misses : int Atomic.t;
   fulls : int Atomic.t;
@@ -54,6 +56,7 @@ let create ?stripes () =
   {
     tbl = Magis_par.Striped.create ?stripes ();
     pool = Magis_par.Striped.create ?stripes ();
+    last = Atomic.make None;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     fulls = Atomic.make 0;
@@ -80,49 +83,61 @@ let decode = function
       @ Util.drop (List.length parent - suffix) parent
 
 (** Intern [sched] in the pool, returning the physical list every other
-    child of the same parent shares.  A (vanishingly unlikely) 64-bit
-    hash collision just returns the caller's own list unshared. *)
+    child of the same parent shares.  Every child of one pop passes the
+    same physical parent list, so the list the last call was given is
+    recognized by physical equality before anything is hashed.  A
+    (vanishingly unlikely) 64-bit hash collision just returns the
+    caller's own list unshared. *)
 let intern t sched =
-  let h = Util.hash_int_list sched in
-  match Magis_par.Striped.find t.pool h with
-  | Some s when s = sched -> s
-  | Some _ -> sched
-  | None ->
-      Magis_par.Striped.add t.pool h sched;
-      ignore (Atomic.fetch_and_add t.resident (List.length sched));
-      sched
-
-let common_prefix_len pa ca =
-  let n = min (Array.length pa) (Array.length ca) in
-  let i = ref 0 in
-  while !i < n && pa.(!i) = ca.(!i) do incr i done;
-  !i
-
-let common_suffix_len ~limit pa ca =
-  let np = Array.length pa and nc = Array.length ca in
-  let n = min limit (min np nc) in
-  let i = ref 0 in
-  while !i < n && pa.(np - 1 - !i) = ca.(nc - 1 - !i) do incr i done;
-  !i
+  match Atomic.get t.last with
+  | Some (given, pooled) when given == sched -> pooled
+  | _ ->
+      let h = Util.hash_int_list sched in
+      let pooled =
+        match Magis_par.Striped.find t.pool h with
+        | Some s when s = sched -> s
+        | Some _ -> sched
+        | None ->
+            Magis_par.Striped.add t.pool h sched;
+            ignore (Atomic.fetch_and_add t.resident (List.length sched));
+            sched
+      in
+      Atomic.set t.last (Some (sched, pooled));
+      pooled
 
 (* The codec alone, without the intern pool: the [Delta] parent is
-   whatever physical list the caller passes. *)
+   whatever physical list the caller passes.  Prefix and suffix are
+   found by walking the two lists; only the child's middle is copied. *)
 module Codec = struct
   type nonrec code = code
 
-  let encode ~parent sched =
-    let pa = Array.of_list parent and ca = Array.of_list sched in
-    let prefix = common_prefix_len pa ca in
+  let encode ~(parent : int list) (sched : int list) =
+    let np = List.length parent and nc = List.length sched in
+    let rec common k p c =
+      match (p, c) with
+      | x :: p', y :: c' when Int.equal x y -> common (k + 1) p' c'
+      | _ -> (k, p, c)
+    in
+    let prefix, parent_rest, sched_rest = common 0 parent sched in
+    (* the suffix is the run of equal pairs that ends both lists, within
+       their last [limit] elements *)
+    let limit = min np nc - prefix in
+    let rec run k p c =
+      match (p, c) with
+      | x :: p', y :: c' -> run (if Int.equal x y then k + 1 else 0) p' c'
+      | _ -> k
+    in
     let suffix =
-      common_suffix_len ~limit:(min (Array.length pa) (Array.length ca) - prefix)
-        pa ca
+      run 0
+        (Util.drop (np - prefix - limit) parent_rest)
+        (Util.drop (nc - prefix - limit) sched_rest)
     in
-    let middle =
-      Array.to_list (Array.sub ca prefix (Array.length ca - prefix - suffix))
-    in
-    if List.length middle >= List.length sched then Full sched
+    let middle_len = nc - prefix - suffix in
+    if middle_len >= nc then Full sched
     else
-      let d = Delta { parent; prefix; middle; suffix } in
+      let d =
+        Delta { parent; prefix; middle = Util.take middle_len sched_rest; suffix }
+      in
       if decode d = sched then d else Full sched
 
   let decode = decode
@@ -195,6 +210,7 @@ let length t = Magis_par.Striped.length t.tbl
 let clear t =
   Magis_par.Striped.clear t.tbl;
   Magis_par.Striped.clear t.pool;
+  Atomic.set t.last None;
   Atomic.set t.fulls 0;
   Atomic.set t.deltas 0;
   Atomic.set t.resident 0

@@ -18,7 +18,14 @@
     is the search loop's path and records no events.  Either way one
     simulation allocates a finish-time array indexed by node id and the
     {!Lifetime} analysis; a failure label is formatted only when a
-    duration fails its finiteness guard. *)
+    duration fails its finiteness guard.
+
+    A simulation reads one {!Magis_ir.Graph_index}: node records, operand
+    shapes for the default cost ({!Op_cost.node_cost_on}) and the
+    lifetime analysis ({!Lifetime.analyze_on}) all come from its arrays,
+    never from the graph's persistent maps.  [run_on] takes an index the
+    caller already holds (the fission accounting builds one per
+    candidate); [run] and [run_events] build it. *)
 
 open Magis_ir
 module Trace = Magis_obs.Trace
@@ -43,19 +50,19 @@ type event = {
 
 (** [sink], when given, receives one event per scheduled non-Input node
     (in schedule order, accumulated newest-first). *)
-let simulate ?size_of ?cost_of ?sink (cache : Op_cost.t) (g : Graph.t)
+let simulate ?size_of ?cost_of ?sink (cache : Op_cost.t) (ix : Graph_index.t)
     (order : int list) : result =
   Magis_resilience.Fault.hit "simulator";
   Metrics.incr runs_total;
   let cost_of =
     match cost_of with
     | Some f -> f
-    | None -> fun id -> Op_cost.node_cost cache g id
+    | None -> Op_cost.node_cost_on cache ix
   in
   let emit ev = match sink with None -> () | Some r -> r := ev :: !r in
   (* finish time per node id; 0 until the node is scheduled, which is
      also the neutral element of the [ready] maximum *)
-  let finish = Array.make (Graph.id_bound g) 0.0 in
+  let finish = Array.make (Graph_index.bound ix) 0.0 in
   let ready (n : Graph.node) =
     Array.fold_left
       (fun acc p -> if finish.(p) > acc then finish.(p) else acc)
@@ -66,7 +73,8 @@ let simulate ?size_of ?cost_of ?sink (cache : Op_cost.t) (g : Graph.t)
   let compute_busy = ref 0.0 and copy_busy = ref 0.0 in
   List.iter
     (fun v ->
-      let n = Graph.node g v in
+      let n = Graph_index.node ix v in
+      if n.id <> v then invalid_arg (Printf.sprintf "Simulator: unknown node %d" v);
       match n.op with
       | Op.Store | Op.Load ->
           let bytes = Shape.size_bytes n.shape in
@@ -97,7 +105,7 @@ let simulate ?size_of ?cost_of ?sink (cache : Op_cost.t) (g : Graph.t)
     order;
   let latency = max !t_compute !t_copy in
   Op_cost.check_finite ~what:"simulated latency" latency;
-  let analysis = Lifetime.analyze ?size_of g order in
+  let analysis = Lifetime.analyze_on ?size_of ix order in
   {
     latency;
     peak_mem = Lifetime.peak_memory analysis;
@@ -106,11 +114,14 @@ let simulate ?size_of ?cost_of ?sink (cache : Op_cost.t) (g : Graph.t)
     analysis;
   }
 
+let run_on ?size_of ?cost_of cache ix order =
+  simulate ?size_of ?cost_of cache ix order
+
 let run ?size_of ?cost_of cache g order =
-  simulate ?size_of ?cost_of cache g order
+  simulate ?size_of ?cost_of cache (Graph_index.of_graph g) order
 
 let run_events ?size_of ?cost_of cache g order =
   Trace.with_span ~cat:"cost" "simulate" @@ fun () ->
   let sink = ref [] in
-  let r = simulate ?size_of ?cost_of ~sink cache g order in
+  let r = simulate ?size_of ?cost_of ~sink cache (Graph_index.of_graph g) order in
   (r, List.rev !sink)

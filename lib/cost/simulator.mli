@@ -7,7 +7,11 @@
     {!Op_cost.check_finite}, so a NaN from any cost hook raises
     {!Op_cost.Non_finite} instead of propagating silently.  [run] is
     also a fault-injection site (["simulator"],
-    {!Magis_resilience.Fault}). *)
+    {!Magis_resilience.Fault}).
+
+    A simulation reads node records and operand shapes from one
+    {!Graph_index} of the graph, not from its persistent maps; {!run_on}
+    takes an index the caller already holds. *)
 
 open Magis_ir
 
@@ -32,6 +36,16 @@ val run :
   ?cost_of:(int -> float) ->
   Op_cost.t ->
   Graph.t ->
+  int list ->
+  result
+
+(** {!run} on an index of the graph the caller already holds.  Raises
+    [Invalid_argument] on a scheduled id that is not a node. *)
+val run_on :
+  ?size_of:(int -> int) ->
+  ?cost_of:(int -> float) ->
+  Op_cost.t ->
+  Graph_index.t ->
   int list ->
   result
 

@@ -54,14 +54,6 @@ let link_target = function
   | Op.To_out j -> j + 1
   | Op.To_reduce j -> -(j + 1)
 
-(** For node [v] with assigned signed dim [d], the input slicing it
-    requires: [(slot, input_dim_1based)] pairs whose input dims feed [d]. *)
-let feeding_slots g v d =
-  List.filter_map
-    (fun (slot, in_dim, link) ->
-      if link_target link = d then Some (slot, in_dim + 1) else None)
-    (links_of g v)
-
 (** Extent of the assigned dimension of [v] (positive assignments only). *)
 let assigned_extent g v d =
   if d > 0 then Some (Shape.dim (Graph.shape g v) (d - 1)) else None
@@ -436,10 +428,17 @@ let expand (g : Graph.t) (f : t) : expansion =
     output dim and the operand dims feeding it are divided by [f.n] where
     they divide.  Feeding one entry's result to the next composes nested
     fissions.  Used for the per-part cost estimate. *)
-let scaled_shapes (g : Graph.t) (f : t) (v : int)
+let scaled_shapes ?index (g : Graph.t) (f : t) (v : int)
     ((ins, out) : Shape.t array * Shape.t) : Shape.t array * Shape.t =
   let d = Int_map.find v f.dims in
-  let feeding = feeding_slots g v d in
+  let links = match index with Some ix -> Graph_index.links ix v | None -> links_of g v in
+  (* [(slot, input_dim_1based)] pairs whose input dims feed [d] *)
+  let feeding =
+    List.filter_map
+      (fun (slot, in_dim, link) ->
+        if link_target link = d then Some (slot, in_dim + 1) else None)
+      links
+  in
   let ins =
     Array.mapi
       (fun slot s ->

@@ -23,10 +23,6 @@ val members : t -> Int_set.t
 val fission_number : t -> int
 val with_n : t -> int -> t
 
-(** [(slot, input_dim_1based)] pairs of [v]'s operands feeding its
-    assigned dimension [d]. *)
-val feeding_slots : Graph.t -> int -> int -> (int * int) list
-
 (** Extent of the assigned dimension (positive assignments only). *)
 val assigned_extent : Graph.t -> int -> int -> int option
 
@@ -63,8 +59,10 @@ val expand : Graph.t -> t -> expansion
 
 (** [scaled_shapes g f v (ins, out)]: member [v]'s per-part shapes,
     scaled from the given ones (assigned dims divided by [n] where they
-    divide), so nested fissions compose by chaining calls. *)
+    divide), so nested fissions compose by chaining calls.  [index], an
+    index of [g], supplies [v]'s links (memoized there). *)
 val scaled_shapes :
+  ?index:Graph_index.t ->
   Graph.t -> t -> int -> Shape.t array * Shape.t -> Shape.t array * Shape.t
 
 val pp : Format.formatter -> t -> unit

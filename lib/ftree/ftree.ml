@@ -237,8 +237,9 @@ let construct_on ~max_level (ix : Graph_index.t) ~(hotspots : Int_set.t) : t =
     (Dgraph.components (Dgraph.of_index ix));
   of_fissions !candidates
 
-let construct ?(max_level = default_max_level) (g : Graph.t) ~(hotspots : Int_set.t) : t =
-  construct_on ~max_level (Graph_index.of_graph g) ~hotspots
+let construct ?(max_level = default_max_level) ?index (g : Graph.t) ~(hotspots : Int_set.t) : t =
+  let ix = match index with Some ix -> ix | None -> Graph_index.of_graph g in
+  construct_on ~max_level ix ~hotspots
 
 (* ------------------------------------------------------------------ *)
 (* Mutation rules (§5.1)                                              *)
@@ -383,18 +384,24 @@ type accounting = {
   size_of : int -> int;  (** device bytes of a node's output *)
   cost_of : int -> float;  (** per-node latency incl. split execution *)
   extra_latency : float;  (** boundary slice/merge overhead *)
+  index : Graph_index.t;  (** the index [size_of] and [cost_of] read *)
 }
 
 (** Build the virtual-fission accounting for graph [g] under tree [t].
-    See the module header for the model. *)
+    See the module header for the model.  [size_of] and [cost_of] read
+    one {!Graph_index} of [g], handed on in [index] so the simulation of
+    the same candidate reads it too. *)
 let accounting (cache : Op_cost.t) (g : Graph.t) (t : t) : accounting =
+  let ix = Graph_index.of_graph g in
+  let node_size v = Lifetime.node_size (Graph_index.node ix v) in
   let enabled = enabled_indices t in
   match enabled with
   | [] ->
       {
-        size_of = (fun v -> Lifetime.default_size g v);
-        cost_of = (fun v -> Op_cost.node_cost cache g v);
+        size_of = node_size;
+        cost_of = Op_cost.node_cost_on cache ix;
         extra_latency = 0.0;
+        index = ix;
       }
   | _ ->
       let entries =
@@ -415,35 +422,43 @@ let accounting (cache : Op_cost.t) (g : Graph.t) (t : t) : accounting =
         in
         climb i 1
       in
-      let size_of v =
-        let base = Lifetime.default_size g v in
-        List.fold_left
-          (fun acc (_, f, outs) ->
-            if
-              Int_set.mem v (Fission.members f)
-              && not (Int_set.mem v outs)
-            then acc / (f : Fission.t).n
-            else acc)
-          base entries
-      in
+      (* One pass over each entry's members, by node id: the product of
+         the [n] of the entries that split the node's output (member,
+         not an output of the entry), the product of the [n] of the
+         entries containing it, and those entries in entry order.
+         Dividing a size by each [n] in turn rounds like dividing once
+         by their product. *)
+      let bound = Graph_index.bound ix in
+      let divisor = Array.make bound 1 and factor = Array.make bound 1 in
+      let within = Array.make bound [] in
+      List.iter
+        (fun (_, f, outs) ->
+          let n = (f : Fission.t).n in
+          Int_set.iter
+            (fun v ->
+              if v < bound then begin
+                factor.(v) <- factor.(v) * n;
+                within.(v) <- f :: within.(v);
+                if not (Int_set.mem v outs) then divisor.(v) <- divisor.(v) * n
+              end)
+            (Fission.members f))
+        (List.rev entries);
+      let size_of v = node_size v / divisor.(v) in
       let cost_of v =
-        let node = Graph.node g v in
+        let node = Graph_index.node ix v in
         match node.op with
         | Op.Input _ | Op.Store | Op.Load -> 0.0
         | _ ->
-            (* progressively scale shapes through each enclosing entry *)
-            let factor, (ins, out) =
-              List.fold_left
-                (fun ((factor, shapes) as acc) (_, f, _) ->
-                  if Int_set.mem v (Fission.members f) then
-                    ( factor * (f : Fission.t).n,
-                      Fission.scaled_shapes g f v shapes )
-                  else acc)
-                (1, (Array.map (Graph.shape g) node.inputs, node.shape))
-                entries
-            in
-            if factor = 1 then Op_cost.node_cost cache g v
-            else float_of_int factor *. Op_cost.cost cache node.op ins out
+            if factor.(v) = 1 then Op_cost.node_cost_on cache ix v
+            else
+              (* progressively scale shapes through each enclosing entry *)
+              let ins, out =
+                List.fold_left
+                  (fun shapes f -> Fission.scaled_shapes ~index:ix g f v shapes)
+                  (Graph_index.in_shapes ix v, node.shape)
+                  within.(v)
+              in
+              float_of_int factor.(v) *. Op_cost.cost cache node.op ins out
       in
       let hw = (cache : Op_cost.t).hw in
       let extra_latency =
@@ -460,13 +475,13 @@ let accounting (cache : Op_cost.t) (g : Graph.t) (t : t) : accounting =
               Int_map.fold
                 (fun u role acc ->
                   match role with
-                  | Fission.Sliced _ -> acc + Graph.size_bytes g u
+                  | Fission.Sliced _ -> acc + Graph_index.size_bytes ix u
                   | Fission.Shared -> acc)
                 roles 0
             in
             let out_bytes =
               Int_set.fold
-                (fun v acc -> acc + Graph.size_bytes g v)
+                (fun v acc -> acc + Graph_index.size_bytes ix v)
                 outs 0
             in
             let bytes = float_of_int (2 * (sliced_bytes + out_bytes)) in
@@ -481,7 +496,7 @@ let accounting (cache : Op_cost.t) (g : Graph.t) (t : t) : accounting =
                   +. (launches *. hw.Hardware.launch_overhead)))
           0.0 entries
       in
-      { size_of; cost_of; extra_latency }
+      { size_of; cost_of; extra_latency; index = ix }
 
 let pp ppf t =
   Array.iteri

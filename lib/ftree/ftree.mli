@@ -45,8 +45,10 @@ val default_max_level : int
 
 (** Algorithm 1: construct candidates from the memory hot-spots of the
     current schedule.  [max_level] is the paper's [L] (default
-    {!default_max_level}). *)
-val construct : ?max_level:int -> Graph.t -> hotspots:Int_set.t -> t
+    {!default_max_level}).  [index], an index of the graph the caller
+    already holds, is read instead of a fresh one. *)
+val construct :
+  ?max_level:int -> ?index:Graph_index.t -> Graph.t -> hotspots:Int_set.t -> t
 
 (** Assemble a tree from explicit fissions, as {!construct} assembles its
     candidates: deduplicated by member set, each entry's parent the
@@ -95,11 +97,16 @@ type accounting = {
   size_of : int -> int;  (** device bytes of a node's output *)
   cost_of : int -> float;  (** per-node latency incl. split execution *)
   extra_latency : float;  (** boundary slice/merge overhead *)
+  index : Graph_index.t;
+      (** the index of the graph [size_of] and [cost_of] read, for the
+          simulation of the same candidate ({!Simulator.run_on}) *)
 }
 
 (** Cost/memory model of the enabled fissions: split intermediates
     shrink, split operators run [n] times at per-part shapes, region
-    boundaries pay slice/merge work. *)
+    boundaries pay slice/merge work.  Builds one {!Graph_index} of the
+    graph; per node, [size_of] and [cost_of] read it and id-indexed
+    arrays filled in one pass over each enabled entry's members. *)
 val accounting : Op_cost.t -> Graph.t -> t -> accounting
 
 val pp : Format.formatter -> t -> unit

@@ -1,19 +1,27 @@
 (** Id-indexed arrays over one graph (see the interface).
 
-    One pass over the graph's node map fills the node array, and the
-    adjacency arrays follow from it; an id that is not a node holds a
-    placeholder whose [id] is [-1], which is how {!mem} tells the two
-    apart.  Links are filled per node on first use. *)
+    One pass over the graph's node map fills the node array; an id that
+    is not a node holds a placeholder whose [id] is [-1], which is how
+    {!mem} tells the two apart.  Everything else is derived from the
+    node array on first use: the adjacency arrays, the consumer marks,
+    each node's links, the {!Reach} closure and the scratch array of
+    {!induced}. *)
+
+type adjacency = { preds : int array array; succs : int array array }
+
+type link_memo = {
+  links : (int * int * Op.dim_link) list array;  (** valid where [linked] is set *)
+  linked : Bytes.t;
+}
 
 type t = {
   graph : Graph.t;
   nodes : Graph.node array;
-  preds : int array array;
-  succs : int array array;
-  links : (int * int * Op.dim_link) list array;  (** valid where [linked] is set *)
-  linked : Bytes.t;
+  adjacency : adjacency Lazy.t;
+  consumed : Bytes.t Lazy.t;  (** ['\001'] where some node reads the id *)
+  memo : link_memo Lazy.t;
   reach : Reach.t Lazy.t;
-  slot : int array;
+  slot : int array Lazy.t;
       (** scratch of {!induced}: member id -> local index, [-1]
           elsewhere; restored before [induced] returns *)
 }
@@ -22,10 +30,8 @@ let absent : Graph.node =
   { id = -1; op = Op.Input Op.Placeholder; shape = Shape.create [ 1 ];
     label = ""; inputs = [||] }
 
-let of_graph (g : Graph.t) : t =
-  let bound = Graph.id_bound g in
-  let nodes = Array.make bound absent in
-  Graph.iter (fun n -> nodes.(n.id) <- n) g;
+let adjacency_of (nodes : Graph.node array) : adjacency =
+  let bound = Array.length nodes in
   let preds =
     Array.map
       (fun (n : Graph.node) ->
@@ -51,9 +57,21 @@ let of_graph (g : Graph.t) : t =
           succs.(p).(n_succs.(p)) <- v;
           n_succs.(p) <- n_succs.(p) + 1))
     preds;
-  { graph = g; nodes; preds; succs; links = Array.make bound [];
-    linked = Bytes.make bound '\000'; reach = lazy (Reach.compute g);
-    slot = Array.make bound (-1) }
+  { preds; succs }
+
+let of_graph (g : Graph.t) : t =
+  let bound = Graph.id_bound g in
+  let nodes = Array.make bound absent in
+  Graph.iter (fun n -> nodes.(n.id) <- n) g;
+  let consumed =
+    lazy
+      (let c = Bytes.make bound '\000' in
+       Array.iter (fun (n : Graph.node) -> Array.iter (fun p -> Bytes.set c p '\001') n.inputs) nodes;
+       c)
+  in
+  { graph = g; nodes; adjacency = lazy (adjacency_of nodes); consumed;
+    memo = lazy { links = Array.make bound []; linked = Bytes.make bound '\000' };
+    reach = lazy (Reach.compute g); slot = lazy (Array.make bound (-1)) }
 
 let graph t = t.graph
 let bound t = Array.length t.nodes
@@ -61,17 +79,19 @@ let mem t v = v >= 0 && v < Array.length t.nodes && t.nodes.(v).id = v
 let node t v = t.nodes.(v)
 let shape t v = t.nodes.(v).shape
 let size_bytes t v = Shape.size_bytes t.nodes.(v).shape
-let preds t v = t.preds.(v)
-let succs t v = t.succs.(v)
+let preds t v = (Lazy.force t.adjacency).preds.(v)
+let succs t v = (Lazy.force t.adjacency).succs.(v)
+let has_consumers t v = Bytes.get (Lazy.force t.consumed) v <> '\000'
 let in_shapes t v = Array.map (fun i -> t.nodes.(i).shape) t.nodes.(v).inputs
 
 let links t v =
-  if Bytes.get t.linked v = '\000' then begin
+  let m = Lazy.force t.memo in
+  if Bytes.get m.linked v = '\000' then begin
     let n = t.nodes.(v) in
-    t.links.(v) <- Op.links n.op (in_shapes t v) n.shape;
-    Bytes.set t.linked v '\001'
+    m.links.(v) <- Op.links n.op (in_shapes t v) n.shape;
+    Bytes.set m.linked v '\001'
   end;
-  t.links.(v)
+  m.links.(v)
 
 let reach t = Lazy.force t.reach
 
@@ -95,18 +115,19 @@ type induced = {
 }
 
 let induced t (ids : int array) : induced =
-  Array.iteri (fun k v -> t.slot.(v) <- k) ids;
+  let slot = Lazy.force t.slot in
+  Array.iteri (fun k v -> slot.(v) <- k) ids;
   (* the adjacency arrays are increasing in id, and local indices are
      increasing in id, so the filtered arrays stay increasing *)
   let local adj v =
     let a = adj.(v) in
-    let n = Array.fold_left (fun acc u -> if t.slot.(u) >= 0 then acc + 1 else acc) 0 a in
+    let n = Array.fold_left (fun acc u -> if slot.(u) >= 0 then acc + 1 else acc) 0 a in
     if n = 0 then [||]
     else begin
       let out = Array.make n 0 and k = ref 0 in
       Array.iter
         (fun u ->
-          let l = t.slot.(u) in
+          let l = slot.(u) in
           if l >= 0 then begin
             out.(!k) <- l;
             incr k
@@ -115,7 +136,8 @@ let induced t (ids : int array) : induced =
       out
     end
   in
-  let local_preds = Array.map (local t.preds) ids in
-  let local_succs = Array.map (local t.succs) ids in
-  Array.iter (fun v -> t.slot.(v) <- -1) ids;
+  let { preds; succs } = Lazy.force t.adjacency in
+  let local_preds = Array.map (local preds) ids in
+  let local_succs = Array.map (local succs) ids in
+  Array.iter (fun v -> slot.(v) <- -1) ids;
   { ids; local_preds; local_succs }

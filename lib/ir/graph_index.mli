@@ -1,11 +1,16 @@
 (** Id-indexed arrays over one graph: its nodes, their distinct operands
     and consumers in increasing id order, and their dimension links
-    ({!Op.links}, on first use), each computed once.  A pass that reads
-    many nodes of one graph (the F-Tree construction of Algorithm 1, a
-    whole-graph dominator tree) builds one index and reads every fact
-    from it instead of from the persistent maps of {!Graph}.  The index
-    memoizes links and marks members in a scratch array while {!induced}
-    runs, so one index serves one domain at a time.
+    ({!Op.links}).  A pass that reads many nodes of one graph (the F-Tree
+    construction of Algorithm 1, a whole-graph dominator tree, the
+    simulation of one candidate schedule) builds one index and reads
+    every fact from it instead of from the persistent maps of {!Graph}.
+
+    {!of_graph} fills only the node array, in one pass over the graph's
+    node map; the adjacency arrays, the consumer marks of
+    {!has_consumers}, each node's links and the {!Reach} closure are
+    built on first use and kept.  Those lazy parts and the scratch array
+    {!induced} marks members in make one index serve one domain at a
+    time.
 
     Every query takes a node id below {!bound}; ids that are not nodes
     of the graph are outside their domain, except for {!mem}. *)
@@ -28,6 +33,10 @@ val preds : t -> int -> int array
 
 (** Consumers, increasing; not a copy, do not mutate. *)
 val succs : t -> int -> int array
+
+(** Does some node read the id's output?  [succs t v <> [||]], from one
+    pass over the operand arrays that builds no adjacency. *)
+val has_consumers : t -> int -> bool
 
 (** Operand shapes, by slot; a fresh array. *)
 val in_shapes : t -> int -> Shape.t array

@@ -24,8 +24,8 @@ type t = {
 (** Simulate [schedule] on [graph] under the fission accounting of
     [ftree] and package the result.  [acc] lets callers that already
     computed {!Ftree.accounting} (the search's evaluation path needs it
-    for the reschedule) pass it in instead of
-    recomputing. *)
+    for the reschedule) pass it in instead of recomputing; the
+    simulation reads the accounting's graph index. *)
 let evaluate ?(ftree_stale = false) ?acc (cache : Op_cost.t) (graph : Graph.t)
     (ftree : Ftree.t) (schedule : int list) : t =
   let acc =
@@ -34,7 +34,7 @@ let evaluate ?(ftree_stale = false) ?acc (cache : Op_cost.t) (graph : Graph.t)
     | None -> Ftree.accounting cache graph ftree
   in
   let res =
-    Simulator.run ~size_of:acc.size_of ~cost_of:acc.cost_of cache graph
+    Simulator.run_on ~size_of:acc.size_of ~cost_of:acc.cost_of cache acc.index
       schedule
   in
   {
@@ -74,12 +74,16 @@ let to_cached (t : t) : Sim_cache.value =
   }
 
 (** Initial state: schedule the input graph, analyze it, build the F-Tree
-    (Algorithm 1). *)
+    (Algorithm 1) on the index the simulation read. *)
 let init ?(max_level = Ftree.default_max_level) ?(sched_states = 4_000)
     (cache : Op_cost.t) (graph : Graph.t) : t =
   let schedule = Reorder.schedule ~max_states:sched_states graph in
-  let pre = evaluate cache graph Ftree.empty schedule in
-  let ftree = Ftree.construct ~max_level graph ~hotspots:pre.hotspots in
+  let acc = Ftree.accounting cache graph Ftree.empty in
+  let pre = evaluate ~acc cache graph Ftree.empty schedule in
+  (* Algorithm 1 reads the graph index the simulation read *)
+  let ftree =
+    Ftree.construct ~max_level ~index:acc.index graph ~hotspots:pre.hotspots
+  in
   { pre with ftree }
 
 (** Fraction of device memory relative to a baseline (for reporting). *)

@@ -103,7 +103,8 @@ let of_set (g : Graph.t) (members : Int_set.t) : t =
   for i = 0 to m - 1 do
     let node = Graph.node g ids.(i) in
     let consumers = Graph.succ_set g ids.(i) in
-    pinned.(i) <- Magis_cost.Lifetime.pinned_by node.op consumers;
+    pinned.(i) <-
+      Magis_cost.Lifetime.pinned_by node.op ~consumed:(not (Int_set.is_empty consumers));
     (* distinct member operands: an operand array is a handful of
        slots, so the duplicate test rescans this node's entries *)
     Array.iter

@@ -106,6 +106,18 @@ if [ -n "$hits" ]; then
   echo "$hits"
 fi
 
+# 10. the simulator and the lifetime analysis run on every search
+# candidate that misses the simulation cache, so they read node records,
+# operand shapes and consumers from one Graph_index per candidate: no
+# node-by-node lookup in the graph's persistent maps (Graph.node, op,
+# shape, succ_set or suc; `Graph.node` as a type annotation is fine).
+hits=$(grep -nP 'Graph\.(node(?!\s*\))|op|shape|succ_set|suc)\b' \
+  lib/cost/simulator.ml lib/cost/lifetime.ml 2>/dev/null)
+if [ -n "$hits" ]; then
+  fail "per-node map lookup in the simulator or the lifetime analysis (read a Graph_index instead):"
+  echo "$hits"
+fi
+
 if [ "$status" -eq 0 ]; then
   echo "style: clean ($(echo "$files" | wc -w) files)"
 fi

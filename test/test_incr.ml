@@ -68,6 +68,53 @@ let test_sim_cache_roundtrip () =
   Alcotest.(check bool) "resident footprint accounted" true
     (Sim_cache.resident_ints cache > 0)
 
+(** The prefix, suffix and middle length of [sched] against [parent], as
+    the array codec that copied both lists found them. *)
+let ref_window parent sched =
+  let pa = Array.of_list parent and ca = Array.of_list sched in
+  let np = Array.length pa and nc = Array.length ca in
+  let n = min np nc in
+  let i = ref 0 in
+  while !i < n && pa.(!i) = ca.(!i) do incr i done;
+  let j = ref 0 in
+  while !j < n - !i && pa.(np - 1 - !j) = ca.(nc - 1 - !j) do incr j done;
+  (!i, !j, nc - !i - !j)
+
+(** Children of one parent over a three-value alphabet, where a shared
+    value can extend either the prefix or the suffix: every entry
+    stores what the array codec stored (the resident count adds up
+    each delta's middle + 2, or a full copy), the parent is pooled
+    once whether it comes back physically or as an equal copy, and
+    again after [clear]. *)
+let test_sim_cache_codec_window () =
+  let rng = Random.State.make [| 7 |] in
+  let draw n = List.init n (fun _ -> Random.State.int rng 3) in
+  let parent = draw 60 in
+  let cache = Sim_cache.create () in
+  let value sched =
+    { Sim_cache.schedule = sched; peak_mem = 0; latency = 0.0; hotspots = [] }
+  in
+  let expected = ref (List.length parent) in
+  for k = 0 to 199 do
+    let lo = Random.State.int rng 60 in
+    let hi = lo + Random.State.int rng (61 - lo) in
+    let child = Util.take lo parent @ draw (Random.State.int rng 8) @ Util.drop hi parent in
+    (* every other child passes an equal copy of the parent *)
+    let parent = if k mod 2 = 0 then parent else List.map Fun.id parent in
+    Sim_cache.add ~parent cache (Int64.of_int k) (value child);
+    let _, _, middle = ref_window parent child in
+    expected := !expected + (if middle >= List.length child then List.length child else middle + 2);
+    match Sim_cache.find cache (Int64.of_int k) with
+    | Some v when v.schedule = child -> ()
+    | _ -> Alcotest.failf "child %d does not round-trip" k
+  done;
+  Alcotest.(check int) "resident ints" !expected (Sim_cache.resident_ints cache);
+  Sim_cache.clear cache;
+  Sim_cache.add ~parent cache 0L (value (List.tl parent));
+  Alcotest.(check int) "parent pooled again after clear"
+    (List.length parent + 2)
+    (Sim_cache.resident_ints cache)
+
 (* ------------------------------------------------------------------ *)
 (* Reschedule fallback reporting                                       *)
 (* ------------------------------------------------------------------ *)
@@ -102,6 +149,8 @@ let suite =
   [
     Alcotest.test_case "sim-cache delta round-trip" `Quick
       test_sim_cache_roundtrip;
+    Alcotest.test_case "sim-cache codec stores the array codec's window" `Quick
+      test_sim_cache_codec_window;
     Alcotest.test_case "reschedule fallback reporting" `Quick
       test_fallback_reports_window;
   ]

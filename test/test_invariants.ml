@@ -20,7 +20,15 @@
     {!Dgraph}, {!Dominator} and {!Ftree.construct} replaced.  Trees are
     compared entry by entry (members, dims, [n], parent, children):
     {!Ftree.fingerprint} sees only enabled entries, and a constructed
-    tree has none. *)
+    tree has none.
+
+    Candidate simulation has its oracles in [Ref_simulate]: the
+    simulator, lifetime analysis and fission accounting that read the
+    graph's maps node by node, which {!Simulator.run_on},
+    {!Lifetime.analyze_on} and {!Ftree.accounting} on one
+    {!Graph_index} replaced.  Results are compared bit for bit, along
+    with the operator-cost cache statistics, the [simulator.runs]
+    counter and the fault-site visits. *)
 
 open Magis
 open Helpers
@@ -737,6 +745,182 @@ let test_heat_ties () =
   Alcotest.(check bool) "construct equals the oracle" true
     (same_tree t (Ref_algorithm1.construct g ~hotspots))
 
+(* ------------------------------------------------------------------ *)
+(* Candidate simulation against Ref_simulate                           *)
+(* ------------------------------------------------------------------ *)
+
+let sim_runs = Metrics.counter "simulator.runs"
+
+(** [f c] on a fresh operator-cost cache [c], with metrics on and the
+    fault injector observing: its result, and what the two sides of a
+    comparison must share — [c]'s (hits, misses), the [simulator.runs]
+    delta and the [op_cost] and [simulator] site visits. *)
+let observed f =
+  let metrics = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Fault.observe ();
+  Fun.protect
+    ~finally:(fun () ->
+      Fault.disarm ();
+      Metrics.set_enabled metrics)
+    (fun () ->
+      let c = cache () and runs = Metrics.counter_value sim_runs in
+      let r = f c in
+      ( r,
+        ( Op_cost.stats c,
+          Metrics.counter_value sim_runs - runs,
+          Fault.visits "op_cost",
+          Fault.visits "simulator" ) ))
+
+let bits = Int64.bits_of_float
+
+(** Lifetime analyses, position by position and id by id, over every id
+    below the bound and one on each side of it. *)
+let same_lifetime g (a : Lifetime.t) (r : Ref_simulate.Lifetime.t) =
+  let module R = Ref_simulate.Lifetime in
+  a.order = r.order && a.sizes = r.sizes
+  && Lifetime.peak_memory a = R.peak_memory r
+  && Int_set.equal (Lifetime.hotspots a) (R.hotspots r)
+  && Lifetime.timeline a = R.timeline r
+  && Lifetime.hotspot_bytes a = R.hotspot_bytes r
+  && List.for_all
+       (fun i -> Lifetime.interval a i = R.interval r i)
+       (List.init (Array.length r.order) Fun.id)
+  && List.for_all
+       (fun v -> Lifetime.position a v = R.position r v)
+       (List.init (Graph.id_bound g + 2) (fun v -> v - 1))
+
+let same_result g (a : Simulator.result) (r : Ref_simulate.Simulator.result) =
+  bits a.latency = bits r.latency
+  && a.peak_mem = r.peak_mem
+  && bits a.compute_busy = bits r.compute_busy
+  && bits a.copy_busy = bits r.copy_busy
+  && same_lifetime g a.analysis r.analysis
+
+let same_events a r =
+  List.compare_lengths a r = 0
+  && List.for_all2
+       (fun (a : Simulator.event) (r : Ref_simulate.Simulator.event) ->
+         a.ev_node = r.ev_node && a.ev_copy = r.ev_copy
+         && bits a.ev_start = bits r.ev_start
+         && bits a.ev_finish = bits r.ev_finish)
+       a r
+
+(** One candidate through both paths: the accounting of [tree] with the
+    simulation of [order] under it (the search's evaluation, on the
+    accounting's index), and the plain simulation with its events. *)
+let check_simulation g tree order =
+  let (r_extra, r_acc, (r_plain, r_events)), r_seen =
+    observed (fun c ->
+        let acc = Ref_simulate.accounting c g tree in
+        ( acc.extra_latency,
+          Ref_simulate.Simulator.run ~size_of:acc.size_of ~cost_of:acc.cost_of c g order,
+          Ref_simulate.Simulator.run_events c g order ))
+  in
+  let (a_extra, a_acc, (a_plain, a_events)), a_seen =
+    observed (fun c ->
+        let acc = Ftree.accounting c g tree in
+        ( acc.extra_latency,
+          Simulator.run_on ~size_of:acc.size_of ~cost_of:acc.cost_of c acc.index order,
+          Simulator.run_events c g order ))
+  in
+  if bits a_extra <> bits r_extra then Error "extra_latency"
+  else if not (same_result g a_acc r_acc) then Error "simulation under the accounting"
+  else if not (same_result g a_plain r_plain) then Error "plain simulation"
+  else if not (same_events a_events r_events) then Error "run_events"
+  else if a_seen <> r_seen then Error "op_cost stats, simulator.runs or fault-site visits"
+  else Ok ()
+
+(** Orders of [g] to simulate: its greedy schedule, its smallest-id
+    topological order, and the first half of the schedule (a partial
+    order: consumers outside it do not extend a lifetime). *)
+let sim_orders g =
+  let schedule = Reorder.schedule ~max_states:0 g in
+  [ schedule; Graph.topo_order g; Util.take (List.length schedule / 2) schedule ]
+
+(** [tree] with two nested entries enabled, a child and then its parent,
+    when some Enable of a child is followed by an Enable of its parent. *)
+let nested g tree =
+  List.find_map
+    (function
+      | Ftree.Enable c, Some t when (Ftree.entry t c).parent >= 0 ->
+          let p = (Ftree.entry t c).parent in
+          List.find_map
+            (function Ftree.Enable p', Some t' when p' = p -> Some t' | _ -> None)
+            (Ftree.mutations g t)
+      | _ -> None)
+    (Ftree.mutations g tree)
+
+let first_enable g tree =
+  List.find_map (function Ftree.Enable _, t -> t | _ -> None) (Ftree.mutations g tree)
+
+(** Trees to account [g] under: none enabled, the first Enable, and a
+    nested pair when [g]'s tree has one. *)
+let sim_trees g tree =
+  Ftree.empty :: List.filter_map Fun.id [ first_enable g tree; nested g tree ]
+
+let check_simulations g trees =
+  List.fold_left
+    (fun acc tree ->
+      Result.bind acc (fun () ->
+          List.fold_left
+            (fun acc order -> Result.bind acc (fun () -> check_simulation g tree order))
+            (Ok ()) (sim_orders g)))
+    (Ok ()) trees
+
+let prop_simulate_randnets =
+  QCheck2.Test.make ~name:"simulation equals its oracle on rewritten randnets"
+    ~count:30 ~print:print_graph gen_graph (fun params ->
+      let g = build_graph params in
+      let s = Mstate.init ~sched_states:0 (cache ()) g in
+      match check_simulations g (sim_trees g s.ftree) with
+      | Ok () -> true
+      | Error what -> QCheck2.Test.fail_report what)
+
+(** The first 20 rewrites of every zoo model's initial state, accounted
+    under the initial tree pruned to the rewritten graph with its first
+    Enable applied, and the initial graph itself under nested enabled
+    entries.  Checks that some nested pair was compared. *)
+let test_simulate_zoo () =
+  let nested_pairs = ref 0 in
+  List.iter
+    (fun (w : Zoo.workload) ->
+      let g = w.build Zoo.Quick in
+      let s = Mstate.init ~sched_states:0 (cache ()) g in
+      let fail what = Alcotest.failf "%s: %s" w.name what in
+      if Option.is_some (nested g s.ftree) then incr nested_pairs;
+      Result.iter_error fail (check_simulations g (sim_trees g s.ftree));
+      let enabled = Option.value ~default:s.ftree (first_enable g s.ftree) in
+      List.iteri
+        (fun i (rw : Rule.rewrite) ->
+          if i < 20 then
+            Result.iter_error
+              (fun what -> fail (Printf.sprintf "rewrite %d (%s): %s" i rw.rule what))
+              (check_simulations rw.graph [ Ftree.empty; Ftree.prune rw.graph enabled ]))
+        (rewrites ~max_per_rule:6 g))
+    Zoo.all;
+  Alcotest.(check bool) "some zoo tree has nested enabled entries" true (!nested_pairs > 0)
+
+(** An index read node by node first (as the simulation of a candidate
+    reads it) and handed to {!Ftree.construct} afterwards gives the
+    oracle's trees, entry by entry, for every hot-spot set. *)
+let test_index_construct_zoo () =
+  List.iter
+    (fun (w : Zoo.workload) ->
+      let g = w.build Zoo.Quick in
+      List.iter
+        (fun hotspots ->
+          let ix = Graph_index.of_graph g in
+          Graph.iter
+            (fun n ->
+              if Graph_index.node ix n.id != n || Graph_index.shape ix n.id != n.shape then
+                Alcotest.failf "%s: node %d read from the index" w.name n.id)
+            g;
+          if not (same_tree (Ftree.construct ~index:ix g ~hotspots) (Ref_algorithm1.construct g ~hotspots))
+          then Alcotest.failf "%s: construct on a read index" w.name)
+        (hotspot_sets g))
+    Zoo.all
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_randnets;
@@ -744,4 +928,7 @@ let suite =
     tc "invariants equal their oracles on the zoo" test_zoo;
     tc "parent-context reschedule equals the per-child path" test_reschedule_zoo;
     tc "construct and refresh equal the oracle construction on the zoo" test_refresh_zoo;
+    QCheck_alcotest.to_alcotest prop_simulate_randnets;
+    tc "simulation equals its oracle on the zoo" test_simulate_zoo;
+    tc "construct on a read index equals the oracle on the zoo" test_index_construct_zoo;
   ]

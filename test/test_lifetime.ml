@@ -113,6 +113,20 @@ let test_interval () =
   Alcotest.(check bool) "freed after r1 runs" true
     (free >= Option.get (Lifetime.position a r1))
 
+(** [position] is [None] for an id the schedule does not hold: a node
+    left out of a partial schedule, an id below the bound that is no
+    longer a node, and ids outside the bound on either side. *)
+let test_position_absent () =
+  let g, x, r1, r2, r3 = chain3 () in
+  let g = Graph.remove g r3 in
+  let a = Lifetime.analyze g [ x; r1 ] in
+  Alcotest.(check (option int)) "scheduled" (Some 1) (Lifetime.position a r1);
+  Alcotest.(check (option int)) "node outside the schedule" None (Lifetime.position a r2);
+  Alcotest.(check (option int)) "removed id" None (Lifetime.position a r3);
+  List.iter
+    (fun v -> Alcotest.(check (option int)) (Printf.sprintf "id %d" v) None (Lifetime.position a v))
+    [ -1; Graph.id_bound g; Graph.id_bound g + 7 ]
+
 let suite =
   [
     tc "chain peak" test_chain_peak;
@@ -124,4 +138,5 @@ let suite =
     tc "order changes peak" test_schedule_order_changes_peak;
     tc "size override" test_size_override;
     tc "lifetime intervals" test_interval;
+    tc "position of an absent id" test_position_absent;
   ]
