@@ -212,12 +212,13 @@ let fission_corpus ?(max_graphs = 8) (corpus : (string * Graph.t) list) :
       let order = Graph.topo_order g in
       let hotspots = Lifetime.hotspots (Lifetime.analyze g order) in
       let t = Ftree.construct g ~hotspots in
+      let ix = Graph_index.of_graph g in
       for i = 0 to Ftree.n_entries t - 1 do
         List.iter
           (fun n ->
             if !count < max_graphs then
               let f = Fission.with_n (Ftree.fission_at t i) n in
-              if Fission.is_valid g f then begin
+              if Fission.is_valid ix f then begin
                 let e = Fission.expand g f in
                 if Diagnostic.is_clean (Verify.graph e.Fission.graph) then begin
                   incr count;

@@ -268,7 +268,7 @@ let emit_expanded ?(module_doc = "generated by MAGIS")
       (fun acc i ->
         let f = Magis_ftree.Ftree.fission_at ftree i in
         if Magis_ftree.Ftree.has_enabled_ancestor ftree i then acc
-        else if Magis_ftree.Fission.is_valid acc f then
+        else if Magis_ftree.Fission.is_valid (Graph_index.of_graph acc) f then
           (Magis_ftree.Fission.expand acc f).graph
         else acc)
       g

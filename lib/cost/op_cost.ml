@@ -8,9 +8,9 @@
     The table is shared by every domain of the parallel expansion pool
     ({!Magis_par.Pool}), so lookups and insertions take [lock]; the
     analytic latency itself is computed outside the critical section.
-    A race between two domains computing the same key is benign — both
-    compute the same deterministic value and the second [replace] is a
-    no-op in effect. *)
+    Two domains may both compute a key neither found; the first to
+    insert it counts the miss and the other a hit, so the counters read
+    (queries − distinct keys, distinct keys) at any number of domains. *)
 
 open Magis_ir
 module Fault = Magis_resilience.Fault
@@ -55,9 +55,10 @@ let create hw =
   { hw; cache = Hashtbl.create 1024; lock = Mutex.create (); hits = 0;
     misses = 0 }
 
-let key (op : Op.kind) (ins : Shape.t array) =
-  let h = Op.fingerprint op in
-  Array.fold_left (fun h s -> Util.hash_combine h (Shape.hash s)) h ins
+(* the memo key of [op] on operands whose shapes are [shape_of x] *)
+let key (op : Op.kind) (shape_of : 'a -> Shape.t) (operands : 'a array) =
+  Array.fold_left (fun h x -> Util.hash_combine h (Shape.hash (shape_of x)))
+    (Op.fingerprint op) operands
 
 (** Latency (seconds) of one execution of the operator on the device
     compute stream.  Store/Load cost nothing here: they run on the copy
@@ -81,7 +82,7 @@ let compute_raw (hw : Hardware.t) (op : Op.kind) (ins : Shape.t array)
       hw.launch_overhead +. (fl /. hw.peak_flops) +. mem_t
 
 (* The memo under key [k] of [op]'s cost; [compute] runs on a miss,
-   outside the lock. *)
+   outside the lock.  Only the query that inserts [k] counts a miss. *)
 let memo t k (op : Op.kind) compute =
   Mutex.lock t.lock;
   match Hashtbl.find_opt t.cache k with
@@ -95,19 +96,23 @@ let memo t k (op : Op.kind) compute =
       check_op_cost op c;
       c
   | None ->
-      t.misses <- t.misses + 1;
       Mutex.unlock t.lock;
-      Metrics.incr m_misses;
       let c = Fault.cost "op_cost" (compute ()) in
       (* guard before caching: a corrupted value must never be memoized *)
       check_op_cost op c;
       Mutex.lock t.lock;
+      (* [replace] grows the table unless another domain inserted [k],
+         with the same value, meanwhile *)
+      let size = Hashtbl.length t.cache in
       Hashtbl.replace t.cache k c;
+      let fresh = Hashtbl.length t.cache > size in
+      if fresh then t.misses <- t.misses + 1 else t.hits <- t.hits + 1;
       Mutex.unlock t.lock;
+      Metrics.incr (if fresh then m_misses else m_hits);
       c
 
 let cost t (op : Op.kind) (ins : Shape.t array) (out : Shape.t) : float =
-  memo t (key op ins) op (fun () -> compute_raw t.hw op ins out)
+  memo t (key op Fun.id ins) op (fun () -> compute_raw t.hw op ins out)
 
 (** Latency of a node of graph [g]. *)
 let node_cost t (g : Graph.t) (id : int) : float =
@@ -120,12 +125,8 @@ let node_cost t (g : Graph.t) (id : int) : float =
     on a miss. *)
 let node_cost_on t (ix : Graph_index.t) (id : int) : float =
   let n = Graph_index.node ix id in
-  let k =
-    Array.fold_left
-      (fun h i -> Util.hash_combine h (Shape.hash (Graph_index.shape ix i)))
-      (Op.fingerprint n.op) n.inputs
-  in
-  memo t k n.op (fun () -> compute_raw t.hw n.op (Graph_index.in_shapes ix id) n.shape)
+  memo t (key n.op (Graph_index.shape ix) n.inputs) n.op (fun () ->
+      compute_raw t.hw n.op (Graph_index.in_shapes ix id) n.shape)
 
 (** Time to move a tensor of [bytes] over the host<->device link. *)
 let swap_time t (bytes : int) : float =

@@ -45,5 +45,8 @@ val swap_time : t -> int -> float
 (** Sum of node costs ([cost(G) ≈ Σ cost(v)], §2.1). *)
 val graph_cost : t -> Graph.t -> float
 
+(** [(hits, misses)]: a query that inserts its key is a miss, every
+    other query a hit, so the pair is (queries − distinct keys,
+    distinct keys) however many domains share the cache. *)
 val stats : t -> int * int
 val reset_stats : t -> unit

@@ -19,9 +19,13 @@
     axes, divisibility, consistent input slicing).  All of it but
     divisibility is independent of [n]: [structure] runs it once and
     returns the gcd of the split extents, so a candidate is valid at
-    exactly the [n] that divide that modulus.  [expand] performs the
-    real graph rewrite; the optimizer instead uses the *virtual*
-    accounting in {!Ftree} and only expands the final result. *)
+    exactly the [n] that divide that modulus.  Every check reads the
+    graph through one {!Graph_index}: connectivity is a union-find over
+    the members' operand edges, convexity a bit test on the index's
+    {!Reach} closure, and the links are memoized per node.  [expand]
+    performs the real graph rewrite; the optimizer instead uses the
+    *virtual* accounting in {!Ftree} and only expands the final
+    result. *)
 
 open Magis_ir
 module Int_map = Util.Int_map
@@ -41,22 +45,10 @@ let with_n f n = { f with n }
 (* Dimension-link helpers                                             *)
 (* ------------------------------------------------------------------ *)
 
-let in_shapes g (n : Graph.node) =
-  Array.map (fun i -> Graph.shape g i) n.inputs
-
-(** All (slot, input-dim, link) triples of node [v]. *)
-let links_of g v =
-  let n = Graph.node g v in
-  Op.links n.op (in_shapes g n) n.shape
-
 (** Signed dim targeted by a link. *)
 let link_target = function
   | Op.To_out j -> j + 1
   | Op.To_reduce j -> -(j + 1)
-
-(** Extent of the assigned dimension of [v] (positive assignments only). *)
-let assigned_extent g v d =
-  if d > 0 then Some (Shape.dim (Graph.shape g v) (d - 1)) else None
 
 (* ------------------------------------------------------------------ *)
 (* Input slicing map                                                  *)
@@ -68,7 +60,7 @@ type input_role = Sliced of int | Shared
 
 (* Inputs of [S] that feed an assigned dim, each with the one dim
    (1-based) it is sliced along; [Error] when one is asked for two. *)
-let sliced_inputs ~node ~links (f : t) : (int Int_map.t, string) result =
+let sliced_inputs ix (f : t) : (int Int_map.t, string) result =
   let exception Conflict of string in
   try
     Ok
@@ -77,7 +69,7 @@ let sliced_inputs ~node ~links (f : t) : (int Int_map.t, string) result =
            match Int_map.find_opt v f.dims with
            | None -> acc
            | Some d ->
-               let inputs = (node v : Graph.node).inputs in
+               let inputs = (Graph_index.node ix v).inputs in
                List.fold_left
                  (fun acc (slot, in_dim, link) ->
                    let u = inputs.(slot) in
@@ -90,19 +82,24 @@ let sliced_inputs ~node ~links (f : t) : (int Int_map.t, string) result =
                               (Printf.sprintf "input %d sliced along both dim %d and %d" u i
                                  (in_dim + 1)))
                      | _ -> Int_map.add u (in_dim + 1) acc)
-                 acc (links v))
+                 acc (Graph_index.links ix v))
          f.members Int_map.empty)
   with Conflict msg -> Error msg
 
-let input_roles (g : Graph.t) (f : t) : (input_role Int_map.t, string) result =
+let input_roles ix (f : t) : (input_role Int_map.t, string) result =
   Result.map
     (fun sliced ->
-      (* remaining inputs are shared *)
+      (* the other inputs of S are shared *)
       Int_set.fold
-        (fun u acc -> if Int_map.mem u acc then acc else Int_map.add u Shared acc)
-        (Graph.inps_of g f.members)
+        (fun v acc ->
+          Array.fold_left
+            (fun acc u ->
+              if Int_set.mem u f.members || Int_map.mem u acc then acc
+              else Int_map.add u Shared acc)
+            acc (Graph_index.node ix v).inputs)
+        f.members
         (Int_map.map (fun i -> Sliced i) sliced))
-    (sliced_inputs ~node:(Graph.node g) ~links:(links_of g) f)
+    (sliced_inputs ix f)
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                         *)
@@ -110,10 +107,28 @@ let input_roles (g : Graph.t) (f : t) : (input_role Int_map.t, string) result =
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
-(* Weak connectivity of the members [ids] on an index: their classes
-   joined along every edge between two members.  The same answer as
-   [Graph.is_weakly_connected], without its persistent-set walk. *)
-let index_connected ix ids =
+(* [G.outs(S)] as flags over [ids]: members not read by members alone.
+   Like the checks below, it reads operands only, so it builds none of
+   the index's adjacency. *)
+let outputs ix ids =
+  let inside = Array.make (Array.length ids) 0 in
+  Array.iter
+    (fun w ->
+      Array.iter
+        (fun p ->
+          let k = Graph_index.local_of ids p in
+          if k >= 0 then inside.(k) <- inside.(k) + 1)
+        (Graph_index.node ix w).inputs)
+    ids;
+  Array.mapi
+    (fun k v ->
+      let n = Graph_index.n_reads ix v in
+      n = 0 || inside.(k) < n)
+    ids
+
+(* Weak connectivity of the members [ids]: their classes joined along
+   every edge between two members. *)
+let connected ix ids =
   let uf = Util.Union_find.create (Array.length ids) in
   Array.iteri
     (fun i v ->
@@ -121,29 +136,24 @@ let index_connected ix ids =
         (fun p ->
           let j = Graph_index.local_of ids p in
           if j >= 0 then Util.Union_find.union uf i j)
-        (Graph_index.preds ix v))
+        (Graph_index.node ix v).inputs)
     ids;
   let rec joined i =
     i = Array.length ids || (Util.Union_find.find uf i = 0 && joined (i + 1))
   in
   joined 0
 
-(* Convexity of the members [ids] on an index: no input of S descends
-   from an output of S, in the index's reachability closure. *)
-let index_convex ix ids =
+(* Convexity of the members [ids]: no input of S descends from an
+   output of S, in the index's reachability closure. *)
+let convex ix ids =
+  let is_out = outputs ix ids in
+  let outs = List.filteri (fun k _ -> is_out.(k)) (Array.to_list ids) in
   let outside v = Graph_index.local_of ids v < 0 in
-  let outs =
-    List.filter
-      (fun v ->
-        let succs = Graph_index.succs ix v in
-        Array.length succs = 0 || Array.exists outside succs)
-      (Array.to_list ids)
-  in
   let inps =
     Array.fold_left
       (fun acc v ->
         Array.fold_left (fun acc p -> if outside p then p :: acc else acc) acc
-          (Graph_index.preds ix v))
+          (Graph_index.node ix v).inputs)
       [] ids
   in
   let r = Graph_index.reach ix in
@@ -153,18 +163,12 @@ let index_convex ix ids =
     success, the extents the split divides as [(what, id, extent)] for
     error messages: members' assigned output dims first (["node"]), then
     sliced inputs (["input"]). *)
-let split_extents ?index (g : Graph.t) (f : t) :
-    ((string * int * int) list, string) result =
+let split_extents ix (f : t) : ((string * int * int) list, string) result =
   let ( let* ) r k = match r with Error _ as e -> e | Ok x -> k x in
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let mem, node, in_shapes, links =
-    match index with
-    | Some ix ->
-        (Graph_index.mem ix, Graph_index.node ix, Graph_index.in_shapes ix, Graph_index.links ix)
-    | None -> (Graph.mem g, Graph.node g, (fun v -> in_shapes g (Graph.node g v)), links_of g)
-  in
+  let node = Graph_index.node ix in
   if Int_set.is_empty f.members then err "empty member set"
-  else if not (Int_set.for_all mem f.members) then err "members not in graph"
+  else if not (Int_set.for_all (Graph_index.mem ix) f.members) then err "members not in graph"
   else if
     not (Int_set.for_all (fun v -> Int_map.mem v f.dims) f.members)
     || Int_map.cardinal f.dims <> Int_set.cardinal f.members
@@ -174,22 +178,15 @@ let split_extents ?index (g : Graph.t) (f : t) :
        the members, so their bindings come in the same order *)
     let ids = Array.of_list (Int_set.elements f.members) in
     let dims = Array.of_list (List.map snd (Int_map.bindings f.dims)) in
-    let connected, convex =
-      match index with
-      | Some ix -> ((fun () -> index_connected ix ids), fun () -> index_convex ix ids)
-      | None ->
-          ( (fun () -> Graph.is_weakly_connected g f.members),
-            fun () -> Graph.is_convex g f.members )
-    in
-    if not (connected ()) then err "sub-graph not weakly connected"
-    else if not (convex ()) then err "sub-graph not convex"
+    if not (connected ix ids) then err "sub-graph not weakly connected"
+    else if not (convex ix ids) then err "sub-graph not convex"
     else
       (* is there a link from operand [slot]'s dim [in_dim] (1-based) to
          [v]'s signed dim [d]? *)
       let linked v slot in_dim d =
         List.exists
           (fun (s, i, l) -> s = slot && i + 1 = in_dim && link_target l = d)
-          (links v)
+          (Graph_index.links ix v)
       in
       (* member-level checks; the extents are collected in reverse *)
       let rec members i extents =
@@ -203,7 +200,9 @@ let split_extents ?index (g : Graph.t) (f : t) :
             else if d > Shape.rank node.shape then err "node %d: dim %d out of range" v d
             else members (i + 1) (extent ())
           else if d > 0 then
-            if List.mem (d - 1) (Op.unsplittable_out_dims node.op (in_shapes v) node.shape)
+            if
+              List.mem (d - 1)
+                (Op.unsplittable_out_dims node.op (Graph_index.in_shapes ix v) node.shape)
             then err "node %d: dim %d not splittable for %s" v d (Op.name node.op)
             else if d > Shape.rank node.shape then err "node %d: dim %d out of range" v d
             else members (i + 1) (extent ())
@@ -234,7 +233,7 @@ let split_extents ?index (g : Graph.t) (f : t) :
       in
       let* () = edges 0 in
       (* inputs of S feeding an assigned dim are sliced along one dim each *)
-      let* sliced = sliced_inputs ~node ~links f in
+      let* sliced = sliced_inputs ix f in
       Ok
         (List.rev_append member_extents
            (Int_map.fold
@@ -242,16 +241,14 @@ let split_extents ?index (g : Graph.t) (f : t) :
               sliced []
            |> List.rev))
 
-let structure ?index g f =
-  Result.map
-    (List.fold_left (fun m (_, _, e) -> gcd m e) 0)
-    (split_extents ?index g f)
+let structure ix f =
+  Result.map (List.fold_left (fun m (_, _, e) -> gcd m e) 0) (split_extents ix f)
 
-let validate (g : Graph.t) (f : t) : (unit, string) result =
+let validate ix (f : t) : (unit, string) result =
   if Int_set.is_empty f.members then Error "empty member set"
   else if f.n < 1 then Error "fission number < 1"
   else
-    match split_extents g f with
+    match split_extents ix f with
     | Error _ as e -> e
     | Ok extents -> (
         match List.find_opt (fun (_, _, e) -> e mod f.n <> 0) extents with
@@ -259,9 +256,8 @@ let validate (g : Graph.t) (f : t) : (unit, string) result =
         | Some (what, id, e) ->
             Error (Printf.sprintf "%s %d: extent %d not divisible by %d" what id e f.n))
 
-let is_valid g f =
-  f.n >= 1
-  && match structure g f with Ok m -> m mod f.n = 0 | Error _ -> false
+let is_valid ix f =
+  f.n >= 1 && match structure ix f with Ok m -> m mod f.n = 0 | Error _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Expansion: the real graph rewrite                                  *)
@@ -294,14 +290,15 @@ type expansion = {
     sequentially executed parts.  Raises [Invalid_argument] if [f] does not
     validate. *)
 let expand (g : Graph.t) (f : t) : expansion =
-  (match validate g f with
+  let ix = Graph_index.of_graph g in
+  (match validate ix f with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Fission.expand: " ^ msg));
   if f.n = 1 then
     { graph = g; replacements = Int_map.empty; part_nodes = [| [] |] }
   else
     let roles =
-      match input_roles g f with Ok r -> r | Error m -> invalid_arg m
+      match input_roles ix f with Ok r -> r | Error m -> invalid_arg m
     in
     let outs = Graph.outs_of g f.members in
     (* members in topological order *)
@@ -423,21 +420,20 @@ let expand (g : Graph.t) (f : t) : expansion =
 (* Virtual (analytic) accounting helpers                              *)
 (* ------------------------------------------------------------------ *)
 
-(** [scaled_shapes g f v (ins, out)]: member [v]'s share of one part of
+(** [scaled_shapes ix f v (ins, out)]: member [v]'s share of one part of
     [f], starting from the given operand and output shapes — the assigned
     output dim and the operand dims feeding it are divided by [f.n] where
     they divide.  Feeding one entry's result to the next composes nested
     fissions.  Used for the per-part cost estimate. *)
-let scaled_shapes ?index (g : Graph.t) (f : t) (v : int)
-    ((ins, out) : Shape.t array * Shape.t) : Shape.t array * Shape.t =
+let scaled_shapes ix (f : t) (v : int) ((ins, out) : Shape.t array * Shape.t) :
+    Shape.t array * Shape.t =
   let d = Int_map.find v f.dims in
-  let links = match index with Some ix -> Graph_index.links ix v | None -> links_of g v in
   (* [(slot, input_dim_1based)] pairs whose input dims feed [d] *)
   let feeding =
     List.filter_map
       (fun (slot, in_dim, link) ->
         if link_target link = d then Some (slot, in_dim + 1) else None)
-      links
+      (Graph_index.links ix v)
   in
   let ins =
     Array.mapi

@@ -4,9 +4,11 @@
     [validate] checks the paper's constraints (weak connectivity,
     convexity, unique dimension assignment, per-edge dimension links) plus
     the semantic side conditions (splittable axes, divisibility,
-    consistent input slicing).  [expand] performs the real graph rewrite;
-    the optimizer normally uses the virtual accounting in {!Ftree} and
-    expands only final results. *)
+    consistent input slicing), reading the graph through a
+    {!Graph_index} the caller builds.  [expand] performs the real graph
+    rewrite, validating on an index of its own; the optimizer normally
+    uses the virtual accounting in {!Ftree} and expands only final
+    results. *)
 
 open Magis_ir
 module Int_map = Util.Int_map
@@ -23,28 +25,31 @@ val members : t -> Int_set.t
 val fission_number : t -> int
 val with_n : t -> int -> t
 
-(** Extent of the assigned dimension (positive assignments only). *)
-val assigned_extent : Graph.t -> int -> int -> int option
-
 (** How each input of S participates in the split. *)
 type input_role = Sliced of int  (** along this 1-based dim *) | Shared
 
 (** Per-input roles; [Error] on inconsistent slicing requirements. *)
-val input_roles : Graph.t -> t -> (input_role Int_map.t, string) result
+val input_roles : Graph_index.t -> t -> (input_role Int_map.t, string) result
 
-(** The checks of {!validate} that do not depend on [n], run once: on
-    success, the modulus — the gcd of the extents the split divides
-    (members' assigned output dims, input members included, and the
-    dims of sliced inputs; [0] when there are none).  The candidate is
-    valid at [n >= 1] iff [n] divides it.  [index] must index [g]; it
-    memoizes the links and tests convexity on its {!Graph_index.reach}
-    closure. *)
-val structure : ?index:Graph_index.t -> Graph.t -> t -> (int, string) result
+(** [outputs ix ids]: for each member of the increasing array [ids],
+    whether it is an output of S ([G.outs(S)]: read by no node, or by a
+    node outside S).  Aligned with [ids]. *)
+val outputs : Graph_index.t -> int array -> bool array
+
+(** The checks of {!validate} that do not depend on [n], run once on an
+    index of the graph: on success, the modulus — the gcd of the
+    extents the split divides (members' assigned output dims, input
+    members included, and the dims of sliced inputs; [0] when there are
+    none).  The candidate is valid at [n >= 1] iff [n] divides it.
+    Connectivity is a union-find over the members' operand edges,
+    convexity one {!Reach.precedes} test per (output, input) pair on
+    the index's closure, and the links are memoized in the index. *)
+val structure : Graph_index.t -> t -> (int, string) result
 
 (** {!structure} plus divisibility by [n]. *)
-val validate : Graph.t -> t -> (unit, string) result
+val validate : Graph_index.t -> t -> (unit, string) result
 
-val is_valid : Graph.t -> t -> bool
+val is_valid : Graph_index.t -> t -> bool
 
 type expansion = {
   graph : Graph.t;
@@ -57,12 +62,11 @@ type expansion = {
     concat/reduction merges).  Raises [Invalid_argument] if invalid. *)
 val expand : Graph.t -> t -> expansion
 
-(** [scaled_shapes g f v (ins, out)]: member [v]'s per-part shapes,
+(** [scaled_shapes ix f v (ins, out)]: member [v]'s per-part shapes,
     scaled from the given ones (assigned dims divided by [n] where they
-    divide), so nested fissions compose by chaining calls.  [index], an
-    index of [g], supplies [v]'s links (memoized there). *)
+    divide), so nested fissions compose by chaining calls.  [v]'s links
+    come from the index [ix] (memoized there). *)
 val scaled_shapes :
-  ?index:Graph_index.t ->
-  Graph.t -> t -> int -> Shape.t array * Shape.t -> Shape.t array * Shape.t
+  Graph_index.t -> t -> int -> Shape.t array * Shape.t -> Shape.t array * Shape.t
 
 val pp : Format.formatter -> t -> unit

@@ -81,7 +81,7 @@ let smallest_n_of (f : Fission.t) (m : int) : int option =
   if m >= 2 && Int_map.exists (fun _ d -> d > 0) f.dims then Some (go 2) else None
 
 let smallest_valid_n (g : Graph.t) (f : Fission.t) : int option =
-  match Fission.structure g f with
+  match Fission.structure (Graph_index.of_graph g) f with
   | Error _ -> None
   | Ok m -> smallest_n_of f m
 
@@ -138,7 +138,6 @@ let default_max_level = 4
     bounds, so heat is a prefix sum over the preorder, and "no deeper
     node of the band" a count of band positions inside the slice. *)
 let construct_on ~max_level (ix : Graph_index.t) ~(hotspots : Int_set.t) : t =
-  let g = Graph_index.graph ix in
   let bound = Graph_index.bound ix in
   let hot v = Int_set.mem v hotspots in
   (* [stamp.(u) = s]: input [u] already counted for the score [s] *)
@@ -227,7 +226,7 @@ let construct_on ~max_level (ix : Graph_index.t) ~(hotspots : Int_set.t) : t =
                 | Some dims ->
                     if Int_map.cardinal dims = hi - lo then
                       let f : Fission.t = { members; dims; n = 1 } in
-                      match Fission.structure ~index:ix g f with
+                      match Fission.structure ix f with
                       | Ok m when smallest_n_of f m <> None ->
                           candidates := f :: !candidates
                       | _ -> ()
@@ -237,9 +236,8 @@ let construct_on ~max_level (ix : Graph_index.t) ~(hotspots : Int_set.t) : t =
     (Dgraph.components (Dgraph.of_index ix));
   of_fissions !candidates
 
-let construct ?(max_level = default_max_level) ?index (g : Graph.t) ~(hotspots : Int_set.t) : t =
-  let ix = match index with Some ix -> ix | None -> Graph_index.of_graph g in
-  construct_on ~max_level ix ~hotspots
+let construct ?(max_level = default_max_level) (g : Graph.t) ~(hotspots : Int_set.t) : t =
+  construct_on ~max_level (Graph_index.of_graph g) ~hotspots
 
 (* ------------------------------------------------------------------ *)
 (* Mutation rules (§5.1)                                              *)
@@ -271,23 +269,24 @@ let combined_factor_on t ~enabled v dim ~candidate ~n =
         | _ -> acc)
     n enabled
 
-(* The feasibility questions of one mutation round.  Fission numbers
-   leave members and dims alone, so each entry's {!Fission.structure}
-   holds for every tree derived from [t] by [set_n], and is computed
-   once, on first use. *)
-type round = { g : Graph.t; structure : int -> (int, string) result }
+(* The feasibility questions of one mutation round, on one index of
+   the graph.  Fission numbers leave members and dims alone, so each
+   entry's {!Fission.structure} holds for every tree derived from [t] by
+   [set_n], and is computed once, on first use. *)
+type round = { ix : Graph_index.t; structure : int -> (int, string) result }
 
 let round g t =
+  let ix = Graph_index.of_graph g in
   let memo = Array.make (n_entries t) None in
   let structure i =
     match memo.(i) with
     | Some r -> r
     | None ->
-        let r = Fission.structure g (fission_at t i) in
+        let r = Fission.structure ix (fission_at t i) in
         memo.(i) <- Some r;
         r
   in
-  { g; structure }
+  { ix; structure }
 
 (** Would setting entry [i] of [t] to fission number [n] keep all extents
     divisible, accounting for other enabled entries splitting the same
@@ -300,7 +299,7 @@ let n_is_feasible r t ~enabled i n =
          match Int_map.find_opt v (f : Fission.t).dims with
          | Some d when d > 0 ->
              let total = combined_factor_on t ~enabled v d ~candidate:i ~n in
-             Shape.dim (Graph.shape r.g v) (d - 1) mod total = 0
+             Shape.dim (Graph_index.shape r.ix v) (d - 1) mod total = 0
          | _ -> true)
        (Fission.members f)
 
@@ -404,12 +403,14 @@ let accounting (cache : Op_cost.t) (g : Graph.t) (t : t) : accounting =
         index = ix;
       }
   | _ ->
+      (* each entry with its members, increasing, and which of them are
+         outputs of the entry *)
       let entries =
         List.map
           (fun i ->
             let f = fission_at t i in
-            let outs = Graph.outs_of g (Fission.members f) in
-            (i, f, outs))
+            let ids = Array.of_list (Int_set.elements (Fission.members f)) in
+            (i, f, ids, Fission.outputs ix ids))
           enabled
       in
       (* ancestor-product factor of each entry (nested regions execute
@@ -432,16 +433,14 @@ let accounting (cache : Op_cost.t) (g : Graph.t) (t : t) : accounting =
       let divisor = Array.make bound 1 and factor = Array.make bound 1 in
       let within = Array.make bound [] in
       List.iter
-        (fun (_, f, outs) ->
+        (fun (_, f, ids, is_out) ->
           let n = (f : Fission.t).n in
-          Int_set.iter
-            (fun v ->
-              if v < bound then begin
-                factor.(v) <- factor.(v) * n;
-                within.(v) <- f :: within.(v);
-                if not (Int_set.mem v outs) then divisor.(v) <- divisor.(v) * n
-              end)
-            (Fission.members f))
+          Array.iteri
+            (fun k v ->
+              factor.(v) <- factor.(v) * n;
+              within.(v) <- f :: within.(v);
+              if not is_out.(k) then divisor.(v) <- divisor.(v) * n)
+            ids)
         (List.rev entries);
       let size_of v = node_size v / divisor.(v) in
       let cost_of v =
@@ -454,7 +453,7 @@ let accounting (cache : Op_cost.t) (g : Graph.t) (t : t) : accounting =
               (* progressively scale shapes through each enclosing entry *)
               let ins, out =
                 List.fold_left
-                  (fun shapes f -> Fission.scaled_shapes ~index:ix g f v shapes)
+                  (fun shapes f -> Fission.scaled_shapes ix f v shapes)
                   (Graph_index.in_shapes ix v, node.shape)
                   within.(v)
               in
@@ -463,11 +462,11 @@ let accounting (cache : Op_cost.t) (g : Graph.t) (t : t) : accounting =
       let hw = (cache : Op_cost.t).hw in
       let extra_latency =
         List.fold_left
-          (fun acc (i, f, outs) ->
+          (fun acc (i, f, ids, is_out) ->
             let fa = float_of_int (ancestor_factor i) in
             let n = float_of_int (f : Fission.t).n in
             let roles =
-              match Fission.input_roles g f with
+              match Fission.input_roles ix f with
               | Ok r -> r
               | Error _ -> Int_map.empty
             in
@@ -479,17 +478,12 @@ let accounting (cache : Op_cost.t) (g : Graph.t) (t : t) : accounting =
                   | Fission.Shared -> acc)
                 roles 0
             in
+            let outs = List.filteri (fun k _ -> is_out.(k)) (Array.to_list ids) in
             let out_bytes =
-              Int_set.fold
-                (fun v acc -> acc + Graph_index.size_bytes ix v)
-                outs 0
+              List.fold_left (fun acc v -> acc + Graph_index.size_bytes ix v) 0 outs
             in
             let bytes = float_of_int (2 * (sliced_bytes + out_bytes)) in
-            let launches =
-              n
-              *. float_of_int
-                   (Int_map.cardinal roles + Int_set.cardinal outs)
-            in
+            let launches = n *. float_of_int (Int_map.cardinal roles + List.length outs) in
             acc
             +. fa
                *. ((bytes /. hw.Hardware.mem_bandwidth)
@@ -524,43 +518,34 @@ let fingerprint (t : t) : int64 =
     0x5bd1e995L (enabled_indices t)
 
 (** Drop entries whose member nodes no longer all exist in [g] (after a
-    graph rewrite), re-parenting children to the nearest surviving
-    ancestor. *)
+    graph rewrite), and enabled entries that no longer validate,
+    re-parenting children to the nearest surviving ancestor.  One
+    {!Graph_index} of [g] answers both. *)
 let prune (g : Graph.t) (t : t) : t =
-  let alive = Array.map
+  let ix = Graph_index.of_graph g in
+  let alive =
+    Array.map
       (fun e ->
-        Int_set.for_all (fun v -> Graph.mem g v) (Fission.members e.fission)
-        && ((e.fission : Fission.t).n = 1 || Fission.is_valid g e.fission))
+        let f = e.fission in
+        if f.n = 1 then Int_set.for_all (Graph_index.mem ix) f.members
+        else Fission.is_valid ix f)
       t.entries
   in
   let n = Array.length t.entries in
+  let kept = List.filter (fun i -> alive.(i)) (List.init n Fun.id) in
   let new_index = Array.make n (-1) in
-  let count = ref 0 in
-  for i = 0 to n - 1 do
-    if alive.(i) then begin
-      new_index.(i) <- !count;
-      incr count
-    end
-  done;
+  List.iteri (fun k i -> new_index.(i) <- k) kept;
   let rec surviving_parent i =
     let p = t.entries.(i).parent in
     if p < 0 then -1
     else if alive.(p) then new_index.(p)
     else surviving_parent p
   in
-  let entries = Array.make !count { fission = { members = Int_set.empty; dims = Util.Int_map.empty; n = 1 }; parent = -1; children = [] } in
-  for i = 0 to n - 1 do
-    if alive.(i) then
-      entries.(new_index.(i)) <-
-        { fission = t.entries.(i).fission; parent = surviving_parent i; children = [] }
-  done;
-  (* rebuild children lists *)
-  let children = Array.make !count [] in
-  Array.iteri
-    (fun i e -> if e.parent >= 0 then children.(e.parent) <- i :: children.(e.parent))
-    entries;
-  Array.iteri (fun i e -> entries.(i) <- { e with children = children.(i) }) entries;
-  { entries }
+  let parents = Array.of_list (List.map surviving_parent kept) in
+  let children = Array.make (Array.length parents) [] in
+  Array.iteri (fun k p -> if p >= 0 then children.(p) <- k :: children.(p)) parents;
+  let entry k i = { fission = t.entries.(i).fission; parent = parents.(k); children = children.(k) } in
+  { entries = Array.of_list (List.mapi entry kept) }
 
 (** Rebuild the candidate tree for a rewritten graph (Algorithm 1) while
     preserving the enabled fissions of [old_tree] that still validate:
@@ -574,11 +559,7 @@ let refresh ?(max_level = default_max_level) (g : Graph.t) ~(old_tree : t)
     List.filter_map
       (fun i ->
         let f = fission_at old_tree i in
-        if
-          Int_set.for_all (fun v -> Graph.mem g v) (Fission.members f)
-          && match Fission.structure ~index:ix g f with Ok m -> m mod f.n = 0 | Error _ -> false
-        then Some f
-        else None)
+        if Fission.is_valid ix f then Some f else None)
       (enabled_indices old_tree)
   in
   List.fold_left
@@ -615,7 +596,7 @@ let construct_naive ?(seed = 42) ?(per_component = 4) (g : Graph.t) : t =
           match Dgraph.restrict comp sub with
           | Some dims when Int_map.cardinal dims = Int_set.cardinal sub -> (
               let f : Fission.t = { members = sub; dims; n = 1 } in
-              match Fission.structure ~index:ix g f with
+              match Fission.structure ix f with
               | Ok m when smallest_n_of f m <> None ->
                   candidates := f :: !candidates
               | _ -> ())

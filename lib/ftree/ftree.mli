@@ -6,7 +6,12 @@
     (virtually) split into [n] parts.  Construction follows Algorithm 1;
     the mutation rules are the paper's Enable / Lift / Disable / Mutate;
     [accounting] is the virtual-fission cost/memory model the simulator
-    uses during search. *)
+    uses during search.
+
+    Each function that takes a graph reads it through one
+    {!Graph_index} it builds per call: membership, shapes, outputs of a
+    member set and every {!Fission.structure} check come from that
+    index, never from the graph's persistent maps. *)
 
 open Magis_ir
 open Magis_cost
@@ -45,10 +50,8 @@ val default_max_level : int
 
 (** Algorithm 1: construct candidates from the memory hot-spots of the
     current schedule.  [max_level] is the paper's [L] (default
-    {!default_max_level}).  [index], an index of the graph the caller
-    already holds, is read instead of a fresh one. *)
-val construct :
-  ?max_level:int -> ?index:Graph_index.t -> Graph.t -> hotspots:Int_set.t -> t
+    {!default_max_level}). *)
+val construct : ?max_level:int -> Graph.t -> hotspots:Int_set.t -> t
 
 (** Assemble a tree from explicit fissions, as {!construct} assembles its
     candidates: deduplicated by member set, each entry's parent the
@@ -84,7 +87,8 @@ val apply : Graph.t -> t -> mutation -> t option
     to deduplicate search states). *)
 val fingerprint : t -> int64
 
-(** Drop entries invalidated by a graph rewrite, re-parenting children. *)
+(** Drop entries invalidated by a graph rewrite — a member gone, or an
+    enabled entry that no longer validates — re-parenting children. *)
 val prune : Graph.t -> t -> t
 
 (** Rebuild candidates for a rewritten graph while preserving surviving

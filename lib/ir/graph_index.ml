@@ -3,7 +3,7 @@
     One pass over the graph's node map fills the node array; an id that
     is not a node holds a placeholder whose [id] is [-1], which is how
     {!mem} tells the two apart.  Everything else is derived from the
-    node array on first use: the adjacency arrays, the consumer marks,
+    node array on first use: the adjacency arrays, the read counts,
     each node's links, the {!Reach} closure and the scratch array of
     {!induced}. *)
 
@@ -15,10 +15,9 @@ type link_memo = {
 }
 
 type t = {
-  graph : Graph.t;
   nodes : Graph.node array;
   adjacency : adjacency Lazy.t;
-  consumed : Bytes.t Lazy.t;  (** ['\001'] where some node reads the id *)
+  reads : int array Lazy.t;  (** operand slots, over all nodes, reading the id *)
   memo : link_memo Lazy.t;
   reach : Reach.t Lazy.t;
   slot : int array Lazy.t;
@@ -63,17 +62,16 @@ let of_graph (g : Graph.t) : t =
   let bound = Graph.id_bound g in
   let nodes = Array.make bound absent in
   Graph.iter (fun n -> nodes.(n.id) <- n) g;
-  let consumed =
+  let reads =
     lazy
-      (let c = Bytes.make bound '\000' in
-       Array.iter (fun (n : Graph.node) -> Array.iter (fun p -> Bytes.set c p '\001') n.inputs) nodes;
+      (let c = Array.make bound 0 in
+       Array.iter (fun (n : Graph.node) -> Array.iter (fun p -> c.(p) <- c.(p) + 1) n.inputs) nodes;
        c)
   in
-  { graph = g; nodes; adjacency = lazy (adjacency_of nodes); consumed;
+  { nodes; adjacency = lazy (adjacency_of nodes); reads;
     memo = lazy { links = Array.make bound []; linked = Bytes.make bound '\000' };
     reach = lazy (Reach.compute g); slot = lazy (Array.make bound (-1)) }
 
-let graph t = t.graph
 let bound t = Array.length t.nodes
 let mem t v = v >= 0 && v < Array.length t.nodes && t.nodes.(v).id = v
 let node t v = t.nodes.(v)
@@ -81,7 +79,8 @@ let shape t v = t.nodes.(v).shape
 let size_bytes t v = Shape.size_bytes t.nodes.(v).shape
 let preds t v = (Lazy.force t.adjacency).preds.(v)
 let succs t v = (Lazy.force t.adjacency).succs.(v)
-let has_consumers t v = Bytes.get (Lazy.force t.consumed) v <> '\000'
+let n_reads t v = (Lazy.force t.reads).(v)
+let has_consumers t v = n_reads t v > 0
 let in_shapes t v = Array.map (fun i -> t.nodes.(i).shape) t.nodes.(v).inputs
 
 let links t v =
@@ -95,14 +94,14 @@ let links t v =
 
 let reach t = Lazy.force t.reach
 
+(* refs, not a local recursive function: that allocates a closure per call *)
 let lower_bound (a : int array) x =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) lsr 1 in
-      if a.(mid) < x then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length a)
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if a.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 let local_of (ids : int array) v =
   let k = lower_bound ids v in

@@ -6,9 +6,9 @@
     every fact from it instead of from the persistent maps of {!Graph}.
 
     {!of_graph} fills only the node array, in one pass over the graph's
-    node map; the adjacency arrays, the consumer marks of
-    {!has_consumers}, each node's links and the {!Reach} closure are
-    built on first use and kept.  Those lazy parts and the scratch array
+    node map; the adjacency arrays, the read counts of {!n_reads},
+    each node's links and the {!Reach} closure are built on first use
+    and kept.  Those lazy parts and the scratch array
     {!induced} marks members in make one index serve one domain at a
     time.
 
@@ -18,7 +18,6 @@
 type t
 
 val of_graph : Graph.t -> t
-val graph : t -> Graph.t
 
 (** [Graph.id_bound] of the indexed graph. *)
 val bound : t -> int
@@ -34,8 +33,12 @@ val preds : t -> int -> int array
 (** Consumers, increasing; not a copy, do not mutate. *)
 val succs : t -> int -> int array
 
-(** Does some node read the id's output?  [succs t v <> [||]], from one
-    pass over the operand arrays that builds no adjacency. *)
+(** Operand slots, over every node, that read the id's output (a node
+    reading it twice counts twice); from one pass over the operand
+    arrays that builds no adjacency. *)
+val n_reads : t -> int -> int
+
+(** Does some node read the id's output?  [n_reads t v > 0]. *)
 val has_consumers : t -> int -> bool
 
 (** Operand shapes, by slot; a fresh array. *)

@@ -74,16 +74,12 @@ let to_cached (t : t) : Sim_cache.value =
   }
 
 (** Initial state: schedule the input graph, analyze it, build the F-Tree
-    (Algorithm 1) on the index the simulation read. *)
+    (Algorithm 1). *)
 let init ?(max_level = Ftree.default_max_level) ?(sched_states = 4_000)
     (cache : Op_cost.t) (graph : Graph.t) : t =
   let schedule = Reorder.schedule ~max_states:sched_states graph in
-  let acc = Ftree.accounting cache graph Ftree.empty in
-  let pre = evaluate ~acc cache graph Ftree.empty schedule in
-  (* Algorithm 1 reads the graph index the simulation read *)
-  let ftree =
-    Ftree.construct ~max_level ~index:acc.index graph ~hotspots:pre.hotspots
-  in
+  let pre = evaluate cache graph Ftree.empty schedule in
+  let ftree = Ftree.construct ~max_level graph ~hotspots:pre.hotspots in
   { pre with ftree }
 
 (** Fraction of device memory relative to a baseline (for reporting). *)

@@ -23,16 +23,7 @@ type t = {
 let size t = Array.length t.ids
 let id t i = t.ids.(i)
 
-(* binary search over the sorted ids *)
-let find (ids : int array) (v : int) =
-  let lo = ref 0 and hi = ref (Array.length ids) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if ids.(mid) < v then lo := mid + 1 else hi := mid
-  done;
-  if !lo < Array.length ids && ids.(!lo) = v then !lo else -1
-
-let index t v = find t.ids v
+let index t v = Graph_index.local_of t.ids v
 let n_preds t i = t.pred_start.(i + 1) - t.pred_start.(i)
 let n_succs t i = t.succ_start.(i + 1) - t.succ_start.(i)
 
@@ -79,13 +70,13 @@ let sub t (block : int array) : t =
     (fun j i ->
       iter_preds
         (fun u ->
-          let k = find block u in
+          let k = Graph_index.local_of block u in
           if k >= 0 then push p k)
         t i;
       close p j;
       iter_succs
         (fun c ->
-          let k = find block c in
+          let k = Graph_index.local_of block c in
           if k >= 0 then push s k else escapes.(j) <- true)
         t i;
       close s j;
@@ -109,7 +100,7 @@ let of_set (g : Graph.t) (members : Int_set.t) : t =
        slots, so the duplicate test rescans this node's entries *)
     Array.iter
       (fun v ->
-        let u = find ids v in
+        let u = Graph_index.local_of ids v in
         if u >= 0 then begin
           let dup = ref false in
           for k = p.start.(i) to p.n - 1 do
@@ -121,7 +112,7 @@ let of_set (g : Graph.t) (members : Int_set.t) : t =
     close p i;
     Int_set.iter
       (fun c ->
-        let k = find ids c in
+        let k = Graph_index.local_of ids c in
         if k >= 0 then push s k else escapes.(i) <- true)
       consumers;
     close s i

@@ -106,15 +106,27 @@ if [ -n "$hits" ]; then
   echo "$hits"
 fi
 
-# 10. the simulator and the lifetime analysis run on every search
-# candidate that misses the simulation cache, so they read node records,
-# operand shapes and consumers from one Graph_index per candidate: no
-# node-by-node lookup in the graph's persistent maps (Graph.node, op,
-# shape, succ_set or suc; `Graph.node` as a type annotation is fine).
-hits=$(grep -nP 'Graph\.(node(?!\s*\))|op|shape|succ_set|suc)\b' \
-  lib/cost/simulator.ml lib/cost/lifetime.ml 2>/dev/null)
+# 10. the simulator, the lifetime analysis and the F-Tree run on every
+# search candidate or every pop, so they read node records, operand
+# shapes, consumers, membership and member-set outputs from one
+# Graph_index per call: no node-by-node lookup in the graph's persistent
+# maps (Graph.node, op, shape, succ_set, suc, mem or outs_of;
+# `Graph.node` as a type annotation is fine).
+hits=$(grep -nP 'Graph\.(node(?!\s*\))|op|shape|succ_set|suc|mem|outs_of)\b' \
+  lib/cost/simulator.ml lib/cost/lifetime.ml lib/ftree/ftree.ml 2>/dev/null)
 if [ -n "$hits" ]; then
-  fail "per-node map lookup in the simulator or the lifetime analysis (read a Graph_index instead):"
+  fail "per-node map lookup in the simulator, the lifetime analysis or the F-Tree (read a Graph_index instead):"
+  echo "$hits"
+fi
+
+# 11. the fission check has one implementation, Fission.structure on a
+# Graph_index: the map-walking Graph.is_convex and
+# Graph.is_weakly_connected stay in lib/ir as references for the tests,
+# and no library calls them.
+hits=$(grep -rnP 'Graph\.(is_convex|is_weakly_connected)\b' \
+  $(git ls-files -- 'lib/*.ml' 'lib/**/*.ml') 2>/dev/null)
+if [ -n "$hits" ]; then
+  fail "map-walking convexity or connectivity test in a library (use Fission.structure on a Graph_index):"
   echo "$hits"
 fi
 

@@ -88,6 +88,12 @@ let valid_order_of g order = Alcotest.(check bool) "valid order" true
 
 let tc name f = Alcotest.test_case name `Quick f
 
+(** Does [needle] occur in [hay]? *)
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  ln = 0 || go 0
+
 (** The budgeted Table-2-style LM benchmark shared by the search-level
     suites (small enough for bounded-iteration A/B runs, large enough
     that every rewrite family fires). *)

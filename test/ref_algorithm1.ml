@@ -1,8 +1,9 @@
 (** Algorithm 1 as it stood before it moved onto arrays: the
-    Set/Map-based D-graph, the Hashtbl-based dominator tree, and the
-    F-Tree construction that re-validated every candidate at each
-    fission number it tried.  They live only here, as oracles for
-    {!Dgraph}, {!Dominator} and {!Ftree.construct} in
+    Set/Map-based D-graph, the Hashtbl-based dominator tree, the
+    map-walking fission check, and the F-Tree construction that
+    re-validated every candidate at each fission number it tried.  They
+    live only here, as oracles for {!Dgraph}, {!Dominator},
+    {!Fission.structure} and {!Ftree.construct} in
     [test_invariants.ml]. *)
 
 open Magis
@@ -346,6 +347,162 @@ let score_of (g : Graph.t) (dom : Dominator.t) (hotspots : Int_set.t)
   (* n = 2 in Eq. (4): (1 - 1/2) heat - Σ inputs *)
   (heat / 2) - input_cost
 
+(** The fission check as it stood before it moved onto one
+    {!Graph_index}: connectivity by [Graph.is_weakly_connected],
+    convexity by [Graph.is_convex], and links, shapes and input sets read
+    from the graph's persistent maps.  The oracle of {!Fission.structure},
+    {!Fission.validate} and {!Fission.input_roles}. *)
+module Validate = struct
+  let in_shapes g (n : Graph.node) =
+    Array.map (fun i -> Graph.shape g i) n.inputs
+
+  (** All (slot, input-dim, link) triples of node [v]. *)
+  let links_of g v =
+    let n = Graph.node g v in
+    Op.links n.op (in_shapes g n) n.shape
+
+  (** Signed dim targeted by a link. *)
+  let link_target = function
+    | Op.To_out j -> j + 1
+    | Op.To_reduce j -> -(j + 1)
+
+  (* Inputs of [S] that feed an assigned dim, each with the one dim
+     (1-based) it is sliced along; [Error] when one is asked for two. *)
+  let sliced_inputs g (f : Fission.t) : (int Int_map.t, string) result =
+    let exception Conflict of string in
+    try
+      Ok
+        (Int_set.fold
+           (fun v acc ->
+             match Int_map.find_opt v f.dims with
+             | None -> acc
+             | Some d ->
+                 let inputs = (Graph.node g v).inputs in
+                 List.fold_left
+                   (fun acc (slot, in_dim, link) ->
+                     let u = inputs.(slot) in
+                     if link_target link <> d || Int_set.mem u f.members then acc
+                     else
+                       match Int_map.find_opt u acc with
+                       | Some i when i <> in_dim + 1 ->
+                           raise
+                             (Conflict
+                                (Printf.sprintf "input %d sliced along both dim %d and %d" u i
+                                   (in_dim + 1)))
+                       | _ -> Int_map.add u (in_dim + 1) acc)
+                   acc (links_of g v))
+           f.members Int_map.empty)
+    with Conflict msg -> Error msg
+
+  let input_roles (g : Graph.t) (f : Fission.t) :
+      (Fission.input_role Int_map.t, string) result =
+    Result.map
+      (fun sliced ->
+        (* remaining inputs are shared *)
+        Int_set.fold
+          (fun u acc -> if Int_map.mem u acc then acc else Int_map.add u Fission.Shared acc)
+          (Graph.inps_of g f.members)
+          (Int_map.map (fun i -> Fission.Sliced i) sliced))
+      (sliced_inputs g f)
+
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+  let split_extents (g : Graph.t) (f : Fission.t) :
+      ((string * int * int) list, string) result =
+    let ( let* ) r k = match r with Error _ as e -> e | Ok x -> k x in
+    let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
+    let node = Graph.node g in
+    if Int_set.is_empty f.members then err "empty member set"
+    else if not (Int_set.for_all (Graph.mem g) f.members) then err "members not in graph"
+    else if
+      not (Int_set.for_all (fun v -> Int_map.mem v f.dims) f.members)
+      || Int_map.cardinal f.dims <> Int_set.cardinal f.members
+    then err "dimension assignment must cover exactly the members"
+    else
+      (* members and their dims as aligned arrays: the dims cover exactly
+         the members, so their bindings come in the same order *)
+      let ids = Array.of_list (Int_set.elements f.members) in
+      let dims = Array.of_list (List.map snd (Int_map.bindings f.dims)) in
+      if not (Graph.is_weakly_connected g f.members) then err "sub-graph not weakly connected"
+      else if not (Graph.is_convex g f.members) then err "sub-graph not convex"
+      else
+        (* is there a link from operand [slot]'s dim [in_dim] (1-based) to
+           [v]'s signed dim [d]? *)
+        let linked v slot in_dim d =
+          List.exists
+            (fun (s, i, l) -> s = slot && i + 1 = in_dim && link_target l = d)
+            (links_of g v)
+        in
+        (* member-level checks; the extents are collected in reverse *)
+        let rec members i extents =
+          if i = Array.length ids then Ok extents
+          else
+            let v = ids.(i) and d = dims.(i) in
+            let node = node v in
+            let extent () = ("node", v, Shape.dim node.shape (d - 1)) :: extents in
+            if Op.is_input node.op then
+              if d <= 0 then err "input node assigned a reduce axis"
+              else if d > Shape.rank node.shape then err "node %d: dim %d out of range" v d
+              else members (i + 1) (extent ())
+            else if d > 0 then
+              if List.mem (d - 1) (Op.unsplittable_out_dims node.op (in_shapes g node) node.shape)
+              then err "node %d: dim %d not splittable for %s" v d (Op.name node.op)
+              else if d > Shape.rank node.shape then err "node %d: dim %d out of range" v d
+              else members (i + 1) (extent ())
+            else if Op.reduce_merge node.op = `No_merge then
+              err "node %d: %s cannot merge partial results" v (Op.name node.op)
+            else members (i + 1) extents
+        in
+        let* member_extents = members 0 [] in
+        (* every internal edge must link the two assigned dims *)
+        let rec edges i =
+          if i = Array.length ids then Ok ()
+          else
+            let v = ids.(i) and d = dims.(i) in
+            let inputs = (node v).inputs in
+            let rec slots slot =
+              if slot = Array.length inputs then edges (i + 1)
+              else
+                let u = inputs.(slot) in
+                match Graph_index.local_of ids u with
+                | -1 -> slots (slot + 1)
+                | j ->
+                    let du = dims.(j) in
+                    if du <= 0 then err "edge %d->%d: producer merged by reduction" u v
+                    else if linked v slot du d then slots (slot + 1)
+                    else err "edge %d->%d: dims %d/%d not linked" u v du d
+            in
+            if Op.is_input (node v).op then edges (i + 1) else slots 0
+        in
+        let* () = edges 0 in
+        (* inputs of S feeding an assigned dim are sliced along one dim each *)
+        let* sliced = sliced_inputs g f in
+        Ok
+          (List.rev_append member_extents
+             (Int_map.fold
+                (fun u i acc -> ("input", u, Shape.dim (node u).shape (i - 1)) :: acc)
+                sliced []
+             |> List.rev))
+
+  let structure g f =
+    Result.map (List.fold_left (fun m (_, _, e) -> gcd m e) 0) (split_extents g f)
+
+  let validate (g : Graph.t) (f : Fission.t) : (unit, string) result =
+    if Int_set.is_empty f.members then Error "empty member set"
+    else if f.n < 1 then Error "fission number < 1"
+    else
+      match split_extents g f with
+      | Error _ as e -> e
+      | Ok extents -> (
+          match List.find_opt (fun (_, _, e) -> e mod f.n <> 0) extents with
+          | None -> Ok ()
+          | Some (what, id, e) ->
+              Error (Printf.sprintf "%s %d: extent %d not divisible by %d" what id e f.n))
+
+  let is_valid g (f : Fission.t) =
+    f.n >= 1 && match structure g f with Ok m -> m mod f.n = 0 | Error _ -> false
+end
+
 (** Smallest [n >= 2] for which the candidate validates, if any. *)
 let smallest_valid_n (g : Graph.t) (f : Fission.t) : int option =
   let extent =
@@ -363,7 +520,7 @@ let smallest_valid_n (g : Graph.t) (f : Fission.t) : int option =
   | Some e ->
       let rec try_n n =
         if n > e then None
-        else if e mod n = 0 && Fission.is_valid g (Fission.with_n f n) then
+        else if e mod n = 0 && Validate.is_valid g (Fission.with_n f n) then
           Some n
         else try_n (n + 1)
       in

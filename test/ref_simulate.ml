@@ -230,6 +230,7 @@ let accounting (cache : Op_cost.t) (g : Graph.t) (t : t) : accounting =
         extra_latency = 0.0;
       }
   | _ ->
+      let ix = Graph_index.of_graph g in
       let entries =
         List.map
           (fun i ->
@@ -270,7 +271,7 @@ let accounting (cache : Op_cost.t) (g : Graph.t) (t : t) : accounting =
                 (fun ((factor, shapes) as acc) (_, f, _) ->
                   if Int_set.mem v (Fission.members f) then
                     ( factor * (f : Fission.t).n,
-                      Fission.scaled_shapes g f v shapes )
+                      Fission.scaled_shapes ix f v shapes )
                   else acc)
                 (1, (Array.map (Graph.shape g) node.inputs, node.shape))
                 entries
@@ -285,7 +286,7 @@ let accounting (cache : Op_cost.t) (g : Graph.t) (t : t) : accounting =
             let fa = float_of_int (ancestor_factor i) in
             let n = float_of_int (f : Fission.t).n in
             let roles =
-              match Fission.input_roles g f with
+              match Ref_algorithm1.Validate.input_roles g f with
               | Ok r -> r
               | Error _ -> Int_map.empty
             in

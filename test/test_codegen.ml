@@ -1,11 +1,6 @@
 open Magis
 open Helpers
 
-let contains hay needle =
-  let lh = String.length hay and ln = String.length needle in
-  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-  ln = 0 || go 0
-
 let count_lines_with code needle =
   String.split_on_char '\n' code
   |> List.filter (fun l -> contains l needle)

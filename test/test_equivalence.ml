@@ -70,7 +70,7 @@ let test_fission_expansion_numeric () =
   List.iter
     (fun n ->
       let f = Fission.with_n f n in
-      if Fission.is_valid g f then begin
+      if Fission.is_valid (Graph_index.of_graph g) f then begin
         let e = Fission.expand g f in
         let pairs =
           List.map
@@ -91,7 +91,7 @@ let test_fission_attention_numeric () =
   ignore x;
   let f = batch_fission_of g ~input_label:"x" in
   let f = Fission.with_n f 2 in
-  if Fission.is_valid g f then begin
+  if Fission.is_valid (Graph_index.of_graph g) f then begin
     let e = Fission.expand g f in
     let pairs =
       [ (match Int_map.find_opt y e.replacements with

@@ -3,6 +3,8 @@ open Helpers
 module Int_set = Util.Int_set
 module Int_map = Util.Int_map
 
+let index = Graph_index.of_graph
+
 (** A fission of the MLP training graph along the batch dimension,
     reproducing the paper's Fig. 5. *)
 let mlp_batch_fission ?(n = 2) () =
@@ -29,13 +31,13 @@ let mlp_batch_fission ?(n = 2) () =
 
 let test_valid_fission () =
   let g, _, f = mlp_batch_fission () in
-  match Fission.validate g f with
+  match Fission.validate (index g) f with
   | Ok () -> ()
   | Error e -> Alcotest.failf "expected valid: %s" e
 
 let test_input_roles () =
   let g, x, f = mlp_batch_fission () in
-  match Fission.input_roles g f with
+  match Fission.input_roles (index g) f with
   | Error e -> Alcotest.failf "roles: %s" e
   | Ok roles ->
       (* x is sliced along the batch dim; weights are shared *)
@@ -56,7 +58,7 @@ let test_invalid_fissions_rejected () =
   let g, x, f = mlp_batch_fission () in
   (* n that does not divide the batch *)
   Alcotest.(check bool) "n=3 invalid (batch=8)" false
-    (Fission.is_valid g (Fission.with_n f 3));
+    (Fission.is_valid (index g) (Fission.with_n f 3));
   (* non-convex subset: drop a middle node *)
   let mid =
     Int_set.elements f.members
@@ -72,7 +74,7 @@ let test_invalid_fissions_rejected () =
       dims = Int_map.remove mid f.dims }
   in
   Alcotest.(check bool) "hole in the middle rejected" false
-    (Fission.is_valid g (Fission.with_n broken 2));
+    (Fission.is_valid (index g) (Fission.with_n broken 2));
   ignore x
 
 let test_softmax_axis_split_rejected () =
@@ -85,13 +87,13 @@ let test_softmax_axis_split_rejected () =
       dims = Int_map.singleton sm 2;  (* the normalized axis *)
       n = 2 }
   in
-  Alcotest.(check bool) "softmax axis rejected" false (Fission.is_valid g f);
+  Alcotest.(check bool) "softmax axis rejected" false (Fission.is_valid (index g) f);
   let ok =
     { Fission.members = Int_set.singleton sm;
       dims = Int_map.singleton sm 1;  (* the batch axis *)
       n = 2 }
   in
-  Alcotest.(check bool) "batch axis fine" true (Fission.is_valid g ok)
+  Alcotest.(check bool) "batch axis fine" true (Fission.is_valid (index g) ok)
 
 let expansion_ops g =
   Graph.fold (fun n acc -> Op.name n.op :: acc) g []
@@ -213,11 +215,11 @@ let test_scaled_shapes () =
   let node = Graph.node g v in
   let whole = (Array.map (Graph.shape g) node.inputs, node.shape) in
   let extent (_, out) = Shape.dim out (d - 1) in
-  let half = Fission.scaled_shapes g f v whole in
+  let half = Fission.scaled_shapes (index g) f v whole in
   Alcotest.(check int) "assigned dim halved" (extent whole / 2) (extent half);
   (* nested entries compose: scaling the scaled shapes halves them again *)
   Alcotest.(check int) "scaling composes" (extent whole / 4)
-    (extent (Fission.scaled_shapes g f v half))
+    (extent (Fission.scaled_shapes (index g) f v half))
 
 (** An input member is split like any other member: its assigned dim
     must exist and its extent must divide by [n], or [expand] would
@@ -233,11 +235,11 @@ let test_input_member_extent () =
       n }
   in
   Alcotest.(check bool) "extent 6 does not split in 4" true
-    (Result.is_error (Fission.validate g (f 4)));
-  Alcotest.(check bool) "nor does is_valid" false (Fission.is_valid g (f 4));
+    (Result.is_error (Fission.validate (index g) (f 4)));
+  Alcotest.(check bool) "nor does is_valid" false (Fission.is_valid (index g) (f 4));
   Alcotest.(check (option int)) "smallest n" (Some 2) (Ftree.smallest_valid_n g (f 1));
   Alcotest.(check bool) "dim beyond the input's rank" false
-    (Fission.is_valid g { (f 2) with dims = Int_map.add x 3 (f 2).dims });
+    (Fission.is_valid (index g) { (f 2) with dims = Int_map.add x 3 (f 2).dims });
   let e = Fission.expand g (f 2) in
   let env = Magis_exec.Interp.default_env g in
   let before = Magis_exec.Interp.run g ~env and after = Magis_exec.Interp.run e.graph ~env in

@@ -34,7 +34,7 @@ let test_optimized_state_expandable () =
       (fun acc_g i ->
         let f = Ftree.fission_at best.ftree i in
         if Ftree.has_enabled_ancestor best.ftree i then acc_g
-        else if Fission.is_valid acc_g f then
+        else if Fission.is_valid (Graph_index.of_graph acc_g) f then
           (Fission.expand acc_g f).graph
         else acc_g)
       best.graph

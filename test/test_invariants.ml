@@ -15,9 +15,10 @@
     plus every zoo model at [Quick] scale.
 
     Algorithm 1 has its own oracles in [Ref_algorithm1]: the Set/Map
-    D-graph, the Hashtbl dominator tree and the F-Tree construction that
-    re-validated each candidate at every fission number, which
-    {!Dgraph}, {!Dominator} and {!Ftree.construct} replaced.  Trees are
+    D-graph, the Hashtbl dominator tree, the map-walking fission check
+    and the F-Tree construction that re-validated each candidate at
+    every fission number, which {!Dgraph}, {!Dominator},
+    {!Fission.structure} and {!Ftree.construct} replaced.  Trees are
     compared entry by entry (members, dims, [n], parent, children):
     {!Ftree.fingerprint} sees only enabled entries, and a constructed
     tree has none.
@@ -700,7 +701,7 @@ let test_refresh_zoo () =
               List.fold_left
                 (fun es j ->
                   let f = Ftree.fission_at old_tree j in
-                  if Int_set.for_all (Graph.mem g') f.members && Fission.is_valid g' f then
+                  if Ref_algorithm1.Validate.is_valid g' f then
                     let last =
                       List.fold_left max (-1)
                         (List.mapi
@@ -744,6 +745,150 @@ let test_heat_ties () =
   Alcotest.(check bool) "more tied branches than scored nodes" true (Ftree.n_entries t >= 96);
   Alcotest.(check bool) "construct equals the oracle" true
     (same_tree t (Ref_algorithm1.construct g ~hotspots))
+
+(* ------------------------------------------------------------------ *)
+(* The fission check against Ref_algorithm1.Validate                   *)
+(* ------------------------------------------------------------------ *)
+
+(** Variants of the candidate [f] of [g] that each break one constraint:
+    a member with a member operand and a member consumer dropped (the
+    rest is disconnected or not convex), a node that touches no member
+    added (disconnected), a dim dropped or one added for a non-member
+    (the dims do not cover the members), a member that is not a node,
+    a dim past the rank, a reduce axis, every positive dim moved to the
+    next one (unlinked edges), and fission numbers 0 to 5, the modulus
+    and one past it (divisibility). *)
+let broken_variants g (f : Fission.t) : Fission.t list =
+  let members = f.members and dims = f.dims in
+  let mem v = Int_set.mem v members in
+  let touches v = List.exists mem (Graph.pre g v @ Graph.suc g v) in
+  let last p = List.find_opt p (List.rev (Graph.node_ids g)) in
+  let rank v = Shape.rank (Graph.shape g v) in
+  let v0 = Int_set.min_elt members in
+  let add v d = { f with members = Int_set.add v members; dims = Int_map.add v d dims } in
+  let drop v = { f with members = Int_set.remove v members; dims = Int_map.remove v dims } in
+  let middle =
+    Int_set.choose_opt
+      (Int_set.filter
+         (fun v -> List.exists mem (Graph.pre g v) && List.exists mem (Graph.suc g v))
+         members)
+  in
+  let modulus =
+    match Ref_algorithm1.Validate.structure g f with Ok m -> [ m; m + 1 ] | Error _ -> []
+  in
+  List.concat
+    [
+      Option.to_list (Option.map drop middle);
+      Option.to_list (Option.map (fun x -> add x 1) (last (fun v -> not (mem v || touches v))));
+      [ { f with dims = Int_map.remove v0 dims } ];
+      Option.to_list
+        (Option.map
+           (fun x -> { f with dims = Int_map.add x 1 dims })
+           (last (fun v -> not (mem v))));
+      [ add (Graph.id_bound g) 1 ];
+      [ { f with dims = Int_map.add v0 (rank v0 + 1) dims } ];
+      [ { f with dims = Int_map.add v0 (-1) dims } ];
+      [ { f with dims = Int_map.mapi (fun v d -> if d > 0 then (d mod rank v) + 1 else d) dims } ];
+      List.map (Fission.with_n f) ([ 0; 1; 2; 3; 4; 5 ] @ modulus);
+    ]
+
+(** Small connected member sets of [g] drawn from [seed], grown from a
+    node through operands and consumers, with a random dim per member
+    (a reduce axis one time in four). *)
+let random_candidates g seed : Fission.t list =
+  let rng = Random.State.make [| seed |] in
+  let ids = Array.of_list (Graph.node_ids g) in
+  List.init 16 (fun _ ->
+      let size = 1 + Random.State.int rng 6 in
+      let rec grow members = function
+        | v :: rest when Int_set.cardinal members < size ->
+            let next =
+              List.filter (fun u -> not (Int_set.mem u members)) (Graph.pre g v @ Graph.suc g v)
+            in
+            grow (Int_set.union members (Int_set.of_list next)) (rest @ next)
+        | _ -> members
+      in
+      let start = ids.(Random.State.int rng (Array.length ids)) in
+      let members = grow (Int_set.singleton start) [ start ] in
+      let dims =
+        Int_set.fold
+          (fun v acc ->
+            let d =
+              if Random.State.int rng 4 = 0 then -1
+              else 1 + Random.State.int rng (max 1 (Shape.rank (Graph.shape g v)))
+            in
+            Int_map.add v d acc)
+          members Int_map.empty
+      in
+      { Fission.members; dims; n = 1 + Random.State.int rng 4 })
+
+(** The answers of a fission check, by a phrase of each error message
+    {!check_fissions} must reach. *)
+let verdicts =
+  [ "valid"; "not weakly connected"; "not convex"; "must cover"; "not in graph";
+    "out of range"; "not linked"; "not divisible"; "number < 1" ]
+
+let verdict = function
+  | Ok () -> "valid"
+  | Error e -> Option.value ~default:"other" (List.find_opt (contains e) verdicts)
+
+(** Every distinct candidate of [g]'s trees (one per {!hotspot_sets}), its
+    {!broken_variants} and {!random_candidates}, checked on one index
+    of [g] against the map-walking oracle: the same modulus or error
+    from [structure], the same answer from [validate], and on a valid
+    structure the same input roles.  On agreement, the oracle's
+    verdicts. *)
+let check_fissions g seed : (string list, string) result =
+  let ix = Graph_index.of_graph g in
+  let candidates =
+    List.concat_map
+      (fun hotspots ->
+        List.map (fun (e : Ftree.entry) -> e.fission) (entries (Ftree.construct g ~hotspots)))
+      (hotspot_sets g)
+    |> List.sort_uniq (fun (a : Fission.t) (b : Fission.t) ->
+           match Int_set.compare a.members b.members with
+           | 0 -> Int_map.compare Int.compare a.dims b.dims
+           | c -> c)
+  in
+  let cases =
+    candidates @ List.concat_map (broken_variants g) candidates @ random_candidates g seed
+  in
+  let module V = Ref_algorithm1.Validate in
+  let roles r = Result.map Int_map.bindings r in
+  List.fold_left
+    (fun acc (f : Fission.t) ->
+      Result.bind acc (fun verdicts ->
+          let fail what = Error (Fmt.str "%s of %a" what Fission.pp f) in
+          let structure = Fission.structure ix f in
+          if structure <> V.structure g f then fail "structure"
+          else if Fission.validate ix f <> V.validate g f then fail "validate"
+          else if Fission.is_valid ix f <> V.is_valid g f then fail "is_valid"
+          else if
+            Result.is_ok structure && roles (Fission.input_roles ix f) <> roles (V.input_roles g f)
+          then fail "input_roles"
+          else Ok (verdict (V.validate g f) :: verdicts)))
+    (Ok []) cases
+
+let prop_fission_randnets =
+  QCheck2.Test.make ~name:"the fission check equals its oracle on rewritten randnets"
+    ~count:30 ~print:print_graph gen_graph (fun params ->
+      let _, _, seed, _ = params in
+      match check_fissions (build_graph params) seed with
+      | Ok _ -> true
+      | Error what -> QCheck2.Test.fail_report what)
+
+(** The zoo, with a check that the cases reach every verdict. *)
+let test_fission_zoo () =
+  let seen = Hashtbl.create 16 in
+  List.iteri
+    (fun i (w : Zoo.workload) ->
+      match check_fissions (w.build Zoo.Quick) i with
+      | Ok verdicts -> List.iter (fun v -> Hashtbl.replace seen v ()) verdicts
+      | Error what -> Alcotest.failf "%s: %s" w.name what)
+    Zoo.all;
+  List.iter
+    (fun v -> Alcotest.(check bool) (Printf.sprintf "some case is %s" v) true (Hashtbl.mem seen v))
+    verdicts
 
 (* ------------------------------------------------------------------ *)
 (* Candidate simulation against Ref_simulate                           *)
@@ -901,26 +1046,6 @@ let test_simulate_zoo () =
     Zoo.all;
   Alcotest.(check bool) "some zoo tree has nested enabled entries" true (!nested_pairs > 0)
 
-(** An index read node by node first (as the simulation of a candidate
-    reads it) and handed to {!Ftree.construct} afterwards gives the
-    oracle's trees, entry by entry, for every hot-spot set. *)
-let test_index_construct_zoo () =
-  List.iter
-    (fun (w : Zoo.workload) ->
-      let g = w.build Zoo.Quick in
-      List.iter
-        (fun hotspots ->
-          let ix = Graph_index.of_graph g in
-          Graph.iter
-            (fun n ->
-              if Graph_index.node ix n.id != n || Graph_index.shape ix n.id != n.shape then
-                Alcotest.failf "%s: node %d read from the index" w.name n.id)
-            g;
-          if not (same_tree (Ftree.construct ~index:ix g ~hotspots) (Ref_algorithm1.construct g ~hotspots))
-          then Alcotest.failf "%s: construct on a read index" w.name)
-        (hotspot_sets g))
-    Zoo.all
-
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_randnets;
@@ -930,5 +1055,6 @@ let suite =
     tc "construct and refresh equal the oracle construction on the zoo" test_refresh_zoo;
     QCheck_alcotest.to_alcotest prop_simulate_randnets;
     tc "simulation equals its oracle on the zoo" test_simulate_zoo;
-    tc "construct on a read index equals the oracle on the zoo" test_index_construct_zoo;
+    QCheck_alcotest.to_alcotest prop_fission_randnets;
+    tc "the fission check equals its oracle on the zoo" test_fission_zoo;
   ]

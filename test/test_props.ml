@@ -145,7 +145,7 @@ let fission_expansion_preserves_outputs =
           | None -> false
           | Some dims ->
               let f = { Fission.members; dims; n = 2 } in
-              (match Fission.validate g f with
+              (match Fission.validate (Graph_index.of_graph g) f with
               | Error _ -> false
               | Ok () ->
                   let e = Fission.expand g f in
