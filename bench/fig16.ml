@@ -14,7 +14,7 @@ let timeline env g (s : Mstate.t option) ~label =
           (fun v -> Lifetime.default_size g v),
           fun v -> Op_cost.node_cost cache g v )
     | Some s ->
-        let acc = Ftree.accounting cache s.graph s.ftree in
+        let acc = Ftree.accounting cache (Graph_index.of_graph s.graph) s.ftree in
         (s.schedule, acc.size_of, acc.cost_of)
   in
   let graph = match s with None -> g | Some s -> s.graph in

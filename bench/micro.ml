@@ -30,7 +30,7 @@ let tests (env : Common.env) =
     Test.make ~name:"ftree_construct"
       (Staged.stage (fun () -> Ftree.construct g ~hotspots));
     Test.make ~name:"ftree_accounting"
-      (Staged.stage (fun () -> Ftree.accounting env.cache g ftree));
+      (Staged.stage (fun () -> Ftree.accounting env.cache (Graph_index.of_graph g) ftree));
   ]
 
 let run (env : Common.env) =

@@ -191,7 +191,7 @@ let cmd_profile name full overhead mem_ratio budget iters jobs outdir =
   let best = result.best in
   (* replay the best schedule with event capture, under the same F-Tree
      accounting hooks the search evaluated it with *)
-  let acc = Ftree.accounting cache best.graph best.ftree in
+  let acc = Ftree.accounting cache (Graph_index.of_graph best.graph) best.ftree in
   let sim, events =
     Simulator.run_events ~size_of:acc.size_of ~cost_of:acc.cost_of cache
       best.graph best.schedule
@@ -426,7 +426,7 @@ let analyze_one cache name g =
     (mb (Liveness.weight_bytes lv))
     (mb (Liveness.pinned_bytes lv - Liveness.weight_bytes lv));
   Fmt.pr "  %a@." Membound.pp b;
-  let acc = Ftree.accounting cache g Ftree.empty in
+  let acc = Ftree.accounting cache (Graph_index.of_graph g) Ftree.empty in
   let lat_lb = Membound.latency_lower_bound ~cost_of:acc.cost_of g in
   Printf.printf "  latency: %.2f ms simulated, %.2f ms lower bound\n"
     (ms base.latency) (ms lat_lb);
@@ -586,7 +586,7 @@ let interfere_probe name budget =
   let config = { Search.default_config with time_budget = budget } in
   let result = Search.optimize_memory ~config cache ~overhead:0.10 g in
   let best = result.Search.best in
-  let acc = Ftree.accounting cache best.Mstate.graph best.Mstate.ftree in
+  let acc = Ftree.accounting cache (Graph_index.of_graph best.Mstate.graph) best.Mstate.ftree in
   let opt =
     Interfere.check ~size_of:acc.Ftree.size_of best.Mstate.graph
       best.Mstate.schedule

@@ -53,7 +53,7 @@ let () =
     | None -> ()
     | Some n ->
         let t = Ftree.set_n ftree i n in
-        let acc = Ftree.accounting cache g t in
+        let acc = Ftree.accounting cache (Graph_index.of_graph g) t in
         let r = Simulator.run ~size_of:acc.size_of ~cost_of:acc.cost_of cache g order in
         Fmt.pr
           "  candidate %d: |S|=%-3d n=%d -> peak %.1f MB (%.0f%%), latency %+.1f%%@."

@@ -7,7 +7,7 @@
 open Magis
 
 let profile cache label graph ftree schedule =
-  let acc = Ftree.accounting cache graph ftree in
+  let acc = Ftree.accounting cache (Graph_index.of_graph graph) ftree in
   let r =
     Simulator.run ~size_of:acc.size_of ~cost_of:acc.cost_of cache graph
       schedule

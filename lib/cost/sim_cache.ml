@@ -170,8 +170,6 @@ let find t k =
       Metrics.incr m_misses;
       None
 
-let mem t k = Option.is_some (Magis_par.Striped.find t.tbl k)
-
 let add ?parent t k v =
   let code = encode t ?parent v.schedule in
   let stored =

@@ -64,11 +64,6 @@ val key :
     counter. *)
 val find : t -> int64 -> value option
 
-(** [mem t k]: is an evaluation cached under [k]?  Counts nothing and
-    passes no fault site: a hint for deciding what to keep for a later
-    {!find}, which may still miss (the entry can go in between). *)
-val mem : t -> int64 -> bool
-
 (** [add ?parent t k v] caches [v].  When [parent] — the schedule of the
     state [v] was derived from — is given and [v.schedule] shares a
     prefix/suffix with it, the entry is stored as a delta against an

@@ -386,12 +386,11 @@ type accounting = {
   index : Graph_index.t;  (** the index [size_of] and [cost_of] read *)
 }
 
-(** Build the virtual-fission accounting for graph [g] under tree [t].
-    See the module header for the model.  [size_of] and [cost_of] read
-    one {!Graph_index} of [g], handed on in [index] so the simulation of
+(** Build the virtual-fission accounting for the graph indexed by [ix]
+    under tree [t].  See the module header for the model.  [size_of]
+    and [cost_of] read [ix], handed on in [index] so the simulation of
     the same candidate reads it too. *)
-let accounting (cache : Op_cost.t) (g : Graph.t) (t : t) : accounting =
-  let ix = Graph_index.of_graph g in
+let accounting (cache : Op_cost.t) (ix : Graph_index.t) (t : t) : accounting =
   let node_size v = Lifetime.node_size (Graph_index.node ix v) in
   let enabled = enabled_indices t in
   match enabled with
@@ -517,12 +516,11 @@ let fingerprint (t : t) : int64 =
         (Fission.members f) h)
     0x5bd1e995L (enabled_indices t)
 
-(** Drop entries whose member nodes no longer all exist in [g] (after a
-    graph rewrite), and enabled entries that no longer validate,
-    re-parenting children to the nearest surviving ancestor.  One
-    {!Graph_index} of [g] answers both. *)
-let prune (g : Graph.t) (t : t) : t =
-  let ix = Graph_index.of_graph g in
+(** Drop entries whose member nodes no longer all exist in the graph
+    indexed by [ix] (after a graph rewrite), and enabled entries that no
+    longer validate, re-parenting children to the nearest surviving
+    ancestor. *)
+let prune (ix : Graph_index.t) (t : t) : t =
   let alive =
     Array.map
       (fun e ->

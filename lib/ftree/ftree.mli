@@ -8,10 +8,10 @@
     [accounting] is the virtual-fission cost/memory model the simulator
     uses during search.
 
-    Each function that takes a graph reads it through one
-    {!Graph_index} it builds per call: membership, shapes, outputs of a
-    member set and every {!Fission.structure} check come from that
-    index, never from the graph's persistent maps. *)
+    Each function reads its graph through one {!Graph_index}, given
+    ({!prune}, {!accounting}) or built per call: membership, shapes,
+    outputs of a member set and every {!Fission.structure} check come
+    from that index, never from the graph's persistent maps. *)
 
 open Magis_ir
 open Magis_cost
@@ -89,7 +89,7 @@ val fingerprint : t -> int64
 
 (** Drop entries invalidated by a graph rewrite — a member gone, or an
     enabled entry that no longer validates — re-parenting children. *)
-val prune : Graph.t -> t -> t
+val prune : Graph_index.t -> t -> t
 
 (** Rebuild candidates for a rewritten graph while preserving surviving
     enabled fissions. *)
@@ -108,9 +108,9 @@ type accounting = {
 
 (** Cost/memory model of the enabled fissions: split intermediates
     shrink, split operators run [n] times at per-part shapes, region
-    boundaries pay slice/merge work.  Builds one {!Graph_index} of the
-    graph; per node, [size_of] and [cost_of] read it and id-indexed
-    arrays filled in one pass over each enabled entry's members. *)
-val accounting : Op_cost.t -> Graph.t -> t -> accounting
+    boundaries pay slice/merge work.  Per node, [size_of] and [cost_of]
+    read the given index of the graph and id-indexed arrays filled in
+    one pass over each enabled entry's members. *)
+val accounting : Op_cost.t -> Graph_index.t -> t -> accounting
 
 val pp : Format.formatter -> t -> unit

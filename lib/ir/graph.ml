@@ -386,24 +386,6 @@ let topo_order g =
   if !placed <> n then invalid_arg "Graph.topo_order: graph has a cycle";
   List.rev !order
 
-(** Check that [order] is a permutation of the node set (every node
-    exactly once) respecting all data dependencies. *)
-let is_valid_order g order =
-  let pos = Array.make g.next_id (-1) in
-  let rec place i = function
-    | [] -> i = n_nodes g
-    | v :: rest ->
-        mem g v && pos.(v) < 0
-        && begin
-             pos.(v) <- i;
-             place (i + 1) rest
-           end
-  in
-  place 0 order
-  && Int_map.for_all
-       (fun v n -> Array.for_all (fun p -> pos.(p) < pos.(v)) n.inputs)
-       g.nodes
-
 (** The unoptimized baseline's execution order: the deterministic Kahn
     order of {!topo_order} (smallest ready id first).  Builders number
     nodes as a define-by-run program creates them, so this replays

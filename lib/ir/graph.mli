@@ -109,10 +109,6 @@ val id_bound : t -> int
     cyclic graph. *)
 val topo_order : t -> int list
 
-(** Does [order] list every node exactly once, each after all its
-    operands? *)
-val is_valid_order : t -> int list -> bool
-
 (** Execution order of the unoptimized baseline: {!topo_order}, which
     replays node-creation order wherever the dependencies allow. *)
 val program_order : t -> int list

@@ -3,9 +3,9 @@
     One pass over the graph's node map fills the node array; an id that
     is not a node holds a placeholder whose [id] is [-1], which is how
     {!mem} tells the two apart.  Everything else is derived from the
-    node array on first use: the adjacency arrays, the read counts,
-    each node's links, the {!Reach} closure and the scratch array of
-    {!induced}. *)
+    node array on first use: the topological order, the adjacency
+    arrays, the read counts, each node's links, the {!Reach} closure
+    over that order and the scratch array of {!induced}. *)
 
 type adjacency = { preds : int array array; succs : int array array }
 
@@ -15,7 +15,9 @@ type link_memo = {
 }
 
 type t = {
+  graph : Graph.t;
   nodes : Graph.node array;
+  order : int array Lazy.t;  (** {!Graph.topo_order} *)
   adjacency : adjacency Lazy.t;
   reads : int array Lazy.t;  (** operand slots, over all nodes, reading the id *)
   memo : link_memo Lazy.t;
@@ -62,17 +64,21 @@ let of_graph (g : Graph.t) : t =
   let bound = Graph.id_bound g in
   let nodes = Array.make bound absent in
   Graph.iter (fun n -> nodes.(n.id) <- n) g;
+  let order = lazy (Array.of_list (Graph.topo_order g)) in
   let reads =
     lazy
       (let c = Array.make bound 0 in
        Array.iter (fun (n : Graph.node) -> Array.iter (fun p -> c.(p) <- c.(p) + 1) n.inputs) nodes;
        c)
   in
-  { nodes; adjacency = lazy (adjacency_of nodes); reads;
+  { graph = g; nodes; order; adjacency = lazy (adjacency_of nodes); reads;
     memo = lazy { links = Array.make bound []; linked = Bytes.make bound '\000' };
-    reach = lazy (Reach.compute g); slot = lazy (Array.make bound (-1)) }
+    reach = lazy (Reach.compute ~order:(Lazy.force order) g);
+    slot = lazy (Array.make bound (-1)) }
 
+let graph t = t.graph
 let bound t = Array.length t.nodes
+let order t = Lazy.force t.order
 let mem t v = v >= 0 && v < Array.length t.nodes && t.nodes.(v).id = v
 let node t v = t.nodes.(v)
 let shape t v = t.nodes.(v).shape
@@ -93,6 +99,17 @@ let links t v =
   m.links.(v)
 
 let reach t = Lazy.force t.reach
+
+let is_valid_order t (order : int list) =
+  let pos = Array.make (bound t) (-1) and placed = ref 0 in
+  List.for_all
+    (fun v -> mem t v && pos.(v) < 0 && (pos.(v) <- !placed; incr placed; true))
+    order
+  && !placed = Graph.n_nodes t.graph
+  && Array.for_all
+       (fun (n : Graph.node) ->
+         n.id < 0 || Array.for_all (fun p -> pos.(p) < pos.(n.id)) n.inputs)
+       t.nodes
 
 (* refs, not a local recursive function: that allocates a closure per call *)
 let lower_bound (a : int array) x =

@@ -6,11 +6,11 @@
     every fact from it instead of from the persistent maps of {!Graph}.
 
     {!of_graph} fills only the node array, in one pass over the graph's
-    node map; the adjacency arrays, the read counts of {!n_reads},
-    each node's links and the {!Reach} closure are built on first use
-    and kept.  Those lazy parts and the scratch array
-    {!induced} marks members in make one index serve one domain at a
-    time.
+    node map; the topological order, the adjacency arrays, the read
+    counts of {!n_reads}, each node's links and the {!Reach} closure
+    are built on first use and kept.  Those lazy parts and the scratch
+    array {!induced} marks members in make one index serve one domain
+    at a time.
 
     Every query takes a node id below {!bound}; ids that are not nodes
     of the graph are outside their domain, except for {!mem}. *)
@@ -19,8 +19,14 @@ type t
 
 val of_graph : Graph.t -> t
 
+(** The indexed graph. *)
+val graph : t -> Graph.t
+
 (** [Graph.id_bound] of the indexed graph. *)
 val bound : t -> int
+
+(** {!Graph.topo_order}, computed on first use; not a copy, do not mutate. *)
+val order : t -> int array
 
 val mem : t -> int -> bool
 val node : t -> int -> Graph.node
@@ -47,10 +53,13 @@ val in_shapes : t -> int -> Shape.t array
 (** [Op.links] of the node, computed on first use and kept. *)
 val links : t -> int -> (int * int * Op.dim_link) list
 
-(** The graph's {!Reach} closures, built on first use and kept.  The
-    index is meant for one domain: two domains must not force it at
-    once. *)
+(** The graph's {!Reach} closures over {!order}, built on first use
+    and kept.  The index is meant for one domain: two domains must not
+    force it at once. *)
 val reach : t -> Reach.t
+
+(** Does the list hold every node exactly once, each after its operands? *)
+val is_valid_order : t -> int list -> bool
 
 (** {1 Member-local indices} *)
 

@@ -8,9 +8,11 @@ module Int_map = Util.Int_map
     labels), in topological order. *)
 val node_labels : Graph.t -> int64 Int_map.t
 
-(** Structural hash of the whole graph.  [order], when given, is a
-    topological order of the graph (any one gives the same hash); by
-    default {!Graph.topo_order}. *)
-val hash : ?order:int list -> Graph.t -> int64
+(** Structural hash of the indexed graph, labelled in the index's
+    {!Graph_index.order}; forces that order. *)
+val hash_on : Graph_index.t -> int64
+
+(** [hash g] is {!hash_on} a fresh index of [g]. *)
+val hash : Graph.t -> int64
 
 val equal_structure : Graph.t -> Graph.t -> bool

@@ -31,7 +31,7 @@ let evaluate ?(ftree_stale = false) ?acc (cache : Op_cost.t) (graph : Graph.t)
   let acc =
     match acc with
     | Some a -> a
-    | None -> Ftree.accounting cache graph ftree
+    | None -> Ftree.accounting cache (Graph_index.of_graph graph) ftree
   in
   let res =
     Simulator.run_on ~size_of:acc.size_of ~cost_of:acc.cost_of cache acc.index

@@ -380,8 +380,11 @@ let default_config =
     poll = (fun ~iteration:_ ~best:_ -> `Continue);
   }
 
+(** A candidate M-state.  [p_index] is its graph's one {!Graph_index}:
+    prune, WL hash, accounting, rescheduling and simulation all read it.
+    No two proposals share one, so no two domains read one at once. *)
 type proposal = {
-  p_graph : Graph.t;
+  p_index : Graph_index.t;
   p_ftree : Ftree.t;
   p_mutated : Int_set.t;  (** old nodes affected, for incremental sched *)
   p_stale : bool;
@@ -408,8 +411,8 @@ let ftree_proposals tb (s : Mstate.t) : proposal list =
                 else Fission.members (Ftree.fission_at ftree' i)
           in
           Some
-            { p_graph = s.graph; p_ftree = ftree'; p_mutated = affected;
-              p_stale = s.ftree_stale })
+            { p_index = Graph_index.of_graph s.graph; p_ftree = ftree';
+              p_mutated = affected; p_stale = s.ftree_stale })
     muts
 
 (** Proposals reached by graph rewrites (scheduling-based and TASO rules). *)
@@ -435,19 +438,18 @@ let rewrite_proposals (cfg : config) tb (s : Mstate.t) : proposal list =
       bump tb c_transforms (List.length rewrites);
       List.map
         (fun (rw : Rule.rewrite) ->
-          { p_graph = rw.graph; p_ftree = Ftree.prune rw.graph s.ftree;
+          let ix = Graph_index.of_graph rw.graph in
+          { p_index = ix; p_ftree = Ftree.prune ix s.ftree;
             p_mutated = rw.touched_old; p_stale = true })
         rewrites)
     rules
 
-(** Dedup key of a state: WL hash of the graph ⊕ F-Tree fingerprint,
-    with the graph's {!Graph.topo_order} the hash walked. *)
-let state_hash tb (g : Graph.t) (ftree : Ftree.t) : int64 * int list =
+(** Dedup key of a state: WL hash of the indexed graph ⊕ F-Tree
+    fingerprint. *)
+let state_hash tb (ix : Graph_index.t) (ftree : Ftree.t) : int64 =
   bump tb c_hashes 1;
   timed tb s_hash (fun () ->
-      let topo = Graph.topo_order g in
-      ( Util.hash_combine (Wl_hash.hash ~order:topo g) (Ftree.fingerprint ftree),
-        topo ))
+      Util.hash_combine (Wl_hash.hash_on ix) (Ftree.fingerprint ftree))
 
 (** Everything a worker needs to evaluate proposals: the operator-cost
     cache, the simulation cache and the constant key ingredients. *)
@@ -506,48 +508,41 @@ let once f =
 
 (** Hash a proposal on a worker domain: its dedup hash and its
     simulation-cache key ([parent_sched_hash] digests the popped state's
-    schedule, [sched_states] is the effective DP budget), plus its
-    graph's topological order when the cache does not already hold the
-    key.  Rescheduling partitions along that same order, so a miss
-    reuses it; a candidate the cache will answer drops it here rather
-    than keep it alive across the batch. *)
+    schedule, [sched_states] is the effective DP budget).  The hash
+    forces the index's topological order, which rescheduling partitions
+    along. *)
 let hash_proposal (ec : eval_ctx) tb ~sched_states ~parent_sched_hash
-    (p : proposal) : int64 * int64 * int array option =
-  let h, topo = state_hash tb p.p_graph p.p_ftree in
+    (p : proposal) : int64 * int64 =
+  let h = state_hash tb p.p_index p.p_ftree in
   timed tb s_lookup @@ fun () ->
-  let key =
+  ( h,
     Sim_cache.key ~state:h ~parent_sched:parent_sched_hash
       ~mutated:(Util.hash_int_list (Int_set.elements p.p_mutated))
-      ~sched_states ~mode:ec.ec_mode ~hw:ec.ec_hw
-  in
-  let topo =
-    if Sim_cache.mem ec.ec_sim key then None else Some (Array.of_list topo)
-  in
-  (h, key, topo)
+      ~sched_states ~mode:ec.ec_mode ~hw:ec.ec_hw )
 
 (** Evaluate a proposal: incremental reschedule + simulation, memoized
-    in the simulation cache under [key].  [topo] is the proposal's
-    topological order from {!hash_proposal}, if it kept it; [parent ()]
-    is the popped state's rescheduling context (built once per pop, on
-    first demand); [sched_states] is the effective DP budget (the
+    in the simulation cache under [key], on the proposal's index;
+    [parent ()] is the popped state's rescheduling context (built once
+    per pop, on first demand); [sched_states] is the effective DP budget (the
     config's, unless the degradation ladder stepped it down).  Runs on
     a worker domain: it must only write [tb] (a candidate-local table)
     and the domain-safe caches, and only read the parent context. *)
 let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
-    ~iteration ~key ~topo ~parent (s : Mstate.t) (p : proposal) : Mstate.t =
+    ~iteration ~key ~parent (s : Mstate.t) (p : proposal) : Mstate.t =
+  let graph = Graph_index.graph p.p_index in
   let cached = timed tb s_lookup (fun () -> Sim_cache.find ec.ec_sim key) in
   match cached with
   | Some v ->
       bump tb c_sim_hits 1;
-      Mstate.of_cached ~ftree_stale:p.p_stale p.p_graph p.p_ftree v
+      Mstate.of_cached ~ftree_stale:p.p_stale graph p.p_ftree v
   | None ->
       bump tb c_sim_misses 1;
       let acc, schedule =
         timed tb s_reschedule (fun () ->
-            let acc = Ftree.accounting ec.ec_cache p.p_graph p.p_ftree in
+            let acc = Ftree.accounting ec.ec_cache p.p_index p.p_ftree in
             let schedule, (rstats : Magis_sched.Incremental.stats) =
               Magis_sched.Incremental.reschedule ~max_states:sched_states
-                ?topo ~parent:(parent ()) ~new_graph:p.p_graph
+                ~parent:(parent ()) ~new_index:p.p_index
                 ~mutated_old:p.p_mutated ~size_of:acc.size_of ()
             in
             if rstats.fallback then bump tb c_sched_fallbacks 1;
@@ -557,7 +552,7 @@ let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
       in
       timed tb s_simulate @@ fun () ->
       let s' =
-        Mstate.evaluate ~ftree_stale:p.p_stale ~acc ec.ec_cache p.p_graph
+        Mstate.evaluate ~ftree_stale:p.p_stale ~acc ec.ec_cache graph
           p.p_ftree schedule
       in
       if cfg.verify_states then begin
@@ -566,7 +561,7 @@ let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
           Magis_analysis.Hooks.assert_state ~what s'.graph s'.schedule;
           Magis_analysis.Hooks.assert_bounds ~exact:false ~what
             ~size_of:acc.size_of s'.graph ~peak:s'.peak_mem ();
-          let lat_lb = proposal_latency_lb acc p.p_graph in
+          let lat_lb = proposal_latency_lb acc graph in
           if s'.latency < lat_lb then
             failwith
               (Printf.sprintf
@@ -717,7 +712,7 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
         if config.verify_states then begin
           Magis_analysis.Hooks.assert_state ~what:"initial M-state" s.graph
             s.schedule;
-          let acc = Ftree.accounting cache s.graph s.ftree in
+          let acc = Ftree.accounting cache (Graph_index.of_graph s.graph) s.ftree in
           Magis_analysis.Hooks.assert_bounds ~what:"initial M-state"
             ~size_of:acc.size_of s.graph ~peak:s.peak_mem ();
           Magis_analysis.Hooks.assert_interference ~what:"initial M-state"
@@ -750,7 +745,7 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
   in
   let pops = ref (match snap with Some s -> s.snap_pops | None -> 0) in
   if snap = None then
-    Hashtbl.replace seen (fst (state_hash tb init.graph init.ftree)) ();
+    Hashtbl.replace seen (state_hash tb (Graph_index.of_graph init.graph) init.ftree) ();
   let take k l =
     match l with
     | [ s ] ->
@@ -989,7 +984,7 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
           Array.to_list hashed
           |> List.filter_map (function
                | None -> None (* quarantined in the hash step *)
-               | Some ((p : proposal), (h, key, topo), local) ->
+               | Some ((p : proposal), (h, key), local) ->
                    add_table tb local;
                    if Hashtbl.mem seen h then begin
                      bump tb c_filtered 1;
@@ -997,7 +992,7 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
                    end
                    else begin
                      Hashtbl.replace seen h ();
-                     Some (p, key, topo)
+                     Some (p, key)
                    end)
           |> Array.of_list
         in
@@ -1011,10 +1006,10 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
         let iteration = count tb c_iterations in
         let evaluated =
           supervised_map ~phase:"evaluate"
-            (fun ((p : proposal), key, topo) ->
+            (fun ((p : proposal), key) ->
               let local = fresh_table () in
               ( evaluate_proposal config ec local ~sched_states ~iteration
-                  ~key ~topo ~parent s p,
+                  ~key ~parent s p,
                 local ))
             survivors
         in
@@ -1037,7 +1032,9 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
                       every reported result without paying the
                       allocator replay per candidate *)
                    if config.verify_states then begin
-                     let acc = Ftree.accounting cache s'.graph s'.ftree in
+                     let acc =
+                       Ftree.accounting cache (Graph_index.of_graph s'.graph) s'.ftree
+                     in
                      try
                        Magis_analysis.Hooks.assert_interference
                          ~what:

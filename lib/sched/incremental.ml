@@ -59,21 +59,23 @@ let parent (graph : Graph.t) (schedule : int list) : parent =
     schedule;
   { graph; schedule; position; nw = Partition.nw_table graph schedule }
 
-(** [reschedule ~parent ~new_graph ~mutated_old ~size_of] computes a
-    schedule for [new_graph], reusing the parts of [parent]'s schedule
-    outside the rewritten window.  [mutated_old] are the nodes of the
-    parent graph removed or structurally affected by the transformation
-    (for a pure F-Tree mutation, the fission region itself).  [topo] is
-    [new_graph]'s {!Graph.topo_order}, when the caller already has it.
-    Falls back to full scheduling if splicing fails. *)
-let reschedule ?(max_states = 20_000) ?topo ~(parent : parent)
-    ~(new_graph : Graph.t) ~(mutated_old : Int_set.t) ~size_of () :
+(** [reschedule ~parent ~new_index ~mutated_old ~size_of] computes a
+    schedule for the graph indexed by [new_index], reusing the parts of
+    [parent]'s schedule outside the rewritten window.  [mutated_old]
+    are the nodes of the parent graph removed or structurally affected
+    by the transformation (for a pure F-Tree mutation, the fission
+    region itself).  The marks, the partition order and the validity
+    check read [new_index].  Falls back to full scheduling if splicing
+    fails. *)
+let reschedule ?(max_states = 20_000) ~(parent : parent)
+    ~(new_index : Graph_index.t) ~(mutated_old : Int_set.t) ~size_of () :
     int list * stats =
   (* [attempted] preserves the window the splice tried before failing, so
      callers can still see where the rewrite landed instead of the
      meaningless whole-schedule interval the fallback used to report. *)
   let full ?attempted () =
-    let order = Reorder.schedule ~max_states ?topo ~size_of new_graph in
+    let all = Int_set.of_list (Graph.node_ids (Graph_index.graph new_index)) in
+    let order = Reorder.schedule_members ~max_states ~size_of new_index all in
     let interval =
       match attempted with Some w -> w | None -> (0, List.length order)
     in
@@ -94,8 +96,10 @@ let reschedule ?(max_states = 20_000) ?topo ~(parent : parent)
     let beg, end_ = get_reschedule_interval ~nw:parent.nw psi positions in
     (* one byte per id of the new graph: 1 for a node, 2 once it is
        kept in the prefix or suffix; the nodes left at 1 are rescheduled *)
-    let mark = Bytes.make (Graph.id_bound new_graph) '\000' in
-    Graph.iter (fun nd -> Bytes.set mark nd.id '\001') new_graph;
+    let mark =
+      Bytes.init (Graph_index.bound new_index) (fun v ->
+          if Graph_index.mem new_index v then '\001' else '\000')
+    in
     let keep lo hi =
       let acc = ref [] in
       for i = hi - 1 downto lo do
@@ -114,10 +118,10 @@ let reschedule ?(max_states = 20_000) ?topo ~(parent : parent)
     done;
     let s_new = Int_set.of_list !rest in
     let middle =
-      Reorder.schedule_members ~max_states ?topo ~size_of new_graph s_new
+      Reorder.schedule_members ~max_states ~size_of new_index s_new
     in
     let order = prefix @ middle @ suffix in
-    if Graph.is_valid_order new_graph order then
+    if Graph_index.is_valid_order new_index order then
       ( order,
         { interval = (beg, end_); rescheduled = Int_set.cardinal s_new;
           fallback = false } )

@@ -47,14 +47,14 @@ val parent : Graph.t -> int list -> parent
 
 (** Splice a re-scheduled window into the parent's schedule; falls back
     to full scheduling when splicing fails, or when no node of
-    [mutated_old] is on the parent's schedule.  [topo] is [new_graph]'s
-    {!Graph.topo_order}, when the caller already has it, so partitioning
-    does not compute it again. *)
+    [mutated_old] is on the parent's schedule.  [new_index] is the
+    rewritten graph's index: its node array marks the nodes to place,
+    its topological order drives the partition and it checks the
+    spliced order. *)
 val reschedule :
   ?max_states:int ->
-  ?topo:int array ->
   parent:parent ->
-  new_graph:Graph.t ->
+  new_index:Graph_index.t ->
   mutated_old:Int_set.t ->
   size_of:(int -> int) ->
   unit ->

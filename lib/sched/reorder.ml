@@ -287,17 +287,15 @@ let dp_schedule ?(max_states = 20_000) ~size_of (g : Graph.t)
 (* Full scheduling: partition, DP per block, fallback                 *)
 (* ------------------------------------------------------------------ *)
 
-(** Schedule a node subset: narrow-waist partition, then per-block DP
+(** Schedule a node subset of the indexed graph: narrow-waist
+    partition along the index's topological order, then per-block DP
     ([max_states = 0] skips it) with greedy fallback, concatenated in
     dependency order.  The members are indexed once; each block is a
-    {!Members.sub} of that index.  [topo] is [g]'s {!Graph.topo_order}
-    when the caller already has it. *)
-let schedule_members ?(max_states = 20_000) ?topo ~size_of (g : Graph.t)
+    {!Members.sub} of that index. *)
+let schedule_members ?(max_states = 20_000) ~size_of (ix : Graph_index.t)
     (members : Int_set.t) : int list =
+  let g = Graph_index.graph ix in
   let ms = Members.of_set g members in
-  let topo =
-    match topo with Some t -> t | None -> Array.of_list (Graph.topo_order g)
-  in
   List.concat_map
     (fun block ->
       let greedy () = greedy_members ~size_of (Members.sub ms block) in
@@ -306,16 +304,17 @@ let schedule_members ?(max_states = 20_000) ?topo ~size_of (g : Graph.t)
         match dp_schedule ~max_states ~size_of g (Members.to_set ms block) with
         | Some order -> order
         | None -> greedy ())
-    (Partition.blocks ~topo ms)
+    (Partition.blocks ~topo:(Graph_index.order ix) ms)
 
 (** Schedule the whole graph. *)
-let schedule ?(max_states = 20_000) ?topo ?size_of (g : Graph.t) : int list =
+let schedule ?(max_states = 20_000) ?size_of (g : Graph.t) : int list =
   let size_of =
     match size_of with
     | Some f -> f
     | None -> fun v -> Magis_cost.Lifetime.default_size g v
   in
+  let ix = Graph_index.of_graph g in
   let members = Int_set.of_list (Graph.node_ids g) in
-  let order = schedule_members ~max_states ?topo ~size_of g members in
-  assert (Graph.is_valid_order g order);
+  let order = schedule_members ~max_states ~size_of ix members in
+  assert (Graph_index.is_valid_order ix order);
   order

@@ -24,14 +24,12 @@ val dp_schedule :
   ?max_states:int -> size_of:(int -> int) -> Graph.t -> Int_set.t ->
   int list option
 
-(** Narrow-waist partition, then per-block DP with greedy fallback
-    ([max_states = 0] skips the DP), concatenated.  [topo] is the
-    graph's {!Graph.topo_order}, when the caller already has it. *)
+(** Narrow-waist partition along the index's {!Graph_index.order},
+    then per-block DP with greedy fallback ([max_states = 0] skips the
+    DP), concatenated: a schedule of the members of the indexed graph. *)
 val schedule_members :
-  ?max_states:int -> ?topo:int array -> size_of:(int -> int) -> Graph.t ->
-  Int_set.t -> int list
-
-(** Schedule the whole graph ([topo] as for {!schedule_members}). *)
-val schedule :
-  ?max_states:int -> ?topo:int array -> ?size_of:(int -> int) -> Graph.t ->
+  ?max_states:int -> size_of:(int -> int) -> Graph_index.t -> Int_set.t ->
   int list
+
+(** Schedule the whole graph, on a fresh index of it. *)
+val schedule : ?max_states:int -> ?size_of:(int -> int) -> Graph.t -> int list

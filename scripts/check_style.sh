@@ -106,16 +106,17 @@ if [ -n "$hits" ]; then
   echo "$hits"
 fi
 
-# 10. the simulator, the lifetime analysis and the F-Tree run on every
-# search candidate or every pop, so they read node records, operand
-# shapes, consumers, membership and member-set outputs from one
-# Graph_index per call: no node-by-node lookup in the graph's persistent
-# maps (Graph.node, op, shape, succ_set, suc, mem or outs_of;
-# `Graph.node` as a type annotation is fine).
+# 10. the simulator, the lifetime analysis, the F-Tree, the WL hash and
+# the incremental rescheduler run on every search candidate or every
+# pop, so they read node records, operand shapes, consumers, membership
+# and member-set outputs from one Graph_index: no node-by-node lookup
+# in the graph's persistent maps (Graph.node, op, shape, succ_set, suc,
+# mem or outs_of; `Graph.node` as a type annotation is fine).
 hits=$(grep -nP 'Graph\.(node(?!\s*\))|op|shape|succ_set|suc|mem|outs_of)\b' \
-  lib/cost/simulator.ml lib/cost/lifetime.ml lib/ftree/ftree.ml 2>/dev/null)
+  lib/cost/simulator.ml lib/cost/lifetime.ml lib/ftree/ftree.ml \
+  lib/ir/wl_hash.ml lib/sched/incremental.ml 2>/dev/null)
 if [ -n "$hits" ]; then
-  fail "per-node map lookup in the simulator, the lifetime analysis or the F-Tree (read a Graph_index instead):"
+  fail "per-node map lookup in the simulator, the lifetime analysis, the F-Tree, the WL hash or the rescheduler (read a Graph_index instead):"
   echo "$hits"
 fi
 
@@ -127,6 +128,17 @@ hits=$(grep -rnP 'Graph\.(is_convex|is_weakly_connected)\b' \
   $(git ls-files -- 'lib/*.ml' 'lib/**/*.ml') 2>/dev/null)
 if [ -n "$hits" ]; then
   fail "map-walking convexity or connectivity test in a library (use Fission.structure on a Graph_index):"
+  echo "$hits"
+fi
+
+# 12. a search candidate's topological order is its Graph_index's
+# (Graph_index.order, forced once by the WL hash and read again by the
+# rescheduler): no Graph.topo_order walk between the proposal type and
+# the main loop's end in search.ml.
+hits=$(awk '/^type proposal = /{on=1} /^\(\* Convenience wrappers/{on=0}
+  on && /Graph\.topo_order/{print FILENAME ":" FNR ": " $0}' lib/opt/search.ml)
+if [ -n "$hits" ]; then
+  fail "Graph.topo_order on search.ml's candidate path (read Graph_index.order of the candidate's index):"
   echo "$hits"
 fi
 

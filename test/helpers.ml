@@ -83,8 +83,12 @@ let check_sorted msg expected actual =
   Alcotest.(check (list int)) msg (List.sort compare expected)
     (List.sort compare actual)
 
+(** Does [order] list every node of [g] exactly once, each after its
+    operands? *)
+let is_valid_order g order = Graph_index.is_valid_order (Graph_index.of_graph g) order
+
 let valid_order_of g order = Alcotest.(check bool) "valid order" true
-    (Graph.is_valid_order g order)
+    (is_valid_order g order)
 
 let tc name f = Alcotest.test_case name `Quick f
 

@@ -159,7 +159,7 @@ let test_virtual_accounting_direction () =
   let order = Graph.topo_order g in
   let base = Simulator.run c g order in
   let t = Ftree.of_fissions [ f ] in
-  let acc = Ftree.accounting c g t in
+  let acc = Ftree.accounting c (Graph_index.of_graph g) t in
   let virt = Simulator.run ~size_of:acc.size_of ~cost_of:acc.cost_of c g order in
   Alcotest.(check bool) "virtual peak below base" true
     (virt.peak_mem < base.peak_mem);
@@ -172,7 +172,7 @@ let test_virtual_vs_real_expansion () =
   let c = cache () in
   let g, _, f = mlp_batch_fission ~n:2 () in
   let t = Ftree.of_fissions [ f ] in
-  let acc = Ftree.accounting c g t in
+  let acc = Ftree.accounting c (Graph_index.of_graph g) t in
   let order = Graph.topo_order g in
   let virt = Simulator.run ~size_of:acc.size_of ~cost_of:acc.cost_of c g order in
   let virt_latency = virt.latency +. acc.extra_latency in
@@ -198,7 +198,7 @@ let test_deeper_fission_saves_more () =
   let order = Graph.topo_order g in
   let peak_at n =
     let t = Ftree.of_fissions [ Fission.with_n f n ] in
-    let acc = Ftree.accounting c g t in
+    let acc = Ftree.accounting c (Graph_index.of_graph g) t in
     (Simulator.run ~size_of:acc.size_of ~cost_of:acc.cost_of c g order).peak_mem
   in
   Alcotest.(check bool) "n=4 below n=2" true (peak_at 4 < peak_at 2);

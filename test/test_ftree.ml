@@ -127,7 +127,7 @@ let test_prune_after_rewrite () =
      check pruning keeps only valid entries *)
   let victim = List.hd (Graph.outputs g) in
   let g' = Graph.remove g victim in
-  let t' = Ftree.prune g' t in
+  let t' = Ftree.prune (Graph_index.of_graph g') t in
   for i = 0 to Ftree.n_entries t' - 1 do
     let e = Ftree.entry t' i in
     Alcotest.(check bool) "members all alive" true
@@ -162,7 +162,7 @@ let test_construct_naive_differs () =
 
 let test_accounting_identity_when_disabled () =
   let c, g, s = bert_state () in
-  let acc = Ftree.accounting c g s.ftree in
+  let acc = Ftree.accounting c (Graph_index.of_graph g) s.ftree in
   Alcotest.(check (float 0.0)) "no extra latency" 0.0 acc.extra_latency;
   Graph.iter
     (fun n ->

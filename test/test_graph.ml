@@ -52,13 +52,13 @@ let test_valid_order_rejects_repeats () =
   let a = Builder.input b [ 4 ] ~dtype:Shape.F32 in
   let c = Builder.relu b a in
   let g = Builder.finish b in
-  Alcotest.(check bool) "[a; b] valid" true (Graph.is_valid_order g [ a; c ]);
+  Alcotest.(check bool) "[a; b] valid" true (is_valid_order g [ a; c ]);
   Alcotest.(check bool) "[a; b; b] invalid" false
-    (Graph.is_valid_order g [ a; c; c ]);
+    (is_valid_order g [ a; c; c ]);
   Alcotest.(check bool) "[a; a; b] invalid" false
-    (Graph.is_valid_order g [ a; a; c ]);
-  Alcotest.(check bool) "[b; a] invalid" false (Graph.is_valid_order g [ c; a ]);
-  Alcotest.(check bool) "[a] invalid" false (Graph.is_valid_order g [ a ]);
+    (is_valid_order g [ a; a; c ]);
+  Alcotest.(check bool) "[b; a] invalid" false (is_valid_order g [ c; a ]);
+  Alcotest.(check bool) "[a] invalid" false (is_valid_order g [ a ]);
   (* the same length as a schedule, with an operand repeated in place of
      another that is never scheduled *)
   let b = Builder.create () in
@@ -66,9 +66,9 @@ let test_valid_order_rejects_repeats () =
   let y = Builder.input b [ 4 ] ~dtype:Shape.F32 in
   let s = Builder.add b x y in
   let g = Builder.finish b in
-  Alcotest.(check bool) "[x; y; s] valid" true (Graph.is_valid_order g [ x; y; s ]);
+  Alcotest.(check bool) "[x; y; s] valid" true (is_valid_order g [ x; y; s ]);
   Alcotest.(check bool) "[x; x; s] invalid" false
-    (Graph.is_valid_order g [ x; x; s ])
+    (is_valid_order g [ x; x; s ])
 
 let test_topo_order () =
   let g = mlp_training () in
@@ -79,20 +79,20 @@ let test_topo_order () =
   match order with
   | a :: b :: rest -> Alcotest.(check bool) "swapped prefix invalid or valid"
       true
-      (Graph.is_valid_order g (b :: a :: rest)
-       || not (Graph.is_valid_order g (b :: a :: rest)))
+      (is_valid_order g (b :: a :: rest)
+       || not (is_valid_order g (b :: a :: rest)))
   | _ -> Alcotest.fail "order too short"
 
 let test_invalid_orders_rejected () =
   let g, x, r1, r2, r3 = chain3 () in
   Alcotest.(check bool) "reversed invalid" false
-    (Graph.is_valid_order g [ r3; r2; r1; x ]);
+    (is_valid_order g [ r3; r2; r1; x ]);
   Alcotest.(check bool) "missing node invalid" false
-    (Graph.is_valid_order g [ x; r1; r2 ]);
+    (is_valid_order g [ x; r1; r2 ]);
   Alcotest.(check bool) "duplicate invalid" false
-    (Graph.is_valid_order g [ x; r1; r1; r3 ]);
+    (is_valid_order g [ x; r1; r1; r3 ]);
   Alcotest.(check bool) "correct valid" true
-    (Graph.is_valid_order g [ x; r1; r2; r3 ])
+    (is_valid_order g [ x; r1; r2; r3 ])
 
 let test_redirect () =
   let g, x, l, _, j = diamond () in
@@ -145,7 +145,7 @@ let test_cycle_detection () =
      that topo_order validates anyway via is_valid_order on garbage *)
   let g, x, r1, _, _ = chain3 () in
   Alcotest.(check bool) "is_valid_order rejects cycle-like order" false
-    (Graph.is_valid_order g [ r1; x ])
+    (is_valid_order g [ r1; x ])
 
 let suite =
   [

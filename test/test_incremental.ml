@@ -36,7 +36,7 @@ let test_incremental_valid () =
       let size_of v = Lifetime.default_size rw.graph v in
       let order, stats =
         Incremental.reschedule ~parent:(Incremental.parent g schedule)
-          ~new_graph:rw.graph ~mutated_old:rw.touched_old ~size_of ()
+          ~new_index:(Graph_index.of_graph rw.graph) ~mutated_old:rw.touched_old ~size_of ()
       in
       valid_order_of rw.graph order;
       Alcotest.(check bool) "rescheduled fewer nodes than full" true
@@ -53,7 +53,7 @@ let test_incremental_matches_full_quality () =
       let size_of v = Lifetime.default_size rw.graph v in
       let inc, _ =
         Incremental.reschedule ~max_states:2_000
-          ~parent:(Incremental.parent g schedule) ~new_graph:rw.graph
+          ~parent:(Incremental.parent g schedule) ~new_index:(Graph_index.of_graph rw.graph)
           ~mutated_old:rw.touched_old ~size_of ()
       in
       let full = Reorder.schedule ~max_states:2_000 rw.graph in
@@ -93,7 +93,7 @@ let test_full_fallback_on_empty_positions () =
   let size_of v = Lifetime.default_size g v in
   let order, _ =
     Incremental.reschedule ~parent:(Incremental.parent g schedule)
-      ~new_graph:g ~mutated_old:(Int_set.singleton (-42)) ~size_of ()
+      ~new_index:(Graph_index.of_graph g) ~mutated_old:(Int_set.singleton (-42)) ~size_of ()
   in
   valid_order_of g order
 
@@ -114,12 +114,12 @@ let test_sequential_rewrites_stay_valid () =
         let size_of v = Lifetime.default_size rw.graph v in
         let order, _ =
           Incremental.reschedule ~parent:(Incremental.parent !g !schedule)
-            ~new_graph:rw.graph ~mutated_old:rw.touched_old ~size_of ()
+            ~new_index:(Graph_index.of_graph rw.graph) ~mutated_old:rw.touched_old ~size_of ()
         in
         Alcotest.(check bool)
           (Printf.sprintf "valid after rewrite %d" step)
           true
-          (Graph.is_valid_order rw.graph order);
+          (is_valid_order rw.graph order);
         g := rw.graph;
         schedule := order
   done

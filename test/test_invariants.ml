@@ -3,7 +3,7 @@
 
     The reference implementations below are the set- and hashtable-based
     routines that {!Graph.topo_order}, {!Graph.components_of},
-    {!Graph.is_valid_order}, {!Wl_hash.hash}, {!Partition.nw_table},
+    {!Graph_index.is_valid_order}, {!Wl_hash.hash}, {!Partition.nw_table},
     {!Partition.partition} and {!Reorder.greedy_schedule} used before
     they moved onto arrays, bitsets and binary heaps, and the per-child
     path {!Incremental.reschedule} took before its parent context.  They
@@ -319,9 +319,11 @@ let ref_reschedule ~max_states ~old_graph ~new_graph ~old_schedule ~mutated_old 
       List.filter (fun v -> not (Int_set.mem v kept)) (Graph.node_ids new_graph)
       |> Int_set.of_list
     in
-    let middle = Reorder.schedule_members ~max_states ~size_of new_graph s_new in
+    let middle =
+      Reorder.schedule_members ~max_states ~size_of (Graph_index.of_graph new_graph) s_new
+    in
     let order = prefix @ middle @ suffix in
-    if Graph.is_valid_order new_graph order then
+    if is_valid_order new_graph order then
       ( order,
         { Incremental.interval = (beg, end_); rescheduled = Int_set.cardinal s_new;
           fallback = false } )
@@ -420,14 +422,19 @@ let check_closure g seed =
   let order = random_topo_order g seed in
   let r = Reach.compute ~order g in
   let ids = Graph.node_ids g in
-  let reach_ok v =
+  let reach_ok r v =
     let anc = Graph.anc g v and des = Graph.des g v in
     Reach.n_anc r v = Int_set.cardinal anc
     && Reach.n_des r v = Int_set.cardinal des
     && List.for_all (fun u -> Reach.precedes r u v = Int_set.mem u anc) ids
   in
+  let ix = Graph_index.of_graph g in
   if Reach.order r <> order then Error "Reach.order"
-  else if not (List.for_all reach_ok ids) then Error "Reach"
+  else if not (List.for_all (reach_ok r) ids) then Error "Reach"
+  else if Reach.order (Graph_index.reach ix) != Graph_index.order ix then
+    Error "Graph_index.reach walks its own order"
+  else if not (List.for_all (reach_ok (Graph_index.reach ix)) ids) then
+    Error "Graph_index.reach"
   else
     let lv = Liveness.compute g and nw = Partition.nw_table g order in
     if not (List.for_all (fun v -> nw.(v) = Liveness.mobility lv v) ids) then
@@ -465,7 +472,7 @@ let check_greedy g sets =
         if not (List.for_all greedy_matches (s :: Partition.partition g s)) then
           Error "greedy_schedule"
         else if
-          Reorder.schedule_members ~max_states:0 ~size_of g s
+          Reorder.schedule_members ~max_states:0 ~size_of (Graph_index.of_graph g) s
           <> List.concat_map (ref_greedy_schedule ~size_of g) (ref_partition g s)
         then Error "schedule_members"
         else go rest
@@ -554,8 +561,11 @@ let check_algorithm1 g =
     first disagreement. *)
 let check_graph g seed =
   let topo = Graph.topo_order g in
+  let ix = Graph_index.of_graph g in
   if topo <> ref_topo_order g then Error "topo_order"
+  else if Array.to_list (Graph_index.order ix) <> topo then Error "Graph_index.order"
   else if not (Int64.equal (Wl_hash.hash g) (ref_wl_hash g)) then Error "Wl_hash.hash"
+  else if not (Int64.equal (Wl_hash.hash_on ix) (ref_wl_hash g)) then Error "Wl_hash.hash_on"
   else
     let nw_expected = List.map (fun v -> (v, ref_nw g v)) topo in
     let nw_matches order =
@@ -595,7 +605,7 @@ let check_graph g seed =
         if
           not
             (List.for_all
-               (fun o -> Graph.is_valid_order g o = ref_is_valid_order g o)
+               (fun o -> is_valid_order g o = ref_is_valid_order g o)
                orders)
         then Error "is_valid_order"
         else
@@ -632,9 +642,9 @@ let test_zoo () =
 
 (** The parent context against the per-child path it replaced, on the
     first 20 rewrites of every zoo model's initial state, all sharing
-    one context: same order, same stats, with and without the
-    candidate's topological order handed in.  Greedy only, as the
-    search schedules by default. *)
+    one context: same order, same stats, on a fresh index of the
+    candidate and on one the WL hash has already read, as the search
+    hands it on.  Greedy only, as the search schedules by default. *)
 let test_reschedule_zoo () =
   let compared = ref 0 and spliced = ref 0 in
   List.iter
@@ -652,15 +662,16 @@ let test_reschedule_zoo () =
             in
             incr compared;
             if not (snd expected).fallback then incr spliced;
-            let topo = Array.of_list (Graph.topo_order rw.graph) in
+            let hashed = Graph_index.of_graph rw.graph in
+            ignore (Wl_hash.hash_on hashed);
             List.iter
-              (fun topo ->
+              (fun new_index ->
                 if
-                  Incremental.reschedule ~max_states:0 ?topo ~parent
-                    ~new_graph:rw.graph ~mutated_old:rw.touched_old ~size_of ()
+                  Incremental.reschedule ~max_states:0 ~parent ~new_index
+                    ~mutated_old:rw.touched_old ~size_of ()
                   <> expected
                 then Alcotest.failf "%s: rewrite %d (%s)" w.name i rw.rule)
-              [ None; Some topo ]
+              [ Graph_index.of_graph rw.graph; hashed ]
           end)
         (rewrites ~max_per_rule:6 g))
     Zoo.all;
@@ -964,7 +975,7 @@ let check_simulation g tree order =
   in
   let (a_extra, a_acc, (a_plain, a_events)), a_seen =
     observed (fun c ->
-        let acc = Ftree.accounting c g tree in
+        let acc = Ftree.accounting c (Graph_index.of_graph g) tree in
         ( acc.extra_latency,
           Simulator.run_on ~size_of:acc.size_of ~cost_of:acc.cost_of c acc.index order,
           Simulator.run_events c g order ))
@@ -1013,12 +1024,36 @@ let check_simulations g trees =
             (Ok ()) (sim_orders g)))
     (Ok ()) trees
 
+(** The index a search candidate carries — hashed, then read by
+    {!Ftree.prune} — gives [prune] and {!Ftree.accounting} what a fresh
+    index of the same graph gives: the same entries, and bit-equal
+    sizes, costs and boundary latency. *)
+let check_carried g tree =
+  let c = cache () in
+  let carried = Graph_index.of_graph g in
+  ignore (Wl_hash.hash_on carried);
+  let pruned = Ftree.prune carried tree in
+  if not (same_tree pruned (Ftree.prune (Graph_index.of_graph g) tree)) then
+    Error "Ftree.prune on a carried index"
+  else
+    let a = Ftree.accounting c carried pruned
+    and b = Ftree.accounting c (Graph_index.of_graph g) pruned in
+    let same v = a.size_of v = b.size_of v && bits (a.cost_of v) = bits (b.cost_of v) in
+    if bits a.extra_latency <> bits b.extra_latency
+       || not (List.for_all same (Graph.node_ids g))
+    then Error "Ftree.accounting on a carried index"
+    else Ok ()
+
+let check_all_carried g trees =
+  List.fold_left (fun acc tree -> Result.bind acc (fun () -> check_carried g tree)) (Ok ()) trees
+
 let prop_simulate_randnets =
   QCheck2.Test.make ~name:"simulation equals its oracle on rewritten randnets"
     ~count:30 ~print:print_graph gen_graph (fun params ->
       let g = build_graph params in
       let s = Mstate.init ~sched_states:0 (cache ()) g in
-      match check_simulations g (sim_trees g s.ftree) with
+      let trees = sim_trees g s.ftree in
+      match Result.bind (check_simulations g trees) (fun () -> check_all_carried g trees) with
       | Ok () -> true
       | Error what -> QCheck2.Test.fail_report what)
 
@@ -1034,14 +1069,19 @@ let test_simulate_zoo () =
       let s = Mstate.init ~sched_states:0 (cache ()) g in
       let fail what = Alcotest.failf "%s: %s" w.name what in
       if Option.is_some (nested g s.ftree) then incr nested_pairs;
-      Result.iter_error fail (check_simulations g (sim_trees g s.ftree));
+      let trees = sim_trees g s.ftree in
+      Result.iter_error fail (check_simulations g trees);
+      Result.iter_error fail (check_all_carried g trees);
       let enabled = Option.value ~default:s.ftree (first_enable g s.ftree) in
       List.iteri
         (fun i (rw : Rule.rewrite) ->
           if i < 20 then
             Result.iter_error
               (fun what -> fail (Printf.sprintf "rewrite %d (%s): %s" i rw.rule what))
-              (check_simulations rw.graph [ Ftree.empty; Ftree.prune rw.graph enabled ]))
+              (Result.bind
+                 (check_simulations rw.graph
+                    [ Ftree.empty; Ftree.prune (Graph_index.of_graph rw.graph) enabled ])
+                 (fun () -> check_carried rw.graph enabled)))
         (rewrites ~max_per_rule:6 g))
     Zoo.all;
   Alcotest.(check bool) "some zoo tree has nested enabled entries" true (!nested_pairs > 0)

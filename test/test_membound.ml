@@ -134,7 +134,7 @@ let test_bound_ordering_invariants () =
 let test_latency_lower_bound () =
   let c = cache () in
   let g = mlp_training () in
-  let acc = Ftree.accounting c g Ftree.empty in
+  let acc = Ftree.accounting c (Graph_index.of_graph g) Ftree.empty in
   let lb = Membound.latency_lower_bound ~cost_of:acc.cost_of g in
   Alcotest.(check bool) "positive" true (lb > 0.0);
   List.iter

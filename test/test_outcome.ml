@@ -78,7 +78,7 @@ let test_nested_fission_accounting () =
   | Some (child, parent) ->
       let t = Ftree.set_n t child 2 in
       let t = Ftree.set_n t parent 2 in
-      let acc = Ftree.accounting c g t in
+      let acc = Ftree.accounting c (Graph_index.of_graph g) t in
       let child_members = Fission.members (Ftree.fission_at t child) in
       let parent_outs =
         Graph.outs_of g (Fission.members (Ftree.fission_at t parent))

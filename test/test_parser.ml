@@ -45,7 +45,7 @@ let test_roundtrip_with_swaps_and_schedule () =
           Alcotest.(check int) "schedule length" (List.length schedule)
             (List.length s);
           Alcotest.(check bool) "remapped schedule valid" true
-            (Graph.is_valid_order prog.graph s))
+            (is_valid_order prog.graph s))
 
 let test_parse_errors () =
   let bad = [

@@ -56,18 +56,18 @@ let prop name gen f = QCheck2.Test.make ~name ~count gen f
 
 let topo_is_valid =
   prop "topo_order is always a valid order" graph_arb (fun g ->
-      Graph.is_valid_order g (Graph.topo_order g))
+      Helpers.is_valid_order g (Graph.topo_order g))
 
 let greedy_is_valid =
   prop "greedy schedule is always a valid order" graph_arb (fun g ->
       let size_of v = Lifetime.default_size g v in
       let members = Int_set.of_list (Graph.node_ids g) in
-      Graph.is_valid_order g (Reorder.greedy_schedule ~size_of g members))
+      Helpers.is_valid_order g (Reorder.greedy_schedule ~size_of g members))
 
 let schedule_members_partition_valid =
   prop "partitioned schedule is valid" graph_arb (fun g ->
       let order = Reorder.schedule ~max_states:300 g in
-      Graph.is_valid_order g order)
+      Helpers.is_valid_order g order)
 
 let wl_hash_stable_under_rebuild =
   prop "WL hash is deterministic" gen_layered_graph (fun params ->
@@ -95,7 +95,7 @@ let dp_never_worse_than_greedy =
       | Some dp ->
           let greedy = Reorder.greedy_schedule ~size_of g members in
           let peak o = Lifetime.peak_memory (Lifetime.analyze g o) in
-          Graph.is_valid_order g dp && peak dp <= peak greedy)
+          Helpers.is_valid_order g dp && peak dp <= peak greedy)
 
 let dominator_subtree_convex =
   prop "dominator strict subtrees are convex sub-graphs" graph_arb (fun g ->
@@ -180,11 +180,11 @@ let incremental_schedule_valid =
               let size_of u = Lifetime.default_size g' u in
               let order, _ =
                 Incremental.reschedule
-                  ~parent:(Incremental.parent g schedule) ~new_graph:g'
+                  ~parent:(Incremental.parent g schedule) ~new_index:(Graph_index.of_graph g')
                   ~mutated_old:(Int_set.of_list [ v; c ])
                   ~size_of ()
               in
-              Graph.is_valid_order g' order))
+              Helpers.is_valid_order g' order))
 
 let suite =
   List.map QCheck_alcotest.to_alcotest

@@ -120,8 +120,89 @@ let test_schedule_members_subset () =
   let order = Graph.topo_order g in
   let members = Int_set.of_list (Util.take 6 order) in
   let size_of v = Lifetime.default_size g v in
-  let sub = Reorder.schedule_members ~max_states:0 ~size_of g members in
+  let sub = Reorder.schedule_members ~max_states:0 ~size_of (Graph_index.of_graph g) members in
   check_sorted "schedules exactly the members" (Int_set.elements members) sub
+
+(* ------------------------------------------------------------------ *)
+(* Exhaustive schedule oracle                                          *)
+(* ------------------------------------------------------------------ *)
+
+(** A tiny irregular DAG in the style of the randomly wired networks of
+    Zhong et al. ("Memory-aware Scheduling for Complex Wired Networks"):
+    one or two inputs and an optional weight of 16, 64 or 256 floats,
+    then relu, tanh and add nodes, each reading random earlier nodes (an
+    add reads two of one shape), up to 10 nodes in all. *)
+let tiny_dag seed =
+  let rng = Random.State.make [| seed |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let g = ref Graph.empty and ids = ref [||] in
+  let push (g', v) =
+    g := g';
+    ids := Array.append !ids [| v |]
+  in
+  let tensor () = Shape.create [ pick [| 16; 64; 256 |] ] in
+  for _ = 1 to 1 + Random.State.int rng 2 do
+    push (Graph.add_input !g Op.Placeholder (tensor ()))
+  done;
+  if Random.State.bool rng then push (Graph.add_input !g Op.Weight (tensor ()));
+  let n = Array.length !ids + 2 + Random.State.int rng (9 - Array.length !ids) in
+  while Array.length !ids < n do
+    let a = pick !ids in
+    let same = List.filter (fun b -> b <> a && Shape.equal (Graph.shape !g a) (Graph.shape !g b))
+        (Array.to_list !ids) in
+    match Random.State.int rng 3, same with
+    | 2, _ :: _ -> push (Graph.add !g (Op.Binary Op.Add) [ a; pick (Array.of_list same) ])
+    | k, _ -> push (Graph.add !g (Op.Unary (if k = 0 then Op.Relu else Op.Tanh)) [ a ])
+  done;
+  !g
+
+(** The smallest {!Lifetime} peak over every topological order of [g],
+    and the number of orders. *)
+let min_peak g =
+  let best = ref max_int and orders = ref 0 in
+  let ready_after placed v =
+    List.filter (fun c -> List.for_all (fun p -> Int_set.mem p placed) (Graph.pre g c)) (Graph.suc g v)
+  in
+  let rec go placed ready rev_order =
+    if ready = [] then begin
+      incr orders;
+      best := min !best (Lifetime.peak_memory (Lifetime.analyze g (List.rev rev_order)))
+    end
+    else
+      List.iter
+        (fun v ->
+          let placed = Int_set.add v placed in
+          go placed (List.filter (( <> ) v) ready @ ready_after placed v) (v :: rev_order))
+        ready
+  in
+  go Int_set.empty (Graph.inputs g) [];
+  (!best, !orders)
+
+(** Uncapped {!Reorder.dp_schedule} reaches the exact minimum peak over
+    all topological orders of 216 tiny irregular DAGs, and greedy never
+    goes below it.  Prints how often greedy is above the minimum; the
+    oracle must catch greedy there at least once, or it shows nothing. *)
+let test_dp_exhaustive () =
+  let graphs = 216 and greedy_above = ref 0 and total_orders = ref 0 in
+  for seed = 0 to graphs - 1 do
+    let g = tiny_dag seed in
+    let size_of v = Lifetime.default_size g v in
+    let peak order = Lifetime.peak_memory (Lifetime.analyze g order) in
+    let best, orders = min_peak g in
+    total_orders := !total_orders + orders;
+    (match Reorder.dp_schedule ~max_states:max_int ~size_of g (all_members g) with
+    | None -> Alcotest.failf "graph %d: uncapped DP gave up" seed
+    | Some order ->
+        if not (is_valid_order g order) then Alcotest.failf "graph %d: DP order invalid" seed;
+        if peak order <> best then
+          Alcotest.failf "graph %d: DP peak %d, minimum %d" seed (peak order) best);
+    let greedy = peak (Reorder.greedy_schedule ~size_of g (all_members g)) in
+    if greedy < best then Alcotest.failf "graph %d: greedy %d below the minimum %d" seed greedy best;
+    if greedy > best then incr greedy_above
+  done;
+  Printf.printf "exhaustive oracle: %d graphs, %d orders, greedy above the minimum on %d\n"
+    graphs !total_orders !greedy_above;
+  Alcotest.(check bool) "greedy misses the minimum somewhere" true (!greedy_above > 0)
 
 let suite =
   [
@@ -134,4 +215,5 @@ let suite =
     tc "DP budget exhaustion" test_dp_budget_exhaustion;
     tc "scheduler beats topo order on UNet" test_schedule_beats_topo_on_unet;
     tc "schedule_members covers subset" test_schedule_members_subset;
+    tc "DP reaches the exhaustive minimum on tiny irregular DAGs" test_dp_exhaustive;
   ]

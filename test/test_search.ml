@@ -21,7 +21,7 @@ let test_memory_mode_respects_constraint () =
   Alcotest.(check bool) "latency within 10%" true
     (r.best.latency <= base.latency *. 1.10 *. 1.0001);
   Alcotest.(check bool) "schedule valid" true
-    (Graph.is_valid_order r.best.graph r.best.schedule)
+    (is_valid_order r.best.graph r.best.schedule)
 
 let test_latency_mode_respects_constraint () =
   let c = cache () in
@@ -34,7 +34,7 @@ let test_latency_mode_respects_constraint () =
   let limit = int_of_float (float_of_int base.peak_mem *. 0.7) in
   Alcotest.(check bool) "memory within 70%" true (r.best.peak_mem <= limit);
   Alcotest.(check bool) "schedule valid" true
-    (Graph.is_valid_order r.best.graph r.best.schedule)
+    (is_valid_order r.best.graph r.best.schedule)
 
 let test_better_than_ordering () =
   let mk peak lat : Mstate.t =
@@ -86,7 +86,7 @@ let test_ablation_settings_run () =
       let config = { (config 0.6) with ablation } in
       let r = Search.optimize_memory ~config c ~overhead:0.10 g in
       Alcotest.(check bool) "valid best schedule" true
-        (Graph.is_valid_order r.best.graph r.best.schedule))
+        (is_valid_order r.best.graph r.best.schedule))
     [
       { Search.default_ablation with use_ftree_heuristic = false };
       { Search.default_ablation with restrict_sched_rules = false };
