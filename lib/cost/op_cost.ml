@@ -128,6 +128,32 @@ let node_cost_on t (ix : Graph_index.t) (id : int) : float =
   memo t (key n.op (Graph_index.shape ix) n.inputs) n.op (fun () ->
       compute_raw t.hw n.op (Graph_index.in_shapes ix id) n.shape)
 
+(* Input, Store and Load cost nothing on the compute stream *)
+let charged (op : Op.kind) =
+  match op with Op.Input _ | Op.Store | Op.Load -> false | _ -> true
+
+let costs_on t (ix : Graph_index.t) : float array =
+  Array.mapi
+    (fun v (n : Graph.node) ->
+      if n.id = v && charged n.op then node_cost_on t ix v else 0.0)
+    (Graph_index.nodes ix)
+
+let inherited_cost_on t ~(parent_nodes : Graph.node array) ~parent_costs
+    (ix : Graph_index.t) : int -> float =
+  let nodes = Graph_index.nodes ix and pbound = Array.length parent_nodes in
+  (* every operand of a parent record is a parent node, below [pbound] *)
+  let rec same (ins : int array) k =
+    k < 0 || (parent_nodes.(ins.(k)) == nodes.(ins.(k)) && same ins (k - 1))
+  in
+  fun v ->
+    let n = nodes.(v) in
+    if
+      v < pbound
+      && parent_nodes.(v) == n
+      && same n.inputs (Array.length n.inputs - 1)
+    then parent_costs.(v)
+    else node_cost_on t ix v
+
 (** Time to move a tensor of [bytes] over the host<->device link. *)
 let swap_time t (bytes : int) : float =
   float_of_int bytes /. t.hw.swap_bandwidth

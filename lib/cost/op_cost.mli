@@ -39,6 +39,26 @@ val node_cost : t -> Graph.t -> int -> float
     an index of the graph. *)
 val node_cost_on : t -> Graph_index.t -> int -> float
 
+(** Base costs of the indexed graph by node id: {!node_cost_on} for
+    every node but Input, Store and Load, whose compute-stream cost is
+    0 and is not queried, and 0 for ids that are not nodes. *)
+val costs_on : t -> Graph_index.t -> float array
+
+(** [inherited_cost_on t ~parent_nodes ~parent_costs ix]: {!node_cost_on}
+    [t ix], taking [parent_costs.(v)] (from {!costs_on} on an index of a
+    graph whose node array is [parent_nodes]) for a node [v] whose
+    record, and each of whose operands' records, is physically the
+    parent's at its id.  Such a node has the same operator and operand
+    shapes, hence the same memo key, so the inherited cost is the one a
+    query would return; only the other nodes query the memo. *)
+val inherited_cost_on :
+  t ->
+  parent_nodes:Graph.node array ->
+  parent_costs:float array ->
+  Graph_index.t ->
+  int ->
+  float
+
 (** Host<->device transfer time for [bytes]. *)
 val swap_time : t -> int -> float
 

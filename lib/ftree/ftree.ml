@@ -389,15 +389,19 @@ type accounting = {
 (** Build the virtual-fission accounting for the graph indexed by [ix]
     under tree [t].  See the module header for the model.  [size_of]
     and [cost_of] read [ix], handed on in [index] so the simulation of
-    the same candidate reads it too. *)
-let accounting (cache : Op_cost.t) (ix : Graph_index.t) (t : t) : accounting =
+    the same candidate reads it too; [base] is the unsplit cost of a
+    node ({!Op_cost.node_cost_on} by default). *)
+let accounting ?base (cache : Op_cost.t) (ix : Graph_index.t) (t : t) : accounting =
+  let base =
+    match base with Some f -> f | None -> Op_cost.node_cost_on cache ix
+  in
   let node_size v = Lifetime.node_size (Graph_index.node ix v) in
   let enabled = enabled_indices t in
   match enabled with
   | [] ->
       {
         size_of = node_size;
-        cost_of = Op_cost.node_cost_on cache ix;
+        cost_of = base;
         extra_latency = 0.0;
         index = ix;
       }
@@ -447,7 +451,7 @@ let accounting (cache : Op_cost.t) (ix : Graph_index.t) (t : t) : accounting =
         match node.op with
         | Op.Input _ | Op.Store | Op.Load -> 0.0
         | _ ->
-            if factor.(v) = 1 then Op_cost.node_cost_on cache ix v
+            if factor.(v) = 1 then base v
             else
               (* progressively scale shapes through each enclosing entry *)
               let ins, out =

@@ -110,7 +110,11 @@ type accounting = {
     shrink, split operators run [n] times at per-part shapes, region
     boundaries pay slice/merge work.  Per node, [size_of] and [cost_of]
     read the given index of the graph and id-indexed arrays filled in
-    one pass over each enabled entry's members. *)
-val accounting : Op_cost.t -> Graph_index.t -> t -> accounting
+    one pass over each enabled entry's members.  [base v] is node [v]'s
+    unsplit cost, asked only of nodes no enabled entry splits; it
+    defaults to {!Op_cost.node_cost_on} on the index
+    ({!Op_cost.inherited_cost_on} takes most of them from a parent). *)
+val accounting :
+  ?base:(int -> float) -> Op_cost.t -> Graph_index.t -> t -> accounting
 
 val pp : Format.formatter -> t -> unit

@@ -334,53 +334,23 @@ let n_distinct_preds g n =
 let topo_order g =
   let n = n_nodes g in
   let indeg = Array.make g.next_id 0 in
-  let heap = Array.make (max n 1) 0 in
-  let size = ref 0 in
-  let push v =
-    let i = ref !size in
-    incr size;
-    while !i > 0 && heap.((!i - 1) / 2) > v do
-      heap.(!i) <- heap.((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done;
-    heap.(!i) <- v
-  in
-  let pop () =
-    let top = heap.(0) in
-    decr size;
-    let last = heap.(!size) in
-    let i = ref 0 and continue_ = ref (!size > 0) in
-    while !continue_ do
-      let l = (2 * !i) + 1 in
-      if l >= !size then continue_ := false
-      else begin
-        let c = if l + 1 < !size && heap.(l + 1) < heap.(l) then l + 1 else l in
-        if heap.(c) < last then begin
-          heap.(!i) <- heap.(c);
-          i := c
-        end
-        else continue_ := false
-      end
-    done;
-    if !size > 0 then heap.(!i) <- last;
-    top
-  in
+  let heap = Util.Int_heap.create n in
   iter
     (fun nd ->
       let d = n_distinct_preds g nd in
       indeg.(nd.id) <- d;
-      if d = 0 then push nd.id)
+      if d = 0 then Util.Int_heap.push heap nd.id)
     g;
   let order = ref [] and placed = ref 0 in
-  while !size > 0 do
-    let v = pop () in
+  while not (Util.Int_heap.is_empty heap) do
+    let v = Util.Int_heap.pop heap in
     order := v :: !order;
     incr placed;
     Int_set.iter
       (fun s ->
         let d = indeg.(s) - 1 in
         indeg.(s) <- d;
-        if d = 0 then push s)
+        if d = 0 then Util.Int_heap.push heap s)
       (succ_set g v)
   done;
   if !placed <> n then invalid_arg "Graph.topo_order: graph has a cycle";

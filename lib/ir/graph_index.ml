@@ -3,9 +3,11 @@
     One pass over the graph's node map fills the node array; an id that
     is not a node holds a placeholder whose [id] is [-1], which is how
     {!mem} tells the two apart.  Everything else is derived from the
-    node array on first use: the topological order, the adjacency
-    arrays, the read counts, each node's links, the {!Reach} closure
-    over that order and the scratch array of {!induced}. *)
+    node array on first use: the consumers by operand slot (one flat
+    array in compressed rows, whose row lengths are the read counts),
+    the topological order walked over them, the adjacency arrays, each
+    node's links, the {!Reach} closure over that order and the scratch
+    array of {!induced}. *)
 
 type adjacency = { preds : int array array; succs : int array array }
 
@@ -14,12 +16,17 @@ type link_memo = {
   linked : Bytes.t;
 }
 
+(* Consumers by operand slot: [ids.(k)] for [k] from [row.(v)] below
+   [row.(v + 1)] are the nodes reading [v], increasing, a node once per
+   slot that reads [v]. *)
+type csr = { row : int array; ids : int array }
+
 type t = {
   graph : Graph.t;
   nodes : Graph.node array;
-  order : int array Lazy.t;  (** {!Graph.topo_order} *)
+  csr : csr Lazy.t;
+  order : int array Lazy.t;  (** {!Graph.topo_order}'s order *)
   adjacency : adjacency Lazy.t;
-  reads : int array Lazy.t;  (** operand slots, over all nodes, reading the id *)
   memo : link_memo Lazy.t;
   reach : Reach.t Lazy.t;
   slot : int array Lazy.t;
@@ -60,32 +67,93 @@ let adjacency_of (nodes : Graph.node array) : adjacency =
     preds;
   { preds; succs }
 
-let of_graph (g : Graph.t) : t =
-  let bound = Graph.id_bound g in
-  let nodes = Array.make bound absent in
-  Graph.iter (fun n -> nodes.(n.id) <- n) g;
-  let order = lazy (Array.of_list (Graph.topo_order g)) in
-  let reads =
-    lazy
-      (let c = Array.make bound 0 in
-       Array.iter (fun (n : Graph.node) -> Array.iter (fun p -> c.(p) <- c.(p) + 1) n.inputs) nodes;
-       c)
+let csr_of (nodes : Graph.node array) : csr =
+  let bound = Array.length nodes in
+  (* [row.(p)] counts the slots reading [p], then, summed, ends [p]'s
+     row; filling each row from its end, consumers by decreasing id,
+     leaves it increasing and moves [row.(p)] to the row's start *)
+  let row = Array.make (bound + 1) 0 in
+  Array.iter
+    (fun (n : Graph.node) -> Array.iter (fun p -> row.(p) <- row.(p) + 1) n.inputs)
+    nodes;
+  for v = 1 to bound do
+    row.(v) <- row.(v) + row.(v - 1)
+  done;
+  let ids = Array.make row.(bound) 0 in
+  for v = bound - 1 downto 0 do
+    Array.iter
+      (fun p ->
+        row.(p) <- row.(p) - 1;
+        ids.(row.(p)) <- v)
+      nodes.(v).inputs
+  done;
+  { row; ids }
+
+(* The Kahn walk of {!Graph.topo_order}, smallest ready id first, over
+   slot counts: a node is ready once all its operand slots are
+   released, which is when all its distinct operands are placed, so
+   the ready sets, and the order, are those of the walk over distinct
+   operands. *)
+let order_of (nodes : Graph.node array) n { row; ids } : int array =
+  let indeg = Array.map (fun (n : Graph.node) -> Array.length n.inputs) nodes in
+  let heap = Util.Int_heap.create n in
+  Array.iteri
+    (fun v (nd : Graph.node) ->
+      if nd.id = v && indeg.(v) = 0 then Util.Int_heap.push heap v)
+    nodes;
+  let order = Array.make n 0 and placed = ref 0 in
+  while not (Util.Int_heap.is_empty heap) do
+    let v = Util.Int_heap.pop heap in
+    order.(!placed) <- v;
+    incr placed;
+    for k = row.(v) to row.(v + 1) - 1 do
+      let c = ids.(k) in
+      indeg.(c) <- indeg.(c) - 1;
+      if indeg.(c) = 0 then Util.Int_heap.push heap c
+    done
+  done;
+  if !placed <> n then invalid_arg "Graph_index.order: graph has a cycle";
+  order
+
+let make ?order (g : Graph.t) (nodes : Graph.node array) : t =
+  let bound = Array.length nodes in
+  let csr = lazy (csr_of nodes) in
+  let order =
+    match order with
+    | Some o -> Lazy.from_val o
+    | None -> lazy (order_of nodes (Graph.n_nodes g) (Lazy.force csr))
   in
-  { graph = g; nodes; order; adjacency = lazy (adjacency_of nodes); reads;
+  let reach =
+    lazy
+      (let { row; ids } = Lazy.force csr in
+       Reach.of_arrays ~order:(Lazy.force order) ~nodes ~consumer_row:row
+         ~consumers:ids)
+  in
+  { graph = g; nodes; csr; order; adjacency = lazy (adjacency_of nodes);
     memo = lazy { links = Array.make bound []; linked = Bytes.make bound '\000' };
-    reach = lazy (Reach.compute ~order:(Lazy.force order) g);
-    slot = lazy (Array.make bound (-1)) }
+    reach; slot = lazy (Array.make bound (-1)) }
+
+let of_graph (g : Graph.t) : t =
+  let nodes = Array.make (Graph.id_bound g) absent in
+  Graph.iter (fun n -> nodes.(n.id) <- n) g;
+  make g nodes
+
+let of_arrays (g : Graph.t) ~nodes ~order = make ~order:(Array.copy order) g nodes
 
 let graph t = t.graph
 let bound t = Array.length t.nodes
 let order t = Lazy.force t.order
+let nodes t = t.nodes
 let mem t v = v >= 0 && v < Array.length t.nodes && t.nodes.(v).id = v
 let node t v = t.nodes.(v)
 let shape t v = t.nodes.(v).shape
 let size_bytes t v = Shape.size_bytes t.nodes.(v).shape
 let preds t v = (Lazy.force t.adjacency).preds.(v)
 let succs t v = (Lazy.force t.adjacency).succs.(v)
-let n_reads t v = (Lazy.force t.reads).(v)
+let n_reads t v =
+  let { row; _ } = Lazy.force t.csr in
+  row.(v + 1) - row.(v)
+
 let has_consumers t v = n_reads t v > 0
 let in_shapes t v = Array.map (fun i -> t.nodes.(i).shape) t.nodes.(v).inputs
 

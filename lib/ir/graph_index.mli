@@ -6,11 +6,12 @@
     every fact from it instead of from the persistent maps of {!Graph}.
 
     {!of_graph} fills only the node array, in one pass over the graph's
-    node map; the topological order, the adjacency arrays, the read
-    counts of {!n_reads}, each node's links and the {!Reach} closure
-    are built on first use and kept.  Those lazy parts and the scratch
-    array {!induced} marks members in make one index serve one domain
-    at a time.
+    node map; the consumers by operand slot (one flat array in
+    compressed rows, which also gives {!n_reads}), the topological
+    order walked over them, the adjacency arrays, each node's links and
+    the {!Reach} closure are built on first use and kept.  Those lazy
+    parts and the scratch array {!induced} marks members in make one
+    index serve one domain at a time.
 
     Every query takes a node id below {!bound}; ids that are not nodes
     of the graph are outside their domain, except for {!mem}. *)
@@ -19,14 +20,26 @@ type t
 
 val of_graph : Graph.t -> t
 
+(** An index of the graph whose node array is [nodes], as {!nodes} of
+    another index of the same graph returns it (shared, and written by
+    neither), with a copy of [order] as its {!order}, which must be
+    that index's. *)
+val of_arrays : Graph.t -> nodes:Graph.node array -> order:int array -> t
+
 (** The indexed graph. *)
 val graph : t -> Graph.t
 
 (** [Graph.id_bound] of the indexed graph. *)
 val bound : t -> int
 
-(** {!Graph.topo_order}, computed on first use; not a copy, do not mutate. *)
+(** {!Graph.topo_order}, computed on first use by the same
+    smallest-ready-id walk over the index's arrays; not a copy, do not
+    mutate. *)
 val order : t -> int array
+
+(** The node array, by id; an id that is not a node holds a record
+    whose [id] is [-1].  Not a copy, do not mutate. *)
+val nodes : t -> Graph.node array
 
 val mem : t -> int -> bool
 val node : t -> int -> Graph.node
@@ -40,8 +53,8 @@ val preds : t -> int -> int array
 val succs : t -> int -> int array
 
 (** Operand slots, over every node, that read the id's output (a node
-    reading it twice counts twice); from one pass over the operand
-    arrays that builds no adjacency. *)
+    reading it twice counts twice): the length of the id's row of
+    consumers by slot. *)
 val n_reads : t -> int -> int
 
 (** Does some node read the id's output?  [n_reads t v > 0]. *)

@@ -53,14 +53,10 @@ let positions (g : Graph.t) (order : int array) =
   done;
   if !ok then Some pos else None
 
-let compute ?order (g : Graph.t) : t =
-  let order, pos =
-    match Option.map (fun o -> (o, positions g o)) order with
-    | Some (o, Some p) -> (o, p)
-    | _ ->
-        let order = Array.of_list (Graph.topo_order g) in
-        (order, Option.get (positions g order))
-  in
+(* Both closures over [order] ([pos] its inverse): [inputs v] are [v]'s
+   operands and [iter_consumers f v] applies [f] to its consumers;
+   an edge seen twice sets the same bits twice. *)
+let closures order pos ~inputs ~iter_consumers : t =
   let n = Array.length order in
   let words = (n + word_bits - 1) / word_bits in
   let rows = Array.make (max 1 (n * words)) 0 in
@@ -93,13 +89,35 @@ let compute ?order (g : Graph.t) : t =
   in
   for i = 0 to n - 1 do
     row := i * words;
-    Array.iter absorb_anc (Graph.node g order.(i)).inputs
+    Array.iter absorb_anc (inputs order.(i))
   done;
   for i = n - 1 downto 0 do
     row := i * words;
-    Int_set.iter absorb_des (Graph.succ_set g order.(i))
+    iter_consumers absorb_des order.(i)
   done;
   { order; pos; words; rows }
+
+let compute ?order (g : Graph.t) : t =
+  let order, pos =
+    match Option.map (fun o -> (o, positions g o)) order with
+    | Some (o, Some p) -> (o, p)
+    | _ ->
+        let order = Array.of_list (Graph.topo_order g) in
+        (order, Option.get (positions g order))
+  in
+  closures order pos
+    ~inputs:(fun v -> (Graph.node g v).inputs)
+    ~iter_consumers:(fun f v -> Int_set.iter f (Graph.succ_set g v))
+
+let of_arrays ~order ~(nodes : Graph.node array) ~consumer_row ~consumers : t =
+  let pos = Array.make (Array.length nodes) (-1) in
+  Array.iteri (fun i v -> pos.(v) <- i) order;
+  closures order pos
+    ~inputs:(fun v -> nodes.(v).inputs)
+    ~iter_consumers:(fun f v ->
+      for k = consumer_row.(v) to consumer_row.(v + 1) - 1 do
+        f consumers.(k)
+      done)
 
 let length t = Array.length t.order
 let order t = t.order

@@ -16,6 +16,20 @@ type t
     {!Graph.topo_order}. *)
 val compute : ?order:int array -> Graph.t -> t
 
+(** The closures of a graph held as id-indexed arrays, over [order],
+    which must list every node exactly once, each after its operands
+    (it is not checked): [nodes.(v)] is node [v]'s record, and
+    [consumers.(k)] for [k] from [consumer_row.(v)] below
+    [consumer_row.(v + 1)] are the nodes reading [v] (a node may appear
+    once per operand slot).  Reads neither the graph's maps nor
+    anything but these arrays. *)
+val of_arrays :
+  order:int array ->
+  nodes:Graph.node array ->
+  consumer_row:int array ->
+  consumers:int array ->
+  t
+
 (** Number of nodes. *)
 val length : t -> int
 

@@ -1,6 +1,6 @@
 (** Small shared utilities for the IR layer: integer maps/sets, a
-    union-find over [0 .. n-1], and a deterministic 64-bit mixing hash
-    used by {!Wl_hash}. *)
+    union-find over [0 .. n-1], an int min-heap, and a deterministic
+    64-bit mixing hash used by {!Wl_hash}. *)
 
 module Int_map = Map.Make (Int)
 module Int_set = Set.Make (Int)
@@ -23,12 +23,52 @@ module Union_find = struct
     if a < b then t.(b) <- a else if b < a then t.(a) <- b
 end
 
+module Int_heap = struct
+  type t = { heap : int array; mutable size : int }
+
+  let create n = { heap = Array.make (max n 1) 0; size = 0 }
+  let is_empty t = t.size = 0
+
+  let push t v =
+    let heap = t.heap in
+    let i = ref t.size in
+    t.size <- t.size + 1;
+    while !i > 0 && heap.((!i - 1) / 2) > v do
+      heap.(!i) <- heap.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    heap.(!i) <- v
+
+  let pop t =
+    let heap = t.heap in
+    let top = heap.(0) in
+    t.size <- t.size - 1;
+    let size = t.size in
+    let last = heap.(size) in
+    let i = ref 0 and continue_ = ref (size > 0) in
+    while !continue_ do
+      let l = (2 * !i) + 1 in
+      if l >= size then continue_ := false
+      else begin
+        let c = if l + 1 < size && heap.(l + 1) < heap.(l) then l + 1 else l in
+        if heap.(c) < last then begin
+          heap.(!i) <- heap.(c);
+          i := c
+        end
+        else continue_ := false
+      end
+    done;
+    if size > 0 then heap.(!i) <- last;
+    top
+end
+
 let int_set_of_list ids = Int_set.of_list ids
 
 (* SplitMix64 finalizer: a cheap, well-distributed 64-bit mixer.  We use it
    instead of [Hashtbl.hash] because we need the full 64-bit range and a
-   stable definition across OCaml versions. *)
-let mix64 (x : int64) : int64 =
+   stable definition across OCaml versions.  It and [hash_combine] are
+   inlined, so a caller's loop keeps its 64-bit values unboxed. *)
+let[@inline] mix64 (x : int64) : int64 =
   let open Int64 in
   let x = logxor x (shift_right_logical x 30) in
   let x = mul x 0xbf58476d1ce4e5b9L in
@@ -36,7 +76,7 @@ let mix64 (x : int64) : int64 =
   let x = mul x 0x94d049bb133111ebL in
   logxor x (shift_right_logical x 31)
 
-let hash_combine (h : int64) (x : int64) : int64 =
+let[@inline] hash_combine (h : int64) (x : int64) : int64 =
   mix64 (Int64.add (Int64.mul h 0x100000001b3L) x)
 
 let hash_string (s : string) : int64 =

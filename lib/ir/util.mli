@@ -1,6 +1,6 @@
 (** Small shared utilities for the IR layer: integer maps/sets, a
-    union-find over [0 .. n-1], and a deterministic 64-bit mixing hash
-    used by {!Wl_hash}. *)
+    union-find over [0 .. n-1], an int min-heap, and a deterministic
+    64-bit mixing hash used by {!Wl_hash}. *)
 
 module Int_map : Map.S with type key = int
 module Int_set : Set.S with type elt = int
@@ -15,6 +15,21 @@ module Union_find : sig
 
   (** Merge the classes of two elements. *)
   val union : t -> int -> int -> unit
+end
+
+(** A binary min-heap of at most [n] ints ([create n]): the ready set of
+    the smallest-ready-id Kahn walks ({!Graph.topo_order},
+    [Graph_index.order]). *)
+module Int_heap : sig
+  type t
+
+  val create : int -> t
+  val is_empty : t -> bool
+  val push : t -> int -> unit
+
+  (** Remove and return the smallest element; the heap must not be
+      empty. *)
+  val pop : t -> int
 end
 
 val int_set_of_list : int list -> Int_set.t

@@ -4,39 +4,75 @@
     shape and the (ordered) labels of its operands; the graph hash is a
     commutative combination of all node labels, so two graphs that are equal
     up to node renumbering hash identically.  Used by the optimizer to
-    filter duplicate search states.  Labels are read from a {!Graph_index}. *)
+    filter duplicate search states.  Labels are read from a {!Graph_index}.
+
+    Labels live unboxed, eight bytes per node id, so filling a label
+    array stores no pointer.  {!relabel_on} computes a rewritten graph's
+    labels from its parent's: a node whose record is physically the
+    parent's record at its id reads the same operator, shape and operand
+    ids, so when every operand also kept its label, the node's label is
+    the parent's, and only the other nodes are hashed again. *)
 
 module Int_map = Util.Int_map
 
-(* WL labels in an array indexed by node id, filled in topological
-   order so every operand's label is ready before its consumer's. *)
-let label_array (ix : Graph_index.t) : int64 array =
-  let labels = Array.make (Graph_index.bound ix) 0L in
+type labels = { hash : int64; words : Bytes.t  (** label of id [v] at [8 * v] *) }
+
+let get = Bytes.get_int64_ne
+let set = Bytes.set_int64_ne
+
+let label (l : labels) v = get l.words (8 * v)
+let hash_of (l : labels) = l.hash
+
+(* the label of [n] from the labels of its operands in [words] *)
+let fresh words (n : Graph.node) =
+  let h = ref (Util.hash_combine (Op.fingerprint n.op) (Shape.hash n.shape)) in
+  let ins = n.inputs in
+  for k = 0 to Array.length ins - 1 do
+    h := Util.hash_combine !h (get words (8 * ins.(k)))
+  done;
+  Util.mix64 !h
+
+(* Labels in topological order, so every operand's label is ready
+   before its consumer's; [label_of words v n] is node [v]'s.  The
+   hash is the mixed wrap-around sum of the labels. *)
+let fill ix label_of =
+  let words = Bytes.make (8 * Graph_index.bound ix) '\000' in
+  let nodes = Graph_index.nodes ix in
+  let sum = ref 0L in
   Array.iter
     (fun v ->
-      let n = Graph_index.node ix v in
-      let h0 = Util.hash_combine (Op.fingerprint n.op) (Shape.hash n.shape) in
-      let h =
-        Array.fold_left (fun h p -> Util.hash_combine h labels.(p)) h0 n.inputs
-      in
-      labels.(v) <- Util.mix64 h)
+      let l = label_of words v nodes.(v) in
+      set words (8 * v) l;
+      sum := Int64.add !sum l)
     (Graph_index.order ix);
-  labels
+  { hash = Util.mix64 !sum; words }
+
+let labels_on ix = fill ix (fun words _ n -> fresh words n)
+
+let relabel_on ~parent_nodes ~(parent : labels) ix =
+  let pbound = Array.length parent_nodes and pw = parent.words in
+  (* every operand of a parent record is a parent node, below [pbound] *)
+  let rec kept words (ins : int array) k =
+    k < 0
+    || (Int64.equal (get words (8 * ins.(k))) (get pw (8 * ins.(k)))
+       && kept words ins (k - 1))
+  in
+  fill ix (fun words v n ->
+      if
+        v < pbound
+        && parent_nodes.(v) == n
+        && kept words n.inputs (Array.length n.inputs - 1)
+      then get pw (8 * v)
+      else fresh words n)
 
 (** Per-node WL labels in topological order. *)
 let node_labels (g : Graph.t) : int64 Int_map.t =
   let ix = Graph_index.of_graph g in
-  let labels = label_array ix in
+  let l = labels_on ix in
   Array.fold_left
-    (fun acc v -> Int_map.add v labels.(v) acc)
+    (fun acc v -> Int_map.add v (label l v) acc)
     Int_map.empty (Graph_index.order ix)
 
-(** Structural hash of the indexed graph (invariant under node
-    renumbering): the mixed wrap-around sum of the node labels. *)
-let hash_on (ix : Graph_index.t) : int64 =
-  let labels = label_array ix in
-  Util.mix64
-    (Array.fold_left (fun acc v -> Int64.add acc labels.(v)) 0L (Graph_index.order ix))
-
+let hash_on ix = (labels_on ix).hash
 let hash (g : Graph.t) : int64 = hash_on (Graph_index.of_graph g)
 let equal_structure a b = Int64.equal (hash a) (hash b)

@@ -380,11 +380,15 @@ let default_config =
     poll = (fun ~iteration:_ ~best:_ -> `Continue);
   }
 
-(** A candidate M-state.  [p_index] is its graph's one {!Graph_index}:
-    prune, WL hash, accounting, rescheduling and simulation all read it.
-    No two proposals share one, so no two domains read one at once. *)
+(** A candidate M-state.  [p_rewrite] is a rewritten graph's one
+    {!Graph_index}, built where the proposal is created: prune, WL hash,
+    accounting, rescheduling and simulation all read it.  An F-Tree
+    mutation keeps the popped state's graph ([None]): it takes the
+    parent's WL hash, and gets its index from the parent's {!view} when
+    it is evaluated.  No two proposals share an index, so no two domains
+    read one at once. *)
 type proposal = {
-  p_index : Graph_index.t;
+  p_rewrite : Graph_index.t option;
   p_ftree : Ftree.t;
   p_mutated : Int_set.t;  (** old nodes affected, for incremental sched *)
   p_stale : bool;
@@ -411,8 +415,8 @@ let ftree_proposals tb (s : Mstate.t) : proposal list =
                 else Fission.members (Ftree.fission_at ftree' i)
           in
           Some
-            { p_index = Graph_index.of_graph s.graph; p_ftree = ftree';
-              p_mutated = affected; p_stale = s.ftree_stale })
+            { p_rewrite = None; p_ftree = ftree'; p_mutated = affected;
+              p_stale = s.ftree_stale })
     muts
 
 (** Proposals reached by graph rewrites (scheduling-based and TASO rules). *)
@@ -439,17 +443,38 @@ let rewrite_proposals (cfg : config) tb (s : Mstate.t) : proposal list =
       List.map
         (fun (rw : Rule.rewrite) ->
           let ix = Graph_index.of_graph rw.graph in
-          { p_index = ix; p_ftree = Ftree.prune ix s.ftree;
+          { p_rewrite = Some ix; p_ftree = Ftree.prune ix s.ftree;
             p_mutated = rw.touched_old; p_stale = true })
         rewrites)
     rules
 
-(** Dedup key of a state: WL hash of the indexed graph ⊕ F-Tree
+(** The popped state's graph as plain arrays, built once per pop by the
+    first proposal hashed and then only read, by every worker domain at
+    once: the node array and topological order of an index of the graph
+    (the index itself, with its lazily built parts, is dropped) and the
+    graph's WL labels, from which each rewrite is relabelled
+    ({!Wl_hash.relabel_on}).  Nothing of it is kept on the state, so a
+    queued state holds no labels. *)
+type view = {
+  v_nodes : Graph.node array;
+  v_order : int array;
+  v_labels : Wl_hash.labels;
+}
+
+let view_of (g : Graph.t) : view =
+  let ix = Graph_index.of_graph g in
+  { v_nodes = Graph_index.nodes ix; v_order = Graph_index.order ix;
+    v_labels = Wl_hash.labels_on ix }
+
+(** A fresh index of the popped state's graph over its view's arrays. *)
+let view_index (g : Graph.t) (v : view) =
+  Graph_index.of_arrays g ~nodes:v.v_nodes ~order:v.v_order
+
+(** Dedup key of a state: its graph's WL hash, [wl ()], ⊕ F-Tree
     fingerprint. *)
-let state_hash tb (ix : Graph_index.t) (ftree : Ftree.t) : int64 =
+let state_hash tb wl (ftree : Ftree.t) : int64 =
   bump tb c_hashes 1;
-  timed tb s_hash (fun () ->
-      Util.hash_combine (Wl_hash.hash_on ix) (Ftree.fingerprint ftree))
+  timed tb s_hash (fun () -> Util.hash_combine (wl ()) (Ftree.fingerprint ftree))
 
 (** Everything a worker needs to evaluate proposals: the operator-cost
     cache, the simulation cache and the constant key ingredients. *)
@@ -508,28 +533,54 @@ let once f =
 
 (** Hash a proposal on a worker domain: its dedup hash and its
     simulation-cache key ([parent_sched_hash] digests the popped state's
-    schedule, [sched_states] is the effective DP budget).  The hash
-    forces the index's topological order, which rescheduling partitions
-    along. *)
-let hash_proposal (ec : eval_ctx) tb ~sched_states ~parent_sched_hash
+    schedule, [sched_states] is the effective DP budget).  [view ()] is
+    the popped state's view: a rewrite is relabelled from its labels,
+    which forces the rewrite index's topological order (rescheduling
+    partitions along it), and an F-Tree mutation takes its hash. *)
+let hash_proposal (ec : eval_ctx) tb ~sched_states ~parent_sched_hash ~view
     (p : proposal) : int64 * int64 =
-  let h = state_hash tb p.p_index p.p_ftree in
+  let wl () =
+    let v = view () in
+    match p.p_rewrite with
+    | None -> Wl_hash.hash_of v.v_labels
+    | Some ix ->
+        Wl_hash.hash_of
+          (Wl_hash.relabel_on ~parent_nodes:v.v_nodes ~parent:v.v_labels ix)
+  in
+  let h = state_hash tb wl p.p_ftree in
   timed tb s_lookup @@ fun () ->
   ( h,
     Sim_cache.key ~state:h ~parent_sched:parent_sched_hash
       ~mutated:(Util.hash_int_list (Int_set.elements p.p_mutated))
       ~sched_states ~mode:ec.ec_mode ~hw:ec.ec_hw )
 
+(** What evaluating a pop's children reads from the popped state, built
+    once per pop by the first child that misses the simulation cache and
+    then only read: the rescheduling context and the base cost of every
+    node ({!Op_cost.costs_on}), which a child's node inherits when it
+    and its operands kept their records. *)
+type eval_parent = {
+  e_sched : Magis_sched.Incremental.parent;
+  e_costs : float array;
+}
+
+let eval_parent (ec : eval_ctx) (s : Mstate.t) (v : view) : eval_parent =
+  { e_sched = Magis_sched.Incremental.parent s.graph s.schedule;
+    e_costs = Op_cost.costs_on ec.ec_cache (view_index s.graph v) }
+
 (** Evaluate a proposal: incremental reschedule + simulation, memoized
     in the simulation cache under [key], on the proposal's index;
-    [parent ()] is the popped state's rescheduling context (built once
-    per pop, on first demand); [sched_states] is the effective DP budget (the
-    config's, unless the degradation ladder stepped it down).  Runs on
-    a worker domain: it must only write [tb] (a candidate-local table)
-    and the domain-safe caches, and only read the parent context. *)
+    [view ()] and [parent ()] are the popped state's view and
+    evaluation context (each built once per pop, on first demand);
+    [sched_states] is the effective DP budget (the config's, unless the
+    degradation ladder stepped it down).  Runs on a worker domain: it
+    must only write [tb] (a candidate-local table) and the domain-safe
+    caches, and only read the parent's view and context. *)
 let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
-    ~iteration ~key ~parent (s : Mstate.t) (p : proposal) : Mstate.t =
-  let graph = Graph_index.graph p.p_index in
+    ~iteration ~key ~view ~parent (s : Mstate.t) (p : proposal) : Mstate.t =
+  let graph =
+    match p.p_rewrite with Some ix -> Graph_index.graph ix | None -> s.graph
+  in
   let cached = timed tb s_lookup (fun () -> Sim_cache.find ec.ec_sim key) in
   match cached with
   | Some v ->
@@ -539,10 +590,18 @@ let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
       bump tb c_sim_misses 1;
       let acc, schedule =
         timed tb s_reschedule (fun () ->
-            let acc = Ftree.accounting ec.ec_cache p.p_index p.p_ftree in
+            let v = view () and ep = parent () in
+            let ix =
+              match p.p_rewrite with Some ix -> ix | None -> view_index graph v
+            in
+            let base =
+              Op_cost.inherited_cost_on ec.ec_cache ~parent_nodes:v.v_nodes
+                ~parent_costs:ep.e_costs ix
+            in
+            let acc = Ftree.accounting ~base ec.ec_cache ix p.p_ftree in
             let schedule, (rstats : Magis_sched.Incremental.stats) =
               Magis_sched.Incremental.reschedule ~max_states:sched_states
-                ~parent:(parent ()) ~new_index:p.p_index
+                ~parent:ep.e_sched ~new_index:ix
                 ~mutated_old:p.p_mutated ~size_of:acc.size_of ()
             in
             if rstats.fallback then bump tb c_sched_fallbacks 1;
@@ -745,7 +804,11 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
   in
   let pops = ref (match snap with Some s -> s.snap_pops | None -> 0) in
   if snap = None then
-    Hashtbl.replace seen (state_hash tb (Graph_index.of_graph init.graph) init.ftree) ();
+    Hashtbl.replace seen
+      (state_hash tb
+         (fun () -> Wl_hash.hash_of (view_of init.graph).v_labels)
+         init.ftree)
+      ();
   let take k l =
     match l with
     | [ s ] ->
@@ -967,13 +1030,15 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
         in
         (* Hash test FIRST, on the pool: duplicate graphs skip
            scheduling and simulation entirely (the Fig. 15 "Filtered"
-           column). *)
+           column).  The popped state's view is built by the first
+           proposal hashed. *)
+        let view = once (fun () -> view_of s.graph) in
         let hashed =
           supervised_map ~phase:"hash"
             (fun (p : proposal) ->
               let local = fresh_table () in
               ( p,
-                hash_proposal ec local ~sched_states ~parent_sched_hash p,
+                hash_proposal ec local ~sched_states ~parent_sched_hash ~view p,
                 local ))
             proposals
         in
@@ -1000,16 +1065,14 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
            each into its own table, against the parent's context: built
            once, by the first survivor that misses the simulation cache,
            so a pop whose children all hit never pays for it. *)
-        let parent =
-          once (fun () -> Magis_sched.Incremental.parent s.graph s.schedule)
-        in
+        let parent = once (fun () -> eval_parent ec s (view ())) in
         let iteration = count tb c_iterations in
         let evaluated =
           supervised_map ~phase:"evaluate"
             (fun ((p : proposal), key) ->
               let local = fresh_table () in
               ( evaluate_proposal config ec local ~sched_states ~iteration
-                  ~key ~parent s p,
+                  ~key ~view ~parent s p,
                 local ))
             survivors
         in

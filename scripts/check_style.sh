@@ -142,6 +142,32 @@ if [ -n "$hits" ]; then
   echo "$hits"
 fi
 
+# 13. a search candidate is evaluated as a delta of its popped parent:
+# on search.ml's candidate path a rewrite is relabelled from the
+# parent's WL labels (Wl_hash.relabel_on) and a node's base cost is
+# inherited from the parent's (Op_cost.inherited_cost_on), so neither
+# the full WL hash (Wl_hash.hash_on, Wl_hash.hash) nor a direct
+# Op_cost.node_cost_on appears there.  The trajectory fingerprint,
+# which digests the input graph once per run, is exempt.
+hits=$(awk '/^type proposal = /{on=1} /^\(\* Convenience wrappers/{on=0}
+  /^let trajectory_fingerprint /{skip=1; next} skip && /^(let |\(\*)/{skip=0}
+  on && !skip && /Wl_hash\.hash(_on)?([^_a-zA-Z0-9]|$)|Op_cost\.node_cost_on/{print FILENAME ":" FNR ": " $0}' lib/opt/search.ml)
+if [ -n "$hits" ]; then
+  fail "full WL hash or operator-cost query on search.ml's candidate path (relabel and inherit from the parent view):"
+  echo "$hits"
+fi
+
+# 14. the index's Reach closure is built from the index's own arrays
+# (node records and consumers by operand slot, over the index's
+# order): Reach.of_arrays reads no graph map (`Graph.node` as a type
+# is fine).
+hits=$(awk '/^let /{on = /^let of_arrays /} on {print FILENAME ":" FNR ": " $0}' lib/ir/reach.ml \
+  | grep -P 'Graph\.(node(?!\s*(\)|array))|succ_set|suc|mem|topo_order)\b')
+if [ -n "$hits" ]; then
+  fail "graph map read in Reach.of_arrays (read the index's arrays):"
+  echo "$hits"
+fi
+
 if [ "$status" -eq 0 ]; then
   echo "style: clean ($(echo "$files" | wc -w) files)"
 fi

@@ -29,7 +29,14 @@
     {!Lifetime.analyze_on} and {!Ftree.accounting} on one
     {!Graph_index} replaced.  Results are compared bit for bit, along
     with the operator-cost cache statistics, the [simulator.runs]
-    counter and the fault-site visits. *)
+    counter and the fault-site visits.
+
+    A candidate evaluated as a delta of its parent
+    ({!Wl_hash.relabel_on}, {!Op_cost.inherited_cost_on}) is checked
+    against full recomputation: [ref_wl_hash], the full labels and a
+    fresh {!Op_cost.node_cost_on} per node, on the search's rewrites of
+    every zoo model's initial state and along QCheck chains of rewrites
+    in which every step is the delta of its own delta parent. *)
 
 open Magis
 open Helpers
@@ -557,13 +564,22 @@ let check_algorithm1 g =
   then Error "Ftree.construct"
   else Ok ()
 
+(* operand slots reading each id, by a fold over the graph's map *)
+let ref_reads g =
+  let c = Array.make (Graph.id_bound g) 0 in
+  Graph.iter (fun n -> Array.iter (fun p -> c.(p) <- c.(p) + 1) n.inputs) g;
+  c
+
 (** Every invariant against its oracle on [g]; [Error what] names the
     first disagreement. *)
 let check_graph g seed =
   let topo = Graph.topo_order g in
   let ix = Graph_index.of_graph g in
+  let reads = ref_reads g in
   if topo <> ref_topo_order g then Error "topo_order"
   else if Array.to_list (Graph_index.order ix) <> topo then Error "Graph_index.order"
+  else if not (List.for_all (fun v -> Graph_index.n_reads ix v = reads.(v)) topo) then
+    Error "Graph_index.n_reads"
   else if not (Int64.equal (Wl_hash.hash g) (ref_wl_hash g)) then Error "Wl_hash.hash"
   else if not (Int64.equal (Wl_hash.hash_on ix) (ref_wl_hash g)) then Error "Wl_hash.hash_on"
   else
@@ -639,6 +655,157 @@ let test_zoo () =
     Zoo.all;
   Alcotest.(check bool) "some rewritten graph leaves id order" true
     (!renumbered > 0)
+
+(** A node that reads one operand twice and, through a redirected slot,
+    another operand with a higher id than its own: the walk over
+    consumers by slot must release it only after both. *)
+let repeated_operand_graph () =
+  let b = Builder.create () in
+  let x = Builder.input b [ 4; 8 ] ~dtype:Shape.F32 in
+  let a = Builder.relu b x in
+  let t = Builder.tanh_ b x in
+  let c = Builder.concat b ~axis:0 [ a; a; t ] in
+  let u = Builder.tanh_ b (Builder.relu b a) in
+  let _ = Builder.relu b c in
+  Graph.replace_input (Builder.finish b) ~node_id:c ~old_src:t ~new_src:u
+
+let test_repeated_operand () =
+  let g = repeated_operand_graph () in
+  Alcotest.(check bool) "a consumer precedes an operand in id order" true
+    (Graph.topo_order g <> Graph.node_ids g);
+  match check_graph g 3 with
+  | Ok () -> ()
+  | Error what -> Alcotest.failf "operand read twice: %s" what
+
+(* ------------------------------------------------------------------ *)
+(* Candidates as deltas of their parent                                *)
+(* ------------------------------------------------------------------ *)
+
+(* what a rewritten graph carries to its own children: its node array,
+   labels and base costs *)
+type delta_parent = {
+  d_nodes : Graph.node array;
+  d_labels : Wl_hash.labels;
+  d_costs : float array;
+}
+
+let charged (n : Graph.node) =
+  match n.op with Op.Input _ | Op.Store | Op.Load -> false | _ -> true
+
+(** The full evaluation of [g] as a root: labels and costs from scratch. *)
+let delta_root cache g =
+  let ix = Graph_index.of_graph g in
+  { d_nodes = Graph_index.nodes ix; d_labels = Wl_hash.labels_on ix;
+    d_costs = Op_cost.costs_on cache ix }
+
+(** [g] as a delta of [parent], against full recomputation: the delta
+    hash equals [ref_wl_hash], every delta label the one a fresh
+    labelling gives, and every inherited base cost is bit-equal to a
+    fresh {!Op_cost.node_cost_on}.  [Ok d] carries the delta labels and
+    inherited costs on, as the parent of [g]'s own children. *)
+let check_delta cache (parent : delta_parent) g =
+  let ix = Graph_index.of_graph g in
+  let labels =
+    Wl_hash.relabel_on ~parent_nodes:parent.d_nodes ~parent:parent.d_labels ix
+  in
+  let fresh = Graph_index.of_graph g in
+  let full = Wl_hash.labels_on fresh in
+  let cost =
+    Op_cost.inherited_cost_on cache ~parent_nodes:parent.d_nodes
+      ~parent_costs:parent.d_costs ix
+  in
+  let costs =
+    Array.mapi
+      (fun v (n : Graph.node) -> if n.id = v && charged n then cost v else 0.0)
+      (Graph_index.nodes ix)
+  in
+  let ids = Graph.node_ids g in
+  if not (Int64.equal (Wl_hash.hash_of labels) (ref_wl_hash g)) then
+    Error "delta WL hash"
+  else if
+    not (List.for_all (fun v -> Int64.equal (Wl_hash.label labels v) (Wl_hash.label full v)) ids)
+  then Error "delta WL labels"
+  else if
+    not
+      (List.for_all
+         (fun v ->
+           (not (charged (Graph.node g v)))
+           || Int64.equal (Int64.bits_of_float costs.(v))
+                (Int64.bits_of_float (Op_cost.node_cost_on cache fresh v)))
+         ids)
+  then Error "inherited base costs"
+  else Ok { d_nodes = Graph_index.nodes ix; d_labels = labels; d_costs = costs }
+
+(** The rewrites the search proposes from a state (its rule context). *)
+let state_rewrites (s : Mstate.t) =
+  let pos = Hashtbl.create 64 in
+  List.iteri (fun i v -> Hashtbl.replace pos v i) s.schedule;
+  let ctx =
+    {
+      Rule.hotspots = s.hotspots;
+      frozen = Ftree.frozen_region s.ftree;
+      schedule_pos = Hashtbl.find_opt pos;
+      max_per_rule = 6;
+      restrict_to_hotspots = true;
+    }
+  in
+  List.concat_map (fun (r : Rule.t) -> r.apply ctx s.graph) (Sched_rules.all @ Taso_rules.all)
+
+(** Every rewrite the search proposes from every zoo model's initial
+    state, as a delta of that state, and the state itself (what an
+    F-Tree mutation keeps). *)
+let test_delta_zoo () =
+  let n = ref 0 in
+  List.iter
+    (fun (w : Zoo.workload) ->
+      let cache = Op_cost.create Hardware.default in
+      let s = Mstate.init ~sched_states:0 cache (w.build Zoo.Quick) in
+      let root = delta_root cache s.graph in
+      List.iter
+        (fun (rw : Rule.rewrite) ->
+          incr n;
+          match check_delta cache root rw.graph with
+          | Ok _ -> ()
+          | Error what -> Alcotest.failf "%s, rewrite %s: %s" w.name rw.rule what)
+        (state_rewrites s);
+      match check_delta cache root s.graph with
+      | Ok _ -> ()
+      | Error what -> Alcotest.failf "%s, unchanged graph: %s" w.name what)
+    Zoo.all;
+  Alcotest.(check bool) (Printf.sprintf "%d rewrites checked" !n) true (!n >= 100)
+
+let gen_chain =
+  QCheck2.Gen.(
+    let* cells = int_range 1 3 in
+    let* nodes_per_cell = int_range 2 5 in
+    let* seed = int_range 0 10_000 in
+    let* steps = int_range 3 5 in
+    return (cells, nodes_per_cell, seed, steps))
+
+(** A chain of seeded rewrites from a Randnet, each candidate taken as a
+    delta of its own parent: the labels and costs a step checks are the
+    parent of the next, so an error carried down the chain shows. *)
+let prop_delta_chains =
+  QCheck2.Test.make ~name:"delta labels and costs equal full recomputation on rewrite chains"
+    ~count:30 ~print:print_graph gen_chain
+    (fun (cells, nodes_per_cell, seed, steps) ->
+      let cfg =
+        { Randnet.cells; nodes_per_cell; channels = 8; image = 8; batch = 2; seed }
+      in
+      let cache = Op_cost.create Hardware.default in
+      let rec go g parent ~seed ~steps =
+        if steps = 0 then true
+        else
+          match rewrites g with
+          | [] -> true
+          | l -> (
+              let rw : Rule.rewrite = List.nth l (seed mod List.length l) in
+              match check_delta cache parent rw.graph with
+              | Error what -> QCheck2.Test.fail_reportf "step %s: %s" rw.rule what
+              | Ok d -> go rw.graph d ~seed:((seed * 7) + 3) ~steps:(steps - 1))
+      in
+      let g = Randnet.build ~cfg () in
+      go g (delta_root cache g) ~seed ~steps)
 
 (** The parent context against the per-child path it replaced, on the
     first 20 rewrites of every zoo model's initial state, all sharing
@@ -1091,6 +1258,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_randnets;
     tc "construct keeps the order of equal heats" test_heat_ties;
     tc "invariants equal their oracles on the zoo" test_zoo;
+    tc "an operand read twice" test_repeated_operand;
+    tc "delta labels and costs equal full recomputation on the zoo" test_delta_zoo;
+    QCheck_alcotest.to_alcotest prop_delta_chains;
     tc "parent-context reschedule equals the per-child path" test_reschedule_zoo;
     tc "construct and refresh equal the oracle construction on the zoo" test_refresh_zoo;
     QCheck_alcotest.to_alcotest prop_simulate_randnets;
