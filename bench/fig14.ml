@@ -49,7 +49,7 @@ let run (env : Common.env) =
           let t0 = Unix.gettimeofday () in
           let is_, _ =
             Incremental.reschedule ~max_states:2_000
-              ~parent:(Incremental.parent !g !schedule) ~new_index:(Graph_index.of_graph rw.graph)
+              ~parent:(Incremental.parent (Graph_index.of_graph !g) !schedule) ~new_index:(Graph_index.of_graph rw.graph)
               ~mutated_old:rw.touched_old ~size_of ()
           in
           let t_is = Unix.gettimeofday () -. t0 in

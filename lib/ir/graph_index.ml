@@ -7,7 +7,8 @@
     array in compressed rows, whose row lengths are the read counts),
     the topological order walked over them, the adjacency arrays, each
     node's links, the {!Reach} closure over that order and the scratch
-    array of {!induced}. *)
+    array of {!with_locals}.  An index over another index's arrays
+    ({!of_arrays}) shares its node array and consumers by slot. *)
 
 type adjacency = { preds : int array array; succs : int array array }
 
@@ -30,8 +31,8 @@ type t = {
   memo : link_memo Lazy.t;
   reach : Reach.t Lazy.t;
   slot : int array Lazy.t;
-      (** scratch of {!induced}: member id -> local index, [-1]
-          elsewhere; restored before [induced] returns *)
+      (** scratch of {!with_locals}: member id -> local index, [-1]
+          elsewhere; restored before [with_locals] returns *)
 }
 
 let absent : Graph.node =
@@ -115,9 +116,11 @@ let order_of (nodes : Graph.node array) n { row; ids } : int array =
   if !placed <> n then invalid_arg "Graph_index.order: graph has a cycle";
   order
 
-let make ?order (g : Graph.t) (nodes : Graph.node array) : t =
+let make ?order ?csr (g : Graph.t) (nodes : Graph.node array) : t =
   let bound = Array.length nodes in
-  let csr = lazy (csr_of nodes) in
+  let csr =
+    match csr with Some c -> Lazy.from_val c | None -> lazy (csr_of nodes)
+  in
   let order =
     match order with
     | Some o -> Lazy.from_val o
@@ -138,7 +141,8 @@ let of_graph (g : Graph.t) : t =
   Graph.iter (fun n -> nodes.(n.id) <- n) g;
   make g nodes
 
-let of_arrays (g : Graph.t) ~nodes ~order = make ~order:(Array.copy order) g nodes
+let of_arrays (g : Graph.t) ~nodes ~order ~csr =
+  make ~order:(Array.copy order) ~csr g nodes
 
 let graph t = t.graph
 let bound t = Array.length t.nodes
@@ -150,8 +154,10 @@ let shape t v = t.nodes.(v).shape
 let size_bytes t v = Shape.size_bytes t.nodes.(v).shape
 let preds t v = (Lazy.force t.adjacency).preds.(v)
 let succs t v = (Lazy.force t.adjacency).succs.(v)
+let csr t = Lazy.force t.csr
+
 let n_reads t v =
-  let { row; _ } = Lazy.force t.csr in
+  let { row; _ } = csr t in
   row.(v + 1) - row.(v)
 
 let has_consumers t v = n_reads t v > 0
@@ -198,9 +204,20 @@ type induced = {
   local_succs : int array array;
 }
 
-let induced t (ids : int array) : induced =
+let with_locals t (ids : int array) f =
   let slot = Lazy.force t.slot in
   Array.iteri (fun k v -> slot.(v) <- k) ids;
+  let restore () = Array.iter (fun v -> slot.(v) <- -1) ids in
+  match f slot with
+  | r ->
+      restore ();
+      r
+  | exception e ->
+      restore ();
+      raise e
+
+let induced t (ids : int array) : induced =
+  with_locals t ids @@ fun slot ->
   (* the adjacency arrays are increasing in id, and local indices are
      increasing in id, so the filtered arrays stay increasing *)
   let local adj v =
@@ -223,5 +240,4 @@ let induced t (ids : int array) : induced =
   let { preds; succs } = Lazy.force t.adjacency in
   let local_preds = Array.map (local preds) ids in
   let local_succs = Array.map (local succs) ids in
-  Array.iter (fun v -> slot.(v) <- -1) ids;
   { ids; local_preds; local_succs }

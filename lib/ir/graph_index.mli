@@ -10,7 +10,7 @@
     compressed rows, which also gives {!n_reads}), the topological
     order walked over them, the adjacency arrays, each node's links and
     the {!Reach} closure are built on first use and kept.  Those lazy
-    parts and the scratch array {!induced} marks members in make one
+    parts and the scratch array {!with_locals} marks members in make one
     index serve one domain at a time.
 
     Every query takes a node id below {!bound}; ids that are not nodes
@@ -20,11 +20,20 @@ type t
 
 val of_graph : Graph.t -> t
 
-(** An index of the graph whose node array is [nodes], as {!nodes} of
-    another index of the same graph returns it (shared, and written by
+(** Consumers by operand slot, in compressed rows: [ids.(k)] for [k]
+    from [row.(v)] below [row.(v + 1)] are the nodes reading [v], in
+    increasing id order, a node once per slot that reads [v] (so a
+    node reading [v] twice sits twice, side by side). *)
+type csr = private { row : int array; ids : int array }
+
+(** An index of the graph whose node array is [nodes] and whose
+    consumers by slot are [csr], as {!nodes} and {!csr} of another
+    index of the same graph return them (shared, and written by
     neither), with a copy of [order] as its {!order}, which must be
-    that index's. *)
-val of_arrays : Graph.t -> nodes:Graph.node array -> order:int array -> t
+    that index's.  Adjacency, links, {!Reach} and scratch stay its
+    own. *)
+val of_arrays :
+  Graph.t -> nodes:Graph.node array -> order:int array -> csr:csr -> t
 
 (** The indexed graph. *)
 val graph : t -> Graph.t
@@ -51,6 +60,10 @@ val preds : t -> int -> int array
 
 (** Consumers, increasing; not a copy, do not mutate. *)
 val succs : t -> int -> int array
+
+(** The consumers by slot, built on first use and kept; not a copy, do
+    not mutate. *)
+val csr : t -> csr
 
 (** Operand slots, over every node, that read the id's output (a node
     reading it twice counts twice): the length of the id's row of
@@ -83,6 +96,14 @@ val lower_bound : int array -> int -> int
 (** [local_of ids v]: the position of [v] in the increasing array
     [ids], or [-1]. *)
 val local_of : int array -> int -> int
+
+(** [with_locals t ids f]: [f slot], where [slot.(ids.(k)) = k] for
+    the members [ids] (distinct nodes) and [slot.(v) = -1] for every
+    other id below {!bound}.  [slot] is the index's own scratch, lent
+    for the call: [f] must not write it or keep it, and the index must
+    not be lent again inside [f].  Every entry is [-1] again when
+    [with_locals] returns or raises. *)
+val with_locals : t -> int array -> (int array -> 'a) -> 'a
 
 (** {1 Induced sub-graphs} *)
 

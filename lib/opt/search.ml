@@ -450,25 +450,29 @@ let rewrite_proposals (cfg : config) tb (s : Mstate.t) : proposal list =
 
 (** The popped state's graph as plain arrays, built once per pop by the
     first proposal hashed and then only read, by every worker domain at
-    once: the node array and topological order of an index of the graph
-    (the index itself, with its lazily built parts, is dropped) and the
-    graph's WL labels, from which each rewrite is relabelled
-    ({!Wl_hash.relabel_on}).  Nothing of it is kept on the state, so a
-    queued state holds no labels. *)
+    once: the node array, consumers by operand slot and topological
+    order of an index of the graph (the index itself, with its lazily
+    built parts, is dropped) and the graph's WL labels, from which each
+    rewrite is relabelled ({!Wl_hash.relabel_on}).  Nothing of it is
+    kept on the state, so a queued state holds no labels. *)
 type view = {
   v_nodes : Graph.node array;
+  v_csr : Graph_index.csr;
   v_order : int array;
   v_labels : Wl_hash.labels;
 }
 
 let view_of (g : Graph.t) : view =
   let ix = Graph_index.of_graph g in
-  { v_nodes = Graph_index.nodes ix; v_order = Graph_index.order ix;
+  (* the order walks the consumers by slot, so both are built here *)
+  let v_order = Graph_index.order ix in
+  { v_nodes = Graph_index.nodes ix; v_csr = Graph_index.csr ix; v_order;
     v_labels = Wl_hash.labels_on ix }
 
-(** A fresh index of the popped state's graph over its view's arrays. *)
+(** A fresh index of the popped state's graph over its view's arrays:
+    its adjacency, links, {!Reach} and scratch are its own. *)
 let view_index (g : Graph.t) (v : view) =
-  Graph_index.of_arrays g ~nodes:v.v_nodes ~order:v.v_order
+  Graph_index.of_arrays g ~nodes:v.v_nodes ~order:v.v_order ~csr:v.v_csr
 
 (** Dedup key of a state: its graph's WL hash, [wl ()], ⊕ F-Tree
     fingerprint. *)
@@ -556,17 +560,20 @@ let hash_proposal (ec : eval_ctx) tb ~sched_states ~parent_sched_hash ~view
 
 (** What evaluating a pop's children reads from the popped state, built
     once per pop by the first child that misses the simulation cache and
-    then only read: the rescheduling context and the base cost of every
-    node ({!Op_cost.costs_on}), which a child's node inherits when it
-    and its operands kept their records. *)
+    then only read: the rescheduling context (its narrow-waist table
+    read off the {!Reach} closure of one index over the view's arrays)
+    and the base cost of every node ({!Op_cost.costs_on} on that index),
+    which a child's node inherits when it and its operands kept their
+    records. *)
 type eval_parent = {
   e_sched : Magis_sched.Incremental.parent;
   e_costs : float array;
 }
 
 let eval_parent (ec : eval_ctx) (s : Mstate.t) (v : view) : eval_parent =
-  { e_sched = Magis_sched.Incremental.parent s.graph s.schedule;
-    e_costs = Op_cost.costs_on ec.ec_cache (view_index s.graph v) }
+  let ix = view_index s.graph v in
+  { e_sched = Magis_sched.Incremental.parent ix s.schedule;
+    e_costs = Op_cost.costs_on ec.ec_cache ix }
 
 (** Evaluate a proposal: incremental reschedule + simulation, memoized
     in the simulation cache under [key], on the proposal's index;

@@ -51,13 +51,27 @@ type parent = {
   nw : int array;
 }
 
-let parent (graph : Graph.t) (schedule : int list) : parent =
+let parent (ix : Graph_index.t) (schedule : int list) : parent =
   let schedule = Array.of_list schedule in
-  let position = Array.make (Graph.id_bound graph) (-1) in
+  let position = Array.make (Graph_index.bound ix) (-1) in
   Array.iteri
     (fun i v -> if v >= 0 && v < Array.length position then position.(v) <- i)
     schedule;
-  { graph; schedule; position; nw = Partition.nw_table graph schedule }
+  { graph = Graph_index.graph ix; schedule; position; nw = Partition.nw_on ix }
+
+(* the ids whose mark satisfies [p], increasing *)
+let marked mark p =
+  let n = ref 0 in
+  Bytes.iter (fun b -> if p b then incr n) mark;
+  let ids = Array.make !n 0 and k = ref 0 in
+  Bytes.iteri
+    (fun v b ->
+      if p b then begin
+        ids.(!k) <- v;
+        incr k
+      end)
+    mark;
+  ids
 
 (** [reschedule ~parent ~new_index ~mutated_old ~size_of] computes a
     schedule for the graph indexed by [new_index], reusing the parts of
@@ -70,11 +84,17 @@ let parent (graph : Graph.t) (schedule : int list) : parent =
 let reschedule ?(max_states = 20_000) ~(parent : parent)
     ~(new_index : Graph_index.t) ~(mutated_old : Int_set.t) ~size_of () :
     int list * stats =
+  (* one byte per id of the new graph: 1 for a node, 2 once it is kept
+     in the prefix or suffix *)
+  let mark =
+    Bytes.init (Graph_index.bound new_index) (fun v ->
+        if Graph_index.mem new_index v then '\001' else '\000')
+  in
   (* [attempted] preserves the window the splice tried before failing, so
      callers can still see where the rewrite landed instead of the
      meaningless whole-schedule interval the fallback used to report. *)
   let full ?attempted () =
-    let all = Int_set.of_list (Graph.node_ids (Graph_index.graph new_index)) in
+    let all = marked mark (fun b -> b <> '\000') in
     let order = Reorder.schedule_members ~max_states ~size_of new_index all in
     let interval =
       match attempted with Some w -> w | None -> (0, List.length order)
@@ -94,12 +114,7 @@ let reschedule ?(max_states = 20_000) ~(parent : parent)
   if positions = [] then full ()
   else
     let beg, end_ = get_reschedule_interval ~nw:parent.nw psi positions in
-    (* one byte per id of the new graph: 1 for a node, 2 once it is
-       kept in the prefix or suffix; the nodes left at 1 are rescheduled *)
-    let mark =
-      Bytes.init (Graph_index.bound new_index) (fun v ->
-          if Graph_index.mem new_index v then '\001' else '\000')
-    in
+    (* the nodes left at 1 are rescheduled *)
     let keep lo hi =
       let acc = ref [] in
       for i = hi - 1 downto lo do
@@ -112,17 +127,13 @@ let reschedule ?(max_states = 20_000) ~(parent : parent)
       !acc
     in
     let prefix = keep 0 beg and suffix = keep end_ (Array.length psi) in
-    let rest = ref [] in
-    for v = Bytes.length mark - 1 downto 0 do
-      if Bytes.get mark v = '\001' then rest := v :: !rest
-    done;
-    let s_new = Int_set.of_list !rest in
+    let window = marked mark (fun b -> b = '\001') in
     let middle =
-      Reorder.schedule_members ~max_states ~size_of new_index s_new
+      Reorder.schedule_members ~max_states ~size_of new_index window
     in
     let order = prefix @ middle @ suffix in
     if Graph_index.is_valid_order new_index order then
       ( order,
-        { interval = (beg, end_); rescheduled = Int_set.cardinal s_new;
+        { interval = (beg, end_); rescheduled = Array.length window;
           fallback = false } )
     else full ~attempted:(beg, end_) ()

@@ -38,12 +38,13 @@ type parent = private {
   schedule : int array;  (** the parent's schedule, position -> id *)
   position : int array;
       (** id -> position in [schedule], [-1] for an id off it *)
-  nw : int array;  (** {!Partition.nw_table} over [schedule] *)
+  nw : int array;  (** {!Partition.nw_on} the parent's index *)
 }
 
-(** [parent g schedule]: the context of graph [g] under its valid
-    schedule [schedule] — one {!Partition.nw_table} pass. *)
-val parent : Graph.t -> int list -> parent
+(** [parent ix schedule]: the context of the indexed graph under its
+    valid schedule [schedule]; the narrow-waist table is
+    {!Partition.nw_on}, read off the index's own {!Graph_index.reach}. *)
+val parent : Graph_index.t -> int list -> parent
 
 (** Splice a re-scheduled window into the parent's schedule; falls back
     to full scheduling when splicing fails, or when no node of

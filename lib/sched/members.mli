@@ -1,49 +1,34 @@
-(** A node subset of a graph, indexed by rank among its members: the
-    scheduler's scratch is sized by the subset, never by
-    {!Magis_ir.Graph.id_bound}.  Member [i] is the [i]-th smallest id,
-    so local-index order is id order. *)
+(** The member table of a node subset of one indexed graph, indexed by
+    rank among its members: the scheduler's scratch is sized by the
+    subset, never by {!Magis_ir.Graph_index.bound}.  Member [i] is the
+    [i]-th smallest id, so local-index order is id order.  The table is
+    read from the index's node array, consumers by operand slot and
+    topological order alone; partitioning ({!Partition.blocks}) and the
+    greedy scheduler read every block from this one table. *)
 
 open Magis_ir
-module Int_set = Util.Int_set
 
-type t
+(** Edges between members are stored once each way, in compressed rows
+    of local indices, each row increasing.  Read-only. *)
+type t = private {
+  ids : int array;  (** member -> node id, increasing *)
+  topo : int array;
+      (** every member, in the order of {!Graph_index.order} *)
+  pred_start : int array;
+  preds : int array;
+      (** member operands of [i]: [preds.(k)] for [k] from
+          [pred_start.(i)] below [pred_start.(i + 1)], each once *)
+  succ_start : int array;
+  succs : int array;
+      (** member consumers of [i], the same way, each once however
+          many of its slots read [i] *)
+  pinned : bool array;  (** {!Magis_cost.Lifetime.pinned_by} *)
+  escapes : bool array;  (** has a consumer that is not a member *)
+}
 
-(** Index the members and the edges between them.  Raises
-    [Invalid_argument] (through {!Graph.node}) on an id that is not a
-    node of the graph. *)
-val of_set : Graph.t -> Int_set.t -> t
-
-(** [sub t block]: the subset of [t] at the ascending local indices
-    [block], without touching the graph again.  A consumer outside
-    [block] counts as outside the subset. *)
-val sub : t -> int array -> t
-
-(** The node ids at local indices [locals]. *)
-val to_set : t -> int array -> Int_set.t
+(** [of_index ix ids]: the table of the members [ids], increasing node
+    ids of the indexed graph, else [Invalid_argument]. *)
+val of_index : Graph_index.t -> int array -> t
 
 (** Number of members. *)
 val size : t -> int
-
-(** Node id of member [i]. *)
-val id : t -> int -> int
-
-(** Local index of node id [v], or [-1] when [v] is not a member
-    (binary search). *)
-val index : t -> int -> int
-
-(** Distinct member operands of member [i]. *)
-val n_preds : t -> int -> int
-
-val iter_preds : (int -> unit) -> t -> int -> unit
-
-(** Member consumers of member [i]. *)
-val n_succs : t -> int -> int
-
-val iter_succs : (int -> unit) -> t -> int -> unit
-
-(** Is member [i] {!Magis_cost.Lifetime.pinned}? *)
-val pinned : t -> int -> bool
-
-(** Can member [i]'s tensor die inside the subset: every consumer is a
-    member and it is not pinned? *)
-val closed : t -> int -> bool

@@ -13,44 +13,49 @@ module Int_set = Util.Int_set
 (* Narrow-waist table                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(** [nw_table g order] is the narrow-waist value
-    [|V| - |anc(v)| - |des(v)| - 1] of every node [v] of [g], indexed
-    by node id, read off the {!Reach} closures over [order] (a valid
-    schedule; any other array is replaced by {!Graph.topo_order}). *)
-let nw_table (g : Graph.t) (order : int array) : int array =
-  let r = Reach.compute ~order g in
+(* nw(v) = |V| - |anc(v)| - |des(v)| - 1, by id, from a closure *)
+let nw_of (r : Reach.t) bound : int array =
   let n = Reach.length r in
-  let table = Array.make (Graph.id_bound g) 0 in
+  let table = Array.make bound 0 in
   Array.iter
     (fun v -> table.(v) <- n - 1 - Reach.n_anc r v - Reach.n_des r v)
     (Reach.order r);
   table
 
+(** [nw_table g order] is the narrow-waist value
+    [|V| - |anc(v)| - |des(v)| - 1] of every node [v] of [g], indexed
+    by node id, read off the {!Reach} closures over [order] (a valid
+    schedule; any other array is replaced by {!Graph.topo_order}). *)
+let nw_table (g : Graph.t) (order : int array) : int array =
+  nw_of (Reach.compute ~order g) (Graph.id_bound g)
+
+(** The same table from the index's own closure ({!Graph_index.reach}):
+    anc and des do not depend on the order they are walked in. *)
+let nw_on (ix : Graph_index.t) : int array =
+  nw_of (Graph_index.reach ix) (Graph_index.bound ix)
+
 (* ------------------------------------------------------------------ *)
 (* Partitioning                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(** The blocks of {!partition}, on a member index: each block is its
-    members' local indices in ascending order (so, in id order), and the
-    blocks come in a dependency-compatible order.  Every scratch array
-    is indexed by {!Members} rank: the members in [topo] order, their
-    components (one depth-first sweep over member edges), each
-    component's members bucketed in that order, positions and last
-    uses. *)
-let blocks ?(max_crossing = 1) ~(topo : int array) (ms : Members.t) :
-    int array list =
+type blocks = {
+  block_of : int array;
+  start : int array;
+  members : int array;
+}
+
+let n_blocks b = Array.length b.start - 1
+
+(** The blocks of {!partition}, on a member table.  Every scratch array
+    is indexed by member: their components (one depth-first sweep over
+    member edges), each component's members bucketed in the members'
+    topological order ({!Members.t.topo}), positions and last uses.  A cut records a block number per
+    member, blocks are renumbered in the order of their earliest
+    members, and one counting pass over the members lists each block's
+    members in increasing order. *)
+let blocks ?(max_crossing = 1) (ms : Members.t) : blocks =
   let m = Members.size ms in
-  (* rank.(i): position of member i in the members' topological order *)
-  let rank = Array.make m 0 in
-  let k = ref 0 in
-  Array.iter
-    (fun v ->
-      let i = Members.index ms v in
-      if i >= 0 then begin
-        rank.(i) <- !k;
-        incr k
-      end)
-    topo;
+  let ({ topo; pred_start; preds; succ_start; succs; pinned; _ } : Members.t) = ms in
   (* weakly-connected components, numbered by smallest member *)
   let comp = Array.make m (-1) in
   let stack = Array.make m 0 in
@@ -72,8 +77,12 @@ let blocks ?(max_crossing = 1) ~(topo : int array) (ms : Members.t) :
       while !top > 0 do
         decr top;
         let v = stack.(!top) in
-        Members.iter_preds visit ms v;
-        Members.iter_succs visit ms v
+        for k = pred_start.(v) to pred_start.(v + 1) - 1 do
+          visit preds.(k)
+        done;
+        for k = succ_start.(v) to succ_start.(v + 1) - 1 do
+          visit succs.(k)
+        done
       done
     end
   done;
@@ -84,8 +93,6 @@ let blocks ?(max_crossing = 1) ~(topo : int array) (ms : Members.t) :
   for c = 1 to !n_comps do
     start.(c) <- start.(c) + start.(c - 1)
   done;
-  let by_rank = Array.make m 0 in
-  Array.iteri (fun i r -> by_rank.(r) <- i) rank;
   let grouped = Array.make m 0 in
   let fill = Array.sub start 0 (max !n_comps 1) in
   Array.iter
@@ -93,11 +100,11 @@ let blocks ?(max_crossing = 1) ~(topo : int array) (ms : Members.t) :
       let c = comp.(i) in
       grouped.(fill.(c)) <- i;
       fill.(c) <- fill.(c) + 1)
-    by_rank;
+    topo;
   (* position within its component's order, per member *)
   let pos_in = Array.make m 0 in
   let crossing = Array.make m 0 in
-  let blocks = ref [] in
+  let block_of = Array.make m 0 and n_blocks = ref 0 in
   for c = 0 to !n_comps - 1 do
     let s = start.(c) and e = start.(c + 1) in
     for p = s to e - 1 do
@@ -109,30 +116,54 @@ let blocks ?(max_crossing = 1) ~(topo : int array) (ms : Members.t) :
       let v = grouped.(p) in
       let i = p - s in
       let l = ref i in
-      Members.iter_succs (fun c -> if pos_in.(c) > !l then l := pos_in.(c)) ms v;
+      for k = succ_start.(v) to succ_start.(v + 1) - 1 do
+        if pos_in.(succs.(k)) > !l then l := pos_in.(succs.(k))
+      done;
       (* v crosses every boundary between i and l-1 *)
-      if !l > i && not (Members.pinned ms v) then begin
+      if !l > i && not pinned.(v) then begin
         crossing.(p) <- crossing.(p) + 1;
         crossing.(s + !l) <- crossing.(s + !l) - 1
       end
     done;
     (* cut when at most [max_crossing] tensors cross the boundary after
        i: the problem separates here.  Nothing crosses the last
-       boundary, so the final block always closes.  A block's earliest
-       node is its first, which keys the final ordering. *)
-    let first = ref s and open_count = ref 0 in
+       boundary, so the final block always closes. *)
+    let open_count = ref 0 in
     for p = s to e - 1 do
+      block_of.(grouped.(p)) <- !n_blocks;
       open_count := !open_count + crossing.(p);
-      if !open_count <= max_crossing then begin
-        let block = Array.sub grouped !first (p - !first + 1) in
-        Array.sort (fun (a : int) b -> compare a b) block;
-        blocks := (rank.(grouped.(!first)), block) :: !blocks;
-        first := p + 1
-      end
+      if !open_count <= max_crossing then incr n_blocks
     done
   done;
-  (* order blocks by the topological position of their earliest node *)
-  List.sort (fun (a, _) (b, _) -> compare (a : int) b) !blocks |> List.map snd
+  (* number the blocks by their earliest member, which a walk of the
+     topological order meets first: a dependency-compatible order *)
+  let number = Array.make !n_blocks (-1) and next = ref 0 in
+  Array.iter
+    (fun i ->
+      let b = block_of.(i) in
+      if number.(b) < 0 then begin
+        number.(b) <- !next;
+        incr next
+      end)
+    topo;
+  let start = Array.make (!n_blocks + 1) 0 in
+  for i = 0 to m - 1 do
+    let b = number.(block_of.(i)) in
+    block_of.(i) <- b;
+    start.(b) <- start.(b) + 1
+  done;
+  (* [start.(b)] ends block b's run, then, filled from the end by
+     decreasing member, starts it with its members increasing *)
+  for b = 1 to !n_blocks do
+    start.(b) <- start.(b) + start.(b - 1)
+  done;
+  let members = Array.make m 0 in
+  for i = m - 1 downto 0 do
+    let b = block_of.(i) in
+    start.(b) <- start.(b) - 1;
+    members.(start.(b)) <- i
+  done;
+  { block_of; start; members }
 
 (** Partition the sub-graph induced by [members] into blocks that can be
     scheduled independently and concatenated.  A cut is taken after
@@ -145,9 +176,18 @@ let blocks ?(max_crossing = 1) ~(topo : int array) (ms : Members.t) :
 
     [max_crossing] (default 1) is the number of live tensors a cut is
     allowed to carry; larger values sequentialize more aggressively (used
-    by the POFO baseline's chainification). *)
+    by the POFO baseline's chainification).  One index of [g] is built;
+    the blocks are cut on its member table. *)
 let partition ?max_crossing (g : Graph.t) (members : Int_set.t) :
     Int_set.t list =
-  let ms = Members.of_set g members in
-  let topo = Array.of_list (Graph.topo_order g) in
-  List.map (Members.to_set ms) (blocks ?max_crossing ~topo ms)
+  let ms =
+    Members.of_index (Graph_index.of_graph g)
+      (Array.of_list (Int_set.elements members))
+  in
+  let b = blocks ?max_crossing ms in
+  List.init (n_blocks b) (fun k ->
+      let acc = ref Int_set.empty in
+      for p = b.start.(k) to b.start.(k + 1) - 1 do
+        acc := Int_set.add ms.ids.(b.members.(p)) !acc
+      done;
+      !acc)

@@ -15,11 +15,13 @@
 
     The greedy scheduler is the one the search runs on every candidate
     (its default DP budget is 0).  It works on arrays indexed by the
-    block's members ({!Members}: rank among the sorted ids), never by
+    members ({!Members}: rank among the sorted ids), never by
     {!Graph.id_bound}, and keeps the ready nodes in a binary min-heap
     with a position index, ordered by an int-only comparison of (net
-    memory delta, size, id).  [schedule_members] indexes the members
-    once; partitioning and every block's greedy pass read that index. *)
+    memory delta, size, id).  [schedule_members] reads the members into
+    one table from the candidate's index; partitioning gives each member
+    a block number, and one greedy pass, with scratch allocated once,
+    visits the blocks in order and reads only the edges inside each. *)
 
 open Magis_ir
 module Int_set = Util.Int_set
@@ -75,119 +77,182 @@ let next_ready (g : Graph.t) (members : Int_set.t) (executed : Int_set.t)
 (* Memory-greedy list scheduling                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* [greedy_schedule] on an already indexed block *)
-let greedy_members ~size_of (ms : Members.t) : int list =
+(* Scratch of the greedy scheduler over one member table cut into
+   blocks, allocated once per table.  Per member: its size, its member
+   consumers and operands still to run inside its own block, whether
+   its tensor can die inside its block ([closed]: not pinned, no
+   consumer outside the members or in another block) and its current
+   key's net delta; a binary min-heap of ready members with a position
+   index ([slot], [-1] off the heap), and the output. *)
+type greedy = {
+  ms : Members.t;
+  block_of : int array;
+  size : int array;
+  remaining : int array;
+  missing : int array;
+  closed : bool array;
+  delta : int array;
+  heap : int array;
+  slot : int array;
+  mutable len : int;
+  out : int array;
+  mutable placed : int;
+}
+
+let greedy_scratch ~size_of (ms : Members.t) (block_of : int array) : greedy =
   let m = Members.size ms in
-  let size = Array.init m (fun i -> size_of (Members.id ms i)) in
-  (* remaining member consumers; a tensor that is not [closed] never
-     dies inside this block *)
-  let remaining = Array.init m (Members.n_succs ms) in
-  let missing = Array.init m (Members.n_preds ms) in
-  (* net bytes added if i ran now *)
-  let delta = Array.make m 0 in
-  let net i =
-    let freed = ref 0 in
-    Members.iter_preds
-      (fun u ->
-        if remaining.(u) = 1 && Members.closed ms u then
-          freed := !freed + size.(u))
-      ms i;
-    if remaining.(i) = 0 && Members.closed ms i then freed := !freed + size.(i);
-    size.(i) - !freed
-  in
-  (* local index order is id order, so (delta, size, index) is the key *)
-  let less i j =
-    let di = delta.(i) and dj = delta.(j) in
-    di < dj
-    || di = dj
-       && (size.(i) < size.(j) || (size.(i) = size.(j) && i < j))
-  in
-  let heap = Array.make m 0 and slot = Array.make m (-1) in
-  let len = ref 0 in
-  let place i k =
-    heap.(k) <- i;
-    slot.(i) <- k
-  in
-  let rec sift_up i k =
-    let parent = (k - 1) / 2 in
-    if k > 0 && less i heap.(parent) then begin
-      place heap.(parent) k;
-      sift_up i parent
-    end
-    else place i k
-  in
-  let rec sift_down i k =
-    let l = (2 * k) + 1 in
-    if l >= !len then place i k
-    else
-      let c = if l + 1 < !len && less heap.(l + 1) heap.(l) then l + 1 else l in
-      if less heap.(c) i then begin
-        place heap.(c) k;
-        sift_down i c
-      end
-      else place i k
-  in
-  (* insert i, or move it to its recomputed key *)
-  let enqueue i =
-    delta.(i) <- net i;
-    let k = slot.(i) in
-    if k < 0 then begin
-      incr len;
-      sift_up i (!len - 1)
-    end
-    else begin
-      sift_up i k;
-      sift_down i slot.(i)
-    end
-  in
-  let pop () =
-    let top = heap.(0) in
-    slot.(top) <- -1;
-    decr len;
-    if !len > 0 then sift_down heap.(!len) 0;
-    top
-  in
+  let remaining = Array.make m 0 and missing = Array.make m 0 in
+  let closed = Array.make m false in
   for i = 0 to m - 1 do
-    if missing.(i) = 0 then enqueue i
+    let b = block_of.(i) in
+    let inside = ref 0 in
+    for k = ms.succ_start.(i) to ms.succ_start.(i + 1) - 1 do
+      let c = ms.succs.(k) in
+      if block_of.(c) = b then begin
+        incr inside;
+        missing.(c) <- missing.(c) + 1
+      end
+    done;
+    remaining.(i) <- !inside;
+    closed.(i) <-
+      (not (ms.pinned.(i) || ms.escapes.(i)))
+      && !inside = ms.succ_start.(i + 1) - ms.succ_start.(i)
   done;
-  let order = Array.make m 0 and placed = ref 0 in
-  while !len > 0 do
-    let i = pop () in
-    order.(!placed) <- Members.id ms i;
-    incr placed;
+  { ms; block_of; size = Array.init m (fun i -> size_of ms.ids.(i)); remaining;
+    missing; closed; delta = Array.make m 0; heap = Array.make m 0;
+    slot = Array.make m (-1); len = 0; out = Array.make m 0; placed = 0 }
+
+(* net bytes added if i ran now: an operand in another block is never
+   closed, so only operands inside i's block are freed *)
+let net g i =
+  let ms = g.ms and remaining = g.remaining in
+  let freed = ref 0 in
+  for k = ms.pred_start.(i) to ms.pred_start.(i + 1) - 1 do
+    let u = ms.preds.(k) in
+    if remaining.(u) = 1 && g.closed.(u) then freed := !freed + g.size.(u)
+  done;
+  if remaining.(i) = 0 && g.closed.(i) then freed := !freed + g.size.(i);
+  g.size.(i) - !freed
+
+(* local index order is id order, so (delta, size, index) is the key *)
+let less g i j =
+  let di = g.delta.(i) and dj = g.delta.(j) in
+  di < dj
+  || di = dj
+     && (g.size.(i) < g.size.(j) || (g.size.(i) = g.size.(j) && i < j))
+
+let place g i k =
+  g.heap.(k) <- i;
+  g.slot.(i) <- k
+
+let rec sift_up g i k =
+  let parent = (k - 1) / 2 in
+  if k > 0 && less g i g.heap.(parent) then begin
+    place g g.heap.(parent) k;
+    sift_up g i parent
+  end
+  else place g i k
+
+let rec sift_down g i k =
+  let l = (2 * k) + 1 in
+  if l >= g.len then place g i k
+  else
+    let c = if l + 1 < g.len && less g g.heap.(l + 1) g.heap.(l) then l + 1 else l in
+    if less g g.heap.(c) i then begin
+      place g g.heap.(c) k;
+      sift_down g i c
+    end
+    else place g i k
+
+(* insert i, or move it to its recomputed key *)
+let enqueue g i =
+  g.delta.(i) <- net g i;
+  let k = g.slot.(i) in
+  if k < 0 then begin
+    g.len <- g.len + 1;
+    sift_up g i (g.len - 1)
+  end
+  else begin
+    sift_up g i k;
+    sift_down g i g.slot.(i)
+  end
+
+let pop g =
+  let top = g.heap.(0) in
+  g.slot.(top) <- -1;
+  g.len <- g.len - 1;
+  if g.len > 0 then sift_down g g.heap.(g.len) 0;
+  top
+
+let emit g v =
+  g.out.(g.placed) <- v;
+  g.placed <- g.placed + 1
+
+(* Greedy-schedule the block whose members are [members.(lo)] to
+   [members.(hi - 1)], reading only the edges inside it. *)
+let greedy_block g (members : int array) lo hi =
+  let ms = g.ms and block_of = g.block_of in
+  for k = lo to hi - 1 do
+    let i = members.(k) in
+    if g.missing.(i) = 0 then enqueue g i
+  done;
+  while g.len > 0 do
+    let i = pop g in
+    emit g ms.ids.(i);
+    let b = block_of.(i) in
     (* consume operands: the last remaining consumer of an operand is
        the one that frees it, so its ready consumers are re-keyed *)
-    Members.iter_preds
-      (fun u ->
-        remaining.(u) <- remaining.(u) - 1;
-        if remaining.(u) = 1 then
-          Members.iter_succs (fun c -> if slot.(c) >= 0 then enqueue c) ms u)
-      ms i;
+    for k = ms.pred_start.(i) to ms.pred_start.(i + 1) - 1 do
+      let u = ms.preds.(k) in
+      if block_of.(u) = b then begin
+        g.remaining.(u) <- g.remaining.(u) - 1;
+        if g.remaining.(u) = 1 then
+          for j = ms.succ_start.(u) to ms.succ_start.(u + 1) - 1 do
+            let c = ms.succs.(j) in
+            if g.slot.(c) >= 0 then enqueue g c
+          done
+      end
+    done;
     (* release newly ready successors *)
-    Members.iter_succs
-      (fun s ->
-        missing.(s) <- missing.(s) - 1;
-        if missing.(s) = 0 then enqueue s)
-      ms i
+    for k = ms.succ_start.(i) to ms.succ_start.(i + 1) - 1 do
+      let s = ms.succs.(k) in
+      if block_of.(s) = b then begin
+        g.missing.(s) <- g.missing.(s) - 1;
+        if g.missing.(s) = 0 then enqueue g s
+      end
+    done
+  done
+
+let output g =
+  let acc = ref [] in
+  for k = g.placed - 1 downto 0 do
+    acc := g.out.(k) :: !acc
   done;
-  Array.to_list (Array.sub order 0 !placed)
+  !acc
 
 (** Fallback scheduler: at each step execute the ready node with the
     smallest key (net memory delta, size, id), where the net delta is
     [size - potentially-freed bytes].
 
     Runs in O((V+E) log V) on arrays indexed by {!Members} rank (the
-    block's sorted ids), so scratch scales with the block, not with
-    {!Graph.id_bound}; arrays above 256 words land on the major heap
-    once per block.  Remaining-consumer counts decide when a tensor
+    sorted ids), so scratch scales with the members, not with
+    {!Graph.id_bound}.  Remaining-consumer counts decide when a tensor
     dies.  Ready nodes sit in a binary min-heap with a position index,
     compared field by field on ints.  A ready node's key depends only on
     the remaining counts of its operands (its own cannot change before
     it runs), so after each step only the ready consumers of an operand
     whose count fell to one are re-keyed, and every queued key stays
-    exact. *)
+    exact.  The members are one block of a table read from a fresh
+    index of [g]. *)
 let greedy_schedule ~size_of (g : Graph.t) (members : Int_set.t) : int list =
-  greedy_members ~size_of (Members.of_set g members)
+  let ms =
+    Members.of_index (Graph_index.of_graph g)
+      (Array.of_list (Int_set.elements members))
+  in
+  let m = Members.size ms in
+  let sc = greedy_scratch ~size_of ms (Array.make m 0) in
+  greedy_block sc (Array.init m Fun.id) 0 m;
+  output sc
 
 (* ------------------------------------------------------------------ *)
 (* DP (uniform-cost search on peak memory)                            *)
@@ -290,21 +355,30 @@ let dp_schedule ?(max_states = 20_000) ~size_of (g : Graph.t)
 (** Schedule a node subset of the indexed graph: narrow-waist
     partition along the index's topological order, then per-block DP
     ([max_states = 0] skips it) with greedy fallback, concatenated in
-    dependency order.  The members are indexed once; each block is a
-    {!Members.sub} of that index. *)
+    dependency order.  The members are read into one table; the blocks
+    are a block number per member, and one greedy scratch serves every
+    block. *)
 let schedule_members ?(max_states = 20_000) ~size_of (ix : Graph_index.t)
-    (members : Int_set.t) : int list =
-  let g = Graph_index.graph ix in
-  let ms = Members.of_set g members in
-  List.concat_map
-    (fun block ->
-      let greedy () = greedy_members ~size_of (Members.sub ms block) in
-      if max_states <= 0 then greedy ()
+    (ids : int array) : int list =
+  let ms = Members.of_index ix ids in
+  let b = Partition.blocks ms in
+  let sc = greedy_scratch ~size_of ms b.block_of in
+  for k = 0 to Partition.n_blocks b - 1 do
+    let lo = b.start.(k) and hi = b.start.(k + 1) in
+    let dp =
+      if max_states <= 0 then None
       else
-        match dp_schedule ~max_states ~size_of g (Members.to_set ms block) with
-        | Some order -> order
-        | None -> greedy ())
-    (Partition.blocks ~topo:(Graph_index.order ix) ms)
+        let set = ref Int_set.empty in
+        for p = lo to hi - 1 do
+          set := Int_set.add ms.ids.(b.members.(p)) !set
+        done;
+        dp_schedule ~max_states ~size_of (Graph_index.graph ix) !set
+    in
+    match dp with
+    | Some order -> List.iter (emit sc) order
+    | None -> greedy_block sc b.members lo hi
+  done;
+  output sc
 
 (** Schedule the whole graph. *)
 let schedule ?(max_states = 20_000) ?size_of (g : Graph.t) : int list =
@@ -314,7 +388,8 @@ let schedule ?(max_states = 20_000) ?size_of (g : Graph.t) : int list =
     | None -> fun v -> Magis_cost.Lifetime.default_size g v
   in
   let ix = Graph_index.of_graph g in
-  let members = Int_set.of_list (Graph.node_ids g) in
-  let order = schedule_members ~max_states ~size_of ix members in
+  let order =
+    schedule_members ~max_states ~size_of ix (Array.of_list (Graph.node_ids g))
+  in
   assert (Graph_index.is_valid_order ix order);
   order

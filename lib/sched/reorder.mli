@@ -16,7 +16,8 @@ val next_ready :
   Graph.t -> Int_set.t -> Int_set.t -> Int_set.t -> int -> Int_set.t
 
 (** O((V+E) log V) list scheduling by (net memory delta, size, id), on
-    arrays indexed by the block's members and a binary heap. *)
+    arrays indexed by the members and a binary heap: the members as one
+    block of a table read from a fresh index of the graph. *)
 val greedy_schedule : size_of:(int -> int) -> Graph.t -> Int_set.t -> int list
 
 (** Peak-memory-optimal order, or [None] past the state budget. *)
@@ -26,9 +27,10 @@ val dp_schedule :
 
 (** Narrow-waist partition along the index's {!Graph_index.order},
     then per-block DP with greedy fallback ([max_states = 0] skips the
-    DP), concatenated: a schedule of the members of the indexed graph. *)
+    DP), concatenated: a schedule of the members, increasing node ids
+    of the indexed graph. *)
 val schedule_members :
-  ?max_states:int -> size_of:(int -> int) -> Graph_index.t -> Int_set.t ->
+  ?max_states:int -> size_of:(int -> int) -> Graph_index.t -> int array ->
   int list
 
 (** Schedule the whole graph, on a fresh index of it. *)

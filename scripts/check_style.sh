@@ -107,14 +107,18 @@ if [ -n "$hits" ]; then
 fi
 
 # 10. the simulator, the lifetime analysis, the F-Tree, the WL hash and
-# the incremental rescheduler run on every search candidate or every
-# pop, so they read node records, operand shapes, consumers, membership
-# and member-set outputs from one Graph_index: no node-by-node lookup
-# in the graph's persistent maps (Graph.node, op, shape, succ_set, suc,
-# mem or outs_of; `Graph.node` as a type annotation is fine).
+# the incremental rescheduler (incremental.ml, and the member table and
+# partition it schedules a window on) run on every search candidate or
+# every pop, so they read node records, operand shapes, consumers,
+# membership and member-set outputs from one Graph_index: no
+# node-by-node lookup in the graph's persistent maps (Graph.node, op,
+# shape, succ_set, suc, mem or outs_of; `Graph.node` as a type
+# annotation is fine).  Partition.partition, the graph-keyed entry
+# point, builds one index and cuts its member table.
 hits=$(grep -nP 'Graph\.(node(?!\s*\))|op|shape|succ_set|suc|mem|outs_of)\b' \
   lib/cost/simulator.ml lib/cost/lifetime.ml lib/ftree/ftree.ml \
-  lib/ir/wl_hash.ml lib/sched/incremental.ml 2>/dev/null)
+  lib/ir/wl_hash.ml lib/sched/incremental.ml lib/sched/members.ml \
+  lib/sched/partition.ml 2>/dev/null)
 if [ -n "$hits" ]; then
   fail "per-node map lookup in the simulator, the lifetime analysis, the F-Tree, the WL hash or the rescheduler (read a Graph_index instead):"
   echo "$hits"

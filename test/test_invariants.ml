@@ -36,7 +36,16 @@
     against full recomputation: [ref_wl_hash], the full labels and a
     fresh {!Op_cost.node_cost_on} per node, on the search's rewrites of
     every zoo model's initial state and along QCheck chains of rewrites
-    in which every step is the delta of its own delta parent. *)
+    in which every step is the delta of its own delta parent.
+
+    Window scheduling on one member table ({!Members.of_index},
+    {!Partition.blocks} and the one-pass greedy) is checked against
+    [ref_reschedule] and [ref_schedule_members], both composed of
+    oracles only, on the indexes the search builds (a rewrite's, with
+    its order forced by {!Wl_hash.relabel_on}, and a mutation's, over a
+    view's shared arrays), on random windows of Randnets, one of them
+    with an operand read twice, and on a graph built to hold both a
+    repeated operand and a consumer in a later block. *)
 
 open Magis
 open Helpers
@@ -294,11 +303,20 @@ let ref_greedy_schedule ~size_of (g : Graph.t) (members : Int_set.t) : int list 
   done;
   List.rev !acc
 
-(* incremental rescheduling before the parent context: one narrow-waist
-   table per child, positions by a list scan, the kept set by unions *)
-let ref_reschedule ~max_states ~old_graph ~new_graph ~old_schedule ~mutated_old ~size_of =
+(* greedy-only scheduling of a member set before the member table: the
+   oracle partition, each block by the oracle greedy scheduler *)
+let ref_schedule_members ~size_of g members =
+  List.concat_map (ref_greedy_schedule ~size_of g) (ref_partition g members)
+
+(* greedy-only incremental rescheduling before the parent context and
+   the member table: one narrow-waist table per child, positions by a
+   list scan, the kept set by unions, the window and the fallback by
+   [ref_schedule_members] *)
+let ref_reschedule ~old_graph ~new_graph ~old_schedule ~mutated_old ~size_of =
   let full ?attempted () =
-    let order = Reorder.schedule ~max_states ~size_of new_graph in
+    let order =
+      ref_schedule_members ~size_of new_graph (Int_set.of_list (Graph.node_ids new_graph))
+    in
     let interval =
       match attempted with Some w -> w | None -> (0, List.length order)
     in
@@ -326,9 +344,7 @@ let ref_reschedule ~max_states ~old_graph ~new_graph ~old_schedule ~mutated_old 
       List.filter (fun v -> not (Int_set.mem v kept)) (Graph.node_ids new_graph)
       |> Int_set.of_list
     in
-    let middle =
-      Reorder.schedule_members ~max_states ~size_of (Graph_index.of_graph new_graph) s_new
-    in
+    let middle = ref_schedule_members ~size_of new_graph s_new in
     let order = prefix @ middle @ suffix in
     if is_valid_order new_graph order then
       ( order,
@@ -466,8 +482,8 @@ let check_closure g seed =
 (** The greedy scheduler against its oracle on every member set and on
     every block {!Partition.partition} cuts from it (the blocks of the
     initial schedule among them), and greedy-only
-    {!Reorder.schedule_members}, which schedules each block on a
-    {!Members.sub} view, against the oracles composed. *)
+    {!Reorder.schedule_members}, which runs one greedy pass over the
+    blocks of one member table, against the oracles composed. *)
 let check_greedy g sets =
   let size_of = Lifetime.default_size g in
   let greedy_matches s =
@@ -479,8 +495,9 @@ let check_greedy g sets =
         if not (List.for_all greedy_matches (s :: Partition.partition g s)) then
           Error "greedy_schedule"
         else if
-          Reorder.schedule_members ~max_states:0 ~size_of (Graph_index.of_graph g) s
-          <> List.concat_map (ref_greedy_schedule ~size_of g) (ref_partition g s)
+          Reorder.schedule_members ~max_states:0 ~size_of (Graph_index.of_graph g)
+            (Array.of_list (Int_set.elements s))
+          <> ref_schedule_members ~size_of g s
         then Error "schedule_members"
         else go rest
   in
@@ -818,13 +835,13 @@ let test_reschedule_zoo () =
     (fun (w : Zoo.workload) ->
       let g = w.build Zoo.Quick in
       let schedule = Reorder.schedule ~max_states:0 g in
-      let parent = Incremental.parent g schedule in
+      let parent = Incremental.parent (Graph_index.of_graph g) schedule in
       List.iteri
         (fun i (rw : Rule.rewrite) ->
           if i < 20 then begin
             let size_of = Lifetime.default_size rw.graph in
             let expected =
-              ref_reschedule ~max_states:0 ~old_graph:g ~new_graph:rw.graph
+              ref_reschedule ~old_graph:g ~new_graph:rw.graph
                 ~old_schedule:schedule ~mutated_old:rw.touched_old ~size_of
             in
             incr compared;
@@ -846,6 +863,231 @@ let test_reschedule_zoo () =
     (Printf.sprintf "most of %d rewrites spliced (%d)" !compared !spliced)
     true
     (!compared = 20 * List.length Zoo.all && 2 * !spliced > !compared)
+
+(* ------------------------------------------------------------------ *)
+(* Window scheduling on one member table                              *)
+(* ------------------------------------------------------------------ *)
+
+(** A popped state's view as the search shares it: one index's node
+    array, consumers by slot and order, and its labels. *)
+type window_view = {
+  w_nodes : Graph.node array;
+  w_csr : Graph_index.csr;
+  w_order : int array;
+  w_labels : Wl_hash.labels;
+}
+
+let window_view g =
+  let ix = Graph_index.of_graph g in
+  let w_order = Graph_index.order ix in
+  { w_nodes = Graph_index.nodes ix; w_csr = Graph_index.csr ix; w_order;
+    w_labels = Wl_hash.labels_on ix }
+
+(** An F-Tree mutation's index: a fresh index over the view's arrays. *)
+let mutation_index g v =
+  Graph_index.of_arrays g ~nodes:v.w_nodes ~order:v.w_order ~csr:v.w_csr
+
+(** {!Incremental.reschedule} on [new_index] against [ref_reschedule]. *)
+let check_window ~old_graph ~old_schedule ~parent ~new_index ~mutated_old =
+  let new_graph = Graph_index.graph new_index in
+  let size_of = Lifetime.default_size new_graph in
+  let expected =
+    ref_reschedule ~old_graph ~new_graph ~old_schedule ~mutated_old ~size_of
+  in
+  let got =
+    Incremental.reschedule ~max_states:0 ~parent ~new_index ~mutated_old ~size_of ()
+  in
+  if got <> expected then Error "reschedule" else Ok (snd got).fallback
+
+(** Greedy-only {!Reorder.schedule_members} on [ix] against the oracles
+    composed, for each member set in turn on the same index (so its
+    slot scratch must come back clean after each). *)
+let check_members ix sets =
+  let g = Graph_index.graph ix in
+  let size_of = Lifetime.default_size g in
+  List.for_all
+    (fun s ->
+      Reorder.schedule_members ~max_states:0 ~size_of ix
+        (Array.of_list (Int_set.elements s))
+      = ref_schedule_members ~size_of g s)
+    sets
+
+(** Every rewrite the search proposes from every zoo model's initial
+    state, on the index the search builds (its order forced by
+    {!Wl_hash.relabel_on} from the state's labels), and every F-Tree
+    entry's members as a mutation over one index of the view's arrays
+    each, rescheduled from one parent context built on such an index,
+    as [eval_parent] builds it. *)
+let test_window_zoo () =
+  let windows = ref 0 and spliced = ref 0 in
+  List.iter
+    (fun (w : Zoo.workload) ->
+      let cache = Op_cost.create Hardware.default in
+      let s = Mstate.init ~sched_states:0 cache (w.build Zoo.Quick) in
+      let v = window_view s.graph in
+      let parent = Incremental.parent (mutation_index s.graph v) s.schedule in
+      let check what new_index mutated_old =
+        incr windows;
+        match
+          check_window ~old_graph:s.graph ~old_schedule:s.schedule ~parent
+            ~new_index ~mutated_old
+        with
+        | Ok fallback -> if not fallback then incr spliced
+        | Error e -> Alcotest.failf "%s, %s: %s" w.name what e
+      in
+      List.iter
+        (fun (rw : Rule.rewrite) ->
+          let ix = Graph_index.of_graph rw.graph in
+          ignore (Wl_hash.relabel_on ~parent_nodes:v.w_nodes ~parent:v.w_labels ix);
+          check ("rewrite " ^ rw.rule) ix rw.touched_old)
+        (state_rewrites s);
+      for i = 0 to Ftree.n_entries s.ftree - 1 do
+        check
+          (Printf.sprintf "F-Tree entry %d" i)
+          (mutation_index s.graph v)
+          (Fission.members (Ftree.fission_at s.ftree i))
+      done)
+    Zoo.all;
+  Alcotest.(check bool)
+    (Printf.sprintf "most of %d windows spliced (%d)" !windows !spliced)
+    true
+    (!windows >= 100 && 2 * !spliced > !windows)
+
+(** Node subsets of [g] drawn from [seed] beyond {!member_sets}: two
+    more contiguous windows of the topological order and a denser
+    random subset. *)
+let random_windows g seed =
+  let topo = Array.of_list (Graph.topo_order g) in
+  let n = Array.length topo in
+  let rng = Random.State.make [| seed; n |] in
+  let window () =
+    let lo = Random.State.int rng n in
+    let hi = lo + Random.State.int rng (n - lo) in
+    Int_set.of_list (Array.to_list (Array.sub topo lo (hi - lo + 1)))
+  in
+  let dense =
+    Int_set.of_list (List.filter (fun _ -> Random.State.int rng 3 > 0) (Array.to_list topo))
+  in
+  member_sets g seed @ [ window (); window (); dense ]
+
+(** Window scheduling on [g] against the oracles: random windows on one
+    index of [g], and a reschedule of [g] around each of a few seeded
+    nodes on a mutation index over a view of [g]. *)
+let check_windows g seed =
+  let ix = Graph_index.of_graph g in
+  if not (check_members ix (random_windows g seed)) then Error "schedule_members"
+  else
+    let schedule = Reorder.schedule ~max_states:0 g in
+    let v = window_view g in
+    let parent = Incremental.parent (mutation_index g v) schedule in
+    let ids = Array.of_list (Graph.node_ids g) in
+    let rng = Random.State.make [| seed |] in
+    let rec go k =
+      if k = 0 then Ok ()
+      else
+        let mutated_old =
+          Int_set.of_list
+            (List.init 2 (fun _ -> ids.(Random.State.int rng (Array.length ids))))
+        in
+        match
+          check_window ~old_graph:g ~old_schedule:schedule ~parent
+            ~new_index:(mutation_index g v) ~mutated_old
+        with
+        | Ok _ -> go (k - 1)
+        | Error _ as e -> e
+    in
+    go 4
+
+(** [g] with the seeded one of its binary adds over two same-shaped
+    operands made to read its first operand twice (the second loses
+    that consumer), or [g] when it has none. *)
+let with_repeat g seed =
+  let adds =
+    List.filter_map
+      (fun v ->
+        match (Graph.node g v : Graph.node) with
+        | { op = Op.Binary Op.Add; inputs = [| a; b |]; _ }
+          when a <> b && Shape.equal (Graph.node g a).shape (Graph.node g b).shape ->
+            Some (v, a, b)
+        | _ -> None)
+      (Graph.node_ids g)
+  in
+  match adds with
+  | [] -> g
+  | l ->
+      let v, a, b = List.nth l (seed mod List.length l) in
+      Graph.replace_input g ~node_id:v ~old_src:b ~new_src:a
+
+let prop_windows =
+  QCheck2.Test.make ~name:"window scheduling equals the oracles on rewritten randnets"
+    ~count:40 ~print:print_graph gen_graph (fun params ->
+      let _, _, seed, _ = params in
+      let g = build_graph params in
+      match
+        Result.bind (check_windows g seed) (fun () ->
+            check_windows (with_repeat g seed) seed)
+      with
+      | Ok () -> true
+      | Error what -> QCheck2.Test.fail_report what)
+
+(** Two shapes the member table must get right.  [wide] reads [x]
+    twice and is cut off from its consumer [late]: after the unconsumed
+    [out] only [wide] is live, so the partition cuts there, and [wide]
+    must not die in its own block, where it is larger than its
+    competitor [narrow].  In the block after the weight [z], [q] reads
+    [p] twice and frees it when it runs, which is what makes it beat
+    [r], whose size lies between [q]'s net delta with [p] freed and
+    without. *)
+let window_graph () =
+  let b = Builder.create () in
+  let x = Builder.input b [ 8; 16 ] ~dtype:Shape.F32 in
+  let wide = Builder.concat b ~axis:0 [ x; x ] in
+  let narrow = Builder.tanh_ b x in
+  let _out = Builder.sigmoid b narrow in
+  let late = Builder.relu b wide in
+  let z = Builder.weight b [ 24; 16 ] ~dtype:Shape.F32 in
+  let r = Builder.tanh_ b z in
+  let p = Builder.relu b late in
+  let q = Builder.concat b ~axis:0 [ p; p ] in
+  let _ = Builder.concat b ~axis:0 [ q; r ] in
+  Builder.finish b
+
+let test_window_shapes () =
+  let g = window_graph () in
+  let blocks = Partition.partition g (Int_set.of_list (Graph.node_ids g)) in
+  let block_of v =
+    let rec go k = function
+      | [] -> -1
+      | s :: rest -> if Int_set.mem v s then k else go (k + 1) rest
+    in
+    go 0 blocks
+  in
+  let later_consumer v = List.exists (fun c -> block_of c > block_of v) (Graph.suc g v) in
+  let read_twice (n : Graph.node) =
+    Array.length n.inputs > List.length (Graph.pre g n.id)
+    && List.exists (fun u -> block_of u = block_of n.id) (Graph.pre g n.id)
+  in
+  Alcotest.(check bool) "a member's consumer lies in a later block" true
+    (List.exists
+       (fun v -> later_consumer v && not (Lifetime.pinned g v) && Int_set.cardinal (List.nth blocks (block_of v)) > 1)
+       (Graph.node_ids g));
+  Alcotest.(check bool) "a node reads an operand of its own block twice" true
+    (List.exists (fun v -> read_twice (Graph.node g v)) (Graph.node_ids g));
+  let topo = Array.of_list (Graph.topo_order g) in
+  let n = Array.length topo in
+  (* every contiguous window of the order, on one index *)
+  let windows =
+    List.concat_map
+      (fun lo ->
+        List.init (n - lo) (fun len ->
+            Int_set.of_list (Array.to_list (Array.sub topo lo (len + 1)))))
+      (List.init n Fun.id)
+  in
+  Alcotest.(check bool) "every window equals the oracles" true
+    (check_members (Graph_index.of_graph g) windows);
+  match check_windows g 7 with
+  | Ok () -> ()
+  | Error what -> Alcotest.failf "window graph: %s" what
 
 (** [Ftree.refresh] against the refresh built on the oracle
     construction, on the first 5 rewrites of every zoo model's initial
@@ -1262,6 +1504,9 @@ let suite =
     tc "delta labels and costs equal full recomputation on the zoo" test_delta_zoo;
     QCheck_alcotest.to_alcotest prop_delta_chains;
     tc "parent-context reschedule equals the per-child path" test_reschedule_zoo;
+    tc "window scheduling on the search's indexes equals the oracles on the zoo" test_window_zoo;
+    QCheck_alcotest.to_alcotest prop_windows;
+    tc "window scheduling: an operand read twice, a consumer in a later block" test_window_shapes;
     tc "construct and refresh equal the oracle construction on the zoo" test_refresh_zoo;
     QCheck_alcotest.to_alcotest prop_simulate_randnets;
     tc "simulation equals its oracle on the zoo" test_simulate_zoo;

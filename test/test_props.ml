@@ -180,7 +180,7 @@ let incremental_schedule_valid =
               let size_of u = Lifetime.default_size g' u in
               let order, _ =
                 Incremental.reschedule
-                  ~parent:(Incremental.parent g schedule) ~new_index:(Graph_index.of_graph g')
+                  ~parent:(Incremental.parent (Graph_index.of_graph g) schedule) ~new_index:(Graph_index.of_graph g')
                   ~mutated_old:(Int_set.of_list [ v; c ])
                   ~size_of ()
               in

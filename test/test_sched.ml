@@ -120,7 +120,10 @@ let test_schedule_members_subset () =
   let order = Graph.topo_order g in
   let members = Int_set.of_list (Util.take 6 order) in
   let size_of v = Lifetime.default_size g v in
-  let sub = Reorder.schedule_members ~max_states:0 ~size_of (Graph_index.of_graph g) members in
+  let sub =
+    Reorder.schedule_members ~max_states:0 ~size_of (Graph_index.of_graph g)
+      (Array.of_list (Int_set.elements members))
+  in
   check_sorted "schedules exactly the members" (Int_set.elements members) sub
 
 (* ------------------------------------------------------------------ *)
