@@ -10,7 +10,7 @@
     - [earliest]/[latest]: the range of schedule positions a node can
       occupy ([|anc v|] … [n - 1 - |des v|]); their difference, the
       [mobility], is the paper's narrow-waist value nw(v)
-      ({!Magis_sched.Partition.nw_table} reads the same closure);
+      ({!Magis_sched.Partition.nw_on} reads the same closure);
     - [envelope]: an interval of positions guaranteed to contain the
       node's live interval in every schedule;
     - [always_live_bytes t v]: bytes that are provably resident at the

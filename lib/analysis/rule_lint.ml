@@ -8,7 +8,6 @@ open Magis_ir
 open Magis_cost
 open Magis_rules
 module Interp = Magis_exec.Interp
-module Int_map = Util.Int_map
 module Int_set = Util.Int_set
 
 let pass = "rule-lint"
@@ -55,8 +54,8 @@ let record_changed (a : Graph.node) (b : Graph.node) =
 let check_coverage g (rw : Rule.rewrite) =
   let rule = rw.rule in
   let err ?node ~check fmt = Diagnostic.errorf ?node ~rule ~pass ~check fmt in
-  let old_labels = Wl_hash.node_labels g in
-  let new_labels = Wl_hash.node_labels rw.graph in
+  let old_labels = Wl_hash.labels_on (Graph_index.of_graph g) in
+  let new_labels = Wl_hash.labels_on (Graph_index.of_graph rw.graph) in
   let touched_des = Graph.des_of_set g rw.touched_old in
   let covered v =
     Int_set.mem v rw.touched_old || Int_set.mem v touched_des
@@ -82,8 +81,9 @@ let check_coverage g (rw : Rule.rewrite) =
             (* unchanged record but drifted WL label: must be explained by
                an ancestor inside the declared region *)
             (not (covered n.id))
-            && Int_map.find_opt n.id old_labels
-               <> Int_map.find_opt n.id new_labels
+            && not
+                 (Int64.equal (Wl_hash.label old_labels n.id)
+                    (Wl_hash.label new_labels n.id))
           then
             err ~node:n.id ~check:"touched-coverage"
               "node %d's WL label drifted under %s outside the declared \

@@ -4,11 +4,10 @@
     only first-occurrence positions and never raise; the lifetime
     cross-validation and the WL-label clone check run only once the
     structural checks pass, because {!Magis_cost.Lifetime.analyze} and
-    {!Magis_ir.Wl_hash.node_labels} assume a well-formed input. *)
+    {!Magis_ir.Wl_hash.labels_on} assume a well-formed input. *)
 
 open Magis_ir
 open Magis_cost
-module Int_map = Util.Int_map
 
 let pass = "sched-check"
 
@@ -179,7 +178,7 @@ let check_lifetime g order pos =
     must carry equal WL labels (label = op ⊕ shape ⊕ operand labels, so a
     difference means a clone's stored shape or dtype diverged). *)
 let check_clones g =
-  let labels = Wl_hash.node_labels g in
+  let labels = Wl_hash.labels_on (Graph_index.of_graph g) in
   let groups = Hashtbl.create 64 in
   Graph.iter
     (fun n ->
@@ -192,20 +191,17 @@ let check_clones g =
     (fun _ ids acc ->
       match ids with
       | [] | [ _ ] -> acc
-      | first :: rest -> (
-          match Int_map.find_opt first labels with
-          | None -> acc
-          | Some l0 ->
-              List.fold_left
-                (fun acc v ->
-                  match Int_map.find_opt v labels with
-                  | Some l when not (Int64.equal l l0) ->
-                      err ~node:v ~check:"remat-divergence"
-                        "%s is a clone of %s but their WL labels differ"
-                        (describe g v) (describe g first)
-                      :: acc
-                  | _ -> acc)
-                acc rest))
+      | first :: rest ->
+          let l0 = Wl_hash.label labels first in
+          List.fold_left
+            (fun acc v ->
+              if Int64.equal (Wl_hash.label labels v) l0 then acc
+              else
+                err ~node:v ~check:"remat-divergence"
+                  "%s is a clone of %s but their WL labels differ"
+                  (describe g v) (describe g first)
+                :: acc)
+            acc rest)
     groups []
 
 let schedule g order =

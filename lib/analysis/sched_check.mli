@@ -19,7 +19,7 @@
       tensor stays resident until its last direct use) but it defeats
       the swap, and a backend that frees at [Store] would fault;
     - ["remat-divergence"]: re-materialization clones (same operator,
-      same operand slots) whose {!Magis_ir.Wl_hash.node_labels} disagree
+      same operand slots) whose WL labels ({!Magis_ir.Wl_hash.label}) disagree
       — a clone drifted from its original. *)
 
 open Magis_ir

@@ -8,8 +8,6 @@
     its consumers' high halves.  Each pass touches only the words on its
     side of the diagonal. *)
 
-module Int_set = Util.Int_set
-
 (* bits per word: every bit of a 63-bit OCaml int *)
 let word_bits = 63
 
@@ -29,39 +27,15 @@ let popcount x =
   let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
   (x * 0x0101_0101_0101_0101) lsr 56
 
-(* [pos.(v)] for the nodes of [order] when [order] lists every node of
-   [g] exactly once, each after its operands; [None] otherwise *)
-let positions (g : Graph.t) (order : int array) =
-  let pos = Array.make (Graph.id_bound g) (-1) in
+let of_arrays ~order ~(nodes : Graph.node array) ~consumer_row ~consumers : t =
   let n = Array.length order in
-  let ok = ref (n = Graph.n_nodes g) in
-  let i = ref 0 in
-  while !ok && !i < n do
-    let v = order.(!i) in
-    if Graph.mem g v && pos.(v) < 0 then begin
-      pos.(v) <- !i;
-      incr i
-    end
-    else ok := false
-  done;
-  i := 0;
-  while !ok && !i < n do
-    Array.iter
-      (fun p -> if pos.(p) >= !i then ok := false)
-      (Graph.node g order.(!i)).inputs;
-    incr i
-  done;
-  if !ok then Some pos else None
-
-(* Both closures over [order] ([pos] its inverse): [inputs v] are [v]'s
-   operands and [iter_consumers f v] applies [f] to its consumers;
-   an edge seen twice sets the same bits twice. *)
-let closures order pos ~inputs ~iter_consumers : t =
-  let n = Array.length order in
+  let pos = Array.make (Array.length nodes) (-1) in
+  Array.iteri (fun i v -> pos.(v) <- i) order;
   let words = (n + word_bits - 1) / word_bits in
   let rows = Array.make (max 1 (n * words)) 0 in
   (* [row] is the start of the row being filled; the two absorb
-     functions are allocated once, not once per row *)
+     functions are allocated once, not once per row.  An edge seen
+     twice (an operand read by two slots) sets the same bits twice. *)
   let row = ref 0 in
   let set_bit j =
     let k = !row + (j / word_bits) in
@@ -89,35 +63,16 @@ let closures order pos ~inputs ~iter_consumers : t =
   in
   for i = 0 to n - 1 do
     row := i * words;
-    Array.iter absorb_anc (inputs order.(i))
+    Array.iter absorb_anc nodes.(order.(i)).inputs
   done;
   for i = n - 1 downto 0 do
     row := i * words;
-    iter_consumers absorb_des order.(i)
+    let v = order.(i) in
+    for k = consumer_row.(v) to consumer_row.(v + 1) - 1 do
+      absorb_des consumers.(k)
+    done
   done;
   { order; pos; words; rows }
-
-let compute ?order (g : Graph.t) : t =
-  let order, pos =
-    match Option.map (fun o -> (o, positions g o)) order with
-    | Some (o, Some p) -> (o, p)
-    | _ ->
-        let order = Array.of_list (Graph.topo_order g) in
-        (order, Option.get (positions g order))
-  in
-  closures order pos
-    ~inputs:(fun v -> (Graph.node g v).inputs)
-    ~iter_consumers:(fun f v -> Int_set.iter f (Graph.succ_set g v))
-
-let of_arrays ~order ~(nodes : Graph.node array) ~consumer_row ~consumers : t =
-  let pos = Array.make (Array.length nodes) (-1) in
-  Array.iteri (fun i v -> pos.(v) <- i) order;
-  closures order pos
-    ~inputs:(fun v -> nodes.(v).inputs)
-    ~iter_consumers:(fun f v ->
-      for k = consumer_row.(v) to consumer_row.(v + 1) - 1 do
-        f consumers.(k)
-      done)
 
 let length t = Array.length t.order
 let order t = t.order

@@ -1,6 +1,6 @@
 (** Ancestor and descendant closures of a graph over one topological
     order: the reachability structure behind the narrow-waist values of
-    §6.1 ([Magis_sched.Partition.nw_table]) and the schedule-independent
+    §6.1 ([Magis_sched.Partition.nw_on]) and the schedule-independent
     liveness facts of [Magis_analysis.Liveness].
 
     Both closures share one bit matrix of [n * ceil(n/63)] words, built
@@ -10,19 +10,13 @@
 
 type t
 
-(** [compute ?order g] builds the closures over [order] when it lists
-    every node of [g] exactly once, each after its operands (a valid
-    schedule); any other array, or none, is replaced by
-    {!Graph.topo_order}. *)
-val compute : ?order:int array -> Graph.t -> t
-
-(** The closures of a graph held as id-indexed arrays, over [order],
-    which must list every node exactly once, each after its operands
-    (it is not checked): [nodes.(v)] is node [v]'s record, and
-    [consumers.(k)] for [k] from [consumer_row.(v)] below
-    [consumer_row.(v + 1)] are the nodes reading [v] (a node may appear
-    once per operand slot).  Reads neither the graph's maps nor
-    anything but these arrays. *)
+(** The closures of a graph held as id-indexed arrays (those of its
+    {!Graph_index}), over [order], which must list every node exactly
+    once, each after its operands (it is not checked): [nodes.(v)] is
+    node [v]'s record, and [consumers.(k)] for [k] from
+    [consumer_row.(v)] below [consumer_row.(v + 1)] are the nodes
+    reading [v] (a node may appear once per operand slot).  Reads
+    neither the graph's maps nor anything but these arrays. *)
 val of_arrays :
   order:int array ->
   nodes:Graph.node array ->

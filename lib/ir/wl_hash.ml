@@ -13,8 +13,6 @@
     ids, so when every operand also kept its label, the node's label is
     the parent's, and only the other nodes are hashed again. *)
 
-module Int_map = Util.Int_map
-
 type labels = { hash : int64; words : Bytes.t  (** label of id [v] at [8 * v] *) }
 
 let get = Bytes.get_int64_ne
@@ -64,14 +62,6 @@ let relabel_on ~parent_nodes ~(parent : labels) ix =
         && kept words n.inputs (Array.length n.inputs - 1)
       then get pw (8 * v)
       else fresh words n)
-
-(** Per-node WL labels in topological order. *)
-let node_labels (g : Graph.t) : int64 Int_map.t =
-  let ix = Graph_index.of_graph g in
-  let l = labels_on ix in
-  Array.fold_left
-    (fun acc v -> Int_map.add v (label l v) acc)
-    Int_map.empty (Graph_index.order ix)
 
 let hash_on ix = (labels_on ix).hash
 let hash (g : Graph.t) : int64 = hash_on (Graph_index.of_graph g)

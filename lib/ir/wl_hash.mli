@@ -2,8 +2,6 @@
     structural hashes invariant under node renumbering, used by the
     optimizer to filter duplicate search states. *)
 
-module Int_map = Util.Int_map
-
 (** Per-node WL labels of one graph, by node id, and the graph's hash. *)
 type labels
 
@@ -26,10 +24,6 @@ val hash_of : labels -> int64
 
 (** The label of a node id. *)
 val label : labels -> int -> int64
-
-(** Per-node WL labels (operator fingerprint ⊕ shape ⊕ ordered operand
-    labels), in topological order. *)
-val node_labels : Graph.t -> int64 Int_map.t
 
 (** Structural hash of the indexed graph: [hash_of (labels_on ix)]. *)
 val hash_on : Graph_index.t -> int64

@@ -75,8 +75,8 @@ let s_generate = declare stage_decls "generate" (* mutations and rewrites *)
 let s_hash = declare stage_decls "hash" (* WL hash ⊕ F-Tree fingerprint *)
 let s_dedup = declare stage_decls "dedup" (* first occurrence wins *)
 let s_lookup = declare stage_decls "lookup" (* simulation-cache key, probe *)
-let s_reschedule = declare stage_decls "reschedule" (* accounting, Alg. 2 *)
-let s_simulate = declare stage_decls "simulate" (* simulate, verify, store *)
+let s_reschedule = declare stage_decls "reschedule" (* parent context, Alg. 2 *)
+let s_simulate = declare stage_decls "simulate" (* cost model, simulate, verify, store *)
 let s_merge = declare stage_decls "merge" (* admission, profile, metrics *)
 let s_checkpoint = declare stage_decls "checkpoint" (* snapshot writes *)
 
@@ -595,9 +595,12 @@ let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
       Mstate.of_cached ~ftree_stale:p.p_stale graph p.p_ftree v
   | None ->
       bump tb c_sim_misses 1;
-      let acc, schedule =
-        timed tb s_reschedule (fun () ->
-            let v = view () and ep = parent () in
+      let ep = timed tb s_reschedule parent in
+      (* the candidate's operator costs and fission accounting are the
+         simulator's cost and size model *)
+      let ix, acc =
+        timed tb s_simulate (fun () ->
+            let v = view () in
             let ix =
               match p.p_rewrite with Some ix -> ix | None -> view_index graph v
             in
@@ -605,7 +608,10 @@ let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
               Op_cost.inherited_cost_on ec.ec_cache ~parent_nodes:v.v_nodes
                 ~parent_costs:ep.e_costs ix
             in
-            let acc = Ftree.accounting ~base ec.ec_cache ix p.p_ftree in
+            (ix, Ftree.accounting ~base ec.ec_cache ix p.p_ftree))
+      in
+      let schedule =
+        timed tb s_reschedule (fun () ->
             let schedule, (rstats : Magis_sched.Incremental.stats) =
               Magis_sched.Incremental.reschedule ~max_states:sched_states
                 ~parent:ep.e_sched ~new_index:ix
@@ -614,7 +620,7 @@ let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
             if rstats.fallback then bump tb c_sched_fallbacks 1;
             bump tb c_resched_nodes rstats.rescheduled;
             bump tb c_sched_nodes (List.length schedule);
-            (acc, schedule))
+            schedule)
       in
       timed tb s_simulate @@ fun () ->
       let s' =

@@ -53,7 +53,9 @@ type table
 (** The fixed-name view of a run's table that the repository benchmark
     reads, built once at the end of {!run}.  Each count is the counter
     of the same meaning and each [t_*] the stage it names: [t_transform]
-    is the generate stage, [t_sched] reschedule and [t_simul] simulate;
+    is the generate stage, [t_sched] reschedule (the pop's parent
+    context and Algorithm 2) and [t_simul] simulate (the candidate's
+    operator costs and fission accounting, then the simulation);
     [n_sched], [n_simul] and [n_sim_miss] all read the one cache-miss
     counter, since every miss is rescheduled and simulated exactly
     once. *)

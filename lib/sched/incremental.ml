@@ -45,7 +45,6 @@ let get_reschedule_interval ~(nw : int array) (psi : int array)
   (beg, end_ + 1)
 
 type parent = {
-  graph : Graph.t;
   schedule : int array;
   position : int array;
   nw : int array;
@@ -57,7 +56,7 @@ let parent (ix : Graph_index.t) (schedule : int list) : parent =
   Array.iteri
     (fun i v -> if v >= 0 && v < Array.length position then position.(v) <- i)
     schedule;
-  { graph = Graph_index.graph ix; schedule; position; nw = Partition.nw_on ix }
+  { schedule; position; nw = Partition.nw_on ix }
 
 (* the ids whose mark satisfies [p], increasing *)
 let marked mark p =

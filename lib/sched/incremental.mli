@@ -21,7 +21,7 @@ type stats = {
 
 (** The paper's [ExtendBound] (clamped to the schedule): walk schedule
     [psi] from position [i] in direction [d] while the narrow-waist
-    values [nw] (indexed by node id, see {!Partition.nw_table}) keep
+    values [nw] (indexed by node id, see {!Partition.nw_on}) keep
     shrinking. *)
 val extend_bound : nw:int array -> int array -> int -> int -> int
 
@@ -34,7 +34,6 @@ val get_reschedule_interval : nw:int array -> int array -> int list -> int * int
     parent, built once per parent and then only read (by every worker
     domain at once). *)
 type parent = private {
-  graph : Graph.t;
   schedule : int array;  (** the parent's schedule, position -> id *)
   position : int array;
       (** id -> position in [schedule], [-1] for an id off it *)

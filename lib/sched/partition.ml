@@ -13,26 +13,16 @@ module Int_set = Util.Int_set
 (* Narrow-waist table                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* nw(v) = |V| - |anc(v)| - |des(v)| - 1, by id, from a closure *)
-let nw_of (r : Reach.t) bound : int array =
+(** [nw(v) = |V| - |anc(v)| - |des(v)| - 1] of every node [v], by id,
+    read off the index's own closure ({!Graph_index.reach}). *)
+let nw_on (ix : Graph_index.t) : int array =
+  let r = Graph_index.reach ix in
   let n = Reach.length r in
-  let table = Array.make bound 0 in
+  let table = Array.make (Graph_index.bound ix) 0 in
   Array.iter
     (fun v -> table.(v) <- n - 1 - Reach.n_anc r v - Reach.n_des r v)
     (Reach.order r);
   table
-
-(** [nw_table g order] is the narrow-waist value
-    [|V| - |anc(v)| - |des(v)| - 1] of every node [v] of [g], indexed
-    by node id, read off the {!Reach} closures over [order] (a valid
-    schedule; any other array is replaced by {!Graph.topo_order}). *)
-let nw_table (g : Graph.t) (order : int array) : int array =
-  nw_of (Reach.compute ~order g) (Graph.id_bound g)
-
-(** The same table from the index's own closure ({!Graph_index.reach}):
-    anc and des do not depend on the order they are walked in. *)
-let nw_on (ix : Graph_index.t) : int array =
-  nw_of (Graph_index.reach ix) (Graph_index.bound ix)
 
 (* ------------------------------------------------------------------ *)
 (* Partitioning                                                       *)

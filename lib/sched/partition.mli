@@ -4,15 +4,10 @@ open Magis_ir
 module Int_set = Util.Int_set
 
 (** Narrow-waist value [nw(v) = |V| - |anc(v)| - |des(v)| - 1] of every
-    node [v] of [g], indexed by node id, from the {!Reach} closures.  The
-    array argument is a topological order of [g] (a valid schedule); any
-    other array is replaced by {!Graph.topo_order}.  The same number as
-    the scheduling freedom [Magis_analysis.Liveness.mobility]: [latest -
+    node [v] of the indexed graph, indexed by node id, read off the
+    index's own closure ({!Graph_index.reach}).  The same number as the
+    scheduling freedom [Magis_analysis.Liveness.mobility]: [latest -
     earliest = (n - 1 - |des v|) - |anc v|]. *)
-val nw_table : Graph.t -> int array -> int array
-
-(** {!nw_table} from the index's own closure ({!Graph_index.reach}),
-    with no map read and no re-validation of an order. *)
 val nw_on : Graph_index.t -> int array
 
 (** The cut of a member table: member [i] lies in block [block_of.(i)];

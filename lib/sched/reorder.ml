@@ -4,8 +4,8 @@
     al., MLSys'20) that the paper uses as its [DpSchedule] primitive: a
     uniform-cost search over "executed set" states whose path cost is the
     peak memory so far.  Because the live set (and hence the current
-    memory) is a function of the executed set alone, each state is visited
-    at most once with its best achievable peak, and the first completed
+    memory) is a function of the executed set alone, a state is expanded
+    only with the best peak that reaches it, and the first completed
     state is memory-optimal.
 
     The state space is exponential in the antichain width, so the search
@@ -13,65 +13,19 @@
     waists ({!Partition}) and falls back to a memory-greedy list scheduler
     ([greedy_schedule]) for blocks whose DP exceeds the budget.
 
-    The greedy scheduler is the one the search runs on every candidate
-    (its default DP budget is 0).  It works on arrays indexed by the
-    members ({!Members}: rank among the sorted ids), never by
-    {!Graph.id_bound}, and keeps the ready nodes in a binary min-heap
-    with a position index, ordered by an int-only comparison of (net
-    memory delta, size, id).  [schedule_members] reads the members into
-    one table from the candidate's index; partitioning gives each member
-    a block number, and one greedy pass, with scratch allocated once,
-    visits the blocks in order and reads only the edges inside each. *)
+    Both schedulers work on arrays indexed by the members ({!Members}:
+    rank among the sorted ids), never by {!Graph.id_bound}.
+    [schedule_members] reads the members into one table from the
+    candidate's index; partitioning gives each member a block number,
+    and one scratch, allocated once, serves every block: the DP runs on
+    a block's in-block edges with its executed sets as bitsets over the
+    block's members, and the greedy, which the search runs on every
+    candidate (its default DP budget is 0), keeps the ready members in a
+    binary min-heap with a position index, ordered by an int-only
+    comparison of (net memory delta, size, id). *)
 
 open Magis_ir
 module Int_set = Util.Int_set
-module Set_map = Map.Make (Int_set)
-
-(** Bytes freed by executing [v] when [executed] already ran: operands (and
-    [v] itself) whose consumers within [members] are now all executed and
-    which have no consumer outside [members].  Operands outside [members]
-    are never freed here (the enclosing block owns them). *)
-let freed_by ~size_of (g : Graph.t) (members : Int_set.t)
-    (executed : Int_set.t) (v : int) : int =
-  let executed' = Int_set.add v executed in
-  let dead u =
-    Int_set.mem u members
-    && (not (Magis_cost.Lifetime.pinned g u))
-    && Int_set.for_all
-         (fun c -> (not (Int_set.mem c members)) || Int_set.mem c executed')
-         (Graph.succ_set g u)
-    && Int_set.for_all (fun c -> Int_set.mem c members) (Graph.succ_set g u)
-  in
-  let preds = List.filter (fun u -> Int_set.mem u members) (Graph.pre g v) in
-  let candidates = if dead v then v :: preds else preds in
-  List.fold_left
-    (fun acc u -> if u <> v && not (dead u) then acc else acc + size_of u)
-    0
-    (List.sort_uniq compare candidates)
-
-let initial_ready (g : Graph.t) (members : Int_set.t) =
-  Int_set.filter
-    (fun v ->
-      List.for_all
-        (fun p -> not (Int_set.mem p members))
-        (Graph.pre g v))
-    members
-
-let next_ready (g : Graph.t) (members : Int_set.t) (executed : Int_set.t)
-    (ready : Int_set.t) (v : int) =
-  let ready = Int_set.remove v ready in
-  List.fold_left
-    (fun r s ->
-      if
-        Int_set.mem s members
-        && (not (Int_set.mem s executed))
-        && List.for_all
-             (fun p ->
-               (not (Int_set.mem p members)) || Int_set.mem p executed)
-             (Graph.pre g s)
-      then Int_set.add s r
-      else r)
-    ready (Graph.suc g v)
 
 (* ------------------------------------------------------------------ *)
 (* Memory-greedy list scheduling                                      *)
@@ -83,7 +37,8 @@ let next_ready (g : Graph.t) (members : Int_set.t) (executed : Int_set.t)
    its tensor can die inside its block ([closed]: not pinned, no
    consumer outside the members or in another block) and its current
    key's net delta; a binary min-heap of ready members with a position
-   index ([slot], [-1] off the heap), and the output. *)
+   index ([slot], [-1] off the heap), each member's position in its
+   block (the DP's bit), and the output. *)
 type greedy = {
   ms : Members.t;
   block_of : int array;
@@ -95,6 +50,7 @@ type greedy = {
   heap : int array;
   slot : int array;
   mutable len : int;
+  pos : int array;
   out : int array;
   mutable placed : int;
 }
@@ -120,7 +76,8 @@ let greedy_scratch ~size_of (ms : Members.t) (block_of : int array) : greedy =
   done;
   { ms; block_of; size = Array.init m (fun i -> size_of ms.ids.(i)); remaining;
     missing; closed; delta = Array.make m 0; heap = Array.make m 0;
-    slot = Array.make m (-1); len = 0; out = Array.make m 0; placed = 0 }
+    slot = Array.make m (-1); len = 0; pos = Array.make m 0; out = Array.make m 0;
+    placed = 0 }
 
 (* net bytes added if i ran now: an operand in another block is never
    closed, so only operands inside i's block are freed *)
@@ -230,6 +187,16 @@ let output g =
   done;
   !acc
 
+(* [members] as the one block of a table read from a fresh index of
+   [g], and the block's members *)
+let one_block ~size_of (g : Graph.t) (members : Int_set.t) =
+  let ms =
+    Members.of_index (Graph_index.of_graph g)
+      (Array.of_list (Int_set.elements members))
+  in
+  let m = Members.size ms in
+  (greedy_scratch ~size_of ms (Array.make m 0), Array.init m Fun.id)
+
 (** Fallback scheduler: at each step execute the ready node with the
     smallest key (net memory delta, size, id), where the net delta is
     [size - potentially-freed bytes].
@@ -245,28 +212,38 @@ let output g =
     exact.  The members are one block of a table read from a fresh
     index of [g]. *)
 let greedy_schedule ~size_of (g : Graph.t) (members : Int_set.t) : int list =
-  let ms =
-    Members.of_index (Graph_index.of_graph g)
-      (Array.of_list (Int_set.elements members))
-  in
-  let m = Members.size ms in
-  let sc = greedy_scratch ~size_of ms (Array.make m 0) in
-  greedy_block sc (Array.init m Fun.id) 0 m;
+  let sc, all = one_block ~size_of g members in
+  greedy_block sc all 0 (Array.length all);
   output sc
 
 (* ------------------------------------------------------------------ *)
 (* DP (uniform-cost search on peak memory)                            *)
 (* ------------------------------------------------------------------ *)
 
-type state = {
-  executed : Int_set.t;
-  ready : Int_set.t;
-  mem : int;
-  order_rev : int list;
-}
+(* A state of one block's search: its executed members as a bitset
+   over their positions in the block, how many they are, the bytes
+   live inside the block, and the order so far, newest first. *)
+type state = { ran : string; count : int; mem : int; order_rev : int list }
+
+let has ran p =
+  Char.code (String.unsafe_get ran (p lsr 3)) land (1 lsl (p land 7)) <> 0
+
+let with_bit ran p =
+  let b = Bytes.of_string ran in
+  Bytes.set b (p lsr 3)
+    (Char.unsafe_chr (Char.code (Bytes.get b (p lsr 3)) lor (1 lsl (p land 7))));
+  Bytes.unsafe_to_string b
+
+(* the best peak each executed set was expanded with *)
+module Seen = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
 
 module Bucket_queue = struct
-  (* min-priority queue keyed by peak memory, FIFO within a bucket *)
+  (* min-priority queue keyed by peak memory, LIFO within a bucket *)
   module M = Map.Make (Int)
 
   type 'a t = 'a list M.t
@@ -284,69 +261,98 @@ module Bucket_queue = struct
     | Some (_, []) -> assert false
 end
 
-(** Memory-optimal order of [members], or [None] if the search exceeds
-    [max_states] expansions. *)
+(* Memory-optimal order of the block whose members are [members.(lo)]
+   to [members.(hi - 1)], emitted into [g] (true), or nothing emitted
+   once more than [max_states] states are popped (false).  Reads only
+   the edges inside the block: a member is ready when each operand of
+   its block has run, and running [i] frees each [closed] operand
+   whose last consumer it is, and [i] itself when it is [closed] with
+   no consumer; an operand in another block is never [closed]. *)
+let dp_block ~max_states g (members : int array) lo hi : bool =
+  let n = hi - lo and ms = g.ms and pos = g.pos and block_of = g.block_of in
+  for p = 0 to n - 1 do
+    pos.(members.(lo + p)) <- p
+  done;
+  let ready ran i =
+    let ok = ref (not (has ran pos.(i))) and k = ref ms.pred_start.(i) in
+    while !ok && !k < ms.pred_start.(i + 1) do
+      let u = ms.preds.(!k) in
+      ok := block_of.(u) <> block_of.(i) || has ran pos.(u);
+      incr k
+    done;
+    !ok
+  in
+  (* a closed tensor's consumers all lie in its block *)
+  let last ran i u =
+    let ok = ref g.closed.(u) and k = ref ms.succ_start.(u) in
+    while !ok && !k < ms.succ_start.(u + 1) do
+      let c = ms.succs.(!k) in
+      ok := c = i || has ran pos.(c);
+      incr k
+    done;
+    !ok
+  in
+  let freed ran i =
+    let f =
+      ref (if g.closed.(i) && ms.succ_start.(i) = ms.succ_start.(i + 1) then g.size.(i) else 0)
+    in
+    for k = ms.pred_start.(i) to ms.pred_start.(i + 1) - 1 do
+      let u = ms.preds.(k) in
+      if last ran i u then f := !f + g.size.(u)
+    done;
+    !f
+  in
+  let best = Seen.create 64 in
+  let dominated ran peak =
+    match Seen.find_opt best ran with Some p -> p <= peak | None -> false
+  in
+  let rec search q pops =
+    match Bucket_queue.pop q with
+    | None -> None
+    | Some _ when pops >= max_states -> None
+    | Some (peak, st, q) -> (
+        match Seen.find_opt best st.ran with
+        | Some p when p < peak -> search q (pops + 1)
+        | _ ->
+            Seen.replace best st.ran peak;
+            if st.count = n then Some st.order_rev
+            else
+              (* ready members by increasing position, which is id order *)
+              let q = ref q in
+              for p = 0 to n - 1 do
+                let i = members.(lo + p) in
+                if ready st.ran i then begin
+                  let transient = st.mem + g.size.(i) in
+                  let ran = with_bit st.ran p and peak' = max peak transient in
+                  if not (dominated ran peak') then
+                    q :=
+                      Bucket_queue.push peak'
+                        { ran; count = st.count + 1; mem = transient - freed st.ran i;
+                          order_rev = ms.ids.(i) :: st.order_rev }
+                        !q
+                end
+              done;
+              search !q (pops + 1))
+  in
+  let start =
+    { ran = String.make ((n + 7) / 8) '\000'; count = 0; mem = 0; order_rev = [] }
+  in
+  match search (Bucket_queue.push 0 start Bucket_queue.empty) 0 with
+  | None -> false
+  | Some order_rev ->
+      List.iter (emit g) (List.rev order_rev);
+      true
+
+(** Memory-optimal order of [members], or [None] if the search pops
+    more than [max_states] states: one block of a table read from a
+    fresh index of [g]. *)
 let dp_schedule ?(max_states = 20_000) ~size_of (g : Graph.t)
     (members : Int_set.t) : int list option =
-  let target = Int_set.cardinal members in
-  if target = 0 then Some []
+  if Int_set.is_empty members then Some []
   else
-    let start =
-      {
-        executed = Int_set.empty;
-        ready = initial_ready g members;
-        mem = 0;
-        order_rev = [];
-      }
-    in
-    let best = ref Set_map.empty in
-    let q = ref (Bucket_queue.push 0 start Bucket_queue.empty) in
-    let pops = ref 0 in
-    let result = ref None in
-    (try
-       while !result = None do
-         match Bucket_queue.pop !q with
-         | None -> raise Exit
-         | Some (peak, st, q') ->
-             q := q';
-             incr pops;
-             if !pops > max_states then raise Exit;
-             let seen =
-               match Set_map.find_opt st.executed !best with
-               | Some p -> p < peak
-               | None -> false
-             in
-             if not seen then begin
-               best := Set_map.add st.executed peak !best;
-               if Int_set.cardinal st.executed = target then
-                 result := Some (List.rev st.order_rev)
-               else
-                 Int_set.iter
-                   (fun v ->
-                     let transient = st.mem + size_of v in
-                     let freed = freed_by ~size_of g members st.executed v in
-                     let executed' = Int_set.add v st.executed in
-                     let st' =
-                       {
-                         executed = executed';
-                         ready = next_ready g members executed' st.ready v;
-                         mem = transient - freed;
-                         order_rev = v :: st.order_rev;
-                       }
-                     in
-                     let peak' = max peak transient in
-                     let dominated =
-                       match Set_map.find_opt st'.executed !best with
-                       | Some p -> p <= peak'
-                       | None -> false
-                     in
-                     if not dominated then
-                       q := Bucket_queue.push peak' st' !q)
-                   st.ready
-             end
-       done
-     with Exit -> ());
-    !result
+    let sc, all = one_block ~size_of g members in
+    if dp_block ~max_states sc all 0 (Array.length all) then Some (output sc)
+    else None
 
 (* ------------------------------------------------------------------ *)
 (* Full scheduling: partition, DP per block, fallback                 *)
@@ -356,8 +362,8 @@ let dp_schedule ?(max_states = 20_000) ~size_of (g : Graph.t)
     partition along the index's topological order, then per-block DP
     ([max_states = 0] skips it) with greedy fallback, concatenated in
     dependency order.  The members are read into one table; the blocks
-    are a block number per member, and one greedy scratch serves every
-    block. *)
+    are a block number per member, and one scratch serves the DP and the
+    greedy of every block. *)
 let schedule_members ?(max_states = 20_000) ~size_of (ix : Graph_index.t)
     (ids : int array) : int list =
   let ms = Members.of_index ix ids in
@@ -365,31 +371,22 @@ let schedule_members ?(max_states = 20_000) ~size_of (ix : Graph_index.t)
   let sc = greedy_scratch ~size_of ms b.block_of in
   for k = 0 to Partition.n_blocks b - 1 do
     let lo = b.start.(k) and hi = b.start.(k + 1) in
-    let dp =
-      if max_states <= 0 then None
-      else
-        let set = ref Int_set.empty in
-        for p = lo to hi - 1 do
-          set := Int_set.add ms.ids.(b.members.(p)) !set
-        done;
-        dp_schedule ~max_states ~size_of (Graph_index.graph ix) !set
-    in
-    match dp with
-    | Some order -> List.iter (emit sc) order
-    | None -> greedy_block sc b.members lo hi
+    if not (max_states > 0 && dp_block ~max_states sc b.members lo hi) then
+      greedy_block sc b.members lo hi
   done;
   output sc
 
-(** Schedule the whole graph. *)
+(** Schedule the whole graph, sized by its node records
+    ({!Magis_cost.Lifetime.node_size}) unless [size_of] is given. *)
 let schedule ?(max_states = 20_000) ?size_of (g : Graph.t) : int list =
+  let ix = Graph_index.of_graph g in
   let size_of =
     match size_of with
     | Some f -> f
-    | None -> fun v -> Magis_cost.Lifetime.default_size g v
+    | None -> fun v -> Magis_cost.Lifetime.node_size (Graph_index.node ix v)
   in
-  let ix = Graph_index.of_graph g in
-  let order =
-    schedule_members ~max_states ~size_of ix (Array.of_list (Graph.node_ids g))
-  in
+  let ids = Array.copy (Graph_index.order ix) in
+  Array.sort Int.compare ids;
+  let order = schedule_members ~max_states ~size_of ix ids in
   assert (Graph_index.is_valid_order ix order);
   order

@@ -107,18 +107,19 @@ if [ -n "$hits" ]; then
 fi
 
 # 10. the simulator, the lifetime analysis, the F-Tree, the WL hash and
-# the incremental rescheduler (incremental.ml, and the member table and
-# partition it schedules a window on) run on every search candidate or
-# every pop, so they read node records, operand shapes, consumers,
-# membership and member-set outputs from one Graph_index: no
-# node-by-node lookup in the graph's persistent maps (Graph.node, op,
-# shape, succ_set, suc, mem or outs_of; `Graph.node` as a type
-# annotation is fine).  Partition.partition, the graph-keyed entry
-# point, builds one index and cuts its member table.
-hits=$(grep -nP 'Graph\.(node(?!\s*\))|op|shape|succ_set|suc|mem|outs_of)\b' \
+# the incremental rescheduler (incremental.ml, and the member table,
+# partition and schedulers it schedules a window with) run on every
+# search candidate or every pop, so they read node records, operand
+# shapes, operands, consumers, membership and member-set outputs from
+# one Graph_index: no node-by-node lookup in the graph's persistent
+# maps (Graph.node, op, shape, pre, succ_set, suc, mem or outs_of;
+# `Graph.node` as a type annotation is fine).  Partition.partition and
+# Reorder's graph-keyed entry points build one index and read its
+# member table.
+hits=$(grep -nP 'Graph\.(node(?!\s*\))|op|shape|pre|succ_set|suc|mem|outs_of)\b' \
   lib/cost/simulator.ml lib/cost/lifetime.ml lib/ftree/ftree.ml \
   lib/ir/wl_hash.ml lib/sched/incremental.ml lib/sched/members.ml \
-  lib/sched/partition.ml 2>/dev/null)
+  lib/sched/partition.ml lib/sched/reorder.ml 2>/dev/null)
 if [ -n "$hits" ]; then
   fail "per-node map lookup in the simulator, the lifetime analysis, the F-Tree, the WL hash or the rescheduler (read a Graph_index instead):"
   echo "$hits"
@@ -161,14 +162,13 @@ if [ -n "$hits" ]; then
   echo "$hits"
 fi
 
-# 14. the index's Reach closure is built from the index's own arrays
-# (node records and consumers by operand slot, over the index's
-# order): Reach.of_arrays reads no graph map (`Graph.node` as a type
-# is fine).
-hits=$(awk '/^let /{on = /^let of_arrays /} on {print FILENAME ":" FNR ": " $0}' lib/ir/reach.ml \
-  | grep -P 'Graph\.(node(?!\s*(\)|array))|succ_set|suc|mem|topo_order)\b')
+# 14. the Reach closure has one builder, Reach.of_arrays, over the
+# index's own arrays (node records and consumers by operand slot, over
+# the index's order): nothing in reach.ml reads a graph map
+# (`Graph.node` as a type is fine).
+hits=$(grep -HnP 'Graph\.(node(?!\s*(\)|array))|pre|succ_set|suc|mem|topo_order)\b' lib/ir/reach.ml)
 if [ -n "$hits" ]; then
-  fail "graph map read in Reach.of_arrays (read the index's arrays):"
+  fail "graph map read in lib/ir/reach.ml (read the index's arrays):"
   echo "$hits"
 fi
 

@@ -69,7 +69,7 @@ let test_incremental_matches_full_quality () =
 let test_extend_bound_clamps () =
   let g, _, _, _, _ = chain3 () in
   let psi = Array.of_list (Graph.topo_order g) in
-  let nw = Partition.nw_table g psi in
+  let nw = Partition.nw_on (Graph_index.of_graph g) in
   let lo = Incremental.extend_bound ~nw psi 0 (-1) in
   let hi = Incremental.extend_bound ~nw psi (Array.length psi - 1) 1 in
   Alcotest.(check bool) "bounds in range" true
@@ -79,7 +79,7 @@ let test_interval_covers_mutation () =
   let g = mlp_training () in
   let psi = Array.of_list (Graph.topo_order g) in
   let mid = Array.length psi / 2 in
-  let nw = Partition.nw_table g psi in
+  let nw = Partition.nw_on (Graph_index.of_graph g) in
   let beg, end_ = Incremental.get_reschedule_interval ~nw psi [ mid ] in
   Alcotest.(check bool) "interval contains the mutated position" true
     (beg <= mid && mid < end_)

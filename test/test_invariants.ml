@@ -3,7 +3,7 @@
 
     The reference implementations below are the set- and hashtable-based
     routines that {!Graph.topo_order}, {!Graph.components_of},
-    {!Graph_index.is_valid_order}, {!Wl_hash.hash}, {!Partition.nw_table},
+    {!Graph_index.is_valid_order}, {!Wl_hash.hash}, {!Partition.nw_on},
     {!Partition.partition} and {!Reorder.greedy_schedule} used before
     they moved onto arrays, bitsets and binary heaps, and the per-child
     path {!Incremental.reschedule} took before its parent context.  They
@@ -45,7 +45,16 @@
     its order forced by {!Wl_hash.relabel_on}, and a mutation's, over a
     view's shared arrays), on random windows of Randnets, one of them
     with an operand read twice, and on a graph built to hold both a
-    repeated operand and a consumer in a later block. *)
+    repeated operand and a consumer in a later block.
+
+    The DP on the same member table ({!Reorder.dp_schedule},
+    {!Reorder.schedule_members} and {!Reorder.schedule} with a state
+    budget) is checked against [Ref_dp.ref_dp_schedule], the DP that
+    walked the graph's maps over [Int_set] states, alone and composed
+    with the oracle partition and greedy, at budgets from 1 to 4,000:
+    on every block of the zoo and of Randnets, and on a graph whose
+    equal-peak alternatives leave the choice to the order ready members
+    are visited in and the order a bucket is popped in. *)
 
 open Magis
 open Helpers
@@ -329,7 +338,7 @@ let ref_reschedule ~old_graph ~new_graph ~old_schedule ~mutated_old ~size_of =
   in
   if positions = [] || Array.length psi = 0 then full ()
   else
-    let nw = Partition.nw_table old_graph psi in
+    let nw = Partition.nw_on (Graph_index.of_graph old_graph) in
     let lo = List.fold_left min max_int positions in
     let hi = List.fold_left max min_int positions in
     let beg = Incremental.extend_bound ~nw psi lo (-1) in
@@ -437,13 +446,19 @@ let random_topo_order g seed =
 
 let same_sets a b = List.equal Int_set.equal a b
 
-(** {!Reach} over a random topological order against {!Graph.anc} /
-    {!Graph.des}, [nw_table] against [Liveness.mobility], and the
+(** {!Reach.of_arrays} over a random topological order against
+    {!Graph.anc} / {!Graph.des}, {!Partition.nw_on} against
+    [Liveness.mobility], and the
     [quick_check] verdicts against [check] at both edges of the bound
     interval; [Error what] names the first disagreement. *)
 let check_closure g seed =
   let order = random_topo_order g seed in
-  let r = Reach.compute ~order g in
+  let ix = Graph_index.of_graph g in
+  let { Graph_index.row; ids = readers } = Graph_index.csr ix in
+  let r =
+    Reach.of_arrays ~order ~nodes:(Graph_index.nodes ix) ~consumer_row:row
+      ~consumers:readers
+  in
   let ids = Graph.node_ids g in
   let reach_ok r v =
     let anc = Graph.anc g v and des = Graph.des g v in
@@ -451,7 +466,6 @@ let check_closure g seed =
     && Reach.n_des r v = Int_set.cardinal des
     && List.for_all (fun u -> Reach.precedes r u v = Int_set.mem u anc) ids
   in
-  let ix = Graph_index.of_graph g in
   if Reach.order r <> order then Error "Reach.order"
   else if not (List.for_all (reach_ok r) ids) then Error "Reach"
   else if Reach.order (Graph_index.reach ix) != Graph_index.order ix then
@@ -459,9 +473,9 @@ let check_closure g seed =
   else if not (List.for_all (reach_ok (Graph_index.reach ix)) ids) then
     Error "Graph_index.reach"
   else
-    let lv = Liveness.compute g and nw = Partition.nw_table g order in
+    let lv = Liveness.compute g and nw = Partition.nw_on ix in
     if not (List.for_all (fun v -> nw.(v) = Liveness.mobility lv v) ids) then
-      Error "nw_table = mobility"
+      Error "nw_on = mobility"
     else
       let b = Membound.compute g in
       let verdicts diags =
@@ -600,14 +614,8 @@ let check_graph g seed =
   else if not (Int64.equal (Wl_hash.hash g) (ref_wl_hash g)) then Error "Wl_hash.hash"
   else if not (Int64.equal (Wl_hash.hash_on ix) (ref_wl_hash g)) then Error "Wl_hash.hash_on"
   else
-    let nw_expected = List.map (fun v -> (v, ref_nw g v)) topo in
-    let nw_matches order =
-      let t = Partition.nw_table g order in
-      List.for_all (fun (v, w) -> t.(v) = w) nw_expected
-    in
-    if not (nw_matches (Array.of_list topo)) then Error "nw_table (topo order)"
-    else if not (nw_matches (random_topo_order g seed)) then Error "nw_table (random order)"
-    else if not (nw_matches [||]) then Error "nw_table (fallback)"
+    let nw = Partition.nw_on ix in
+    if not (List.for_all (fun v -> nw.(v) = ref_nw g v) topo) then Error "nw_on"
     else
       let sets = member_sets g seed in
       if not (List.for_all (fun s -> same_sets (Graph.components_of g s) (ref_components_of g s)) sets)
@@ -1052,6 +1060,16 @@ let window_graph () =
   let _ = Builder.concat b ~axis:0 [ q; r ] in
   Builder.finish b
 
+(* every contiguous window of [g]'s topological order *)
+let contiguous_windows g =
+  let topo = Array.of_list (Graph.topo_order g) in
+  let n = Array.length topo in
+  List.concat_map
+    (fun lo ->
+      List.init (n - lo) (fun len ->
+          Int_set.of_list (Array.to_list (Array.sub topo lo (len + 1)))))
+    (List.init n Fun.id)
+
 let test_window_shapes () =
   let g = window_graph () in
   let blocks = Partition.partition g (Int_set.of_list (Graph.node_ids g)) in
@@ -1073,21 +1091,164 @@ let test_window_shapes () =
        (Graph.node_ids g));
   Alcotest.(check bool) "a node reads an operand of its own block twice" true
     (List.exists (fun v -> read_twice (Graph.node g v)) (Graph.node_ids g));
-  let topo = Array.of_list (Graph.topo_order g) in
-  let n = Array.length topo in
   (* every contiguous window of the order, on one index *)
-  let windows =
-    List.concat_map
-      (fun lo ->
-        List.init (n - lo) (fun len ->
-            Int_set.of_list (Array.to_list (Array.sub topo lo (len + 1)))))
-      (List.init n Fun.id)
-  in
   Alcotest.(check bool) "every window equals the oracles" true
-    (check_members (Graph_index.of_graph g) windows);
+    (check_members (Graph_index.of_graph g) (contiguous_windows g));
   match check_windows g 7 with
   | Ok () -> ()
   | Error what -> Alcotest.failf "window graph: %s" what
+
+(* ------------------------------------------------------------------ *)
+(* The DP on the member table                                          *)
+(* ------------------------------------------------------------------ *)
+
+let dp_budgets = [ 1; 3; 64; 600; 4_000 ]
+
+(** At every budget of [dp_budgets]: {!Reorder.dp_schedule} against
+    [ref_dp_schedule] on every block {!Partition.partition} cuts from
+    each of [sets], {!Reorder.schedule_members} on one index of [g]
+    against the oracles composed on each of [sets], and
+    {!Reorder.schedule} against the oracles composed on the whole graph
+    (at 4,000, {!Mstate.init}'s default schedule).  Same order or same
+    [None]; [Error what] names the first disagreement.  [tally] counts
+    the blocks the DP completed and gave up on. *)
+let check_dp ?(tally = fun _ _ -> ()) g sets =
+  let size_of = Lifetime.default_size g in
+  let ix = Graph_index.of_graph g in
+  let all = Int_set.of_list (Graph.node_ids g) in
+  let blocks = List.concat_map (Partition.partition g) sets in
+  (* each block's oracle DP is run once per budget *)
+  let memo = Hashtbl.create 64 in
+  let ref_dp max_states block =
+    let key = (max_states, Int_set.elements block) in
+    match Hashtbl.find_opt memo key with
+    | Some r -> r
+    | None ->
+        let r = Ref_dp.ref_dp_schedule ~max_states ~size_of g block in
+        Hashtbl.replace memo key r;
+        r
+  in
+  (* the oracle partition, each block by the oracle DP with the
+     oracle greedy as its fallback *)
+  let oracle max_states s =
+    List.concat_map
+      (fun block ->
+        match ref_dp max_states block with
+        | Some order -> order
+        | None -> ref_greedy_schedule ~size_of g block)
+      (ref_partition g s)
+  in
+  let same_dp max_states block =
+    let got = Reorder.dp_schedule ~max_states ~size_of g block in
+    tally block got;
+    got = ref_dp max_states block
+  in
+  let same_members max_states s =
+    Reorder.schedule_members ~max_states ~size_of ix (Array.of_list (Int_set.elements s))
+    = oracle max_states s
+  in
+  let rec go = function
+    | [] -> Ok ()
+    | max_states :: rest ->
+        let fail what = Error (Printf.sprintf "%s at budget %d" what max_states) in
+        if not (List.for_all (same_dp max_states) blocks) then fail "dp_schedule"
+        else if not (List.for_all (same_members max_states) sets) then
+          fail "schedule_members"
+        else if Reorder.schedule ~max_states g <> oracle max_states all then fail "schedule"
+        else go rest
+  in
+  go dp_budgets
+
+(** Every block of every zoo model's whole graph (one block each holds
+    all but the first and last node, and the DP gives up on it at every
+    budget) and of the seeded {!member_sets} beside it.  The comparisons
+    must see the DP both complete a block of several members and give
+    up on one, or they show nothing. *)
+let test_dp_zoo () =
+  let completed = ref 0 and gave_up = ref 0 in
+  let tally block = function
+    | Some _ -> if Int_set.cardinal block > 1 then incr completed
+    | None -> incr gave_up
+  in
+  List.iter
+    (fun (w : Zoo.workload) ->
+      let g = w.build Zoo.Quick in
+      match check_dp ~tally g (member_sets g 11) with
+      | Ok () -> ()
+      | Error what -> Alcotest.failf "%s: %s" w.name what)
+    Zoo.all;
+  Alcotest.(check bool)
+    (Printf.sprintf "the DP completes (%d) and gives up on (%d) blocks" !completed !gave_up)
+    true
+    (!completed > 0 && !gave_up > 0)
+
+let prop_dp =
+  QCheck2.Test.make ~name:"the DP on the member table equals its oracle on rewritten randnets"
+    ~count:20 ~print:print_graph gen_graph (fun params ->
+      let _, _, seed, _ = params in
+      let g = build_graph params in
+      match check_dp g (member_sets g seed) with
+      | Ok () -> true
+      | Error what -> QCheck2.Test.fail_report what)
+
+(** Equal-peak alternatives: three same-sized branches of [x], joined
+    pairwise, and a two-node chain beside them.  Many orders reach the
+    smallest peak, so which one the DP returns is decided by the order
+    it visits ready members in (increasing id) and pops a bucket in
+    (last pushed first). *)
+let tie_graph () =
+  let b = Builder.create () in
+  let x = Builder.input b [ 16 ] ~dtype:Shape.F32 in
+  let a = Builder.relu b x and c = Builder.tanh_ b x and d = Builder.sigmoid b x in
+  let j = Builder.add b (Builder.add b a c) d in
+  let y = Builder.input b [ 16 ] ~dtype:Shape.F32 in
+  let _ = Builder.add b j (Builder.relu b y) in
+  Builder.finish b
+
+(* orders of [g] reaching the smallest {!Lifetime} peak *)
+let min_peak_orders g =
+  let best = ref max_int and count = ref 0 in
+  let rec go placed rev_order =
+    let ready =
+      List.filter
+        (fun v ->
+          (not (Int_set.mem v placed))
+          && List.for_all (fun p -> Int_set.mem p placed) (Graph.pre g v))
+        (Graph.node_ids g)
+    in
+    if ready = [] then begin
+      let p = Lifetime.peak_memory (Lifetime.analyze g (List.rev rev_order)) in
+      if p < !best then begin
+        best := p;
+        count := 1
+      end
+      else if p = !best then incr count
+    end
+    else List.iter (fun v -> go (Int_set.add v placed) (v :: rev_order)) ready
+  in
+  go Int_set.empty [];
+  !count
+
+(** The tie graph; every contiguous window of {!window_graph}; and two
+    rewritten Randnets whose member sets hold an operand that is also
+    read by a later block, where the DP's order changes if that
+    operand dies in its own block. *)
+let test_dp_ties () =
+  let g = tie_graph () in
+  Alcotest.(check bool) "several orders reach the smallest peak" true (min_peak_orders g > 1);
+  let check what g sets =
+    match check_dp g sets with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  check "tie graph" g [ Int_set.of_list (Graph.node_ids g) ];
+  let g = window_graph () in
+  check "window graph" g (contiguous_windows g);
+  List.iter
+    (fun ((_, _, seed, _) as params) ->
+      let g = build_graph params in
+      check (print_graph params) g (member_sets g seed))
+    [ (2, 4, 1841, 3); (2, 3, 2194, 2) ]
 
 (** [Ftree.refresh] against the refresh built on the oracle
     construction, on the first 5 rewrites of every zoo model's initial
@@ -1507,6 +1668,9 @@ let suite =
     tc "window scheduling on the search's indexes equals the oracles on the zoo" test_window_zoo;
     QCheck_alcotest.to_alcotest prop_windows;
     tc "window scheduling: an operand read twice, a consumer in a later block" test_window_shapes;
+    tc "the DP on the member table equals its oracle on the zoo" test_dp_zoo;
+    QCheck_alcotest.to_alcotest prop_dp;
+    tc "the DP on the member table: equal-peak alternatives, operands read by a later block" test_dp_ties;
     tc "construct and refresh equal the oracle construction on the zoo" test_refresh_zoo;
     QCheck_alcotest.to_alcotest prop_simulate_randnets;
     tc "simulation equals its oracle on the zoo" test_simulate_zoo;

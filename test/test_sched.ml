@@ -31,15 +31,12 @@ let test_partition_respects_dependencies () =
 
 let test_nw_values () =
   let g, x, l, r, j = diamond () in
-  let nw = Partition.nw_table g (Array.of_list (Graph.topo_order g)) in
+  let nw = Partition.nw_on (Graph_index.of_graph g) in
   (* l and r are independent of each other: nw = 1 *)
   Alcotest.(check int) "nw l" 1 nw.(l);
   Alcotest.(check int) "nw r" 1 nw.(r);
   Alcotest.(check int) "nw x" 0 nw.(x);
-  Alcotest.(check int) "nw j" 0 nw.(j);
-  (* an array that is not a topological order gives the same table *)
-  Alcotest.(check (array int)) "order-independent" nw
-    (Partition.nw_table g [| j; x |])
+  Alcotest.(check int) "nw j" 0 nw.(j)
 
 let test_pinned () =
   let g = mlp_training () in
