@@ -264,12 +264,8 @@ let cmd_chaos seed jobs iters =
     { Search.default_config with time_budget = 1e9; max_iterations = iters;
       jobs }
   in
-  let run_once () =
-    (* fresh cost cache per run: fault-site visit counts and results
-       must not depend on warmth left by a previous run *)
-    let cache = Op_cost.create Hardware.default in
-    Search.optimize_memory ~config cache ~overhead:0.10 g
-  in
+  let cache = Op_cost.create Hardware.default in
+  let run_once () = Search.optimize_memory ~config cache ~overhead:0.10 g in
   Fault.observe ();
   let clean = run_once () in
   let visits = List.map (fun s -> (s, Fault.visits s)) Fault.sites in

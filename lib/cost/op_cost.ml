@@ -1,23 +1,19 @@
-(** Analytic operator latency with a memoizing cache.
+(** Analytic operator latency: a pure function of the hardware model,
+    the operator and its shapes.
 
-    [cost] plays the role of the paper's operator performance cache: the
-    first query for an (operator, shapes) key computes the latency from the
-    hardware model; later queries hit the cache.  The cache hit/miss
-    counters feed the Fig. 15 time-breakdown experiment.
-
-    The table is shared by every domain of the parallel expansion pool
-    ({!Magis_par.Pool}), so lookups and insertions take [lock]; the
-    analytic latency itself is computed outside the critical section.
-    Two domains may both compute a key neither found; the first to
-    insert it counts the miss and the other a hit, so the counters read
-    (queries − distinct keys, distinct keys) at any number of domains. *)
+    The paper keeps an operator performance cache because its costs are
+    profiled kernels (§6.2).  A roofline formula is cheaper to compute
+    than to look up, so every query computes it, and a candidate takes
+    the costs of the nodes it shares with its parent from the parent
+    ({!inherited_cost_on}).  A [t] never changes after {!create}, so
+    every domain of the parallel expansion pool shares it freely
+    ([scripts/check_style.sh] rule 15). *)
 
 open Magis_ir
 module Fault = Magis_resilience.Fault
 module Metrics = Magis_obs.Metrics
 
-let m_hits = Metrics.counter "op_cost.hits"
-let m_misses = Metrics.counter "op_cost.misses"
+let m_queries = Metrics.counter "op_cost.queries"
 
 exception Non_finite of { what : string; value : float }
 
@@ -43,22 +39,9 @@ let check_finite ~what value =
 let check_op_cost op c =
   if not (is_finite_cost c) then check_finite ~what:(Op.name op ^ " cost") c
 
-type t = {
-  hw : Hardware.t;
-  cache : (int64, float) Hashtbl.t;
-  lock : Mutex.t;
-  mutable hits : int;
-  mutable misses : int;
-}
+type t = { hw : Hardware.t }
 
-let create hw =
-  { hw; cache = Hashtbl.create 1024; lock = Mutex.create (); hits = 0;
-    misses = 0 }
-
-(* the memo key of [op] on operands whose shapes are [shape_of x] *)
-let key (op : Op.kind) (shape_of : 'a -> Shape.t) (operands : 'a array) =
-  Array.fold_left (fun h x -> Util.hash_combine h (Shape.hash (shape_of x)))
-    (Op.fingerprint op) operands
+let create hw = { hw }
 
 (** Latency (seconds) of one execution of the operator on the device
     compute stream.  Store/Load cost nothing here: they run on the copy
@@ -81,52 +64,25 @@ let compute_raw (hw : Hardware.t) (op : Op.kind) (ins : Shape.t array)
       in
       hw.launch_overhead +. (fl /. hw.peak_flops) +. mem_t
 
-(* The memo under key [k] of [op]'s cost; [compute] runs on a miss,
-   outside the lock.  Only the query that inserts [k] counts a miss. *)
-let memo t k (op : Op.kind) compute =
-  Mutex.lock t.lock;
-  match Hashtbl.find_opt t.cache k with
-  | Some c ->
-      t.hits <- t.hits + 1;
-      Mutex.unlock t.lock;
-      Metrics.incr m_hits;
-      (* the fault site covers hits and misses alike, so a site visit
-         count is independent of cache warmth *)
-      let c = Fault.cost "op_cost" c in
-      check_op_cost op c;
-      c
-  | None ->
-      Mutex.unlock t.lock;
-      let c = Fault.cost "op_cost" (compute ()) in
-      (* guard before caching: a corrupted value must never be memoized *)
-      check_op_cost op c;
-      Mutex.lock t.lock;
-      (* [replace] grows the table unless another domain inserted [k],
-         with the same value, meanwhile *)
-      let size = Hashtbl.length t.cache in
-      Hashtbl.replace t.cache k c;
-      let fresh = Hashtbl.length t.cache > size in
-      if fresh then t.misses <- t.misses + 1 else t.hits <- t.hits + 1;
-      Mutex.unlock t.lock;
-      Metrics.incr (if fresh then m_misses else m_hits);
-      c
+(* every query passes the fault site once and then the guard *)
+let query (op : Op.kind) c =
+  Metrics.incr m_queries;
+  let c = Fault.cost "op_cost" c in
+  check_op_cost op c;
+  c
 
 let cost t (op : Op.kind) (ins : Shape.t array) (out : Shape.t) : float =
-  memo t (key op Fun.id ins) op (fun () -> compute_raw t.hw op ins out)
+  query op (compute_raw t.hw op ins out)
 
 (** Latency of a node of graph [g]. *)
 let node_cost t (g : Graph.t) (id : int) : float =
   let n = Graph.node g id in
-  let ins = Array.map (fun i -> Graph.shape g i) n.inputs in
-  cost t n.op ins n.shape
+  cost t n.op (Array.map (Graph.shape g) n.inputs) n.shape
 
-(** {!node_cost} on an index of the graph: the key folds the operand
-    shapes straight from the index, and the operand array is built only
-    on a miss. *)
+(** {!node_cost} on an index of the graph. *)
 let node_cost_on t (ix : Graph_index.t) (id : int) : float =
   let n = Graph_index.node ix id in
-  memo t (key n.op (Graph_index.shape ix) n.inputs) n.op (fun () ->
-      compute_raw t.hw n.op (Graph_index.in_shapes ix id) n.shape)
+  query n.op (compute_raw t.hw n.op (Graph_index.in_shapes ix id) n.shape)
 
 (* Input, Store and Load cost nothing on the compute stream *)
 let charged (op : Op.kind) =
@@ -162,15 +118,3 @@ let swap_time t (bytes : int) : float =
     [cost(G) ≈ Σ cost(v)]). *)
 let graph_cost t (g : Graph.t) : float =
   Graph.fold (fun n acc -> acc +. node_cost t g n.id) g 0.0
-
-let stats t =
-  Mutex.lock t.lock;
-  let r = (t.hits, t.misses) in
-  Mutex.unlock t.lock;
-  r
-
-let reset_stats t =
-  Mutex.lock t.lock;
-  t.hits <- 0;
-  t.misses <- 0;
-  Mutex.unlock t.lock

@@ -1,6 +1,8 @@
-(** Analytic operator latency with a memoizing cache — the role of the
-    paper's operator performance cache (§6.2).  Domain-safe: the memo
-    table is shared by the parallel expansion workers behind [lock]. *)
+(** Analytic operator latency — the role of the paper's operator
+    performance cache (§6.2), computed on every query: a roofline
+    formula is cheaper than a lookup.  Immutable, so domain-safe.  Every
+    query counts one [op_cost.queries] metric and visits the [op_cost]
+    fault site once. *)
 
 open Magis_ir
 
@@ -19,13 +21,7 @@ val is_finite_cost : float -> bool
     test {!is_finite_cost} first and build [what] only on failure. *)
 val check_finite : what:string -> float -> unit
 
-type t = {
-  hw : Hardware.t;
-  cache : (int64, float) Hashtbl.t;  (** guarded by [lock] *)
-  lock : Mutex.t;
-  mutable hits : int;  (** guarded by [lock] *)
-  mutable misses : int;  (** guarded by [lock] *)
-}
+type t = { hw : Hardware.t }
 
 val create : Hardware.t -> t
 
@@ -49,8 +45,8 @@ val costs_on : t -> Graph_index.t -> float array
     graph whose node array is [parent_nodes]) for a node [v] whose
     record, and each of whose operands' records, is physically the
     parent's at its id.  Such a node has the same operator and operand
-    shapes, hence the same memo key, so the inherited cost is the one a
-    query would return; only the other nodes query the memo. *)
+    shapes, so the inherited cost is the one a query would return; only
+    the other nodes are queried. *)
 val inherited_cost_on :
   t ->
   parent_nodes:Graph.node array ->
@@ -64,9 +60,3 @@ val swap_time : t -> int -> float
 
 (** Sum of node costs ([cost(G) ≈ Σ cost(v)], §2.1). *)
 val graph_cost : t -> Graph.t -> float
-
-(** [(hits, misses)]: a query that inserts its key is a miss, every
-    other query a hit, so the pair is (queries − distinct keys,
-    distinct keys) however many domains share the cache. *)
-val stats : t -> int * int
-val reset_stats : t -> unit

@@ -62,8 +62,6 @@ module Int_heap = struct
     top
 end
 
-let int_set_of_list ids = Int_set.of_list ids
-
 (* SplitMix64 finalizer: a cheap, well-distributed 64-bit mixer.  We use it
    instead of [Hashtbl.hash] because we need the full 64-bit range and a
    stable definition across OCaml versions.  It and [hash_combine] are

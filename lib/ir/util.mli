@@ -32,8 +32,6 @@ module Int_heap : sig
   val pop : t -> int
 end
 
-val int_set_of_list : int list -> Int_set.t
-
 (** SplitMix64 finalizer: a cheap, well-distributed 64-bit mixer with a
     stable definition across OCaml versions (unlike [Hashtbl.hash]). *)
 val mix64 : int64 -> int64

@@ -23,11 +23,6 @@ let weight ?(label = "w") b dims ~dtype =
   b.g <- g;
   id
 
-let label_input ?(label = "y") b dims ~dtype =
-  let g, id = Graph.add_input ~label b.g Op.Label (Shape.create ~dtype dims) in
-  b.g <- g;
-  id
-
 let op ?(label = "") b kind inputs =
   let g, id = Graph.add ~label b.g kind inputs in
   b.g <- g;

@@ -21,7 +21,6 @@ val shape : t -> int -> Shape.t
 (* sources *)
 val input : ?label:string -> t -> int list -> dtype:Shape.dtype -> int
 val weight : ?label:string -> t -> int list -> dtype:Shape.dtype -> int
-val label_input : ?label:string -> t -> int list -> dtype:Shape.dtype -> int
 
 (** Add an arbitrary operator node over existing node ids. *)
 val op : ?label:string -> t -> Op.kind -> int list -> int

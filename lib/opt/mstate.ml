@@ -75,15 +75,12 @@ let to_cached (t : t) : Sim_cache.value =
 
 (** Initial state: schedule the input graph, analyze it, build the F-Tree
     (Algorithm 1). *)
-let init ?(max_level = Ftree.default_max_level) ?(sched_states = 4_000)
+let init ?(max_level = Ftree.default_max_level) ~sched_states
     (cache : Op_cost.t) (graph : Graph.t) : t =
   let schedule = Reorder.schedule ~max_states:sched_states graph in
   let pre = evaluate cache graph Ftree.empty schedule in
   let ftree = Ftree.construct ~max_level graph ~hotspots:pre.hotspots in
   { pre with ftree }
-
-(** Fraction of device memory relative to a baseline (for reporting). *)
-let memory_ratio t ~baseline = float_of_int t.peak_mem /. float_of_int baseline
 
 let pp ppf t =
   Fmt.pf ppf "mstate(n=%d, peak=%.1fMB, lat=%.2fms, ftree=%d)"

@@ -35,8 +35,9 @@ val of_cached : ?ftree_stale:bool -> Graph.t -> Ftree.t -> Sim_cache.value -> t
 (** The cacheable part of a state, inverse of {!of_cached}. *)
 val to_cached : t -> Sim_cache.value
 
-(** Initial state: schedule, analyze, build the F-Tree (Algorithm 1). *)
-val init : ?max_level:int -> ?sched_states:int -> Op_cost.t -> Graph.t -> t
+(** Initial state: schedule with a DP budget of [sched_states] states
+    per block (0 = greedy only), analyze, build the F-Tree
+    (Algorithm 1). *)
+val init : ?max_level:int -> sched_states:int -> Op_cost.t -> Graph.t -> t
 
-val memory_ratio : t -> baseline:int -> float
 val pp : Format.formatter -> t -> unit

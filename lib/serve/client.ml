@@ -113,5 +113,4 @@ let metrics_text t =
   in
   pump ()
 
-let shutdown_send t = try Unix.shutdown t.fd Unix.SHUTDOWN_SEND with _ -> ()
 let close t = try Unix.close t.fd with _ -> ()

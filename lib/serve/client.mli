@@ -40,7 +40,4 @@ val frontier : t -> Protocol.frontier_request -> Protocol.reply
 val health : t -> Protocol.health
 val metrics_text : t -> string
 
-(** Half-close the sending side, keeping receives open. *)
-val shutdown_send : t -> unit
-
 val close : t -> unit

@@ -519,9 +519,9 @@ let frontier_cached t key =
 
 (* Cache-miss path, on a worker domain: run one harvesting search and
    persist the swept frontier.  Different queries may name different
-   hardware, so the op-cost cache is private per build (sharing the
-   daemon's default-hardware simulation cache across profiles would
-   poison it). *)
+   hardware, so each build costs operators on its own profile and runs
+   without the daemon's simulation cache (whose entries are the default
+   hardware's). *)
 let run_frontier t conn (f : P.frontier_request) =
   let answer ~cache_hit fr =
     served (P.Frontier_reply (frontier_answer f ~cache_hit fr))

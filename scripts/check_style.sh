@@ -172,6 +172,16 @@ if [ -n "$hits" ]; then
   echo "$hits"
 fi
 
+# 15. the operator cost is a pure function of hardware, operator and
+# shapes: a roofline formula is cheaper to compute than to look up, so
+# lib/cost/op_cost.ml keeps no memo table, lock or counter (no Mutex,
+# Hashtbl or mutable field), and every domain shares one Op_cost.t.
+hits=$(grep -HnP '\b(Mutex|Hashtbl|mutable)\b' lib/cost/op_cost.ml)
+if [ -n "$hits" ]; then
+  fail "memo table, lock or mutable field in lib/cost/op_cost.ml (compute the cost instead):"
+  echo "$hits"
+fi
+
 if [ "$status" -eq 0 ]; then
   echo "style: clean ($(echo "$files" | wc -w) files)"
 fi

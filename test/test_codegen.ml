@@ -93,7 +93,7 @@ let test_emit_expanded () =
       { Transformer.batch = 4; seq_len = 8; hidden = 16; heads = 2;
         layers = 1; vocab = 32; dtype = Shape.F32 }
   in
-  let s = Mstate.init (cache ()) g in
+  let s = Mstate.init ~sched_states:0 (cache ()) g in
   (* enable the first candidate if any, then emit with expansion *)
   let ftree =
     match Ftree.mutations g s.ftree with

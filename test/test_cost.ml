@@ -1,7 +1,7 @@
 open Magis
 open Helpers
 
-let test_cost_positive_and_cached () =
+let test_cost_positive_and_repeatable () =
   let c = cache () in
   let g = mlp_training () in
   Graph.iter
@@ -13,11 +13,10 @@ let test_cost_positive_and_cached () =
         Alcotest.(check bool) (Printf.sprintf "%s > 0" (Op.name n.op)) true
           (t > 0.0))
     g;
-  Op_cost.reset_stats c;
-  ignore (Op_cost.graph_cost c g);
-  let hits, misses = Op_cost.stats c in
-  Alcotest.(check int) "all hits after warmup" 0 misses;
-  Alcotest.(check bool) "hits counted" true (hits > 0)
+  let first = Op_cost.graph_cost c g in
+  Alcotest.(check int64) "same sum on a second pass"
+    (Int64.bits_of_float first)
+    (Int64.bits_of_float (Op_cost.graph_cost c g))
 
 let test_bigger_op_costs_more () =
   let c = cache () in
@@ -50,56 +49,78 @@ let test_hardware_profiles () =
   Alcotest.(check bool) "default is desktop" true
     (Hardware.default.name = Hardware.rtx3090.name)
 
-let matmul = Op.Matmul { trans_a = false; trans_b = false }
-
-(** Two domains query one new key at once: the first sleeps in the
-    [op_cost] fault site between its lookup and its insertion, and the
-    second queries the key meanwhile and inserts it.  The cache counts
-    one miss (the insertion) and one hit, and so do the metrics. *)
-let test_memo_race () =
-  let c = cache () in
-  let ins = [| shape [ 8; 8 ]; shape [ 8; 8 ] |] and out = shape [ 8; 8 ] in
-  let hits = Metrics.counter "op_cost.hits" and misses = Metrics.counter "op_cost.misses" in
-  let metrics = Metrics.enabled () in
-  Metrics.set_enabled true;
-  Fault.arm [ { Fault.site = "op_cost"; at = 1; kind = Fault.Delay 0.5 } ];
-  Fun.protect
-    ~finally:(fun () ->
-      Fault.disarm ();
-      Metrics.set_enabled metrics)
-    (fun () ->
-      let h0 = Metrics.counter_value hits and m0 = Metrics.counter_value misses in
-      let first = Domain.spawn (fun () -> Op_cost.cost c matmul ins out) in
-      (* the first query is inside the fault site once it has a visit *)
-      while Fault.visits "op_cost" < 1 do
-        Domain.cpu_relax ()
-      done;
-      let second = Op_cost.cost c matmul ins out in
-      Alcotest.(check (float 0.0)) "same cost" second (Domain.join first);
-      Alcotest.(check (pair int int)) "stats" (1, 1) (Op_cost.stats c);
-      Alcotest.(check (pair int int)) "metrics" (1, 1)
-        (Metrics.counter_value hits - h0, Metrics.counter_value misses - m0))
-
-(** [node_cost_on] and [cost] key a node alike: on a fresh cache, the
-    second of the two queries for a node hits. *)
-let test_one_key () =
+(** Every query visits the [op_cost] fault site once and counts one
+    [op_cost.queries], repeated keys included, at any number of
+    domains: four tasks on a pool of [jobs] workers each query every
+    node of one graph through [cost], [node_cost] and [node_cost_on],
+    so every key is queried twelve times. *)
+let test_site_visits_count_queries () =
   let g = mlp_training () in
   let ix = Graph_index.of_graph g in
-  Graph.iter
-    (fun n ->
-      let c = cache () in
-      ignore (Op_cost.node_cost_on c ix n.id : float);
-      ignore (Op_cost.cost c n.op (Graph_index.in_shapes ix n.id) n.shape : float);
-      Alcotest.(check (pair int int)) (Printf.sprintf "node %d" n.id) (1, 1) (Op_cost.stats c))
-    g
+  let ids = Array.of_list (Graph.node_ids g) in
+  let queries = Metrics.counter "op_cost.queries" in
+  let metrics = Metrics.enabled () in
+  List.iter
+    (fun jobs ->
+      let c = cache () and pool = Pool.create jobs in
+      Metrics.set_enabled true;
+      Fault.observe ();
+      Fun.protect
+        ~finally:(fun () ->
+          Fault.disarm ();
+          Metrics.set_enabled metrics;
+          Pool.shutdown pool)
+        (fun () ->
+          let q0 = Metrics.counter_value queries in
+          let task _ =
+            Array.iter
+              (fun v ->
+                let n = Graph.node g v in
+                ignore (Op_cost.cost c n.op (Graph_index.in_shapes ix v) n.shape : float);
+                ignore (Op_cost.node_cost c g v : float);
+                ignore (Op_cost.node_cost_on c ix v : float))
+              ids
+          in
+          Array.iter
+            (function Ok () -> () | Error (e, _) -> raise e)
+            (Pool.map_result pool task (Array.make 4 ()));
+          let expected = 4 * 3 * Array.length ids in
+          Alcotest.(check int) (Printf.sprintf "site visits, jobs %d" jobs) expected
+            (Fault.visits "op_cost");
+          Alcotest.(check int) (Printf.sprintf "op_cost.queries, jobs %d" jobs) expected
+            (Metrics.counter_value queries - q0)))
+    [ 1; 2 ]
+
+(** [node_cost_on], [node_cost] and [cost] agree bit for bit on every
+    node of every zoo model on every hardware profile. *)
+let test_entry_points_agree () =
+  List.iter
+    (fun (w : Zoo.workload) ->
+      let g = w.build Zoo.Quick in
+      let ix = Graph_index.of_graph g in
+      List.iter
+        (fun (hw : Hardware.t) ->
+          let c = Op_cost.create hw in
+          Graph.iter
+            (fun n ->
+              let on = Int64.bits_of_float (Op_cost.node_cost_on c ix n.id) in
+              let what = Printf.sprintf "%s on %s, node %d" w.name hw.name n.id in
+              Alcotest.(check int64) (what ^ ": node_cost") on
+                (Int64.bits_of_float (Op_cost.node_cost c g n.id));
+              Alcotest.(check int64) (what ^ ": cost") on
+                (Int64.bits_of_float
+                   (Op_cost.cost c n.op (Graph_index.in_shapes ix n.id) n.shape)))
+            g)
+        Hardware.profiles)
+    Zoo.all
 
 let suite =
   [
-    tc "cost positive and cached" test_cost_positive_and_cached;
+    tc "cost positive and repeatable" test_cost_positive_and_repeatable;
     tc "bigger op costs more" test_bigger_op_costs_more;
     tc "utilization penalty" test_utilization_penalty;
     tc "swap time" test_swap_time;
     tc "hardware profiles" test_hardware_profiles;
-    tc "a memo race counts one miss" test_memo_race;
-    tc "node_cost_on and cost share a key" test_one_key;
+    tc "op_cost site visits count queries" test_site_visits_count_queries;
+    tc "node_cost_on = node_cost = cost" test_entry_points_agree;
   ]

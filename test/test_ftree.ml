@@ -9,7 +9,7 @@ let bert_state () =
       { Transformer.batch = 8; seq_len = 16; hidden = 32; heads = 2;
         layers = 2; vocab = 64; dtype = Shape.F32 }
   in
-  (c, g, Mstate.init c g)
+  (c, g, Mstate.init ~sched_states:0 c g)
 
 let test_construction_properties () =
   let _, g, s = bert_state () in

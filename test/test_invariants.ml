@@ -28,8 +28,8 @@
     graph's maps node by node, which {!Simulator.run_on},
     {!Lifetime.analyze_on} and {!Ftree.accounting} on one
     {!Graph_index} replaced.  Results are compared bit for bit, along
-    with the operator-cost cache statistics, the [simulator.runs]
-    counter and the fault-site visits.
+    with the [simulator.runs] counter and the fault-site visits (the
+    [op_cost] site's count is the number of operator-cost queries).
 
     A candidate evaluated as a delta of its parent
     ({!Wl_hash.relabel_on}, {!Op_cost.inherited_cost_on}) is checked
@@ -1108,8 +1108,8 @@ let dp_budgets = [ 1; 3; 64; 600; 4_000 ]
     [ref_dp_schedule] on every block {!Partition.partition} cuts from
     each of [sets], {!Reorder.schedule_members} on one index of [g]
     against the oracles composed on each of [sets], and
-    {!Reorder.schedule} against the oracles composed on the whole graph
-    (at 4,000, {!Mstate.init}'s default schedule).  Same order or same
+    {!Reorder.schedule} against the oracles composed on the whole graph.
+    Same order or same
     [None]; [Error what] names the first disagreement.  [tally] counts
     the blocks the DP completed and gave up on. *)
 let check_dp ?(tally = fun _ _ -> ()) g sets =
@@ -1261,7 +1261,7 @@ let test_refresh_zoo () =
   List.iter
     (fun (w : Zoo.workload) ->
       let g = w.build Zoo.Quick in
-      let s = Mstate.init (cache ()) g in
+      let s = Mstate.init ~sched_states:0 (cache ()) g in
       if not (same_tree s.ftree (Ref_algorithm1.construct g ~hotspots:s.hotspots)) then
         Alcotest.failf "%s: initial tree" w.name;
       n_entries := !n_entries + Ftree.n_entries s.ftree;
@@ -1477,10 +1477,11 @@ let test_fission_zoo () =
 
 let sim_runs = Metrics.counter "simulator.runs"
 
-(** [f c] on a fresh operator-cost cache [c], with metrics on and the
+(** [f c] on a fresh operator-cost model [c], with metrics on and the
     fault injector observing: its result, and what the two sides of a
-    comparison must share — [c]'s (hits, misses), the [simulator.runs]
-    delta and the [op_cost] and [simulator] site visits. *)
+    comparison must share — the [simulator.runs] delta and the
+    [op_cost] and [simulator] site visits (one [op_cost] visit per
+    operator-cost query). *)
 let observed f =
   let metrics = Metrics.enabled () in
   Metrics.set_enabled true;
@@ -1493,8 +1494,7 @@ let observed f =
       let c = cache () and runs = Metrics.counter_value sim_runs in
       let r = f c in
       ( r,
-        ( Op_cost.stats c,
-          Metrics.counter_value sim_runs - runs,
+        ( Metrics.counter_value sim_runs - runs,
           Fault.visits "op_cost",
           Fault.visits "simulator" ) ))
 
@@ -1554,7 +1554,7 @@ let check_simulation g tree order =
   else if not (same_result g a_acc r_acc) then Error "simulation under the accounting"
   else if not (same_result g a_plain r_plain) then Error "plain simulation"
   else if not (same_events a_events r_events) then Error "run_events"
-  else if a_seen <> r_seen then Error "op_cost stats, simulator.runs or fault-site visits"
+  else if a_seen <> r_seen then Error "simulator.runs or fault-site visits"
   else Ok ()
 
 (** Orders of [g] to simulate: its greedy schedule, its smallest-id

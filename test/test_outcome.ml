@@ -65,7 +65,7 @@ let test_nested_fission_accounting () =
      tensors shrink by 4x *)
   let c = cache () in
   let g = mlp_training ~batch:16 ~hidden:16 () in
-  let s = Mstate.init c g in
+  let s = Mstate.init ~sched_states:0 c g in
   let t = s.ftree in
   (* find a parent-child pair of candidates *)
   let pair = ref None in
