@@ -4,7 +4,7 @@
 open Magis
 
 type env = {
-  cache : Op_cost.t;
+  cost : Op_cost.t;
   sim_cache : Sim_cache.t;
       (** shared across every search of a bench run, so ablation and
           budget sweeps replay previously simulated states for free *)
@@ -20,7 +20,7 @@ type env = {
 
 let make_env ?(jobs = 1) ?(iters = max_int) ?stats_json ~full ~budget () =
   {
-    cache = Op_cost.create Hardware.default;
+    cost = Op_cost.create Hardware.default;
     sim_cache = Sim_cache.create ();
     scale = (if full then Zoo.Full else Zoo.Quick);
     budget;
@@ -53,7 +53,7 @@ let search_config env =
     sim_cache = Some env.sim_cache }
 
 (** Unoptimized PyTorch reference for a workload. *)
-let baseline env g = Naive.run env.cache g
+let baseline env g = Naive.run env.cost g
 
 let ratio_of o ~(base : Outcome.t) =
   float_of_int o.Outcome.peak_mem /. float_of_int base.peak_mem
@@ -68,7 +68,7 @@ let overhead_of o ~(base : Outcome.t) =
 (** MAGIS, memory-constrained-latency mode (Fig. 9): minimize memory with
     at most [overhead] extra latency. *)
 let magis_memory env g ~overhead : Outcome.t =
-  let r = Search.optimize_memory ~config:(search_config env) env.cache ~overhead g in
+  let r = Search.optimize_memory ~config:(search_config env) env.cost ~overhead g in
   let base = baseline env g in
   let feasible = r.best.latency <= base.latency *. (1.0 +. overhead) *. 1.0001 in
   {
@@ -81,7 +81,7 @@ let magis_memory env g ~overhead : Outcome.t =
 (** MAGIS, latency-under-memory mode (Fig. 10): minimize latency with peak
     memory at most [mem_ratio] of the unoptimized baseline. *)
 let magis_latency env g ~mem_ratio : Outcome.t =
-  let r = Search.optimize_latency ~config:(search_config env) env.cache ~mem_ratio g in
+  let r = Search.optimize_latency ~config:(search_config env) env.cost ~mem_ratio g in
   let base = baseline env g in
   let limit = int_of_float (float_of_int base.peak_mem *. mem_ratio) in
   {
@@ -98,12 +98,12 @@ let systems_memory env g ~overhead : Outcome.t list =
   let lat_limit = base.latency *. (1.0 +. overhead) in
   [
     magis_memory env g ~overhead;
-    Pofo.min_memory env.cache g ~lat_limit;
-    Dtr.min_memory env.cache g ~lat_limit;
-    Xla.min_memory env.cache g ~lat_limit;
-    (let o = Fusion_compiler.run Fusion_compiler.Tvm env.cache g in
+    Pofo.min_memory env.cost g ~lat_limit;
+    Dtr.min_memory env.cost g ~lat_limit;
+    Xla.min_memory env.cost g ~lat_limit;
+    (let o = Fusion_compiler.run Fusion_compiler.Tvm env.cost g in
      { o with feasible = o.latency <= lat_limit });
-    (let o = Fusion_compiler.run Fusion_compiler.Torch_inductor env.cache g in
+    (let o = Fusion_compiler.run Fusion_compiler.Torch_inductor env.cost g in
      { o with feasible = o.latency <= lat_limit });
   ]
 
@@ -113,11 +113,11 @@ let systems_latency env g ~mem_ratio : Outcome.t list =
   let budget = int_of_float (float_of_int base.peak_mem *. mem_ratio) in
   [
     magis_latency env g ~mem_ratio;
-    Pofo.run env.cache g ~budget;
-    Dtr.run env.cache g ~budget;
-    Xla.run env.cache g ~budget;
-    Fusion_compiler.constrained Fusion_compiler.Tvm env.cache g ~mem_limit:budget;
-    Fusion_compiler.constrained Fusion_compiler.Torch_inductor env.cache g
+    Pofo.run env.cost g ~budget;
+    Dtr.run env.cost g ~budget;
+    Xla.run env.cost g ~budget;
+    Fusion_compiler.constrained Fusion_compiler.Tvm env.cost g ~mem_limit:budget;
+    Fusion_compiler.constrained Fusion_compiler.Torch_inductor env.cost g
       ~mem_limit:budget;
   ]
 

@@ -33,7 +33,7 @@ let run (env : Common.env) =
       List.iter
         (fun v ->
           let r =
-            Search.optimize_memory ~config:v.config env.cache ~overhead:0.10 g
+            Search.optimize_memory ~config:v.config env.cost ~overhead:0.10 g
           in
           Printf.printf "  %-16s ratio %.2f  lat %+5.1f%%  iters %d\n%!"
             v.label

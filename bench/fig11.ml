@@ -45,17 +45,17 @@ let run (env : Common.env) =
         [
           magis_series;
           series_of_budget_runner ~name:"POFO" ~base (fun budget ->
-              Pofo.run env.cache g ~budget);
+              Pofo.run env.cost g ~budget);
           series_of_budget_runner ~name:"DTR" ~base (fun budget ->
-              Dtr.run env.cache g ~budget);
+              Dtr.run env.cost g ~budget);
           series_of_budget_runner ~name:"XLA" ~base (fun budget ->
-              Xla.run env.cache g ~budget);
+              Xla.run env.cost g ~budget);
           ( "TVM",
-            (let o = Fusion_compiler.run Fusion_compiler.Tvm env.cache g in
+            (let o = Fusion_compiler.run Fusion_compiler.Tvm env.cost g in
              [ (Common.ratio_of o ~base, Common.overhead_of o ~base) ]) );
           ( "TI",
             (let o =
-               Fusion_compiler.run Fusion_compiler.Torch_inductor env.cache g
+               Fusion_compiler.run Fusion_compiler.Torch_inductor env.cost g
              in
              [ (Common.ratio_of o ~base, Common.overhead_of o ~base) ]) );
         ]

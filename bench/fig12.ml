@@ -42,7 +42,7 @@ let run (env : Common.env) =
   print_series "POFO"
     (List.filter_map
        (fun r ->
-         let o = Pofo.run env.cache g ~budget:(budget_of r) in
+         let o = Pofo.run env.cost g ~budget:(budget_of r) in
          if o.Outcome.feasible then
            Some (Common.ratio_of o ~base, Common.overhead_of o ~base)
          else None)
@@ -55,7 +55,7 @@ let run (env : Common.env) =
         (List.filter_map
            (fun r ->
              let o =
-               Microbatch.run env.cache ~build ~batch:w.batch ~factor
+               Microbatch.run env.cost ~build ~batch:w.batch ~factor
                  ~budget:(budget_of r)
              in
              if o.Outcome.feasible then

@@ -47,9 +47,9 @@ let run (env : Common.env) =
           let result =
             match c with
             | Lat_overhead o ->
-                Search.optimize_memory ~config env.cache ~overhead:o g
+                Search.optimize_memory ~config env.cost ~overhead:o g
             | Mem_ratio r ->
-                Search.optimize_latency ~config env.cache ~mem_ratio:r g
+                Search.optimize_latency ~config env.cost ~mem_ratio:r g
           in
           (* find when the constraint was first met, and the best value *)
           let meets peak lat =

@@ -33,7 +33,7 @@ let run (env : Common.env) =
     let g = ref g0 in
     let applied = ref 0 in
     while !applied < 10 do
-      let res = Simulator.run env.Common.cache !g !schedule in
+      let res = Simulator.run env.Common.cost !g !schedule in
       let hotspots = Lifetime.hotspots res.analysis in
       let rewrites = transformations env !g ~hotspots ~schedule:!schedule in
       match rewrites with
@@ -54,7 +54,7 @@ let run (env : Common.env) =
           in
           let t_is = Unix.gettimeofday () -. t0 in
           let peak order =
-            (Simulator.run env.Common.cache rw.graph order).peak_mem
+            (Simulator.run env.Common.cost rw.graph order).peak_mem
           in
           speedups := (t_fs /. Float.max 1e-6 t_is) :: !speedups;
           qualities :=

@@ -24,7 +24,7 @@ let run (env : Common.env) =
   let r =
     Fun.protect
       ~finally:(fun () -> Metrics.set_enabled metrics)
-      (fun () -> Search.optimize_latency ~config env.cache ~mem_ratio:0.6 g)
+      (fun () -> Search.optimize_latency ~config env.cost ~mem_ratio:0.6 g)
   in
   (* the stage table, counters, cache and worker lines all come from
      the shared stat renderer (also used by [magis_cli optimize]) *)

@@ -6,19 +6,19 @@
 open Magis
 
 let timeline env g (s : Mstate.t option) ~label =
-  let cache = env.Common.cache in
+  let cost = env.Common.cost in
   let schedule, size_of, cost_of =
     match s with
     | None ->
         ( Graph.program_order g,
           (fun v -> Lifetime.default_size g v),
-          fun v -> Op_cost.node_cost cache g v )
+          fun v -> Op_cost.node_cost cost g v )
     | Some s ->
-        let acc = Ftree.accounting cache (Graph_index.of_graph s.graph) s.ftree in
+        let acc = Ftree.accounting cost (Graph_index.of_graph s.graph) s.ftree in
         (s.schedule, acc.size_of, acc.cost_of)
   in
   let graph = match s with None -> g | Some s -> s.graph in
-  let res = Simulator.run ~size_of ~cost_of cache graph schedule in
+  let res = Simulator.run ~size_of ~cost_of cost graph schedule in
   let mem = Lifetime.timeline res.analysis in
   let costs = List.map cost_of schedule in
   let n = Array.length mem in
@@ -47,6 +47,6 @@ let run (env : Common.env) =
   let config = Common.search_config env in
   List.iter
     (fun (label, ratio) ->
-      let r = Search.optimize_latency ~config env.cache ~mem_ratio:ratio g in
+      let r = Search.optimize_latency ~config env.cost ~mem_ratio:ratio g in
       timeline env g (Some r.best) ~label)
     [ ("MAGIS-1", 0.8); ("MAGIS-2", 0.6) ]

@@ -24,7 +24,7 @@ let run (env : Common.env) =
       time_budget = 1e9;
       max_iterations = min env.iters 30 }
   in
-  let r = Search.optimize_latency ~config env.cache ~mem_ratio:0.7 lm in
+  let r = Search.optimize_latency ~config env.cost ~mem_ratio:0.7 lm in
   Printf.printf
     "lm (%d iterations): best %.1f MB; %d sched fallback(s), %.0f%% of \
      scheduled nodes re-placed (%d of %d)\n"

@@ -20,7 +20,7 @@ let tests (env : Common.env) =
     Test.make ~name:"topo_order" (Staged.stage (fun () -> Graph.topo_order g));
     Test.make ~name:"lifetime" (Staged.stage (fun () -> Lifetime.analyze g order));
     Test.make ~name:"simulate"
-      (Staged.stage (fun () -> Simulator.run env.cache g order));
+      (Staged.stage (fun () -> Simulator.run env.cost g order));
     Test.make ~name:"dominator" (Staged.stage (fun () -> Dominator.compute g));
     Test.make ~name:"dgraph" (Staged.stage (fun () -> Dgraph.build g));
     Test.make ~name:"partition"
@@ -30,7 +30,7 @@ let tests (env : Common.env) =
     Test.make ~name:"ftree_construct"
       (Staged.stage (fun () -> Ftree.construct g ~hotspots));
     Test.make ~name:"ftree_accounting"
-      (Staged.stage (fun () -> Ftree.accounting env.cache (Graph_index.of_graph g) ftree));
+      (Staged.stage (fun () -> Ftree.accounting env.cost (Graph_index.of_graph g) ftree));
   ]
 
 let run (env : Common.env) =

@@ -33,7 +33,7 @@ let run (env : Common.env) =
         sim_cache = Some sim }
     in
     let t0 = Unix.gettimeofday () in
-    let r = Search.optimize_memory ~config env.cache ~overhead:0.10 g in
+    let r = Search.optimize_memory ~config env.cost ~overhead:0.10 g in
     let wall = Unix.gettimeofday () -. t0 in
     (label, r, wall)
   in

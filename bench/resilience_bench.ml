@@ -21,7 +21,7 @@ let run (env : Common.env) =
           sim_cache = Some (Sim_cache.create ()) }
     in
     let t0 = Unix.gettimeofday () in
-    let r = Search.optimize_memory ~config env.cache ~overhead:0.10 g in
+    let r = Search.optimize_memory ~config env.cost ~overhead:0.10 g in
     (label, r, Unix.gettimeofday () -. t0)
   in
   let supervised = run_one ~label:"supervised (default)" (fun c -> c) in

@@ -10,16 +10,16 @@ module Interp = Magis_exec.Interp
 
 let run (env : Common.env) =
   Common.hr "Extension: spatial (halo) fission, VDSR 512x512 batch-1 on mobile";
-  let cache = Op_cost.create Hardware.mobile in
+  let cost = Op_cost.create Hardware.mobile in
   let image = match env.scale with Zoo.Full -> 512 | Zoo.Quick -> 256 in
   let graph = Unet.srnet_inference ~image ~channels:64 ~depth:12 () in
-  let base = Simulator.run cache graph (Graph.program_order graph) in
+  let base = Simulator.run cost graph (Graph.program_order graph) in
   Printf.printf "%-16s peak %8.1f MB (100%%)  latency %7.1f ms\n" "unoptimized"
     (float_of_int base.peak_mem /. 1e6)
     (base.latency *. 1e3);
   (* the coordinated optimizer without spatial fission: nothing to gain *)
   let config = Common.search_config env in
-  let r = Search.optimize_memory ~config cache ~overhead:0.10 graph in
+  let r = Search.optimize_memory ~config cost ~overhead:0.10 graph in
   Printf.printf "%-16s peak %8.1f MB (%3.0f%%)  latency %+6.1f%%\n"
     "MAGIS (no spatial)"
     (float_of_int r.best.peak_mem /. 1e6)
@@ -35,7 +35,7 @@ let run (env : Common.env) =
           if Spatial.is_valid graph f then begin
             let e = Spatial.expand graph f in
             let order = Reorder.schedule ~max_states:0 e.graph in
-            let res = Simulator.run cache e.graph order in
+            let res = Simulator.run cost e.graph order in
             Printf.printf "%-16s peak %8.1f MB (%3.0f%%)  latency %+6.1f%%\n"
               (Printf.sprintf "spatial x%d" n)
               (float_of_int res.peak_mem /. 1e6)

@@ -46,8 +46,8 @@ let cmd_list () =
 
 let cmd_inspect name full =
   let w, g = load name full in
-  let cache = Op_cost.create Hardware.default in
-  let base = Simulator.run cache g (Graph.program_order g) in
+  let cost = Op_cost.create Hardware.default in
+  let base = Simulator.run cost g (Graph.program_order g) in
   Printf.printf "%s (batch %d, %s)\n" w.name w.batch w.config;
   Printf.printf "  operators:   %d\n" (Graph.n_nodes g);
   Printf.printf "  weights:     %.1f MB\n" (mb (Graph.weight_bytes g));
@@ -82,10 +82,10 @@ let write_file path contents =
 let cmd_optimize name full overhead mem_ratio budget iters jobs ckpt resume
     ckpt_every stats_json_path trace_path metrics_path =
   let w, g = load name full in
-  let cache = Op_cost.create Hardware.default in
+  let cost = Op_cost.create Hardware.default in
   if trace_path <> None then Trace.enable ();
   if metrics_path <> None then Metrics.set_enabled true;
-  let base = Simulator.run cache g (Graph.program_order g) in
+  let base = Simulator.run cost g (Graph.program_order g) in
   if resume && ckpt = None then begin
     prerr_endline "magis: --resume requires --checkpoint FILE";
     exit 2
@@ -103,9 +103,9 @@ let cmd_optimize name full overhead mem_ratio budget iters jobs ckpt resume
   let result =
     try
       match (overhead, mem_ratio) with
-      | Some o, _ -> Search.optimize_memory ~config cache ~overhead:o g
-      | None, Some r -> Search.optimize_latency ~config cache ~mem_ratio:r g
-      | None, None -> Search.optimize_memory ~config cache ~overhead:0.10 g
+      | Some o, _ -> Search.optimize_memory ~config cost ~overhead:o g
+      | None, Some r -> Search.optimize_latency ~config cost ~mem_ratio:r g
+      | None, None -> Search.optimize_memory ~config cost ~overhead:0.10 g
     with Checkpoint.Incompatible reason ->
       Printf.eprintf "magis: incompatible checkpoint: %s\n" reason;
       exit exit_incompatible
@@ -172,7 +172,7 @@ let cmd_optimize name full overhead mem_ratio budget iters jobs ckpt resume
     timeline's peak disagrees with the simulator's. *)
 let cmd_profile name full overhead mem_ratio budget iters jobs outdir =
   let w, g = load name full in
-  let cache = Op_cost.create Hardware.default in
+  let cost = Op_cost.create Hardware.default in
   if not (Sys.file_exists outdir) then Unix.mkdir outdir 0o755;
   Trace.enable ();
   Metrics.set_enabled true;
@@ -184,16 +184,16 @@ let cmd_profile name full overhead mem_ratio budget iters jobs outdir =
   let result =
     Fun.protect ~finally:(fun () -> Profile.close sink) (fun () ->
         match (overhead, mem_ratio) with
-        | Some o, _ -> Search.optimize_memory ~config cache ~overhead:o g
-        | None, Some r -> Search.optimize_latency ~config cache ~mem_ratio:r g
-        | None, None -> Search.optimize_memory ~config cache ~overhead:0.10 g)
+        | Some o, _ -> Search.optimize_memory ~config cost ~overhead:o g
+        | None, Some r -> Search.optimize_latency ~config cost ~mem_ratio:r g
+        | None, None -> Search.optimize_memory ~config cost ~overhead:0.10 g)
   in
   let best = result.best in
   (* replay the best schedule with event capture, under the same F-Tree
      accounting hooks the search evaluated it with *)
-  let acc = Ftree.accounting cache (Graph_index.of_graph best.graph) best.ftree in
+  let acc = Ftree.accounting cost (Graph_index.of_graph best.graph) best.ftree in
   let sim, events =
-    Simulator.run_events ~size_of:acc.size_of ~cost_of:acc.cost_of cache
+    Simulator.run_events ~size_of:acc.size_of ~cost_of:acc.cost_of cost
       best.graph best.schedule
   in
   Trace.disable ();
@@ -264,8 +264,8 @@ let cmd_chaos seed jobs iters =
     { Search.default_config with time_budget = 1e9; max_iterations = iters;
       jobs }
   in
-  let cache = Op_cost.create Hardware.default in
-  let run_once () = Search.optimize_memory ~config cache ~overhead:0.10 g in
+  let cost = Op_cost.create Hardware.default in
+  let run_once () = Search.optimize_memory ~config cost ~overhead:0.10 g in
   Fault.observe ();
   let clean = run_once () in
   let visits = List.map (fun s -> (s, Fault.visits s)) Fault.sites in
@@ -382,9 +382,9 @@ let cmd_chaos seed jobs iters =
 
 let cmd_codegen name full budget output =
   let _, g = load name full in
-  let cache = Op_cost.create Hardware.default in
+  let cost = Op_cost.create Hardware.default in
   let config = { Search.default_config with time_budget = budget } in
-  let result = Search.optimize_memory ~config cache ~overhead:0.10 g in
+  let result = Search.optimize_memory ~config cost ~overhead:0.10 g in
   let best = result.best in
   let code =
     Pytorch_codegen.emit_expanded
@@ -393,8 +393,8 @@ let cmd_codegen name full budget output =
            name
            (mb best.peak_mem)
            (100.0
-           *. (best.latency -. (Simulator.run cache g (Graph.program_order g)).latency)
-           /. (Simulator.run cache g (Graph.program_order g)).latency))
+           *. (best.latency -. (Simulator.run cost g (Graph.program_order g)).latency)
+           /. (Simulator.run cost g (Graph.program_order g)).latency))
       best.graph best.ftree
       ~reschedule:(fun g' -> Reorder.schedule ~max_states:0 g')
   in
@@ -411,18 +411,18 @@ let cmd_codegen name full budget output =
     the full {!Membound} record, and the gap between the bounds and two
     concrete schedules (program order and the memory-greedy reorder).
     Returns the bound-invariant diagnostics. *)
-let analyze_one cache name g =
-  let base = Simulator.run cache g (Graph.program_order g) in
+let analyze_one cost name g =
+  let base = Simulator.run cost g (Graph.program_order g) in
   let lv = Liveness.compute g in
   let b = Membound.of_liveness lv in
   let greedy_order = Reorder.schedule ~max_states:0 g in
-  let greedy = Simulator.run cache g greedy_order in
+  let greedy = Simulator.run cost g greedy_order in
   Printf.printf "%s: %d operator(s)\n" name (Graph.n_nodes g);
   Printf.printf "  weights: %.1f MB pinned; outputs: %.1f MB pinned\n"
     (mb (Liveness.weight_bytes lv))
     (mb (Liveness.pinned_bytes lv - Liveness.weight_bytes lv));
   Fmt.pr "  %a@." Membound.pp b;
-  let acc = Ftree.accounting cache (Graph_index.of_graph g) Ftree.empty in
+  let acc = Ftree.accounting cost (Graph_index.of_graph g) Ftree.empty in
   let lat_lb = Membound.latency_lower_bound ~cost_of:acc.cost_of g in
   Printf.printf "  latency: %.2f ms simulated, %.2f ms lower bound\n"
     (ms base.latency) (ms lat_lb);
@@ -455,14 +455,14 @@ let analyze_one cache name g =
   diags
 
 let cmd_analyze name full =
-  let cache = Op_cost.create Hardware.default in
+  let cost = Op_cost.create Hardware.default in
   let targets =
     match name with Some n -> [ Zoo.find n ] | None -> Zoo.all
   in
   let diags =
     List.concat_map
       (fun (w : Zoo.workload) ->
-        analyze_one cache w.name
+        analyze_one cost w.name
           (w.build (if full then Zoo.Full else Zoo.Quick)))
       targets
   in
@@ -578,11 +578,11 @@ let interfere_probe name budget =
   let w = Zoo.find name in
   let g = w.build Zoo.Quick in
   let base = Interfere.check g (Graph.program_order g) in
-  let cache = Op_cost.create Hardware.default in
+  let cost = Op_cost.create Hardware.default in
   let config = { Search.default_config with time_budget = budget } in
-  let result = Search.optimize_memory ~config cache ~overhead:0.10 g in
+  let result = Search.optimize_memory ~config cost ~overhead:0.10 g in
   let best = result.Search.best in
-  let acc = Ftree.accounting cache (Graph_index.of_graph best.Mstate.graph) best.Mstate.ftree in
+  let acc = Ftree.accounting cost (Graph_index.of_graph best.Mstate.graph) best.Mstate.ftree in
   let opt =
     Interfere.check ~size_of:acc.Ftree.size_of best.Mstate.graph
       best.Mstate.schedule
@@ -680,13 +680,13 @@ let cmd_frontier name full hw_name batch budgets cache_dir iters sched_states
   let hw = Hardware.find hw_name in
   let scale = if full then Zoo.Full else Zoo.Quick in
   let graph = w.build scale in
-  let cache = Op_cost.create hw in
+  let cost = Op_cost.create hw in
   let config =
     { Search.default_config with max_iterations = iters; sched_states }
   in
   let mode = Search.Min_memory { lat_limit = infinity } in
   let fr, status =
-    Frontier_build.cached_or_build ~config ~dir:cache_dir cache mode graph
+    Frontier_build.cached_or_build ~config ~dir:cache_dir cost mode graph
   in
   let budgets =
     if budgets <> [] then budgets

@@ -11,7 +11,7 @@ open Magis
 module Int_set = Util.Int_set
 
 let () =
-  let cache = Op_cost.create Hardware.default in
+  let cost = Op_cost.create Hardware.default in
   let b = Builder.create () in
   let batch = 16 and seq = 64 and hidden = 256 and heads = 8 in
   let x = Builder.input b [ batch; seq; hidden ] ~dtype:Shape.F32 in
@@ -36,7 +36,7 @@ let () =
 
   (* baseline profile *)
   let order = Graph.program_order g in
-  let base = Simulator.run cache g order in
+  let base = Simulator.run cost g order in
   Fmt.pr "baseline: peak %.1f MB, latency %.3f ms@."
     (float_of_int base.peak_mem /. 1e6)
     (base.latency *. 1e3);
@@ -53,8 +53,8 @@ let () =
     | None -> ()
     | Some n ->
         let t = Ftree.set_n ftree i n in
-        let acc = Ftree.accounting cache (Graph_index.of_graph g) t in
-        let r = Simulator.run ~size_of:acc.size_of ~cost_of:acc.cost_of cache g order in
+        let acc = Ftree.accounting cost (Graph_index.of_graph g) t in
+        let r = Simulator.run ~size_of:acc.size_of ~cost_of:acc.cost_of cost g order in
         Fmt.pr
           "  candidate %d: |S|=%-3d n=%d -> peak %.1f MB (%.0f%%), latency %+.1f%%@."
           i
@@ -87,7 +87,7 @@ let () =
         (Graph.n_nodes g)
         (Graph.n_nodes e.graph);
       let order' = Reorder.schedule ~max_states:2_000 e.graph in
-      let r = Simulator.run cache e.graph order' in
+      let r = Simulator.run cost e.graph order' in
       Fmt.pr "real expansion: peak %.1f MB, latency %.3f ms@."
         (float_of_int r.peak_mem /. 1e6)
         (r.latency *. 1e3)

@@ -32,15 +32,15 @@ let my_model ~batch =
   Autodiff.backward (B.finish b) ~loss
 
 let () =
-  let cache = Op_cost.create Hardware.default in
+  let cost = Op_cost.create Hardware.default in
   let graph = my_model ~batch:64 in
-  let base = Simulator.run cache graph (Graph.program_order graph) in
+  let base = Simulator.run cost graph (Graph.program_order graph) in
   Fmt.pr "custom model: %d ops, peak %.1f MB, step %.2f ms@."
     (Graph.n_nodes graph)
     (float_of_int base.peak_mem /. 1e6)
     (base.latency *. 1e3);
   let config = { Search.default_config with time_budget = 5.0 } in
-  let r = Search.optimize_memory ~config cache ~overhead:0.10 graph in
+  let r = Search.optimize_memory ~config cost ~overhead:0.10 graph in
   Fmt.pr "optimized: peak %.1f MB (%.0f%%), step %.2f ms (%+.1f%%)@."
     (float_of_int r.best.peak_mem /. 1e6)
     (100.0 *. float_of_int r.best.peak_mem /. float_of_int base.peak_mem)

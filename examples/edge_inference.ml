@@ -11,11 +11,11 @@ open Magis
 let mb b = float_of_int b /. 1e6
 
 let () =
-  let cache = Op_cost.create Hardware.mobile in
+  let cost = Op_cost.create Hardware.mobile in
   Fmt.pr "device: %a@." Hardware.pp Hardware.mobile;
   let graph = Unet.srnet_inference ~image:512 ~channels:64 ~depth:12 () in
   let order = Graph.program_order graph in
-  let base = Simulator.run cache graph order in
+  let base = Simulator.run cost graph order in
   Fmt.pr "VDSR super-resolution, batch 1, 512x512: %d ops, peak %.1f MB, %.1f ms@."
     (Graph.n_nodes graph) (mb base.peak_mem) (base.latency *. 1e3);
 
@@ -34,7 +34,7 @@ let () =
         (Util.take 3 cands)
     in
     let order = Reorder.schedule ~max_states:0 g in
-    let r = Simulator.run cache g order in
+    let r = Simulator.run cost g order in
     Fmt.pr "  split x%d: %3d ops, peak %.1f MB (%.0f%%), %.1f ms (%+.1f%%)@."
       n (Graph.n_nodes g) (mb r.peak_mem)
       (100.0 *. float_of_int r.peak_mem /. float_of_int base.peak_mem)
@@ -45,7 +45,7 @@ let () =
 
   (* and the coordinated optimizer on the same graph, for comparison *)
   let config = { Search.default_config with time_budget = 5.0 } in
-  let r = Search.optimize_memory ~config cache ~overhead:0.10 graph in
+  let r = Search.optimize_memory ~config cost ~overhead:0.10 graph in
   Fmt.pr "MAGIS (graph scheduling only, batch=1): peak %.1f MB (%.0f%%), %+.1f%%@."
     (mb r.best.peak_mem)
     (100.0 *. float_of_int r.best.peak_mem /. float_of_int base.peak_mem)

@@ -10,13 +10,13 @@ let gb bytes = float_of_int bytes /. 1e9
 let mb bytes = float_of_int bytes /. 1e6
 
 let () =
-  let cache = Op_cost.create Hardware.default in
+  let cost = Op_cost.create Hardware.default in
   (* a reduced GPT-Neo so the example runs in seconds; scale up at will *)
   let graph =
     Transformer.build_lm
       (Transformer.gpt_neo_1_3b ~seq_len:256 ~layers:4 ~vocab:8192 ())
   in
-  let base = Simulator.run cache graph (Graph.program_order graph) in
+  let base = Simulator.run cost graph (Graph.program_order graph) in
   Fmt.pr "GPT-Neo (4 layers, seq 256): %d ops, weights %.2f GB, peak %.2f GB, step %.0f ms@."
     (Graph.n_nodes graph)
     (gb (Graph.weight_bytes graph))
@@ -34,13 +34,13 @@ let () =
         (100.0 *. (o.latency -. base.latency) /. base.latency)
     else Fmt.pr "  %-8s FAILURE@." o.system
   in
-  report (Pofo.run cache graph ~budget);
-  report (Dtr.run cache graph ~budget);
-  report (Xla.run cache graph ~budget);
+  report (Pofo.run cost graph ~budget);
+  report (Dtr.run cost graph ~budget);
+  report (Xla.run cost graph ~budget);
 
   (* MAGIS *)
   let config = { Search.default_config with time_budget = 8.0 } in
-  let r = Search.run ~config cache (Search.Min_latency { mem_limit = budget }) graph in
+  let r = Search.run ~config cost (Search.Min_latency { mem_limit = budget }) graph in
   report
     {
       Outcome.system = "MAGIS";

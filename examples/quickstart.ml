@@ -10,7 +10,7 @@ let ms secs = secs *. 1e3
 
 let () =
   (* 1. a cost model for the target device (an RTX 3090 by default) *)
-  let cache = Op_cost.create Hardware.default in
+  let cost = Op_cost.create Hardware.default in
   Fmt.pr "device: %a@." Hardware.pp Hardware.default;
 
   (* 2. a workload: U-Net training, reduced size *)
@@ -19,13 +19,13 @@ let () =
     (mb (Graph.weight_bytes graph));
 
   (* 3. the unoptimized profile (PyTorch-style execution) *)
-  let base = Simulator.run cache graph (Graph.program_order graph) in
+  let base = Simulator.run cost graph (Graph.program_order graph) in
   Fmt.pr "unoptimized: peak %.1f MB, latency %.2f ms@." (mb base.peak_mem)
     (ms base.latency);
 
   (* 4. optimize memory with at most 10%% extra latency *)
   let config = { Search.default_config with time_budget = 5.0 } in
-  let result = Search.optimize_memory ~config cache ~overhead:0.10 graph in
+  let result = Search.optimize_memory ~config cost ~overhead:0.10 graph in
   let best = result.best in
   Fmt.pr "MAGIS:       peak %.1f MB (%.0f%%), latency %.2f ms (%+.1f%%)@."
     (mb best.peak_mem)

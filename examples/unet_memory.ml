@@ -6,10 +6,10 @@
 
 open Magis
 
-let profile cache label graph ftree schedule =
-  let acc = Ftree.accounting cache (Graph_index.of_graph graph) ftree in
+let profile cost label graph ftree schedule =
+  let acc = Ftree.accounting cost (Graph_index.of_graph graph) ftree in
   let r =
-    Simulator.run ~size_of:acc.size_of ~cost_of:acc.cost_of cache graph
+    Simulator.run ~size_of:acc.size_of ~cost_of:acc.cost_of cost graph
       schedule
   in
   let mem = Lifetime.timeline r.analysis in
@@ -30,17 +30,17 @@ let profile cache label graph ftree schedule =
   Fmt.pr "]@."
 
 let () =
-  let cache = Op_cost.create Hardware.default in
+  let cost = Op_cost.create Hardware.default in
   let graph = Zoo.unet.build Zoo.Quick in
-  let base = Simulator.run cache graph (Graph.program_order graph) in
+  let base = Simulator.run cost graph (Graph.program_order graph) in
   Fmt.pr "UNet training, batch 32@.";
-  profile cache "PyTorch " graph Ftree.empty (Graph.program_order graph);
+  profile cost "PyTorch " graph Ftree.empty (Graph.program_order graph);
   let config = { Search.default_config with time_budget = 6.0 } in
   List.iter
     (fun (label, ratio) ->
       let limit =
         int_of_float (float_of_int base.peak_mem *. ratio)
       in
-      let r = Search.run ~config cache (Search.Min_latency { mem_limit = limit }) graph in
-      profile cache label r.best.graph r.best.ftree r.best.schedule)
+      let r = Search.run ~config cost (Search.Min_latency { mem_limit = limit }) graph in
+      profile cost label r.best.graph r.best.ftree r.best.schedule)
     [ ("MAGIS-80%", 0.8); ("MAGIS-60%", 0.6) ]

@@ -44,7 +44,7 @@ let split (g : Graph.t) : Int_set.t * Int_set.t =
   let all = Int_set.of_list (Graph.node_ids g) in
   (Int_set.diff all backward, backward)
 
-let analyze ?(max_crossing = 3) (cache : Op_cost.t) (g : Graph.t) : t =
+let analyze ?(max_crossing = 3) (cost : Op_cost.t) (g : Graph.t) : t =
   let forward, backward = split g in
   let blocks = Magis_sched.Partition.partition ~max_crossing g forward in
   let stages =
@@ -52,7 +52,7 @@ let analyze ?(max_crossing = 3) (cache : Op_cost.t) (g : Graph.t) : t =
       (fun members ->
         let cost =
           Int_set.fold
-            (fun v acc -> acc +. Op_cost.node_cost cache g v)
+            (fun v acc -> acc +. Op_cost.node_cost cost g v)
             members 0.0
         in
         let saved_bytes =
@@ -72,7 +72,7 @@ let analyze ?(max_crossing = 3) (cache : Op_cost.t) (g : Graph.t) : t =
       blocks
   in
   let compute_of set =
-    Int_set.fold (fun v acc -> acc +. Op_cost.node_cost cache g v) set 0.0
+    Int_set.fold (fun v acc -> acc +. Op_cost.node_cost cost g v) set 0.0
   in
   let output_bytes =
     List.fold_left
@@ -100,7 +100,7 @@ let total_cost t = Util.sum_by_f (fun s -> s.cost) t.stages
     used by the greedy XLA baseline.  Greedy rematerialization re-computes
     a discarded tensor once per backward use (no sharing across uses), so
     the cost carries the backward-consumer count. *)
-let saved_tensors (cache : Op_cost.t) (g : Graph.t) (t : t) :
+let saved_tensors (cost : Op_cost.t) (g : Graph.t) (t : t) :
     (int * float * int) list =
   (* stage_saved of the tensor's stage: rematerializing any of a stage's
      activations transiently re-materializes its neighbours, so the
@@ -122,7 +122,7 @@ let saved_tensors (cache : Op_cost.t) (g : Graph.t) (t : t) :
         && not (Op.is_input (Graph.op g v))
       then
         ( Shape.size_bytes (Graph.shape g v),
-          float_of_int backward_uses *. Op_cost.node_cost cache g v,
+          float_of_int backward_uses *. Op_cost.node_cost cost g v,
           match Hashtbl.find_opt stage_of v with
           | Some s -> s
           | None -> Shape.size_bytes (Graph.shape g v) )

@@ -17,7 +17,7 @@ module Int_set = Util.Int_set
 
 type tensor_state = { mutable resident : bool; mutable last_access : int }
 
-let run ?(thrash_factor = 25) (cache : Op_cost.t) (g : Graph.t)
+let run ?(thrash_factor = 25) (cost : Op_cost.t) (g : Graph.t)
     ~(budget : int) : Outcome.t =
   let order =
     Array.of_list
@@ -65,7 +65,7 @@ let run ?(thrash_factor = 25) (cache : Op_cost.t) (g : Graph.t)
           && (not (Lifetime.pinned g v))
           && size v > 0
         then begin
-          let cost = Op_cost.node_cost cache g v +. 1e-9 in
+          let cost = Op_cost.node_cost cost g v +. 1e-9 in
           let staleness = float_of_int (!clock - s.last_access + 1) in
           let h = cost /. (float_of_int (size v) *. staleness) in
           match !best with
@@ -102,7 +102,7 @@ let run ?(thrash_factor = 25) (cache : Op_cost.t) (g : Graph.t)
       if !recomputes > max_recomputes then raise Thrash;
       let protect = Int_set.add v protect in
       List.iter (fun u -> materialize u ~protect) (Graph.pre g v);
-      latency := !latency +. Op_cost.node_cost cache g v;
+      latency := !latency +. Op_cost.node_cost cost g v;
       allocate v ~protect:(List.fold_left (fun a u -> Int_set.add u a) protect (Graph.pre g v))
     end
   in
@@ -113,7 +113,7 @@ let run ?(thrash_factor = 25) (cache : Op_cost.t) (g : Graph.t)
         let preds = Graph.pre g v in
         let protect = Int_set.of_list (v :: preds) in
         List.iter (fun u -> materialize u ~protect) preds;
-        latency := !latency +. Op_cost.node_cost cache g v;
+        latency := !latency +. Op_cost.node_cost cost g v;
         allocate v ~protect;
         (state v).last_access <- !clock;
         (* basic free-when-dead *)
@@ -126,15 +126,15 @@ let run ?(thrash_factor = 25) (cache : Op_cost.t) (g : Graph.t)
       order;
     {
       Outcome.system = "DTR";
-      peak_mem = min budget (Simulator.run cache g (Array.to_list order)).peak_mem;
+      peak_mem = min budget (Simulator.run cost g (Array.to_list order)).peak_mem;
       latency = !latency;
       feasible = true;
     }
   with Oom | Thrash -> Outcome.infeasible "DTR"
 
-let min_memory (cache : Op_cost.t) (g : Graph.t) ~(lat_limit : float) :
+let min_memory (cost : Op_cost.t) (g : Graph.t) ~(lat_limit : float) :
     Outcome.t =
-  let base = Simulator.run cache g (Graph.program_order g) in
+  let base = Simulator.run cost g (Graph.program_order g) in
   Outcome.min_memory_under_latency
-    ~run:(fun budget -> run cache g ~budget)
+    ~run:(fun budget -> run cost g ~budget)
     ~lo:(Graph.weight_bytes g) ~hi:base.peak_mem ~lat_limit

@@ -43,12 +43,12 @@ let fused_intermediates aggressiveness (g : Graph.t) : Int_set.t =
       else acc)
     g Int_set.empty
 
-let run aggressiveness (cache : Op_cost.t) (g : Graph.t) : Outcome.t =
+let run aggressiveness (cost : Op_cost.t) (g : Graph.t) : Outcome.t =
   let fused = fused_intermediates aggressiveness g in
-  let hw = cache.Op_cost.hw in
+  let hw = cost.Op_cost.hw in
   let cost_of v =
     let n = Graph.node g v in
-    let base = Op_cost.node_cost cache g v in
+    let base = Op_cost.node_cost cost g v in
     if base = 0.0 then base
     else
       (* producer fused into its consumer: no launch, no output write *)
@@ -72,7 +72,7 @@ let run aggressiveness (cache : Op_cost.t) (g : Graph.t) : Outcome.t =
       Float.max (hw.Hardware.launch_overhead /. 4.0) c
   in
   let res =
-    Simulator.run ~cost_of cache g
+    Simulator.run ~cost_of cost g
       (Magis_analysis.Hooks.schedule ~what:"fusion-compiler baseline" g
          (Graph.program_order g))
   in
@@ -87,6 +87,6 @@ let run aggressiveness (cache : Op_cost.t) (g : Graph.t) : Outcome.t =
 (** Fig. 9/10 use these compilers under memory constraints they cannot
     meet (they only do basic memory saving): [constrained] reports failure
     when the budget is below their natural peak. *)
-let constrained aggressiveness cache g ~(mem_limit : int) : Outcome.t =
-  let o = run aggressiveness cache g in
+let constrained aggressiveness cost g ~(mem_limit : int) : Outcome.t =
+  let o = run aggressiveness cost g in
   if o.peak_mem <= mem_limit then o else { o with feasible = false }

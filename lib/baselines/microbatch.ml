@@ -6,11 +6,11 @@
 open Magis_ir
 open Magis_cost
 
-(** [run cache ~build ~batch ~factor ~budget] builds the model at batch
+(** [run cost ~build ~batch ~factor ~budget] builds the model at batch
     size [batch/factor], lets POFO optimize it under [budget], and scales
     latency by [factor].  Weight gradients are accumulated across
     micro-batches, so the budget applies to a single micro-batch. *)
-let run (cache : Op_cost.t) ~(build : int -> Graph.t) ~(batch : int)
+let run (cost : Op_cost.t) ~(build : int -> Graph.t) ~(batch : int)
     ~(factor : int) ~(budget : int) : Outcome.t =
   if batch mod factor <> 0 then
     invalid_arg "Microbatch.run: factor must divide the batch size";
@@ -20,7 +20,7 @@ let run (cache : Op_cost.t) ~(build : int -> Graph.t) ~(batch : int)
   ignore
     (Magis_analysis.Hooks.schedule ~what:"micro-batch sub-graph" sub
        (Graph.program_order sub));
-  let o = Pofo.run cache sub ~budget in
+  let o = Pofo.run cost sub ~budget in
   let name = Printf.sprintf "POFO(factor=%d)" factor in
   if not o.feasible then Outcome.infeasible name
   else
@@ -30,10 +30,10 @@ let run (cache : Op_cost.t) ~(build : int -> Graph.t) ~(batch : int)
       latency = o.latency *. float_of_int factor;
     }
 
-let min_memory (cache : Op_cost.t) ~build ~batch ~factor
+let min_memory (cost : Op_cost.t) ~build ~batch ~factor
     ~(lat_limit : float) : Outcome.t =
   let sub = build (batch / factor) in
-  let base = Simulator.run cache sub (Graph.program_order sub) in
+  let base = Simulator.run cost sub (Graph.program_order sub) in
   Outcome.min_memory_under_latency
-    ~run:(fun budget -> run cache ~build ~batch ~factor ~budget)
+    ~run:(fun budget -> run cost ~build ~batch ~factor ~budget)
     ~lo:(Graph.weight_bytes sub) ~hi:base.peak_mem ~lat_limit

@@ -6,12 +6,12 @@
 open Magis_ir
 open Magis_cost
 
-let run (cache : Op_cost.t) (g : Graph.t) : Outcome.t =
+let run (cost : Op_cost.t) (g : Graph.t) : Outcome.t =
   let order =
     Magis_analysis.Hooks.schedule ~what:"PyTorch baseline" g
       (Graph.program_order g)
   in
-  let res = Simulator.run cache g order in
+  let res = Simulator.run cost g order in
   {
     Outcome.system = "PyTorch";
     peak_mem = res.peak_mem;

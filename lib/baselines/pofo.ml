@@ -23,9 +23,9 @@ open Magis_ir
 type policy = Keep | Recompute | Offload
 
 (** Outcome of running the training graph under a memory [budget]. *)
-let run (cache : Op_cost.t) (g : Graph.t) ~(budget : int) : Outcome.t =
+let run (cost : Op_cost.t) (g : Graph.t) ~(budget : int) : Outcome.t =
   let base =
-    Simulator.run cache g
+    Simulator.run cost g
       (Magis_analysis.Hooks.schedule ~what:"POFO baseline" g
          (Graph.program_order g))
   in
@@ -33,7 +33,7 @@ let run (cache : Op_cost.t) (g : Graph.t) ~(budget : int) : Outcome.t =
     { Outcome.system = "POFO"; peak_mem = base.peak_mem;
       latency = base.latency; feasible = true }
   else
-    let chain = Chain.analyze cache g in
+    let chain = Chain.analyze cost g in
     let stages = Array.of_list chain.stages in
     let n = Array.length stages in
     let need_to_free = base.peak_mem - budget in
@@ -48,7 +48,7 @@ let run (cache : Op_cost.t) (g : Graph.t) ~(budget : int) : Outcome.t =
       let unit = max 1 ((total_saved / buckets) + 1) in
       let to_b bytes = min buckets ((bytes + unit - 1) / unit) in
       let inf = infinity in
-      let hw = cache.Op_cost.hw in
+      let hw = cost.Op_cost.hw in
       let dp =
         Array.init (n + 1) (fun _ ->
             Array.make_matrix (buckets + 1) (buckets + 1) inf)
@@ -115,9 +115,9 @@ let run (cache : Op_cost.t) (g : Graph.t) ~(budget : int) : Outcome.t =
 
 (** Latency-constrained variant (Fig. 9): the smallest budget whose plan
     stays within the latency limit. *)
-let min_memory (cache : Op_cost.t) (g : Graph.t) ~(lat_limit : float) :
+let min_memory (cost : Op_cost.t) (g : Graph.t) ~(lat_limit : float) :
     Outcome.t =
-  let base = Simulator.run cache g (Graph.program_order g) in
+  let base = Simulator.run cost g (Graph.program_order g) in
   Outcome.min_memory_under_latency
-    ~run:(fun budget -> run cache g ~budget)
+    ~run:(fun budget -> run cost g ~budget)
     ~lo:(Graph.weight_bytes g) ~hi:base.peak_mem ~lat_limit

@@ -10,9 +10,9 @@
 open Magis_ir
 open Magis_cost
 
-let run (cache : Op_cost.t) (g : Graph.t) ~(budget : int) : Outcome.t =
+let run (cost : Op_cost.t) (g : Graph.t) ~(budget : int) : Outcome.t =
   let base =
-    Simulator.run cache g
+    Simulator.run cost g
       (Magis_analysis.Hooks.schedule ~what:"XLA baseline" g
          (Graph.program_order g))
   in
@@ -20,13 +20,13 @@ let run (cache : Op_cost.t) (g : Graph.t) ~(budget : int) : Outcome.t =
     { Outcome.system = "XLA"; peak_mem = base.peak_mem;
       latency = base.latency; feasible = true }
   else
-    let chain = Chain.analyze cache g in
+    let chain = Chain.analyze cost g in
     (* greedy: largest saved activations evicted first, one tensor at a
        time, ignoring recompute cost *)
     let tensors =
       List.sort
         (fun (a, _, _) (b, _, _) -> compare b a)
-        (Chain.saved_tensors cache g chain)
+        (Chain.saved_tensors cost g chain)
     in
     let total = Util.sum_by (fun (b, _, _) -> b) tensors in
     let need = base.peak_mem - budget in
@@ -60,9 +60,9 @@ let run (cache : Op_cost.t) (g : Graph.t) ~(budget : int) : Outcome.t =
           feasible = true;
         }
 
-let min_memory (cache : Op_cost.t) (g : Graph.t) ~(lat_limit : float) :
+let min_memory (cost : Op_cost.t) (g : Graph.t) ~(lat_limit : float) :
     Outcome.t =
-  let base = Simulator.run cache g (Graph.program_order g) in
+  let base = Simulator.run cost g (Graph.program_order g) in
   Outcome.min_memory_under_latency
-    ~run:(fun budget -> run cache g ~budget)
+    ~run:(fun budget -> run cost g ~budget)
     ~lo:(Graph.weight_bytes g) ~hi:base.peak_mem ~lat_limit

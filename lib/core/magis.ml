@@ -5,9 +5,9 @@
     usable.  A typical session:
 
     {[
-      let cache = Magis.Op_cost.create Magis.Hardware.default in
+      let cost = Magis.Op_cost.create Magis.Hardware.default in
       let graph = Magis.Zoo.(find "UNet").build Magis.Zoo.Quick in
-      let result = Magis.Search.optimize_memory cache ~overhead:0.10 graph in
+      let result = Magis.Search.optimize_memory cost ~overhead:0.10 graph in
       Fmt.pr "%a@." Magis.Mstate.pp result.best
     ]} *)
 

@@ -1,8 +1,8 @@
 (** Device model.
 
     The paper profiles real kernels on an RTX 3090 and caches their
-    latencies (§6.2).  We replace the profile-filled cache with an analytic
-    model with the same qualitative behaviour:
+    latencies (§6.2).  We replace the profiled latencies with an analytic
+    model, computed on every query, with the same qualitative behaviour:
 
     - an additive roofline: [t = launch_overhead + flops/peak + bytes/bw].
       Splitting an operator into [n] parts multiplies the launch overhead

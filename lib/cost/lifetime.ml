@@ -14,11 +14,12 @@
       fission layer divides sizes of split intermediates, and Store outputs
       occupy no device memory.
 
-    [analyze_on] reads one {!Magis_ir.Graph_index}: node records from its
-    array, "has consumers" from its consumer marks, and each output's
-    last reader from one forward pass over the schedule's operands, into
-    id-indexed arrays.  It touches no persistent map; [analyze] builds
-    the index first. *)
+    The analysis reads one {!Magis_ir.Graph_index}: node records from its
+    array, "has consumers" from its consumer marks, and each node's
+    position and each output's last reader from one forward pass over
+    the schedule ([analyze_on]'s own, or the simulator's), into
+    id-indexed arrays, which [sweep] turns into liveness, memory and
+    hot-spots.  It touches no persistent map. *)
 
 open Magis_ir
 module Int_set = Util.Int_set
@@ -56,67 +57,61 @@ let default_size (g : Graph.t) (id : int) : int = node_size (graph_node g id)
 let pinned (g : Graph.t) (id : int) : bool =
   pinned_by (graph_node g id).op ~consumed:(Graph.out_degree g id > 0)
 
-let analyze_on ?size_of (ix : Graph_index.t) (order : int list) : t =
-  let size_of =
-    match size_of with
-    | Some f -> f
-    | None -> fun v -> node_size (Graph_index.node ix v)
-  in
-  let order = Array.of_list order in
+(* the memory sweeps of a schedule, after the caller's forward pass *)
+let sweep ?size_of ix order ~pos ~read =
+  let nodes = Graph_index.nodes ix and { Graph_index.row; _ } = Graph_index.csr ix in
+  let size_of = Option.value size_of ~default:(fun v -> node_size nodes.(v)) in
   let n = Array.length order in
-  let bound = Graph_index.bound ix in
-  (* one forward pass: each node's (last) position, and the last step
-     that reads each output; an output's last reader is its last
-     scheduled consumer *)
-  let pos = Array.make bound (-1) and read = Array.make bound (-1) in
+  let sizes = Array.map size_of order in
+  let birth = Array.make n 0 and free = Array.make n (n - 1) in
+  (* Sweep 1: each output's live interval, and memory per step via
+     birth/death deltas. *)
+  let delta = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
     let v = order.(i) in
-    let node = Graph_index.node ix v in
-    if node.id <> v then invalid_arg (Printf.sprintf "Lifetime: unknown node %d" v);
-    pos.(v) <- i;
-    Array.iter (fun p -> read.(p) <- i) node.inputs
-  done;
-  let sizes = Array.map (fun v -> size_of v) order in
-  let birth = Array.init n (fun i -> i) in
-  let free = Array.make n 0 in
-  let last = n - 1 in
-  for i = 0 to n - 1 do
-    let v = order.(i) in
-    let op = (Graph_index.node ix v).op in
-    if pinned_by op ~consumed:(Graph_index.has_consumers ix v) then begin
-      if Op.is_weight op then birth.(i) <- 0;
-      free.(i) <- last
+    let op = nodes.(v).op in
+    if pinned_by op ~consumed:(row.(v + 1) > row.(v)) then begin
+      if not (Op.is_weight op) then birth.(i) <- i
     end
-    else free.(i) <- max i read.(v)
+    else begin
+      birth.(i) <- i;
+      free.(i) <- (if read.(v) > i then read.(v) else i)
+    end;
+    delta.(birth.(i)) <- delta.(birth.(i)) + sizes.(i);
+    delta.(free.(i) + 1) <- delta.(free.(i) + 1) - sizes.(i)
   done;
-  (* Sweep 1: memory per step via birth/death deltas. *)
-  let mem = Array.make (max n 1) 0 in
-  if n > 0 then begin
-    let delta = Array.make (n + 1) 0 in
-    for i = 0 to n - 1 do
-      delta.(birth.(i)) <- delta.(birth.(i)) + sizes.(i);
-      delta.(free.(i) + 1) <- delta.(free.(i) + 1) - sizes.(i)
-    done;
-    let current = ref 0 in
-    for step = 0 to n - 1 do
-      current := !current + delta.(step);
-      mem.(step) <- !current
-    done
-  end;
-  let peak = Array.fold_left max 0 mem in
-  (* Sweep 2: a tensor is a hot-spot iff its live interval contains a peak
-     step; [next_peak.(s)] is the first peak step >= s. *)
-  let next_peak = Array.make (n + 1) max_int in
+  let mem = Array.make (max n 1) 0 and peak = ref 0 in
+  for step = 0 to n - 1 do
+    mem.(step) <- (if step = 0 then 0 else mem.(step - 1)) + delta.(step);
+    if mem.(step) > !peak then peak := mem.(step)
+  done;
+  (* Sweep 2: a tensor is a hot-spot iff its live interval contains a
+     peak step; the delta array becomes [next_peak], whose entry [s] is
+     the first peak step >= s. *)
+  let next_peak = delta in
+  next_peak.(n) <- max_int;
   for step = n - 1 downto 0 do
-    next_peak.(step) <-
-      (if mem.(step) = peak then step else next_peak.(step + 1))
+    next_peak.(step) <- (if mem.(step) = !peak then step else next_peak.(step + 1))
   done;
-  let hotspots = ref Int_set.empty in
-  for i = 0 to n - 1 do
-    if n > 0 && next_peak.(birth.(i)) <= free.(i) then
-      hotspots := Int_set.add order.(i) !hotspots
+  let hot = ref [] in
+  for i = n - 1 downto 0 do
+    if next_peak.(birth.(i)) <= free.(i) then hot := order.(i) :: !hot
   done;
-  { order; pos; birth; free; mem; peak; hotspots = !hotspots; sizes }
+  { order; pos; birth; free; mem; peak = !peak; hotspots = Int_set.of_list !hot; sizes }
+
+let analyze_on ?size_of (ix : Graph_index.t) (order : int list) : t =
+  let order = Array.of_list order in
+  (* one forward pass: each node's (last) position, and the last step
+     that reads each output (its last scheduled consumer's) *)
+  let pos = Array.make (Graph_index.bound ix) (-1) and read = Array.make (Graph_index.bound ix) (-1) in
+  Array.iteri
+    (fun i v ->
+      let node = Graph_index.node ix v in
+      if node.id <> v then invalid_arg (Printf.sprintf "Lifetime: unknown node %d" v);
+      pos.(v) <- i;
+      Array.iter (fun p -> read.(p) <- i) node.inputs)
+    order;
+  sweep ?size_of ix order ~pos ~read
 
 let analyze ?size_of (g : Graph.t) (order : int list) : t =
   analyze_on ?size_of (Graph_index.of_graph g) order

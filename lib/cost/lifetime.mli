@@ -42,6 +42,11 @@ val pinned : Graph.t -> int -> bool
     node. *)
 val analyze_on : ?size_of:(int -> int) -> Graph_index.t -> int list -> t
 
+(** The analysis of [order] from the caller's forward pass over it:
+    [pos.(v)] is [v]'s last position, [read.(v)] the last step reading
+    [v]'s output, [-1] for none (kept, not copied). *)
+val sweep : ?size_of:(int -> int) -> Graph_index.t -> int array -> pos:int array -> read:int array -> t
+
 (** {!analyze_on} on a fresh index of the graph. *)
 val analyze : ?size_of:(int -> int) -> Graph.t -> int list -> t
 val peak_memory : t -> int

@@ -14,18 +14,17 @@
     the optional [cost_of] and [size_of] hooks.
 
     [run_events] additionally returns the per-node placement (stream,
-    start, finish) the simulation computed, for timeline export; [run]
-    is the search loop's path and records no events.  Either way one
-    simulation allocates a finish-time array indexed by node id and the
-    {!Lifetime} analysis; a failure label is formatted only when a
+    start, finish), for timeline export; [run] is the search loop's path
+    and records no events.  A failure label is formatted only when a
     duration fails its finiteness guard.
 
-    A simulation reads one {!Magis_ir.Graph_index}: node records, operand
-    shapes for the default cost ({!Op_cost.node_cost_on}) and the
-    lifetime analysis ({!Lifetime.analyze_on}) all come from its arrays,
-    never from the graph's persistent maps.  [run_on] takes an index the
-    caller already holds (the fission accounting builds one per
-    candidate); [run] and [run_events] build it. *)
+    A simulation is one forward pass over the schedule, reading one
+    {!Magis_ir.Graph_index} (node records, operand shapes for the default
+    cost {!Op_cost.node_cost_on}), never the graph's maps.  The pass also
+    records positions and last readers, which {!Lifetime.sweep} turns
+    into the memory analysis.  [run_on] takes an index the caller holds
+    (the fission accounting builds one per candidate); [run] and
+    [run_events] build it. *)
 
 open Magis_ir
 module Trace = Magis_obs.Trace
@@ -50,62 +49,62 @@ type event = {
 
 (** [sink], when given, receives one event per scheduled non-Input node
     (in schedule order, accumulated newest-first). *)
-let simulate ?size_of ?cost_of ?sink (cache : Op_cost.t) (ix : Graph_index.t)
+let simulate ?size_of ?cost_of ?sink (cost : Op_cost.t) (ix : Graph_index.t)
     (order : int list) : result =
   Magis_resilience.Fault.hit "simulator";
   Metrics.incr runs_total;
-  let cost_of =
-    match cost_of with
-    | Some f -> f
-    | None -> Op_cost.node_cost_on cache ix
-  in
-  let emit ev = match sink with None -> () | Some r -> r := ev :: !r in
-  (* finish time per node id; 0 until the node is scheduled, which is
-     also the neutral element of the [ready] maximum *)
+  let cost_of = Option.value cost_of ~default:(Op_cost.node_cost_on cost ix) in
+  let order = Array.of_list order in
+  (* per node id: the finish time, 0 until the node is scheduled (also
+     the neutral element of the [ready] maximum); and, for the lifetime
+     sweep, the (last) position and the last step reading the output *)
+  let nodes = Graph_index.nodes ix in
   let finish = Array.make (Graph_index.bound ix) 0.0 in
-  let ready (n : Graph.node) =
-    Array.fold_left
-      (fun acc p -> if finish.(p) > acc then finish.(p) else acc)
-      0.0 n.inputs
-  in
-  let later a b = if b > a then b else a in
+  let pos = Array.make (Graph_index.bound ix) (-1) and read = Array.make (Graph_index.bound ix) (-1) in
   let t_compute = ref 0.0 and t_copy = ref 0.0 in
   let compute_busy = ref 0.0 and copy_busy = ref 0.0 in
-  List.iter
-    (fun v ->
-      let n = Graph_index.node ix v in
-      if n.id <> v then invalid_arg (Printf.sprintf "Simulator: unknown node %d" v);
-      match n.op with
-      | Op.Store | Op.Load ->
-          let bytes = Shape.size_bytes n.shape in
-          let dur = Op_cost.swap_time cache bytes in
-          let start = later !t_copy (ready n) in
-          t_copy := start +. dur;
-          copy_busy := !copy_busy +. dur;
-          finish.(v) <- !t_copy;
-          emit { ev_node = v; ev_copy = true; ev_start = start;
-                 ev_finish = !t_copy }
-      | Op.Input _ -> finish.(v) <- 0.0
-      | _ ->
-          let dur = cost_of v in
-          (* the [cost_of] hook may come from fission accounting or any
-             other caller-supplied model: guard it like Op_cost guards
-             its own values, so a NaN duration surfaces as a structured
-             exception instead of a poisoned latency *)
-          if not (Op_cost.is_finite_cost dur) then
-            Op_cost.check_finite
-              ~what:(Printf.sprintf "node %d scheduled cost" v)
-              dur;
-          let start = later !t_compute (ready n) in
-          t_compute := start +. dur;
-          compute_busy := !compute_busy +. dur;
-          finish.(v) <- !t_compute;
-          emit { ev_node = v; ev_copy = false; ev_start = start;
-                 ev_finish = !t_compute })
-    order;
+  for i = 0 to Array.length order - 1 do
+    let v = order.(i) in
+    let n = nodes.(v) in
+    if n.id <> v then invalid_arg (Printf.sprintf "Simulator: unknown node %d" v);
+    pos.(v) <- i;
+    let ready = ref 0.0 in
+    for k = 0 to Array.length n.inputs - 1 do
+      let p = n.inputs.(k) in
+      read.(p) <- i;
+      if finish.(p) > !ready then ready := finish.(p)
+    done;
+    match n.op with
+    | Op.Store | Op.Load ->
+        let dur = Op_cost.swap_time cost (Shape.size_bytes n.shape) in
+        let start = if !ready > !t_copy then !ready else !t_copy in
+        t_copy := start +. dur;
+        copy_busy := !copy_busy +. dur;
+        finish.(v) <- !t_copy;
+        (match sink with
+        | Some r -> r := { ev_node = v; ev_copy = true; ev_start = start; ev_finish = !t_copy } :: !r
+        | None -> ())
+    | Op.Input _ -> finish.(v) <- 0.0
+    | _ ->
+        let dur = cost_of v in
+        (* the [cost_of] hook may come from fission accounting or any
+           other caller-supplied model: guard it like Op_cost guards its
+           own values, so a NaN duration surfaces as a structured
+           exception instead of a poisoned latency *)
+        if not (Op_cost.is_finite_cost dur) then
+          Op_cost.check_finite ~what:(Printf.sprintf "node %d scheduled cost" v) dur;
+        let start = if !ready > !t_compute then !ready else !t_compute in
+        t_compute := start +. dur;
+        compute_busy := !compute_busy +. dur;
+        finish.(v) <- !t_compute;
+        (match sink with
+        | Some r ->
+            r := { ev_node = v; ev_copy = false; ev_start = start; ev_finish = !t_compute } :: !r
+        | None -> ())
+  done;
   let latency = max !t_compute !t_copy in
   Op_cost.check_finite ~what:"simulated latency" latency;
-  let analysis = Lifetime.analyze_on ?size_of ix order in
+  let analysis = Lifetime.sweep ?size_of ix order ~pos ~read in
   {
     latency;
     peak_mem = Lifetime.peak_memory analysis;
@@ -114,14 +113,14 @@ let simulate ?size_of ?cost_of ?sink (cache : Op_cost.t) (ix : Graph_index.t)
     analysis;
   }
 
-let run_on ?size_of ?cost_of cache ix order =
-  simulate ?size_of ?cost_of cache ix order
+let run_on ?size_of ?cost_of cost ix order =
+  simulate ?size_of ?cost_of cost ix order
 
-let run ?size_of ?cost_of cache g order =
-  simulate ?size_of ?cost_of cache (Graph_index.of_graph g) order
+let run ?size_of ?cost_of cost g order =
+  simulate ?size_of ?cost_of cost (Graph_index.of_graph g) order
 
-let run_events ?size_of ?cost_of cache g order =
+let run_events ?size_of ?cost_of cost g order =
   Trace.with_span ~cat:"cost" "simulate" @@ fun () ->
   let sink = ref [] in
-  let r = simulate ?size_of ?cost_of ~sink cache (Graph_index.of_graph g) order in
+  let r = simulate ?size_of ?cost_of ~sink cost (Graph_index.of_graph g) order in
   (r, List.rev !sink)

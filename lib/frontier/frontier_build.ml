@@ -15,10 +15,10 @@ let key ?(config = Search.default_config) mode ~hw graph =
     ~hw:(Hardware.fingerprint hw)
     graph
 
-let build ?(config = Search.default_config) cache mode graph =
+let build ?(config = Search.default_config) cost mode graph =
   let fr = Frontier.create () in
   let config = { config with Search.harvest = Some (harvest_into fr) } in
-  let result = Search.run ~config cache mode graph in
+  let result = Search.run ~config cost mode graph in
   (* the unoptimized starting state is never a candidate, so the hook
      never sees it; insert it explicitly — it anchors the frontier's
      maximum peak at the baseline, which the ratio-budget helpers below
@@ -26,12 +26,12 @@ let build ?(config = Search.default_config) cache mode graph =
   harvest_into fr ~iteration:0 result.Search.initial;
   (fr, result)
 
-let cached_or_build ?(config = Search.default_config) ~dir cache mode graph =
-  let key = key ~config mode ~hw:cache.Op_cost.hw graph in
+let cached_or_build ?(config = Search.default_config) ~dir cost mode graph =
+  let key = key ~config mode ~hw:cost.Op_cost.hw graph in
   match Frontier_cache.load ~dir ~key with
   | Some fr -> (fr, `Hit)
   | None ->
-      let fr, result = build ~config cache mode graph in
+      let fr, result = build ~config cost mode graph in
       Frontier_cache.save ~dir ~key fr;
       (fr, `Built result)
 

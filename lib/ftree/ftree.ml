@@ -391,9 +391,9 @@ type accounting = {
     and [cost_of] read [ix], handed on in [index] so the simulation of
     the same candidate reads it too; [base] is the unsplit cost of a
     node ({!Op_cost.node_cost_on} by default). *)
-let accounting ?base (cache : Op_cost.t) (ix : Graph_index.t) (t : t) : accounting =
+let accounting ?base (cost : Op_cost.t) (ix : Graph_index.t) (t : t) : accounting =
   let base =
-    match base with Some f -> f | None -> Op_cost.node_cost_on cache ix
+    match base with Some f -> f | None -> Op_cost.node_cost_on cost ix
   in
   let node_size v = Lifetime.node_size (Graph_index.node ix v) in
   let enabled = enabled_indices t in
@@ -460,9 +460,9 @@ let accounting ?base (cache : Op_cost.t) (ix : Graph_index.t) (t : t) : accounti
                   (Graph_index.in_shapes ix v, node.shape)
                   within.(v)
               in
-              float_of_int factor.(v) *. Op_cost.cost cache node.op ins out
+              float_of_int factor.(v) *. Op_cost.cost cost node.op ins out
       in
-      let hw = (cache : Op_cost.t).hw in
+      let hw = (cost : Op_cost.t).hw in
       let extra_latency =
         List.fold_left
           (fun acc (i, f, ids, is_out) ->

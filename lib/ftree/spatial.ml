@@ -230,7 +230,7 @@ let candidates (g : Graph.t) : t list =
     shrink to (step + 2·halo)/extent of their size; operators run [n]
     times on slabs, paying the halo recomputation and the boundary
     slice/concat traffic. *)
-let accounting (cache : Op_cost.t) (g : Graph.t) (f : t) :
+let accounting (cost : Op_cost.t) (g : Graph.t) (f : t) :
     (int -> int) * (int -> float) * float =
   let members = Int_set.of_list f.chain in
   let extent = Shape.dim (Graph.shape g (List.hd f.chain)) f.axis in
@@ -247,12 +247,12 @@ let accounting (cache : Op_cost.t) (g : Graph.t) (f : t) :
     else base
   in
   let cost_of v =
-    let base = Op_cost.node_cost cache g v in
+    let base = Op_cost.node_cost cost g v in
     if Int_set.mem v members then
       float_of_int f.n *. base *. slab_fraction
     else base
   in
-  let hw = cache.Op_cost.hw in
+  let hw = cost.Op_cost.hw in
   let boundary_bytes =
     2 * (Graph.size_bytes g (List.hd f.chain) + Graph.size_bytes g last)
   in

@@ -26,15 +26,15 @@ type t = {
     computed {!Ftree.accounting} (the search's evaluation path needs it
     for the reschedule) pass it in instead of recomputing; the
     simulation reads the accounting's graph index. *)
-let evaluate ?(ftree_stale = false) ?acc (cache : Op_cost.t) (graph : Graph.t)
+let evaluate ?(ftree_stale = false) ?acc (cost : Op_cost.t) (graph : Graph.t)
     (ftree : Ftree.t) (schedule : int list) : t =
   let acc =
     match acc with
     | Some a -> a
-    | None -> Ftree.accounting cache (Graph_index.of_graph graph) ftree
+    | None -> Ftree.accounting cost (Graph_index.of_graph graph) ftree
   in
   let res =
-    Simulator.run_on ~size_of:acc.size_of ~cost_of:acc.cost_of cache acc.index
+    Simulator.run_on ~size_of:acc.size_of ~cost_of:acc.cost_of cost acc.index
       schedule
   in
   {
@@ -76,9 +76,9 @@ let to_cached (t : t) : Sim_cache.value =
 (** Initial state: schedule the input graph, analyze it, build the F-Tree
     (Algorithm 1). *)
 let init ?(max_level = Ftree.default_max_level) ~sched_states
-    (cache : Op_cost.t) (graph : Graph.t) : t =
+    (cost : Op_cost.t) (graph : Graph.t) : t =
   let schedule = Reorder.schedule ~max_states:sched_states graph in
-  let pre = evaluate cache graph Ftree.empty schedule in
+  let pre = evaluate cost graph Ftree.empty schedule in
   let ftree = Ftree.construct ~max_level graph ~hotspots:pre.hotspots in
   { pre with ftree }
 

@@ -483,7 +483,7 @@ let state_hash tb wl (ftree : Ftree.t) : int64 =
 (** Everything a worker needs to evaluate proposals: the operator-cost
     cache, the simulation cache and the constant key ingredients. *)
 type eval_ctx = {
-  ec_cache : Op_cost.t;
+  ec_cost : Op_cost.t;
   ec_sim : Sim_cache.t;
   ec_mode : int64;  (** mode fingerprint (cross-mode collision guard) *)
   ec_hw : int64;  (** hardware fingerprint *)
@@ -573,7 +573,7 @@ type eval_parent = {
 let eval_parent (ec : eval_ctx) (s : Mstate.t) (v : view) : eval_parent =
   let ix = view_index s.graph v in
   { e_sched = Magis_sched.Incremental.parent ix s.schedule;
-    e_costs = Op_cost.costs_on ec.ec_cache ix }
+    e_costs = Op_cost.costs_on ec.ec_cost ix }
 
 (** Evaluate a proposal: incremental reschedule + simulation, memoized
     in the simulation cache under [key], on the proposal's index;
@@ -605,10 +605,10 @@ let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
               match p.p_rewrite with Some ix -> ix | None -> view_index graph v
             in
             let base =
-              Op_cost.inherited_cost_on ec.ec_cache ~parent_nodes:v.v_nodes
+              Op_cost.inherited_cost_on ec.ec_cost ~parent_nodes:v.v_nodes
                 ~parent_costs:ep.e_costs ix
             in
-            (ix, Ftree.accounting ~base ec.ec_cache ix p.p_ftree))
+            (ix, Ftree.accounting ~base ec.ec_cost ix p.p_ftree))
       in
       let schedule =
         timed tb s_reschedule (fun () ->
@@ -624,7 +624,7 @@ let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
       in
       timed tb s_simulate @@ fun () ->
       let s' =
-        Mstate.evaluate ~ftree_stale:p.p_stale ~acc ec.ec_cache graph
+        Mstate.evaluate ~ftree_stale:p.p_stale ~acc ec.ec_cost graph
           p.p_ftree schedule
       in
       if cfg.verify_states then begin
@@ -724,7 +724,7 @@ let ladder_sched_states ~level sched_states =
 
 (** Run the search.  Returns the best state found within the time budget,
     the initial state, the accounting table and the improvement history. *)
-let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
+let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
     (graph : Graph.t) : result =
   let t0 = Unix.gettimeofday () in
   let tb = fresh_table () in
@@ -732,13 +732,13 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
     timed tb s_init @@ fun () ->
     let ec =
       {
-        ec_cache = cache;
+        ec_cost = cost;
         ec_sim =
           (match config.sim_cache with
           | Some c -> c
           | None -> Sim_cache.create ());
         ec_mode = mode_fingerprint mode;
-        ec_hw = Hardware.fingerprint cache.hw;
+        ec_hw = Hardware.fingerprint cost.hw;
       }
     in
     let fingerprint = trajectory_fingerprint config mode ~hw:ec.ec_hw graph in
@@ -775,7 +775,7 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
     | None ->
         let s =
           Mstate.init ~max_level:config.ablation.max_level
-            ~sched_states:config.sched_states cache graph
+            ~sched_states:config.sched_states cost graph
         in
         let s =
           if config.ablation.use_ftree_heuristic then s
@@ -784,7 +784,7 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
         if config.verify_states then begin
           Magis_analysis.Hooks.assert_state ~what:"initial M-state" s.graph
             s.schedule;
-          let acc = Ftree.accounting cache (Graph_index.of_graph s.graph) s.ftree in
+          let acc = Ftree.accounting cost (Graph_index.of_graph s.graph) s.ftree in
           Magis_analysis.Hooks.assert_bounds ~what:"initial M-state"
             ~size_of:acc.size_of s.graph ~peak:s.peak_mem ();
           Magis_analysis.Hooks.assert_interference ~what:"initial M-state"
@@ -1109,7 +1109,7 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
                       allocator replay per candidate *)
                    if config.verify_states then begin
                      let acc =
-                       Ftree.accounting cache (Graph_index.of_graph s'.graph) s'.ftree
+                       Ftree.accounting cost (Graph_index.of_graph s'.graph) s'.ftree
                      in
                      try
                        Magis_analysis.Hooks.assert_interference
@@ -1160,19 +1160,19 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
 
 (** Optimize peak memory subject to a latency-overhead bound relative to
     the unoptimized graph (e.g. [0.10] allows 10% overhead). *)
-let optimize_memory ?config (cache : Op_cost.t) ~(overhead : float)
+let optimize_memory ?config (cost : Op_cost.t) ~(overhead : float)
     (graph : Graph.t) : result =
-  let base = Simulator.run cache graph (Graph.topo_order graph) in
-  run ?config cache
+  let base = Simulator.run cost graph (Graph.topo_order graph) in
+  run ?config cost
     (Min_memory { lat_limit = base.latency *. (1.0 +. overhead) })
     graph
 
 (** Optimize latency subject to a peak-memory bound relative to the
     unoptimized graph (e.g. [0.4] caps memory at 40%). *)
-let optimize_latency ?config (cache : Op_cost.t) ~(mem_ratio : float)
+let optimize_latency ?config (cost : Op_cost.t) ~(mem_ratio : float)
     (graph : Graph.t) : result =
-  let base = Simulator.run cache graph (Graph.topo_order graph) in
-  run ?config cache
+  let base = Simulator.run cost graph (Graph.topo_order graph) in
+  run ?config cost
     (Min_latency
        { mem_limit = int_of_float (float_of_int base.peak_mem *. mem_ratio) })
     graph

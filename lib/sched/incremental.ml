@@ -48,6 +48,7 @@ type parent = {
   schedule : int array;
   position : int array;
   nw : int array;
+  nodes : Graph.node array;
 }
 
 let parent (ix : Graph_index.t) (schedule : int list) : parent =
@@ -56,7 +57,7 @@ let parent (ix : Graph_index.t) (schedule : int list) : parent =
   Array.iteri
     (fun i v -> if v >= 0 && v < Array.length position then position.(v) <- i)
     schedule;
-  { schedule; position; nw = Partition.nw_on ix }
+  { schedule; position; nw = Partition.nw_on ix; nodes = Graph_index.nodes ix }
 
 (* the ids whose mark satisfies [p], increasing *)
 let marked mark p =
@@ -72,35 +73,19 @@ let marked mark p =
     mark;
   ids
 
-(** [reschedule ~parent ~new_index ~mutated_old ~size_of] computes a
-    schedule for the graph indexed by [new_index], reusing the parts of
-    [parent]'s schedule outside the rewritten window.  [mutated_old]
-    are the nodes of the parent graph removed or structurally affected
-    by the transformation (for a pure F-Tree mutation, the fission
-    region itself).  The marks, the partition order and the validity
-    check read [new_index].  Falls back to full scheduling if splicing
-    fails. *)
-let reschedule ?(max_states = 20_000) ~(parent : parent)
-    ~(new_index : Graph_index.t) ~(mutated_old : Int_set.t) ~size_of () :
-    int list * stats =
-  (* one byte per id of the new graph: 1 for a node, 2 once it is kept
-     in the prefix or suffix *)
+(* Marks, one byte per id of the new graph: a node starts at [fresh];
+   the splice moves it to [in_prefix] or [in_suffix] when it is kept,
+   and a window node to [placed] once the middle places it. *)
+let fresh = '\001' and in_prefix = '\002' and in_suffix = '\003' and placed = '\004'
+
+let splice ?(max_states = 20_000) ~(parent : parent) ~(new_index : Graph_index.t)
+    ~(mutated_old : Int_set.t) ~size_of () =
   let mark =
     Bytes.init (Graph_index.bound new_index) (fun v ->
-        if Graph_index.mem new_index v then '\001' else '\000')
-  in
-  (* [attempted] preserves the window the splice tried before failing, so
-     callers can still see where the rewrite landed instead of the
-     meaningless whole-schedule interval the fallback used to report. *)
-  let full ?attempted () =
-    let all = marked mark (fun b -> b <> '\000') in
-    let order = Reorder.schedule_members ~max_states ~size_of new_index all in
-    let interval =
-      match attempted with Some w -> w | None -> (0, List.length order)
-    in
-    (order, { interval; rescheduled = List.length order; fallback = true })
+        if Graph_index.mem new_index v then fresh else '\000')
   in
   let psi = parent.schedule and position = parent.position in
+  let nodes = Graph_index.nodes new_index in
   (* ids off the schedule (or outside the parent graph) have no position *)
   let positions =
     Int_set.fold
@@ -110,29 +95,76 @@ let reschedule ?(max_states = 20_000) ~(parent : parent)
         else acc)
       mutated_old []
   in
-  if positions = [] then full ()
+  if positions = [] then None
   else
     let beg, end_ = get_reschedule_interval ~nw:parent.nw psi positions in
-    (* the nodes left at 1 are rescheduled *)
-    let keep lo hi =
+    (* the kept nodes of [lo, hi) in the parent's order, marked [m]; the
+       ones whose record is not the parent's go on [changed] *)
+    let changed = ref [] in
+    let keep lo hi m =
       let acc = ref [] in
       for i = hi - 1 downto lo do
         let v = psi.(i) in
-        if v >= 0 && v < Bytes.length mark && Bytes.get mark v = '\001' then begin
-          Bytes.set mark v '\002';
+        if v >= 0 && v < Bytes.length mark && Bytes.get mark v = fresh then begin
+          Bytes.set mark v m;
+          if nodes.(v) != parent.nodes.(v) then changed := v :: !changed;
           acc := v :: !acc
         end
       done;
       !acc
     in
-    let prefix = keep 0 beg and suffix = keep end_ (Array.length psi) in
-    let window = marked mark (fun b -> b = '\001') in
-    let middle =
-      Reorder.schedule_members ~max_states ~size_of new_index window
+    let prefix = keep 0 beg in_prefix and suffix = keep end_ (Array.length psi) in_suffix in
+    let window = marked mark (fun b -> b = fresh) in
+    let middle = Reorder.schedule_members ~max_states ~size_of new_index window in
+    (* The marks place every node once, and a kept node whose record is
+       the parent's reads what it read there, in the parent's order.  So
+       the splice can break only at the operands of a window node or of
+       a changed kept node.  The middle is checked while it is placed:
+       each of its nodes is an unplaced window node whose operands are
+       in the prefix or already placed. *)
+    let n_placed = ref 0 in
+    let middle_ok =
+      List.for_all
+        (fun v ->
+          v >= 0 && v < Bytes.length mark && Bytes.get mark v = fresh
+          && Array.for_all
+               (fun p -> let m = Bytes.get mark p in m = in_prefix || m = placed)
+               nodes.(v).inputs
+          && (Bytes.set mark v placed; incr n_placed; true))
+        middle
+      && !n_placed = Array.length window
     in
-    let order = prefix @ middle @ suffix in
-    if Graph_index.is_valid_order new_index order then
-      ( order,
-        { interval = (beg, end_); rescheduled = Array.length window;
-          fallback = false } )
-    else full ~attempted:(beg, end_) ()
+    (* operand [p] of a changed kept node [v]: kept on [v]'s side of the
+       window, earlier in the parent's order, or, for a suffix node, any
+       node before the suffix *)
+    let before p v =
+      let m = Bytes.get mark p and m' = Bytes.get mark v in
+      if m = m' then position.(p) < position.(v) else m' = in_suffix && m <> '\000'
+    in
+    let ok =
+      middle_ok
+      && List.for_all (fun v -> Array.for_all (fun p -> before p v) nodes.(v).inputs) !changed
+    in
+    Some
+      ( prefix @ middle @ suffix,
+        { interval = (beg, end_); rescheduled = Array.length window; fallback = false },
+        ok )
+
+let reschedule ?(max_states = 20_000) ~(parent : parent)
+    ~(new_index : Graph_index.t) ~(mutated_old : Int_set.t) ~size_of () :
+    int list * stats =
+  (* [attempted] preserves the window the splice tried before failing, so
+     callers can still see where the rewrite landed instead of the
+     meaningless whole-schedule interval the fallback used to report. *)
+  let full ?attempted () =
+    let all = Array.of_list (Graph.node_ids (Graph_index.graph new_index)) in
+    let order = Reorder.schedule_members ~max_states ~size_of new_index all in
+    let interval =
+      match attempted with Some w -> w | None -> (0, List.length order)
+    in
+    (order, { interval; rescheduled = List.length order; fallback = true })
+  in
+  match splice ~max_states ~parent ~new_index ~mutated_old ~size_of () with
+  | Some (order, stats, true) -> (order, stats)
+  | Some (_, stats, false) -> full ~attempted:stats.interval ()
+  | None -> full ()

@@ -38,6 +38,7 @@ type parent = private {
   position : int array;
       (** id -> position in [schedule], [-1] for an id off it *)
   nw : int array;  (** {!Partition.nw_on} the parent's index *)
+  nodes : Graph.node array;  (** {!Graph_index.nodes} of the parent's index *)
 }
 
 (** [parent ix schedule]: the context of the indexed graph under its
@@ -45,12 +46,27 @@ type parent = private {
     {!Partition.nw_on}, read off the index's own {!Graph_index.reach}. *)
 val parent : Graph_index.t -> int list -> parent
 
+(** The splice {!reschedule} tries: [Some (order, stats, ok)] with
+    [order] the kept prefix, the re-scheduled window and the kept suffix,
+    and [ok] its window-local check, which looks only at the operands of
+    the window's nodes and of the kept nodes whose record is not
+    physically the parent's, and agrees with
+    {!Graph_index.is_valid_order} on [order].  [None] when no node of
+    [mutated_old] is on the parent's schedule. *)
+val splice :
+  ?max_states:int ->
+  parent:parent ->
+  new_index:Graph_index.t ->
+  mutated_old:Int_set.t ->
+  size_of:(int -> int) ->
+  unit ->
+  (int list * stats * bool) option
+
 (** Splice a re-scheduled window into the parent's schedule; falls back
-    to full scheduling when splicing fails, or when no node of
-    [mutated_old] is on the parent's schedule.  [new_index] is the
-    rewritten graph's index: its node array marks the nodes to place,
-    its topological order drives the partition and it checks the
-    spliced order. *)
+    to full scheduling when the {!splice} check fails, or when no node
+    of [mutated_old] is on the parent's schedule.  [new_index] is the
+    rewritten graph's index: its node array marks the nodes to place
+    and its topological order drives the partition. *)
 val reschedule :
   ?max_states:int ->
   parent:parent ->

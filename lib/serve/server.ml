@@ -126,7 +126,7 @@ type t = {
   running : int Atomic.t;
   pipe_r : Unix.file_descr;
   pipe_w : Unix.file_descr;
-  cache : Op_cost.t;
+  cost : Op_cost.t;
   sim_cache : Sim_cache.t;
   flock : Mutex.t;
   frontiers : (int64, Magis_frontier.Frontier.t) Hashtbl.t;
@@ -152,7 +152,7 @@ let create cfg =
     running = Atomic.make 0;
     pipe_r;
     pipe_w;
-    cache = Op_cost.create Hardware.default;
+    cost = Op_cost.create Hardware.default;
     sim_cache = Sim_cache.create ();
     flock = Mutex.create ();
     frontiers = Hashtbl.create 16;
@@ -361,7 +361,7 @@ let run_search t (job : job) (req : P.request) (workload : Zoo.workload)
      ("simulator") is retried, and a persistent failure quarantines the
      request instead of the daemon. *)
   match
-    Retry.run (fun () -> Simulator.run t.cache graph (Graph.topo_order graph))
+    Retry.run (fun () -> Simulator.run t.cost graph (Graph.topo_order graph))
   with
   | Error (f : Retry.failure) ->
       let detail =
@@ -419,7 +419,7 @@ let run_search t (job : job) (req : P.request) (workload : Zoo.workload)
               };
         }
       in
-      match Search.run ~config t.cache mode graph with
+      match Search.run ~config t.cost mode graph with
       | exception Checkpoint.Incompatible msg ->
           rejected req.id P.Incompatible msg
       | exception Search.Verification_failure msg ->
@@ -544,8 +544,8 @@ let run_frontier t conn (f : P.frontier_request) =
                   if Atomic.get conn.alive then `Continue else `Stop);
             }
           in
-          let cache = Op_cost.create hw in
-          match Frontier_build.build ~config cache frontier_mode graph with
+          let cost = Op_cost.create hw in
+          match Frontier_build.build ~config cost frontier_mode graph with
           | exception e ->
               let detail = Printexc.to_string e in
               rejected ~quarantine:("frontier", detail) f.f_id P.Internal

@@ -113,10 +113,10 @@ fi
 # shapes, operands, consumers, membership and member-set outputs from
 # one Graph_index: no node-by-node lookup in the graph's persistent
 # maps (Graph.node, op, shape, pre, succ_set, suc, mem or outs_of;
-# `Graph.node` as a type annotation is fine).  Partition.partition and
-# Reorder's graph-keyed entry points build one index and read its
-# member table.
-hits=$(grep -nP 'Graph\.(node(?!\s*\))|op|shape|pre|succ_set|suc|mem|outs_of)\b' \
+# `Graph.node` as a type, annotation or array, is fine).
+# Partition.partition and Reorder's graph-keyed entry points build one
+# index and read its member table.
+hits=$(grep -nP 'Graph\.(node(?!\s*(\)|array))|op|shape|pre|succ_set|suc|mem|outs_of)\b' \
   lib/cost/simulator.ml lib/cost/lifetime.ml lib/ftree/ftree.ml \
   lib/ir/wl_hash.ml lib/sched/incremental.ml lib/sched/members.ml \
   lib/sched/partition.ml lib/sched/reorder.ml 2>/dev/null)
@@ -179,6 +179,16 @@ fi
 hits=$(grep -HnP '\b(Mutex|Hashtbl|mutable)\b' lib/cost/op_cost.ml)
 if [ -n "$hits" ]; then
   fail "memo table, lock or mutable field in lib/cost/op_cost.ml (compute the cost instead):"
+  echo "$hits"
+fi
+
+# 16. the simulator makes the only forward pass of a simulation: its
+# pass over the schedule records positions and last readers, which
+# Lifetime.sweep turns into the memory analysis, so
+# lib/cost/simulator.ml calls no Lifetime.analyze or Lifetime.analyze_on.
+hits=$(grep -HnP 'Lifetime\.analyze(_on)?\b' lib/cost/simulator.ml)
+if [ -n "$hits" ]; then
+  fail "second forward pass in lib/cost/simulator.ml (hand the pass's arrays to Lifetime.sweep):"
   echo "$hits"
 fi
 

@@ -1656,6 +1656,193 @@ let test_simulate_zoo () =
     Zoo.all;
   Alcotest.(check bool) "some zoo tree has nested enabled entries" true (!nested_pairs > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Simulation failures against Ref_simulate                            *)
+(* ------------------------------------------------------------------ *)
+
+(** Exceptions of one kind, with the same payload where the two sides
+    share one: a scheduled id that is not a node raises
+    [Invalid_argument] on both sides (the messages name different
+    lookups), a non-finite duration the same [Non_finite]. *)
+let same_failure a r =
+  match (a, r) with
+  | Invalid_argument _, Invalid_argument _ -> true
+  | Op_cost.Non_finite a, Op_cost.Non_finite r ->
+      a.what = r.what && bits a.value = bits r.value
+  | _ -> false
+
+(** [order] simulated on [g] by both sides, with [cost_of] when given
+    and the default costs otherwise: the same result, or the same
+    exception, after the same [simulator.runs] and fault-site visits. *)
+let check_failure ?cost_of g order =
+  let attempt f c = match f c with r -> Ok r | exception e -> Error e in
+  let r, r_seen = observed (attempt (fun c -> Ref_simulate.Simulator.run ?cost_of c g order)) in
+  let a, a_seen = observed (attempt (fun c -> Simulator.run ?cost_of c g order)) in
+  if a_seen <> r_seen then Error "simulator.runs or fault-site visits"
+  else
+    match (a, r) with
+    | Ok a, Ok r -> if same_result g a r then Ok `Ran else Error "result"
+    | Error a, Error r ->
+        if same_failure a r then Ok `Raised
+        else Error (Printf.sprintf "%s, oracle %s" (Printexc.to_string a) (Printexc.to_string r))
+    | Ok _, Error e -> Error ("only the oracle raised " ^ Printexc.to_string e)
+    | Error e, Ok _ -> Error ("only the simulator raised " ^ Printexc.to_string e)
+
+(** [l] with [x] inserted before its [k]-th element. *)
+let insert_at k x l = List.filteri (fun i _ -> i < k) l @ (x :: List.filteri (fun i _ -> i >= k) l)
+
+(** On every zoo model: its order holding a removed id (a graph output
+    removed; ids are never reused, so it stays below the bound), an id
+    at the bound, a
+    duplicated id, and a [cost_of] hook that returns NaN at one
+    compute node.  Both sides raise or both return, alike. *)
+let test_simulate_failures () =
+  List.iter
+    (fun (w : Zoo.workload) ->
+      let g = w.build Zoo.Quick in
+      let order = Graph.topo_order g in
+      let mid = List.length order / 2 in
+      let compute =
+        List.find
+          (fun v -> not (Op.is_input (Graph.op g v) || Op.is_swap (Graph.op g v)))
+          (List.filteri (fun i _ -> i >= mid) order)
+      in
+      let nan_at v = if v = compute then Float.nan else 1e-6 in
+      let cases =
+        [ ("a removed id", Graph.remove g (List.hd (Graph.outputs g)), order, None, `Raised);
+          ("an id at the bound", g, insert_at mid (Graph.id_bound g) order, None, `Raised);
+          ("a duplicated id", g, insert_at mid (List.nth order (mid / 2)) order, None, `Ran);
+          ("a NaN cost hook", g, order, Some nan_at, `Raised) ]
+      in
+      List.iter
+        (fun (what, g, order, cost_of, expected) ->
+          match check_failure ?cost_of g order with
+          | Ok got when got = expected -> ()
+          | Ok _ -> Alcotest.failf "%s, %s: both sides agree, not as expected" w.name what
+          | Error e -> Alcotest.failf "%s, %s: %s" w.name what e)
+        cases)
+    Zoo.all
+
+(* ------------------------------------------------------------------ *)
+(* The window-local splice check against Graph_index.is_valid_order    *)
+(* ------------------------------------------------------------------ *)
+
+(** {!Incremental.splice}'s verdict on [new_index] against
+    {!Graph_index.is_valid_order} on its order: [Ok None] when there is
+    no window, [Ok (Some ok)] when the two agree. *)
+let check_splice ~parent ~new_index ~mutated_old =
+  let size_of = Lifetime.default_size (Graph_index.graph new_index) in
+  match Incremental.splice ~max_states:0 ~parent ~new_index ~mutated_old ~size_of () with
+  | None -> Ok None
+  | Some (order, _, ok) ->
+      let valid = Graph_index.is_valid_order new_index order in
+      if ok = valid then Ok (Some ok)
+      else Error (Printf.sprintf "window check %b, is_valid_order %b" ok valid)
+
+(** Splices of [g] around its scheduled node [m] with one node rewired
+    onto another, each acyclic, with the verdict both checks must give:
+    a prefix node onto a window node, a suffix node onto a later suffix
+    node and a window node onto a suffix node (invalid); a prefix node
+    onto an earlier prefix node and a suffix node onto a prefix node
+    (valid).  A kind with no such pair in [g] is left out. *)
+let planted_splices g schedule ~parent m =
+  let psi = Array.of_list schedule in
+  let pos = Hashtbl.create 64 in
+  Array.iteri (fun i v -> Hashtbl.replace pos v i) psi;
+  let beg, end_ = Incremental.get_reschedule_interval ~nw:parent.Incremental.nw psi [ Hashtbl.find pos m ] in
+  let range lo hi = List.filter (fun v -> v <> m) (Array.to_list (Array.sub psi lo (hi - lo))) in
+  let prefix = range 0 beg and window = range beg end_ and suffix = range end_ (Array.length psi) in
+  let later u l = List.filter (fun w -> Hashtbl.find pos w > Hashtbl.find pos u) l in
+  let earlier u l = List.filter (fun w -> Hashtbl.find pos w < Hashtbl.find pos u) l in
+  (* [u] rewired from its first operand onto the first [w] of [targets u]
+     that [u] does not reach or read *)
+  let rewire us targets =
+    List.find_map
+      (fun u ->
+        let n = Graph.node g u in
+        if Array.length n.inputs = 0 then None
+        else
+          let des = Graph.des g u in
+          List.find_map
+            (fun w ->
+              if Int_set.mem w des || Array.mem w n.inputs then None
+              else Some (Graph.replace_input g ~node_id:u ~old_src:n.inputs.(0) ~new_src:w))
+            (targets u))
+      us
+  in
+  List.filter_map
+    (fun (what, g', valid) -> Option.map (fun g' -> (what, g', valid)) g')
+    [ ("prefix onto window", rewire prefix (fun _ -> window), false);
+      ("suffix onto later suffix", rewire suffix (fun u -> later u suffix), false);
+      ("window onto suffix", rewire window (fun _ -> suffix), false);
+      ("prefix onto earlier prefix", rewire prefix (fun u -> earlier u prefix), true);
+      ("suffix onto prefix", rewire suffix (fun _ -> prefix), true) ]
+
+(** The two checks on every rewrite the search proposes from [g]'s
+    initial state, on the index the search builds, and on the planted
+    splices around the node in the middle of its schedule: the counts
+    of splices each check accepted and rejected, and of planted kinds. *)
+let check_splices ~rewrites_of g =
+  let s = Mstate.init ~sched_states:0 (cache ()) g in
+  let v = window_view s.graph in
+  let parent = Incremental.parent (mutation_index s.graph v) s.schedule in
+  let accepted = ref 0 and rejected = ref 0 in
+  let count ok = incr (if ok then accepted else rejected) in
+  let check what new_index mutated_old =
+    match check_splice ~parent ~new_index ~mutated_old with
+    | Ok (Some ok) -> count ok; Ok ok
+    | Ok None -> Ok true
+    | Error e -> Error (what ^ ": " ^ e)
+  in
+  let rec all = function
+    | [] -> Ok ()
+    | (what, ix, mutated_old, expected) :: rest ->
+        Result.bind (check what ix mutated_old) (fun ok ->
+            match expected with
+            | Some e when e <> ok -> Error (Printf.sprintf "%s: verdict %b, planted %b" what ok e)
+            | _ -> all rest)
+  in
+  let rewrites =
+    List.map
+      (fun (rw : Rule.rewrite) ->
+        let ix = Graph_index.of_graph rw.graph in
+        ignore (Wl_hash.relabel_on ~parent_nodes:v.w_nodes ~parent:v.w_labels ix);
+        ("rewrite " ^ rw.rule, ix, rw.touched_old, None))
+      (rewrites_of s)
+  in
+  let m = List.nth s.schedule (List.length s.schedule / 2) in
+  let planted =
+    List.map
+      (fun (what, g', valid) -> ("planted " ^ what, Graph_index.of_graph g', Int_set.singleton m, Some valid))
+      (planted_splices s.graph s.schedule ~parent m)
+  in
+  Result.map (fun () -> (!accepted, !rejected, List.length planted)) (all (rewrites @ planted))
+
+let test_splice_zoo () =
+  let accepted = ref 0 and rejected = ref 0 and planted = ref 0 in
+  List.iter
+    (fun (w : Zoo.workload) ->
+      match check_splices ~rewrites_of:state_rewrites (w.build Zoo.Quick) with
+      | Ok (a, r, p) ->
+          accepted := !accepted + a;
+          rejected := !rejected + r;
+          planted := !planted + p
+      | Error e -> Alcotest.failf "%s, %s" w.name e)
+    Zoo.all;
+  Alcotest.(check bool)
+    (Printf.sprintf "splices accepted (%d) and rejected (%d), kinds planted (%d)" !accepted
+       !rejected !planted)
+    true
+    (!accepted >= 100 && !rejected >= List.length Zoo.all && !planted >= 3 * List.length Zoo.all)
+
+let prop_splice_randnets =
+  QCheck2.Test.make ~name:"the window-local splice check equals is_valid_order on rewritten randnets"
+    ~count:40 ~print:print_graph gen_graph (fun params ->
+      let g = build_graph params in
+      match check_splices ~rewrites_of:(fun s -> rewrites s.graph) g with
+      | Ok _ -> true
+      | Error what -> QCheck2.Test.fail_report what)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_randnets;
@@ -1676,4 +1863,7 @@ let suite =
     tc "simulation equals its oracle on the zoo" test_simulate_zoo;
     QCheck_alcotest.to_alcotest prop_fission_randnets;
     tc "the fission check equals its oracle on the zoo" test_fission_zoo;
+    tc "simulation failures equal the oracle's on the zoo" test_simulate_failures;
+    tc "the window-local splice check equals is_valid_order on the zoo" test_splice_zoo;
+    QCheck_alcotest.to_alcotest prop_splice_randnets;
   ]
