@@ -19,7 +19,7 @@ let transformations env g ~hotspots ~schedule =
     }
   in
   List.concat_map
-    (fun (r : Rule.t) -> r.apply ctx g)
+    (fun (r : Rule.t) -> Rule.apply r ctx g)
     (Taso_rules.all @ Sched_rules.all)
   |> fun l -> ignore env; l
 

@@ -156,7 +156,7 @@ let lint ?(max_per_rule = 4) ?(interp_limit = 80) ?(tolerance = 1e-4)
         let ctx = ctx_for ~max_per_rule g in
         List.map
           (fun (rule : Rule.t) ->
-            let rewrites = rule.apply ctx g in
+            let rewrites = Rule.apply rule ctx g in
             let interpretable (rw : Rule.rewrite) =
               Graph.n_nodes g <= interp_limit
               && Graph.n_nodes rw.graph <= interp_limit

@@ -322,7 +322,7 @@ let check_grounding (rule : Rule.t) (t : S.template) : Diagnostic.t list =
               err "ground-witness" "%s: grounded template is not verifier-clean"
                 t.t_name
           | [] -> (
-              let rewrites = rule.apply ground_ctx lhs_g in
+              let rewrites = Rule.apply rule ground_ctx lhs_g in
               match
                 List.find_opt
                   (fun (rw : Rule.rewrite) ->
@@ -471,7 +471,7 @@ let check_waiver (rule : Rule.t) reason corpus : Diagnostic.t list =
           incr fired;
           diags :=
             Diagnostic.errors (Rule_lint.lint_rewrite g rw) @ !diags)
-        (rule.apply ctx g))
+        (Rule.apply rule ctx g))
     corpus;
   let cov =
     if !fired > 0 then []

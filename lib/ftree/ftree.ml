@@ -275,8 +275,7 @@ let combined_factor_on t ~enabled v dim ~candidate ~n =
    [set_n], and is computed once, on first use. *)
 type round = { ix : Graph_index.t; structure : int -> (int, string) result }
 
-let round g t =
-  let ix = Graph_index.of_graph g in
+let round ix t =
   let memo = Array.make (n_entries t) None in
   let structure i =
     match memo.(i) with
@@ -329,8 +328,8 @@ let set_n (t : t) (i : int) (n : int) : t =
 
 (** All mutations applicable to the current tree, each with the tree it
     yields ([None] for a Lift whose parent has no feasible number). *)
-let mutations (g : Graph.t) (t : t) : (mutation * t option) list =
-  let r = round g t in
+let mutations_on (ix : Graph_index.t) (t : t) : (mutation * t option) list =
+  let r = round ix t in
   let ms = ref [] in
   Array.iteri
     (fun i e ->
@@ -367,6 +366,8 @@ let mutations (g : Graph.t) (t : t) : (mutation * t option) list =
     t.entries;
   List.rev !ms
 
+let mutations (g : Graph.t) (t : t) = mutations_on (Graph_index.of_graph g) t
+
 (** The tree a listed mutation yields; [None] if it is not listed or
     yields none. *)
 let apply (g : Graph.t) (t : t) (m : mutation) : t option =
@@ -395,12 +396,14 @@ let accounting ?base (cost : Op_cost.t) (ix : Graph_index.t) (t : t) : accountin
   let base =
     match base with Some f -> f | None -> Op_cost.node_cost_on cost ix
   in
-  let node_size v = Lifetime.node_size (Graph_index.node ix v) in
+  (* device bytes by node id, filled once: the rescheduler and the
+     simulation each ask for a node's size *)
+  let sizes = Array.map Lifetime.node_size (Graph_index.nodes ix) in
   let enabled = enabled_indices t in
   match enabled with
   | [] ->
       {
-        size_of = node_size;
+        size_of = Array.get sizes;
         cost_of = base;
         extra_latency = 0.0;
         index = ix;
@@ -445,7 +448,8 @@ let accounting ?base (cost : Op_cost.t) (ix : Graph_index.t) (t : t) : accountin
               if not is_out.(k) then divisor.(v) <- divisor.(v) * n)
             ids)
         (List.rev entries);
-      let size_of v = node_size v / divisor.(v) in
+      Array.iteri (fun v d -> if d > 1 then sizes.(v) <- sizes.(v) / d) divisor;
+      let size_of = Array.get sizes in
       let cost_of v =
         let node = Graph_index.node ix v in
         match node.op with
@@ -553,9 +557,8 @@ let prune (ix : Graph_index.t) (t : t) : t =
     preserving the enabled fissions of [old_tree] that still validate:
     surviving enabled entries are matched by member set or appended as
     extra roots. *)
-let refresh ?(max_level = default_max_level) (g : Graph.t) ~(old_tree : t)
-    ~(hotspots : Int_set.t) : t =
-  let ix = Graph_index.of_graph g in
+let refresh_on ?(max_level = default_max_level) (ix : Graph_index.t)
+    ~(old_tree : t) ~(hotspots : Int_set.t) : t =
   let fresh = construct_on ~max_level ix ~hotspots in
   let survivors =
     List.filter_map
@@ -579,6 +582,9 @@ let refresh ?(max_level = default_max_level) (g : Graph.t) ~(old_tree : t)
         let entries = Array.append t.entries [| { fission = f; parent = -1; children = [] } |] in
         { entries })
     fresh survivors
+
+let refresh ?max_level (g : Graph.t) ~old_tree ~hotspots =
+  refresh_on ?max_level (Graph_index.of_graph g) ~old_tree ~hotspots
 
 (** Naive candidate construction for the ablation study (Fig. 13,
     "naïve-fission"): pick random dominator nodes instead of the

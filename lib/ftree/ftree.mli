@@ -9,9 +9,10 @@
     uses during search.
 
     Each function reads its graph through one {!Graph_index}, given
-    ({!prune}, {!accounting}) or built per call: membership, shapes,
-    outputs of a member set and every {!Fission.structure} check come
-    from that index, never from the graph's persistent maps. *)
+    ({!prune}, {!accounting}, {!mutations_on}, {!refresh_on}) or built
+    per call: membership, shapes, outputs of a member set and every
+    {!Fission.structure} check come from that index, never from the
+    graph's persistent maps. *)
 
 open Magis_ir
 open Magis_cost
@@ -75,6 +76,9 @@ val pp_mutation : Format.formatter -> mutation -> unit
     yields; [None] for a Lift whose parent has no feasible fission
     number.  Each entry's {!Fission.structure} is checked at most once
     per call. *)
+val mutations_on : Graph_index.t -> t -> (mutation * t option) list
+
+(** {!mutations_on} a fresh index of the graph. *)
 val mutations : Graph.t -> t -> (mutation * t option) list
 
 (** The tree a mutation yields: a lookup in {!mutations}; [None] if the
@@ -91,8 +95,12 @@ val fingerprint : t -> int64
     enabled entry that no longer validates — re-parenting children. *)
 val prune : Graph_index.t -> t -> t
 
-(** Rebuild candidates for a rewritten graph while preserving surviving
-    enabled fissions. *)
+(** Rebuild candidates for the indexed graph, rewritten since [old_tree]
+    was built, while preserving surviving enabled fissions. *)
+val refresh_on :
+  ?max_level:int -> Graph_index.t -> old_tree:t -> hotspots:Int_set.t -> t
+
+(** {!refresh_on} a fresh index of the graph. *)
 val refresh : ?max_level:int -> Graph.t -> old_tree:t -> hotspots:Int_set.t -> t
 
 (** {1 Virtual accounting} *)
@@ -108,9 +116,10 @@ type accounting = {
 
 (** Cost/memory model of the enabled fissions: split intermediates
     shrink, split operators run [n] times at per-part shapes, region
-    boundaries pay slice/merge work.  Per node, [size_of] and [cost_of]
-    read the given index of the graph and id-indexed arrays filled in
-    one pass over each enabled entry's members.  [base v] is node [v]'s
+    boundaries pay slice/merge work.  [size_of] reads an id-indexed
+    array of device sizes filled once per call; [cost_of] reads the
+    given index of the graph and id-indexed arrays filled in one pass
+    over each enabled entry's members.  [base v] is node [v]'s
     unsplit cost, asked only of nodes no enabled entry splits; it
     defaults to {!Op_cost.node_cost_on} on the index
     ({!Op_cost.inherited_cost_on} takes most of them from a parent). *)

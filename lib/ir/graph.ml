@@ -85,29 +85,51 @@ let add_input ?(label = "") g kind shape =
   let n = { id; op = Op.Input kind; shape; label; inputs = [||] } in
   ({ g with nodes = Int_map.add id n g.nodes; next_id = id + 1 }, id)
 
+(* the node record [add] and [add_copy] insert, with its consumer edges *)
+let insert g op shape label ins =
+  let id = g.next_id in
+  let n = { id; op; shape; label; inputs = ins } in
+  let succs = Array.fold_left (fun s src -> add_succ s src id) g.succs ins in
+  ({ nodes = Int_map.add id n g.nodes; succs; next_id = id + 1 }, id)
+
 (** [add g op inputs] adds an operator node; the output shape is inferred
     from the input shapes.  Raises [Invalid_argument] on malformed use. *)
 let add ?(label = "") g op inputs =
   let ins = Array.of_list inputs in
-  let describe () =
-    if label = "" then Op.name op
-    else Printf.sprintf "%s(%s)" (Op.name op) label
+  let fail msg =
+    invalid_arg
+      (Printf.sprintf "Graph.add: %s: %s"
+         (if label = "" then Op.name op
+          else Printf.sprintf "%s(%s)" (Op.name op) label)
+         msg)
   in
-  Array.iter
-    (fun i ->
-      if not (mem g i) then
-        invalid_arg
-          (Printf.sprintf "Graph.add: %s: unknown input id %d" (describe ()) i))
-    ins;
-  let in_shapes = Array.map (fun i -> (node g i).shape) ins in
+  let in_shapes =
+    Array.map
+      (fun i ->
+        match Int_map.find_opt i g.nodes with
+        | Some n -> n.shape
+        | None -> fail (Printf.sprintf "unknown input id %d" i))
+      ins
+  in
   match Op.infer op in_shapes with
-  | Error msg ->
-      invalid_arg (Printf.sprintf "Graph.add: %s: %s" (describe ()) msg)
-  | Ok shape ->
-      let id = g.next_id in
-      let n = { id; op; shape; label; inputs = ins } in
-      let succs = Array.fold_left (fun s src -> add_succ s src id) g.succs ins in
-      ({ nodes = Int_map.add id n g.nodes; succs; next_id = id + 1 }, id)
+  | Error msg -> fail msg
+  | Ok shape -> insert g op shape label ins
+
+(** [add_copy ?label g v inputs] adds a node with [v]'s operator and
+    output shape over [inputs], each of which has the shape of [v]'s
+    operand in its slot: the node {!add} would add, without inferring
+    its shape again. *)
+let add_copy ?(label = "") g v inputs =
+  let n = node g v in
+  let ins = Array.of_list inputs in
+  if
+    Array.length ins <> Array.length n.inputs
+    || not
+         (Array.for_all2
+            (fun i j -> i = j || Shape.equal (shape g i) (shape g j))
+            ins n.inputs)
+  then invalid_arg "Graph.add_copy: operand shapes differ";
+  insert g n.op n.shape label ins
 
 (** Remove a node with no consumers. *)
 let remove g id =
@@ -177,6 +199,25 @@ let prune_dead ~keep g =
     | _ -> loop (List.fold_left (fun g id -> remove g id) g dead)
   in
   loop g
+
+(** [prune_from ~keep g roots] removes, from [roots] upward, the
+    consumer-less operator nodes outside [keep]: each removal exposes
+    the removed node's operands.  Equal to {!prune_dead} when only
+    [roots] can have lost their last consumer since every consumer-less
+    operator node outside [keep] was last pruned. *)
+let prune_from ~keep g roots =
+  let rec go g = function
+    | [] -> g
+    | v :: rest -> (
+        match node_opt g v with
+        | Some n
+          when Int_set.is_empty (succ_set g v)
+               && (not (Op.is_input n.op))
+               && not (Int_set.mem v keep) ->
+            go (remove g v) (Array.fold_right List.cons n.inputs rest)
+        | _ -> go g rest)
+  in
+  go g roots
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                            *)

@@ -55,6 +55,12 @@ val add_input : ?label:string -> t -> Op.input_kind -> Shape.t -> t * int
     Raises [Invalid_argument] on malformed use. *)
 val add : ?label:string -> t -> Op.kind -> int list -> t * int
 
+(** [add_copy ?label g v inputs] adds a node with [v]'s operator and
+    output shape over [inputs], each of which must have the shape of
+    [v]'s operand in its slot (raises [Invalid_argument] otherwise): the
+    node {!add} would add, without inferring its shape again. *)
+val add_copy : ?label:string -> t -> int -> int list -> t * int
+
 (** Remove a node with no consumers (raises otherwise). *)
 val remove : t -> int -> t
 
@@ -69,6 +75,12 @@ val replace_input : t -> node_id:int -> old_src:int -> new_src:int -> t
     graph inputs and the protected [keep] set (pass the intended graph
     outputs or they would be swept away). *)
 val prune_dead : keep:Int_set.t -> t -> t
+
+(** [prune_from ~keep g roots] removes, from [roots] upward, the
+    consumer-less operator nodes outside [keep] (a removed node's
+    operands are examined next): {!prune_dead} when only [roots] can
+    have lost their last consumer, without a pass over the graph. *)
+val prune_from : keep:Int_set.t -> t -> int list -> t
 
 (** {1 Queries (Table 1)} *)
 

@@ -395,9 +395,10 @@ type proposal = {
 }
 
 (** Proposals reached by F-Tree mutations: the graph is unchanged, the
-    virtual fission state moves. *)
-let ftree_proposals tb (s : Mstate.t) : proposal list =
-  let muts = Ftree.mutations s.graph s.ftree in
+    virtual fission state moves.  [ix] indexes the popped state's
+    graph. *)
+let ftree_proposals tb (s : Mstate.t) ix : proposal list =
+  let muts = Ftree.mutations_on ix s.ftree in
   bump tb c_transforms (List.length muts);
   List.filter_map
     (fun (m, tree) ->
@@ -419,26 +420,29 @@ let ftree_proposals tb (s : Mstate.t) : proposal list =
               p_stale = s.ftree_stale })
     muts
 
-(** Proposals reached by graph rewrites (scheduling-based and TASO rules). *)
-let rewrite_proposals (cfg : config) tb (s : Mstate.t) : proposal list =
-  let pos = Hashtbl.create (List.length s.schedule) in
-  List.iteri (fun i v -> Hashtbl.replace pos v i) s.schedule;
+(** Proposals reached by graph rewrites (scheduling-based and TASO
+    rules), matched on one view of [ix], the popped state's index, and
+    built only where a rule's cap keeps them. *)
+let rewrite_proposals (cfg : config) tb (s : Mstate.t) ix : proposal list =
+  let pos = Array.make (Graph_index.bound ix) (-1) in
+  List.iteri (fun i v -> pos.(v) <- i) s.schedule;
   let ctx =
     {
       Rule.hotspots = s.hotspots;
       frozen = Ftree.frozen_region s.ftree;
-      schedule_pos = (fun v -> Hashtbl.find_opt pos v);
+      schedule_pos = (fun v -> if pos.(v) < 0 then None else Some pos.(v));
       max_per_rule = cfg.max_per_rule;
       restrict_to_hotspots = cfg.ablation.restrict_sched_rules;
     }
   in
+  let view = Rule.view ctx ix in
   let rules =
     (if cfg.use_sweep_rules then Sched_rules.all else Sched_rules.basic)
     @ Taso_rules.all
   in
   List.concat_map
     (fun (rule : Rule.t) ->
-      let rewrites = rule.apply ctx s.graph in
+      let rewrites = Rule.rewrites view rule in
       bump tb c_transforms (List.length rewrites);
       List.map
         (fun (rw : Rule.rewrite) ->
@@ -451,10 +455,10 @@ let rewrite_proposals (cfg : config) tb (s : Mstate.t) : proposal list =
 (** The popped state's graph as plain arrays, built once per pop by the
     first proposal hashed and then only read, by every worker domain at
     once: the node array, consumers by operand slot and topological
-    order of an index of the graph (the index itself, with its lazily
-    built parts, is dropped) and the graph's WL labels, from which each
-    rewrite is relabelled ({!Wl_hash.relabel_on}).  Nothing of it is
-    kept on the state, so a queued state holds no labels. *)
+    order of the pop's index (forced before the pool phase) and the
+    graph's WL labels, from which each rewrite is relabelled
+    ({!Wl_hash.relabel_on}).  Nothing of it is kept on the state, so a
+    queued state holds no labels. *)
 type view = {
   v_nodes : Graph.node array;
   v_csr : Graph_index.csr;
@@ -462,12 +466,9 @@ type view = {
   v_labels : Wl_hash.labels;
 }
 
-let view_of (g : Graph.t) : view =
-  let ix = Graph_index.of_graph g in
-  (* the order walks the consumers by slot, so both are built here *)
-  let v_order = Graph_index.order ix in
-  { v_nodes = Graph_index.nodes ix; v_csr = Graph_index.csr ix; v_order;
-    v_labels = Wl_hash.labels_on ix }
+let view_of (ix : Graph_index.t) : view =
+  { v_nodes = Graph_index.nodes ix; v_csr = Graph_index.csr ix;
+    v_order = Graph_index.order ix; v_labels = Wl_hash.labels_on ix }
 
 (** A fresh index of the popped state's graph over its view's arrays:
     its adjacency, links, {!Reach} and scratch are its own. *)
@@ -561,17 +562,16 @@ let hash_proposal (ec : eval_ctx) tb ~sched_states ~parent_sched_hash ~view
 (** What evaluating a pop's children reads from the popped state, built
     once per pop by the first child that misses the simulation cache and
     then only read: the rescheduling context (its narrow-waist table
-    read off the {!Reach} closure of one index over the view's arrays)
-    and the base cost of every node ({!Op_cost.costs_on} on that index),
-    which a child's node inherits when it and its operands kept their
-    records. *)
+    read off the {!Reach} closure of the pop's index, forced before the
+    pool phase) and the base cost of every node ({!Op_cost.costs_on} on
+    that index), which a child's node inherits when it and its operands
+    kept their records. *)
 type eval_parent = {
   e_sched : Magis_sched.Incremental.parent;
   e_costs : float array;
 }
 
-let eval_parent (ec : eval_ctx) (s : Mstate.t) (v : view) : eval_parent =
-  let ix = view_index s.graph v in
+let eval_parent (ec : eval_ctx) (s : Mstate.t) ix : eval_parent =
   { e_sched = Magis_sched.Incremental.parent ix s.schedule;
     e_costs = Op_cost.costs_on ec.ec_cost ix }
 
@@ -819,7 +819,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
   if snap = None then
     Hashtbl.replace seen
       (state_hash tb
-         (fun () -> Wl_hash.hash_of (view_of init.graph).v_labels)
+         (fun () -> Wl_hash.hash_of (view_of (Graph_index.of_graph init.graph)).v_labels)
          init.ftree)
       ();
   let take k l =
@@ -1017,23 +1017,33 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
                   "pop";
               s
         in
-        (* refresh a stale F-Tree (Algorithm 3 line 13-14) *)
-        let s =
+        (* One index of the popped graph serves the pop: the F-Tree
+           refresh (Algorithm 3 line 13-14) and mutations, the rule
+           sites, the view the candidates are hashed against and the
+           parent context they are evaluated against.  Its lazy parts
+           are not domain-safe, so every one the pool phase reads is
+           forced before it. *)
+        let s, ix =
           timed tb s_refresh @@ fun () ->
-          if s.ftree_stale && config.ablation.use_ftree_heuristic then
-            let ftree =
-              Ftree.refresh ~max_level:config.ablation.max_level s.graph
+          let ix = Graph_index.of_graph s.graph in
+          let ftree =
+            if s.ftree_stale && config.ablation.use_ftree_heuristic then
+              Ftree.refresh_on ~max_level:config.ablation.max_level ix
                 ~old_tree:s.ftree ~hotspots:s.hotspots
-            in
-            { s with ftree; ftree_stale = false }
-          else { s with ftree_stale = false }
+            else s.ftree
+          in
+          ({ s with ftree; ftree_stale = false }, ix)
         in
         let proposals =
           timed tb s_generate @@ fun () ->
-          Array.of_list
-            ((if Ftree.n_entries s.ftree > 0 then ftree_proposals tb s
-              else [])
-            @ rewrite_proposals config tb s)
+          let proposals =
+            (if Ftree.n_entries s.ftree > 0 then ftree_proposals tb s ix else [])
+            @ rewrite_proposals config tb s ix
+          in
+          (* the order forces the consumers by slot *)
+          ignore (Graph_index.order ix : int array);
+          ignore (Graph_index.reach ix : Reach.t);
+          Array.of_list proposals
         in
         let parent_sched_hash =
           timed tb s_lookup (fun () -> Util.hash_int_list s.schedule)
@@ -1045,7 +1055,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
            scheduling and simulation entirely (the Fig. 15 "Filtered"
            column).  The popped state's view is built by the first
            proposal hashed. *)
-        let view = once (fun () -> view_of s.graph) in
+        let view = once (fun () -> view_of ix) in
         let hashed =
           supervised_map ~phase:"hash"
             (fun (p : proposal) ->
@@ -1078,7 +1088,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
            each into its own table, against the parent's context: built
            once, by the first survivor that misses the simulation cache,
            so a pop whose children all hit never pays for it. *)
-        let parent = once (fun () -> eval_parent ec s (view ())) in
+        let parent = once (fun () -> eval_parent ec s ix) in
         let iteration = count tb c_iterations in
         let evaluated =
           supervised_map ~phase:"evaluate"

@@ -10,36 +10,15 @@ open Magis_ir
 module Int_set = Util.Int_set
 module S = Rule.Spec
 
-let tensor_bytes g v = Shape.size_bytes (Graph.shape g v)
+(* Hot candidates ({!Rule.hot}) come first: swapping and
+   re-materialization only target tensors live at the memory peak.
+   Fission regions do not block them: inserting a Store/Load or a
+   re-computed copy rewires a region's *boundary* (the new nodes stay
+   outside the member set), and the F-Tree re-validates enabled
+   fissions after every rewrite ({!Magis_ftree.Ftree.prune}). *)
 
-(** Candidate hot tensors, largest first, excluding frozen/swap/input
-    nodes.  When [restrict_to_hotspots] is off (ablation), every tensor
-    with more than a threshold size qualifies. *)
-let hot_candidates (ctx : Rule.ctx) g =
-  (* Fission regions do not block swapping/re-materialization: inserting a
-     Store/Load or a re-computed copy rewires a region's *boundary* (the
-     new nodes stay outside the member set), and the F-Tree re-validates
-     enabled fissions after every rewrite ({!Magis_ftree.Ftree.prune}). *)
-  let _ = ctx.Rule.frozen in
-  let eligible v =
-    let n = Graph.node g v in
-    (not (Op.is_swap n.op))
-    && (not (Op.is_input n.op))
-    && Graph.out_degree g v >= 1
-  in
-  let pool =
-    if ctx.restrict_to_hotspots then Int_set.elements ctx.hotspots
-    else Graph.node_ids g
-  in
-  List.filter eligible pool
-  |> List.sort (fun a b -> compare (tensor_bytes g b) (tensor_bytes g a))
-
-(** Schedule distance between a producer and a consumer — swapping only
-    pays off when the gap is large. *)
-let distance (ctx : Rule.ctx) u v =
-  match (ctx.schedule_pos u, ctx.schedule_pos v) with
-  | Some a, Some b -> abs (b - a)
-  | _ -> max_int
+let node (view : Rule.view) v = Graph_index.node view.ix v
+let is_swap view c = Op.is_swap (node view c).op
 
 (* ------------------------------------------------------------------ *)
 (* Swapping                                                           *)
@@ -73,29 +52,24 @@ let swapping : Rule.t =
             t_ground = [ ("m", 2); ("n", 3) ];
           };
         ];
-    apply =
-      (fun ctx g ->
-        let rewrites =
-          List.concat_map
-            (fun v ->
-              (* pick the most distant eligible consumer *)
-              let consumers =
-                Graph.suc g v
-                |> List.filter (fun c -> not (Op.is_swap (Graph.op g c)))
-                |> List.sort (fun a b ->
-                       compare (distance ctx v b) (distance ctx v a))
-              in
-              match consumers with
-              | c :: _ when distance ctx v c > 3 ->
-                  let g, store = Graph.add g Op.Store [ v ] in
-                  let g, load = Graph.add g Op.Load [ store ] in
-                  let g = Graph.replace_input g ~node_id:c ~old_src:v ~new_src:load in
-                  [ { Rule.rule = "swap"; graph = g;
-                      touched_old = Int_set.of_list [ v; c ] } ]
-              | _ -> [])
-            (hot_candidates ctx g)
-        in
-        Rule.cap ctx rewrites);
+    capped = true;
+    sites =
+      (fun view ->
+        List.filter_map
+          (fun v ->
+            (* the most distant eligible consumer *)
+            match Rule.farthest view v (fun c -> not (is_swap view c)) with
+            | Some c when Rule.distance view v c > 3 ->
+                Some
+                  (fun () ->
+                    let g = Graph_index.graph view.ix in
+                    let g, store = Graph.add g Op.Store [ v ] in
+                    let g, load = Graph.add g Op.Load [ store ] in
+                    let g = Graph.replace_input g ~node_id:c ~old_src:v ~new_src:load in
+                    { Rule.rule = "swap"; graph = g;
+                      touched_old = Int_set.of_list [ v; c ] })
+            | _ -> None)
+          (Rule.hot view));
   }
 
 (** Fig. 8 (f): remove a Store/Load pair, reconnecting the consumer
@@ -125,32 +99,32 @@ let de_swapping : Rule.t =
             t_ground = [ ("m", 2); ("n", 3) ];
           };
         ];
-    apply =
-      (fun ctx g ->
-        let rewrites =
-          Graph.fold
-            (fun n acc ->
-              match n.op with
-              | Op.Load ->
-                  let store = n.inputs.(0) in
-                  let src = (Graph.node g store).inputs.(0) in
-                  if Graph.out_degree g store = 1 then
-                    (* the Load's consumers are rewired onto [src]:
-                       their operand slots change, so they belong to the
-                       touched region Algorithm 2 re-schedules around *)
-                    let rewired = Graph.suc g n.id in
+    capped = true;
+    sites =
+      (fun view ->
+        (* by decreasing id *)
+        Array.fold_left
+          (fun acc (n : Graph.node) ->
+            match n.op with
+            | Op.Load when n.id >= 0 ->
+                let store = n.inputs.(0) in
+                let src = (node view store).inputs.(0) in
+                if Rule.n_consumers view store = 1 then
+                  (* the Load's consumers are rewired onto [src]: their
+                     operand slots change, so they belong to the touched
+                     region Algorithm 2 re-schedules around *)
+                  let rewired = Rule.consumers view n.id in
+                  (fun () ->
+                    let g = Graph_index.graph view.ix in
                     let g = Graph.redirect g ~from_:n.id ~to_:src in
                     let g = Graph.remove g n.id in
                     let g = Graph.remove g store in
                     { Rule.rule = "de-swap"; graph = g;
-                      touched_old =
-                        Int_set.of_list (n.id :: store :: src :: rewired) }
-                    :: acc
-                  else acc
-              | _ -> acc)
-            g []
-        in
-        Rule.cap ctx rewrites);
+                      touched_old = Int_set.of_list (n.id :: store :: src :: rewired) })
+                  :: acc
+                else acc
+            | _ -> acc)
+          [] (Graph_index.nodes view.ix));
   }
 
 (* ------------------------------------------------------------------ *)
@@ -192,36 +166,106 @@ let rematerialization : Rule.t =
             t_ground = [ ("m", 2); ("n", 3) ];
           };
         ];
-    apply =
-      (fun ctx g ->
-        let rewrites =
-          List.concat_map
-            (fun v ->
-              let n = Graph.node g v in
-              if Op.is_input n.op || Graph.out_degree g v < 2 then []
-              else
-                (* detach the most distant consumer onto a re-computed copy *)
-                let consumers =
-                  Graph.suc g v
-                  |> List.sort (fun a b ->
-                         compare (distance ctx v b) (distance ctx v a))
-                in
-                match consumers with
-                | c :: _ when distance ctx v c > 3 ->
-                    let g, copy =
-                      Graph.add ~label:(n.label ^ "'") g n.op
-                        (Array.to_list n.inputs)
-                    in
-                    let g =
-                      Graph.replace_input g ~node_id:c ~old_src:v ~new_src:copy
-                    in
-                    [ { Rule.rule = "remat"; graph = g;
-                        touched_old = Int_set.of_list [ v; c ] } ]
-                | _ -> [])
-            (hot_candidates ctx g)
-        in
-        Rule.cap ctx rewrites);
+    capped = true;
+    sites =
+      (fun view ->
+        List.filter_map
+          (fun v ->
+            let n = node view v in
+            if Op.is_input n.op || Rule.n_consumers view v < 2 then None
+            else
+              (* detach the most distant consumer onto a re-computed copy *)
+              match Rule.farthest view v (fun _ -> true) with
+              | Some c when Rule.distance view v c > 3 ->
+                  Some
+                    (fun () ->
+                      let g, copy =
+                        Graph.add_copy ~label:(n.label ^ "'") (Graph_index.graph view.ix)
+                          v (Array.to_list n.inputs)
+                      in
+                      let g =
+                        Graph.replace_input g ~node_id:c ~old_src:v ~new_src:copy
+                      in
+                      { Rule.rule = "remat"; graph = g;
+                        touched_old = Int_set.of_list [ v; c ] })
+              | _ -> None)
+          (Rule.hot view));
   }
+
+(** Nodes grouped by (operator name, operands), each group's members
+    increasing, groups in the order a [Hashtbl.create 64] keyed by
+    [(Op.name op, Array.to_list inputs)] and filled by increasing id
+    would fold them in: by bucket, and newest key first within a bucket.
+    Only groups of two or more are returned, but the table's final
+    bucket count depends on every key, so the keys are counted over the
+    whole graph: a node's key was seen before when an earlier consumer
+    of its first operand has the same operands and name (its first such
+    consumer is its group's smallest member).  Only the groups are
+    hashed, into a table created at that final size, where they keep
+    the buckets and the order within a bucket that the full table gives
+    them. *)
+let name_groups (view : Rule.view) : int list list =
+  let nodes = Graph_index.nodes view.ix in
+  let { Graph_index.row; ids } = Graph_index.csr view.ix in
+  let same_name (a : Op.kind) (b : Op.kind) =
+    (* structurally equal scales can print apart (0 and -0) *)
+    (match a with Op.Unary (Op.Scale _) -> false | _ -> a = b)
+    || String.equal (Op.name a) (Op.name b)
+  in
+  let same_key (a : Graph.node) (b : Graph.node) =
+    let n = Array.length a.inputs in
+    n = Array.length b.inputs
+    && (let rec eq k = k >= n || (a.inputs.(k) = b.inputs.(k) && eq (k + 1)) in
+        eq 0)
+    && same_name a.op b.op
+  in
+  let followers = Array.make (Array.length nodes) [] in
+  let n_keys = ref 0 and leaders = ref [] in
+  Array.iter
+    (fun (n : Graph.node) ->
+      (* every operator has an operand *)
+      if n.id >= 0 && not (Op.is_input n.op) then begin
+        let p = n.inputs.(0) in
+        let rec first k =
+          if k >= row.(p + 1) || ids.(k) >= n.id then None
+          else if same_key nodes.(ids.(k)) n then Some ids.(k)
+          else first (k + 1)
+        in
+        match first row.(p) with
+        | Some u ->
+            if followers.(u) = [] then leaders := u :: !leaders;
+            followers.(u) <- n.id :: followers.(u)
+        | None -> incr n_keys
+      end)
+    nodes;
+  (* the size [Hashtbl.create 64] has grown to after [n_keys] keys *)
+  let rec buckets len = if !n_keys > 2 * len then buckets (2 * len) else len in
+  let tbl = Hashtbl.create (buckets 64) in
+  List.iter
+    (fun u ->
+      let n = nodes.(u) in
+      Hashtbl.replace tbl (Op.name n.op, Array.to_list n.inputs)
+        (u :: List.rev followers.(u)))
+    (List.sort Int.compare !leaders);
+  List.rev (Hashtbl.fold (fun _ members acc -> members :: acc) tbl [])
+
+(** The members of a group, increasing, split into classes of equal
+    operators and shapes, in the order of each class's smallest
+    member. *)
+let equal_classes (view : Rule.view) members =
+  let nodes = Graph_index.nodes view.ix in
+  let same (a : Graph.node) (b : Graph.node) =
+    a.op = b.op && Shape.equal a.shape b.shape
+  in
+  List.fold_left
+    (fun classes v ->
+      let rec place = function
+        | [] -> [ [ v ] ]
+        | (u :: _ as c) :: rest when same nodes.(u) nodes.(v) -> (c @ [ v ]) :: rest
+        | c :: rest -> c :: place rest
+      in
+      place classes)
+    [] members
 
 (** Fig. 8 (c)(d): merge two same-op same-input operators back into one. *)
 let de_rematerialization : Rule.t =
@@ -255,32 +299,34 @@ let de_rematerialization : Rule.t =
             t_ground = [ ("m", 2); ("n", 3) ];
           };
         ];
-    apply =
-      (fun ctx g ->
-        (* group nodes by (op fingerprint, inputs) *)
-        let tbl = Hashtbl.create 64 in
-        Graph.iter
-          (fun n ->
-            if not (Op.is_input n.op) then
-              let key = (Op.name n.op, Array.to_list n.inputs) in
-              Hashtbl.replace tbl key
-                (n.id :: (try Hashtbl.find tbl key with Not_found -> [])))
-          g;
-        let rewrites =
-          Hashtbl.fold
-            (fun _ ids acc ->
-              match List.sort compare ids with
-              | a :: b :: _ when Rule.unfrozen ctx a && Rule.unfrozen ctx b ->
-                  let rewired = Graph.suc g b in
-                  let g = Graph.redirect g ~from_:b ~to_:a in
-                  let g = Graph.remove g b in
-                  { Rule.rule = "de-remat"; graph = g;
-                    touched_old = Int_set.of_list (a :: b :: rewired) }
-                  :: acc
-              | _ -> acc)
-            tbl []
+    capped = true;
+    sites =
+      (fun view ->
+        let ctx = view.ctx in
+        let groups = name_groups view in
+        let merge a b =
+          let rewired = Rule.consumers view b in
+          fun () ->
+            let g = Graph_index.graph view.ix in
+            let g = Graph.redirect g ~from_:b ~to_:a in
+            let g = Graph.remove g b in
+            { Rule.rule = "de-remat"; graph = g;
+              touched_old = Int_set.of_list (a :: b :: rewired) }
         in
-        Rule.cap ctx rewrites);
+        List.fold_left
+          (fun acc members ->
+            (* a group may hold ops that print alike but differ (a
+               broadcast's target, a scale's digits beyond [%g]): merge
+               only within a class of equal ops and shapes, each class's
+               two smallest members *)
+            List.filter_map
+              (function
+                | a :: b :: _ when Rule.unfrozen ctx a && Rule.unfrozen ctx b ->
+                    Some (merge a b)
+                | _ -> None)
+              (equal_classes view members)
+            @ acc)
+          [] groups);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -290,9 +336,9 @@ let de_rematerialization : Rule.t =
 (** Producer is memory-bound: recomputing it is almost free (elementwise,
     normalization, view ops — the tensors activation checkpointing always
     recomputes). *)
-let cheap_to_recompute g v =
-  let n = Graph.node g v in
-  let ins = Array.map (fun i -> Graph.shape g i) n.inputs in
+let cheap_to_recompute ix v =
+  let n = Graph_index.node ix v in
+  let ins = Graph_index.in_shapes ix v in
   let fl = Op.flops n.op ins n.shape in
   let by = Op.bytes_moved n.op ins n.shape in
   by > 0.0 && fl /. by < 16.0
@@ -310,58 +356,57 @@ let sweep_rematerialization : Rule.t =
          of cheap hot tensors, with copies chained through copies — there \
          is no fixed template; covered differentially on the elementwise \
          and swap corpora";
-    apply =
-      (fun ctx g0 ->
-        let targets =
-          List.filter
-            (fun v ->
-              cheap_to_recompute g0 v
-              && (not (Op.is_view (Graph.op g0 v)))
-              && Graph.out_degree g0 v >= 1)
-            (hot_candidates ctx g0)
+    capped = false;
+    sites =
+      (fun view ->
+        let ix = view.ix in
+        let target = Bytes.make (Graph_index.bound ix) '\000' in
+        List.iter
+          (fun v ->
+            if cheap_to_recompute ix v && not (Op.is_view (node view v).op) then
+              Bytes.set target v '\001')
+          (Rule.hot view);
+        (* Copies consume copies: recompute whole cheap sub-chains,
+           anchored on the expensive tensors that stay resident — the
+           structure activation checkpointing produces.  Without the
+           chaining, every copy would pin its original operands and no
+           memory would be freed.  Each target, in topological order,
+           with its distant consumers: *)
+        let plan =
+          Array.fold_right
+            (fun v acc ->
+              if Bytes.get target v = '\000' then acc
+              else
+                match List.filter (fun c -> Rule.distance view v c > 8) (Rule.consumers view v) with
+                | [] -> acc
+                | far -> (node view v, far) :: acc)
+            (Graph_index.order ix) []
         in
-        if targets = [] then []
-        else begin
-          (* Copies consume copies: recompute whole cheap sub-chains,
-             anchored on the expensive tensors that stay resident — the
-             structure activation checkpointing produces.  Without the
-             chaining, every copy would pin its original operands and no
-             memory would be freed. *)
-          let target_set = Int_set.of_list targets in
-          let in_topo =
-            List.filter (fun v -> Int_set.mem v target_set) (Graph.topo_order g0)
-          in
-          let g = ref g0 and touched = ref Int_set.empty in
-          let copies = Hashtbl.create 16 in
-          List.iter
-            (fun v ->
-              let n = Graph.node g0 v in
-              let far =
-                List.filter (fun c -> distance ctx v c > 8) (Graph.suc g0 v)
-              in
-              if far <> [] then begin
-                let mapped u =
-                  match Hashtbl.find_opt copies u with
-                  | Some c -> c
-                  | None -> u
-                in
-                let g', copy =
-                  Graph.add ~label:(n.label ^ "'") !g n.op
-                    (List.map mapped (Array.to_list n.inputs))
-                in
-                g := g';
-                Hashtbl.replace copies v copy;
-                List.iter
-                  (fun c ->
-                    g := Graph.replace_input !g ~node_id:c ~old_src:v ~new_src:copy)
-                  far;
-                touched :=
-                  Int_set.add v (Int_set.union !touched (Int_set.of_list far))
-              end)
-            in_topo;
-          if Int_set.is_empty !touched then []
-          else [ { Rule.rule = "sweep-remat"; graph = !g; touched_old = !touched } ]
-        end);
+        if plan = [] then []
+        else
+          [
+            (fun () ->
+              let g = ref (Graph_index.graph ix) and touched = ref Int_set.empty in
+              let copies = Hashtbl.create 16 in
+              List.iter
+                (fun ((n : Graph.node), far) ->
+                  let mapped u =
+                    match Hashtbl.find_opt copies u with Some c -> c | None -> u
+                  in
+                  let g', copy =
+                    Graph.add_copy ~label:(n.label ^ "'") !g n.id
+                      (List.map mapped (Array.to_list n.inputs))
+                  in
+                  g := g';
+                  Hashtbl.replace copies n.id copy;
+                  List.iter
+                    (fun c ->
+                      g := Graph.replace_input !g ~node_id:c ~old_src:n.id ~new_src:copy)
+                    far;
+                  touched := List.fold_left (Fun.flip Int_set.add) (Int_set.add n.id !touched) far)
+                plan;
+              { Rule.rule = "sweep-remat"; graph = !g; touched_old = !touched });
+          ]);
   }
 
 (** Swap the [k] largest hot tensors in one rewrite, for a few values of
@@ -375,52 +420,42 @@ let sweep_swapping : Rule.t =
          tensors, a schedule- and size-dependent selection with no fixed \
          template; covered differentially on the elementwise and swap \
          corpora";
-    apply =
-      (fun ctx g0 ->
-        let candidates =
-          List.filter
+    capped = false;
+    sites =
+      (fun view ->
+        (* each hot tensor with a distant non-swap consumer, and its most
+           distant one *)
+        let pairs =
+          List.filter_map
             (fun v ->
-              List.exists
-                (fun c ->
-                  distance ctx v c > 8 && not (Op.is_swap (Graph.op g0 c)))
-                (Graph.suc g0 v))
-            (hot_candidates ctx g0)
+              Option.map (fun c -> (v, c))
+                (Rule.farthest view v (fun c ->
+                     Rule.distance view v c > 8 && not (is_swap view c))))
+            (Rule.hot view)
         in
-        List.filter_map
-          (fun k ->
-            let chosen = Util.take k candidates in
-            if List.length chosen < k then None
-            else
-              let g = ref g0 and touched = ref Int_set.empty in
-              List.iter
-                (fun v ->
-                  let far =
-                    List.filter
-                      (fun c ->
-                        distance ctx v c > 8
-                        && not (Op.is_swap (Graph.op g0 c)))
-                      (Graph.suc g0 v)
-                  in
-                  match
-                    List.sort
-                      (fun a b -> compare (distance ctx v b) (distance ctx v a))
-                      far
-                  with
-                  | [] -> ()
-                  | c :: _ ->
-                      let g', store = Graph.add !g Op.Store [ v ] in
-                      let g', load = Graph.add g' Op.Load [ store ] in
-                      g :=
-                        Graph.replace_input g' ~node_id:c ~old_src:v
-                          ~new_src:load;
-                      touched := Int_set.add v (Int_set.add c !touched))
-                chosen;
-              if Int_set.is_empty !touched then None
-              else
-                Some
-                  { Rule.rule = Printf.sprintf "sweep-swap(%d)" k;
-                    graph = !g; touched_old = !touched })
-          [ 2; 4; 8 ]);
+        (* pairs [start] to [k - 1] swapped into a built rewrite *)
+        let swap_in start k (g, touched) =
+          List.fold_left
+            (fun (g, touched) (v, c) ->
+              let g, store = Graph.add g Op.Store [ v ] in
+              let g, load = Graph.add g Op.Load [ store ] in
+              ( Graph.replace_input g ~node_id:c ~old_src:v ~new_src:load,
+                Int_set.add v (Int_set.add c touched) ))
+            (g, touched)
+            (List.filteri (fun i _ -> i >= start && i < k) pairs)
+        in
+        (* each [k]'s rewrite extends the previous one's: the same
+           operations in the same order, so the same node ids *)
+        let rec steps prev start = function
+          | k :: ks when List.length pairs >= k ->
+              let built = lazy (swap_in start k (Lazy.force prev)) in
+              (fun () ->
+                let graph, touched_old = Lazy.force built in
+                { Rule.rule = Printf.sprintf "sweep-swap(%d)" k; graph; touched_old })
+              :: steps built k ks
+          | _ -> []
+        in
+        steps (Lazy.from_val (Graph_index.graph view.ix, Int_set.empty)) 0 [ 2; 4; 8 ]);
   }
 
 (** The paper's four scheduling-based rules (Fig. 8). *)

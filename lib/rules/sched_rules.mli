@@ -5,7 +5,7 @@
 open Magis_ir
 
 (** Producer whose recomputation is nearly free (memory-bound). *)
-val cheap_to_recompute : Graph.t -> int -> bool
+val cheap_to_recompute : Graph_index.t -> int -> bool
 
 (** Fig. 8 (e): Store/Load between a producer and a distant consumer. *)
 val swapping : Rule.t

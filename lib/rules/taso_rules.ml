@@ -16,7 +16,8 @@ module S = Rule.Spec
 
 (** Siblings of [x]: consumers with the same mergeable operator kind that
     take [x] as their first operand. *)
-let mergeable_siblings ctx g x =
+let mergeable_siblings (view : Rule.view) x =
+  let nodes = Graph_index.nodes view.ix in
   let same_kind a b =
     match (a, b) with
     | Op.Dense { trans_w = ta }, Op.Dense { trans_w = tb } -> ta = tb
@@ -27,11 +28,11 @@ let mergeable_siblings ctx g x =
     | _ -> false
   in
   let consumers =
-    Graph.suc g x
+    Rule.consumers view x
     |> List.filter (fun c ->
-           Rule.unfrozen ctx c
+           Rule.unfrozen view.ctx c
            &&
-           let n = Graph.node g c in
+           let n = nodes.(c) in
            Array.length n.inputs = 2
            && n.inputs.(0) = x
            && (match n.op with
@@ -44,34 +45,65 @@ let mergeable_siblings ctx g x =
   let rec group = function
     | [] -> []
     | c :: rest ->
-        let kind = Graph.op g c in
+        let kind = nodes.(c).op in
         let same, other =
-          List.partition (fun d -> same_kind kind (Graph.op g d)) rest
+          List.partition (fun d -> same_kind kind nodes.(d).op) rest
         in
         (c :: same) :: group other
   in
   List.filter (fun l -> List.length l >= 2) (group consumers)
 
+(** The concat axis of the weights and the output-feature axis of a
+    mergeable operator; [Invalid_argument] for another operator. *)
+let merge_axes (first : Graph.node) =
+  match first.op with
+  | Op.Dense { trans_w = false } -> (1, Shape.rank first.shape - 1)
+  | Op.Matmul _ -> (1, 1)
+  | Op.Conv2d _ -> (0, 1)
+  | _ -> invalid_arg "merge_group: not mergeable"
+
+(** Does {!merge_group} build: do the concat, the merged operator and
+    each slice infer, and does each slice have its original's shape?
+    The site pass asks this instead of building and catching the
+    failure. *)
+let mergeable (view : Rule.view) x group =
+  let node = Graph_index.node view.ix in
+  let shape v = (node v).shape and weight c = (node c).inputs.(1) in
+  let infer op ins =
+    match Op.infer op (Array.of_list ins) with Ok s -> s | Error _ -> raise Exit
+  in
+  let first = node (List.hd group) in
+  try
+    let axis, out_axis = merge_axes first in
+    let cat = infer (Op.Concat axis) (List.map (fun c -> shape (weight c)) group) in
+    let merged = infer first.op [ shape x; cat ] in
+    ignore
+      (List.fold_left
+         (fun lo c ->
+           let hi = lo + Shape.dim (shape (weight c)) axis in
+           let sl = infer (Op.Slice { axis = out_axis; lo; hi }) [ merged ] in
+           if not (Shape.equal_dims sl (shape c)) then raise Exit;
+           hi)
+         0 group);
+    true
+  with Exit | Invalid_argument _ -> false
+
 (** Merge a group of parallel ops [y_i = op(x, w_i)] into
     [y = op(x, concat(w_i))] followed by slices (Fig. 1 (a) — the QKV
     aggregation).  The concat axis is the output-feature axis of the
     weight. *)
-let merge_group g x group =
-  let first = Graph.node g (List.hd group) in
-  let weights = List.map (fun c -> (Graph.node g c).inputs.(1)) group in
-  let axis, out_axis =
-    match first.op with
-    | Op.Dense { trans_w = false } -> (1, Shape.rank first.shape - 1)
-    | Op.Matmul _ -> (1, 1)
-    | Op.Conv2d _ -> (0, 1)
-    | _ -> invalid_arg "merge_group: not mergeable"
-  in
+let merge_group (view : Rule.view) x group =
+  let nodes = Graph_index.nodes view.ix in
+  let first = nodes.(List.hd group) in
+  let weights = List.map (fun c -> nodes.(c).inputs.(1)) group in
+  let axis, out_axis = merge_axes first in
+  let g = Graph_index.graph view.ix in
   let g, wcat = Graph.add g (Op.Concat axis) weights in
   let g, merged = Graph.add g first.op [ x; wcat ] in
   let g, _ =
     List.fold_left
       (fun (g, lo) c ->
-        let extent = Shape.dim (Graph.shape g (Graph.node g c).inputs.(1)) axis in
+        let extent = Shape.dim nodes.(nodes.(c).inputs.(1)).shape axis in
         let g, sl =
           Graph.add g
             (Op.Slice { axis = out_axis; lo; hi = lo + extent })
@@ -164,33 +196,31 @@ let merge_parallel : Rule.t =
               [ ("n", 1); ("c", 2); ("h", 4); ("w", 4); ("p", 2); ("q", 3);
                 ("r", 3); ("s", 3) ];
         ];
-    apply =
-      (fun ctx g ->
-        let rewrites =
-          Graph.fold
-            (fun n acc ->
-              if Graph.out_degree g n.id < 2 then acc
-              else
-                List.fold_left
-                  (fun acc group ->
-                    match merge_group g n.id group with
-                    | g' ->
-                        (* the group's consumers are rewired onto the new
-                           slices — part of the touched region *)
-                        let rewired = List.concat_map (Graph.suc g) group in
-                        {
-                          Rule.rule = "a-trans-merge";
-                          graph = g';
-                          touched_old =
-                            Int_set.of_list ((n.id :: group) @ rewired);
-                        }
-                        :: acc
-                    | exception Invalid_argument _ -> acc)
-                  acc
-                  (mergeable_siblings ctx g n.id))
-            g []
-        in
-        Rule.cap ctx rewrites);
+    capped = true;
+    sites =
+      (fun view ->
+        (* by decreasing id, and a node's groups in reverse *)
+        Array.fold_left
+          (fun acc (n : Graph.node) ->
+            if n.id < 0 || Rule.n_consumers view n.id < 2 then acc
+            else
+              List.fold_left
+                (fun acc group ->
+                  if not (mergeable view n.id group) then acc
+                  else
+                    (* the group's consumers are rewired onto the new
+                       slices — part of the touched region *)
+                    let rewired = List.concat_map (Rule.consumers view) group in
+                    (fun () ->
+                      {
+                        Rule.rule = "a-trans-merge";
+                        graph = merge_group view n.id group;
+                        touched_old = Int_set.of_list ((n.id :: group) @ rewired);
+                      })
+                    :: acc)
+                acc
+                (mergeable_siblings view n.id))
+          [] (Graph_index.nodes view.ix));
   }
 
 (* ------------------------------------------------------------------ *)
@@ -251,71 +281,82 @@ let concat_of_slices : Rule.t =
             t_ground = [ ("p", 2); ("q", 2); ("r", 1); ("m", 3) ];
           };
         ];
-    apply =
-      (fun ctx g ->
-        let rewrites =
-          Graph.fold
-            (fun n acc ->
-              match n.op with
-              | Op.Concat axis ->
-                  let parts =
-                    Array.to_list n.inputs
-                    |> List.map (fun u ->
-                           match Graph.op g u with
-                           | Op.Slice { axis = a; lo; hi } when a = axis ->
-                               Some (u, (Graph.node g u).inputs.(0), lo, hi)
-                           | _ -> None)
+    capped = true;
+    sites =
+      (fun view ->
+        let ctx = view.ctx and nodes = Graph_index.nodes view.ix in
+        (* by decreasing id *)
+        Array.fold_left
+          (fun acc (n : Graph.node) ->
+            match n.op with
+            | Op.Concat axis when n.id >= 0 ->
+                let parts =
+                  Array.to_list n.inputs
+                  |> List.map (fun u ->
+                         match nodes.(u).op with
+                         | Op.Slice { axis = a; lo; hi } when a = axis ->
+                             Some (u, nodes.(u).inputs.(0), lo, hi)
+                         | _ -> None)
+                in
+                if List.exists (( = ) None) parts then acc
+                else
+                  let parts = List.filter_map Fun.id parts in
+                  let srcs =
+                    List.sort_uniq compare (List.map (fun (_, s, _, _) -> s) parts)
                   in
-                  if List.exists (( = ) None) parts then acc
-                  else
-                    let parts = List.filter_map Fun.id parts in
-                    let srcs =
-                      List.sort_uniq compare (List.map (fun (_, s, _, _) -> s) parts)
+                  let contiguous =
+                    let rec chk = function
+                      | (_, _, _, h) :: ((_, _, lo, _) :: _ as rest) ->
+                          h = lo && chk rest
+                      | _ -> true
                     in
-                    let contiguous =
-                      let rec chk = function
-                        | (_, _, _, h) :: ((_, _, lo, _) :: _ as rest) ->
-                            h = lo && chk rest
-                        | _ -> true
-                      in
-                      chk parts
+                    chk parts
+                  in
+                  if
+                    List.length srcs = 1 && contiguous
+                    && List.for_all (fun (u, _, _, _) -> Rule.unfrozen ctx u) parts
+                    && Rule.unfrozen ctx n.id
+                  then
+                    let src = List.hd srcs in
+                    let lo = match parts with (_, _, l, _) :: _ -> l | [] -> 0 in
+                    let hi =
+                      match List.rev parts with (_, _, _, h) :: _ -> h | [] -> 0
                     in
-                    if
-                      List.length srcs = 1 && contiguous
-                      && List.for_all (fun (u, _, _, _) -> Rule.unfrozen ctx u) parts
-                      && Rule.unfrozen ctx n.id
-                    then
-                      let src = List.hd srcs in
-                      let lo = match parts with (_, _, l, _) :: _ -> l | [] -> 0 in
-                      let hi =
-                        match List.rev parts with (_, _, _, h) :: _ -> h | [] -> 0
-                      in
-                      let full = Shape.dim (Graph.shape g src) axis in
-                      let rewired = Graph.suc g n.id in
-                      let g, repl =
-                        if lo = 0 && hi = full then (g, src)
-                        else Graph.add g (Op.Slice { axis; lo; hi }) [ src ]
-                      in
-                      if Shape.equal_dims (Graph.shape g repl) n.shape then
-                        let keep = Int_set.of_list (Graph.outputs g) in
+                    let src_shape = nodes.(src).shape in
+                    let whole = lo = 0 && hi = Shape.dim src_shape axis in
+                    let slice = Op.Slice { axis; lo; hi } in
+                    let same_shape =
+                      if whole then Shape.equal_dims src_shape n.shape
+                      else
+                        match Op.infer slice [| src_shape |] with
+                        | Ok s -> Shape.equal_dims s n.shape
+                        | Error _ | (exception Invalid_argument _) -> false
+                    in
+                    if same_shape then
+                      let rewired = Rule.consumers view n.id in
+                      (fun () ->
+                        let g = Graph_index.graph view.ix in
+                        let g, repl =
+                          if whole then (g, src) else Graph.add g slice [ src ]
+                        in
+                        (* a new slice replacing a sink carries its
+                           result: protect it *)
+                        let keep = if whole then Int_set.empty else Int_set.singleton repl in
                         let g = Graph.redirect g ~from_:n.id ~to_:repl in
                         let g = Graph.remove g n.id in
-                        let g = Graph.prune_dead ~keep g in
+                        let g = Graph.prune_from ~keep g (Array.to_list n.inputs) in
                         {
                           Rule.rule = "i-trans-concat-slice";
                           graph = g;
                           touched_old =
                             Int_set.of_list
-                              ((n.id :: rewired)
-                              @ List.map (fun (u, _, _, _) -> u) parts);
-                        }
-                        :: acc
-                      else acc
+                              ((n.id :: rewired) @ List.map (fun (u, _, _, _) -> u) parts);
+                        })
+                      :: acc
                     else acc
-              | _ -> acc)
-            g []
-        in
-        Rule.cap ctx rewrites);
+                  else acc
+            | _ -> acc)
+          [] nodes);
   }
 
 (** transpose(transpose(x)) with inverse permutations collapses to x. *)
@@ -344,40 +385,44 @@ let transpose_pairs : Rule.t =
             t_ground = [ ("a", 2); ("b", 3); ("c", 4) ];
           };
         ];
-    apply =
-      (fun ctx g ->
-        let rewrites =
-          Graph.fold
-            (fun n acc ->
-              match n.op with
-              | Op.Transpose p2 -> (
-                  let u = n.inputs.(0) in
-                  match Graph.op g u with
-                  | Op.Transpose p1
-                    when Rule.unfrozen ctx n.id && Rule.unfrozen ctx u
-                         && Array.length p1 = Array.length p2
-                         && Array.for_all2 ( = )
-                              (Array.init (Array.length p1) (fun i -> p1.(p2.(i))))
-                              (Array.init (Array.length p1) Fun.id) ->
-                      let src = (Graph.node g u).inputs.(0) in
-                      (* [src] may be left consumer-less when [n] is a
-                         sink; it carries the result, so protect it *)
-                      let keep = Int_set.add src (Int_set.of_list (Graph.outputs g)) in
-                      let rewired = Graph.suc g n.id in
+    capped = true;
+    sites =
+      (fun view ->
+        let ctx = view.ctx and nodes = Graph_index.nodes view.ix in
+        (* by decreasing id *)
+        Array.fold_left
+          (fun acc (n : Graph.node) ->
+            match n.op with
+            | Op.Transpose p2 when n.id >= 0 -> (
+                let u = n.inputs.(0) in
+                match nodes.(u).op with
+                | Op.Transpose p1
+                  when Rule.unfrozen ctx n.id && Rule.unfrozen ctx u
+                       && Array.length p1 = Array.length p2
+                       && Array.for_all2 ( = )
+                            (Array.init (Array.length p1) (fun i -> p1.(p2.(i))))
+                            (Array.init (Array.length p1) Fun.id) ->
+                    let src = nodes.(u).inputs.(0) in
+                    let rewired = Rule.consumers view n.id in
+                    (fun () ->
+                      let g = Graph_index.graph view.ix in
                       let g = Graph.redirect g ~from_:n.id ~to_:src in
                       let g = Graph.remove g n.id in
-                      let g = Graph.prune_dead ~keep g in
+                      (* [src] may be left consumer-less when [n] is a
+                         sink; it carries the result, so protect it *)
+                      let g =
+                        Graph.prune_from ~keep:(Int_set.singleton src) g
+                          (Array.to_list n.inputs)
+                      in
                       {
                         Rule.rule = "i-trans-transpose";
                         graph = g;
                         touched_old = Int_set.of_list (n.id :: u :: rewired);
-                      }
-                      :: acc
-                  | _ -> acc)
-              | _ -> acc)
-            g []
-        in
-        Rule.cap ctx rewrites);
+                      })
+                    :: acc
+                | _ -> acc)
+            | _ -> acc)
+          [] nodes);
   }
 
 (** add re-association: (a + b) + c -> a + (b + c), enabling different
@@ -414,41 +459,44 @@ let add_reassociate : Rule.t =
             t_ground = [ ("m", 2); ("n", 3) ];
           };
         ];
-    apply =
-      (fun ctx g ->
-        let rewrites =
-          Graph.fold
-            (fun n acc ->
-              match n.op with
-              | Op.Binary Op.Add -> (
-                  let l = n.inputs.(0) and r = n.inputs.(1) in
-                  match Graph.op g l with
-                  | Op.Binary Op.Add
-                    when Graph.out_degree g l = 1 && Rule.unfrozen ctx n.id
-                         && Rule.unfrozen ctx l ->
-                      let a = (Graph.node g l).inputs.(0) in
-                      let b = (Graph.node g l).inputs.(1) in
-                      let rewired = Graph.suc g n.id in
-                      let g', bc = Graph.add g (Op.Binary Op.Add) [ b; r ] in
-                      let g', abc = Graph.add g' (Op.Binary Op.Add) [ a; bc ] in
+    capped = true;
+    sites =
+      (fun view ->
+        let ctx = view.ctx and nodes = Graph_index.nodes view.ix in
+        (* by decreasing id *)
+        Array.fold_left
+          (fun acc (n : Graph.node) ->
+            match n.op with
+            | Op.Binary Op.Add when n.id >= 0 -> (
+                let l = n.inputs.(0) and r = n.inputs.(1) in
+                match nodes.(l).op with
+                | Op.Binary Op.Add
+                  when Rule.n_consumers view l = 1 && Rule.unfrozen ctx n.id
+                       && Rule.unfrozen ctx l ->
+                    let a = nodes.(l).inputs.(0) and b = nodes.(l).inputs.(1) in
+                    let rewired = Rule.consumers view n.id in
+                    (fun () ->
+                      let g = Graph_index.graph view.ix in
+                      let g, bc = Graph.add g (Op.Binary Op.Add) [ b; r ] in
+                      let g, abc = Graph.add g (Op.Binary Op.Add) [ a; bc ] in
+                      let g = Graph.redirect g ~from_:n.id ~to_:abc in
+                      let g = Graph.remove g n.id in
                       (* protect the replacement: when [n] is a sink,
                          nothing is rewired onto [abc] and pruning would
                          otherwise sweep the new chain away with it *)
-                      let keep = Int_set.add abc (Int_set.of_list (Graph.outputs g)) in
-                      let g' = Graph.redirect g' ~from_:n.id ~to_:abc in
-                      let g' = Graph.remove g' n.id in
-                      let g' = Graph.prune_dead ~keep g' in
+                      let g =
+                        Graph.prune_from ~keep:(Int_set.singleton abc) g
+                          (Array.to_list n.inputs)
+                      in
                       {
                         Rule.rule = "i-trans-add-assoc";
-                        graph = g';
+                        graph = g;
                         touched_old = Int_set.of_list (n.id :: l :: rewired);
-                      }
-                      :: acc
-                  | _ -> acc)
-              | _ -> acc)
-            g []
-        in
-        Rule.cap ctx rewrites);
+                      })
+                    :: acc
+                | _ -> acc)
+            | _ -> acc)
+          [] nodes);
   }
 
 let a_trans = [ merge_parallel ]

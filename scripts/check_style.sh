@@ -125,6 +125,19 @@ if [ -n "$hits" ]; then
   echo "$hits"
 fi
 
+# 10 (continued). the rewrite rules match on every pop: their site
+# passes read the popped state's Rule.view (its index's node array,
+# consumers by slot and order) and their builds prune from the removed
+# node upward, so lib/rules reads no graph map and walks no whole
+# graph (Graph.fold, iter, nodes, node_ids, node, op, shape, suc,
+# succ_set, pre, out_degree, mem, outputs, topo_order or prune_dead).
+hits=$(grep -HnP 'Graph\.(node(?!\s*(\)|array))|nodes|node_ids|fold|iter|op|shape|suc|succ_set|pre|out_degree|mem|outputs|topo_order|prune_dead)\b' \
+  $(git ls-files -- 'lib/rules/*.ml') 2>/dev/null)
+if [ -n "$hits" ]; then
+  fail "graph-map read or whole-graph walk in lib/rules (match on the Rule.view's index, prune with Graph.prune_from):"
+  echo "$hits"
+fi
+
 # 11. the fission check has one implementation, Fission.structure on a
 # Graph_index: the map-walking Graph.is_convex and
 # Graph.is_weakly_connected stay in lib/ir as references for the tests,

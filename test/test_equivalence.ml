@@ -158,7 +158,7 @@ let rewrites_of rule g =
       schedule_pos = (fun v -> Hashtbl.find_opt pos v);
       max_per_rule = 8 }
   in
-  (rule : Rule.t).apply ctx g
+  Rule.apply rule ctx g
 
 let test_all_rules_numeric () =
   let g = mlp_training ~batch:16 ~hidden:16 () in

@@ -120,14 +120,31 @@ let test_remove_and_prune () =
   (* prune sweeps the now-dead branches but keeps protected nodes *)
   let keep = Int_set.empty in
   let g'' = Graph.prune_dead ~keep g' in
-  Alcotest.(check int) "only input left" 1 (Graph.n_nodes g'')
+  Alcotest.(check int) "only input left" 1 (Graph.n_nodes g'');
+  (* from the removed join's operands upward, the same *)
+  let from_j = Graph.prune_from ~keep g' (Array.to_list (Graph.node g j).inputs) in
+  Alcotest.(check (list int)) "prune_from" (Graph.node_ids g'') (Graph.node_ids from_j)
 
 let test_prune_keeps_protected () =
   let g, _, l, r, j = diamond () in
   let g' = Graph.remove g j in
-  let g'' = Graph.prune_dead ~keep:(int_set [ l ]) g' in
-  Alcotest.(check bool) "l kept" true (Graph.mem g'' l);
-  Alcotest.(check bool) "r pruned" false (Graph.mem g'' r)
+  List.iter
+    (fun (what, g'') ->
+      Alcotest.(check bool) (what ^ ": l kept") true (Graph.mem g'' l);
+      Alcotest.(check bool) (what ^ ": r pruned") false (Graph.mem g'' r))
+    [ ("prune_dead", Graph.prune_dead ~keep:(int_set [ l ]) g');
+      ("prune_from", Graph.prune_from ~keep:(int_set [ l ]) g' [ l; r ]) ]
+
+let test_add_copy () =
+  let g, x, l, r, j = diamond () in
+  let copied, c = Graph.add_copy g j [ x; r ] in
+  let added, a = Graph.add g (Graph.op g j) [ x; r ] in
+  Alcotest.(check int) "same id" a c;
+  Alcotest.(check bool) "same node" true (Graph.node copied c = Graph.node added a);
+  let g, y = Graph.add_input g Op.Placeholder (shape [ 8 ]) in
+  Alcotest.check_raises "operand shapes differ"
+    (Invalid_argument "Graph.add_copy: operand shapes differ") (fun () ->
+      ignore (Graph.add_copy g j [ l; y ]))
 
 let test_persistence () =
   let g, x, _, _, _ = diamond () in
@@ -161,6 +178,7 @@ let suite =
     tc "replace_input" test_replace_input;
     tc "remove and prune" test_remove_and_prune;
     tc "prune keeps protected" test_prune_keeps_protected;
+    tc "add_copy adds what add infers" test_add_copy;
     tc "persistence" test_persistence;
     tc "weight bytes" test_weight_bytes;
     tc "order validation" test_cycle_detection;

@@ -21,7 +21,7 @@ let rewrite_one g ~hotspots ~schedule =
     { Rule.default_ctx with hotspots;
       schedule_pos = (fun v -> Hashtbl.find_opt pos v) }
   in
-  match Sched_rules.swapping.apply ctx g with
+  match Rule.apply Sched_rules.swapping ctx g with
   | rw :: _ -> Some rw
   | [] -> None
 

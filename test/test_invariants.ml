@@ -54,7 +54,16 @@
     with the oracle partition and greedy, at budgets from 1 to 4,000:
     on every block of the zoo and of Randnets, and on a graph whose
     equal-peak alternatives leave the choice to the order ready members
-    are visited in and the order a bucket is popped in. *)
+    are visited in and the order a bucket is popped in.
+
+    The rewrite rules, split into a site pass over one {!Rule.view} and
+    a build of the sites their cap keeps, are checked against
+    [Ref_rules], the rules that built every match by walking the
+    graph's maps and then capped: the same rewrites (name, node map,
+    id bound, outputs, touched nodes) in the same order, and no site
+    built that the cap drops, on the zoo's initial states and every
+    state an 8-iteration search evaluates, on Randnets under drawn
+    contexts, and on a planted graph with more matches than the cap. *)
 
 open Magis
 open Helpers
@@ -375,7 +384,7 @@ let rewrites ?(max_per_rule = 2) g =
       restrict_to_hotspots = false;
     }
   in
-  List.concat_map (fun (r : Rule.t) -> r.apply ctx g) (Sched_rules.all @ Taso_rules.all)
+  List.concat_map (fun (r : Rule.t) -> Rule.apply r ctx g) (Sched_rules.all @ Taso_rules.all)
 
 (** [steps] seeded rewrites away from [g]. *)
 let rec rewritten g ~seed ~steps =
@@ -774,7 +783,7 @@ let state_rewrites (s : Mstate.t) =
       restrict_to_hotspots = true;
     }
   in
-  List.concat_map (fun (r : Rule.t) -> r.apply ctx s.graph) (Sched_rules.all @ Taso_rules.all)
+  List.concat_map (fun (r : Rule.t) -> Rule.apply r ctx s.graph) (Sched_rules.all @ Taso_rules.all)
 
 (** Every rewrite the search proposes from every zoo model's initial
     state, as a delta of that state, and the state itself (what an
@@ -1843,6 +1852,170 @@ let prop_splice_randnets =
       | Ok _ -> true
       | Error what -> QCheck2.Test.fail_report what)
 
+(* ------------------------------------------------------------------ *)
+(* Rule sites against the eager rules                                  *)
+(* ------------------------------------------------------------------ *)
+
+let same_rewrite (a : Rule.rewrite) (b : Rule.rewrite) =
+  String.equal a.rule b.rule
+  && Graph.id_bound a.graph = Graph.id_bound b.graph
+  && Graph.nodes a.graph = Graph.nodes b.graph
+  && Graph.outputs a.graph = Graph.outputs b.graph
+  && Int_set.equal a.touched_old b.touched_old
+
+(** The split rules against [Ref_rules] on one graph and context: per
+    rule, the same rewrites (name, node map, id bound, outputs,
+    [touched_old]) in the same order, through {!Rule.apply} and through
+    one view shared by every rule, as the search matches; and a rule
+    builds no site its cap drops.  The number of rewrites compared, or
+    what differed. *)
+let check_rules ctx g =
+  let view = Rule.view ctx (Graph_index.of_graph g) in
+  List.fold_left2
+    (fun acc (r : Rule.t) (o : Ref_rules.t) ->
+      Result.bind acc @@ fun n ->
+      let built = ref 0 in
+      let counted =
+        { r with sites = (fun v -> List.map (fun s () -> incr built; s ()) (r.sites v)) }
+      in
+      let expected = o.apply ctx g in
+      let shared = Rule.rewrites view counted in
+      let same = List.equal same_rewrite expected in
+      if not (String.equal r.name o.name) then Error ("rule order at " ^ r.name)
+      else if not (same shared) then
+        Error
+          (Printf.sprintf "%s on a shared view: %d rewrites, the oracle's %d" r.name
+             (List.length shared) (List.length expected))
+      else if not (same (Rule.apply r ctx g)) then Error (r.name ^ " through Rule.apply")
+      else if !built <> List.length shared then
+        Error (Printf.sprintf "%s built %d sites for %d rewrites" r.name !built (List.length shared))
+      else Ok (n + List.length expected))
+    (Ok 0)
+    (Sched_rules.all @ Taso_rules.all)
+    Ref_rules.all
+
+(** The rule context the search gives a state. *)
+let state_ctx (s : Mstate.t) =
+  let pos = Hashtbl.create 64 in
+  List.iteri (fun i v -> Hashtbl.replace pos v i) s.schedule;
+  {
+    Rule.hotspots = s.hotspots;
+    frozen = Ftree.frozen_region s.ftree;
+    schedule_pos = Hashtbl.find_opt pos;
+    max_per_rule = Search.default_config.max_per_rule;
+    restrict_to_hotspots = true;
+  }
+
+(** The rules on every zoo model's initial state and on every state an
+    8-iteration search evaluates (which holds every state it pops). *)
+let test_rules_zoo () =
+  let n = ref 0 and states = ref 0 in
+  List.iter
+    (fun (w : Zoo.workload) ->
+      let cost = Op_cost.create Hardware.default in
+      let g = w.build Zoo.Quick in
+      let s0 = Mstate.init ~sched_states:0 cost g in
+      let seen = ref [ s0 ] in
+      let config =
+        { Search.default_config with
+          max_iterations = 8; time_budget = 3600.0;
+          harvest = Some (fun ~iteration:_ s -> seen := s :: !seen) }
+      in
+      let _ : Search.result =
+        Search.run ~config cost (Search.Min_memory { lat_limit = s0.latency *. 1.1 }) g
+      in
+      List.iter
+        (fun (s : Mstate.t) ->
+          incr states;
+          match check_rules (state_ctx s) s.graph with
+          | Ok k -> n := !n + k
+          | Error what -> Alcotest.failf "%s: %s" w.name what)
+        (List.rev !seen))
+    Zoo.all;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d rewrites on %d states" !n !states)
+    true
+    (!n >= 1000 && !states >= 100)
+
+(** A Randnet after a chain of rewrites, under a drawn context: a cap of
+    1 to 3, hot-spots restricted or not, schedule positions from the
+    topological order, some nodes frozen. *)
+let prop_rules_randnets =
+  QCheck2.Test.make ~name:"rule sites and builds equal the eager rules on rewritten randnets"
+    ~count:40 ~print:print_graph gen_graph
+    (fun ((_, _, seed, _) as p) ->
+      let g = build_graph p in
+      let rng = Random.State.make [| seed |] in
+      let ids = Graph.node_ids g in
+      let pos = Hashtbl.create 64 in
+      List.iteri (fun i v -> Hashtbl.replace pos v i) (Graph.topo_order g);
+      let ctx =
+        {
+          Rule.hotspots = Int_set.of_list (List.filter (fun _ -> Random.State.bool rng) ids);
+          frozen = Int_set.of_list (List.filter (fun _ -> Random.State.int rng 8 = 0) ids);
+          schedule_pos = Hashtbl.find_opt pos;
+          max_per_rule = 1 + Random.State.int rng 3;
+          restrict_to_hotspots = Random.State.bool rng;
+        }
+      in
+      match check_rules ctx g with
+      | Ok _ -> true
+      | Error what -> QCheck2.Test.fail_report what)
+
+(** Four matches of every capped rule, under a cap of 2: Store/Load
+    pairs, duplicates, transpose pairs, add chains, concats of slices,
+    parallel dense pairs and tensors whose second consumer sits far
+    behind a chain. *)
+let planted_matches () =
+  let b = Builder.create () in
+  let x = Builder.input b [ 8; 16 ] ~dtype:Shape.F32 in
+  for i = 1 to 4 do
+    (* a far consumer: [a] feeds a chain and, at its end, an add *)
+    let a = Builder.relu b (Builder.scale b (float_of_int i) x) in
+    let c = ref a in
+    for _ = 1 to 5 do
+      c := Builder.tanh_ b !c
+    done;
+    ignore (Builder.add b a !c);
+    let st = Builder.op b Op.Store [ Builder.sigmoid b x ] in
+    ignore (Builder.relu b (Builder.op b Op.Load [ st ]));
+    let d1 = Builder.scale b (float_of_int (10 + i)) x in
+    let d2 = Builder.scale b (float_of_int (10 + i)) x in
+    ignore (Builder.add b d1 d2);
+    let t = Builder.transpose b ~perm:[| 1; 0 |] (Builder.transpose b ~perm:[| 1; 0 |] a) in
+    ignore (Builder.relu b t);
+    ignore (Builder.relu b (Builder.add b (Builder.add b a d1) d2));
+    let s1 = Builder.slice b ~axis:1 ~lo:0 ~hi:8 d1 in
+    let s2 = Builder.slice b ~axis:1 ~lo:8 ~hi:16 d1 in
+    ignore (Builder.relu b (Builder.concat b ~axis:1 [ s1; s2 ]));
+    let w () = Builder.weight b [ 16; 16 ] ~dtype:Shape.F32 in
+    ignore (Builder.add b (Builder.dense b d2 (w ())) (Builder.dense b d2 (w ())))
+  done;
+  Builder.finish b
+
+let test_rules_planted () =
+  let g = planted_matches () in
+  let pos = Hashtbl.create 64 in
+  List.iteri (fun i v -> Hashtbl.replace pos v i) (Graph.topo_order g);
+  let ctx =
+    { Rule.default_ctx with
+      hotspots = Int_set.of_list (Graph.node_ids g);
+      schedule_pos = Hashtbl.find_opt pos;
+      max_per_rule = 2 }
+  in
+  let view = Rule.view ctx (Graph_index.of_graph g) in
+  List.iter
+    (fun (r : Rule.t) ->
+      if r.capped then
+        Alcotest.(check bool)
+          (Printf.sprintf "%s matches more sites than the cap" r.name)
+          true
+          (List.length (r.sites view) > ctx.max_per_rule))
+    (Sched_rules.all @ Taso_rules.all);
+  match check_rules ctx g with
+  | Ok n -> Alcotest.(check bool) (Printf.sprintf "%d rewrites" n) true (n > 0)
+  | Error what -> Alcotest.fail what
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_randnets;
@@ -1866,4 +2039,7 @@ let suite =
     tc "simulation failures equal the oracle's on the zoo" test_simulate_failures;
     tc "the window-local splice check equals is_valid_order on the zoo" test_splice_zoo;
     QCheck_alcotest.to_alcotest prop_splice_randnets;
+    tc "rule sites and builds equal the eager rules on the zoo and its searches" test_rules_zoo;
+    QCheck_alcotest.to_alcotest prop_rules_randnets;
+    tc "rule sites and builds: more matches than the cap" test_rules_planted;
   ]

@@ -85,17 +85,17 @@ let test_mutation_wrong_shape () =
               t_out = [ (10, 0) ];
               t_delta = S.Sub (S.K 0, S.Mul (S.V "m", S.V "n"));
               t_ground = [ ("m", 2); ("n", 3) ] } ];
-      apply = (fun _ _ -> []) }
+      sites = (fun _ -> []); capped = true }
   in
   assert_caught "wrong shape" "out-shape" (entry_of rule)
 
-(** A spec whose [apply] does something else entirely (here: nothing
+(** A spec whose sites build something else entirely (here: nothing
     that matches) must fail grounding conformance — the proof is about
     the template, the conformance check ties it to the implementation. *)
 let test_mutation_apply_mismatch () =
   let swap = find "swap" and de_swap = find "de-swap" in
   let mutated =
-    { swap with name = "swap-wrong-apply"; apply = de_swap.apply }
+    { swap with name = "swap-wrong-apply"; sites = de_swap.sites }
   in
   assert_caught "apply mismatch" "ground-conformance" (entry_of mutated)
 
@@ -105,7 +105,7 @@ let test_waiver_without_coverage () =
   let rule =
     { Rule.name = "never-fires";
       spec = S.Waiver "hypothetical rule for the coverage test";
-      apply = (fun _ _ -> []) }
+      sites = (fun _ -> []); capped = true }
   in
   let e = entry_of rule in
   assert_caught "unbacked waiver" "waiver-no-coverage" e;
@@ -118,7 +118,7 @@ let test_waiver_without_coverage () =
 (** Sound with an empty template list proves nothing and says so. *)
 let test_sound_without_templates () =
   let rule =
-    { Rule.name = "vacuous"; spec = S.Sound []; apply = (fun _ _ -> []) }
+    { Rule.name = "vacuous"; spec = S.Sound []; sites = (fun _ -> []); capped = true }
   in
   assert_caught "vacuous Sound" "template-form"
     (Rule_sound.check_rule ~corpus:[] rule)

@@ -44,7 +44,7 @@ let test_all_rules_sound () =
   let ctx = ctx_for c g schedule in
   List.iter
     (fun (r : Rule.t) ->
-      List.iter (check_rewrite_soundness g) (r.apply ctx g))
+      List.iter (check_rewrite_soundness g) (Rule.apply r ctx g))
     (Sched_rules.all @ Taso_rules.all)
 
 let test_swap_then_deswap_roundtrip () =
@@ -52,7 +52,7 @@ let test_swap_then_deswap_roundtrip () =
   let g = subject () in
   let schedule = Reorder.schedule ~max_states:0 g in
   let ctx = ctx_for c g schedule in
-  match Sched_rules.swapping.apply ctx g with
+  match Rule.apply Sched_rules.swapping ctx g with
   | [] -> Alcotest.fail "no swap rewrite"
   | rw :: _ -> (
       let swap_count g =
@@ -61,7 +61,7 @@ let test_swap_then_deswap_roundtrip () =
           g 0
       in
       Alcotest.(check int) "store+load added" 2 (swap_count rw.graph);
-      match Sched_rules.de_swapping.apply ctx rw.graph with
+      match Rule.apply Sched_rules.de_swapping ctx rw.graph with
       | [] -> Alcotest.fail "no de-swap rewrite"
       | rw2 :: _ ->
           Alcotest.(check int) "swap removed" 0 (swap_count rw2.graph);
@@ -73,12 +73,12 @@ let test_remat_then_deremat_roundtrip () =
   let g = subject () in
   let schedule = Reorder.schedule ~max_states:0 g in
   let ctx = ctx_for c g schedule in
-  match Sched_rules.rematerialization.apply ctx g with
+  match Rule.apply Sched_rules.rematerialization ctx g with
   | [] -> Alcotest.fail "no remat rewrite"
   | rw :: _ -> (
       Alcotest.(check int) "one node added" (Graph.n_nodes g + 1)
         (Graph.n_nodes rw.graph);
-      match Sched_rules.de_rematerialization.apply ctx rw.graph with
+      match Rule.apply Sched_rules.de_rematerialization ctx rw.graph with
       | [] -> Alcotest.fail "no de-remat rewrite"
       | rewrites ->
           (* among the mergeable duplicate pairs, one merge undoes ours *)
@@ -101,7 +101,7 @@ let test_swap_reduces_peak_with_reschedule () =
         let r = Simulator.run c rw.graph order in
         min acc r.peak_mem)
       max_int
-      (Sched_rules.swapping.apply ctx g)
+      (Rule.apply Sched_rules.swapping ctx g)
   in
   Alcotest.(check bool) "some swap reduces peak" true (best < base.peak_mem)
 
@@ -116,7 +116,7 @@ let test_qkv_merge () =
   let _ = Builder.add b (Builder.add b q k) v in
   let g = Builder.finish b in
   let ctx = { Rule.default_ctx with max_per_rule = 4 } in
-  match Taso_rules.merge_parallel.apply ctx g with
+  match Rule.apply Taso_rules.merge_parallel ctx g with
   | [] -> Alcotest.fail "no merge rewrite"
   | rw :: _ ->
       (* merged graph has one dense and three slices *)
@@ -142,7 +142,7 @@ let test_concat_slice_elimination () =
   let _ = Builder.relu b cat in
   let g = Builder.finish b in
   let ctx = Rule.default_ctx in
-  match Taso_rules.concat_of_slices.apply ctx g with
+  match Rule.apply Taso_rules.concat_of_slices ctx g with
   | [] -> Alcotest.fail "no elimination"
   | rw :: _ ->
       Alcotest.(check int) "collapsed to input+relu" 2 (Graph.n_nodes rw.graph)
@@ -154,7 +154,7 @@ let test_transpose_pair_elimination () =
   let t2 = Builder.transpose b ~perm:[| 1; 0; 2 |] t1 in
   let _ = Builder.relu b t2 in
   let g = Builder.finish b in
-  match Taso_rules.transpose_pairs.apply Rule.default_ctx g with
+  match Rule.apply Taso_rules.transpose_pairs Rule.default_ctx g with
   | [] -> Alcotest.fail "no elimination"
   | rw :: _ ->
       Alcotest.(check int) "transposes gone" 2 (Graph.n_nodes rw.graph)
@@ -168,7 +168,7 @@ let test_add_reassociation_preserves () =
   let s = Builder.add b (Builder.add b a1 a2) a3 in
   let _ = Builder.relu b s in
   let g = Builder.finish b in
-  match Taso_rules.add_reassociate.apply Rule.default_ctx g with
+  match Rule.apply Taso_rules.add_reassociate Rule.default_ctx g with
   | [] -> Alcotest.fail "no reassociation"
   | rw :: _ ->
       Alcotest.(check int) "same node count" (Graph.n_nodes g)
@@ -181,7 +181,7 @@ let test_sweep_remat_chains_copies () =
   let g = subject () in
   let schedule = Reorder.schedule ~max_states:0 g in
   let ctx = ctx_for c g schedule in
-  match Sched_rules.sweep_rematerialization.apply ctx g with
+  match Rule.apply Sched_rules.sweep_rematerialization ctx g with
   | [] -> () (* no cheap hot tensors: acceptable on this subject *)
   | rw :: _ ->
       (* the rewrite is one compound step touching several nodes *)
@@ -194,12 +194,52 @@ let test_hotspot_restriction () =
   let g = subject () in
   let schedule = Reorder.schedule ~max_states:0 g in
   let ctx = ctx_for c g schedule in
-  let restricted = Sched_rules.swapping.apply ctx g in
+  let restricted = Rule.apply Sched_rules.swapping ctx g in
   let unrestricted =
-    Sched_rules.swapping.apply { ctx with restrict_to_hotspots = false } g
+    Rule.apply Sched_rules.swapping { ctx with restrict_to_hotspots = false } g
   in
   Alcotest.(check bool) "heuristic prunes the rule space" true
     (List.length restricted <= List.length unrestricted)
+
+(* Two consumers of [x] that print alike but compute different values:
+   de-remat groups by operator name, and must not merge them. *)
+let lookalikes kinds =
+  let g, x = Graph.add_input Graph.empty Op.Placeholder (Shape.create [ 4 ]) in
+  List.fold_left
+    (fun (g, ids) k ->
+      let g, v = Graph.add g k [ x ] in
+      let g, _ = Graph.add g (Op.Unary Op.Relu) [ v ] in
+      (g, ids @ [ v ]))
+    (g, []) kinds
+
+let test_deremat_broadcast_targets () =
+  let bcast dims = Op.Broadcast { dims; axes = [ 0 ] } in
+  let g, _ = lookalikes [ bcast [| 2; 4 |]; bcast [| 3; 4 |] ] in
+  Alcotest.(check string) "one name" (Op.name (bcast [| 2; 4 |])) (Op.name (bcast [| 3; 4 |]));
+  (* the eager rule redirected one onto the other, across shapes *)
+  Alcotest.check_raises "the eager rule raised"
+    (Invalid_argument "Graph.redirect: shape mismatch") (fun () ->
+      ignore (Ref_rules.de_rematerialization.apply Rule.default_ctx g));
+  Alcotest.(check int) "not merged" 0
+    (List.length (Rule.apply Sched_rules.de_rematerialization Rule.default_ctx g));
+  (* a true duplicate of the first is still merged into it *)
+  let g, ids = lookalikes [ bcast [| 2; 4 |]; bcast [| 3; 4 |]; bcast [| 2; 4 |] ] in
+  match Rule.apply Sched_rules.de_rematerialization Rule.default_ctx g with
+  | [ rw ] ->
+      Alcotest.(check bool) "the later duplicate is gone" false
+        (Graph.mem rw.graph (List.nth ids 2));
+      Alcotest.(check bool) "the other target stays" true
+        (Graph.mem rw.graph (List.nth ids 1))
+  | l -> Alcotest.failf "%d rewrites, expected 1" (List.length l)
+
+let test_deremat_scale_digits () =
+  let scale f = Op.Unary (Op.Scale f) in
+  let g, _ = lookalikes [ scale 1.0; scale 1.0000001 ] in
+  Alcotest.(check string) "one name" (Op.name (scale 1.0)) (Op.name (scale 1.0000001));
+  Alcotest.(check int) "the eager rule merged them" 1
+    (List.length (Ref_rules.de_rematerialization.apply Rule.default_ctx g));
+  Alcotest.(check int) "not merged" 0
+    (List.length (Rule.apply Sched_rules.de_rematerialization Rule.default_ctx g))
 
 let suite =
   [
@@ -213,4 +253,6 @@ let suite =
     tc "add re-association" test_add_reassociation_preserves;
     tc "sweep remat builds chains" test_sweep_remat_chains_copies;
     tc "hot-spot restriction (§5.2)" test_hotspot_restriction;
+    tc "de-remat: broadcasts to different targets" test_deremat_broadcast_targets;
+    tc "de-remat: scales equal to six digits" test_deremat_scale_digits;
   ]
