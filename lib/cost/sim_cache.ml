@@ -3,17 +3,14 @@
     Storage is delta-encoded: most cached evaluations are children of an
     already-cached parent state, and the incremental reschedule changes
     only a window of the parent schedule.  Instead of a full [int list]
-    per entry, a child stores (shared parent schedule, common prefix
-    length, rewritten middle, common suffix length).  Parent schedules
-    are interned in a pool keyed by {!Magis_ir.Util.hash_int_list}, so
-    all children of one parent alias a single physical list; the
-    [Delta] constructor holds the interned list itself (not the pool
-    key), so decoding never consults the pool and a pool hash collision
-    can only cost sharing, never correctness.  Encoding is validated by
-    reconstruct-and-compare at [add] time — any mismatch (or a delta
-    bigger than the schedule itself) silently falls back to [Full].
-    Chains stay depth 1: a delta's parent is always a materialized
-    list. *)
+    per entry, a child stores (parent schedule, common prefix length,
+    rewritten middle, common suffix length).  The [Delta] constructor
+    holds the parent list the caller passes: the search passes every
+    child of one pop the popped state's one physical schedule, so those
+    children share it.  Encoding is validated by reconstruct-and-compare
+    at [add] time — any mismatch (or a delta bigger than the schedule
+    itself) silently falls back to [Full].  Chains stay depth 1: a
+    delta's parent is always a materialized list. *)
 
 open Magis_ir
 module Metrics = Magis_obs.Metrics
@@ -42,26 +39,19 @@ type entry = {
 
 type t = {
   tbl : entry Magis_par.Striped.t;
-  pool : int list Magis_par.Striped.t;
-  last : (int list * int list) option Atomic.t;
-      (** the last list [intern] was given, and what it returned *)
   hits : int Atomic.t;
   misses : int Atomic.t;
   fulls : int Atomic.t;
   deltas : int Atomic.t;
-  resident : int Atomic.t;  (** ints held by codes + hotspots + pool *)
 }
 
 let create ?stripes () =
   {
     tbl = Magis_par.Striped.create ?stripes ();
-    pool = Magis_par.Striped.create ?stripes ();
-    last = Atomic.make None;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     fulls = Atomic.make 0;
     deltas = Atomic.make 0;
-    resident = Atomic.make 0;
   }
 
 let key ~state ~parent_sched ~mutated ~sched_states ~mode ~hw =
@@ -82,32 +72,9 @@ let decode = function
       @ middle
       @ Util.drop (List.length parent - suffix) parent
 
-(** Intern [sched] in the pool, returning the physical list every other
-    child of the same parent shares.  Every child of one pop passes the
-    same physical parent list, so the list the last call was given is
-    recognized by physical equality before anything is hashed.  A
-    (vanishingly unlikely) 64-bit hash collision just returns the
-    caller's own list unshared. *)
-let intern t sched =
-  match Atomic.get t.last with
-  | Some (given, pooled) when given == sched -> pooled
-  | _ ->
-      let h = Util.hash_int_list sched in
-      let pooled =
-        match Magis_par.Striped.find t.pool h with
-        | Some s when s = sched -> s
-        | Some _ -> sched
-        | None ->
-            Magis_par.Striped.add t.pool h sched;
-            ignore (Atomic.fetch_and_add t.resident (List.length sched));
-            sched
-      in
-      Atomic.set t.last (Some (sched, pooled));
-      pooled
-
-(* The codec alone, without the intern pool: the [Delta] parent is
-   whatever physical list the caller passes.  Prefix and suffix are
-   found by walking the two lists; only the child's middle is copied. *)
+(* The [Delta] parent is the physical list the caller passes.  Prefix
+   and suffix are found by walking the two lists; only the child's
+   middle is copied. *)
 module Codec = struct
   type nonrec code = code
 
@@ -143,10 +110,10 @@ module Codec = struct
   let decode = decode
 end
 
-let encode t ?parent sched =
+let encode ?parent sched =
   match parent with
   | None -> Full sched
-  | Some p -> Codec.encode ~parent:(intern t p) sched
+  | Some parent -> Codec.encode ~parent sched
 
 (* ------------------------------------------------------------------ *)
 (* Table operations                                                    *)
@@ -171,18 +138,12 @@ let find t k =
       None
 
 let add ?parent t k v =
-  let code = encode t ?parent v.schedule in
-  let stored =
-    match code with
-    | Full s ->
-        Atomic.incr t.fulls;
-        List.length s
-    | Delta { middle; _ } ->
-        Atomic.incr t.deltas;
-        Metrics.incr m_deltas;
-        List.length middle + 2
-  in
-  ignore (Atomic.fetch_and_add t.resident (stored + List.length v.hotspots));
+  let code = encode ?parent v.schedule in
+  (match code with
+  | Full _ -> Atomic.incr t.fulls
+  | Delta _ ->
+      Atomic.incr t.deltas;
+      Metrics.incr m_deltas);
   Magis_par.Striped.add t.tbl k
     {
       e_code = code;
@@ -197,7 +158,6 @@ let hit_rate t =
   let h, m = stats t in
   if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)
 let delta_stats t = (Atomic.get t.fulls, Atomic.get t.deltas)
-let resident_ints t = Atomic.get t.resident
 
 let reset_stats t =
   Atomic.set t.hits 0;
@@ -207,8 +167,5 @@ let length t = Magis_par.Striped.length t.tbl
 
 let clear t =
   Magis_par.Striped.clear t.tbl;
-  Magis_par.Striped.clear t.pool;
-  Atomic.set t.last None;
   Atomic.set t.fulls 0;
-  Atomic.set t.deltas 0;
-  Atomic.set t.resident 0
+  Atomic.set t.deltas 0

@@ -18,9 +18,8 @@
     {!Magis_resilience.Fault}).
 
     Entries are stored delta-encoded against the parent schedule when
-    the caller supplies one (see [add]): children of one parent share a
-    single interned copy of its schedule and store only the rewritten
-    window.  Encoding is validated by reconstruct-and-compare, so [find]
+    the caller supplies one (see [add]): children of one parent share
+    the list the caller passes and store only the rewritten window.  Encoding is validated by reconstruct-and-compare, so [find]
     always returns the bit-identical schedule that was added. *)
 
 (** Cached outcome of evaluating one M-state. *)
@@ -35,8 +34,8 @@ type value = {
     it (the codec micro-probes time it).  [encode] validates by
     reconstruct-and-compare and falls back to a full copy whenever the
     delta would not be smaller, so [decode] is always bit-identical to
-    the encoded schedule.  Unlike [add], no interning happens here: the
-    [parent] list the caller passes is held as-is. *)
+    the encoded schedule.  The [parent] list the caller passes is held
+    as-is. *)
 module Codec : sig
   type code
 
@@ -66,8 +65,8 @@ val find : t -> int64 -> value option
 
 (** [add ?parent t k v] caches [v].  When [parent] — the schedule of the
     state [v] was derived from — is given and [v.schedule] shares a
-    prefix/suffix with it, the entry is stored as a delta against an
-    interned copy of [parent]; otherwise (or when the delta would not be
+    prefix/suffix with it, the entry is stored as a delta against
+    [parent] itself, which it keeps; otherwise (or when the delta would not be
     smaller) it is stored in full.  Either way a later {!find} returns
     [v.schedule] bit-identically. *)
 val add : ?parent:int list -> t -> int64 -> value -> unit
@@ -83,11 +82,6 @@ val hit_rate : t -> float
 (** [(full_entries, delta_entries)] stored since creation or {!clear} —
     the compression-effectiveness counters of the [bench incr] report. *)
 val delta_stats : t -> int * int
-
-(** Approximate count of [int]s held by stored schedules (codes +
-    interned pool + hotspot lists) — the resident-footprint counter the
-    delta encoding exists to shrink. *)
-val resident_ints : t -> int
 
 val reset_stats : t -> unit
 

@@ -366,14 +366,12 @@ let mutations_on (ix : Graph_index.t) (t : t) : (mutation * t option) list =
     t.entries;
   List.rev !ms
 
-let mutations (g : Graph.t) (t : t) = mutations_on (Graph_index.of_graph g) t
-
 (** The tree a listed mutation yields; [None] if it is not listed or
     yields none. *)
 let apply (g : Graph.t) (t : t) (m : mutation) : t option =
   List.find_map
     (fun (m', t') -> if m' = m then Some t' else None)
-    (mutations g t)
+    (mutations_on (Graph_index.of_graph g) t)
   |> Option.join
 
 (* ------------------------------------------------------------------ *)
@@ -582,9 +580,6 @@ let refresh_on ?(max_level = default_max_level) (ix : Graph_index.t)
         let entries = Array.append t.entries [| { fission = f; parent = -1; children = [] } |] in
         { entries })
     fresh survivors
-
-let refresh ?max_level (g : Graph.t) ~old_tree ~hotspots =
-  refresh_on ?max_level (Graph_index.of_graph g) ~old_tree ~hotspots
 
 (** Naive candidate construction for the ablation study (Fig. 13,
     "naïve-fission"): pick random dominator nodes instead of the

@@ -78,11 +78,9 @@ val pp_mutation : Format.formatter -> mutation -> unit
     per call. *)
 val mutations_on : Graph_index.t -> t -> (mutation * t option) list
 
-(** {!mutations_on} a fresh index of the graph. *)
-val mutations : Graph.t -> t -> (mutation * t option) list
-
-(** The tree a mutation yields: a lookup in {!mutations}; [None] if the
-    mutation is not listed there or yields no tree. *)
+(** The tree a mutation yields: a lookup in {!mutations_on} a fresh
+    index of the graph; [None] if the mutation is not listed there or
+    yields no tree. *)
 val apply : Graph.t -> t -> mutation -> t option
 
 (** {1 Maintenance across graph rewrites} *)
@@ -99,9 +97,6 @@ val prune : Graph_index.t -> t -> t
     was built, while preserving surviving enabled fissions. *)
 val refresh_on :
   ?max_level:int -> Graph_index.t -> old_tree:t -> hotspots:Int_set.t -> t
-
-(** {!refresh_on} a fresh index of the graph. *)
-val refresh : ?max_level:int -> Graph.t -> old_tree:t -> hotspots:Int_set.t -> t
 
 (** {1 Virtual accounting} *)
 

@@ -14,7 +14,8 @@
 
     Candidate expansion is embarrassingly parallel: each child state is
     an independent (hash → lookup → reschedule → simulate) pipeline
-    sharing nothing but the frontier.  With [config.jobs > 1] the
+    sharing nothing but the frontier and the pop's context, which is
+    built serially before the pool phase and then only read.  With [config.jobs > 1] the
     per-iteration candidates fan out over a fixed pool of OCaml 5
     domains ({!Magis_par.Pool}); candidates are generated, deduplicated
     and merged serially in candidate order, and each candidate
@@ -27,7 +28,9 @@
     Resilience (see DESIGN.md §9): a candidate whose evaluation raises
     is retried with bounded backoff and, if it keeps failing,
     quarantined with a structured {!Magis_analysis.Diagnostic} — the
-    surviving candidates of the batch are kept.  [config.checkpoint]
+    surviving candidates of the batch are kept; a pop whose context
+    keeps failing to build is quarantined and proposes nothing.  The
+    loop state is one record, saved as it is: [config.checkpoint]
     periodically (and on SIGINT/SIGTERM) serializes the full frontier to
     a crash-safe file from which a later run resumes bit-identically.
     Near the end of the time budget a degradation ladder steps search
@@ -53,7 +56,7 @@ module Json = Magis_obs.Json
 (* The accounting table                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Every stage and counter is declared once, on one line below; the
+(* Every stage and counter is declared on a single line below; the
    table, [stats_json], [pp_stats], the profile records, the [search.*]
    metrics and the [stage-*] trace spans are all views of these two
    lists. *)
@@ -63,19 +66,20 @@ let declare decls name =
   decls := name :: !decls;
   List.length !decls - 1
 
-(* Stages, in the order one pop runs them.  Each span of work is timed
-   by exactly one stage, so their seconds add up to at most the wall
-   time of a serial run; the candidate stages (hash, lookup,
-   reschedule, simulate) run on the pool and sum busy seconds across
-   its domains. *)
+(* Stages, in the order one pop's candidates run them.  Each span of
+   work is timed by exactly one stage, so their seconds add up to at
+   most the wall time of a serial run; the candidate stages (hash,
+   lookup, reschedule, simulate) run on the pool and sum busy seconds
+   across its domains.  The pop's context, built serially after
+   [refresh], is timed in the stages that read it ({!pop_context}). *)
 let s_init = declare stage_decls "init" (* snapshot, pool, initial M-state *)
 let s_pop = declare stage_decls "pop" (* interrupt poll, ladder, queue pop *)
 let s_refresh = declare stage_decls "refresh" (* stale F-Tree rebuild *)
-let s_generate = declare stage_decls "generate" (* mutations and rewrites *)
-let s_hash = declare stage_decls "hash" (* WL hash ⊕ F-Tree fingerprint *)
+let s_generate = declare stage_decls "generate" (* order, closure, proposals *)
+let s_hash = declare stage_decls "hash" (* labels; WL hash ⊕ F-Tree fp *)
 let s_dedup = declare stage_decls "dedup" (* first occurrence wins *)
-let s_lookup = declare stage_decls "lookup" (* simulation-cache key, probe *)
-let s_reschedule = declare stage_decls "reschedule" (* parent context, Alg. 2 *)
+let s_lookup = declare stage_decls "lookup" (* sched digest, key, probe *)
+let s_reschedule = declare stage_decls "reschedule" (* parent, costs; Alg. 2 *)
 let s_simulate = declare stage_decls "simulate" (* cost model, simulate, verify, store *)
 let s_merge = declare stage_decls "merge" (* admission, profile, metrics *)
 let s_checkpoint = declare stage_decls "checkpoint" (* snapshot writes *)
@@ -158,7 +162,7 @@ let default_ablation =
 exception Verification_failure of string
 
 (** The run's table, viewed through the field names the repository
-    benchmark reads; built once, by {!stats_of_table}. *)
+    benchmark reads; built by {!stats_of_table} at the end of the run. *)
 type stats = {
   n_transform : int;
   t_transform : float;
@@ -384,9 +388,9 @@ let default_config =
     {!Graph_index}, built where the proposal is created: prune, WL hash,
     accounting, rescheduling and simulation all read it.  An F-Tree
     mutation keeps the popped state's graph ([None]): it takes the
-    parent's WL hash, and gets its index from the parent's {!view} when
-    it is evaluated.  No two proposals share an index, so no two domains
-    read one at once. *)
+    pop's WL hash, and gets an index over the pop's arrays when it is
+    evaluated.  No two proposals share an index, so no two domains read
+    one at the same time. *)
 type proposal = {
   p_rewrite : Graph_index.t option;
   p_ftree : Ftree.t;
@@ -394,11 +398,47 @@ type proposal = {
   p_stale : bool;
 }
 
+(** Everything a pop's children read from the popped state, built
+    serially before the first pool phase and then only read, by every
+    worker domain in parallel.  Nothing of it is kept on the state, so a
+    queued state holds no labels. *)
+type pop = {
+  ix : Graph_index.t;
+      (** the popped graph's index, its order (and so its consumers by
+          slot) and {!Reach} forced *)
+  parent : Magis_sched.Incremental.parent;
+      (** the rescheduling context; its [position] array is also the
+          rule sites' schedule positions *)
+  labels : Wl_hash.labels;  (** each rewrite is relabelled from these *)
+  costs : float array;
+      (** {!Op_cost.costs_on} the index: a child's node inherits its
+          cost when it and its operands kept their records *)
+  sched_hash : int64;  (** the popped schedule's digest, in every key *)
+}
+
+(** Build the pop's context on [ix], the popped state's index.  Each
+    part is timed in the stage that reads it: the order and closure in
+    [generate], the labels in [hash], the rescheduling context and
+    costs in [reschedule], the schedule's digest in [lookup]. *)
+let pop_context (cost : Op_cost.t) tb (s : Mstate.t) ix : pop =
+  timed tb s_generate (fun () ->
+      ignore (Graph_index.order ix : int array);
+      ignore (Graph_index.reach ix : Reach.t));
+  let labels = timed tb s_hash (fun () -> Wl_hash.labels_on ix) in
+  let parent, costs =
+    timed tb s_reschedule (fun () ->
+        ( Magis_sched.Incremental.parent ix s.schedule,
+          Op_cost.costs_on cost ix ))
+  in
+  let sched_hash =
+    timed tb s_lookup (fun () -> Util.hash_int_list s.schedule)
+  in
+  { ix; parent; labels; costs; sched_hash }
+
 (** Proposals reached by F-Tree mutations: the graph is unchanged, the
-    virtual fission state moves.  [ix] indexes the popped state's
-    graph. *)
-let ftree_proposals tb (s : Mstate.t) ix : proposal list =
-  let muts = Ftree.mutations_on ix s.ftree in
+    virtual fission state moves. *)
+let ftree_proposals tb (s : Mstate.t) (cx : pop) : proposal list =
+  let muts = Ftree.mutations_on cx.ix s.ftree in
   bump tb c_transforms (List.length muts);
   List.filter_map
     (fun (m, tree) ->
@@ -421,11 +461,11 @@ let ftree_proposals tb (s : Mstate.t) ix : proposal list =
     muts
 
 (** Proposals reached by graph rewrites (scheduling-based and TASO
-    rules), matched on one view of [ix], the popped state's index, and
-    built only where a rule's cap keeps them. *)
-let rewrite_proposals (cfg : config) tb (s : Mstate.t) ix : proposal list =
-  let pos = Array.make (Graph_index.bound ix) (-1) in
-  List.iteri (fun i v -> pos.(v) <- i) s.schedule;
+    rules), matched on one view of the pop's index, and built only
+    where a rule's cap keeps them. *)
+let rewrite_proposals (cfg : config) tb (s : Mstate.t) (cx : pop) :
+    proposal list =
+  let pos = cx.parent.position in
   let ctx =
     {
       Rule.hotspots = s.hotspots;
@@ -435,7 +475,7 @@ let rewrite_proposals (cfg : config) tb (s : Mstate.t) ix : proposal list =
       restrict_to_hotspots = cfg.ablation.restrict_sched_rules;
     }
   in
-  let view = Rule.view ctx ix in
+  let view = Rule.view ~pos ctx cx.ix in
   let rules =
     (if cfg.use_sweep_rules then Sched_rules.all else Sched_rules.basic)
     @ Taso_rules.all
@@ -451,29 +491,6 @@ let rewrite_proposals (cfg : config) tb (s : Mstate.t) ix : proposal list =
             p_mutated = rw.touched_old; p_stale = true })
         rewrites)
     rules
-
-(** The popped state's graph as plain arrays, built once per pop by the
-    first proposal hashed and then only read, by every worker domain at
-    once: the node array, consumers by operand slot and topological
-    order of the pop's index (forced before the pool phase) and the
-    graph's WL labels, from which each rewrite is relabelled
-    ({!Wl_hash.relabel_on}).  Nothing of it is kept on the state, so a
-    queued state holds no labels. *)
-type view = {
-  v_nodes : Graph.node array;
-  v_csr : Graph_index.csr;
-  v_order : int array;
-  v_labels : Wl_hash.labels;
-}
-
-let view_of (ix : Graph_index.t) : view =
-  { v_nodes = Graph_index.nodes ix; v_csr = Graph_index.csr ix;
-    v_order = Graph_index.order ix; v_labels = Wl_hash.labels_on ix }
-
-(** A fresh index of the popped state's graph over its view's arrays:
-    its adjacency, links, {!Reach} and scratch are its own. *)
-let view_index (g : Graph.t) (v : view) =
-  Graph_index.of_arrays g ~nodes:v.v_nodes ~order:v.v_order ~csr:v.v_csr
 
 (** Dedup key of a state: its graph's WL hash, [wl ()], ⊕ F-Tree
     fingerprint. *)
@@ -519,72 +536,38 @@ let proposal_latency_lb (acc : Ftree.accounting) (g : Graph.t) : float =
   +. acc.extra_latency)
   *. lat_lb_margin
 
-(** [once f] is [f] evaluated at most once, by whichever domain asks
-    first; the others wait for and share its value.  An exception leaves
-    nothing cached, so a retry runs [f] again. *)
-let once f =
-  let cell = Atomic.make None and lock = Mutex.create () in
-  fun () ->
-    match Atomic.get cell with
-    | Some v -> v
-    | None ->
-        Mutex.protect lock (fun () ->
-            match Atomic.get cell with
-            | Some v -> v
-            | None ->
-                let v = f () in
-                Atomic.set cell (Some v);
-                v)
-
 (** Hash a proposal on a worker domain: its dedup hash and its
-    simulation-cache key ([parent_sched_hash] digests the popped state's
-    schedule, [sched_states] is the effective DP budget).  [view ()] is
-    the popped state's view: a rewrite is relabelled from its labels,
-    which forces the rewrite index's topological order (rescheduling
-    partitions along it), and an F-Tree mutation takes its hash. *)
-let hash_proposal (ec : eval_ctx) tb ~sched_states ~parent_sched_hash ~view
-    (p : proposal) : int64 * int64 =
+    simulation-cache key ([sched_states] is the effective DP budget).
+    A rewrite is relabelled from the pop's labels, which forces the
+    rewrite index's topological order (rescheduling partitions along
+    it); an F-Tree mutation takes the pop's hash. *)
+let hash_proposal (ec : eval_ctx) tb ~sched_states (cx : pop) (p : proposal) :
+    int64 * int64 =
   let wl () =
-    let v = view () in
     match p.p_rewrite with
-    | None -> Wl_hash.hash_of v.v_labels
+    | None -> Wl_hash.hash_of cx.labels
     | Some ix ->
         Wl_hash.hash_of
-          (Wl_hash.relabel_on ~parent_nodes:v.v_nodes ~parent:v.v_labels ix)
+          (Wl_hash.relabel_on ~parent_nodes:(Graph_index.nodes cx.ix)
+             ~parent:cx.labels ix)
   in
   let h = state_hash tb wl p.p_ftree in
   timed tb s_lookup @@ fun () ->
   ( h,
-    Sim_cache.key ~state:h ~parent_sched:parent_sched_hash
+    Sim_cache.key ~state:h ~parent_sched:cx.sched_hash
       ~mutated:(Util.hash_int_list (Int_set.elements p.p_mutated))
       ~sched_states ~mode:ec.ec_mode ~hw:ec.ec_hw )
 
-(** What evaluating a pop's children reads from the popped state, built
-    once per pop by the first child that misses the simulation cache and
-    then only read: the rescheduling context (its narrow-waist table
-    read off the {!Reach} closure of the pop's index, forced before the
-    pool phase) and the base cost of every node ({!Op_cost.costs_on} on
-    that index), which a child's node inherits when it and its operands
-    kept their records. *)
-type eval_parent = {
-  e_sched : Magis_sched.Incremental.parent;
-  e_costs : float array;
-}
-
-let eval_parent (ec : eval_ctx) (s : Mstate.t) ix : eval_parent =
-  { e_sched = Magis_sched.Incremental.parent ix s.schedule;
-    e_costs = Op_cost.costs_on ec.ec_cost ix }
-
 (** Evaluate a proposal: incremental reschedule + simulation, memoized
-    in the simulation cache under [key], on the proposal's index;
-    [view ()] and [parent ()] are the popped state's view and
-    evaluation context (each built once per pop, on first demand);
-    [sched_states] is the effective DP budget (the config's, unless the
-    degradation ladder stepped it down).  Runs on a worker domain: it
-    must only write [tb] (a candidate-local table) and the domain-safe
-    caches, and only read the parent's view and context. *)
+    in the simulation cache under [key], on the proposal's index (a
+    mutation's is a fresh index over the pop's arrays: its adjacency,
+    links, {!Reach} and scratch are its own); [sched_states] is the
+    effective DP budget (the config's, unless the degradation ladder
+    stepped it down).  Runs on a worker domain: it must only write [tb]
+    (a candidate-local table) and the domain-safe caches, and only read
+    the pop's context. *)
 let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
-    ~iteration ~key ~view ~parent (s : Mstate.t) (p : proposal) : Mstate.t =
+    ~iteration ~key (cx : pop) (s : Mstate.t) (p : proposal) : Mstate.t =
   let graph =
     match p.p_rewrite with Some ix -> Graph_index.graph ix | None -> s.graph
   in
@@ -595,18 +578,22 @@ let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
       Mstate.of_cached ~ftree_stale:p.p_stale graph p.p_ftree v
   | None ->
       bump tb c_sim_misses 1;
-      let ep = timed tb s_reschedule parent in
       (* the candidate's operator costs and fission accounting are the
          simulator's cost and size model *)
       let ix, acc =
         timed tb s_simulate (fun () ->
-            let v = view () in
+            let nodes = Graph_index.nodes cx.ix in
             let ix =
-              match p.p_rewrite with Some ix -> ix | None -> view_index graph v
+              match p.p_rewrite with
+              | Some ix -> ix
+              | None ->
+                  Graph_index.of_arrays graph ~nodes
+                    ~order:(Graph_index.order cx.ix)
+                    ~csr:(Graph_index.csr cx.ix)
             in
             let base =
-              Op_cost.inherited_cost_on ec.ec_cost ~parent_nodes:v.v_nodes
-                ~parent_costs:ep.e_costs ix
+              Op_cost.inherited_cost_on ec.ec_cost ~parent_nodes:nodes
+                ~parent_costs:cx.costs ix
             in
             (ix, Ftree.accounting ~base ec.ec_cost ix p.p_ftree))
       in
@@ -614,7 +601,7 @@ let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
         timed tb s_reschedule (fun () ->
             let schedule, (rstats : Magis_sched.Incremental.stats) =
               Magis_sched.Incremental.reschedule ~max_states:sched_states
-                ~parent:ep.e_sched ~new_index:ix
+                ~parent:cx.parent ~new_index:ix
                 ~mutated_old:p.p_mutated ~size_of:acc.size_of ()
             in
             if rstats.fallback then bump tb c_sched_fallbacks 1;
@@ -656,22 +643,24 @@ let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
     {!table}, …) changes shape. *)
 let ckpt_version = 4
 
-(** The complete loop state: restoring it continues the search
-    bit-identically — frontier, dedup set, diversification RNG, pop
-    parity, accounting and the degradation level all survive. *)
+(** The loop state, which is also the checkpoint: the loop reads and
+    writes this one record and a snapshot saves it as it is, so
+    restoring it continues the search bit-identically — frontier, dedup
+    set, diversification RNG, pop parity, accounting and the
+    degradation level all survive. *)
 type snapshot = {
-  snap_best : Mstate.t;
+  mutable snap_best : Mstate.t;
   snap_initial : Mstate.t;
-  snap_queue : Mstate.t list Pq.t;
+  mutable snap_queue : Mstate.t list Pq.t;
   snap_seen : (int64, unit) Hashtbl.t;
   snap_rng : Random.State.t;
-  snap_pops : int;
+  mutable snap_pops : int;
   snap_table : table;
-  snap_steps : (float * string) list;
-  snap_history : (float * int * float) list;  (** newest first *)
-  snap_diags : Diagnostic.t list;  (** newest first *)
-  snap_elapsed : float;
-  snap_degrade : int;
+  mutable snap_steps : (float * string) list;
+  mutable snap_history : (float * int * float) list;  (** newest first *)
+  mutable snap_diags : Diagnostic.t list;  (** newest first *)
+  mutable snap_elapsed : float;  (** search seconds, set when saved *)
+  mutable snap_degrade : int;
 }
 
 (** Digest of everything that must match for a snapshot to continue
@@ -722,13 +711,62 @@ let ladder_sched_states ~level sched_states =
 (* Main loop                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(** The loop state of a fresh run, accounted in [tb]: the initial
+    M-state is the best, the queue's one entry and the dedup set's one
+    hash.  [elapsed ()] is the run's clock. *)
+let start (cfg : config) (cost : Op_cost.t) (mode : mode) (graph : Graph.t) tb
+    ~elapsed : snapshot =
+  let init =
+    timed tb s_init @@ fun () ->
+    let s =
+      Mstate.init ~max_level:cfg.ablation.max_level
+        ~sched_states:cfg.sched_states cost graph
+    in
+    let s =
+      if cfg.ablation.use_ftree_heuristic then s
+      else { s with ftree = Ftree.construct_naive graph }
+    in
+    if cfg.verify_states then begin
+      Magis_analysis.Hooks.assert_state ~what:"initial M-state" s.graph
+        s.schedule;
+      let acc = Ftree.accounting cost (Graph_index.of_graph s.graph) s.ftree in
+      Magis_analysis.Hooks.assert_bounds ~what:"initial M-state"
+        ~size_of:acc.size_of s.graph ~peak:s.peak_mem ();
+      Magis_analysis.Hooks.assert_interference ~what:"initial M-state"
+        ~size_of:acc.size_of s.graph s.schedule
+    end;
+    s
+  in
+  let history = [ (elapsed (), init.peak_mem, init.latency) ] in
+  let seen = Hashtbl.create 1024 in
+  Hashtbl.replace seen
+    (state_hash tb
+       (fun () ->
+         Wl_hash.hash_of (Wl_hash.labels_on (Graph_index.of_graph init.graph)))
+       init.ftree)
+    ();
+  {
+    snap_best = init;
+    snap_initial = init;
+    snap_queue = Pq.singleton (key mode init) [ init ];
+    snap_seen = seen;
+    snap_rng = Random.State.make [| 0x4d41 |];
+    snap_pops = 0;
+    snap_table = tb;
+    snap_steps = [];
+    snap_history = history;
+    snap_diags = [];
+    snap_elapsed = 0.0;
+    snap_degrade = 0;
+  }
+
 (** Run the search.  Returns the best state found within the time budget,
     the initial state, the accounting table and the improvement history. *)
 let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
     (graph : Graph.t) : result =
   let t0 = Unix.gettimeofday () in
   let tb = fresh_table () in
-  let ec, fingerprint, snap, pool =
+  let ec, fingerprint, loaded, pool =
     timed tb s_init @@ fun () ->
     let ec =
       {
@@ -742,7 +780,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
       }
     in
     let fingerprint = trajectory_fingerprint config mode ~hw:ec.ec_hw graph in
-    let snap : snapshot option =
+    let loaded : snapshot option =
       match config.checkpoint with
       | Some { ckpt_path; ckpt_resume = true; _ }
         when Checkpoint.exists ckpt_path ->
@@ -750,17 +788,25 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
             (Checkpoint.load ~path:ckpt_path ~version:ckpt_version ~fingerprint)
       | _ -> None
     in
-    (ec, fingerprint, snap, Pool.create config.jobs)
+    (ec, fingerprint, loaded, Pool.create config.jobs)
   in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  (* a resumed run continues the snapshot's clock and accounting *)
-  let t_start =
-    t0 -. (match snap with Some s -> s.snap_elapsed | None -> 0.0)
+  (* a resumed run continues the snapshot's clock and accounting;
+     metrics publish this process's work, the deltas since [published] *)
+  let st, published =
+    match loaded with
+    | Some st ->
+        add_table st.snap_table tb;
+        (st, Array.copy st.snap_table.counts)
+    | None ->
+        let published = Array.copy tb.counts in
+        ( start config cost mode graph tb ~elapsed:(fun () ->
+              Unix.gettimeofday () -. t0),
+          published )
   in
+  let tb = st.snap_table in
+  let t_start = t0 -. st.snap_elapsed in
   let elapsed () = Unix.gettimeofday () -. t_start in
-  Option.iter (fun s -> add_table tb s.snap_table) snap;
-  (* metrics publish this process's work: the deltas since this copy *)
-  let published = Array.copy tb.counts in
   let publish () =
     Array.iteri
       (fun i m ->
@@ -768,67 +814,13 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
         published.(i) <- tb.counts.(i))
       counter_metrics
   in
-  let init =
-    timed tb s_init @@ fun () ->
-    match snap with
-    | Some s -> s.snap_initial
-    | None ->
-        let s =
-          Mstate.init ~max_level:config.ablation.max_level
-            ~sched_states:config.sched_states cost graph
-        in
-        let s =
-          if config.ablation.use_ftree_heuristic then s
-          else { s with ftree = Ftree.construct_naive graph }
-        in
-        if config.verify_states then begin
-          Magis_analysis.Hooks.assert_state ~what:"initial M-state" s.graph
-            s.schedule;
-          let acc = Ftree.accounting cost (Graph_index.of_graph s.graph) s.ftree in
-          Magis_analysis.Hooks.assert_bounds ~what:"initial M-state"
-            ~size_of:acc.size_of s.graph ~peak:s.peak_mem ();
-          Magis_analysis.Hooks.assert_interference ~what:"initial M-state"
-            ~size_of:acc.size_of s.graph s.schedule
-        end;
-        s
-  in
-  let best = ref (match snap with Some s -> s.snap_best | None -> init) in
-  let history =
-    ref
-      (match snap with
-      | Some s -> s.snap_history
-      | None -> [ (elapsed (), init.peak_mem, init.latency) ])
-  in
-  let diags = ref (match snap with Some s -> s.snap_diags | None -> []) in
-  let steps = ref (match snap with Some s -> s.snap_steps | None -> []) in
-  let seen =
-    match snap with Some s -> s.snap_seen | None -> Hashtbl.create 1024
-  in
-  let q =
-    ref
-      (match snap with
-      | Some s -> s.snap_queue
-      | None -> Pq.singleton (key mode init) [ init ])
-  in
-  let rng =
-    match snap with
-    | Some s -> s.snap_rng
-    | None -> Random.State.make [| 0x4d41 |]
-  in
-  let pops = ref (match snap with Some s -> s.snap_pops | None -> 0) in
-  if snap = None then
-    Hashtbl.replace seen
-      (state_hash tb
-         (fun () -> Wl_hash.hash_of (view_of (Graph_index.of_graph init.graph)).v_labels)
-         init.ftree)
-      ();
   let take k l =
     match l with
     | [ s ] ->
-        q := Pq.remove k !q;
+        st.snap_queue <- Pq.remove k st.snap_queue;
         Some s
     | s :: rest ->
-        q := Pq.add k rest !q;
+        st.snap_queue <- Pq.add k rest st.snap_queue;
         Some s
     | [] -> None
   in
@@ -836,47 +828,48 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
      so an early aggressive rewrite cannot permanently starve alternative
      trade-off paths (e.g. the gradual F-Tree ladder). *)
   let pop () =
-    incr pops;
-    if config.diversify_pops && !pops mod 4 = 0 && Pq.cardinal !q > 1 then begin
-      let n = Pq.cardinal !q in
-      let idx = Random.State.int rng n in
+    st.snap_pops <- st.snap_pops + 1;
+    let q = st.snap_queue in
+    if config.diversify_pops && st.snap_pops mod 4 = 0 && Pq.cardinal q > 1
+    then begin
+      let n = Pq.cardinal q in
+      let idx = Random.State.int st.snap_rng n in
       let chosen = ref None in
       let i = ref 0 in
       Pq.iter
         (fun k l ->
           if !i = idx && !chosen = None then chosen := Some (k, l);
           incr i)
-        !q;
+        q;
       match !chosen with
       | Some (k, l) -> take k l
       | None -> (
-          match Pq.min_binding_opt !q with
+          match Pq.min_binding_opt q with
           | None -> None
           | Some (k, l) -> take k l)
     end
     else
-      match Pq.min_binding_opt !q with
+      match Pq.min_binding_opt q with
       | None -> None
       | Some (k, l) -> take k l
   in
   let push s =
-    q :=
+    st.snap_queue <-
       Pq.update (key mode s)
         (function None -> Some [ s ] | Some l -> Some (s :: l))
-        !q
+        st.snap_queue
   in
   (* -------------------------------------------------------------- *)
   (* Graceful-degradation ladder                                     *)
   (* -------------------------------------------------------------- *)
-  let degrade_level =
-    ref (match snap with Some s -> s.snap_degrade | None -> 0)
+  let record_step name =
+    st.snap_steps <- st.snap_steps @ [ (elapsed (), name) ]
   in
-  let record_step name = steps := !steps @ [ (elapsed (), name) ] in
   let update_ladder () =
-    if !degrade_level < 1
+    if st.snap_degrade < 1
        && elapsed () /. config.time_budget >= degrade_sched_frac
     then begin
-      degrade_level := 1;
+      st.snap_degrade <- 1;
       record_step "reduce-sched-states"
     end
   in
@@ -892,21 +885,9 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
            the snapshot itself *)
         bump tb c_checkpoints 1;
         timed tb s_checkpoint (fun () ->
+            st.snap_elapsed <- elapsed ();
             Checkpoint.save ~path:ckpt_path ~version:ckpt_version ~fingerprint
-              {
-                snap_best = !best;
-                snap_initial = init;
-                snap_queue = !q;
-                snap_seen = seen;
-                snap_rng = rng;
-                snap_pops = !pops;
-                snap_table = tb;
-                snap_steps = !steps;
-                snap_history = !history;
-                snap_diags = !diags;
-                snap_elapsed = elapsed ();
-                snap_degrade = !degrade_level;
-              });
+              st);
         last_ckpt := elapsed ()
   in
   (* -------------------------------------------------------------- *)
@@ -916,12 +897,10 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
     | Verification_failure _ -> true
     | e -> Retry.fatal e
   in
-  let quarantine ~phase ~index (f : Retry.failure) =
+  let quarantine ~what (f : Retry.failure) =
     bump tb c_quarantined 1;
     Trace.instant ~cat:"search"
-      ~args:
-        [ ("phase", phase); ("index", string_of_int index);
-          ("exn", Printexc.to_string f.exn) ]
+      ~args:[ ("what", what); ("exn", Printexc.to_string f.exn) ]
       "quarantine";
     let check =
       match f.exn with
@@ -932,31 +911,37 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
     let bt = Printexc.raw_backtrace_to_string f.backtrace in
     let d =
       Diagnostic.errorf ~pass:"resilience" ~check
-        "iteration %d: %s candidate %d quarantined after %d execution(s): %s%s"
-        (count tb c_iterations) phase index f.attempts
+        "iteration %d: %s quarantined after %d execution(s): %s%s"
+        (count tb c_iterations) what f.attempts
         (Printexc.to_string f.exn)
         (if bt = "" then "" else "\n" ^ String.trim bt)
     in
-    diags := d :: !diags
+    st.snap_diags <- d :: st.snap_diags
   in
-  (* Run one expansion step over the pool with per-candidate failure
-     isolation: a failed task is retried with bounded backoff on the
-     orchestrating domain (a transient fault passes on re-execution)
-     and a persistently failing candidate is quarantined with a
-     structured diagnostic — the survivors of the batch are kept. *)
+  (* Failure isolation: [first] is the outcome of [f x]'s first
+     execution.  A failure is retried with bounded backoff on the
+     orchestrating domain (a transient fault passes on re-execution);
+     one that keeps failing is quarantined with a structured
+     diagnostic. *)
+  let supervise ~what f x first =
+    match first with
+    | Ok v -> Some v
+    | Error (e, bt) when fatal e -> Printexc.raise_with_backtrace e bt
+    | Error _ -> (
+        bump tb c_retried 1;
+        match Retry.run (fun () -> f x) with
+        | Ok v -> Some v
+        | Error failure ->
+            quarantine ~what failure;
+            None)
+  in
+  (* One expansion step over the pool: the survivors of the batch are
+     kept. *)
   let supervised_map ~phase f xs =
     Array.mapi
       (fun index r ->
-        match r with
-        | Ok v -> Some v
-        | Error (e, bt) when fatal e -> Printexc.raise_with_backtrace e bt
-        | Error _ -> (
-            bump tb c_retried 1;
-            match Retry.run (fun () -> f xs.(index)) with
-            | Ok v -> Some v
-            | Error failure ->
-                quarantine ~phase ~index failure;
-                None))
+        supervise ~what:(Printf.sprintf "%s candidate %d" phase index) f
+          xs.(index) r)
       (Pool.map_result pool f xs)
   in
   let record_profile ~candidates ~survivors =
@@ -964,7 +949,9 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
     | None -> ()
     | Some sink ->
         let el = elapsed () in
-        let queue_depth = Pq.fold (fun _ l acc -> acc + List.length l) !q 0 in
+        let queue_depth =
+          Pq.fold (fun _ l acc -> acc + List.length l) st.snap_queue 0
+        in
         let busy_frac =
           Array.map
             (fun b -> Json.Float (if el > 0.0 then b /. el else 0.0))
@@ -977,11 +964,103 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
              ("queue_depth", Json.Int queue_depth);
              ("candidates", Json.Int candidates);
              ("survivors", Json.Int survivors);
-             ("best_peak", Json.Int !best.peak_mem);
-             ("best_latency", Json.Float !best.latency);
+             ("best_peak", Json.Int st.snap_best.peak_mem);
+             ("best_latency", Json.Float st.snap_best.latency);
            ]
           @ table_fields tb
           @ [ ("pool_busy_frac", Json.List (Array.to_list busy_frac)) ])
+  in
+  (* Expand the popped state [s] against its context [cx]: generate
+     serially, hash on the pool, dedup serially, evaluate on the pool,
+     merge serially. *)
+  let expand (s : Mstate.t) (cx : pop) =
+    let proposals =
+      timed tb s_generate @@ fun () ->
+      Array.of_list
+        ((if Ftree.n_entries s.ftree > 0 then ftree_proposals tb s cx else [])
+        @ rewrite_proposals config tb s cx)
+    in
+    let sched_states =
+      ladder_sched_states ~level:st.snap_degrade config.sched_states
+    in
+    (* Hash test FIRST, on the pool: duplicate graphs skip scheduling
+       and simulation entirely (the Fig. 15 "Filtered" column). *)
+    let hashed =
+      supervised_map ~phase:"hash"
+        (fun (p : proposal) ->
+          let local = fresh_table () in
+          (p, hash_proposal ec local ~sched_states cx p, local))
+        proposals
+    in
+    (* Serial, candidate order: dedup against every state seen so far.
+       First occurrence wins, exactly as in a serial run. *)
+    let survivors =
+      timed tb s_dedup @@ fun () ->
+      Array.to_list hashed
+      |> List.filter_map (function
+           | None -> None (* quarantined in the hash step *)
+           | Some ((p : proposal), (h, key), local) ->
+               add_table tb local;
+               if Hashtbl.mem st.snap_seen h then begin
+                 bump tb c_filtered 1;
+                 None
+               end
+               else begin
+                 Hashtbl.replace st.snap_seen h ();
+                 Some (p, key)
+               end)
+      |> Array.of_list
+    in
+    (* On the pool: look up, reschedule and simulate the survivors, each
+       into its own table. *)
+    let iteration = count tb c_iterations in
+    let evaluated =
+      supervised_map ~phase:"evaluate"
+        (fun ((p : proposal), key) ->
+          let local = fresh_table () in
+          ( evaluate_proposal config ec local ~sched_states ~iteration ~key cx
+              s p,
+            local ))
+        survivors
+    in
+    (* Serial, candidate order: add the candidate tables and merge into
+       best/queue — bit-identical to the serial loop.  Quarantined
+       candidates contribute nothing. *)
+    timed tb s_merge @@ fun () ->
+    Array.iter
+      (function
+        | None -> ()
+        | Some ((s' : Mstate.t), local) ->
+            add_table tb local;
+            (* observation-only side channel: sees every evaluated
+               candidate in candidate order, never feeds back into
+               best/queue *)
+            Option.iter (fun f -> f ~iteration s') config.harvest;
+            if better_than mode s' st.snap_best then begin
+              (* only accepted bests reach the caller, so proving their
+                 memory plan interference-free here covers every
+                 reported result without paying the allocator replay
+                 per candidate *)
+              if config.verify_states then begin
+                let acc =
+                  Ftree.accounting cost (Graph_index.of_graph s'.graph) s'.ftree
+                in
+                try
+                  Magis_analysis.Hooks.assert_interference
+                    ~what:
+                      (Printf.sprintf "accepted best (iteration %d)" iteration)
+                    ~size_of:acc.size_of s'.graph s'.schedule
+                with Failure msg -> raise (Verification_failure msg)
+              end;
+              st.snap_best <- s';
+              st.snap_history <-
+                (elapsed (), s'.peak_mem, s'.latency) :: st.snap_history
+            end;
+            if better_than mode ~delta:queue_delta s' st.snap_best then push s')
+      evaluated;
+    record_profile ~candidates:(Array.length proposals)
+      ~survivors:(Array.length survivors);
+    publish ()
   in
   let interrupted = ref false in
   let loop () =
@@ -992,7 +1071,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
           timed tb s_pop @@ fun () ->
           if
             Interrupt.requested ()
-            || config.poll ~iteration:(count tb c_iterations) ~best:!best
+            || config.poll ~iteration:(count tb c_iterations) ~best:st.snap_best
                = `Stop
           then begin
             interrupted := true;
@@ -1019,10 +1098,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
         in
         (* One index of the popped graph serves the pop: the F-Tree
            refresh (Algorithm 3 line 13-14) and mutations, the rule
-           sites, the view the candidates are hashed against and the
-           parent context they are evaluated against.  Its lazy parts
-           are not domain-safe, so every one the pool phase reads is
-           forced before it. *)
+           sites and the pop's context. *)
         let s, ix =
           timed tb s_refresh @@ fun () ->
           let ix = Graph_index.of_graph s.graph in
@@ -1034,109 +1110,15 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
           in
           ({ s with ftree; ftree_stale = false }, ix)
         in
-        let proposals =
-          timed tb s_generate @@ fun () ->
-          let proposals =
-            (if Ftree.n_entries s.ftree > 0 then ftree_proposals tb s ix else [])
-            @ rewrite_proposals config tb s ix
-          in
-          (* the order forces the consumers by slot *)
-          ignore (Graph_index.order ix : int array);
-          ignore (Graph_index.reach ix : Reach.t);
-          Array.of_list proposals
-        in
-        let parent_sched_hash =
-          timed tb s_lookup (fun () -> Util.hash_int_list s.schedule)
-        in
-        let sched_states =
-          ladder_sched_states ~level:!degrade_level config.sched_states
-        in
-        (* Hash test FIRST, on the pool: duplicate graphs skip
-           scheduling and simulation entirely (the Fig. 15 "Filtered"
-           column).  The popped state's view is built by the first
-           proposal hashed. *)
-        let view = once (fun () -> view_of ix) in
-        let hashed =
-          supervised_map ~phase:"hash"
-            (fun (p : proposal) ->
-              let local = fresh_table () in
-              ( p,
-                hash_proposal ec local ~sched_states ~parent_sched_hash ~view p,
-                local ))
-            proposals
-        in
-        (* Serial, candidate order: dedup against every state seen so
-           far.  First occurrence wins, exactly as in a serial run. *)
-        let survivors =
-          timed tb s_dedup @@ fun () ->
-          Array.to_list hashed
-          |> List.filter_map (function
-               | None -> None (* quarantined in the hash step *)
-               | Some ((p : proposal), (h, key), local) ->
-                   add_table tb local;
-                   if Hashtbl.mem seen h then begin
-                     bump tb c_filtered 1;
-                     None
-                   end
-                   else begin
-                     Hashtbl.replace seen h ();
-                     Some (p, key)
-                   end)
-          |> Array.of_list
-        in
-        (* On the pool: look up, reschedule and simulate the survivors,
-           each into its own table, against the parent's context: built
-           once, by the first survivor that misses the simulation cache,
-           so a pop whose children all hit never pays for it. *)
-        let parent = once (fun () -> eval_parent ec s ix) in
-        let iteration = count tb c_iterations in
-        let evaluated =
-          supervised_map ~phase:"evaluate"
-            (fun ((p : proposal), key) ->
-              let local = fresh_table () in
-              ( evaluate_proposal config ec local ~sched_states ~iteration
-                  ~key ~view ~parent s p,
-                local ))
-            survivors
-        in
-        (* Serial, candidate order: add the candidate tables and merge
-           into best/queue — bit-identical to the serial loop.
-           Quarantined candidates contribute nothing. *)
-        (timed tb s_merge @@ fun () ->
-         Array.iter
-           (function
-             | None -> ()
-             | Some ((s' : Mstate.t), local) ->
-                 add_table tb local;
-                 (* observation-only side channel: sees every evaluated
-                    candidate in candidate order, never feeds back into
-                    best/queue *)
-                 Option.iter (fun f -> f ~iteration s') config.harvest;
-                 if better_than mode s' !best then begin
-                   (* only accepted bests reach the caller, so proving
-                      their memory plan interference-free here covers
-                      every reported result without paying the
-                      allocator replay per candidate *)
-                   if config.verify_states then begin
-                     let acc =
-                       Ftree.accounting cost (Graph_index.of_graph s'.graph) s'.ftree
-                     in
-                     try
-                       Magis_analysis.Hooks.assert_interference
-                         ~what:
-                           (Printf.sprintf "accepted best (iteration %d)"
-                              iteration)
-                         ~size_of:acc.size_of s'.graph s'.schedule
-                     with Failure msg -> raise (Verification_failure msg)
-                   end;
-                   best := s';
-                   history := (elapsed (), s'.peak_mem, s'.latency) :: !history
-                 end;
-                 if better_than mode ~delta:queue_delta s' !best then push s')
-           evaluated;
-         record_profile ~candidates:(Array.length proposals)
-           ~survivors:(Array.length survivors);
-         publish ());
+        (* The index's parts built on first use are not domain-safe, so
+           everything the pool phases read is built here, serially.  A
+           context that keeps failing to build quarantines the pop,
+           which then proposes nothing. *)
+        let context () = pop_context cost tb s ix in
+        Option.iter (expand s)
+          (supervise ~what:"pop context" context ()
+             (try Ok (context ())
+              with e -> Error (e, Printexc.get_raw_backtrace ())));
         match config.checkpoint with
         | Some { ckpt_every; _ } when elapsed () -. !last_ckpt >= ckpt_every ->
             write_checkpoint ()
@@ -1154,13 +1136,13 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
   write_checkpoint ();
   publish ();
   {
-    best = !best;
-    initial = init;
+    best = st.snap_best;
+    initial = st.snap_initial;
     stats =
       stats_of_table tb ~wall:(elapsed ()) ~domain_time:(Pool.busy_time pool)
-        ~degrade_steps:!steps;
-    history = List.rev !history;
-    diagnostics = List.rev !diags;
+        ~degrade_steps:st.snap_steps;
+    history = List.rev st.snap_history;
+    diagnostics = List.rev st.snap_diags;
     interrupted = !interrupted;
   }
 

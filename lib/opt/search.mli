@@ -37,9 +37,10 @@ exception Verification_failure of string
     the per-iteration profile records, the [search.<counter>] metrics
     and the [stage-<stage>] trace spans are all views of it. *)
 
-(** Stages, in the order one pop runs them (DESIGN.md §10 says what
-    each covers; the first runs once per run).  No stage's time is
-    inside another's. *)
+(** Stages, in the order one pop's candidates run them (DESIGN.md §10
+    says what each covers, and which part of the pop's context it
+    times; the first runs once per run).  No stage's time is inside
+    another's. *)
 val stage_names : string list
 
 (** Counters.  Each is published as the metric ["search." ^ name] at
@@ -254,7 +255,9 @@ val better_than : mode -> ?delta:float -> Mstate.t -> Mstate.t -> bool
 (** Run the search.  Candidate expansion is supervised: a failing
     candidate is re-executed up to 3 times with bounded backoff on the
     orchestrating domain, then quarantined with a structured diagnostic
-    and the rest of the batch is kept; fatal exceptions (out-of-memory,
+    and the rest of the batch is kept (a pop whose context keeps
+    failing to build is quarantined the same way and proposes
+    nothing); fatal exceptions (out-of-memory,
     {!Verification_failure}, …) re-raise.  Past 85% of [time_budget]
     the DP budget steps down to {!ladder_sched_states}[ ~level:1], and
     budget exhaustion returns best-so-far, each step recorded in

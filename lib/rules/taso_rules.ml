@@ -339,12 +339,15 @@ let concat_of_slices : Rule.t =
                         let g, repl =
                           if whole then (g, src) else Graph.add g slice [ src ]
                         in
-                        (* a new slice replacing a sink carries its
-                           result: protect it *)
-                        let keep = if whole then Int_set.empty else Int_set.singleton repl in
+                        (* [repl], the source or a new slice, may be
+                           left consumer-less when [n] is a sink; it
+                           carries the result, so protect it *)
                         let g = Graph.redirect g ~from_:n.id ~to_:repl in
                         let g = Graph.remove g n.id in
-                        let g = Graph.prune_from ~keep g (Array.to_list n.inputs) in
+                        let g =
+                          Graph.prune_from ~keep:(Int_set.singleton repl) g
+                            (Array.to_list n.inputs)
+                        in
                         {
                           Rule.rule = "i-trans-concat-slice";
                           graph = g;

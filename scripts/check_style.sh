@@ -205,6 +205,17 @@ if [ -n "$hits" ]; then
   echo "$hits"
 fi
 
+# 17. everything a pop's pool phases read (the pop's index, its
+# rescheduling context, WL labels, base costs and schedule digest) is
+# built serially before the first of them, and the loop state is one
+# record: lib/opt/search.ml takes no lock and defers nothing to the
+# first worker that asks (no Mutex, Atomic, Lazy or lazy).
+hits=$(grep -HnP '\b(Mutex|Atomic|Lazy|lazy)\b' lib/opt/search.ml)
+if [ -n "$hits" ]; then
+  fail "lock, atomic or lazy value in lib/opt/search.ml (build the pop's context before the pool phase):"
+  echo "$hits"
+fi
+
 if [ "$status" -eq 0 ]; then
   echo "style: clean ($(echo "$files" | wc -w) files)"
 fi

@@ -96,7 +96,7 @@ let test_emit_expanded () =
   let s = Mstate.init ~sched_states:0 (cache ()) g in
   (* enable the first candidate if any, then emit with expansion *)
   let ftree =
-    match Ftree.mutations g s.ftree with
+    match Ftree.mutations_on (Graph_index.of_graph g) s.ftree with
     | (Ftree.Enable i, _) :: _ -> Option.get (Ftree.apply g s.ftree (Ftree.Enable i))
     | _ -> s.ftree
   in

@@ -35,7 +35,7 @@ let test_construction_properties () =
 let test_enable_starts_at_frontier () =
   let _, g, s = bert_state () in
   let t = s.ftree in
-  let muts = Ftree.mutations g t in
+  let muts = Ftree.mutations_on (Graph_index.of_graph g) t in
   (* with everything disabled, only Enable mutations exist, and only on
      leaves *)
   List.iter
@@ -53,7 +53,7 @@ let test_enable_starts_at_frontier () =
 let test_mutation_cycle () =
   let _, g, s = bert_state () in
   let t = s.ftree in
-  match Ftree.mutations g t with
+  match Ftree.mutations_on (Graph_index.of_graph g) t with
   | (Ftree.Enable i, _) :: _ ->
       let t1 = Option.get (Ftree.apply g t (Ftree.Enable i)) in
       Alcotest.(check bool) "enabled" true (Ftree.is_enabled t1 i);
@@ -107,12 +107,14 @@ let test_enable_rejected_under_enabled_ancestor () =
       Alcotest.(check bool) "child enable blocked" true
         (Ftree.apply g t1 (Ftree.Enable child) = None);
       Alcotest.(check bool) "no enable move for the child" false
-        (List.exists (fun (m, _) -> m = Ftree.Enable child) (Ftree.mutations g t1))
+        (List.exists
+           (fun (m, _) -> m = Ftree.Enable child)
+           (Ftree.mutations_on (Graph_index.of_graph g) t1))
 
 let test_fingerprint_changes_with_state () =
   let _, g, s = bert_state () in
   let t = s.ftree in
-  match Ftree.mutations g t with
+  match Ftree.mutations_on (Graph_index.of_graph g) t with
   | (Ftree.Enable i, _) :: _ ->
       let t1 = Option.get (Ftree.apply g t (Ftree.Enable i)) in
       Alcotest.(check bool) "fingerprint differs" true
@@ -138,10 +140,13 @@ let test_refresh_preserves_enabled () =
   let c, g, s = bert_state () in
   ignore c;
   let t = s.ftree in
-  match Ftree.mutations g t with
+  match Ftree.mutations_on (Graph_index.of_graph g) t with
   | (Ftree.Enable i, _) :: _ ->
       let t1 = Option.get (Ftree.apply g t (Ftree.Enable i)) in
-      let t2 = Ftree.refresh g ~old_tree:t1 ~hotspots:s.hotspots in
+      let t2 =
+        Ftree.refresh_on (Graph_index.of_graph g) ~old_tree:t1
+          ~hotspots:s.hotspots
+      in
       let survived =
         List.exists
           (fun j ->

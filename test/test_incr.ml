@@ -64,9 +64,7 @@ let test_sim_cache_roundtrip () =
     !cases;
   let fulls, deltas = Sim_cache.delta_stats cache in
   Alcotest.(check bool) "some entries stored as deltas" true (deltas > 0);
-  Alcotest.(check bool) "some entries stored in full" true (fulls > 0);
-  Alcotest.(check bool) "resident footprint accounted" true
-    (Sim_cache.resident_ints cache > 0)
+  Alcotest.(check bool) "some entries stored in full" true (fulls > 0)
 
 (** The prefix, suffix and middle length of [sched] against [parent], as
     the array codec that copied both lists found them. *)
@@ -81,11 +79,10 @@ let ref_window parent sched =
   (!i, !j, nc - !i - !j)
 
 (** Children of one parent over a three-value alphabet, where a shared
-    value can extend either the prefix or the suffix: every entry
-    stores what the array codec stored (the resident count adds up
-    each delta's middle + 2, or a full copy), the parent is pooled
-    once whether it comes back physically or as an equal copy, and
-    again after [clear]. *)
+    value can extend either the prefix or the suffix: every entry is
+    stored as a delta exactly when the array codec's window is smaller
+    than the child, whether the parent comes back physically or as an
+    equal copy, round-trips, and [clear] resets the counts. *)
 let test_sim_cache_codec_window () =
   let rng = Random.State.make [| 7 |] in
   let draw n = List.init n (fun _ -> Random.State.int rng 3) in
@@ -94,7 +91,7 @@ let test_sim_cache_codec_window () =
   let value sched =
     { Sim_cache.schedule = sched; peak_mem = 0; latency = 0.0; hotspots = [] }
   in
-  let expected = ref (List.length parent) in
+  let expected = ref (0, 0) in
   for k = 0 to 199 do
     let lo = Random.State.int rng 60 in
     let hi = lo + Random.State.int rng (61 - lo) in
@@ -103,17 +100,21 @@ let test_sim_cache_codec_window () =
     let parent = if k mod 2 = 0 then parent else List.map Fun.id parent in
     Sim_cache.add ~parent cache (Int64.of_int k) (value child);
     let _, _, middle = ref_window parent child in
-    expected := !expected + (if middle >= List.length child then List.length child else middle + 2);
+    let fulls, deltas = !expected in
+    expected :=
+      if middle >= List.length child then (fulls + 1, deltas)
+      else (fulls, deltas + 1);
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "child %d stored as the array codec chose" k)
+      !expected (Sim_cache.delta_stats cache);
     match Sim_cache.find cache (Int64.of_int k) with
     | Some v when v.schedule = child -> ()
     | _ -> Alcotest.failf "child %d does not round-trip" k
   done;
-  Alcotest.(check int) "resident ints" !expected (Sim_cache.resident_ints cache);
   Sim_cache.clear cache;
   Sim_cache.add ~parent cache 0L (value (List.tl parent));
-  Alcotest.(check int) "parent pooled again after clear"
-    (List.length parent + 2)
-    (Sim_cache.resident_ints cache)
+  Alcotest.(check (pair int int)) "counts restart after clear" (0, 1)
+    (Sim_cache.delta_stats cache)
 
 (* ------------------------------------------------------------------ *)
 (* Reschedule fallback reporting                                       *)

@@ -1259,7 +1259,7 @@ let test_dp_ties () =
       check (print_graph params) g (member_sets g seed))
     [ (2, 4, 1841, 3); (2, 3, 2194, 2) ]
 
-(** [Ftree.refresh] against the refresh built on the oracle
+(** [Ftree.refresh_on] against the refresh built on the oracle
     construction, on the first 5 rewrites of every zoo model's initial
     state, with the state's first Enable applied so that an enabled
     fission survives into the refreshed tree (matched by member set, or
@@ -1275,7 +1275,7 @@ let test_refresh_zoo () =
         Alcotest.failf "%s: initial tree" w.name;
       n_entries := !n_entries + Ftree.n_entries s.ftree;
       let old_tree =
-        match Ftree.mutations g s.ftree with
+        match Ftree.mutations_on (Graph_index.of_graph g) s.ftree with
         | (Ftree.Enable _, Some t) :: _ -> t
         | _ -> Alcotest.failf "%s: no Enable on the initial tree" w.name
       in
@@ -1310,7 +1310,10 @@ let test_refresh_zoo () =
             in
             if not (same_tree (Ftree.construct g' ~hotspots) fresh) then
               Alcotest.failf "%s: rewrite %d (%s): construct" w.name i rw.rule;
-            if not (same_entries (entries (Ftree.refresh g' ~old_tree ~hotspots)) expected) then
+            let refreshed =
+              Ftree.refresh_on (Graph_index.of_graph g') ~old_tree ~hotspots
+            in
+            if not (same_entries (entries refreshed) expected) then
               Alcotest.failf "%s: rewrite %d (%s): refresh" w.name i rw.rule
           end)
         (rewrites ~max_per_rule:6 g))
@@ -1582,12 +1585,14 @@ let nested g tree =
           let p = (Ftree.entry t c).parent in
           List.find_map
             (function Ftree.Enable p', Some t' when p' = p -> Some t' | _ -> None)
-            (Ftree.mutations g t)
+            (Ftree.mutations_on (Graph_index.of_graph g) t)
       | _ -> None)
-    (Ftree.mutations g tree)
+    (Ftree.mutations_on (Graph_index.of_graph g) tree)
 
 let first_enable g tree =
-  List.find_map (function Ftree.Enable _, t -> t | _ -> None) (Ftree.mutations g tree)
+  List.find_map
+    (function Ftree.Enable _, t -> t | _ -> None)
+    (Ftree.mutations_on (Graph_index.of_graph g) tree)
 
 (** Trees to account [g] under: none enabled, the first Enable, and a
     nested pair when [g]'s tree has one. *)

@@ -289,6 +289,35 @@ let test_chaos_persistent_quarantine () =
   Alcotest.(check bool) "still returns a valid best" true
     (r.best.peak_mem > 0 && r.best.peak_mem <= clean.initial.peak_mem)
 
+(** A NaN burst at the operator-cost site that outlasts the retries of
+    a pop's context build: the pop is quarantined with a nonfinite-cost
+    diagnostic and proposes nothing, and the search goes on. *)
+let test_chaos_pop_context_quarantine () =
+  Fun.protect ~finally:Fault.disarm @@ fun () ->
+  let g = randnet 5 in
+  Fault.observe ();
+  let clean = run_with ~jobs:1 g in
+  let v = Fault.visits "op_cost" in
+  Fault.disarm ();
+  Fault.arm (Fault.burst ~site:"op_cost" ~at:(v / 2) ~len:v Fault.Nan_cost);
+  let r = run_with ~jobs:1 g in
+  Fault.disarm ();
+  let context_diags =
+    List.filter
+      (fun (d : Diagnostic.t) ->
+        d.check = "nonfinite-cost"
+        && contains d.message "pop context quarantined")
+      r.diagnostics
+  in
+  Alcotest.(check bool) "a pop context was quarantined" true
+    (context_diags <> []);
+  Alcotest.(check int) "one diagnostic per quarantine" r.stats.n_quarantined
+    (List.length r.diagnostics);
+  Alcotest.(check int) "the search ran every iteration"
+    clean.stats.iterations r.stats.iterations;
+  Alcotest.(check bool) "still returns a valid best" true
+    (r.best.peak_mem > 0 && r.best.peak_mem <= clean.initial.peak_mem)
+
 (* ------------------------------------------------------------------ *)
 (* Graceful degradation                                                *)
 (* ------------------------------------------------------------------ *)
@@ -356,6 +385,51 @@ let test_checkpoint_resume_identity () =
     (without_ckpt resumed);
   Alcotest.(check int) "both runs' snapshots counted" 2
     resumed.stats.n_checkpoints
+
+(** A snapshot after each of the first five iterations, resumed to
+    eight, continues the uninterrupted eight-iteration search exactly:
+    best state, history (its clock aside) and every counter but
+    [checkpoints], at [jobs] 1 and 2, on a Randnet and on UNet. *)
+let test_resume_at_every_early_iteration () =
+  with_temp_file @@ fun path ->
+  let without_ckpt (r : Search.result) =
+    List.remove_assoc "checkpoints" (Search.counts r.stats)
+  in
+  let points (r : Search.result) =
+    List.map (fun (_, peak, lat) -> (peak, lat)) r.history
+  in
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun jobs ->
+          let fresh = run_with ~max_iterations:8 ~jobs g in
+          for k = 1 to 5 do
+            if Sys.file_exists path then Sys.remove path;
+            let _ =
+              run_with ~max_iterations:k
+                ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false })
+                ~jobs g
+            in
+            let resumed =
+              run_with ~max_iterations:8
+                ~cfg:(fun c -> { c with Search.checkpoint = ckpt path true })
+                ~jobs g
+            in
+            let what = Printf.sprintf "%s, jobs %d, resumed after %d" name jobs k in
+            check_same_best what fresh resumed;
+            Alcotest.(check int64) (what ^ ": same best graph")
+              (Wl_hash.hash fresh.best.graph) (Wl_hash.hash resumed.best.graph);
+            Alcotest.(check int64) (what ^ ": same best F-Tree")
+              (Ftree.fingerprint fresh.best.ftree)
+              (Ftree.fingerprint resumed.best.ftree);
+            Alcotest.(check (list (pair int (float 0.0))))
+              (what ^ ": same history") (points fresh) (points resumed);
+            Alcotest.(check (list (pair string int)))
+              (what ^ ": same counters") (without_ckpt fresh)
+              (without_ckpt resumed)
+          done)
+        [ 1; 2 ])
+    [ ("Randnet", randnet 7); ("UNet", (Zoo.find "UNet").build Zoo.Quick) ]
 
 (** A checkpoint of one workload must refuse to resume another. *)
 let test_checkpoint_rejects_foreign_run () =
@@ -427,9 +501,13 @@ let suite =
       test_chaos_transient_identity;
     tc "persistent faults are quarantined, never fatal"
       test_chaos_persistent_quarantine;
+    tc "a pop whose context keeps failing is quarantined"
+      test_chaos_pop_context_quarantine;
     tc "budget exhaustion returns best-so-far" test_budget_exhaustion_best_so_far;
     tc "checkpoint/resume reproduces the uninterrupted run"
       test_checkpoint_resume_identity;
+    tc "checkpoint/resume at every early iteration"
+      test_resume_at_every_early_iteration;
     tc "checkpoints of foreign runs are rejected"
       test_checkpoint_rejects_foreign_run;
     tc "SIGTERM saves state and resumes bit-identically"

@@ -147,6 +147,30 @@ let test_concat_slice_elimination () =
   | rw :: _ ->
       Alcotest.(check int) "collapsed to input+relu" 2 (Graph.n_nodes rw.graph)
 
+(** A sink concat whose slices cover the whole source: the source
+    replaces the concat and must stay, as the graph output that carries
+    the concat's value. *)
+let test_concat_slice_sink_keeps_output () =
+  let b = Builder.create () in
+  let x = Builder.input b [ 8; 16 ] ~dtype:Shape.F32 in
+  let r = Builder.relu b x in
+  let s1 = Builder.slice b ~axis:1 ~lo:0 ~hi:8 r in
+  let s2 = Builder.slice b ~axis:1 ~lo:8 ~hi:16 r in
+  let cat = Builder.concat b ~axis:1 [ s1; s2 ] in
+  let g = Builder.finish b in
+  Alcotest.(check (list int)) "the concat is the sink" [ cat ] (Graph.outputs g);
+  match Rule.apply Taso_rules.concat_of_slices Rule.default_ctx g with
+  | [] -> Alcotest.fail "no elimination"
+  | rw :: _ ->
+      Alcotest.(check (list int)) "the source is the output" [ r ]
+        (Graph.outputs rw.graph);
+      let env = Magis_exec.Interp.default_env g in
+      let before = Magis_exec.Interp.run g ~env
+      and after = Magis_exec.Interp.run rw.graph ~env in
+      Alcotest.(check (float 0.0)) "the output evaluates to the concat" 0.0
+        (Magis_exec.Interp.max_diff (Hashtbl.find before cat)
+           (Hashtbl.find after r))
+
 let test_transpose_pair_elimination () =
   let b = Builder.create () in
   let x = Builder.input b [ 4; 8; 2 ] ~dtype:Shape.F32 in
@@ -249,6 +273,8 @@ let suite =
     tc "swap reduces peak" test_swap_reduces_peak_with_reschedule;
     tc "QKV merge (Fig. 1a)" test_qkv_merge;
     tc "concat-of-slices elimination" test_concat_slice_elimination;
+    tc "concat-of-slices on a sink keeps its output"
+      test_concat_slice_sink_keeps_output;
     tc "transpose pair elimination" test_transpose_pair_elimination;
     tc "add re-association" test_add_reassociation_preserves;
     tc "sweep remat builds chains" test_sweep_remat_chains_copies;
