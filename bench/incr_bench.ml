@@ -20,7 +20,7 @@ let run (env : Common.env) =
   in
   let config =
     { (Common.search_config env) with
-      sim_cache = Some (Sim_cache.create ());
+      sim_cache = None;
       time_budget = 1e9;
       max_iterations = min env.iters 30 }
   in

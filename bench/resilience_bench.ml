@@ -17,8 +17,7 @@ let run (env : Common.env) =
     let config =
       cfg
         { (Common.search_config env) with
-          time_budget = 1e9; max_iterations = iters;
-          sim_cache = Some (Sim_cache.create ()) }
+          time_budget = 1e9; max_iterations = iters; sim_cache = None }
     in
     let t0 = Unix.gettimeofday () in
     let r = Search.optimize_memory ~config env.cost ~overhead:0.10 g in

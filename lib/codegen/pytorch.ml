@@ -260,18 +260,28 @@ let emit ?(module_doc = "generated by MAGIS") (g : Graph.t)
 (** Emit with every enabled fission of [ftree] materialized first: the
     schedule is regenerated for the expanded graph by the caller-provided
     scheduler. *)
-let emit_expanded ?(module_doc = "generated by MAGIS")
-    (g : Graph.t) (ftree : Magis_ftree.Ftree.t)
-    ~(reschedule : Graph.t -> int list) : string =
-  let expanded =
-    List.fold_left
-      (fun acc i ->
-        let f = Magis_ftree.Ftree.fission_at ftree i in
-        if Magis_ftree.Ftree.has_enabled_ancestor ftree i then acc
-        else if Magis_ftree.Fission.is_valid (Graph_index.of_graph acc) f then
-          (Magis_ftree.Fission.expand acc f).graph
-        else acc)
-      g
-      (Magis_ftree.Ftree.enabled_indices ftree)
+let expand (g : Graph.t) (ftree : Magis_ftree.Ftree.t) : Graph.t =
+  List.fold_left
+    (fun acc i ->
+      let f = Magis_ftree.Ftree.fission_at ftree i in
+      if Magis_ftree.Ftree.has_enabled_ancestor ftree i then acc
+      else if Magis_ftree.Fission.is_valid (Graph_index.of_graph acc) f then
+        (Magis_ftree.Fission.expand acc f).graph
+      else acc)
+    g
+    (Magis_ftree.Ftree.enabled_indices ftree)
+
+let emit_expanded cost ~title ~accounted_peak (g : Graph.t)
+    (ftree : Magis_ftree.Ftree.t) ~(reschedule : Graph.t -> int list) :
+    string * int =
+  let expanded = expand g ftree in
+  let schedule = reschedule expanded in
+  let peak = (Magis_cost.Simulator.run cost expanded schedule).peak_mem in
+  let mb b = float_of_int b /. 1e6 in
+  let module_doc =
+    Printf.sprintf
+      "%s\n\naccounted peak %.1f MB (%d bytes): the search's fission \
+       accounting\nemitted peak %.1f MB (%d bytes): this program, simulated"
+      title (mb accounted_peak) accounted_peak (mb peak) peak
   in
-  emit ~module_doc expanded ~schedule:(reschedule expanded)
+  (emit ~module_doc expanded ~schedule, peak)

@@ -36,9 +36,8 @@ module Metrics = Magis_obs.Metrics
 module Timeline = Magis_obs.Timeline
 module Profile = Magis_obs.Profile
 
-(* parallel runtime: domain pool and striped-lock table *)
+(* parallel runtime: domain pool *)
 module Pool = Magis_par.Pool
-module Striped = Magis_par.Striped
 
 (* resilience: fault injection, retry, crash-safe checkpoints *)
 module Fault = Magis_resilience.Fault

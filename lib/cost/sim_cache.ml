@@ -37,17 +37,21 @@ type entry = {
   e_hotspots : int list;
 }
 
+(* One lock around one table: the search probes serially, so only its
+   workers' [add]s and a daemon's worker domains meet here. *)
 type t = {
-  tbl : entry Magis_par.Striped.t;
+  lock : Mutex.t;
+  tbl : (int64, entry) Hashtbl.t;
   hits : int Atomic.t;
   misses : int Atomic.t;
   fulls : int Atomic.t;
   deltas : int Atomic.t;
 }
 
-let create ?stripes () =
+let create () =
   {
-    tbl = Magis_par.Striped.create ?stripes ();
+    lock = Mutex.create ();
+    tbl = Hashtbl.create 1024;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     fulls = Atomic.make 0;
@@ -121,7 +125,7 @@ let encode ?parent sched =
 
 let find t k =
   Magis_resilience.Fault.hit "sim_cache";
-  match Magis_par.Striped.find t.tbl k with
+  match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.tbl k) with
   | Some e ->
       Atomic.incr t.hits;
       Metrics.incr m_hits;
@@ -144,13 +148,10 @@ let add ?parent t k v =
   | Delta _ ->
       Atomic.incr t.deltas;
       Metrics.incr m_deltas);
-  Magis_par.Striped.add t.tbl k
-    {
-      e_code = code;
-      e_peak_mem = v.peak_mem;
-      e_latency = v.latency;
-      e_hotspots = v.hotspots;
-    }
+  Mutex.protect t.lock (fun () ->
+      Hashtbl.replace t.tbl k
+        { e_code = code; e_peak_mem = v.peak_mem; e_latency = v.latency;
+          e_hotspots = v.hotspots })
 
 let stats t = (Atomic.get t.hits, Atomic.get t.misses)
 
@@ -163,9 +164,9 @@ let reset_stats t =
   Atomic.set t.hits 0;
   Atomic.set t.misses 0
 
-let length t = Magis_par.Striped.length t.tbl
+let length t = Mutex.protect t.lock (fun () -> Hashtbl.length t.tbl)
 
 let clear t =
-  Magis_par.Striped.clear t.tbl;
+  Mutex.protect t.lock (fun () -> Hashtbl.reset t.tbl);
   Atomic.set t.fulls 0;
   Atomic.set t.deltas 0

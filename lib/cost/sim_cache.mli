@@ -11,11 +11,12 @@
     All inputs being digested, a hit returns bit-identical results to a
     recomputation; searches sharing a cache stay deterministic.
 
-    The table is a striped-lock table ({!Magis_par.Striped}) shared
-    across the expansion pool's domains; hit/miss counters are atomic.
-    The search counts its own hits and misses in its accounting table.
-    [find] is a fault-injection site (["sim_cache"],
-    {!Magis_resilience.Fault}).
+    A cache pays only when searches share it: a search's dedup already
+    skips every state whose hash, a part of every key, it has seen.  A
+    search probes serially and only its workers' [add]s (and a daemon's
+    worker domains) meet at the table, one [Hashtbl] under one [Mutex];
+    hit/miss counters are atomic.  [find] is a fault-injection site
+    (["sim_cache"], {!Magis_resilience.Fault}).
 
     Entries are stored delta-encoded against the parent schedule when
     the caller supplies one (see [add]): children of one parent share
@@ -47,7 +48,7 @@ end
 
 type t
 
-val create : ?stripes:int -> unit -> t
+val create : unit -> t
 
 (** Digest of every evaluation input (see the module doc). *)
 val key :

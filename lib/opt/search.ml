@@ -12,18 +12,18 @@
     the table reproduces the Fig. 15 breakdown, and the history of best
     results over elapsed time reproduces the Fig. 13 curves.
 
-    Candidate expansion is embarrassingly parallel: each child state is
-    an independent (hash → lookup → reschedule → simulate) pipeline
-    sharing nothing but the frontier and the pop's context, which is
-    built serially before the pool phase and then only read.  With [config.jobs > 1] the
-    per-iteration candidates fan out over a fixed pool of OCaml 5
-    domains ({!Magis_par.Pool}); candidates are generated, deduplicated
-    and merged serially in candidate order, and each candidate
-    accumulates into its own table, added into the run's at the merge,
-    so a parallel run returns bit-identical best states (and counts) to
-    a serial one.  Evaluations are memoized in a {!Sim_cache} shared
-    across domains — and, when the caller passes one in, across
-    searches.
+    Candidate expansion is embarrassingly parallel: each child is
+    hashed, and each survivor evaluated, independently, reading only the
+    pop's context, built serially before the pool phase.  With
+    [config.jobs > 1] candidates fan out over a pool of OCaml 5 domains
+    ({!Magis_par.Pool}); they are generated, deduplicated, probed and
+    merged serially in candidate order, each into its own table added
+    into the run's at the merge, so a parallel run returns bit-identical
+    best states (and counts) to a serial one.  A {!Sim_cache} the caller
+    shares across searches is probed once per survivor, serially, and
+    only misses are evaluated; with no cache nothing is keyed, as a
+    cache of one search's own never hits (dedup skips every state it
+    could return).
 
     Resilience (see DESIGN.md §9): a candidate whose evaluation raises
     is retried with bounded backoff and, if it keeps failing,
@@ -69,16 +69,16 @@ let declare decls name =
 (* Stages, in the order one pop's candidates run them.  Each span of
    work is timed by exactly one stage, so their seconds add up to at
    most the wall time of a serial run; the candidate stages (hash,
-   lookup, reschedule, simulate) run on the pool and sum busy seconds
-   across its domains.  The pop's context, built serially after
-   [refresh], is timed in the stages that read it ({!pop_context}). *)
+   reschedule, simulate) run on the pool and sum busy seconds across
+   its domains.  The pop's contexts are timed in the stages that read
+   them ({!pop_context}, {!resched_context}). *)
 let s_init = declare stage_decls "init" (* snapshot, pool, initial M-state *)
 let s_pop = declare stage_decls "pop" (* interrupt poll, ladder, queue pop *)
 let s_refresh = declare stage_decls "refresh" (* stale F-Tree rebuild *)
-let s_generate = declare stage_decls "generate" (* order, closure, proposals *)
+let s_generate = declare stage_decls "generate" (* order, closure, positions, proposals *)
 let s_hash = declare stage_decls "hash" (* labels; WL hash ⊕ F-Tree fp *)
 let s_dedup = declare stage_decls "dedup" (* first occurrence wins *)
-let s_lookup = declare stage_decls "lookup" (* sched digest, key, probe *)
+let s_lookup = declare stage_decls "lookup" (* sched digest, key, probe: serial *)
 let s_reschedule = declare stage_decls "reschedule" (* parent, costs; Alg. 2 *)
 let s_simulate = declare stage_decls "simulate" (* cost model, simulate, verify, store *)
 let s_merge = declare stage_decls "merge" (* admission, profile, metrics *)
@@ -398,42 +398,35 @@ type proposal = {
   p_stale : bool;
 }
 
-(** Everything a pop's children read from the popped state, built
-    serially before the first pool phase and then only read, by every
-    worker domain in parallel.  Nothing of it is kept on the state, so a
-    queued state holds no labels. *)
+(** What a pop's proposals and their hashes read from the popped state,
+    built serially before [generate], then only read.  Nothing of it is
+    kept on the state, so a queued state holds no labels. *)
 type pop = {
   ix : Graph_index.t;
       (** the popped graph's index, its order (and so its consumers by
           slot) and {!Reach} forced *)
-  parent : Magis_sched.Incremental.parent;
-      (** the rescheduling context; its [position] array is also the
-          rule sites' schedule positions *)
+  position : int array;  (** id -> schedule position, for the rule sites *)
   labels : Wl_hash.labels;  (** each rewrite is relabelled from these *)
-  costs : float array;
-      (** {!Op_cost.costs_on} the index: a child's node inherits its
-          cost when it and its operands kept their records *)
-  sched_hash : int64;  (** the popped schedule's digest, in every key *)
 }
 
-(** Build the pop's context on [ix], the popped state's index.  Each
-    part is timed in the stage that reads it: the order and closure in
-    [generate], the labels in [hash], the rescheduling context and
-    costs in [reschedule], the schedule's digest in [lookup]. *)
-let pop_context (cost : Op_cost.t) tb (s : Mstate.t) ix : pop =
-  timed tb s_generate (fun () ->
-      ignore (Graph_index.order ix : int array);
-      ignore (Graph_index.reach ix : Reach.t));
+(** The pop's context on [ix], the popped state's index: the order,
+    closure and positions timed in [generate], the labels in [hash]. *)
+let pop_context tb (s : Mstate.t) ix : pop =
+  let position =
+    timed tb s_generate (fun () ->
+        ignore (Graph_index.order ix : int array);
+        ignore (Graph_index.reach ix : Reach.t);
+        Magis_sched.Incremental.positions ix s.schedule)
+  in
   let labels = timed tb s_hash (fun () -> Wl_hash.labels_on ix) in
-  let parent, costs =
-    timed tb s_reschedule (fun () ->
-        ( Magis_sched.Incremental.parent ix s.schedule,
-          Op_cost.costs_on cost ix ))
-  in
-  let sched_hash =
-    timed tb s_lookup (fun () -> Util.hash_int_list s.schedule)
-  in
-  { ix; parent; labels; costs; sched_hash }
+  { ix; position; labels }
+
+(** What a pop's misses read: its rescheduling context and base costs,
+    built serially after the probes and only when a survivor missed. *)
+let resched_context (cost : Op_cost.t) tb (s : Mstate.t) (cx : pop) =
+  timed tb s_reschedule (fun () ->
+      ( Magis_sched.Incremental.parent ~position:cx.position cx.ix s.schedule,
+        Op_cost.costs_on cost cx.ix ))
 
 (** Proposals reached by F-Tree mutations: the graph is unchanged, the
     virtual fission state moves. *)
@@ -465,7 +458,7 @@ let ftree_proposals tb (s : Mstate.t) (cx : pop) : proposal list =
     where a rule's cap keeps them. *)
 let rewrite_proposals (cfg : config) tb (s : Mstate.t) (cx : pop) :
     proposal list =
-  let pos = cx.parent.position in
+  let pos = cx.position in
   let ctx =
     {
       Rule.hotspots = s.hotspots;
@@ -498,11 +491,11 @@ let state_hash tb wl (ftree : Ftree.t) : int64 =
   bump tb c_hashes 1;
   timed tb s_hash (fun () -> Util.hash_combine (wl ()) (Ftree.fingerprint ftree))
 
-(** Everything a worker needs to evaluate proposals: the operator-cost
-    cache, the simulation cache and the constant key ingredients. *)
+(** The operator-cost model, the caller's simulation cache, if any, and
+    the constant key ingredients. *)
 type eval_ctx = {
   ec_cost : Op_cost.t;
-  ec_sim : Sim_cache.t;
+  ec_sim : Sim_cache.t option;
   ec_mode : int64;  (** mode fingerprint (cross-mode collision guard) *)
   ec_hw : int64;  (** hardware fingerprint *)
 }
@@ -536,13 +529,11 @@ let proposal_latency_lb (acc : Ftree.accounting) (g : Graph.t) : float =
   +. acc.extra_latency)
   *. lat_lb_margin
 
-(** Hash a proposal on a worker domain: its dedup hash and its
-    simulation-cache key ([sched_states] is the effective DP budget).
-    A rewrite is relabelled from the pop's labels, which forces the
-    rewrite index's topological order (rescheduling partitions along
-    it); an F-Tree mutation takes the pop's hash. *)
-let hash_proposal (ec : eval_ctx) tb ~sched_states (cx : pop) (p : proposal) :
-    int64 * int64 =
+(** Hash a proposal on a worker domain: its dedup hash.  A rewrite is
+    relabelled from the pop's labels, which forces the rewrite index's
+    topological order (rescheduling partitions along it); an F-Tree
+    mutation takes the pop's hash. *)
+let hash_proposal tb (cx : pop) (p : proposal) : int64 =
   let wl () =
     match p.p_rewrite with
     | None -> Wl_hash.hash_of cx.labels
@@ -551,89 +542,83 @@ let hash_proposal (ec : eval_ctx) tb ~sched_states (cx : pop) (p : proposal) :
           (Wl_hash.relabel_on ~parent_nodes:(Graph_index.nodes cx.ix)
              ~parent:cx.labels ix)
   in
-  let h = state_hash tb wl p.p_ftree in
-  timed tb s_lookup @@ fun () ->
-  ( h,
-    Sim_cache.key ~state:h ~parent_sched:cx.sched_hash
-      ~mutated:(Util.hash_int_list (Int_set.elements p.p_mutated))
-      ~sched_states ~mode:ec.ec_mode ~hw:ec.ec_hw )
+  state_hash tb wl p.p_ftree
 
-(** Evaluate a proposal: incremental reschedule + simulation, memoized
-    in the simulation cache under [key], on the proposal's index (a
-    mutation's is a fresh index over the pop's arrays: its adjacency,
-    links, {!Reach} and scratch are its own); [sched_states] is the
-    effective DP budget (the config's, unless the degradation ladder
-    stepped it down).  Runs on a worker domain: it must only write [tb]
-    (a candidate-local table) and the domain-safe caches, and only read
-    the pop's context. *)
+let proposal_graph (s : Mstate.t) (p : proposal) =
+  match p.p_rewrite with Some ix -> Graph_index.graph ix | None -> s.graph
+
+(** Evaluate a proposal that missed (or had no cache): incremental
+    reschedule + simulation on the proposal's index (a mutation's is a
+    fresh index over the pop's arrays: its adjacency, links, {!Reach}
+    and scratch are its own), stored under [key] when there is a cache;
+    [sched_states] is the effective DP budget.  Runs on a worker domain:
+    it only writes [tb] (a candidate-local table) and the cache, and
+    only reads the pop's contexts. *)
 let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
-    ~iteration ~key (cx : pop) (s : Mstate.t) (p : proposal) : Mstate.t =
-  let graph =
-    match p.p_rewrite with Some ix -> Graph_index.graph ix | None -> s.graph
+    ~iteration ~key (cx : pop) (parent, costs) (s : Mstate.t) (p : proposal) :
+    Mstate.t =
+  let graph = proposal_graph s p in
+  bump tb c_sim_misses 1;
+  (* the candidate's operator costs (a node inherits the pop's base cost
+     when it and its operands kept their records) and fission accounting
+     are the simulator's cost and size model *)
+  let ix, acc =
+    timed tb s_simulate (fun () ->
+        let nodes = Graph_index.nodes cx.ix in
+        let ix =
+          match p.p_rewrite with
+          | Some ix -> ix
+          | None ->
+              Graph_index.of_arrays graph ~nodes
+                ~order:(Graph_index.order cx.ix)
+                ~csr:(Graph_index.csr cx.ix)
+        in
+        let base =
+          Op_cost.inherited_cost_on ec.ec_cost ~parent_nodes:nodes
+            ~parent_costs:costs ix
+        in
+        (ix, Ftree.accounting ~base ec.ec_cost ix p.p_ftree))
   in
-  let cached = timed tb s_lookup (fun () -> Sim_cache.find ec.ec_sim key) in
-  match cached with
-  | Some v ->
-      bump tb c_sim_hits 1;
-      Mstate.of_cached ~ftree_stale:p.p_stale graph p.p_ftree v
-  | None ->
-      bump tb c_sim_misses 1;
-      (* the candidate's operator costs and fission accounting are the
-         simulator's cost and size model *)
-      let ix, acc =
-        timed tb s_simulate (fun () ->
-            let nodes = Graph_index.nodes cx.ix in
-            let ix =
-              match p.p_rewrite with
-              | Some ix -> ix
-              | None ->
-                  Graph_index.of_arrays graph ~nodes
-                    ~order:(Graph_index.order cx.ix)
-                    ~csr:(Graph_index.csr cx.ix)
-            in
-            let base =
-              Op_cost.inherited_cost_on ec.ec_cost ~parent_nodes:nodes
-                ~parent_costs:cx.costs ix
-            in
-            (ix, Ftree.accounting ~base ec.ec_cost ix p.p_ftree))
-      in
-      let schedule =
-        timed tb s_reschedule (fun () ->
-            let schedule, (rstats : Magis_sched.Incremental.stats) =
-              Magis_sched.Incremental.reschedule ~max_states:sched_states
-                ~parent:cx.parent ~new_index:ix
-                ~mutated_old:p.p_mutated ~size_of:acc.size_of ()
-            in
-            if rstats.fallback then bump tb c_sched_fallbacks 1;
-            bump tb c_resched_nodes rstats.rescheduled;
-            bump tb c_sched_nodes (List.length schedule);
-            schedule)
-      in
-      timed tb s_simulate @@ fun () ->
-      let s' =
-        Mstate.evaluate ~ftree_stale:p.p_stale ~acc ec.ec_cost graph
-          p.p_ftree schedule
-      in
-      if cfg.verify_states then begin
-        try
-          let what = Printf.sprintf "M-state (iteration %d)" iteration in
-          Magis_analysis.Hooks.assert_state ~what s'.graph s'.schedule;
-          Magis_analysis.Hooks.assert_bounds ~exact:false ~what
-            ~size_of:acc.size_of s'.graph ~peak:s'.peak_mem ();
-          let lat_lb = proposal_latency_lb acc graph in
-          if s'.latency < lat_lb then
-            failwith
-              (Printf.sprintf
-                 "%s violated the latency lower bound: simulated %.9f < \
-                  bound %.9f"
-                 what s'.latency lat_lb)
-        with Failure msg ->
-          (* never quarantined: an invalid accepted state is an
-             optimizer bug, not a transient runtime fault *)
-          raise (Verification_failure msg)
-      end;
-      Sim_cache.add ~parent:s.schedule ec.ec_sim key (Mstate.to_cached s');
-      s'
+  let schedule =
+    timed tb s_reschedule (fun () ->
+        let schedule, (rstats : Magis_sched.Incremental.stats) =
+          Magis_sched.Incremental.reschedule ~max_states:sched_states
+            ~parent ~new_index:ix
+            ~mutated_old:p.p_mutated ~size_of:acc.size_of ()
+        in
+        if rstats.fallback then bump tb c_sched_fallbacks 1;
+        bump tb c_resched_nodes rstats.rescheduled;
+        bump tb c_sched_nodes (List.length schedule);
+        schedule)
+  in
+  timed tb s_simulate @@ fun () ->
+  let s' =
+    Mstate.evaluate ~ftree_stale:p.p_stale ~acc ec.ec_cost graph
+      p.p_ftree schedule
+  in
+  if cfg.verify_states then begin
+    try
+      let what = Printf.sprintf "M-state (iteration %d)" iteration in
+      Magis_analysis.Hooks.assert_state ~what s'.graph s'.schedule;
+      Magis_analysis.Hooks.assert_bounds ~exact:false ~what
+        ~size_of:acc.size_of s'.graph ~peak:s'.peak_mem ();
+      let lat_lb = proposal_latency_lb acc graph in
+      if s'.latency < lat_lb then
+        failwith
+          (Printf.sprintf
+             "%s violated the latency lower bound: simulated %.9f < \
+              bound %.9f"
+             what s'.latency lat_lb)
+    with Failure msg ->
+      (* never quarantined: an invalid accepted state is an
+         optimizer bug, not a transient runtime fault *)
+      raise (Verification_failure msg)
+  end;
+  (match (ec.ec_sim, key) with
+  | Some sim, Some key ->
+      Sim_cache.add ~parent:s.schedule sim key (Mstate.to_cached s')
+  | _ -> ());
+  s'
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint format                                                   *)
@@ -771,10 +756,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
     let ec =
       {
         ec_cost = cost;
-        ec_sim =
-          (match config.sim_cache with
-          | Some c -> c
-          | None -> Sim_cache.create ());
+        ec_sim = config.sim_cache;
         ec_mode = mode_fingerprint mode;
         ec_hw = Hardware.fingerprint cost.hw;
       }
@@ -935,6 +917,11 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
             quarantine ~what failure;
             None)
   in
+  (* A serial step, supervised like a candidate. *)
+  let supervise_here ~what f x =
+    supervise ~what f x
+      (try Ok (f x) with e -> Error (e, Printexc.get_raw_backtrace ()))
+  in
   (* One expansion step over the pool: the survivors of the batch are
      kept. *)
   let supervised_map ~phase f xs =
@@ -971,8 +958,8 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
           @ [ ("pool_busy_frac", Json.List (Array.to_list busy_frac)) ])
   in
   (* Expand the popped state [s] against its context [cx]: generate
-     serially, hash on the pool, dedup serially, evaluate on the pool,
-     merge serially. *)
+     serially, hash on the pool, dedup and probe serially, evaluate the
+     misses on the pool, merge serially. *)
   let expand (s : Mstate.t) (cx : pop) =
     let proposals =
       timed tb s_generate @@ fun () ->
@@ -989,7 +976,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
       supervised_map ~phase:"hash"
         (fun (p : proposal) ->
           let local = fresh_table () in
-          (p, hash_proposal ec local ~sched_states cx p, local))
+          (p, hash_proposal local cx p, local))
         proposals
     in
     (* Serial, candidate order: dedup against every state seen so far.
@@ -999,7 +986,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
       Array.to_list hashed
       |> List.filter_map (function
            | None -> None (* quarantined in the hash step *)
-           | Some ((p : proposal), (h, key), local) ->
+           | Some ((p : proposal), h, local) ->
                add_table tb local;
                if Hashtbl.mem st.snap_seen h then begin
                  bump tb c_filtered 1;
@@ -1007,57 +994,102 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
                end
                else begin
                  Hashtbl.replace st.snap_seen h ();
-                 Some (p, key)
+                 Some (p, h)
                end)
       |> Array.of_list
     in
-    (* On the pool: look up, reschedule and simulate the survivors, each
-       into its own table. *)
+    (* Serial, candidate order: probe the cache once per survivor.  A
+       hit takes its survivor's slot; a miss goes to the pool. *)
+    let slots = Array.make (Array.length survivors) None in
+    let misses =
+      match ec.ec_sim with
+      | None -> Array.mapi (fun i (p, _) -> (i, p, None)) survivors
+      | Some sim ->
+          let sched_hash =
+            timed tb s_lookup (fun () -> Util.hash_int_list s.schedule)
+          in
+          let probe ((p : proposal), h) =
+            timed tb s_lookup @@ fun () ->
+            let key =
+              Sim_cache.key ~state:h ~parent_sched:sched_hash
+                ~mutated:(Util.hash_int_list (Int_set.elements p.p_mutated))
+                ~sched_states ~mode:ec.ec_mode ~hw:ec.ec_hw
+            in
+            (key, Sim_cache.find sim key)
+          in
+          Array.to_list survivors
+          |> List.mapi (fun i ((p : proposal), h) ->
+                 let what = Printf.sprintf "probe candidate %d" i in
+                 match supervise_here ~what probe (p, h) with
+                 | None -> None
+                 | Some (key, None) -> Some (i, p, Some key)
+                 | Some (_, Some v) ->
+                     bump tb c_sim_hits 1;
+                     let g = proposal_graph s p in
+                     slots.(i) <-
+                       Some (Mstate.of_cached ~ftree_stale:p.p_stale g p.p_ftree v);
+                     None)
+          |> List.filter_map Fun.id |> Array.of_list
+    in
+    (* On the pool: evaluate the misses, each into its own table.  A
+       rescheduling context that keeps failing quarantines them. *)
     let iteration = count tb c_iterations in
     let evaluated =
-      supervised_map ~phase:"evaluate"
-        (fun ((p : proposal), key) ->
-          let local = fresh_table () in
-          ( evaluate_proposal config ec local ~sched_states ~iteration ~key cx
-              s p,
-            local ))
-        survivors
+      if Array.length misses = 0 then [||]
+      else
+        match
+          supervise_here ~what:"rescheduling context"
+            (resched_context cost tb s) cx
+        with
+        | None -> [||]
+        | Some rcx ->
+            supervised_map ~phase:"evaluate"
+              (fun (_, (p : proposal), key) ->
+                let local = fresh_table () in
+                ( evaluate_proposal config ec local ~sched_states ~iteration
+                    ~key cx rcx s p,
+                  local ))
+              misses
     in
     (* Serial, candidate order: add the candidate tables and merge into
        best/queue — bit-identical to the serial loop.  Quarantined
        candidates contribute nothing. *)
     timed tb s_merge @@ fun () ->
-    Array.iter
-      (function
-        | None -> ()
-        | Some ((s' : Mstate.t), local) ->
+    Array.iteri
+      (fun j ->
+        Option.iter (fun (s', local) ->
             add_table tb local;
-            (* observation-only side channel: sees every evaluated
-               candidate in candidate order, never feeds back into
-               best/queue *)
-            Option.iter (fun f -> f ~iteration s') config.harvest;
-            if better_than mode s' st.snap_best then begin
-              (* only accepted bests reach the caller, so proving their
-                 memory plan interference-free here covers every
-                 reported result without paying the allocator replay
-                 per candidate *)
-              if config.verify_states then begin
-                let acc =
-                  Ftree.accounting cost (Graph_index.of_graph s'.graph) s'.ftree
-                in
-                try
-                  Magis_analysis.Hooks.assert_interference
-                    ~what:
-                      (Printf.sprintf "accepted best (iteration %d)" iteration)
-                    ~size_of:acc.size_of s'.graph s'.schedule
-                with Failure msg -> raise (Verification_failure msg)
-              end;
-              st.snap_best <- s';
-              st.snap_history <-
-                (elapsed (), s'.peak_mem, s'.latency) :: st.snap_history
-            end;
-            if better_than mode ~delta:queue_delta s' st.snap_best then push s')
+            let i, _, _ = misses.(j) in
+            slots.(i) <- Some s'))
       evaluated;
+    Array.iter
+      (Option.iter (fun (s' : Mstate.t) ->
+           (* observation-only side channel: sees every evaluated
+              candidate in candidate order, never feeds back into
+              best/queue *)
+           Option.iter (fun f -> f ~iteration s') config.harvest;
+           if better_than mode s' st.snap_best then begin
+             (* only accepted bests reach the caller, so proving their
+                memory plan interference-free here covers every
+                reported result without paying the allocator replay
+                per candidate *)
+             if config.verify_states then begin
+               let acc =
+                 Ftree.accounting cost (Graph_index.of_graph s'.graph) s'.ftree
+               in
+               try
+                 Magis_analysis.Hooks.assert_interference
+                   ~what:
+                     (Printf.sprintf "accepted best (iteration %d)" iteration)
+                   ~size_of:acc.size_of s'.graph s'.schedule
+               with Failure msg -> raise (Verification_failure msg)
+             end;
+             st.snap_best <- s';
+             st.snap_history <-
+               (elapsed (), s'.peak_mem, s'.latency) :: st.snap_history
+           end;
+           if better_than mode ~delta:queue_delta s' st.snap_best then push s'))
+      slots;
     record_profile ~candidates:(Array.length proposals)
       ~survivors:(Array.length survivors);
     publish ()
@@ -1111,14 +1143,11 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
           ({ s with ftree; ftree_stale = false }, ix)
         in
         (* The index's parts built on first use are not domain-safe, so
-           everything the pool phases read is built here, serially.  A
-           context that keeps failing to build quarantines the pop,
-           which then proposes nothing. *)
-        let context () = pop_context cost tb s ix in
+           everything the pool phases read is built serially (the
+           misses' part in [expand]).  A context that keeps failing to
+           build quarantines the pop, which then proposes nothing. *)
         Option.iter (expand s)
-          (supervise ~what:"pop context" context ()
-             (try Ok (context ())
-              with e -> Error (e, Printexc.get_raw_backtrace ())));
+          (supervise_here ~what:"pop context" (pop_context tb s) ix);
         match config.checkpoint with
         | Some { ckpt_every; _ } when elapsed () -. !last_ckpt >= ckpt_every ->
             write_checkpoint ()

@@ -168,9 +168,11 @@ type config = {
           generated, deduplicated and merged serially in candidate
           order. *)
   sim_cache : Sim_cache.t option;
-      (** memoizes (reschedule → simulate) evaluations.  [None] (the
-          default) uses a fresh private cache per run; pass [Some c] to
-          share hits across searches (ablation sweeps, repeated runs). *)
+      (** memoizes (reschedule → simulate) evaluations across the
+          searches sharing it: each survivor of dedup is probed once,
+          serially, and only misses are evaluated.  [None] (the
+          default) = no cache, nothing keyed: a cache of one search's
+          own never hits, as dedup skips every state it could return. *)
   checkpoint : checkpoint option;
       (** crash-safe snapshots: written every [ckpt_every] seconds, on
           SIGINT/SIGTERM (the run then returns early with

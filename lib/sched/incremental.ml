@@ -51,13 +51,19 @@ type parent = {
   nodes : Graph.node array;
 }
 
-let parent (ix : Graph_index.t) (schedule : int list) : parent =
-  let schedule = Array.of_list schedule in
+let positions (ix : Graph_index.t) (schedule : int list) : int array =
   let position = Array.make (Graph_index.bound ix) (-1) in
-  Array.iteri
+  List.iteri
     (fun i v -> if v >= 0 && v < Array.length position then position.(v) <- i)
     schedule;
-  { schedule; position; nw = Partition.nw_on ix; nodes = Graph_index.nodes ix }
+  position
+
+let parent ?position (ix : Graph_index.t) (schedule : int list) : parent =
+  let position =
+    match position with Some p -> p | None -> positions ix schedule
+  in
+  { schedule = Array.of_list schedule; position; nw = Partition.nw_on ix;
+    nodes = Graph_index.nodes ix }
 
 (* the ids whose mark satisfies [p], increasing *)
 let marked mark p =

@@ -41,10 +41,16 @@ type parent = private {
   nodes : Graph.node array;  (** {!Graph_index.nodes} of the parent's index *)
 }
 
-(** [parent ix schedule]: the context of the indexed graph under its
-    valid schedule [schedule]; the narrow-waist table is
-    {!Partition.nw_on}, read off the index's own {!Graph_index.reach}. *)
-val parent : Graph_index.t -> int list -> parent
+(** [positions ix schedule]: id -> position in [schedule], [-1] for an
+    id of [ix]'s bound off it. *)
+val positions : Graph_index.t -> int list -> int array
+
+(** [parent ?position ix schedule]: the context of the indexed graph
+    under its valid schedule [schedule]; [position] is
+    [positions ix schedule] when the caller already built it, and the
+    narrow-waist table is {!Partition.nw_on}, read off the index's own
+    {!Graph_index.reach}. *)
+val parent : ?position:int array -> Graph_index.t -> int list -> parent
 
 (** The splice {!reschedule} tries: [Some (order, stats, ok)] with
     [order] the kept prefix, the re-scheduled window and the kept suffix,

@@ -205,14 +205,30 @@ if [ -n "$hits" ]; then
   echo "$hits"
 fi
 
-# 17. everything a pop's pool phases read (the pop's index, its
-# rescheduling context, WL labels, base costs and schedule digest) is
-# built serially before the first of them, and the loop state is one
-# record: lib/opt/search.ml takes no lock and defers nothing to the
-# first worker that asks (no Mutex, Atomic, Lazy or lazy).
+# 17. everything a pop's pool phases read (the pop's index, positions
+# and WL labels before the hash phase, its rescheduling context and
+# base costs before the evaluate phase) is built serially before them,
+# and the loop state is one record: lib/opt/search.ml takes no lock
+# and defers nothing to the first worker that asks (no Mutex, Atomic,
+# Lazy or lazy).
 hits=$(grep -HnP '\b(Mutex|Atomic|Lazy|lazy)\b' lib/opt/search.ml)
 if [ -n "$hits" ]; then
   fail "lock, atomic or lazy value in lib/opt/search.ml (build the pop's context before the pool phase):"
+  echo "$hits"
+fi
+
+# 18. the simulation cache is probed serially, once per survivor, right
+# after dedup, and only misses go to the pool: in lib/opt/search.ml
+# Sim_cache.find appears only in expand's [probe] (so never in
+# hash_proposal or evaluate_proposal, which run on worker domains).
+# With no striped probing left, the cache is one Hashtbl under one
+# Mutex, and nothing under lib/ names Striped.
+hits=$(awk '/let probe /{probe=1; ind=match($0, /[^ ]/); next}
+  probe && /^ *in$/ && match($0, /[^ ]/) == ind {probe=0; next}
+  !probe && /Sim_cache\.find/{print FILENAME ":" FNR ": " $0}' lib/opt/search.ml
+  grep -rHnw 'Striped' lib/)
+if [ -n "$hits" ]; then
+  fail "cache probe off the serial probe in search.ml, or a striped table under lib/ (probe once per survivor after dedup):"
   echo "$hits"
 fi
 

@@ -85,26 +85,57 @@ let test_input_specs_cover_inputs () =
         (contains code (Printf.sprintf "        %d: (" v)))
     (Graph.inputs g)
 
-let test_emit_expanded () =
-  let c = cache () in
-  ignore c;
+(* a small LM, its initial M-state and that state's tree with the
+   first enableable fission enabled *)
+let lm_with_fission cost =
   let g =
     Transformer.build_lm
       { Transformer.batch = 4; seq_len = 8; hidden = 16; heads = 2;
         layers = 1; vocab = 32; dtype = Shape.F32 }
   in
-  let s = Mstate.init ~sched_states:0 (cache ()) g in
-  (* enable the first candidate if any, then emit with expansion *)
-  let ftree =
-    match Ftree.mutations_on (Graph_index.of_graph g) s.ftree with
-    | (Ftree.Enable i, _) :: _ -> Option.get (Ftree.apply g s.ftree (Ftree.Enable i))
-    | _ -> s.ftree
-  in
-  let code =
-    Pytorch_codegen.emit_expanded g ftree ~reschedule:Graph.topo_order
+  let s = Mstate.init ~sched_states:0 cost g in
+  match Ftree.mutations_on (Graph_index.of_graph g) s.ftree with
+  | (Ftree.Enable i, _) :: _ ->
+      (g, s, Option.get (Ftree.apply g s.ftree (Ftree.Enable i)))
+  | _ -> Alcotest.fail "no fission to enable"
+
+let test_emit_expanded () =
+  let c = cache () in
+  let g, s, ftree = lm_with_fission c in
+  let code, _ =
+    Pytorch_codegen.emit_expanded c ~title:"lm" ~accounted_peak:s.peak_mem g
+      ftree ~reschedule:Graph.topo_order
   in
   Alcotest.(check bool) "emits a runnable module" true
     (contains code "def run(inputs")
+
+(** The header of the module [magis_cli codegen] writes states the peak
+    of the program as emitted: the simulator's peak on the expanded
+    graph under the schedule it is emitted in, beside the accounted
+    peak of the state. *)
+let test_emit_expanded_states_emitted_peak () =
+  let cost = cache () in
+  let g, s, ftree = lm_with_fission cost in
+  let accounted = (Mstate.evaluate cost g ftree s.schedule).peak_mem in
+  let reschedule g' = Reorder.schedule ~max_states:0 g' in
+  let code, stated =
+    Pytorch_codegen.emit_expanded cost ~title:"lm" ~accounted_peak:accounted
+      g ftree ~reschedule
+  in
+  let expanded = Pytorch_codegen.expand g ftree in
+  Alcotest.(check bool) "a fission was materialized" true
+    (Graph.n_nodes expanded > Graph.n_nodes g);
+  let emitted = (Simulator.run cost expanded (reschedule expanded)).peak_mem in
+  Alcotest.(check int) "stated peak is the emitted program's" emitted stated;
+  let states what peak =
+    contains code
+      (Printf.sprintf "%s peak %.1f MB (%d bytes)" what
+         (float_of_int peak /. 1e6) peak)
+  in
+  Alcotest.(check bool) "header states the emitted peak" true
+    (states "emitted" emitted);
+  Alcotest.(check bool) "header states the accounted peak" true
+    (states "accounted" accounted)
 
 let test_dot_export () =
   let g, x, _, _, j = diamond () in
@@ -137,6 +168,8 @@ let suite =
     tc "swap uses CUDA streams" test_swap_uses_streams;
     tc "input specs cover inputs" test_input_specs_cover_inputs;
     tc "emit with expanded fissions" test_emit_expanded;
+    tc "codegen header states the emitted peak"
+      test_emit_expanded_states_emitted_peak;
     tc "dot export" test_dot_export;
     tc "text export deterministic" test_text_export_deterministic;
     tc "summary" test_summary;

@@ -85,64 +85,6 @@ let test_pool_map_result_isolates () =
   Pool.shutdown inline
 
 (* ------------------------------------------------------------------ *)
-(* Striped table                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_striped_basic () =
-  let t = Striped.create ~stripes:8 () in
-  Alcotest.(check (option int)) "empty" None (Striped.find t 5L);
-  Striped.add t 5L 50;
-  Striped.add t 6L 60;
-  Striped.add t 5L 51;
-  Alcotest.(check (option int)) "replace" (Some 51) (Striped.find t 5L);
-  Alcotest.(check (option int)) "other key" (Some 60) (Striped.find t 6L);
-  Alcotest.(check int) "length" 2 (Striped.length t);
-  Striped.clear t;
-  Alcotest.(check int) "cleared" 0 (Striped.length t)
-
-let test_striped_concurrent_writers () =
-  let t = Striped.create ~stripes:16 () in
-  let pool = Pool.create 4 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  let n = 2_000 in
-  ignore
-    (map_ok pool
-       (fun i -> Striped.add t (Int64.of_int i) (i * 3))
-       (Array.init n (fun i -> i)));
-  Alcotest.(check int) "all bindings present" n (Striped.length t);
-  for i = 0 to n - 1 do
-    if Striped.find t (Int64.of_int i) <> Some (i * 3) then
-      Alcotest.failf "binding %d lost or corrupted" i
-  done
-
-(** Stress: 8 domains hammering a 4-stripe table through a 64-key space,
-    so nearly every operation contends on a stripe lock.  Values are a
-    pure function of the key, so any lost update, phantom binding or
-    torn read is detectable after (and during) the storm. *)
-let test_striped_colliding_stress () =
-  let t = Striped.create ~stripes:4 () in
-  let pool = Pool.create 8 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  let n = 4_000 and keys = 64 in
-  ignore
-    (map_ok pool
-       (fun i ->
-         let k = i mod keys in
-         Striped.add t (Int64.of_int k) (k * 1009);
-         let probe = i * 31 mod keys in
-         match Striped.find t (Int64.of_int probe) with
-         | None -> ()
-         | Some v ->
-             if v <> probe * 1009 then
-               Alcotest.failf "key %d read %d (torn or misfiled write)" probe v)
-       (Array.init n (fun i -> i)));
-  Alcotest.(check int) "no lost or phantom keys" keys (Striped.length t);
-  for k = 0 to keys - 1 do
-    if Striped.find t (Int64.of_int k) <> Some (k * 1009) then
-      Alcotest.failf "key %d lost its value" k
-  done
-
-(* ------------------------------------------------------------------ *)
 (* Simulation cache                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -192,7 +134,7 @@ let test_sim_cache_no_cross_mode_collision () =
     number of finds issued — a lost increment fails the check — and
     every key must hold the value derived from it. *)
 let test_sim_cache_concurrent_accounting () =
-  let c = Sim_cache.create ~stripes:4 () in
+  let c = Sim_cache.create () in
   let pool = Pool.create 8 in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   let n = 4_000 and keys = 64 in
@@ -299,15 +241,71 @@ let test_shared_sim_cache_short_circuits () =
   Alcotest.(check int) "warm run never simulates" 0 r2.stats.n_simul;
   Alcotest.(check bool) "warm run only hits" true (r2.stats.n_sim_hit > 0)
 
+(** A search given no cache keys nothing and probes nothing (the
+    [sim_cache] fault site is never visited), and it returns what a
+    search with a private cache returns: a cache no other search fills
+    never hits, because dedup already skips every state whose hash, a
+    part of every key, the search has seen. *)
+let test_no_cache_probes_nothing () =
+  Fun.protect ~finally:Fault.disarm @@ fun () ->
+  let points (r : Search.result) = List.map (fun (_, p, l) -> (p, l)) r.history in
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun jobs ->
+          let what = Printf.sprintf "%s, jobs %d" name jobs in
+          Fault.observe ();
+          let none = run_with ~jobs g in
+          Alcotest.(check int) (what ^ ": no probe") 0 (Fault.visits "sim_cache");
+          Fault.disarm ();
+          let priv = run_with ~jobs ~sim_cache:(Sim_cache.create ()) g in
+          check_same_best what priv none;
+          Alcotest.(check (list (pair int (float 0.0))))
+            (what ^ ": same history") (points priv) (points none);
+          Alcotest.(check (list (pair string int)))
+            (what ^ ": same counters") (Search.counts priv.stats)
+            (Search.counts none.stats);
+          Alcotest.(check int) (what ^ ": no hit") 0 none.stats.n_sim_hit)
+        [ 1; 2 ])
+    [ ("Randnet", randnet 2); ("UNet", (Zoo.find "UNet").build Zoo.Quick) ]
+
+(** A replay over a fully warm cache evaluates nothing, so it builds no
+    rescheduling context: its only operator-cost queries are those of
+    its initial state, and its [reschedule] stage reads 0. *)
+let test_warm_replay_builds_no_resched_context () =
+  Fun.protect ~finally:Fault.disarm @@ fun () ->
+  List.iter
+    (fun (name, g) ->
+      let cost = cache () in
+      let mode = Search.Min_memory { lat_limit = infinity } in
+      let config sim =
+        { Search.default_config with
+          max_iterations = 8; time_budget = 1e9; sim_cache = Some sim }
+      in
+      let sim = Sim_cache.create () in
+      let cold = Search.run ~config:(config sim) cost mode g in
+      Fault.observe ();
+      ignore (Mstate.init ~sched_states:0 cost g : Mstate.t);
+      let init_queries = Fault.visits "op_cost" in
+      Fault.observe ();
+      let warm = Search.run ~config:(config sim) cost mode g in
+      let queries = Fault.visits "op_cost" in
+      Fault.disarm ();
+      check_same_best (name ^ ": warm replay") cold warm;
+      Alcotest.(check int) (name ^ ": every survivor hits") 0
+        warm.stats.n_sim_miss;
+      Alcotest.(check int) (name ^ ": only the initial state's cost queries")
+        init_queries queries;
+      Alcotest.(check (float 0.0)) (name ^ ": no reschedule stage") 0.0
+        (List.assoc "reschedule" (Search.stage_seconds warm.stats)))
+    [ ("Randnet", randnet 3); ("UNet", (Zoo.find "UNet").build Zoo.Quick) ]
+
 let suite =
   [
     tc "pool map preserves order" test_pool_map_ordered;
     tc "pool inline path" test_pool_inline;
     tc "pool reuse and empty batches" test_pool_reuse_and_empty;
     tc "pool map_result isolates failures" test_pool_map_result_isolates;
-    tc "striped table basics" test_striped_basic;
-    tc "striped table concurrent writers" test_striped_concurrent_writers;
-    tc "striped table colliding-key stress" test_striped_colliding_stress;
     tc "sim cache hits identical key" test_sim_cache_hit_after_identical_key;
     tc "sim cache concurrent accounting stress"
       test_sim_cache_concurrent_accounting;
@@ -318,4 +316,7 @@ let suite =
     tc "jobs=4 reproduces jobs=1 bit-identically" test_parallel_determinism;
     tc "shared sim cache short-circuits a replay"
       test_shared_sim_cache_short_circuits;
+    tc "a search with no cache probes nothing" test_no_cache_probes_nothing;
+    tc "a warm replay builds no rescheduling context"
+      test_warm_replay_builds_no_resched_context;
   ]

@@ -290,8 +290,9 @@ let test_chaos_persistent_quarantine () =
     (r.best.peak_mem > 0 && r.best.peak_mem <= clean.initial.peak_mem)
 
 (** A NaN burst at the operator-cost site that outlasts the retries of
-    a pop's context build: the pop is quarantined with a nonfinite-cost
-    diagnostic and proposes nothing, and the search goes on. *)
+    a pop's rescheduling-context build: the pop's misses are
+    quarantined with a nonfinite-cost diagnostic, and the search goes
+    on. *)
 let test_chaos_pop_context_quarantine () =
   Fun.protect ~finally:Fault.disarm @@ fun () ->
   let g = randnet 5 in
@@ -306,7 +307,7 @@ let test_chaos_pop_context_quarantine () =
     List.filter
       (fun (d : Diagnostic.t) ->
         d.check = "nonfinite-cost"
-        && contains d.message "pop context quarantined")
+        && contains d.message "rescheduling context quarantined")
       r.diagnostics
   in
   Alcotest.(check bool) "a pop context was quarantined" true
@@ -315,6 +316,35 @@ let test_chaos_pop_context_quarantine () =
     (List.length r.diagnostics);
   Alcotest.(check int) "the search ran every iteration"
     clean.stats.iterations r.stats.iterations;
+  Alcotest.(check bool) "still returns a valid best" true
+    (r.best.peak_mem > 0 && r.best.peak_mem <= clean.initial.peak_mem)
+
+(** A persistent exception burst at the [sim_cache] site under a shared
+    warm cache: each failing probe is retried on the orchestrating
+    domain and then quarantined, naming the probe, and the search
+    returns. *)
+let test_chaos_sim_cache_burst () =
+  Fun.protect ~finally:Fault.disarm @@ fun () ->
+  let g = randnet 5 in
+  let sim = Sim_cache.create () in
+  let shared c = { c with Search.sim_cache = Some sim } in
+  let clean = run_with ~cfg:shared ~jobs:2 g in
+  Fault.observe ();
+  ignore (run_with ~cfg:shared ~jobs:2 g : Search.result);
+  let v = Fault.visits "sim_cache" in
+  Fault.arm (Fault.burst ~site:"sim_cache" ~at:(v / 3) ~len:v Fault.Exception);
+  let r = run_with ~cfg:shared ~jobs:2 g in
+  Fault.disarm ();
+  Alcotest.(check bool) "probes were quarantined" true
+    (r.stats.n_quarantined > 0);
+  Alcotest.(check int) "one diagnostic per quarantine" r.stats.n_quarantined
+    (List.length r.diagnostics);
+  List.iter
+    (fun (d : Diagnostic.t) ->
+      Alcotest.(check string) "injected fault" "injected-fault" d.check;
+      Alcotest.(check bool) "the probe is named" true
+        (contains d.message "probe candidate"))
+    r.diagnostics;
   Alcotest.(check bool) "still returns a valid best" true
     (r.best.peak_mem > 0 && r.best.peak_mem <= clean.initial.peak_mem)
 
@@ -503,6 +533,7 @@ let suite =
       test_chaos_persistent_quarantine;
     tc "a pop whose context keeps failing is quarantined"
       test_chaos_pop_context_quarantine;
+    tc "a sim-cache burst quarantines probes" test_chaos_sim_cache_burst;
     tc "budget exhaustion returns best-so-far" test_budget_exhaustion_best_so_far;
     tc "checkpoint/resume reproduces the uninterrupted run"
       test_checkpoint_resume_identity;
