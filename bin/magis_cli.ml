@@ -96,9 +96,22 @@ let cmd_optimize name full overhead mem_ratio budget iters jobs ckpt resume
         { Search.ckpt_path = path; ckpt_every; ckpt_resume = resume })
       ckpt
   in
+  (* with a checkpoint to save, SIGINT/SIGTERM stop the search at its
+     next pop: the handler records the signal, the poll reads it *)
+  let signal = Atomic.make 0 in
+  let poll =
+    match checkpoint with
+    | None -> Search.default_config.poll
+    | Some _ ->
+        let (_unregister : unit -> unit) =
+          Interrupt.on_signal (Atomic.set signal)
+        in
+        fun ~iteration:_ ~best:_ ->
+          if Atomic.get signal = 0 then `Continue else `Stop
+  in
   let config =
     { Search.default_config with time_budget = budget; jobs;
-      max_iterations = iters; checkpoint }
+      max_iterations = iters; checkpoint; poll }
   in
   let result =
     try
@@ -157,7 +170,7 @@ let cmd_optimize name full overhead mem_ratio budget iters jobs ckpt resume
       (match ckpt with Some p -> p | None -> "?");
   if result.interrupted then begin
     Printf.printf "  interrupted by %s; state saved, rerun with --resume\n"
-      (match Interrupt.signal_name () with Some s -> s | None -> "signal");
+      (if Atomic.get signal = Sys.sigint then "SIGINT" else "SIGTERM");
     exit exit_interrupted
   end
 

@@ -19,15 +19,8 @@ let version = 1
 let path ~dir ~key =
   Filename.concat dir (Printf.sprintf "frontier-%016Lx.ckpt" key)
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let save ~dir ~key frontier =
-  mkdir_p dir;
+  Checkpoint.mkdir_p dir;
   Checkpoint.save
     ~path:(path ~dir ~key)
     ~version ~fingerprint:key

@@ -31,8 +31,9 @@
     surviving candidates of the batch are kept; a pop whose context
     keeps failing to build is quarantined and proposes nothing.  The
     loop state is one record, saved as it is: [config.checkpoint]
-    periodically (and on SIGINT/SIGTERM) serializes the full frontier to
-    a crash-safe file from which a later run resumes bit-identically.
+    periodically (and when the caller's poll stops the run) serializes
+    the full frontier to a crash-safe file from which a later run
+    resumes bit-identically.
     Near the end of the time budget a degradation ladder steps search
     effort down instead of letting the final iterations overshoot it. *)
 
@@ -44,7 +45,6 @@ module Pool = Magis_par.Pool
 module Fault = Magis_resilience.Fault
 module Retry = Magis_resilience.Retry
 module Checkpoint = Magis_resilience.Checkpoint
-module Interrupt = Magis_resilience.Interrupt
 module Diagnostic = Magis_analysis.Diagnostic
 module Int_set = Util.Int_set
 module Trace = Magis_obs.Trace
@@ -73,7 +73,7 @@ let declare decls name =
    its domains.  The pop's contexts are timed in the stages that read
    them ({!pop_context}, {!resched_context}). *)
 let s_init = declare stage_decls "init" (* snapshot, pool, initial M-state *)
-let s_pop = declare stage_decls "pop" (* interrupt poll, ladder, queue pop *)
+let s_pop = declare stage_decls "pop" (* caller's poll, ladder, queue pop *)
 let s_refresh = declare stage_decls "refresh" (* stale F-Tree rebuild *)
 let s_generate = declare stage_decls "generate" (* order, closure, positions, proposals *)
 let s_hash = declare stage_decls "hash" (* labels; WL hash ⊕ F-Tree fp *)
@@ -176,6 +176,7 @@ type stats = {
   iterations : int;
   n_sim_hit : int;
   n_sim_miss : int;
+  sim_cached : bool;
   n_sched_fallback : int;
   n_resched_nodes : int;
   n_sched_nodes : int;
@@ -194,7 +195,7 @@ type stats = {
   wall : float;
 }
 
-let stats_of_table tb ~wall ~domain_time ~degrade_steps =
+let stats_of_table tb ~wall ~domain_time ~degrade_steps ~sim_cached =
   let n c = tb.counts.(c) and t s = tb.secs.(s) in
   {
     n_transform = n c_transforms;
@@ -209,6 +210,7 @@ let stats_of_table tb ~wall ~domain_time ~degrade_steps =
     iterations = n c_iterations;
     n_sim_hit = n c_sim_hits;
     n_sim_miss = n c_sim_misses;
+    sim_cached;
     n_sched_fallback = n c_sched_fallbacks;
     n_resched_nodes = n c_resched_nodes;
     n_sched_nodes = n c_sched_nodes;
@@ -295,8 +297,9 @@ let pp_stats ppf (st : stats) =
   Format.fprintf ppf "@[<hov 2>Counters:";
   List.iter (fun (name, n) -> Format.fprintf ppf "@ %s=%d" name n) (counts st);
   Format.fprintf ppf "@]@\n";
-  Format.fprintf ppf "Simulation cache: %.0f%% hit rate@\n"
-    (100.0 *. sim_hit_rate st);
+  if st.sim_cached then
+    Format.fprintf ppf "Simulation cache: %.0f%% hit rate@\n"
+      (100.0 *. sim_hit_rate st);
   if st.n_sched_nodes > 0 then
     Format.fprintf ppf "Incremental scheduling: %.1f%% of nodes re-placed@\n"
       (100.0 *. resched_frac st);
@@ -1094,74 +1097,70 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
       ~survivors:(Array.length survivors);
     publish ()
   in
-  let interrupted = ref false in
-  let loop () =
-    try
-      while elapsed () < config.time_budget
-            && count tb c_iterations < config.max_iterations do
-        let s =
-          timed tb s_pop @@ fun () ->
-          if
-            Interrupt.requested ()
-            || config.poll ~iteration:(count tb c_iterations) ~best:st.snap_best
-               = `Stop
-          then begin
-            interrupted := true;
-            raise Exit
-          end;
-          update_ladder ();
-          match pop () with
-          | None -> raise Exit
-          | Some s ->
-              bump tb c_iterations 1;
-              if Trace.enabled () then
-                Trace.instant ~cat:"search"
-                  ~args:
-                    [ ("iteration", string_of_int (count tb c_iterations));
-                      ("peak_mem", string_of_int s.peak_mem);
-                      ("latency", Printf.sprintf "%.9g" s.latency);
-                      ("entries", string_of_int (Ftree.n_entries s.ftree));
-                      ( "enabled",
-                        string_of_int
-                          (List.length (Ftree.enabled_indices s.ftree)) );
-                      ("stale", string_of_bool s.ftree_stale) ]
-                  "pop";
-              s
+  let interrupted = ref false and out_of_time = ref false in
+  (try
+    while count tb c_iterations < config.max_iterations do
+      (* tested after the cap: a capped run whose last pop overran the
+         budget completed, it was not cut short *)
+      if elapsed () >= config.time_budget then begin
+        out_of_time := true;
+        raise Exit
+      end;
+      let s =
+        timed tb s_pop @@ fun () ->
+        if
+          config.poll ~iteration:(count tb c_iterations) ~best:st.snap_best
+          = `Stop
+        then begin
+          interrupted := true;
+          raise Exit
+        end;
+        update_ladder ();
+        match pop () with
+        | None -> raise Exit
+        | Some s ->
+            bump tb c_iterations 1;
+            if Trace.enabled () then
+              Trace.instant ~cat:"search"
+                ~args:
+                  [ ("iteration", string_of_int (count tb c_iterations));
+                    ("peak_mem", string_of_int s.peak_mem);
+                    ("latency", Printf.sprintf "%.9g" s.latency);
+                    ("entries", string_of_int (Ftree.n_entries s.ftree));
+                    ( "enabled",
+                      string_of_int
+                        (List.length (Ftree.enabled_indices s.ftree)) );
+                    ("stale", string_of_bool s.ftree_stale) ]
+                "pop";
+            s
+      in
+      (* One index of the popped graph serves the pop: the F-Tree
+         refresh (Algorithm 3 line 13-14) and mutations, the rule
+         sites and the pop's context. *)
+      let s, ix =
+        timed tb s_refresh @@ fun () ->
+        let ix = Graph_index.of_graph s.graph in
+        let ftree =
+          if s.ftree_stale && config.ablation.use_ftree_heuristic then
+            Ftree.refresh_on ~max_level:config.ablation.max_level ix
+              ~old_tree:s.ftree ~hotspots:s.hotspots
+          else s.ftree
         in
-        (* One index of the popped graph serves the pop: the F-Tree
-           refresh (Algorithm 3 line 13-14) and mutations, the rule
-           sites and the pop's context. *)
-        let s, ix =
-          timed tb s_refresh @@ fun () ->
-          let ix = Graph_index.of_graph s.graph in
-          let ftree =
-            if s.ftree_stale && config.ablation.use_ftree_heuristic then
-              Ftree.refresh_on ~max_level:config.ablation.max_level ix
-                ~old_tree:s.ftree ~hotspots:s.hotspots
-            else s.ftree
-          in
-          ({ s with ftree; ftree_stale = false }, ix)
-        in
-        (* The index's parts built on first use are not domain-safe, so
-           everything the pool phases read is built serially (the
-           misses' part in [expand]).  A context that keeps failing to
-           build quarantines the pop, which then proposes nothing. *)
-        Option.iter (expand s)
-          (supervise_here ~what:"pop context" (pop_context tb s) ix);
-        match config.checkpoint with
-        | Some { ckpt_every; _ } when elapsed () -. !last_ckpt >= ckpt_every ->
-            write_checkpoint ()
-        | _ -> ()
-      done
-    with Exit -> ()
-  in
-  (* signal handlers are installed only when the run can do something
-     useful with an interrupt: write its checkpoint and return early *)
-  (match config.checkpoint with
-  | None -> loop ()
-  | Some _ -> Interrupt.with_guard loop);
-  if (not !interrupted) && elapsed () >= config.time_budget then
-    record_step "best-so-far";
+        ({ s with ftree; ftree_stale = false }, ix)
+      in
+      (* The index's parts built on first use are not domain-safe, so
+         everything the pool phases read is built serially (the
+         misses' part in [expand]).  A context that keeps failing to
+         build quarantines the pop, which then proposes nothing. *)
+      Option.iter (expand s)
+        (supervise_here ~what:"pop context" (pop_context tb s) ix);
+      match config.checkpoint with
+      | Some { ckpt_every; _ } when elapsed () -. !last_ckpt >= ckpt_every ->
+          write_checkpoint ()
+      | _ -> ()
+    done
+   with Exit -> ());
+  if !out_of_time then record_step "best-so-far";
   write_checkpoint ();
   publish ();
   {
@@ -1169,7 +1168,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
     initial = st.snap_initial;
     stats =
       stats_of_table tb ~wall:(elapsed ()) ~domain_time:(Pool.busy_time pool)
-        ~degrade_steps:st.snap_steps;
+        ~degrade_steps:st.snap_steps ~sim_cached:(Option.is_some ec.ec_sim);
     history = List.rev st.snap_history;
     diagnostics = List.rev st.snap_diags;
     interrupted = !interrupted;

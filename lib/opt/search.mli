@@ -73,6 +73,9 @@ type stats = {
   iterations : int;
   n_sim_hit : int;
   n_sim_miss : int;
+  sim_cached : bool;
+      (** the run had a simulation cache to probe; without one
+          [n_sim_hit] is 0 and {!pp_stats} prints no hit-rate line *)
   n_sched_fallback : int;
       (** incremental reschedules whose window splice fell back to a
           full reschedule *)
@@ -86,7 +89,10 @@ type stats = {
   n_checkpoints : int;  (** snapshots written, carried across a resume *)
   degrade_steps : (float * string) list;
       (** degradation ladder steps taken, in order: (elapsed seconds,
-          ["reduce-sched-states"] or ["best-so-far"]) *)
+          ["reduce-sched-states"] or ["best-so-far"]).  ["best-so-far"]
+          is recorded only when the time budget ended the loop — not
+          when the iteration cap, an empty queue or the poll did, even
+          if the last pop overran the budget. *)
   n_bound_calls : int;
       (** Retired with the search-time bound probe, like the five fields
           after it: always 0, not in the table, and kept only because
@@ -125,7 +131,7 @@ type result = {
           first ([] in a fault-free run); pass ["resilience"], checks
           ["injected-fault"], ["nonfinite-cost"], ["worker-exception"] *)
   interrupted : bool;
-      (** true when the run was cut short by SIGINT/SIGTERM (the
+      (** true when the caller's [poll] stopped the run (the
           checkpoint, if configured, was written before returning) *)
 }
 
@@ -174,11 +180,12 @@ type config = {
           default) = no cache, nothing keyed: a cache of one search's
           own never hits, as dedup skips every state it could return. *)
   checkpoint : checkpoint option;
-      (** crash-safe snapshots: written every [ckpt_every] seconds, on
-          SIGINT/SIGTERM (the run then returns early with
-          [interrupted = true]) and once at normal exit.  [None]
-          (the default) = off; signal handlers are only installed when
-          set. *)
+      (** crash-safe snapshots: written every [ckpt_every] seconds and
+          once when the run returns, also when [poll] stopped it.
+          [None] (the default) = off.  The search installs no signal
+          handler: a caller that wants SIGINT/SIGTERM to save and stop
+          the run registers a process signal callback that raises a
+          flag its [poll] reads. *)
   profile : Magis_obs.Profile.t option;
       (** per-iteration telemetry sink ([None], the default, = off):
           after each iteration's merge one JSONL record is written with
@@ -198,14 +205,17 @@ type config = {
           fingerprint, and the returned best state is bit-identical
           with the hook on or off (A/B-enforced in the tests). *)
   poll : iteration:int -> best:Mstate.t -> [ `Continue | `Stop ];
-      (** per-pop hook, called before every pop alongside
-          {!Magis_resilience.Interrupt.requested} with the number of
+      (** per-pop hook, called before every pop with the number of
           completed iterations and the best state so far: [`Stop] makes
           the run checkpoint (if configured) and return best-so-far with
-          [interrupted] set.  {!Magis_serve} streams progress from it
-          and stops on client disconnect or daemon drain; the default
-          always continues.  Excluded from the trajectory fingerprint
-          (it carries no search-relevant state). *)
+          [interrupted] set.  The only way a run stops before its time
+          budget, its iteration cap or an empty queue: the search reads
+          no process signal state, so a signal stops it only through a
+          flag its caller's poll reads.  {!Magis_serve} streams progress
+          from it and stops on client disconnect or daemon drain;
+          [magis_cli optimize --checkpoint] stops on SIGINT/SIGTERM; the
+          default always continues.  Excluded from the trajectory
+          fingerprint (it carries no search-relevant state). *)
 }
 
 val default_config : config
@@ -263,7 +273,8 @@ val better_than : mode -> ?delta:float -> Mstate.t -> Mstate.t -> bool
     {!Verification_failure}, …) re-raise.  Past 85% of [time_budget]
     the DP budget steps down to {!ladder_sched_states}[ ~level:1], and
     budget exhaustion returns best-so-far, each step recorded in
-    [stats.degrade_steps]. *)
+    [stats.degrade_steps].  Before its budget, cap or queue runs out,
+    only [config.poll] stops it. *)
 val run : ?config:config -> Op_cost.t -> mode -> Graph.t -> result
 
 (** Minimize memory with at most [overhead] extra latency relative to the

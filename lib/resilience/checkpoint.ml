@@ -85,3 +85,9 @@ let load ~path ~version ~fingerprint =
   with Failure msg -> fail "unreadable payload (%s)" msg
 
 let exists path = Sys.file_exists path
+
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end

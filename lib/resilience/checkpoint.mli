@@ -32,3 +32,7 @@ val load : path:string -> version:int -> fingerprint:int64 -> 'a
 
 (** Does a readable file (compatible or not) exist at [path]? *)
 val exists : string -> bool
+
+(** [mkdir_p dir] creates [dir] and any missing parent, like
+    [mkdir -p]; an existing directory is left as it is. *)
+val mkdir_p : string -> unit

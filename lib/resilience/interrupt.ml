@@ -1,56 +1,18 @@
-(** Cooperative signal flag and per-process callbacks (see the
+(** The process-wide signal handler and its callbacks (see the
     interface).
-
-    The handler is installed once per process and left in place: a
-    daemon and the guarded searches running inside it share the same
-    disposition, so there is nothing to restore and no window where a
-    signal falls through to the default (fatal) behaviour.  Guards are
-    refcounted — any number of worker threads may run guarded searches
-    concurrently, and the pending flag is cleared only when the
-    outermost guard enters or exits, never mid-flight under a sibling.
 
     The callback list lives in an [Atomic] holding an immutable list:
     the handler (which may run at any allocation point) only reads it,
     so registration from another thread can never deadlock against it. *)
 
-(* 0 = no signal pending; otherwise the OCaml signal number *)
-let pending = Atomic.make 0
-
-(* last signal the handler ever saw; survives guards so a caller can
-   still name the signal after the guarded region returned *)
-let last = Atomic.make 0
-
-(* number of concurrently active [with_guard] regions; [pending] is
-   only raised while at least one is live, so a stray signal between
-   runs cannot poison the next unguarded search *)
-let guards = Atomic.make 0
-
 let callbacks : (int * (int -> unit)) list Atomic.t = Atomic.make []
 let next_id = Atomic.make 0
-
-let requested () = Atomic.get pending <> 0
-
-let signal_name () =
-  match Atomic.get last with
-  | 0 -> None
-  | s when s = Sys.sigint -> Some "SIGINT"
-  | s when s = Sys.sigterm -> Some "SIGTERM"
-  | s -> Some (Printf.sprintf "signal %d" s)
 
 (* A callback that raises would surface its exception at an arbitrary
    allocation point in whatever code the signal interrupted — swallow
    it; observers communicate through their own state, not exceptions. *)
 let handler s =
-  Atomic.set last s;
-  if Atomic.get guards > 0 then Atomic.set pending s;
   List.iter (fun (_, f) -> try f s with _ -> ()) (Atomic.get callbacks)
-
-let install () =
-  List.iter
-    (fun s ->
-      try ignore (Sys.signal s (Sys.Signal_handle handler))
-      with Invalid_argument _ | Sys_error _ -> ())
-    [ Sys.sigint; Sys.sigterm ]
 
 let rec update_callbacks f =
   let cur = Atomic.get callbacks in
@@ -60,17 +22,9 @@ let rec update_callbacks f =
 let on_signal f =
   let id = Atomic.fetch_and_add next_id 1 in
   update_callbacks (fun cur -> (id, f) :: cur);
-  install ();
+  List.iter
+    (fun s ->
+      try ignore (Sys.signal s (Sys.Signal_handle handler))
+      with Invalid_argument _ | Sys_error _ -> ())
+    [ Sys.sigint; Sys.sigterm ];
   fun () -> update_callbacks (List.filter (fun (i, _) -> i <> id))
-
-let with_guard f =
-  (* (re)install on outermost entry: an embedding process (or a test
-     backstop) may have replaced the disposition since the last run *)
-  if Atomic.fetch_and_add guards 1 = 0 then begin
-    Atomic.set pending 0;
-    install ()
-  end;
-  Fun.protect
-    ~finally:(fun () ->
-      if Atomic.fetch_and_add guards (-1) = 1 then Atomic.set pending 0)
-    f

@@ -1,43 +1,22 @@
-(** Cooperative SIGINT/SIGTERM handling, composable with a daemon.
+(** The process-wide SIGINT/SIGTERM handler and its callbacks.
 
-    Long-running searches must not lose their explored frontier to a
-    ctrl-C or an orchestrator's TERM: the process-wide handler only
-    records the signal, the search loop polls {!requested} at iteration
-    boundaries, writes its checkpoint and returns best-so-far.
+    Signals belong to the process that owns them, not to a search: a
+    search stops only when its caller's per-pop poll
+    ([Search.config.poll]) says so.  A caller that wants a signal to
+    stop its search registers a callback here that raises a flag its
+    poll reads — [magis_cli optimize --checkpoint] records the signal,
+    the daemon ([Server]) drains.  A search whose poll reads no such
+    flag ignores signals.
 
-    Handlers are installed once per process and left installed — a
-    persistent service ({!Magis_serve}) and the guarded searches running
-    inside it must share one disposition, so nothing is restored on
-    guard exit.  Multiple threads may hold guards concurrently: the
-    pending flag is cleared only when the outermost guard enters or
-    exits.  Independent observers (an accept loop, a drain sequencer)
-    register {!on_signal} callbacks instead of polling. *)
-
-(** Install the shared SIGINT/SIGTERM handler.  Idempotent; safe to
-    call again after embedding code replaced the disposition.  On
-    platforms without these signals it does nothing. *)
-val install : unit -> unit
+    The handler is installed once and left installed, so a daemon and
+    everything it runs share one disposition and a signal never falls
+    through to the default (fatal) behaviour between two searches. *)
 
 (** [on_signal f] registers [f] to run (with the signal number) each
-    time a handled signal arrives, and installs the handler.  Returns
+    time SIGINT or SIGTERM arrives, and installs the handler (re-
+    installing it if embedding code replaced the disposition).  Returns
     the unregister function.  Callbacks run inside the signal handler
     at an arbitrary safe point: keep them tiny (set a flag, write a
-    byte) — exceptions they raise are swallowed. *)
+    byte) — exceptions they raise are swallowed.  On platforms without
+    these signals the handler is not installed. *)
 val on_signal : (int -> unit) -> unit -> unit
-
-(** Run [f] with signals redirected to a flag readable through
-    {!requested}.  Guards refcount: the flag is cleared when the
-    outermost guard enters and again when it exits (even when [f]
-    raises), so concurrent guarded searches all observe one signal and
-    a stray signal between runs poisons nothing. *)
-val with_guard : (unit -> 'a) -> 'a
-
-(** Has a signal arrived since the outermost {!with_guard} started?
-    Only raised while at least one guard is active. *)
-val requested : unit -> bool
-
-(** Name of the most recent handled signal (["SIGINT"] / ["SIGTERM"]),
-    if any ever arrived.  Unlike {!requested}, this survives the end of
-    the guarded region, so a caller can still name the signal after the
-    interrupted computation returned. *)
-val signal_name : unit -> string option

@@ -193,12 +193,6 @@ let ckpt_path cfg id =
   Filename.concat cfg.ckpt_dir
     (Printf.sprintf "req-%s-%08x.ckpt" safe (Hashtbl.hash id))
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Connection IO                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -432,14 +426,14 @@ let run_search t (job : job) (req : P.request) (workload : Zoo.workload)
           cancelled (* checkpoint kept for resume *)
       | r ->
           (* an interrupted (drained) search keeps its checkpoint for the
-             restart; a finished one removes it *)
+             restart; a finished one removes it.  The deadline is the
+             search's time budget, so the search's record says whether
+             it ended the run (a resumed snapshot, always an interrupted
+             run's, holds no such record) *)
           let deadline_hit =
-            (not r.interrupted)
-            && r.stats.iterations < req.max_iterations
-            &&
-            match deadline_left with
-            | Some b -> elapsed () >= b *. 0.9
-            | None -> false
+            List.exists
+              (fun (_, step) -> step = "best-so-far")
+              r.stats.degrade_steps
           in
           if deadline_hit then Metrics.incr m_deadline;
           if not r.interrupted then (
@@ -761,7 +755,7 @@ let make_listener (addr : P.addr) =
 
 let run t =
   let cfg = t.cfg in
-  mkdir_p cfg.ckpt_dir;
+  Checkpoint.mkdir_p cfg.ckpt_dir;
   let metrics_were_on = Metrics.enabled () in
   Metrics.set_enabled true;
   let prev_pipe =

@@ -232,6 +232,15 @@ if [ -n "$hits" ]; then
   echo "$hits"
 fi
 
+# 19. a search stops only through its caller's poll, and signals belong
+# to the process that owns them (the CLI, the daemon), which wires them
+# into that poll: nothing under lib/opt or lib/frontier names Interrupt.
+hits=$(grep -rHnw 'Interrupt' lib/opt lib/frontier)
+if [ -n "$hits" ]; then
+  fail "signal state read under lib/opt or lib/frontier (stop the search through its poll):"
+  echo "$hits"
+fi
+
 if [ "$status" -eq 0 ]; then
   echo "style: clean ($(echo "$files" | wc -w) files)"
 fi

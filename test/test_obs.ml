@@ -493,6 +493,24 @@ let test_profile_jsonl_roundtrip () =
         (Json.member key sj = None && Json.member key last = None))
     [ "n_pruned_lb"; "pruned_lb"; "n_bound_calls"; "t_bound"; "n_lv_delta" ]
 
+(* The stat block's cache line speaks only of a cache the search had:
+   none without one, the cold cache's 0% with one. *)
+let test_pp_stats_cache_line () =
+  let cache_line (sim_cache : Sim_cache.t option) =
+    let config =
+      { Search.default_config with max_iterations = 3; time_budget = 1e9;
+        sim_cache }
+    in
+    let r = Search.optimize_memory ~config (cache ()) ~overhead:0.10 (randnet 7) in
+    Format.asprintf "%a" Search.pp_stats r.stats
+    |> String.split_on_char '\n'
+    |> List.find_opt (String.starts_with ~prefix:"Simulation cache")
+  in
+  Alcotest.(check (option string)) "no cache, no line" None (cache_line None);
+  Alcotest.(check (option string)) "a cold cache prints its 0%"
+    (Some "Simulation cache: 0% hit rate")
+    (cache_line (Some (Sim_cache.create ())))
+
 (* Each pop of the search loop is one "pop" instant carrying the popped
    state's numbers; the first pop is the initial state. *)
 let test_search_pop_instants () =
@@ -543,4 +561,5 @@ let suite =
       test_memory_timeline_matches_simulator;
     tc "search profile JSONL round-trips" test_profile_jsonl_roundtrip;
     tc "search pops are trace instants" test_search_pop_instants;
+    tc "the stat block's cache line needs a cache" test_pp_stats_cache_line;
   ]

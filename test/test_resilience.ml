@@ -368,6 +368,27 @@ let test_budget_exhaustion_best_so_far () =
     (List.exists (fun (_, step) -> step = "best-so-far") r.stats.degrade_steps);
   Alcotest.(check bool) "not an interrupt" false r.interrupted
 
+(** The other edge: a run that completes its iteration cap is not cut
+    short by its budget, even when the last capped pop overruns it
+    (here the poll before that pop sleeps past the budget), so it
+    records no best-so-far step. *)
+let test_cap_past_budget_not_best_so_far () =
+  let g = randnet ~cells:2 11 in
+  let poll ~iteration ~best:_ =
+    if iteration = 1 then Unix.sleepf 0.6;
+    `Continue
+  in
+  let r =
+    run_with ~max_iterations:2
+      ~cfg:(fun c -> { c with Search.time_budget = 0.5; poll })
+      ~jobs:1 g
+  in
+  Alcotest.(check int) "reached the cap" 2 r.stats.iterations;
+  Alcotest.(check bool) "overran the budget" true (r.stats.wall > 0.5);
+  Alcotest.(check bool) "no best-so-far step" false
+    (List.exists (fun (_, step) -> step = "best-so-far") r.stats.degrade_steps);
+  Alcotest.(check bool) "not an interrupt" false r.interrupted
+
 (* ------------------------------------------------------------------ *)
 (* Checkpoint / resume of the search                                   *)
 (* ------------------------------------------------------------------ *)
@@ -480,15 +501,25 @@ let test_checkpoint_rejects_foreign_run () =
 
 (** SIGTERM mid-search: the run returns early with [interrupted], the
     checkpoint holds the frontier, and resuming continues exactly where
-    the uninterrupted search would have been. *)
+    the uninterrupted search would have been.  The signal reaches the
+    search the way [magis_cli optimize --checkpoint] wires it: an
+    {!Interrupt.on_signal} callback raises a flag the poll reads. *)
 let test_sigterm_checkpoint_resume () =
   with_temp_file @@ fun path ->
   Sys.remove path;
   (* backstop handler: if the search somehow finishes before the killer
      fires, the stray SIGTERM must not take down the test runner *)
   let prev = Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> ())) in
-  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigterm prev)
+  let signal = Atomic.make 0 in
+  let unregister = Interrupt.on_signal (Atomic.set signal) in
+  Fun.protect
+    ~finally:(fun () ->
+      unregister ();
+      Sys.set_signal Sys.sigterm prev)
   @@ fun () ->
+  let poll ~iteration:_ ~best:_ =
+    if Atomic.get signal = 0 then `Continue else `Stop
+  in
   let g = randnet ~cells:2 13 in
   let pid = Unix.getpid () in
   let killer =
@@ -498,7 +529,7 @@ let test_sigterm_checkpoint_resume () =
   in
   let r =
     run_with ~max_iterations:max_int
-      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false })
+      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false; poll })
       ~jobs:1 g
   in
   Domain.join killer;
@@ -514,7 +545,29 @@ let test_sigterm_checkpoint_resume () =
   in
   let fresh = run_with ~max_iterations:total ~jobs:1 g in
   check_same_best "post-interrupt resume vs fresh" resumed fresh;
-  Alcotest.(check int) "iterations continue" total resumed.stats.iterations
+  Alcotest.(check int) "iterations continue" total resumed.stats.iterations;
+  Alcotest.(check int) "the callback saw SIGTERM" Sys.sigterm
+    (Atomic.get signal)
+
+(** A search stops only through its poll: one whose poll reads no
+    signal flag runs to its cap through a SIGTERM, checkpoint and all. *)
+let test_unwired_search_ignores_signals () =
+  with_temp_file @@ fun path ->
+  Sys.remove path;
+  let prev = Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> ())) in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigterm prev)
+  @@ fun () ->
+  let poll ~iteration ~best:_ =
+    if iteration = 2 then Unix.kill (Unix.getpid ()) Sys.sigterm;
+    `Continue
+  in
+  let r =
+    run_with ~max_iterations:6
+      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false; poll })
+      ~jobs:1 (randnet ~cells:2 13)
+  in
+  Alcotest.(check bool) "not interrupted" false r.interrupted;
+  Alcotest.(check int) "reached the cap" 6 r.stats.iterations
 
 let suite =
   [
@@ -535,6 +588,8 @@ let suite =
       test_chaos_pop_context_quarantine;
     tc "a sim-cache burst quarantines probes" test_chaos_sim_cache_burst;
     tc "budget exhaustion returns best-so-far" test_budget_exhaustion_best_so_far;
+    tc "a capped run past its budget is not best-so-far"
+      test_cap_past_budget_not_best_so_far;
     tc "checkpoint/resume reproduces the uninterrupted run"
       test_checkpoint_resume_identity;
     tc "checkpoint/resume at every early iteration"
@@ -543,4 +598,6 @@ let suite =
       test_checkpoint_rejects_foreign_run;
     tc "SIGTERM saves state and resumes bit-identically"
       test_sigterm_checkpoint_resume;
+    tc "a search not wired to signals ignores them"
+      test_unwired_search_ignores_signals;
   ]

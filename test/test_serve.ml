@@ -336,7 +336,20 @@ let test_deadlines () =
   Alcotest.(check bool) "deadline flagged" true o.o_deadline_hit;
   Alcotest.(check bool) "made progress before expiry" true (o.o_iterations > 0);
   Alcotest.(check bool) "best-so-far is real" true
-    (o.o_peak <= o.o_initial_peak)
+    (o.o_peak <= o.o_initial_peak);
+  (* a run that completes its cap past the deadline is not flagged: the
+     first candidate simulation of its only pop (the third "simulator"
+     visit, after the baseline and the initial state; a model not run
+     before, so nothing hits the daemon's cache) overruns it *)
+  Fun.protect ~finally:Fault.disarm @@ fun () ->
+  Fault.arm [ { Fault.site = "simulator"; at = 3; kind = Fault.Delay 0.5 } ];
+  let o =
+    expect_result
+      (Client.optimize c (req ~model:"unet++" ~iters:1 ~deadline:0.3 "dl-2"))
+  in
+  Alcotest.(check int) "completed its cap" 1 o.o_iterations;
+  Alcotest.(check bool) "the delay fired" true (Fault.fired () <> []);
+  Alcotest.(check bool) "a completed cap is not flagged" false o.o_deadline_hit
 
 (* ------------------------------------------------------------------ *)
 (* Cancellation and in-process resume                                  *)
