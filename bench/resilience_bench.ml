@@ -27,7 +27,7 @@ let run (env : Common.env) =
   let path = Filename.temp_file "magis_bench" ".ckpt" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  let checkpointed =
+  let label, r, wall =
     run_one ~label:"checkpoint every 50ms" (fun c ->
         { c with
           Search.checkpoint =
@@ -35,6 +35,13 @@ let run (env : Common.env) =
               { Search.ckpt_path = path; ckpt_every = 0.05;
                 ckpt_resume = false } })
   in
+  (* the search writes only its periodic snapshots (none in a run
+     shorter than the period); the end state is the caller's save *)
+  let periodic = r.stats.n_checkpoints in
+  let t0 = Unix.gettimeofday () in
+  let r = Search.save r in
+  let save_s = Unix.gettimeofday () -. t0 in
+  let checkpointed = (label, r, wall +. save_s) in
   let ckpt_bytes = (Unix.stat path).st_size in
   (* transient faults at the simulator site, planted past the prologue
      that runs outside the candidate expansion (baseline simulation +
@@ -62,9 +69,9 @@ let run (env : Common.env) =
         r.stats.n_retried r.stats.n_quarantined)
     runs;
   Printf.printf
-    "checkpoints: %d written, last snapshot %.1f KB; faults fired: %d\n"
-    (let _, r, _ = checkpointed in
-     r.stats.n_checkpoints)
+    "checkpoints: %d periodic, 1 final save (%.1f ms, %.1f KB); faults \
+     fired: %d\n"
+    periodic (save_s *. 1e3)
     (float_of_int ckpt_bytes /. 1e3)
     fired;
   List.iter

@@ -123,6 +123,10 @@ let cmd_optimize name full overhead mem_ratio budget iters jobs ckpt resume
       Printf.eprintf "magis: incompatible checkpoint: %s\n" reason;
       exit exit_incompatible
   in
+  (* the search writes only its periodic snapshots; the state it ended
+     in is saved here, for [--resume] to a larger cap or after a
+     signal, before the stats that count the save are printed *)
+  let result = if ckpt = None then result else Search.save result in
   let best = result.best in
   Printf.printf "%s: %.1f MB / %.2f ms  ->  %.1f MB / %.2f ms\n" w.name
     (mb base.peak_mem) (ms base.latency) (mb best.peak_mem) (ms best.latency);

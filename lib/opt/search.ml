@@ -31,9 +31,9 @@
     surviving candidates of the batch are kept; a pop whose context
     keeps failing to build is quarantined and proposes nothing.  The
     loop state is one record, saved as it is: [config.checkpoint]
-    periodically (and when the caller's poll stops the run) serializes
-    the full frontier to a crash-safe file from which a later run
-    resumes bit-identically.
+    periodically serializes the full frontier to a crash-safe file from
+    which a later run resumes bit-identically, and the caller that
+    keeps the state a run ends in writes it with {!save}.
     Near the end of the time budget a degradation ladder steps search
     effort down instead of letting the final iterations overshoot it. *)
 
@@ -228,15 +228,6 @@ let stats_of_table tb ~wall ~domain_time ~degrade_steps ~sim_cached =
     table = tb;
     wall;
   }
-
-type result = {
-  best : Mstate.t;
-  initial : Mstate.t;
-  stats : stats;
-  history : (float * int * float) list;
-  diagnostics : Diagnostic.t list;
-  interrupted : bool;
-}
 
 (* ------------------------------------------------------------------ *)
 (* Stats export                                                        *)
@@ -647,9 +638,57 @@ type snapshot = {
   mutable snap_steps : (float * string) list;
   mutable snap_history : (float * int * float) list;  (** newest first *)
   mutable snap_diags : Diagnostic.t list;  (** newest first *)
-  mutable snap_elapsed : float;  (** search seconds, set when saved *)
+  mutable snap_elapsed : float;  (** search seconds at a tick or return *)
   mutable snap_degrade : int;
 }
+
+(** The one snapshot write, shared by the periodic tick and {!save}.
+    Counted before the save, so the snapshot's table includes the
+    snapshot itself. *)
+let write_snapshot ~path ~fingerprint st =
+  bump st.snap_table c_checkpoints 1;
+  timed st.snap_table s_checkpoint (fun () ->
+      Checkpoint.save ~path ~version:ckpt_version ~fingerprint st)
+
+(** What {!save} needs of a run with a checkpoint configured. *)
+type end_state = {
+  es_state : snapshot;
+  es_path : string;
+  es_fingerprint : int64;
+}
+
+type result = {
+  best : Mstate.t;
+  initial : Mstate.t;
+  stats : stats;
+  history : (float * int * float) list;
+  diagnostics : Diagnostic.t list;
+  interrupted : bool;
+  resumed : bool;
+  end_state : end_state option;
+}
+
+(* [r.stats.table] is the saved record's, so it already counts the
+   save; the stats' copied fields are refreshed from it *)
+let save (r : result) =
+  let es =
+    match r.end_state with
+    | Some es -> es
+    | None -> invalid_arg "Search.save: the run configured no checkpoint"
+  in
+  let t0 = Unix.gettimeofday () in
+  write_snapshot ~path:es.es_path ~fingerprint:es.es_fingerprint es.es_state;
+  Metrics.incr counter_metrics.(c_checkpoints);
+  let tb = r.stats.table in
+  {
+    r with
+    stats =
+      {
+        r.stats with
+        n_checkpoints = count tb c_checkpoints;
+        wall = r.stats.wall +. (Unix.gettimeofday () -. t0);
+      };
+  }
 
 (** Digest of everything that must match for a snapshot to continue
     this run's trajectory: the hardware model, the input graph, the
@@ -858,23 +897,8 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
       record_step "reduce-sched-states"
     end
   in
-  (* -------------------------------------------------------------- *)
-  (* Checkpointing                                                   *)
-  (* -------------------------------------------------------------- *)
+  (* periodic snapshots only: the caller saves the state a run ends in *)
   let last_ckpt = ref (elapsed ()) in
-  let write_checkpoint () =
-    match config.checkpoint with
-    | None -> ()
-    | Some { ckpt_path; _ } ->
-        (* counted before the save, so the snapshot's table includes
-           the snapshot itself *)
-        bump tb c_checkpoints 1;
-        timed tb s_checkpoint (fun () ->
-            st.snap_elapsed <- elapsed ();
-            Checkpoint.save ~path:ckpt_path ~version:ckpt_version ~fingerprint
-              st);
-        last_ckpt := elapsed ()
-  in
   (* -------------------------------------------------------------- *)
   (* Supervision                                                     *)
   (* -------------------------------------------------------------- *)
@@ -1155,23 +1179,32 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
       Option.iter (expand s)
         (supervise_here ~what:"pop context" (pop_context tb s) ix);
       match config.checkpoint with
-      | Some { ckpt_every; _ } when elapsed () -. !last_ckpt >= ckpt_every ->
-          write_checkpoint ()
+      | Some { ckpt_path; ckpt_every; _ }
+        when elapsed () -. !last_ckpt >= ckpt_every ->
+          st.snap_elapsed <- elapsed ();
+          write_snapshot ~path:ckpt_path ~fingerprint st;
+          last_ckpt := elapsed ()
       | _ -> ()
     done
    with Exit -> ());
   if !out_of_time then record_step "best-so-far";
-  write_checkpoint ();
   publish ();
+  st.snap_elapsed <- elapsed ();
   {
     best = st.snap_best;
     initial = st.snap_initial;
     stats =
-      stats_of_table tb ~wall:(elapsed ()) ~domain_time:(Pool.busy_time pool)
+      stats_of_table tb ~wall:st.snap_elapsed ~domain_time:(Pool.busy_time pool)
         ~degrade_steps:st.snap_steps ~sim_cached:(Option.is_some ec.ec_sim);
     history = List.rev st.snap_history;
     diagnostics = List.rev st.snap_diags;
     interrupted = !interrupted;
+    resumed = Option.is_some loaded;
+    end_state =
+      Option.map
+        (fun c ->
+          { es_state = st; es_path = c.ckpt_path; es_fingerprint = fingerprint })
+        config.checkpoint;
   }
 
 (* ------------------------------------------------------------------ *)

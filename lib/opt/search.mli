@@ -86,7 +86,9 @@ type stats = {
   n_quarantined : int;
       (** candidates dropped after their retries, each with a
           diagnostic in [result.diagnostics] *)
-  n_checkpoints : int;  (** snapshots written, carried across a resume *)
+  n_checkpoints : int;
+      (** snapshots written, carried across a resume: the periodic ones
+          and each {!save} *)
   degrade_steps : (float * string) list;
       (** degradation ladder steps taken, in order: (elapsed seconds,
           ["reduce-sched-states"] or ["best-so-far"]).  ["best-so-far"]
@@ -120,6 +122,9 @@ val stage_seconds : stats -> (string * float) list
     for. *)
 val unaccounted : stats -> float
 
+(** The state a run ended in: its loop record, for {!save}. *)
+type end_state
+
 type result = {
   best : Mstate.t;
   initial : Mstate.t;
@@ -131,8 +136,12 @@ type result = {
           first ([] in a fault-free run); pass ["resilience"], checks
           ["injected-fault"], ["nonfinite-cost"], ["worker-exception"] *)
   interrupted : bool;
-      (** true when the caller's [poll] stopped the run (the
-          checkpoint, if configured, was written before returning) *)
+      (** true when the caller's [poll] stopped the run.  Its end state
+          is on disk only if the caller {!save}s it. *)
+  resumed : bool;  (** the run continued a snapshot it loaded *)
+  end_state : end_state option;
+      (** [Some] only when the run had a [checkpoint] configured, so a
+          caller holding many results holds no loop state *)
 }
 
 (** Crash-safe snapshot configuration. *)
@@ -180,12 +189,13 @@ type config = {
           default) = no cache, nothing keyed: a cache of one search's
           own never hits, as dedup skips every state it could return. *)
   checkpoint : checkpoint option;
-      (** crash-safe snapshots: written every [ckpt_every] seconds and
-          once when the run returns, also when [poll] stopped it.
-          [None] (the default) = off.  The search installs no signal
-          handler: a caller that wants SIGINT/SIGTERM to save and stop
+      (** crash-safe snapshots: written every [ckpt_every] seconds, at
+          the end of a pop, and never when the run returns — whatever
+          ended it.  A caller that keeps the end state writes it with
+          {!save}.  [None] (the default) = off.  The search installs no
+          signal handler: a caller that wants SIGINT/SIGTERM to stop
           the run registers a process signal callback that raises a
-          flag its [poll] reads. *)
+          flag its [poll] reads, and saves the result. *)
   profile : Magis_obs.Profile.t option;
       (** per-iteration telemetry sink ([None], the default, = off):
           after each iteration's merge one JSONL record is written with
@@ -207,11 +217,12 @@ type config = {
   poll : iteration:int -> best:Mstate.t -> [ `Continue | `Stop ];
       (** per-pop hook, called before every pop with the number of
           completed iterations and the best state so far: [`Stop] makes
-          the run checkpoint (if configured) and return best-so-far with
-          [interrupted] set.  The only way a run stops before its time
-          budget, its iteration cap or an empty queue: the search reads
-          no process signal state, so a signal stops it only through a
-          flag its caller's poll reads.  {!Magis_serve} streams progress
+          the run return best-so-far with [interrupted] set (a caller
+          that resumes it later {!save}s it).  The only way a run stops
+          before its time budget, its iteration cap or an empty queue:
+          the search reads no process signal state, so a signal stops
+          it only through a flag its caller's poll reads.
+          {!Magis_serve} streams progress
           from it and stops on client disconnect or daemon drain;
           [magis_cli optimize --checkpoint] stops on SIGINT/SIGTERM; the
           default always continues.  Excluded from the trajectory
@@ -274,8 +285,22 @@ val better_than : mode -> ?delta:float -> Mstate.t -> Mstate.t -> bool
     the DP budget steps down to {!ladder_sched_states}[ ~level:1], and
     budget exhaustion returns best-so-far, each step recorded in
     [stats.degrade_steps].  Before its budget, cap or queue runs out,
-    only [config.poll] stops it. *)
+    only [config.poll] stops it.  It writes snapshots only on its
+    periodic [ckpt_every] tick; the state it ends in is the caller's to
+    keep, with {!save}. *)
 val run : ?config:config -> Op_cost.t -> mode -> Graph.t -> result
+
+(** [save r] writes the state [r]'s run ended in — at its cap, its
+    budget, an empty queue or its poll's [`Stop] — to the run's
+    [ckpt_path], through the same write as the periodic tick, keyed by
+    the run's trajectory fingerprint.  A run that loads it with
+    [ckpt_resume] continues bit-identically, on the clock [r]'s run
+    stopped at.  The save is counted in [r]'s table before it is
+    written, so the snapshot and the returned stats (whose [wall]
+    includes the save) count it.
+
+    @raise Invalid_argument if the run configured no [checkpoint]. *)
+val save : result -> result
 
 (** Minimize memory with at most [overhead] extra latency relative to the
     unoptimized graph (Fig. 9 mode). *)

@@ -20,8 +20,10 @@
     streams progress and stops the search when the client is gone or
     the daemon drains — SIGTERM, {!stop} and [shutdown] all set the one
     drain flag it reads, so a drained search, in flight or still
-    queued, returns best-so-far at its next pop.  The search
-    checkpoints under the request id; the trajectory fingerprint
+    queued, returns best-so-far at its next pop.  The search writes
+    periodic snapshots under the request id; a cancelled or drained
+    request also saves the state its search ended in ({!Search.save}),
+    and a finished one keeps no file.  The trajectory fingerprint
     excludes iteration and time budgets, so a re-submitted id resumes
     bit-identically after a cancel, a drain or a crash.  Every executed
     job ends in one {!outcome}, applied in one place ([worker_loop]). *)
@@ -376,8 +378,6 @@ let run_search t (job : job) (req : P.request) (workload : Zoo.workload)
               }
       in
       let path = ckpt_path t.cfg req.id in
-      let resumed = Checkpoint.exists path in
-      if resumed then Metrics.incr m_resumed;
       (* progress at every positive multiple of [progress_every] (the
          search never polls at [max_iterations]); stop when the client
          is gone or the daemon drains *)
@@ -413,7 +413,14 @@ let run_search t (job : job) (req : P.request) (workload : Zoo.workload)
               };
         }
       in
-      match Search.run ~config t.cost mode graph with
+      (* an interrupted search (cancelled or drained) saves the state
+         it ended in for the comeback, inside the guard below *)
+      let search () =
+        let r = Search.run ~config t.cost mode graph in
+        if r.resumed then Metrics.incr m_resumed;
+        if r.interrupted then Search.save r else r
+      in
+      match search () with
       | exception Checkpoint.Incompatible msg ->
           rejected req.id P.Incompatible msg
       | exception Search.Verification_failure msg ->
@@ -423,13 +430,13 @@ let run_search t (job : job) (req : P.request) (workload : Zoo.workload)
           let detail = Printexc.to_string e in
           rejected ~quarantine:("request", detail) req.id P.Internal detail
       | r when r.interrupted && not (Atomic.get conn.alive) ->
-          cancelled (* checkpoint kept for resume *)
+          cancelled (* end state saved for the comeback *)
       | r ->
-          (* an interrupted (drained) search keeps its checkpoint for the
-             restart; a finished one removes it.  The deadline is the
-             search's time budget, so the search's record says whether
-             it ended the run (a resumed snapshot, always an interrupted
-             run's, holds no such record) *)
+          (* a finished search wrote no end state; it removes any
+             periodic snapshot.  The deadline is the search's time
+             budget, so the search's record says whether it ended the
+             run (a resumed snapshot, always an interrupted run's, holds
+             no such record) *)
           let deadline_hit =
             List.exists
               (fun (_, step) -> step = "best-so-far")
@@ -447,7 +454,7 @@ let run_search t (job : job) (req : P.request) (workload : Zoo.workload)
                  o_latency = r.best.latency;
                  o_iterations = r.stats.iterations;
                  o_interrupted = r.interrupted;
-                 o_resumed = resumed;
+                 o_resumed = r.resumed;
                  o_deadline_hit = deadline_hit;
                  o_quarantined = r.stats.n_quarantined;
                }))

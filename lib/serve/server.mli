@@ -22,14 +22,15 @@
     - one per-pop poll of the search ([Search.config.poll]) streams
       progress and stops it at its next pop when the client disconnects
       (cancelled) or the daemon drains;
-    - every in-flight request checkpoints under
-      [ckpt_dir/req-<id>.ckpt]; a restarted daemon resumes a
-      re-submitted id bit-identically (same spec) or answers
-      [incompatible] (changed spec);
+    - every in-flight request checkpoints periodically under
+      [ckpt_dir/req-<id>.ckpt], a cancelled or drained one also saves
+      the state it stopped in, and a finished one removes the file; a
+      restarted daemon resumes a re-submitted id bit-identically (same
+      spec) or answers [incompatible] (changed spec);
     - SIGTERM, {!stop} and a [shutdown] command take one drain path:
       no new admissions; every queued and in-flight search returns
       best-so-far at its next pop, flagged [interrupted], with its
-      checkpoint kept; then the daemon exits. *)
+      end state saved; then the daemon exits. *)
 
 type config = {
   addr : Protocol.addr;

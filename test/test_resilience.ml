@@ -404,12 +404,13 @@ let test_checkpoint_resume_identity () =
   Sys.remove path;
   let g = randnet 7 in
   let r6 =
-    run_with ~max_iterations:6
-      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false })
-      ~jobs:1 g
+    Search.save
+      (run_with ~max_iterations:6
+         ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false })
+         ~jobs:1 g)
   in
-  Alcotest.(check bool) "final checkpoint written" true
-    (r6.stats.n_checkpoints >= 1 && Checkpoint.exists path);
+  Alcotest.(check bool) "end state saved" true
+    (r6.stats.n_checkpoints = 1 && Checkpoint.exists path);
   let resumed =
     run_with ~max_iterations:12
       ~cfg:(fun c -> { c with Search.checkpoint = ckpt path true })
@@ -426,16 +427,76 @@ let test_checkpoint_resume_identity () =
   Alcotest.(check int) "same duplicates filtered" fresh.stats.n_filtered
     resumed.stats.n_filtered;
   (* the whole table: every counter continues across the resume; the
-     snapshots are the resumed run's own (the first run's final one,
-     carried in its table, and its own final one) *)
+     one snapshot is the first run's saved end state, carried in its
+     table (the resumed run, never saved, writes none) *)
   let without_ckpt (r : Search.result) =
     List.remove_assoc "checkpoints" (Search.counts r.stats)
   in
   Alcotest.(check (list (pair string int)))
     "every counter equals the uninterrupted run's" (without_ckpt fresh)
     (without_ckpt resumed);
-  Alcotest.(check int) "both runs' snapshots counted" 2
+  Alcotest.(check int) "the saved snapshot is counted once" 1
     resumed.stats.n_checkpoints
+
+(** A run writes only its periodic snapshots: a capped run whose period
+    never comes leaves no file and counts no save, at any end.  Its
+    caller's {!Search.save} writes the end state through the same write,
+    on the clock the run stopped at, and resuming it continues the
+    uninterrupted run bit-identically. *)
+let test_end_state_saved_by_caller () =
+  with_temp_file @@ fun path ->
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+  @@ fun () ->
+  Metrics.set_enabled true;
+  let saves () = Metrics.counter_value (Metrics.counter "checkpoint.saves") in
+  let g = randnet 7 in
+  let before = saves () in
+  let r =
+    run_with ~max_iterations:4
+      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false })
+      ~jobs:1 g
+  in
+  Alcotest.(check bool) "no file at the cap" false (Sys.file_exists path);
+  Alcotest.(check int) "no save counted" 0 (saves () - before);
+  Alcotest.(check int) "no snapshot in the table" 0 r.stats.n_checkpoints;
+  Alcotest.(check bool) "a fresh run" false r.resumed;
+  (* the save comes well after the run; the snapshot keeps the run's
+     clock, not the save's *)
+  Unix.sleepf 0.3;
+  let r = Search.save r in
+  Alcotest.(check bool) "the save wrote the file" true (Checkpoint.exists path);
+  Alcotest.(check int) "one save counted" 1 (saves () - before);
+  Alcotest.(check int) "the stats count the save" 1 r.stats.n_checkpoints;
+  let again =
+    run_with ~max_iterations:4
+      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path true })
+      ~jobs:1 g
+  in
+  Alcotest.(check bool) "a resume at the cap" true again.resumed;
+  Alcotest.(check bool) "the resumed clock is the run's end time" true
+    (again.stats.wall < r.stats.wall +. 0.25);
+  let resumed =
+    run_with ~max_iterations:10
+      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path true })
+      ~jobs:1 g
+  in
+  let fresh = run_with ~max_iterations:10 ~jobs:1 g in
+  check_same_best "saved end state resumed vs fresh" resumed fresh;
+  Alcotest.(check (list (pair int (float 0.0))))
+    "same history"
+    (List.map (fun (_, p, l) -> (p, l)) fresh.history)
+    (List.map (fun (_, p, l) -> (p, l)) resumed.history);
+  Alcotest.(check (list (pair string int)))
+    "every counter but the snapshots equals the uninterrupted run's"
+    (List.remove_assoc "checkpoints" (Search.counts fresh.stats))
+    (List.remove_assoc "checkpoints" (Search.counts resumed.stats));
+  Alcotest.(check int) "the resumed runs saved nothing" 1 (saves () - before);
+  Alcotest.(check bool) "no end state without a checkpoint" true
+    (Option.is_none fresh.end_state)
 
 (** A snapshot after each of the first five iterations, resumed to
     eight, continues the uninterrupted eight-iteration search exactly:
@@ -456,10 +517,11 @@ let test_resume_at_every_early_iteration () =
           let fresh = run_with ~max_iterations:8 ~jobs g in
           for k = 1 to 5 do
             if Sys.file_exists path then Sys.remove path;
-            let _ =
-              run_with ~max_iterations:k
-                ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false })
-                ~jobs g
+            let (_ : Search.result) =
+              Search.save
+                (run_with ~max_iterations:k
+                   ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false })
+                   ~jobs g)
             in
             let resumed =
               run_with ~max_iterations:8
@@ -486,10 +548,11 @@ let test_resume_at_every_early_iteration () =
 let test_checkpoint_rejects_foreign_run () =
   with_temp_file @@ fun path ->
   Sys.remove path;
-  let _ =
-    run_with ~max_iterations:3
-      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false })
-      ~jobs:1 (randnet 7)
+  let (_ : Search.result) =
+    Search.save
+      (run_with ~max_iterations:3
+         ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false })
+         ~jobs:1 (randnet 7))
   in
   match
     run_with ~max_iterations:6
@@ -536,6 +599,8 @@ let test_sigterm_checkpoint_resume () =
   Alcotest.(check bool) "run reports the interrupt" true r.interrupted;
   Alcotest.(check bool) "made progress before the interrupt" true
     (r.stats.iterations > 0);
+  (* the caller keeps the interrupted state, as the CLI does *)
+  let r = Search.save r in
   Alcotest.(check bool) "checkpoint written" true (Checkpoint.exists path);
   let total = r.stats.iterations + 2 in
   let resumed =
@@ -592,6 +657,8 @@ let suite =
       test_cap_past_budget_not_best_so_far;
     tc "checkpoint/resume reproduces the uninterrupted run"
       test_checkpoint_resume_identity;
+    tc "a run writes no end state; its caller saves it"
+      test_end_state_saved_by_caller;
     tc "checkpoint/resume at every early iteration"
       test_resume_at_every_early_iteration;
     tc "checkpoints of foreign runs are rejected"

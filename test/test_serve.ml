@@ -416,6 +416,20 @@ let test_progress_without_reload () =
   Alcotest.(check int) "a fresh request never reloads its checkpoint" 0
     (loads () - before)
 
+(* A finished request writes no snapshot: with a period longer than the
+   search, the daemon saves nothing for it. *)
+let test_finished_request_saves_nothing () =
+  let cfg = { (fresh_cfg "nosave") with Server.ckpt_every = 1e9 } in
+  with_server cfg @@ fun addr ->
+  with_client addr @@ fun c ->
+  let saves () = counter_in (Client.metrics_text c) "checkpoint.saves" in
+  let before = saves () in
+  let o = expect_result (Client.optimize c (req ~iters:4 "nosave-1")) in
+  Alcotest.(check int) "all iterations ran" 4 o.o_iterations;
+  Alcotest.(check int) "no checkpoint saved" 0 (saves () - before);
+  Alcotest.(check bool) "no file left" false
+    (Sys.file_exists (Server.ckpt_path cfg "nosave-1"))
+
 let test_drain_at_next_pop () =
   let cfg = fresh_cfg ~workers:1 "drain" in
   with_server cfg @@ fun addr ->
@@ -578,6 +592,8 @@ let test_sigkill_restart_resume () =
   let resumed =
     with_server cfg @@ fun addr ->
     with_client addr @@ fun c ->
+    let resumes () = counter_in (Client.metrics_text c) "serve.resumed" in
+    let before = resumes () in
     (match
        Client.optimize c
          { (req ~iters:total "crash-1") with mode = P.Latency 0.7 }
@@ -588,6 +604,8 @@ let test_sigkill_restart_resume () =
           (P.reply_to_string r));
     let o = expect_result (Client.optimize c (req ~iters:total "crash-1")) in
     Alcotest.(check bool) "restart resumed the checkpoint" true o.o_resumed;
+    (* the incompatible request loaded nothing, so it is no resume *)
+    Alcotest.(check int) "one resume counted" 1 (resumes () - before);
     o
   in
   let fresh =
@@ -636,6 +654,8 @@ let suite =
       test_disconnect_cancels_then_resumes;
     tc "progress comes from the one search, with no checkpoint reload"
       test_progress_without_reload;
+    tc "a finished request saves no snapshot"
+      test_finished_request_saves_nothing;
     tc "shutdown stops in-flight and queued searches at their next pop"
       test_drain_at_next_pop;
     tc "torn socket read is quarantined, never fatal"
