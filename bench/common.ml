@@ -10,7 +10,6 @@ type env = {
           budget sweeps replay previously simulated states for free *)
   scale : Zoo.scale;
   budget : float;  (** seconds of search per MAGIS optimization *)
-  jobs : int;  (** worker domains per search (1 = serial) *)
   iters : int;  (** iteration cap per search (CI smoke uses a tight one) *)
   stats_json : string option;
       (** write each experiment's deterministic counters here as a flat
@@ -18,13 +17,12 @@ type env = {
           against [bench/baselines/] with [scripts/compare_bench.sh] *)
 }
 
-let make_env ?(jobs = 1) ?(iters = max_int) ?stats_json ~full ~budget () =
+let make_env ?(iters = max_int) ?stats_json ~full ~budget () =
   {
     cost = Op_cost.create Hardware.default;
     sim_cache = Sim_cache.create ();
     scale = (if full then Zoo.Full else Zoo.Quick);
     budget;
-    jobs;
     iters;
     stats_json;
   }
@@ -49,7 +47,6 @@ let search_config env =
   { Search.default_config with
     time_budget = env.budget;
     max_iterations = env.iters;
-    jobs = env.jobs;
     sim_cache = Some env.sim_cache }
 
 (** Unoptimized PyTorch reference for a workload. *)
@@ -150,8 +147,8 @@ let print_matrix ~row_names ~col_names cells =
 let workload_graph env (w : Zoo.workload) = w.build env.scale
 
 (** The smallest Table-2 workload at the current scale, by operator
-    count — the subject of the CI bench-smoke job and the parallel
-    speedup experiment. *)
+    count — the subject of the CI bench-smoke job and the
+    simulation-cache experiment ([par]). *)
 let smallest_workload env =
   List.map (fun (w : Zoo.workload) -> (w, workload_graph env w)) Zoo.all
   |> List.sort (fun ((wa : Zoo.workload), a) ((wb : Zoo.workload), b) ->

@@ -26,7 +26,7 @@ let run (env : Common.env) =
       ~finally:(fun () -> Metrics.set_enabled metrics)
       (fun () -> Search.optimize_latency ~config env.cost ~mem_ratio:0.6 g)
   in
-  (* the stage table, counters, cache and worker lines all come from
+  (* the stage table, counters, cache and rescheduling lines all come from
      the shared stat renderer (also used by [magis_cli optimize]) *)
   Format.printf "%a%!" Search.pp_stats r.stats;
   Printf.printf "Best peak %.1f MB, best latency %.2f ms\n"

@@ -34,10 +34,10 @@ let write_file path contents =
   Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
       output_string oc contents)
 
-let run_selected names full budget jobs iters stats_json trace metrics =
+let run_selected names full budget iters stats_json trace metrics =
   if trace <> None then Magis.Trace.enable ();
   if metrics <> None then Magis.Metrics.set_enabled true;
-  let env = Common.make_env ~jobs ~iters ?stats_json ~full ~budget () in
+  let env = Common.make_env ~iters ?stats_json ~full ~budget () in
   let selected =
     match names with
     | [] | [ "all" ] -> experiments
@@ -84,10 +84,6 @@ let budget =
   let doc = "Search time budget per MAGIS optimization, in seconds." in
   Arg.(value & opt float 5.0 & info [ "budget" ] ~doc)
 
-let jobs =
-  let doc = "Worker domains per search (1 = serial legacy path)." in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc)
-
 let iters =
   let doc =
     "Iteration cap per search (in addition to the time budget); the CI \
@@ -114,7 +110,7 @@ let cmd =
   let doc = "Regenerate the MAGIS paper's evaluation tables and figures" in
   Cmd.v
     (Cmd.info "magis-bench" ~doc)
-    Term.(const run_selected $ names $ full $ budget $ jobs $ iters
+    Term.(const run_selected $ names $ full $ budget $ iters
           $ stats_json $ trace $ metrics)
 
 let () = exit (Cmd.eval cmd)

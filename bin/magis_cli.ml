@@ -79,7 +79,7 @@ let write_file path contents =
   Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
       output_string oc contents)
 
-let cmd_optimize name full overhead mem_ratio budget iters jobs ckpt resume
+let cmd_optimize name full overhead mem_ratio budget iters ckpt resume
     ckpt_every stats_json_path trace_path metrics_path =
   let w, g = load name full in
   let cost = Op_cost.create Hardware.default in
@@ -110,7 +110,7 @@ let cmd_optimize name full overhead mem_ratio budget iters jobs ckpt resume
           if Atomic.get signal = 0 then `Continue else `Stop
   in
   let config =
-    { Search.default_config with time_budget = budget; jobs;
+    { Search.default_config with time_budget = budget;
       max_iterations = iters; checkpoint; poll }
   in
   let result =
@@ -187,7 +187,7 @@ let cmd_optimize name full overhead mem_ratio budget iters jobs ckpt resume
     Membound lower/upper bound columns) and search.jsonl (one record
     per search iteration).  Exits non-zero when the exported memory
     timeline's peak disagrees with the simulator's. *)
-let cmd_profile name full overhead mem_ratio budget iters jobs outdir =
+let cmd_profile name full overhead mem_ratio budget iters outdir =
   let w, g = load name full in
   let cost = Op_cost.create Hardware.default in
   if not (Sys.file_exists outdir) then Unix.mkdir outdir 0o755;
@@ -195,7 +195,7 @@ let cmd_profile name full overhead mem_ratio budget iters jobs outdir =
   Metrics.set_enabled true;
   let sink = Profile.create (Filename.concat outdir "search.jsonl") in
   let config =
-    { Search.default_config with time_budget = budget; jobs;
+    { Search.default_config with time_budget = budget;
       max_iterations = iters; profile = Some sink }
   in
   let result =
@@ -269,7 +269,7 @@ let cmd_profile name full overhead mem_ratio budget iters jobs outdir =
     them); a persistent burst must quarantine — never crash — and a
     NaN burst must surface as a nonfinite-cost diagnostic.  Exits
     non-zero on the first violated expectation. *)
-let cmd_chaos seed jobs iters =
+let cmd_chaos seed iters =
   let g =
     Randnet.build
       ~cfg:
@@ -278,8 +278,7 @@ let cmd_chaos seed jobs iters =
       ()
   in
   let config =
-    { Search.default_config with time_budget = 1e9; max_iterations = iters;
-      jobs }
+    { Search.default_config with time_budget = 1e9; max_iterations = iters }
   in
   let cost = Op_cost.create Hardware.default in
   (* each run gets a cache of its own, which the search probes, so the
@@ -367,8 +366,8 @@ let cmd_chaos seed jobs iters =
      quarantined with the right diagnostic, and the search must still
      return.  The burst must outlast a whole batch pass plus the retry
      chain of at least one candidate (each failing execution consumes
-     exactly one visit, and the pool pass spreads the first failures
-     across the batch before any retry runs). *)
+     exactly one visit, and a batch's first executions all run before
+     any of its retries). *)
   let persistent_len = 400 in
   (let site = "simulator" in
    let lo, _ = window site in
@@ -789,11 +788,6 @@ let optimize_cmd =
   let budget =
     Arg.(value & opt float 10.0 & info [ "budget" ] ~doc:"Search seconds.")
   in
-  let jobs =
-    Arg.(value & opt int 1
-         & info [ "j"; "jobs" ]
-             ~doc:"Worker domains for candidate expansion (1 = serial).")
-  in
   let iters =
     Arg.(value & opt int max_int
          & info [ "iters" ] ~doc:"Maximum search iterations.")
@@ -833,7 +827,7 @@ let optimize_cmd =
   in
   Cmd.v (Cmd.info "optimize" ~doc:"Optimize a workload")
     Term.(const cmd_optimize $ workload $ full $ overhead $ mem_ratio $ budget
-          $ iters $ jobs $ checkpoint $ resume $ ckpt_every $ stats_json
+          $ iters $ checkpoint $ resume $ ckpt_every $ stats_json
           $ trace $ metrics)
 
 let profile_cmd =
@@ -852,11 +846,6 @@ let profile_cmd =
     Arg.(value & opt int max_int
          & info [ "iters" ] ~doc:"Maximum search iterations.")
   in
-  let jobs =
-    Arg.(value & opt int 1
-         & info [ "j"; "jobs" ]
-             ~doc:"Worker domains for candidate expansion (1 = serial).")
-  in
   let outdir =
     Arg.(value & opt string "magis-profile"
          & info [ "o"; "output" ]
@@ -871,16 +860,11 @@ let profile_cmd =
           wall-clock spans), metrics snapshot, memory timeline and search \
           JSONL into a directory")
     Term.(const cmd_profile $ workload $ full $ overhead $ mem_ratio $ budget
-          $ iters $ jobs $ outdir)
+          $ iters $ outdir)
 
 let chaos_cmd =
   let seed =
     Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Randnet and fault-plan seed.")
-  in
-  let jobs =
-    Arg.(value & opt int 1
-         & info [ "j"; "jobs" ]
-             ~doc:"Worker domains for candidate expansion (1 = serial).")
   in
   let iters =
     Arg.(value & opt int 8 & info [ "iters" ] ~doc:"Search iterations per run.")
@@ -891,7 +875,7 @@ let chaos_cmd =
          "Fault-injection self test: a seeded search must survive every \
           fault class, reproducing the fault-free result exactly under \
           transient faults and quarantining persistent ones")
-    Term.(const cmd_chaos $ seed $ jobs $ iters)
+    Term.(const cmd_chaos $ seed $ iters)
 
 let codegen_cmd =
   let budget =

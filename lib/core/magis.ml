@@ -36,9 +36,6 @@ module Metrics = Magis_obs.Metrics
 module Timeline = Magis_obs.Timeline
 module Profile = Magis_obs.Profile
 
-(* parallel runtime: domain pool *)
-module Pool = Magis_par.Pool
-
 (* resilience: fault injection, retry, crash-safe checkpoints *)
 module Fault = Magis_resilience.Fault
 module Retry = Magis_resilience.Retry

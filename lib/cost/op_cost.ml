@@ -6,7 +6,7 @@
     than to look up, so every query computes it, and a candidate takes
     the costs of the nodes it shares with its parent from the parent
     ({!inherited_cost_on}).  A [t] never changes after {!create}, so
-    every domain of the parallel expansion pool shares it freely
+    the daemon's request domains share one freely
     ([scripts/check_style.sh] rule 15). *)
 
 open Magis_ir

@@ -37,8 +37,8 @@ type entry = {
   e_hotspots : int list;
 }
 
-(* One lock around one table: the search probes serially, so only its
-   workers' [add]s and a daemon's worker domains meet here. *)
+(* One lock around one table: a search runs on one domain, so only a
+   daemon's worker domains meet here. *)
 type t = {
   lock : Mutex.t;
   tbl : (int64, entry) Hashtbl.t;

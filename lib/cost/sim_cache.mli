@@ -13,9 +13,9 @@
 
     A cache pays only when searches share it: a search's dedup already
     skips every state whose hash, a part of every key, it has seen.  A
-    search probes serially and only its workers' [add]s (and a daemon's
-    worker domains) meet at the table, one [Hashtbl] under one [Mutex];
-    hit/miss counters are atomic.  [find] is a fault-injection site
+    search runs on one domain, so only a daemon's worker domains meet
+    at the table, one [Hashtbl] under one [Mutex]; hit/miss counters
+    are atomic.  [find] is a fault-injection site
     (["sim_cache"], {!Magis_resilience.Fault}).
 
     Entries are stored delta-encoded against the parent schedule when

@@ -2,9 +2,10 @@
 
     Counters are striped: each counter owns a small power-of-two array
     of atomic cells and a domain increments the cell indexed by its
-    domain id, so parallel expansion workers never contend on one cache
-    line; reads sum the stripes.  Gauges store float bits in one atomic.  Histograms keep
-    one atomic cell per bucket plus a CAS-accumulated float sum.
+    domain id, so concurrent domains never contend on one cache line;
+    reads sum the stripes.  Gauges store float bits in one atomic.
+    Histograms keep one atomic cell per bucket plus a CAS-accumulated
+    float sum.
 
     Recording is gated on one atomic [enabled] flag (default off), so
     the production cost of an instrumented call is a load and a branch.

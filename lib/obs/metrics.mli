@@ -10,8 +10,9 @@
     Recording is gated on a single process-wide flag ({!set_enabled},
     default [false]): while disabled, {!incr}/{!add}/{!set}/{!observe}
     cost one atomic load and a branch.  While enabled, counters spread
-    their increments over per-domain atomic cells so parallel search
-    workers do not contend; values are summed at read time.
+    their increments over per-domain atomic cells so concurrent domains
+    (a daemon's request workers) do not contend; values are summed at
+    read time.
 
     Snapshots ({!snapshot}, {!to_text}, {!to_json}) read a consistent
     list of registered metrics but each value individually — metrics

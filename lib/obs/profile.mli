@@ -2,8 +2,7 @@
 
     The search loop records one object per iteration (queue depth, best
     peak and latency so far, its accounting table's counters and
-    per-stage seconds, pool busy fractions, …); each record
-    is flushed as it is written, so an interrupted run keeps every
+    per-stage seconds, …); each record is flushed as it is written, so an interrupted run keeps every
     completed iteration.  {!read} parses a file back for analysis and
     for the round-trip tests. *)
 

@@ -11,8 +11,8 @@
 
     {!to_chrome} renders the buffer as a Chrome [trace_event] JSON
     document loadable in [chrome://tracing] or Perfetto; spans become
-    complete events on one lane per domain, so a parallel search shows
-    its worker fan-out directly.
+    complete events on one lane per domain, so each of a daemon's
+    request workers shows on a lane of its own.
 
     The tracer is a process-wide singleton: libraries instrument
     unconditionally, and whoever owns [main] (CLI, bench, a test)
@@ -31,9 +31,8 @@ type event = {
 }
 
 (** Monotonized wall clock, in seconds: never decreases, across all
-    domains, even when the system clock steps backwards.  Usable (and
-    used, e.g. by {!Magis_par.Pool} busy accounting) independently of
-    whether tracing is enabled. *)
+    domains, even when the system clock steps backwards.  Usable
+    independently of whether tracing is enabled. *)
 val now : unit -> float
 
 (** Start recording into a fresh ring buffer of [capacity] events

@@ -12,18 +12,15 @@
     the table reproduces the Fig. 15 breakdown, and the history of best
     results over elapsed time reproduces the Fig. 13 curves.
 
-    Candidate expansion is embarrassingly parallel: each child is
-    hashed, and each survivor evaluated, independently, reading only the
-    pop's context, built serially before the pool phase.  With
-    [config.jobs > 1] candidates fan out over a pool of OCaml 5 domains
-    ({!Magis_par.Pool}); they are generated, deduplicated, probed and
-    merged serially in candidate order, each into its own table added
-    into the run's at the merge, so a parallel run returns bit-identical
-    best states (and counts) to a serial one.  A {!Sim_cache} the caller
-    shares across searches is probed once per survivor, serially, and
-    only misses are evaluated; with no cache nothing is keyed, as a
-    cache of one search's own never hits (dedup skips every state it
-    could return).
+    The loop is serial, as in the paper: each pop's candidates are
+    generated, hashed, deduplicated, probed, evaluated and merged in
+    candidate order on the calling domain, reading only the pop's
+    context, built before them.  Each candidate counts its work into a
+    table of its own, added into the run's when it succeeds, so a
+    retried candidate is counted once.  A {!Sim_cache} the caller
+    shares across searches is probed once per survivor, and only misses
+    are evaluated; with no cache nothing is keyed, as a cache of one
+    search's own never hits (dedup skips every state it could return).
 
     Resilience (see DESIGN.md §9): a candidate whose evaluation raises
     is retried with bounded backoff and, if it keeps failing,
@@ -41,7 +38,6 @@ open Magis_ir
 open Magis_cost
 open Magis_ftree
 open Magis_rules
-module Pool = Magis_par.Pool
 module Fault = Magis_resilience.Fault
 module Retry = Magis_resilience.Retry
 module Checkpoint = Magis_resilience.Checkpoint
@@ -68,11 +64,9 @@ let declare decls name =
 
 (* Stages, in the order one pop's candidates run them.  Each span of
    work is timed by exactly one stage, so their seconds add up to at
-   most the wall time of a serial run; the candidate stages (hash,
-   reschedule, simulate) run on the pool and sum busy seconds across
-   its domains.  The pop's contexts are timed in the stages that read
-   them ({!pop_context}, {!resched_context}). *)
-let s_init = declare stage_decls "init" (* snapshot, pool, initial M-state *)
+   most the run's wall time.  The pop's contexts are timed in the
+   stages that read them ({!pop_context}, {!resched_context}). *)
+let s_init = declare stage_decls "init" (* snapshot, initial M-state *)
 let s_pop = declare stage_decls "pop" (* caller's poll, ladder, queue pop *)
 let s_refresh = declare stage_decls "refresh" (* stale F-Tree rebuild *)
 let s_generate = declare stage_decls "generate" (* order, closure, positions, proposals *)
@@ -107,8 +101,8 @@ let counter_metrics =
     (List.map (fun n -> Metrics.counter ("search." ^ n)) counter_names)
 
 (** Seconds per stage and value per counter, indexed by declaration
-    order.  Workers fill private tables that are added into the run's
-    at the serial merge, in candidate order. *)
+    order.  Each candidate fills a table of its own, added into the
+    run's at the merge, in candidate order. *)
 type table = { secs : float array; counts : int array }
 
 let fresh_table () =
@@ -180,7 +174,6 @@ type stats = {
   n_sched_fallback : int;
   n_resched_nodes : int;
   n_sched_nodes : int;
-  domain_time : float array;
   n_retried : int;
   n_quarantined : int;
   n_checkpoints : int;
@@ -195,7 +188,7 @@ type stats = {
   wall : float;
 }
 
-let stats_of_table tb ~wall ~domain_time ~degrade_steps ~sim_cached =
+let stats_of_table tb ~wall ~degrade_steps ~sim_cached =
   let n c = tb.counts.(c) and t s = tb.secs.(s) in
   {
     n_transform = n c_transforms;
@@ -214,7 +207,6 @@ let stats_of_table tb ~wall ~domain_time ~degrade_steps ~sim_cached =
     n_sched_fallback = n c_sched_fallbacks;
     n_resched_nodes = n c_resched_nodes;
     n_sched_nodes = n c_sched_nodes;
-    domain_time;
     n_retried = n c_retried;
     n_quarantined = n c_quarantined;
     n_checkpoints = n c_checkpoints;
@@ -259,10 +251,6 @@ let stats_json (st : stats) : Json.t =
         ("unaccounted", Json.Float (unaccounted st));
         ("sim_hit_rate", Json.Float (sim_hit_rate st));
         ("resched_frac", Json.Float (resched_frac st));
-        ( "domain_time",
-          Json.List
-            (Array.to_list (Array.map (fun t -> Json.Float t) st.domain_time))
-        );
         ( "degrade_steps",
           Json.List
             (List.map
@@ -273,9 +261,9 @@ let stats_json (st : stats) : Json.t =
       ])
 
 (** The Fig. 15 breakdown — seconds and share of wall time per stage,
-    the unaccounted remainder, every counter — then the cache, worker
-    and degradation summary lines.  The single stat renderer shared by
-    [magis_cli optimize] and the Fig. 15 bench. *)
+    the unaccounted remainder, every counter — then the cache,
+    rescheduling and degradation summary lines.  The single stat
+    renderer shared by [magis_cli optimize] and the Fig. 15 bench. *)
 let pp_stats ppf (st : stats) =
   let row name s =
     Format.fprintf ppf "%-12s %10.4f %6.1f%%@\n" name s
@@ -294,11 +282,6 @@ let pp_stats ppf (st : stats) =
   if st.n_sched_nodes > 0 then
     Format.fprintf ppf "Incremental scheduling: %.1f%% of nodes re-placed@\n"
       (100.0 *. resched_frac st);
-  if Array.length st.domain_time > 0 then
-    Format.fprintf ppf "Expansion workers: %d; per-domain busy seconds: [%s]@\n"
-      (Array.length st.domain_time)
-      (String.concat "; "
-         (Array.to_list (Array.map (Printf.sprintf "%.2f") st.domain_time)));
   List.iter
     (fun (t, step) -> Format.fprintf ppf "Degraded at %.1fs: %s@\n" t step)
     st.degrade_steps
@@ -383,8 +366,7 @@ let default_config =
     accounting, rescheduling and simulation all read it.  An F-Tree
     mutation keeps the popped state's graph ([None]): it takes the
     pop's WL hash, and gets an index over the pop's arrays when it is
-    evaluated.  No two proposals share an index, so no two domains read
-    one at the same time. *)
+    evaluated.  No two proposals share an index. *)
 type proposal = {
   p_rewrite : Graph_index.t option;
   p_ftree : Ftree.t;
@@ -523,10 +505,10 @@ let proposal_latency_lb (acc : Ftree.accounting) (g : Graph.t) : float =
   +. acc.extra_latency)
   *. lat_lb_margin
 
-(** Hash a proposal on a worker domain: its dedup hash.  A rewrite is
-    relabelled from the pop's labels, which forces the rewrite index's
-    topological order (rescheduling partitions along it); an F-Tree
-    mutation takes the pop's hash. *)
+(** Hash a proposal: its dedup hash.  A rewrite is relabelled from the
+    pop's labels, which forces the rewrite index's topological order
+    (rescheduling partitions along it); an F-Tree mutation takes the
+    pop's hash. *)
 let hash_proposal tb (cx : pop) (p : proposal) : int64 =
   let wl () =
     match p.p_rewrite with
@@ -545,9 +527,9 @@ let proposal_graph (s : Mstate.t) (p : proposal) =
     reschedule + simulation on the proposal's index (a mutation's is a
     fresh index over the pop's arrays: its adjacency, links, {!Reach}
     and scratch are its own), stored under [key] when there is a cache;
-    [sched_states] is the effective DP budget.  Runs on a worker domain:
-    it only writes [tb] (a candidate-local table) and the cache, and
-    only reads the pop's contexts. *)
+    [sched_states] is the effective DP budget.  It writes only [tb],
+    the candidate's own table, and the cache, and only reads the pop's
+    contexts. *)
 let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
     ~iteration ~key (cx : pop) (parent, costs) (s : Mstate.t) (p : proposal) :
     Mstate.t =
@@ -693,9 +675,9 @@ let save (r : result) =
 (** Digest of everything that must match for a snapshot to continue
     this run's trajectory: the hardware model, the input graph, the
     mode (with its limit) and every trajectory-relevant configuration
-    knob.  [jobs], caching and verification flags are excluded — they
-    are result-preserving by construction — as are the observation-only
-    hooks ([profile], [harvest], [poll]). *)
+    knob.  Caching and verification flags are excluded — they are
+    result-preserving by construction — as are the retired [jobs] and
+    the observation-only hooks ([profile], [harvest], [poll]). *)
 let trajectory_fingerprint (cfg : config) (mode : mode) ~(hw : int64)
     (graph : Graph.t) : int64 =
   let bit b i = if b then 1 lsl i else 0 in
@@ -791,9 +773,11 @@ let start (cfg : config) (cost : Op_cost.t) (mode : mode) (graph : Graph.t) tb
     the initial state, the accounting table and the improvement history. *)
 let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
     (graph : Graph.t) : result =
+  if config.jobs <> 1 then
+    invalid_arg "Search.run: config.jobs is retired and must be 1";
   let t0 = Unix.gettimeofday () in
   let tb = fresh_table () in
-  let ec, fingerprint, loaded, pool =
+  let ec, fingerprint, loaded =
     timed tb s_init @@ fun () ->
     let ec =
       {
@@ -812,9 +796,8 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
             (Checkpoint.load ~path:ckpt_path ~version:ckpt_version ~fingerprint)
       | _ -> None
     in
-    (ec, fingerprint, loaded, Pool.create config.jobs)
+    (ec, fingerprint, loaded)
   in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   (* a resumed run continues the snapshot's clock and accounting;
      metrics publish this process's work, the deltas since [published] *)
   let st, published =
@@ -928,10 +911,9 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
     st.snap_diags <- d :: st.snap_diags
   in
   (* Failure isolation: [first] is the outcome of [f x]'s first
-     execution.  A failure is retried with bounded backoff on the
-     orchestrating domain (a transient fault passes on re-execution);
-     one that keeps failing is quarantined with a structured
-     diagnostic. *)
+     execution.  A failure is retried with bounded backoff (a
+     transient fault passes on re-execution); one that keeps failing is
+     quarantined with a structured diagnostic. *)
   let supervise ~what f x first =
     match first with
     | Ok v -> Some v
@@ -944,19 +926,28 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
             quarantine ~what failure;
             None)
   in
-  (* A serial step, supervised like a candidate. *)
-  let supervise_here ~what f x =
-    supervise ~what f x
-      (try Ok (f x) with e -> Error (e, Printexc.get_raw_backtrace ()))
+  let attempt f x =
+    try Ok (f x) with e -> Error (e, Printexc.get_raw_backtrace ())
   in
-  (* One expansion step over the pool: the survivors of the batch are
+  (* A single step, supervised like a candidate. *)
+  let supervise_here ~what f x = supervise ~what f x (attempt f x) in
+  (* One expansion step: every candidate's first execution, each a
+     visit of the [candidate] fault site, then, in candidate order, the
+     retries of those that failed.  The survivors of the batch are
      kept. *)
   let supervised_map ~phase f xs =
+    let first =
+      Array.map
+        (attempt (fun x ->
+             Fault.hit "candidate";
+             f x))
+        xs
+    in
     Array.mapi
       (fun index r ->
         supervise ~what:(Printf.sprintf "%s candidate %d" phase index) f
           xs.(index) r)
-      (Pool.map_result pool f xs)
+      first
   in
   let record_profile ~candidates ~survivors =
     match config.profile with
@@ -965,11 +956,6 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
         let el = elapsed () in
         let queue_depth =
           Pq.fold (fun _ l acc -> acc + List.length l) st.snap_queue 0
-        in
-        let busy_frac =
-          Array.map
-            (fun b -> Json.Float (if el > 0.0 then b /. el else 0.0))
-            (Pool.busy_time pool)
         in
         Profile.record sink
           ([
@@ -981,12 +967,11 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
              ("best_peak", Json.Int st.snap_best.peak_mem);
              ("best_latency", Json.Float st.snap_best.latency);
            ]
-          @ table_fields tb
-          @ [ ("pool_busy_frac", Json.List (Array.to_list busy_frac)) ])
+          @ table_fields tb)
   in
-  (* Expand the popped state [s] against its context [cx]: generate
-     serially, hash on the pool, dedup and probe serially, evaluate the
-     misses on the pool, merge serially. *)
+  (* Expand the popped state [s] against its context [cx]: generate,
+     hash, dedup, probe, evaluate the misses and merge, each step over
+     the candidates in order. *)
   let expand (s : Mstate.t) (cx : pop) =
     let proposals =
       timed tb s_generate @@ fun () ->
@@ -997,8 +982,8 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
     let sched_states =
       ladder_sched_states ~level:st.snap_degrade config.sched_states
     in
-    (* Hash test FIRST, on the pool: duplicate graphs skip scheduling
-       and simulation entirely (the Fig. 15 "Filtered" column). *)
+    (* Hash test FIRST: duplicate graphs skip scheduling and simulation
+       entirely (the Fig. 15 "Filtered" column). *)
     let hashed =
       supervised_map ~phase:"hash"
         (fun (p : proposal) ->
@@ -1006,8 +991,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
           (p, hash_proposal local cx p, local))
         proposals
     in
-    (* Serial, candidate order: dedup against every state seen so far.
-       First occurrence wins, exactly as in a serial run. *)
+    (* Dedup against every state seen so far: first occurrence wins. *)
     let survivors =
       timed tb s_dedup @@ fun () ->
       Array.to_list hashed
@@ -1025,8 +1009,8 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
                end)
       |> Array.of_list
     in
-    (* Serial, candidate order: probe the cache once per survivor.  A
-       hit takes its survivor's slot; a miss goes to the pool. *)
+    (* Probe the cache once per survivor.  A hit takes its survivor's
+       slot; a miss is evaluated. *)
     let slots = Array.make (Array.length survivors) None in
     let misses =
       match ec.ec_sim with
@@ -1058,8 +1042,8 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
                      None)
           |> List.filter_map Fun.id |> Array.of_list
     in
-    (* On the pool: evaluate the misses, each into its own table.  A
-       rescheduling context that keeps failing quarantines them. *)
+    (* Evaluate the misses, each into its own table.  A rescheduling
+       context that keeps failing quarantines them. *)
     let iteration = count tb c_iterations in
     let evaluated =
       if Array.length misses = 0 then [||]
@@ -1078,9 +1062,8 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
                   local ))
               misses
     in
-    (* Serial, candidate order: add the candidate tables and merge into
-       best/queue — bit-identical to the serial loop.  Quarantined
-       candidates contribute nothing. *)
+    (* Add the candidate tables and merge into best/queue, in candidate
+       order.  Quarantined candidates contribute nothing. *)
     timed tb s_merge @@ fun () ->
     Array.iteri
       (fun j ->
@@ -1172,8 +1155,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
         in
         ({ s with ftree; ftree_stale = false }, ix)
       in
-      (* The index's parts built on first use are not domain-safe, so
-         everything the pool phases read is built serially (the
+      (* The pop's context is built before its candidates read it (the
          misses' part in [expand]).  A context that keeps failing to
          build quarantines the pop, which then proposes nothing. *)
       Option.iter (expand s)
@@ -1194,8 +1176,8 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
     best = st.snap_best;
     initial = st.snap_initial;
     stats =
-      stats_of_table tb ~wall:st.snap_elapsed ~domain_time:(Pool.busy_time pool)
-        ~degrade_steps:st.snap_steps ~sim_cached:(Option.is_some ec.ec_sim);
+      stats_of_table tb ~wall:st.snap_elapsed ~degrade_steps:st.snap_steps
+        ~sim_cached:(Option.is_some ec.ec_sim);
     history = List.rev st.snap_history;
     diagnostics = List.rev st.snap_diags;
     interrupted = !interrupted;

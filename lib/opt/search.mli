@@ -1,6 +1,8 @@
 (** Top-level search (Algorithm 3): best-first exploration of M-States
     with BetterThan ordering, WL-hash deduplication, F-Tree refresh and
-    incremental scheduling after every transformation.
+    incremental scheduling after every transformation.  The loop is
+    serial, as in the paper: each pop's candidates are expanded in
+    candidate order on the calling domain.
 
     Resilience (DESIGN.md §9): supervised candidate expansion with
     quarantine and bounded retry, crash-safe checkpoint/resume, and a
@@ -44,7 +46,7 @@ exception Verification_failure of string
 val stage_names : string list
 
 (** Counters.  Each is published as the metric ["search." ^ name] at
-    the serial merge of every pop, from the table — so a retried
+    the merge of every pop, from the table — so a retried
     candidate is counted once, and only its successful execution. *)
 val counter_names : string list
 
@@ -81,7 +83,6 @@ type stats = {
           full reschedule *)
   n_resched_nodes : int;  (** nodes re-placed by incremental rescheduling *)
   n_sched_nodes : int;  (** nodes across all produced schedules *)
-  domain_time : float array;  (** busy seconds per expansion worker *)
   n_retried : int;  (** candidates re-executed after a failure *)
   n_quarantined : int;
       (** candidates dropped after their retries, each with a
@@ -113,9 +114,8 @@ type stats = {
 (** Every counter with its value, in {!counter_names} order. *)
 val counts : stats -> (string * int) list
 
-(** Every stage with its seconds, in {!stage_names} order.  Candidate
-    stages sum busy seconds across the pool's domains, so with
-    [jobs > 1] their total can exceed [wall]. *)
+(** Every stage with its seconds, in {!stage_names} order.  No two
+    stages overlap, so their total is at most [wall]. *)
 val stage_seconds : stats -> (string * float) list
 
 (** [wall] minus the sum of the stages: the time no stage accounts
@@ -177,11 +177,10 @@ type config = {
           raising {!Verification_failure} on the first violation
           (tests/CI on, benchmarks off) *)
   jobs : int;
-      (** worker domains for the per-iteration candidate expansion;
-          1 (the default) spawns no domains.  Any [jobs] value returns
-          bit-identical best states and counts: candidates are
-          generated, deduplicated and merged serially in candidate
-          order. *)
+      (** Retired: the search runs one serial loop, and {!run} raises
+          [Invalid_argument] for any value but 1 (the default).  Kept
+          only because the repository benchmark still sets it, like
+          the six retired {!stats} fields, and goes with them. *)
   sim_cache : Sim_cache.t option;
       (** memoizes (reschedule → simulate) evaluations across the
           searches sharing it: each survivor of dedup is probed once,
@@ -201,15 +200,14 @@ type config = {
           after each iteration's merge one JSONL record is written with
           [iter], [elapsed], [queue_depth], [candidates], [survivors],
           [best_peak], [best_latency], every counter under its name and
-          every stage as [t_<stage>] (cumulative), and
-          [pool_busy_frac].  Purely observational — excluded from the
+          every stage as [t_<stage>] (cumulative).  Purely
+          observational — excluded from the
           trajectory fingerprint and never changes the search. *)
   harvest : (iteration:int -> Mstate.t -> unit) option;
       (** frontier side channel ([None], the default, = off): called
-          once for every evaluated candidate at the serial merge, in
-          candidate order, before and regardless of
-          δ-admission — so the callback observes the same states in the
-          same order for any [jobs] value.  {!Magis_frontier} uses it
+          once for every evaluated candidate at the merge, in
+          candidate order, before and regardless of δ-admission.
+          {!Magis_frontier} uses it
           to collect the memory–latency Pareto frontier a search sweeps
           past.  Purely observational: excluded from the trajectory
           fingerprint, and the returned best state is bit-identical
@@ -241,9 +239,10 @@ val ladder_sched_states : level:int -> int -> int
 (** Digest of everything that must match for two runs to follow the
     same trajectory: the input graph (WL hash), the hardware
     fingerprint, the mode with its limit, and every trajectory-relevant
-    configuration knob.  [jobs], caching/verification flags and the
-    observation-only hooks ([profile], [harvest], [poll]) are
-    excluded — they are result-preserving by construction.  Keys both
+    configuration knob.  Caching/verification flags, the retired
+    [jobs] and the observation-only hooks ([profile], [harvest],
+    [poll]) are excluded — they are result-preserving by
+    construction.  Keys both
     search checkpoints and cached frontiers
     ({!Magis_frontier.Frontier_cache}). *)
 val trajectory_fingerprint : config -> mode -> hw:int64 -> Graph.t -> int64
@@ -259,13 +258,14 @@ val resched_frac : stats -> float
 (** The table as a flat JSON object — every counter under its name,
     every stage as [t_<stage>] seconds, then [wall], [unaccounted]
     (see {!unaccounted}), [sim_hit_rate], [resched_frac] and the
-    [domain_time] and [degrade_steps] arrays.  The payload of
+    [degrade_steps] array.  The payload of
     [magis_cli optimize --stats-json]. *)
 val stats_json : stats -> Magis_obs.Json.t
 
 (** Human-readable stat block: the Fig. 15 table (seconds and share of
     wall time per stage, the unaccounted remainder and the wall time),
-    every counter, then cache, worker and degradation summary lines.
+    every counter, then cache, rescheduling and degradation summary
+    lines.
     Shared by [magis_cli optimize] and the Fig. 15 bench. *)
 val pp_stats : Format.formatter -> stats -> unit
 
@@ -276,8 +276,8 @@ val key : mode -> Mstate.t -> float * float
 val better_than : mode -> ?delta:float -> Mstate.t -> Mstate.t -> bool
 
 (** Run the search.  Candidate expansion is supervised: a failing
-    candidate is re-executed up to 3 times with bounded backoff on the
-    orchestrating domain, then quarantined with a structured diagnostic
+    candidate is re-executed up to 3 times with bounded backoff, then
+    quarantined with a structured diagnostic
     and the rest of the batch is kept (a pop whose context keeps
     failing to build is quarantined the same way and proposes
     nothing); fatal exceptions (out-of-memory,
@@ -287,7 +287,9 @@ val better_than : mode -> ?delta:float -> Mstate.t -> Mstate.t -> bool
     [stats.degrade_steps].  Before its budget, cap or queue runs out,
     only [config.poll] stops it.  It writes snapshots only on its
     periodic [ckpt_every] tick; the state it ends in is the caller's to
-    keep, with {!save}. *)
+    keep, with {!save}.
+
+    @raise Invalid_argument if [config.jobs] is not 1. *)
 val run : ?config:config -> Op_cost.t -> mode -> Graph.t -> result
 
 (** [save r] writes the state [r]'s run ended in — at its cap, its

@@ -30,7 +30,7 @@ let () =
     | _ -> None)
 
 let sites =
-  [ "op_cost"; "simulator"; "sim_cache"; "pool_worker"; "sock_read";
+  [ "op_cost"; "simulator"; "sim_cache"; "candidate"; "sock_read";
     "sock_write" ]
 
 type state = {

@@ -4,9 +4,9 @@
     quarantine, retry — see {!Magis_opt.Search}) is only trustworthy if
     it can be exercised against real failures.  This module plants those
     failures on purpose: instrumented *sites* in the cost model, the
-    simulator, the simulation cache and the worker pool call {!hit} (or
-    {!cost} for float-valued sites) on every visit, and an armed
-    injector fires a planned fault when a site's visit counter reaches a
+    simulator, the simulation cache and the search's candidates call
+    {!hit} (or {!cost} for float-valued sites) on every visit, and an
+    armed injector fires a planned fault when a site's visit counter reaches a
     planned trigger count.
 
     Faults are keyed by [(site, visit)], so a plan is fully
@@ -44,10 +44,10 @@ exception Injected of string * int
 
 (** The instrumented sites of this codebase (other components may add
     their own): operator-cost queries, simulator runs, simulation-cache
-    lookups, pool worker task dispatch, and the {!Magis_serve}
-    connection layer's socket reads/writes ([sock_read]/[sock_write],
-    where [Delay] models a slow client, [Stall] a slow-loris one and
-    [Exception] a torn connection). *)
+    lookups, each first execution of a search candidate ([candidate]),
+    and the {!Magis_serve} connection layer's socket reads/writes
+    ([sock_read]/[sock_write], where [Delay] models a slow client,
+    [Stall] a slow-loris one and [Exception] a torn connection). *)
 val sites : string list
 
 (** [arm specs] plants the given faults and starts counting site visits

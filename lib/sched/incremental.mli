@@ -31,8 +31,8 @@ val extend_bound : nw:int array -> int array -> int -> int -> int
 val get_reschedule_interval : nw:int array -> int array -> int list -> int * int
 
 (** Everything the rescheduling of a parent's children reads from the
-    parent, built once per parent and then only read (by every worker
-    domain at once). *)
+    parent, built once per parent and then only read by each of its
+    children's reschedules. *)
 type parent = private {
   schedule : int array;  (** the parent's schedule, position -> id *)
   position : int array;

@@ -205,22 +205,23 @@ if [ -n "$hits" ]; then
   echo "$hits"
 fi
 
-# 17. everything a pop's pool phases read (the pop's index, positions
-# and WL labels before the hash phase, its rescheduling context and
-# base costs before the evaluate phase) is built serially before them,
-# and the loop state is one record: lib/opt/search.ml takes no lock
-# and defers nothing to the first worker that asks (no Mutex, Atomic,
-# Lazy or lazy).
+# 17. everything a pop's candidates read (the pop's index, positions
+# and WL labels before they are hashed, its rescheduling context and
+# base costs before the misses are evaluated) is built once, before
+# them, and the loop state is one record: lib/opt/search.ml takes no
+# lock and defers nothing to the first candidate that asks (no Mutex,
+# Atomic, Lazy or lazy).
 hits=$(grep -HnP '\b(Mutex|Atomic|Lazy|lazy)\b' lib/opt/search.ml)
 if [ -n "$hits" ]; then
-  fail "lock, atomic or lazy value in lib/opt/search.ml (build the pop's context before the pool phase):"
+  fail "lock, atomic or lazy value in lib/opt/search.ml (build the pop's context before its candidates read it):"
   echo "$hits"
 fi
 
-# 18. the simulation cache is probed serially, once per survivor, right
-# after dedup, and only misses go to the pool: in lib/opt/search.ml
+# 18. the simulation cache is probed once per survivor, right after
+# dedup, and only misses are evaluated: in lib/opt/search.ml
 # Sim_cache.find appears only in expand's [probe] (so never in
-# hash_proposal or evaluate_proposal, which run on worker domains).
+# hash_proposal, before dedup, nor in evaluate_proposal, which only
+# stores the miss it evaluated).
 # With no striped probing left, the cache is one Hashtbl under one
 # Mutex, and nothing under lib/ names Striped.
 hits=$(awk '/let probe /{probe=1; ind=match($0, /[^ ]/); next}
@@ -238,6 +239,17 @@ fi
 hits=$(grep -rHnw 'Interrupt' lib/opt lib/frontier)
 if [ -n "$hits" ]; then
   fail "signal state read under lib/opt or lib/frontier (stop the search through its poll):"
+  echo "$hits"
+fi
+
+# 20. the search is one serial loop, and only the daemon runs domains:
+# outside lib/serve nothing under lib/ calls Domain.spawn, and no
+# scanned file names the deleted domain-pool library (the pattern is
+# bracketed so this script does not match itself).
+hits=$(grep -rHn 'Domain\.spawn' lib --include='*.ml' | grep -v '^lib/serve/'
+  grep -Hn 'Magis_[p]ar' $files 2>/dev/null)
+if [ -n "$hits" ]; then
+  fail "domain spawned outside lib/serve, or the domain-pool library named (the search runs one serial loop):"
   echo "$hits"
 fi
 

@@ -50,8 +50,9 @@ let test_hardware_profiles () =
     (Hardware.default.name = Hardware.rtx3090.name)
 
 (** Every query visits the [op_cost] fault site once and counts one
-    [op_cost.queries], repeated keys included, at any number of
-    domains: four tasks on a pool of [jobs] workers each query every
+    [op_cost.queries], repeated keys included, on one domain and on
+    two (the daemon's default worker count): four tasks, run on the
+    calling domain or split over two spawned domains, each query every
     node of one graph through [cost], [node_cost] and [node_cost_on],
     so every key is queried twelve times. *)
 let test_site_visits_count_queries () =
@@ -61,18 +62,17 @@ let test_site_visits_count_queries () =
   let queries = Metrics.counter "op_cost.queries" in
   let metrics = Metrics.enabled () in
   List.iter
-    (fun jobs ->
-      let c = cache () and pool = Pool.create jobs in
+    (fun domains ->
+      let c = cache () in
       Metrics.set_enabled true;
       Fault.observe ();
       Fun.protect
         ~finally:(fun () ->
           Fault.disarm ();
-          Metrics.set_enabled metrics;
-          Pool.shutdown pool)
+          Metrics.set_enabled metrics)
         (fun () ->
           let q0 = Metrics.counter_value queries in
-          let task _ =
+          let task () =
             Array.iter
               (fun v ->
                 let n = Graph.node g v in
@@ -81,13 +81,18 @@ let test_site_visits_count_queries () =
                 ignore (Op_cost.node_cost_on c ix v : float))
               ids
           in
-          Array.iter
-            (function Ok () -> () | Error (e, _) -> raise e)
-            (Pool.map_result pool task (Array.make 4 ()));
+          let tasks n () = for _ = 1 to n do task () done in
+          if domains = 1 then tasks 4 ()
+          else
+            List.iter Domain.join
+              [ Domain.spawn (tasks 2); Domain.spawn (tasks 2) ];
           let expected = 4 * 3 * Array.length ids in
-          Alcotest.(check int) (Printf.sprintf "site visits, jobs %d" jobs) expected
-            (Fault.visits "op_cost");
-          Alcotest.(check int) (Printf.sprintf "op_cost.queries, jobs %d" jobs) expected
+          Alcotest.(check int)
+            (Printf.sprintf "site visits, %d domain(s)" domains)
+            expected (Fault.visits "op_cost");
+          Alcotest.(check int)
+            (Printf.sprintf "op_cost.queries, %d domain(s)" domains)
+            expected
             (Metrics.counter_value queries - q0)))
     [ 1; 2 ]
 

@@ -1,88 +1,11 @@
-(** Parallel runtime and simulation cache: the domain pool's ordered
-    map, the striped table under concurrent writers, Sim_cache keying,
-    and the headline guarantee — [Search.run] with [jobs = 4] returns
-    bit-identical best states to [jobs = 1]. *)
+(** The simulation cache: its keying, its accounting under two
+    concurrent domains (the daemon's default worker count), and what a
+    search gets from a shared cache, a private one and none.  Also the
+    retired [jobs] field: the search is one serial loop and refuses any
+    other value. *)
 
 open Magis
 open Helpers
-
-(* ------------------------------------------------------------------ *)
-(* Domain pool                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* [Pool.map_result] over tasks that must all succeed: a failing task
-   (an [Alcotest.failf] inside it included) fails the test. *)
-let map_ok pool f xs =
-  Array.mapi
-    (fun i r ->
-      match r with
-      | Ok v -> v
-      | Error (e, _) ->
-          Alcotest.failf "task %d raised %s" i (Printexc.to_string e))
-    (Pool.map_result pool f xs)
-
-let test_pool_map_ordered () =
-  let pool = Pool.create 4 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  let xs = Array.init 500 (fun i -> i) in
-  let ys = map_ok pool (fun i -> i * i) xs in
-  Alcotest.(check (array int))
-    "results in input order"
-    (Array.map (fun i -> i * i) xs)
-    ys;
-  Alcotest.(check int) "size" 4 (Pool.size pool);
-  Alcotest.(check int) "one busy cell per worker" 4
-    (Array.length (Pool.busy_time pool))
-
-let test_pool_inline () =
-  let pool = Pool.create 1 in
-  let ys = map_ok pool string_of_int [| 1; 2; 3 |] in
-  Alcotest.(check (array string)) "inline map" [| "1"; "2"; "3" |] ys;
-  Alcotest.(check int) "inline pool has size 1" 1 (Pool.size pool);
-  Alcotest.(check int) "inline busy cell" 1 (Array.length (Pool.busy_time pool));
-  Pool.shutdown pool
-
-let test_pool_reuse_and_empty () =
-  let pool = Pool.create 2 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  Alcotest.(check (array int)) "empty input" [||] (map_ok pool succ [||]);
-  for round = 1 to 5 do
-    let ys = map_ok pool succ (Array.make 40 round) in
-    Alcotest.(check int) "batch survives reuse" (round + 1) ys.(39)
-  done
-
-let test_pool_map_result_isolates () =
-  let pool = Pool.create 3 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  let rs =
-    Pool.map_result pool
-      (fun i -> if i mod 2 = 1 then failwith (string_of_int i) else i * 10)
-      [| 0; 1; 2; 3; 4 |]
-  in
-  Array.iteri
-    (fun i r ->
-      match (i mod 2, r) with
-      | 0, Ok v -> Alcotest.(check int) "survivor value" (i * 10) v
-      | 1, Error (Failure msg, _) ->
-          Alcotest.(check string) "failure carries its own input"
-            (string_of_int i) msg
-      | _, Ok _ -> Alcotest.failf "task %d should have failed" i
-      | _, Error _ -> Alcotest.failf "task %d failed or raised wrongly" i)
-    rs;
-  (* inline pools isolate identically *)
-  let inline = Pool.create 1 in
-  let rs1 =
-    Pool.map_result inline
-      (fun i -> if i = 0 then raise Not_found else i)
-      [| 0; 7 |]
-  in
-  (match rs1.(0) with
-  | Error (Not_found, _) -> ()
-  | _ -> Alcotest.fail "inline failure not captured");
-  (match rs1.(1) with
-  | Ok 7 -> ()
-  | _ -> Alcotest.fail "inline survivor lost");
-  Pool.shutdown inline
 
 (* ------------------------------------------------------------------ *)
 (* Simulation cache                                                    *)
@@ -128,31 +51,34 @@ let test_sim_cache_no_cross_mode_collision () =
   Alcotest.(check bool) "other DP budget misses" true
     (Sim_cache.find c (mk_key ~sched_states:100 ()) = None)
 
-(** Stress the cache's concurrent find/add accounting: 8 domains race
-    find-then-add over 64 colliding keys.  Hit/miss counters are
-    atomic, so after the storm [hits + misses] must equal the exact
-    number of finds issued — a lost increment fails the check — and
-    every key must hold the value derived from it. *)
+(** Stress the cache's concurrent find/add accounting: two domains, the
+    daemon's default worker count, race find-then-add over 64 colliding
+    keys.  Hit/miss counters are atomic, so after the storm
+    [hits + misses] must equal the exact number of finds issued — a
+    lost increment fails the check — and every key must hold the value
+    derived from it. *)
 let test_sim_cache_concurrent_accounting () =
   let c = Sim_cache.create () in
-  let pool = Pool.create 8 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   let n = 4_000 and keys = 64 in
   let key_of k = mk_key ~state:(Int64.of_int k) () in
   let value_of k =
     { Sim_cache.schedule = [ k; k + 1 ]; peak_mem = k * 13;
       latency = float_of_int k; hotspots = [ k ] }
   in
-  ignore
-    (map_ok pool
-       (fun i ->
-         let k = i mod keys in
-         match Sim_cache.find c (key_of k) with
-         | Some v ->
-             if v.peak_mem <> k * 13 || v.schedule <> [ k; k + 1 ] then
-               Alcotest.failf "key %d returned another key's value" k
-         | None -> Sim_cache.add c (key_of k) (value_of k))
-       (Array.init n (fun i -> i)));
+  (* domain [d] issues the finds [i] with [i mod 2 = d]; a failed check
+     inside a domain re-raises at its join *)
+  let storm d () =
+    for i = 0 to n - 1 do
+      if i mod 2 = d then
+        let k = i mod keys in
+        match Sim_cache.find c (key_of k) with
+        | Some v ->
+            if v.peak_mem <> k * 13 || v.schedule <> [ k; k + 1 ] then
+              Alcotest.failf "key %d returned another key's value" k
+        | None -> Sim_cache.add c (key_of k) (value_of k)
+    done
+  in
+  List.iter Domain.join [ Domain.spawn (storm 0); Domain.spawn (storm 1) ];
   let hits, misses = Sim_cache.stats c in
   Alcotest.(check int) "every find accounted exactly once" n (hits + misses);
   Alcotest.(check bool) "each key missed at least once" true (misses >= keys);
@@ -174,7 +100,7 @@ let test_hardware_fingerprint () =
     <> Hardware.fingerprint Hardware.mobile)
 
 (* ------------------------------------------------------------------ *)
-(* Serial/parallel determinism of the search                           *)
+(* Searches with and without a cache                                   *)
 (* ------------------------------------------------------------------ *)
 
 let randnet seed =
@@ -184,10 +110,10 @@ let randnet seed =
         batch = 2; seed }
     ()
 
-let run_with ?sim_cache ~jobs g =
+let run_with ?sim_cache g =
   let config =
     { Search.default_config with
-      max_iterations = 12; time_budget = 1e9; jobs; sim_cache }
+      max_iterations = 12; time_budget = 1e9; sim_cache }
   in
   Search.optimize_memory ~config (cache ()) ~overhead:0.10 g
 
@@ -206,35 +132,16 @@ let check_same_best what (r1 : Search.result) (r2 : Search.result) =
     true
     (Wl_hash.equal_structure r1.best.graph r2.best.graph)
 
-let test_parallel_determinism () =
-  List.iter
-    (fun seed ->
-      let what = Printf.sprintf "randnet seed %d" seed in
-      let g = randnet seed in
-      let r1 = run_with ~jobs:1 g in
-      let r4 = run_with ~jobs:4 g in
-      check_same_best what r1 r4;
-      (* work accounting is count-identical, not just result-identical *)
-      Alcotest.(check int) (what ^ ": same schedules run")
-        r1.stats.n_sched r4.stats.n_sched;
-      Alcotest.(check int) (what ^ ": same simulations run")
-        r1.stats.n_simul r4.stats.n_simul;
-      Alcotest.(check int) (what ^ ": same duplicates filtered")
-        r1.stats.n_filtered r4.stats.n_filtered;
-      Alcotest.(check int) (what ^ ": per-domain wall time recorded") 4
-        (Array.length r4.stats.domain_time))
-    [ 1; 2; 3 ]
-
 let test_shared_sim_cache_short_circuits () =
   let g = randnet 1 in
   let sim = Sim_cache.create () in
-  let r1 = run_with ~jobs:1 ~sim_cache:sim g in
+  let r1 = run_with ~sim_cache:sim g in
   Alcotest.(check int) "cold run has no hits" 0 r1.stats.n_sim_hit;
   Alcotest.(check bool) "cold run fills the cache" true
     (r1.stats.n_sim_miss > 0 && Sim_cache.length sim > 0);
   (* an identical search over a warm cache replays the trajectory
      without a single reschedule or simulation *)
-  let r2 = run_with ~jobs:2 ~sim_cache:sim g in
+  let r2 = run_with ~sim_cache:sim g in
   check_same_best "warm replay" r1 r2;
   Alcotest.(check int) "warm run never misses" 0 r2.stats.n_sim_miss;
   Alcotest.(check int) "warm run never reschedules" 0 r2.stats.n_sched;
@@ -250,23 +157,19 @@ let test_no_cache_probes_nothing () =
   Fun.protect ~finally:Fault.disarm @@ fun () ->
   let points (r : Search.result) = List.map (fun (_, p, l) -> (p, l)) r.history in
   List.iter
-    (fun (name, g) ->
-      List.iter
-        (fun jobs ->
-          let what = Printf.sprintf "%s, jobs %d" name jobs in
-          Fault.observe ();
-          let none = run_with ~jobs g in
-          Alcotest.(check int) (what ^ ": no probe") 0 (Fault.visits "sim_cache");
-          Fault.disarm ();
-          let priv = run_with ~jobs ~sim_cache:(Sim_cache.create ()) g in
-          check_same_best what priv none;
-          Alcotest.(check (list (pair int (float 0.0))))
-            (what ^ ": same history") (points priv) (points none);
-          Alcotest.(check (list (pair string int)))
-            (what ^ ": same counters") (Search.counts priv.stats)
-            (Search.counts none.stats);
-          Alcotest.(check int) (what ^ ": no hit") 0 none.stats.n_sim_hit)
-        [ 1; 2 ])
+    (fun (what, g) ->
+      Fault.observe ();
+      let none = run_with g in
+      Alcotest.(check int) (what ^ ": no probe") 0 (Fault.visits "sim_cache");
+      Fault.disarm ();
+      let priv = run_with ~sim_cache:(Sim_cache.create ()) g in
+      check_same_best what priv none;
+      Alcotest.(check (list (pair int (float 0.0))))
+        (what ^ ": same history") (points priv) (points none);
+      Alcotest.(check (list (pair string int)))
+        (what ^ ": same counters") (Search.counts priv.stats)
+        (Search.counts none.stats);
+      Alcotest.(check int) (what ^ ": no hit") 0 none.stats.n_sim_hit)
     [ ("Randnet", randnet 2); ("UNet", (Zoo.find "UNet").build Zoo.Quick) ]
 
 (** A replay over a fully warm cache evaluates nothing, so it builds no
@@ -300,12 +203,21 @@ let test_warm_replay_builds_no_resched_context () =
         (List.assoc "reschedule" (Search.stage_seconds warm.stats)))
     [ ("Randnet", randnet 3); ("UNet", (Zoo.find "UNet").build Zoo.Quick) ]
 
+(** [jobs] is retired: any value but 1 is refused before the search
+    starts. *)
+let test_jobs_retired () =
+  let g = randnet 1 in
+  Alcotest.check_raises "jobs = 2 is refused"
+    (Invalid_argument "Search.run: config.jobs is retired and must be 1")
+    (fun () ->
+      ignore
+        (Search.run
+           ~config:{ Search.default_config with jobs = 2 }
+           (cache ()) (Search.Min_memory { lat_limit = infinity }) g
+          : Search.result))
+
 let suite =
   [
-    tc "pool map preserves order" test_pool_map_ordered;
-    tc "pool inline path" test_pool_inline;
-    tc "pool reuse and empty batches" test_pool_reuse_and_empty;
-    tc "pool map_result isolates failures" test_pool_map_result_isolates;
     tc "sim cache hits identical key" test_sim_cache_hit_after_identical_key;
     tc "sim cache concurrent accounting stress"
       test_sim_cache_concurrent_accounting;
@@ -313,10 +225,10 @@ let suite =
     tc "sim cache mode/hw/budget isolation"
       test_sim_cache_no_cross_mode_collision;
     tc "hardware fingerprint" test_hardware_fingerprint;
-    tc "jobs=4 reproduces jobs=1 bit-identically" test_parallel_determinism;
     tc "shared sim cache short-circuits a replay"
       test_shared_sim_cache_short_circuits;
     tc "a search with no cache probes nothing" test_no_cache_probes_nothing;
     tc "a warm replay builds no rescheduling context"
       test_warm_replay_builds_no_resched_context;
+    tc "a search refuses jobs other than 1" test_jobs_retired;
   ]

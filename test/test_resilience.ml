@@ -160,10 +160,9 @@ let randnet ?(cells = 1) seed =
         seed }
     ()
 
-let run_with ?(max_iterations = 8) ?(cfg = fun c -> c) ~jobs g =
+let run_with ?(max_iterations = 8) ?(cfg = fun c -> c) g =
   let config =
-    cfg
-      { Search.default_config with max_iterations; time_budget = 1e9; jobs }
+    cfg { Search.default_config with max_iterations; time_budget = 1e9 }
   in
   Search.optimize_memory ~config (cache ()) ~overhead:0.10 g
 
@@ -186,7 +185,7 @@ let search_metrics () =
 
 (** One planted transient fault per site: the supervisor's retry must
     absorb it and reproduce the fault-free search exactly — same best,
-    same iteration count, nothing quarantined — at any jobs count.  The
+    same iteration count, nothing quarantined.  The
     metrics are published from the run's table, so every [search.*]
     counter moves by exactly the table's value: a failed attempt that
     is retried is counted once. *)
@@ -200,7 +199,7 @@ let test_chaos_transient_identity () =
   Metrics.set_enabled true;
   let g = randnet 5 in
   Fault.observe ();
-  let clean = run_with ~jobs:1 g in
+  let clean = run_with g in
   let visits =
     (* sites the search never reaches (e.g. the socket-layer sites,
        exercised by test_serve instead) cannot fire here *)
@@ -224,30 +223,27 @@ let test_chaos_transient_identity () =
       in
       List.iter
         (fun (kname, kind) ->
-          List.iter
-            (fun jobs ->
-              let what = Printf.sprintf "%s@%s jobs=%d" kname site jobs in
-              Fault.arm (Fault.seeded ~seed:5 ~lo ~hi [ (site, kind) ]);
-              let before = search_metrics () in
-              let r = run_with ~jobs g in
-              let fired = List.length (Fault.fired ()) in
-              Fault.disarm ();
-              Alcotest.(check (list (pair string int)))
-                (what ^ ": search.* metrics equal the table")
-                (Search.counts r.stats)
-                (List.map2
-                   (fun (n, v) (_, v0) -> (n, v - v0))
-                   (search_metrics ()) before);
-              Alcotest.(check int) (what ^ ": fault fired") 1 fired;
-              check_same_best what clean r;
-              Alcotest.(check int)
-                (what ^ ": same iterations")
-                clean.stats.iterations r.stats.iterations;
-              Alcotest.(check bool) (what ^ ": retried") true
-                (r.stats.n_retried >= 1);
-              Alcotest.(check int) (what ^ ": nothing quarantined") 0
-                r.stats.n_quarantined)
-            [ 1; 2 ])
+          let what = Printf.sprintf "%s@%s" kname site in
+          Fault.arm (Fault.seeded ~seed:5 ~lo ~hi [ (site, kind) ]);
+          let before = search_metrics () in
+          let r = run_with g in
+          let fired = List.length (Fault.fired ()) in
+          Fault.disarm ();
+          Alcotest.(check (list (pair string int)))
+            (what ^ ": search.* metrics equal the table")
+            (Search.counts r.stats)
+            (List.map2
+               (fun (n, v) (_, v0) -> (n, v - v0))
+               (search_metrics ()) before);
+          Alcotest.(check int) (what ^ ": fault fired") 1 fired;
+          check_same_best what clean r;
+          Alcotest.(check int)
+            (what ^ ": same iterations")
+            clean.stats.iterations r.stats.iterations;
+          Alcotest.(check bool) (what ^ ": retried") true
+            (r.stats.n_retried >= 1);
+          Alcotest.(check int) (what ^ ": nothing quarantined") 0
+            r.stats.n_quarantined)
         kinds)
     visits
 
@@ -262,7 +258,7 @@ let test_chaos_persistent_quarantine () =
   @@ fun () ->
   let g = randnet 5 in
   Fault.observe ();
-  let clean = run_with ~jobs:1 g in
+  let clean = run_with g in
   let v = Fault.visits "simulator" in
   Fault.disarm ();
   Fault.arm
@@ -270,7 +266,7 @@ let test_chaos_persistent_quarantine () =
        Fault.Exception);
   (* a chaos run under tracing must leave its marks in the event stream *)
   Trace.enable ();
-  let r = run_with ~jobs:1 g in
+  let r = run_with g in
   Trace.disable ();
   Fault.disarm ();
   let names =
@@ -297,11 +293,11 @@ let test_chaos_pop_context_quarantine () =
   Fun.protect ~finally:Fault.disarm @@ fun () ->
   let g = randnet 5 in
   Fault.observe ();
-  let clean = run_with ~jobs:1 g in
+  let clean = run_with g in
   let v = Fault.visits "op_cost" in
   Fault.disarm ();
   Fault.arm (Fault.burst ~site:"op_cost" ~at:(v / 2) ~len:v Fault.Nan_cost);
-  let r = run_with ~jobs:1 g in
+  let r = run_with g in
   Fault.disarm ();
   let context_diags =
     List.filter
@@ -328,12 +324,12 @@ let test_chaos_sim_cache_burst () =
   let g = randnet 5 in
   let sim = Sim_cache.create () in
   let shared c = { c with Search.sim_cache = Some sim } in
-  let clean = run_with ~cfg:shared ~jobs:2 g in
+  let clean = run_with ~cfg:shared g in
   Fault.observe ();
-  ignore (run_with ~cfg:shared ~jobs:2 g : Search.result);
+  ignore (run_with ~cfg:shared g : Search.result);
   let v = Fault.visits "sim_cache" in
   Fault.arm (Fault.burst ~site:"sim_cache" ~at:(v / 3) ~len:v Fault.Exception);
-  let r = run_with ~cfg:shared ~jobs:2 g in
+  let r = run_with ~cfg:shared g in
   Fault.disarm ();
   Alcotest.(check bool) "probes were quarantined" true
     (r.stats.n_quarantined > 0);
@@ -359,8 +355,7 @@ let test_budget_exhaustion_best_so_far () =
   let r =
     run_with
       ~max_iterations:max_int
-      ~cfg:(fun c -> { c with Search.time_budget = 0.3 })
-      ~jobs:1 g
+      ~cfg:(fun c -> { c with Search.time_budget = 0.3 }) g
   in
   Alcotest.(check bool) "made progress" true (r.stats.iterations > 0);
   Alcotest.(check bool) "returned a state" true (r.best.peak_mem > 0);
@@ -380,8 +375,7 @@ let test_cap_past_budget_not_best_so_far () =
   in
   let r =
     run_with ~max_iterations:2
-      ~cfg:(fun c -> { c with Search.time_budget = 0.5; poll })
-      ~jobs:1 g
+      ~cfg:(fun c -> { c with Search.time_budget = 0.5; poll }) g
   in
   Alcotest.(check int) "reached the cap" 2 r.stats.iterations;
   Alcotest.(check bool) "overran the budget" true (r.stats.wall > 0.5);
@@ -406,17 +400,15 @@ let test_checkpoint_resume_identity () =
   let r6 =
     Search.save
       (run_with ~max_iterations:6
-         ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false })
-         ~jobs:1 g)
+         ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false }) g)
   in
   Alcotest.(check bool) "end state saved" true
     (r6.stats.n_checkpoints = 1 && Checkpoint.exists path);
   let resumed =
     run_with ~max_iterations:12
-      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path true })
-      ~jobs:1 g
+      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path true }) g
   in
-  let fresh = run_with ~max_iterations:12 ~jobs:1 g in
+  let fresh = run_with ~max_iterations:12 g in
   check_same_best "resumed vs fresh" resumed fresh;
   Alcotest.(check int) "iterations continue across the resume" 12
     resumed.stats.iterations;
@@ -457,8 +449,7 @@ let test_end_state_saved_by_caller () =
   let before = saves () in
   let r =
     run_with ~max_iterations:4
-      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false })
-      ~jobs:1 g
+      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false }) g
   in
   Alcotest.(check bool) "no file at the cap" false (Sys.file_exists path);
   Alcotest.(check int) "no save counted" 0 (saves () - before);
@@ -473,18 +464,16 @@ let test_end_state_saved_by_caller () =
   Alcotest.(check int) "the stats count the save" 1 r.stats.n_checkpoints;
   let again =
     run_with ~max_iterations:4
-      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path true })
-      ~jobs:1 g
+      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path true }) g
   in
   Alcotest.(check bool) "a resume at the cap" true again.resumed;
   Alcotest.(check bool) "the resumed clock is the run's end time" true
     (again.stats.wall < r.stats.wall +. 0.25);
   let resumed =
     run_with ~max_iterations:10
-      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path true })
-      ~jobs:1 g
+      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path true }) g
   in
-  let fresh = run_with ~max_iterations:10 ~jobs:1 g in
+  let fresh = run_with ~max_iterations:10 g in
   check_same_best "saved end state resumed vs fresh" resumed fresh;
   Alcotest.(check (list (pair int (float 0.0))))
     "same history"
@@ -501,7 +490,7 @@ let test_end_state_saved_by_caller () =
 (** A snapshot after each of the first five iterations, resumed to
     eight, continues the uninterrupted eight-iteration search exactly:
     best state, history (its clock aside) and every counter but
-    [checkpoints], at [jobs] 1 and 2, on a Randnet and on UNet. *)
+    [checkpoints], on a Randnet and on UNet. *)
 let test_resume_at_every_early_iteration () =
   with_temp_file @@ fun path ->
   let without_ckpt (r : Search.result) =
@@ -512,36 +501,33 @@ let test_resume_at_every_early_iteration () =
   in
   List.iter
     (fun (name, g) ->
-      List.iter
-        (fun jobs ->
-          let fresh = run_with ~max_iterations:8 ~jobs g in
-          for k = 1 to 5 do
-            if Sys.file_exists path then Sys.remove path;
-            let (_ : Search.result) =
-              Search.save
-                (run_with ~max_iterations:k
-                   ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false })
-                   ~jobs g)
-            in
-            let resumed =
-              run_with ~max_iterations:8
-                ~cfg:(fun c -> { c with Search.checkpoint = ckpt path true })
-                ~jobs g
-            in
-            let what = Printf.sprintf "%s, jobs %d, resumed after %d" name jobs k in
-            check_same_best what fresh resumed;
-            Alcotest.(check int64) (what ^ ": same best graph")
-              (Wl_hash.hash fresh.best.graph) (Wl_hash.hash resumed.best.graph);
-            Alcotest.(check int64) (what ^ ": same best F-Tree")
-              (Ftree.fingerprint fresh.best.ftree)
-              (Ftree.fingerprint resumed.best.ftree);
-            Alcotest.(check (list (pair int (float 0.0))))
-              (what ^ ": same history") (points fresh) (points resumed);
-            Alcotest.(check (list (pair string int)))
-              (what ^ ": same counters") (without_ckpt fresh)
-              (without_ckpt resumed)
-          done)
-        [ 1; 2 ])
+      let fresh = run_with ~max_iterations:8 g in
+      for k = 1 to 5 do
+        if Sys.file_exists path then Sys.remove path;
+        let (_ : Search.result) =
+          Search.save
+            (run_with ~max_iterations:k
+               ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false })
+               g)
+        in
+        let resumed =
+          run_with ~max_iterations:8
+            ~cfg:(fun c -> { c with Search.checkpoint = ckpt path true })
+            g
+        in
+        let what = Printf.sprintf "%s, resumed after %d" name k in
+        check_same_best what fresh resumed;
+        Alcotest.(check int64) (what ^ ": same best graph")
+          (Wl_hash.hash fresh.best.graph) (Wl_hash.hash resumed.best.graph);
+        Alcotest.(check int64) (what ^ ": same best F-Tree")
+          (Ftree.fingerprint fresh.best.ftree)
+          (Ftree.fingerprint resumed.best.ftree);
+        Alcotest.(check (list (pair int (float 0.0))))
+          (what ^ ": same history") (points fresh) (points resumed);
+        Alcotest.(check (list (pair string int)))
+          (what ^ ": same counters") (without_ckpt fresh)
+          (without_ckpt resumed)
+      done)
     [ ("Randnet", randnet 7); ("UNet", (Zoo.find "UNet").build Zoo.Quick) ]
 
 (** A checkpoint of one workload must refuse to resume another. *)
@@ -551,13 +537,11 @@ let test_checkpoint_rejects_foreign_run () =
   let (_ : Search.result) =
     Search.save
       (run_with ~max_iterations:3
-         ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false })
-         ~jobs:1 (randnet 7))
+         ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false }) (randnet 7))
   in
   match
     run_with ~max_iterations:6
-      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path true })
-      ~jobs:1 (randnet 8)
+      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path true }) (randnet 8)
   with
   | _ -> Alcotest.fail "foreign checkpoint must be rejected"
   | exception Checkpoint.Incompatible _ -> ()
@@ -592,8 +576,7 @@ let test_sigterm_checkpoint_resume () =
   in
   let r =
     run_with ~max_iterations:max_int
-      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false; poll })
-      ~jobs:1 g
+      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false; poll }) g
   in
   Domain.join killer;
   Alcotest.(check bool) "run reports the interrupt" true r.interrupted;
@@ -605,10 +588,9 @@ let test_sigterm_checkpoint_resume () =
   let total = r.stats.iterations + 2 in
   let resumed =
     run_with ~max_iterations:total
-      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path true })
-      ~jobs:1 g
+      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path true }) g
   in
-  let fresh = run_with ~max_iterations:total ~jobs:1 g in
+  let fresh = run_with ~max_iterations:total g in
   check_same_best "post-interrupt resume vs fresh" resumed fresh;
   Alcotest.(check int) "iterations continue" total resumed.stats.iterations;
   Alcotest.(check int) "the callback saw SIGTERM" Sys.sigterm
@@ -628,8 +610,7 @@ let test_unwired_search_ignores_signals () =
   in
   let r =
     run_with ~max_iterations:6
-      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false; poll })
-      ~jobs:1 (randnet ~cells:2 13)
+      ~cfg:(fun c -> { c with Search.checkpoint = ckpt path false; poll }) (randnet ~cells:2 13)
   in
   Alcotest.(check bool) "not interrupted" false r.interrupted;
   Alcotest.(check int) "reached the cap" 6 r.stats.iterations
