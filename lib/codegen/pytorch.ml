@@ -257,24 +257,10 @@ let emit ?(module_doc = "generated by MAGIS") (g : Graph.t)
   line "    return [%s]" (String.concat ", " (List.map var outputs));
   Buffer.contents buf
 
-(** Emit with every enabled fission of [ftree] materialized first: the
-    schedule is regenerated for the expanded graph by the caller-provided
-    scheduler. *)
-let expand (g : Graph.t) (ftree : Magis_ftree.Ftree.t) : Graph.t =
-  List.fold_left
-    (fun acc i ->
-      let f = Magis_ftree.Ftree.fission_at ftree i in
-      if Magis_ftree.Ftree.has_enabled_ancestor ftree i then acc
-      else if Magis_ftree.Fission.is_valid (Graph_index.of_graph acc) f then
-        (Magis_ftree.Fission.expand acc f).graph
-      else acc)
-    g
-    (Magis_ftree.Ftree.enabled_indices ftree)
-
 let emit_expanded cost ~title ~accounted_peak (g : Graph.t)
     (ftree : Magis_ftree.Ftree.t) ~(reschedule : Graph.t -> int list) :
     string * int =
-  let expanded = expand g ftree in
+  let expanded = Magis_ftree.Ftree.realize g ftree in
   let schedule = reschedule expanded in
   let peak = (Magis_cost.Simulator.run cost expanded schedule).peak_mem in
   let mb b = float_of_int b /. 1e6 in

@@ -11,14 +11,11 @@ val expr_of : Graph.t -> Graph.node -> string
 
 val emit : ?module_doc:string -> Graph.t -> schedule:int list -> string
 
-(** [g] with every outermost enabled fission of the tree that is still
-    valid materialized. *)
-val expand : Graph.t -> Magis_ftree.Ftree.t -> Graph.t
-
-(** Emit {!expand} [g ftree] under [reschedule]'s schedule of it.  The
-    docstring is [title], then the search's [accounted_peak] beside the
-    program's own peak ({!Magis_cost.Simulator.run} under [cost]), which
-    the F-Tree accounting can underestimate; that peak is returned. *)
+(** Emit {!Magis_ftree.Ftree.realize} [g ftree] under [reschedule]'s
+    schedule of it.  The docstring is [title], then the search's
+    [accounted_peak] beside the program's own peak
+    ({!Magis_cost.Simulator.run} under [cost]), which the F-Tree
+    accounting can underestimate; that peak is returned. *)
 val emit_expanded :
   Magis_cost.Op_cost.t ->
   title:string ->

@@ -58,11 +58,10 @@ let create () =
     deltas = Atomic.make 0;
   }
 
-let key ~state ~parent_sched ~mutated ~sched_states ~mode ~hw =
+let key ~state ~parent_sched ~mutated ~sched_states ~hw =
   let h = Util.hash_combine state parent_sched in
   let h = Util.hash_combine h mutated in
   let h = Util.hash_combine h (Int64.of_int sched_states) in
-  let h = Util.hash_combine h mode in
   Util.hash_combine h hw
 
 (* ------------------------------------------------------------------ *)

@@ -1,13 +1,15 @@
 (** Simulation cache: memoizes the (reschedule → simulate) evaluation of
-    an M-state so repeated searches over the same workload — ablation
-    sweeps, budget sweeps, serial/parallel A-B runs — skip both phases
-    on states they have already evaluated.
+    an M-state so searches over the same workload — a daemon's requests,
+    ablation sweeps, budget and limit sweeps — skip both phases on
+    states they have already evaluated.
 
-    The key digests everything the evaluation depends on: the state's
+    The key digests exactly what the evaluation reads: the state's
     structural identity (WL hash of the graph ⊕ F-Tree fingerprint), the
     parent schedule and mutated-node set driving the incremental
-    reschedule, the DP state budget, the search mode (so the two
-    optimization modes can never collide) and the hardware fingerprint.
+    reschedule, the effective DP state budget and the hardware
+    fingerprint.  The search mode and its limit are not part of it: they
+    order the search's queue and gate admission, but no evaluation reads
+    them, so searches in either mode and at any limit share entries.
     All inputs being digested, a hit returns bit-identical results to a
     recomputation; searches sharing a cache stay deterministic.
 
@@ -20,8 +22,9 @@
 
     Entries are stored delta-encoded against the parent schedule when
     the caller supplies one (see [add]): children of one parent share
-    the list the caller passes and store only the rewritten window.  Encoding is validated by reconstruct-and-compare, so [find]
-    always returns the bit-identical schedule that was added. *)
+    the list the caller passes and store only the rewritten window.
+    Encoding is validated by reconstruct-and-compare, so [find] always
+    returns the bit-identical schedule that was added. *)
 
 (** Cached outcome of evaluating one M-state. *)
 type value = {
@@ -56,7 +59,6 @@ val key :
   parent_sched:int64 ->
   mutated:int64 ->
   sched_states:int ->
-  mode:int64 ->
   hw:int64 ->
   int64
 

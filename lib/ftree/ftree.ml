@@ -497,6 +497,16 @@ let accounting ?base (cost : Op_cost.t) (ix : Graph_index.t) (t : t) : accountin
       in
       { size_of; cost_of; extra_latency; index = ix }
 
+let realize (g : Graph.t) (t : t) : Graph.t =
+  List.fold_left
+    (fun acc i ->
+      let f = fission_at t i in
+      if has_enabled_ancestor t i then acc
+      else if Fission.is_valid (Graph_index.of_graph acc) f then
+        (Fission.expand acc f).graph
+      else acc)
+    g (enabled_indices t)
+
 let pp ppf t =
   Array.iteri
     (fun i e ->

@@ -121,4 +121,11 @@ type accounting = {
 val accounting :
   ?base:(int -> float) -> Op_cost.t -> Graph_index.t -> t -> accounting
 
+(** {1 Materialization} *)
+
+(** [realize g t] is [g] with every outermost enabled fission of [t]
+    that is still valid materialized by {!Fission.expand}, in
+    {!enabled_indices} order: the graph the plan [t] stands for. *)
+val realize : Graph.t -> t -> Graph.t
+
 val pp : Format.formatter -> t -> unit

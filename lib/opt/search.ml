@@ -18,9 +18,10 @@
     context, built before them.  Each candidate counts its work into a
     table of its own, added into the run's when it succeeds, so a
     retried candidate is counted once.  A {!Sim_cache} the caller
-    shares across searches is probed once per survivor, and only misses
-    are evaluated; with no cache nothing is keyed, as a cache of one
-    search's own never hits (dedup skips every state it could return).
+    shares across searches, whatever their mode or limit, is probed once
+    per survivor, and only misses are evaluated; with no cache nothing
+    is keyed, as a cache of one search's own never hits (dedup skips
+    every state it could return).
 
     Resilience (see DESIGN.md §9): a candidate whose evaluation raises
     is retried with bounded backoff and, if it keeps failing,
@@ -467,17 +468,9 @@ let state_hash tb wl (ftree : Ftree.t) : int64 =
   bump tb c_hashes 1;
   timed tb s_hash (fun () -> Util.hash_combine (wl ()) (Ftree.fingerprint ftree))
 
-(** The operator-cost model, the caller's simulation cache, if any, and
-    the constant key ingredients. *)
-type eval_ctx = {
-  ec_cost : Op_cost.t;
-  ec_sim : Sim_cache.t option;
-  ec_mode : int64;  (** mode fingerprint (cross-mode collision guard) *)
-  ec_hw : int64;  (** hardware fingerprint *)
-}
-
-(** Digest of the mode, including its limit, for the simulation-cache
-    key: the two optimization modes can never share an entry. *)
+(** Digest of the mode, including its limit, for
+    {!trajectory_fingerprint}: the trajectory depends on the limit, an
+    evaluation does not, so the simulation-cache key leaves it out. *)
 let mode_fingerprint : mode -> int64 = function
   | Min_latency { mem_limit } ->
       Util.hash_combine 1L (Int64.of_int mem_limit)
@@ -526,11 +519,11 @@ let proposal_graph (s : Mstate.t) (p : proposal) =
 (** Evaluate a proposal that missed (or had no cache): incremental
     reschedule + simulation on the proposal's index (a mutation's is a
     fresh index over the pop's arrays: its adjacency, links, {!Reach}
-    and scratch are its own), stored under [key] when there is a cache;
-    [sched_states] is the effective DP budget.  It writes only [tb],
-    the candidate's own table, and the cache, and only reads the pop's
-    contexts. *)
-let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
+    and scratch are its own), stored under [key] in [cfg.sim_cache]
+    when there is one; [sched_states] is the effective DP budget.  It
+    writes only [tb], the candidate's own table, and the cache, and only
+    reads the pop's contexts. *)
+let evaluate_proposal (cfg : config) cost tb ~sched_states
     ~iteration ~key (cx : pop) (parent, costs) (s : Mstate.t) (p : proposal) :
     Mstate.t =
   let graph = proposal_graph s p in
@@ -550,10 +543,10 @@ let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
                 ~csr:(Graph_index.csr cx.ix)
         in
         let base =
-          Op_cost.inherited_cost_on ec.ec_cost ~parent_nodes:nodes
+          Op_cost.inherited_cost_on cost ~parent_nodes:nodes
             ~parent_costs:costs ix
         in
-        (ix, Ftree.accounting ~base ec.ec_cost ix p.p_ftree))
+        (ix, Ftree.accounting ~base cost ix p.p_ftree))
   in
   let schedule =
     timed tb s_reschedule (fun () ->
@@ -569,7 +562,7 @@ let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
   in
   timed tb s_simulate @@ fun () ->
   let s' =
-    Mstate.evaluate ~ftree_stale:p.p_stale ~acc ec.ec_cost graph
+    Mstate.evaluate ~ftree_stale:p.p_stale ~acc cost graph
       p.p_ftree schedule
   in
   if cfg.verify_states then begin
@@ -590,7 +583,7 @@ let evaluate_proposal (cfg : config) (ec : eval_ctx) tb ~sched_states
          optimizer bug, not a transient runtime fault *)
       raise (Verification_failure msg)
   end;
-  (match (ec.ec_sim, key) with
+  (match (cfg.sim_cache, key) with
   | Some sim, Some key ->
       Sim_cache.add ~parent:s.schedule sim key (Mstate.to_cached s')
   | _ -> ());
@@ -777,17 +770,10 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
     invalid_arg "Search.run: config.jobs is retired and must be 1";
   let t0 = Unix.gettimeofday () in
   let tb = fresh_table () in
-  let ec, fingerprint, loaded =
+  let hw, fingerprint, loaded =
     timed tb s_init @@ fun () ->
-    let ec =
-      {
-        ec_cost = cost;
-        ec_sim = config.sim_cache;
-        ec_mode = mode_fingerprint mode;
-        ec_hw = Hardware.fingerprint cost.hw;
-      }
-    in
-    let fingerprint = trajectory_fingerprint config mode ~hw:ec.ec_hw graph in
+    let hw = Hardware.fingerprint cost.hw in
+    let fingerprint = trajectory_fingerprint config mode ~hw graph in
     let loaded : snapshot option =
       match config.checkpoint with
       | Some { ckpt_path; ckpt_resume = true; _ }
@@ -796,7 +782,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
             (Checkpoint.load ~path:ckpt_path ~version:ckpt_version ~fingerprint)
       | _ -> None
     in
-    (ec, fingerprint, loaded)
+    (hw, fingerprint, loaded)
   in
   (* a resumed run continues the snapshot's clock and accounting;
      metrics publish this process's work, the deltas since [published] *)
@@ -1013,7 +999,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
        slot; a miss is evaluated. *)
     let slots = Array.make (Array.length survivors) None in
     let misses =
-      match ec.ec_sim with
+      match config.sim_cache with
       | None -> Array.mapi (fun i (p, _) -> (i, p, None)) survivors
       | Some sim ->
           let sched_hash =
@@ -1024,7 +1010,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
             let key =
               Sim_cache.key ~state:h ~parent_sched:sched_hash
                 ~mutated:(Util.hash_int_list (Int_set.elements p.p_mutated))
-                ~sched_states ~mode:ec.ec_mode ~hw:ec.ec_hw
+                ~sched_states ~hw
             in
             (key, Sim_cache.find sim key)
           in
@@ -1057,7 +1043,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
             supervised_map ~phase:"evaluate"
               (fun (_, (p : proposal), key) ->
                 let local = fresh_table () in
-                ( evaluate_proposal config ec local ~sched_states ~iteration
+                ( evaluate_proposal config cost local ~sched_states ~iteration
                     ~key cx rcx s p,
                   local ))
               misses
@@ -1177,7 +1163,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
     initial = st.snap_initial;
     stats =
       stats_of_table tb ~wall:st.snap_elapsed ~degrade_steps:st.snap_steps
-        ~sim_cached:(Option.is_some ec.ec_sim);
+        ~sim_cached:(Option.is_some config.sim_cache);
     history = List.rev st.snap_history;
     diagnostics = List.rev st.snap_diags;
     interrupted = !interrupted;

@@ -183,10 +183,11 @@ type config = {
           the six retired {!stats} fields, and goes with them. *)
   sim_cache : Sim_cache.t option;
       (** memoizes (reschedule → simulate) evaluations across the
-          searches sharing it: each survivor of dedup is probed once,
-          serially, and only misses are evaluated.  [None] (the
-          default) = no cache, nothing keyed: a cache of one search's
-          own never hits, as dedup skips every state it could return. *)
+          searches sharing it, whatever their mode or limit: each
+          survivor of dedup is probed once, serially, and only misses
+          are evaluated.  [None] (the default) = no cache, nothing
+          keyed: a cache of one search's own never hits, as dedup skips
+          every state it could return. *)
   checkpoint : checkpoint option;
       (** crash-safe snapshots: written every [ckpt_every] seconds, at
           the end of a pop, and never when the run returns — whatever

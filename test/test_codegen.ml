@@ -122,7 +122,7 @@ let test_emit_expanded_states_emitted_peak () =
     Pytorch_codegen.emit_expanded cost ~title:"lm" ~accounted_peak:accounted
       g ftree ~reschedule
   in
-  let expanded = Pytorch_codegen.expand g ftree in
+  let expanded = Ftree.realize g ftree in
   Alcotest.(check bool) "a fission was materialized" true
     (Graph.n_nodes expanded > Graph.n_nodes g);
   let emitted = (Simulator.run cost expanded (reschedule expanded)).peak_mem in

@@ -28,18 +28,7 @@ let test_optimized_state_expandable () =
   in
   let r = Search.optimize_memory ~config:small_budget c ~overhead:0.15 g in
   let best = r.best in
-  (* expand every enabled fission (outermost only) on the best graph *)
-  let expanded =
-    List.fold_left
-      (fun acc_g i ->
-        let f = Ftree.fission_at best.ftree i in
-        if Ftree.has_enabled_ancestor best.ftree i then acc_g
-        else if Fission.is_valid (Graph_index.of_graph acc_g) f then
-          (Fission.expand acc_g f).graph
-        else acc_g)
-      best.graph
-      (Ftree.enabled_indices best.ftree)
-  in
+  let expanded = Ftree.realize best.graph best.ftree in
   (* the expanded graph is a valid computation graph with the same
      interface size *)
   ignore (Graph.topo_order expanded);

@@ -12,8 +12,8 @@ open Helpers
 (* ------------------------------------------------------------------ *)
 
 let mk_key ?(state = 11L) ?(parent_sched = 22L) ?(mutated = 33L)
-    ?(sched_states = 0) ?(mode = 1L) ?(hw = 44L) () =
-  Sim_cache.key ~state ~parent_sched ~mutated ~sched_states ~mode ~hw
+    ?(sched_states = 0) ?(hw = 44L) () =
+  Sim_cache.key ~state ~parent_sched ~mutated ~sched_states ~hw
 
 let a_value =
   { Sim_cache.schedule = [ 0; 1; 2 ]; peak_mem = 640; latency = 0.25;
@@ -41,15 +41,63 @@ let test_sim_cache_miss_after_rewrite () =
   Alcotest.(check bool) "rewritten graph misses" true
     (Sim_cache.find c (mk_key ~state:12L ()) = None)
 
-let test_sim_cache_no_cross_mode_collision () =
+let test_sim_cache_hw_budget_isolation () =
   let c = Sim_cache.create () in
-  Sim_cache.add c (mk_key ~mode:1L ()) a_value;
-  Alcotest.(check bool) "other mode misses" true
-    (Sim_cache.find c (mk_key ~mode:2L ()) = None);
+  Sim_cache.add c (mk_key ()) a_value;
   Alcotest.(check bool) "other hardware misses" true
     (Sim_cache.find c (mk_key ~hw:45L ()) = None);
   Alcotest.(check bool) "other DP budget misses" true
     (Sim_cache.find c (mk_key ~sched_states:100 ()) = None)
+
+(** The key leaves the mode and its limit out, because no evaluation
+    reads them: the first pop's candidates, evaluated by a search under
+    either mode at either of two limits, give the values the first
+    search stored under the same keys.  Each later search hits on every
+    survivor, adds no entry, and sees (through [harvest]) exactly the
+    values a cacheless search in its own mode computes. *)
+let test_sim_cache_value_independent_of_mode () =
+  let g = (Zoo.find "UNet").build Zoo.Quick in
+  let cost = cache () in
+  let base = Simulator.run cost g (Graph.topo_order g) in
+  let modes =
+    [
+      Search.Min_memory { lat_limit = base.latency *. 1.10 };
+      Search.Min_memory { lat_limit = base.latency *. 1.02 };
+      Search.Min_latency { mem_limit = base.peak_mem * 8 / 10 };
+      Search.Min_latency { mem_limit = base.peak_mem * 6 / 10 };
+    ]
+  in
+  let values ?sim_cache mode =
+    let seen = ref [] in
+    let config =
+      { Search.default_config with
+        max_iterations = 1; time_budget = 1e9; sim_cache;
+        harvest =
+          Some (fun ~iteration:_ s -> seen := Mstate.to_cached s :: !seen) }
+    in
+    let r = Search.run ~config cost mode g in
+    (r, List.rev !seen)
+  in
+  let sim = Sim_cache.create () in
+  let first, stored = values ~sim_cache:sim (List.hd modes) in
+  let entries = Sim_cache.length sim in
+  Alcotest.(check bool) "the first search stores its survivors" true
+    (entries > 0 && entries = first.stats.n_sim_miss);
+  List.iteri
+    (fun i mode ->
+      let what = Printf.sprintf "mode %d" i in
+      let r, shared = values ~sim_cache:sim mode in
+      let _, fresh = values mode in
+      Alcotest.(check int) (what ^ ": every survivor hits") entries
+        r.stats.n_sim_hit;
+      Alcotest.(check int) (what ^ ": no miss") 0 r.stats.n_sim_miss;
+      Alcotest.(check int) (what ^ ": no new entry") entries
+        (Sim_cache.length sim);
+      Alcotest.(check bool) (what ^ ": the stored values") true
+        (shared = stored);
+      Alcotest.(check bool) (what ^ ": equal to a fresh evaluation") true
+        (fresh = stored))
+    modes
 
 (** Stress the cache's concurrent find/add accounting: two domains, the
     daemon's default worker count, race find-then-add over 64 colliding
@@ -132,6 +180,8 @@ let check_same_best what (r1 : Search.result) (r2 : Search.result) =
     true
     (Wl_hash.equal_structure r1.best.graph r2.best.graph)
 
+let points (r : Search.result) = List.map (fun (_, p, l) -> (p, l)) r.history
+
 let test_shared_sim_cache_short_circuits () =
   let g = randnet 1 in
   let sim = Sim_cache.create () in
@@ -146,7 +196,30 @@ let test_shared_sim_cache_short_circuits () =
   Alcotest.(check int) "warm run never misses" 0 r2.stats.n_sim_miss;
   Alcotest.(check int) "warm run never reschedules" 0 r2.stats.n_sched;
   Alcotest.(check int) "warm run never simulates" 0 r2.stats.n_simul;
-  Alcotest.(check bool) "warm run only hits" true (r2.stats.n_sim_hit > 0)
+  Alcotest.(check bool) "warm run only hits" true (r2.stats.n_sim_hit > 0);
+  (* a search at another limit shares the early states: it hits, and it
+     finds what a cacheless search at that limit finds *)
+  let g = (Zoo.find "UNet").build Zoo.Quick in
+  let sim = Sim_cache.create () in
+  let at ?sim_cache mem_ratio =
+    let config =
+      { Search.default_config with
+        max_iterations = 12; time_budget = 1e9; sim_cache }
+    in
+    Search.optimize_latency ~config (cache ()) ~mem_ratio g
+  in
+  ignore (at ~sim_cache:sim 0.8 : Search.result);
+  let shared = at ~sim_cache:sim 0.7 in
+  let none = at 0.7 in
+  Alcotest.(check bool) "another limit hits" true (shared.stats.n_sim_hit > 0);
+  check_same_best "another limit" shared none;
+  Alcotest.(check (list (pair int (float 0.0))))
+    "another limit: same history" (points none) (points shared);
+  Alcotest.(check int) "another limit: same iterations" none.stats.iterations
+    shared.stats.iterations;
+  Alcotest.(check int) "another limit: every survivor probed once"
+    none.stats.n_sim_miss
+    (shared.stats.n_sim_hit + shared.stats.n_sim_miss)
 
 (** A search given no cache keys nothing and probes nothing (the
     [sim_cache] fault site is never visited), and it returns what a
@@ -155,7 +228,6 @@ let test_shared_sim_cache_short_circuits () =
     part of every key, the search has seen. *)
 let test_no_cache_probes_nothing () =
   Fun.protect ~finally:Fault.disarm @@ fun () ->
-  let points (r : Search.result) = List.map (fun (_, p, l) -> (p, l)) r.history in
   List.iter
     (fun (what, g) ->
       Fault.observe ();
@@ -222,8 +294,9 @@ let suite =
     tc "sim cache concurrent accounting stress"
       test_sim_cache_concurrent_accounting;
     tc "sim cache misses after rewrite" test_sim_cache_miss_after_rewrite;
-    tc "sim cache mode/hw/budget isolation"
-      test_sim_cache_no_cross_mode_collision;
+    tc "sim cache hw/budget isolation" test_sim_cache_hw_budget_isolation;
+    tc "sim cache value independent of mode"
+      test_sim_cache_value_independent_of_mode;
     tc "hardware fingerprint" test_hardware_fingerprint;
     tc "shared sim cache short-circuits a replay"
       test_shared_sim_cache_short_circuits;
