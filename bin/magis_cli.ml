@@ -364,10 +364,9 @@ let cmd_chaos seed iters =
   (* Persistent faults: every visit of the site fails for a long
      stretch, so no bounded retry can outrun it — candidates must be
      quarantined with the right diagnostic, and the search must still
-     return.  The burst must outlast a whole batch pass plus the retry
-     chain of at least one candidate (each failing execution consumes
-     exactly one visit, and a batch's first executions all run before
-     any of its retries). *)
+     return.  The burst must outlast the retry chain of at least one
+     candidate (each failing execution consumes exactly one visit, and
+     a candidate's retries run in place, before the next candidate). *)
   let persistent_len = 400 in
   (let site = "simulator" in
    let lo, _ = window site in

@@ -7,8 +7,7 @@
     array in compressed rows, whose row lengths are the read counts),
     the topological order walked over them, the adjacency arrays, each
     node's links, the {!Reach} closure over that order and the scratch
-    array of {!with_locals}.  An index over another index's arrays
-    ({!of_arrays}) shares its node array and consumers by slot. *)
+    array of {!with_locals}. *)
 
 type adjacency = { preds : int array array; succs : int array array }
 
@@ -116,16 +115,12 @@ let order_of (nodes : Graph.node array) n { row; ids } : int array =
   if !placed <> n then invalid_arg "Graph_index.order: graph has a cycle";
   order
 
-let make ?order ?csr (g : Graph.t) (nodes : Graph.node array) : t =
-  let bound = Array.length nodes in
-  let csr =
-    match csr with Some c -> Lazy.from_val c | None -> lazy (csr_of nodes)
-  in
-  let order =
-    match order with
-    | Some o -> Lazy.from_val o
-    | None -> lazy (order_of nodes (Graph.n_nodes g) (Lazy.force csr))
-  in
+let of_graph (g : Graph.t) : t =
+  let bound = Graph.id_bound g in
+  let nodes = Array.make bound absent in
+  Graph.iter (fun n -> nodes.(n.id) <- n) g;
+  let csr = lazy (csr_of nodes) in
+  let order = lazy (order_of nodes (Graph.n_nodes g) (Lazy.force csr)) in
   let reach =
     lazy
       (let { row; ids } = Lazy.force csr in
@@ -135,14 +130,6 @@ let make ?order ?csr (g : Graph.t) (nodes : Graph.node array) : t =
   { graph = g; nodes; csr; order; adjacency = lazy (adjacency_of nodes);
     memo = lazy { links = Array.make bound []; linked = Bytes.make bound '\000' };
     reach; slot = lazy (Array.make bound (-1)) }
-
-let of_graph (g : Graph.t) : t =
-  let nodes = Array.make (Graph.id_bound g) absent in
-  Graph.iter (fun n -> nodes.(n.id) <- n) g;
-  make g nodes
-
-let of_arrays (g : Graph.t) ~nodes ~order ~csr =
-  make ~order:(Array.copy order) ~csr g nodes
 
 let graph t = t.graph
 let bound t = Array.length t.nodes

@@ -10,8 +10,10 @@
     compressed rows, which also gives {!n_reads}), the topological
     order walked over them, the adjacency arrays, each node's links and
     the {!Reach} closure are built on first use and kept.  Those lazy
-    parts and the scratch array {!with_locals} marks members in make one
-    index serve one domain at a time.
+    parts and the scratch array {!with_locals} marks members in are the
+    index's own, and nothing locks them: an index is read by one
+    computation at a time, which may be many in turn (a search pop's
+    F-Tree mutations are all rescheduled on the pop's one index).
 
     Every query takes a node id below {!bound}; ids that are not nodes
     of the graph are outside their domain, except for {!mem}. *)
@@ -25,15 +27,6 @@ val of_graph : Graph.t -> t
     increasing id order, a node once per slot that reads [v] (so a
     node reading [v] twice sits twice, side by side). *)
 type csr = private { row : int array; ids : int array }
-
-(** An index of the graph whose node array is [nodes] and whose
-    consumers by slot are [csr], as {!nodes} and {!csr} of another
-    index of the same graph return them (shared, and written by
-    neither), with a copy of [order] as its {!order}, which must be
-    that index's.  Adjacency, links, {!Reach} and scratch stay its
-    own. *)
-val of_arrays :
-  Graph.t -> nodes:Graph.node array -> order:int array -> csr:csr -> t
 
 (** The indexed graph. *)
 val graph : t -> Graph.t
@@ -80,8 +73,7 @@ val in_shapes : t -> int -> Shape.t array
 val links : t -> int -> (int * int * Op.dim_link) list
 
 (** The graph's {!Reach} closures over {!order}, built on first use
-    and kept.  The index is meant for one domain: two domains must not
-    force it at once. *)
+    and kept.  Two domains must not force it at once. *)
 val reach : t -> Reach.t
 
 (** Does the list hold every node exactly once, each after its operands? *)

@@ -15,18 +15,19 @@
     The loop is serial, as in the paper: each pop's candidates are
     generated, hashed, deduplicated, probed, evaluated and merged in
     candidate order on the calling domain, reading only the pop's
-    context, built before them.  Each candidate counts its work into a
-    table of its own, added into the run's when it succeeds, so a
-    retried candidate is counted once.  A {!Sim_cache} the caller
+    context, built before them.  Every step counts into the run's one
+    table, and only once it has succeeded, so a retried candidate is
+    counted once.  A {!Sim_cache} the caller
     shares across searches, whatever their mode or limit, is probed once
     per survivor, and only misses are evaluated; with no cache nothing
     is keyed, as a cache of one search's own never hits (dedup skips
     every state it could return).
 
-    Resilience (see DESIGN.md §9): a candidate whose evaluation raises
-    is retried with bounded backoff and, if it keeps failing,
-    quarantined with a structured {!Magis_analysis.Diagnostic} — the
-    surviving candidates of the batch are kept; a pop whose context
+    Resilience (see DESIGN.md §9): a step that raises (a candidate's
+    hash, probe or evaluation, or a context of the pop) is retried in
+    place with bounded backoff and, if it keeps failing, quarantined
+    with a structured {!Magis_analysis.Diagnostic} — the other
+    candidates of the pop are kept; a pop whose context
     keeps failing to build is quarantined and proposes nothing.  The
     loop state is one record, saved as it is: [config.checkpoint]
     periodically serializes the full frontier to a crash-safe file from
@@ -73,7 +74,7 @@ let s_refresh = declare stage_decls "refresh" (* stale F-Tree rebuild *)
 let s_generate = declare stage_decls "generate" (* order, closure, positions, proposals *)
 let s_hash = declare stage_decls "hash" (* labels; WL hash ⊕ F-Tree fp *)
 let s_dedup = declare stage_decls "dedup" (* first occurrence wins *)
-let s_lookup = declare stage_decls "lookup" (* sched digest, key, probe: serial *)
+let s_lookup = declare stage_decls "lookup" (* sched digest, key, probe, a hit's state *)
 let s_reschedule = declare stage_decls "reschedule" (* parent, costs; Alg. 2 *)
 let s_simulate = declare stage_decls "simulate" (* cost model, simulate, verify, store *)
 let s_merge = declare stage_decls "merge" (* admission, profile, metrics *)
@@ -102,8 +103,8 @@ let counter_metrics =
     (List.map (fun n -> Metrics.counter ("search." ^ n)) counter_names)
 
 (** Seconds per stage and value per counter, indexed by declaration
-    order.  Each candidate fills a table of its own, added into the
-    run's at the merge, in candidate order. *)
+    order.  A run fills one table; a resumed run adds its setup into
+    the snapshot's. *)
 type table = { secs : float array; counts : int array }
 
 let fresh_table () =
@@ -118,13 +119,13 @@ let bump tb c n = tb.counts.(c) <- tb.counts.(c) + n
 let count tb c = tb.counts.(c)
 
 (** Run [f] as stage [stage]: the one place a stage is timed, and the
-    one place its trace span opens. *)
+    one place its trace span opens.  An [f] that raises is timed too,
+    so a failed attempt's seconds stay in its stage. *)
 let timed tb stage f =
   Trace.with_span ~cat:"search" stage_spans.(stage) @@ fun () ->
   let t0 = Unix.gettimeofday () in
-  let r = f () in
-  tb.secs.(stage) <- tb.secs.(stage) +. (Unix.gettimeofday () -. t0);
-  r
+  Fun.protect f ~finally:(fun () ->
+      tb.secs.(stage) <- tb.secs.(stage) +. (Unix.gettimeofday () -. t0))
 
 (** The table's named values: every counter under its name, every stage
     as [t_<name>] seconds.  Shared by {!stats_json} and the profile. *)
@@ -366,8 +367,7 @@ let default_config =
     {!Graph_index}, built where the proposal is created: prune, WL hash,
     accounting, rescheduling and simulation all read it.  An F-Tree
     mutation keeps the popped state's graph ([None]): it takes the
-    pop's WL hash, and gets an index over the pop's arrays when it is
-    evaluated.  No two proposals share an index. *)
+    pop's WL hash and is evaluated on the pop's index. *)
 type proposal = {
   p_rewrite : Graph_index.t option;
   p_ftree : Ftree.t;
@@ -465,8 +465,11 @@ let rewrite_proposals (cfg : config) tb (s : Mstate.t) (cx : pop) :
 (** Dedup key of a state: its graph's WL hash, [wl ()], ⊕ F-Tree
     fingerprint. *)
 let state_hash tb wl (ftree : Ftree.t) : int64 =
+  let h =
+    timed tb s_hash (fun () -> Util.hash_combine (wl ()) (Ftree.fingerprint ftree))
+  in
   bump tb c_hashes 1;
-  timed tb s_hash (fun () -> Util.hash_combine (wl ()) (Ftree.fingerprint ftree))
+  h
 
 (** Digest of the mode, including its limit, for
     {!trajectory_fingerprint}: the trajectory depends on the limit, an
@@ -498,10 +501,10 @@ let proposal_latency_lb (acc : Ftree.accounting) (g : Graph.t) : float =
   +. acc.extra_latency)
   *. lat_lb_margin
 
-(** Hash a proposal: its dedup hash.  A rewrite is relabelled from the
-    pop's labels, which forces the rewrite index's topological order
-    (rescheduling partitions along it); an F-Tree mutation takes the
-    pop's hash. *)
+(** Hash a proposal: its dedup hash, counted once it is computed.  A
+    rewrite is relabelled from the pop's labels, which forces the
+    rewrite index's topological order (rescheduling partitions along
+    it); an F-Tree mutation takes the pop's hash. *)
 let hash_proposal tb (cx : pop) (p : proposal) : int64 =
   let wl () =
     match p.p_rewrite with
@@ -517,48 +520,32 @@ let proposal_graph (s : Mstate.t) (p : proposal) =
   match p.p_rewrite with Some ix -> Graph_index.graph ix | None -> s.graph
 
 (** Evaluate a proposal that missed (or had no cache): incremental
-    reschedule + simulation on the proposal's index (a mutation's is a
-    fresh index over the pop's arrays: its adjacency, links, {!Reach}
-    and scratch are its own), stored under [key] in [cfg.sim_cache]
+    reschedule + simulation on the proposal's index (a mutation's is
+    the pop's own, [cx.ix]), stored under [key] in [cfg.sim_cache]
     when there is one; [sched_states] is the effective DP budget.  It
-    writes only [tb], the candidate's own table, and the cache, and only
-    reads the pop's contexts. *)
+    counts into [tb] only once the state is built and stored, so a
+    retried evaluation is counted once. *)
 let evaluate_proposal (cfg : config) cost tb ~sched_states
     ~iteration ~key (cx : pop) (parent, costs) (s : Mstate.t) (p : proposal) :
     Mstate.t =
   let graph = proposal_graph s p in
-  bump tb c_sim_misses 1;
+  let ix = Option.value p.p_rewrite ~default:cx.ix in
   (* the candidate's operator costs (a node inherits the pop's base cost
      when it and its operands kept their records) and fission accounting
      are the simulator's cost and size model *)
-  let ix, acc =
+  let acc =
     timed tb s_simulate (fun () ->
-        let nodes = Graph_index.nodes cx.ix in
-        let ix =
-          match p.p_rewrite with
-          | Some ix -> ix
-          | None ->
-              Graph_index.of_arrays graph ~nodes
-                ~order:(Graph_index.order cx.ix)
-                ~csr:(Graph_index.csr cx.ix)
-        in
         let base =
-          Op_cost.inherited_cost_on cost ~parent_nodes:nodes
+          Op_cost.inherited_cost_on cost ~parent_nodes:(Graph_index.nodes cx.ix)
             ~parent_costs:costs ix
         in
-        (ix, Ftree.accounting ~base cost ix p.p_ftree))
+        Ftree.accounting ~base cost ix p.p_ftree)
   in
-  let schedule =
+  let schedule, (rstats : Magis_sched.Incremental.stats) =
     timed tb s_reschedule (fun () ->
-        let schedule, (rstats : Magis_sched.Incremental.stats) =
-          Magis_sched.Incremental.reschedule ~max_states:sched_states
-            ~parent ~new_index:ix
-            ~mutated_old:p.p_mutated ~size_of:acc.size_of ()
-        in
-        if rstats.fallback then bump tb c_sched_fallbacks 1;
-        bump tb c_resched_nodes rstats.rescheduled;
-        bump tb c_sched_nodes (List.length schedule);
-        schedule)
+        Magis_sched.Incremental.reschedule ~max_states:sched_states
+          ~parent ~new_index:ix
+          ~mutated_old:p.p_mutated ~size_of:acc.size_of ())
   in
   timed tb s_simulate @@ fun () ->
   let s' =
@@ -587,6 +574,10 @@ let evaluate_proposal (cfg : config) cost tb ~sched_states
   | Some sim, Some key ->
       Sim_cache.add ~parent:s.schedule sim key (Mstate.to_cached s')
   | _ -> ());
+  bump tb c_sim_misses 1;
+  if rstats.fallback then bump tb c_sched_fallbacks 1;
+  bump tb c_resched_nodes rstats.rescheduled;
+  bump tb c_sched_nodes (List.length schedule);
   s'
 
 (* ------------------------------------------------------------------ *)
@@ -896,44 +887,22 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
     in
     st.snap_diags <- d :: st.snap_diags
   in
-  (* Failure isolation: [first] is the outcome of [f x]'s first
-     execution.  A failure is retried with bounded backoff (a
-     transient fault passes on re-execution); one that keeps failing is
-     quarantined with a structured diagnostic. *)
-  let supervise ~what f x first =
-    match first with
-    | Ok v -> Some v
-    | Error (e, bt) when fatal e -> Printexc.raise_with_backtrace e bt
-    | Error _ -> (
+  (* Failure isolation: [f x] runs once; a failure is retried in place
+     with bounded backoff (a transient fault passes on re-execution),
+     and one that keeps failing is quarantined with a structured
+     diagnostic.  A fatal exception re-raises. *)
+  let supervise ~what f x =
+    match f x with
+    | v -> Some v
+    | exception e -> (
+        let bt = Printexc.get_raw_backtrace () in
+        if fatal e then Printexc.raise_with_backtrace e bt;
         bump tb c_retried 1;
         match Retry.run (fun () -> f x) with
         | Ok v -> Some v
         | Error failure ->
             quarantine ~what failure;
             None)
-  in
-  let attempt f x =
-    try Ok (f x) with e -> Error (e, Printexc.get_raw_backtrace ())
-  in
-  (* A single step, supervised like a candidate. *)
-  let supervise_here ~what f x = supervise ~what f x (attempt f x) in
-  (* One expansion step: every candidate's first execution, each a
-     visit of the [candidate] fault site, then, in candidate order, the
-     retries of those that failed.  The survivors of the batch are
-     kept. *)
-  let supervised_map ~phase f xs =
-    let first =
-      Array.map
-        (attempt (fun x ->
-             Fault.hit "candidate";
-             f x))
-        xs
-    in
-    Array.mapi
-      (fun index r ->
-        supervise ~what:(Printf.sprintf "%s candidate %d" phase index) f
-          xs.(index) r)
-      first
   in
   let record_profile ~candidates ~survivors =
     match config.profile with
@@ -957,137 +926,125 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
   in
   (* Expand the popped state [s] against its context [cx]: generate,
      hash, dedup, probe, evaluate the misses and merge, each step over
-     the candidates in order. *)
+     the candidates in order.  A candidate is named by its position
+     among the pop's proposals. *)
   let expand (s : Mstate.t) (cx : pop) =
     let proposals =
       timed tb s_generate @@ fun () ->
-      Array.of_list
-        ((if Ftree.n_entries s.ftree > 0 then ftree_proposals tb s cx else [])
-        @ rewrite_proposals config tb s cx)
+      (if Ftree.n_entries s.ftree > 0 then ftree_proposals tb s cx else [])
+      @ rewrite_proposals config tb s cx
     in
     let sched_states =
       ladder_sched_states ~level:st.snap_degrade config.sched_states
     in
     (* Hash test FIRST: duplicate graphs skip scheduling and simulation
-       entirely (the Fig. 15 "Filtered" column). *)
+       entirely (the Fig. 15 "Filtered" column).  Each execution of a
+       candidate's hash or evaluation visits the [candidate] fault
+       site. *)
     let hashed =
-      supervised_map ~phase:"hash"
-        (fun (p : proposal) ->
-          let local = fresh_table () in
-          (p, hash_proposal local cx p, local))
-        proposals
+      List.mapi (fun i p -> (i, p)) proposals
+      |> List.filter_map (fun (i, p) ->
+             supervise ~what:(Printf.sprintf "hash candidate %d" i)
+               (fun p ->
+                 Fault.hit "candidate";
+                 (i, p, hash_proposal tb cx p))
+               p)
     in
     (* Dedup against every state seen so far: first occurrence wins. *)
     let survivors =
       timed tb s_dedup @@ fun () ->
-      Array.to_list hashed
-      |> List.filter_map (function
-           | None -> None (* quarantined in the hash step *)
-           | Some ((p : proposal), h, local) ->
-               add_table tb local;
-               if Hashtbl.mem st.snap_seen h then begin
-                 bump tb c_filtered 1;
-                 None
-               end
-               else begin
-                 Hashtbl.replace st.snap_seen h ();
-                 Some (p, h)
-               end)
-      |> Array.of_list
+      List.filter
+        (fun (_, _, h) ->
+          let seen = Hashtbl.mem st.snap_seen h in
+          if seen then bump tb c_filtered 1
+          else Hashtbl.replace st.snap_seen h ();
+          not seen)
+        hashed
     in
-    (* Probe the cache once per survivor.  A hit takes its survivor's
-       slot; a miss is evaluated. *)
-    let slots = Array.make (Array.length survivors) None in
-    let misses =
+    (* Probe the cache once per survivor: a hit is its state, [Left], a
+       miss the key its evaluation is stored under, [Right]. *)
+    let probed =
       match config.sim_cache with
-      | None -> Array.mapi (fun i (p, _) -> (i, p, None)) survivors
+      | None -> List.map (fun (i, p, _) -> (i, p, Either.Right None)) survivors
       | Some sim ->
           let sched_hash =
             timed tb s_lookup (fun () -> Util.hash_int_list s.schedule)
           in
-          let probe ((p : proposal), h) =
+          let probe (i, (p : proposal), h) =
             timed tb s_lookup @@ fun () ->
             let key =
               Sim_cache.key ~state:h ~parent_sched:sched_hash
                 ~mutated:(Util.hash_int_list (Int_set.elements p.p_mutated))
                 ~sched_states ~hw
             in
-            (key, Sim_cache.find sim key)
+            match Sim_cache.find sim key with
+            | None -> (i, p, Either.Right (Some key))
+            | Some v ->
+                let g = proposal_graph s p in
+                let s' = Mstate.of_cached ~ftree_stale:p.p_stale g p.p_ftree v in
+                bump tb c_sim_hits 1;
+                (i, p, Either.Left s')
           in
-          Array.to_list survivors
-          |> List.mapi (fun i ((p : proposal), h) ->
-                 let what = Printf.sprintf "probe candidate %d" i in
-                 match supervise_here ~what probe (p, h) with
-                 | None -> None
-                 | Some (key, None) -> Some (i, p, Some key)
-                 | Some (_, Some v) ->
-                     bump tb c_sim_hits 1;
-                     let g = proposal_graph s p in
-                     slots.(i) <-
-                       Some (Mstate.of_cached ~ftree_stale:p.p_stale g p.p_ftree v);
-                     None)
-          |> List.filter_map Fun.id |> Array.of_list
+          List.filter_map
+            (fun ((i, _, _) as c) ->
+              supervise ~what:(Printf.sprintf "probe candidate %d" i) probe c)
+            survivors
     in
-    (* Evaluate the misses, each into its own table.  A rescheduling
-       context that keeps failing quarantines them. *)
+    (* Evaluate the misses, in candidate order, on the pop's
+       rescheduling context, built only when one missed.  A context
+       that keeps failing quarantines the misses; the hits stay. *)
     let iteration = count tb c_iterations in
-    let evaluated =
-      if Array.length misses = 0 then [||]
-      else
-        match
-          supervise_here ~what:"rescheduling context"
-            (resched_context cost tb s) cx
-        with
-        | None -> [||]
-        | Some rcx ->
-            supervised_map ~phase:"evaluate"
-              (fun (_, (p : proposal), key) ->
-                let local = fresh_table () in
-                ( evaluate_proposal config cost local ~sched_states ~iteration
-                    ~key cx rcx s p,
-                  local ))
-              misses
+    let rcx =
+      if List.exists (fun (_, _, r) -> Either.is_right r) probed then
+        supervise ~what:"rescheduling context" (resched_context cost tb s) cx
+      else None
     in
-    (* Add the candidate tables and merge into best/queue, in candidate
-       order.  Quarantined candidates contribute nothing. *)
+    let states =
+      List.filter_map
+        (fun (i, p, r) ->
+          match (r, rcx) with
+          | Either.Left s', _ -> Some s'
+          | Either.Right _, None -> None (* quarantined with the context *)
+          | Either.Right key, Some rcx ->
+              supervise ~what:(Printf.sprintf "evaluate candidate %d" i)
+                (fun p ->
+                  Fault.hit "candidate";
+                  evaluate_proposal config cost tb ~sched_states ~iteration
+                    ~key cx rcx s p)
+                p)
+        probed
+    in
+    (* Merge into best/queue, in candidate order. *)
     timed tb s_merge @@ fun () ->
-    Array.iteri
-      (fun j ->
-        Option.iter (fun (s', local) ->
-            add_table tb local;
-            let i, _, _ = misses.(j) in
-            slots.(i) <- Some s'))
-      evaluated;
-    Array.iter
-      (Option.iter (fun (s' : Mstate.t) ->
-           (* observation-only side channel: sees every evaluated
-              candidate in candidate order, never feeds back into
-              best/queue *)
-           Option.iter (fun f -> f ~iteration s') config.harvest;
-           if better_than mode s' st.snap_best then begin
-             (* only accepted bests reach the caller, so proving their
-                memory plan interference-free here covers every
-                reported result without paying the allocator replay
-                per candidate *)
-             if config.verify_states then begin
-               let acc =
-                 Ftree.accounting cost (Graph_index.of_graph s'.graph) s'.ftree
-               in
-               try
-                 Magis_analysis.Hooks.assert_interference
-                   ~what:
-                     (Printf.sprintf "accepted best (iteration %d)" iteration)
-                   ~size_of:acc.size_of s'.graph s'.schedule
-               with Failure msg -> raise (Verification_failure msg)
-             end;
-             st.snap_best <- s';
-             st.snap_history <-
-               (elapsed (), s'.peak_mem, s'.latency) :: st.snap_history
-           end;
-           if better_than mode ~delta:queue_delta s' st.snap_best then push s'))
-      slots;
-    record_profile ~candidates:(Array.length proposals)
-      ~survivors:(Array.length survivors);
+    List.iter
+      (fun (s' : Mstate.t) ->
+        (* observation-only side channel: sees every evaluated
+           candidate in candidate order, never feeds back into
+           best/queue *)
+        Option.iter (fun f -> f ~iteration s') config.harvest;
+        if better_than mode s' st.snap_best then begin
+          (* only accepted bests reach the caller, so proving their
+             memory plan interference-free here covers every
+             reported result without paying the allocator replay
+             per candidate *)
+          if config.verify_states then begin
+            let acc =
+              Ftree.accounting cost (Graph_index.of_graph s'.graph) s'.ftree
+            in
+            try
+              Magis_analysis.Hooks.assert_interference
+                ~what:(Printf.sprintf "accepted best (iteration %d)" iteration)
+                ~size_of:acc.size_of s'.graph s'.schedule
+            with Failure msg -> raise (Verification_failure msg)
+          end;
+          st.snap_best <- s';
+          st.snap_history <-
+            (elapsed (), s'.peak_mem, s'.latency) :: st.snap_history
+        end;
+        if better_than mode ~delta:queue_delta s' st.snap_best then push s')
+      states;
+    record_profile ~candidates:(List.length proposals)
+      ~survivors:(List.length survivors);
     publish ()
   in
   let interrupted = ref false and out_of_time = ref false in
@@ -1145,7 +1102,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
          misses' part in [expand]).  A context that keeps failing to
          build quarantines the pop, which then proposes nothing. *)
       Option.iter (expand s)
-        (supervise_here ~what:"pop context" (pop_context tb s) ix);
+        (supervise ~what:"pop context" (pop_context tb s) ix);
       match config.checkpoint with
       | Some { ckpt_path; ckpt_every; _ }
         when elapsed () -. !last_ckpt >= ckpt_every ->

@@ -2,11 +2,13 @@
     with BetterThan ordering, WL-hash deduplication, F-Tree refresh and
     incremental scheduling after every transformation.  The loop is
     serial, as in the paper: each pop's candidates are expanded in
-    candidate order on the calling domain.
+    candidate order on the calling domain, each step a pass over a
+    list.
 
-    Resilience (DESIGN.md §9): supervised candidate expansion with
-    quarantine and bounded retry, crash-safe checkpoint/resume, and a
-    graceful-degradation ladder near time-budget exhaustion. *)
+    Resilience (DESIGN.md §9): every step that can fail runs under one
+    supervisor, which retries it in place with bounded backoff and
+    quarantines it if it keeps failing; crash-safe checkpoint/resume;
+    and a graceful-degradation ladder near time-budget exhaustion. *)
 
 open Magis_ir
 open Magis_cost
@@ -45,9 +47,11 @@ exception Verification_failure of string
     another's. *)
 val stage_names : string list
 
-(** Counters.  Each is published as the metric ["search." ^ name] at
-    the merge of every pop, from the table — so a retried
-    candidate is counted once, and only its successful execution. *)
+(** Counters.  A step counts into the run's table only once it has
+    succeeded, so a retried candidate is counted once, and a transient
+    fault changes no counter but [retried].  Each is published as the
+    metric ["search." ^ name] at the merge of every pop, from the
+    table. *)
 val counter_names : string list
 
 (** Seconds per stage and value per counter of one run. *)
@@ -83,7 +87,9 @@ type stats = {
           full reschedule *)
   n_resched_nodes : int;  (** nodes re-placed by incremental rescheduling *)
   n_sched_nodes : int;  (** nodes across all produced schedules *)
-  n_retried : int;  (** candidates re-executed after a failure *)
+  n_retried : int;
+      (** failed steps retried: a candidate's hash, probe or
+          evaluation, or a context of the pop *)
   n_quarantined : int;
       (** candidates dropped after their retries, each with a
           diagnostic in [result.diagnostics] *)
@@ -277,9 +283,9 @@ val key : mode -> Mstate.t -> float * float
 val better_than : mode -> ?delta:float -> Mstate.t -> Mstate.t -> bool
 
 (** Run the search.  Candidate expansion is supervised: a failing
-    candidate is re-executed up to 3 times with bounded backoff, then
-    quarantined with a structured diagnostic
-    and the rest of the batch is kept (a pop whose context keeps
+    step is re-executed in place, before the next candidate, up to 3
+    times with bounded backoff, then quarantined with a structured
+    diagnostic, and the pop's other candidates are kept (a pop whose context keeps
     failing to build is quarantined the same way and proposes
     nothing); fatal exceptions (out-of-memory,
     {!Verification_failure}, …) re-raise.  Past 85% of [time_budget]

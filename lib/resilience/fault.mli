@@ -44,7 +44,8 @@ exception Injected of string * int
 
 (** The instrumented sites of this codebase (other components may add
     their own): operator-cost queries, simulator runs, simulation-cache
-    lookups, each first execution of a search candidate ([candidate]),
+    lookups, each execution of a search candidate's hash or evaluation
+    ([candidate]),
     and the {!Magis_serve} connection layer's socket reads/writes
     ([sock_read]/[sock_write], where [Delay] models a slow client,
     [Stall] a slow-loris one and [Exception] a torn connection). *)

@@ -273,9 +273,18 @@ let request_of_json doc =
   let mode =
     match Json.member "mode" doc with
     | None | Some Json.Null | Some (Json.String "memory") ->
-        Memory (opt_float doc "overhead" ~default:0.1)
+        let overhead = opt_float doc "overhead" ~default:0.1 in
+        if not (overhead >= 0.) then
+          invalid "field \"overhead\" must be at least 0";
+        Memory overhead
     | Some (Json.String "latency") ->
-        Latency (opt_float doc "mem_ratio" ~default:0.5)
+        (* the limit is [int_of_float (peak *. ratio)]: a ratio at or
+           below 0 makes it unmeetable, a huge one overflows it, and
+           one above 1 limits nothing *)
+        let ratio = opt_float doc "mem_ratio" ~default:0.5 in
+        if not (ratio > 0. && ratio <= 1.) then
+          invalid "field \"mem_ratio\" must be in (0, 1]";
+        Latency ratio
     | Some _ -> invalid "field \"mode\" must be \"memory\" or \"latency\""
   in
   let deadline_s =

@@ -19,8 +19,10 @@ type addr =
 
 (** Optimization objective, relative to the unoptimized baseline. *)
 type mode =
-  | Memory of float  (** minimize peak memory; latency overhead bound *)
-  | Latency of float  (** minimize latency; peak-memory ratio bound *)
+  | Memory of float
+      (** minimize peak memory; latency overhead bound, at least 0 *)
+  | Latency of float
+      (** minimize latency; peak-memory ratio bound, in (0, 1] *)
 
 type request = {
   id : string;  (** client-chosen; duplicate in-flight ids are rejected *)

@@ -253,6 +253,16 @@ if [ -n "$hits" ]; then
   echo "$hits"
 fi
 
+# 21. a run keeps one accounting table, and every step counts into it
+# only once the step has succeeded, so a retried candidate is counted
+# once without a table of its own: lib/opt/search.ml calls fresh_table
+# exactly once, for the run's table.
+calls=$(grep -n 'fresh_table ()' lib/opt/search.ml | grep -v 'let fresh_table ()')
+if [ "$(echo "$calls" | grep -c .)" -ne 1 ]; then
+  fail "fresh_table called other than once in lib/opt/search.ml (count into the run's one table):"
+  echo "$calls"
+fi
+
 if [ "$status" -eq 0 ]; then
   echo "style: clean ($(echo "$files" | wc -w) files)"
 fi

@@ -885,24 +885,12 @@ let test_reschedule_zoo () =
 (* Window scheduling on one member table                              *)
 (* ------------------------------------------------------------------ *)
 
-(** A popped state's view as the search shares it: one index's node
-    array, consumers by slot and order, and its labels. *)
-type window_view = {
-  w_nodes : Graph.node array;
-  w_csr : Graph_index.csr;
-  w_order : int array;
-  w_labels : Wl_hash.labels;
-}
-
-let window_view g =
+(** A popped state's view as the search builds it: one index of its
+    graph, its order forced, and its labels. *)
+let pop_view g =
   let ix = Graph_index.of_graph g in
-  let w_order = Graph_index.order ix in
-  { w_nodes = Graph_index.nodes ix; w_csr = Graph_index.csr ix; w_order;
-    w_labels = Wl_hash.labels_on ix }
-
-(** An F-Tree mutation's index: a fresh index over the view's arrays. *)
-let mutation_index g v =
-  Graph_index.of_arrays g ~nodes:v.w_nodes ~order:v.w_order ~csr:v.w_csr
+  ignore (Graph_index.order ix : int array);
+  (ix, Wl_hash.labels_on ix)
 
 (** {!Incremental.reschedule} on [new_index] against [ref_reschedule]. *)
 let check_window ~old_graph ~old_schedule ~parent ~new_index ~mutated_old =
@@ -932,17 +920,18 @@ let check_members ix sets =
 (** Every rewrite the search proposes from every zoo model's initial
     state, on the index the search builds (its order forced by
     {!Wl_hash.relabel_on} from the state's labels), and every F-Tree
-    entry's members as a mutation over one index of the view's arrays
-    each, rescheduled from one parent context built on such an index,
-    as [eval_parent] builds it. *)
+    entry's members as a mutation, all on the state's one index that
+    the parent context is built on, as the search reschedules a pop's
+    mutations: its {!Graph_index.with_locals} scratch must come back
+    clean from each. *)
 let test_window_zoo () =
   let windows = ref 0 and spliced = ref 0 in
   List.iter
     (fun (w : Zoo.workload) ->
       let cache = Op_cost.create Hardware.default in
       let s = Mstate.init ~sched_states:0 cache (w.build Zoo.Quick) in
-      let v = window_view s.graph in
-      let parent = Incremental.parent (mutation_index s.graph v) s.schedule in
+      let pix, labels = pop_view s.graph in
+      let parent = Incremental.parent pix s.schedule in
       let check what new_index mutated_old =
         incr windows;
         match
@@ -955,15 +944,19 @@ let test_window_zoo () =
       List.iter
         (fun (rw : Rule.rewrite) ->
           let ix = Graph_index.of_graph rw.graph in
-          ignore (Wl_hash.relabel_on ~parent_nodes:v.w_nodes ~parent:v.w_labels ix);
+          ignore
+            (Wl_hash.relabel_on ~parent_nodes:(Graph_index.nodes pix) ~parent:labels ix);
           check ("rewrite " ^ rw.rule) ix rw.touched_old)
         (state_rewrites s);
       for i = 0 to Ftree.n_entries s.ftree - 1 do
         check
           (Printf.sprintf "F-Tree entry %d" i)
-          (mutation_index s.graph v)
+          pix
           (Fission.members (Ftree.fission_at s.ftree i))
-      done)
+      done;
+      Graph_index.with_locals pix [||] (fun slot ->
+          if Array.exists (fun k -> k <> -1) slot then
+            Alcotest.failf "%s: the pop index's scratch is not clean" w.name))
     Zoo.all;
   Alcotest.(check bool)
     (Printf.sprintf "most of %d windows spliced (%d)" !windows !spliced)
@@ -988,15 +981,15 @@ let random_windows g seed =
   member_sets g seed @ [ window (); window (); dense ]
 
 (** Window scheduling on [g] against the oracles: random windows on one
-    index of [g], and a reschedule of [g] around each of a few seeded
-    nodes on a mutation index over a view of [g]. *)
+    index of [g], then, on that same index, a reschedule of [g] around
+    each of a few seeded nodes, as the search reschedules a pop's
+    mutations. *)
 let check_windows g seed =
   let ix = Graph_index.of_graph g in
   if not (check_members ix (random_windows g seed)) then Error "schedule_members"
   else
     let schedule = Reorder.schedule ~max_states:0 g in
-    let v = window_view g in
-    let parent = Incremental.parent (mutation_index g v) schedule in
+    let parent = Incremental.parent ix schedule in
     let ids = Array.of_list (Graph.node_ids g) in
     let rng = Random.State.make [| seed |] in
     let rec go k =
@@ -1008,7 +1001,7 @@ let check_windows g seed =
         in
         match
           check_window ~old_graph:g ~old_schedule:schedule ~parent
-            ~new_index:(mutation_index g v) ~mutated_old
+            ~new_index:ix ~mutated_old
         with
         | Ok _ -> go (k - 1)
         | Error _ as e -> e
@@ -1798,8 +1791,8 @@ let planted_splices g schedule ~parent m =
     of splices each check accepted and rejected, and of planted kinds. *)
 let check_splices ~rewrites_of g =
   let s = Mstate.init ~sched_states:0 (cache ()) g in
-  let v = window_view s.graph in
-  let parent = Incremental.parent (mutation_index s.graph v) s.schedule in
+  let pix, labels = pop_view s.graph in
+  let parent = Incremental.parent pix s.schedule in
   let accepted = ref 0 and rejected = ref 0 in
   let count ok = incr (if ok then accepted else rejected) in
   let check what new_index mutated_old =
@@ -1820,7 +1813,7 @@ let check_splices ~rewrites_of g =
     List.map
       (fun (rw : Rule.rewrite) ->
         let ix = Graph_index.of_graph rw.graph in
-        ignore (Wl_hash.relabel_on ~parent_nodes:v.w_nodes ~parent:v.w_labels ix);
+        ignore (Wl_hash.relabel_on ~parent_nodes:(Graph_index.nodes pix) ~parent:labels ix);
         ("rewrite " ^ rw.rule, ix, rw.touched_old, None))
       (rewrites_of s)
   in

@@ -185,10 +185,11 @@ let search_metrics () =
 
 (** One planted transient fault per site: the supervisor's retry must
     absorb it and reproduce the fault-free search exactly — same best,
-    same iteration count, nothing quarantined.  The
-    metrics are published from the run's table, so every [search.*]
-    counter moves by exactly the table's value: a failed attempt that
-    is retried is counted once. *)
+    same iteration count, nothing quarantined.  Every step counts only
+    once it has succeeded, so every counter but [retried] equals the
+    fault-free run's: a failed attempt that is retried is counted
+    once.  The metrics are published from the run's table, so every
+    [search.*] counter moves by exactly the table's value. *)
 let test_chaos_transient_identity () =
   Fun.protect
     ~finally:(fun () ->
@@ -236,6 +237,12 @@ let test_chaos_transient_identity () =
                (fun (n, v) (_, v0) -> (n, v - v0))
                (search_metrics ()) before);
           Alcotest.(check int) (what ^ ": fault fired") 1 fired;
+          let but_retried (st : Search.stats) =
+            List.filter (fun (n, _) -> n <> "retried") (Search.counts st)
+          in
+          Alcotest.(check (list (pair string int)))
+            (what ^ ": counted once")
+            (but_retried clean.stats) (but_retried r.stats);
           check_same_best what clean r;
           Alcotest.(check int)
             (what ^ ": same iterations")

@@ -196,6 +196,32 @@ let test_protocol_rejects_hostile_input () =
     | exception P.Invalid _ -> true
     | _ -> false)
 
+(** The limits a request sets relative to the baseline are checked
+    where it is decoded, like a frontier query's [budget_ratio]: a
+    [mem_ratio] outside (0, 1] or a negative [overhead] is a schema
+    error, which the daemon answers as [Malformed]. *)
+let test_protocol_rejects_out_of_range_limits () =
+  let optimize fields =
+    Printf.sprintf "{\"op\":\"optimize\",\"id\":\"x\",\"model\":\"unet\",%s}" fields
+  in
+  let latency r = optimize ("\"mode\":\"latency\",\"mem_ratio\":" ^ r) in
+  let memory o = optimize ("\"overhead\":" ^ o) in
+  (* a ratio at or below 0 sets a limit no search can meet; a huge one,
+     a limit [int_of_float] cannot hold *)
+  List.iter
+    (fun s ->
+      match P.command_of_string s with
+      | exception P.Invalid _ -> ()
+      | _ -> Alcotest.failf "accepted out-of-range limit %S" s)
+    [ latency "0"; latency "-0.5"; latency "1.5"; latency "1e300"; memory "-0.1" ];
+  List.iter
+    (fun (s, mode) ->
+      match P.command_of_string s with
+      | P.Optimize r when r.mode = mode -> ()
+      | _ -> Alcotest.failf "rejected in-range limit %S" s)
+    [ (latency "1", P.Latency 1.0); (latency "0.05", P.Latency 0.05);
+      (memory "0", P.Memory 0.0) ]
+
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -638,6 +664,8 @@ let suite =
     tc "protocol commands and replies round-trip" test_protocol_roundtrip;
     tc "protocol rejects hostile input structurally"
       test_protocol_rejects_hostile_input;
+    tc "protocol rejects out-of-range limits"
+      test_protocol_rejects_out_of_range_limits;
     tc "request lifecycle: progress, result, health, metrics"
       test_lifecycle;
     tc "malformed line: structured error, quarantine, daemon survives"
