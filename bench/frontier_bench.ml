@@ -24,7 +24,7 @@ let run (env : Common.env) =
   let g = Common.workload_graph env w in
   let iters = min env.iters 12 in
   let config = { Search.default_config with max_iterations = iters } in
-  let mode = Search.Min_memory { lat_limit = infinity } in
+  let mode = Frontier_build.sweep_mode in
   let hw = Hardware.default in
 
   (* A/B: the harvest hook must not perturb the search trajectory *)

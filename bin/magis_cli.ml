@@ -701,9 +701,9 @@ let cmd_frontier name full hw_name batch budgets cache_dir iters sched_states
   let config =
     { Search.default_config with max_iterations = iters; sched_states }
   in
-  let mode = Search.Min_memory { lat_limit = infinity } in
   let fr, status =
-    Frontier_build.cached_or_build ~config ~dir:cache_dir cost mode graph
+    Frontier_build.cached_or_build ~config ~dir:cache_dir cost
+      Frontier_build.sweep_mode graph
   in
   let budgets =
     if budgets <> [] then budgets

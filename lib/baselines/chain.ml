@@ -93,7 +93,6 @@ let analyze ?(max_crossing = 3) (cost : Op_cost.t) (g : Graph.t) : t =
 
 let n_stages t = List.length t.stages
 let total_saved t = Util.sum_by (fun s -> s.saved_bytes) t.stages
-let total_cost t = Util.sum_by_f (fun s -> s.cost) t.stages
 
 (** Individual saved activations: (bytes, recompute cost) for every
     forward tensor the backward pass consumes — the tensor-granular view

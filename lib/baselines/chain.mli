@@ -30,7 +30,6 @@ val split : Graph.t -> Int_set.t * Int_set.t
 val analyze : ?max_crossing:int -> Op_cost.t -> Graph.t -> t
 val n_stages : t -> int
 val total_saved : t -> int
-val total_cost : t -> float
 
 (** Per-tensor view for the greedy XLA baseline:
     [(bytes, recompute cost x backward uses, stage transient bytes)]. *)

@@ -6,7 +6,10 @@
     [a.latency <= b.latency] (and they differ); the structure keeps only
     non-dominated points, so one search answers every later memory-budget
     question — "what is the best latency under B bytes?" — with a single
-    O(log n) lookup instead of a fresh search. *)
+    O(log n) lookup instead of a fresh search.
+
+    A frontier is plain data — a point array and five counters, no
+    closure — so {!Frontier_cache} persists the value itself. *)
 
 (** A frontier point. *)
 type point = {
@@ -48,24 +51,6 @@ val peak_range : t -> (int * int) option
 val insert :
   t -> peak:int -> latency:float -> iteration:int -> int list -> bool
 
-val insert_point : t -> point -> bool
-
 (** Best (lowest-latency) point with [peak <= budget], or [None] when no
     resident point fits.  O(log n). *)
 val query : t -> budget:int -> point option
-
-(** Fresh frontier holding the non-dominated union of both inputs'
-    points (counters start at the inserts the merge itself performed).
-    Commutative and idempotent up to resident points. *)
-val merge : t -> t -> t
-
-(** Raised by {!of_json} on a malformed or wrong-version document. *)
-exception Invalid of string
-
-(** Round-trips exactly: floats print shortest-exact, counters and
-    points are preserved verbatim. *)
-val to_json : t -> Magis_obs.Json.t
-
-val of_json : Magis_obs.Json.t -> t
-
-val pp : Format.formatter -> t -> unit

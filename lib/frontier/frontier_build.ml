@@ -5,6 +5,8 @@ open Magis_cost
 module Search = Magis_opt.Search
 module Mstate = Magis_opt.Mstate
 
+let sweep_mode = Search.Min_memory { lat_limit = infinity }
+
 let harvest_into fr ~iteration (s : Mstate.t) =
   ignore
     (Frontier.insert fr ~peak:s.peak_mem ~latency:s.latency ~iteration
@@ -26,13 +28,18 @@ let build ?(config = Search.default_config) cost mode graph =
   harvest_into fr ~iteration:0 result.Search.initial;
   (fr, result)
 
+let cacheable (r : Search.result) =
+  not
+    (r.interrupted
+    || List.exists (fun (_, step) -> step = "best-so-far") r.stats.degrade_steps)
+
 let cached_or_build ?(config = Search.default_config) ~dir cost mode graph =
   let key = key ~config mode ~hw:cost.Op_cost.hw graph in
   match Frontier_cache.load ~dir ~key with
   | Some fr -> (fr, `Hit)
   | None ->
       let fr, result = build ~config cost mode graph in
-      Frontier_cache.save ~dir ~key fr;
+      if cacheable result then Frontier_cache.save ~dir ~key fr;
       (fr, `Built result)
 
 let budget_of_ratio fr ~ratio =

@@ -13,6 +13,11 @@ open Magis_ir
 open Magis_cost
 module Search = Magis_opt.Search
 
+(** The sweep every frontier is built with: minimize memory with no
+    latency bound, the widest sweep, so one frontier answers every
+    memory budget. *)
+val sweep_mode : Search.mode
+
 (** Harvest callback inserting each observed state's
     [(peak_mem, latency, schedule)] into the frontier — the value to put
     in [Search.config.harvest]. *)
@@ -38,9 +43,19 @@ val build :
   Graph.t ->
   Frontier.t * Search.result
 
+(** May the frontier of this build be saved?  Only when the sweep ran
+    to its iteration cap or an empty queue.  A sweep its poll stopped
+    ([interrupted]) or its time budget ended (["best-so-far"] in
+    [degrade_steps]) is answered but never saved: the key holds
+    neither the poll nor the budget, so a saved partial sweep would
+    answer every later query of the key with a worse frontier, and
+    what the cache held would depend on the machine's speed.  The one
+    rule for {!cached_or_build} and the daemon's frontier builds. *)
+val cacheable : Search.result -> bool
+
 (** Serve the frontier for [(config, mode, hardware, graph)] from
-    [dir], building and persisting it on a miss.  [`Hit] answers with
-    zero searches. *)
+    [dir], building it on a miss and saving it when {!cacheable}.
+    [`Hit] answers with zero searches. *)
 val cached_or_build :
   ?config:Search.config ->
   dir:string ->

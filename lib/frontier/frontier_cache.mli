@@ -6,9 +6,13 @@
     cache key is {!Magis_opt.Search.trajectory_fingerprint} — the same
     digest that guards search checkpoints.  Any drift in the graph, the
     hardware profile or a trajectory-relevant knob changes the key, and
-    the stale file simply stops being found; a file whose header
-    disagrees with its name (corruption, foreign writer) loads as a
-    miss, never as wrong data. *)
+    the stale file simply stops being found.  A file is the frontier
+    value itself in {!Magis_resilience.Checkpoint}'s container, trusted
+    as a search snapshot is: a file whose header disagrees with its
+    name, its format version or its payload's length and digest
+    (truncation, corruption, a foreign writer, an older format) loads
+    as a miss, never as wrong data.  Which frontiers may be saved at
+    all is {!Frontier_build.cacheable}'s rule. *)
 
 (** [path ~dir ~key] — where {!save} puts the frontier for [key]
     (a [frontier-<key>.ckpt] file inside [dir]). *)

@@ -259,11 +259,7 @@ let anc g id = reachable (pre g) (pre g id)
 (** Strict descendants of [id]. *)
 let des g id = reachable (suc g) (suc g id)
 
-(** Ancestors of a set (union of strict ancestors, minus the set). *)
-let anc_of_set g set =
-  let start = Int_set.fold (fun v acc -> pre g v @ acc) set [] in
-  Int_set.diff (reachable (pre g) start) set
-
+(** Descendants of a set (union of strict descendants, minus the set). *)
 let des_of_set g set =
   let start = Int_set.fold (fun v acc -> suc g v @ acc) set [] in
   Int_set.diff (reachable (suc g) start) set

@@ -94,7 +94,6 @@ val outputs : t -> int list
 val anc : t -> int -> Int_set.t
 
 val des : t -> int -> Int_set.t
-val anc_of_set : t -> Int_set.t -> Int_set.t
 val des_of_set : t -> Int_set.t -> Int_set.t
 
 (** [G.inps(S)]: nodes outside [S] consumed by members of [S]. *)

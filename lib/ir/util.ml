@@ -101,4 +101,3 @@ let rec drop n = function
   | _ :: xs as l -> if n <= 0 then l else drop (n - 1) xs
 
 let sum_by f xs = List.fold_left (fun acc x -> acc + f x) 0 xs
-let sum_by_f f xs = List.fold_left (fun acc x -> acc +. f x) 0.0 xs

@@ -51,4 +51,3 @@ val take : int -> 'a list -> 'a list
 val drop : int -> 'a list -> 'a list
 
 val sum_by : ('a -> int) -> 'a list -> int
-val sum_by_f : ('a -> float) -> 'a list -> float

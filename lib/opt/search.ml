@@ -854,7 +854,9 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
        && elapsed () /. config.time_budget >= degrade_sched_frac
     then begin
       st.snap_degrade <- 1;
-      record_step "reduce-sched-states"
+      (* a no-op rung (greedy only) is not a step taken *)
+      if ladder_sched_states ~level:1 config.sched_states < config.sched_states
+      then record_step "reduce-sched-states"
     end
   in
   (* periodic snapshots only: the caller saves the state a run ends in *)

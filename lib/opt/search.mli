@@ -98,10 +98,12 @@ type stats = {
           and each {!save} *)
   degrade_steps : (float * string) list;
       (** degradation ladder steps taken, in order: (elapsed seconds,
-          ["reduce-sched-states"] or ["best-so-far"]).  ["best-so-far"]
-          is recorded only when the time budget ended the loop — not
-          when the iteration cap, an empty queue or the poll did, even
-          if the last pop overran the budget. *)
+          ["reduce-sched-states"] or ["best-so-far"]).
+          ["reduce-sched-states"] is recorded only when the rung lowers
+          the DP budget, so never at [sched_states = 0].
+          ["best-so-far"] is recorded only when the time budget ended
+          the loop — not when the iteration cap, an empty queue or the
+          poll did, even if the last pop overran the budget. *)
   n_bound_calls : int;
       (** Retired with the search-time bound probe, like the five fields
           after it: always 0, not in the table, and kept only because
@@ -290,8 +292,8 @@ val better_than : mode -> ?delta:float -> Mstate.t -> Mstate.t -> bool
     nothing); fatal exceptions (out-of-memory,
     {!Verification_failure}, …) re-raise.  Past 85% of [time_budget]
     the DP budget steps down to {!ladder_sched_states}[ ~level:1], and
-    budget exhaustion returns best-so-far, each step recorded in
-    [stats.degrade_steps].  Before its budget, cap or queue runs out,
+    budget exhaustion returns best-so-far, each step that changes
+    something recorded in [stats.degrade_steps].  Before its budget, cap or queue runs out,
     only [config.poll] stops it.  It writes snapshots only on its
     periodic [ckpt_every] tick; the state it ends in is the caller's to
     keep, with {!save}.

@@ -463,13 +463,10 @@ let run_search t (job : job) (req : P.request) (workload : Zoo.workload)
 (* Frontier queries                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Frontier builds always run the widest sweep — minimize memory with
-   no latency bound — so one cached frontier answers every budget.
-   The configuration deliberately ignores load shedding: shed knobs are
-   part of the trajectory fingerprint, and a frontier built under shed
-   would silently occupy a different cache key. *)
-let frontier_mode = Search.Min_memory { lat_limit = infinity }
-
+(* Frontier builds run [Frontier_build.sweep_mode].  The configuration
+   deliberately ignores load shedding: shed knobs are part of the
+   trajectory fingerprint, and a frontier built under shed would
+   silently occupy a different cache key. *)
 let frontier_config (f : P.frontier_request) =
   {
     Search.default_config with
@@ -483,7 +480,10 @@ let frontier_spec (f : P.frontier_request) =
   let workload = Zoo.find f.f_model in
   let hw = Hardware.find f.f_hw in
   let graph = workload.Zoo.build f.f_scale in
-  let key = Frontier_build.key ~config:(frontier_config f) frontier_mode ~hw graph in
+  let key =
+    Frontier_build.key ~config:(frontier_config f) Frontier_build.sweep_mode
+      ~hw graph
+  in
   (hw, graph, key)
 
 let frontier_answer (f : P.frontier_request) ~cache_hit fr =
@@ -519,10 +519,12 @@ let frontier_cached t key =
       | None -> None)
 
 (* Cache-miss path, on a worker domain: run one harvesting search and
-   persist the swept frontier.  Different queries may name different
-   hardware, so each build costs operators on its own profile and runs
-   without the daemon's simulation cache (whose entries are the default
-   hardware's). *)
+   persist the swept frontier when [Frontier_build.cacheable].
+   Different queries may name different hardware, so each build costs
+   operators on its own profile.  A build runs with no simulation
+   cache.  The daemon's could hold its entries, since [Sim_cache.key]
+   digests the hardware fingerprint; sharing it is a change to measure
+   on its own. *)
 let run_frontier t conn (f : P.frontier_request) =
   let answer ~cache_hit fr =
     served (P.Frontier_reply (frontier_answer f ~cache_hit fr))
@@ -546,15 +548,16 @@ let run_frontier t conn (f : P.frontier_request) =
             }
           in
           let cost = Op_cost.create hw in
-          match Frontier_build.build ~config cost frontier_mode graph with
+          match
+            Frontier_build.build ~config cost Frontier_build.sweep_mode graph
+          with
           | exception e ->
               let detail = Printexc.to_string e in
               rejected ~quarantine:("frontier", detail) f.f_id P.Internal
                 detail
-          | fr, result when result.Search.interrupted ->
+          | fr, result when not (Frontier_build.cacheable result) ->
               (* partial sweep: answer the live client best-so-far but
-                 never cache it — a cached frontier must be the full
-                 sweep or later budgets silently get worse answers *)
+                 never cache it *)
               if Atomic.get conn.alive then answer ~cache_hit:false fr
               else cancelled
           | fr, _result ->

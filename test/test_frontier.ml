@@ -1,7 +1,8 @@
-(** Frontier service tests: dominance/query/merge invariants (QCheck),
-    JSON and on-disk cache round-trips, harvest trajectory-invisibility
-    (A/B-enforced), the one-search-many-budgets acceptance path, and the
-    hardware-zoo registry with its all-field fingerprint. *)
+(** Frontier service tests: dominance/query invariants (QCheck), the
+    on-disk cache's round trip and its misses, what may be cached,
+    harvest trajectory-invisibility (A/B-enforced), the
+    one-search-many-budgets acceptance path, and the hardware-zoo
+    registry with its all-field fingerprint. *)
 
 open Magis
 
@@ -32,7 +33,12 @@ let gen_points = QCheck2.Gen.(list_size (int_range 0 40) gen_point)
 
 let frontier_of pts =
   let fr = Frontier.create () in
-  List.iter (fun p -> ignore (Frontier.insert_point fr p)) pts;
+  List.iter
+    (fun (p : Frontier.point) ->
+      ignore
+        (Frontier.insert fr ~peak:p.peak ~latency:p.latency
+           ~iteration:p.iteration p.sched))
+    pts;
   fr
 
 let count = 60
@@ -106,28 +112,28 @@ let budget_monotone =
       | Some _, None -> false (* feasibility must be monotone *)
       | Some a, Some b -> b.Frontier.latency <= a.Frontier.latency)
 
-let merge_commutes =
-  prop "merge is commutative (resident points)"
-    QCheck2.Gen.(pair gen_points gen_points)
-    (fun (xs, ys) ->
-      let a = frontier_of xs and b = frontier_of ys in
-      Frontier.points (Frontier.merge a b)
-      = Frontier.points (Frontier.merge b a))
+let fresh_dir =
+  let next = ref 0 in
+  fun name ->
+    incr next;
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "magis-test-frontier-%d-%s-%d" (Unix.getpid ()) name
+         !next)
 
-let merge_idempotent =
-  prop "merge is idempotent (resident points)" gen_points (fun pts ->
-      let a = frontier_of pts in
-      Frontier.points (Frontier.merge a a) = Frontier.points a)
-
-let json_roundtrip =
-  prop "JSON round-trip preserves points and counters" gen_points
+let cache_roundtrip =
+  let dir = fresh_dir "prop" in
+  prop "cache save/load preserves points and counters" gen_points
     (fun pts ->
       let fr = frontier_of pts in
       (* exercise the query counters too *)
       ignore (Frontier.query fr ~budget:20);
-      let back = Frontier.of_json (Frontier.to_json fr) in
-      Frontier.points back = Frontier.points fr
-      && Frontier.counters back = Frontier.counters fr)
+      Frontier_cache.save ~dir ~key:1L fr;
+      match Frontier_cache.load ~dir ~key:1L with
+      | None -> false
+      | Some back ->
+          Frontier.points back = Frontier.points fr
+          && Frontier.counters back = Frontier.counters fr)
 
 let props =
   [
@@ -137,39 +143,12 @@ let props =
     counters_account;
     query_matches_linear_scan;
     budget_monotone;
-    merge_commutes;
-    merge_idempotent;
-    json_roundtrip;
+    cache_roundtrip;
   ]
 
 (* ------------------------------------------------------------------ *)
-(* JSON / cache edge cases                                             *)
+(* Cache edge cases                                                    *)
 (* ------------------------------------------------------------------ *)
-
-let test_of_json_rejects_bad_version () =
-  let doc =
-    match Frontier.to_json (Frontier.create ()) with
-    | Json.Obj fields ->
-        Json.Obj
-          (List.map
-             (function
-               | "version", _ -> ("version", Json.Int 999)
-               | kv -> kv)
-             fields)
-    | _ -> Alcotest.fail "to_json did not produce an object"
-  in
-  match Frontier.of_json doc with
-  | exception Frontier.Invalid _ -> ()
-  | _ -> Alcotest.fail "of_json accepted a wrong-version document"
-
-let fresh_dir =
-  let next = ref 0 in
-  fun name ->
-    incr next;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "magis-test-frontier-%d-%s-%d" (Unix.getpid ()) name
-         !next)
 
 let test_cache_miss_on_empty_dir () =
   match Frontier_cache.load ~dir:(fresh_dir "miss") ~key:42L with
@@ -196,13 +175,56 @@ let test_cache_roundtrip_and_key_isolation () =
   | None -> ()
   | Some _ -> Alcotest.fail "a different key hit the cached entry"
 
+let small_frontier () =
+  frontier_of
+    [ { Frontier.peak = 10; latency = 3.0; iteration = 1; sched = [ 0; 1 ] } ]
+
+let expect_miss what ~dir ~key =
+  match Frontier_cache.load ~dir ~key with
+  | None -> ()
+  | Some _ -> Alcotest.failf "%s loaded as a frontier" what
+
+(* Rewrite the saved file of [key] through [f] on its bytes. *)
+let edit_file ~dir ~key f =
+  let path = Frontier_cache.path ~dir ~key in
+  let bytes = In_channel.with_open_bin path In_channel.input_all in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (f bytes))
+
+let test_cache_truncated_is_miss () =
+  let dir = fresh_dir "truncated" in
+  Frontier_cache.save ~dir ~key:3L (small_frontier ());
+  edit_file ~dir ~key:3L (fun b -> String.sub b 0 (String.length b / 2));
+  expect_miss "a truncated file" ~dir ~key:3L
+
+let test_cache_flipped_byte_is_miss () =
+  let dir = fresh_dir "flipped" in
+  Frontier_cache.save ~dir ~key:4L (small_frontier ());
+  (* the payload is the file's tail: its last byte is the frontier's *)
+  edit_file ~dir ~key:4L (fun b ->
+      let b = Bytes.of_string b in
+      let i = Bytes.length b - 1 in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
+      Bytes.to_string b);
+  expect_miss "a file with a flipped payload byte" ~dir ~key:4L
+
+let test_cache_version_1_is_miss () =
+  let dir = fresh_dir "v1" in
+  Checkpoint.mkdir_p dir;
+  (* a version-1 file held the frontier's JSON document *)
+  Checkpoint.save
+    ~path:(Frontier_cache.path ~dir ~key:5L)
+    ~version:1 ~fingerprint:5L
+    (Json.Obj [ ("version", Json.Int 1); ("points", Json.List []) ]);
+  expect_miss "a version-1 file" ~dir ~key:5L
+
 (* ------------------------------------------------------------------ *)
 (* Harvesting: trajectory-invisible, one search answers every budget   *)
 (* ------------------------------------------------------------------ *)
 
 let unet_quick () = (Zoo.find "unet").Zoo.build Zoo.Quick
 
-let frontier_mode = Search.Min_memory { lat_limit = infinity }
+let frontier_mode = Frontier_build.sweep_mode
 
 let test_harvest_ab_bit_identical () =
   let g = unet_quick () in
@@ -278,6 +300,42 @@ let test_one_search_many_budgets () =
         (snd (Option.get (Frontier.peak_range cached)))
         p.Frontier.peak
   | None -> Alcotest.fail "ratio 1.0 must always be feasible"
+
+(* A sweep cut short is answered but leaves no file, so the next call
+   builds again. *)
+let check_not_cached what config =
+  let dir = fresh_dir "cut" in
+  let g = unet_quick () in
+  let cost = Op_cost.create Hardware.default in
+  let fr, outcome =
+    Frontier_build.cached_or_build ~config ~dir cost frontier_mode g
+  in
+  (match outcome with
+  | `Built r ->
+      Alcotest.(check bool) (what ^ ": the sweep is not cacheable") false
+        (Frontier_build.cacheable r)
+  | `Hit -> Alcotest.failf "%s: hit a cold cache" what);
+  Alcotest.(check bool) (what ^ ": answered with the baseline point") true
+    (Frontier.size fr > 0);
+  let key = Frontier_build.key ~config frontier_mode ~hw:Hardware.default g in
+  Alcotest.(check bool) (what ^ ": no file saved") false
+    (Sys.file_exists (Frontier_cache.path ~dir ~key));
+  match Frontier_build.cached_or_build ~config ~dir cost frontier_mode g with
+  | _, `Built _ -> ()
+  | _, `Hit -> Alcotest.failf "%s: the cut sweep answered a later call" what
+
+let test_budget_cut_not_cached () =
+  check_not_cached "time budget"
+    { Search.default_config with max_iterations = 12; time_budget = 1e-9 }
+
+let test_poll_stop_not_cached () =
+  check_not_cached "poll"
+    {
+      Search.default_config with
+      max_iterations = 12;
+      poll =
+        (fun ~iteration ~best:_ -> if iteration >= 2 then `Stop else `Continue);
+    }
 
 let test_key_sensitivity () =
   let g = unet_quick () in
@@ -384,12 +442,16 @@ let test_batch_sweep () =
 
 let suite =
   [
-    tc "of_json rejects wrong-version documents" test_of_json_rejects_bad_version;
     tc "cache load on an empty dir is a miss" test_cache_miss_on_empty_dir;
     tc "cache round-trips and isolates keys" test_cache_roundtrip_and_key_isolation;
+    tc "cache: a truncated file is a miss" test_cache_truncated_is_miss;
+    tc "cache: a flipped payload byte is a miss" test_cache_flipped_byte_is_miss;
+    tc "cache: a version-1 file is a miss" test_cache_version_1_is_miss;
     tc "harvesting is trajectory-invisible (A/B)" test_harvest_ab_bit_identical;
     tc "one UNet search answers the whole budget ladder from cache"
       test_one_search_many_budgets;
+    tc "a budget-cut sweep is answered, never cached" test_budget_cut_not_cached;
+    tc "a poll-stopped sweep is answered, never cached" test_poll_stop_not_cached;
     tc "hardware, mode and config all perturb the cache key" test_key_sensitivity;
     tc "hardware zoo: five profiles, distinct fingerprints" test_zoo_registry;
     tc "fingerprint digests every profile field"

@@ -390,6 +390,36 @@ let test_cap_past_budget_not_best_so_far () =
     (List.exists (fun (_, step) -> step = "best-so-far") r.stats.degrade_steps);
   Alcotest.(check bool) "not an interrupt" false r.interrupted
 
+(** The time-pressure rung: a poll that waits past 85% of the budget
+    (and short of it) before the second pop crosses the rung, which is
+    recorded only where it lowers the DP budget — at [sched_states =
+    64], not at the greedy-only 0. *)
+let test_pressure_rung_recorded_only_when_it_lowers () =
+  let g = randnet ~cells:2 11 in
+  let budget = 0.6 in
+  let steps sched_states =
+    let t0 = ref 0.0 in
+    let poll ~iteration ~best:_ =
+      if iteration = 0 then t0 := Unix.gettimeofday ()
+      else if iteration = 1 then
+        Unix.sleepf
+          (Float.max 0.0 (!t0 +. (0.9 *. budget) -. Unix.gettimeofday ()));
+      `Continue
+    in
+    let r =
+      run_with ~max_iterations:2
+        ~cfg:(fun c ->
+          { c with Search.time_budget = budget; sched_states; poll })
+        g
+    in
+    Alcotest.(check int) "reached the cap" 2 r.stats.iterations;
+    List.map snd r.stats.degrade_steps
+  in
+  Alcotest.(check bool) "sched_states 64: the rung is a step" true
+    (List.mem "reduce-sched-states" (steps 64));
+  Alcotest.(check bool) "sched_states 0: the rung is no step" false
+    (List.mem "reduce-sched-states" (steps 0))
+
 (* ------------------------------------------------------------------ *)
 (* Checkpoint / resume of the search                                   *)
 (* ------------------------------------------------------------------ *)
@@ -643,6 +673,8 @@ let suite =
     tc "budget exhaustion returns best-so-far" test_budget_exhaustion_best_so_far;
     tc "a capped run past its budget is not best-so-far"
       test_cap_past_budget_not_best_so_far;
+    tc "time-pressure rung is a step only where it lowers the DP budget"
+      test_pressure_rung_recorded_only_when_it_lowers;
     tc "checkpoint/resume reproduces the uninterrupted run"
       test_checkpoint_resume_identity;
     tc "a run writes no end state; its caller saves it"

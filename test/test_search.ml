@@ -131,7 +131,7 @@ let test_fingerprint_pinned () =
   Alcotest.(check int64) "default config, frontier mode"
     (-4539850962203501870L)
     (Search.trajectory_fingerprint Search.default_config
-       (Search.Min_memory { lat_limit = infinity }) ~hw g);
+       Frontier_build.sweep_mode ~hw g);
   Alcotest.(check int64) "sched_states 64, latency mode"
     (-7106213506255474268L)
     (Search.trajectory_fingerprint
