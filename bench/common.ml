@@ -29,7 +29,8 @@ let make_env ?(iters = max_int) ?stats_json ~full ~budget () =
 
 (** Write an experiment's counters as a one-object JSON file when the
     run asked for one ([--stats-json]).  Keys are emitted in the order
-    given; values are limited to scalars so the file diffs cleanly.
+    given, one per line; values are limited to scalars so the file
+    diffs cleanly and a re-baseline's diff names each moved key.
     Timing-derived fields must be named [t_*], [wall*] or [speedup*] —
     {!scripts/compare_bench.sh} skips those; every other field is gated
     exactly against the checked-in baseline. *)
@@ -40,8 +41,26 @@ let write_stats_json env (fields : (string * Json.t) list) =
       let oc = open_out path in
       Fun.protect
         ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (Json.to_string (Json.Obj fields)));
+        (fun () ->
+          output_char oc '{';
+          List.iteri
+            (fun i (k, v) ->
+              Printf.fprintf oc "%s\n  %s: %s" (if i = 0 then "" else ",")
+                (Json.to_string (Json.String k)) (Json.to_string v))
+            fields;
+          output_string oc "\n}\n");
       Printf.printf "[stats written to %s]\n%!" path
+
+(** Remove [path] and everything under it; a missing path is a no-op.
+    Experiments that write under the temp directory call it when they
+    are done there. *)
+let rec remove_tree path =
+  match (Unix.lstat path).st_kind with
+  | Unix.S_DIR ->
+      Array.iter (fun e -> remove_tree (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
 let search_config env =
   { Search.default_config with
@@ -147,8 +166,8 @@ let print_matrix ~row_names ~col_names cells =
 let workload_graph env (w : Zoo.workload) = w.build env.scale
 
 (** The smallest Table-2 workload at the current scale, by operator
-    count — the subject of the CI bench-smoke job and the
-    simulation-cache experiment ([par]). *)
+    count — the subject of the [resilience] experiment and the first
+    case of the [zoo] experiment. *)
 let smallest_workload env =
   List.map (fun (w : Zoo.workload) -> (w, workload_graph env w)) Zoo.all
   |> List.sort (fun ((wa : Zoo.workload), a) ((wb : Zoo.workload), b) ->

@@ -69,6 +69,7 @@ let run (env : Common.env) =
   let ladder_matches_original =
     answers = List.map (fun r -> Frontier_build.query_ratio fr ~ratio:r) ladder
   in
+  Common.remove_tree dir;
   List.iter2
     (fun ratio ans ->
       match ans with

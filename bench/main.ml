@@ -21,8 +21,7 @@ let experiments : (string * (Common.env -> unit)) list =
     ("micro", Micro.run);
     ("design", Design.run);
     ("spatial", Spatial_bench.run);
-    ("par", Par_bench.run);
-    ("incr", Incr_bench.run);
+    ("zoo", Zoo_bench.run);
     ("bounds", Bounds_bench.run);
     ("resilience", Resilience_bench.run);
     ("serve", Serve_bench.run);
@@ -86,8 +85,8 @@ let budget =
 
 let iters =
   let doc =
-    "Iteration cap per search (in addition to the time budget); the CI \
-     bench-smoke job uses a tight cap."
+    "Iteration cap per search (in addition to the time budget); the zoo \
+     experiment ignores it and uses its own caps."
   in
   Arg.(value & opt int max_int & info [ "iters" ] ~doc)
 

@@ -145,6 +145,7 @@ let run (env : Common.env) =
   Client.send c P.Shutdown;
   Client.close c;
   Domain.join daemon;
+  Common.remove_tree cfg.ckpt_dir;
   let wall = Unix.gettimeofday () -. t0 in
   Printf.printf
     "daemon served %d, rejected %d, quarantined %d; drained cleanly in \

@@ -13,9 +13,11 @@ let harvest_into fr ~iteration (s : Mstate.t) =
        s.schedule)
 
 let key ?(config = Search.default_config) mode ~hw graph =
-  Search.trajectory_fingerprint config mode
-    ~hw:(Hardware.fingerprint hw)
-    graph
+  Magis_ir.Util.hash_combine
+    (Search.trajectory_fingerprint config mode
+       ~hw:(Hardware.fingerprint hw)
+       graph)
+    (Int64.of_int config.Search.max_iterations)
 
 let build ?(config = Search.default_config) cost mode graph =
   let fr = Frontier.create () in

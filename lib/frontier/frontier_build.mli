@@ -25,7 +25,10 @@ val harvest_into :
   Frontier.t -> iteration:int -> Magis_opt.Mstate.t -> unit
 
 (** The frontier cache key: {!Search.trajectory_fingerprint} of the
-    configuration, mode, hardware and graph.  [config] defaults to
+    configuration, mode, hardware and graph, combined with the
+    configuration's [max_iterations].  The cap is in the key because a
+    longer sweep harvests more points: a frontier built at 8 iterations
+    must not answer a 40-iteration request.  [config] defaults to
     {!Search.default_config}; observation-only hooks in it are ignored
     by the fingerprint, so the key is stable across harvesting runs and
     plain runs. *)

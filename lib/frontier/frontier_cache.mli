@@ -2,13 +2,15 @@
     search trajectory fingerprint.
 
     A cached frontier is valid only for the exact (workload, hardware,
-    mode, configuration) combination whose search produced it, so the
-    cache key is {!Magis_opt.Search.trajectory_fingerprint} — the same
-    digest that guards search checkpoints.  Any drift in the graph, the
-    hardware profile or a trajectory-relevant knob changes the key, and
-    the stale file simply stops being found.  A file is the frontier
-    value itself in {!Magis_resilience.Checkpoint}'s container, trusted
-    as a search snapshot is: a file whose header disagrees with its
+    mode, configuration, iteration cap) combination whose search
+    produced it, so the cache key ({!Frontier_build.key}) is
+    {!Magis_opt.Search.trajectory_fingerprint} — the same digest that
+    guards search checkpoints — combined with the cap.  Any drift in
+    the graph, the hardware profile, a trajectory-relevant knob or the
+    cap changes the key, and the stale file simply stops being found.
+    A file is the frontier value itself in
+    {!Magis_resilience.Checkpoint}'s container, trusted as a search
+    snapshot is: a file whose header disagrees with its
     name, its format version or its payload's length and digest
     (truncation, corruption, a foreign writer, an older format) loads
     as a miss, never as wrong data.  Which frontiers may be saved at

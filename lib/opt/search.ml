@@ -666,9 +666,8 @@ let trajectory_fingerprint (cfg : config) (mode : mode) ~(hw : int64)
     (graph : Graph.t) : int64 =
   let bit b i = if b then 1 lsl i else 0 in
   (* bits 4 to 7 held four retired knobs; they stay folded in at the
-     values those knobs had (on, on, on, off), so keys written before
-     the knobs went — checkpoints and on-disk frontier caches — stay
-     valid *)
+     values those knobs had (on, on, on, off), so checkpoints written
+     before the knobs went stay valid *)
   let retired = bit true 4 lor bit true 5 lor bit true 6 lor bit false 7 in
   let flags =
     bit cfg.ablation.use_ftree_heuristic 0

@@ -251,9 +251,9 @@ val ladder_sched_states : level:int -> int -> int
     configuration knob.  Caching/verification flags, the retired
     [jobs] and the observation-only hooks ([profile], [harvest],
     [poll]) are excluded — they are result-preserving by
-    construction.  Keys both
-    search checkpoints and cached frontiers
-    ({!Magis_frontier.Frontier_cache}). *)
+    construction — and so are the iteration cap and the time budget.
+    Keys search checkpoints, and, combined with the cap, cached
+    frontiers ({!Magis_frontier.Frontier_build.key}). *)
 val trajectory_fingerprint : config -> mode -> hw:int64 -> Graph.t -> int64
 
 (** Fraction of evaluations served by the simulation cache (0 when none

@@ -303,7 +303,6 @@ let search_config t ~shed (req : P.request) =
     sched_states = Search.ladder_sched_states ~level:shed req.sched_states;
     max_iterations = req.max_iterations;
     sim_cache = Some t.sim_cache;
-    jobs = 1;
   }
 
 (* What one executed job comes to: its accounting status, the terminal

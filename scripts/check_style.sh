@@ -263,6 +263,23 @@ if [ "$(echo "$calls" | grep -c .)" -ne 1 ]; then
   echo "$calls"
 fi
 
+# 22. no baseline outlives its gate: every file in bench/baselines/ is
+# named by a `bash scripts/compare_bench.sh` line of the CI workflow, and
+# every baseline such a line names exists.
+gated=$(grep -hE '^ *bash scripts/compare_bench\.sh ' .github/workflows/ci.yml |
+  grep -oE 'bench/baselines/[^ ]+' | sort -u)
+for f in bench/baselines/*; do
+  [ -e "$f" ] || continue
+  if ! echo "$gated" | grep -qxF "$f"; then
+    fail "$f: baseline that no compare_bench.sh line in .github/workflows/ci.yml gates"
+  fi
+done
+for f in $gated; do
+  if [ ! -f "$f" ]; then
+    fail "$f: gated by .github/workflows/ci.yml but missing"
+  fi
+done
+
 if [ "$status" -eq 0 ]; then
   echo "style: clean ($(echo "$files" | wc -w) files)"
 fi

@@ -105,3 +105,25 @@ let lm_small () =
   Transformer.build_lm
     { Transformer.batch = 8; seq_len = 32; hidden = 64; heads = 4; layers = 2;
       vocab = 128; dtype = Shape.F32 }
+
+(** A path under the temp directory, [magis-test-<name>-<pid>-<n>],
+    that is removed, with everything under it, when the test binary
+    exits, as is every [path ^ suffix] for the given [suffixes]. *)
+let temp_path =
+  let next = ref 0 in
+  let rec remove path =
+    match (Unix.lstat path).st_kind with
+    | Unix.S_DIR ->
+        Array.iter (fun e -> remove (Filename.concat path e)) (Sys.readdir path);
+        Unix.rmdir path
+    | _ -> Sys.remove path
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  in
+  fun ?(suffixes = [ "" ]) name ->
+    incr next;
+    let path =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "magis-test-%s-%d-%d" name (Unix.getpid ()) !next)
+    in
+    at_exit (fun () -> List.iter (fun s -> remove (path ^ s)) suffixes);
+    path

@@ -112,14 +112,7 @@ let budget_monotone =
       | Some _, None -> false (* feasibility must be monotone *)
       | Some a, Some b -> b.Frontier.latency <= a.Frontier.latency)
 
-let fresh_dir =
-  let next = ref 0 in
-  fun name ->
-    incr next;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "magis-test-frontier-%d-%s-%d" (Unix.getpid ()) name
-         !next)
+let fresh_dir name = Helpers.temp_path ("frontier-" ^ name)
 
 let cache_roundtrip =
   let dir = fresh_dir "prop" in
@@ -337,6 +330,30 @@ let test_poll_stop_not_cached () =
         (fun ~iteration ~best:_ -> if iteration >= 2 then `Stop else `Continue);
     }
 
+(* A frontier built at one iteration cap never answers a request for
+   another: the second request builds, and gets what a fresh build at
+   its own cap sweeps. *)
+let test_cap_in_key () =
+  let dir = fresh_dir "cap" in
+  let g = unet_quick () in
+  let cost = Op_cost.create Hardware.default in
+  let at iters = { Search.default_config with max_iterations = iters } in
+  let short, _ =
+    Frontier_build.cached_or_build ~config:(at 8) ~dir cost frontier_mode g
+  in
+  let long, outcome =
+    Frontier_build.cached_or_build ~config:(at 40) ~dir cost frontier_mode g
+  in
+  (match outcome with
+  | `Built _ -> ()
+  | `Hit -> Alcotest.fail "the 40-iteration request hit the 8-iteration sweep");
+  let fresh, _ = Frontier_build.build ~config:(at 40) cost frontier_mode g in
+  Alcotest.(check bool) "the 40-iteration answer is a fresh 40-iteration build"
+    true
+    (Frontier.points long = Frontier.points fresh);
+  Alcotest.(check bool) "and differs from the 8-iteration sweep" true
+    (Frontier.points long <> Frontier.points short)
+
 let test_key_sensitivity () =
   let g = unet_quick () in
   let base = Frontier_build.key frontier_mode ~hw:Hardware.default g in
@@ -345,8 +362,13 @@ let test_key_sensitivity () =
     Frontier_build.key (Search.Min_latency { mem_limit = max_int })
       ~hw:Hardware.default g
   in
-  (* max_iterations caps the trajectory's length, not its path, so it is
-     deliberately outside the key; sched_states changes the path *)
+  (* sched_states changes the path; max_iterations its length, and so
+     the points a sweep harvests *)
+  let other_cap =
+    Frontier_build.key
+      ~config:{ Search.default_config with max_iterations = 8 }
+      frontier_mode ~hw:Hardware.default g
+  in
   let other_config =
     Frontier_build.key
       ~config:
@@ -360,8 +382,8 @@ let test_key_sensitivity () =
     "hardware, mode and config all perturb the cache key" true
     (List.length
        (List.sort_uniq Int64.compare
-          [ base; other_hw; other_mode; other_config ])
-    = 4)
+          [ base; other_hw; other_mode; other_cap; other_config ])
+    = 5)
 
 (* ------------------------------------------------------------------ *)
 (* Hardware zoo                                                        *)
@@ -453,6 +475,7 @@ let suite =
     tc "a budget-cut sweep is answered, never cached" test_budget_cut_not_cached;
     tc "a poll-stopped sweep is answered, never cached" test_poll_stop_not_cached;
     tc "hardware, mode and config all perturb the cache key" test_key_sensitivity;
+    tc "a cap-8 frontier never answers a cap-40 request" test_cap_in_key;
     tc "hardware zoo: five profiles, distinct fingerprints" test_zoo_registry;
     tc "fingerprint digests every profile field"
       test_fingerprint_covers_every_field;

@@ -13,15 +13,11 @@ module Loadgen = Magis_serve.Loadgen
 
 let tc name f = Alcotest.test_case name `Quick f
 
-(* Every server gets its own socket path and checkpoint directory. *)
-let next = ref 0
-
+(* Every server gets its own socket path and checkpoint directory, both
+   removed when the test binary exits. *)
 let fresh_cfg ?(workers = 2) ?(queue_cap = 8) ?(per_client = 8) name =
-  incr next;
   let base =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "magis-test-serve-%d-%s-%d" (Unix.getpid ()) name !next)
+    Helpers.temp_path ~suffixes:[ ".sock"; ".ckpt" ] ("serve-" ^ name)
   in
   {
     Server.addr = P.Unix_sock (base ^ ".sock");
@@ -549,6 +545,35 @@ let test_frontier_miss_builds_then_hits () =
   Alcotest.(check string) "daemon healthy after the frontier mix" "ok" h.status;
   Alcotest.(check int) "build and hit both served" 2 h.served
 
+(* The daemon's memo and its disk cache share [Frontier_build.key], so a
+   frontier built at 8 iterations never answers a request at 40: the
+   second request builds, and answers as a fresh 40-iteration build. *)
+let test_frontier_cap_in_key () =
+  with_server (fresh_cfg "frontier-cap") @@ fun addr ->
+  with_client addr @@ fun c ->
+  let fq id iters =
+    { (P.frontier_request ~id ~model:"unet") with
+      P.f_max_iterations = iters; f_budget_ratio = 0.7 }
+  in
+  let short = expect_frontier (Client.frontier c (fq "cap-8" 8)) in
+  Alcotest.(check bool) "the 8-iteration query builds" false short.fr_cache_hit;
+  let long = expect_frontier (Client.frontier c (fq "cap-40" 40)) in
+  Alcotest.(check bool) "the 40-iteration query builds too" false
+    long.fr_cache_hit;
+  let fresh, _ =
+    Frontier_build.build
+      ~config:{ Search.default_config with max_iterations = 40 }
+      (Op_cost.create (Hardware.find "rtx3090"))
+      Frontier_build.sweep_mode
+      ((Zoo.find "unet").build Zoo.Quick)
+  in
+  let want = Option.get (Frontier_build.query_ratio fresh ~ratio:0.7) in
+  Alcotest.(check int) "a fresh 40-iteration build's point count"
+    (Frontier.size fresh) long.fr_points;
+  Alcotest.(check int) "its answer peak" want.Frontier.peak long.fr_peak;
+  Alcotest.(check (float 0.0)) "its answer latency" want.latency
+    long.fr_latency
+
 (* ------------------------------------------------------------------ *)
 (* Chaos                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -690,6 +715,8 @@ let suite =
       test_torn_read_quarantined;
     tc "frontier: miss builds and persists, repeat hits the cache"
       test_frontier_miss_builds_then_hits;
+    tc "frontier: a cap-8 build never answers a cap-40 query"
+      test_frontier_cap_in_key;
     tc "chaos scenarios all survive" test_chaos_daemon_survives;
     tc "SIGKILL'd daemon restarts and resumes bit-identically"
       test_sigkill_restart_resume;
