@@ -12,9 +12,12 @@ type env = {
   budget : float;  (** seconds of search per MAGIS optimization *)
   iters : int;  (** iteration cap per search (CI smoke uses a tight one) *)
   stats_json : string option;
-      (** write each experiment's deterministic counters here as a flat
-          JSON object — the artifact the CI perf-smoke job diffs
-          against [bench/baselines/] with [scripts/compare_bench.sh] *)
+      (** write the selected experiments' deterministic counters here
+          as one flat JSON object — the artifact the CI perf-smoke job
+          diffs against [bench/baselines/] with
+          [scripts/compare_bench.sh] *)
+  stats : (string * Json.t) list ref;
+      (** the fields written so far, newest first *)
 }
 
 let make_env ?(iters = max_int) ?stats_json ~full ~budget () =
@@ -25,19 +28,30 @@ let make_env ?(iters = max_int) ?stats_json ~full ~budget () =
     budget;
     iters;
     stats_json;
+    stats = ref [];
   }
 
-(** Write an experiment's counters as a one-object JSON file when the
-    run asked for one ([--stats-json]).  Keys are emitted in the order
-    given, one per line; values are limited to scalars so the file
-    diffs cleanly and a re-baseline's diff names each moved key.
-    Timing-derived fields must be named [t_*], [wall*] or [speedup*] —
-    {!scripts/compare_bench.sh} skips those; every other field is gated
-    exactly against the checked-in baseline. *)
+(** Add an experiment's counters to the run's JSON object and rewrite
+    the file, when the run asked for one ([--stats-json]): one object
+    holds the keys of every experiment the run selected, in the order
+    they were added, one per line; values are limited to scalars so the
+    file diffs cleanly and a re-baseline's diff names each moved key.
+    A key already in the object raises [Failure] rather than overwrite
+    another experiment's value.  Timing-derived fields must be named
+    [t_*], [wall*] or [speedup*] — {!scripts/compare_bench.sh} skips
+    those; every other field is gated exactly against the checked-in
+    baseline. *)
 let write_stats_json env (fields : (string * Json.t) list) =
   match env.stats_json with
   | None -> ()
   | Some path ->
+      List.iter
+        (fun (k, v) ->
+          if List.mem_assoc k !(env.stats) then
+            Fmt.failwith "--stats-json %s: duplicate key %s" path k;
+          env.stats := (k, v) :: !(env.stats))
+        fields;
+      let fields = List.rev !(env.stats) in
       let oc = open_out path in
       Fun.protect
         ~finally:(fun () -> close_out oc)
@@ -48,8 +62,7 @@ let write_stats_json env (fields : (string * Json.t) list) =
               Printf.fprintf oc "%s\n  %s: %s" (if i = 0 then "" else ",")
                 (Json.to_string (Json.String k)) (Json.to_string v))
             fields;
-          output_string oc "\n}\n");
-      Printf.printf "[stats written to %s]\n%!" path
+          output_string oc "\n}\n")
 
 (** Remove [path] and everything under it; a missing path is a no-op.
     Experiments that write under the temp directory call it when they

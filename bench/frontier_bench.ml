@@ -19,7 +19,6 @@ open Magis
 
 let run (env : Common.env) =
   Common.hr "Frontier: one search, a whole Pareto frontier";
-  let t0 = Unix.gettimeofday () in
   let w = Zoo.find "UNet" in
   let g = Common.workload_graph env w in
   let iters = min env.iters 12 in
@@ -116,5 +115,4 @@ let run (env : Common.env) =
     @ List.map2
         (fun (sw : Zoo.workload) n ->
           (Printf.sprintf "sweep_nodes_b%d" sw.Zoo.batch, Json.Int n))
-        sweep sweep_nodes
-    @ [ ("wall_s", Json.Float (Unix.gettimeofday () -. t0)) ])
+        sweep sweep_nodes)

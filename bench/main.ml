@@ -54,8 +54,11 @@ let run_selected names full budget iters stats_json trace metrics =
     (fun (name, f) ->
       let t0 = Unix.gettimeofday () in
       Magis.Trace.with_span ~cat:"bench" name (fun () -> f env);
-      Printf.printf "[%s done in %.1fs]\n%!" name (Unix.gettimeofday () -. t0))
+      let wall = Unix.gettimeofday () -. t0 in
+      Common.write_stats_json env [ ("wall_" ^ name ^ "_s", Magis.Json.Float wall) ];
+      Printf.printf "[%s done in %.1fs]\n%!" name wall)
     selected;
+  Option.iter (Printf.printf "[stats written to %s]\n") stats_json;
   (match trace with
   | None -> ()
   | Some path ->
@@ -92,8 +95,10 @@ let iters =
 
 let stats_json =
   let doc =
-    "Write each experiment's deterministic counters to this file as a flat \
-     JSON object (the CI perf-smoke artifact; see scripts/compare_bench.sh)."
+    "Write the deterministic counters of every selected experiment, and \
+     each one's wall time as $(b,wall_)$(i,EXPERIMENT)$(b,_s), to this file \
+     as one flat JSON object (the CI perf-smoke artifact; see \
+     scripts/compare_bench.sh).  A key written twice is an error."
   in
   Arg.(value & opt (some string) None & info [ "stats-json" ] ~doc)
 

@@ -5,7 +5,10 @@
     gated exactly by the CI perf-smoke job:
 
     - three identical requests must return bit-identical peaks while
-      the shared simulation cache warms up across them;
+      the shared simulation cache warms up across them, and the two
+      repeats must replay every F-Tree refresh from it (the
+      [search.refresh_replays] metric rises, the [sim_cache.trees]
+      gauge does not);
     - a request with an already-expired deadline must be rejected with
       the structured [deadline] error;
     - a paused burst overfills the bounded queue, producing an exact
@@ -59,19 +62,27 @@ let run (env : Common.env) =
           (Printf.sprintf "serve bench: unexpected reply %s"
              (P.reply_to_string r))
   in
+  (* the daemon records metrics while it runs *)
+  let replays () =
+    Metrics.counter_value (Metrics.counter "search.refresh_replays")
+  and trees () = Metrics.gauge_value (Metrics.gauge "sim_cache.trees") in
   let r1 = result "warm-0" in
   let h_cold = Client.health c in
+  let replays_cold = replays () and trees_cold = trees () in
   let r2 = result "warm-1" in
   let r3 = result "warm-2" in
   let h_warm = Client.health c in
   let repeat_identical = r1.o_peak = r2.o_peak && r2.o_peak = r3.o_peak in
   let cache_warm = h_warm.cache_hit_rate > h_cold.cache_hit_rate in
+  let repeat_replays = replays () - replays_cold in
+  let repeat_replayed = repeat_replays > 0 && trees () = trees_cold in
   Printf.printf
     "A1 identical requests: peak %.1f MB (from %.1f MB), identical %b, \
-     cache hit rate %.2f -> %.2f\n"
+     cache hit rate %.2f -> %.2f, repeats replayed %d refreshes (all %b)\n"
     (float_of_int r1.o_peak /. 1e6)
     (float_of_int r1.o_initial_peak /. 1e6)
-    repeat_identical h_cold.cache_hit_rate h_warm.cache_hit_rate;
+    repeat_identical h_cold.cache_hit_rate h_warm.cache_hit_rate
+    repeat_replays repeat_replayed;
   let deadline_rejects =
     match
       Client.optimize c
@@ -157,6 +168,8 @@ let run (env : Common.env) =
       ("a_best_peak", Json.Int r1.o_peak);
       ("a_initial_peak", Json.Int r1.o_initial_peak);
       ("a_cache_warm", Json.Bool cache_warm);
+      ("a_repeat_refresh_replays", Json.Int repeat_replays);
+      ("a_repeat_replayed", Json.Bool repeat_replayed);
       ("a_deadline_rejects", Json.Int deadline_rejects);
       ("a_burst_sent", Json.Int (n_burst + 1));
       ("a_burst_overloaded", Json.Int !overloaded);
@@ -175,6 +188,5 @@ let run (env : Common.env) =
       ("wall_b_p50_ms", Json.Float rep.p50_ms);
       ("wall_b_p99_ms", Json.Float rep.p99_ms);
       ("wall_b_cache_hit_rate", Json.Float rep.cache_hit_rate);
-      ("wall_s", Json.Float wall);
       ("drained", Json.Bool true);
     ]

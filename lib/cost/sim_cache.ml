@@ -18,6 +18,8 @@ module Metrics = Magis_obs.Metrics
 let m_hits = Metrics.counter "sim_cache.hits"
 let m_misses = Metrics.counter "sim_cache.misses"
 let m_deltas = Metrics.counter "sim_cache.delta_entries"
+let g_trees = Metrics.gauge "sim_cache.trees"
+let g_tree_words = Metrics.gauge "sim_cache.tree_words"
 
 type value = {
   schedule : int list;
@@ -37,11 +39,14 @@ type entry = {
   e_hotspots : int list;
 }
 
-(* One lock around one table: a search runs on one domain, so only a
-   daemon's worker domains meet here. *)
+(* One lock around both tables: a search runs on one domain, so only a
+   daemon's worker domains meet here.  [tree_words] sums the lengths of
+   the stored trees, under the lock. *)
 type t = {
   lock : Mutex.t;
   tbl : (int64, entry) Hashtbl.t;
+  trees : (int64, int array) Hashtbl.t;
+  mutable tree_words : int;
   hits : int Atomic.t;
   misses : int Atomic.t;
   fulls : int Atomic.t;
@@ -52,6 +57,8 @@ let create () =
   {
     lock = Mutex.create ();
     tbl = Hashtbl.create 1024;
+    trees = Hashtbl.create 64;
+    tree_words = 0;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     fulls = Atomic.make 0;
@@ -152,6 +159,24 @@ let add ?parent t k v =
         { e_code = code; e_peak_mem = v.peak_mem; e_latency = v.latency;
           e_hotspots = v.hotspots })
 
+(* the gauges follow the cache that stored or cleared last *)
+let publish_trees t =
+  Metrics.set g_trees (float_of_int (Hashtbl.length t.trees));
+  Metrics.set g_tree_words (float_of_int t.tree_words)
+
+let tree t k = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.trees k)
+
+let add_tree t k code =
+  Mutex.protect t.lock (fun () ->
+      if not (Hashtbl.mem t.trees k) then begin
+        Hashtbl.add t.trees k code;
+        t.tree_words <- t.tree_words + Array.length code;
+        publish_trees t
+      end)
+
+let tree_stats t =
+  Mutex.protect t.lock (fun () -> (Hashtbl.length t.trees, t.tree_words))
+
 let stats t = (Atomic.get t.hits, Atomic.get t.misses)
 
 let hit_rate t =
@@ -166,6 +191,10 @@ let reset_stats t =
 let length t = Mutex.protect t.lock (fun () -> Hashtbl.length t.tbl)
 
 let clear t =
-  Mutex.protect t.lock (fun () -> Hashtbl.reset t.tbl);
+  Mutex.protect t.lock (fun () ->
+      Hashtbl.reset t.tbl;
+      Hashtbl.reset t.trees;
+      t.tree_words <- 0;
+      publish_trees t);
   Atomic.set t.fulls 0;
   Atomic.set t.deltas 0

@@ -74,6 +74,29 @@ val find : t -> int64 -> value option
     [v.schedule] bit-identically. *)
 val add : ?parent:int list -> t -> int64 -> value -> unit
 
+(** {1 Refreshed F-Trees}
+
+    The search also stores the F-Tree each stale pop's refresh
+    (Algorithm 3, lines 13-14) rebuilds, under a key of its own that
+    digests what the refresh reads; a later search that pops the same
+    stale state decodes the tree instead of rebuilding it.  The payload
+    is an opaque [int array] (the F-Tree's compact code: this library
+    knows no F-Tree type).  Tree lookups visit no fault site and count
+    into neither {!stats} nor {!length}; the gauges [sim_cache.trees]
+    and [sim_cache.tree_words] report the stored trees and their words
+    of the cache that stored or cleared last (a daemon's one cache). *)
+
+(** The payload stored under [k], if any. *)
+val tree : t -> int64 -> int array option
+
+(** [add_tree t k code] stores [code] under [k]; a key already stored
+    keeps its payload. *)
+val add_tree : t -> int64 -> int array -> unit
+
+(** [(trees, words)]: the stored trees and the total length of their
+    payloads, since creation or {!clear}. *)
+val tree_stats : t -> int * int
+
 (** [(hits, misses)] since creation or the last {!reset_stats}. *)
 val stats : t -> int * int
 
@@ -91,4 +114,5 @@ val reset_stats : t -> unit
 (** Number of cached evaluations. *)
 val length : t -> int
 
+(** Drop every cached evaluation and every stored tree. *)
 val clear : t -> unit

@@ -19,9 +19,11 @@
     table, and only once it has succeeded, so a retried candidate is
     counted once.  A {!Sim_cache} the caller
     shares across searches, whatever their mode or limit, is probed once
-    per survivor, and only misses are evaluated; with no cache nothing
-    is keyed, as a cache of one search's own never hits (dedup skips
-    every state it could return).
+    per survivor, and only misses are evaluated; it also holds the
+    F-Tree of every stale pop's refresh, which a later search popping
+    the same stale state decodes instead of rebuilding.  With no cache
+    nothing is keyed, as a cache of one search's own never hits (dedup
+    skips every state it could return).
 
     Resilience (see DESIGN.md §9): a step that raises (a candidate's
     hash, probe or evaluation, or a context of the pop) is retried in
@@ -44,6 +46,7 @@ module Fault = Magis_resilience.Fault
 module Retry = Magis_resilience.Retry
 module Checkpoint = Magis_resilience.Checkpoint
 module Diagnostic = Magis_analysis.Diagnostic
+module Int_map = Util.Int_map
 module Int_set = Util.Int_set
 module Trace = Magis_obs.Trace
 module Metrics = Magis_obs.Metrics
@@ -70,7 +73,7 @@ let declare decls name =
    stages that read them ({!pop_context}, {!resched_context}). *)
 let s_init = declare stage_decls "init" (* snapshot, initial M-state *)
 let s_pop = declare stage_decls "pop" (* caller's poll, ladder, queue pop *)
-let s_refresh = declare stage_decls "refresh" (* stale F-Tree rebuild *)
+let s_refresh = declare stage_decls "refresh" (* pop's index; F-Tree rebuild or decode *)
 let s_generate = declare stage_decls "generate" (* order, closure, positions, proposals *)
 let s_hash = declare stage_decls "hash" (* labels; WL hash ⊕ F-Tree fp *)
 let s_dedup = declare stage_decls "dedup" (* first occurrence wins *)
@@ -93,6 +96,7 @@ let c_sched_nodes = declare counter_decls "sched_nodes" (* produced *)
 let c_retried = declare counter_decls "retried"
 let c_quarantined = declare counter_decls "quarantined"
 let c_checkpoints = declare counter_decls "checkpoints"
+let c_refresh_replays = declare counter_decls "refresh_replays" (* trees decoded *)
 
 let stage_names = List.rev !stage_decls
 let counter_names = List.rev !counter_decls
@@ -114,6 +118,13 @@ let fresh_table () =
 let add_table dst src =
   Array.iteri (fun i s -> dst.secs.(i) <- dst.secs.(i) +. s) src.secs;
   Array.iteri (fun i n -> dst.counts.(i) <- dst.counts.(i) + n) src.counts
+
+(* A snapshot written before the last counter was declared holds
+   fewer counters: the missing ones start at 0. *)
+let widen tb =
+  let pad a n z = Array.append a (Array.make (n - Array.length a) z) in
+  { secs = pad tb.secs (List.length stage_names) 0.0;
+    counts = pad tb.counts (List.length counter_names) 0 }
 
 let bump tb c n = tb.counts.(c) <- tb.counts.(c) + n
 let count tb c = tb.counts.(c)
@@ -404,6 +415,73 @@ let resched_context (cost : Op_cost.t) tb (s : Mstate.t) (cx : pop) =
   timed tb s_reschedule (fun () ->
       ( Magis_sched.Incremental.parent ~position:cx.position cx.ix s.schedule,
         Op_cost.costs_on cost cx.ix ))
+
+(** Key of a stale pop's refreshed F-Tree in the simulation cache: a
+    digest of exactly what {!Ftree.refresh_on} reads — the graph, pinned
+    by node id (each id with its WL label and its operand ids), the old
+    tree's enabled entries (members and [n] by {!Ftree.fingerprint},
+    then their dims), the hot-spot set and [max_level].  Mode, limit,
+    hardware and parent are not read, so they are not in it. *)
+let refresh_key ~max_level (cx : pop) (s : Mstate.t) : int64 =
+  let mix h x = Util.hash_combine h (Int64.of_int x) in
+  let nodes = Graph_index.nodes cx.ix in
+  let h =
+    Array.fold_left
+      (fun h v ->
+        let ins = nodes.(v).inputs in
+        let h = Util.hash_combine (mix h v) (Wl_hash.label cx.labels v) in
+        Array.fold_left mix (mix h (Array.length ins)) ins)
+      0x72656672L (Graph_index.order cx.ix)
+  in
+  let h = Util.hash_combine h (Ftree.fingerprint s.ftree) in
+  let h =
+    List.fold_left
+      (fun h i ->
+        let dims = (Ftree.fission_at s.ftree i).dims in
+        Int_map.fold (fun v d h -> mix (mix h v) d) dims
+          (mix h (Int_map.cardinal dims)))
+      h (Ftree.enabled_indices s.ftree)
+  in
+  let h =
+    Int_set.fold (fun v h -> mix h v) s.hotspots
+      (mix h (Int_set.cardinal s.hotspots))
+  in
+  mix h max_level
+
+(** The popped state with a current F-Tree (Algorithm 3, lines 13-14).
+    A stale tree is rebuilt by {!Ftree.refresh_on} on the pop's index
+    or, when [cfg.sim_cache] holds a tree under its {!refresh_key},
+    decoded from there; a rebuilt tree is stored there.  Under
+    [verify_states] a decoded tree is checked against a rebuild. *)
+let refresh (cfg : config) tb (s : Mstate.t) (cx : pop) : Mstate.t =
+  timed tb s_refresh @@ fun () ->
+  let max_level = cfg.ablation.max_level in
+  let rebuild () =
+    Ftree.refresh_on ~max_level cx.ix ~old_tree:s.ftree ~hotspots:s.hotspots
+  in
+  let ftree =
+    if not (s.ftree_stale && cfg.ablation.use_ftree_heuristic) then s.ftree
+    else
+      match cfg.sim_cache with
+      | None -> rebuild ()
+      | Some sim -> (
+          let key = refresh_key ~max_level cx s in
+          match Sim_cache.tree sim key with
+          | None ->
+              let t = rebuild () in
+              Sim_cache.add_tree sim key (Ftree.encode t);
+              t
+          | Some code ->
+              if cfg.verify_states && Ftree.encode (rebuild ()) <> code then
+                raise
+                  (Verification_failure
+                     (Printf.sprintf
+                        "replayed F-Tree (key %016Lx) differs from its refresh"
+                        key));
+              bump tb c_refresh_replays 1;
+              Ftree.decode code)
+  in
+  { s with ftree; ftree_stale = false }
 
 (** Proposals reached by F-Tree mutations: the graph is unchanged, the
     virtual fission state moves. *)
@@ -779,6 +857,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
   let st, published =
     match loaded with
     | Some st ->
+        let st = { st with snap_table = widen st.snap_table } in
         add_table st.snap_table tb;
         (st, Array.copy st.snap_table.counts)
     | None ->
@@ -1085,24 +1164,15 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
                 "pop";
             s
       in
-      (* One index of the popped graph serves the pop: the F-Tree
-         refresh (Algorithm 3 line 13-14) and mutations, the rule
-         sites and the pop's context. *)
-      let s, ix =
-        timed tb s_refresh @@ fun () ->
-        let ix = Graph_index.of_graph s.graph in
-        let ftree =
-          if s.ftree_stale && config.ablation.use_ftree_heuristic then
-            Ftree.refresh_on ~max_level:config.ablation.max_level ix
-              ~old_tree:s.ftree ~hotspots:s.hotspots
-          else s.ftree
-        in
-        ({ s with ftree; ftree_stale = false }, ix)
-      in
-      (* The pop's context is built before its candidates read it (the
-         misses' part in [expand]).  A context that keeps failing to
-         build quarantines the pop, which then proposes nothing. *)
-      Option.iter (expand s)
+      (* One index of the popped graph serves the pop: its context, the
+         F-Tree refresh and mutations, and the rule sites. *)
+      let ix = timed tb s_refresh (fun () -> Graph_index.of_graph s.graph) in
+      (* The pop's context is built before the refresh keys on its
+         labels and the candidates read it (the misses' part in
+         [expand]).  A context that keeps failing to build quarantines
+         the pop, which then proposes nothing. *)
+      Option.iter
+        (fun cx -> expand (refresh config tb s cx) cx)
         (supervise ~what:"pop context" (pop_context tb s) ix);
       match config.checkpoint with
       | Some { ckpt_path; ckpt_every; _ }

@@ -182,8 +182,9 @@ type config = {
           additionally assert the bound invariant
           [Membound.lower <= simulated peak <= Membound.ub_total] (plus
           the latency floor) via {!Magis_analysis.Hooks.assert_bounds},
-          raising {!Verification_failure} on the first violation
-          (tests/CI on, benchmarks off) *)
+          and rebuild every F-Tree replayed from [sim_cache] to compare
+          it with the replay, raising {!Verification_failure} on the
+          first violation (tests/CI on, benchmarks off) *)
   jobs : int;
       (** Retired: the search runs one serial loop, and {!run} raises
           [Invalid_argument] for any value but 1 (the default).  Kept
@@ -193,9 +194,14 @@ type config = {
       (** memoizes (reschedule → simulate) evaluations across the
           searches sharing it, whatever their mode or limit: each
           survivor of dedup is probed once, serially, and only misses
-          are evaluated.  [None] (the default) = no cache, nothing
-          keyed: a cache of one search's own never hits, as dedup skips
-          every state it could return. *)
+          are evaluated.  It also stores the F-Tree each stale pop's
+          refresh builds, keyed on what the refresh reads (the graph by
+          node id, the old tree's enabled entries with their dims, the
+          hot-spots, [max_level]); a search that pops the same stale
+          state decodes it instead (the [refresh_replays] counter).
+          [None] (the default) = no cache, nothing keyed: a cache of
+          one search's own never hits, as dedup skips every state it
+          could return. *)
   checkpoint : checkpoint option;
       (** crash-safe snapshots: written every [ckpt_every] seconds, at
           the end of a pop, and never when the run returns — whatever

@@ -45,4 +45,5 @@ let () =
       ("allocator", Test_allocator.suite);
       ("equivalence", Test_equivalence.suite);
       ("integration", Test_integration.suite);
+      ("bench", Test_bench.suite);
     ]

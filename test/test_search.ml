@@ -176,6 +176,76 @@ let test_poll_stop_equals_cap () =
     (Search.trajectory_fingerprint cfg mode ~hw g)
     (Search.trajectory_fingerprint { cfg with poll } mode ~hw g)
 
+(* What a run returns, less its timings: the best state and the
+   history's (peak, latency) points. *)
+let outcome (r : Search.result) =
+  ( (r.best.peak_mem, Int64.bits_of_float r.best.latency, r.best.schedule),
+    (Wl_hash.hash r.best.graph, Ftree.fingerprint r.best.ftree),
+    List.map (fun (_, p, l) -> (p, l)) r.history )
+
+(* [Search.counts] less the counters a cache's hits move *)
+let counts_but_cache (r : Search.result) =
+  List.filter
+    (fun (n, _) ->
+      not
+        (List.mem n
+           [ "sim_hits"; "sim_misses"; "sched_fallbacks"; "resched_nodes";
+             "sched_nodes"; "refresh_replays" ]))
+    (Search.counts r.stats)
+
+let replays (r : Search.result) =
+  List.assoc "refresh_replays" (Search.counts r.stats)
+
+(* A search run again over the cache its first run filled replays every
+   stale pop's F-Tree (under [verify_states], each replay is checked
+   against a rebuild) and returns what the first run returned.  The
+   first run replays nothing: dedup skips every state whose key it could
+   meet again. *)
+let test_warm_search_replays_refreshes () =
+  let g = subject () and sim = Sim_cache.create () in
+  let cfg = { (config 1e9) with max_iterations = 25; sim_cache = Some sim } in
+  let run () = Search.optimize_memory ~config:cfg (cache ()) ~overhead:0.10 g in
+  let cold = run () in
+  let ((trees, _) as stored) = Sim_cache.tree_stats sim in
+  let warm = run () in
+  Alcotest.(check bool) "same best state and history" true
+    (outcome cold = outcome warm);
+  Alcotest.(check (list (pair string int))) "same counters but the cache's"
+    (counts_but_cache cold) (counts_but_cache warm);
+  Alcotest.(check int) "the cold run replays nothing" 0 (replays cold);
+  Alcotest.(check bool) "the cold run stores its refreshes" true (trees > 0);
+  Alcotest.(check int) "the warm run replays every stale pop" trees
+    (replays warm);
+  Alcotest.(check (pair int int)) "the warm run stores no tree" stored
+    (Sim_cache.tree_stats sim);
+  Sim_cache.clear sim;
+  Alcotest.(check (pair int int)) "clear drops the trees" (0, 0)
+    (Sim_cache.tree_stats sim)
+
+(* [max_level] is part of the refresh key: searches at levels 3 and 4
+   sharing one cache each return what their own cacheless search
+   returns. *)
+let test_max_level_in_refresh_key () =
+  let g = (Zoo.find "UNet").build Zoo.Quick and sim = Sim_cache.create () in
+  let run ?sim_cache max_level =
+    let config =
+      { (config 1e9) with
+        max_iterations = 12; sim_cache;
+        ablation = { Search.default_ablation with max_level } }
+    in
+    Search.optimize_memory ~config (cache ()) ~overhead:0.10 g
+  in
+  List.iter
+    (fun level ->
+      let shared = run ~sim_cache:sim level and none = run level in
+      let what = Printf.sprintf "level %d" level in
+      Alcotest.(check bool) (what ^ ": same best state and history") true
+        (outcome shared = outcome none);
+      Alcotest.(check (list (pair string int)))
+        (what ^ ": same counters but the cache's")
+        (counts_but_cache none) (counts_but_cache shared))
+    [ 3; 4 ]
+
 let suite =
   [
     tc "memory mode respects constraint" test_memory_mode_respects_constraint;
@@ -189,4 +259,6 @@ let suite =
     tc "trajectory fingerprint pinned" test_fingerprint_pinned;
     tc "a poll stop at k equals an iteration cap of k"
       test_poll_stop_equals_cap;
+    tc "a warm search replays its refreshes" test_warm_search_replays_refreshes;
+    tc "max_level is part of the refresh key" test_max_level_in_refresh_key;
   ]
