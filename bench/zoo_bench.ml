@@ -18,7 +18,10 @@
     pass, [<case>_<pass>_same] for whether a cached pass's summary
     equals the no-cache one, and [<case>_warm_replayed_all] for whether
     the warm pass stored no F-Tree in the cache, so replayed every
-    refresh it ran.  64-bit values are hex strings. *)
+    refresh it ran.  At the end of the round, [shared_cache_entries],
+    [shared_cache_trees] and [shared_cache_tree_bytes] size the shared
+    cache: its evaluations, its stored F-Trees and their bytes.  64-bit
+    values are hex strings. *)
 
 open Magis
 
@@ -123,6 +126,13 @@ let run (env : Common.env) =
             (key "warm_same", Json.Bool warm_same);
             (key "warm_replayed_all", Json.Bool replayed_all) ])
       (cases env)
+  in
+  let trees, tree_bytes = Sim_cache.tree_stats shared in
+  let fields =
+    fields
+    @ [ ("shared_cache_entries", Json.Int (Sim_cache.length shared));
+        ("shared_cache_trees", Json.Int trees);
+        ("shared_cache_tree_bytes", Json.Int tree_bytes) ]
   in
   Common.write_stats_json env fields;
   (* the only booleans are the [_same] and [_replayed_all] flags *)

@@ -58,5 +58,4 @@ val unbacked_waivers : report -> string list
 (** Rules whose waiver lacks corpus coverage (drives the CLI's distinct
     exit code). *)
 
-val pp_entry : Format.formatter -> entry -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -8,8 +8,6 @@ open Magis_cost
 
 type aggressiveness = Tvm | Torch_inductor
 
-val fusable : aggressiveness -> Op.kind -> bool
-val fused_intermediates : aggressiveness -> Graph.t -> Magis_ir.Util.Int_set.t
 val run : aggressiveness -> Op_cost.t -> Graph.t -> Outcome.t
 
 (** Fails when the budget is below the compiler's natural peak. *)

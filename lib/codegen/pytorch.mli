@@ -5,10 +5,6 @@
 
 open Magis_ir
 
-(** Python expression computing one node from its operand variables
-    (exposed for tests; raises on Store/Load, which the emitter handles). *)
-val expr_of : Graph.t -> Graph.node -> string
-
 val emit : ?module_doc:string -> Graph.t -> schedule:int list -> string
 
 (** Emit {!Magis_ftree.Ftree.realize} [g ftree] under [reschedule]'s

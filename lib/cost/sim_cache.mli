@@ -20,11 +20,9 @@
     are atomic.  [find] is a fault-injection site
     (["sim_cache"], {!Magis_resilience.Fault}).
 
-    Entries are stored delta-encoded against the parent schedule when
-    the caller supplies one (see [add]): children of one parent share
-    the list the caller passes and store only the rewritten window.
-    Encoding is validated by reconstruct-and-compare, so [find] always
-    returns the bit-identical schedule that was added. *)
+    An entry is stored as plain data: its schedule and hot spots as
+    [int array]s, so [find] returns the lists [add] was given.  A stored
+    F-Tree is the string its caller passes (see {!add_tree}). *)
 
 (** Cached outcome of evaluating one M-state. *)
 type value = {
@@ -34,18 +32,14 @@ type value = {
   hotspots : int list;  (** sorted elements of the hot-spot set *)
 }
 
-(** The prefix/middle/suffix schedule codec by itself, as [add] applies
-    it (the codec micro-probes time it).  [encode] validates by
-    reconstruct-and-compare and falls back to a full copy whenever the
-    delta would not be smaller, so [decode] is always bit-identical to
-    the encoded schedule.  The [parent] list the caller passes is held
-    as-is. *)
+(** The cache's schedule form by itself, as [add] and [find] apply it:
+    an [int array].  [parent] is ignored; the label stays because the
+    repository benchmark's codec probe ([benchmark/probes.ml]) names
+    it. *)
 module Codec : sig
-  type code
+  type code = int array
 
-  (** Delta against [parent] when profitable and exact, else full. *)
   val encode : parent:int list -> int list -> code
-
   val decode : code -> int list
 end
 
@@ -66,34 +60,31 @@ val key :
     counter. *)
 val find : t -> int64 -> value option
 
-(** [add ?parent t k v] caches [v].  When [parent] — the schedule of the
-    state [v] was derived from — is given and [v.schedule] shares a
-    prefix/suffix with it, the entry is stored as a delta against
-    [parent] itself, which it keeps; otherwise (or when the delta would not be
-    smaller) it is stored in full.  Either way a later {!find} returns
-    [v.schedule] bit-identically. *)
-val add : ?parent:int list -> t -> int64 -> value -> unit
+(** [add t k v] caches [v] under [k], replacing what [k] held. *)
+val add : t -> int64 -> value -> unit
 
 (** {1 Refreshed F-Trees}
 
     The search also stores the F-Tree each stale pop's refresh
     (Algorithm 3, lines 13-14) rebuilds, under a key of its own that
     digests what the refresh reads; a later search that pops the same
-    stale state decodes the tree instead of rebuilding it.  The payload
-    is an opaque [int array] (the F-Tree's compact code: this library
-    knows no F-Tree type).  Tree lookups visit no fault site and count
-    into neither {!stats} nor {!length}; the gauges [sim_cache.trees]
-    and [sim_cache.tree_words] report the stored trees and their words
-    of the cache that stored or cleared last (a daemon's one cache). *)
+    stale state unmarshals the tree instead of rebuilding it.  The
+    payload is an opaque string (the F-Tree's [Marshal] bytes: this
+    library knows no F-Tree type), written by the same process under
+    keys only the search makes.  Tree lookups visit no fault site and
+    count into neither {!stats} nor {!length}; the gauges
+    [sim_cache.trees] and [sim_cache.tree_bytes] report the stored trees
+    and their bytes of the cache that stored or cleared last (a daemon's
+    one cache). *)
 
 (** The payload stored under [k], if any. *)
-val tree : t -> int64 -> int array option
+val tree : t -> int64 -> string option
 
-(** [add_tree t k code] stores [code] under [k]; a key already stored
+(** [add_tree t k bytes] stores [bytes] under [k]; a key already stored
     keeps its payload. *)
-val add_tree : t -> int64 -> int array -> unit
+val add_tree : t -> int64 -> string -> unit
 
-(** [(trees, words)]: the stored trees and the total length of their
+(** [(trees, bytes)]: the stored trees and the total length of their
     payloads, since creation or {!clear}. *)
 val tree_stats : t -> int * int
 
@@ -104,10 +95,6 @@ val stats : t -> int * int
     (0 when no lookup ran) — the cross-request effectiveness number a
     shared cache ({!Magis_serve}, [bench serve]) reports. *)
 val hit_rate : t -> float
-
-(** [(full_entries, delta_entries)] stored since creation or {!clear} —
-    the compression-effectiveness counters of the [bench incr] report. *)
-val delta_stats : t -> int * int
 
 val reset_stats : t -> unit
 

@@ -10,16 +10,12 @@ type tensor = { shape : Shape.t; data : float array }
 
 val numel : tensor -> int
 val create : Shape.t -> tensor
-val of_fn : Shape.t -> (int -> float) -> tensor
 
 (** Deterministic pseudo-random fill in [-1, 1). *)
 val random : ?seed:int -> Shape.t -> tensor
 
 (** Integer-valued fill in [0, bound), for index tensors. *)
 val indices : ?seed:int -> bound:int -> Shape.t -> tensor
-
-(** Evaluate one operator node (exposed for tests). *)
-val eval_node : Graph.t -> Graph.node -> tensor array -> tensor
 
 (** Evaluate the graph; inputs come from [env].  Returns every node's
     value. *)

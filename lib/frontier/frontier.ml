@@ -23,6 +23,7 @@ type counters = {
 }
 
 type t = {
+  baseline : int * float;
   mutable pts : point array;  (** peak ascending, latency descending *)
   mutable harvested : int;
   mutable pruned : int;
@@ -31,8 +32,9 @@ type t = {
   mutable hits : int;
 }
 
-let create () =
+let create ~baseline =
   {
+    baseline;
     pts = [||];
     harvested = 0;
     pruned = 0;
@@ -41,6 +43,7 @@ let create () =
     hits = 0;
   }
 
+let baseline t = t.baseline
 let size t = Array.length t.pts
 
 let counters t =

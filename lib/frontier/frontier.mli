@@ -8,8 +8,11 @@
     question — "what is the best latency under B bytes?" — with a single
     O(log n) lookup instead of a fresh search.
 
-    A frontier is plain data — a point array and five counters, no
-    closure — so {!Frontier_cache} persists the value itself. *)
+    A frontier also records its sweep's baseline: the unoptimized
+    graph's [(peak, latency)] ({!Magis_opt.Search.baseline}), the
+    reference of every ratio budget.  It is plain data — a point array,
+    the baseline and five counters, no closure — so {!Frontier_cache}
+    persists the value itself. *)
 
 (** A frontier point. *)
 type point = {
@@ -29,7 +32,12 @@ type counters = {
 
 type t
 
-val create : unit -> t
+(** An empty frontier of a sweep whose unoptimized graph has
+    [(peak, latency)] = [baseline]. *)
+val create : baseline:int * float -> t
+
+(** The [baseline] the frontier was created with. *)
+val baseline : t -> int * float
 
 (** Number of resident (non-dominated) points. *)
 val size : t -> int

@@ -20,13 +20,11 @@ let key ?(config = Search.default_config) mode ~hw graph =
     (Int64.of_int config.Search.max_iterations)
 
 let build ?(config = Search.default_config) cost mode graph =
-  let fr = Frontier.create () in
+  let fr = Frontier.create ~baseline:(Search.baseline cost graph) in
   let config = { config with Search.harvest = Some (harvest_into fr) } in
   let result = Search.run ~config cost mode graph in
-  (* the unoptimized starting state is never a candidate, so the hook
-     never sees it; insert it explicitly — it anchors the frontier's
-     maximum peak at the baseline, which the ratio-budget helpers below
-     rely on *)
+  (* the starting state is never a candidate, so the hook never sees it;
+     it is a point of the sweep all the same *)
   harvest_into fr ~iteration:0 result.Search.initial;
   (fr, result)
 
@@ -45,9 +43,6 @@ let cached_or_build ?(config = Search.default_config) ~dir cost mode graph =
       (fr, `Built result)
 
 let budget_of_ratio fr ~ratio =
-  match Frontier.peak_range fr with
-  | None -> 0
-  | Some (_, max_peak) ->
-      int_of_float (ratio *. float_of_int max_peak)
+  int_of_float (float_of_int (fst (Frontier.baseline fr)) *. ratio)
 
 let query_ratio fr ~ratio = Frontier.query fr ~budget:(budget_of_ratio fr ~ratio)

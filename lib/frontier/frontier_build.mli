@@ -18,12 +18,6 @@ module Search = Magis_opt.Search
     memory budget. *)
 val sweep_mode : Search.mode
 
-(** Harvest callback inserting each observed state's
-    [(peak_mem, latency, schedule)] into the frontier — the value to put
-    in [Search.config.harvest]. *)
-val harvest_into :
-  Frontier.t -> iteration:int -> Magis_opt.Mstate.t -> unit
-
 (** The frontier cache key: {!Search.trajectory_fingerprint} of the
     configuration, mode, hardware and graph, combined with the
     configuration's [max_iterations].  The cap is in the key because a
@@ -36,9 +30,9 @@ val key :
   ?config:Search.config -> Search.mode -> hw:Hardware.t -> Graph.t -> int64
 
 (** Run the search with harvesting on and return the swept frontier
-    alongside the ordinary search result.  The unoptimized baseline
-    state is inserted as iteration 0, so the frontier's maximum peak is
-    the baseline peak — which makes ratio budgets meaningful. *)
+    alongside the ordinary search result.  The frontier's baseline is
+    {!Search.baseline} of the graph; the search's starting state is
+    offered as iteration 0. *)
 val build :
   ?config:Search.config ->
   Op_cost.t ->
@@ -67,9 +61,9 @@ val cached_or_build :
   Graph.t ->
   Frontier.t * [ `Hit | `Built of Search.result ]
 
-(** A ratio budget in bytes: [ratio] × the frontier's maximum resident
-    peak (the baseline peak when built by {!build}); 0 on an empty
-    frontier. *)
+(** A ratio budget in bytes: [ratio] × the frontier's baseline peak,
+    the byte limit {!Search.optimize_latency} sets for the same
+    [mem_ratio]. *)
 val budget_of_ratio : Frontier.t -> ratio:float -> int
 
 (** {!Frontier.query} at {!budget_of_ratio}. *)

@@ -15,8 +15,9 @@
 module Checkpoint = Magis_resilience.Checkpoint
 
 (* Bump when [Frontier.t]'s representation changes.  Version 1 held the
-   frontier's JSON document; such a file is now a miss. *)
-let version = 2
+   frontier's JSON document, version 2 a frontier with no baseline; such
+   a file is now a miss. *)
+let version = 3
 
 let path ~dir ~key =
   Filename.concat dir (Printf.sprintf "frontier-%016Lx.ckpt" key)

@@ -591,69 +591,6 @@ let refresh_on ?(max_level = default_max_level) (ix : Graph_index.t)
         { entries })
     fresh survivors
 
-(* ------------------------------------------------------------------ *)
-(* Compact codec                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* One entry after another: [n], parent, the children count and
-   children in order, the members count and members in increasing
-   order, then the dims.  The dims are [-1] and one dim per member, in
-   member order, when the dims' keys are the members (every candidate
-   {!construct} builds); otherwise their count and (node, dim) pairs. *)
-let encode (t : t) : int array =
-  let buf = ref [ Array.length t.entries ] in
-  let push x = buf := x :: !buf in
-  Array.iter
-    (fun e ->
-      let f = e.fission in
-      push f.n;
-      push e.parent;
-      push (List.length e.children);
-      List.iter push e.children;
-      push (Int_set.cardinal f.members);
-      Int_set.iter push f.members;
-      if
-        Int_map.cardinal f.dims = Int_set.cardinal f.members
-        && Int_map.for_all (fun v _ -> Int_set.mem v f.members) f.dims
-      then begin
-        push (-1);
-        Int_map.iter (fun _ d -> push d) f.dims
-      end
-      else begin
-        push (Int_map.cardinal f.dims);
-        Int_map.iter (fun v d -> push v; push d) f.dims
-      end)
-    t.entries;
-  Array.of_list (List.rev !buf)
-
-let decode (a : int array) : t =
-  let pos = ref 0 in
-  let next () =
-    let x = a.(!pos) in
-    incr pos;
-    x
-  in
-  let list k = List.init k (fun _ -> next ()) in
-  let entries =
-    Array.init (next ()) (fun _ ->
-        let n = next () in
-        let parent = next () in
-        let children = list (next ()) in
-        let members = list (next ()) in
-        let dims =
-          match next () with
-          | -1 -> List.map (fun v -> (v, next ())) members
-          | k -> List.init k (fun _ -> let v = next () in (v, next ()))
-        in
-        let fission : Fission.t =
-          { members = Int_set.of_list members;
-            dims = Int_map.of_seq (List.to_seq dims); n }
-        in
-        { fission; parent; children })
-  in
-  if !pos <> Array.length a then invalid_arg "Ftree.decode: trailing words";
-  { entries }
-
 (** Naive candidate construction for the ablation study (Fig. 13,
     "naïve-fission"): pick random dominator nodes instead of the
     heat/score heuristic. *)

@@ -98,18 +98,6 @@ val prune : Graph_index.t -> t -> t
 val refresh_on :
   ?max_level:int -> Graph_index.t -> old_tree:t -> hotspots:Int_set.t -> t
 
-(** {1 Compact codec} *)
-
-(** The tree as a flat array of ints: each entry's [n], parent,
-    children in order, members and dims.  {!decode} inverts it exactly,
-    so two trees are equal entry for entry iff their codes are equal.
-    A stored tree costs one word per int, far less than its sets and
-    maps. *)
-val encode : t -> int array
-
-(** Raises [Invalid_argument] on an array {!encode} did not return. *)
-val decode : int array -> t
-
 (** {1 Virtual accounting} *)
 
 type accounting = {

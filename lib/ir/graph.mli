@@ -126,7 +126,6 @@ val program_order : t -> int list
 
 (** {1 Printing and statistics} *)
 
-val pp_node : t -> Format.formatter -> int -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

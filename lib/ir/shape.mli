@@ -8,7 +8,6 @@ type dtype = F32 | TF32 | BF16 | F16 | I64 | I32 | Bool
 
 type t
 
-val dtype_bytes : dtype -> int
 val dtype_name : dtype -> string
 
 (** [create ?dtype dims] builds a shape.  Raises [Invalid_argument] on an

@@ -29,9 +29,6 @@ exception Parse_error of string
 (** Compact (no whitespace) rendering. *)
 val to_string : t -> string
 
-(** Same, appending to an existing buffer. *)
-val to_buffer : Buffer.t -> t -> unit
-
 (** Nesting-depth cap applied by {!of_string} when none is given: deep
     enough for any artifact this codebase emits, shallow enough that a
     hostile [[[[…] document raises {!Parse_error} long before the

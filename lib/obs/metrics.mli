@@ -45,12 +45,9 @@ val set : gauge -> float -> unit
 
 val gauge_value : gauge -> float
 
-(** Default histogram bucket edges: an exponential seconds ladder from
-    1 µs to 10 s. *)
-val default_buckets : float array
-
 (** Get or create a histogram with the given strictly-increasing upper
-    bucket edges (default {!default_buckets}).  Bucket [i] counts
+    bucket edges (default: an exponential seconds ladder from 1 µs to
+    10 s).  Bucket [i] counts
     observations in [(edges.(i-1), edges.(i)]]; an implicit final
     bucket counts overflow above the last edge.  Re-registering an
     existing histogram with different edges raises. *)

@@ -96,7 +96,7 @@ let c_sched_nodes = declare counter_decls "sched_nodes" (* produced *)
 let c_retried = declare counter_decls "retried"
 let c_quarantined = declare counter_decls "quarantined"
 let c_checkpoints = declare counter_decls "checkpoints"
-let c_refresh_replays = declare counter_decls "refresh_replays" (* trees decoded *)
+let c_refresh_replays = declare counter_decls "refresh_replays" (* trees unmarshalled *)
 
 let stage_names = List.rev !stage_decls
 let counter_names = List.rev !counter_decls
@@ -451,8 +451,10 @@ let refresh_key ~max_level (cx : pop) (s : Mstate.t) : int64 =
 (** The popped state with a current F-Tree (Algorithm 3, lines 13-14).
     A stale tree is rebuilt by {!Ftree.refresh_on} on the pop's index
     or, when [cfg.sim_cache] holds a tree under its {!refresh_key},
-    decoded from there; a rebuilt tree is stored there.  Under
-    [verify_states] a decoded tree is checked against a rebuild. *)
+    unmarshalled from there; a rebuilt tree is stored there as its
+    [Marshal] bytes.  The bytes come only from this process, under keys
+    only {!refresh_key} makes.  Under [verify_states] the stored bytes
+    are checked against a rebuild's. *)
 let refresh (cfg : config) tb (s : Mstate.t) (cx : pop) : Mstate.t =
   timed tb s_refresh @@ fun () ->
   let max_level = cfg.ablation.max_level in
@@ -469,17 +471,18 @@ let refresh (cfg : config) tb (s : Mstate.t) (cx : pop) : Mstate.t =
           match Sim_cache.tree sim key with
           | None ->
               let t = rebuild () in
-              Sim_cache.add_tree sim key (Ftree.encode t);
+              Sim_cache.add_tree sim key (Marshal.to_string t []);
               t
-          | Some code ->
-              if cfg.verify_states && Ftree.encode (rebuild ()) <> code then
+          | Some bytes ->
+              if cfg.verify_states && Marshal.to_string (rebuild ()) [] <> bytes
+              then
                 raise
                   (Verification_failure
                      (Printf.sprintf
                         "replayed F-Tree (key %016Lx) differs from its refresh"
                         key));
               bump tb c_refresh_replays 1;
-              Ftree.decode code)
+              (Marshal.from_string bytes 0 : Ftree.t))
   in
   { s with ftree; ftree_stale = false }
 
@@ -650,7 +653,7 @@ let evaluate_proposal (cfg : config) cost tb ~sched_states
   end;
   (match (cfg.sim_cache, key) with
   | Some sim, Some key ->
-      Sim_cache.add ~parent:s.schedule sim key (Mstate.to_cached s')
+      Sim_cache.add sim key (Mstate.to_cached s')
   | _ -> ());
   bump tb c_sim_misses 1;
   if rstats.fallback then bump tb c_sched_fallbacks 1;
@@ -1207,21 +1210,22 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
 (* Convenience wrappers                                                *)
 (* ------------------------------------------------------------------ *)
 
+let baseline (cost : Op_cost.t) (graph : Graph.t) =
+  let base = Simulator.run cost graph (Graph.topo_order graph) in
+  (base.peak_mem, base.latency)
+
 (** Optimize peak memory subject to a latency-overhead bound relative to
     the unoptimized graph (e.g. [0.10] allows 10% overhead). *)
 let optimize_memory ?config (cost : Op_cost.t) ~(overhead : float)
     (graph : Graph.t) : result =
-  let base = Simulator.run cost graph (Graph.topo_order graph) in
-  run ?config cost
-    (Min_memory { lat_limit = base.latency *. (1.0 +. overhead) })
-    graph
+  let _, latency = baseline cost graph in
+  run ?config cost (Min_memory { lat_limit = latency *. (1.0 +. overhead) }) graph
 
 (** Optimize latency subject to a peak-memory bound relative to the
     unoptimized graph (e.g. [0.4] caps memory at 40%). *)
 let optimize_latency ?config (cost : Op_cost.t) ~(mem_ratio : float)
     (graph : Graph.t) : result =
-  let base = Simulator.run cost graph (Graph.topo_order graph) in
+  let peak, _ = baseline cost graph in
   run ?config cost
-    (Min_latency
-       { mem_limit = int_of_float (float_of_int base.peak_mem *. mem_ratio) })
+    (Min_latency { mem_limit = int_of_float (float_of_int peak *. mem_ratio) })
     graph

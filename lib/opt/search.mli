@@ -319,6 +319,11 @@ val run : ?config:config -> Op_cost.t -> mode -> Graph.t -> result
     @raise Invalid_argument if the run configured no [checkpoint]. *)
 val save : result -> result
 
+(** The unoptimized graph's [(peak, latency)]: its topological order,
+    simulated.  The baseline {!optimize_memory} and {!optimize_latency}
+    scale. *)
+val baseline : Op_cost.t -> Graph.t -> int * float
+
 (** Minimize memory with at most [overhead] extra latency relative to the
     unoptimized graph (Fig. 9 mode). *)
 val optimize_memory :

@@ -280,6 +280,18 @@ for f in $gated; do
   fi
 done
 
+# 23. no byte from a socket is ever unmarshalled: outside the checkpoint
+# container (lib/resilience/checkpoint.ml, which checks a file's header,
+# length and digest first) and the search's own replayed F-Trees
+# (lib/opt/search.ml, bytes this process wrote), no OCaml source calls
+# Marshal.from_*.
+hits=$(grep -HnP 'Marshal\.from_' $(git ls-files -- '*.ml' '*.mli') 2>/dev/null |
+  grep -vE '^(lib/resilience/checkpoint\.ml|lib/opt/search\.ml):')
+if [ -n "$hits" ]; then
+  fail "Marshal.from_* outside lib/resilience/checkpoint.ml and lib/opt/search.ml (unmarshal only bytes this process or its checkpoint container vouches for):"
+  echo "$hits"
+fi
+
 if [ "$status" -eq 0 ]; then
   echo "style: clean ($(echo "$files" | wc -w) files)"
 fi

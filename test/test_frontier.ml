@@ -32,7 +32,7 @@ let gen_point =
 let gen_points = QCheck2.Gen.(list_size (int_range 0 40) gen_point)
 
 let frontier_of pts =
-  let fr = Frontier.create () in
+  let fr = Frontier.create ~baseline:(40, 4.0) in
   List.iter
     (fun (p : Frontier.point) ->
       ignore
@@ -126,6 +126,7 @@ let cache_roundtrip =
       | None -> false
       | Some back ->
           Frontier.points back = Frontier.points fr
+          && Frontier.baseline back = Frontier.baseline fr
           && Frontier.counters back = Frontier.counters fr)
 
 let props =
@@ -211,6 +212,26 @@ let test_cache_version_1_is_miss () =
     (Json.Obj [ ("version", Json.Int 1); ("points", Json.List []) ]);
   expect_miss "a version-1 file" ~dir ~key:5L
 
+(* A version-2 file held a frontier with no baseline. *)
+type v2 = {
+  pts : Frontier.point array;
+  harvested : int;
+  pruned : int;
+  evicted : int;
+  queries : int;
+  hits : int;
+}
+
+let test_cache_version_2_is_miss () =
+  let dir = fresh_dir "v2" in
+  Checkpoint.mkdir_p dir;
+  Checkpoint.save
+    ~path:(Frontier_cache.path ~dir ~key:6L)
+    ~version:2 ~fingerprint:6L
+    { pts = [||]; harvested = 0; pruned = 0; evicted = 0; queries = 0;
+      hits = 0 };
+  expect_miss "a version-2 file" ~dir ~key:6L
+
 (* ------------------------------------------------------------------ *)
 (* Harvesting: trajectory-invisible, one search answers every budget   *)
 (* ------------------------------------------------------------------ *)
@@ -285,14 +306,38 @@ let test_one_search_many_budgets () =
   Alcotest.(check bool)
     "the ladder spans more than one operating point" true
     (List.length distinct > 1);
-  (* baseline rides along as iteration 0, so ratio 1.0 is the baseline *)
+  (* ratio 1.0 is the unoptimized graph's peak, which every UNet point
+     fits under *)
   match Frontier_build.query_ratio cached ~ratio:1.0 with
   | Some p ->
       Alcotest.(check int)
-        "ratio 1.0 answers with the baseline peak"
+        "ratio 1.0 answers with the largest resident peak"
         (snd (Option.get (Frontier.peak_range cached)))
         p.Frontier.peak
   | None -> Alcotest.fail "ratio 1.0 must always be feasible"
+
+(* Ratio 1.0 is the byte limit [optimize_latency ~mem_ratio:1.0] sets,
+   the unoptimized graph's peak, on every Quick model, whether the
+   frontier was just built or comes from the cache. *)
+let test_ratio_one_is_baseline () =
+  let dir = fresh_dir "baseline" in
+  let config = { Search.default_config with max_iterations = 2 } in
+  List.iter
+    (fun (w : Zoo.workload) ->
+      let g = w.build Zoo.Quick and cost = Op_cost.create Hardware.default in
+      let peak, _ = Search.baseline cost g in
+      List.iter
+        (fun pass ->
+          let fr, outcome =
+            Frontier_build.cached_or_build ~config ~dir cost frontier_mode g
+          in
+          let what = Printf.sprintf "%s, %s" w.name pass in
+          Alcotest.(check string) (what ^ ": outcome") pass
+            (match outcome with `Built _ -> "built" | `Hit -> "cached");
+          Alcotest.(check int) (what ^ ": ratio 1.0 is the baseline peak") peak
+            (Frontier_build.budget_of_ratio fr ~ratio:1.0))
+        [ "built"; "cached" ])
+    Zoo.all
 
 (* A sweep cut short is answered but leaves no file, so the next call
    builds again. *)
@@ -469,9 +514,12 @@ let suite =
     tc "cache: a truncated file is a miss" test_cache_truncated_is_miss;
     tc "cache: a flipped payload byte is a miss" test_cache_flipped_byte_is_miss;
     tc "cache: a version-1 file is a miss" test_cache_version_1_is_miss;
+    tc "cache: a version-2 file is a miss" test_cache_version_2_is_miss;
     tc "harvesting is trajectory-invisible (A/B)" test_harvest_ab_bit_identical;
     tc "one UNet search answers the whole budget ladder from cache"
       test_one_search_many_budgets;
+    tc "ratio 1.0 is the baseline peak on every Quick model"
+      test_ratio_one_is_baseline;
     tc "a budget-cut sweep is answered, never cached" test_budget_cut_not_cached;
     tc "a poll-stopped sweep is answered, never cached" test_poll_stop_not_cached;
     tc "hardware, mode and config all perturb the cache key" test_key_sensitivity;

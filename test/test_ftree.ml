@@ -175,65 +175,8 @@ let test_accounting_identity_when_disabled () =
         (acc.size_of n.id))
     g
 
-(* Entry for entry: fission (members, dims, n), parent and children
-   in order. *)
-let same_tree (a : Ftree.t) (b : Ftree.t) =
-  Ftree.n_entries a = Ftree.n_entries b
-  && List.for_all
-       (fun i ->
-         let ea = Ftree.entry a i and eb = Ftree.entry b i in
-         Int_set.equal ea.fission.members eb.fission.members
-         && Util.Int_map.equal Int.equal ea.fission.dims eb.fission.dims
-         && ea.fission.n = eb.fission.n
-         && ea.parent = eb.parent && ea.children = eb.children)
-       (List.init (Ftree.n_entries a) Fun.id)
-
-(* The compact codec on the trees a search holds: Algorithm 1's, every
-   mutation's, each pruned (which lists children in reverse) on the
-   graph and on the graph less an output, and one assembled from a
-   fission whose dims leave a member out. *)
-let codec_round_trip =
-  QCheck2.Test.make ~name:"F-Tree codec round trip (Randnet)" ~count:12
-    QCheck2.Gen.(triple (int_range 1 1000) (int_range 1 2) (int_range 3 5))
-    (fun (seed, cells, nodes_per_cell) ->
-      let g =
-        Randnet.build
-          ~cfg:
-            { Randnet.cells; nodes_per_cell; channels = 8; image = 8;
-              batch = 2; seed }
-          ()
-      in
-      let s = Mstate.init ~sched_states:0 (cache ()) g in
-      let mutated =
-        List.filter_map snd (Ftree.mutations_on (Graph_index.of_graph g) s.ftree)
-      in
-      let less = Graph.remove g (List.hd (Graph.outputs g)) in
-      let pruned =
-        List.concat_map
-          (fun t ->
-            [ Ftree.prune (Graph_index.of_graph g) t;
-              Ftree.prune (Graph_index.of_graph less) t ])
-          (s.ftree :: mutated)
-      in
-      let partial =
-        List.init (Ftree.n_entries s.ftree) (Ftree.fission_at s.ftree)
-        |> List.find_map (fun (f : Fission.t) ->
-               if Int_set.cardinal f.members < 2 then None
-               else
-                 let dims = Util.Int_map.remove (Int_set.min_elt f.members) f.dims in
-                 Some (Ftree.of_fissions [ { f with dims } ]))
-        |> Option.to_list
-      in
-      List.for_all
-        (fun t ->
-          let code = Ftree.encode t in
-          let t' = Ftree.decode code in
-          same_tree t t' && Ftree.encode t' = code)
-        ((s.ftree :: mutated) @ pruned @ partial))
-
 let suite =
-  QCheck_alcotest.to_alcotest codec_round_trip
-  :: [
+  [
     tc "construction (Algorithm 1)" test_construction_properties;
     tc "enable starts at leaves" test_enable_starts_at_frontier;
     tc "mutation cycle" test_mutation_cycle;

@@ -99,6 +99,33 @@ let test_sim_cache_value_independent_of_mode () =
         (fresh = stored))
     modes
 
+(** A stored value comes back equal (schedule, peak, latency bits, hot
+    spots), and re-adding its key replaces it. *)
+let stored_value_round_trips =
+  let open QCheck2.Gen in
+  let value =
+    map
+      (fun (schedule, peak_mem, latency, hotspots) ->
+        { Sim_cache.schedule; peak_mem; latency; hotspots })
+      (quad (small_list small_nat) int float (small_list small_nat))
+  in
+  QCheck2.Test.make ~name:"sim cache stores values and re-adds replace"
+    ~count:200
+    (triple (map Int64.of_int int) value value)
+    (fun (k, a, b) ->
+      let same (v : Sim_cache.value) (w : Sim_cache.value) =
+        v.schedule = w.schedule && v.peak_mem = w.peak_mem
+        && Int64.equal (Int64.bits_of_float v.latency)
+             (Int64.bits_of_float w.latency)
+        && v.hotspots = w.hotspots
+      in
+      let c = Sim_cache.create () in
+      let back () = Option.get (Sim_cache.find c k) in
+      Sim_cache.add c k a;
+      let first = back () in
+      Sim_cache.add c k b;
+      same a first && same b (back ()) && Sim_cache.length c = 1)
+
 (** Stress the cache's concurrent find/add accounting: two domains, the
     daemon's default worker count, race find-then-add over 64 colliding
     keys.  Hit/miss counters are atomic, so after the storm
@@ -289,7 +316,8 @@ let test_jobs_retired () =
           : Search.result))
 
 let suite =
-  [
+  QCheck_alcotest.to_alcotest stored_value_round_trips
+  :: [
     tc "sim cache hits identical key" test_sim_cache_hit_after_identical_key;
     tc "sim cache concurrent accounting stress"
       test_sim_cache_concurrent_accounting;

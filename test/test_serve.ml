@@ -574,6 +574,26 @@ let test_frontier_cap_in_key () =
   Alcotest.(check (float 0.0)) "its answer latency" want.latency
     long.fr_latency
 
+(* The daemon resolves ratio 1.0 to the unoptimized graph's peak on
+   every Quick model. *)
+let test_frontier_ratio_one_is_baseline () =
+  with_server (fresh_cfg "frontier-baseline") @@ fun addr ->
+  with_client addr @@ fun c ->
+  List.iter
+    (fun (w : Zoo.workload) ->
+      let fq =
+        { (P.frontier_request ~id:w.name ~model:w.name) with
+          P.f_max_iterations = 2; f_budget_ratio = 1.0 }
+      in
+      let a = expect_frontier (Client.frontier c fq) in
+      let peak, _ =
+        Search.baseline (Op_cost.create (Hardware.find "rtx3090"))
+          (w.build Zoo.Quick)
+      in
+      Alcotest.(check int) (w.name ^ ": ratio 1.0 is the baseline peak") peak
+        a.fr_budget)
+    Zoo.all
+
 (* ------------------------------------------------------------------ *)
 (* Chaos                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -717,6 +737,8 @@ let suite =
       test_frontier_miss_builds_then_hits;
     tc "frontier: a cap-8 build never answers a cap-40 query"
       test_frontier_cap_in_key;
+    tc "frontier: ratio 1.0 is the baseline peak on every Quick model"
+      test_frontier_ratio_one_is_baseline;
     tc "chaos scenarios all survive" test_chaos_daemon_survives;
     tc "SIGKILL'd daemon restarts and resumes bit-identically"
       test_sigkill_restart_resume;
