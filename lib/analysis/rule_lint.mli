@@ -68,15 +68,9 @@ val pp_report : Format.formatter -> report -> unit
 val fission_corpus :
   ?max_graphs:int -> (string * Graph.t) list -> (string * Graph.t) list
 
-(** Long elementwise chains with skip connections — the distance-gated
-    D-Trans rules (remat/swap and the compound sweeps) fire on these
-    where the shallow zoo graphs never trigger them. *)
-val elementwise_corpus : unit -> (string * Graph.t) list
-
-(** Graphs already containing Store/Load seams, the subjects of de-swap
-    and the sweep rules. *)
-val swap_corpus : unit -> (string * Graph.t) list
-
-(** Both built-in corpora; backs waiver coverage in [Rule_sound] and
-    extends the CLI lint corpus. *)
+(** Long elementwise chains with skip connections (the distance-gated
+    D-Trans rules fire on these where the shallow zoo graphs never
+    trigger them) and graphs already containing Store/Load seams (the
+    subjects of de-swap and the sweep rules).  Backs waiver coverage in
+    [Rule_sound] and extends the CLI lint corpus. *)
 val builtin_corpus : unit -> (string * Graph.t) list

@@ -1,6 +1,6 @@
 (** Graph exporters: Graphviz dot (for inspection) and a line-based
-    tensor-program text format (stable, diffable, round-trip parsable —
-    used by tests and for persisting optimized graphs). *)
+    tensor-program text format (stable and diffable, for reading an
+    optimized graph). *)
 
 open Magis_ir
 module Int_set = Util.Int_set
@@ -56,12 +56,6 @@ let to_text (g : Graph.t) : string =
            n.label))
     (Graph.topo_order g);
   Buffer.contents buf
-
-(** Schedule as a one-line comment plus the program text. *)
-let to_text_with_schedule (g : Graph.t) ~(schedule : int list) : string =
-  Printf.sprintf "# schedule: %s\n%s"
-    (String.concat " " (List.map string_of_int schedule))
-    (to_text g)
 
 (** Summary statistics block, for reports. *)
 let summary (g : Graph.t) : string =

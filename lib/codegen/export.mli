@@ -1,6 +1,6 @@
 (** Graph exporters: Graphviz dot and a stable line-based text program
-    format (round-trip parsable by {!Parser}).  Chrome traces of
-    simulated executions come from {!Magis_obs.Timeline.chrome}. *)
+    format.  Chrome traces of simulated executions come from
+    {!Magis_obs.Timeline.chrome}. *)
 
 open Magis_ir
 module Int_set = Util.Int_set
@@ -11,8 +11,6 @@ val to_dot : ?highlight:Int_set.t -> ?name:string -> Graph.t -> string
 (** One line per node in topological order:
     [%<id> = <op> <dtype>[dims] (<inputs>) "label"]. *)
 val to_text : Graph.t -> string
-
-val to_text_with_schedule : Graph.t -> schedule:int list -> string
 
 (** Node counts by operator, for reports. *)
 val summary : Graph.t -> string

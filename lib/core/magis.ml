@@ -97,7 +97,6 @@ module Microbatch = Magis_baselines.Microbatch
 (* code generation and export *)
 module Pytorch_codegen = Magis_codegen.Pytorch
 module Export = Magis_codegen.Export
-module Program_parser = Magis_codegen.Parser
 
 (* frontier service: dominance-pruned Pareto sets, cached on disk *)
 module Frontier = Magis_frontier.Frontier

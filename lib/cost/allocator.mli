@@ -26,7 +26,6 @@ type t = {
 (** Planned arena relative to the live peak (1.0 = no waste). *)
 val fragmentation : t -> float
 
-val conflicts : placement -> placement -> bool
 val plan : ?strategy:strategy -> Lifetime.t -> t
 
 (** All conflicting placement pairs (overlapping lifetimes {e and}

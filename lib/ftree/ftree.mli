@@ -35,7 +35,6 @@ val n_at : t -> int -> int
 val is_enabled : t -> int -> bool
 val enabled_indices : t -> int list
 val has_enabled_ancestor : t -> int -> bool
-val has_enabled_descendant : t -> int -> bool
 val set_n : t -> int -> int -> t
 
 (** Union of enabled member sets: regions that structural rules must not

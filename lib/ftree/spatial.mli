@@ -15,10 +15,6 @@ type t = {
   n : int;  (** number of parts *)
 }
 
-(** Halo contributed by one operator, or [None] when it cannot join a
-    spatial chain. *)
-val halo_of : Graph.t -> int -> int option
-
 (** Accumulated halo of the chain. *)
 val chain_halo : Graph.t -> int list -> int option
 

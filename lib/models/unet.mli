@@ -5,17 +5,8 @@
 
 open Magis_ir
 
-val conv_block :
-  ?convs:int -> Builder.t -> int -> in_ch:int -> out_ch:int ->
-  dtype:Shape.dtype -> int
-
 (** 2x transposed-convolution upsampling. *)
 val up : Builder.t -> int -> in_ch:int -> out_ch:int -> dtype:Shape.dtype -> int
-
-(** Forward U-Net inside an existing builder; returns the logits node. *)
-val forward_unet :
-  ?dtype:Shape.dtype -> ?classes:int -> batch:int -> image:int -> base:int ->
-  depth:int -> Builder.t -> int
 
 (** U-Net training graph. *)
 val build_unet :

@@ -249,6 +249,8 @@ let unaccounted (st : stats) =
 
 let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b
 
+(** Fraction of evaluations served by the simulation cache (0 when none
+    ran). *)
 let sim_hit_rate (st : stats) =
   ratio st.n_sim_hit (st.n_sim_hit + st.n_sim_miss)
 

@@ -262,17 +262,11 @@ val ladder_sched_states : level:int -> int -> int
     frontiers ({!Magis_frontier.Frontier_build.key}). *)
 val trajectory_fingerprint : config -> mode -> hw:int64 -> Graph.t -> int64
 
-(** Fraction of evaluations served by the simulation cache (0 when none
-    ran). *)
-val sim_hit_rate : stats -> float
-
-(** Fraction of scheduled nodes the incremental rescheduler actually
-    re-placed (0 when nothing was scheduled). *)
-val resched_frac : stats -> float
-
 (** The table as a flat JSON object — every counter under its name,
     every stage as [t_<stage>] seconds, then [wall], [unaccounted]
-    (see {!unaccounted}), [sim_hit_rate], [resched_frac] and the
+    (see {!unaccounted}), [sim_hit_rate] (the fraction of evaluations
+    served by the simulation cache), [resched_frac] (the fraction of
+    scheduled nodes the incremental rescheduler re-placed) and the
     [degrade_steps] array.  The payload of
     [magis_cli optimize --stats-json]. *)
 val stats_json : stats -> Magis_obs.Json.t

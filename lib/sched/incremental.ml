@@ -84,7 +84,7 @@ let marked mark p =
    and a window node to [placed] once the middle places it. *)
 let fresh = '\001' and in_prefix = '\002' and in_suffix = '\003' and placed = '\004'
 
-let splice ?(max_states = 20_000) ~(parent : parent) ~(new_index : Graph_index.t)
+let splice ~max_states ~(parent : parent) ~(new_index : Graph_index.t)
     ~(mutated_old : Int_set.t) ~size_of () =
   let mark =
     Bytes.init (Graph_index.bound new_index) (fun v ->
@@ -156,7 +156,7 @@ let splice ?(max_states = 20_000) ~(parent : parent) ~(new_index : Graph_index.t
         { interval = (beg, end_); rescheduled = Array.length window; fallback = false },
         ok )
 
-let reschedule ?(max_states = 20_000) ~(parent : parent)
+let reschedule ~max_states ~(parent : parent)
     ~(new_index : Graph_index.t) ~(mutated_old : Int_set.t) ~size_of () :
     int list * stats =
   (* [attempted] preserves the window the splice tried before failing, so

@@ -60,7 +60,7 @@ val parent : ?position:int array -> Graph_index.t -> int list -> parent
     {!Graph_index.is_valid_order} on [order].  [None] when no node of
     [mutated_old] is on the parent's schedule. *)
 val splice :
-  ?max_states:int ->
+  max_states:int ->
   parent:parent ->
   new_index:Graph_index.t ->
   mutated_old:Int_set.t ->
@@ -74,7 +74,7 @@ val splice :
     rewritten graph's index: its node array marks the nodes to place
     and its topological order drives the partition. *)
 val reschedule :
-  ?max_states:int ->
+  max_states:int ->
   parent:parent ->
   new_index:Graph_index.t ->
   mutated_old:Int_set.t ->

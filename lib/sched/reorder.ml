@@ -346,7 +346,7 @@ let dp_block ~max_states g (members : int array) lo hi : bool =
 (** Memory-optimal order of [members], or [None] if the search pops
     more than [max_states] states: one block of a table read from a
     fresh index of [g]. *)
-let dp_schedule ?(max_states = 20_000) ~size_of (g : Graph.t)
+let dp_schedule ~max_states ~size_of (g : Graph.t)
     (members : Int_set.t) : int list option =
   if Int_set.is_empty members then Some []
   else
@@ -364,7 +364,7 @@ let dp_schedule ?(max_states = 20_000) ~size_of (g : Graph.t)
     dependency order.  The members are read into one table; the blocks
     are a block number per member, and one scratch serves the DP and the
     greedy of every block. *)
-let schedule_members ?(max_states = 20_000) ~size_of (ix : Graph_index.t)
+let schedule_members ~max_states ~size_of (ix : Graph_index.t)
     (ids : int array) : int list =
   let ms = Members.of_index ix ids in
   let b = Partition.blocks ms in
@@ -378,7 +378,7 @@ let schedule_members ?(max_states = 20_000) ~size_of (ix : Graph_index.t)
 
 (** Schedule the whole graph, sized by its node records
     ({!Magis_cost.Lifetime.node_size}) unless [size_of] is given. *)
-let schedule ?(max_states = 20_000) ?size_of (g : Graph.t) : int list =
+let schedule ~max_states ?size_of (g : Graph.t) : int list =
   let ix = Graph_index.of_graph g in
   let size_of =
     match size_of with

@@ -17,7 +17,7 @@ val greedy_schedule : size_of:(int -> int) -> Graph.t -> Int_set.t -> int list
     states are popped: the members as one block of a table read from a
     fresh index of the graph, executed sets as bitsets over them. *)
 val dp_schedule :
-  ?max_states:int -> size_of:(int -> int) -> Graph.t -> Int_set.t ->
+  max_states:int -> size_of:(int -> int) -> Graph.t -> Int_set.t ->
   int list option
 
 (** Narrow-waist partition along the index's {!Graph_index.order},
@@ -25,10 +25,10 @@ val dp_schedule :
     DP), both on the one member table, concatenated: a schedule of the
     members, increasing node ids of the indexed graph. *)
 val schedule_members :
-  ?max_states:int -> size_of:(int -> int) -> Graph_index.t -> int array ->
+  max_states:int -> size_of:(int -> int) -> Graph_index.t -> int array ->
   int list
 
 (** Schedule the whole graph, on a fresh index of it; [size_of]
     defaults to {!Magis_cost.Lifetime.node_size} of the index's node
     records. *)
-val schedule : ?max_states:int -> ?size_of:(int -> int) -> Graph.t -> int list
+val schedule : max_states:int -> ?size_of:(int -> int) -> Graph.t -> int list

@@ -292,6 +292,22 @@ if [ -n "$hits" ]; then
   echo "$hits"
 fi
 
+# 24. no library module is an island: every lib/*/*.mli module is named,
+# by its own name or by its alias in the lib/core/magis.ml facade, in an
+# .ml outside test/ and outside its own file (the facade does not count),
+# so a module that only its tests read is deleted rather than kept.
+readers=$(git ls-files -- '*.ml' | grep -vE '^(test/|lib/core/magis\.ml$)')
+for mli in lib/*/*.mli; do
+  base=$(basename "$mli" .mli)
+  name=${base^}
+  aliases=$(grep -oP "^module \K\w+(?= = Magis_\w+\.$name\s*$)" lib/core/magis.ml)
+  alts=$(echo "$name" $aliases | tr ' ' '\n' | sort -u | paste -sd'|')
+  if ! echo "$readers" | grep -vxF "${mli%.mli}.ml" |
+    xargs grep -qP "(\b($alts)\.[\w(]|\b(open|include)!? +(\w+\.)*($alts)\b|^ *module +\w+ *= *(\w+\.)*($alts) *$)" 2>/dev/null; then
+    fail "$mli: module named by no .ml outside test/ and the facade (delete it, or give it a reader)"
+  fi
+done
+
 if [ "$status" -eq 0 ]; then
   echo "style: clean ($(echo "$files" | wc -w) files)"
 fi

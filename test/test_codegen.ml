@@ -148,10 +148,36 @@ let test_dot_export () =
 
 let test_text_export_deterministic () =
   let g = mlp_training ~batch:2 ~hidden:4 () in
-  Alcotest.(check string) "stable" (Export.to_text g) (Export.to_text g);
-  let t = Export.to_text_with_schedule g ~schedule:(Graph.topo_order g) in
-  Alcotest.(check bool) "has schedule header" true
-    (contains t "# schedule:")
+  Alcotest.(check string) "stable" (Export.to_text g) (Export.to_text g)
+
+(* the text dump of every Quick model: one line per node, naming each
+   node once, with its operator and dtype/shape *)
+let test_text_export_covers_nodes () =
+  List.iter
+    (fun (w : Zoo.workload) ->
+      let g = w.build Zoo.Quick in
+      let lines =
+        String.split_on_char '\n' (Export.to_text g)
+        |> List.filter (fun l -> l <> "")
+      in
+      Alcotest.(check int) (w.name ^ ": one line per node") (Graph.n_nodes g)
+        (List.length lines);
+      let ids = List.map (fun l -> Scanf.sscanf l "%%%d = " Fun.id) lines in
+      Alcotest.(check (list int)) (w.name ^ ": ids are the node ids")
+        (List.sort compare (Graph.node_ids g))
+        (List.sort compare ids);
+      List.iter2
+        (fun id l ->
+          let n = Graph.node g id in
+          let prefix =
+            Printf.sprintf "%%%d = %s %s (" id (Op.name n.op)
+              (Shape.to_string n.shape)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %S starts with %S" w.name l prefix)
+            true (String.starts_with ~prefix l))
+        ids lines)
+    Zoo.all
 
 let test_summary () =
   let g = mlp_training ~batch:2 ~hidden:4 () in
@@ -172,5 +198,7 @@ let suite =
       test_emit_expanded_states_emitted_peak;
     tc "dot export" test_dot_export;
     tc "text export deterministic" test_text_export_deterministic;
+    tc "text export names every node of every Quick model"
+      test_text_export_covers_nodes;
     tc "summary" test_summary;
   ]

@@ -251,32 +251,6 @@ let test_interp_conv_identity_kernel () =
   Alcotest.(check (float 1e-9)) "identity conv" 0.0
     (Interp.max_diff (Hashtbl.find vals x) (Hashtbl.find vals c))
 
-let test_parser_roundtrip_numeric () =
-  (* a parsed-back program computes the same values (ids are remapped, so
-     the environment maps through id_map) *)
-  let g = mlp_training ~batch:4 ~hidden:8 () in
-  let text = Export.to_text g in
-  match Program_parser.parse text with
-  | Error e -> Alcotest.failf "parse: %s" e
-  | Ok prog ->
-      let env = env_of g in
-      let inverse = Hashtbl.create 16 in
-      Hashtbl.iter (fun old new_ -> Hashtbl.replace inverse new_ old) prog.id_map;
-      let env' v = env (Hashtbl.find inverse v) in
-      let vals = Interp.run g ~env in
-      let vals' = Interp.run prog.graph ~env:env' in
-      List.iter
-        (fun old_out ->
-          let new_out = Hashtbl.find prog.id_map old_out in
-          let d =
-            Interp.max_diff (Hashtbl.find vals old_out)
-              (Hashtbl.find vals' new_out)
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "output %d (diff %.2e)" old_out d)
-            true (d < tolerance))
-        (Graph.outputs g)
-
 let test_expansion_then_rules_numeric () =
   (* transformations compose: fission expansion followed by a swap rewrite
      still computes the original values *)
@@ -349,7 +323,6 @@ let prop_spatial_random_configs =
 let suite =
   [
     prop_spatial_random_configs;
-    tc "parser round-trip computes identically" test_parser_roundtrip_numeric;
     tc "expansion + swap compose" test_expansion_then_rules_numeric;
     tc "fission expansion (Fig. 5) matches numerically" test_fission_expansion_numeric;
     tc "attention batch fission matches" test_fission_attention_numeric;

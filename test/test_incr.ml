@@ -15,7 +15,7 @@ let test_fallback_reports_window () =
   (* no old schedule: the fallback must still report a usable window
      covering the whole new order, not a discarded interval *)
   let order, st =
-    Incremental.reschedule ~parent:(Incremental.parent (Graph_index.of_graph g) []) ~new_index:(Graph_index.of_graph g)
+    Incremental.reschedule ~max_states:20_000 ~parent:(Incremental.parent (Graph_index.of_graph g) []) ~new_index:(Graph_index.of_graph g)
       ~mutated_old:(int_set [ 0 ]) ~size_of ()
   in
   Alcotest.(check bool) "fallback flagged" true st.Incremental.fallback;
@@ -26,9 +26,9 @@ let test_fallback_reports_window () =
     st.Incremental.rescheduled;
   schedule_clean ~what:"fallback schedule" g order;
   (* a clean splice reports a proper sub-window and no fallback *)
-  let base = Reorder.schedule ~size_of g in
+  let base = Reorder.schedule ~max_states:20_000 ~size_of g in
   let order2, st2 =
-    Incremental.reschedule ~parent:(Incremental.parent (Graph_index.of_graph g) base) ~new_index:(Graph_index.of_graph g)
+    Incremental.reschedule ~max_states:20_000 ~parent:(Incremental.parent (Graph_index.of_graph g) base) ~new_index:(Graph_index.of_graph g)
       ~mutated_old:(int_set [ List.nth base 1 ]) ~size_of ()
   in
   Alcotest.(check bool) "no fallback on a clean splice" false

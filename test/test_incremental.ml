@@ -35,7 +35,7 @@ let test_incremental_valid () =
   | Some rw ->
       let size_of v = Lifetime.default_size rw.graph v in
       let order, stats =
-        Incremental.reschedule ~parent:(Incremental.parent (Graph_index.of_graph g) schedule)
+        Incremental.reschedule ~max_states:20_000 ~parent:(Incremental.parent (Graph_index.of_graph g) schedule)
           ~new_index:(Graph_index.of_graph rw.graph) ~mutated_old:rw.touched_old ~size_of ()
       in
       valid_order_of rw.graph order;
@@ -92,7 +92,7 @@ let test_full_fallback_on_empty_positions () =
   let schedule = Graph.topo_order g in
   let size_of v = Lifetime.default_size g v in
   let order, _ =
-    Incremental.reschedule ~parent:(Incremental.parent (Graph_index.of_graph g) schedule)
+    Incremental.reschedule ~max_states:20_000 ~parent:(Incremental.parent (Graph_index.of_graph g) schedule)
       ~new_index:(Graph_index.of_graph g) ~mutated_old:(Int_set.singleton (-42)) ~size_of ()
   in
   valid_order_of g order
@@ -113,7 +113,7 @@ let test_sequential_rewrites_stay_valid () =
     | Some rw ->
         let size_of v = Lifetime.default_size rw.graph v in
         let order, _ =
-          Incremental.reschedule ~parent:(Incremental.parent (Graph_index.of_graph !g) !schedule)
+          Incremental.reschedule ~max_states:20_000 ~parent:(Incremental.parent (Graph_index.of_graph !g) !schedule)
             ~new_index:(Graph_index.of_graph rw.graph) ~mutated_old:rw.touched_old ~size_of ()
         in
         Alcotest.(check bool)

@@ -41,7 +41,6 @@ let () =
       ("obs", Test_obs.suite);
       ("properties", Test_props.suite);
       ("codegen", Test_codegen.suite);
-      ("parser", Test_parser.suite);
       ("allocator", Test_allocator.suite);
       ("equivalence", Test_equivalence.suite);
       ("integration", Test_integration.suite);

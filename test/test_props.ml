@@ -179,7 +179,7 @@ let incremental_schedule_valid =
               let g' = Graph.replace_input g' ~node_id:c ~old_src:v ~new_src:load in
               let size_of u = Lifetime.default_size g' u in
               let order, _ =
-                Incremental.reschedule
+                Incremental.reschedule ~max_states:20_000
                   ~parent:(Incremental.parent (Graph_index.of_graph g) schedule) ~new_index:(Graph_index.of_graph g')
                   ~mutated_old:(Int_set.of_list [ v; c ])
                   ~size_of ()
