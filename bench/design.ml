@@ -53,7 +53,7 @@ let run (env : Common.env) =
     (fun wname ->
       let w = Zoo.find wname in
       let g = Common.workload_graph env w in
-      let order = Graph.program_order g in
+      let order = Graph.topo_order g in
       let report strategy label =
         let p = Allocator.plan_schedule ~strategy g order in
         Printf.printf "  %-10s arena %8.1f MB (%.2fx of live peak)\n" label

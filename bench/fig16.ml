@@ -10,7 +10,7 @@ let timeline env g (s : Mstate.t option) ~label =
   let schedule, size_of, cost_of =
     match s with
     | None ->
-        ( Graph.program_order g,
+        ( Graph.topo_order g,
           (fun v -> Lifetime.default_size g v),
           fun v -> Op_cost.node_cost cost g v )
     | Some s ->

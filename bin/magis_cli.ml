@@ -4,11 +4,10 @@
     - [magis_cli inspect WORKLOAD] — graph statistics, D-Graph dimensions
       and F-Tree candidates;
     - [magis_cli optimize WORKLOAD (--max-overhead P | --mem-ratio R)] —
-      run the optimizer and print the resulting plan
-      ([--stats-json]/[--trace]/[--metrics] export the run's telemetry);
-    - [magis_cli profile WORKLOAD -o DIR] — optimize with tracing,
-      metrics and per-iteration telemetry enabled; writes trace.json,
-      metrics.json, memtl.csv and search.jsonl;
+      run the optimizer and print the resulting plan ([--stats-json FILE]
+      writes its accounting table; [--profile DIR] traces the same run
+      and writes stats.json, search.jsonl, trace.json, metrics.json and
+      memtl.csv);
     - [magis_cli verify WORKLOAD] — run the IR verifier and schedule
       legality checker on a workload graph;
     - [magis_cli analyze [WORKLOAD]] — schedule-independent liveness and
@@ -24,9 +23,10 @@
     - [magis_cli chaos --seed N] — fault-injection self test: a seeded
       search must survive every fault class (CI's chaos-smoke job).
 
-    [optimize] exit codes: 3 = interrupted by SIGINT/SIGTERM after
-    writing its checkpoint (rerun with [--resume]); 4 = the checkpoint
-    file is incompatible with the requested run. *)
+    [optimize] exit codes: 1 = a [--profile] cross-check failed; 3 =
+    interrupted by SIGINT/SIGTERM after writing its checkpoint (rerun
+    with [--resume]); 4 = the checkpoint file is incompatible with the
+    requested run. *)
 
 open Magis
 
@@ -47,7 +47,7 @@ let cmd_list () =
 let cmd_inspect name full =
   let w, g = load name full in
   let cost = Op_cost.create Hardware.default in
-  let base = Simulator.run cost g (Graph.program_order g) in
+  let base = Simulator.run cost g (Graph.topo_order g) in
   Printf.printf "%s (batch %d, %s)\n" w.name w.batch w.config;
   Printf.printf "  operators:   %d\n" (Graph.n_nodes g);
   Printf.printf "  weights:     %.1f MB\n" (mb (Graph.weight_bytes g));
@@ -79,13 +79,76 @@ let write_file path contents =
   Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
       output_string oc contents)
 
+(* [optimize --profile DIR]: replay the best schedule with event
+   capture, under the same F-Tree accounting hooks the search evaluated
+   it with, stop tracing and metrics, and write the run's artifacts
+   beside the search.jsonl [sink] the search wrote: stats.json (the
+   [--stats-json] table), trace.json (schedule lanes on the
+   compute/copy streams plus the wall-clock spans), metrics.json and
+   memtl.csv (memory over schedule steps with the Membound lower/upper
+   bound columns).  False when the timeline's peak disagrees with the
+   simulator's or the optimized memory plan fails the allocator
+   interference check. *)
+let write_profile cost (result : Search.result) sink =
+  let best = result.best in
+  let acc = Ftree.accounting cost (Graph_index.of_graph best.graph) best.ftree in
+  let sim, events =
+    Simulator.run_events ~size_of:acc.size_of ~cost_of:acc.cost_of cost
+      best.graph best.schedule
+  in
+  Trace.disable ();
+  Metrics.set_enabled false;
+  let spans =
+    List.map
+      (fun (e : Simulator.event) ->
+        let n = Graph.node best.graph e.ev_node in
+        { Timeline.name = Printf.sprintf "%s#%d" (Op.name n.op) e.ev_node;
+          lane = (if e.ev_copy then Timeline.Copy else Timeline.Compute);
+          t_start = e.ev_start;
+          t_dur = e.ev_finish -. e.ev_start;
+          bytes = Shape.size_bytes n.shape })
+      events
+  in
+  let dir = Filename.dirname (Profile.path sink) in
+  let out file = Filename.concat dir file in
+  write_file (out "stats.json") (Json.to_string (Search.stats_json result.stats));
+  write_file (out "trace.json")
+    (Timeline.chrome ~extra:(Trace.chrome_events ()) spans);
+  let tl = Lifetime.timeline sim.analysis in
+  let bound = Membound.compute ~size_of:acc.size_of best.graph in
+  write_file (out "memtl.csv")
+    (Timeline.memory_csv ~lower:bound.lower ~upper:bound.ub_total tl);
+  write_file (out "metrics.json") (Metrics.to_json ());
+  Printf.printf "  profile written to %s:\n" dir;
+  Printf.printf "    trace.json: %d schedule event(s), %d trace event(s)%s\n"
+    (List.length spans)
+    (List.length (Trace.events ()))
+    (let d = Trace.dropped () in
+     if d > 0 then Printf.sprintf " (%d dropped)" d else "");
+  Printf.printf "    memtl.csv: %d step(s), peak %.1f MB\n" (Array.length tl)
+    (mb (Timeline.memory_max tl));
+  Printf.printf "    search.jsonl: %d record(s); stats.json, metrics.json\n"
+    (Profile.count sink);
+  let peak_ok = Timeline.memory_max tl = sim.peak_mem in
+  if not peak_ok then
+    Printf.eprintf
+      "magis: memory timeline peak %d disagrees with simulator peak %d\n"
+      (Timeline.memory_max tl) sim.peak_mem;
+  let itf = Interfere.check ~size_of:acc.size_of best.graph best.schedule in
+  Fmt.pr "  interference: @[<v>%a@]@." Interfere.pp_report itf;
+  peak_ok && Interfere.is_clean itf
+
+(** Optimize a workload and print the plan and the Fig. 15 table.
+    [--stats-json FILE] writes that table, untraced; [--checkpoint]
+    makes SIGINT/SIGTERM stop the search at its next pop and saves the
+    end state; [--profile DIR] also turns on tracing, metrics and the
+    per-iteration telemetry sink for the same run and writes every
+    artifact ({!write_profile}), exiting 1 when a cross-check fails. *)
 let cmd_optimize name full overhead mem_ratio budget iters ckpt resume
-    ckpt_every stats_json_path trace_path metrics_path =
+    ckpt_every stats_json_path profile_dir =
   let w, g = load name full in
   let cost = Op_cost.create Hardware.default in
-  if trace_path <> None then Trace.enable ();
-  if metrics_path <> None then Metrics.set_enabled true;
-  let base = Simulator.run cost g (Graph.program_order g) in
+  let base = Simulator.run cost g (Graph.topo_order g) in
   if resume && ckpt = None then begin
     prerr_endline "magis: --resume requires --checkpoint FILE";
     exit 2
@@ -109,12 +172,25 @@ let cmd_optimize name full overhead mem_ratio budget iters ckpt resume
         fun ~iteration:_ ~best:_ ->
           if Atomic.get signal = 0 then `Continue else `Stop
   in
+  (* tracing and metrics start after the baseline simulation, so they
+     hold the search and the replay of its best state only *)
+  let sink =
+    Option.map
+      (fun dir ->
+        if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+        Trace.enable ();
+        Metrics.set_enabled true;
+        Profile.create (Filename.concat dir "search.jsonl"))
+      profile_dir
+  in
   let config =
     { Search.default_config with time_budget = budget;
-      max_iterations = iters; checkpoint; poll }
+      max_iterations = iters; checkpoint; poll; profile = sink }
   in
   let result =
     try
+      Fun.protect ~finally:(fun () -> Option.iter Profile.close sink)
+      @@ fun () ->
       match (overhead, mem_ratio) with
       | Some o, _ -> Search.optimize_memory ~config cost ~overhead:o g
       | None, Some r -> Search.optimize_latency ~config cost ~mem_ratio:r g
@@ -156,110 +232,19 @@ let cmd_optimize name full overhead mem_ratio budget iters ckpt resume
   | Some path ->
       write_file path (Json.to_string (Search.stats_json result.stats));
       Printf.printf "  stats written to %s\n" path);
-  (match trace_path with
-  | None -> ()
-  | Some path ->
-      Trace.disable ();
-      write_file path (Trace.to_chrome ());
-      Printf.printf "  trace written to %s\n" path);
-  (match metrics_path with
-  | None -> ()
-  | Some path ->
-      Metrics.set_enabled false;
-      write_file path (Metrics.to_json ());
-      Printf.printf "  metrics written to %s\n" path);
+  let profile_ok =
+    match sink with None -> true | Some sink -> write_profile cost result sink
+  in
   if result.stats.n_checkpoints > 0 then
     Printf.printf "  checkpoints: %d written to %s\n"
       result.stats.n_checkpoints
       (match ckpt with Some p -> p | None -> "?");
+  if not profile_ok then exit 1;
   if result.interrupted then begin
     Printf.printf "  interrupted by %s; state saved, rerun with --resume\n"
       (if Atomic.get signal = Sys.sigint then "SIGINT" else "SIGTERM");
     exit exit_interrupted
   end
-
-(** Profile a full optimization run: tracing and metrics enabled, a
-    per-iteration telemetry sink wired into the search, and the best
-    schedule replayed with event capture.  Writes four artifacts into
-    the output directory: trace.json (Chrome trace: schedule lanes on
-    the compute/copy streams plus the wall-clock span view),
-    metrics.json, memtl.csv (memory over schedule steps with the
-    Membound lower/upper bound columns) and search.jsonl (one record
-    per search iteration).  Exits non-zero when the exported memory
-    timeline's peak disagrees with the simulator's. *)
-let cmd_profile name full overhead mem_ratio budget iters outdir =
-  let w, g = load name full in
-  let cost = Op_cost.create Hardware.default in
-  if not (Sys.file_exists outdir) then Unix.mkdir outdir 0o755;
-  Trace.enable ();
-  Metrics.set_enabled true;
-  let sink = Profile.create (Filename.concat outdir "search.jsonl") in
-  let config =
-    { Search.default_config with time_budget = budget;
-      max_iterations = iters; profile = Some sink }
-  in
-  let result =
-    Fun.protect ~finally:(fun () -> Profile.close sink) (fun () ->
-        match (overhead, mem_ratio) with
-        | Some o, _ -> Search.optimize_memory ~config cost ~overhead:o g
-        | None, Some r -> Search.optimize_latency ~config cost ~mem_ratio:r g
-        | None, None -> Search.optimize_memory ~config cost ~overhead:0.10 g)
-  in
-  let best = result.best in
-  (* replay the best schedule with event capture, under the same F-Tree
-     accounting hooks the search evaluated it with *)
-  let acc = Ftree.accounting cost (Graph_index.of_graph best.graph) best.ftree in
-  let sim, events =
-    Simulator.run_events ~size_of:acc.size_of ~cost_of:acc.cost_of cost
-      best.graph best.schedule
-  in
-  Trace.disable ();
-  Metrics.set_enabled false;
-  let spans =
-    List.map
-      (fun (e : Simulator.event) ->
-        let n = Graph.node best.graph e.ev_node in
-        { Timeline.name = Printf.sprintf "%s#%d" (Op.name n.op) e.ev_node;
-          lane = (if e.ev_copy then Timeline.Copy else Timeline.Compute);
-          t_start = e.ev_start;
-          t_dur = e.ev_finish -. e.ev_start;
-          bytes = Shape.size_bytes n.shape })
-      events
-  in
-  let out file = Filename.concat outdir file in
-  write_file (out "trace.json")
-    (Timeline.chrome ~extra:(Trace.chrome_events ()) spans);
-  let tl = Lifetime.timeline sim.analysis in
-  let bound = Membound.compute ~size_of:acc.size_of best.graph in
-  write_file (out "memtl.csv")
-    (Timeline.memory_csv ~lower:bound.lower ~upper:bound.ub_total tl);
-  write_file (out "metrics.json") (Metrics.to_json ());
-  Printf.printf "%s: %d iteration(s) profiled; best %.1f MB / %.2f ms\n" w.name
-    result.stats.iterations (mb best.peak_mem) (ms best.latency);
-  Printf.printf "  %s: %d schedule event(s), %d trace event(s)%s\n"
-    (out "trace.json") (List.length spans)
-    (List.length (Trace.events ()))
-    (let d = Trace.dropped () in
-     if d > 0 then Printf.sprintf " (%d dropped)" d else "");
-  Printf.printf "  %s: %d step(s), peak %.1f MB\n" (out "memtl.csv")
-    (Array.length tl)
-    (mb (Timeline.memory_max tl));
-  Printf.printf "  %s: %d record(s)\n" (out "search.jsonl") (Profile.count sink);
-  Printf.printf "  %s\n" (out "metrics.json");
-  (* cross-check the exported artifacts against the simulator *)
-  if Timeline.memory_max tl <> sim.peak_mem then begin
-    Printf.eprintf
-      "magis: memory timeline peak %d disagrees with simulator peak %d\n"
-      (Timeline.memory_max tl) sim.peak_mem;
-    exit 1
-  end;
-  (* and replay the optimized schedule's memory plan through the
-     allocator interference checker *)
-  let itf =
-    Interfere.check ~size_of:acc.Ftree.size_of best.graph best.schedule
-  in
-  Fmt.pr "  interference: @[<v>%a@]@." Interfere.pp_report itf;
-  if not (Interfere.is_clean itf) then exit 1
 
 (** Chaos harness: a seeded Randnet search is run fault-free, then once
     per (site, fault kind) with a transient fault planted at a
@@ -406,7 +391,7 @@ let cmd_codegen name full budget output =
   let config = { Search.default_config with time_budget = budget } in
   let result = Search.optimize_memory ~config cost ~overhead:0.10 g in
   let best = result.best in
-  let base = (Simulator.run cost g (Graph.program_order g)).latency in
+  let base = (Simulator.run cost g (Graph.topo_order g)).latency in
   let code, _ =
     Pytorch_codegen.emit_expanded cost
       ~title:
@@ -429,7 +414,7 @@ let cmd_codegen name full budget output =
     concrete schedules (program order and the memory-greedy reorder).
     Returns the bound-invariant diagnostics. *)
 let analyze_one cost name g =
-  let base = Simulator.run cost g (Graph.program_order g) in
+  let base = Simulator.run cost g (Graph.topo_order g) in
   let lv = Liveness.compute g in
   let b = Membound.of_liveness lv in
   let greedy_order = Reorder.schedule ~max_states:0 g in
@@ -491,7 +476,7 @@ let diags_json diags =
 
 let cmd_verify name full json =
   let w, g = load name full in
-  let order = Graph.program_order g in
+  let order = Graph.topo_order g in
   let diags = Verify.graph g @ Sched_check.schedule g order in
   if json then
     print_endline
@@ -594,7 +579,7 @@ let exit_unbacked_waiver = 2
 let interfere_probe name budget =
   let w = Zoo.find name in
   let g = w.build Zoo.Quick in
-  let base = Interfere.check g (Graph.program_order g) in
+  let base = Interfere.check g (Graph.topo_order g) in
   let cost = Op_cost.create Hardware.default in
   let config = { Search.default_config with time_budget = budget } in
   let result = Search.optimize_memory ~config cost ~overhead:0.10 g in
@@ -814,52 +799,20 @@ let optimize_cmd =
                    counters, wall time and the unaccounted remainder) as \
                    JSON to this file.")
   in
-  let trace =
+  let profile =
     Arg.(value & opt (some string) None
-         & info [ "trace" ]
-             ~doc:"Enable tracing and write a Chrome trace-event file here.")
-  in
-  let metrics =
-    Arg.(value & opt (some string) None
-         & info [ "metrics" ]
-             ~doc:"Enable metrics and write the registry snapshot (JSON) here.")
+         & info [ "profile" ] ~docv:"DIR"
+             ~doc:"Also trace the run, record its metrics and one telemetry \
+                   record per iteration, and write stats.json, \
+                   search.jsonl, trace.json (schedule lanes and wall-clock \
+                   spans), metrics.json and memtl.csv into this directory \
+                   (created when missing); exit 1 when the timeline's peak \
+                   disagrees with the simulator's or the allocator \
+                   interference check fails.")
   in
   Cmd.v (Cmd.info "optimize" ~doc:"Optimize a workload")
     Term.(const cmd_optimize $ workload $ full $ overhead $ mem_ratio $ budget
-          $ iters $ checkpoint $ resume $ ckpt_every $ stats_json
-          $ trace $ metrics)
-
-let profile_cmd =
-  let overhead =
-    Arg.(value & opt (some float) None
-         & info [ "max-overhead" ] ~doc:"Minimize memory; allow this latency overhead (e.g. 0.10).")
-  in
-  let mem_ratio =
-    Arg.(value & opt (some float) None
-         & info [ "mem-ratio" ] ~doc:"Minimize latency; cap memory at this ratio of the unoptimized peak.")
-  in
-  let budget =
-    Arg.(value & opt float 10.0 & info [ "budget" ] ~doc:"Search seconds.")
-  in
-  let iters =
-    Arg.(value & opt int max_int
-         & info [ "iters" ] ~doc:"Maximum search iterations.")
-  in
-  let outdir =
-    Arg.(value & opt string "magis-profile"
-         & info [ "o"; "output" ]
-             ~doc:"Directory for trace.json, metrics.json, memtl.csv and \
-                   search.jsonl (created when missing).")
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Optimize a workload with tracing, metrics and per-iteration \
-          telemetry enabled; write the Chrome trace (schedule lanes + \
-          wall-clock spans), metrics snapshot, memory timeline and search \
-          JSONL into a directory")
-    Term.(const cmd_profile $ workload $ full $ overhead $ mem_ratio $ budget
-          $ iters $ outdir)
+          $ iters $ checkpoint $ resume $ ckpt_every $ stats_json $ profile)
 
 let chaos_cmd =
   let seed =
@@ -1011,6 +964,6 @@ let () =
     (Cmd.eval
        (Cmd.group
           (Cmd.info "magis" ~doc:"MAGIS memory optimizer for DNN graphs")
-          [ list_cmd; inspect_cmd; optimize_cmd; profile_cmd; codegen_cmd;
+          [ list_cmd; inspect_cmd; optimize_cmd; codegen_cmd;
             export_cmd; verify_cmd; analyze_cmd; lint_rules_cmd;
             check_rules_cmd; frontier_cmd; chaos_cmd ]))

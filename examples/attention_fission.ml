@@ -35,7 +35,7 @@ let () =
     comps;
 
   (* baseline profile *)
-  let order = Graph.program_order g in
+  let order = Graph.topo_order g in
   let base = Simulator.run cost g order in
   Fmt.pr "baseline: peak %.1f MB, latency %.3f ms@."
     (float_of_int base.peak_mem /. 1e6)

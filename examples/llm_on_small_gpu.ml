@@ -16,7 +16,7 @@ let () =
     Transformer.build_lm
       (Transformer.gpt_neo_1_3b ~seq_len:256 ~layers:4 ~vocab:8192 ())
   in
-  let base = Simulator.run cost graph (Graph.program_order graph) in
+  let base = Simulator.run cost graph (Graph.topo_order graph) in
   Fmt.pr "GPT-Neo (4 layers, seq 256): %d ops, weights %.2f GB, peak %.2f GB, step %.0f ms@."
     (Graph.n_nodes graph)
     (gb (Graph.weight_bytes graph))

@@ -32,9 +32,9 @@ let profile cost label graph ftree schedule =
 let () =
   let cost = Op_cost.create Hardware.default in
   let graph = Zoo.unet.build Zoo.Quick in
-  let base = Simulator.run cost graph (Graph.program_order graph) in
+  let base = Simulator.run cost graph (Graph.topo_order graph) in
   Fmt.pr "UNet training, batch 32@.";
-  profile cost "PyTorch " graph Ftree.empty (Graph.program_order graph);
+  profile cost "PyTorch " graph Ftree.empty (Graph.topo_order graph);
   let config = { Search.default_config with time_budget = 6.0 } in
   List.iter
     (fun (label, ratio) ->

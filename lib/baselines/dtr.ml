@@ -22,7 +22,7 @@ let run ?(thrash_factor = 25) (cost : Op_cost.t) (g : Graph.t)
   let order =
     Array.of_list
       (Magis_analysis.Hooks.schedule ~what:"DTR baseline" g
-         (Graph.program_order g))
+         (Graph.topo_order g))
   in
   let n = Array.length order in
   let states = Hashtbl.create n in
@@ -134,7 +134,7 @@ let run ?(thrash_factor = 25) (cost : Op_cost.t) (g : Graph.t)
 
 let min_memory (cost : Op_cost.t) (g : Graph.t) ~(lat_limit : float) :
     Outcome.t =
-  let base = Simulator.run cost g (Graph.program_order g) in
+  let base = Simulator.run cost g (Graph.topo_order g) in
   Outcome.min_memory_under_latency
     ~run:(fun budget -> run cost g ~budget)
     ~lo:(Graph.weight_bytes g) ~hi:base.peak_mem ~lat_limit

@@ -74,7 +74,7 @@ let run aggressiveness (cost : Op_cost.t) (g : Graph.t) : Outcome.t =
   let res =
     Simulator.run ~cost_of cost g
       (Magis_analysis.Hooks.schedule ~what:"fusion-compiler baseline" g
-         (Graph.program_order g))
+         (Graph.topo_order g))
   in
   {
     Outcome.system =

@@ -19,7 +19,7 @@ let run (cost : Op_cost.t) ~(build : int -> Graph.t) ~(batch : int)
      execution order) before handing it to POFO when hooks are on *)
   ignore
     (Magis_analysis.Hooks.schedule ~what:"micro-batch sub-graph" sub
-       (Graph.program_order sub));
+       (Graph.topo_order sub));
   let o = Pofo.run cost sub ~budget in
   let name = Printf.sprintf "POFO(factor=%d)" factor in
   if not o.feasible then Outcome.infeasible name
@@ -33,7 +33,7 @@ let run (cost : Op_cost.t) ~(build : int -> Graph.t) ~(batch : int)
 let min_memory (cost : Op_cost.t) ~build ~batch ~factor
     ~(lat_limit : float) : Outcome.t =
   let sub = build (batch / factor) in
-  let base = Simulator.run cost sub (Graph.program_order sub) in
+  let base = Simulator.run cost sub (Graph.topo_order sub) in
   Outcome.min_memory_under_latency
     ~run:(fun budget -> run cost ~build ~batch ~factor ~budget)
     ~lo:(Graph.weight_bytes sub) ~hi:base.peak_mem ~lat_limit

@@ -9,7 +9,7 @@ open Magis_cost
 let run (cost : Op_cost.t) (g : Graph.t) : Outcome.t =
   let order =
     Magis_analysis.Hooks.schedule ~what:"PyTorch baseline" g
-      (Graph.program_order g)
+      (Graph.topo_order g)
   in
   let res = Simulator.run cost g order in
   {

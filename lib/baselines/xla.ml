@@ -14,7 +14,7 @@ let run (cost : Op_cost.t) (g : Graph.t) ~(budget : int) : Outcome.t =
   let base =
     Simulator.run cost g
       (Magis_analysis.Hooks.schedule ~what:"XLA baseline" g
-         (Graph.program_order g))
+         (Graph.topo_order g))
   in
   if base.peak_mem <= budget then
     { Outcome.system = "XLA"; peak_mem = base.peak_mem;
@@ -62,7 +62,7 @@ let run (cost : Op_cost.t) (g : Graph.t) ~(budget : int) : Outcome.t =
 
 let min_memory (cost : Op_cost.t) (g : Graph.t) ~(lat_limit : float) :
     Outcome.t =
-  let base = Simulator.run cost g (Graph.program_order g) in
+  let base = Simulator.run cost g (Graph.topo_order g) in
   Outcome.min_memory_under_latency
     ~run:(fun budget -> run cost g ~budget)
     ~lo:(Graph.weight_bytes g) ~hi:base.peak_mem ~lat_limit

@@ -11,7 +11,6 @@ type point = {
   peak : int;
   latency : float;
   iteration : int;
-  sched : int list;
 }
 
 type counters = {
@@ -63,15 +62,16 @@ let peak_range t =
   | n -> Some (t.pts.(0).peak, t.pts.(n - 1).peak)
 
 (* Deterministic tie-break on exact (peak, latency) collisions: the
-   earlier iteration wins, then the lexicographically smaller schedule —
-   an order-independent rule, so the resident set ignores insert order. *)
-let insert t ~peak ~latency ~iteration sched =
+   earlier iteration wins, and a candidate equal to a resident point in
+   all three fields is the same point — an order-independent rule, so
+   the resident set ignores insert order. *)
+let insert t ~peak ~latency ~iteration =
   t.harvested <- t.harvested + 1;
   let keep_existing =
     Array.exists
       (fun p ->
         if p.peak = peak && p.latency = latency then
-          (p.iteration, p.sched) <= (iteration, sched)
+          p.iteration <= iteration
         else p.peak <= peak && p.latency <= latency)
       t.pts
   in
@@ -91,7 +91,7 @@ let insert t ~peak ~latency ~iteration sched =
       Array.of_list
         (List.sort
            (fun a b -> compare (a.peak, b.latency) (b.peak, a.latency))
-           ({ peak; latency; iteration; sched } :: survivors));
+           ({ peak; latency; iteration } :: survivors));
     true
   end
 

@@ -1,7 +1,7 @@
 (** Dominance-pruned memory–latency Pareto frontier.
 
     A frontier is the set of non-dominated [(peak bytes, latency)]
-    points a search swept past, each carrying the schedule that achieved
+    points a search swept past, each with the iteration that produced
     it.  Point [a] dominates [b] when [a.peak <= b.peak] and
     [a.latency <= b.latency] (and they differ); the structure keeps only
     non-dominated points, so one search answers every later memory-budget
@@ -19,7 +19,6 @@ type point = {
   peak : int;  (** peak memory, bytes *)
   latency : float;  (** seconds *)
   iteration : int;  (** search iteration that produced the state *)
-  sched : int list;  (** node execution order *)
 }
 
 type counters = {
@@ -53,11 +52,10 @@ val peak_range : t -> (int * int) option
 (** Offer a point.  Returns [true] when it entered the frontier (any
     points it weakly dominates are evicted), [false] when an existing
     point weakly dominates it.  Exact [(peak, latency)] ties keep the
-    point with the smaller [(iteration, sched)] — an order-independent
-    rule, so the resident set depends only on the multiset of points
-    offered, never on their order. *)
-val insert :
-  t -> peak:int -> latency:float -> iteration:int -> int list -> bool
+    point with the smaller [iteration] — an order-independent rule, so
+    the resident set depends only on the multiset of points offered,
+    never on their order. *)
+val insert : t -> peak:int -> latency:float -> iteration:int -> bool
 
 (** Best (lowest-latency) point with [peak <= budget], or [None] when no
     resident point fits.  O(log n). *)

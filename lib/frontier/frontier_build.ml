@@ -8,9 +8,7 @@ module Mstate = Magis_opt.Mstate
 let sweep_mode = Search.Min_memory { lat_limit = infinity }
 
 let harvest_into fr ~iteration (s : Mstate.t) =
-  ignore
-    (Frontier.insert fr ~peak:s.peak_mem ~latency:s.latency ~iteration
-       s.schedule)
+  ignore (Frontier.insert fr ~peak:s.peak_mem ~latency:s.latency ~iteration)
 
 let key ?(config = Search.default_config) mode ~hw graph =
   Magis_ir.Util.hash_combine
@@ -29,9 +27,7 @@ let build ?(config = Search.default_config) cost mode graph =
   (fr, result)
 
 let cacheable (r : Search.result) =
-  not
-    (r.interrupted
-    || List.exists (fun (_, step) -> step = "best-so-far") r.stats.degrade_steps)
+  not (r.interrupted || Search.budget_ended r.stats)
 
 let cached_or_build ?(config = Search.default_config) ~dir cost mode graph =
   let key = key ~config mode ~hw:cost.Op_cost.hw graph in

@@ -42,8 +42,8 @@ val build :
 
 (** May the frontier of this build be saved?  Only when the sweep ran
     to its iteration cap or an empty queue.  A sweep its poll stopped
-    ([interrupted]) or its time budget ended (["best-so-far"] in
-    [degrade_steps]) is answered but never saved: the key holds
+    ([interrupted]) or its time budget ended ({!Search.budget_ended})
+    is answered but never saved: the key holds
     neither the poll nor the budget, so a saved partial sweep would
     answer every later query of the key with a worse frontier, and
     what the cache held would depend on the machine's speed.  The one

@@ -393,12 +393,6 @@ let topo_order g =
   if !placed <> n then invalid_arg "Graph.topo_order: graph has a cycle";
   List.rev !order
 
-(** The unoptimized baseline's execution order: the deterministic Kahn
-    order of {!topo_order} (smallest ready id first).  Builders number
-    nodes as a define-by-run program creates them, so this replays
-    construction order wherever the dependencies allow it. *)
-let program_order g = topo_order g
-
 (* ------------------------------------------------------------------ *)
 (* Printing                                                           *)
 (* ------------------------------------------------------------------ *)

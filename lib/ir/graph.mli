@@ -117,12 +117,11 @@ val components_of : t -> Int_set.t -> Int_set.t list
 val id_bound : t -> int
 
 (** Deterministic Kahn order (smallest ready id first); raises on a
-    cyclic graph. *)
+    cyclic graph.  Builders number nodes as a define-by-run program
+    creates them, so this replays construction order wherever the
+    dependencies allow it: it is the unoptimized baseline's execution
+    order. *)
 val topo_order : t -> int list
-
-(** Execution order of the unoptimized baseline: {!topo_order}, which
-    replays node-creation order wherever the dependencies allow. *)
-val program_order : t -> int list
 
 (** {1 Printing and statistics} *)
 

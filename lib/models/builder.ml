@@ -59,7 +59,6 @@ let softmax b ~axis x = op b (Op.Softmax axis) [ x ]
 let layer_norm b ~axis x gamma beta = op b (Op.Layer_norm axis) [ x; gamma; beta ]
 let batch_norm b x gamma beta = op b Op.Batch_norm [ x; gamma; beta ]
 let reduce_sum b ~axes x = op b (Op.Reduce (Op.R_sum, axes)) [ x ]
-let reduce_mean b ~axes x = op b (Op.Reduce (Op.R_mean, axes)) [ x ]
 let transpose b ~perm x = op b (Op.Transpose perm) [ x ]
 let reshape b ~dims x = op b (Op.Reshape dims) [ x ]
 let slice b ~axis ~lo ~hi x = op b (Op.Slice { axis; lo; hi }) [ x ]

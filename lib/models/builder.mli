@@ -46,7 +46,6 @@ val softmax : t -> axis:int -> int -> int
 val layer_norm : t -> axis:int -> int -> int -> int -> int
 val batch_norm : t -> int -> int -> int -> int
 val reduce_sum : t -> axes:int list -> int -> int
-val reduce_mean : t -> axes:int list -> int -> int
 val transpose : t -> perm:int array -> int -> int
 val reshape : t -> dims:int array -> int -> int
 val slice : t -> axis:int -> lo:int -> hi:int -> int -> int

@@ -258,6 +258,12 @@ let sim_hit_rate (st : stats) =
     re-placed (0 when nothing was scheduled). *)
 let resched_frac (st : stats) = ratio st.n_resched_nodes st.n_sched_nodes
 
+(* the ladder step recorded when the time budget ends the loop *)
+let best_so_far = "best-so-far"
+
+let budget_ended (st : stats) =
+  List.exists (fun (_, step) -> step = best_so_far) st.degrade_steps
+
 let stats_json (st : stats) : Json.t =
   Json.Obj
     (table_fields st.table
@@ -1188,7 +1194,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
       | _ -> ()
     done
    with Exit -> ());
-  if !out_of_time then record_step "best-so-far";
+  if !out_of_time then record_step best_so_far;
   publish ();
   st.snap_elapsed <- elapsed ();
   {

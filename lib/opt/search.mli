@@ -122,6 +122,11 @@ type stats = {
 (** Every counter with its value, in {!counter_names} order. *)
 val counts : stats -> (string * int) list
 
+(** Did the time budget end the run?  True exactly when
+    [degrade_steps] holds ["best-so-far"]: not when the iteration cap,
+    an empty queue or the poll ended it. *)
+val budget_ended : stats -> bool
+
 (** Every stage with its seconds, in {!stage_names} order.  No two
     stages overlap, so their total is at most [wall]. *)
 val stage_seconds : stats -> (string * float) list

@@ -119,6 +119,14 @@ let max_reply_line = 1024 * 1024
    far from anything a legitimate client sends. *)
 let max_depth = 16
 
+(* The DP budget is the number of states one scheduling call pops, and
+   the search checks its time budget and its poll only between pops:
+   an unbounded budget would hold a worker past its deadline and past a
+   drain, and grow the DP's seen-set without limit.  20,000 is the
+   largest budget any caller in this repository passes (the DP tests);
+   its clients send the default 0, its tests 64 or 128. *)
+let max_sched_states = 20_000
+
 let request ~id ~model =
   {
     id;
@@ -180,6 +188,12 @@ let opt_int doc key ~default =
       match Json.to_int v with
       | Some i -> i
       | None -> invalid "field %S must be an integer" key)
+
+let sched_states_field doc =
+  let n = opt_int doc "sched_states" ~default:0 in
+  if n < 0 || n > max_sched_states then
+    invalid "field \"sched_states\" must be in [0, %d]" max_sched_states;
+  n
 
 let req_int doc key =
   match Option.bind (Json.member key doc) Json.to_int with
@@ -303,7 +317,7 @@ let request_of_json doc =
     deadline_s;
     max_iterations = opt_int doc "max_iterations" ~default:32;
     progress_every = opt_int doc "progress_every" ~default:0;
-    sched_states = opt_int doc "sched_states" ~default:0;
+    sched_states = sched_states_field doc;
   }
 
 let frontier_request_of_json doc =
@@ -328,7 +342,7 @@ let frontier_request_of_json doc =
       | Some _ -> invalid "field \"hw\" must be a string");
     f_budget_ratio = ratio;
     f_max_iterations = opt_int doc "max_iterations" ~default:32;
-    f_sched_states = opt_int doc "sched_states" ~default:0;
+    f_sched_states = sched_states_field doc;
   }
 
 let command_of_string s =

@@ -34,7 +34,9 @@ type request = {
           [time_budget], so an expiring request returns best-so-far *)
   max_iterations : int;
   progress_every : int;  (** iterations between progress events; 0 = none *)
-  sched_states : int;  (** DP budget; may be shed under load *)
+  sched_states : int;
+      (** DP budget, in [0, 20000] (a decoder rejects any other value
+          as malformed); may be shed under load *)
 }
 
 (** A frontier query: "best latency for [model] on [hw] under
@@ -49,7 +51,9 @@ type frontier_request = {
   f_hw : string;  (** {!Magis_cost.Hardware} profile name *)
   f_budget_ratio : float;  (** memory budget in (0, 1] of baseline peak *)
   f_max_iterations : int;  (** search knobs for the cache-miss build; *)
-  f_sched_states : int;  (** both are part of the cache key *)
+  f_sched_states : int;
+      (** both are part of the cache key; [f_sched_states] is bounded
+          as {!request.sched_states} is *)
 }
 
 type command =

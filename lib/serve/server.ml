@@ -436,11 +436,7 @@ let run_search t (job : job) (req : P.request) (workload : Zoo.workload)
              budget, so the search's record says whether it ended the
              run (a resumed snapshot, always an interrupted run's, holds
              no such record) *)
-          let deadline_hit =
-            List.exists
-              (fun (_, step) -> step = "best-so-far")
-              r.stats.degrade_steps
-          in
+          let deadline_hit = Search.budget_ended r.stats in
           if deadline_hit then Metrics.incr m_deadline;
           if not r.interrupted then (
             try Sys.remove path with Sys_error _ -> ());

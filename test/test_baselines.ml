@@ -7,7 +7,7 @@ let test_naive_matches_simulator () =
   let c = cache () in
   let g = subject () in
   let o = Naive.run c g in
-  let r = Simulator.run c g (Graph.program_order g) in
+  let r = Simulator.run c g (Graph.topo_order g) in
   Alcotest.(check int) "peak" r.peak_mem o.peak_mem;
   Alcotest.(check (float 1e-9)) "latency" r.latency o.latency;
   Alcotest.(check bool) "feasible" true o.feasible

@@ -12,22 +12,16 @@ let tc name f = Alcotest.test_case name `Quick f
 (* Generators                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** Random harvest streams: small (peak, latency, iteration, sched)
-    tuples drawn from deliberately narrow ranges so ties, dominations
+(** Random harvest streams: small (peak, latency, iteration) triples
+    drawn from deliberately narrow ranges so ties, dominations
     and evictions all occur often. *)
 let gen_point =
   QCheck2.Gen.(
     let* peak = int_range 1 40 in
     let* lat10 = int_range 1 40 in
     let* iteration = int_range 0 5 in
-    let* sched = list_size (int_range 1 6) (int_range 0 9) in
     return
-      {
-        Frontier.peak;
-        latency = float_of_int lat10 /. 10.;
-        iteration;
-        sched;
-      })
+      { Frontier.peak; latency = float_of_int lat10 /. 10.; iteration })
 
 let gen_points = QCheck2.Gen.(list_size (int_range 0 40) gen_point)
 
@@ -37,7 +31,7 @@ let frontier_of pts =
     (fun (p : Frontier.point) ->
       ignore
         (Frontier.insert fr ~peak:p.peak ~latency:p.latency
-           ~iteration:p.iteration p.sched))
+           ~iteration:p.iteration))
     pts;
   fr
 
@@ -154,8 +148,8 @@ let test_cache_roundtrip_and_key_isolation () =
   let fr =
     frontier_of
       [
-        { Frontier.peak = 10; latency = 3.0; iteration = 1; sched = [ 0; 1 ] };
-        { Frontier.peak = 20; latency = 1.0; iteration = 2; sched = [ 1; 0 ] };
+        { Frontier.peak = 10; latency = 3.0; iteration = 1 };
+        { Frontier.peak = 20; latency = 1.0; iteration = 2 };
       ]
   in
   Frontier_cache.save ~dir ~key:7L fr;
@@ -171,7 +165,7 @@ let test_cache_roundtrip_and_key_isolation () =
 
 let small_frontier () =
   frontier_of
-    [ { Frontier.peak = 10; latency = 3.0; iteration = 1; sched = [ 0; 1 ] } ]
+    [ { Frontier.peak = 10; latency = 3.0; iteration = 1 } ]
 
 let expect_miss what ~dir ~key =
   match Frontier_cache.load ~dir ~key with
@@ -231,6 +225,30 @@ let test_cache_version_2_is_miss () =
     { pts = [||]; harvested = 0; pruned = 0; evicted = 0; queries = 0;
       hits = 0 };
   expect_miss "a version-2 file" ~dir ~key:6L
+
+(* A version-3 file held points that carried their schedule. *)
+type v3_point = { peak : int; latency : float; iteration : int; sched : int list }
+
+type v3 = {
+  baseline : int * float;
+  points : v3_point array;
+  harvested : int;
+  pruned : int;
+  evicted : int;
+  queries : int;
+  hits : int;
+}
+
+let test_cache_version_3_is_miss () =
+  let dir = fresh_dir "v3" in
+  Checkpoint.mkdir_p dir;
+  Checkpoint.save
+    ~path:(Frontier_cache.path ~dir ~key:9L)
+    ~version:3 ~fingerprint:9L
+    { baseline = (40, 4.0);
+      points = [| { peak = 10; latency = 3.0; iteration = 1; sched = [ 0 ] } |];
+      harvested = 1; pruned = 0; evicted = 0; queries = 0; hits = 0 };
+  expect_miss "a version-3 file" ~dir ~key:9L
 
 (* ------------------------------------------------------------------ *)
 (* Harvesting: trajectory-invisible, one search answers every budget   *)
@@ -515,6 +533,7 @@ let suite =
     tc "cache: a flipped payload byte is a miss" test_cache_flipped_byte_is_miss;
     tc "cache: a version-1 file is a miss" test_cache_version_1_is_miss;
     tc "cache: a version-2 file is a miss" test_cache_version_2_is_miss;
+    tc "cache: a version-3 file is a miss" test_cache_version_3_is_miss;
     tc "harvesting is trajectory-invisible (A/B)" test_harvest_ab_bit_identical;
     tc "one UNet search answers the whole budget ladder from cache"
       test_one_search_many_budgets;

@@ -11,7 +11,7 @@ let small_budget =
 let test_end_to_end_unet () =
   let c = cache () in
   let g = Unet.build_unet ~batch:4 ~image:32 ~base:8 ~depth:3 () in
-  let base = Simulator.run c g (Graph.program_order g) in
+  let base = Simulator.run c g (Graph.topo_order g) in
   let r = Search.optimize_memory ~config:small_budget c ~overhead:0.10 g in
   Alcotest.(check bool) "memory reduced" true (r.best.peak_mem < base.peak_mem);
   Alcotest.(check bool) "latency bounded" true

@@ -48,7 +48,7 @@ let test_zoo_interference_free () =
             Alcotest.failf "%s (%s): %s" w.name sched_name
               (Diagnostic.report_to_string
                  (Diagnostic.errors r.Interfere.diags)))
-        [ ("program order", Graph.program_order g);
+        [ ("program order", Graph.topo_order g);
           ("greedy reorder", Reorder.schedule ~max_states:0 g) ])
     Zoo.all
 

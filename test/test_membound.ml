@@ -101,7 +101,7 @@ let test_bounds_hold_on_zoo () =
     (fun (w : Zoo.workload) ->
       let g = w.build Zoo.Quick in
       let b = Membound.compute g in
-      let base = Simulator.run cache g (Graph.program_order g) in
+      let base = Simulator.run cache g (Graph.topo_order g) in
       (match Diagnostic.errors (Membound.check b ~peak:base.peak_mem) with
       | [] -> ()
       | errs ->

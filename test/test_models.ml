@@ -115,7 +115,7 @@ let test_full_scale_magnitudes_ordered () =
   let c = cache () in
   let peak name =
     let g = (Zoo.find name).build Zoo.Full in
-    (Simulator.run c g (Graph.program_order g)).peak_mem
+    (Simulator.run c g (Graph.topo_order g)).peak_mem
   in
   let bert = peak "bert-base" and gpt = peak "gpt-neo" and btlm = peak "btlm" in
   Alcotest.(check bool) "BTLM > GPT-Neo" true (btlm > gpt);

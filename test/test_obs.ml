@@ -530,6 +530,87 @@ let test_search_pop_instants () =
         (List.mem_assoc key first.args))
     [ "latency"; "entries"; "enabled"; "stale" ]
 
+(* ------------------------------------------------------------------ *)
+(* magis_cli optimize --profile                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* resolved against the test binary, as [Test_serve.serve_exe] is *)
+let cli_exe =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat (Filename.concat ".." "bin") "magis_cli.exe")
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* One traced run writes all five artifacts, and its counters agree
+   across them: stats.json, the last search.jsonl record and the
+   [search.*] metrics are views of one accounting table, and the memory
+   timeline peaks at the best state the run reports. *)
+let test_optimize_profile_artifacts () =
+  let dir = temp_path "profile" in
+  let stdout_path = temp_path "profile-stdout" in
+  let code =
+    let out = Unix.openfile stdout_path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
+    let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    Fun.protect ~finally:(fun () -> Unix.close out; Unix.close devnull)
+    @@ fun () ->
+    let pid =
+      Unix.create_process cli_exe
+        [| cli_exe; "optimize"; "UNet"; "--iters"; "4"; "--budget"; "1e9";
+           "--profile"; dir |]
+        devnull out devnull
+    in
+    match Unix.waitpid [] pid with _, Unix.WEXITED n -> n | _ -> -1
+  in
+  Alcotest.(check int) "exit 0 (both cross-checks pass)" 0 code;
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (f ^ " written") true
+        (Sys.file_exists (Filename.concat dir f)))
+    [ "stats.json"; "search.jsonl"; "trace.json"; "metrics.json"; "memtl.csv" ];
+  let json f = Json.of_string (read_file (Filename.concat dir f)) in
+  let int_of key obj =
+    match Option.bind (Json.member key obj) Json.to_int with
+    | Some n -> n
+    | None -> Alcotest.failf "no integer %S" key
+  in
+  let stats = json "stats.json" in
+  let records = Profile.read (Filename.concat dir "search.jsonl") in
+  Alcotest.(check int) "one record per iteration" 4 (List.length records);
+  let last = List.nth records 3 in
+  let counters =
+    match Json.member "counters" (json "metrics.json") with
+    | Some c -> c
+    | None -> Alcotest.fail "metrics.json has no counters"
+  in
+  List.iter
+    (fun name ->
+      let n = int_of name stats in
+      Alcotest.(check int) (name ^ ": stats.json = last record") n
+        (int_of name last);
+      Alcotest.(check int) (name ^ ": stats.json = search.* metric") n
+        (int_of ("search." ^ name) counters))
+    Search.counter_names;
+  Alcotest.(check int) "iterations" 4 (int_of "iterations" stats);
+  let best_peak = int_of "best_peak" last in
+  let memtl_peak =
+    let csv = String.trim (read_file (Filename.concat dir "memtl.csv")) in
+    match String.split_on_char '\n' csv with
+    | _header :: rows ->
+        List.fold_left
+          (fun m row ->
+            match String.split_on_char ',' row with
+            | _step :: bytes :: _ -> max m (int_of_string bytes)
+            | _ -> Alcotest.failf "bad memtl.csv row %S" row)
+          0 rows
+    | [] -> Alcotest.fail "empty memtl.csv"
+  in
+  Alcotest.(check int) "memtl.csv peaks at the best state's peak" best_peak
+    memtl_peak;
+  Alcotest.(check bool) "the plan line reports that peak" true
+    (contains (read_file stdout_path)
+       (Printf.sprintf "->  %.1f MB" (float_of_int best_peak /. 1e6)))
+
 let suite =
   [
     tc "json values round-trip through the parser" test_json_roundtrip;
@@ -554,4 +635,6 @@ let suite =
     tc "search profile JSONL round-trips" test_profile_jsonl_roundtrip;
     tc "search pops are trace instants" test_search_pop_instants;
     tc "the stat block's cache line needs a cache" test_pp_stats_cache_line;
+    tc "optimize --profile writes every artifact of one run"
+      test_optimize_profile_artifacts;
   ]

@@ -367,7 +367,7 @@ let test_budget_exhaustion_best_so_far () =
   Alcotest.(check bool) "made progress" true (r.stats.iterations > 0);
   Alcotest.(check bool) "returned a state" true (r.best.peak_mem > 0);
   Alcotest.(check bool) "ladder recorded best-so-far" true
-    (List.exists (fun (_, step) -> step = "best-so-far") r.stats.degrade_steps);
+    (Search.budget_ended r.stats);
   Alcotest.(check bool) "not an interrupt" false r.interrupted
 
 (** The other edge: a run that completes its iteration cap is not cut
@@ -387,7 +387,7 @@ let test_cap_past_budget_not_best_so_far () =
   Alcotest.(check int) "reached the cap" 2 r.stats.iterations;
   Alcotest.(check bool) "overran the budget" true (r.stats.wall > 0.5);
   Alcotest.(check bool) "no best-so-far step" false
-    (List.exists (fun (_, step) -> step = "best-so-far") r.stats.degrade_steps);
+    (Search.budget_ended r.stats);
   Alcotest.(check bool) "not an interrupt" false r.interrupted
 
 (** The time-pressure rung: a poll that waits past 85% of the budget

@@ -15,7 +15,7 @@ let config budget =
 let test_memory_mode_respects_constraint () =
   let c = cache () in
   let g = subject () in
-  let base = Simulator.run c g (Graph.program_order g) in
+  let base = Simulator.run c g (Graph.topo_order g) in
   let r = Search.optimize_memory ~config:(config 2.0) c ~overhead:0.10 g in
   Alcotest.(check bool) "peak reduced" true (r.best.peak_mem < base.peak_mem);
   Alcotest.(check bool) "latency within 10%" true
@@ -26,7 +26,7 @@ let test_memory_mode_respects_constraint () =
 let test_latency_mode_respects_constraint () =
   let c = cache () in
   let g = subject () in
-  let base = Simulator.run c g (Graph.program_order g) in
+  let base = Simulator.run c g (Graph.topo_order g) in
   (* state verification roughly halves search throughput; give this
      constraint-tightest test a correspondingly larger budget (the
      iteration cap, not the wall clock, bounds it on fast machines) *)
@@ -106,7 +106,7 @@ let test_deterministic () =
 let test_latency_history_improves () =
   let c = cache () in
   let g = subject () in
-  let base = Simulator.run c g (Graph.program_order g) in
+  let base = Simulator.run c g (Graph.topo_order g) in
   let r = Search.optimize_latency ~config:(config 2.0) c ~mem_ratio:0.8 g in
   let limit = int_of_float (float_of_int base.peak_mem *. 0.8) in
   (* once the budget is met, recorded bests have non-increasing latency *)

@@ -202,21 +202,42 @@ let test_protocol_rejects_out_of_range_limits () =
   in
   let latency r = optimize ("\"mode\":\"latency\",\"mem_ratio\":" ^ r) in
   let memory o = optimize ("\"overhead\":" ^ o) in
+  let states op n =
+    Printf.sprintf
+      "{\"op\":\"%s\",\"id\":\"x\",\"model\":\"unet\",\"sched_states\":%d}"
+      op n
+  in
   (* a ratio at or below 0 sets a limit no search can meet; a huge one,
-     a limit [int_of_float] cannot hold *)
+     a limit [int_of_float] cannot hold.  A DP budget is popped inside
+     one evaluation, between two polls of the search, so a huge one
+     would outlive a deadline or a drain: both ops bound it. *)
   List.iter
     (fun s ->
       match P.command_of_string s with
       | exception P.Invalid _ -> ()
       | _ -> Alcotest.failf "accepted out-of-range limit %S" s)
-    [ latency "0"; latency "-0.5"; latency "1.5"; latency "1e300"; memory "-0.1" ];
+    ([ latency "0"; latency "-0.5"; latency "1.5"; latency "1e300";
+       memory "-0.1" ]
+    @ List.concat_map
+        (fun op -> List.map (states op) [ -1; 20_001; 1_000_000_000 ])
+        [ "optimize"; "frontier" ]);
   List.iter
     (fun (s, mode) ->
       match P.command_of_string s with
       | P.Optimize r when r.mode = mode -> ()
       | _ -> Alcotest.failf "rejected in-range limit %S" s)
     [ (latency "1", P.Latency 1.0); (latency "0.05", P.Latency 0.05);
-      (memory "0", P.Memory 0.0) ]
+      (memory "0", P.Memory 0.0) ];
+  List.iter
+    (fun n ->
+      match
+        (P.command_of_string (states "optimize" n),
+         P.command_of_string (states "frontier" n))
+      with
+      | P.Optimize r, P.Frontier f
+        when r.sched_states = n && f.f_sched_states = n -> ()
+      | _ -> Alcotest.failf "rejected in-range sched_states %d" n)
+    [ 0; 128; 20_000 ]
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)

@@ -3,7 +3,7 @@
     adjacency symmetric but validates neither acyclicity, source
     existence nor shape agreement — exactly the corruption channel the
     verifier is there to catch.  Schedule corruptions are seeded by
-    permuting / duplicating a valid [Graph.program_order]. *)
+    permuting / duplicating a valid [Graph.topo_order]. *)
 
 open Magis
 module H = Helpers
@@ -66,7 +66,7 @@ let swap_graph () =
 
 let test_sched_clean () =
   let g = H.mlp_training () in
-  H.schedule_clean g (Graph.program_order g);
+  H.schedule_clean g (Graph.topo_order g);
   let g, order = swap_graph () in
   H.schedule_clean ~what:"swap graph" g order
 
@@ -109,7 +109,7 @@ let test_randnet_clean () =
     in
     let what = Printf.sprintf "randnet seed %d" seed in
     H.verify_clean ~what g;
-    H.schedule_clean ~what g (Graph.program_order g)
+    H.schedule_clean ~what g (Graph.topo_order g)
   done
 
 (* ------------------------------------------------------------------ *)
