@@ -13,15 +13,18 @@
     ([nocache]), cold on one cache the whole round shares in case order
     ([cold]), and as a warm replay over that cache ([warm]).
 
-    Keys: [<case>_<field>] for the no-cache run's {!summary},
+    Keys: [<case>_<field>] for the no-cache run's {!summary} (with
+    [<case>_limit_met], {!Search.limit_met}),
     [<case>_<pass>_<counter>] for every [Search.counts] entry of every
     pass, [<case>_<pass>_same] for whether a cached pass's summary
     equals the no-cache one, and [<case>_warm_replayed_all] for whether
-    the warm pass stored no F-Tree in the cache, so replayed every
-    refresh it ran.  At the end of the round, [shared_cache_entries],
-    [shared_cache_trees] and [shared_cache_tree_bytes] size the shared
-    cache: its evaluations, its stored F-Trees and their bytes.  64-bit
-    values are hex strings. *)
+    the warm pass stored no F-Tree and no children table in the cache,
+    so replayed every refresh and every expansion it ran.  At the end
+    of the round, [shared_cache_entries], [shared_cache_trees],
+    [shared_cache_tree_bytes], [shared_cache_children] and
+    [shared_cache_children_bytes] size the shared cache: its
+    evaluations, its stored F-Trees, its children tables and their
+    bytes.  64-bit values are hex strings. *)
 
 open Magis
 
@@ -87,7 +90,8 @@ let summary (r : Search.result) =
     ("history_len", Json.Int (List.length r.history));
     ("history_digest", hex points);
     ("degrade_steps", Json.Int (List.length r.stats.degrade_steps));
-    ("diagnostics", Json.Int (List.length r.diagnostics)) ]
+    ("diagnostics", Json.Int (List.length r.diagnostics));
+    ("limit_met", Json.Bool (Search.limit_met r)) ]
 
 let run (env : Common.env) =
   Common.hr "Same-behaviour gate: capped searches, three cache settings";
@@ -95,7 +99,7 @@ let run (env : Common.env) =
     "cold hit/miss" "warm hit/miss" "same";
   let shared = Sim_cache.create () in
   let fields =
-    List.concat_map
+    List.map
       (fun c ->
         let go sim_cache =
           let config = { Search.default_config with
@@ -103,10 +107,11 @@ let run (env : Common.env) =
           c.search ~config env.cost c.graph in
         let nocache = go None in
         let cold = go (Some shared) in
-        let trees () = fst (Sim_cache.tree_stats shared) in
-        let stored = trees () in
+        let stored () =
+          (Sim_cache.tree_stats shared, Sim_cache.children_stats shared) in
+        let before = stored () in
         let warm = go (Some shared) in
-        let replayed_all = trees () = stored in
+        let replayed_all = stored () = before in
         let base = summary nocache in
         let key k = c.name ^ "_" ^ k in
         let counts pass (r : Search.result) =
@@ -120,22 +125,24 @@ let run (env : Common.env) =
           nocache.stats.iterations
           (float_of_int nocache.best.peak_mem /. 1e6)
           (hm cold) (hm warm) (cold_same && warm_same);
-        List.map (fun (k, v) -> (key k, v)) base
-        @ counts "nocache" nocache @ counts "cold" cold @ counts "warm" warm
-        @ [ (key "cold_same", Json.Bool cold_same);
-            (key "warm_same", Json.Bool warm_same);
-            (key "warm_replayed_all", Json.Bool replayed_all) ])
+        let flags =
+          [ (key "cold_same", cold_same); (key "warm_same", warm_same);
+            (key "warm_replayed_all", replayed_all) ] in
+        ( List.map (fun (k, v) -> (key k, v)) base
+          @ counts "nocache" nocache @ counts "cold" cold @ counts "warm" warm
+          @ List.map (fun (k, b) -> (k, Json.Bool b)) flags,
+          List.for_all snd flags ))
       (cases env)
   in
-  let trees, tree_bytes = Sim_cache.tree_stats shared in
-  let fields =
-    fields
+  let trees, tree_bytes = Sim_cache.tree_stats shared
+  and children, children_bytes = Sim_cache.children_stats shared in
+  Common.write_stats_json env
+    (List.concat_map fst fields
     @ [ ("shared_cache_entries", Json.Int (Sim_cache.length shared));
         ("shared_cache_trees", Json.Int trees);
-        ("shared_cache_tree_bytes", Json.Int tree_bytes) ]
-  in
-  Common.write_stats_json env fields;
-  (* the only booleans are the [_same] and [_replayed_all] flags *)
-  if List.mem (Json.Bool false) (List.map snd fields) then
+        ("shared_cache_tree_bytes", Json.Int tree_bytes);
+        ("shared_cache_children", Json.Int children);
+        ("shared_cache_children_bytes", Json.Int children_bytes) ]);
+  if not (List.for_all snd fields) then
     failwith "a cached pass diverged from the no-cache pass, or a warm one \
-              rebuilt a refresh"
+              rebuilt a refresh or an expansion"

@@ -26,7 +26,8 @@
     [optimize] exit codes: 1 = a [--profile] cross-check failed; 3 =
     interrupted by SIGINT/SIGTERM after writing its checkpoint (rerun
     with [--resume]); 4 = the checkpoint file is incompatible with the
-    requested run. *)
+    requested run; 5 = the best plan found misses the limit (printed as
+    "limit not met"). *)
 
 open Magis
 
@@ -70,9 +71,29 @@ let cmd_inspect name full =
 
 (* exit codes of [optimize] (documented in the README): 3 = the search
    was interrupted by a signal after writing its checkpoint, 4 = the
-   checkpoint on disk is incompatible with this run *)
+   checkpoint on disk is incompatible with this run, 5 = the best plan
+   misses its limit (as [frontier]'s 5 = a budget is infeasible) *)
 let exit_interrupted = 3
 let exit_incompatible = 4
+let exit_limit_not_met = 5
+
+(* [optimize]'s limit line: the limit, the best plan's value against
+   it and whether it is met, with digits enough to show a near miss *)
+let print_limit ~base_peak ~base_latency (r : Search.result) =
+  let verdict = if Search.limit_met r then "limit met" else "limit not met" in
+  match r.mode with
+  | Search.Min_latency { mem_limit } ->
+      let ratio b = float_of_int b /. float_of_int base_peak in
+      Printf.printf
+        "  %s: peak %.3f MB (ratio %.4f), limit %.3f MB (ratio %.4f)\n"
+        verdict (mb r.best.peak_mem) (ratio r.best.peak_mem) (mb mem_limit)
+        (ratio mem_limit)
+  | Search.Min_memory { lat_limit } ->
+      let over l = 100.0 *. (l -. base_latency) /. base_latency in
+      Printf.printf
+        "  %s: latency %.4f ms (%+.2f%%), limit %.4f ms (%+.2f%%)\n" verdict
+        (ms r.best.latency) (over r.best.latency) (ms lat_limit)
+        (over lat_limit)
 
 let write_file path contents =
   let oc = open_out path in
@@ -209,6 +230,7 @@ let cmd_optimize name full overhead mem_ratio budget iters ckpt resume
   Printf.printf "  memory ratio %.2f, latency %+.1f%%\n"
     (float_of_int best.peak_mem /. float_of_int base.peak_mem)
     (100.0 *. (best.latency -. base.latency) /. base.latency);
+  print_limit ~base_peak:base.peak_mem ~base_latency:base.latency result;
   Printf.printf "  plan: %d fission region(s), %d swap(s); searched %d states\n"
     (List.length (Ftree.enabled_indices best.ftree))
     (Graph.fold (fun n a -> if n.op = Op.Store then a + 1 else a) best.graph 0)
@@ -244,7 +266,8 @@ let cmd_optimize name full overhead mem_ratio budget iters ckpt resume
     Printf.printf "  interrupted by %s; state saved, rerun with --resume\n"
       (if Atomic.get signal = Sys.sigint then "SIGINT" else "SIGTERM");
     exit exit_interrupted
-  end
+  end;
+  if not (Search.limit_met result) then exit exit_limit_not_met
 
 (** Chaos harness: a seeded Randnet search is run fault-free, then once
     per (site, fault kind) with a transient fault planted at a

@@ -104,7 +104,7 @@ let pp_reply reply =
         (p.p_latency *. 1e3) p.p_elapsed
   | P.Result o ->
       Fmt.pr "result %s: peak %.1f MB (from %.1f MB), latency %.2f ms, %d \
-              iterations%s%s%s@."
+              iterations%s%s%s%s@."
         o.o_id
         (float_of_int o.o_peak /. 1e6)
         (float_of_int o.o_initial_peak /. 1e6)
@@ -112,6 +112,7 @@ let pp_reply reply =
         (if o.o_resumed then " [resumed]" else "")
         (if o.o_interrupted then " [interrupted]" else "")
         (if o.o_deadline_hit then " [deadline: best-so-far]" else "")
+        (if o.o_limit_met then "" else " [limit not met]")
   | P.Error { e_id; kind; detail } ->
       Fmt.pr "error%a %s: %s@."
         Fmt.(option (fun ppf -> pf ppf " %s"))

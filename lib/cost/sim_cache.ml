@@ -2,15 +2,13 @@
 
     Storage is plain data: an evaluation's schedule and hot spots as
     [int array]s (one word per node, no list cells), a refreshed
-    F-Tree as the bytes its caller passes. *)
+    F-Tree and a pop's children as the bytes their caller passes. *)
 
 open Magis_ir
 module Metrics = Magis_obs.Metrics
 
 let m_hits = Metrics.counter "sim_cache.hits"
 let m_misses = Metrics.counter "sim_cache.misses"
-let g_trees = Metrics.gauge "sim_cache.trees"
-let g_tree_bytes = Metrics.gauge "sim_cache.tree_bytes"
 
 type value = {
   schedule : int list;
@@ -33,14 +31,28 @@ type entry = {
   e_hotspots : int array;
 }
 
-(* One lock around both tables: a search runs on one domain, so only a
-   daemon's worker domains meet here.  [tree_bytes] sums the lengths of
-   the stored trees, under the lock. *)
+(* A table of opaque payloads and the total length of its payloads;
+   its two gauges follow the cache that stored or cleared last (a
+   daemon's one cache). *)
+type payloads = {
+  tbl : (int64, string) Hashtbl.t;
+  mutable bytes : int;
+  g_count : Metrics.gauge;
+  g_bytes : Metrics.gauge;
+}
+
+let payloads ~count ~bytes =
+  { tbl = Hashtbl.create 64; bytes = 0;
+    g_count = Metrics.gauge ("sim_cache." ^ count);
+    g_bytes = Metrics.gauge ("sim_cache." ^ bytes) }
+
+(* One lock around all three tables: a search runs on one domain, so
+   only a daemon's worker domains meet here. *)
 type t = {
   lock : Mutex.t;
   tbl : (int64, entry) Hashtbl.t;
-  trees : (int64, string) Hashtbl.t;
-  mutable tree_bytes : int;
+  trees : payloads;
+  children : payloads;
   hits : int Atomic.t;
   misses : int Atomic.t;
 }
@@ -49,8 +61,8 @@ let create () =
   {
     lock = Mutex.create ();
     tbl = Hashtbl.create 1024;
-    trees = Hashtbl.create 64;
-    tree_bytes = 0;
+    trees = payloads ~count:"trees" ~bytes:"tree_bytes";
+    children = payloads ~count:"children" ~bytes:"children_bytes";
     hits = Atomic.make 0;
     misses = Atomic.make 0;
   }
@@ -86,23 +98,35 @@ let add t k v =
   in
   Mutex.protect t.lock (fun () -> Hashtbl.replace t.tbl k e)
 
-(* the gauges follow the cache that stored or cleared last *)
-let publish_trees t =
-  Metrics.set g_trees (float_of_int (Hashtbl.length t.trees));
-  Metrics.set g_tree_bytes (float_of_int t.tree_bytes)
+(* under the lock *)
+let publish (p : payloads) =
+  Metrics.set p.g_count (float_of_int (Hashtbl.length p.tbl));
+  Metrics.set p.g_bytes (float_of_int p.bytes)
 
-let tree t k = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.trees k)
+let find_payload t (p : payloads) k = Mutex.protect t.lock (fun () -> Hashtbl.find_opt p.tbl k)
 
-let add_tree t k bytes =
+let add_payload t (p : payloads) k bytes =
   Mutex.protect t.lock (fun () ->
-      if not (Hashtbl.mem t.trees k) then begin
-        Hashtbl.add t.trees k bytes;
-        t.tree_bytes <- t.tree_bytes + String.length bytes;
-        publish_trees t
+      if not (Hashtbl.mem p.tbl k) then begin
+        Hashtbl.add p.tbl k bytes;
+        p.bytes <- p.bytes + String.length bytes;
+        publish p
       end)
 
-let tree_stats t =
-  Mutex.protect t.lock (fun () -> (Hashtbl.length t.trees, t.tree_bytes))
+let payload_stats t (p : payloads) =
+  Mutex.protect t.lock (fun () -> (Hashtbl.length p.tbl, p.bytes))
+
+let clear_payloads (p : payloads) =
+  Hashtbl.reset p.tbl;
+  p.bytes <- 0;
+  publish p
+
+let tree t = find_payload t t.trees
+let add_tree t = add_payload t t.trees
+let tree_stats t = payload_stats t t.trees
+let children t = find_payload t t.children
+let add_children t = add_payload t t.children
+let children_stats t = payload_stats t t.children
 
 let stats t = (Atomic.get t.hits, Atomic.get t.misses)
 
@@ -119,6 +143,5 @@ let length t = Mutex.protect t.lock (fun () -> Hashtbl.length t.tbl)
 let clear t =
   Mutex.protect t.lock (fun () ->
       Hashtbl.reset t.tbl;
-      Hashtbl.reset t.trees;
-      t.tree_bytes <- 0;
-      publish_trees t)
+      clear_payloads t.trees;
+      clear_payloads t.children)

@@ -20,9 +20,17 @@
     are atomic.  [find] is a fault-injection site
     (["sim_cache"], {!Magis_resilience.Fault}).
 
+    Beside the evaluations the cache holds two tables the search keys
+    itself, each a digest of exactly what the stored work read: the
+    F-Tree of each stale pop's refresh ({!add_tree}) and each pop's
+    children ({!add_children}), their dedup hashes and evaluation keys.
+    A search that pops a state another search popped reads both back
+    instead of redoing the work, so a warm search rebuilds no tree and
+    WL-hashes no child.
+
     An entry is stored as plain data: its schedule and hot spots as
     [int array]s, so [find] returns the lists [add] was given.  A stored
-    F-Tree is the string its caller passes (see {!add_tree}). *)
+    F-Tree or children table is the string its caller passes. *)
 
 (** Cached outcome of evaluating one M-state. *)
 type value = {
@@ -88,6 +96,30 @@ val add_tree : t -> int64 -> string -> unit
     payloads, since creation or {!clear}. *)
 val tree_stats : t -> int * int
 
+(** {1 A pop's children}
+
+    The search also stores, for each pop whose every proposal it
+    hashed, each proposal's dedup hash and evaluation key in proposal
+    order, under a key of its own that digests what generating,
+    hashing and keying the proposals read; a later search popping the
+    same state reads them back instead of relabelling and hashing each
+    child.  The payload is opaque here (16 bytes per proposal, written
+    by the search).  Like tree lookups, these visit no fault site and
+    count into neither {!stats} nor {!length}; the gauges
+    [sim_cache.children] and [sim_cache.children_bytes] report the
+    stored tables and their bytes, as the tree gauges do. *)
+
+(** The table stored under [k], if any. *)
+val children : t -> int64 -> string option
+
+(** [add_children t k bytes] stores [bytes] under [k]; a key already
+    stored keeps its table. *)
+val add_children : t -> int64 -> string -> unit
+
+(** [(tables, bytes)]: the stored children tables and their total
+    length, since creation or {!clear}. *)
+val children_stats : t -> int * int
+
 (** [(hits, misses)] since creation or the last {!reset_stats}. *)
 val stats : t -> int * int
 
@@ -101,5 +133,5 @@ val reset_stats : t -> unit
 (** Number of cached evaluations. *)
 val length : t -> int
 
-(** Drop every cached evaluation and every stored tree. *)
+(** Drop every cached evaluation, stored tree and children table. *)
 val clear : t -> unit

@@ -21,7 +21,9 @@
     shares across searches, whatever their mode or limit, is probed once
     per survivor, and only misses are evaluated; it also holds the
     F-Tree of every stale pop's refresh, which a later search popping
-    the same stale state decodes instead of rebuilding.  With no cache
+    the same stale state decodes instead of rebuilding, and each pop's
+    children's dedup hashes and evaluation keys, which a later search
+    popping the same state reads instead of computing.  With no cache
     nothing is keyed, as a cache of one search's own never hits (dedup
     skips every state it could return).
 
@@ -75,7 +77,7 @@ let s_init = declare stage_decls "init" (* snapshot, initial M-state *)
 let s_pop = declare stage_decls "pop" (* caller's poll, ladder, queue pop *)
 let s_refresh = declare stage_decls "refresh" (* pop's index; F-Tree rebuild or decode *)
 let s_generate = declare stage_decls "generate" (* order, closure, positions, proposals *)
-let s_hash = declare stage_decls "hash" (* labels; WL hash ⊕ F-Tree fp *)
+let s_hash = declare stage_decls "hash" (* labels, children table; WL hash ⊕ F-Tree fp *)
 let s_dedup = declare stage_decls "dedup" (* first occurrence wins *)
 let s_lookup = declare stage_decls "lookup" (* sched digest, key, probe, a hit's state *)
 let s_reschedule = declare stage_decls "reschedule" (* parent, costs; Alg. 2 *)
@@ -97,6 +99,7 @@ let c_retried = declare counter_decls "retried"
 let c_quarantined = declare counter_decls "quarantined"
 let c_checkpoints = declare counter_decls "checkpoints"
 let c_refresh_replays = declare counter_decls "refresh_replays" (* trees unmarshalled *)
+let c_expansion_replays = declare counter_decls "expansion_replays" (* children tables read *)
 
 let stage_names = List.rev !stage_decls
 let counter_names = List.rev !counter_decls
@@ -394,6 +397,14 @@ type proposal = {
   p_stale : bool;
 }
 
+(** What the pop's keys in the simulation cache share, built with the
+    pop's context only when the search has a cache. *)
+type keyed = {
+  sim : Sim_cache.t;
+  graph_key : int64;  (** the popped graph pinned by node id ({!graph_key}) *)
+  sched_hash : int64;  (** digest of the popped state's schedule *)
+}
+
 (** What a pop's proposals and their hashes read from the popped state,
     built serially before [generate], then only read.  Nothing of it is
     kept on the state, so a queued state holds no labels. *)
@@ -403,11 +414,28 @@ type pop = {
           slot) and {!Reach} forced *)
   position : int array;  (** id -> schedule position, for the rule sites *)
   labels : Wl_hash.labels;  (** each rewrite is relabelled from these *)
+  keyed : keyed option;  (** [None] when the search has no cache *)
 }
 
+(* one int folded into a cache key *)
+let mix h x = Util.hash_combine h (Int64.of_int x)
+
+(** The popped graph as the pop's cache keys read it: each node id, in
+    the index's order, with its WL label and its operand ids.  Folded
+    once per pop and shared by {!refresh_key} and {!children_key}. *)
+let graph_key ix labels : int64 =
+  let nodes = Graph_index.nodes ix in
+  Array.fold_left
+    (fun h v ->
+      let ins = nodes.(v).inputs in
+      let h = Util.hash_combine (mix h v) (Wl_hash.label labels v) in
+      Array.fold_left mix (mix h (Array.length ins)) ins)
+    0x72656672L (Graph_index.order ix)
+
 (** The pop's context on [ix], the popped state's index: the order,
-    closure and positions timed in [generate], the labels in [hash]. *)
-let pop_context tb (s : Mstate.t) ix : pop =
+    closure and positions timed in [generate], the labels and the graph
+    key in [hash], the schedule digest in [lookup]. *)
+let pop_context (cfg : config) tb (s : Mstate.t) ix : pop =
   let position =
     timed tb s_generate (fun () ->
         ignore (Graph_index.order ix : int array);
@@ -415,7 +443,15 @@ let pop_context tb (s : Mstate.t) ix : pop =
         Magis_sched.Incremental.positions ix s.schedule)
   in
   let labels = timed tb s_hash (fun () -> Wl_hash.labels_on ix) in
-  { ix; position; labels }
+  let keyed =
+    Option.map
+      (fun sim ->
+        { sim; graph_key = timed tb s_hash (fun () -> graph_key ix labels);
+          sched_hash =
+            timed tb s_lookup (fun () -> Util.hash_int_list s.schedule) })
+      cfg.sim_cache
+  in
+  { ix; position; labels; keyed }
 
 (** What a pop's misses read: its rescheduling context and base costs,
     built serially after the probes and only when a survivor missed. *)
@@ -426,22 +462,12 @@ let resched_context (cost : Op_cost.t) tb (s : Mstate.t) (cx : pop) =
 
 (** Key of a stale pop's refreshed F-Tree in the simulation cache: a
     digest of exactly what {!Ftree.refresh_on} reads — the graph, pinned
-    by node id (each id with its WL label and its operand ids), the old
-    tree's enabled entries (members and [n] by {!Ftree.fingerprint},
-    then their dims), the hot-spot set and [max_level].  Mode, limit,
-    hardware and parent are not read, so they are not in it. *)
-let refresh_key ~max_level (cx : pop) (s : Mstate.t) : int64 =
-  let mix h x = Util.hash_combine h (Int64.of_int x) in
-  let nodes = Graph_index.nodes cx.ix in
-  let h =
-    Array.fold_left
-      (fun h v ->
-        let ins = nodes.(v).inputs in
-        let h = Util.hash_combine (mix h v) (Wl_hash.label cx.labels v) in
-        Array.fold_left mix (mix h (Array.length ins)) ins)
-      0x72656672L (Graph_index.order cx.ix)
-  in
-  let h = Util.hash_combine h (Ftree.fingerprint s.ftree) in
+    by node id ({!graph_key}), the old tree's enabled entries (members
+    and [n] by {!Ftree.fingerprint}, then their dims), the hot-spot set
+    and [max_level].  Mode, limit, hardware and parent are not read, so
+    they are not in it. *)
+let refresh_key ~max_level (k : keyed) (s : Mstate.t) : int64 =
+  let h = Util.hash_combine k.graph_key (Ftree.fingerprint s.ftree) in
   let h =
     List.fold_left
       (fun h i ->
@@ -458,7 +484,7 @@ let refresh_key ~max_level (cx : pop) (s : Mstate.t) : int64 =
 
 (** The popped state with a current F-Tree (Algorithm 3, lines 13-14).
     A stale tree is rebuilt by {!Ftree.refresh_on} on the pop's index
-    or, when [cfg.sim_cache] holds a tree under its {!refresh_key},
+    or, when the search's cache holds a tree under its {!refresh_key},
     unmarshalled from there; a rebuilt tree is stored there as its
     [Marshal] bytes.  The bytes come only from this process, under keys
     only {!refresh_key} makes.  Under [verify_states] the stored bytes
@@ -472,14 +498,14 @@ let refresh (cfg : config) tb (s : Mstate.t) (cx : pop) : Mstate.t =
   let ftree =
     if not (s.ftree_stale && cfg.ablation.use_ftree_heuristic) then s.ftree
     else
-      match cfg.sim_cache with
+      match cx.keyed with
       | None -> rebuild ()
-      | Some sim -> (
-          let key = refresh_key ~max_level cx s in
-          match Sim_cache.tree sim key with
+      | Some k -> (
+          let key = refresh_key ~max_level k s in
+          match Sim_cache.tree k.sim key with
           | None ->
               let t = rebuild () in
-              Sim_cache.add_tree sim key (Marshal.to_string t []);
+              Sim_cache.add_tree k.sim key (Marshal.to_string t []);
               t
           | Some bytes ->
               if cfg.verify_states && Marshal.to_string (rebuild ()) [] <> bytes
@@ -551,12 +577,14 @@ let rewrite_proposals (cfg : config) tb (s : Mstate.t) (cx : pop) :
         rewrites)
     rules
 
-(** Dedup key of a state: its graph's WL hash, [wl ()], ⊕ F-Tree
-    fingerprint. *)
-let state_hash tb wl (ftree : Ftree.t) : int64 =
-  let h =
-    timed tb s_hash (fun () -> Util.hash_combine (wl ()) (Ftree.fingerprint ftree))
-  in
+(** Dedup key of a state: its graph's WL hash ⊕ F-Tree fingerprint. *)
+let state_hash wl (ftree : Ftree.t) : int64 =
+  Util.hash_combine wl (Ftree.fingerprint ftree)
+
+(** [f ()], a state's dedup hash computed or read, timed in [hash] and
+    counted once it is known. *)
+let counted_hash tb f : int64 =
+  let h = timed tb s_hash f in
   bump tb c_hashes 1;
   h
 
@@ -590,12 +618,13 @@ let proposal_latency_lb (acc : Ftree.accounting) (g : Graph.t) : float =
   +. acc.extra_latency)
   *. lat_lb_margin
 
-(** Hash a proposal: its dedup hash, counted once it is computed.  A
-    rewrite is relabelled from the pop's labels, which forces the
-    rewrite index's topological order (rescheduling partitions along
-    it); an F-Tree mutation takes the pop's hash. *)
-let hash_proposal tb (cx : pop) (p : proposal) : int64 =
-  let wl () =
+(** A proposal's dedup hash.  A rewrite is relabelled from the pop's
+    labels, which forces the rewrite index's topological order
+    (rescheduling partitions along it; on a pop whose children table is
+    replayed, no rewrite is relabelled, and a miss's reschedule forces
+    the order instead); an F-Tree mutation takes the pop's hash. *)
+let proposal_hash (cx : pop) (p : proposal) : int64 =
+  let wl =
     match p.p_rewrite with
     | None -> Wl_hash.hash_of cx.labels
     | Some ix ->
@@ -603,7 +632,68 @@ let hash_proposal tb (cx : pop) (p : proposal) : int64 =
           (Wl_hash.relabel_on ~parent_nodes:(Graph_index.nodes cx.ix)
              ~parent:cx.labels ix)
   in
-  state_hash tb wl p.p_ftree
+  state_hash wl p.p_ftree
+
+(** A proposal's evaluation key in the simulation cache, from its dedup
+    hash [h]; [sched_states] is the effective DP budget. *)
+let evaluation_key (k : keyed) ~sched_states ~hw h (p : proposal) : int64 =
+  Sim_cache.key ~state:h ~parent_sched:k.sched_hash
+    ~mutated:(Util.hash_int_list (Int_set.elements p.p_mutated))
+    ~sched_states ~hw
+
+(** Key of a pop's children table in the simulation cache: a digest of
+    exactly what [generate], {!proposal_hash} and {!evaluation_key}
+    read — the graph, pinned by node id ({!graph_key}), the schedule's
+    digest, the refreshed F-Tree with every entry (members, dims, [n],
+    parent and children: {!Ftree.mutations_on} and {!Ftree.prune} read
+    disabled entries too), the hot-spot set, the rule knobs
+    [max_per_rule], [use_sweep_rules] and [restrict_sched_rules], the
+    effective DP budget and the hardware.  Mode and limit are not read,
+    so they are not in it. *)
+let children_key (cfg : config) (k : keyed) ~sched_states ~hw (s : Mstate.t) :
+    int64 =
+  let set h vs =
+    Int_set.fold (fun v h -> mix h v) vs (mix h (Int_set.cardinal vs))
+  in
+  let entry h i =
+    let e = Ftree.entry s.ftree i in
+    let f = e.fission in
+    let h = set (mix (mix h f.n) e.parent) f.members in
+    let h =
+      Int_map.fold (fun v d h -> mix (mix h v) d) f.dims
+        (mix h (Int_map.cardinal f.dims))
+    in
+    List.fold_left mix (mix h (List.length e.children)) e.children
+  in
+  let n = Ftree.n_entries s.ftree in
+  let h = Util.hash_combine (mix k.graph_key 0x6b696473) k.sched_hash in
+  let h = List.fold_left entry (mix h n) (List.init n Fun.id) in
+  let h = set h s.hotspots in
+  let bit b i = if b then 1 lsl i else 0 in
+  let rules =
+    bit cfg.use_sweep_rules 0 lor bit cfg.ablation.restrict_sched_rules 1
+  in
+  Util.hash_combine (mix (mix (mix h rules) cfg.max_per_rule) sched_states) hw
+
+(** How a pop's candidates get their dedup hashes and, with a cache,
+    their evaluation keys. *)
+type codes =
+  | Hashed  (** no cache: each candidate is hashed, and not keyed *)
+  | Keyed of keyed * int64
+      (** each candidate is hashed and keyed, and the pop's children
+          table is stored under this {!children_key} *)
+  | Replayed of string  (** each is read from the pop's stored table *)
+
+(** A children table: each proposal's (dedup hash, evaluation key), in
+    proposal order, 16 bytes apiece. *)
+let encode_children codes =
+  let b = Bytes.create (16 * List.length codes) in
+  List.iteri
+    (fun i (h, key) ->
+      Bytes.set_int64_le b (16 * i) h;
+      Bytes.set_int64_le b ((16 * i) + 8) key)
+    codes;
+  Bytes.to_string b
 
 let proposal_graph (s : Mstate.t) (p : proposal) =
   match p.p_rewrite with Some ix -> Graph_index.graph ix | None -> s.graph
@@ -713,6 +803,7 @@ type end_state = {
 }
 
 type result = {
+  mode : mode;
   best : Mstate.t;
   initial : Mstate.t;
   stats : stats;
@@ -722,6 +813,14 @@ type result = {
   resumed : bool;
   end_state : end_state option;
 }
+
+(** Does the best state meet its mode's limit?  In either mode a state
+    over the limit ranks by how far over it is, so when no state meets
+    the limit the search returns the nearest miss. *)
+let limit_met (r : result) =
+  match r.mode with
+  | Min_latency { mem_limit } -> r.best.peak_mem <= mem_limit
+  | Min_memory { lat_limit } -> r.best.latency <= lat_limit
 
 (* [r.stats.table] is the saved record's, so it already counts the
    save; the stats' copied fields are refreshed from it *)
@@ -821,10 +920,9 @@ let start (cfg : config) (cost : Op_cost.t) (mode : mode) (graph : Graph.t) tb
   let history = [ (elapsed (), init.peak_mem, init.latency) ] in
   let seen = Hashtbl.create 1024 in
   Hashtbl.replace seen
-    (state_hash tb
-       (fun () ->
-         Wl_hash.hash_of (Wl_hash.labels_on (Graph_index.of_graph init.graph)))
-       init.ftree)
+    (counted_hash tb (fun () ->
+         let ix = Graph_index.of_graph init.graph in
+         state_hash (Wl_hash.hash_of (Wl_hash.labels_on ix)) init.ftree))
     ();
   {
     snap_best = init;
@@ -1028,24 +1126,82 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
     let sched_states =
       ladder_sched_states ~level:st.snap_degrade config.sched_states
     in
+    (* With a cache, the pop's children key and the table a search
+       that popped the same state stored under it: each proposal's
+       dedup hash and evaluation key, read instead of computed.  Under
+       [verify_states] a replayed table is checked against the codes
+       computed afresh. *)
+    let codes =
+      match cx.keyed with
+      | None -> Hashed
+      | Some k -> (
+          timed tb s_hash @@ fun () ->
+          let key = children_key config k ~sched_states ~hw s in
+          match Sim_cache.children k.sim key with
+          | None -> Keyed (k, key)
+          | Some table ->
+              let computed () =
+                List.map
+                  (fun p ->
+                    let h = proposal_hash cx p in
+                    (h, evaluation_key k ~sched_states ~hw h p))
+                  proposals
+              in
+              if config.verify_states && encode_children (computed ()) <> table
+              then
+                raise
+                  (Verification_failure
+                     (Printf.sprintf
+                        "replayed children (key %016Lx) differ from their \
+                         hashes"
+                        key));
+              bump tb c_expansion_replays 1;
+              Replayed table)
+    in
     (* Hash test FIRST: duplicate graphs skip scheduling and simulation
-       entirely (the Fig. 15 "Filtered" column).  Each execution of a
+       entirely (the Fig. 15 "Filtered" column).  With a cache each
+       candidate also gets its evaluation key.  Each execution of a
        candidate's hash or evaluation visits the [candidate] fault
        site. *)
+    let code i p =
+      match codes with
+      | Hashed -> (counted_hash tb (fun () -> proposal_hash cx p), None)
+      | Keyed (k, _) ->
+          let h = counted_hash tb (fun () -> proposal_hash cx p) in
+          ( h,
+            Some
+              (timed tb s_lookup (fun () ->
+                   evaluation_key k ~sched_states ~hw h p)) )
+      | Replayed table ->
+          let h =
+            counted_hash tb (fun () -> String.get_int64_le table (16 * i))
+          in
+          (h, Some (String.get_int64_le table ((16 * i) + 8)))
+    in
     let hashed =
       List.mapi (fun i p -> (i, p)) proposals
       |> List.filter_map (fun (i, p) ->
              supervise ~what:(Printf.sprintf "hash candidate %d" i)
                (fun p ->
                  Fault.hit "candidate";
-                 (i, p, hash_proposal tb cx p))
+                 let h, key = code i p in
+                 (i, p, h, key))
                p)
     in
+    (* A computed table is stored only when every proposal hashed: a
+       quarantined hash would shift the positions after it. *)
+    (match codes with
+    | Keyed (k, key) when List.length hashed = List.length proposals ->
+        timed tb s_hash (fun () ->
+            Sim_cache.add_children k.sim key
+              (encode_children
+                 (List.map (fun (_, _, h, key) -> (h, Option.get key)) hashed)))
+    | Hashed | Keyed _ | Replayed _ -> ());
     (* Dedup against every state seen so far: first occurrence wins. *)
     let survivors =
       timed tb s_dedup @@ fun () ->
       List.filter
-        (fun (_, _, h) ->
+        (fun (_, _, h, _) ->
           let seen = Hashtbl.mem st.snap_seen h in
           if seen then bump tb c_filtered 1
           else Hashtbl.replace st.snap_seen h ();
@@ -1055,21 +1211,14 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
     (* Probe the cache once per survivor: a hit is its state, [Left], a
        miss the key its evaluation is stored under, [Right]. *)
     let probed =
-      match config.sim_cache with
-      | None -> List.map (fun (i, p, _) -> (i, p, Either.Right None)) survivors
-      | Some sim ->
-          let sched_hash =
-            timed tb s_lookup (fun () -> Util.hash_int_list s.schedule)
-          in
-          let probe (i, (p : proposal), h) =
+      match cx.keyed with
+      | None ->
+          List.map (fun (i, p, _, _) -> (i, p, Either.Right None)) survivors
+      | Some { sim; _ } ->
+          let probe (i, (p : proposal), _, key) =
             timed tb s_lookup @@ fun () ->
-            let key =
-              Sim_cache.key ~state:h ~parent_sched:sched_hash
-                ~mutated:(Util.hash_int_list (Int_set.elements p.p_mutated))
-                ~sched_states ~hw
-            in
-            match Sim_cache.find sim key with
-            | None -> (i, p, Either.Right (Some key))
+            match Option.bind key (Sim_cache.find sim) with
+            | None -> (i, p, Either.Right key)
             | Some v ->
                 let g = proposal_graph s p in
                 let s' = Mstate.of_cached ~ftree_stale:p.p_stale g p.p_ftree v in
@@ -1077,7 +1226,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
                 (i, p, Either.Left s')
           in
           List.filter_map
-            (fun ((i, _, _) as c) ->
+            (fun ((i, _, _, _) as c) ->
               supervise ~what:(Printf.sprintf "probe candidate %d" i) probe c)
             survivors
     in
@@ -1184,7 +1333,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
          the pop, which then proposes nothing. *)
       Option.iter
         (fun cx -> expand (refresh config tb s cx) cx)
-        (supervise ~what:"pop context" (pop_context tb s) ix);
+        (supervise ~what:"pop context" (pop_context config tb s) ix);
       match config.checkpoint with
       | Some { ckpt_path; ckpt_every; _ }
         when elapsed () -. !last_ckpt >= ckpt_every ->
@@ -1198,6 +1347,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
   publish ();
   st.snap_elapsed <- elapsed ();
   {
+    mode;
     best = st.snap_best;
     initial = st.snap_initial;
     stats =

@@ -139,6 +139,7 @@ val unaccounted : stats -> float
 type end_state
 
 type result = {
+  mode : mode;  (** the mode the run searched in, with its limit *)
   best : Mstate.t;
   initial : Mstate.t;
   stats : stats;
@@ -156,6 +157,14 @@ type result = {
       (** [Some] only when the run had a [checkpoint] configured, so a
           caller holding many results holds no loop state *)
 }
+
+(** Does [best] meet its mode's limit: peak memory at most [mem_limit],
+    or latency at most [lat_limit]?  A state over the limit ranks by
+    how far over it is, so a search that finds no state within the
+    limit returns the nearest miss, and this is false.  Every report of
+    a result ([magis_cli optimize], the daemon's [Result], the [zoo]
+    gate) says so. *)
+val limit_met : result -> bool
 
 (** Crash-safe snapshot configuration. *)
 type checkpoint = {
@@ -187,9 +196,10 @@ type config = {
           additionally assert the bound invariant
           [Membound.lower <= simulated peak <= Membound.ub_total] (plus
           the latency floor) via {!Magis_analysis.Hooks.assert_bounds},
-          and rebuild every F-Tree replayed from [sim_cache] to compare
-          it with the replay, raising {!Verification_failure} on the
-          first violation (tests/CI on, benchmarks off) *)
+          and rebuild every F-Tree and recompute every children table
+          replayed from [sim_cache] to compare them with the replay,
+          raising {!Verification_failure} on the first violation
+          (tests/CI on, benchmarks off) *)
   jobs : int;
       (** Retired: the search runs one serial loop, and {!run} raises
           [Invalid_argument] for any value but 1 (the default).  Kept
@@ -204,6 +214,16 @@ type config = {
           node id, the old tree's enabled entries with their dims, the
           hot-spots, [max_level]); a search that pops the same stale
           state decodes it instead (the [refresh_replays] counter).
+          And it stores each pop's children: every proposal's dedup
+          hash and evaluation key, in proposal order, keyed on what
+          generating, hashing and keying them reads (the graph by node
+          id, the refreshed F-Tree with all its entries, the hot-spots,
+          the schedule, [max_per_rule], [use_sweep_rules],
+          [restrict_sched_rules], the effective DP budget and the
+          hardware); a search that pops the same state reads them
+          instead of relabelling and hashing each child (the
+          [expansion_replays] counter; [hashes] still counts every
+          candidate).
           [None] (the default) = no cache, nothing keyed: a cache of
           one search's own never hits, as dedup skips every state it
           could return. *)

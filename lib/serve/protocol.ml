@@ -70,6 +70,7 @@ type outcome = {
   o_interrupted : bool;
   o_resumed : bool;
   o_deadline_hit : bool;
+  o_limit_met : bool;
   o_quarantined : int;
 }
 
@@ -384,6 +385,7 @@ let reply_to_string reply =
             ("interrupted", Json.Bool o.o_interrupted);
             ("resumed", Json.Bool o.o_resumed);
             ("deadline_hit", Json.Bool o.o_deadline_hit);
+            ("limit_met", Json.Bool o.o_limit_met);
             ("quarantined", Json.Int o.o_quarantined) ]
     | Frontier_reply f ->
         Json.Obj
@@ -444,6 +446,7 @@ let reply_of_string s =
           o_interrupted = req_bool doc "interrupted";
           o_resumed = req_bool doc "resumed";
           o_deadline_hit = req_bool doc "deadline_hit";
+          o_limit_met = req_bool doc "limit_met";
           o_quarantined = req_int doc "quarantined";
         }
   | "frontier" ->

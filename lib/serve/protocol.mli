@@ -92,6 +92,10 @@ type outcome = {
   o_interrupted : bool;  (** cut short by SIGTERM / drain *)
   o_resumed : bool;  (** continued from a checkpoint of the same id *)
   o_deadline_hit : bool;  (** budget expired; this is best-so-far *)
+  o_limit_met : bool;
+      (** the best meets the request's limit ({!Magis_opt.Search.limit_met});
+          false when the search found no state within it and this is
+          the nearest miss *)
   o_quarantined : int;  (** candidates quarantined during the search *)
 }
 

@@ -451,6 +451,7 @@ let run_search t (job : job) (req : P.request) (workload : Zoo.workload)
                  o_interrupted = r.interrupted;
                  o_resumed = r.resumed;
                  o_deadline_hit = deadline_hit;
+                 o_limit_met = Search.limit_met r;
                  o_quarantined = r.stats.n_quarantined;
                }))
 

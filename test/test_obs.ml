@@ -611,6 +611,31 @@ let test_optimize_profile_artifacts () =
     (contains (read_file stdout_path)
        (Printf.sprintf "->  %.1f MB" (float_of_int best_peak /. 1e6)))
 
+(* [optimize] says when its best misses the limit, with the digits
+   that show it, and exits 5: ViT-base at 8 iterations and ratio 0.8
+   returns 464.7 MB against a 462.3 MB limit, which its "memory ratio
+   0.80" line alone does not show. *)
+let test_optimize_limit_not_met () =
+  let stdout_path = temp_path "limit-stdout" in
+  let code =
+    let out = Unix.openfile stdout_path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
+    let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    Fun.protect ~finally:(fun () -> Unix.close out; Unix.close devnull)
+    @@ fun () ->
+    let pid =
+      Unix.create_process cli_exe
+        [| cli_exe; "optimize"; "vit-base"; "--iters"; "8"; "--budget"; "1e9";
+           "--mem-ratio"; "0.8" |]
+        devnull out devnull
+    in
+    match Unix.waitpid [] pid with _, Unix.WEXITED n -> n | _ -> -1
+  in
+  let out = read_file stdout_path in
+  Alcotest.(check int) "exit 5" 5 code;
+  Alcotest.(check bool) "limit not met, with the digits that show it" true
+    (contains out "limit not met: peak 464.679 MB (ratio 0.8040), limit \
+                   462.340 MB (ratio 0.8000)")
+
 let suite =
   [
     tc "json values round-trip through the parser" test_json_roundtrip;
@@ -637,4 +662,6 @@ let suite =
     tc "the stat block's cache line needs a cache" test_pp_stats_cache_line;
     tc "optimize --profile writes every artifact of one run"
       test_optimize_profile_artifacts;
+    tc "optimize says when its best misses the limit"
+      test_optimize_limit_not_met;
   ]

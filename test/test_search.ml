@@ -190,11 +190,14 @@ let counts_but_cache (r : Search.result) =
       not
         (List.mem n
            [ "sim_hits"; "sim_misses"; "sched_fallbacks"; "resched_nodes";
-             "sched_nodes"; "refresh_replays" ]))
+             "sched_nodes"; "refresh_replays"; "expansion_replays" ]))
     (Search.counts r.stats)
 
 let replays (r : Search.result) =
   List.assoc "refresh_replays" (Search.counts r.stats)
+
+let expansion_replays (r : Search.result) =
+  List.assoc "expansion_replays" (Search.counts r.stats)
 
 (* A search run again over the cache its first run filled replays every
    stale pop's F-Tree (under [verify_states], each replay is checked
@@ -246,6 +249,113 @@ let test_max_level_in_refresh_key () =
         (counts_but_cache none) (counts_but_cache shared))
     [ 3; 4 ]
 
+(* A search run again over the cache its first run filled replays every
+   pop's children table (under [verify_states], each replay is checked
+   against the hashes computed afresh) and returns what the first run
+   returned, storing no table.  A pop with a quarantined hash stores no
+   table, and the cache it leaves serves a later clean run that equals
+   a cacheless one. *)
+let test_warm_search_replays_expansions () =
+  let g = subject () and sim = Sim_cache.create () in
+  let cfg sim_cache =
+    { (config 1e9) with max_iterations = 25; sim_cache }
+  in
+  let run sim_cache =
+    Search.optimize_memory ~config:(cfg sim_cache) (cache ()) ~overhead:0.10 g
+  in
+  let cold = run (Some sim) in
+  let ((tables, _) as stored) = Sim_cache.children_stats sim in
+  let warm = run (Some sim) in
+  Alcotest.(check bool) "same best state and history" true
+    (outcome cold = outcome warm);
+  Alcotest.(check (list (pair string int))) "same counters but the cache's"
+    (counts_but_cache cold) (counts_but_cache warm);
+  Alcotest.(check int) "the cold run replays no pop" 0 (expansion_replays cold);
+  Alcotest.(check int) "the cold run stores a table per pop"
+    cold.stats.iterations tables;
+  Alcotest.(check int) "the warm run replays every pop" warm.stats.iterations
+    (expansion_replays warm);
+  Alcotest.(check (pair int int)) "the warm run stores no table" stored
+    (Sim_cache.children_stats sim);
+  Sim_cache.clear sim;
+  Alcotest.(check (pair int int)) "clear drops the tables" (0, 0)
+    (Sim_cache.children_stats sim);
+  (* the first pop's first proposal keeps failing to hash: its first
+     try, then the retry loop's run and its three re-executions *)
+  let faulty =
+    Fun.protect ~finally:Fault.disarm @@ fun () ->
+    Fault.arm (Fault.burst ~site:"candidate" ~at:1 ~len:5 Fault.Exception);
+    run (Some sim)
+  in
+  Alcotest.(check int) "one hash quarantined" 1 faulty.stats.n_quarantined;
+  Alcotest.(check int) "the quarantined pop stores no table"
+    (faulty.stats.iterations - 1)
+    (fst (Sim_cache.children_stats sim));
+  let clean = run (Some sim) and none = run None in
+  Alcotest.(check bool) "the clean run replays a stored table" true
+    (expansion_replays clean > 0);
+  Alcotest.(check bool) "a clean run on that cache equals a cacheless one" true
+    (outcome clean = outcome none);
+  Alcotest.(check (list (pair string int)))
+    "a clean run on that cache counts as a cacheless one"
+    (counts_but_cache none) (counts_but_cache clean)
+
+(* Every rule knob is part of the children key: searches that differ
+   only in [max_per_rule], then only in [use_sweep_rules], share one
+   cache, and each returns what its own cacheless search returns.  No
+   [verify_states] here, so a table replayed under a key that missed a
+   knob shows as a different trajectory, not as a failed check.  On
+   ViT-base both knobs change the proposals enough for that to show
+   (on UNet a key without [use_sweep_rules] goes unnoticed). *)
+let test_rule_knobs_in_children_key () =
+  let g = (Zoo.find "ViT-base").build Zoo.Quick in
+  let run ?sim_cache knob =
+    let config =
+      knob
+        { Search.default_config with
+          time_budget = 1e9; max_iterations = 12; sim_cache }
+    in
+    Search.optimize_memory ~config (cache ()) ~overhead:0.10 g
+  in
+  List.iter
+    (fun (name, knobs) ->
+      let sim = Sim_cache.create () in
+      List.iter
+        (fun (value, knob) ->
+          let shared = run ~sim_cache:sim knob and none = run knob in
+          let what = Printf.sprintf "%s %s" name value in
+          Alcotest.(check bool) (what ^ ": same best state and history") true
+            (outcome shared = outcome none);
+          Alcotest.(check (list (pair string int)))
+            (what ^ ": same counters but the cache's")
+            (counts_but_cache none) (counts_but_cache shared))
+        knobs)
+    [ ( "max_per_rule",
+        [ ("6", fun c -> { c with Search.max_per_rule = 6 });
+          ("2", fun c -> { c with Search.max_per_rule = 2 }) ] );
+      ( "use_sweep_rules",
+        [ ("true", fun c -> { c with Search.use_sweep_rules = true });
+          ("false", fun c -> { c with Search.use_sweep_rules = false }) ] ) ]
+
+(* A latency-mode search whose best misses its memory limit says so:
+   ViT-base at 8 iterations and ratio 0.8 returns 464.7 MB against a
+   462.3 MB limit; a memory-mode UNet meets its limit. *)
+let test_limit_met () =
+  let c = cache () in
+  let cfg = { Search.default_config with time_budget = 1e9; max_iterations = 8 } in
+  let vit = (Zoo.find "vit-base").build Zoo.Quick in
+  let r = Search.optimize_latency ~config:cfg c ~mem_ratio:0.8 vit in
+  (match r.mode with
+  | Search.Min_latency { mem_limit } ->
+      Alcotest.(check bool) "ViT-base's best is over its limit" true
+        (r.best.peak_mem > mem_limit)
+  | Search.Min_memory _ -> Alcotest.fail "latency mode expected");
+  Alcotest.(check bool) "ViT-base at 0.8: limit not met" false
+    (Search.limit_met r);
+  let unet = (Zoo.find "UNet").build Zoo.Quick in
+  Alcotest.(check bool) "UNet at +10%: limit met" true
+    (Search.limit_met (Search.optimize_memory ~config:cfg c ~overhead:0.10 unet))
+
 let suite =
   [
     tc "memory mode respects constraint" test_memory_mode_respects_constraint;
@@ -261,4 +371,9 @@ let suite =
       test_poll_stop_equals_cap;
     tc "a warm search replays its refreshes" test_warm_search_replays_refreshes;
     tc "max_level is part of the refresh key" test_max_level_in_refresh_key;
+    tc "a warm search replays its expansions"
+      test_warm_search_replays_expansions;
+    tc "the rule knobs are part of the children key"
+      test_rule_knobs_in_children_key;
+    tc "a result says whether it met its limit" test_limit_met;
   ]

@@ -126,6 +126,7 @@ let test_protocol_roundtrip () =
           o_interrupted = true;
           o_resumed = true;
           o_deadline_hit = false;
+          o_limit_met = false;
           o_quarantined = 2;
         };
       P.Frontier_reply
