@@ -6,8 +6,8 @@
 
     - three identical requests must return bit-identical peaks while
       the shared simulation cache warms up across them, and the two
-      repeats must replay every F-Tree refresh from it (the
-      [search.refresh_replays] metric rises, the [sim_cache.trees]
+      repeats must replay every pop's record from it (the
+      [search.refresh_replays] metric rises, the [sim_cache.pops]
       gauge does not);
     - a request with an already-expired deadline must be rejected with
       the structured [deadline] error;
@@ -65,17 +65,17 @@ let run (env : Common.env) =
   (* the daemon records metrics while it runs *)
   let replays () =
     Metrics.counter_value (Metrics.counter "search.refresh_replays")
-  and trees () = Metrics.gauge_value (Metrics.gauge "sim_cache.trees") in
+  and pops () = Metrics.gauge_value (Metrics.gauge "sim_cache.pops") in
   let r1 = result "warm-0" in
   let h_cold = Client.health c in
-  let replays_cold = replays () and trees_cold = trees () in
+  let replays_cold = replays () and pops_cold = pops () in
   let r2 = result "warm-1" in
   let r3 = result "warm-2" in
   let h_warm = Client.health c in
   let repeat_identical = r1.o_peak = r2.o_peak && r2.o_peak = r3.o_peak in
   let cache_warm = h_warm.cache_hit_rate > h_cold.cache_hit_rate in
   let repeat_replays = replays () - replays_cold in
-  let repeat_replayed = repeat_replays > 0 && trees () = trees_cold in
+  let repeat_replayed = repeat_replays > 0 && pops () = pops_cold in
   Printf.printf
     "A1 identical requests: peak %.1f MB (from %.1f MB), identical %b, \
      cache hit rate %.2f -> %.2f, repeats replayed %d refreshes (all %b)\n"

@@ -18,13 +18,12 @@
     [<case>_<pass>_<counter>] for every [Search.counts] entry of every
     pass, [<case>_<pass>_same] for whether a cached pass's summary
     equals the no-cache one, and [<case>_warm_replayed_all] for whether
-    the warm pass stored no F-Tree and no children table in the cache,
-    so replayed every refresh and every expansion it ran.  At the end
-    of the round, [shared_cache_entries], [shared_cache_trees],
-    [shared_cache_tree_bytes], [shared_cache_children] and
-    [shared_cache_children_bytes] size the shared cache: its
-    evaluations, its stored F-Trees, its children tables and their
-    bytes.  64-bit values are hex strings. *)
+    the warm pass stored no pop record in the cache, so replayed the
+    refresh and the children of every pop it ran.  At the end of the
+    round, [shared_cache_entries], [shared_cache_pops] and
+    [shared_cache_pop_bytes] size the shared cache: its evaluations,
+    its pop records and their bytes.  64-bit values are hex
+    strings. *)
 
 open Magis
 
@@ -107,11 +106,9 @@ let run (env : Common.env) =
           c.search ~config env.cost c.graph in
         let nocache = go None in
         let cold = go (Some shared) in
-        let stored () =
-          (Sim_cache.tree_stats shared, Sim_cache.children_stats shared) in
-        let before = stored () in
+        let before = Sim_cache.record_stats shared in
         let warm = go (Some shared) in
-        let replayed_all = stored () = before in
+        let replayed_all = Sim_cache.record_stats shared = before in
         let base = summary nocache in
         let key k = c.name ^ "_" ^ k in
         let counts pass (r : Search.result) =
@@ -134,15 +131,12 @@ let run (env : Common.env) =
           List.for_all snd flags ))
       (cases env)
   in
-  let trees, tree_bytes = Sim_cache.tree_stats shared
-  and children, children_bytes = Sim_cache.children_stats shared in
+  let pops, pop_bytes = Sim_cache.record_stats shared in
   Common.write_stats_json env
     (List.concat_map fst fields
     @ [ ("shared_cache_entries", Json.Int (Sim_cache.length shared));
-        ("shared_cache_trees", Json.Int trees);
-        ("shared_cache_tree_bytes", Json.Int tree_bytes);
-        ("shared_cache_children", Json.Int children);
-        ("shared_cache_children_bytes", Json.Int children_bytes) ]);
+        ("shared_cache_pops", Json.Int pops);
+        ("shared_cache_pop_bytes", Json.Int pop_bytes) ]);
   if not (List.for_all snd fields) then
     failwith "a cached pass diverged from the no-cache pass, or a warm one \
               rebuilt a refresh or an expansion"

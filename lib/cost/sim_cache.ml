@@ -1,8 +1,8 @@
 (** Simulation cache (see the interface for the keying discipline).
 
     Storage is plain data: an evaluation's schedule and hot spots as
-    [int array]s (one word per node, no list cells), a refreshed
-    F-Tree and a pop's children as the bytes their caller passes. *)
+    [int array]s (one word per node, no list cells), a pop record as
+    the bytes its caller passes. *)
 
 open Magis_ir
 module Metrics = Magis_obs.Metrics
@@ -31,38 +31,29 @@ type entry = {
   e_hotspots : int array;
 }
 
-(* A table of opaque payloads and the total length of its payloads;
-   its two gauges follow the cache that stored or cleared last (a
-   daemon's one cache). *)
-type payloads = {
-  tbl : (int64, string) Hashtbl.t;
-  mutable bytes : int;
-  g_count : Metrics.gauge;
-  g_bytes : Metrics.gauge;
-}
-
-let payloads ~count ~bytes =
-  { tbl = Hashtbl.create 64; bytes = 0;
-    g_count = Metrics.gauge ("sim_cache." ^ count);
-    g_bytes = Metrics.gauge ("sim_cache." ^ bytes) }
-
-(* One lock around all three tables: a search runs on one domain, so
-   only a daemon's worker domains meet here. *)
+(* One lock around both tables: a search runs on one domain, so only a
+   daemon's worker domains meet here.  [record_bytes] is the total
+   length of the stored pop records. *)
 type t = {
   lock : Mutex.t;
   tbl : (int64, entry) Hashtbl.t;
-  trees : payloads;
-  children : payloads;
+  records : (int64, string) Hashtbl.t;
+  mutable record_bytes : int;
   hits : int Atomic.t;
   misses : int Atomic.t;
 }
+
+(* the pop records of the cache that stored or cleared last (a daemon's
+   one cache) *)
+let g_pops = Metrics.gauge "sim_cache.pops"
+let g_pop_bytes = Metrics.gauge "sim_cache.pop_bytes"
 
 let create () =
   {
     lock = Mutex.create ();
     tbl = Hashtbl.create 1024;
-    trees = payloads ~count:"trees" ~bytes:"tree_bytes";
-    children = payloads ~count:"children" ~bytes:"children_bytes";
+    records = Hashtbl.create 64;
+    record_bytes = 0;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
   }
@@ -99,34 +90,22 @@ let add t k v =
   Mutex.protect t.lock (fun () -> Hashtbl.replace t.tbl k e)
 
 (* under the lock *)
-let publish (p : payloads) =
-  Metrics.set p.g_count (float_of_int (Hashtbl.length p.tbl));
-  Metrics.set p.g_bytes (float_of_int p.bytes)
+let publish t =
+  Metrics.set g_pops (float_of_int (Hashtbl.length t.records));
+  Metrics.set g_pop_bytes (float_of_int t.record_bytes)
 
-let find_payload t (p : payloads) k = Mutex.protect t.lock (fun () -> Hashtbl.find_opt p.tbl k)
+let record t k = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.records k)
 
-let add_payload t (p : payloads) k bytes =
+let add_record t k bytes =
   Mutex.protect t.lock (fun () ->
-      if not (Hashtbl.mem p.tbl k) then begin
-        Hashtbl.add p.tbl k bytes;
-        p.bytes <- p.bytes + String.length bytes;
-        publish p
+      if not (Hashtbl.mem t.records k) then begin
+        Hashtbl.add t.records k bytes;
+        t.record_bytes <- t.record_bytes + String.length bytes;
+        publish t
       end)
 
-let payload_stats t (p : payloads) =
-  Mutex.protect t.lock (fun () -> (Hashtbl.length p.tbl, p.bytes))
-
-let clear_payloads (p : payloads) =
-  Hashtbl.reset p.tbl;
-  p.bytes <- 0;
-  publish p
-
-let tree t = find_payload t t.trees
-let add_tree t = add_payload t t.trees
-let tree_stats t = payload_stats t t.trees
-let children t = find_payload t t.children
-let add_children t = add_payload t t.children
-let children_stats t = payload_stats t t.children
+let record_stats t =
+  Mutex.protect t.lock (fun () -> (Hashtbl.length t.records, t.record_bytes))
 
 let stats t = (Atomic.get t.hits, Atomic.get t.misses)
 
@@ -143,5 +122,6 @@ let length t = Mutex.protect t.lock (fun () -> Hashtbl.length t.tbl)
 let clear t =
   Mutex.protect t.lock (fun () ->
       Hashtbl.reset t.tbl;
-      clear_payloads t.trees;
-      clear_payloads t.children)
+      Hashtbl.reset t.records;
+      t.record_bytes <- 0;
+      publish t)

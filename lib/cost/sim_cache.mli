@@ -20,17 +20,17 @@
     are atomic.  [find] is a fault-injection site
     (["sim_cache"], {!Magis_resilience.Fault}).
 
-    Beside the evaluations the cache holds two tables the search keys
-    itself, each a digest of exactly what the stored work read: the
-    F-Tree of each stale pop's refresh ({!add_tree}) and each pop's
-    children ({!add_children}), their dedup hashes and evaluation keys.
-    A search that pops a state another search popped reads both back
-    instead of redoing the work, so a warm search rebuilds no tree and
-    WL-hashes no child.
+    Beside the evaluations the cache holds one table the search keys
+    itself: a record per pop ({!add_record}), under a digest of exactly
+    what the pop's F-Tree refresh and its children read, holding the
+    refreshed F-Tree and each child's dedup hash and evaluation key.  A
+    search that pops a state another search popped reads the record
+    back instead of redoing the work, so a warm search rebuilds no tree
+    and WL-hashes no child.
 
     An entry is stored as plain data: its schedule and hot spots as
-    [int array]s, so [find] returns the lists [add] was given.  A stored
-    F-Tree or children table is the string its caller passes. *)
+    [int array]s, so [find] returns the lists [add] was given.  A pop
+    record is the string its caller passes. *)
 
 (** Cached outcome of evaluating one M-state. *)
 type value = {
@@ -71,54 +71,32 @@ val find : t -> int64 -> value option
 (** [add t k v] caches [v] under [k], replacing what [k] held. *)
 val add : t -> int64 -> value -> unit
 
-(** {1 Refreshed F-Trees}
-
-    The search also stores the F-Tree each stale pop's refresh
-    (Algorithm 3, lines 13-14) rebuilds, under a key of its own that
-    digests what the refresh reads; a later search that pops the same
-    stale state unmarshals the tree instead of rebuilding it.  The
-    payload is an opaque string (the F-Tree's [Marshal] bytes: this
-    library knows no F-Tree type), written by the same process under
-    keys only the search makes.  Tree lookups visit no fault site and
-    count into neither {!stats} nor {!length}; the gauges
-    [sim_cache.trees] and [sim_cache.tree_bytes] report the stored trees
-    and their bytes of the cache that stored or cleared last (a daemon's
-    one cache). *)
-
-(** The payload stored under [k], if any. *)
-val tree : t -> int64 -> string option
-
-(** [add_tree t k bytes] stores [bytes] under [k]; a key already stored
-    keeps its payload. *)
-val add_tree : t -> int64 -> string -> unit
-
-(** [(trees, bytes)]: the stored trees and the total length of their
-    payloads, since creation or {!clear}. *)
-val tree_stats : t -> int * int
-
-(** {1 A pop's children}
+(** {1 Pop records}
 
     The search also stores, for each pop whose every proposal it
-    hashed, each proposal's dedup hash and evaluation key in proposal
-    order, under a key of its own that digests what generating,
-    hashing and keying the proposals read; a later search popping the
-    same state reads them back instead of relabelling and hashing each
-    child.  The payload is opaque here (16 bytes per proposal, written
-    by the search).  Like tree lookups, these visit no fault site and
-    count into neither {!stats} nor {!length}; the gauges
-    [sim_cache.children] and [sim_cache.children_bytes] report the
-    stored tables and their bytes, as the tree gauges do. *)
+    hashed, one record under a key of its own that digests what the
+    pop's refresh (Algorithm 3, lines 13-14), generating, hashing and
+    keying its proposals read; a later search popping the same state
+    reads it back instead of rebuilding the F-Tree and relabelling and
+    hashing each child.  The payload is opaque here (the search's
+    [Marshal] bytes of the refreshed tree and 16 bytes per proposal:
+    this library knows no F-Tree type), written by the same process
+    under keys only the search makes.  Record lookups visit no fault
+    site and count into neither {!stats} nor {!length}; the gauges
+    [sim_cache.pops] and [sim_cache.pop_bytes] report the stored
+    records and their bytes of the cache that stored or cleared last (a
+    daemon's one cache). *)
 
-(** The table stored under [k], if any. *)
-val children : t -> int64 -> string option
+(** The record stored under [k], if any. *)
+val record : t -> int64 -> string option
 
-(** [add_children t k bytes] stores [bytes] under [k]; a key already
-    stored keeps its table. *)
-val add_children : t -> int64 -> string -> unit
+(** [add_record t k bytes] stores [bytes] under [k]; a key already
+    stored keeps its record. *)
+val add_record : t -> int64 -> string -> unit
 
-(** [(tables, bytes)]: the stored children tables and their total
-    length, since creation or {!clear}. *)
-val children_stats : t -> int * int
+(** [(records, bytes)]: the stored pop records and the total length of
+    their payloads, since creation or {!clear}. *)
+val record_stats : t -> int * int
 
 (** [(hits, misses)] since creation or the last {!reset_stats}. *)
 val stats : t -> int * int
@@ -133,5 +111,5 @@ val reset_stats : t -> unit
 (** Number of cached evaluations. *)
 val length : t -> int
 
-(** Drop every cached evaluation, stored tree and children table. *)
+(** Drop every cached evaluation and pop record. *)
 val clear : t -> unit

@@ -19,11 +19,11 @@
     table, and only once it has succeeded, so a retried candidate is
     counted once.  A {!Sim_cache} the caller
     shares across searches, whatever their mode or limit, is probed once
-    per survivor, and only misses are evaluated; it also holds the
-    F-Tree of every stale pop's refresh, which a later search popping
-    the same stale state decodes instead of rebuilding, and each pop's
-    children's dedup hashes and evaluation keys, which a later search
-    popping the same state reads instead of computing.  With no cache
+    per survivor, and only misses are evaluated; it also holds one
+    record per pop, keyed before the refresh: the refreshed F-Tree and
+    the children's dedup hashes and evaluation keys, which a later
+    search popping the same state reads instead of rebuilding the tree
+    and hashing the children.  With no cache
     nothing is keyed, as a cache of one search's own never hits (dedup
     skips every state it could return).
 
@@ -75,11 +75,11 @@ let declare decls name =
    stages that read them ({!pop_context}, {!resched_context}). *)
 let s_init = declare stage_decls "init" (* snapshot, initial M-state *)
 let s_pop = declare stage_decls "pop" (* caller's poll, ladder, queue pop *)
-let s_refresh = declare stage_decls "refresh" (* pop's index; F-Tree rebuild or decode *)
+let s_refresh = declare stage_decls "refresh" (* pop's index, record; F-Tree rebuild *)
 let s_generate = declare stage_decls "generate" (* order, closure, positions, proposals *)
-let s_hash = declare stage_decls "hash" (* labels, children table; WL hash ⊕ F-Tree fp *)
+let s_hash = declare stage_decls "hash" (* labels, graph fold, record store; WL hash ⊕ F-Tree fp *)
 let s_dedup = declare stage_decls "dedup" (* first occurrence wins *)
-let s_lookup = declare stage_decls "lookup" (* sched digest, key, probe, a hit's state *)
+let s_lookup = declare stage_decls "lookup" (* sched digest, pop key; key, probe, a hit's state *)
 let s_reschedule = declare stage_decls "reschedule" (* parent, costs; Alg. 2 *)
 let s_simulate = declare stage_decls "simulate" (* cost model, simulate, verify, store *)
 let s_merge = declare stage_decls "merge" (* admission, profile, metrics *)
@@ -98,8 +98,8 @@ let c_sched_nodes = declare counter_decls "sched_nodes" (* produced *)
 let c_retried = declare counter_decls "retried"
 let c_quarantined = declare counter_decls "quarantined"
 let c_checkpoints = declare counter_decls "checkpoints"
-let c_refresh_replays = declare counter_decls "refresh_replays" (* trees unmarshalled *)
-let c_expansion_replays = declare counter_decls "expansion_replays" (* children tables read *)
+let c_refresh_replays = declare counter_decls "refresh_replays" (* replayed pops that refreshed *)
+let c_expansion_replays = declare counter_decls "expansion_replays" (* replayed pops *)
 
 let stage_names = List.rev !stage_decls
 let counter_names = List.rev !counter_decls
@@ -401,8 +401,8 @@ type proposal = {
     pop's context only when the search has a cache. *)
 type keyed = {
   sim : Sim_cache.t;
-  graph_key : int64;  (** the popped graph pinned by node id ({!graph_key}) *)
   sched_hash : int64;  (** digest of the popped state's schedule *)
+  pop_key : int64;  (** the pop's record's key ({!pop_key}) *)
 }
 
 (** What a pop's proposals and their hashes read from the popped state,
@@ -420,9 +420,8 @@ type pop = {
 (* one int folded into a cache key *)
 let mix h x = Util.hash_combine h (Int64.of_int x)
 
-(** The popped graph as the pop's cache keys read it: each node id, in
-    the index's order, with its WL label and its operand ids.  Folded
-    once per pop and shared by {!refresh_key} and {!children_key}. *)
+(** The popped graph as the pop's record key reads it: each node id, in
+    the index's order, with its WL label and its operand ids. *)
 let graph_key ix labels : int64 =
   let nodes = Graph_index.nodes ix in
   Array.fold_left
@@ -432,10 +431,53 @@ let graph_key ix labels : int64 =
       Array.fold_left mix (mix h (Array.length ins)) ins)
     0x72656672L (Graph_index.order ix)
 
+(** Does the pop refresh its F-Tree (Algorithm 3, lines 13-14)? *)
+let refreshes (cfg : config) (s : Mstate.t) =
+  s.ftree_stale && cfg.ablation.use_ftree_heuristic
+
+(** Key of a pop's record in the simulation cache, folded before the
+    refresh: a digest of exactly what the refresh, [generate],
+    {!proposal_hash} and {!evaluation_key} read — the graph, pinned by
+    node id ({!graph_key}), the schedule's digest, the popped F-Tree with
+    every entry (members, dims, [n], parent and children: the refresh
+    reads the enabled entries, {!Ftree.mutations_on} and {!Ftree.prune}
+    the disabled ones too), whether the pop refreshes and [max_level],
+    the hot-spot set, the rule knobs [max_per_rule], [use_sweep_rules]
+    and [restrict_sched_rules], the effective DP budget and the
+    hardware.  Mode and limit are not read, so they are not in it. *)
+let pop_key (cfg : config) ~graph_key ~sched_hash ~sched_states ~hw
+    (s : Mstate.t) : int64 =
+  let set h vs =
+    Int_set.fold (fun v h -> mix h v) vs (mix h (Int_set.cardinal vs))
+  in
+  let entry h i =
+    let e = Ftree.entry s.ftree i in
+    let f = e.fission in
+    let h = set (mix (mix h f.n) e.parent) f.members in
+    let h =
+      Int_map.fold (fun v d h -> mix (mix h v) d) f.dims
+        (mix h (Int_map.cardinal f.dims))
+    in
+    List.fold_left mix (mix h (List.length e.children)) e.children
+  in
+  let n = Ftree.n_entries s.ftree in
+  let h = Util.hash_combine (mix graph_key 0x706f70) sched_hash in
+  let h = List.fold_left entry (mix h n) (List.init n Fun.id) in
+  let h = set h s.hotspots in
+  let bit b i = if b then 1 lsl i else 0 in
+  let flags =
+    bit (refreshes cfg s) 0
+    lor bit cfg.use_sweep_rules 1
+    lor bit cfg.ablation.restrict_sched_rules 2
+  in
+  let h = mix (mix h flags) cfg.ablation.max_level in
+  Util.hash_combine (mix (mix h cfg.max_per_rule) sched_states) hw
+
 (** The pop's context on [ix], the popped state's index: the order,
     closure and positions timed in [generate], the labels and the graph
-    key in [hash], the schedule digest in [lookup]. *)
-let pop_context (cfg : config) tb (s : Mstate.t) ix : pop =
+    fold in [hash], the schedule digest and the pop key in [lookup];
+    [sched_states] is the effective DP budget. *)
+let pop_context (cfg : config) tb ~sched_states ~hw (s : Mstate.t) ix : pop =
   let position =
     timed tb s_generate (fun () ->
         ignore (Graph_index.order ix : int array);
@@ -446,9 +488,11 @@ let pop_context (cfg : config) tb (s : Mstate.t) ix : pop =
   let keyed =
     Option.map
       (fun sim ->
-        { sim; graph_key = timed tb s_hash (fun () -> graph_key ix labels);
-          sched_hash =
-            timed tb s_lookup (fun () -> Util.hash_int_list s.schedule) })
+        let graph_key = timed tb s_hash (fun () -> graph_key ix labels) in
+        timed tb s_lookup @@ fun () ->
+        let sched_hash = Util.hash_int_list s.schedule in
+        { sim; sched_hash;
+          pop_key = pop_key cfg ~graph_key ~sched_hash ~sched_states ~hw s })
       cfg.sim_cache
   in
   { ix; position; labels; keyed }
@@ -460,65 +504,51 @@ let resched_context (cost : Op_cost.t) tb (s : Mstate.t) (cx : pop) =
       ( Magis_sched.Incremental.parent ~position:cx.position cx.ix s.schedule,
         Op_cost.costs_on cost cx.ix ))
 
-(** Key of a stale pop's refreshed F-Tree in the simulation cache: a
-    digest of exactly what {!Ftree.refresh_on} reads — the graph, pinned
-    by node id ({!graph_key}), the old tree's enabled entries (members
-    and [n] by {!Ftree.fingerprint}, then their dims), the hot-spot set
-    and [max_level].  Mode, limit, hardware and parent are not read, so
-    they are not in it. *)
-let refresh_key ~max_level (k : keyed) (s : Mstate.t) : int64 =
-  let h = Util.hash_combine k.graph_key (Ftree.fingerprint s.ftree) in
-  let h =
-    List.fold_left
-      (fun h i ->
-        let dims = (Ftree.fission_at s.ftree i).dims in
-        Int_map.fold (fun v d h -> mix (mix h v) d) dims
-          (mix h (Int_map.cardinal dims)))
-      h (Ftree.enabled_indices s.ftree)
-  in
-  let h =
-    Int_set.fold (fun v h -> mix h v) s.hotspots
-      (mix h (Int_set.cardinal s.hotspots))
-  in
-  mix h max_level
+(** The refreshed F-Tree of a pop that {!refreshes}, rebuilt on the pop's
+    index; [None] for a pop that does not. *)
+let rebuild (cfg : config) (s : Mstate.t) (cx : pop) : Ftree.t option =
+  if refreshes cfg s then
+    Some
+      (Ftree.refresh_on ~max_level:cfg.ablation.max_level cx.ix
+         ~old_tree:s.ftree ~hotspots:s.hotspots)
+  else None
 
-(** The popped state with a current F-Tree (Algorithm 3, lines 13-14).
-    A stale tree is rebuilt by {!Ftree.refresh_on} on the pop's index
-    or, when the search's cache holds a tree under its {!refresh_key},
-    unmarshalled from there; a rebuilt tree is stored there as its
-    [Marshal] bytes.  The bytes come only from this process, under keys
-    only {!refresh_key} makes.  Under [verify_states] the stored bytes
-    are checked against a rebuild's. *)
-let refresh (cfg : config) tb (s : Mstate.t) (cx : pop) : Mstate.t =
+(** How a pop's candidates get their dedup hashes and, with a cache,
+    their evaluation keys. *)
+type codes =
+  | Hashed  (** no cache: each candidate is hashed, and not keyed *)
+  | Keyed of keyed * Ftree.t option
+      (** each candidate is hashed and keyed, and the pop's record is
+          stored under its key with the refreshed tree, [Some] when the
+          pop refreshed *)
+  | Replayed of keyed * string * string
+      (** each is read from the pop's record: its bytes, then its
+          codes *)
+
+(** The popped state with a current F-Tree (Algorithm 3, lines 13-14),
+    and how its candidates get their codes.  When the search's cache
+    holds a record under the pop's key ({!pop_key}), the record gives
+    both: the refreshed tree, if the pop refreshes, and the codes.
+    Otherwise a pop that refreshes rebuilds its tree.  The record's
+    bytes come only from this process, under keys only {!pop_key}
+    makes. *)
+let refresh (cfg : config) tb (s : Mstate.t) (cx : pop) : Mstate.t * codes =
   timed tb s_refresh @@ fun () ->
-  let max_level = cfg.ablation.max_level in
-  let rebuild () =
-    Ftree.refresh_on ~max_level cx.ix ~old_tree:s.ftree ~hotspots:s.hotspots
+  let current tree =
+    { s with ftree = Option.value tree ~default:s.ftree; ftree_stale = false }
   in
-  let ftree =
-    if not (s.ftree_stale && cfg.ablation.use_ftree_heuristic) then s.ftree
-    else
-      match cx.keyed with
-      | None -> rebuild ()
-      | Some k -> (
-          let key = refresh_key ~max_level k s in
-          match Sim_cache.tree k.sim key with
-          | None ->
-              let t = rebuild () in
-              Sim_cache.add_tree k.sim key (Marshal.to_string t []);
-              t
-          | Some bytes ->
-              if cfg.verify_states && Marshal.to_string (rebuild ()) [] <> bytes
-              then
-                raise
-                  (Verification_failure
-                     (Printf.sprintf
-                        "replayed F-Tree (key %016Lx) differs from its refresh"
-                        key));
-              bump tb c_refresh_replays 1;
-              (Marshal.from_string bytes 0 : Ftree.t))
-  in
-  { s with ftree; ftree_stale = false }
+  match cx.keyed with
+  | None -> (current (rebuild cfg s cx), Hashed)
+  | Some k -> (
+      match Sim_cache.record k.sim k.pop_key with
+      | None ->
+          let tree = rebuild cfg s cx in
+          (current tree, Keyed (k, tree))
+      | Some bytes ->
+          let tree, table =
+            (Marshal.from_string bytes 0 : Ftree.t option * string)
+          in
+          (current tree, Replayed (k, bytes, table)))
 
 (** Proposals reached by F-Tree mutations: the graph is unchanged, the
     virtual fission state moves. *)
@@ -620,7 +650,7 @@ let proposal_latency_lb (acc : Ftree.accounting) (g : Graph.t) : float =
 
 (** A proposal's dedup hash.  A rewrite is relabelled from the pop's
     labels, which forces the rewrite index's topological order
-    (rescheduling partitions along it; on a pop whose children table is
+    (rescheduling partitions along it; on a pop whose record is
     replayed, no rewrite is relabelled, and a miss's reschedule forces
     the order instead); an F-Tree mutation takes the pop's hash. *)
 let proposal_hash (cx : pop) (p : proposal) : int64 =
@@ -641,59 +671,17 @@ let evaluation_key (k : keyed) ~sched_states ~hw h (p : proposal) : int64 =
     ~mutated:(Util.hash_int_list (Int_set.elements p.p_mutated))
     ~sched_states ~hw
 
-(** Key of a pop's children table in the simulation cache: a digest of
-    exactly what [generate], {!proposal_hash} and {!evaluation_key}
-    read — the graph, pinned by node id ({!graph_key}), the schedule's
-    digest, the refreshed F-Tree with every entry (members, dims, [n],
-    parent and children: {!Ftree.mutations_on} and {!Ftree.prune} read
-    disabled entries too), the hot-spot set, the rule knobs
-    [max_per_rule], [use_sweep_rules] and [restrict_sched_rules], the
-    effective DP budget and the hardware.  Mode and limit are not read,
-    so they are not in it. *)
-let children_key (cfg : config) (k : keyed) ~sched_states ~hw (s : Mstate.t) :
-    int64 =
-  let set h vs =
-    Int_set.fold (fun v h -> mix h v) vs (mix h (Int_set.cardinal vs))
-  in
-  let entry h i =
-    let e = Ftree.entry s.ftree i in
-    let f = e.fission in
-    let h = set (mix (mix h f.n) e.parent) f.members in
-    let h =
-      Int_map.fold (fun v d h -> mix (mix h v) d) f.dims
-        (mix h (Int_map.cardinal f.dims))
-    in
-    List.fold_left mix (mix h (List.length e.children)) e.children
-  in
-  let n = Ftree.n_entries s.ftree in
-  let h = Util.hash_combine (mix k.graph_key 0x6b696473) k.sched_hash in
-  let h = List.fold_left entry (mix h n) (List.init n Fun.id) in
-  let h = set h s.hotspots in
-  let bit b i = if b then 1 lsl i else 0 in
-  let rules =
-    bit cfg.use_sweep_rules 0 lor bit cfg.ablation.restrict_sched_rules 1
-  in
-  Util.hash_combine (mix (mix (mix h rules) cfg.max_per_rule) sched_states) hw
-
-(** How a pop's candidates get their dedup hashes and, with a cache,
-    their evaluation keys. *)
-type codes =
-  | Hashed  (** no cache: each candidate is hashed, and not keyed *)
-  | Keyed of keyed * int64
-      (** each candidate is hashed and keyed, and the pop's children
-          table is stored under this {!children_key} *)
-  | Replayed of string  (** each is read from the pop's stored table *)
-
-(** A children table: each proposal's (dedup hash, evaluation key), in
-    proposal order, 16 bytes apiece. *)
-let encode_children codes =
+(** A pop's record: the refreshed tree ([Some] when the pop refreshed)
+    and each proposal's (dedup hash, evaluation key), in proposal order,
+    16 bytes apiece, marshalled together. *)
+let encode_record (tree : Ftree.t option) codes =
   let b = Bytes.create (16 * List.length codes) in
   List.iteri
     (fun i (h, key) ->
       Bytes.set_int64_le b (16 * i) h;
       Bytes.set_int64_le b ((16 * i) + 8) key)
     codes;
-  Bytes.to_string b
+  Marshal.to_string (tree, Bytes.to_string b) []
 
 let proposal_graph (s : Mstate.t) (p : proposal) =
   match p.p_rewrite with Some ix -> Graph_index.graph ix | None -> s.graph
@@ -1117,47 +1105,38 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
      hash, dedup, probe, evaluate the misses and merge, each step over
      the candidates in order.  A candidate is named by its position
      among the pop's proposals. *)
-  let expand (s : Mstate.t) (cx : pop) =
+  let expand ~sched_states (popped : Mstate.t) (cx : pop) =
+    let s, codes = refresh config tb popped cx in
     let proposals =
       timed tb s_generate @@ fun () ->
       (if Ftree.n_entries s.ftree > 0 then ftree_proposals tb s cx else [])
       @ rewrite_proposals config tb s cx
     in
-    let sched_states =
-      ladder_sched_states ~level:st.snap_degrade config.sched_states
-    in
-    (* With a cache, the pop's children key and the table a search
-       that popped the same state stored under it: each proposal's
-       dedup hash and evaluation key, read instead of computed.  Under
-       [verify_states] a replayed table is checked against the codes
+    (* A replayed record stands for the pop's refresh and its codes:
+       under [verify_states] the whole record is checked against one
        computed afresh. *)
-    let codes =
-      match cx.keyed with
-      | None -> Hashed
-      | Some k -> (
-          timed tb s_hash @@ fun () ->
-          let key = children_key config k ~sched_states ~hw s in
-          match Sim_cache.children k.sim key with
-          | None -> Keyed (k, key)
-          | Some table ->
-              let computed () =
+    (match codes with
+    | Replayed (k, bytes, _) ->
+        if config.verify_states then
+          timed tb s_hash (fun () ->
+              let codes =
                 List.map
                   (fun p ->
                     let h = proposal_hash cx p in
                     (h, evaluation_key k ~sched_states ~hw h p))
                   proposals
               in
-              if config.verify_states && encode_children (computed ()) <> table
+              if encode_record (rebuild config popped cx) codes <> bytes
               then
                 raise
                   (Verification_failure
                      (Printf.sprintf
-                        "replayed children (key %016Lx) differ from their \
-                         hashes"
-                        key));
-              bump tb c_expansion_replays 1;
-              Replayed table)
-    in
+                        "replayed pop record (key %016Lx) differs from its \
+                         refresh and hashes"
+                        k.pop_key)));
+        bump tb c_expansion_replays 1;
+        if refreshes config popped then bump tb c_refresh_replays 1
+    | Hashed | Keyed _ -> ());
     (* Hash test FIRST: duplicate graphs skip scheduling and simulation
        entirely (the Fig. 15 "Filtered" column).  With a cache each
        candidate also gets its evaluation key.  Each execution of a
@@ -1172,7 +1151,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
             Some
               (timed tb s_lookup (fun () ->
                    evaluation_key k ~sched_states ~hw h p)) )
-      | Replayed table ->
+      | Replayed (_, _, table) ->
           let h =
             counted_hash tb (fun () -> String.get_int64_le table (16 * i))
           in
@@ -1188,13 +1167,13 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
                  (i, p, h, key))
                p)
     in
-    (* A computed table is stored only when every proposal hashed: a
+    (* A computed record is stored only when every proposal hashed: a
        quarantined hash would shift the positions after it. *)
     (match codes with
-    | Keyed (k, key) when List.length hashed = List.length proposals ->
+    | Keyed (k, tree) when List.length hashed = List.length proposals ->
         timed tb s_hash (fun () ->
-            Sim_cache.add_children k.sim key
-              (encode_children
+            Sim_cache.add_record k.sim k.pop_key
+              (encode_record tree
                  (List.map (fun (_, _, h, key) -> (h, Option.get key)) hashed)))
     | Hashed | Keyed _ | Replayed _ -> ());
     (* Dedup against every state seen so far: first occurrence wins. *)
@@ -1327,13 +1306,17 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
       (* One index of the popped graph serves the pop: its context, the
          F-Tree refresh and mutations, and the rule sites. *)
       let ix = timed tb s_refresh (fun () -> Graph_index.of_graph s.graph) in
-      (* The pop's context is built before the refresh keys on its
-         labels and the candidates read it (the misses' part in
+      let sched_states =
+        ladder_sched_states ~level:st.snap_degrade config.sched_states
+      in
+      (* The pop's context, with its record key, is built before the
+         refresh and the candidates read it (the misses' part in
          [expand]).  A context that keeps failing to build quarantines
          the pop, which then proposes nothing. *)
-      Option.iter
-        (fun cx -> expand (refresh config tb s cx) cx)
-        (supervise ~what:"pop context" (pop_context config tb s) ix);
+      Option.iter (expand ~sched_states s)
+        (supervise ~what:"pop context"
+           (pop_context config tb ~sched_states ~hw s)
+           ix);
       match config.checkpoint with
       | Some { ckpt_path; ckpt_every; _ }
         when elapsed () -. !last_ckpt >= ckpt_every ->

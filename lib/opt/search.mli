@@ -196,10 +196,10 @@ type config = {
           additionally assert the bound invariant
           [Membound.lower <= simulated peak <= Membound.ub_total] (plus
           the latency floor) via {!Magis_analysis.Hooks.assert_bounds},
-          and rebuild every F-Tree and recompute every children table
-          replayed from [sim_cache] to compare them with the replay,
-          raising {!Verification_failure} on the first violation
-          (tests/CI on, benchmarks off) *)
+          and recompute every pop record replayed from [sim_cache] (its
+          F-Tree rebuilt, its children hashed and keyed) to compare it
+          with the replay, raising {!Verification_failure} on the
+          first violation (tests/CI on, benchmarks off) *)
   jobs : int;
       (** Retired: the search runs one serial loop, and {!run} raises
           [Invalid_argument] for any value but 1 (the default).  Kept
@@ -209,20 +209,19 @@ type config = {
       (** memoizes (reschedule → simulate) evaluations across the
           searches sharing it, whatever their mode or limit: each
           survivor of dedup is probed once, serially, and only misses
-          are evaluated.  It also stores the F-Tree each stale pop's
-          refresh builds, keyed on what the refresh reads (the graph by
-          node id, the old tree's enabled entries with their dims, the
-          hot-spots, [max_level]); a search that pops the same stale
-          state decodes it instead (the [refresh_replays] counter).
-          And it stores each pop's children: every proposal's dedup
-          hash and evaluation key, in proposal order, keyed on what
-          generating, hashing and keying them reads (the graph by node
-          id, the refreshed F-Tree with all its entries, the hot-spots,
-          the schedule, [max_per_rule], [use_sweep_rules],
-          [restrict_sched_rules], the effective DP budget and the
-          hardware); a search that pops the same state reads them
-          instead of relabelling and hashing each child (the
-          [expansion_replays] counter; [hashes] still counts every
+          are evaluated.  It also stores one record per pop: the
+          F-Tree the pop's refresh builds, if it refreshes, and every
+          proposal's dedup hash and evaluation key, in proposal order,
+          keyed before the refresh on what the refresh and generating,
+          hashing and keying the proposals read (the graph by node id,
+          the schedule, the popped F-Tree with all its entries, whether
+          the pop refreshes, [max_level], the hot-spots,
+          [max_per_rule], [use_sweep_rules], [restrict_sched_rules],
+          the effective DP budget and the hardware); a search that
+          pops the same state reads it instead of rebuilding the tree
+          and relabelling and hashing each child (the
+          [expansion_replays] counter, and [refresh_replays] for a
+          replayed pop that refreshed; [hashes] still counts every
           candidate).
           [None] (the default) = no cache, nothing keyed: a cache of
           one search's own never hits, as dedup skips every state it

@@ -151,8 +151,8 @@ fi
 
 # 12. a search candidate's topological order is its Graph_index's
 # (Graph_index.order, forced once by the WL hash, or by a miss's
-# reschedule on a pop whose children's hashes are replayed from the
-# cache, and read again by the rescheduler): no Graph.topo_order walk
+# reschedule on a pop whose record is replayed from the cache, and
+# read again by the rescheduler): no Graph.topo_order walk
 # between the proposal type and the main loop's end in search.ml.
 hits=$(awk '/^type proposal = /{on=1} /^\(\* Convenience wrappers/{on=0}
   on && /Graph\.topo_order/{print FILENAME ":" FNR ": " $0}' lib/opt/search.ml)

@@ -199,62 +199,45 @@ let replays (r : Search.result) =
 let expansion_replays (r : Search.result) =
   List.assoc "expansion_replays" (Search.counts r.stats)
 
-(* A search run again over the cache its first run filled replays every
-   stale pop's F-Tree (under [verify_states], each replay is checked
-   against a rebuild) and returns what the first run returned.  The
-   first run replays nothing: dedup skips every state whose key it could
-   meet again. *)
+(* A search run again over the cache its first run filled takes every
+   stale pop's F-Tree from the pop's record instead of rebuilding it
+   (under [verify_states], each replayed record is checked against a
+   rebuild and the hashes computed afresh) and returns what the first
+   run returned.  The stale pops are counted from the warm run's
+   trace.  The first run replays nothing: dedup skips every state whose
+   key it could meet again. *)
 let test_warm_search_replays_refreshes () =
   let g = subject () and sim = Sim_cache.create () in
   let cfg = { (config 1e9) with max_iterations = 25; sim_cache = Some sim } in
   let run () = Search.optimize_memory ~config:cfg (cache ()) ~overhead:0.10 g in
   let cold = run () in
-  let ((trees, _) as stored) = Sim_cache.tree_stats sim in
-  let warm = run () in
+  let warm, stale_pops =
+    Fun.protect ~finally:Trace.clear @@ fun () ->
+    Trace.enable ();
+    let warm = run () in
+    ( warm,
+      List.length
+        (List.filter
+           (fun (e : Trace.event) ->
+             e.name = "pop" && List.assoc_opt "stale" e.args = Some "true")
+           (Trace.events ())) )
+  in
   Alcotest.(check bool) "same best state and history" true
     (outcome cold = outcome warm);
   Alcotest.(check (list (pair string int))) "same counters but the cache's"
     (counts_but_cache cold) (counts_but_cache warm);
   Alcotest.(check int) "the cold run replays nothing" 0 (replays cold);
-  Alcotest.(check bool) "the cold run stores its refreshes" true (trees > 0);
-  Alcotest.(check int) "the warm run replays every stale pop" trees
-    (replays warm);
-  Alcotest.(check (pair int int)) "the warm run stores no tree" stored
-    (Sim_cache.tree_stats sim);
-  Sim_cache.clear sim;
-  Alcotest.(check (pair int int)) "clear drops the trees" (0, 0)
-    (Sim_cache.tree_stats sim)
-
-(* [max_level] is part of the refresh key: searches at levels 3 and 4
-   sharing one cache each return what their own cacheless search
-   returns. *)
-let test_max_level_in_refresh_key () =
-  let g = (Zoo.find "UNet").build Zoo.Quick and sim = Sim_cache.create () in
-  let run ?sim_cache max_level =
-    let config =
-      { (config 1e9) with
-        max_iterations = 12; sim_cache;
-        ablation = { Search.default_ablation with max_level } }
-    in
-    Search.optimize_memory ~config (cache ()) ~overhead:0.10 g
-  in
-  List.iter
-    (fun level ->
-      let shared = run ~sim_cache:sim level and none = run level in
-      let what = Printf.sprintf "level %d" level in
-      Alcotest.(check bool) (what ^ ": same best state and history") true
-        (outcome shared = outcome none);
-      Alcotest.(check (list (pair string int)))
-        (what ^ ": same counters but the cache's")
-        (counts_but_cache none) (counts_but_cache shared))
-    [ 3; 4 ]
+  Alcotest.(check bool) "the warm run pops a stale state" true
+    (stale_pops > 0);
+  Alcotest.(check int) "the warm run replays every stale pop's refresh"
+    stale_pops (replays warm)
 
 (* A search run again over the cache its first run filled replays every
-   pop's children table (under [verify_states], each replay is checked
-   against the hashes computed afresh) and returns what the first run
-   returned, storing no table.  A pop with a quarantined hash stores no
-   table, and the cache it leaves serves a later clean run that equals
-   a cacheless one. *)
+   pop's record (under [verify_states], each replay is checked against
+   the refresh and hashes computed afresh) and returns what the first
+   run returned, storing no record.  A pop with a quarantined hash
+   stores no record, neither its tree nor its codes, and the cache it
+   leaves serves a later clean run that equals a cacheless one. *)
 let test_warm_search_replays_expansions () =
   let g = subject () and sim = Sim_cache.create () in
   let cfg sim_cache =
@@ -264,22 +247,22 @@ let test_warm_search_replays_expansions () =
     Search.optimize_memory ~config:(cfg sim_cache) (cache ()) ~overhead:0.10 g
   in
   let cold = run (Some sim) in
-  let ((tables, _) as stored) = Sim_cache.children_stats sim in
+  let ((records, _) as stored) = Sim_cache.record_stats sim in
   let warm = run (Some sim) in
   Alcotest.(check bool) "same best state and history" true
     (outcome cold = outcome warm);
   Alcotest.(check (list (pair string int))) "same counters but the cache's"
     (counts_but_cache cold) (counts_but_cache warm);
   Alcotest.(check int) "the cold run replays no pop" 0 (expansion_replays cold);
-  Alcotest.(check int) "the cold run stores a table per pop"
-    cold.stats.iterations tables;
+  Alcotest.(check int) "the cold run stores a record per pop"
+    cold.stats.iterations records;
   Alcotest.(check int) "the warm run replays every pop" warm.stats.iterations
     (expansion_replays warm);
-  Alcotest.(check (pair int int)) "the warm run stores no table" stored
-    (Sim_cache.children_stats sim);
+  Alcotest.(check (pair int int)) "the warm run stores no record" stored
+    (Sim_cache.record_stats sim);
   Sim_cache.clear sim;
-  Alcotest.(check (pair int int)) "clear drops the tables" (0, 0)
-    (Sim_cache.children_stats sim);
+  Alcotest.(check (pair int int)) "clear drops the records" (0, 0)
+    (Sim_cache.record_stats sim);
   (* the first pop's first proposal keeps failing to hash: its first
      try, then the retry loop's run and its three re-executions *)
   let faulty =
@@ -288,54 +271,72 @@ let test_warm_search_replays_expansions () =
     run (Some sim)
   in
   Alcotest.(check int) "one hash quarantined" 1 faulty.stats.n_quarantined;
-  Alcotest.(check int) "the quarantined pop stores no table"
+  Alcotest.(check int) "the quarantined pop stores no record"
     (faulty.stats.iterations - 1)
-    (fst (Sim_cache.children_stats sim));
+    (fst (Sim_cache.record_stats sim));
   let clean = run (Some sim) and none = run None in
-  Alcotest.(check bool) "the clean run replays a stored table" true
+  Alcotest.(check bool) "the clean run replays a stored record" true
     (expansion_replays clean > 0);
+  Alcotest.(check bool) "the clean run does not replay the quarantined pop"
+    true (expansion_replays clean < clean.stats.iterations);
   Alcotest.(check bool) "a clean run on that cache equals a cacheless one" true
     (outcome clean = outcome none);
   Alcotest.(check (list (pair string int)))
     "a clean run on that cache counts as a cacheless one"
     (counts_but_cache none) (counts_but_cache clean)
 
-(* Every rule knob is part of the children key: searches that differ
-   only in [max_per_rule], then only in [use_sweep_rules], share one
-   cache, and each returns what its own cacheless search returns.  No
-   [verify_states] here, so a table replayed under a key that missed a
-   knob shows as a different trajectory, not as a failed check.  On
-   ViT-base both knobs change the proposals enough for that to show
-   (on UNet a key without [use_sweep_rules] goes unnoticed). *)
-let test_rule_knobs_in_children_key () =
-  let g = (Zoo.find "ViT-base").build Zoo.Quick in
-  let run ?sim_cache knob =
-    let config =
-      knob
-        { Search.default_config with
-          time_budget = 1e9; max_iterations = 12; sim_cache }
-    in
-    Search.optimize_memory ~config (cache ()) ~overhead:0.10 g
+(* Every input of the pop key is part of it: searches that differ only
+   in one input share one cache, and each returns what its own
+   cacheless search returns.  A record replayed under a key that missed
+   an input shows as a different trajectory or, under [verify_states],
+   as a failed check: a key without [max_level] shows only as the
+   latter, one without [max_per_rule] or [use_sweep_rules] as both.
+   The rule knobs are varied on ViT-base, where they change the
+   proposals enough for that to show (on UNet a key without
+   [use_sweep_rules] went unnoticed).  Searches with and without the
+   F-Tree heuristic never pop the same unrefreshed tree (constructed
+   or naive), so that row passes with or without the refresh bit in
+   the key. *)
+let test_pop_key_inputs () =
+  let ablation f c = { c with Search.ablation = f c.Search.ablation } in
+  let rows =
+    [ ( "UNet", "max_level",
+        [ ("3", ablation (fun a -> { a with max_level = 3 }));
+          ("4", ablation (fun a -> { a with max_level = 4 })) ] );
+      ( "ViT-base", "max_per_rule",
+        [ ("6", fun c -> { c with Search.max_per_rule = 6 });
+          ("2", fun c -> { c with Search.max_per_rule = 2 }) ] );
+      ( "ViT-base", "use_sweep_rules",
+        [ ("true", fun c -> { c with Search.use_sweep_rules = true });
+          ("false", fun c -> { c with Search.use_sweep_rules = false }) ] );
+      ( "UNet", "use_ftree_heuristic",
+        [ ("true", ablation (fun a -> { a with use_ftree_heuristic = true }));
+          ("false", ablation (fun a -> { a with use_ftree_heuristic = false }))
+        ] ) ]
   in
   List.iter
-    (fun (name, knobs) ->
-      let sim = Sim_cache.create () in
+    (fun (model, name, values) ->
+      let g = (Zoo.find model).build Zoo.Quick and sim = Sim_cache.create () in
+      let run ?sim_cache knob =
+        let config =
+          knob
+            { Search.default_config with
+              time_budget = 1e9; max_iterations = 12; sim_cache;
+              verify_states = true }
+        in
+        Search.optimize_memory ~config (cache ()) ~overhead:0.10 g
+      in
       List.iter
         (fun (value, knob) ->
           let shared = run ~sim_cache:sim knob and none = run knob in
-          let what = Printf.sprintf "%s %s" name value in
+          let what = Printf.sprintf "%s %s %s" model name value in
           Alcotest.(check bool) (what ^ ": same best state and history") true
             (outcome shared = outcome none);
           Alcotest.(check (list (pair string int)))
             (what ^ ": same counters but the cache's")
             (counts_but_cache none) (counts_but_cache shared))
-        knobs)
-    [ ( "max_per_rule",
-        [ ("6", fun c -> { c with Search.max_per_rule = 6 });
-          ("2", fun c -> { c with Search.max_per_rule = 2 }) ] );
-      ( "use_sweep_rules",
-        [ ("true", fun c -> { c with Search.use_sweep_rules = true });
-          ("false", fun c -> { c with Search.use_sweep_rules = false }) ] ) ]
+        values)
+    rows
 
 (* A latency-mode search whose best misses its memory limit says so:
    ViT-base at 8 iterations and ratio 0.8 returns 464.7 MB against a
@@ -370,10 +371,8 @@ let suite =
     tc "a poll stop at k equals an iteration cap of k"
       test_poll_stop_equals_cap;
     tc "a warm search replays its refreshes" test_warm_search_replays_refreshes;
-    tc "max_level is part of the refresh key" test_max_level_in_refresh_key;
     tc "a warm search replays its expansions"
       test_warm_search_replays_expansions;
-    tc "the rule knobs are part of the children key"
-      test_rule_knobs_in_children_key;
+    tc "every input of the pop key is part of it" test_pop_key_inputs;
     tc "a result says whether it met its limit" test_limit_met;
   ]
