@@ -64,19 +64,21 @@ let key ~state ~parent_sched ~mutated ~sched_states ~hw =
   let h = Util.hash_combine h (Int64.of_int sched_states) in
   Util.hash_combine h hw
 
-let find t k =
+let probe t k =
   Magis_resilience.Fault.hit "sim_cache";
   match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.tbl k) with
   | Some e ->
       Atomic.incr t.hits;
       Metrics.incr m_hits;
-      Some
+      let decode () =
         {
           schedule = Codec.decode e.e_schedule;
           peak_mem = e.e_peak_mem;
           latency = e.e_latency;
           hotspots = Array.to_list e.e_hotspots;
         }
+      in
+      Some (e.e_peak_mem, e.e_latency, decode)
   | None ->
       Atomic.incr t.misses;
       Metrics.incr m_misses;

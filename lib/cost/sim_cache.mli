@@ -17,7 +17,7 @@
     skips every state whose hash, a part of every key, it has seen.  A
     search runs on one domain, so only a daemon's worker domains meet
     at the table, one [Hashtbl] under one [Mutex]; hit/miss counters
-    are atomic.  [find] is a fault-injection site
+    are atomic.  [probe] is a fault-injection site
     (["sim_cache"], {!Magis_resilience.Fault}).
 
     Beside the evaluations the cache holds one table the search keys
@@ -64,9 +64,11 @@ val key :
   hw:int64 ->
   int64
 
-(** [find t k] is the cached evaluation under [k]; bumps the hit or miss
-    counter. *)
-val find : t -> int64 -> value option
+(** [probe t k] is the cached evaluation under [k] undecoded: its peak
+    and latency, and the function that decodes the whole value (its
+    schedule and hot-spot lists) from the entry [k] held at the probe.
+    Bumps the hit or miss counter. *)
+val probe : t -> int64 -> (int * float * (unit -> value)) option
 
 (** [add t k v] caches [v] under [k], replacing what [k] held. *)
 val add : t -> int64 -> value -> unit

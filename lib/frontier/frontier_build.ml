@@ -7,8 +7,8 @@ module Mstate = Magis_opt.Mstate
 
 let sweep_mode = Search.Min_memory { lat_limit = infinity }
 
-let harvest_into fr ~iteration (s : Mstate.t) =
-  ignore (Frontier.insert fr ~peak:s.peak_mem ~latency:s.latency ~iteration)
+let harvest_into fr ~iteration ~peak ~latency ~state:_ =
+  ignore (Frontier.insert fr ~peak ~latency ~iteration)
 
 let key ?(config = Search.default_config) mode ~hw graph =
   Magis_ir.Util.hash_combine
@@ -23,7 +23,10 @@ let build ?(config = Search.default_config) cost mode graph =
   let result = Search.run ~config cost mode graph in
   (* the starting state is never a candidate, so the hook never sees it;
      it is a point of the sweep all the same *)
-  harvest_into fr ~iteration:0 result.Search.initial;
+  let initial = result.Search.initial in
+  ignore
+    (Frontier.insert fr ~peak:initial.Mstate.peak_mem ~latency:initial.latency
+       ~iteration:0);
   (fr, result)
 
 let cacheable (r : Search.result) =

@@ -19,7 +19,9 @@
     table, and only once it has succeeded, so a retried candidate is
     counted once.  A {!Sim_cache} the caller
     shares across searches, whatever their mode or limit, is probed once
-    per survivor, and only misses are evaluated; it also holds one
+    per survivor, and only misses are evaluated (a hit is queued as its
+    cached peak and latency, which are all the queue reads, and built
+    when it is first needed); it also holds one
     record per pop, keyed before the refresh: the refreshed F-Tree and
     the children's dedup hashes and evaluation keys, which a later
     search popping the same state reads instead of rebuilding the tree
@@ -76,13 +78,13 @@ let declare decls name =
 let s_init = declare stage_decls "init" (* snapshot, initial M-state *)
 let s_pop = declare stage_decls "pop" (* caller's poll, ladder, queue pop *)
 let s_refresh = declare stage_decls "refresh" (* pop's index, record; F-Tree rebuild *)
-let s_generate = declare stage_decls "generate" (* order, closure, positions, proposals *)
+let s_generate = declare stage_decls "generate" (* order, closure, positions, proposals, builds *)
 let s_hash = declare stage_decls "hash" (* labels, graph fold, record store; WL hash ⊕ F-Tree fp *)
 let s_dedup = declare stage_decls "dedup" (* first occurrence wins *)
-let s_lookup = declare stage_decls "lookup" (* sched digest, pop key; key, probe, a hit's state *)
+let s_lookup = declare stage_decls "lookup" (* sched digest, pop key; key, probe *)
 let s_reschedule = declare stage_decls "reschedule" (* parent, costs; Alg. 2 *)
 let s_simulate = declare stage_decls "simulate" (* cost model, simulate, verify, store *)
-let s_merge = declare stage_decls "merge" (* admission, profile, metrics *)
+let s_merge = declare stage_decls "merge" (* admission, an accepted best's build, profile, metrics *)
 let s_checkpoint = declare stage_decls "checkpoint" (* snapshot writes *)
 
 (* Counters; each is also the metric ["search." ^ name]. *)
@@ -100,6 +102,7 @@ let c_quarantined = declare counter_decls "quarantined"
 let c_checkpoints = declare counter_decls "checkpoints"
 let c_refresh_replays = declare counter_decls "refresh_replays" (* replayed pops that refreshed *)
 let c_expansion_replays = declare counter_decls "expansion_replays" (* replayed pops *)
+let c_built = declare counter_decls "built" (* rewrite children whose graph was built *)
 
 let stage_names = List.rev !stage_decls
 let counter_names = List.rev !counter_decls
@@ -314,18 +317,16 @@ let pp_stats ppf (st : stats) =
 (* Ordering                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** BetterThan of Algorithm 3: compare the constrained objective clamped
-    at the limit first, the free objective second.  [delta] relaxes the
+(** BetterThan of Algorithm 3, on a state's (peak bytes, latency), all
+    the queue reads of it: compare the constrained objective clamped at
+    the limit first, the free objective second.  [delta] relaxes the
     right-hand side (the paper's δ = 1.1 queue-admission slack). *)
-let key (mode : mode) (s : Mstate.t) : float * float =
+let key (mode : mode) ((peak, latency) : int * float) : float * float =
   match mode with
-  | Min_latency { mem_limit } ->
-      (float_of_int (max s.peak_mem mem_limit), s.latency)
-  | Min_memory { lat_limit } ->
-      (Float.max s.latency lat_limit, float_of_int s.peak_mem)
+  | Min_latency { mem_limit } -> (float_of_int (max peak mem_limit), latency)
+  | Min_memory { lat_limit } -> (Float.max latency lat_limit, float_of_int peak)
 
-let better_than (mode : mode) ?(delta = 1.0) (a : Mstate.t) (b : Mstate.t) :
-    bool =
+let better_than (mode : mode) ?(delta = 1.0) a b : bool =
   let ka1, ka2 = key mode a and kb1, kb2 = key mode b in
   (ka1, ka2) < (delta *. kb1, delta *. kb2)
 
@@ -337,6 +338,25 @@ module Pq = Map.Make (struct
 
   let compare = compare
 end)
+
+(** A queued candidate.  A simulation-cache hit is queued [Pending]: its
+    cached outcome, which is all the queue reads, and the build of its
+    state (its proposal built, the cached schedule and hot spots decoded
+    onto it), run the first time the state itself is needed: when it is
+    popped, accepted as the best, or snapshotted.  Each of these takes
+    the entry off the queue or puts its [Built] state in its place, so
+    a build runs once. *)
+type entry =
+  | Built of Mstate.t
+  | Pending of { peak : int; latency : float; build : unit -> Mstate.t }
+
+let measured (s : Mstate.t) = (s.peak_mem, s.latency)
+
+let entry_measured = function
+  | Built s -> measured s
+  | Pending p -> (p.peak, p.latency)
+
+let entry_state = function Built s -> s | Pending p -> p.build ()
 
 (* ------------------------------------------------------------------ *)
 (* Neighbor generation                                                 *)
@@ -363,7 +383,10 @@ type config = {
   sim_cache : Sim_cache.t option;
   checkpoint : checkpoint option;
   profile : Profile.t option;
-  harvest : (iteration:int -> Mstate.t -> unit) option;
+  harvest :
+    (iteration:int -> peak:int -> latency:float -> state:(unit -> Mstate.t) ->
+    unit)
+    option;
   poll : iteration:int -> best:Mstate.t -> [ `Continue | `Stop ];
 }
 
@@ -385,17 +408,36 @@ let default_config =
     poll = (fun ~iteration:_ ~best:_ -> `Continue);
   }
 
-(** A candidate M-state.  [p_rewrite] is a rewritten graph's one
-    {!Graph_index}, built where the proposal is created: prune, WL hash,
-    accounting, rescheduling and simulation all read it.  An F-Tree
-    mutation keeps the popped state's graph ([None]): it takes the
-    pop's WL hash and is evaluated on the pop's index. *)
-type proposal = {
-  p_rewrite : Graph_index.t option;
-  p_ftree : Ftree.t;
-  p_mutated : Int_set.t;  (** old nodes affected, for incremental sched *)
-  p_stale : bool;
+(** A candidate M-state as built.  [b_rewrite] is a rewritten graph's
+    one {!Graph_index}: prune, WL hash, accounting, rescheduling and
+    simulation all read it.  An F-Tree mutation keeps the popped state's
+    graph ([None]): it takes the pop's WL hash and is evaluated on the
+    pop's index. *)
+type built = {
+  b_rewrite : Graph_index.t option;
+  b_ftree : Ftree.t;
+  b_mutated : Int_set.t;  (** old nodes affected, for incremental sched *)
 }
+
+(** A candidate M-state.  A rewrite's build forces its rule site,
+    indexes the rewritten graph and prunes the popped F-Tree to it (the
+    [built] counter).  A pop that hashes its candidates builds each
+    where it is proposed ([Ready]); a replayed pop, whose record holds
+    every candidate's codes, builds one only where it is read
+    ([Deferred]), and so once: a miss before it is evaluated, a hit
+    when its entry is built. *)
+type build = Ready of built | Deferred of (unit -> built)
+
+type proposal = { p_build : build; p_stale : bool }
+
+(** A proposal's build: a ready one's, or a deferred one's run here,
+    timed in [time]'s stage when given (and not when the caller's own
+    stage already times it). *)
+let force ?time (p : proposal) : built =
+  match (p.p_build, time) with
+  | Ready b, _ -> b
+  | Deferred build, Some (tb, stage) -> timed tb stage build
+  | Deferred build, None -> build ()
 
 (** What the pop's keys in the simulation cache share, built with the
     pop's context only when the search has a cache. *)
@@ -571,14 +613,15 @@ let ftree_proposals tb (s : Mstate.t) (cx : pop) : proposal list =
                 else Fission.members (Ftree.fission_at ftree' i)
           in
           Some
-            { p_rewrite = None; p_ftree = ftree'; p_mutated = affected;
+            { p_build =
+                Ready { b_rewrite = None; b_ftree = ftree'; b_mutated = affected };
               p_stale = s.ftree_stale })
     muts
 
 (** Proposals reached by graph rewrites (scheduling-based and TASO
-    rules), matched on one view of the pop's index, and built only
-    where a rule's cap keeps them. *)
-let rewrite_proposals (cfg : config) tb (s : Mstate.t) (cx : pop) :
+    rules), matched on one view of the pop's index, kept only where a
+    rule's cap keeps them, and built at once when [eager]. *)
+let rewrite_proposals (cfg : config) tb ~eager (s : Mstate.t) (cx : pop) :
     proposal list =
   let pos = cx.position in
   let ctx =
@@ -595,16 +638,24 @@ let rewrite_proposals (cfg : config) tb (s : Mstate.t) (cx : pop) :
     (if cfg.use_sweep_rules then Sched_rules.all else Sched_rules.basic)
     @ Taso_rules.all
   in
+  let build (site : Rule.site) =
+    let rw = site () in
+    let ix = Graph_index.of_graph rw.graph in
+    bump tb c_built 1;
+    { b_rewrite = Some ix; b_ftree = Ftree.prune ix s.ftree;
+      b_mutated = rw.touched_old }
+  in
   List.concat_map
     (fun (rule : Rule.t) ->
-      let rewrites = Rule.rewrites view rule in
-      bump tb c_transforms (List.length rewrites);
+      let sites = Rule.kept_sites view rule in
+      bump tb c_transforms (List.length sites);
       List.map
-        (fun (rw : Rule.rewrite) ->
-          let ix = Graph_index.of_graph rw.graph in
-          { p_rewrite = Some ix; p_ftree = Ftree.prune ix s.ftree;
-            p_mutated = rw.touched_old; p_stale = true })
-        rewrites)
+        (fun site ->
+          { p_build =
+              (if eager then Ready (build site)
+               else Deferred (fun () -> build site));
+            p_stale = true })
+        sites)
     rules
 
 (** Dedup key of a state: its graph's WL hash ⊕ F-Tree fingerprint. *)
@@ -654,21 +705,22 @@ let proposal_latency_lb (acc : Ftree.accounting) (g : Graph.t) : float =
     replayed, no rewrite is relabelled, and a miss's reschedule forces
     the order instead); an F-Tree mutation takes the pop's hash. *)
 let proposal_hash (cx : pop) (p : proposal) : int64 =
+  let b = force p in
   let wl =
-    match p.p_rewrite with
+    match b.b_rewrite with
     | None -> Wl_hash.hash_of cx.labels
     | Some ix ->
         Wl_hash.hash_of
           (Wl_hash.relabel_on ~parent_nodes:(Graph_index.nodes cx.ix)
              ~parent:cx.labels ix)
   in
-  state_hash wl p.p_ftree
+  state_hash wl b.b_ftree
 
 (** A proposal's evaluation key in the simulation cache, from its dedup
     hash [h]; [sched_states] is the effective DP budget. *)
 let evaluation_key (k : keyed) ~sched_states ~hw h (p : proposal) : int64 =
   Sim_cache.key ~state:h ~parent_sched:k.sched_hash
-    ~mutated:(Util.hash_int_list (Int_set.elements p.p_mutated))
+    ~mutated:(Util.hash_int_list (Int_set.elements (force p).b_mutated))
     ~sched_states ~hw
 
 (** A pop's record: the refreshed tree ([Some] when the pop refreshed)
@@ -683,20 +735,39 @@ let encode_record (tree : Ftree.t option) codes =
     codes;
   Marshal.to_string (tree, Bytes.to_string b) []
 
-let proposal_graph (s : Mstate.t) (p : proposal) =
-  match p.p_rewrite with Some ix -> Graph_index.graph ix | None -> s.graph
+let built_graph (s : Mstate.t) (b : built) =
+  match b.b_rewrite with Some ix -> Graph_index.graph ix | None -> s.graph
 
-(** Evaluate a proposal that missed (or had no cache): incremental
+(** The entry of a proposal whose cache probe hit with [(peak, latency,
+    decode)]: its state's build decodes the cached value onto the
+    proposal.  A deferred proposal is forced with its state, under the
+    stage that builds the entry; a ready one gives its graph and F-Tree
+    to the state's build, which then holds neither the proposal nor its
+    index. *)
+let hit (s : Mstate.t) (p : proposal) (peak, latency, decode) : entry =
+  let ftree_stale = p.p_stale in
+  let state (b : built) =
+    let graph = built_graph s b and ftree = b.b_ftree in
+    fun () -> Mstate.of_cached ~ftree_stale graph ftree (decode ())
+  in
+  let build =
+    match p.p_build with
+    | Ready b -> state b
+    | Deferred _ -> fun () -> state (force p) ()
+  in
+  Pending { peak; latency; build }
+
+(** Evaluate a proposal that missed (or had no cache), built as [b]: incremental
     reschedule + simulation on the proposal's index (a mutation's is
     the pop's own, [cx.ix]), stored under [key] in [cfg.sim_cache]
     when there is one; [sched_states] is the effective DP budget.  It
     counts into [tb] only once the state is built and stored, so a
     retried evaluation is counted once. *)
 let evaluate_proposal (cfg : config) cost tb ~sched_states
-    ~iteration ~key (cx : pop) (parent, costs) (s : Mstate.t) (p : proposal) :
-    Mstate.t =
-  let graph = proposal_graph s p in
-  let ix = Option.value p.p_rewrite ~default:cx.ix in
+    ~iteration ~key (cx : pop) (parent, costs) (s : Mstate.t) (p : proposal)
+    (b : built) : Mstate.t =
+  let graph = built_graph s b in
+  let ix = Option.value b.b_rewrite ~default:cx.ix in
   (* the candidate's operator costs (a node inherits the pop's base cost
      when it and its operands kept their records) and fission accounting
      are the simulator's cost and size model *)
@@ -706,18 +777,18 @@ let evaluate_proposal (cfg : config) cost tb ~sched_states
           Op_cost.inherited_cost_on cost ~parent_nodes:(Graph_index.nodes cx.ix)
             ~parent_costs:costs ix
         in
-        Ftree.accounting ~base cost ix p.p_ftree)
+        Ftree.accounting ~base cost ix b.b_ftree)
   in
   let schedule, (rstats : Magis_sched.Incremental.stats) =
     timed tb s_reschedule (fun () ->
         Magis_sched.Incremental.reschedule ~max_states:sched_states
           ~parent ~new_index:ix
-          ~mutated_old:p.p_mutated ~size_of:acc.size_of ())
+          ~mutated_old:b.b_mutated ~size_of:acc.size_of ())
   in
   timed tb s_simulate @@ fun () ->
   let s' =
     Mstate.evaluate ~ftree_stale:p.p_stale ~acc cost graph
-      p.p_ftree schedule
+      b.b_ftree schedule
   in
   if cfg.verify_states then begin
     try
@@ -753,7 +824,7 @@ let evaluate_proposal (cfg : config) cost tb ~sched_states
 
 (** Bump whenever {!snapshot} (or anything it reaches: {!Mstate.t},
     {!table}, …) changes shape. *)
-let ckpt_version = 4
+let ckpt_version = 5
 
 (** The loop state, which is also the checkpoint: the loop reads and
     writes this one record and a snapshot saves it as it is, so
@@ -763,7 +834,7 @@ let ckpt_version = 4
 type snapshot = {
   mutable snap_best : Mstate.t;
   snap_initial : Mstate.t;
-  mutable snap_queue : Mstate.t list Pq.t;
+  mutable snap_queue : entry list Pq.t;  (** only [Built] in a snapshot *)
   snap_seen : (int64, unit) Hashtbl.t;
   snap_rng : Random.State.t;
   mutable snap_pops : int;
@@ -776,11 +847,14 @@ type snapshot = {
 }
 
 (** The one snapshot write, shared by the periodic tick and {!save}.
-    Counted before the save, so the snapshot's table includes the
-    snapshot itself. *)
+    It builds every pending entry first: a pending build is a closure,
+    which does not marshal.  Counted before the save, so the snapshot's
+    table includes the snapshot itself. *)
 let write_snapshot ~path ~fingerprint st =
   bump st.snap_table c_checkpoints 1;
   timed st.snap_table s_checkpoint (fun () ->
+      st.snap_queue <-
+        Pq.map (List.map (fun e -> Built (entry_state e))) st.snap_queue;
       Checkpoint.save ~path ~version:ckpt_version ~fingerprint st)
 
 (** What {!save} needs of a run with a checkpoint configured. *)
@@ -811,7 +885,8 @@ let limit_met (r : result) =
   | Min_memory { lat_limit } -> r.best.latency <= lat_limit
 
 (* [r.stats.table] is the saved record's, so it already counts the
-   save; the stats' copied fields are refreshed from it *)
+   save and the builds it ran, which are published as the metrics; the
+   stats' copied fields are refreshed from it *)
 let save (r : result) =
   let es =
     match r.end_state with
@@ -819,9 +894,12 @@ let save (r : result) =
     | None -> invalid_arg "Search.save: the run configured no checkpoint"
   in
   let t0 = Unix.gettimeofday () in
-  write_snapshot ~path:es.es_path ~fingerprint:es.es_fingerprint es.es_state;
-  Metrics.incr counter_metrics.(c_checkpoints);
   let tb = r.stats.table in
+  let before = Array.copy tb.counts in
+  write_snapshot ~path:es.es_path ~fingerprint:es.es_fingerprint es.es_state;
+  Array.iteri
+    (fun i m -> Metrics.add m (tb.counts.(i) - before.(i)))
+    counter_metrics;
   {
     r with
     stats =
@@ -915,7 +993,7 @@ let start (cfg : config) (cost : Op_cost.t) (mode : mode) (graph : Graph.t) tb
   {
     snap_best = init;
     snap_initial = init;
-    snap_queue = Pq.singleton (key mode init) [ init ];
+    snap_queue = Pq.singleton (key mode (measured init)) [ Built init ];
     snap_seen = seen;
     snap_rng = Random.State.make [| 0x4d41 |];
     snap_pops = 0;
@@ -1012,10 +1090,10 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
       | None -> None
       | Some (k, l) -> take k l
   in
-  let push s =
+  let push e =
     st.snap_queue <-
-      Pq.update (key mode s)
-        (function None -> Some [ s ] | Some l -> Some (s :: l))
+      Pq.update (key mode (entry_measured e))
+        (function None -> Some [ e ] | Some l -> Some (e :: l))
         st.snap_queue
   in
   (* -------------------------------------------------------------- *)
@@ -1107,10 +1185,18 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
      among the pop's proposals. *)
   let expand ~sched_states (popped : Mstate.t) (cx : pop) =
     let s, codes = refresh config tb popped cx in
+    (* a replayed pop reads its candidates' codes from its record, so
+       builds each rewrite only where it is read, unless [verify_states]
+       recomputes the record *)
+    let eager =
+      match codes with
+      | Replayed _ -> config.verify_states
+      | Hashed | Keyed _ -> true
+    in
     let proposals =
       timed tb s_generate @@ fun () ->
       (if Ftree.n_entries s.ftree > 0 then ftree_proposals tb s cx else [])
-      @ rewrite_proposals config tb s cx
+      @ rewrite_proposals config tb ~eager s cx
     in
     (* A replayed record stands for the pop's refresh and its codes:
        under [verify_states] the whole record is checked against one
@@ -1187,8 +1273,8 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
           not seen)
         hashed
     in
-    (* Probe the cache once per survivor: a hit is its state, [Left], a
-       miss the key its evaluation is stored under, [Right]. *)
+    (* Probe the cache once per survivor: a hit is its pending entry,
+       [Left], a miss the key its evaluation is stored under, [Right]. *)
     let probed =
       match cx.keyed with
       | None ->
@@ -1196,13 +1282,11 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
       | Some { sim; _ } ->
           let probe (i, (p : proposal), _, key) =
             timed tb s_lookup @@ fun () ->
-            match Option.bind key (Sim_cache.find sim) with
+            match Option.bind key (Sim_cache.probe sim) with
             | None -> (i, p, Either.Right key)
-            | Some v ->
-                let g = proposal_graph s p in
-                let s' = Mstate.of_cached ~ftree_stale:p.p_stale g p.p_ftree v in
+            | Some outcome ->
                 bump tb c_sim_hits 1;
-                (i, p, Either.Left s')
+                (i, p, Either.Left (hit s p outcome))
           in
           List.filter_map
             (fun ((i, _, _, _) as c) ->
@@ -1222,45 +1306,61 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
       List.filter_map
         (fun (i, p, r) ->
           match (r, rcx) with
-          | Either.Left s', _ -> Some s'
+          | Either.Left e, _ -> Some e
           | Either.Right _, None -> None (* quarantined with the context *)
           | Either.Right key, Some rcx ->
+              (* built once, outside the retried evaluation *)
+              let b = force ~time:(tb, s_generate) p in
               supervise ~what:(Printf.sprintf "evaluate candidate %d" i)
                 (fun p ->
                   Fault.hit "candidate";
-                  evaluate_proposal config cost tb ~sched_states ~iteration
-                    ~key cx rcx s p)
+                  Built
+                    (evaluate_proposal config cost tb ~sched_states ~iteration
+                       ~key cx rcx s p b))
                 p)
         probed
     in
-    (* Merge into best/queue, in candidate order. *)
+    (* An accepted best is built, and queued as that build. *)
+    let accept e =
+      let s' = entry_state e in
+      (* only accepted bests reach the caller, so proving their memory
+         plan interference-free here covers every reported result
+         without paying the allocator replay per candidate *)
+      if config.verify_states then begin
+        let acc =
+          Ftree.accounting cost (Graph_index.of_graph s'.graph) s'.ftree
+        in
+        try
+          Magis_analysis.Hooks.assert_interference
+            ~what:(Printf.sprintf "accepted best (iteration %d)" iteration)
+            ~size_of:acc.size_of s'.graph s'.schedule
+        with Failure msg -> raise (Verification_failure msg)
+      end;
+      st.snap_best <- s';
+      st.snap_history <-
+        (elapsed (), s'.peak_mem, s'.latency) :: st.snap_history;
+      Built s'
+    in
+    (* Merge into best/queue, in candidate order, on each entry's
+       (peak, latency): an entry is built here only when it is accepted
+       as the best. *)
     timed tb s_merge @@ fun () ->
     List.iter
-      (fun (s' : Mstate.t) ->
+      (fun e ->
+        let m = entry_measured e in
         (* observation-only side channel: sees every evaluated
            candidate in candidate order, never feeds back into
            best/queue *)
-        Option.iter (fun f -> f ~iteration s') config.harvest;
-        if better_than mode s' st.snap_best then begin
-          (* only accepted bests reach the caller, so proving their
-             memory plan interference-free here covers every
-             reported result without paying the allocator replay
-             per candidate *)
-          if config.verify_states then begin
-            let acc =
-              Ftree.accounting cost (Graph_index.of_graph s'.graph) s'.ftree
-            in
-            try
-              Magis_analysis.Hooks.assert_interference
-                ~what:(Printf.sprintf "accepted best (iteration %d)" iteration)
-                ~size_of:acc.size_of s'.graph s'.schedule
-            with Failure msg -> raise (Verification_failure msg)
-          end;
-          st.snap_best <- s';
-          st.snap_history <-
-            (elapsed (), s'.peak_mem, s'.latency) :: st.snap_history
-        end;
-        if better_than mode ~delta:queue_delta s' st.snap_best then push s')
+        Option.iter
+          (fun f ->
+            f ~iteration ~peak:(fst m) ~latency:(snd m) ~state:(fun () ->
+                entry_state e))
+          config.harvest;
+        let e =
+          if better_than mode m (measured st.snap_best) then accept e else e
+        in
+        if better_than mode ~delta:queue_delta m (measured st.snap_best) then
+          push e)
       states;
     record_profile ~candidates:(List.length proposals)
       ~survivors:(List.length survivors);
@@ -1275,7 +1375,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
         out_of_time := true;
         raise Exit
       end;
-      let s =
+      let e =
         timed tb s_pop @@ fun () ->
         if
           config.poll ~iteration:(count tb c_iterations) ~best:st.snap_best
@@ -1287,22 +1387,27 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
         update_ladder ();
         match pop () with
         | None -> raise Exit
-        | Some s ->
+        | Some e ->
             bump tb c_iterations 1;
-            if Trace.enabled () then
-              Trace.instant ~cat:"search"
-                ~args:
-                  [ ("iteration", string_of_int (count tb c_iterations));
-                    ("peak_mem", string_of_int s.peak_mem);
-                    ("latency", Printf.sprintf "%.9g" s.latency);
-                    ("entries", string_of_int (Ftree.n_entries s.ftree));
-                    ( "enabled",
-                      string_of_int
-                        (List.length (Ftree.enabled_indices s.ftree)) );
-                    ("stale", string_of_bool s.ftree_stale) ]
-                "pop";
-            s
+            e
       in
+      (* a pending entry is built as it is popped *)
+      let s =
+        match e with Built s -> s | Pending p -> timed tb s_generate p.build
+      in
+      if Trace.enabled () then
+        timed tb s_pop (fun () ->
+            Trace.instant ~cat:"search"
+              ~args:
+                [ ("iteration", string_of_int (count tb c_iterations));
+                  ("peak_mem", string_of_int s.peak_mem);
+                  ("latency", Printf.sprintf "%.9g" s.latency);
+                  ("entries", string_of_int (Ftree.n_entries s.ftree));
+                  ( "enabled",
+                    string_of_int (List.length (Ftree.enabled_indices s.ftree))
+                  );
+                  ("stale", string_of_bool s.ftree_stale) ]
+              "pop");
       (* One index of the popped graph serves the pop: its context, the
          F-Tree refresh and mutations, and the rule sites. *)
       let ix = timed tb s_refresh (fun () -> Graph_index.of_graph s.graph) in

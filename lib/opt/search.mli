@@ -209,7 +209,10 @@ type config = {
       (** memoizes (reschedule → simulate) evaluations across the
           searches sharing it, whatever their mode or limit: each
           survivor of dedup is probed once, serially, and only misses
-          are evaluated.  It also stores one record per pop: the
+          are evaluated; a hit is queued as its cached peak and
+          latency and built (its graph, then its state) only when it
+          is popped, accepted as the best or snapshotted.  It also
+          stores one record per pop: the
           F-Tree the pop's refresh builds, if it refreshes, and every
           proposal's dedup hash and evaluation key, in proposal order,
           keyed before the refresh on what the refresh and generating,
@@ -222,7 +225,9 @@ type config = {
           and relabelling and hashing each child (the
           [expansion_replays] counter, and [refresh_replays] for a
           replayed pop that refreshed; [hashes] still counts every
-          candidate).
+          candidate), and builds a rewritten child only for a miss or
+          a built hit (the [built] counter counts the rewrite children
+          built).
           [None] (the default) = no cache, nothing keyed: a cache of
           one search's own never hits, as dedup skips every state it
           could return. *)
@@ -242,10 +247,19 @@ type config = {
           every stage as [t_<stage>] (cumulative).  Purely
           observational — excluded from the
           trajectory fingerprint and never changes the search. *)
-  harvest : (iteration:int -> Mstate.t -> unit) option;
+  harvest :
+    (iteration:int -> peak:int -> latency:float -> state:(unit -> Mstate.t) ->
+    unit)
+    option;
       (** frontier side channel ([None], the default, = off): called
           once for every evaluated candidate at the merge, in
-          candidate order, before and regardless of δ-admission.
+          candidate order, before and regardless of δ-admission, with
+          its peak bytes and latency, all the queue reads of it, and
+          [state], which returns the candidate's state.  A hook that
+          reads only the peak and latency leaves a cache hit of a
+          replayed pop unbuilt; calling [state] on such a hit builds it
+          for the hook alone (the search builds its own if it needs the
+          state).
           {!Magis_frontier} uses it
           to collect the memory–latency Pareto frontier a search sweeps
           past.  Purely observational: excluded from the trajectory
@@ -302,11 +316,14 @@ val stats_json : stats -> Magis_obs.Json.t
     Shared by [magis_cli optimize] and the Fig. 15 bench. *)
 val pp_stats : Format.formatter -> stats -> unit
 
-(** Comparison key of a state under the given mode. *)
-val key : mode -> Mstate.t -> float * float
+(** Comparison key, under the given mode, of a state's (peak bytes,
+    latency): all the queue reads of a state, so a queued cache hit
+    ranks unbuilt. *)
+val key : mode -> int * float -> float * float
 
-(** The Algorithm 3 BetterThan, with the paper's δ relaxation. *)
-val better_than : mode -> ?delta:float -> Mstate.t -> Mstate.t -> bool
+(** The Algorithm 3 BetterThan on (peak bytes, latency), with the
+    paper's δ relaxation. *)
+val better_than : mode -> ?delta:float -> int * float -> int * float -> bool
 
 (** Run the search.  Candidate expansion is supervised: a failing
     step is re-executed in place, before the next candidate, up to 3

@@ -220,14 +220,14 @@ fi
 
 # 18. the simulation cache is probed once per survivor, right after
 # dedup, and only misses are evaluated: in lib/opt/search.ml
-# Sim_cache.find appears only in expand's [probe] (so never in
+# Sim_cache.probe appears only in expand's [probe] (so never in
 # hash_proposal, before dedup, nor in evaluate_proposal, which only
 # stores the miss it evaluated).
 # With no striped probing left, the cache is one Hashtbl under one
 # Mutex, and nothing under lib/ names Striped.
 hits=$(awk '/let probe /{probe=1; ind=match($0, /[^ ]/); next}
   probe && /^ *in$/ && match($0, /[^ ]/) == ind {probe=0; next}
-  !probe && /Sim_cache\.find/{print FILENAME ":" FNR ": " $0}' lib/opt/search.ml
+  !probe && /Sim_cache\.probe/{print FILENAME ":" FNR ": " $0}' lib/opt/search.ml
   grep -rHnw 'Striped' lib/)
 if [ -n "$hits" ]; then
   fail "cache probe off the serial probe in search.ml, or a striped table under lib/ (probe once per survivor after dedup):"

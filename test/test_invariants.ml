@@ -1917,7 +1917,10 @@ let test_rules_zoo () =
       let config =
         { Search.default_config with
           max_iterations = 8; time_budget = 3600.0;
-          harvest = Some (fun ~iteration:_ s -> seen := s :: !seen) }
+          harvest =
+            Some
+              (fun ~iteration:_ ~peak:_ ~latency:_ ~state ->
+                seen := state () :: !seen) }
       in
       let _ : Search.result =
         Search.run ~config cost (Search.Min_memory { lat_limit = s0.latency *. 1.1 }) g

@@ -15,15 +15,18 @@ let mk_key ?(state = 11L) ?(parent_sched = 22L) ?(mutated = 33L)
     ?(sched_states = 0) ?(hw = 44L) () =
   Sim_cache.key ~state ~parent_sched ~mutated ~sched_states ~hw
 
+(* a probe decoded: the whole cached value *)
+let find c k = Option.map (fun (_, _, decode) -> decode ()) (Sim_cache.probe c k)
+
 let a_value =
   { Sim_cache.schedule = [ 0; 1; 2 ]; peak_mem = 640; latency = 0.25;
     hotspots = [ 1; 2 ] }
 
 let test_sim_cache_hit_after_identical_key () =
   let c = Sim_cache.create () in
-  Alcotest.(check bool) "cold miss" true (Sim_cache.find c (mk_key ()) = None);
+  Alcotest.(check bool) "cold miss" true (find c (mk_key ()) = None);
   Sim_cache.add c (mk_key ()) a_value;
-  (match Sim_cache.find c (mk_key ()) with
+  (match find c (mk_key ()) with
   | None -> Alcotest.fail "identical key must hit"
   | Some v ->
       Alcotest.(check (list int)) "schedule round-trips" [ 0; 1; 2 ] v.schedule;
@@ -39,22 +42,23 @@ let test_sim_cache_miss_after_rewrite () =
   let c = Sim_cache.create () in
   Sim_cache.add c (mk_key ~state:11L ()) a_value;
   Alcotest.(check bool) "rewritten graph misses" true
-    (Sim_cache.find c (mk_key ~state:12L ()) = None)
+    (find c (mk_key ~state:12L ()) = None)
 
 let test_sim_cache_hw_budget_isolation () =
   let c = Sim_cache.create () in
   Sim_cache.add c (mk_key ()) a_value;
   Alcotest.(check bool) "other hardware misses" true
-    (Sim_cache.find c (mk_key ~hw:45L ()) = None);
+    (find c (mk_key ~hw:45L ()) = None);
   Alcotest.(check bool) "other DP budget misses" true
-    (Sim_cache.find c (mk_key ~sched_states:100 ()) = None)
+    (find c (mk_key ~sched_states:100 ()) = None)
 
 (** The key leaves the mode and its limit out, because no evaluation
     reads them: the first pop's candidates, evaluated by a search under
     either mode at either of two limits, give the values the first
     search stored under the same keys.  Each later search hits on every
-    survivor, adds no entry, and sees (through [harvest]) exactly the
-    values a cacheless search in its own mode computes. *)
+    survivor, adds no entry, sees (through [harvest]) exactly the
+    values a cacheless search in its own mode computes, and returns
+    that search's best state. *)
 let test_sim_cache_value_independent_of_mode () =
   let g = (Zoo.find "UNet").build Zoo.Quick in
   let cost = cache () in
@@ -73,7 +77,9 @@ let test_sim_cache_value_independent_of_mode () =
       { Search.default_config with
         max_iterations = 1; time_budget = 1e9; sim_cache;
         harvest =
-          Some (fun ~iteration:_ s -> seen := Mstate.to_cached s :: !seen) }
+          Some
+            (fun ~iteration:_ ~peak:_ ~latency:_ ~state ->
+              seen := Mstate.to_cached (state ()) :: !seen) }
     in
     let r = Search.run ~config cost mode g in
     (r, List.rev !seen)
@@ -87,7 +93,7 @@ let test_sim_cache_value_independent_of_mode () =
     (fun i mode ->
       let what = Printf.sprintf "mode %d" i in
       let r, shared = values ~sim_cache:sim mode in
-      let _, fresh = values mode in
+      let cacheless, fresh = values mode in
       Alcotest.(check int) (what ^ ": every survivor hits") entries
         r.stats.n_sim_hit;
       Alcotest.(check int) (what ^ ": no miss") 0 r.stats.n_sim_miss;
@@ -96,7 +102,9 @@ let test_sim_cache_value_independent_of_mode () =
       Alcotest.(check bool) (what ^ ": the stored values") true
         (shared = stored);
       Alcotest.(check bool) (what ^ ": equal to a fresh evaluation") true
-        (fresh = stored))
+        (fresh = stored);
+      Alcotest.(check bool) (what ^ ": the cacheless search's best") true
+        (Mstate.to_cached r.best = Mstate.to_cached cacheless.best))
     modes
 
 (** A stored value comes back equal (schedule, peak, latency bits, hot
@@ -120,7 +128,7 @@ let stored_value_round_trips =
         && v.hotspots = w.hotspots
       in
       let c = Sim_cache.create () in
-      let back () = Option.get (Sim_cache.find c k) in
+      let back () = Option.get (find c k) in
       Sim_cache.add c k a;
       let first = back () in
       Sim_cache.add c k b;
@@ -146,7 +154,7 @@ let test_sim_cache_concurrent_accounting () =
     for i = 0 to n - 1 do
       if i mod 2 = d then
         let k = i mod keys in
-        match Sim_cache.find c (key_of k) with
+        match find c (key_of k) with
         | Some v ->
             if v.peak_mem <> k * 13 || v.schedule <> [ k; k + 1 ] then
               Alcotest.failf "key %d returned another key's value" k
@@ -159,7 +167,7 @@ let test_sim_cache_concurrent_accounting () =
   Alcotest.(check bool) "each key missed at least once" true (misses >= keys);
   Alcotest.(check int) "one binding per key" keys (Sim_cache.length c);
   for k = 0 to keys - 1 do
-    match Sim_cache.find c (key_of k) with
+    match find c (key_of k) with
     | None -> Alcotest.failf "key %d lost" k
     | Some v ->
         if v.peak_mem <> k * 13 || v.hotspots <> [ k ] then

@@ -567,6 +567,45 @@ let test_resume_at_every_early_iteration () =
       done)
     [ ("Randnet", randnet 7); ("UNet", (Zoo.find "UNet").build Zoo.Quick) ]
 
+(** A warm-cache run holds cache hits queued unbuilt: saving it at 6
+    iterations builds them, so the snapshot marshals, and resuming it
+    to 12 continues the uninterrupted warm 12-iteration run exactly,
+    every counter but the snapshots and the builds the save ran. *)
+let test_warm_save_resume_identity () =
+  with_temp_file @@ fun path ->
+  Sys.remove path;
+  let g = randnet 7 and sim = Sim_cache.create () in
+  let warm ?checkpoint max_iterations =
+    run_with ~max_iterations
+      ~cfg:(fun c -> { c with Search.sim_cache = Some sim; checkpoint })
+      g
+  in
+  let built (r : Search.result) = List.assoc "built" (Search.counts r.stats) in
+  let cold = warm 12 in
+  let r6 = warm ~checkpoint:(Option.get (ckpt path false)) 6 in
+  let before = built r6 in
+  let r6 = Search.save r6 in
+  Alcotest.(check bool) "the warm end state is saved" true
+    (Checkpoint.exists path);
+  Alcotest.(check bool) "the save builds the pending entries" true
+    (built r6 > before);
+  let resumed = warm ~checkpoint:(Option.get (ckpt path true)) 12 in
+  let fresh = warm 12 in
+  check_same_best "warm resumed vs warm fresh" resumed fresh;
+  check_same_best "warm fresh vs cold" fresh cold;
+  Alcotest.(check (list (pair int (float 0.0))))
+    "same history"
+    (List.map (fun (_, p, l) -> (p, l)) fresh.history)
+    (List.map (fun (_, p, l) -> (p, l)) resumed.history);
+  let counts (r : Search.result) =
+    List.filter
+      (fun (n, _) -> n <> "checkpoints" && n <> "built")
+      (Search.counts r.stats)
+  in
+  Alcotest.(check (list (pair string int)))
+    "every counter but the snapshots and the builds" (counts fresh)
+    (counts resumed)
+
 (** A checkpoint of one workload must refuse to resume another. *)
 let test_checkpoint_rejects_foreign_run () =
   with_temp_file @@ fun path ->
@@ -681,6 +720,8 @@ let suite =
       test_end_state_saved_by_caller;
     tc "checkpoint/resume at every early iteration"
       test_resume_at_every_early_iteration;
+    tc "a warm run saved with unbuilt entries resumes bit-identically"
+      test_warm_save_resume_identity;
     tc "checkpoints of foreign runs are rejected"
       test_checkpoint_rejects_foreign_run;
     tc "SIGTERM saves state and resumes bit-identically"

@@ -37,11 +37,7 @@ let test_latency_mode_respects_constraint () =
     (is_valid_order r.best.graph r.best.schedule)
 
 let test_better_than_ordering () =
-  let mk peak lat : Mstate.t =
-    { graph = Graph.empty; ftree = Ftree.empty; schedule = [];
-      peak_mem = peak; latency = lat; hotspots = Util.Int_set.empty;
-      ftree_stale = false }
-  in
+  let mk peak lat = (peak, lat) in
   let mode = Search.Min_latency { mem_limit = 100 } in
   (* both under the limit: latency decides *)
   Alcotest.(check bool) "latency decides under limit" true
@@ -338,6 +334,39 @@ let test_pop_key_inputs () =
         values)
     rows
 
+let built (r : Search.result) = List.assoc "built" (Search.counts r.stats)
+
+(* A warm repeat ranks each cache hit on its cached (peak, latency) and
+   builds a rewrite child only when it pops it or accepts it as the
+   best (without [verify_states], which builds every child of a
+   replayed pop to check its record), and returns what the cold run
+   returned, which built every rewrite it proposed. *)
+let test_warm_repeat_builds_lazily () =
+  let g = subject () and sim = Sim_cache.create () in
+  let config =
+    { Search.default_config with
+      time_budget = 1e9; max_iterations = 25; sim_cache = Some sim }
+  in
+  let run () = Search.optimize_memory ~config (cache ()) ~overhead:0.10 g in
+  let cold = run () in
+  let warm = run () in
+  let counts r = List.remove_assoc "built" (counts_but_cache r) in
+  Alcotest.(check bool) "same best state and history" true
+    (outcome cold = outcome warm);
+  Alcotest.(check (list (pair string int)))
+    "same counters but the cache's and the builds" (counts cold) (counts warm);
+  Alcotest.(check int) "the warm run replays every pop" warm.stats.iterations
+    (expansion_replays warm);
+  Alcotest.(check int) "the warm run misses nothing" 0 warm.stats.n_sim_miss;
+  let accepted = List.length warm.history - 1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "warm builds %d <= %d pops + %d accepted bests"
+       (built warm) warm.stats.iterations accepted)
+    true
+    (built warm <= warm.stats.iterations + accepted);
+  Alcotest.(check bool) "the cold run builds more" true
+    (built cold > built warm)
+
 (* A latency-mode search whose best misses its memory limit says so:
    ViT-base at 8 iterations and ratio 0.8 returns 464.7 MB against a
    462.3 MB limit; a memory-mode UNet meets its limit. *)
@@ -375,4 +404,6 @@ let suite =
       test_warm_search_replays_expansions;
     tc "every input of the pop key is part of it" test_pop_key_inputs;
     tc "a result says whether it met its limit" test_limit_met;
+    tc "a warm repeat builds only the children it pops or accepts"
+      test_warm_repeat_builds_lazily;
   ]
