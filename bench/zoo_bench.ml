@@ -18,11 +18,12 @@
     [<case>_<pass>_<counter>] for every [Search.counts] entry of every
     pass, [<case>_<pass>_same] for whether a cached pass's summary
     equals the no-cache one, and [<case>_warm_replayed_all] for whether
-    the warm pass stored no pop record in the cache, so replayed the
-    refresh and the children of every pop it ran.  At the end of the
-    round, [shared_cache_entries], [shared_cache_pops] and
-    [shared_cache_pop_bytes] size the shared cache: its evaluations,
-    its pop records and their bytes.  64-bit values are hex
+    the warm pass stored no record in the cache, so replayed its
+    initial state and the refresh and the children of every pop it
+    ran.  At the end of the round, [shared_cache_entries],
+    [shared_cache_pops] and [shared_cache_pop_bytes] size the shared
+    cache: its evaluations, its pop and initial-state records and their
+    bytes.  64-bit values are hex
     strings. *)
 
 open Magis

@@ -21,11 +21,16 @@
     (["sim_cache"], {!Magis_resilience.Fault}).
 
     Beside the evaluations the cache holds one table the search keys
-    itself: a record per pop ({!add_record}), under a digest of exactly
-    what the pop's F-Tree refresh and its children read, holding the
-    refreshed F-Tree and each child's dedup hash and evaluation key.  A
-    search that pops a state another search popped reads the record
-    back instead of redoing the work, so a warm search rebuilds no tree
+    itself ({!add_record}).  It holds a record per pop, under a digest
+    of exactly what the pop's F-Tree refresh and its children read,
+    with the refreshed F-Tree and each child's dedup hash and evaluation
+    key; and a record per initial state, under a digest of the input
+    graph (by node id), the hardware and the knobs the initial state
+    reads, with the state less its graph (F-Tree, schedule, peak,
+    latency, hot spots).  A search that pops a state another search
+    popped, or starts from an input another search started from, reads
+    the record back instead of redoing the work, so a warm search
+    schedules, simulates and builds no initial state, rebuilds no tree
     and WL-hashes no child.
 
     An entry is stored as plain data: its schedule and hot spots as
@@ -80,13 +85,19 @@ val add : t -> int64 -> value -> unit
     pop's refresh (Algorithm 3, lines 13-14), generating, hashing and
     keying its proposals read; a later search popping the same state
     reads it back instead of rebuilding the F-Tree and relabelling and
-    hashing each child.  The payload is opaque here (the search's
-    [Marshal] bytes of the refreshed tree and 16 bytes per proposal:
+    hashing each child.  In the same table it stores one record per
+    initial state, under a key that digests what building the state
+    reads (the input graph by node id, the hardware, the F-Tree level
+    cap, the DP budget and the F-Tree heuristic switch, and no mode or
+    limit); a later search from the same input reads it back instead of
+    scheduling, simulating and building the tree.  The payload is
+    opaque here (the search's [Marshal] bytes: of the refreshed tree
+    and 16 bytes per proposal, or of the initial state less its graph;
     this library knows no F-Tree type), written by the same process
     under keys only the search makes.  Record lookups visit no fault
     site and count into neither {!stats} nor {!length}; the gauges
     [sim_cache.pops] and [sim_cache.pop_bytes] report the stored
-    records and their bytes of the cache that stored or cleared last (a
+    records, pop and initial-state ones alike, and their bytes of the cache that stored or cleared last (a
     daemon's one cache). *)
 
 (** The record stored under [k], if any. *)

@@ -594,9 +594,9 @@ let refresh_on ?(max_level = default_max_level) (ix : Graph_index.t)
 (** Naive candidate construction for the ablation study (Fig. 13,
     "naïve-fission"): pick random dominator nodes instead of the
     heat/score heuristic. *)
-let construct_naive ?(seed = 42) ?(per_component = 4) (g : Graph.t) : t =
+let construct_naive ?(seed = 42) ?(per_component = 4) (ix : Graph_index.t) :
+    t =
   let rng = Random.State.make [| seed |] in
-  let ix = Graph_index.of_graph g in
   let candidates = ref [] in
   List.iter
     (fun comp ->

@@ -53,13 +53,17 @@ val default_max_level : int
     {!default_max_level}). *)
 val construct : ?max_level:int -> Graph.t -> hotspots:Int_set.t -> t
 
+(** {!construct} on an index of the graph the caller already holds. *)
+val construct_on : max_level:int -> Graph_index.t -> hotspots:Int_set.t -> t
+
 (** Assemble a tree from explicit fissions, as {!construct} assembles its
     candidates: deduplicated by member set, each entry's parent the
     smallest strictly larger candidate containing it. *)
 val of_fissions : Fission.t list -> t
 
-(** Random candidate selection (the Fig. 13 "naïve-fission" ablation). *)
-val construct_naive : ?seed:int -> ?per_component:int -> Graph.t -> t
+(** Random candidate selection (the Fig. 13 "naïve-fission" ablation),
+    on an index of the graph. *)
+val construct_naive : ?seed:int -> ?per_component:int -> Graph_index.t -> t
 
 (** {1 Mutation rules (§5.1, Fig. 7)} *)
 

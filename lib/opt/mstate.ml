@@ -73,14 +73,20 @@ let to_cached (t : t) : Sim_cache.value =
     hotspots = Int_set.elements t.hotspots;
   }
 
-(** Initial state: schedule the input graph, analyze it, build the F-Tree
-    (Algorithm 1). *)
-let init ?(max_level = Ftree.default_max_level) ~sched_states
-    (cost : Op_cost.t) (graph : Graph.t) : t =
-  let schedule = Reorder.schedule ~max_states:sched_states graph in
-  let pre = evaluate cost graph Ftree.empty schedule in
-  let ftree = Ftree.construct ~max_level graph ~hotspots:pre.hotspots in
+(** Initial state of the indexed graph: schedule it, analyze it, build
+    the F-Tree (Algorithm 1), all on the one index. *)
+let init_on ?(max_level = Ftree.default_max_level) ~sched_states
+    (cost : Op_cost.t) (ix : Graph_index.t) : t =
+  let schedule = Reorder.schedule_on ~max_states:sched_states ix in
+  let pre =
+    evaluate ~acc:(Ftree.accounting cost ix Ftree.empty) cost
+      (Graph_index.graph ix) Ftree.empty schedule
+  in
+  let ftree = Ftree.construct_on ~max_level ix ~hotspots:pre.hotspots in
   { pre with ftree }
+
+let init ?max_level ~sched_states (cost : Op_cost.t) (graph : Graph.t) : t =
+  init_on ?max_level ~sched_states cost (Graph_index.of_graph graph)
 
 let pp ppf t =
   Fmt.pf ppf "mstate(n=%d, peak=%.1fMB, lat=%.2fms, ftree=%d)"

@@ -40,4 +40,9 @@ val to_cached : t -> Sim_cache.value
     (Algorithm 1). *)
 val init : ?max_level:int -> sched_states:int -> Op_cost.t -> Graph.t -> t
 
+(** {!init} on an index of the graph the caller already holds, which
+    its schedule, simulation and F-Tree all read. *)
+val init_on :
+  ?max_level:int -> sched_states:int -> Op_cost.t -> Graph_index.t -> t
+
 val pp : Format.formatter -> t -> unit

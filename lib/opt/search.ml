@@ -25,7 +25,9 @@
     record per pop, keyed before the refresh: the refreshed F-Tree and
     the children's dedup hashes and evaluation keys, which a later
     search popping the same state reads instead of rebuilding the tree
-    and hashing the children.  With no cache
+    and hashing the children; and one record per initial state, which
+    a later search from the same input graph reads instead of
+    scheduling, simulating and building its F-Tree.  With no cache
     nothing is keyed, as a cache of one search's own never hits (dedup
     skips every state it could return).
 
@@ -75,7 +77,7 @@ let declare decls name =
    work is timed by exactly one stage, so their seconds add up to at
    most the run's wall time.  The pop's contexts are timed in the
    stages that read them ({!pop_context}, {!resched_context}). *)
-let s_init = declare stage_decls "init" (* snapshot, initial M-state *)
+let s_init = declare stage_decls "init" (* input index, snapshot, initial M-state *)
 let s_pop = declare stage_decls "pop" (* caller's poll, ladder, queue pop *)
 let s_refresh = declare stage_decls "refresh" (* pop's index, record; F-Tree rebuild *)
 let s_generate = declare stage_decls "generate" (* order, closure, positions, proposals, builds *)
@@ -103,6 +105,7 @@ let c_checkpoints = declare counter_decls "checkpoints"
 let c_refresh_replays = declare counter_decls "refresh_replays" (* replayed pops that refreshed *)
 let c_expansion_replays = declare counter_decls "expansion_replays" (* replayed pops *)
 let c_built = declare counter_decls "built" (* rewrite children whose graph was built *)
+let c_init_replays = declare counter_decls "init_replays" (* initial states read back *)
 
 let stage_names = List.rev !stage_decls
 let counter_names = List.rev !counter_decls
@@ -447,6 +450,13 @@ type keyed = {
   pop_key : int64;  (** the pop's record's key ({!pop_key}) *)
 }
 
+(** The input graph as a run reads it: one index and its WL labels,
+    built once.  The trajectory fingerprint, the initial record's key,
+    the initial state and its dedup hash read them, and so does every
+    pop of a state whose graph is the input graph itself (the initial
+    state's, and an F-Tree mutation's of it). *)
+type input = { in_ix : Graph_index.t; in_labels : Wl_hash.labels }
+
 (** What a pop's proposals and their hashes read from the popped state,
     built serially before [generate], then only read.  Nothing of it is
     kept on the state, so a queued state holds no labels. *)
@@ -484,9 +494,14 @@ let refreshes (cfg : config) (s : Mstate.t) =
     every entry (members, dims, [n], parent and children: the refresh
     reads the enabled entries, {!Ftree.mutations_on} and {!Ftree.prune}
     the disabled ones too), whether the pop refreshes and [max_level],
-    the hot-spot set, the rule knobs [max_per_rule], [use_sweep_rules]
-    and [restrict_sched_rules], the effective DP budget and the
-    hardware.  Mode and limit are not read, so they are not in it. *)
+    the rule knobs [max_per_rule], [use_sweep_rules] and
+    [restrict_sched_rules], the effective DP budget and the hardware.
+    The hot-spot set is read but not folded: it is the simulation's of
+    the graph under the F-Tree's accounting and the schedule, on the
+    hardware, all of which the key digests (an initial state's comes
+    from simulating its schedule with no tree, which accounts as its
+    constructed tree does: every entry of a constructed tree is
+    disabled).  Mode and limit are not read, so they are not in it. *)
 let pop_key (cfg : config) ~graph_key ~sched_hash ~sched_states ~hw
     (s : Mstate.t) : int64 =
   let set h vs =
@@ -505,7 +520,6 @@ let pop_key (cfg : config) ~graph_key ~sched_hash ~sched_states ~hw
   let n = Ftree.n_entries s.ftree in
   let h = Util.hash_combine (mix graph_key 0x706f70) sched_hash in
   let h = List.fold_left entry (mix h n) (List.init n Fun.id) in
-  let h = set h s.hotspots in
   let bit b i = if b then 1 lsl i else 0 in
   let flags =
     bit (refreshes cfg s) 0
@@ -515,18 +529,35 @@ let pop_key (cfg : config) ~graph_key ~sched_hash ~sched_states ~hw
   let h = mix (mix h flags) cfg.ablation.max_level in
   Util.hash_combine (mix (mix h cfg.max_per_rule) sched_states) hw
 
+(** Key of a run's initial-state record in the simulation cache, beside
+    the pop records: a digest of exactly what {!start} reads to build
+    the initial M-state — the input graph, pinned by node id
+    ({!graph_key} on its index and labels), [max_level], the DP budget
+    [sched_states], whether the F-Tree heuristic builds the tree and
+    the hardware.  Mode and limit are not read, so a memory and a
+    latency search of one model share the record. *)
+let init_key (cfg : config) ~hw ix labels : int64 =
+  let h = mix (graph_key ix labels) 0x696e6974 in
+  let h = mix (mix h cfg.ablation.max_level) cfg.sched_states in
+  Util.hash_combine (mix h (Bool.to_int cfg.ablation.use_ftree_heuristic)) hw
+
 (** The pop's context on [ix], the popped state's index: the order,
-    closure and positions timed in [generate], the labels and the graph
-    fold in [hash], the schedule digest and the pop key in [lookup];
-    [sched_states] is the effective DP budget. *)
-let pop_context (cfg : config) tb ~sched_states ~hw (s : Mstate.t) ix : pop =
+    closure and positions timed in [generate], the labels (the input's
+    when [ix] is its index) and the graph fold in [hash], the schedule
+    digest and the pop key in [lookup]; [sched_states] is the effective
+    DP budget. *)
+let pop_context (cfg : config) tb ~sched_states ~hw (inp : input)
+    (s : Mstate.t) ix : pop =
   let position =
     timed tb s_generate (fun () ->
         ignore (Graph_index.order ix : int array);
         ignore (Graph_index.reach ix : Reach.t);
         Magis_sched.Incremental.positions ix s.schedule)
   in
-  let labels = timed tb s_hash (fun () -> Wl_hash.labels_on ix) in
+  let labels =
+    if ix == inp.in_ix then inp.in_labels
+    else timed tb s_hash (fun () -> Wl_hash.labels_on ix)
+  in
   let keyed =
     Option.map
       (fun sim ->
@@ -591,6 +622,21 @@ let refresh (cfg : config) tb (s : Mstate.t) (cx : pop) : Mstate.t * codes =
             (Marshal.from_string bytes 0 : Ftree.t option * string)
           in
           (current tree, Replayed (k, bytes, table)))
+
+(** An initial-state record: the state less its graph — its F-Tree,
+    schedule, peak, latency and hot spots — marshalled together. *)
+let encode_init (s : Mstate.t) =
+  Marshal.to_string (s.ftree, s.schedule, s.peak_mem, s.latency, s.hotspots) []
+
+(** The initial state of [graph] read back from its record, which
+    {!encode_init} wrote in this process under a key only {!init_key}
+    makes. *)
+let decode_init (graph : Graph.t) bytes : Mstate.t =
+  let ftree, schedule, peak_mem, latency, hotspots =
+    (Marshal.from_string bytes 0
+      : Ftree.t * int list * int * float * Int_set.t)
+  in
+  { graph; ftree; schedule; peak_mem; latency; hotspots; ftree_stale = false }
 
 (** Proposals reached by F-Tree mutations: the graph is unchanged, the
     virtual fission state moves. *)
@@ -911,13 +957,13 @@ let save (r : result) =
   }
 
 (** Digest of everything that must match for a snapshot to continue
-    this run's trajectory: the hardware model, the input graph, the
-    mode (with its limit) and every trajectory-relevant configuration
-    knob.  Caching and verification flags are excluded — they are
+    this run's trajectory: the hardware model, the input graph (its WL
+    hash [wl]), the mode (with its limit) and every trajectory-relevant
+    configuration knob.  Caching and verification flags are excluded — they are
     result-preserving by construction — as are the retired [jobs] and
     the observation-only hooks ([profile], [harvest], [poll]). *)
-let trajectory_fingerprint (cfg : config) (mode : mode) ~(hw : int64)
-    (graph : Graph.t) : int64 =
+let trajectory_fingerprint_of (cfg : config) (mode : mode) ~(hw : int64)
+    (wl : int64) : int64 =
   let bit b i = if b then 1 lsl i else 0 in
   (* bits 4 to 7 held four retired knobs; they stay folded in at the
      values those knobs had (on, on, on, off), so checkpoints written
@@ -930,12 +976,16 @@ let trajectory_fingerprint (cfg : config) (mode : mode) ~(hw : int64)
     lor bit cfg.use_sweep_rules 3
     lor retired
   in
-  let h = Util.hash_combine (Wl_hash.hash graph) hw in
+  let h = Util.hash_combine wl hw in
   let h = Util.hash_combine h (mode_fingerprint mode) in
   let h = Util.hash_combine h (Int64.of_int cfg.sched_states) in
   let h = Util.hash_combine h (Int64.of_int cfg.max_per_rule) in
   let h = Util.hash_combine h (Int64.of_int cfg.ablation.max_level) in
   Util.hash_combine h (Int64.of_int flags)
+
+(* {!trajectory_fingerprint_of} the graph's WL hash *)
+let trajectory_fingerprint cfg mode ~hw graph =
+  trajectory_fingerprint_of cfg mode ~hw (Wl_hash.hash graph)
 
 (* ------------------------------------------------------------------ *)
 (* Graceful degradation                                                *)
@@ -957,25 +1007,53 @@ let ladder_sched_states ~level sched_states =
 (* Main loop                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(** The initial M-state of the input graph: read back from its record
+    in the search's cache when there is one (the [init_replays]
+    counter; under [verify_states] it is recomputed and compared),
+    otherwise built on the input's index and, with a cache, stored
+    under {!init_key}.  Its record's lookup, like a pop record's, visits
+    no fault site. *)
+let initial (cfg : config) (cost : Op_cost.t) tb ~hw (inp : input) : Mstate.t =
+  let fresh () =
+    let s =
+      Mstate.init_on ~max_level:cfg.ablation.max_level
+        ~sched_states:cfg.sched_states cost inp.in_ix
+    in
+    if cfg.ablation.use_ftree_heuristic then s
+    else { s with ftree = Ftree.construct_naive inp.in_ix }
+  in
+  match cfg.sim_cache with
+  | None -> fresh ()
+  | Some sim -> (
+      let key = init_key cfg ~hw inp.in_ix inp.in_labels in
+      match Sim_cache.record sim key with
+      | None ->
+          let s = fresh () in
+          Sim_cache.add_record sim key (encode_init s);
+          s
+      | Some bytes ->
+          if cfg.verify_states && encode_init (fresh ()) <> bytes then
+            raise
+              (Verification_failure
+                 (Printf.sprintf
+                    "replayed initial state (key %016Lx) differs from its \
+                     recomputation"
+                    key));
+          bump tb c_init_replays 1;
+          decode_init (Graph_index.graph inp.in_ix) bytes)
+
 (** The loop state of a fresh run, accounted in [tb]: the initial
     M-state is the best, the queue's one entry and the dedup set's one
     hash.  [elapsed ()] is the run's clock. *)
-let start (cfg : config) (cost : Op_cost.t) (mode : mode) (graph : Graph.t) tb
+let start (cfg : config) (cost : Op_cost.t) (mode : mode) (inp : input) tb ~hw
     ~elapsed : snapshot =
   let init =
     timed tb s_init @@ fun () ->
-    let s =
-      Mstate.init ~max_level:cfg.ablation.max_level
-        ~sched_states:cfg.sched_states cost graph
-    in
-    let s =
-      if cfg.ablation.use_ftree_heuristic then s
-      else { s with ftree = Ftree.construct_naive graph }
-    in
+    let s = initial cfg cost tb ~hw inp in
     if cfg.verify_states then begin
       Magis_analysis.Hooks.assert_state ~what:"initial M-state" s.graph
         s.schedule;
-      let acc = Ftree.accounting cost (Graph_index.of_graph s.graph) s.ftree in
+      let acc = Ftree.accounting cost inp.in_ix s.ftree in
       Magis_analysis.Hooks.assert_bounds ~what:"initial M-state"
         ~size_of:acc.size_of s.graph ~peak:s.peak_mem ();
       Magis_analysis.Hooks.assert_interference ~what:"initial M-state"
@@ -987,8 +1065,7 @@ let start (cfg : config) (cost : Op_cost.t) (mode : mode) (graph : Graph.t) tb
   let seen = Hashtbl.create 1024 in
   Hashtbl.replace seen
     (counted_hash tb (fun () ->
-         let ix = Graph_index.of_graph init.graph in
-         state_hash (Wl_hash.hash_of (Wl_hash.labels_on ix)) init.ftree))
+         state_hash (Wl_hash.hash_of inp.in_labels) init.ftree))
     ();
   {
     snap_best = init;
@@ -1013,10 +1090,14 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
     invalid_arg "Search.run: config.jobs is retired and must be 1";
   let t0 = Unix.gettimeofday () in
   let tb = fresh_table () in
-  let hw, fingerprint, loaded =
+  let hw, inp, fingerprint, loaded =
     timed tb s_init @@ fun () ->
     let hw = Hardware.fingerprint cost.hw in
-    let fingerprint = trajectory_fingerprint config mode ~hw graph in
+    let ix = Graph_index.of_graph graph in
+    let inp = { in_ix = ix; in_labels = Wl_hash.labels_on ix } in
+    let fingerprint =
+      trajectory_fingerprint_of config mode ~hw (Wl_hash.hash_of inp.in_labels)
+    in
     let loaded : snapshot option =
       match config.checkpoint with
       | Some { ckpt_path; ckpt_resume = true; _ }
@@ -1025,7 +1106,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
             (Checkpoint.load ~path:ckpt_path ~version:ckpt_version ~fingerprint)
       | _ -> None
     in
-    (hw, fingerprint, loaded)
+    (hw, inp, fingerprint, loaded)
   in
   (* a resumed run continues the snapshot's clock and accounting;
      metrics publish this process's work, the deltas since [published] *)
@@ -1037,7 +1118,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
         (st, Array.copy st.snap_table.counts)
     | None ->
         let published = Array.copy tb.counts in
-        ( start config cost mode graph tb ~elapsed:(fun () ->
+        ( start config cost mode inp tb ~hw ~elapsed:(fun () ->
               Unix.gettimeofday () -. t0),
           published )
   in
@@ -1409,8 +1490,12 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
                   ("stale", string_of_bool s.ftree_stale) ]
               "pop");
       (* One index of the popped graph serves the pop: its context, the
-         F-Tree refresh and mutations, and the rule sites. *)
-      let ix = timed tb s_refresh (fun () -> Graph_index.of_graph s.graph) in
+         F-Tree refresh and mutations, and the rule sites.  The input
+         graph's is the run's. *)
+      let ix =
+        if s.graph == graph then inp.in_ix
+        else timed tb s_refresh (fun () -> Graph_index.of_graph s.graph)
+      in
       let sched_states =
         ladder_sched_states ~level:st.snap_degrade config.sched_states
       in
@@ -1420,7 +1505,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
          the pop, which then proposes nothing. *)
       Option.iter (expand ~sched_states s)
         (supervise ~what:"pop context"
-           (pop_context config tb ~sched_states ~hw s)
+           (pop_context config tb ~sched_states ~hw inp s)
            ix);
       match config.checkpoint with
       | Some { ckpt_path; ckpt_every; _ }
@@ -1457,7 +1542,10 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
 (* ------------------------------------------------------------------ *)
 
 let baseline (cost : Op_cost.t) (graph : Graph.t) =
-  let base = Simulator.run cost graph (Graph.topo_order graph) in
+  let ix = Graph_index.of_graph graph in
+  let base =
+    Simulator.run_on cost ix (Array.to_list (Graph_index.order ix))
+  in
   (base.peak_mem, base.latency)
 
 (** Optimize peak memory subject to a latency-overhead bound relative to

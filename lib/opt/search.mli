@@ -197,8 +197,8 @@ type config = {
           [Membound.lower <= simulated peak <= Membound.ub_total] (plus
           the latency floor) via {!Magis_analysis.Hooks.assert_bounds},
           and recompute every pop record replayed from [sim_cache] (its
-          F-Tree rebuilt, its children hashed and keyed) to compare it
-          with the replay, raising {!Verification_failure} on the
+          F-Tree rebuilt, its children hashed and keyed) and a replayed
+          initial state to compare them with the replay, raising {!Verification_failure} on the
           first violation (tests/CI on, benchmarks off) *)
   jobs : int;
       (** Retired: the search runs one serial loop, and {!run} raises
@@ -218,8 +218,7 @@ type config = {
           keyed before the refresh on what the refresh and generating,
           hashing and keying the proposals read (the graph by node id,
           the schedule, the popped F-Tree with all its entries, whether
-          the pop refreshes, [max_level], the hot-spots,
-          [max_per_rule], [use_sweep_rules], [restrict_sched_rules],
+          the pop refreshes, [max_level], [max_per_rule], [use_sweep_rules], [restrict_sched_rules],
           the effective DP budget and the hardware); a search that
           pops the same state reads it instead of rebuilding the tree
           and relabelling and hashing each child (the
@@ -227,7 +226,12 @@ type config = {
           replayed pop that refreshed; [hashes] still counts every
           candidate), and builds a rewritten child only for a miss or
           a built hit (the [built] counter counts the rewrite children
-          built).
+          built).  And it stores one record per initial state, under
+          {!init_key}: the state less its graph (F-Tree, schedule,
+          peak, latency, hot spots); a search from the same input, in
+          either mode and at any limit, reads it back instead of
+          scheduling, simulating and building the F-Tree of the input
+          graph (the [init_replays] counter).
           [None] (the default) = no cache, nothing keyed: a cache of
           one search's own never hits, as dedup skips every state it
           could return. *)
@@ -299,6 +303,16 @@ val ladder_sched_states : level:int -> int -> int
     Keys search checkpoints, and, combined with the cap, cached
     frontiers ({!Magis_frontier.Frontier_build.key}). *)
 val trajectory_fingerprint : config -> mode -> hw:int64 -> Graph.t -> int64
+
+(** Key of a run's initial-state record in [config.sim_cache]: a
+    digest of exactly what the run reads to build its initial M-state —
+    the input graph pinned by node id (each node's id, WL label and
+    operand ids, in the index's order; [labels] are the index's
+    {!Wl_hash.labels_on}), [ablation.max_level], [sched_states],
+    [ablation.use_ftree_heuristic] and the hardware fingerprint [hw].
+    No mode and no limit: a memory and a latency search of one model
+    share the record. *)
+val init_key : config -> hw:int64 -> Graph_index.t -> Wl_hash.labels -> int64
 
 (** The table as a flat JSON object — every counter under its name,
     every stage as [t_<stage>] seconds, then [wall], [unaccounted]

@@ -376,10 +376,9 @@ let schedule_members ~max_states ~size_of (ix : Graph_index.t)
   done;
   output sc
 
-(** Schedule the whole graph, sized by its node records
+(** Schedule the whole indexed graph, sized by its node records
     ({!Magis_cost.Lifetime.node_size}) unless [size_of] is given. *)
-let schedule ~max_states ?size_of (g : Graph.t) : int list =
-  let ix = Graph_index.of_graph g in
+let schedule_on ~max_states ?size_of (ix : Graph_index.t) : int list =
   let size_of =
     match size_of with
     | Some f -> f
@@ -390,3 +389,6 @@ let schedule ~max_states ?size_of (g : Graph.t) : int list =
   let order = schedule_members ~max_states ~size_of ix ids in
   assert (Graph_index.is_valid_order ix order);
   order
+
+let schedule ~max_states ?size_of (g : Graph.t) : int list =
+  schedule_on ~max_states ?size_of (Graph_index.of_graph g)

@@ -32,3 +32,7 @@ val schedule_members :
     defaults to {!Magis_cost.Lifetime.node_size} of the index's node
     records. *)
 val schedule : max_states:int -> ?size_of:(int -> int) -> Graph.t -> int list
+
+(** {!schedule} on an index of the graph the caller already holds. *)
+val schedule_on :
+  max_states:int -> ?size_of:(int -> int) -> Graph_index.t -> int list

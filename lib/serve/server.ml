@@ -35,10 +35,8 @@ module Fault = Magis_resilience.Fault
 module Retry = Magis_resilience.Retry
 module Checkpoint = Magis_resilience.Checkpoint
 module Interrupt = Magis_resilience.Interrupt
-module Graph = Magis_ir.Graph
 module Hardware = Magis_cost.Hardware
 module Op_cost = Magis_cost.Op_cost
-module Simulator = Magis_cost.Simulator
 module Sim_cache = Magis_cost.Sim_cache
 module Search = Magis_opt.Search
 module Mstate = Magis_opt.Mstate
@@ -355,26 +353,21 @@ let run_search t (job : job) (req : P.request) (workload : Zoo.workload)
   (* Baseline simulation establishes the mode limit; its fault site
      ("simulator") is retried, and a persistent failure quarantines the
      request instead of the daemon. *)
-  match
-    Retry.run (fun () -> Simulator.run t.cost graph (Graph.topo_order graph))
-  with
+  match Retry.run (fun () -> Search.baseline t.cost graph) with
   | Error (f : Retry.failure) ->
       let detail =
         Printf.sprintf "quarantined after %d attempts: %s" f.attempts
           (Printexc.to_string f.exn)
       in
       rejected ~quarantine:("request", detail) req.id P.Internal detail
-  | Ok base -> (
+  | Ok (base_peak, base_latency) -> (
       let mode =
         match req.mode with
         | P.Memory overhead ->
-            Search.Min_memory { lat_limit = base.latency *. (1.0 +. overhead) }
+            Search.Min_memory { lat_limit = base_latency *. (1.0 +. overhead) }
         | P.Latency ratio ->
             Search.Min_latency
-              {
-                mem_limit =
-                  int_of_float (float_of_int base.peak_mem *. ratio);
-              }
+              { mem_limit = int_of_float (float_of_int base_peak *. ratio) }
       in
       let path = ckpt_path t.cfg req.id in
       (* progress at every positive multiple of [progress_every] (the

@@ -283,8 +283,9 @@ done
 
 # 23. no byte from a socket is ever unmarshalled: outside the checkpoint
 # container (lib/resilience/checkpoint.ml, which checks a file's header,
-# length and digest first) and the search's own replayed F-Trees
-# (lib/opt/search.ml, bytes this process wrote), no OCaml source calls
+# length and digest first) and the search's own replayed pop and
+# initial-state records (lib/opt/search.ml, bytes this process wrote),
+# no OCaml source calls
 # Marshal.from_*.
 hits=$(grep -HnP 'Marshal\.from_' $(git ls-files -- '*.ml' '*.mli') 2>/dev/null |
   grep -vE '^(lib/resilience/checkpoint\.ml|lib/opt/search\.ml):')

@@ -161,7 +161,7 @@ let test_refresh_preserves_enabled () =
 
 let test_construct_naive_differs () =
   let _, g, _ = bert_state () in
-  let t = Ftree.construct_naive ~seed:3 g in
+  let t = Ftree.construct_naive ~seed:3 (Graph_index.of_graph g) in
   Alcotest.(check bool) "naive construction yields candidates" true
     (Ftree.n_entries t >= 0)
 

@@ -186,7 +186,8 @@ let counts_but_cache (r : Search.result) =
       not
         (List.mem n
            [ "sim_hits"; "sim_misses"; "sched_fallbacks"; "resched_nodes";
-             "sched_nodes"; "refresh_replays"; "expansion_replays" ]))
+             "sched_nodes"; "refresh_replays"; "expansion_replays";
+             "init_replays" ]))
     (Search.counts r.stats)
 
 let replays (r : Search.result) =
@@ -250,8 +251,9 @@ let test_warm_search_replays_expansions () =
   Alcotest.(check (list (pair string int))) "same counters but the cache's"
     (counts_but_cache cold) (counts_but_cache warm);
   Alcotest.(check int) "the cold run replays no pop" 0 (expansion_replays cold);
-  Alcotest.(check int) "the cold run stores a record per pop"
-    cold.stats.iterations records;
+  Alcotest.(check int)
+    "the cold run stores a record per pop and its initial state's"
+    (cold.stats.iterations + 1) records;
   Alcotest.(check int) "the warm run replays every pop" warm.stats.iterations
     (expansion_replays warm);
   Alcotest.(check (pair int int)) "the warm run stores no record" stored
@@ -267,8 +269,10 @@ let test_warm_search_replays_expansions () =
     run (Some sim)
   in
   Alcotest.(check int) "one hash quarantined" 1 faulty.stats.n_quarantined;
+  (* every pop's record but the quarantined one's, and the initial
+     state's *)
   Alcotest.(check int) "the quarantined pop stores no record"
-    (faulty.stats.iterations - 1)
+    faulty.stats.iterations
     (fst (Sim_cache.record_stats sim));
   let clean = run (Some sim) and none = run None in
   Alcotest.(check bool) "the clean run replays a stored record" true
@@ -367,6 +371,177 @@ let test_warm_repeat_builds_lazily () =
   Alcotest.(check bool) "the cold run builds more" true
     (built cold > built warm)
 
+let init_replays (r : Search.result) =
+  List.assoc "init_replays" (Search.counts r.stats)
+
+(* An initial state, field by field: its schedule, peak, latency bits,
+   hot spots, F-Tree fingerprint and every F-Tree entry. *)
+let initial_state (r : Search.result) =
+  let s = r.initial in
+  let module S = Util.Int_set in
+  let entry i =
+    let e = Ftree.entry s.ftree i in
+    ( (S.elements e.fission.members, Util.Int_map.bindings e.fission.dims),
+      (e.fission.n, e.parent, e.children) )
+  in
+  ( (s.schedule, s.peak_mem, Int64.bits_of_float s.latency, S.elements s.hotspots),
+    Ftree.fingerprint s.ftree,
+    List.init (Ftree.n_entries s.ftree) entry )
+
+(* A search over a cache an earlier search of the same model filled
+   reads its initial state back, and that state is bit for bit the one
+   a cacheless search builds, in either mode. *)
+let test_warm_initial_state () =
+  let g = subject () in
+  List.iter
+    (fun (what, search) ->
+      let sim = Sim_cache.create () in
+      let run sim_cache =
+        search
+          ~config:{ (config 1e9) with max_iterations = 2; sim_cache }
+          (cache ()) g
+      in
+      let fresh = run None in
+      let cold = run (Some sim) in
+      let warm = run (Some sim) in
+      Alcotest.(check (list int)) (what ^ ": read back only when warm") [ 0; 0; 1 ]
+        (List.map init_replays [ fresh; cold; warm ]);
+      Alcotest.(check bool) (what ^ ": the warm initial state is the fresh one")
+        true
+        (initial_state warm = initial_state fresh);
+      Alcotest.(check bool) (what ^ ": same best state and history") true
+        (outcome warm = outcome fresh))
+    [ ("memory mode", fun ~config -> Search.optimize_memory ~config ~overhead:0.10);
+      ("latency mode", fun ~config -> Search.optimize_latency ~config ~mem_ratio:0.8) ]
+
+(* The initial record holds no mode and no limit: a latency search run
+   after a memory search of one model on one cache reads the memory
+   search's initial state back. *)
+let test_mode_pair_shares_initial_state () =
+  let g = subject () and sim = Sim_cache.create () in
+  let config = { (config 1e9) with max_iterations = 8; sim_cache = Some sim } in
+  let mem = Search.optimize_memory ~config (cache ()) ~overhead:0.10 g in
+  let lat = Search.optimize_latency ~config (cache ()) ~mem_ratio:0.8 g in
+  Alcotest.(check (pair int int)) "the second search reads init_replays = 1"
+    (0, 1) (init_replays mem, init_replays lat);
+  let none =
+    Search.optimize_latency ~config:{ config with sim_cache = None } (cache ())
+      ~mem_ratio:0.8 g
+  in
+  Alcotest.(check bool) "the latency search returns its cacheless result" true
+    (outcome lat = outcome none)
+
+(* Every input of the initial record's key is part of it, and nothing
+   else: each row changes one thing of a search and says whether the
+   changed search shares the unchanged one's key.  Both then run, in
+   that order, on one cache under [verify_states]: the second reads the
+   first's initial state back exactly when they share the key, and
+   returns what its own cacheless search returns.  A renumbered node
+   keeps the graph's WL hash, which dedup reads, but not the key. *)
+let test_init_key_inputs () =
+  let g = subject () in
+  let renumbered =
+    (* the last node: no operand and no position in the order moves *)
+    let v = List.hd (List.rev (Graph.topo_order g)) in
+    let g', v' =
+      Graph.add_copy g v (Array.to_list (Graph.node g v).inputs)
+    in
+    Graph.remove (Graph.redirect g' ~from_:v ~to_:v') v
+  in
+  let rewired =
+    (* a node reading two distinct same-shaped operands now reads the
+       second twice; the first keeps another consumer *)
+    let c, a, b =
+      List.find_map
+        (fun (n : Graph.node) ->
+          match n.inputs with
+          | [| a; b |]
+            when a <> b
+                 && Shape.equal (Graph.shape g a) (Graph.shape g b)
+                 && Graph.out_degree g a > 1 ->
+              Some (n.id, a, b)
+          | _ -> None)
+        (Graph.nodes g)
+      |> Option.get
+    in
+    Graph.replace_input g ~node_id:c ~old_src:a ~new_src:b
+  in
+  let lat_limit = snd (Search.baseline (cache ()) g) *. 1.1 in
+  let base =
+    ( { (config 1e9) with max_iterations = 3 },
+      Search.Min_memory { lat_limit },
+      Hardware.default,
+      g )
+  in
+  let ablation f (c : Search.config) = { c with ablation = f c.ablation } in
+  let knob f (c, m, hw, g) = (f c, m, hw, g) in
+  let rows =
+    [ ("hardware", false, fun (c, m, _, g) -> (c, m, Hardware.a100, g));
+      ("max_level", false, knob (ablation (fun a -> { a with max_level = 3 })));
+      ("sched_states", false, knob (fun c -> { c with Search.sched_states = 64 }));
+      ( "use_ftree_heuristic", false,
+        knob (ablation (fun a -> { a with use_ftree_heuristic = false })) );
+      ("a node's id", false, fun (c, m, hw, _) -> (c, m, hw, renumbered));
+      ("a node's operand", false, fun (c, m, hw, _) -> (c, m, hw, rewired));
+      ( "the mode", true,
+        fun (c, _, hw, g) -> (c, Search.Min_latency { mem_limit = 0 }, hw, g) );
+      ( "the limit", true,
+        fun (c, _, hw, g) ->
+          (c, Search.Min_memory { lat_limit = 2.0 *. lat_limit }, hw, g) ) ]
+  in
+  let key (c, _, hw, g) =
+    let ix = Graph_index.of_graph g in
+    Search.init_key c ~hw:(Hardware.fingerprint hw) ix (Wl_hash.labels_on ix)
+  in
+  let run ?sim_cache (c, m, hw, g) =
+    Search.run ~config:{ c with Search.sim_cache } (Op_cost.create hw) m g
+  in
+  Alcotest.(check bool) "a renumbered node keeps the WL hash" true
+    (Wl_hash.hash renumbered = Wl_hash.hash g);
+  List.iter
+    (fun (what, shares, change) ->
+      let changed = change base and sim = Sim_cache.create () in
+      Alcotest.(check bool)
+        (Printf.sprintf "changing %s %s the key" what
+           (if shares then "keeps" else "changes"))
+        shares
+        (key changed = key base);
+      ignore (run ~sim_cache:sim base : Search.result);
+      let second = run ~sim_cache:sim changed and none = run changed in
+      Alcotest.(check int) (what ^ ": the second search's init_replays")
+        (Bool.to_int shares) (init_replays second);
+      Alcotest.(check bool) (what ^ ": the second search's cacheless result")
+        true
+        (outcome second = outcome none))
+    rows
+
+(* Under [verify_states] a replayed initial state is recomputed and
+   compared: a record that decodes but is not the input's raises.  The
+   wrong record is the naive-fission search's initial state, stored
+   under the key of the default search of the same model. *)
+let test_wrong_init_record_raises () =
+  let g = subject () and sim = Sim_cache.create () in
+  let hw = Hardware.fingerprint Hardware.default in
+  let cfg = { (config 1e9) with max_iterations = 2; sim_cache = Some sim } in
+  let naive =
+    { cfg with ablation = { cfg.ablation with use_ftree_heuristic = false } }
+  in
+  let ix = Graph_index.of_graph g in
+  let key c = Search.init_key c ~hw ix (Wl_hash.labels_on ix) in
+  let mode = Search.Min_memory { lat_limit = infinity } in
+  ignore (Search.run ~config:naive (cache ()) mode g : Search.result);
+  ignore (Search.run ~config:cfg (cache ()) mode g : Search.result);
+  let wrong = Option.get (Sim_cache.record sim (key naive)) in
+  Alcotest.(check bool) "the two initial records differ" true
+    (Sim_cache.record sim (key cfg) <> Some wrong);
+  let sim' = Sim_cache.create () in
+  Sim_cache.add_record sim' (key cfg) wrong;
+  match
+    Search.run ~config:{ cfg with sim_cache = Some sim' } (cache ()) mode g
+  with
+  | _ -> Alcotest.fail "a wrong initial record was replayed unchecked"
+  | exception Search.Verification_failure _ -> ()
+
 (* A latency-mode search whose best misses its memory limit says so:
    ViT-base at 8 iterations and ratio 0.8 returns 464.7 MB against a
    462.3 MB limit; a memory-mode UNet meets its limit. *)
@@ -406,4 +581,11 @@ let suite =
     tc "a result says whether it met its limit" test_limit_met;
     tc "a warm repeat builds only the children it pops or accepts"
       test_warm_repeat_builds_lazily;
+    tc "a warm search starts from the fresh initial state"
+      test_warm_initial_state;
+    tc "a memory and a latency search share the initial state"
+      test_mode_pair_shares_initial_state;
+    tc "every input of the initial key is part of it" test_init_key_inputs;
+    tc "a wrong initial record raises under verify_states"
+      test_wrong_init_record_raises;
   ]
