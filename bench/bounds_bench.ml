@@ -16,7 +16,7 @@ let bounds_table (env : Common.env) =
       let t0 = now () in
       let b = Membound.compute g in
       let t_full = (now () -. t0) *. 1e3 in
-      let base = Simulator.run env.cost g (Graph.topo_order g) in
+      let base = Simulator.baseline env.cost (Graph_index.of_graph g) in
       Printf.printf "%-12s %9.1f %9.1f %9.1f %9.1f %6.2f %8.2f\n" w.name
         (float_of_int b.lower /. 1e6)
         (float_of_int base.peak_mem /. 1e6)

@@ -84,6 +84,11 @@ let search_config env =
 (** Unoptimized PyTorch reference for a workload. *)
 let baseline env g = Naive.run env.cost g
 
+(** The [(mem_limit, lat_limit)] a limit relative to [base] sets
+    ({!Search.mode_of}, the rule MAGIS's own limit comes from). *)
+let limits (base : Outcome.t) rel =
+  Search.limits (Search.mode_of rel ~peak:base.peak_mem ~latency:base.latency)
+
 let ratio_of o ~(base : Outcome.t) =
   float_of_int o.Outcome.peak_mem /. float_of_int base.peak_mem
 
@@ -94,52 +99,46 @@ let overhead_of o ~(base : Outcome.t) =
 (* System runners                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(** MAGIS, memory-constrained-latency mode (Fig. 9): minimize memory with
-    at most [overhead] extra latency. *)
-let magis_memory env g ~overhead : Outcome.t =
-  let r = Search.optimize_memory ~config:(search_config env) env.cost ~overhead g in
-  let base = baseline env g in
-  let feasible = r.best.latency <= base.latency *. (1.0 +. overhead) *. 1.0001 in
+(* A MAGIS row: the search's best, feasible when it met its limit. *)
+let magis (r : Search.result) : Outcome.t =
   {
     Outcome.system = "MAGIS";
     peak_mem = r.best.peak_mem;
     latency = r.best.latency;
-    feasible;
+    feasible = Search.limit_met r;
   }
+
+(** MAGIS, memory-constrained-latency mode (Fig. 9): minimize memory with
+    at most [overhead] extra latency. *)
+let magis_memory env g ~overhead =
+  magis (Search.optimize_memory ~config:(search_config env) env.cost ~overhead g)
 
 (** MAGIS, latency-under-memory mode (Fig. 10): minimize latency with peak
     memory at most [mem_ratio] of the unoptimized baseline. *)
-let magis_latency env g ~mem_ratio : Outcome.t =
-  let r = Search.optimize_latency ~config:(search_config env) env.cost ~mem_ratio g in
-  let base = baseline env g in
-  let limit = int_of_float (float_of_int base.peak_mem *. mem_ratio) in
-  {
-    Outcome.system = "MAGIS";
-    peak_mem = r.best.peak_mem;
-    latency = r.best.latency;
-    feasible = r.best.peak_mem <= limit;
-  }
+let magis_latency env g ~mem_ratio =
+  magis
+    (Search.optimize_latency ~config:(search_config env) env.cost ~mem_ratio g)
 
 (** All systems under a latency-overhead constraint; returns outcomes in a
     fixed order: MAGIS, POFO, DTR, XLA, TVM, TI. *)
 let systems_memory env g ~overhead : Outcome.t list =
-  let base = baseline env g in
-  let lat_limit = base.latency *. (1.0 +. overhead) in
+  let _, lat_limit = limits (baseline env g) (Search.Overhead overhead) in
+  let fused kind =
+    let o = Fusion_compiler.run kind env.cost g in
+    { o with feasible = o.latency <= lat_limit }
+  in
   [
     magis_memory env g ~overhead;
-    Pofo.min_memory env.cost g ~lat_limit;
-    Dtr.min_memory env.cost g ~lat_limit;
-    Xla.min_memory env.cost g ~lat_limit;
-    (let o = Fusion_compiler.run Fusion_compiler.Tvm env.cost g in
-     { o with feasible = o.latency <= lat_limit });
-    (let o = Fusion_compiler.run Fusion_compiler.Torch_inductor env.cost g in
-     { o with feasible = o.latency <= lat_limit });
+    Outcome.min_memory env.cost g ~lat_limit (Pofo.run env.cost g);
+    Outcome.min_memory env.cost g ~lat_limit (Dtr.run env.cost g);
+    Outcome.min_memory env.cost g ~lat_limit (Xla.run env.cost g);
+    fused Fusion_compiler.Tvm;
+    fused Fusion_compiler.Torch_inductor;
   ]
 
 (** All systems under a peak-memory constraint. *)
 let systems_latency env g ~mem_ratio : Outcome.t list =
-  let base = baseline env g in
-  let budget = int_of_float (float_of_int base.peak_mem *. mem_ratio) in
+  let budget, _ = limits (baseline env g) (Search.Mem_ratio mem_ratio) in
   [
     magis_latency env g ~mem_ratio;
     Pofo.run env.cost g ~budget;

@@ -10,9 +10,7 @@ let series_of_budget_runner ~name ~base run =
   let points =
     List.filter_map
       (fun r ->
-        let budget =
-          int_of_float (float_of_int base.Outcome.peak_mem *. r)
-        in
+        let budget, _ = Common.limits base (Search.Mem_ratio r) in
         let o = run budget in
         if o.Outcome.feasible then
           Some (Common.ratio_of o ~base, Common.overhead_of o ~base)

@@ -23,7 +23,7 @@ let run (env : Common.env) =
           (Transformer.vit_base ~batch ~image:128 ~patch:16 ~layers:2 ())
   in
   let ratios = [ 0.8; 0.6; 0.5; 0.4; 0.3; 0.2 ] in
-  let budget_of r = int_of_float (float_of_int base.Outcome.peak_mem *. r) in
+  let budget_of r = fst (Common.limits base (Search.Mem_ratio r)) in
   let print_series name points =
     Printf.printf "%-16s" name;
     List.iter (fun (m, l) -> Printf.printf " (%.2f, %+.2f)" m l) points;

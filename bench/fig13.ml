@@ -23,10 +23,8 @@ let settings =
       ablation = { Search.default_ablation with max_level = 8 } };
   ]
 
-type constraint_ = Lat_overhead of float | Mem_ratio of float
-
-let constraint_label = function
-  | Lat_overhead o -> Printf.sprintf "latency overhead < %.0f%%" (100.0 *. o)
+let constraint_label : Search.relative -> string = function
+  | Overhead o -> Printf.sprintf "latency overhead < %.0f%%" (100.0 *. o)
   | Mem_ratio r -> Printf.sprintf "memory ratio < %.0f%%" (100.0 *. r)
 
 let run (env : Common.env) =
@@ -34,7 +32,7 @@ let run (env : Common.env) =
   let g = Common.workload_graph env w in
   let base = Common.baseline env g in
   let constraints =
-    [ Lat_overhead 0.10; Lat_overhead 0.05; Mem_ratio 0.8; Mem_ratio 0.4 ]
+    Search.[ Overhead 0.10; Overhead 0.05; Mem_ratio 0.8; Mem_ratio 0.4 ]
   in
   List.iter
     (fun c ->
@@ -46,27 +44,27 @@ let run (env : Common.env) =
           in
           let result =
             match c with
-            | Lat_overhead o ->
+            | Search.Overhead o ->
                 Search.optimize_memory ~config env.cost ~overhead:o g
             | Mem_ratio r ->
                 Search.optimize_latency ~config env.cost ~mem_ratio:r g
           in
-          (* find when the constraint was first met, and the best value *)
+          (* find when the constraint was first met (the run's own limit,
+             and in memory mode a peak below the baseline's), and the
+             best value *)
+          let mem_limit, lat_limit = Search.limits result.mode in
           let meets peak lat =
-            match c with
-            | Lat_overhead o ->
-                lat <= base.Outcome.latency *. (1.0 +. o) *. 1.0001
-                && peak < base.peak_mem
-            | Mem_ratio r ->
-                float_of_int peak
-                <= (float_of_int base.peak_mem *. r) +. 1.0
+            peak <= mem_limit && lat <= lat_limit
+            && (match c with
+               | Search.Overhead _ -> peak < base.Outcome.peak_mem
+               | Mem_ratio _ -> true)
           in
           let first_met =
             List.find_opt (fun (_, p, l) -> meets p l) result.history
           in
           let objective peak lat =
             match c with
-            | Lat_overhead _ -> float_of_int peak /. float_of_int base.peak_mem
+            | Search.Overhead _ -> float_of_int peak /. float_of_int base.peak_mem
             | Mem_ratio _ -> (lat -. base.latency) /. base.latency
           in
           (* running best objective over constraint-feasible states only *)

@@ -13,7 +13,7 @@ let run (env : Common.env) =
   let cost = Op_cost.create Hardware.mobile in
   let image = match env.scale with Zoo.Full -> 512 | Zoo.Quick -> 256 in
   let graph = Unet.srnet_inference ~image ~channels:64 ~depth:12 () in
-  let base = Simulator.run cost graph (Graph.topo_order graph) in
+  let base = Simulator.baseline cost (Graph_index.of_graph graph) in
   Printf.printf "%-16s peak %8.1f MB (100%%)  latency %7.1f ms\n" "unoptimized"
     (float_of_int base.peak_mem /. 1e6)
     (base.latency *. 1e3);

@@ -48,7 +48,7 @@ let cmd_list () =
 let cmd_inspect name full =
   let w, g = load name full in
   let cost = Op_cost.create Hardware.default in
-  let base = Simulator.run cost g (Graph.topo_order g) in
+  let base = Simulator.baseline cost (Graph_index.of_graph g) in
   Printf.printf "%s (batch %d, %s)\n" w.name w.batch w.config;
   Printf.printf "  operators:   %d\n" (Graph.n_nodes g);
   Printf.printf "  weights:     %.1f MB\n" (mb (Graph.weight_bytes g));
@@ -169,7 +169,7 @@ let cmd_optimize name full overhead mem_ratio budget iters ckpt resume
     ckpt_every stats_json_path profile_dir =
   let w, g = load name full in
   let cost = Op_cost.create Hardware.default in
-  let base = Simulator.run cost g (Graph.topo_order g) in
+  let base = Simulator.baseline cost (Graph_index.of_graph g) in
   if resume && ckpt = None then begin
     prerr_endline "magis: --resume requires --checkpoint FILE";
     exit 2
@@ -212,10 +212,16 @@ let cmd_optimize name full overhead mem_ratio budget iters ckpt resume
     try
       Fun.protect ~finally:(fun () -> Option.iter Profile.close sink)
       @@ fun () ->
-      match (overhead, mem_ratio) with
-      | Some o, _ -> Search.optimize_memory ~config cost ~overhead:o g
-      | None, Some r -> Search.optimize_latency ~config cost ~mem_ratio:r g
-      | None, None -> Search.optimize_memory ~config cost ~overhead:0.10 g
+      let rel =
+        match (overhead, mem_ratio) with
+        | Some o, _ -> Search.Overhead o
+        | None, Some r -> Search.Mem_ratio r
+        | None, None -> Search.Overhead 0.10
+      in
+      (* the limit is set over the baseline printed below *)
+      Search.run ~config cost
+        (Search.mode_of rel ~peak:base.peak_mem ~latency:base.latency)
+        g
     with Checkpoint.Incompatible reason ->
       Printf.eprintf "magis: incompatible checkpoint: %s\n" reason;
       exit exit_incompatible
@@ -414,7 +420,7 @@ let cmd_codegen name full budget output =
   let config = { Search.default_config with time_budget = budget } in
   let result = Search.optimize_memory ~config cost ~overhead:0.10 g in
   let best = result.best in
-  let base = (Simulator.run cost g (Graph.topo_order g)).latency in
+  let base = (Simulator.baseline cost (Graph_index.of_graph g)).latency in
   let code, _ =
     Pytorch_codegen.emit_expanded cost
       ~title:
@@ -437,7 +443,8 @@ let cmd_codegen name full budget output =
     concrete schedules (program order and the memory-greedy reorder).
     Returns the bound-invariant diagnostics. *)
 let analyze_one cost name g =
-  let base = Simulator.run cost g (Graph.topo_order g) in
+  let ix = Graph_index.of_graph g in
+  let base = Simulator.baseline cost ix in
   let lv = Liveness.compute g in
   let b = Membound.of_liveness lv in
   let greedy_order = Reorder.schedule ~max_states:0 g in
@@ -447,7 +454,7 @@ let analyze_one cost name g =
     (mb (Liveness.weight_bytes lv))
     (mb (Liveness.pinned_bytes lv - Liveness.weight_bytes lv));
   Fmt.pr "  %a@." Membound.pp b;
-  let acc = Ftree.accounting cost (Graph_index.of_graph g) Ftree.empty in
+  let acc = Ftree.accounting cost ix Ftree.empty in
   let lat_lb = Membound.latency_lower_bound ~cost_of:acc.cost_of g in
   Printf.printf "  latency: %.2f ms simulated, %.2f ms lower bound\n"
     (ms base.latency) (ms lat_lb);

@@ -35,8 +35,9 @@ let () =
     comps;
 
   (* baseline profile *)
-  let order = Graph.topo_order g in
-  let base = Simulator.run cost g order in
+  let ix = Graph_index.of_graph g in
+  let order = Array.to_list (Graph_index.order ix) in
+  let base = Simulator.baseline cost ix in
   Fmt.pr "baseline: peak %.1f MB, latency %.3f ms@."
     (float_of_int base.peak_mem /. 1e6)
     (base.latency *. 1e3);
@@ -53,7 +54,7 @@ let () =
     | None -> ()
     | Some n ->
         let t = Ftree.set_n ftree i n in
-        let acc = Ftree.accounting cost (Graph_index.of_graph g) t in
+        let acc = Ftree.accounting cost ix t in
         let r = Simulator.run ~size_of:acc.size_of ~cost_of:acc.cost_of cost g order in
         Fmt.pr
           "  candidate %d: |S|=%-3d n=%d -> peak %.1f MB (%.0f%%), latency %+.1f%%@."

@@ -34,7 +34,7 @@ let my_model ~batch =
 let () =
   let cost = Op_cost.create Hardware.default in
   let graph = my_model ~batch:64 in
-  let base = Simulator.run cost graph (Graph.topo_order graph) in
+  let base = Simulator.baseline cost (Graph_index.of_graph graph) in
   Fmt.pr "custom model: %d ops, peak %.1f MB, step %.2f ms@."
     (Graph.n_nodes graph)
     (float_of_int base.peak_mem /. 1e6)

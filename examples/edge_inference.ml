@@ -14,8 +14,7 @@ let () =
   let cost = Op_cost.create Hardware.mobile in
   Fmt.pr "device: %a@." Hardware.pp Hardware.mobile;
   let graph = Unet.srnet_inference ~image:512 ~channels:64 ~depth:12 () in
-  let order = Graph.topo_order graph in
-  let base = Simulator.run cost graph order in
+  let base = Simulator.baseline cost (Graph_index.of_graph graph) in
   Fmt.pr "VDSR super-resolution, batch 1, 512x512: %d ops, peak %.1f MB, %.1f ms@."
     (Graph.n_nodes graph) (mb base.peak_mem) (base.latency *. 1e3);
 

@@ -16,14 +16,16 @@ let () =
     Transformer.build_lm
       (Transformer.gpt_neo_1_3b ~seq_len:256 ~layers:4 ~vocab:8192 ())
   in
-  let base = Simulator.run cost graph (Graph.topo_order graph) in
+  let base = Simulator.baseline cost (Graph_index.of_graph graph) in
   Fmt.pr "GPT-Neo (4 layers, seq 256): %d ops, weights %.2f GB, peak %.2f GB, step %.0f ms@."
     (Graph.n_nodes graph)
     (gb (Graph.weight_bytes graph))
     (gb base.peak_mem) (base.latency *. 1e3);
 
   let target_ratio = 0.5 in
-  let budget = int_of_float (float_of_int base.peak_mem *. target_ratio) in
+  let config = { Search.default_config with time_budget = 8.0 } in
+  let r = Search.optimize_latency ~config cost ~mem_ratio:target_ratio graph in
+  let budget, _ = Search.limits r.mode in
   Fmt.pr "target: %.2f GB (%.0f%% of unoptimized)@." (gb budget)
     (100.0 *. target_ratio);
 
@@ -39,14 +41,12 @@ let () =
   report (Xla.run cost graph ~budget);
 
   (* MAGIS *)
-  let config = { Search.default_config with time_budget = 8.0 } in
-  let r = Search.run ~config cost (Search.Min_latency { mem_limit = budget }) graph in
   report
     {
       Outcome.system = "MAGIS";
       peak_mem = r.best.peak_mem;
       latency = r.best.latency;
-      feasible = r.best.peak_mem <= budget;
+      feasible = Search.limit_met r;
     };
   Fmt.pr "MAGIS plan: %d fission region(s), %d swap(s), %d re-materialized op(s)@."
     (List.length (Ftree.enabled_indices r.best.ftree))

@@ -19,7 +19,7 @@ let () =
     (mb (Graph.weight_bytes graph));
 
   (* 3. the unoptimized profile (PyTorch-style execution) *)
-  let base = Simulator.run cost graph (Graph.topo_order graph) in
+  let base = Simulator.baseline cost (Graph_index.of_graph graph) in
   Fmt.pr "unoptimized: peak %.1f MB, latency %.2f ms@." (mb base.peak_mem)
     (ms base.latency);
 

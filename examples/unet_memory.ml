@@ -32,15 +32,11 @@ let profile cost label graph ftree schedule =
 let () =
   let cost = Op_cost.create Hardware.default in
   let graph = Zoo.unet.build Zoo.Quick in
-  let base = Simulator.run cost graph (Graph.topo_order graph) in
   Fmt.pr "UNet training, batch 32@.";
   profile cost "PyTorch " graph Ftree.empty (Graph.topo_order graph);
   let config = { Search.default_config with time_budget = 6.0 } in
   List.iter
-    (fun (label, ratio) ->
-      let limit =
-        int_of_float (float_of_int base.peak_mem *. ratio)
-      in
-      let r = Search.run ~config cost (Search.Min_latency { mem_limit = limit }) graph in
+    (fun (label, mem_ratio) ->
+      let r = Search.optimize_latency ~config cost ~mem_ratio graph in
       profile cost label r.best.graph r.best.ftree r.best.schedule)
     [ ("MAGIS-80%", 0.8); ("MAGIS-60%", 0.6) ]

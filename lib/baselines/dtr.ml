@@ -131,10 +131,3 @@ let run ?(thrash_factor = 25) (cost : Op_cost.t) (g : Graph.t)
       feasible = true;
     }
   with Oom | Thrash -> Outcome.infeasible "DTR"
-
-let min_memory (cost : Op_cost.t) (g : Graph.t) ~(lat_limit : float) :
-    Outcome.t =
-  let base = Simulator.run cost g (Graph.topo_order g) in
-  Outcome.min_memory_under_latency
-    ~run:(fun budget -> run cost g ~budget)
-    ~lo:(Graph.weight_bytes g) ~hi:base.peak_mem ~lat_limit

@@ -29,11 +29,3 @@ let run (cost : Op_cost.t) ~(build : int -> Graph.t) ~(batch : int)
       system = name;
       latency = o.latency *. float_of_int factor;
     }
-
-let min_memory (cost : Op_cost.t) ~build ~batch ~factor
-    ~(lat_limit : float) : Outcome.t =
-  let sub = build (batch / factor) in
-  let base = Simulator.run cost sub (Graph.topo_order sub) in
-  Outcome.min_memory_under_latency
-    ~run:(fun budget -> run cost ~build ~batch ~factor ~budget)
-    ~lo:(Graph.weight_bytes sub) ~hi:base.peak_mem ~lat_limit

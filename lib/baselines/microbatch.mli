@@ -8,7 +8,3 @@ open Magis_cost
 val run :
   Op_cost.t -> build:(int -> Graph.t) -> batch:int -> factor:int ->
   budget:int -> Outcome.t
-
-val min_memory :
-  Op_cost.t -> build:(int -> Graph.t) -> batch:int -> factor:int ->
-  lat_limit:float -> Outcome.t

@@ -1,5 +1,8 @@
 (** Common result type for the baseline memory optimizers. *)
 
+open Magis_ir
+open Magis_cost
+
 type t = {
   system : string;
   peak_mem : int;  (** device bytes at the memory peak *)
@@ -34,3 +37,10 @@ let min_memory_under_latency ~(run : int -> t) ~(lo : int) ~(hi : int)
   if not (top.feasible && top.latency <= lat_limit) then
     { top with feasible = false }
   else bisect lo hi top 12
+
+let min_memory (cost : Op_cost.t) (g : Graph.t) ~(lat_limit : float)
+    (run : budget:int -> t) : t =
+  let base = Simulator.baseline cost (Graph_index.of_graph g) in
+  min_memory_under_latency
+    ~run:(fun budget -> run ~budget)
+    ~lo:(Graph.weight_bytes g) ~hi:base.peak_mem ~lat_limit

@@ -112,12 +112,3 @@ let run (cost : Op_cost.t) (g : Graph.t) ~(budget : int) : Outcome.t =
             feasible = true;
           }
     end
-
-(** Latency-constrained variant (Fig. 9): the smallest budget whose plan
-    stays within the latency limit. *)
-let min_memory (cost : Op_cost.t) (g : Graph.t) ~(lat_limit : float) :
-    Outcome.t =
-  let base = Simulator.run cost g (Graph.topo_order g) in
-  Outcome.min_memory_under_latency
-    ~run:(fun budget -> run cost g ~budget)
-    ~lo:(Graph.weight_bytes g) ~hi:base.peak_mem ~lat_limit

@@ -11,6 +11,3 @@ type policy = Keep | Recompute | Offload
 
 (** Run under a device-memory [budget]. *)
 val run : Op_cost.t -> Graph.t -> budget:int -> Outcome.t
-
-(** Smallest memory whose plan stays within the latency limit (Fig. 9). *)
-val min_memory : Op_cost.t -> Graph.t -> lat_limit:float -> Outcome.t

@@ -6,4 +6,3 @@ open Magis_ir
 open Magis_cost
 
 val run : Op_cost.t -> Graph.t -> budget:int -> Outcome.t
-val min_memory : Op_cost.t -> Graph.t -> lat_limit:float -> Outcome.t

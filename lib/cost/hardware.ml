@@ -80,8 +80,7 @@ let edge_lb =
 
 (** A multi-tier memory system: a small fast tier (HBM-like) in front of
     a large slow tier, à la the memory-aware-scheduling literature for
-    irregular wired networks.  [fast_memory] is the capacity knob
-    ({!with_fast_memory} turns it). *)
+    irregular wired networks.  [fast_memory] is the capacity knob. *)
 let tiered =
   {
     name = "tiered";
@@ -111,13 +110,6 @@ let find name =
         (Printf.sprintf
            "Hardware.find: unknown profile %s (expected one of %s)" name
            (String.concat ", " names))
-
-let with_fast_memory t ~bytes =
-  {
-    t with
-    fast_memory = bytes;
-    name = Printf.sprintf "%s/fast%dM" t.name (bytes / 1_000_000);
-  }
 
 (** Stable 64-bit digest of the full device model.  Two hardware values
     with the same fingerprint produce identical simulator results, so

@@ -50,11 +50,6 @@ val names : string list
     unknown names. *)
 val find : string -> t
 
-(** Turn the fast-tier capacity knob; the profile is renamed
-    ["<name>/fast<MB>M"] so derived profiles stay distinguishable in
-    reports (the fingerprint would differ regardless). *)
-val with_fast_memory : t -> bytes:int -> t
-
 (** Stable 64-bit digest of the device model; equal fingerprints mean
     identical simulator behaviour (used to key the simulation cache and
     the frontier cache).  Digests every field of [t]. *)

@@ -116,6 +116,9 @@ let simulate ?size_of ?cost_of ?sink (cost : Op_cost.t) (ix : Graph_index.t)
 let run_on ?size_of ?cost_of cost ix order =
   simulate ?size_of ?cost_of cost ix order
 
+let baseline cost ix =
+  simulate cost ix (Array.to_list (Graph_index.order ix))
+
 let run ?size_of ?cost_of cost g order =
   simulate ?size_of ?cost_of cost (Graph_index.of_graph g) order
 

@@ -49,6 +49,11 @@ val run_on :
   int list ->
   result
 
+(** The unoptimized plan (paper §7.1's PyTorch baseline):
+    {!Graph_index.order} of the index, simulated.  Every ratio the
+    system reports is measured against it. *)
+val baseline : Op_cost.t -> Graph_index.t -> result
+
 (** Like {!run}, additionally returning the per-node placements in
     schedule order — the input of {!Magis_obs.Timeline} lane export.
     Traced as a ["simulate"] span. *)

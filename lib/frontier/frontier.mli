@@ -9,7 +9,7 @@
     O(log n) lookup instead of a fresh search.
 
     A frontier also records its sweep's baseline: the unoptimized
-    graph's [(peak, latency)] ({!Magis_opt.Search.baseline}), the
+    graph's [(peak, latency)] ({!Magis_cost.Simulator.baseline}), the
     reference of every ratio budget.  It is plain data — a point array,
     the baseline and five counters, no closure — so {!Frontier_cache}
     persists the value itself. *)

@@ -18,7 +18,8 @@ let key ?(config = Search.default_config) mode ~hw graph =
     (Int64.of_int config.Search.max_iterations)
 
 let build ?(config = Search.default_config) cost mode graph =
-  let fr = Frontier.create ~baseline:(Search.baseline cost graph) in
+  let base = Simulator.baseline cost (Magis_ir.Graph_index.of_graph graph) in
+  let fr = Frontier.create ~baseline:(base.peak_mem, base.latency) in
   let config = { config with Search.harvest = Some (harvest_into fr) } in
   let result = Search.run ~config cost mode graph in
   (* the starting state is never a candidate, so the hook never sees it;
@@ -42,6 +43,8 @@ let cached_or_build ?(config = Search.default_config) ~dir cost mode graph =
       (fr, `Built result)
 
 let budget_of_ratio fr ~ratio =
-  int_of_float (float_of_int (fst (Frontier.baseline fr)) *. ratio)
+  let peak, latency = Frontier.baseline fr in
+  let mode = Search.mode_of (Search.Mem_ratio ratio) ~peak ~latency in
+  fst (Search.limits mode)
 
 let query_ratio fr ~ratio = Frontier.query fr ~budget:(budget_of_ratio fr ~ratio)

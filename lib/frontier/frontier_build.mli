@@ -31,7 +31,7 @@ val key :
 
 (** Run the search with harvesting on and return the swept frontier
     alongside the ordinary search result.  The frontier's baseline is
-    {!Search.baseline} of the graph; the search's starting state is
+    {!Simulator.baseline} of the graph; the search's starting state is
     offered as iteration 0. *)
 val build :
   ?config:Search.config ->
@@ -61,9 +61,9 @@ val cached_or_build :
   Graph.t ->
   Frontier.t * [ `Hit | `Built of Search.result ]
 
-(** A ratio budget in bytes: [ratio] × the frontier's baseline peak,
-    the byte limit {!Search.optimize_latency} sets for the same
-    [mem_ratio]. *)
+(** A ratio budget in bytes: the memory limit {!Search.mode_of}[
+    (Mem_ratio ratio)] sets over the frontier's baseline, as for
+    {!Search.optimize_latency} at the same [mem_ratio]. *)
 val budget_of_ratio : Frontier.t -> ratio:float -> int
 
 (** {!Frontier.query} at {!budget_of_ratio}. *)

@@ -373,10 +373,11 @@ type checkpoint = {
   ckpt_resume : bool;
 }
 
+let max_per_rule = 6
+
 type config = {
   ablation : ablation;
   sched_states : int;
-  max_per_rule : int;
   time_budget : float;
   max_iterations : int;
   diversify_pops : bool;
@@ -397,7 +398,6 @@ let default_config =
   {
     ablation = default_ablation;
     sched_states = 0;
-    max_per_rule = 6;
     time_budget = 10.0;
     max_iterations = max_int;
     diversify_pops = true;
@@ -527,7 +527,7 @@ let pop_key (cfg : config) ~graph_key ~sched_hash ~sched_states ~hw
     lor bit cfg.ablation.restrict_sched_rules 2
   in
   let h = mix (mix h flags) cfg.ablation.max_level in
-  Util.hash_combine (mix (mix h cfg.max_per_rule) sched_states) hw
+  Util.hash_combine (mix (mix h max_per_rule) sched_states) hw
 
 (** Key of a run's initial-state record in the simulation cache, beside
     the pop records: a digest of exactly what {!start} reads to build
@@ -675,7 +675,7 @@ let rewrite_proposals (cfg : config) tb ~eager (s : Mstate.t) (cx : pop) :
       Rule.hotspots = s.hotspots;
       frozen = Ftree.frozen_region s.ftree;
       schedule_pos = (fun v -> if pos.(v) < 0 then None else Some pos.(v));
-      max_per_rule = cfg.max_per_rule;
+      max_per_rule;
       restrict_to_hotspots = cfg.ablation.restrict_sched_rules;
     }
   in
@@ -922,13 +922,24 @@ type result = {
   end_state : end_state option;
 }
 
+type relative = Overhead of float | Mem_ratio of float
+
+let mode_of rel ~peak ~latency =
+  match rel with
+  | Overhead o -> Min_memory { lat_limit = latency *. (1.0 +. o) }
+  | Mem_ratio r ->
+      Min_latency { mem_limit = int_of_float (float_of_int peak *. r) }
+
+let limits = function
+  | Min_latency { mem_limit } -> (mem_limit, infinity)
+  | Min_memory { lat_limit } -> (max_int, lat_limit)
+
 (** Does the best state meet its mode's limit?  In either mode a state
     over the limit ranks by how far over it is, so when no state meets
     the limit the search returns the nearest miss. *)
 let limit_met (r : result) =
-  match r.mode with
-  | Min_latency { mem_limit } -> r.best.peak_mem <= mem_limit
-  | Min_memory { lat_limit } -> r.best.latency <= lat_limit
+  let mem_limit, lat_limit = limits r.mode in
+  r.best.peak_mem <= mem_limit && r.best.latency <= lat_limit
 
 (* [r.stats.table] is the saved record's, so it already counts the
    save and the builds it ran, which are published as the metrics; the
@@ -979,7 +990,7 @@ let trajectory_fingerprint_of (cfg : config) (mode : mode) ~(hw : int64)
   let h = Util.hash_combine wl hw in
   let h = Util.hash_combine h (mode_fingerprint mode) in
   let h = Util.hash_combine h (Int64.of_int cfg.sched_states) in
-  let h = Util.hash_combine h (Int64.of_int cfg.max_per_rule) in
+  let h = Util.hash_combine h (Int64.of_int max_per_rule) in
   let h = Util.hash_combine h (Int64.of_int cfg.ablation.max_level) in
   Util.hash_combine h (Int64.of_int flags)
 
@@ -1082,18 +1093,20 @@ let start (cfg : config) (cost : Op_cost.t) (mode : mode) (inp : input) tb ~hw
     snap_degrade = 0;
   }
 
-(** Run the search.  Returns the best state found within the time budget,
-    the initial state, the accounting table and the improvement history. *)
-let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
-    (graph : Graph.t) : result =
+(** Run the search in the mode [mode_on] reads off the run's index of
+    the input graph.  Returns the best state found within the time
+    budget, the initial state, the table and the improvement history. *)
+let search (config : config) (cost : Op_cost.t)
+    (mode_on : Graph_index.t -> mode) (graph : Graph.t) : result =
   if config.jobs <> 1 then
     invalid_arg "Search.run: config.jobs is retired and must be 1";
   let t0 = Unix.gettimeofday () in
   let tb = fresh_table () in
-  let hw, inp, fingerprint, loaded =
+  let hw, inp, mode, fingerprint, loaded =
     timed tb s_init @@ fun () ->
     let hw = Hardware.fingerprint cost.hw in
     let ix = Graph_index.of_graph graph in
+    let mode = mode_on ix in
     let inp = { in_ix = ix; in_labels = Wl_hash.labels_on ix } in
     let fingerprint =
       trajectory_fingerprint_of config mode ~hw (Wl_hash.hash_of inp.in_labels)
@@ -1106,7 +1119,7 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
             (Checkpoint.load ~path:ckpt_path ~version:ckpt_version ~fingerprint)
       | _ -> None
     in
-    (hw, inp, fingerprint, loaded)
+    (hw, inp, mode, fingerprint, loaded)
   in
   (* a resumed run continues the snapshot's clock and accounting;
      metrics publish this process's work, the deltas since [published] *)
@@ -1541,25 +1554,24 @@ let run ?(config = default_config) (cost : Op_cost.t) (mode : mode)
 (* Convenience wrappers                                                *)
 (* ------------------------------------------------------------------ *)
 
-let baseline (cost : Op_cost.t) (graph : Graph.t) =
-  let ix = Graph_index.of_graph graph in
-  let base =
-    Simulator.run_on cost ix (Array.to_list (Graph_index.order ix))
-  in
-  (base.peak_mem, base.latency)
+let run ?(config = default_config) cost mode graph =
+  search config cost (fun _ -> mode) graph
 
-(** Optimize peak memory subject to a latency-overhead bound relative to
-    the unoptimized graph (e.g. [0.10] allows 10% overhead). *)
-let optimize_memory ?config (cost : Op_cost.t) ~(overhead : float)
-    (graph : Graph.t) : result =
-  let _, latency = baseline cost graph in
-  run ?config cost (Min_memory { lat_limit = latency *. (1.0 +. overhead) }) graph
-
-(** Optimize latency subject to a peak-memory bound relative to the
-    unoptimized graph (e.g. [0.4] caps memory at 40%). *)
-let optimize_latency ?config (cost : Op_cost.t) ~(mem_ratio : float)
-    (graph : Graph.t) : result =
-  let peak, _ = baseline cost graph in
-  run ?config cost
-    (Min_latency { mem_limit = int_of_float (float_of_int peak *. mem_ratio) })
+(* A search whose limit is [rel] over the baseline, simulated on the
+   run's index; a baseline that keeps failing sets no limit. *)
+let relative ?(config = default_config) cost rel graph =
+  search config cost
+    (fun ix ->
+      match Retry.run (fun () -> Simulator.baseline cost ix) with
+      | Ok base -> mode_of rel ~peak:base.peak_mem ~latency:base.latency
+      | Error f ->
+          failwith
+            (Printf.sprintf "baseline simulation failed after %d attempt(s): %s"
+               f.attempts (Printexc.to_string f.exn)))
     graph
+
+let optimize_memory ?config cost ~overhead graph =
+  relative ?config cost (Overhead overhead) graph
+
+let optimize_latency ?config cost ~mem_ratio graph =
+  relative ?config cost (Mem_ratio mem_ratio) graph

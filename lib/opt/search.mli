@@ -158,6 +158,19 @@ type result = {
           caller holding many results holds no loop state *)
 }
 
+(** A limit relative to the unoptimized plan: at most [Overhead o]
+    more latency (Fig. 9), or [Mem_ratio r] of its peak (Fig. 10). *)
+type relative = Overhead of float | Mem_ratio of float
+
+(** The one ratio → limit rule, over the baseline's [peak] and
+    [latency]: [lat_limit = latency × (1 + o)], or [mem_limit = peak ×
+    r] rounded down.  Every relative limit is read from it. *)
+val mode_of : relative -> peak:int -> latency:float -> mode
+
+(** A mode's [(mem_limit, lat_limit)]; the unset one is [max_int] or
+    [infinity]. *)
+val limits : mode -> int * float
+
 (** Does [best] meet its mode's limit: peak memory at most [mem_limit],
     or latency at most [lat_limit]?  A state over the limit ranks by
     how far over it is, so a search that finds no state within the
@@ -180,10 +193,13 @@ type checkpoint = {
           state as an uninterrupted (N+M)-iteration run. *)
 }
 
+(** Sites kept per rewrite rule and pop (6), in every search; folded
+    into the trajectory fingerprint and the pop key. *)
+val max_per_rule : int
+
 type config = {
   ablation : ablation;
   sched_states : int;  (** DP budget per scheduling call; 0 = greedy only *)
-  max_per_rule : int;
   time_budget : float;  (** seconds *)
   max_iterations : int;
   diversify_pops : bool;
@@ -218,7 +234,7 @@ type config = {
           keyed before the refresh on what the refresh and generating,
           hashing and keying the proposals read (the graph by node id,
           the schedule, the popped F-Tree with all its entries, whether
-          the pop refreshes, [max_level], [max_per_rule], [use_sweep_rules], [restrict_sched_rules],
+          the pop refreshes, [max_level], {!max_per_rule}, [use_sweep_rules], [restrict_sched_rules],
           the effective DP budget and the hardware); a search that
           pops the same state reads it instead of rebuilding the tree
           and relabelling and hashing each child (the
@@ -368,17 +384,15 @@ val run : ?config:config -> Op_cost.t -> mode -> Graph.t -> result
     @raise Invalid_argument if the run configured no [checkpoint]. *)
 val save : result -> result
 
-(** The unoptimized graph's [(peak, latency)]: its topological order,
-    simulated.  The baseline {!optimize_memory} and {!optimize_latency}
-    scale. *)
-val baseline : Op_cost.t -> Graph.t -> int * float
-
 (** Minimize memory with at most [overhead] extra latency relative to the
-    unoptimized graph (Fig. 9 mode). *)
+    unoptimized graph (Fig. 9 mode).  The run simulates the baseline
+    ({!Magis_cost.Simulator.baseline}) on its own index of the input
+    graph in its [init] stage, retrying its fault site with
+    {!Magis_resilience.Retry.run}; @raise Failure if that keeps failing. *)
 val optimize_memory :
   ?config:config -> Op_cost.t -> overhead:float -> Graph.t -> result
 
 (** Minimize latency with peak memory at most [mem_ratio] of the
-    unoptimized peak (Fig. 10 mode). *)
+    unoptimized peak (Fig. 10 mode), as {!optimize_memory}. *)
 val optimize_latency :
   ?config:config -> Op_cost.t -> mem_ratio:float -> Graph.t -> result

@@ -16,7 +16,12 @@
     (both safe inside a signal handler); the IO loop performs the
     actual drain transition under the queue lock in normal context.
 
-    Each optimize runs as exactly one {!Search.run}.  Its per-pop poll
+    Each optimize runs as exactly one search, through
+    {!Search.optimize_memory} or {!Search.optimize_latency}: the search
+    simulates the request's baseline on its own index of the graph and
+    sets the limit from it, so the daemon holds no mode arithmetic, and
+    a baseline whose fault site keeps failing ends the request as an
+    [Internal] reply with a [request] quarantine.  Its per-pop poll
     streams progress and stops the search when the client is gone or
     the daemon drains — SIGTERM, {!stop} and [shutdown] all set the one
     drain flag it reads, so a drained search, in flight or still
@@ -32,7 +37,6 @@ module Json = Magis_obs.Json
 module Trace = Magis_obs.Trace
 module Metrics = Magis_obs.Metrics
 module Fault = Magis_resilience.Fault
-module Retry = Magis_resilience.Retry
 module Checkpoint = Magis_resilience.Checkpoint
 module Interrupt = Magis_resilience.Interrupt
 module Hardware = Magis_cost.Hardware
@@ -350,103 +354,90 @@ let run_search t (job : job) (req : P.request) (workload : Zoo.workload)
   let conn = job.jconn in
   let elapsed () = Unix.gettimeofday () -. job.t_admit in
   let graph = workload.build req.scale in
-  (* Baseline simulation establishes the mode limit; its fault site
-     ("simulator") is retried, and a persistent failure quarantines the
-     request instead of the daemon. *)
-  match Retry.run (fun () -> Search.baseline t.cost graph) with
-  | Error (f : Retry.failure) ->
-      let detail =
-        Printf.sprintf "quarantined after %d attempts: %s" f.attempts
-          (Printexc.to_string f.exn)
-      in
+  let path = ckpt_path t.cfg req.id in
+  (* progress at every positive multiple of [progress_every] (the
+     search never polls at [max_iterations]); stop when the client
+     is gone or the daemon drains *)
+  let poll ~iteration ~(best : Mstate.t) =
+    if
+      req.progress_every > 0 && iteration > 0
+      && iteration mod req.progress_every = 0
+    then
+      send t conn
+        (P.Progress
+           {
+             p_id = req.id;
+             p_iterations = iteration;
+             p_peak = best.peak_mem;
+             p_latency = best.latency;
+             p_elapsed = elapsed ();
+           });
+    if Atomic.get conn.alive && not (Atomic.get t.drain_flag) then
+      `Continue
+    else `Stop
+  in
+  let config =
+    {
+      (search_config t ~shed:job.jshed req) with
+      time_budget = Option.value deadline_left ~default:3600.0;
+      poll;
+      checkpoint =
+        Some
+          {
+            Search.ckpt_path = path;
+            ckpt_every = t.cfg.ckpt_every;
+            ckpt_resume = true;
+          };
+    }
+  in
+  (* an interrupted search (cancelled or drained) saves the state
+     it ended in for the comeback, inside the guard below *)
+  let search () =
+    let r =
+      match req.mode with
+      | P.Memory overhead ->
+          Search.optimize_memory ~config t.cost ~overhead graph
+      | P.Latency mem_ratio ->
+          Search.optimize_latency ~config t.cost ~mem_ratio graph
+    in
+    if r.resumed then Metrics.incr m_resumed;
+    if r.interrupted then Search.save r else r
+  in
+  match search () with
+  | exception Checkpoint.Incompatible msg ->
+      rejected req.id P.Incompatible msg
+  | exception Search.Verification_failure msg ->
+      rejected ~quarantine:("verification", msg) req.id P.Internal
+        ("verification failure: " ^ msg)
+  | exception e ->
+      let detail = Printexc.to_string e in
       rejected ~quarantine:("request", detail) req.id P.Internal detail
-  | Ok (base_peak, base_latency) -> (
-      let mode =
-        match req.mode with
-        | P.Memory overhead ->
-            Search.Min_memory { lat_limit = base_latency *. (1.0 +. overhead) }
-        | P.Latency ratio ->
-            Search.Min_latency
-              { mem_limit = int_of_float (float_of_int base_peak *. ratio) }
-      in
-      let path = ckpt_path t.cfg req.id in
-      (* progress at every positive multiple of [progress_every] (the
-         search never polls at [max_iterations]); stop when the client
-         is gone or the daemon drains *)
-      let poll ~iteration ~(best : Mstate.t) =
-        if
-          req.progress_every > 0 && iteration > 0
-          && iteration mod req.progress_every = 0
-        then
-          send t conn
-            (P.Progress
-               {
-                 p_id = req.id;
-                 p_iterations = iteration;
-                 p_peak = best.peak_mem;
-                 p_latency = best.latency;
-                 p_elapsed = elapsed ();
-               });
-        if Atomic.get conn.alive && not (Atomic.get t.drain_flag) then
-          `Continue
-        else `Stop
-      in
-      let config =
-        {
-          (search_config t ~shed:job.jshed req) with
-          time_budget = Option.value deadline_left ~default:3600.0;
-          poll;
-          checkpoint =
-            Some
-              {
-                Search.ckpt_path = path;
-                ckpt_every = t.cfg.ckpt_every;
-                ckpt_resume = true;
-              };
-        }
-      in
-      (* an interrupted search (cancelled or drained) saves the state
-         it ended in for the comeback, inside the guard below *)
-      let search () =
-        let r = Search.run ~config t.cost mode graph in
-        if r.resumed then Metrics.incr m_resumed;
-        if r.interrupted then Search.save r else r
-      in
-      match search () with
-      | exception Checkpoint.Incompatible msg ->
-          rejected req.id P.Incompatible msg
-      | exception Search.Verification_failure msg ->
-          rejected ~quarantine:("verification", msg) req.id P.Internal
-            ("verification failure: " ^ msg)
-      | exception e ->
-          let detail = Printexc.to_string e in
-          rejected ~quarantine:("request", detail) req.id P.Internal detail
-      | r when r.interrupted && not (Atomic.get conn.alive) ->
-          cancelled (* end state saved for the comeback *)
-      | r ->
-          (* a finished search wrote no end state; it removes any
-             periodic snapshot.  The deadline is the search's time
-             budget, so the search's record says whether it ended the
-             run (a resumed snapshot, always an interrupted run's, holds
-             no such record) *)
-          let deadline_hit = Search.budget_ended r.stats in
-          if deadline_hit then Metrics.incr m_deadline;
-          if not r.interrupted then (
-            try Sys.remove path with Sys_error _ -> ());
-          served
-            (P.Result
-               {
-                 o_id = req.id;
-                 o_initial_peak = r.initial.peak_mem;
-                 o_peak = r.best.peak_mem;
-                 o_latency = r.best.latency;
-                 o_iterations = r.stats.iterations;
-                 o_interrupted = r.interrupted;
-                 o_resumed = r.resumed;
-                 o_deadline_hit = deadline_hit;
-                 o_limit_met = Search.limit_met r;
-                 o_quarantined = r.stats.n_quarantined;
-               }))
+  | r when r.interrupted && not (Atomic.get conn.alive) ->
+      cancelled (* end state saved for the comeback *)
+  | r ->
+      (* a finished search wrote no end state; it removes any
+         periodic snapshot.  The deadline is the search's time
+         budget, so the search's record says whether it ended the
+         run (a resumed snapshot, always an interrupted run's, holds
+         no such record) *)
+      let deadline_hit = Search.budget_ended r.stats in
+      if deadline_hit then Metrics.incr m_deadline;
+      if not r.interrupted then (
+        try Sys.remove path with Sys_error _ -> ());
+      served
+        (P.Result
+           {
+             o_id = req.id;
+             o_initial_peak = r.initial.peak_mem;
+             o_peak = r.best.peak_mem;
+             o_latency = r.best.latency;
+             o_iterations = r.stats.iterations;
+             o_interrupted = r.interrupted;
+             o_resumed = r.resumed;
+             o_deadline_hit = deadline_hit;
+             o_limit_met = Search.limit_met r;
+             o_quarantined = r.stats.n_quarantined;
+           })
 
 (* ------------------------------------------------------------------ *)
 (* Frontier queries                                                     *)

@@ -310,6 +310,24 @@ for mli in lib/*/*.mli; do
   fi
 done
 
+# 25. the unoptimized plan has one simulation, Simulator.baseline of an
+# index (Graph_index.order, the smallest-ready-id walk of
+# Graph.topo_order): under lib/, bin/, bench/ and examples/ no
+# Simulator.run* is handed Graph.topo_order directly, and nothing names
+# the deleted Search.baseline.  A baseline system's own run, whose order
+# passes through Hooks.schedule, simulates its plan, not a copy of the
+# baseline.  test/ and benchmark/ keep their reference copies.
+hits=$(perl -0ne '
+  while (/Simulator\.run\w*\b(?:(?!\b(?:in|let)\b|Hooks\.schedule).)*?Graph\.topo_order|\bSearch\.baseline\b/gs) {
+    my $l = 1 + (substr($_, 0, $-[0]) =~ tr/\n//);
+    (my $m = $&) =~ s/\s+/ /g;
+    print "$ARGV:$l: $m\n";
+  }' $(git ls-files -- 'lib/*.ml' 'lib/*.mli' 'bin/*.ml' 'bench/*.ml' 'examples/*.ml'))
+if [ -n "$hits" ]; then
+  fail "copy of the unoptimized baseline (call Simulator.baseline on an index):"
+  echo "$hits"
+fi
+
 if [ "$status" -eq 0 ]; then
   echo "style: clean ($(echo "$files" | wc -w) files)"
 fi

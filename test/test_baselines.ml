@@ -88,7 +88,9 @@ let test_min_memory_bisection () =
   let c = cache () in
   let g = subject () in
   let base = Naive.run c g in
-  let o = Pofo.min_memory c g ~lat_limit:(base.latency *. 1.10) in
+  let o =
+    Outcome.min_memory c g ~lat_limit:(base.latency *. 1.10) (Pofo.run c g)
+  in
   Alcotest.(check bool) "feasible" true o.feasible;
   Alcotest.(check bool) "improves on baseline" true (o.peak_mem < base.peak_mem);
   Alcotest.(check bool) "respects the latency limit" true

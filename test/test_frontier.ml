@@ -343,7 +343,7 @@ let test_ratio_one_is_baseline () =
   List.iter
     (fun (w : Zoo.workload) ->
       let g = w.build Zoo.Quick and cost = Op_cost.create Hardware.default in
-      let peak, _ = Search.baseline cost g in
+      let peak = (Simulator.baseline cost (Graph_index.of_graph g)).peak_mem in
       List.iter
         (fun pass ->
           let fr, outcome =
@@ -487,26 +487,13 @@ let test_fingerprint_covers_every_field () =
         Alcotest.failf "mutating %s left the fingerprint unchanged" field)
     mutants
 
-let test_find_and_fast_memory_knob () =
+let test_find () =
   Alcotest.(check string)
     "find is case-insensitive" Hardware.a100.Hardware.name
     (Hardware.find "A100").Hardware.name;
-  (match Hardware.find "not-a-device" with
+  match Hardware.find "not-a-device" with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "find accepted an unknown profile");
-  let shrunk =
-    Hardware.with_fast_memory Hardware.tiered ~bytes:(512 * 1024 * 1024)
-  in
-  Alcotest.(check int)
-    "with_fast_memory sets the knob"
-    (512 * 1024 * 1024)
-    shrunk.Hardware.fast_memory;
-  Alcotest.(check bool)
-    "with_fast_memory renames the derived profile" true
-    (shrunk.Hardware.name <> Hardware.tiered.Hardware.name);
-  Alcotest.(check bool)
-    "with_fast_memory changes the fingerprint" true
-    (Hardware.fingerprint shrunk <> Hardware.fingerprint Hardware.tiered)
+  | _ -> Alcotest.fail "find accepted an unknown profile"
 
 let test_batch_sweep () =
   let w = Zoo.find "UNet" in
@@ -546,7 +533,7 @@ let suite =
     tc "hardware zoo: five profiles, distinct fingerprints" test_zoo_registry;
     tc "fingerprint digests every profile field"
       test_fingerprint_covers_every_field;
-    tc "find / with_fast_memory behave" test_find_and_fast_memory_knob;
+    tc "find: case-insensitive, strict" test_find;
     tc "batch sweep helpers" test_batch_sweep;
   ]
   @ List.map QCheck_alcotest.to_alcotest props

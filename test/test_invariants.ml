@@ -779,7 +779,7 @@ let state_rewrites (s : Mstate.t) =
       Rule.hotspots = s.hotspots;
       frozen = Ftree.frozen_region s.ftree;
       schedule_pos = Hashtbl.find_opt pos;
-      max_per_rule = 6;
+      max_per_rule = Search.max_per_rule;
       restrict_to_hotspots = true;
     }
   in
@@ -1900,7 +1900,7 @@ let state_ctx (s : Mstate.t) =
     Rule.hotspots = s.hotspots;
     frozen = Ftree.frozen_region s.ftree;
     schedule_pos = Hashtbl.find_opt pos;
-    max_per_rule = Search.default_config.max_per_rule;
+    max_per_rule = Search.max_per_rule;
     restrict_to_hotspots = true;
   }
 

@@ -290,22 +290,18 @@ let test_warm_search_replays_expansions () =
    cacheless search returns.  A record replayed under a key that missed
    an input shows as a different trajectory or, under [verify_states],
    as a failed check: a key without [max_level] shows only as the
-   latter, one without [max_per_rule] or [use_sweep_rules] as both.
-   The rule knobs are varied on ViT-base, where they change the
-   proposals enough for that to show (on UNet a key without
-   [use_sweep_rules] went unnoticed).  Searches with and without the
-   F-Tree heuristic never pop the same unrefreshed tree (constructed
-   or naive), so that row passes with or without the refresh bit in
-   the key. *)
+   latter, one without [use_sweep_rules] as both.  The rule knob is
+   varied on ViT-base, where it changes the proposals enough for that
+   to show (on UNet a key without [use_sweep_rules] went unnoticed).
+   Searches with and without the F-Tree heuristic never pop the same
+   unrefreshed tree (constructed or naive), so that row passes with or
+   without the refresh bit in the key. *)
 let test_pop_key_inputs () =
   let ablation f c = { c with Search.ablation = f c.Search.ablation } in
   let rows =
     [ ( "UNet", "max_level",
         [ ("3", ablation (fun a -> { a with max_level = 3 }));
           ("4", ablation (fun a -> { a with max_level = 4 })) ] );
-      ( "ViT-base", "max_per_rule",
-        [ ("6", fun c -> { c with Search.max_per_rule = 6 });
-          ("2", fun c -> { c with Search.max_per_rule = 2 }) ] );
       ( "ViT-base", "use_sweep_rules",
         [ ("true", fun c -> { c with Search.use_sweep_rules = true });
           ("false", fun c -> { c with Search.use_sweep_rules = false }) ] );
@@ -466,7 +462,9 @@ let test_init_key_inputs () =
     in
     Graph.replace_input g ~node_id:c ~old_src:a ~new_src:b
   in
-  let lat_limit = snd (Search.baseline (cache ()) g) *. 1.1 in
+  let lat_limit =
+    (Simulator.baseline (cache ()) (Graph_index.of_graph g)).latency *. 1.1
+  in
   let base =
     ( { (config 1e9) with max_iterations = 3 },
       Search.Min_memory { lat_limit },

@@ -529,6 +529,22 @@ let test_torn_read_quarantined () =
   Alcotest.(check int) "torn read quarantined" 1 h.quarantined;
   Alcotest.(check string) "daemon healthy" "ok" h.status
 
+(* A request whose baseline simulation (the search's first "simulator"
+   visit) fails past its retries sets no limit: it ends as an internal
+   error with a quarantine record, and the next request is served. *)
+let test_failing_baseline_quarantined () =
+  with_server (fresh_cfg "baseline-fault") @@ fun addr ->
+  with_client addr @@ fun c ->
+  (Fun.protect ~finally:Fault.disarm @@ fun () ->
+   Fault.arm (Fault.burst ~site:"simulator" ~at:1 ~len:8 Fault.Exception);
+   match Client.optimize c (req "bf-1") with
+   | P.Error { kind = P.Internal; _ } -> ()
+   | r ->
+       Alcotest.failf "expected an internal error, got %s"
+         (P.reply_to_string r));
+  Alcotest.(check int) "request quarantined" 1 (Client.health c).quarantined;
+  ignore (expect_result (Client.optimize c (req "bf-2")))
+
 (* ------------------------------------------------------------------ *)
 (* Frontier queries                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -608,9 +624,9 @@ let test_frontier_ratio_one_is_baseline () =
           P.f_max_iterations = 2; f_budget_ratio = 1.0 }
       in
       let a = expect_frontier (Client.frontier c fq) in
-      let peak, _ =
-        Search.baseline (Op_cost.create (Hardware.find "rtx3090"))
-          (w.build Zoo.Quick)
+      let peak =
+        (Simulator.baseline (Op_cost.create (Hardware.find "rtx3090"))
+           (Graph_index.of_graph (w.build Zoo.Quick))).peak_mem
       in
       Alcotest.(check int) (w.name ^ ": ratio 1.0 is the baseline peak") peak
         a.fr_budget)
@@ -726,6 +742,48 @@ let test_shed_rung_is_search_rung () =
     (at 1);
   Alcotest.(check int) "the rung quarters the budget" 16 (at 1)
 
+(* A cold daemon's result is the library's: for UNet and BERT-base in
+   both request modes, an optimize answers what [Search.optimize_memory]
+   or [optimize_latency] returns in process under the daemon's own
+   configuration, limit included, since the daemon sets no limit of its
+   own.  The in-process searches share one cache in request order, as
+   the daemon's do. *)
+let test_result_is_library_search () =
+  let cfg = fresh_cfg "library" in
+  let t = Server.create cfg in
+  let cost = Op_cost.create Hardware.default in
+  with_server cfg @@ fun addr ->
+  with_client addr @@ fun c ->
+  List.iter
+    (fun (model, mode) ->
+      let r = { (req ~model ~iters:8 (model ^ "-lib")) with P.mode } in
+      let o = expect_result (Client.optimize c r) in
+      let config = Server.search_config t ~shed:0 r in
+      let g = (Zoo.find model).build r.scale in
+      let lib =
+        match mode with
+        | P.Memory overhead -> Search.optimize_memory ~config cost ~overhead g
+        | P.Latency mem_ratio ->
+            Search.optimize_latency ~config cost ~mem_ratio g
+      in
+      let what =
+        match mode with
+        | P.Memory o -> Printf.sprintf "%s, overhead %g: " model o
+        | P.Latency m -> Printf.sprintf "%s, mem_ratio %g: " model m
+      in
+      Alcotest.(check int) (what ^ "initial peak") lib.initial.peak_mem
+        o.o_initial_peak;
+      Alcotest.(check int) (what ^ "best peak") lib.best.peak_mem o.o_peak;
+      Alcotest.(check int64) (what ^ "latency bits")
+        (Int64.bits_of_float lib.best.latency)
+        (Int64.bits_of_float o.o_latency);
+      Alcotest.(check int) (what ^ "iterations") lib.stats.iterations
+        o.o_iterations;
+      Alcotest.(check bool) (what ^ "limit met") (Search.limit_met lib)
+        o.o_limit_met)
+    [ ("unet", P.Memory 0.1); ("unet", P.Latency 0.8);
+      ("bert-base", P.Memory 0.1); ("bert-base", P.Latency 0.8) ]
+
 let suite =
   [
     tc "protocol commands and replies round-trip" test_protocol_roundtrip;
@@ -755,10 +813,14 @@ let suite =
       test_drain_at_next_pop;
     tc "torn socket read is quarantined, never fatal"
       test_torn_read_quarantined;
+    tc "a failing baseline is quarantined, never fatal"
+      test_failing_baseline_quarantined;
     tc "frontier: miss builds and persists, repeat hits the cache"
       test_frontier_miss_builds_then_hits;
     tc "frontier: a cap-8 build never answers a cap-40 query"
       test_frontier_cap_in_key;
+    tc "a cold daemon's result is the library search's"
+      test_result_is_library_search;
     tc "frontier: ratio 1.0 is the baseline peak on every Quick model"
       test_frontier_ratio_one_is_baseline;
     tc "chaos scenarios all survive" test_chaos_daemon_survives;
